@@ -14,13 +14,14 @@ charge drawn, which drives the funnel-effect and lifetime experiments.
 Scaling: the spatial grid index
 -------------------------------
 With tens of thousands of radios the hot queries — who can hear a
-sender, is the carrier busy, which overlapping frame is strongest —
+sender, is the carrier busy, which overlapping frames reach a receiver —
 cannot afford to visit every radio.  When the link model publishes a
 hard audible-range bound (``max_audible_range_m`` on its *own* class,
 see :mod:`repro.radio.propagation`), the medium buckets radios into
-square cells at least that large, so every query resolves against the
-3×3 cell neighborhood instead of the full population: any radio that
-could possibly be heard is in an adjacent cell by construction.
+square cells at least that large, so "who can hear this radio" resolves
+against the 3×3 cell neighborhood instead of the full population: any
+radio that could possibly be heard is in an adjacent cell by
+construction.
 
 The index is an *accelerator, not an approximation*: the candidate set
 is a superset of the audible set, every candidate is then evaluated with
@@ -28,6 +29,24 @@ exactly the same model math, results are sorted by the same
 ``(rssi desc, node_id)`` key, and the PRR draw order is unchanged — so
 an indexed medium reproduces the brute-force medium's event trace
 byte-for-byte (``make check-invariants`` pins this).
+
+Collisions: arbitrated once per frame
+-------------------------------------
+A sender's effect on its surroundings is one cached
+:class:`_Neighborhood`: the ``(receiver, rssi, prr)`` triples delivery
+walks (``audible_from`` is their first two columns) and ``rssi_by_id``,
+the same links as a ``node_id -> rssi`` map, blocked and inaudible links
+left out.  CCA and collision arbitration never evaluate a link: "how
+loud is that transmission at radio ``r``" is its sender's
+``rssi_by_id.get(r.node_id)``.  When a frame ends, the transmissions
+that overlapped it in time and channel are resolved *once*
+(:meth:`Medium._interferers`): from the global end-time heap while it is
+small, else from the per-cell heaps within ±2 cells of the sender — a
+receiver is at most one cell from the sender, an interferer it hears at
+most one further.  That bound holds for the geometry the receiver list
+was computed under, so a frame that saw any world change in flight scans
+the global heap.  Each listening receiver then takes a max over those
+maps, usually an empty list.
 
 Cache invalidation rules (the part that must not rot):
 
@@ -37,11 +56,17 @@ Cache invalidation rules (the part that must not rot):
   endpoints' versions*; a stale stamp misses, so moves and power
   changes can never serve old signal strengths.  The cache is cleared
   wholesale when it exceeds ``rssi_cache_max`` entries.
-- Audible neighborhoods are cached per sender with the grid cells they
-  were computed from and those cells' versions.  Attaching or moving a
-  radio bumps only the affected cells, so distant neighborhoods
-  revalidate with an integer compare instead of rebuilding.
+- A neighborhood (triples and ``rssi_by_id``, built in one pass) is
+  stamped with the world version, its sender's version, the link-filter
+  version, and the grid cells it drew candidates from with those cells'
+  versions.  Attaching or moving a radio bumps only the affected cells,
+  so distant neighborhoods revalidate with an integer compare instead of
+  rebuilding.  Every read goes through :meth:`Medium._neighborhood`,
+  which checks the stamps, so an interferer's map is never staler than
+  its ``audible_from``.
 - ``set_link_filter`` and model replacement invalidate everything.
+- A frame's receiver triples are the ones current when it was *sent*;
+  its interferers' maps are the ones current when it *ends*.
 """
 
 from __future__ import annotations
@@ -50,7 +75,7 @@ import enum
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.radio.propagation import LinkQualityModel, Position
 from repro.sim.kernel import Simulator
@@ -72,7 +97,7 @@ CAPTURE_MARGIN_DB = 6.0
 #: borderline-audible link can never straddle more than one cell edge.
 _CELL_MARGIN = 1.01
 #: With this few active transmissions, scanning the global heap is
-#: cheaper than assembling the 3×3 cell view (and equally exact).
+#: cheaper than assembling the per-cell view (and equally exact).
 _SMALL_ACTIVE = 12
 #: Directed-link RSSI cache entries before a wholesale clear.
 DEFAULT_RSSI_CACHE_MAX = 262_144
@@ -114,33 +139,47 @@ class Frame:
 
 @dataclass
 class _Transmission:
+    """One frame on the air, kept until nothing can overlap it any more."""
+
+    __slots__ = ("radio", "frame", "start", "end", "world_version",
+                 "span", "addressee")
     radio: "Radio"
     frame: Frame
     start: float
     end: float
+    #: ``Medium._world_version`` at send time: unchanged at the end means
+    #: the receiver list still describes the geometry.
+    world_version: int
     #: ``radio.airtime`` span context (repro.obs); None when untraced.
-    span: Any = None
+    span: Any
     #: Link-layer addressee of a traced frame (duck-typed from the
     #: payload's ``dst``); per-receiver outcome events are recorded
     #: only at this node, so overhearing neighbors don't flood the tree.
-    addressee: Any = None
+    addressee: Any
+
+
+_ActiveItem = Tuple[float, int, _Transmission]
 
 
 @dataclass
 class _Neighborhood:
     """A sender's cached audible set, with everything needed to reuse it.
 
-    ``pairs`` is the public ``audible_from`` value; ``prrs`` is the
-    aligned per-receiver reception probability so delivery skips the
-    per-frame logistic.  The version stamps implement the two-tier
-    validation described in the module docstring: a matching
-    ``world_version`` means *nothing anywhere* changed (one compare);
-    otherwise the entry is still good if its sender, the link filter,
-    and every grid cell it drew candidates from are unchanged.
+    ``receivers`` holds the ``(radio, rssi, prr)`` triples delivery
+    walks, in ``audible_from`` order, so a frame skips the per-link
+    logistic; ``rssi_by_id`` maps the same radios' ids to the same RSSI
+    for CCA and collision arbitration (absent = blocked or inaudible).
+    The version stamps implement the two-tier validation described in
+    the module docstring: a matching ``world_version`` means *nothing
+    anywhere* changed (one compare); otherwise the entry is still good
+    if its sender, the link filter, and every grid cell it drew
+    candidates from are unchanged.
     """
 
-    pairs: List[Tuple["Radio", float]]
-    prrs: List[float]
+    __slots__ = ("receivers", "rssi_by_id", "world_version",
+                 "sender_version", "filter_version", "cells", "cell_versions")
+    receivers: List[Tuple["Radio", float, float]]
+    rssi_by_id: Dict[int, float]
     world_version: int
     sender_version: int
     filter_version: int
@@ -316,7 +355,7 @@ class Medium:
         self.radios: Dict[int, Radio] = {}
         #: Min-heap of ``(end, seq, transmission)``: recent and in-flight
         #: transmissions, pruned lazily (see :meth:`_prune_active`).
-        self._active: List[Tuple[float, int, _Transmission]] = []
+        self._active: List[_ActiveItem] = []
         self._active_seq = 0
         self._max_airtime = 0.0
         self._rng = sim.substream("radio.medium")
@@ -336,7 +375,7 @@ class Medium:
         self._cell_versions: Dict[Tuple[int, int], int] = {}
         self._grid_max_tx = float("-inf")
         #: Per-cell mirrors of ``_active`` for O(near) CCA/interference.
-        self._cell_active: Dict[Tuple[int, int], List[Tuple[float, int, _Transmission]]] = {}
+        self._cell_active: Dict[Tuple[int, int], List[_ActiveItem]] = {}
         self._cell_active_count = 0
         self._bind_model(model)
 
@@ -443,11 +482,6 @@ class Medium:
         self._world_version += 1
         self._neighborhoods.clear()
 
-    def _blocked(self, sender_id: int, receiver_id: int) -> bool:
-        return self._link_filter is not None and self._link_filter(
-            sender_id, receiver_id
-        )
-
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
@@ -513,7 +547,8 @@ class Medium:
         perturb a seeded run.
         """
         self._sync_model()
-        return self._neighborhood(sender).pairs
+        return [(radio, rssi)
+                for radio, rssi, _ in self._neighborhood(sender).receivers]
 
     def _neighborhood(self, sender: Radio) -> _Neighborhood:
         entry = self._neighborhoods.get(sender.node_id)
@@ -598,8 +633,9 @@ class Medium:
         else:
             prrs = [self.model.reception_probability(rssi) for _, rssi in pairs]
         return _Neighborhood(
-            pairs=pairs,
-            prrs=prrs,
+            receivers=[(radio, rssi, prr)
+                       for (radio, rssi), prr in zip(pairs, prrs)],
+            rssi_by_id={radio.node_id: rssi for radio, rssi in pairs},
             world_version=self._world_version,
             sender_version=sender_version,
             filter_version=self._filter_version,
@@ -651,44 +687,45 @@ class Medium:
         for heap in self._cell_active.values():
             heapq.heapify(heap)
 
-    def _active_near(self, position: Position, now: float) -> Iterator[_Transmission]:
-        """Transmissions that could possibly be audible at ``position``.
+    def _active_around(self, position: Position, reach: int) -> Sequence[_ActiveItem]:
+        """Heap items of transmissions within ``reach`` cells of ``position``.
 
-        Falls back to the (exact, identical) global scan when indexing
-        is off or the active set is small; otherwise only the 3×3 cell
-        neighborhood's heaps are visited.  Any transmission audible at
+        Falls back to the (exact, identical) global heap when indexing
+        is off or the active set is small.  Any transmission audible at
         ``position`` radiates from within the range bound, hence from an
-        adjacent cell — the candidate set is a superset either way.
+        adjacent cell (``reach=1``) — a superset either way.
         """
         if self._grid is None or len(self._active) <= _SMALL_ACTIVE:
-            for item in self._active:
-                yield item[2]
-            return
+            return self._active
         home_x, home_y = self._cell_of(position)
-        horizon = now - self._max_airtime
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                heap = self._cell_active.get((home_x + dx, home_y + dy))
+        horizon = self.sim.now - self._max_airtime
+        cell_active = self._cell_active
+        found: List[_ActiveItem] = []
+        offsets = range(-reach, reach + 1)
+        for dx in offsets:
+            for dy in offsets:
+                heap = cell_active.get((home_x + dx, home_y + dy))
                 if not heap:
                     continue
                 while heap and heap[0][0] <= horizon:
                     heapq.heappop(heap)
                     self._cell_active_count -= 1
-                for item in heap:
-                    yield item[2]
+                found.extend(heap)
+        return found
 
     def carrier_busy(self, radio: Radio) -> bool:
         """True if any audible transmission occupies ``radio``'s channel."""
         self._sync_model()
         now = self.sim.now
-        for tx in self._active_near(radio.position, now):
-            if tx.end <= now or tx.radio is radio:
+        channel = radio.channel
+        radio_id = radio.node_id
+        for _, _, tx in self._active_around(radio.position, 1):
+            if tx.end <= now or not tx.frame.interferes_with(channel):
                 continue
-            if not tx.frame.interferes_with(radio.channel):
-                continue
-            if self._blocked(tx.radio.node_id, radio.node_id):
-                continue
-            if self.rssi_between(tx.radio, radio) >= CCA_THRESHOLD_DBM:
+            # A sender is never in its own map, so a radio does not
+            # sense its own frame.
+            rssi = self._neighborhood(tx.radio).rssi_by_id.get(radio_id)
+            if rssi is not None and rssi >= CCA_THRESHOLD_DBM:
                 return True
         return False
 
@@ -709,15 +746,17 @@ class Medium:
         if airtime > self._max_airtime:
             self._max_airtime = airtime
         self._prune_active(now)
-        tx = _Transmission(radio=radio, frame=frame, start=now, end=now + airtime)
+        span = addressee = None
         obs = self.trace.obs
         if obs is not None and obs.spans is not None:
             parent = getattr(frame.payload, "trace_ctx", None)
             if parent is not None:
-                tx.span = obs.spans.start(parent, "radio.airtime",
-                                          node=radio.node_id, t=now,
-                                          size=frame.size_bytes)
-                tx.addressee = getattr(frame.payload, "dst", None)
+                span = obs.spans.start(parent, "radio.airtime",
+                                       node=radio.node_id, t=now,
+                                       size=frame.size_bytes)
+                addressee = getattr(frame.payload, "dst", None)
+        tx = _Transmission(radio, frame, now, now + airtime,
+                           self._world_version, span, addressee)
         self._active_seq += 1
         item = (tx.end, self._active_seq, tx)
         heapq.heappush(self._active, item)
@@ -740,17 +779,14 @@ class Medium:
         self.trace.emit(now, "radio.tx", node=radio.node_id, size=frame.size_bytes,
                         channel=frame.channel)
 
-        if frame.jam_channels:
-            receivers: List[Tuple[Radio, float, float]] = []
-        else:
-            neighborhood = self._neighborhood(radio)
-            receivers = [(receiver, rssi, prr) for (receiver, rssi), prr
-                         in zip(neighborhood.pairs, neighborhood.prrs)]
+        # Jammers are never received, only interfere.  The triples are
+        # the ones current *now*: a later move re-aims future frames.
+        receivers = () if frame.jam_channels else self._neighborhood(radio).receivers
 
         def finish() -> None:
             radio._set_state(RadioState.LISTEN)
-            for receiver, rssi, prr in receivers:
-                self._try_deliver(tx, receiver, rssi, prr)
+            if receivers:
+                self._deliver(tx, receivers)
             if tx.span is not None:
                 self.trace.obs.spans.finish(tx.span, self.sim.now)
             if done is not None:
@@ -759,70 +795,71 @@ class Medium:
         self.sim.schedule(airtime, finish)
         return airtime
 
-    def _try_deliver(
-        self, tx: _Transmission, receiver: Radio, rssi: float, prr: float
-    ) -> None:
-        frame = tx.frame
-        if not receiver.enabled:
-            return
-        # The span check comes first: tx.span is None in every untraced
-        # run, so traced delivery outcomes cost nothing otherwise.  Only
-        # the addressee's outcome explains the hop; overheard copies at
-        # third parties are not part of the packet's lifecycle.
-        spans = None
-        if tx.span is not None and (tx.addressee is None
-                                    or tx.addressee == receiver.node_id):
-            spans = self.trace.obs.spans
-        if receiver.channel != frame.channel:
-            return
-        if receiver.state is not RadioState.LISTEN or receiver._listen_since > tx.start:
-            # Slept through (part of) the frame — the duty-cycling cost.
-            self.trace.emit(self.sim.now, "radio.miss", node=receiver.node_id,
-                            sender=frame.sender)
-            if spans is not None:
-                spans.event(tx.span, "radio.miss", node=receiver.node_id,
-                            t=self.sim.now)
-            return
-        interferer_rssi = self._strongest_interferer(tx, receiver)
-        if interferer_rssi is not None and rssi - interferer_rssi < CAPTURE_MARGIN_DB:
-            self.trace.emit(self.sim.now, "radio.collision", node=receiver.node_id,
-                            sender=frame.sender)
-            if spans is not None:
-                spans.event(tx.span, "radio.collision", node=receiver.node_id,
-                            t=self.sim.now)
-            return
-        if self._rng.random() > prr:
-            self.trace.emit(self.sim.now, "radio.drop", node=receiver.node_id,
-                            sender=frame.sender)
-            if spans is not None:
-                spans.event(tx.span, "radio.drop", node=receiver.node_id,
-                            t=self.sim.now)
-            return
-        receiver.frames_received += 1
-        self.trace.emit(self.sim.now, "radio.rx", node=receiver.node_id,
-                        sender=frame.sender, size=frame.size_bytes)
-        if spans is not None:
-            spans.event(tx.span, "radio.rx", node=receiver.node_id,
-                        t=self.sim.now, rssi=round(rssi, 1))
-        if receiver.on_receive is not None:
-            receiver.on_receive(frame, rssi)
+    def _interferers(self, tx: _Transmission) -> List[Dict[int, float]]:
+        """``rssi_by_id`` of every transmission that overlapped ``tx``.
 
-    def _strongest_interferer(
-        self, tx: _Transmission, receiver: Radio
-    ) -> Optional[float]:
-        strongest: Optional[float] = None
-        for other in self._active_near(receiver.position, self.sim.now):
-            if other is tx or other.radio is receiver:
+        Overlap is in time and channel; where each one is audible is
+        what its map says *now*, at the end of ``tx``.
+        """
+        # ±2 cells is a superset only under the geometry the receivers
+        # were computed for: after any world change, scan everything.
+        active = (self._active if tx.world_version != self._world_version
+                  else self._active_around(tx.radio.position, 2))
+        start, end, channel = tx.start, tx.end, tx.frame.channel
+        return [self._neighborhood(other.radio).rssi_by_id
+                for _, _, other in active
+                if other is not tx and other.end > start and other.start < end
+                and other.frame.interferes_with(channel)]
+
+    def _deliver(self, tx: _Transmission,
+                 receivers: Sequence[Tuple[Radio, float, float]]) -> None:
+        """Decide the frame's fate at each radio that could hear it sent."""
+        frame = tx.frame
+        now = self.sim.now
+        emit = self.trace.emit
+        interferers: List[Dict[int, float]] = []
+        world_version = -1
+        for receiver, rssi, prr in receivers:
+            if not receiver.enabled or receiver.channel != frame.channel:
                 continue
-            if other.end <= tx.start or other.start >= tx.end:
+            node = receiver.node_id
+            # tx.span is None in every untraced run, so traced delivery
+            # outcomes cost nothing otherwise.  Only the addressee's
+            # outcome explains the hop; overheard copies at third
+            # parties are not part of the packet's lifecycle.
+            spans = None
+            if tx.span is not None and (tx.addressee is None
+                                        or tx.addressee == node):
+                spans = self.trace.obs.spans
+            if receiver.state is not RadioState.LISTEN or receiver._listen_since > tx.start:
+                # Slept through (part of) the frame — the duty-cycling cost.
+                lost = "radio.miss"
+            else:
+                if world_version != self._world_version:
+                    # First listener, or an upcall just changed the world.
+                    interferers = self._interferers(tx)
+                    world_version = self._world_version
+                strongest = None
+                for rssi_by_id in interferers:
+                    other = rssi_by_id.get(node)
+                    if other is not None and (strongest is None or other > strongest):
+                        strongest = other
+                if strongest is not None and rssi - strongest < CAPTURE_MARGIN_DB:
+                    lost = "radio.collision"
+                elif self._rng.random() > prr:
+                    lost = "radio.drop"
+                else:
+                    lost = None
+            if lost is not None:
+                emit(now, lost, node=node, sender=frame.sender)
+                if spans is not None:
+                    spans.event(tx.span, lost, node=node, t=now)
                 continue
-            if not other.frame.interferes_with(tx.frame.channel):
-                continue
-            if self._blocked(other.radio.node_id, receiver.node_id):
-                continue
-            rssi = self.rssi_between(other.radio, receiver)
-            if rssi < AUDIBLE_THRESHOLD_DBM:
-                continue
-            if strongest is None or rssi > strongest:
-                strongest = rssi
-        return strongest
+            receiver.frames_received += 1
+            emit(now, "radio.rx", node=node, sender=frame.sender,
+                 size=frame.size_bytes)
+            if spans is not None:
+                spans.event(tx.span, "radio.rx", node=node, t=now,
+                            rssi=round(rssi, 1))
+            if receiver.on_receive is not None:
+                receiver.on_receive(frame, rssi)

@@ -65,6 +65,11 @@ SHADOWING_CLAMP_SIGMA = 4.0
 #: Below this many receivers a python loop beats numpy array setup.
 _BATCH_MIN = 8
 
+#: Per-link shadowing draws kept before a wholesale clear (the policy of
+#: the medium's RSSI cache).  A draw is a pure function of the model seed
+#: and the link key, so an evicted link re-derives the same value.
+SHADOWING_CACHE_MAX = 65_536
+
 
 def distance(a: Position, b: Position) -> float:
     """Euclidean distance between two planar positions in meters."""
@@ -107,10 +112,11 @@ class LogDistanceModel:
         Path loss at the 1 m reference distance.
     shadowing_sigma_db:
         Standard deviation of per-link log-normal shadowing.  Shadowing
-        is derived once per (sender, receiver) pair from a stable hash
-        of the model seed and the link key — order-free and cached —
-        and clamped to ``±SHADOWING_CLAMP_SIGMA`` sigmas so audibility
-        has a hard geometric bound (see module docstring).
+        is derived per (sender, receiver) pair from a stable hash of
+        the model seed and the link key — order-free, cached up to
+        ``SHADOWING_CACHE_MAX`` links — and clamped to
+        ``±SHADOWING_CLAMP_SIGMA`` sigmas so audibility has a hard
+        geometric bound (see module docstring).
     sensitivity_dbm:
         RSSI at which PRR is 50%.
     transition_width_db:
@@ -137,6 +143,8 @@ class LogDistanceModel:
                 0.0, self.shadowing_sigma_db)
             clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
             value = max(-clamp, min(clamp, draw))
+            if len(self._shadowing) >= SHADOWING_CACHE_MAX:
+                self._shadowing.clear()
             self._shadowing[key] = value
         return value
 

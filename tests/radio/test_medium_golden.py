@@ -1,0 +1,176 @@
+"""Golden trace of the medium: one fixed scenario, pinned by digest.
+
+The indexed and the brute-force medium share their arbitration code, so
+the twin-identity properties in ``test_spatial_index.py`` cannot see a
+change that moves both the same way.  This test can: the digest below
+was recorded on the commit *before* per-frame arbitration (PR 12) and
+covers every ``radio.*`` record, every ``on_receive`` upcall and every
+CCA answer of a run that reaches each branch of the delivery path —
+more than ``_SMALL_ACTIVE`` concurrent senders (the per-cell heaps), a
+wide-band jammer, a link filter installed and cleared while frames are
+in flight, a sender and a listener moved mid-frame, a power write that
+regrows the grid, a late waker, off-channel, sleeping and failed radios.
+
+A legitimate behaviour change re-records ``GOLDEN``; a performance
+change must not need to.
+"""
+
+import hashlib
+import random
+
+from repro.radio.medium import Frame, Medium, Radio
+from repro.radio.propagation import LogDistanceModel, distance
+from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
+
+RADIOS = 240
+ROUNDS = 7
+SENDERS_PER_ROUND = 16
+ROUND_S = 0.010
+#: 16 senders inside one 1.63 ms airtime: all of them overlap.
+STAGGER_S = 0.0001
+FAILED = 5
+
+GOLDEN = {
+    "digest": "5d38b8d0355d08639b1c0dadbc605e573ca74648dc6c7161264aa66f128f5a5f",
+    "radio.tx": 113,
+    "radio.rx": 139,
+    "radio.miss": 173,
+    "radio.collision": 402,
+    "radio.drop": 218,
+    "cca_busy": 21,
+    "cca_probes": 113,
+    "frames_received": 139,
+}
+
+
+def run_scenario(spatial_index=True):
+    rng = random.Random(12)
+    sim = Simulator(seed=12)
+    model = LogDistanceModel(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
+                             seed=12)
+    medium = Medium(sim, model, TraceLog(enabled=True),
+                    spatial_index=spatial_index)
+    upcalls = []
+    radios = []
+    for node_id in range(RADIOS):
+        radio = Radio(medium, node_id,
+                      (rng.uniform(0.0, 480.0), rng.uniform(0.0, 360.0)),
+                      channel=20 if node_id % 11 == 3 else 26)
+        radio.on_receive = (
+            lambda frame, rssi, node=node_id:
+            upcalls.append((node, frame.sender, round(rssi, 6))))
+        if node_id % 17 != 7:
+            radio.set_listening()
+        radios.append(radio)
+    radios[FAILED].enabled = False
+
+    cca = []
+    max_active = [0]
+
+    def send(radio, **frame_kw):
+        def fire():
+            cca.append(medium.carrier_busy(radio))
+            frame_kw.setdefault("channel", radio.channel)
+            medium.transmit(radio, Frame(payload="p", size_bytes=40,
+                                         sender=radio.node_id, **frame_kw))
+            max_active[0] = max(max_active[0], len(medium._active))
+        return fire
+
+    eligible = [r for r in radios if r.node_id != FAILED]
+    rounds = []
+    for k in range(ROUNDS):
+        if k % 2:
+            # Four tight clusters: CCA hears the neighbour, capture and
+            # collision both happen at the shared listeners.
+            senders = []
+            for anchor in rng.sample(eligible, SENDERS_PER_ROUND // 4):
+                senders += sorted(
+                    (r for r in eligible if r not in senders),
+                    key=lambda r: (distance(r.position, anchor.position),
+                                   r.node_id))[:4]
+        else:
+            senders = rng.sample(eligible, SENDERS_PER_ROUND)
+        rounds.append(senders)
+        for i, radio in enumerate(senders):
+            sim.schedule_at((k + 1) * ROUND_S + i * STAGGER_S, send(radio))
+
+    # Round 2: a Wi-Fi-like jammer blankets channels 24-26 mid-round.
+    jammer = next(r for r in eligible if r not in rounds[1])
+    sim.schedule_at(2 * ROUND_S + 0.0005, send(
+        jammer, channel=0, jam_channels=frozenset({24, 25, 26})))
+    # Round 3: a sender and one of its listeners move while its frame is
+    # in flight; a sleeper that never sends wakes next to another sender,
+    # too late for the frames already on air.
+    mover = rounds[2][0]
+    sim.schedule_at(3 * ROUND_S + 0.0005, lambda: mover.move_to(
+        (mover.position[0] + 60.0, mover.position[1])))
+    listener = next(r for r in eligible if r not in rounds[2]
+                    and r.node_id % 17 != 7)
+    sim.schedule_at(3 * ROUND_S + 0.0007, lambda: listener.move_to(
+        rounds[2][1].position))
+    sleeper = min((r for r in radios if r.node_id % 17 == 7
+                   and not any(r in senders for senders in rounds)),
+                  key=lambda r: min(distance(r.position, s.position)
+                                    for s in rounds[2]))
+    sim.schedule_at(3 * ROUND_S + 0.0009, sleeper.set_listening)
+    # Rounds 4-5: a partition-style filter goes in and comes out, both
+    # while frames are in flight.
+    sim.schedule_at(4 * ROUND_S + 0.0006, lambda: medium.set_link_filter(
+        lambda s, r: (s + r) % 3 == 0))
+    sim.schedule_at(5 * ROUND_S + 0.0006,
+                    lambda: medium.set_link_filter(None))
+    # Round 6: a power write above the grid's sizing basis, mid-flight.
+    sim.schedule_at(6 * ROUND_S + 0.0004,
+                    lambda: rounds[5][2].set_tx_power(6.0))
+    sim.run()
+    return medium, radios, cca, upcalls, max_active[0]
+
+
+def digest_of(medium, cca, upcalls):
+    h = hashlib.sha256()
+    for record in medium.trace.records:
+        assert record.category.startswith("radio.")
+        h.update(f"{record.time!r}|{record.category}|{record.node}|"
+                 f"{sorted(record.data.items())!r}\n".encode())
+    h.update(repr(cca).encode())
+    h.update(repr(upcalls).encode())
+    return h.hexdigest()
+
+
+def summary_of(medium, radios, cca, upcalls):
+    out = {"digest": digest_of(medium, cca, upcalls)}
+    for category in ("radio.tx", "radio.rx", "radio.miss",
+                     "radio.collision", "radio.drop"):
+        out[category] = medium.trace.count(category)
+    out["cca_busy"] = sum(cca)
+    out["cca_probes"] = len(cca)
+    out["frames_received"] = sum(r.frames_received for r in radios)
+    return out
+
+
+def test_scenario_reaches_every_branch():
+    medium, radios, cca, upcalls, max_active = run_scenario()
+    assert medium.grid_info()["spatial_index"]
+    assert len(radios) >= 200
+    assert max_active > 12  # the per-cell heaps, not the global scan
+    assert 0 < sum(cca) < len(cca)
+    for category in ("radio.rx", "radio.miss", "radio.collision",
+                     "radio.drop"):
+        assert medium.trace.count(category) > 0
+    assert len(upcalls) == medium.trace.count("radio.rx")
+
+
+def test_golden_trace_indexed():
+    medium, radios, cca, upcalls, _ = run_scenario(spatial_index=True)
+    assert summary_of(medium, radios, cca, upcalls) == GOLDEN
+
+
+def test_golden_trace_brute_force():
+    medium, radios, cca, upcalls, _ = run_scenario(spatial_index=False)
+    assert summary_of(medium, radios, cca, upcalls) == GOLDEN
+
+
+if __name__ == "__main__":  # re-record: python tests/radio/test_medium_golden.py
+    import pprint
+    pprint.pprint(summary_of(*run_scenario()[:4]), sort_dicts=False)

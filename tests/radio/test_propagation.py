@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.radio import propagation
 from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
@@ -172,3 +173,27 @@ class TestShadowingOrderIndependence:
         a = [forward.rssi_dbm(s, r, 0.0) for s, r in links]
         b = [backward.rssi_dbm(s, r, 0.0) for s, r in reversed(links)]
         assert a == list(reversed(b))
+
+
+class TestShadowingCacheBound:
+    def test_eviction_is_invisible(self, monkeypatch):
+        """The draw cache is bounded, and a cleared link reads the same.
+
+        A draw is a pure function of ``(seed, link key)``, so the
+        wholesale clear can only cost a re-derivation: shadowing, scalar
+        RSSI and batch RSSI are bit-equal before and after.
+        """
+        monkeypatch.setattr(propagation, "SHADOWING_CACHE_MAX", 8)
+        model = LogDistanceModel(shadowing_sigma_db=4.0, seed=3)
+        a, b = (0.0, 0.0), (12.0, 5.0)
+        others = [(float(k), 100.0) for k in range(40)]
+        shadow = model._link_shadowing_db(a, b)
+        rssi = model.rssi_dbm(a, b, 0.0)
+        batch = model.rssi_dbm_batch(a, [b] + others, 0.0)
+        assert len(model._shadowing) <= 8
+        assert (a, b) not in model._shadowing  # evicted by the batch
+        assert model._link_shadowing_db(a, b).hex() == shadow.hex()
+        assert model.rssi_dbm(a, b, 0.0).hex() == rssi.hex()
+        assert [v.hex() for v in model.rssi_dbm_batch(a, [b] + others, 0.0)] \
+            == [v.hex() for v in batch]
+        assert batch[0].hex() == rssi.hex()

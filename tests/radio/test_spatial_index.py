@@ -12,9 +12,10 @@ the caches honest.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.radio.medium import Frame, Medium, Radio
+from repro.radio.medium import _SMALL_ACTIVE, Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -44,6 +45,31 @@ def audible_ids(medium, radio):
 coords = st.floats(min_value=0.0, max_value=400.0,
                    allow_nan=False, allow_infinity=False)
 placements = st.lists(st.tuples(coords, coords), min_size=2, max_size=20)
+
+#: Contended scripts: 40-byte frames last 1.632 ms and senders start
+#: 80 us apart, so the first 14 of a round are all on the air at once;
+#: rounds are far enough apart that nobody is asked to send while in TX.
+ROUND_S = 0.005
+STAGGER_S = 0.00008
+
+
+@st.composite
+def contended_scripts(draw):
+    """Radios, rounds of overlapping senders, and world edits at any time."""
+    n = draw(st.integers(_SMALL_ACTIVE + 4, 26))
+    positions = draw(st.lists(st.tuples(coords, coords),
+                              min_size=n, max_size=n))
+    rounds = draw(st.lists(
+        st.lists(st.integers(0, n - 1), min_size=_SMALL_ACTIVE + 2,
+                 max_size=n, unique=True),
+        min_size=1, max_size=3))
+    edits = draw(st.lists(st.tuples(
+        st.floats(0.0, 1.0),  # when, as a fraction of the script
+        st.integers(0, n - 1),
+        st.one_of(st.tuples(coords, coords),  # move_to
+                  st.floats(-10.0, 6.0))),  # set_tx_power (6 regrows the grid)
+        max_size=6))
+    return positions, rounds, edits
 
 
 class TestIdentityProperties:
@@ -99,6 +125,49 @@ class TestIdentityProperties:
             sim.run()
             medium.trace.records.append(("cca", tuple(cca)))
         assert indexed.trace.records == brute.trace.records
+
+    @given(script=contended_scripts(), model_seed=st.integers(0, 200),
+           sim_seed=st.integers(0, 200))
+    @settings(max_examples=25, deadline=None)
+    def test_contended_traffic_identical(self, script, model_seed, sim_seed):
+        """More than ``_SMALL_ACTIVE`` frames on the air, moves and power
+        writes between and during them: the per-cell heaps arbitrate
+        exactly like the global scan."""
+        positions, rounds, edits = script
+        (isim, indexed, idx_radios), (bsim, brute, bf_radios) = build_pair(
+            positions,
+            lambda: LogDistanceModel(path_loss_exponent=3.5,
+                                     shadowing_sigma_db=2.0,
+                                     seed=model_seed),
+            seed=sim_seed, trace=True,
+        )
+        answers = []
+        for sim, medium, radios in ((isim, indexed, idx_radios),
+                                    (bsim, brute, bf_radios)):
+            cca = []
+            peak = [0]
+
+            def send(radio):
+                cca.append(medium.carrier_busy(radio))
+                medium.transmit(radio, Frame(
+                    payload="p", size_bytes=40,
+                    channel=radio.channel, sender=radio.node_id))
+                peak[0] = max(peak[0], len(medium._active))
+
+            for k, senders in enumerate(rounds):
+                for i, sender in enumerate(senders):
+                    sim.schedule_at(0.001 + k * ROUND_S + i * STAGGER_S,
+                                    lambda radio=radios[sender]: send(radio))
+            for when, who, change in edits:
+                edit = (radios[who].move_to if isinstance(change, tuple)
+                        else radios[who].set_tx_power)
+                sim.schedule_at(when * len(rounds) * ROUND_S,
+                                lambda edit=edit, change=change: edit(change))
+            sim.run()
+            assert peak[0] > _SMALL_ACTIVE
+            answers.append((cca, [r.frames_received for r in radios]))
+        assert indexed.trace.records == brute.trace.records
+        assert answers[0] == answers[1]
 
     @given(moves=st.lists(st.tuples(st.integers(0, 7), coords, coords),
                           min_size=1, max_size=10),
@@ -188,6 +257,37 @@ class TestCacheInvalidation:
         far = medium.rssi_between(a, b)
         assert far < near
 
+    def test_stale_rssi_map_not_served(self, sim):
+        """CCA and arbitration read a sender's id->RSSI map; every write
+        that changes a link must be visible in it on the next read."""
+        medium = self._medium(sim)
+        a = Radio(medium, 1, (0.0, 0.0))
+        b = Radio(medium, 2, (10.0, 0.0))
+        a.transmit("long frame", 120)  # on the air for the whole test
+
+        def heard():
+            rssi = medium._neighborhood(a).rssi_by_id.get(b.node_id)
+            assert rssi is None or rssi == medium.rssi_between(a, b)
+            assert medium.carrier_busy(b) == (rssi is not None)
+            return rssi
+
+        near = heard()
+        assert near is not None
+        b.move_to((30.0, 0.0))
+        assert heard() < near
+        b.move_to((5000.0, 0.0))
+        assert heard() is None
+        b.move_to((10.0, 0.0))
+        assert heard() == near
+        a.set_tx_power(-70.0)
+        assert heard() is None
+        a.set_tx_power(0.0)
+        assert heard() == near
+        medium.set_link_filter(lambda s, r: (s, r) == (1, 2))
+        assert heard() is None
+        medium.set_link_filter(None)
+        assert heard() == near
+
 
 class TestGridEngagement:
     def test_subclass_without_range_falls_back(self, sim):
@@ -237,3 +337,79 @@ class TestGridEngagement:
         b = Radio(medium, 3, (505.0, 500.0))
         b.set_listening()
         assert [node for node, _ in audible_ids(medium, a)] == [3]
+
+
+class TestPerFrameArbitration:
+    """Where the overlapping set of a frame is looked for.
+
+    Unit-disk radius 30 m gives 30.3 m cells; thirteen far-away fillers
+    keep more than ``_SMALL_ACTIVE`` frames on the air so the indexed
+    medium takes the per-cell path.  Brute force must agree.
+    """
+
+    def _medium(self, spatial):
+        sim = Simulator(seed=3)
+        medium = Medium(sim, UnitDiskModel(radius_m=30.0),
+                        TraceLog(enabled=True), spatial_index=spatial)
+        fillers = [Radio(medium, 100 + i, (1000.0 + 100.0 * i, 1000.0))
+                   for i in range(_SMALL_ACTIVE + 1)]
+
+        def crowd():
+            for radio in fillers:
+                radio.transmit("filler", 60)
+        return sim, medium, crowd
+
+    def _outcomes(self, medium, node, sender=1):
+        """What became of ``sender``'s frames at ``node``."""
+        return [r.category for r in medium.trace.records
+                if r.node == node and r.data.get("sender") == sender]
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    def test_interferer_two_cells_from_sender_collides(self, spatial):
+        sim, medium, crowd = self._medium(spatial)
+        sender = Radio(medium, 1, (29.0, 0.0))        # cell 0
+        receiver = Radio(medium, 2, (58.0, 0.0))      # cell 1
+        interferer = Radio(medium, 3, (87.0, 0.0))    # cell 2
+        receiver.set_listening()
+        crowd()
+        sender.transmit("wanted", 40)
+        interferer.transmit("unwanted", 40)
+        assert len(medium._active) > _SMALL_ACTIVE
+        sim.run()
+        assert self._outcomes(medium, 2) == ["radio.collision"]
+        assert self._outcomes(medium, 2, sender=3) == ["radio.collision"]
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    def test_receiver_moved_in_flight_meets_distant_interferer(self, spatial):
+        """The receiver list is the one from send time, interference is
+        judged where everyone is when the frame ends — even ten cells
+        from the sender."""
+        sim, medium, crowd = self._medium(spatial)
+        sender = Radio(medium, 1, (0.0, 0.0))
+        receiver = Radio(medium, 2, (10.0, 0.0))
+        interferer = Radio(medium, 3, (300.0, 0.0))
+        receiver.set_listening()
+        crowd()
+        sender.transmit("wanted", 40)
+        interferer.transmit("unwanted", 40)
+        sim.schedule(0.0005, lambda: receiver.move_to((310.0, 0.0)))
+        sim.run()
+        assert self._outcomes(medium, 2) == ["radio.collision"]
+
+    @pytest.mark.parametrize("spatial", [True, False])
+    def test_upcall_that_cuts_a_link_is_seen_by_later_receivers(self, spatial):
+        sim, medium, crowd = self._medium(spatial)
+        sender = Radio(medium, 1, (0.0, 0.0))
+        first = Radio(medium, 2, (10.0, 0.0))
+        second = Radio(medium, 3, (20.0, 0.0))
+        interferer = Radio(medium, 4, (45.0, 0.0))  # reaches `second` only
+        first.set_listening()
+        second.set_listening()
+        first.on_receive = lambda frame, rssi: medium.set_link_filter(
+            lambda s, r: s == interferer.node_id)
+        crowd()
+        interferer.transmit("unwanted", 60)
+        sender.transmit("wanted", 40)
+        sim.run()
+        assert self._outcomes(medium, 2) == ["radio.rx"]
+        assert self._outcomes(medium, 3) == ["radio.rx"]
