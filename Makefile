@@ -23,7 +23,7 @@ check-invariants: check-dependability explain-core diff-taxonomy-matrix
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/checking -q
 	REPRO_PARALLEL_FORCE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro sweep --seeds 10 --jobs 2
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_scale.py --identity-only >/dev/null \
-		&& echo "spatial-index identity: OK (indexed medium == brute force)"
+		&& echo "spatial-index identity: OK (indexed medium == full scan)"
 
 # Dependability gate: runs the declarative fault-plan scenarios (HVAC
 # safety under a fault schedule + the availability probe) at the pinned
@@ -68,10 +68,10 @@ bench-perf-quick:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_core.py --jobs $(BENCH_JOBS) --quick
 
 # The scale baseline: campus deployments at N=1k/10k/50k radios —
-# frames/sec, events/sec, an RSS proxy, and the indexed-vs-brute-force
+# frames/sec, events/sec, an RSS proxy, and the indexed-vs-full-scan
 # speedup at N=10k (asserted >= 5x). Writes BENCH_scale.json at the
-# repo root. The identity legs (indexed medium reproduces brute force
-# byte-for-byte) also run standalone inside check-invariants.
+# repo root. The identity legs (indexed medium reproduces the full scan
+# of the same model with its range bound undeclared, byte-for-byte) also run standalone inside check-invariants.
 bench-scale:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_scale.py
 

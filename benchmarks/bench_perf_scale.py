@@ -9,14 +9,15 @@ persists them to ``BENCH_scale.json`` at the repo root.
 Two things are *asserted*, not just measured:
 
 - **Identity** — the spatially-indexed medium must reproduce the
-  brute-force medium's trace byte-for-byte: the same ``radio.rx`` /
+  full-scan medium's trace byte-for-byte (the reference is the same
+  model with its range bound undeclared): the same ``radio.rx`` /
   ``radio.collision`` / ``radio.miss`` / ``radio.drop`` sequence, the
   same CCA answers, at the medium level and through a full CSMA/RPL
   system run.  ``make check-invariants`` runs the identity legs alone
   (``--identity-only``) so a medium refactor can't silently change
   delivery order.
 - **Speedup** — at N=10k the indexed medium must move frames at least
-  5x faster than brute force on the same workload (both sides get the
+  5x faster than the full scan on the same workload (both sides get the
   vectorized link math; the win under test is candidate-set reduction).
 - **Telemetry overhead** — the windowed time-series engine at N=10k
   must cost <= 10% wall time over the same instrumented workload with
@@ -65,6 +66,18 @@ NODES_PER_BUILDING = 100
 MODEL_KW = dict(path_loss_exponent=3.5, shadowing_sigma_db=2.0)
 
 
+class FullScanLogDistance(LogDistanceModel):
+    """The brute-force reference: same math, no declared range bound.
+
+    The medium reads capabilities from a model's *own* class dict, so
+    this subclass keeps the vectorized paths it redeclares and loses
+    the grid index — every query visits every radio.
+    """
+
+    rssi_dbm_batch = LogDistanceModel.rssi_dbm_batch
+    reception_probability_batch = LogDistanceModel.reception_probability_batch
+
+
 def _rss_mb() -> Tuple[float, float]:
     """(current, peak) resident set in MB — a proxy, not an accounting.
 
@@ -86,14 +99,13 @@ def _rss_mb() -> Tuple[float, float]:
 # shared workload: a campus full of radios, a sender subset, CCA + frames
 # ----------------------------------------------------------------------
 def _build_campus_medium(
-    n_nodes: int, spatial_index: bool, seed: int = 5, trace: bool = False
+    n_nodes: int, model_cls: type, seed: int = 5, trace: bool = False
 ) -> Tuple[Simulator, Medium]:
     topology = campus_topology(
         n_nodes // NODES_PER_BUILDING, NODES_PER_BUILDING, seed=seed)
     sim = Simulator(seed=seed)
-    model = LogDistanceModel(seed=seed, **MODEL_KW)
-    medium = Medium(sim, model, TraceLog(enabled=trace),
-                    spatial_index=spatial_index)
+    medium = Medium(sim, model_cls(seed=seed, **MODEL_KW),
+                    TraceLog(enabled=trace))
     for node_id in topology.node_ids():
         radio = Radio(medium, node_id, topology.positions[node_id])
         radio.on_receive = lambda frame, rssi: None
@@ -140,13 +152,13 @@ def _pick_senders(n_nodes: int, count: int) -> List[int]:
 def _run_workload(
     n_nodes: int,
     senders: int,
-    spatial_index: bool,
+    model_cls: type = LogDistanceModel,
     group: int = 8,
     trace: bool = False,
 ) -> Dict[str, Any]:
     """Build the campus, drive the frame schedule, time only the run."""
     setup_start = time.perf_counter()
-    sim, medium = _build_campus_medium(n_nodes, spatial_index, trace=trace)
+    sim, medium = _build_campus_medium(n_nodes, model_cls, trace=trace)
     sender_ids = _pick_senders(n_nodes, senders)
     cca = _schedule_frames(sim, medium, sender_ids, group=group)
     setup_s = time.perf_counter() - setup_start
@@ -156,9 +168,10 @@ def _run_workload(
     frames = len(sender_ids)
     delivered = sum(r.frames_received for r in medium.radios.values())
     rss_now, rss_peak = _rss_mb()
+    grid = medium.grid_info()
     return {
         "n": n_nodes,
-        "spatial_index": spatial_index,
+        "spatial_index": grid["spatial_index"],
         "frames": frames,
         "deliveries": delivered,
         "cca": cca,
@@ -170,7 +183,7 @@ def _run_workload(
         "events_per_sec": round(sim.events_processed / wall),
         "rss_now_mb": rss_now,
         "rss_peak_mb": rss_peak,
-        "grid": medium.grid_info(),
+        "grid": grid,
     }
 
 
@@ -182,7 +195,7 @@ def _public(leg: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# 1. identity: indexed medium == brute-force medium, byte for byte
+# 1. identity: indexed medium == full-scan medium, byte for byte
 # ----------------------------------------------------------------------
 def identity_medium_leg(n_nodes: int = 200, senders: int = 60,
                         group: int = 20) -> Dict[str, Any]:
@@ -192,8 +205,10 @@ def identity_medium_leg(n_nodes: int = 200, senders: int = 60,
     indexed medium onto its per-cell active heaps (the global-scan
     fast path would otherwise mask a bug in them).
     """
-    indexed = _run_workload(n_nodes, senders, True, group=group, trace=True)
-    brute = _run_workload(n_nodes, senders, False, group=group, trace=True)
+    indexed = _run_workload(n_nodes, senders, group=group, trace=True)
+    brute = _run_workload(n_nodes, senders, FullScanLogDistance,
+                          group=group, trace=True)
+    assert indexed["spatial_index"] and not brute["spatial_index"]
     return {
         "n": n_nodes,
         "frames": indexed["frames"],
@@ -211,18 +226,18 @@ def identity_system_leg(duration_s: float = 400.0) -> Dict[str, Any]:
     """System-level identity: a full CSMA/RPL campus run, all records.
 
     Two complete systems — stacks, MACs, routing, sensor traffic —
-    differing only in ``medium_spatial_index``.  The *entire* trace is
+    differing only in whether the link model declares its range bound.
+    The *entire* trace is
     compared, not just radio events: if the index perturbed anything
     downstream (parent choices, DAO timing), it shows here.
     """
 
-    def run(spatial: bool) -> Tuple[Any, int]:
+    def run(model_cls: type) -> Tuple[Any, int]:
         topology = campus_topology(2, 9, building_span_m=40.0,
                                    building_gap_m=30.0, seed=3)
-        config = SystemConfig(stack=StackConfig(mac="csma"),
-                              medium_spatial_index=spatial)
-        model = LogDistanceModel(path_loss_exponent=3.0,
-                                 shadowing_sigma_db=2.0, seed=3)
+        config = SystemConfig(stack=StackConfig(mac="csma"))
+        model = model_cls(path_loss_exponent=3.0,
+                          shadowing_sigma_db=2.0, seed=3)
         system = IIoTSystem.build(topology, config=config,
                                   link_model=model, seed=2018)
         system.add_field_sensors("temp", DiurnalField(mean=20.0))
@@ -242,8 +257,8 @@ def identity_system_leg(duration_s: float = 400.0) -> Dict[str, Any]:
         system.run(duration_s)
         return system.trace.records, system.sim.events_processed
 
-    indexed_trace, indexed_events = run(True)
-    brute_trace, brute_events = run(False)
+    indexed_trace, indexed_events = run(LogDistanceModel)
+    brute_trace, brute_events = run(FullScanLogDistance)
     radio_kinds = ("radio.rx", "radio.collision", "radio.miss")
     return {
         "nodes": 18,
@@ -261,19 +276,19 @@ def identity_system_leg(duration_s: float = 400.0) -> Dict[str, Any]:
 # 2. scale: frames/sec and events/sec at N=1k/10k/50k
 # ----------------------------------------------------------------------
 def scale_leg(n_nodes: int, senders: int) -> Dict[str, Any]:
-    return _public(_run_workload(n_nodes, senders, True))
+    return _public(_run_workload(n_nodes, senders))
 
 
 def speedup_leg(n_nodes: int = 10_000, senders: int = 2_000) -> Dict[str, Any]:
-    """Indexed vs brute-force on the identical N=10k workload.
+    """Indexed vs full scan on the identical N=10k workload.
 
-    Both sides use the same vectorized model math and the same caches;
-    only the candidate sets differ — this isolates the grid index's
-    contribution.  Deliveries and CCA answers must agree exactly (the
-    scale-size echo of the identity legs).
+    Both sides use the same vectorized model math and the same
+    neighborhood maps; only the candidate sets differ — this isolates
+    the grid index's contribution.  Deliveries and CCA answers must
+    agree exactly (the scale-size echo of the identity legs).
     """
-    indexed = _run_workload(n_nodes, senders, True)
-    brute = _run_workload(n_nodes, senders, False)
+    indexed = _run_workload(n_nodes, senders)
+    brute = _run_workload(n_nodes, senders, FullScanLogDistance)
     return {
         "n": n_nodes,
         "frames": indexed["frames"],
@@ -302,7 +317,7 @@ def _telemetry_workload(
     """The campus frame workload with per-node counters, engine optional.
 
     Both legs pay for instrumentation — every delivery increments a
-    per-node ``radio.rx`` counter into a sketch-mode registry — so the
+    per-node ``radio.rx`` counter — so the
     difference isolates the :class:`TelemetryEngine` itself: the
     periodic scrape of an N-node registry, per-domain rollup, and ring
     maintenance.  The engine draws no RNG (fixed phase), so delivery
@@ -312,8 +327,8 @@ def _telemetry_workload(
         n_nodes // NODES_PER_BUILDING, NODES_PER_BUILDING, seed=seed)
     sim = Simulator(seed=seed)
     model = LogDistanceModel(seed=seed, **MODEL_KW)
-    medium = Medium(sim, model, TraceLog(enabled=False), spatial_index=True)
-    registry = Registry(histogram_sketch=True)
+    medium = Medium(sim, model, TraceLog(enabled=False))
+    registry = Registry()
     for node_id in topology.node_ids():
         radio = Radio(medium, node_id, topology.positions[node_id])
         inc = registry.counter("radio.rx", node=node_id).inc

@@ -40,27 +40,9 @@ def sweep_main(argv) -> int:
                         help="worker processes for the sweep (0 = all "
                              "cores; default: 1, serial). Outcomes are "
                              "identical for every jobs count.")
-    parser.add_argument("--span-sample-rate", type=float, default=None,
-                        metavar="RATE",
-                        help="store only this fraction of span traces in "
-                             "observability-enabled scenarios (0..1; "
-                             "metrics stay exact, outcomes unchanged)")
-    parser.add_argument("--span-max-stored", type=int, default=None,
-                        metavar="N",
-                        help="ring-buffer bound on stored spans per trial")
     args = parser.parse_args(argv)
     if args.seeds < 1:
         parser.error("--seeds must be >= 1")
-    if args.span_sample_rate is not None and not 0.0 <= args.span_sample_rate <= 1.0:
-        parser.error("--span-sample-rate must be in [0, 1]")
-    # Exported via the environment so every sweep worker process sees
-    # it, whatever the multiprocessing start method; Observability reads
-    # these at construction (gated runs still force full fidelity).
-    import os
-    if args.span_sample_rate is not None:
-        os.environ["REPRO_SPAN_SAMPLE_RATE"] = repr(args.span_sample_rate)
-    if args.span_max_stored is not None:
-        os.environ["REPRO_SPAN_MAX_STORED"] = str(args.span_max_stored)
 
     names = args.scenario if args.scenario else sorted(BUILTIN_SCENARIOS)
     failed = False

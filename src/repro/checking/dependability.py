@@ -81,29 +81,7 @@ def dependability_main(argv=None) -> int:
     parser.add_argument("--export", metavar="PATH",
                         help="write the summary metrics snapshot "
                              "(repro.metrics/1 JSON) to PATH")
-    parser.add_argument("--span-sample-rate", type=float, default=None,
-                        metavar="RATE",
-                        help="store only this fraction of span traces "
-                             "(0..1; metrics stay exact). Gated runs "
-                             "(REPRO_BENCH_CHECK=1, as exported by "
-                             "`make check-dependability`) force full "
-                             "fidelity regardless.")
-    parser.add_argument("--span-max-stored", type=int, default=None,
-                        metavar="N",
-                        help="ring-buffer bound on stored spans "
-                             "(gated categories never evicted; ignored "
-                             "under gated runs)")
     args = parser.parse_args(argv)
-    if args.span_sample_rate is not None and not 0.0 <= args.span_sample_rate <= 1.0:
-        parser.error("--span-sample-rate must be in [0, 1]")
-    # The environment is the channel Observability reads at construction
-    # (and the only one that reaches worker processes); mirrors the
-    # sweep/report CLIs.
-    import os
-    if args.span_sample_rate is not None:
-        os.environ["REPRO_SPAN_SAMPLE_RATE"] = repr(args.span_sample_rate)
-    if args.span_max_stored is not None:
-        os.environ["REPRO_SPAN_MAX_STORED"] = str(args.span_max_stored)
 
     registry = Registry()
     failed = False

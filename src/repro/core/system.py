@@ -15,7 +15,7 @@ The three logical tiers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.deployment.topology import Topology
@@ -49,18 +49,13 @@ class SystemConfig:
     #: Fraction of span *traces* to store (1.0 = everything).  Sampling
     #: is deterministic and derived from the run seed — never
     #: wall-clock — and only thins stored spans: metrics stay exact and
-    #: the simulation is never perturbed.  Ignored (forced to 1.0)
-    #: under gated runs (``REPRO_BENCH_CHECK=1``).
+    #: the simulation is never perturbed.
     span_sample_rate: float = 1.0
     #: Ring-buffer bound on stored spans (None = unbounded).  When
     #: full, oldest spans are evicted first, except the gated
     #: categories in :data:`repro.obs.GATED_SPAN_CATEGORIES`, which are
-    #: never dropped.  Ignored under gated runs.
+    #: never dropped.
     span_max_stored: Optional[int] = None
-    #: Allow the medium's spatial grid index (repro.radio.medium).  The
-    #: index is trace-exact, so this exists only for A/B benchmarking
-    #: against the brute-force scans.
-    medium_spatial_index: bool = True
     #: Windowed telemetry scrape period in sim seconds (repro.obs.
     #: timeseries).  None (the default) attaches no engine and keeps
     #: the zero-diff guarantee of uninstrumented runs; a value requires
@@ -68,29 +63,12 @@ class SystemConfig:
     #: scrape timer), like NodeHealthSampler.  Enabling it also attaches
     #: the flight recorder (repro.obs.recorder).
     telemetry_interval_s: Optional[float] = None
-    #: Telemetry retention-ring depth: how many closed windows the
-    #: engine keeps (older ones are counted as dropped, never silently
-    #: lost).  Bounds telemetry memory at city scale.
-    telemetry_retention: int = 120
-    #: Use fixed-bucket log-scale histogram sketches instead of exact
-    #: value series (repro.obs.registry.SketchHistogram).  Opt-in:
-    #: exact histograms remain the default so diff baselines and
-    #: percentile semantics are unchanged unless a run asks for
-    #: bounded-memory histograms.
-    histogram_sketch: bool = False
     #: Histogram exemplar reservoir bound: keep at most this many
     #: ``(value, trace_id)`` exemplars per log bucket per series
     #: (repro.obs.registry).  Exemplars annotate metrics — they never
     #: change counter/gauge/histogram values, so gated runs and diff
     #: baselines are unaffected at any setting.  0 disables exemplars.
     exemplar_max_per_bucket: int = 4
-    #: Trickle variant override for every node's DIO timer, one of
-    #: :data:`repro.net.rpl.trickle.TRICKLE_VARIANTS` ("classic",
-    #: "adaptive-imin", "adaptive-k").  None keeps whatever
-    #: ``StackConfig.rpl.trickle_variant`` says (default classic); a
-    #: value replaces the stack's RplConfig so whole-system experiments
-    #: flip the variant axis with one knob.
-    trickle_variant: Optional[str] = None
 
 
 class TimeSeriesStore:
@@ -142,14 +120,6 @@ class IIoTSystem:
         self.obs = None
         self.telemetry = None
         self.recorder = None
-        if config.trickle_variant is not None:
-            # Validate the name up front (a typo should fail the build,
-            # not the first node), then push it into the stack's RPL
-            # config so every router picks it up.
-            from repro.net.rpl.trickle import make_trickle_variant
-            make_trickle_variant(config.trickle_variant)
-            config.stack.rpl = replace(
-                config.stack.rpl, trickle_variant=config.trickle_variant)
         if config.telemetry_interval_s is not None and not config.observability:
             raise ValueError(
                 "SystemConfig(telemetry_interval_s=...) requires "
@@ -161,7 +131,6 @@ class IIoTSystem:
                 span_sample_rate=config.span_sample_rate,
                 span_seed=sim.seed,
                 span_max=config.span_max_stored,
-                histogram_sketch=config.histogram_sketch,
                 exemplar_max_per_bucket=config.exemplar_max_per_bucket,
             )
             self.obs.attach(trace)
@@ -169,8 +138,7 @@ class IIoTSystem:
                 from repro.obs.recorder import FlightRecorder
                 from repro.obs.timeseries import TelemetryEngine
                 self.telemetry = TelemetryEngine.for_system(
-                    self, interval_s=config.telemetry_interval_s,
-                    retention=config.telemetry_retention)
+                    self, interval_s=config.telemetry_interval_s)
                 self.recorder = FlightRecorder(self.telemetry,
                                                spans=self.obs.spans)
                 self.obs.telemetry = self.telemetry
@@ -198,8 +166,7 @@ class IIoTSystem:
         sim = Simulator(seed=seed)
         trace = TraceLog(enabled=config.trace_enabled)
         model = link_model if link_model is not None else UnitDiskModel(radius_m=25.0)
-        medium = Medium(sim, model, trace,
-                        spatial_index=config.medium_spatial_index)
+        medium = Medium(sim, model, trace)
         return cls(sim, medium, trace, topology, config)
 
     def _build_nodes(self) -> None:

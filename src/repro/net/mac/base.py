@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.net.packet import BROADCAST, FrameKind, MacFrame, next_seq
-from repro.radio.medium import Frame, Radio
+from repro.radio.medium import Frame, Radio, RadioState
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
@@ -53,7 +53,8 @@ class MacLayer(abc.ABC):
     """Abstract single-radio MAC with a bounded FIFO transmit queue.
 
     Subclasses implement channel access in :meth:`_start_job` and call
-    :meth:`_finish_job` exactly once per job.  Frames received from the
+    :meth:`_finish_job` exactly once per job; :meth:`stop` does it for
+    them when it cuts an exchange short.  Frames received from the
     radio flow through :meth:`_on_phy_receive`, which dispatches ACKs to
     :meth:`_handle_ack` and hands deduplicated DATA frames to the
     ``on_receive`` upcall.
@@ -78,7 +79,8 @@ class MacLayer(abc.ABC):
         #: Authentication tag bytes appended to outgoing DATA frames.
         self.auth_overhead_bytes = 0
         self._queue: Deque[_TxJob] = deque()
-        self._busy = False
+        #: The dequeued job channel access is working on, if any.
+        self._in_flight: Optional[_TxJob] = None
         self._started = False
         self._dedup: Dict[int, int] = {}
         radio.on_receive = self._on_phy_receive
@@ -103,15 +105,21 @@ class MacLayer(abc.ABC):
         self._on_start()
 
     def stop(self) -> None:
-        """Shut the MAC down; queued jobs fail."""
+        """Shut the MAC down; the in-flight job and every queued one fail.
+
+        All of them take the same terminal path as a job that ran its
+        course, so the accounting identity ``enqueued == tx_success +
+        tx_failed + queued + in_flight`` survives a stop and a restarted
+        MAC starts from an idle queue.
+        """
         if not self._started:
             return
         self._started = False
         self._on_stop()
+        if self._in_flight is not None:
+            self._finish_job(self._in_flight, False)
         while self._queue:
-            job = self._queue.popleft()
-            if job.done is not None:
-                job.done(False)
+            self._finish_job(self._queue.popleft(), False)
 
     @property
     def running(self) -> bool:
@@ -123,7 +131,8 @@ class MacLayer(abc.ABC):
 
     @abc.abstractmethod
     def _on_stop(self) -> None:
-        """Subclass hook: cancel timers, idle the radio."""
+        """Subclass hook: cancel timers, forget the exchange in progress,
+        idle the radio.  The base class finishes the job itself."""
 
     # ------------------------------------------------------------------
     # sending
@@ -178,10 +187,10 @@ class MacLayer(abc.ABC):
         return len(self._queue)
 
     def _kick(self) -> None:
-        if self._busy or not self._queue or not self._started:
+        if (self._in_flight is not None or not self._queue
+                or not self._started):
             return
-        self._busy = True
-        job = self._queue.popleft()
+        job = self._in_flight = self._queue.popleft()
         if job.ctx is not None:
             obs = self.trace.obs
             if obs is not None and obs.spans is not None:
@@ -216,7 +225,7 @@ class MacLayer(abc.ABC):
             instrument.value += 1.0
             if obs.spans is not None and job.ctx is not None:
                 obs.spans.finish(job.ctx, self.sim.now, ok=success)
-        self._busy = False
+        self._in_flight = None
         if job.done is not None:
             job.done(success)
         self.sim.call_soon(self._kick)
@@ -273,18 +282,26 @@ class MacLayer(abc.ABC):
             return
         self._handle_data(frame)
 
-    def _handle_data(self, frame: MacFrame) -> None:
-        """Default DATA handling: dedup then deliver.  Subclasses that
-        acknowledge call this after sending their ACK."""
+    def _accept(self, frame: MacFrame) -> Optional[MacFrame]:
+        """Dedup, then the security filter, then remember the sequence
+        number: the frame to act on, or None for a duplicate or a frame
+        the filter rejected."""
         if self._dedup.get(frame.src) == frame.seq:
             self.stats.rx_duplicates += 1
-            return
+            return None
         if self.frame_filter is not None:
-            filtered = self.frame_filter(frame)
-            if filtered is None:
-                return
-            frame = filtered
+            frame = self.frame_filter(frame)
+            if frame is None:
+                return None
         self._dedup[frame.src] = frame.seq
+        return frame
+
+    def _handle_data(self, frame: MacFrame) -> None:
+        """Default DATA handling: accept then deliver.  Subclasses that
+        acknowledge call this after sending their ACK."""
+        frame = self._accept(frame)
+        if frame is None:
+            return
         self.stats.rx_delivered += 1
         if self.on_receive is not None:
             self.on_receive(frame)
@@ -302,8 +319,6 @@ class MacLayer(abc.ABC):
         """Transmit a link-layer ACK after the radio turnaround time."""
 
         def fire() -> None:
-            from repro.radio.medium import RadioState
-
             if not self._started or self.radio.state is RadioState.TX:
                 return
             ack = MacFrame(
@@ -322,8 +337,6 @@ class MacLayer(abc.ABC):
     # ------------------------------------------------------------------
     def duty_cycle(self) -> float:
         """Fraction of time the radio has been awake (LISTEN or TX)."""
-        from repro.radio.medium import RadioState
-
         times = self.radio.flush_state_time()
         total = sum(times.values())
         if total == 0:

@@ -13,6 +13,7 @@ from typing import Optional
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, MacFrame
+from repro.radio.medium import RadioState
 from repro.sim.timers import Timer
 
 
@@ -59,8 +60,6 @@ class CsmaMac(MacLayer):
     def _on_stop(self) -> None:
         self._ack_timer.cancel()
         self._awaiting = None
-        from repro.radio.medium import RadioState
-
         if self.radio.state is not RadioState.TX:
             self.radio.sleep()
 
@@ -78,11 +77,8 @@ class CsmaMac(MacLayer):
         delay = self._rng.uniform(0, window)
 
         def check() -> None:
-            if not self._started:
-                self._finish_job(job, False)
-                return
-            from repro.radio.medium import RadioState
-
+            if self._in_flight is not job:
+                return  # stop() ended the job while the backoff ran
             if self.radio.carrier_busy() or self.radio.state is RadioState.TX:
                 if cca_attempt + 1 >= self.config.max_cca_attempts:
                     self._finish_job(job, False)
@@ -97,6 +93,8 @@ class CsmaMac(MacLayer):
         frame = self.data_frame(job)
 
         def tx_done() -> None:
+            if self._in_flight is not job:
+                return  # stop() ended the job while the frame was on air
             if job.dest == BROADCAST:
                 self._finish_job(job, True)
                 return

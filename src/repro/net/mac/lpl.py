@@ -13,10 +13,11 @@ packet may take seconds to be transmitted over few wireless hops".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, MacFrame
+from repro.radio.medium import RadioState
 from repro.sim.timers import Timer
 
 
@@ -83,8 +84,7 @@ class LplMac(MacLayer):
     def _on_stop(self) -> None:
         for timer in (self._probe_timer, self._hold_timer, self._ack_timer):
             timer.cancel()
-        from repro.radio.medium import RadioState
-
+        self._job = None
         if self.radio.state is not RadioState.TX:
             self.radio.sleep()
 
@@ -92,8 +92,6 @@ class LplMac(MacLayer):
         self._probe_timer.start(self.config.wake_interval_s)
         if self._job is not None:
             return  # already awake, strobing
-        from repro.radio.medium import RadioState
-
         if self.radio.state is RadioState.TX:
             return
         self.radio.set_listening()
@@ -103,8 +101,6 @@ class LplMac(MacLayer):
     def _hold_expired(self) -> None:
         if self._job is not None:
             return
-        from repro.radio.medium import RadioState
-
         if self.radio.state is RadioState.TX:
             self._hold_timer.start(self.config.hold_duration_s)
             return
@@ -190,8 +186,6 @@ class LplMac(MacLayer):
         if self.sim.now >= self._strobe_deadline:
             self._strobe_done(job.dest == BROADCAST and self._copies_sent > 0)
             return
-        from repro.radio.medium import RadioState
-
         if self.radio.state is RadioState.TX or self.radio.carrier_busy():
             # Channel occupied (often a neighbour's strobe): defer the
             # copy rather than collide with it for its whole length.
@@ -232,8 +226,6 @@ class LplMac(MacLayer):
             self._retries += 1
             self._begin_strobe(job)
             return
-        from repro.radio.medium import RadioState
-
         if self.radio.state is not RadioState.TX and not self._awake_hold:
             self.radio.sleep()
         self._finish_job(job, success)

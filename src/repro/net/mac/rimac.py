@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, FrameKind, MacFrame
+from repro.radio.medium import RadioState
 from repro.sim.timers import Timer
 
 
@@ -66,8 +67,7 @@ class RiMac(MacLayer):
     def _on_stop(self) -> None:
         for timer in (self._beacon_timer, self._dwell_timer, self._wait_timer):
             timer.cancel()
-        from repro.radio.medium import RadioState
-
+        self._job = None
         if self.radio.state is not RadioState.TX:
             self.radio.sleep()
 
@@ -77,8 +77,6 @@ class RiMac(MacLayer):
 
     def _beacon(self) -> None:
         self._beacon_timer.start(self._next_beacon_delay())
-        from repro.radio.medium import RadioState
-
         if self.radio.state is RadioState.TX:
             return
         self.radio.set_listening()
@@ -93,8 +91,6 @@ class RiMac(MacLayer):
         )
 
     def _dwell_over(self) -> None:
-        from repro.radio.medium import RadioState
-
         if self.radio.state is RadioState.TX:
             self._dwell_timer.start(self.config.dwell_s)
             return
@@ -139,8 +135,6 @@ class RiMac(MacLayer):
         def fire() -> None:
             if self._job is not job:
                 return
-            from repro.radio.medium import RadioState
-
             if self.radio.state is RadioState.TX or self.radio.carrier_busy():
                 return  # lost the race to another sender; next beacon
             self._transmit_frame(self.data_frame(job))
@@ -176,8 +170,6 @@ class RiMac(MacLayer):
             self._retries += 1
             self._begin_wait(job)
             return
-        from repro.radio.medium import RadioState
-
         if self.radio.state is not RadioState.TX and not self._dwell_timer.armed:
             self.radio.sleep()
         self._finish_job(job, success)

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, MacFrame
+from repro.radio.medium import RadioState
 from repro.sim.timers import Timer
 
 #: The default 6TiSCH hopping sequence over the 16 IEEE 802.15.4
@@ -488,11 +489,7 @@ class TschMac(MacLayer):
         self._slot_end_timer.cancel()
         self._ack_timer.cancel()
         self._awaiting = None
-        job, self._job = self._job, None
-        if job is not None:
-            self._finish_job(job, False)
-        from repro.radio.medium import RadioState
-
+        self._job = None
         if self.radio.state is not RadioState.TX:
             self.radio.sleep()
 
@@ -593,8 +590,6 @@ class TschMac(MacLayer):
     def _slot_end(self) -> None:
         if not self._started:
             return
-        from repro.radio.medium import RadioState
-
         if (self.radio.state is RadioState.TX or self._awaiting is not None
                 or self.radio.carrier_busy()):
             # Mid-exchange (long frame, pending ACK, or an incoming
@@ -627,6 +622,8 @@ class TschMac(MacLayer):
                              cell="shared" if cell.shared else "dedicated")
 
         def tx_done() -> None:
+            if self._job is not job:
+                return  # stop() ended the job while the frame was on air
             if job.dest == BROADCAST:
                 self._complete(job, True)
                 return
@@ -671,18 +668,11 @@ class TschMac(MacLayer):
         if frame.dst == self.radio.node_id:
             self._send_ack(frame.src, frame.seq)
         if isinstance(frame.payload, SixpMessage):
-            # 6P terminates at the MAC; mirror the base dedup/filter
-            # order so secured networks authenticate 6P frames too.
-            if self._dedup.get(frame.src) == frame.seq:
-                self.stats.rx_duplicates += 1
-                return
-            if self.frame_filter is not None:
-                filtered = self.frame_filter(frame)
-                if filtered is None:
-                    return
-                frame = filtered
-            self._dedup[frame.src] = frame.seq
-            self._on_sixp(frame.src, frame.payload)
+            # 6P terminates at the MAC, past the same dedup and filter as
+            # data, so secured networks authenticate 6P frames too.
+            frame = self._accept(frame)
+            if frame is not None:
+                self._on_sixp(frame.src, frame.payload)
             return
         super()._handle_data(frame)
 

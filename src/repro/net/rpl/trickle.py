@@ -165,7 +165,7 @@ class AdaptiveKVariant(TrickleVariant):
 
 
 #: name -> variant class, for config-driven selection
-#: (``RplConfig(trickle_variant=)`` / ``SystemConfig(trickle_variant=)``).
+#: (``RplConfig(trickle_variant=)``).
 TRICKLE_VARIANTS: Dict[str, Type[TrickleVariant]] = {
     TrickleVariant.name: TrickleVariant,
     AdaptiveIminVariant.name: AdaptiveIminVariant,

@@ -243,8 +243,7 @@ class NetworkStack:
         recorders = self._obs_slots(obs)[self._LATENCY]
         slot = recorders.get(port)
         if slot is None:
-            # `record` is the bound fast-path writer: values.append for
-            # exact histograms, SketchHistogram.observe in sketch mode.
+            # `record` is the bound fast-path writer (values.append).
             # The instrument rides along for exemplar recording, which
             # only runs on sampled (trace-carrying) deliveries.
             instrument = obs.registry.histogram("net.latency_s", port=port)

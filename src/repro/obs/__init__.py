@@ -2,8 +2,8 @@
 
 Four parts (DESIGN.md, "Observability"):
 
-- :mod:`repro.obs.registry` — labeled counters/gauges/histograms with
-  deterministic snapshot/merge semantics;
+- :mod:`repro.obs.registry` — labeled counters/gauges/exact histograms
+  with deterministic snapshot/merge semantics;
 - :mod:`repro.obs.spans` — packet-lifecycle span tracing with
   parent/child links, threaded through the stack as ``trace_ctx``;
 - :mod:`repro.obs.profiler` — opt-in wall-time attribution inside the
@@ -50,7 +50,7 @@ from repro.obs.health import NodeHealthSampler, health_rows
 from repro.obs.profiler import SimProfiler
 from repro.obs.recorder import FlightDump, FlightRecorder
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsSnapshot,
-                                Registry, SketchHistogram)
+                                Registry)
 from repro.obs.spans import Span, SpanContext, SpanNode, SpanTracer
 from repro.obs.timeseries import (AlertRule, TelemetryEngine,
                                   TelemetrySnapshot, TelemetryWindow)
@@ -73,7 +73,6 @@ __all__ = [
     "Registry",
     "Segment",
     "SimProfiler",
-    "SketchHistogram",
     "Span",
     "SpanContext",
     "SpanNode",
@@ -87,7 +86,6 @@ __all__ = [
     "diff_explain",
     "diff_snapshots",
     "export_run",
-    "gated_run",
     "health_rows",
     "load_snapshot",
     "read_metrics_json",
@@ -118,18 +116,6 @@ GATED_SPAN_CATEGORIES = frozenset({
 })
 
 
-def gated_run() -> bool:
-    """True when a correctness gate is driving this process.
-
-    ``REPRO_BENCH_CHECK=1`` (the invariant-asserting benchmark mode,
-    also exported by the ``make diff-core``-family gates) demands full
-    observability fidelity: sampling and ring-buffer knobs are ignored
-    so gated runs keep their exact ``events_identical`` semantics.
-    """
-    import os
-    return os.environ.get("REPRO_BENCH_CHECK") == "1"
-
-
 class Observability:
     """One run's observability state: a registry plus (optionally) spans.
 
@@ -141,16 +127,13 @@ class Observability:
     ``span_sample_rate`` / ``span_max`` bound what the tracer *stores*
     (see :class:`~repro.obs.spans.SpanTracer`); metrics are never
     sampled — counter, gauge, and histogram totals stay exact at every
-    rate.  Both knobs are ignored under :func:`gated_run`, so gates
-    always see full-fidelity spans.  ``span_seed`` should come from the
-    run's master seed: the sampling decision is derived from it and
-    never from wall-clock.
+    rate — and the :data:`GATED_SPAN_CATEGORIES` are never dropped.
+    ``span_seed`` should come from the run's master seed: the sampling
+    decision is derived from it and never from wall-clock.
 
-    The ``REPRO_SPAN_SAMPLE_RATE`` / ``REPRO_SPAN_MAX_STORED``
-    environment variables override the constructor knobs (except under
-    gated runs).  They exist for the ``--span-sample-rate`` CLI flags:
-    sweep trials run in worker *processes*, and the environment is the
-    only channel that reaches every worker regardless of start method.
+    The bundle is a pure function of these arguments: nothing is read
+    from the environment, so a run is configured by its
+    :class:`~repro.core.system.SystemConfig` alone.
     """
 
     def __init__(self, registry: Optional[Registry] = None,
@@ -158,32 +141,18 @@ class Observability:
                  span_sample_rate: float = 1.0,
                  span_seed: int = 0,
                  span_max: Optional[int] = None,
-                 span_pinned: Optional[frozenset] = None,
-                 histogram_sketch: bool = False,
                  exemplar_max_per_bucket: int = 4) -> None:
         self.registry = registry if registry is not None else Registry(
-            histogram_sketch=histogram_sketch,
             exemplar_max_per_bucket=exemplar_max_per_bucket)
         #: set by the system wiring when SystemConfig(telemetry_interval_s=)
         #: is given — layers and exporters find both via ``trace.obs``.
         self.telemetry: Optional[TelemetryEngine] = None
         self.recorder: Optional[FlightRecorder] = None
-        if gated_run():
-            span_sample_rate, span_max = 1.0, None
-        else:
-            import os
-            env_rate = os.environ.get("REPRO_SPAN_SAMPLE_RATE")
-            if env_rate:
-                span_sample_rate = float(env_rate)
-            env_max = os.environ.get("REPRO_SPAN_MAX_STORED")
-            if env_max:
-                span_max = int(env_max)
-        pinned = GATED_SPAN_CATEGORIES if span_pinned is None else span_pinned
         self.spans: Optional[SpanTracer] = SpanTracer(
             sample_rate=span_sample_rate,
             sample_seed=span_seed,
             max_spans=span_max,
-            pinned_categories=pinned,
+            pinned_categories=GATED_SPAN_CATEGORIES,
         ) if spans else None
 
     def attach(self, trace: TraceLog) -> "Observability":

@@ -49,8 +49,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.metrics import percentile
-from repro.obs.registry import (MetricsSnapshot, _sketch_bucket,
-                                merge_sketch, sketch_percentile)
+from repro.obs.registry import MetricsSnapshot, log_bucket
 from repro.obs.spans import Span, SpanNode, SpanTracer
 
 #: The payload format tag of an exported attribution table.
@@ -276,8 +275,7 @@ def critical_path(tracer: SpanTracer, trace_id: int) -> List[Span]:
 def resolve_metric(snapshot: MetricsSnapshot, name: str) -> Optional[str]:
     """Accept ``net.latency`` for ``net.latency_s`` and the like."""
     known = set()
-    for mapping in (snapshot.histograms, snapshot.sketches,
-                    snapshot.exemplars):
+    for mapping in (snapshot.histograms, snapshot.exemplars):
         known.update(key[0] for key in mapping)
     if name in known:
         return name
@@ -290,17 +288,9 @@ def _metric_percentile(snapshot: MetricsSnapshot, metric: str,
                        fraction: float) -> Tuple[int, float]:
     """(observation count, percentile estimate) across label sets."""
     values = snapshot.histogram_values(metric)
-    if values:
-        return len(values), percentile(values, fraction)
-    merged = None
-    for key in sorted(snapshot.sketches, key=repr):
-        if key[0] != metric:
-            continue
-        data = snapshot.sketches[key]
-        merged = data if merged is None else merge_sketch(merged, data)
-    if merged is None or merged[0] == 0:
+    if not values:
         return 0, 0.0
-    return merged[0], sketch_percentile(merged, fraction)
+    return len(values), percentile(values, fraction)
 
 
 def select_exemplars(snapshot: MetricsSnapshot, metric: str,
@@ -314,9 +304,9 @@ def select_exemplars(snapshot: MetricsSnapshot, metric: str,
     if not entries:
         return []
     _count, estimate = _metric_percentile(snapshot, metric, fraction)
-    floor_bucket = _sketch_bucket(estimate)
+    floor_bucket = log_bucket(estimate)
     tail = [entry for entry in entries
-            if _sketch_bucket(entry[0]) >= floor_bucket]
+            if log_bucket(entry[0]) >= floor_bucket]
     chosen = tail if tail else entries
     return chosen[:max_traces]
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.metrics import percentile
-from repro.obs.registry import MetricsSnapshot, SeriesKey, sketch_percentile
+from repro.obs.registry import MetricsSnapshot, SeriesKey
 
 
 @dataclass
@@ -70,16 +70,6 @@ def _scalar_series(snap: MetricsSnapshot) -> Dict[Tuple[str, str, Tuple], float]
         if values:
             out[("histogram", f"{name}.p50", labels)] = percentile(values, 0.5)
             out[("histogram", f"{name}.p95", labels)] = percentile(values, 0.95)
-    for (name, labels), data in snap.sketches.items():
-        # Sketches diff on the same derived series as exact histograms
-        # (count/sum exact; quantiles are bucket estimates on both
-        # sides, so equal-seed runs still diff to zero).
-        count, total = data[0], data[1]
-        out[("sketch", f"{name}.count", labels)] = float(count)
-        out[("sketch", f"{name}.sum", labels)] = total
-        if count:
-            out[("sketch", f"{name}.p50", labels)] = sketch_percentile(data, 0.5)
-            out[("sketch", f"{name}.p95", labels)] = sketch_percentile(data, 0.95)
     return out
 
 

@@ -71,7 +71,7 @@ def write_metrics_json(snapshot: MetricsSnapshot, path: str) -> int:
         json.dump(payload, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return (len(payload["counters"]) + len(payload["gauges"])
-            + len(payload["histograms"]) + len(payload.get("sketches", ())))
+            + len(payload["histograms"]))
 
 
 def write_windows_jsonl(windows, path: str) -> int:

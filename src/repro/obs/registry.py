@@ -8,12 +8,9 @@ Three instrument kinds, all labeled:
 - :class:`Histogram` — full-resolution value series with exact
   percentiles (``net.latency_s``).
 
-A fourth, opt-in representation trades exactness for bounded memory:
-:class:`SketchHistogram`, a fixed log-scale bucket sketch selected per
-registry with ``Registry(histogram_sketch=True)``.  City-scale runs
-(10k–50k nodes, PR 7) would otherwise retain every latency sample for
-the whole run; the sketch keeps O(buckets) per series while preserving
-exact ``count``/``sum``/``min``/``max`` and ±~15% quantile estimates.
+Histograms are exact on purpose: the ``diff-core`` and ``explain-core``
+gates pin percentiles to the last digit, which no bucketed estimate can
+reproduce.
 
 Instruments are addressed as ``registry.counter("mac.tx", node=3)``;
 the ``(name, sorted label items)`` pair identifies one time series.
@@ -37,10 +34,6 @@ from repro.core.metrics import percentile
 #: One time-series key: metric name + sorted ``(label, value)`` items.
 SeriesKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
-#: Frozen sketch payload: ``(count, sum, min, max, ((bucket, n), ...))``
-#: with buckets sorted by index — plain data, picklable, mergeable.
-SketchData = Tuple[int, float, float, float, Tuple[Tuple[int, int], ...]]
-
 #: Frozen exemplar reservoir: ``(cap, ((bucket, ((value, trace), ...)),
 #: ...))`` with buckets sorted by index and entries in observation
 #: order — plain data, picklable, mergeable in the order given.
@@ -52,33 +45,37 @@ def _series_key(name: str, labels: Dict[str, Any]) -> SeriesKey:
 
 
 # ----------------------------------------------------------------------
-# exemplar reservoirs (shared by both histogram representations)
+# exemplar reservoirs
 # ----------------------------------------------------------------------
-# Exemplars link histogram buckets back to the span traces that landed
-# in them: ``observe(..., exemplar=trace_id)`` keeps the first ``cap``
-# ``(value, trace_id)`` pairs per log bucket (the same bucket index the
-# sketch uses, so exact and sketch registries agree on placement).
+# Exemplars link histogram values back to the span traces that produced
+# them: ``observe(..., exemplar=trace_id)`` keeps the first ``cap``
+# ``(value, trace_id)`` pairs per log-scale bucket, so the reservoir
+# spans the value range instead of filling up with the common case.
 # First-K is the deterministic reservoir policy: observation order is
 # seed-determined, and merging concatenates per bucket in the order
 # given before re-truncating — byte-identical for every jobs count.
 # Exemplars never feed back into the metric values themselves.
-def _add_exemplar(self, value: float, trace_id: int) -> None:
-    """Remember ``trace_id`` as an exemplar for ``value``'s bucket."""
-    if self.exemplar_cap <= 0:
-        return
-    bucket = _sketch_bucket(value)
-    entries = self.exemplars.get(bucket)
-    if entries is None:
-        entries = self.exemplars[bucket] = []
-    if len(entries) < self.exemplar_cap:
-        entries.append((value, int(trace_id)))
+
+#: Bucket resolution: 8 buckets per decade, edges growing by
+#: 10^(1/8) ≈ 1.33×.
+_BUCKETS_PER_DECADE = 8
+#: Values below 10^-9 (and zero/negative) share the low clamp bucket;
+#: values at/above 10^9 share the high clamp bucket.
+_LO_IDX = -9 * _BUCKETS_PER_DECADE          # edge 1e-9
+_HI_IDX = 9 * _BUCKETS_PER_DECADE           # edge 1e9
+_UNDER_IDX = _LO_IDX - 1                    # zero/negative/tiny
 
 
-def _freeze_exemplars(self) -> ExemplarData:
-    """Plain-data view of the reservoir (buckets sorted by index)."""
-    return (self.exemplar_cap,
-            tuple((idx, tuple(entries))
-                  for idx, entries in sorted(self.exemplars.items())))
+def log_bucket(value: float) -> int:
+    """Index of the log-scale bucket ``value`` falls in."""
+    if value < 1e-9:
+        return _UNDER_IDX
+    idx = math.floor(math.log10(value) * _BUCKETS_PER_DECADE)
+    if idx < _LO_IDX:
+        return _UNDER_IDX
+    if idx >= _HI_IDX:
+        return _HI_IDX
+    return idx
 
 
 def merge_exemplars(a: ExemplarData, b: ExemplarData) -> ExemplarData:
@@ -131,8 +128,7 @@ class Histogram:
     """An exact value series (simulation scale permits full resolution).
 
     ``record`` is the bound ``values.append`` — hot paths cache the
-    instrument and call ``instrument.record(v)``, which is one C call
-    and works identically on :class:`SketchHistogram`.
+    instrument and call ``instrument.record(v)``, which is one C call.
     """
 
     __slots__ = ("name", "labels", "values", "record",
@@ -150,8 +146,22 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.values.append(value)
 
-    add_exemplar = _add_exemplar
-    freeze_exemplars = _freeze_exemplars
+    def add_exemplar(self, value: float, trace_id: int) -> None:
+        """Remember ``trace_id`` as an exemplar for ``value``'s bucket."""
+        if self.exemplar_cap <= 0:
+            return
+        bucket = log_bucket(value)
+        entries = self.exemplars.get(bucket)
+        if entries is None:
+            entries = self.exemplars[bucket] = []
+        if len(entries) < self.exemplar_cap:
+            entries.append((value, int(trace_id)))
+
+    def freeze_exemplars(self) -> ExemplarData:
+        """Plain-data view of the reservoir (buckets sorted by index)."""
+        return (self.exemplar_cap,
+                tuple((idx, tuple(entries))
+                      for idx, entries in sorted(self.exemplars.items())))
 
     @property
     def count(self) -> int:
@@ -165,134 +175,14 @@ class Histogram:
         return percentile(self.values, fraction)
 
 
-# ----------------------------------------------------------------------
-# log-scale histogram sketch (opt-in, bounded memory)
-# ----------------------------------------------------------------------
-#: Bucket resolution: 8 buckets per decade → bucket edges grow by
-#: 10^(1/8) ≈ 1.33×, so a quantile estimate is within ~±15% of exact.
-_SKETCH_BUCKETS_PER_DECADE = 8
-#: Values at/below 10^-9 (and zero/negative) share the low clamp bucket;
-#: values at/above 10^9 share the high clamp bucket.  The exact
-#: ``min``/``max`` carried alongside keep clamped estimates honest.
-_SKETCH_LO_IDX = -9 * _SKETCH_BUCKETS_PER_DECADE          # edge 1e-9
-_SKETCH_HI_IDX = 9 * _SKETCH_BUCKETS_PER_DECADE           # edge 1e9
-_SKETCH_UNDER_IDX = _SKETCH_LO_IDX - 1                    # zero/negative/tiny
-
-
-def _sketch_bucket(value: float) -> int:
-    if value < 1e-9:
-        return _SKETCH_UNDER_IDX
-    idx = math.floor(math.log10(value) * _SKETCH_BUCKETS_PER_DECADE)
-    if idx < _SKETCH_LO_IDX:
-        return _SKETCH_UNDER_IDX
-    if idx >= _SKETCH_HI_IDX:
-        return _SKETCH_HI_IDX
-    return idx
-
-
-def _sketch_bucket_value(idx: int, lo: float, hi: float) -> float:
-    """Representative value of a bucket, clamped to the exact [min, max]."""
-    if idx <= _SKETCH_UNDER_IDX:
-        rep = 0.0
-    else:
-        rep = 10.0 ** ((idx + 0.5) / _SKETCH_BUCKETS_PER_DECADE)
-    return min(max(rep, lo), hi)
-
-
-def sketch_percentile(data: SketchData, fraction: float) -> float:
-    """Quantile estimate from a frozen sketch (bucket midpoint walk)."""
-    count, _total, lo, hi, buckets = data
-    if count == 0:
-        return 0.0
-    rank = fraction * (count - 1)
-    seen = 0
-    for idx, n in buckets:
-        seen += n
-        if seen > rank:
-            return _sketch_bucket_value(idx, lo, hi)
-    return hi
-
-
-def merge_sketch(a: SketchData, b: SketchData) -> SketchData:
-    """Elementwise-merge two frozen sketches (commutative, lossless)."""
-    counts: Dict[int, int] = dict(a[4])
-    for idx, n in b[4]:
-        counts[idx] = counts.get(idx, 0) + n
-    count = a[0] + b[0]
-    lo = min(a[2], b[2]) if count else 0.0
-    hi = max(a[3], b[3]) if count else 0.0
-    if a[0] == 0:
-        lo, hi = b[2], b[3]
-    elif b[0] == 0:
-        lo, hi = a[2], a[3]
-    return (count, a[1] + b[1], lo, hi, tuple(sorted(counts.items())))
-
-
-class SketchHistogram:
-    """Fixed-bucket log-scale histogram: O(buckets) memory per series.
-
-    Drop-in for :class:`Histogram` at every *write* site (``observe`` /
-    the cached ``record`` callable); readers that need raw samples
-    (``Registry.values``) get an empty list — the sketch keeps none.
-    """
-
-    __slots__ = ("name", "labels", "count", "sum", "min", "max",
-                 "buckets", "record", "exemplar_cap", "exemplars")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...],
-                 exemplar_cap: int = 0) -> None:
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.buckets: Dict[int, int] = {}
-        self.record = self.observe
-        self.exemplar_cap = exemplar_cap
-        self.exemplars: Dict[int, List[Tuple[float, int]]] = {}
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        idx = _sketch_bucket(value)
-        self.buckets[idx] = self.buckets.get(idx, 0) + 1
-
-    add_exemplar = _add_exemplar
-    freeze_exemplars = _freeze_exemplars
-
-    def freeze(self) -> SketchData:
-        if self.count == 0:
-            return (0, 0.0, 0.0, 0.0, ())
-        return (self.count, self.sum, self.min, self.max,
-                tuple(sorted(self.buckets.items())))
-
-    def percentile(self, fraction: float) -> float:
-        return sketch_percentile(self.freeze(), fraction)
-
-
 class Registry:
-    """Get-or-create instrument store for one run (or one trial).
+    """Get-or-create instrument store for one run (or one trial)."""
 
-    ``histogram_sketch=True`` swaps every histogram for a
-    :class:`SketchHistogram`: same write API, bounded memory, and the
-    snapshot lands in :attr:`MetricsSnapshot.sketches` instead of
-    ``histograms``.  The mode is per-registry (never mixed), so merge
-    partners always agree on representation.
-    """
-
-    def __init__(self, histogram_sketch: bool = False,
-                 exemplar_max_per_bucket: int = 4) -> None:
-        self.histogram_sketch = histogram_sketch
+    def __init__(self, exemplar_max_per_bucket: int = 4) -> None:
         self.exemplar_max_per_bucket = exemplar_max_per_bucket
-        self._histogram_cls = SketchHistogram if histogram_sketch else Histogram
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
-        self._histograms: Dict[SeriesKey, Any] = {}
+        self._histograms: Dict[SeriesKey, Histogram] = {}
         # Instrument lookup caches keyed on the *call-site* label order
         # ((name, tuple(labels.items()))), so the hot path skips the
         # per-call sort in _series_key after first touch.  Different
@@ -300,7 +190,7 @@ class Registry:
         # instrument under two cache keys.
         self._counter_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Counter] = {}
         self._gauge_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Gauge] = {}
-        self._histogram_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Any] = {}
+        self._histogram_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Histogram] = {}
 
     # ------------------------------------------------------------------
     # instrument access
@@ -327,14 +217,14 @@ class Registry:
             self._gauge_cache[cache_key] = instrument
         return instrument
 
-    def histogram(self, name: str, **labels: Any) -> Any:
+    def histogram(self, name: str, **labels: Any) -> Histogram:
         cache_key = (name, tuple(labels.items()))
         instrument = self._histogram_cache.get(cache_key)
         if instrument is None:
             key = _series_key(name, labels)
             instrument = self._histograms.get(key)
             if instrument is None:
-                instrument = self._histograms[key] = self._histogram_cls(
+                instrument = self._histograms[key] = Histogram(
                     name, key[1], self.exemplar_max_per_bucket)
             self._histogram_cache[cache_key] = instrument
         return instrument
@@ -366,9 +256,6 @@ class Registry:
         instrument = self._histogram_cache.get((name, tuple(labels.items())))
         if instrument is None:
             instrument = self.histogram(name, **labels)
-        # `record` is values.append (exact) or SketchHistogram.observe
-        # (sketch) — bound once at instrument construction, so the mode
-        # branch costs nothing here.
         instrument.record(value)
         if exemplar is not None:
             instrument.add_exemplar(value, exemplar)
@@ -382,14 +269,7 @@ class Registry:
 
     def values(self, name: str) -> List[float]:
         """Concatenated histogram observations over every label set,
-        in deterministic (sorted-key) order.
-
-        Sketch-mode registries keep no raw samples, so this is empty —
-        use ``snapshot().sketches`` (count/sum/quantile estimates)
-        instead.
-        """
-        if self.histogram_sketch:
-            return []
+        in deterministic (sorted-key) order."""
         out: List[float] = []
         for key in sorted(self._histograms, key=repr):
             if key[0] == name:
@@ -409,20 +289,12 @@ class Registry:
 
     def snapshot(self) -> "MetricsSnapshot":
         """Freeze the registry into plain, picklable data."""
-        exemplars = {k: h.freeze_exemplars()
-                     for k, h in self._histograms.items() if h.exemplars}
-        if self.histogram_sketch:
-            return MetricsSnapshot(
-                counters={k: c.value for k, c in self._counters.items()},
-                gauges={k: g.value for k, g in self._gauges.items()},
-                sketches={k: h.freeze() for k, h in self._histograms.items()},
-                exemplars=exemplars,
-            )
         return MetricsSnapshot(
             counters={k: c.value for k, c in self._counters.items()},
             gauges={k: g.value for k, g in self._gauges.items()},
             histograms={k: tuple(h.values) for k, h in self._histograms.items()},
-            exemplars=exemplars,
+            exemplars={k: h.freeze_exemplars()
+                       for k, h in self._histograms.items() if h.exemplars},
         )
 
 
@@ -437,7 +309,6 @@ class MetricsSnapshot:
     counters: Dict[SeriesKey, float] = field(default_factory=dict)
     gauges: Dict[SeriesKey, float] = field(default_factory=dict)
     histograms: Dict[SeriesKey, Tuple[float, ...]] = field(default_factory=dict)
-    sketches: Dict[SeriesKey, SketchData] = field(default_factory=dict)
     #: Exemplar reservoirs per histogram series — annotation, never a
     #: metric: `repro diff` and `rows()` ignore it by design.
     exemplars: Dict[SeriesKey, ExemplarData] = field(default_factory=dict)
@@ -447,8 +318,8 @@ class MetricsSnapshot:
     def merge(cls, snapshots: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
         """Combine snapshots *in the order given*.
 
-        Counters, histograms, and sketches are commutative (sum /
-        concatenate / bucket-add); gauges are last-write-wins, which is
+        Counters and histograms are commutative (sum / concatenate);
+        gauges are last-write-wins, which is
         why order matters and why callers must merge in trial-index
         order (the order every :class:`~repro.parallel.TrialExecutor`
         already yields).
@@ -461,9 +332,6 @@ class MetricsSnapshot:
                 merged.gauges[key] = value
             for key, values in snap.histograms.items():
                 merged.histograms[key] = merged.histograms.get(key, ()) + tuple(values)
-            for key, data in snap.sketches.items():
-                prior = merged.sketches.get(key)
-                merged.sketches[key] = data if prior is None else merge_sketch(prior, data)
             for key, data in snap.exemplars.items():
                 prior = merged.exemplars.get(key)
                 merged.exemplars[key] = data if prior is None else merge_exemplars(prior, data)
@@ -517,23 +385,9 @@ class MetricsSnapshot:
             "gauges": series(self.gauges),
             "histograms": series(self.histograms),
         }
-        if self.sketches:
-            # Additive key: emitted only when present so exact-mode
-            # exports stay byte-identical to pre-sketch baselines.
-            sketch_rows = []
-            for key in sorted(self.sketches, key=repr):
-                name, labels = key
-                count, total, lo, hi, buckets = self.sketches[key]
-                sketch_rows.append({
-                    "name": name, "labels": dict(labels),
-                    "count": count, "sum": total, "min": lo, "max": hi,
-                    "buckets": [[idx, n] for idx, n in buckets],
-                })
-            payload["sketches"] = sketch_rows
         if self.exemplars:
-            # Additive key, same contract as "sketches": absent unless
-            # exemplars were recorded, so pre-exemplar baselines stay
-            # byte-identical.
+            # Additive key: absent unless exemplars were recorded, so
+            # pre-exemplar baselines stay byte-identical.
             exemplar_rows = []
             for key in sorted(self.exemplars, key=repr):
                 name, labels = key
@@ -561,12 +415,6 @@ class MetricsSnapshot:
             snap.gauges[key_of(entry)] = float(entry["value"])
         for entry in payload.get("histograms", []):
             snap.histograms[key_of(entry)] = tuple(float(v) for v in entry["value"])
-        for entry in payload.get("sketches", []):
-            snap.sketches[key_of(entry)] = (
-                int(entry["count"]), float(entry["sum"]),
-                float(entry["min"]), float(entry["max"]),
-                tuple((int(i), int(n)) for i, n in entry["buckets"]),
-            )
         for entry in payload.get("exemplars", []):
             snap.exemplars[key_of(entry)] = (
                 int(entry["cap"]),
@@ -597,11 +445,4 @@ class MetricsSnapshot:
                          "value": sum(values), "count": len(values),
                          "p50": percentile(values, 0.5),
                          "p95": percentile(values, 0.95)})
-        for key in sorted(self.sketches, key=repr):
-            data = self.sketches[key]
-            rows.append({"kind": "sketch", "name": key[0],
-                         "labels": label_str(key[1]),
-                         "value": data[1], "count": data[0],
-                         "p50": sketch_percentile(data, 0.5),
-                         "p95": sketch_percentile(data, 0.95)})
         return rows

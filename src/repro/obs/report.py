@@ -410,8 +410,7 @@ def report_main(argv) -> int:
     parser.add_argument("--span-sample-rate", type=float, default=1.0,
                         metavar="RATE",
                         help="store only this fraction of span traces "
-                             "(0..1, default 1.0; metrics stay exact, "
-                             "ignored under gated runs)")
+                             "(0..1, default 1.0; metrics stay exact)")
     parser.add_argument("--span-max-stored", type=int, default=None,
                         metavar="N",
                         help="ring-buffer bound on stored spans")

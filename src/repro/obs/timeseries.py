@@ -8,7 +8,7 @@ sim-time cadence into :class:`TelemetryWindow` objects:
 
 - **counters** appear as *deltas* over the window (rates, not totals);
 - **gauges** appear as end-of-window *levels*;
-- **histograms** (exact or sketch) appear as ``(count, sum)`` deltas.
+- **histograms** appear as ``(count, sum)`` deltas.
 
 Memory stays bounded at city scale three ways:
 
@@ -71,7 +71,7 @@ class TelemetryWindow:
     counters: Dict[SeriesKey, float] = field(default_factory=dict)
     #: gauge levels at window close (domain rollups are means)
     gauges: Dict[SeriesKey, float] = field(default_factory=dict)
-    #: histogram/sketch activity as ``(count_delta, sum_delta)``
+    #: histogram activity as ``(count_delta, sum_delta)``
     histograms: Dict[SeriesKey, Tuple[float, float]] = field(default_factory=dict)
     #: names of alert rules that fired at this window's close
     alerts: Tuple[str, ...] = ()
@@ -291,7 +291,6 @@ class TelemetryEngine:
     # ------------------------------------------------------------------
     @classmethod
     def for_system(cls, system: Any, interval_s: float,
-                   retention: int = 120,
                    rules: Sequence[AlertRule] = (),
                    sink: Optional[IO[str]] = None) -> "TelemetryEngine":
         """Engine over a built system's registry, spans, and domains."""
@@ -302,8 +301,8 @@ class TelemetryEngine:
                 "with SystemConfig(observability=True)")
         domain_of = getattr(system.topology, "domain_of", None)
         return cls(system.sim, obs.registry, interval_s=interval_s,
-                   retention=retention, domain_of=domain_of,
-                   spans=obs.spans, rules=rules, sink=sink)
+                   domain_of=domain_of, spans=obs.spans, rules=rules,
+                   sink=sink)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -391,8 +390,8 @@ class TelemetryEngine:
             for rolled, total in sums.items():
                 window.gauges[rolled] = total / counts[rolled]
 
-        # histograms (exact or sketch expose count/sum alike): activity
-        # deltas, rolled up, zero-activity series suppressed.
+        # histograms: activity deltas, rolled up, zero-activity series
+        # suppressed.
         last_hist = self._last_hist
         for key, instrument in registry._histograms.items():
             count, total = float(instrument.count), float(instrument.sum)

@@ -27,8 +27,10 @@ The index is an *accelerator, not an approximation*: the candidate set
 is a superset of the audible set, every candidate is then evaluated with
 exactly the same model math, results are sorted by the same
 ``(rssi desc, node_id)`` key, and the PRR draw order is unchanged — so
-an indexed medium reproduces the brute-force medium's event trace
-byte-for-byte (``make check-invariants`` pins this).
+an indexed medium reproduces the full-scan medium's event trace
+byte-for-byte (``make check-invariants`` pins this).  There is no switch:
+a model that declares no range bound gets the full scan, and that is
+where the identity tests take their reference from.
 
 Collisions: arbitrated once per frame
 -------------------------------------
@@ -52,18 +54,17 @@ Cache invalidation rules (the part that must not rot):
 
 - ``Radio.position`` / ``Radio.tx_power_dbm`` are properties; every
   write bumps ``Radio.version`` and notifies the medium.
-- RSSI values are cached per directed link *stamped with both
-  endpoints' versions*; a stale stamp misses, so moves and power
-  changes can never serve old signal strengths.  The cache is cleared
-  wholesale when it exceeds ``rssi_cache_max`` entries.
-- A neighborhood (triples and ``rssi_by_id``, built in one pass) is
-  stamped with the world version, its sender's version, the link-filter
-  version, and the grid cells it drew candidates from with those cells'
-  versions.  Attaching or moving a radio bumps only the affected cells,
-  so distant neighborhoods revalidate with an integer compare instead of
-  rebuilding.  Every read goes through :meth:`Medium._neighborhood`,
-  which checks the stamps, so an interferer's map is never staler than
-  its ``audible_from``.
+- The neighborhoods are the only place the medium keeps signal
+  strengths.  A neighborhood (triples and ``rssi_by_id``, built in one
+  pass from one batch model call) is stamped with the world version, its
+  sender's version, the link-filter version, and the grid cells it drew
+  candidates from with those cells' versions.  Attaching or moving a
+  radio bumps only the affected cells, so distant neighborhoods
+  revalidate with an integer compare instead of rebuilding.  Every read
+  — delivery, CCA, arbitration, :meth:`Medium.rssi_between` — goes
+  through :meth:`Medium._neighborhood`, which checks the stamps, so
+  moves and power changes can never serve old signal strengths and an
+  interferer's map is never staler than its ``audible_from``.
 - ``set_link_filter`` and model replacement invalidate everything.
 - A frame's receiver triples are the ones current when it was *sent*;
   its interferers' maps are the ones current when it *ends*.
@@ -99,8 +100,6 @@ _CELL_MARGIN = 1.01
 #: With this few active transmissions, scanning the global heap is
 #: cheaper than assembling the per-cell view (and equally exact).
 _SMALL_ACTIVE = 12
-#: Directed-link RSSI cache entries before a wholesale clear.
-DEFAULT_RSSI_CACHE_MAX = 262_144
 
 
 class RadioState(enum.Enum):
@@ -334,12 +333,6 @@ class Medium:
     trace:
         Optional trace log; the medium emits ``radio.tx``, ``radio.rx``,
         ``radio.collision``, and ``radio.miss`` records.
-    spatial_index:
-        Allow the grid index when the model supports it.  ``False``
-        forces brute-force scans — the reference the identity tests and
-        the scale benchmark compare against.
-    rssi_cache_max:
-        Directed-link RSSI cache entries before a wholesale clear.
     """
 
     def __init__(
@@ -347,8 +340,6 @@ class Medium:
         sim: Simulator,
         model: LinkQualityModel,
         trace: Optional[TraceLog] = None,
-        spatial_index: bool = True,
-        rssi_cache_max: int = DEFAULT_RSSI_CACHE_MAX,
     ) -> None:
         self.sim = sim
         self.trace = trace if trace is not None else TraceLog(enabled=False)
@@ -362,14 +353,11 @@ class Medium:
         #: Optional fault hook: ``(sender_id, receiver_id) -> True`` cuts
         #: the link (partition experiments).  Set via set_link_filter.
         self._link_filter: Optional[Callable[[int, int], bool]] = None
-        self._spatial_index = spatial_index
-        self._rssi_cache_max = rssi_cache_max
-        #: ``(sender_id, receiver_id) -> (rssi, sender.version, receiver.version)``
-        self._rssi_cache: Dict[Tuple[int, int], Tuple[float, int, int]] = {}
         self._neighborhoods: Dict[int, _Neighborhood] = {}
         self._world_version = 0
         self._filter_version = 0
-        #: ``cell -> {node_id: radio}``; None when indexing is off.
+        #: ``cell -> {node_id: radio}``; None when the model gives no
+        #: finite range bound.
         self._grid: Optional[Dict[Tuple[int, int], Dict[int, Radio]]] = None
         self._cell_size = 0.0
         self._cell_versions: Dict[Tuple[int, int], int] = {}
@@ -388,7 +376,7 @@ class Medium:
         Capabilities are read from the model's *own* class dict, never
         the MRO: a subclass that overrides ``rssi_dbm`` with different
         semantics must not inherit a range bound or batch path that no
-        longer describes it — it silently falls back to brute force.
+        longer describes it — it silently falls back to the full scan.
         """
         self.model = model
         self._bound_model = model
@@ -400,7 +388,6 @@ class Medium:
         self._model_prr_batch = (
             model.reception_probability_batch
             if "reception_probability_batch" in own else None)
-        self._rssi_cache.clear()
         self._world_version += 1
         self._rebuild_grid()
 
@@ -419,7 +406,7 @@ class Medium:
         self._cell_active = {}
         self._cell_active_count = 0
         self._neighborhoods.clear()
-        if not self._spatial_index or self._model_range_fn is None:
+        if self._model_range_fn is None:
             return
         self._grid_max_tx = max(
             (r.tx_power_dbm for r in self.radios.values()), default=0.0)
@@ -463,7 +450,9 @@ class Medium:
             "cell_size_m": self._cell_size if self._grid is not None else None,
             "cells": len(self._grid) if self._grid is not None else 0,
             "radios": len(self.radios),
-            "rssi_cache": len(self._rssi_cache),
+            # Directed-link RSSI values held: the maps are the cache.
+            "rssi_cache": sum(len(entry.rssi_by_id)
+                              for entry in self._neighborhoods.values()),
             "neighborhoods": len(self._neighborhoods),
         }
 
@@ -522,21 +511,15 @@ class Medium:
         self._bump_cell(new_cell)
 
     def rssi_between(self, sender: Radio, receiver: Radio) -> float:
-        """Cached RSSI of ``sender`` as heard by ``receiver``."""
+        """RSSI of ``sender`` as heard by ``receiver``."""
         self._sync_model()
-        key = (sender.node_id, receiver.node_id)
-        entry = self._rssi_cache.get(key)
-        if (entry is not None and entry[1] == sender.version
-                and entry[2] == receiver.version):
-            return entry[0]
-        value = self.model.rssi_dbm(
-            sender.position, receiver.position, sender.tx_power_dbm
-        )
-        cache = self._rssi_cache
-        if len(cache) >= self._rssi_cache_max:
-            cache.clear()
-        cache[key] = (value, sender.version, receiver.version)
-        return value
+        rssi = self._neighborhood(sender).rssi_by_id.get(receiver.node_id)
+        if rssi is None:
+            # Blocked or inaudible links are left out of the map; the
+            # physical signal strength is still the model's to say.
+            rssi = self.model.rssi_dbm(
+                sender.position, receiver.position, sender.tx_power_dbm)
+        return rssi
 
     def audible_from(self, sender: Radio) -> List[Tuple[Radio, float]]:
         """Radios that can hear ``sender`` at all, with their RSSI.
@@ -587,43 +570,19 @@ class Medium:
             cell_versions = ()
             candidates = list(self.radios.values())
 
-        # Resolve candidate RSSI through the versioned cache; compute the
-        # misses in one vectorized call when the model allows it.
-        radios: List[Radio] = []
-        rssis: List[Optional[float]] = []
-        misses: List[int] = []
-        cache = self._rssi_cache
-        sender_version = sender.version
-        for radio in candidates:
-            if radio is sender:
-                continue
-            if blocked is not None and blocked(sender_id, radio.node_id):
-                continue
-            entry = cache.get((sender_id, radio.node_id))
-            if (entry is not None and entry[1] == sender_version
-                    and entry[2] == radio.version):
-                rssis.append(entry[0])
-            else:
-                misses.append(len(radios))
-                rssis.append(None)
-            radios.append(radio)
-        if misses:
-            if self._model_rssi_batch is not None and len(misses) > 1:
-                values = self._model_rssi_batch(
-                    sender.position,
-                    [radios[i].position for i in misses],
-                    sender.tx_power_dbm)
-            else:
-                values = [
-                    self.model.rssi_dbm(
-                        sender.position, radios[i].position, sender.tx_power_dbm)
-                    for i in misses]
-            if len(cache) + len(misses) > self._rssi_cache_max:
-                cache.clear()
-            for i, value in zip(misses, values):
-                rssis[i] = value
-                cache[(sender_id, radios[i].node_id)] = (
-                    value, sender_version, radios[i].version)
+        radios = [
+            radio for radio in candidates
+            if radio is not sender
+            and (blocked is None or not blocked(sender_id, radio.node_id))]
+        if self._model_rssi_batch is not None and len(radios) > 1:
+            rssis = self._model_rssi_batch(
+                sender.position, [radio.position for radio in radios],
+                sender.tx_power_dbm)
+        else:
+            rssis = [
+                self.model.rssi_dbm(
+                    sender.position, radio.position, sender.tx_power_dbm)
+                for radio in radios]
 
         pairs = [(radio, rssi) for radio, rssi in zip(radios, rssis)
                  if rssi >= AUDIBLE_THRESHOLD_DBM]
@@ -637,7 +596,7 @@ class Medium:
                        for (radio, rssi), prr in zip(pairs, prrs)],
             rssi_by_id={radio.node_id: rssi for radio, rssi in pairs},
             world_version=self._world_version,
-            sender_version=sender_version,
+            sender_version=sender.version,
             filter_version=self._filter_version,
             cells=cells,
             cell_versions=cell_versions,

@@ -65,9 +65,9 @@ SHADOWING_CLAMP_SIGMA = 4.0
 #: Below this many receivers a python loop beats numpy array setup.
 _BATCH_MIN = 8
 
-#: Per-link shadowing draws kept before a wholesale clear (the policy of
-#: the medium's RSSI cache).  A draw is a pure function of the model seed
-#: and the link key, so an evicted link re-derives the same value.
+#: Per-link shadowing draws kept before a wholesale clear.  A draw is a
+#: pure function of the model seed and the link key, so an evicted link
+#: re-derives the same value.
 SHADOWING_CACHE_MAX = 65_536
 
 

@@ -1,12 +1,9 @@
-"""``python -m repro dependability`` flag plumbing (span fidelity knobs).
+"""``python -m repro dependability`` gate semantics.
 
 The scenarios themselves are exercised by ``make check-dependability``;
-here ``_run_scenario`` is stubbed so the CLI contract — argument
-validation and the environment channel Observability reads — is testable
-in milliseconds.
+here ``_run_scenario`` is stubbed so the CLI contract — which outcomes
+pass the gate and which fail it — is testable in milliseconds.
 """
-
-import pytest
 
 import repro.checking.dependability as dep
 from repro.checking.availability import AvailabilityChecker
@@ -27,63 +24,12 @@ def _stub_scenario_runner(monkeypatch, availability=0.9995):
     monkeypatch.setattr(dep, "_run_scenario", fake_run)
 
 
-@pytest.fixture(autouse=True)
-def _clean_env():
-    """Snapshot/restore the span env vars around each test.
-
-    The CLI under test *writes* ``os.environ`` itself, which monkeypatch
-    would not undo — without the restore, a flag test would leak
-    sampling into every later test in the session."""
-    import os
-
-    keys = ("REPRO_SPAN_SAMPLE_RATE", "REPRO_SPAN_MAX_STORED")
-    saved = {key: os.environ.pop(key, None) for key in keys}
-    yield
-    for key, value in saved.items():
-        if value is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = value
-
-
-class TestSpanFlags:
-    def test_flags_export_env(self, monkeypatch, capsys):
-        import os
-
-        _stub_scenario_runner(monkeypatch)
-        rc = dep.dependability_main(["--span-sample-rate", "0.25",
-                                     "--span-max-stored", "500"])
-        assert rc == 0
-        assert os.environ["REPRO_SPAN_SAMPLE_RATE"] == "0.25"
-        assert os.environ["REPRO_SPAN_MAX_STORED"] == "500"
-        assert "availability axis score" in capsys.readouterr().out
-
-    def test_defaults_leave_env_untouched(self, monkeypatch):
-        import os
-
+class TestGateSemantics:
+    def test_clean_run_passes_gate(self, monkeypatch, capsys):
         _stub_scenario_runner(monkeypatch)
         assert dep.dependability_main([]) == 0
-        assert "REPRO_SPAN_SAMPLE_RATE" not in os.environ
-        assert "REPRO_SPAN_MAX_STORED" not in os.environ
+        assert "availability axis score" in capsys.readouterr().out
 
-    def test_out_of_range_rate_rejected(self):
-        with pytest.raises(SystemExit):
-            dep.dependability_main(["--span-sample-rate", "1.5"])
-        with pytest.raises(SystemExit):
-            dep.dependability_main(["--span-sample-rate", "-0.1"])
-
-    def test_env_reaches_observability(self, monkeypatch):
-        from repro.obs import Observability
-
-        _stub_scenario_runner(monkeypatch)
-        dep.dependability_main(["--span-sample-rate", "0.0",
-                                "--span-max-stored", "64"])
-        obs = Observability(spans=True)
-        assert obs.spans.sample_rate == 0.0
-        assert obs.spans.max_spans == 64
-
-
-class TestGateSemantics:
     def test_low_availability_fails_gate(self, monkeypatch, capsys):
         _stub_scenario_runner(monkeypatch, availability=0.5)
         assert dep.dependability_main([]) == 1

@@ -34,6 +34,17 @@ def build_medium(
                   trace if trace is not None else TraceLog(enabled=False))
 
 
+def full_scan(model_cls):
+    """``model_cls`` with none of its declared capabilities.
+
+    The medium reads a range bound and the batch paths from a model's
+    *own* class dict, so an empty subclass gets the full scan and the
+    scalar math: the reference an indexed medium must reproduce byte
+    for byte.
+    """
+    return type("FullScan" + model_cls.__name__, (model_cls,), {})
+
+
 def build_line_network(
     n: int,
     mac: str = "csma",

@@ -25,8 +25,7 @@ class TestMulticoreLeg:
             "pool_reuse": {"parallel": False},
             "observability": {"events_identical": True,
                               "metrics_identical": True,
-                              "events_per_sec_off": 50_000,
-                              "span_sample_rate": 1.0},
+                              "events_per_sec_off": 50_000},
             "attribution": {"events_identical": True,
                             "metric_values_identical": True,
                             "exemplars_off_empty": True,

@@ -1,0 +1,69 @@
+"""The option surface, pinned: adding a knob is a deliberate edit here.
+
+Every independently settable value doubles the configurations tests and
+benchmarks must cover, so the names below are spelled out — a new
+``SystemConfig`` field, constructor keyword or ``REPRO_*`` variable
+fails this file until it is added on purpose (DESIGN.md, "Conventions":
+one way to do each thing).  A run is configured by ``SystemConfig`` alone; the one
+environment variable the library reads steers *how* trials execute,
+never what they compute.
+"""
+
+import dataclasses
+import inspect
+import pathlib
+import re
+
+import repro
+from repro.core.system import SystemConfig
+from repro.obs import Observability, Registry
+from repro.obs.registry import MetricsSnapshot
+from repro.radio.medium import Medium
+
+
+def _keywords(cls):
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), \
+        "no **kwargs side door"
+    return [p.name for p in params]
+
+
+def test_system_config_fields():
+    assert [f.name for f in dataclasses.fields(SystemConfig)] == [
+        "stack", "node_platform", "root_platform", "trace_enabled",
+        "invariant_checking", "observability", "span_sample_rate",
+        "span_max_stored", "telemetry_interval_s", "exemplar_max_per_bucket",
+    ]
+
+
+def test_observability_keywords():
+    assert _keywords(Observability) == [
+        "registry", "spans", "span_sample_rate", "span_seed", "span_max",
+        "exemplar_max_per_bucket",
+    ]
+
+
+def test_registry_keywords():
+    assert _keywords(Registry) == ["exemplar_max_per_bucket"]
+
+
+def test_medium_takes_no_options():
+    assert _keywords(Medium) == ["sim", "model", "trace"]
+
+
+def test_metrics_snapshot_fields():
+    assert [f.name for f in dataclasses.fields(MetricsSnapshot)] == [
+        "counters", "gauges", "histograms", "exemplars"]
+
+
+def test_environment_variables_read_by_the_library():
+    root = pathlib.Path(repro.__file__).parent
+    names, environ_files = set(), set()
+    for path in root.rglob("*.py"):
+        text = path.read_text()
+        names.update(re.findall(
+            r"""(?:environ(?:\.get\(|\[)|getenv\()\s*["'](REPRO_\w+)""", text))
+        if "os.environ" in text or "getenv" in text:
+            environ_files.add(path.relative_to(root).as_posix())
+    assert names == {"REPRO_PARALLEL_FORCE"}
+    assert environ_files == {"parallel/executor.py"}

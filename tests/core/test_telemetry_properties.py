@@ -1,17 +1,12 @@
 """Property tests of the telemetry plane's merge determinism.
 
-The claims, fuzzed rather than spot-checked (mirroring
-``test_parallel_properties``):
+The claim, fuzzed rather than spot-checked (mirroring
+``test_parallel_properties``): a fleet of telemetry trials folded
+through :meth:`TrialExecutor.map_merge` is **byte-identical** for every
+(jobs, chunksize) shape — windowed series and histograms both ride the
+in-order-given merge contract.
 
-1. A fleet of telemetry trials folded through
-   :meth:`TrialExecutor.map_merge` is **byte-identical** for every
-   (jobs, chunksize) shape — windowed series and sketch histograms
-   both ride the in-order-given merge contract.
-2. :func:`merge_sketch` is a commutative monoid on sketch data: any
-   fold order reproduces the same counts, bounds, and buckets, which
-   is what makes per-worker sketches safe to combine.
-
-``REPRO_PARALLEL_FORCE=1`` keeps claim 1 honest on single-core CI.
+``REPRO_PARALLEL_FORCE=1`` keeps the claim honest on single-core CI.
 Module-level trial functions: process pools move work through pickle.
 """
 
@@ -23,13 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.obs.registry import (  # noqa: E402
-    MetricsSnapshot,
-    Registry,
-    SketchHistogram,
-    merge_sketch,
-    sketch_percentile,
-)
+from repro.obs.registry import MetricsSnapshot, Registry  # noqa: E402
 from repro.obs.timeseries import TelemetryEngine, TelemetrySnapshot  # noqa: E402
 from repro.parallel import TrialExecutor, shutdown_shared_pools  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
@@ -39,9 +28,9 @@ FEW = settings(max_examples=12, deadline=None,
 
 
 def _telemetry_trial(value, seed):
-    """A pure trial: windows and sketches depend only on (value, seed)."""
+    """A pure trial: windows and metrics depend only on (value, seed)."""
     sim = Simulator(seed=seed)
-    registry = Registry(histogram_sketch=True)
+    registry = Registry()
     engine = TelemetryEngine(sim, registry, interval_s=5.0, retention=64)
     engine.start()
     rng = sim.substream("telemetry-prop")
@@ -112,64 +101,3 @@ class TestMapMergeByteIdentity:
         arrival = data.draw(st.permutations(list(enumerate(results))))
         by_index = [pair for _, pair in sorted(arrival, key=lambda p: p[0])]
         assert _merge_pair_stream(by_index) == _merge_pair_stream(results)
-
-
-# ----------------------------------------------------------------------
-# merge_sketch as a commutative monoid
-# ----------------------------------------------------------------------
-_samples = st.lists(
-    st.floats(min_value=1e-8, max_value=1e8,
-              allow_nan=False, allow_infinity=False),
-    min_size=0, max_size=20)
-
-
-def _sketch_of(values):
-    sketch = SketchHistogram("s", ())
-    for value in values:
-        sketch.observe(value)
-    return sketch.freeze()
-
-
-def _assert_sketches_agree(a, b):
-    """Equal up to float-summation rounding.
-
-    Count, bounds, and buckets are integer/extremal and merge exactly in
-    any order; ``sum`` is a float fold, so permutations may differ in
-    the last ulp.  (Byte-identity across jobs counts still holds — the
-    executor always merges in trial-index order.)"""
-    assert (a[0], a[2], a[3], a[4]) == (b[0], b[2], b[3], b[4])
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
-
-
-class TestSketchMerge:
-    @FEW
-    @given(parts=st.lists(_samples, min_size=1, max_size=5), data=st.data())
-    def test_fold_order_invariant(self, parts, data):
-        sketches = [_sketch_of(p) for p in parts]
-        order = data.draw(st.permutations(range(len(sketches))))
-        fold = sketches[0]
-        for sketch in sketches[1:]:
-            fold = merge_sketch(fold, sketch)
-        permuted = sketches[order[0]]
-        for i in order[1:]:
-            permuted = merge_sketch(permuted, sketches[i])
-        _assert_sketches_agree(fold, permuted)
-
-    @FEW
-    @given(parts=st.lists(_samples, min_size=1, max_size=5))
-    def test_merge_equals_single_pass(self, parts):
-        """Sketching each shard then merging equals sketching the
-        concatenation — count, bounds, and buckets stay exact."""
-        fold = _sketch_of(parts[0])
-        for part in parts[1:]:
-            fold = merge_sketch(fold, _sketch_of(part))
-        combined = _sketch_of([v for part in parts for v in part])
-        _assert_sketches_agree(fold, combined)
-
-    @FEW
-    @given(values=_samples.filter(bool))
-    def test_percentiles_bounded_by_observations(self, values):
-        data = _sketch_of(values)
-        for fraction in (0.0, 0.5, 0.95, 1.0):
-            q = sketch_percentile(data, fraction)
-            assert min(values) <= q <= max(values)

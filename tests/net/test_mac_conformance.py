@@ -6,8 +6,10 @@ LPL strobing, receiver-initiated beacons, and the TSCH slotframe — must
 honor the same observable contract, so the taxonomy and dependability
 harnesses can swap MACs without touching a checker:
 
-- every dequeued frame ends in **exactly one** terminal outcome, and
-  the queue accounting identity holds at any instant;
+- every enqueued frame ends in **exactly one** terminal outcome, and
+  the queue accounting identity holds at any instant — including
+  across a ``stop()`` that lands mid-exchange, after which a restarted
+  MAC transmits again;
 - the registry's ``mac.tx`` counters reconcile with per-node
   :class:`MacStats` exactly;
 - delivered traffic nests ``mac.job -> radio.airtime`` spans with the
@@ -18,9 +20,12 @@ harnesses can swap MACs without touching a checker:
 
 import pytest
 
+from repro.net.stack import _MAC_REGISTRY
 from repro.obs import MetricsSnapshot, Observability
 from repro.parallel import TrialExecutor
-from tests.conftest import build_line_network
+from repro.radio.medium import Radio
+from repro.sim.kernel import Simulator
+from tests.conftest import build_line_network, build_medium
 
 MACS = ["csma", "lpl", "rimac", "tsch"]
 SEEDS = [11, 12, 13]
@@ -38,6 +43,15 @@ def _snapshot_trial(mac, seed):
     stacks[-1].send_datagram(0, 7, payload="reading", payload_bytes=20)
     sim.run(until=sim.now + 60.0)
     return obs.registry.snapshot()
+
+
+def accounting_holds(mac):
+    """Whatever entered the queue is either finished (one way), still
+    queued, or the in-flight job."""
+    stats = mac.stats
+    in_flight = 0 if mac._in_flight is None else 1
+    return stats.enqueued == (stats.tx_success + stats.tx_failed
+                              + mac.queue_length + in_flight)
 
 
 def mac_tx_by_outcome(snapshot, node):
@@ -74,12 +88,7 @@ class TestTerminalOutcomes:
             "each probe's done callback fires exactly once"
         assert dict(outcomes)[4] is False  # the unreachable probe
         for stack in stacks:
-            stats = stack.mac.stats
-            in_flight = 1 if stack.mac._busy else 0
-            # Accounting identity: whatever entered the queue is either
-            # finished (one way), still queued, or the in-flight job.
-            assert stats.enqueued == (stats.tx_success + stats.tx_failed
-                                      + stack.mac.queue_length + in_flight)
+            assert accounting_holds(stack.mac)
 
     def test_registry_tx_counters_reconcile_with_mac_stats(self, mac):
         sim, log, stacks = build_line_network(3, mac=mac, seed=7)
@@ -93,6 +102,66 @@ class TestTerminalOutcomes:
             ok, failed = mac_tx_by_outcome(snapshot, stack.node_id)
             assert ok == stack.mac.stats.tx_success
             assert failed == stack.mac.stats.tx_failed
+
+
+#: When ``stop()`` lands, per MAC, so that the head-of-line unicast is
+#: mid-exchange: CSMA inside its ACK wait (the data frame ends at
+#: ~2.6 ms), LPL mid-strobe, RI-MAC waiting for a beacon, TSCH with the
+#: job armed for a later slot.
+STOP_AT_S = {"csma": 0.003, "lpl": 0.2, "rimac": 0.2, "tsch": 0.2}
+
+
+@pytest.mark.parametrize("mac", MACS)
+class TestStopMidExchange:
+    def test_jobs_end_once_and_restart_delivers(self, mac):
+        sim = Simulator(seed=3)
+        medium = build_medium(sim)
+        mac_cls, _ = _MAC_REGISTRY[mac]
+        obs = Observability(spans=False).attach(medium.trace)
+        sender = mac_cls(sim, Radio(medium, 0, (0.0, 0.0)), trace=medium.trace)
+        peer = mac_cls(sim, Radio(medium, 1, (10.0, 0.0)), trace=medium.trace)
+        sender.start()  # the peer is down: nothing can be acknowledged
+        outcomes = []
+
+        def send(tag):
+            sender.send(1, tag, 20, done=lambda ok: outcomes.append((tag, ok)))
+
+        for tag in ("in-flight", "queued-1", "queued-2"):
+            send(tag)
+        stop_at = STOP_AT_S[mac]
+        at_stop = {}
+
+        def stop():
+            at_stop["in_flight"] = sender._in_flight
+            at_stop["queued"] = sender.queue_length
+            sender.stop()
+            at_stop["outcomes"] = list(outcomes)
+            at_stop["accounting"] = accounting_holds(sender)
+
+        sim.schedule_at(stop_at, stop)
+        sim.schedule_at(stop_at + 1.0, sender.start)
+        sim.schedule_at(stop_at + 1.0, peer.start)
+        sim.schedule_at(stop_at + 2.0, lambda: send("after-restart"))
+        sim.run(until=60.0)
+
+        # The stop really landed mid-exchange with a backlog behind it,
+        assert at_stop["in_flight"] is not None and at_stop["queued"] == 2
+        # ended all three jobs there and then, in order, as failures,
+        assert at_stop["outcomes"] == [
+            ("in-flight", False), ("queued-1", False), ("queued-2", False)]
+        assert at_stop["accounting"]
+        # and nothing stale ended any of them a second time later.
+        assert outcomes == at_stop["outcomes"] + [("after-restart", True)]
+        assert accounting_holds(sender)
+        assert sender._in_flight is None and sender.queue_length == 0
+        # Jobs failed by the stop count as failures (TSCH's own 6P
+        # frames ride the same queue, hence no exact totals), and the
+        # registry saw the same terminal outcomes the stats did.
+        stats = sender.stats
+        assert stats.tx_success >= 1 and stats.tx_failed >= 3
+        assert mac_tx_by_outcome(obs.registry.snapshot(), 0) == (
+            stats.tx_success, stats.tx_failed)
+        assert peer.stats.rx_delivered >= 1
 
 
 @pytest.mark.parametrize("mac", MACS)

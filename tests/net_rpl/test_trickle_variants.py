@@ -2,7 +2,8 @@
 
 The classic variant's byte-identity with the pre-refactor timer is
 enforced by ``make diff-core``; these tests cover the adaptive policies
-themselves, the config plumbing (``RplConfig`` / ``SystemConfig``), and
+themselves, the config plumbing (``RplConfig``, alone and inside a
+``SystemConfig``), and
 the jobs=1 vs jobs=N DIO-count determinism the taxonomy matrix relies
 on.
 """
@@ -159,17 +160,22 @@ class TestWiring:
         for stack in stacks:
             assert stack.rpl.trickle.variant.name == "adaptive-k"
 
-    def test_system_config_overrides_the_stack(self):
-        config = SystemConfig(trickle_variant="adaptive-imin")
-        system = IIoTSystem.build(grid_topology(2), config=config)
-        assert config.stack.rpl.trickle_variant == "adaptive-imin"
+    @staticmethod
+    def _system_config(variant):
+        return SystemConfig(stack=StackConfig(
+            rpl=RplConfig(trickle_variant=variant)))
+
+    def test_system_config_carries_the_stack_variant(self):
+        system = IIoTSystem.build(
+            grid_topology(2), config=self._system_config("adaptive-imin"))
         for node in system.nodes.values():
             assert node.stack.rpl.trickle.variant.name == "adaptive-imin"
 
     def test_system_config_rejects_unknown_variant_up_front(self):
+        # At build time, not at the first DIO.
         with pytest.raises(ValueError, match="unknown Trickle variant"):
             IIoTSystem.build(grid_topology(2),
-                             config=SystemConfig(trickle_variant="nope"))
+                             config=self._system_config("nope"))
 
 
 def _dio_trial(variant, seed):

@@ -6,7 +6,7 @@ The reservoir contract (DESIGN.md, "Latency attribution"):
   ``exemplar_max_per_bucket`` ``(value, trace_id)`` pairs per log
   bucket per series — first-K, not last-K, so the links are stable
   under later traffic;
-- exemplars never alter counter/gauge/histogram/sketch values, so every
+- exemplars never alter counter/gauge/histogram values, so every
   committed diff baseline is unaffected at any cap;
 - snapshots freeze, JSON round-trips, and the ``exemplars`` key is
   emitted only when non-empty (pre-exemplar baselines stay
@@ -23,7 +23,7 @@ import pytest
 from repro.obs.registry import (
     MetricsSnapshot,
     Registry,
-    _sketch_bucket,
+    log_bucket,
     merge_exemplars,
 )
 
@@ -68,12 +68,6 @@ class TestReservoir:
         registry.observe("lat", 0.25)
         assert registry.exemplars_for("lat") == []
 
-    def test_sketch_mode_keeps_exact_exemplar_values(self):
-        registry = Registry(histogram_sketch=True, exemplar_max_per_bucket=1)
-        registry.observe("lat", 0.25, exemplar=41)
-        registry.observe("lat", 0.26, exemplar=42)  # same bucket: dropped
-        assert registry.exemplars_for("lat") == [(0.25, 41)]
-
     def test_exemplars_never_change_metric_values(self):
         plain, annotated = Registry(), Registry()
         for i, value in enumerate((0.1, 0.2, 0.3, 0.2)):
@@ -82,7 +76,6 @@ class TestReservoir:
         a, b = plain.snapshot(), annotated.snapshot()
         assert a.counters == b.counters
         assert a.histograms == b.histograms
-        assert a.sketches == b.sketches
         assert a.rows() == b.rows()  # the CSV surface is identical too
         assert not a.exemplars and b.exemplars
 
@@ -119,7 +112,7 @@ class TestSnapshotAndJson:
         payload = registry.snapshot().to_jsonable()
         assert payload["exemplars"] == [{
             "name": "lat", "labels": {}, "cap": 4,
-            "buckets": [[_sketch_bucket(0.25), [[0.25, 41]]]],
+            "buckets": [[log_bucket(0.25), [[0.25, 41]]]],
         }]
 
 
@@ -142,7 +135,7 @@ class TestMerge:
 
     def test_merge_exemplars_is_associative_in_fold_order(self):
         def data(trace, value):
-            return (4, ((_sketch_bucket(value), ((value, trace),)),))
+            return (4, ((log_bucket(value), ((value, trace),)),))
         a, b, c = data(1, 0.2), data(2, 0.21), data(3, 0.22)
         left = merge_exemplars(merge_exemplars(a, b), c)
         right = merge_exemplars(a, merge_exemplars(b, c))

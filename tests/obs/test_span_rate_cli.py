@@ -1,80 +1,24 @@
-"""The ``--span-sample-rate`` plumbing: env override, CLI threading.
+"""``repro report --span-sample-rate`` / ``--span-max-stored`` threading.
 
-Sweep trials run in worker *processes*, so the CLI flags travel as
-``REPRO_SPAN_SAMPLE_RATE`` / ``REPRO_SPAN_MAX_STORED`` environment
-variables that :class:`~repro.obs.Observability` reads at construction.
-Gated runs (``REPRO_BENCH_CHECK=1``) outrank both — gates always get
-full-fidelity spans.
+The flags travel ``report_main`` → ``run_demo`` → ``SystemConfig`` →
+:class:`~repro.obs.Observability` as plain arguments; no other CLI
+carries them and nothing is read from the environment.
 """
 
 import pytest
 
-from repro.obs import Observability
-from repro.obs.report import run_demo
-
-
-class TestEnvOverride:
-    def test_env_rate_overrides_constructor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-        monkeypatch.setenv("REPRO_SPAN_SAMPLE_RATE", "0.25")
-        monkeypatch.setenv("REPRO_SPAN_MAX_STORED", "77")
-        obs = Observability(span_sample_rate=1.0)
-        assert obs.spans.sample_rate == 0.25
-        assert obs.spans.max_spans == 77
-
-    def test_gate_outranks_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_CHECK", "1")
-        monkeypatch.setenv("REPRO_SPAN_SAMPLE_RATE", "0.25")
-        monkeypatch.setenv("REPRO_SPAN_MAX_STORED", "77")
-        obs = Observability(span_sample_rate=0.5, span_max=10)
-        assert obs.spans.sample_rate == 1.0
-        assert obs.spans.max_spans is None
-
-    def test_no_env_no_change(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_SAMPLE_RATE", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_MAX_STORED", raising=False)
-        obs = Observability(span_sample_rate=0.5, span_max=10)
-        assert obs.spans.sample_rate == 0.5
-        assert obs.spans.max_spans == 10
-
-
-class TestSweepCli:
-    def test_flag_exports_env_for_workers(self, monkeypatch):
-        from repro.__main__ import sweep_main
-
-        import os
-
-        monkeypatch.delenv("REPRO_SPAN_SAMPLE_RATE", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_MAX_STORED", raising=False)
-        try:
-            assert sweep_main(["--scenario", "rnfd-root-failure",
-                               "--seeds", "1",
-                               "--span-sample-rate", "0.1",
-                               "--span-max-stored", "50"]) == 0
-            assert os.environ["REPRO_SPAN_SAMPLE_RATE"] == "0.1"
-            assert os.environ["REPRO_SPAN_MAX_STORED"] == "50"
-        finally:
-            # sweep_main mutated the real environment (by design — the
-            # vars must reach worker processes); scrub it by hand.
-            os.environ.pop("REPRO_SPAN_SAMPLE_RATE", None)
-            os.environ.pop("REPRO_SPAN_MAX_STORED", None)
-
-    def test_rate_out_of_range_rejected(self):
-        from repro.__main__ import sweep_main
-
-        with pytest.raises(SystemExit):
-            sweep_main(["--seeds", "1", "--span-sample-rate", "1.5"])
+from repro.obs.report import report_main, run_demo
 
 
 class TestReportThreading:
-    def test_run_demo_applies_rate(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_SAMPLE_RATE", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_MAX_STORED", raising=False)
+    def test_run_demo_applies_rate(self):
         run = run_demo(side=2, converge_s=60.0, traffic_s=30.0, seed=5,
                        profile=False, span_sample_rate=0.2,
                        span_max_stored=40)
         spans = run.system.obs.spans
         assert spans.sample_rate == 0.2
         assert spans.max_spans == 40
+
+    def test_rate_out_of_range_rejected(self):
+        with pytest.raises(SystemExit):
+            report_main(["--span-sample-rate", "1.5"])

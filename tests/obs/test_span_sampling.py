@@ -9,8 +9,7 @@ pure *storage* policy:
   ``BENCH_core.json`` overhead leg asserts the same thing end to end);
 - the simulation itself is never perturbed: event counts are identical
   with observability off, sampled, or full;
-- pinned (gate-graded) categories survive both knobs;
-- gated runs (``REPRO_BENCH_CHECK=1``) force full fidelity.
+- pinned (gate-graded) categories survive both knobs.
 """
 
 import pytest
@@ -19,7 +18,7 @@ from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.net.stack import StackConfig
-from repro.obs import GATED_SPAN_CATEGORIES, Observability, SpanTracer, gated_run
+from repro.obs import GATED_SPAN_CATEGORIES, Observability, SpanTracer
 
 
 def _kept_traces(rate, seed, traces=400):
@@ -130,7 +129,6 @@ class TestOverheadKnobsAreStorageOnly:
         assert sampled_snap.counters == full_snap.counters
         assert sampled_snap.gauges == full_snap.gauges
         assert sampled_snap.histograms == full_snap.histograms
-        assert sampled_snap.sketches == full_snap.sketches
         # Exemplars are span-linked *annotations*, not metrics: only a
         # trace that survived the sampling decision can be linked.  The
         # sampled run's arrivals per bucket are a subsequence of the
@@ -175,17 +173,13 @@ class TestOverheadKnobsAreStorageOnly:
         assert first.obs.spans.evicted == second.obs.spans.evicted
 
 
-class TestGatedRunOverride:
-    def test_gate_env_forces_full_fidelity(self, monkeypatch):
+class TestPureConstructor:
+    def test_knobs_apply_whatever_the_environment(self, monkeypatch):
+        # No side channel: neither the benchmark gate flag nor the
+        # retired override names move what the constructor was given.
         monkeypatch.setenv("REPRO_BENCH_CHECK", "1")
-        assert gated_run()
-        obs = Observability(span_sample_rate=0.05, span_max=100)
-        assert obs.spans.sample_rate == 1.0
-        assert obs.spans.max_spans is None
-
-    def test_knobs_apply_outside_gates(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-        assert not gated_run()
+        monkeypatch.setenv("REPRO_SPAN_SAMPLE_RATE", "0.25")
+        monkeypatch.setenv("REPRO_SPAN_MAX_STORED", "77")
         obs = Observability(span_sample_rate=0.05, span_seed=3, span_max=100)
         assert obs.spans.sample_rate == 0.05
         assert obs.spans.max_spans == 100

@@ -71,15 +71,6 @@ class TestWindows:
         assert engine.windows[0].histograms[key] == (2.0, 2.0)
         assert engine.windows[1].histograms[key] == (1.0, 4.0)
 
-    def test_sketch_mode_histograms_scrape_identically(self):
-        sim = Simulator(seed=7)
-        registry = Registry(histogram_sketch=True)
-        _, _, engine = make_engine(sim, registry)
-        sim.schedule_at(2.0, lambda: registry.observe("lat", 0.5, node=1))
-        sim.schedule_at(3.0, lambda: registry.observe("lat", 1.5, node=1))
-        sim.run(until=10.0)
-        assert engine.windows[0].histograms[("lat", (("node", 1),))] == (2.0, 2.0)
-
     def test_window_times_and_indices(self):
         sim, registry, engine = make_engine()
         sim.run(until=35.0)
@@ -177,10 +168,7 @@ class TestAlerts:
         assert len(alert_spans) == 1
         assert alert_spans[0].data["metric"] == "temp"
 
-    def test_alert_spans_survive_sampling(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_CHECK", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_SAMPLE_RATE", raising=False)
-        monkeypatch.delenv("REPRO_SPAN_MAX_STORED", raising=False)
+    def test_alert_spans_survive_sampling(self):
         # rate 0.0 stores nothing except pinned categories
         obs = Observability(spans=True, span_sample_rate=0.0)
         sim = Simulator(seed=3)
@@ -313,16 +301,16 @@ class TestCodecAndSnapshot:
 
 class TestSystemIntegration:
     def test_campus_system_rolls_up_per_domain(self):
-        """A (small) campus run produces per-domain windowed series and
-        a verified retention bound — the acceptance-criteria shape, at
-        tier-1 scale (the N=10k version runs in bench_perf_scale)."""
+        """A (small) campus run produces per-domain windowed series
+        inside the engine's default retention ring — the
+        acceptance-criteria shape, at tier-1 scale (the N=10k version
+        runs in bench_perf_scale)."""
         from repro.core.system import IIoTSystem, SystemConfig
         from repro.deployment.topology import campus_topology
 
         topology = campus_topology(buildings=2, nodes_per_building=4)
         config = SystemConfig(observability=True,
-                              telemetry_interval_s=30.0,
-                              telemetry_retention=4)
+                              telemetry_interval_s=30.0)
         system = IIoTSystem.build(topology, config=config, seed=11)
         system.start()
         system.run(240.0)
@@ -331,8 +319,8 @@ class TestSystemIntegration:
         assert engine is not None and system.obs.telemetry is engine
         assert system.recorder is not None
         assert engine.windows_closed == 8
-        assert len(engine.windows) == 4            # ring bound holds
-        assert engine.dropped == 4
+        assert len(engine.windows) == 8 <= engine.retention
+        assert engine.dropped == 0
         domains = {labels for window in engine.windows
                    for (name, labels) in window.counters
                    for label, value in labels if label == "domain"}

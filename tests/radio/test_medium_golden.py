@@ -1,6 +1,6 @@
 """Golden trace of the medium: one fixed scenario, pinned by digest.
 
-The indexed and the brute-force medium share their arbitration code, so
+The indexed and the full-scan medium share their arbitration code, so
 the twin-identity properties in ``test_spatial_index.py`` cannot see a
 change that moves both the same way.  This test can: the digest below
 was recorded on the commit *before* per-frame arbitration (PR 12) and
@@ -22,6 +22,7 @@ from repro.radio.medium import Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, distance
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
+from tests.conftest import full_scan
 
 RADIOS = 240
 ROUNDS = 7
@@ -44,13 +45,11 @@ GOLDEN = {
 }
 
 
-def run_scenario(spatial_index=True):
+def run_scenario(model_cls=LogDistanceModel):
     rng = random.Random(12)
     sim = Simulator(seed=12)
-    model = LogDistanceModel(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
-                             seed=12)
-    medium = Medium(sim, model, TraceLog(enabled=True),
-                    spatial_index=spatial_index)
+    model = model_cls(path_loss_exponent=3.5, shadowing_sigma_db=2.0, seed=12)
+    medium = Medium(sim, model, TraceLog(enabled=True))
     upcalls = []
     radios = []
     for node_id in range(RADIOS):
@@ -162,15 +161,16 @@ def test_scenario_reaches_every_branch():
 
 
 def test_golden_trace_indexed():
-    medium, radios, cca, upcalls, _ = run_scenario(spatial_index=True)
+    medium, radios, cca, upcalls, _ = run_scenario()
     assert summary_of(medium, radios, cca, upcalls) == GOLDEN
 
 
 def test_golden_trace_brute_force():
-    medium, radios, cca, upcalls, _ = run_scenario(spatial_index=False)
+    medium, radios, cca, upcalls, _ = run_scenario(full_scan(LogDistanceModel))
+    assert not medium.grid_info()["spatial_index"]
     assert summary_of(medium, radios, cca, upcalls) == GOLDEN
 
 
-if __name__ == "__main__":  # re-record: python tests/radio/test_medium_golden.py
+if __name__ == "__main__":  # re-record: PYTHONPATH=src:. python tests/radio/test_medium_golden.py
     import pprint
     pprint.pprint(summary_of(*run_scenario()[:4]), sort_dicts=False)

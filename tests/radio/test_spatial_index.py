@@ -1,13 +1,14 @@
-"""The spatial grid index: identity with brute force, invalidation.
+"""The spatial grid index: identity with the full scan, invalidation.
 
 The medium's scalability rework (DESIGN.md, "Scaling the medium")
-replaced all-pairs scans with a cell grid plus versioned caches.  The
-contract is *trace-exact equivalence*: an indexed medium must be
-indistinguishable from the brute-force one — same audible sets, same
-CCA answers, same collisions, byte for byte.  The property tests here
-pin that over random placements; the regression tests pin the cache
-invalidation rules (move, power change, attach, link filter) that keep
-the caches honest.
+replaced all-pairs scans with a cell grid plus versioned neighborhoods.
+The contract is *trace-exact equivalence*: an indexed medium must be
+indistinguishable from the full scan a capability-free model gets —
+same audible sets, same CCA answers, same collisions, byte for byte.
+The property tests here pin that over random placements; the regression
+tests pin the invalidation rules (move, power change, attach, link
+filter) that keep the neighborhoods honest, with ``model.rssi_dbm`` as
+the oracle.
 """
 
 import random
@@ -19,15 +20,15 @@ from repro.radio.medium import _SMALL_ACTIVE, Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
+from tests.conftest import full_scan
 
 
-def build_pair(positions, model_factory, seed=1, trace=False):
-    """The same placement twice: spatially indexed and brute force."""
+def build_pair(positions, model_cls, model_kw, seed=1, trace=False):
+    """The same placement twice: spatially indexed and full scan."""
     out = []
-    for spatial in (True, False):
+    for cls in (model_cls, full_scan(model_cls)):
         sim = Simulator(seed=seed)
-        medium = Medium(sim, model_factory(),
-                        TraceLog(enabled=trace), spatial_index=spatial)
+        medium = Medium(sim, cls(**model_kw), TraceLog(enabled=trace))
         radios = []
         for node_id, position in enumerate(positions):
             radio = Radio(medium, node_id, position)
@@ -77,10 +78,9 @@ class TestIdentityProperties:
     @settings(max_examples=30, deadline=None)
     def test_audible_from_matches_brute_force(self, positions, model_seed):
         (_, indexed, idx_radios), (_, brute, bf_radios) = build_pair(
-            positions,
-            lambda: LogDistanceModel(path_loss_exponent=3.5,
-                                     shadowing_sigma_db=3.0,
-                                     seed=model_seed),
+            positions, LogDistanceModel,
+            dict(path_loss_exponent=3.5, shadowing_sigma_db=3.0,
+                 seed=model_seed),
         )
         assert indexed.grid_info()["spatial_index"]
         assert not brute.grid_info()["spatial_index"]
@@ -91,7 +91,7 @@ class TestIdentityProperties:
     @settings(max_examples=30, deadline=None)
     def test_unit_disk_audible_matches(self, positions, radius):
         (_, indexed, idx_radios), (_, brute, bf_radios) = build_pair(
-            positions, lambda: UnitDiskModel(radius_m=radius))
+            positions, UnitDiskModel, dict(radius_m=radius))
         for ir, br in zip(idx_radios, bf_radios):
             assert audible_ids(indexed, ir) == audible_ids(brute, br)
 
@@ -103,9 +103,8 @@ class TestIdentityProperties:
     def test_traffic_trace_identical(self, positions, model_seed, sim_seed):
         """Overlapping transmissions: CCA, collisions, drops all equal."""
         (isim, indexed, idx_radios), (bsim, brute, bf_radios) = build_pair(
-            positions,
-            lambda: LogDistanceModel(shadowing_sigma_db=2.0,
-                                     seed=model_seed),
+            positions, LogDistanceModel,
+            dict(shadowing_sigma_db=2.0, seed=model_seed),
             seed=sim_seed, trace=True,
         )
         picker = random.Random(model_seed)
@@ -135,10 +134,9 @@ class TestIdentityProperties:
         exactly like the global scan."""
         positions, rounds, edits = script
         (isim, indexed, idx_radios), (bsim, brute, bf_radios) = build_pair(
-            positions,
-            lambda: LogDistanceModel(path_loss_exponent=3.5,
-                                     shadowing_sigma_db=2.0,
-                                     seed=model_seed),
+            positions, LogDistanceModel,
+            dict(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
+                 seed=model_seed),
             seed=sim_seed, trace=True,
         )
         answers = []
@@ -177,9 +175,8 @@ class TestIdentityProperties:
         """Random relocations between queries never desync the caches."""
         positions = [(40.0 * (i % 4), 40.0 * (i // 4)) for i in range(8)]
         (_, indexed, idx_radios), (_, brute, bf_radios) = build_pair(
-            positions,
-            lambda: LogDistanceModel(shadowing_sigma_db=2.0,
-                                     seed=model_seed),
+            positions, LogDistanceModel,
+            dict(shadowing_sigma_db=2.0, seed=model_seed),
         )
         # Warm every cache before the first move.
         for ir, br in zip(idx_radios, bf_radios):
@@ -192,9 +189,15 @@ class TestIdentityProperties:
 
 
 class TestCacheInvalidation:
-    def _medium(self, sim, **kw):
+    def _medium(self, sim):
         model = LogDistanceModel(shadowing_sigma_db=0.0, seed=1)
-        return Medium(sim, model, TraceLog(enabled=False), **kw)
+        return Medium(sim, model, TraceLog(enabled=False))
+
+    @staticmethod
+    def _model_rssi(medium, sender, receiver):
+        """The oracle: the model asked directly, past every cache."""
+        return medium.model.rssi_dbm(
+            sender.position, receiver.position, sender.tx_power_dbm)
 
     def test_move_invalidates_rssi_and_neighborhoods(self, sim):
         medium = self._medium(sim)
@@ -205,7 +208,7 @@ class TestCacheInvalidation:
         b.move_to((10.0, 0.0))
         after = audible_ids(medium, a)
         assert [node for node, _ in after] == [2]
-        assert after[0][1] == medium.rssi_between(a, b)
+        assert after[0][1] == self._model_rssi(medium, a, b)
 
     def test_power_change_invalidates(self, sim):
         medium = self._medium(sim)
@@ -240,22 +243,27 @@ class TestCacheInvalidation:
         assert [node for node, _ in audible_ids(medium, a)] == [2]
 
     def test_rssi_cache_stays_bounded(self, sim):
-        medium = self._medium(sim, rssi_cache_max=64)
-        radios = [Radio(medium, i, (float(i), 0.0)) for i in range(40)]
+        """The medium holds one RSSI per *audible* directed link, however
+        many links are asked about: 60 m apart only line neighbours hear
+        each other, and all 1560 pairs are queried."""
+        medium = self._medium(sim)
+        radios = [Radio(medium, i, (60.0 * i, 0.0)) for i in range(40)]
         for sender in radios:
             for receiver in radios:
                 if sender is not receiver:
-                    medium.rssi_between(sender, receiver)
-        assert medium.grid_info()["rssi_cache"] <= 64
+                    assert (medium.rssi_between(sender, receiver)
+                            == self._model_rssi(medium, sender, receiver))
+        assert medium.grid_info()["rssi_cache"] == 2 * 39
 
     def test_stale_rssi_cache_entry_not_served(self, sim):
         medium = self._medium(sim)
         a = Radio(medium, 1, (0.0, 0.0))
         b = Radio(medium, 2, (10.0, 0.0))
         near = medium.rssi_between(a, b)
+        assert near == self._model_rssi(medium, a, b)
         b.move_to((200.0, 0.0))
         far = medium.rssi_between(a, b)
-        assert far < near
+        assert far == self._model_rssi(medium, a, b) < near
 
     def test_stale_rssi_map_not_served(self, sim):
         """CCA and arbitration read a sender's id->RSSI map; every write
@@ -267,7 +275,7 @@ class TestCacheInvalidation:
 
         def heard():
             rssi = medium._neighborhood(a).rssi_by_id.get(b.node_id)
-            assert rssi is None or rssi == medium.rssi_between(a, b)
+            assert rssi is None or rssi == self._model_rssi(medium, a, b)
             assert medium.carrier_busy(b) == (rssi is not None)
             return rssi
 
@@ -297,7 +305,7 @@ class TestGridEngagement:
         describes the *base* math — trusting it for arbitrary override
         math could silently drop audible radios.  The capability check
         reads the model's own class dict, so this subclass gets the
-        brute-force path (capabilities are own-``__dict__`` opt-ins).
+        full scan (capabilities are own-``__dict__`` opt-ins).
         """
         class Weird(UnitDiskModel):
             def rssi_dbm(self, sender, receiver, tx_power_dbm):
@@ -319,12 +327,6 @@ class TestGridEngagement:
             assert info["spatial_index"]
             assert info["cell_size_m"] >= 1.0
 
-    def test_spatial_index_false_disables(self, sim):
-        medium = Medium(sim, UnitDiskModel(), TraceLog(enabled=False),
-                        spatial_index=False)
-        Radio(medium, 1, (0.0, 0.0))
-        assert not medium.grid_info()["spatial_index"]
-
     def test_cells_follow_moves(self, sim):
         medium = Medium(sim, UnitDiskModel(radius_m=30.0),
                         TraceLog(enabled=False))
@@ -344,13 +346,14 @@ class TestPerFrameArbitration:
 
     Unit-disk radius 30 m gives 30.3 m cells; thirteen far-away fillers
     keep more than ``_SMALL_ACTIVE`` frames on the air so the indexed
-    medium takes the per-cell path.  Brute force must agree.
+    medium takes the per-cell path.  The full scan must agree.
     """
 
     def _medium(self, spatial):
         sim = Simulator(seed=3)
-        medium = Medium(sim, UnitDiskModel(radius_m=30.0),
-                        TraceLog(enabled=True), spatial_index=spatial)
+        model_cls = UnitDiskModel if spatial else full_scan(UnitDiskModel)
+        medium = Medium(sim, model_cls(radius_m=30.0), TraceLog(enabled=True))
+        assert medium.grid_info()["spatial_index"] == spatial
         fillers = [Radio(medium, 100 + i, (1000.0 + 100.0 * i, 1000.0))
                    for i in range(_SMALL_ACTIVE + 1)]
 
