@@ -2,7 +2,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test check-invariants check-dependability sweep bench bench-perf \
-	bench-perf-quick bench-scale bench-scale-quick report demo diff-core \
+	bench-perf-quick bench-scale bench-scale-quick bench-layers \
+	bench-layers-tsch report demo diff-core \
 	diff-core-baseline dependability-baseline diff-taxonomy \
 	diff-taxonomy-baseline explain-core explain-core-baseline \
 	bench-taxonomy-matrix diff-taxonomy-matrix taxonomy-matrix-baseline
@@ -78,6 +79,16 @@ bench-scale:
 # Reduced counts, tier-1 time budget; leaves BENCH_scale.json alone.
 bench-scale-quick:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/bench_perf_scale.py --quick
+
+# The layered benchmark (BENCHMARK.json; what the PR driver runs): five
+# workloads, end-to-end metrics and correctness checks. bench-layers-tsch
+# is the scheduled-MAC grid alone with the traced pass on — the
+# per-layer host-time ledger ROADMAP.md's perf items are chosen from.
+bench-layers:
+	python3 benchmarks/layers/run.py
+
+bench-layers-tsch:
+	python3 benchmarks/layers/run.py --workload grid_tsch_collect --seconds 4 --trace 1
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles, profiler

@@ -135,6 +135,30 @@ class MacLayer(abc.ABC):
         idle the radio.  The base class finishes the job itself."""
 
     # ------------------------------------------------------------------
+    # listen plan (event-free idle listening; see repro.radio.medium)
+    # ------------------------------------------------------------------
+    # A MAC whose radio listens in windows that are a pure function of
+    # time (TSCH cells today; LPL's periodic channel check and RI-MAC's
+    # beacon wait fit the same shape) registers itself with
+    # ``radio.set_listen_plan(self)`` while it runs, schedules no events
+    # for windows it has nothing to send in, and overrides these two.
+
+    def sync(self) -> None:
+        """Bring the radio up to ``sim.now``: charge the windows that
+        elapsed untouched in closed form (LISTEN seconds, the channel
+        the last one left behind) and, when ``now`` lies inside a
+        window, make that one real.  Called on every read of the
+        radio's state; must be idempotent and cheap when nothing
+        elapsed."""
+
+    def frame_started(self, until: float) -> None:
+        """A frame that is on the air until ``until`` just became
+        audible at this radio: :meth:`sync`, then make sure a real
+        wake-up is scheduled for the next window that begins before
+        ``medium.audible_until(radio)``.  Once awake, the MAC keeps
+        itself so for as long as the frame can matter."""
+
+    # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
     def send(

@@ -30,10 +30,41 @@ slots.  A node is awake only in slots where its schedule holds a
 
 Slot alignment is global: ASN is derived from simulation time against a
 shared epoch at t=0 (the network is assumed time-synchronized, the
-coordination cost §IV-B attributes to scheduled MACs), which also makes
-schedules seed-deterministic — every random choice (candidate slots,
-channel offsets, shared-cell jitter/backoff) draws from the node's
-``mac.<id>`` substream.
+coordination cost §IV-B attributes to scheduled MACs), and every slot
+instant is ``ASN * slot_duration_s`` — a function of the ASN alone.
+That also makes schedules seed-deterministic — every random choice
+(candidate slots, channel offsets, shared-cell jitter/backoff) draws
+from the node's ``mac.<id>`` substream.
+
+**Idle listening costs no events.**  At sub-percent cell utilisation
+almost every cell a node wakes for ends with nothing sent, received or
+sensed, so the slot engine only schedules a *tick* for a cell it has a
+job in (a transmission to arm, a shared-cell backoff to count down) and
+for as long as the radio is awake afterwards (an exchange, an ACK, a
+carrier-sense hold).  Once ``_slot_end`` puts the radio to sleep with
+nothing pending, the RX and shared cells ahead are a *listen plan*
+(:mod:`repro.radio.medium`, "Listen plans"): window ``[ASN·slot,
+ASN·slot + slot − guard]`` on channel ``hopping[(ASN + offset) % 16]``
+for every ASN whose slot holds such a cell.  ``sync()`` charges the
+windows that elapsed untouched in closed form; ``frame_started()``,
+called by the medium for every frame audible here, makes real the
+window the frame hits (LISTEN since the window's own start, the real
+``_slot_end`` armed) and ticks the next one that begins under it — from
+there the engine runs exactly as if every cell had ticked.  Slotframe
+boundaries get the same treatment: ``_frame_boundary`` runs as part of
+a tick only where it can act (demand to turn into an ADD, a 6P
+transaction to police, an MSF window closing with an add/delete
+verdict); the boundaries in between only count TX cells into the MSF
+window, which ``_account_boundaries`` does for any number of them at
+once.  ``tests/conftest.py::eager_tsch`` is this class with every cell
+ticking and every boundary running; ``tests/net/test_tsch_lazy.py``
+holds the two to the same run.
+
+Same-instant slot events carry a kernel priority derived from the node
+id and run before anything else due at that instant, so their order is
+a function of (ASN, node id) — not of which of them happened to be
+scheduled, which under a listen plan varies from run to run of the same
+protocol behaviour.
 
 The class plugs into the :class:`~repro.net.mac.base.MacLayer` contract
 unchanged: same ``mac.job`` spans split at ``service_start`` (here the
@@ -44,8 +75,10 @@ instruments, same queue/dedup/ACK machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import math
+from bisect import bisect_left, insort
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, MacFrame
@@ -85,6 +118,11 @@ class Cell:
     rx: bool = False
     shared: bool = False
 
+    @property
+    def listens(self) -> bool:
+        """Does serving the cell turn the receiver on?"""
+        return self.rx or self.shared
+
 
 @dataclass(frozen=True)
 class SixpMessage:
@@ -115,6 +153,8 @@ class TschSchedule:
             raise MacConfigError("slotframe needs at least 2 slots")
         self.slots = slots
         self._cells: Dict[int, Cell] = {}
+        #: The scheduled slots in order, kept by add/remove.
+        self._slots: List[int] = []
         self._reserved: Dict[int, int] = {}    # slot -> holding txn
 
     # -- queries -------------------------------------------------------
@@ -122,7 +162,21 @@ class TschSchedule:
         return self._cells.get(slot)
 
     def cells(self) -> List[Cell]:
-        return [self._cells[s] for s in sorted(self._cells)]
+        return [self._cells[s] for s in self._slots]
+
+    def next_occurrence(self, asn: int,
+                        wanted: Callable[[Cell], bool]) -> Optional[int]:
+        """The first ASN ``>= asn`` whose slot holds a cell ``wanted``
+        accepts (None if no cell does): one pass over the scheduled
+        slots, starting at ``asn``'s own."""
+        slots = self._slots
+        frame_start = asn - asn % self.slots
+        first = bisect_left(slots, asn - frame_start)
+        for i in range(first, first + len(slots)):
+            wrapped, index = divmod(i, len(slots))
+            if wanted(self._cells[slots[index]]):
+                return frame_start + wrapped * self.slots + slots[index]
+        return None
 
     def dedicated_cells(self) -> List[Cell]:
         return [c for c in self.cells() if not c.shared]
@@ -159,10 +213,12 @@ class TschSchedule:
             raise SlotConflictError(
                 f"slot {cell.slot} reserved by txn {self._reserved[cell.slot]}")
         self._cells[cell.slot] = cell
+        insort(self._slots, cell.slot)
 
     def remove(self, slot: int) -> Cell:
         if slot not in self._cells:
             raise SlotConflictError(f"slot {slot} not scheduled")
+        del self._slots[bisect_left(self._slots, slot)]
         return self._cells.pop(slot)
 
     def reserve(self, slot: int, txn: int) -> None:
@@ -447,6 +503,14 @@ class TschConfig:
             raise MacConfigError("sixp_timeout_s must be positive")
 
 
+#: Slot events run before anything else due at the same instant (a slot
+#: is decided the moment it begins; a frame handed over at that very
+#: instant is late for it), each node's slot end before its next tick,
+#: node by node: an order that is a function of (ASN, node id), whatever
+#: subset of the events the listen plan left unscheduled.
+_SLOT_PRIORITY_BASE = -(1 << 40)
+
+
 class TschMac(MacLayer):
     """Slotted, scheduled channel access over a shared slotframe."""
 
@@ -455,22 +519,38 @@ class TschMac(MacLayer):
         super().__init__(sim, radio, **kwargs)
         self.config = config if config is not None else TschConfig()
         self.config.validate()
-        self.tsch_stats = TschStats()
+        self._tsch_stats = TschStats()
         self.schedule = TschSchedule(self.config.slotframe_slots)
         self.schedule.add(Cell(MINIMAL_SLOT, 0, BROADCAST,
                                tx=True, rx=True, shared=True))
         self.sixp = SixpPeer(radio.node_id, self.schedule, self._rng,
-                             self.config, stats=self.tsch_stats)
+                             self.config, stats=self._tsch_stats)
         self._job: Optional[_TxJob] = None
         self._attempts = 0
         self._awaiting: Optional[_TxJob] = None
         self._await_shared = False
         self._be = self.config.shared_be_min
         self._backoff = 0
+        #: How long a cell's window keeps the radio on.
+        self._listen_s = self.config.slot_duration_s - self.config.slot_guard_s
+        self._end_priority = _SLOT_PRIORITY_BASE + 2 * radio.node_id
+        self._tick_priority = self._end_priority + 1
         self._next_asn = 0
+        #: Every ASN below this is accounted for: served by a real tick,
+        #: or charged to the radio in closed form.  ``_synced_until`` is
+        #: when that ASN begins: until then there is nothing to sync.
+        self._synced_asn = 0
+        self._synced_until = 0.0
+        self._syncing = False
         self._slot_timer = Timer(sim, self._slot_tick)
         self._slot_end_timer = Timer(sim, self._slot_end)
         self._ack_timer = Timer(sim, self._ack_timeout)
+        #: Slotframe boundaries below this index have had their
+        #: ``_frame_boundary`` (run, or its counters added in closed
+        #: form); ``_boundary_frame`` is the next one that must run.
+        self._frames_done = 0
+        self._boundary_frame: float = math.inf
+        self._first_boundary = False
         #: Unicast demand seen on the shared cell since the last
         #: slotframe boundary, per neighbor (MSF's trigger signal).
         self._demand: Dict[int, int] = {}
@@ -478,13 +558,30 @@ class TschMac(MacLayer):
         self._elapsed: Dict[int, int] = {}
         self._used: Dict[int, int] = {}
 
+    @property
+    def tsch_stats(self) -> TschStats:
+        self._account_boundaries()
+        return self._tsch_stats
+
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def _on_start(self) -> None:
+        # The slot already running is written off: the first cell served
+        # and the first boundary run are the next ones to begin.
+        asn = self._current_asn()
+        self._mark_synced(asn)
+        self._frames_done = asn // self.config.slotframe_slots + 1
+        self._first_boundary = True
+        self.radio.set_listen_plan(self)
+        self._plan_boundary()
         self._schedule_next_slot()
 
     def _on_stop(self) -> None:
+        # Settle what the plan owes while it still stands.
+        self.sync()
+        self._account_boundaries()
+        self.radio.set_listen_plan(None)
         self._slot_timer.cancel()
         self._slot_end_timer.cancel()
         self._ack_timer.cancel()
@@ -496,10 +593,24 @@ class TschMac(MacLayer):
     # ------------------------------------------------------------------
     # slot engine
     # ------------------------------------------------------------------
+    # A cell is *served* by a real tick at its start instant when there
+    # is something to do in it that is not plain listening.  Plain
+    # listening in an RX or shared cell is left to the listen plan
+    # below: no event, the radio charged in closed form afterwards —
+    # unless a frame shows up, which makes the window real first.
+
     def _current_asn(self) -> int:
         # The slack absorbs float error in slot-boundary event times; it
         # is ~1e-8 s against a 10 ms slot, far below any event spacing.
         return int(self.sim.now / self.config.slot_duration_s + 1e-6)
+
+    def _begun_asn(self) -> int:
+        """The last slot whose start instant is not in the future."""
+        asn = self._current_asn()
+        return asn if self._slot_start(asn) <= self.sim.now else asn - 1
+
+    def _slot_start(self, asn: int) -> float:
+        return asn * self.config.slot_duration_s
 
     def _channel_for(self, cell: Cell, asn: int) -> int:
         seq = self.config.hopping
@@ -508,57 +619,105 @@ class TschMac(MacLayer):
     def _cell_actionable(self, cell: Cell) -> bool:
         """Worth waking for?  RX and shared cells always; dedicated TX
         cells only while a matching frame is in flight."""
-        if cell.rx or cell.shared:
+        if cell.listens:
             return True
         return (self._job is not None and cell.tx
                 and cell.neighbor == self._job.dest)
 
+    def _needs_tick(self, cell: Cell) -> bool:
+        """Is there a job to serve in this cell (a transmission to arm,
+        or a shared-cell backoff to count down)?"""
+        job = self._job
+        if job is None:
+            return False
+        if cell.shared:
+            return self._backoff > 0 or self._job_matches_shared(job)
+        return cell.tx and cell.neighbor == job.dest
+
+    def _awake(self) -> bool:
+        """Radio on, or a slot-end decision pending: the next actionable
+        cell must tick for real, exactly as if every cell did."""
+        return (self.radio.state is not RadioState.SLEEP
+                or self._slot_end_timer.armed)
+
     def _schedule_next_slot(self) -> None:
+        """(Re)arm the tick: the next cell that needs a real one, or the
+        next slotframe boundary that does, whichever begins first."""
         if not self._started:
             return
-        asn_now = self._current_asn()
-        nslots = self.config.slotframe_slots
-        for step in range(1, nslots + 1):
-            asn = asn_now + step
-            cell = self.schedule.get(asn % nslots)
-            if cell is not None and self._cell_actionable(cell):
-                self._next_asn = asn
-                self._slot_timer.start(
-                    asn * self.config.slot_duration_s - self.sim.now)
-                return
-        # Unreachable in practice: the minimal cell is always present.
+        self.sync()
+        first = self._synced_asn        # the next slot to begin
+        occurrence = self.schedule.next_occurrence
+        if self._awake():
+            asn = occurrence(first, self._cell_actionable)
+        else:
+            asn = occurrence(first, self._needs_tick)
+            horizon = self.radio.medium.audible_until(self.radio)
+            if horizon >= self._synced_until:
+                # A frame is in the air: the windows it can reach are
+                # real, so carrier sense at their end sees it.
+                window = occurrence(first, self._cell_actionable)
+                if (window is not None and self._slot_start(window) <= horizon
+                        and (asn is None or window < asn)):
+                    asn = window
+        if self._boundary_frame != math.inf:
+            boundary = int(self._boundary_frame) * self.config.slotframe_slots
+            if asn is None or boundary < asn:
+                asn = boundary
+        if asn is None:
+            self._slot_timer.cancel()
+        elif not (self._slot_timer.armed and asn == self._next_asn):
+            self._next_asn = asn
+            self._slot_timer.start_at(self._slot_start(asn),
+                                      self._tick_priority)
 
     def _slot_tick(self) -> None:
         if not self._started:
             return
         asn = self._next_asn
-        slot = asn % self.config.slotframe_slots
-        if slot == MINIMAL_SLOT:
+        self._catch_up(asn - 1)
+        self._mark_synced(asn)
+        # Boundaries skipped so far closed their MSF windows on what was
+        # used before them, not on what this cell may add.
+        self._account_boundaries()
+        frame, slot = divmod(asn, self.config.slotframe_slots)
+        if slot == MINIMAL_SLOT and frame == self._boundary_frame:
+            self._frames_done = frame + 1
+            self._first_boundary = False
             self._frame_boundary()
+            self._plan_boundary()
         cell = self.schedule.get(slot)
-        if cell is not None:
-            self._serve_cell(cell, asn)
+        # Served iff actionable *now*: the job that made a TX cell worth
+        # arming for may have finished since.
+        if cell is not None and self._cell_actionable(cell):
+            self._serve_cell(cell, asn, self._job_for(cell))
         self._schedule_next_slot()
 
-    def _serve_cell(self, cell: Cell, asn: int) -> None:
-        self.radio.channel = self._channel_for(cell, asn)
+    def _job_for(self, cell: Cell) -> Optional[_TxJob]:
+        """The head-of-line job if this cell is to carry it now."""
         job = self._job
-        if job is not None:
-            if cell.shared:
-                if self._backoff > 0:
-                    self._backoff -= 1
-                    self.tsch_stats.shared_deferrals += 1
-                    job = None
-                elif not self._job_matches_shared(job):
-                    job = None
-            elif not (cell.tx and cell.neighbor == job.dest):
-                job = None
-        if cell.rx or cell.shared:
-            self.radio.set_listening()
+        if job is None:
+            return None
+        if cell.shared:
+            if self._backoff > 0:
+                self._backoff -= 1
+                self._tsch_stats.shared_deferrals += 1
+                return None
+            return job if self._job_matches_shared(job) else None
+        return job if cell.tx and cell.neighbor == job.dest else None
+
+    def _serve_cell(self, cell: Cell, asn: int,
+                    job: Optional[_TxJob] = None) -> None:
+        """Open the cell's window as of its start instant (which is now
+        for a tick, earlier for a window the listen plan makes real)."""
+        start = self._slot_start(asn)
+        self.radio.channel = self._channel_for(cell, asn)
+        if cell.listens:
+            self.radio.listen_from(start)
         if job is not None and cell.tx:
             self._arm_tx(job, cell)
-        self._slot_end_timer.start(
-            self.config.slot_duration_s - self.config.slot_guard_s)
+        self._slot_end_timer.start_at(start + self._listen_s,
+                                      self._end_priority)
 
     def _job_matches_shared(self, job: _TxJob) -> bool:
         """The shared cell carries broadcasts and any unicast that has
@@ -574,14 +733,15 @@ class TschMac(MacLayer):
         else:
             delay = self.config.tx_offset_s
             self._used[cell.neighbor] = self._used.get(cell.neighbor, 0) + 1
-            self.tsch_stats.cells_used += 1
+            self._tsch_stats.cells_used += 1
+            self._plan_boundary()   # a use can change the window's verdict
 
         def fire() -> None:
             if not self._started or self._job is not job:
                 return
             if cell.shared and self.radio.carrier_busy():
                 # Lost the CCA race; stay in RX for the winner's frame.
-                self.tsch_stats.shared_deferrals += 1
+                self._tsch_stats.shared_deferrals += 1
                 return
             self._transmit_data(job, cell)
 
@@ -594,9 +754,92 @@ class TschMac(MacLayer):
                 or self.radio.carrier_busy()):
             # Mid-exchange (long frame, pending ACK, or an incoming
             # frame still in the air): hold the radio and re-check.
-            self._slot_end_timer.start(self.config.ack_wait_s)
+            self._slot_end_timer.start_at(
+                self.sim.now + self.config.ack_wait_s, self._end_priority)
             return
         self.radio.sleep()
+        # Asleep with nothing pending: from here the listen plan stands
+        # in for every cell without a job.
+        self._schedule_next_slot()
+
+    def _transmit_frame(self, frame: MacFrame, done=None) -> float:
+        self.sync()
+        airtime = super()._transmit_frame(frame, done)
+        if not self._slot_end_timer.armed:
+            # An ACK sent after its slot's end left the radio on with no
+            # decision pending; the next actionable cell's end sleeps it.
+            self._schedule_next_slot()
+        return airtime
+
+    # ------------------------------------------------------------------
+    # listen plan: the windows no tick was scheduled for
+    # ------------------------------------------------------------------
+    def sync(self) -> None:
+        if self.sim.now < self._synced_until or self._syncing:
+            return
+        self._catch_up(self._begun_asn())
+
+    def frame_started(self, until: float) -> None:
+        self.sync()
+        # Awake, the next actionable cell is armed already; asleep, only
+        # a window that begins under the frame needs a real wake-up.
+        if not self._awake() and self._synced_until <= until:
+            self._schedule_next_slot()
+
+    def _mark_synced(self, asn: int) -> None:
+        self._synced_asn = asn + 1
+        self._synced_until = self._slot_start(asn + 1)
+
+    def _catch_up(self, asn: int) -> None:
+        """Account for every slot up to ``asn``, which has begun."""
+        if asn < self._synced_asn:
+            return
+        self._syncing = True    # the radio reads in there are the sync
+        try:
+            opened = self._account_idle(asn)
+        finally:
+            self._syncing = False
+        if opened:
+            self._schedule_next_slot()      # awake now
+
+    def _account_idle(self, asn: int) -> bool:
+        """The body of :meth:`_catch_up`; True if it opened a window.
+
+        While the radio was awake each actionable cell ticked for real,
+        so there is nothing to add.  Asleep, it sat through the RX and
+        shared cells of ``[_synced_asn, asn]`` untouched — else one of
+        them would have been made real — and owes their LISTEN time and
+        the last one's channel; if ``asn``'s own window is still open,
+        that one becomes real instead.
+        """
+        first = self._synced_asn
+        self._mark_synced(asn)
+        if self._awake():
+            return False
+        now = self.sim.now
+        nslots = self.config.slotframe_slots
+        start = self._slot_start(asn)
+        cell = self.schedule.get(asn % nslots)
+        inside = (cell is not None and cell.listens
+                  and now <= start + self._listen_s)
+        upto = asn if inside else asn + 1
+        windows, last, last_cell = 0, -1, None
+        for idle in self.schedule.cells():
+            if not idle.listens:
+                continue
+            # Last occurrence of this cell below ``upto``.
+            at = upto - 1 - (upto - 1 - idle.slot) % nslots
+            if at >= first:
+                windows += (at - first) // nslots + 1
+                if at > last:
+                    last, last_cell = at, idle
+        self.radio.slept_until(start if inside else now,
+                               windows * self._listen_s)
+        if last_cell is not None:
+            self.radio.channel = self._channel_for(last_cell, last)
+        if inside:
+            self._serve_cell(cell, asn)
+        return inside
 
     # ------------------------------------------------------------------
     # data path
@@ -611,11 +854,12 @@ class TschMac(MacLayer):
     def _transmit_data(self, job: _TxJob, cell: Cell) -> None:
         frame = self.data_frame(job)
         if cell.shared:
-            self.tsch_stats.shared_tx += 1
+            self._tsch_stats.shared_tx += 1
             if job.dest != BROADCAST:
                 self._demand[job.dest] = self._demand.get(job.dest, 0) + 1
+                self._plan_boundary()   # the next boundary has an ADD to send
         else:
-            self.tsch_stats.dedicated_tx += 1
+            self._tsch_stats.dedicated_tx += 1
         obs = self.trace.obs
         if obs is not None:
             obs.registry.inc("mac.tsch.tx", node=self.radio.node_id,
@@ -640,7 +884,7 @@ class TschMac(MacLayer):
             return
         self._attempts += 1
         if self._await_shared:
-            self.tsch_stats.shared_failures += 1
+            self._tsch_stats.shared_failures += 1
             self._be = min(self._be + 1, self.config.shared_be_max)
             self._backoff = self._rng.randrange(2 ** self._be)
         if self._attempts > self.config.max_retries:
@@ -679,9 +923,98 @@ class TschMac(MacLayer):
     # ------------------------------------------------------------------
     # scheduling function (minimal MSF) + 6P transport
     # ------------------------------------------------------------------
+    # ``_frame_boundary`` is due once per slotframe, at the minimal
+    # cell's start.  It runs as an event only where it can act; at every
+    # other boundary all it would do is count each neighbor's TX cells
+    # into the MSF window (closing it with no verdict now and then),
+    # which ``_account_boundaries`` does for any number of boundaries at
+    # once.
+
+    def _next_eventful_frame(self) -> float:
+        """Index of the first boundary from ``_frames_done`` on at which
+        ``_frame_boundary`` can do more than count (inf: none in sight)."""
+        frame = self._frames_done
+        if self._demand or self.sixp.inflight_count() or self._first_boundary:
+            # Demand to turn into an ADD, a 6P deadline to police, or
+            # the first ``mac.tsch.cells`` sample to publish.
+            return frame
+        due = math.inf
+        window = self.config.msf_eval_cells
+        for peer in self.schedule.neighbors():
+            cells = len(self.schedule.tx_cells_to(peer))
+            if not cells:
+                continue
+            # The open MSF window closes with what was used so far (a
+            # later use re-plans); every window after it closes unused.
+            closes = self._boundaries_to_close(peer, cells)
+            elapsed = self._elapsed.get(peer, 0) + closes * cells
+            if self._msf_verdict(self._used.get(peer, 0), elapsed, cells):
+                due = min(due, frame + closes - 1)
+            elif self._msf_verdict(0, window, cells):
+                due = min(due, frame + closes + -(-window // cells) - 1)
+        return due
+
+    def _boundaries_to_close(self, peer: int, cells: int) -> int:
+        """Boundaries until ``peer``'s open MSF window has seen its
+        ``msf_eval_cells`` occurrences, ``cells`` per boundary."""
+        left = self.config.msf_eval_cells - self._elapsed.get(peer, 0)
+        return max(1, -(-left // cells))
+
+    def _msf_verdict(self, used: int, elapsed: int, cells: int) -> int:
+        """MSF's decision on a closed window: +1 add a cell, -1 delete
+        one, 0 leave the ``cells`` toward this neighbor as they are."""
+        utilization = used / elapsed
+        if (utilization > self.config.msf_high
+                and cells < self.config.max_cells_per_neighbor):
+            return 1
+        if utilization < self.config.msf_low and cells > 1:
+            return -1
+        return 0
+
+    def _plan_boundary(self) -> None:
+        """Recompute which boundary must run next; re-arm if it moved."""
+        if not self._started:
+            return
+        self._account_boundaries()
+        frame = self._next_eventful_frame()
+        if frame != self._boundary_frame:
+            self._boundary_frame = frame
+            self._schedule_next_slot()
+
+    def _account_boundaries(self, upto: Optional[int] = None) -> None:
+        """Closed form of the boundaries below ``upto`` not yet run
+        (default: every one that is due, short of the one that must
+        run as an event)."""
+        if upto is None:
+            if self.radio.listen_plan is not self:
+                return          # stopped: no boundary is due
+            due = self._begun_asn() // self.config.slotframe_slots + 1
+            upto = min(due, self._boundary_frame)
+        skipped = upto - self._frames_done
+        if skipped <= 0:
+            return
+        self._frames_done = upto
+        window = self.config.msf_eval_cells
+        for peer in self.schedule.neighbors():
+            cells = len(self.schedule.tx_cells_to(peer))
+            if not cells:
+                continue
+            self._tsch_stats.cells_elapsed += skipped * cells
+            closes = self._boundaries_to_close(peer, cells)
+            if skipped < closes:
+                self._elapsed[peer] = (self._elapsed.get(peer, 0)
+                                       + skipped * cells)
+            else:
+                # Windows closed on the way, each with verdict 0 (or
+                # the boundary would have been an event): what is left
+                # is the part of the last, still open one.
+                period = -(-window // cells)
+                self._elapsed[peer] = (skipped - closes) % period * cells
+                self._used[peer] = 0
+
     def _frame_boundary(self) -> None:
-        """Once per slotframe (at the minimal cell): expire stale 6P
-        transactions and run the MSF add/delete evaluation."""
+        """Expire stale 6P transactions and run the MSF add/delete
+        evaluation."""
         self.sixp.expire(self.sim.now)
         # Demand-triggered bootstrap: unicast that had to ride the
         # shared cell asks for a first dedicated cell to its next hop.
@@ -697,19 +1030,18 @@ class TschMac(MacLayer):
             if not cells:
                 continue
             self._elapsed[peer] = self._elapsed.get(peer, 0) + len(cells)
-            self.tsch_stats.cells_elapsed += len(cells)
+            self._tsch_stats.cells_elapsed += len(cells)
             if self._elapsed[peer] < self.config.msf_eval_cells:
                 continue
-            used = self._used.get(peer, 0)
-            utilization = used / self._elapsed[peer]
+            verdict = self._msf_verdict(
+                self._used.get(peer, 0), self._elapsed[peer], len(cells))
             self._elapsed[peer] = 0
             self._used[peer] = 0
             if self.sixp.busy(peer):
                 continue
-            if (utilization > self.config.msf_high
-                    and len(cells) < self.config.max_cells_per_neighbor):
+            if verdict > 0:
                 self._initiate_add(peer)
-            elif utilization < self.config.msf_low and len(cells) > 1:
+            elif verdict < 0:
                 self._initiate_delete(peer, cells[-1:])
         self._update_cell_gauge()
 
@@ -724,7 +1056,7 @@ class TschMac(MacLayer):
     def _send_sixp(self, peer: int, msg: Optional[SixpMessage]) -> None:
         if msg is None:
             return
-        self.tsch_stats.sixp_sent += 1
+        self._tsch_stats.sixp_sent += 1
         obs = self.trace.obs
         if obs is not None:
             obs.registry.inc("mac.tsch.sixp", node=self.radio.node_id,
@@ -735,12 +1067,16 @@ class TschMac(MacLayer):
         self.send(peer, msg, SIXP_MESSAGE_BYTES)
 
     def _on_sixp(self, src: int, msg: SixpMessage) -> None:
-        self.tsch_stats.sixp_received += 1
+        self._tsch_stats.sixp_received += 1
+        # What elapsed so far elapsed under the old schedule.
+        self.sync()
+        self._account_boundaries()
         reply = self.sixp.handle(src, msg, self.sim.now)
         if reply is not None:
             self._send_sixp(src, reply)
         self._update_cell_gauge()
         # New cells change the wake plan immediately.
+        self._plan_boundary()
         self._schedule_next_slot()
 
     def _update_cell_gauge(self) -> None:
@@ -755,16 +1091,17 @@ class TschMac(MacLayer):
     # ------------------------------------------------------------------
     def cell_utilization(self) -> float:
         """Lifetime used/elapsed over dedicated TX cells (MSF signal)."""
-        if self.tsch_stats.cells_elapsed == 0:
+        stats = self.tsch_stats
+        if stats.cells_elapsed == 0:
             return 0.0
-        return self.tsch_stats.cells_used / self.tsch_stats.cells_elapsed
+        return stats.cells_used / stats.cells_elapsed
 
     def shared_contention(self) -> float:
         """Fraction of shared-cell opportunities lost to contention
         (CCA/backoff deferrals and unacknowledged unicasts)."""
-        lost = (self.tsch_stats.shared_deferrals
-                + self.tsch_stats.shared_failures)
-        total = self.tsch_stats.shared_tx + self.tsch_stats.shared_deferrals
+        stats = self._tsch_stats
+        lost = stats.shared_deferrals + stats.shared_failures
+        total = stats.shared_tx + stats.shared_deferrals
         if total == 0:
             return 0.0
         return lost / total

@@ -68,6 +68,46 @@ Cache invalidation rules (the part that must not rot):
 - ``set_link_filter`` and model replacement invalidate everything.
 - A frame's receiver triples are the ones current when it was *sent*;
   its interferers' maps are the ones current when it *ends*.
+
+Listen plans: idle listening without events
+-------------------------------------------
+A scheduled MAC wakes its radio in windows nobody talks in far more
+often than in windows somebody does.  Such a MAC may register a *listen
+plan* with its radio (:meth:`Radio.set_listen_plan`; the plan's two
+methods are declared on :class:`repro.net.mac.base.MacLayer`) and then
+schedule no events at all for a window it has nothing to send in: while
+the radio sleeps with no timer pending, where it listens is a pure
+function of time the plan can evaluate later.
+
+- **The sync rule.**  ``plan.sync()`` brings the radio's real fields
+  (``state``, ``channel``, ``state_seconds``, ``_listen_since``) up to
+  ``sim.now``.  A radio with a plan is a :class:`_PlannedRadio`, whose
+  ``state`` / ``channel`` / ``state_seconds`` reads sync first, so
+  ``_deliver``, ``carrier_busy``, ``flush_state_time``, the energy meter
+  and any test see what an event-per-window MAC would have left there —
+  including the *stale channel* of a sleeping radio, which decides
+  between a silent skip and a ``radio.miss``.  A plain :class:`Radio`
+  has no property and pays nothing.
+- **What is charged in closed form.**  Windows that elapsed untouched:
+  ``n * window`` seconds of LISTEN, the rest of the interval SLEEP, and
+  the channel the last of them hopped to.
+- **What makes a window real.**  A frame: :meth:`Medium.transmit` calls
+  ``plan.frame_started(end)`` on every planned radio in the sender's
+  neighbourhood (jam frames too — they are sensed, never received).
+  The plan makes real the window it is in (LISTEN since the window's
+  own start, its end timer armed) and schedules a real wake-up for the
+  next window that begins before :meth:`Medium.audible_until` — the end
+  of the last audible frame in flight.  From there delivery, capture,
+  ACKs and carrier-sense holds run on real state, unchanged.  A read
+  that lands inside a window makes it real the same way.  A link-filter
+  or geometry change asks every plan again, since it can make a frame
+  already in flight audible somewhere new.
+- **Why tie order is canonical.**  With most wake-ups never scheduled,
+  the kernel's FIFO order among same-instant events would depend on
+  which windows happened to become real.  Plans therefore schedule
+  their slot events with a ``priority`` that is a function of the node
+  id, so the order frames go on the air in — and with it the order of
+  the medium's PRR draws on lossy links — is a function of (slot, node).
 """
 
 from __future__ import annotations
@@ -216,6 +256,9 @@ class Radio:
         self.state_seconds: Dict[RadioState, float] = {s: 0.0 for s in RadioState}
         self._state_since = medium.sim.now
         self._listen_since = float("inf")
+        #: Set by :meth:`set_listen_plan`; None means every field above
+        #: is always current.
+        self.listen_plan: Any = None
         self.frames_sent = 0
         self.frames_received = 0
         self.bytes_sent = 0
@@ -294,6 +337,36 @@ class Radio:
         return dict(self.state_seconds)
 
     # ------------------------------------------------------------------
+    # listen plan (see the module docstring)
+    # ------------------------------------------------------------------
+    def set_listen_plan(self, plan: Any) -> None:
+        """Register (or clear, with None) the MAC's listen plan."""
+        if plan is not None and not isinstance(self, _PlannedRadio):
+            if type(self) is not Radio:
+                raise TypeError("listen plans need a plain Radio")
+            self.__class__ = _PlannedRadio
+        self.medium._planned += (plan is not None) - (self.listen_plan is not None)
+        self.listen_plan = plan
+
+    def slept_until(self, until: float, listened_s: float) -> None:
+        """Plan side: the radio slept from its last state change to
+        ``until``, except ``listened_s`` seconds of windows nothing
+        touched."""
+        self.state_seconds[RadioState.SLEEP] += (
+            until - self._state_since - listened_s)
+        self.state_seconds[RadioState.LISTEN] += listened_s
+        self._state_since = until
+
+    def listen_from(self, start: float) -> None:
+        """Plan side: LISTEN as of ``start <= now``, the beginning of
+        the window being made real.  Like :meth:`set_listening`, a no-op
+        unless the radio sleeps."""
+        if self.state is RadioState.SLEEP:
+            self.state_seconds[RadioState.SLEEP] += start - self._state_since
+            self._state_since = self._listen_since = start
+            self.state = RadioState.LISTEN
+
+    # ------------------------------------------------------------------
     # channel access
     # ------------------------------------------------------------------
     def carrier_busy(self) -> bool:
@@ -319,6 +392,28 @@ class Radio:
             sender=self.node_id,
         )
         return self.medium.transmit(self, frame, done)
+
+
+def _synced(name: str) -> property:
+    def read(self: "Radio") -> Any:
+        plan = self.listen_plan
+        if plan is not None:
+            plan.sync()
+        return self.__dict__[name]
+
+    def write(self: "Radio", value: Any) -> None:
+        self.__dict__[name] = value
+
+    return property(read, write)
+
+
+class _PlannedRadio(Radio):
+    """What a :class:`Radio` becomes once a listen plan is registered:
+    reading where it is first brings it up to now."""
+
+    state = _synced("state")
+    channel = _synced("channel")
+    state_seconds = _synced("state_seconds")
 
 
 class Medium:
@@ -365,6 +460,8 @@ class Medium:
         #: Per-cell mirrors of ``_active`` for O(near) CCA/interference.
         self._cell_active: Dict[Tuple[int, int], List[_ActiveItem]] = {}
         self._cell_active_count = 0
+        #: Radios with a listen plan; zero skips every plan hook.
+        self._planned = 0
         self._bind_model(model)
 
     # ------------------------------------------------------------------
@@ -470,6 +567,7 @@ class Medium:
         self._filter_version += 1
         self._world_version += 1
         self._neighborhoods.clear()
+        self._replan_listeners()
 
     # ------------------------------------------------------------------
     # topology
@@ -489,11 +587,14 @@ class Medium:
         """A position (``old_position`` given) or power write happened."""
         self._world_version += 1
         self._neighborhoods.pop(radio.node_id, None)
-        if self._grid is None:
-            return
-        if old_position is None:
-            self._ensure_grid_covers(radio.tx_power_dbm)
-            return
+        if self._grid is not None:
+            if old_position is None:
+                self._ensure_grid_covers(radio.tx_power_dbm)
+            else:
+                self._rebucket(radio, old_position)
+        self._replan_listeners()
+
+    def _rebucket(self, radio: Radio, old_position: Position) -> None:
         old_cell = self._cell_of(old_position)
         new_cell = self._cell_of(radio.position)
         if new_cell != old_cell:
@@ -688,6 +789,32 @@ class Medium:
                 return True
         return False
 
+    def audible_until(self, radio: Radio) -> float:
+        """When the last frame now in flight and audible at ``radio``
+        (on any channel, at any strength) ends; ``now`` if there is none.
+
+        A listen plan keeps every window that begins before this real.
+        """
+        self._sync_model()
+        latest = self.sim.now
+        radio_id = radio.node_id
+        for _, _, tx in self._active_around(radio.position, 1):
+            if (tx.end > latest
+                    and radio_id in self._neighborhood(tx.radio).rssi_by_id):
+                latest = tx.end
+        return latest
+
+    def _replan_listeners(self) -> None:
+        """The world changed under frames in flight: one of them may now
+        be audible where it was not, so every listen plan looks again."""
+        if not self._planned:
+            return
+        until = max((end for end, _, _ in self._active), default=0.0)
+        if until > self.sim.now:
+            for radio in list(self.radios.values()):
+                if radio.listen_plan is not None:
+                    radio.listen_plan.frame_started(until)
+
     def transmit(
         self,
         radio: Radio,
@@ -741,6 +868,11 @@ class Medium:
         # Jammers are never received, only interfere.  The triples are
         # the ones current *now*: a later move re-aims future frames.
         receivers = () if frame.jam_channels else self._neighborhood(radio).receivers
+        if self._planned:
+            # Sensed by every listener in earshot, jam frames included.
+            for receiver, _, _ in self._neighborhood(radio).receivers:
+                if receiver.listen_plan is not None:
+                    receiver.listen_plan.frame_started(tx.end)
 
         def finish() -> None:
             radio._set_state(RadioState.LISTEN)

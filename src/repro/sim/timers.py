@@ -30,6 +30,16 @@ class Timer:
         self.cancel()
         self._handle = self._sim.schedule(delay, self._fire)
 
+    def start_at(self, time: float, priority: int = 0) -> None:
+        """(Re)arm the timer for the absolute instant ``time``.
+
+        For deadlines that are a function of something other than the
+        arming instant (a slot number times the slot length): ``now +
+        (time - now)`` need not round back to ``time``.
+        """
+        self.cancel()
+        self._handle = self._sim.schedule_at(time, self._fire, priority)
+
     def cancel(self) -> None:
         """Disarm the timer.  Idempotent."""
         if self._handle is not None:

@@ -97,3 +97,24 @@ def build_grid_network(
     for stack in stacks:
         stack.start()
     return simulator, log, stacks
+
+
+def eager_tsch():
+    """``TschMac`` with nothing left to its listen plan.
+
+    Every actionable cell ticks as a real event and every slotframe
+    boundary runs ``_frame_boundary``, so radio-on time accumulates
+    window by window and the MSF counters boundary by boundary: the
+    reference the event-free engine must reproduce (as :func:`full_scan`
+    is for the indexed medium).  Test-side only — ``src/`` has one slot
+    engine and no switch.
+    """
+    from repro.net.mac.tsch import TschMac
+
+    class EagerTschMac(TschMac):
+        _needs_tick = TschMac._cell_actionable
+
+        def _next_eventful_frame(self):
+            return self._frames_done
+
+    return EagerTschMac

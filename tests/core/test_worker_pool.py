@@ -48,6 +48,16 @@ def _pid_metric(value, seed):
     return {"pid": float(os.getpid()), "v": float(value)}
 
 
+def _assert_served_by_warm_workers(pids, workers):
+    """No PID outside the pool's own, still-living workers served a
+    task, the parent never did, and nobody was respawned (a respawn
+    would show as one PID too many, or as a PID no longer alive)."""
+    alive = {p.pid for p in multiprocessing.active_children()}
+    assert pids and pids <= alive
+    assert len(pids) <= workers
+    assert os.getpid() not in pids
+
+
 @pytest.fixture(autouse=True)
 def _no_leaked_pools():
     """Every test ends with the shared pools torn down."""
@@ -90,12 +100,16 @@ class TestWorkerPoolLifecycle:
             pool.shutdown()
 
     def test_same_worker_processes_across_dispatches(self):
+        # Which worker takes which chunk is the scheduler's business (a
+        # fast worker may drain a whole dispatch alone), so the sets of
+        # PIDs two dispatches see need not be equal.  Warm means: every
+        # task ran in one of the pool's own workers, those workers are
+        # still alive afterwards, and there were never more than two.
         pool = WorkerPool(2)
         try:
             first = set(pool.map(_pid, [(i,) for i in range(16)]))
             second = set(pool.map(_pid, [(i,) for i in range(16)]))
-            assert first == second  # warm: nobody respawned
-            assert os.getpid() not in first  # and it really forked
+            _assert_served_by_warm_workers(first | second, 2)
         finally:
             pool.shutdown()
 
@@ -190,9 +204,9 @@ class TestSharedPools:
         first = Sweep("v").run([1, 2], _pid_metric, repetitions=4, jobs=2)
         dispatches_after_first = shared_pool(2).dispatches
         second = Sweep("v").run([1, 2], _pid_metric, repetitions=4, jobs=2)
-        pids = lambda sweep: {t.metrics["pid"] for t in sweep.trials}  # noqa: E731
-        assert pids(first) == pids(second)  # same warm workers
-        assert float(os.getpid()) not in pids(first)
+        pids = {int(t.metrics["pid"])
+                for sweep in (first, second) for t in sweep.trials}
+        _assert_served_by_warm_workers(pids, 2)  # same warm workers
         assert shared_pool(2).dispatches == dispatches_after_first + 1
 
 
