@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test check-invariants check-dependability sweep bench bench-perf \
+.PHONY: test gates check-invariants check-dependability sweep bench bench-perf \
 	bench-perf-quick bench-scale bench-scale-quick bench-layers \
 	bench-layers-tsch report demo diff-core \
 	diff-core-baseline dependability-baseline diff-taxonomy \
@@ -11,6 +11,11 @@ PYTHONPATH := src
 # Tier-1: the fast correctness suite (must always pass).
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
+
+# Every byte-identity gate and nothing else (~40 s on two cores): what a
+# PR that must not change simulated behaviour runs, with no baseline
+# re-recorded.
+gates: diff-core explain-core diff-taxonomy diff-taxonomy-matrix check-dependability
 
 # The invariant-checking suite: per-checker unit tests, determinism
 # regressions, and the multi-seed fault sweeps. Kept separate from
@@ -91,8 +96,8 @@ bench-layers-tsch:
 	python3 benchmarks/layers/run.py --workload grid_tsch_collect --seconds 4 --trace 1
 
 # The observability dashboard: runs an instrumented demo deployment and
-# prints delivery metrics, latency percentiles, duty cycles, profiler
-# hot spots, and one reconstructed packet-lifecycle span tree.
+# prints delivery metrics, latency percentiles, duty cycles and one
+# reconstructed packet-lifecycle span tree.
 # EXPORT=dir additionally writes spans.jsonl/metrics.csv/trace.jsonl.
 EXPORT ?=
 report:
@@ -102,15 +107,15 @@ demo:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro
 
 # Metrics regression gate: re-runs the deterministic dashboard demo
-# (fixed seed, profiler off — its snapshot is byte-identical across
-# runs) and diffs the exported metrics against the committed baseline.
+# (fixed seed — its snapshot is byte-identical across runs) and diffs
+# the exported metrics against the committed baseline.
 # Any series moving more than DIFF_FAIL_ON (relative; default exact)
 # fails the target — the same net that caught the delivery regression
 # of the medium's heap rework. After an *intentional* behaviour change,
 # refresh with make diff-core-baseline and commit the new baseline.
 DIFF_FAIL_ON ?= 0.0
 DIFF_CORE_BASELINE := benchmarks/results/core_metrics.baseline.json
-DIFF_CORE_ARGS := --side 3 --duration 120 --no-profile
+DIFF_CORE_ARGS := --side 3 --duration 120
 diff-core:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro report $(DIFF_CORE_ARGS) --export .diff-core >/dev/null
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro diff $(DIFF_CORE_BASELINE) .diff-core/metrics.json --fail-on $(DIFF_FAIL_ON)

@@ -3,7 +3,7 @@
 Binds a network stack, a platform profile with its energy meter, and the
 node's sensors and actuators into the unit that deployments are built
 from.  Applications attach behaviour (sampling loops, control loops)
-through the stack's socket API or :mod:`repro.sim.process` processes.
+through the stack's socket API and kernel timers.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ implements one representative of each family:
   listening (the energy-unconstrained baseline);
 - :class:`LplMac` — low-power listening (BoX-MAC-2 style sender strobe);
 - :class:`RiMac` — receiver-initiated beacons (RI-MAC style);
-- :class:`TschMac` — TSCH-style scheduled slotframe with 6P-negotiated
-  cells (the 6TiSCH industrial baseline);
+- :class:`TschMac` — TSCH-style scheduled slotframe (:mod:`.schedule`)
+  with 6P-negotiated cells (:mod:`.sixp`), the 6TiSCH industrial
+  baseline;
 - :class:`SyncFloodService` — Glossy/Dozer-style synchronous flooding,
   modelled at slot granularity.
 """
@@ -26,17 +27,10 @@ from repro.net.mac.base import MacConfigError, MacLayer, MacStats
 from repro.net.mac.csma import CsmaConfig, CsmaMac
 from repro.net.mac.lpl import LplConfig, LplMac
 from repro.net.mac.rimac import RiMacConfig, RiMac
+from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule
+from repro.net.mac.sixp import SixpMessage, SixpPeer, TschStats
 from repro.net.mac.syncflood import SyncFloodConfig, SyncFloodService
-from repro.net.mac.tsch import (
-    Cell,
-    SixpMessage,
-    SixpPeer,
-    SlotConflictError,
-    TschConfig,
-    TschMac,
-    TschSchedule,
-    TschStats,
-)
+from repro.net.mac.tsch import TschConfig, TschMac
 
 __all__ = [
     "Cell",

@@ -1,9 +1,12 @@
-"""Common MAC-layer machinery: transmit queue, dedup, statistics.
+"""The MAC contract: :class:`MacLayer` owns an exchange from enqueue to
+its one terminal outcome; a concrete MAC supplies channel access only.
 
-Concrete MACs implement :meth:`MacLayer._start_job`; the base class owns
-the FIFO transmit queue (one in-flight job at a time, as on real
-single-radio devices), duplicate suppression, and delivery upcalls, so
-protocol differences stay confined to the channel-access logic.
+Owned here, once: the bounded FIFO transmit queue and the single job in
+flight (as on real single-radio devices) with its spent retry budget,
+matching an ACK against that job, acknowledging a unicast addressed
+here, dedup and the security filter, the timers, the stop path, and the
+terminal accounting with its ``mac.tx`` instruments and ``mac.job``
+spans.  DESIGN.md, "MAC contract", lists the hooks a MAC supplies.
 """
 
 from __future__ import annotations
@@ -11,11 +14,12 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.packet import BROADCAST, FrameKind, MacFrame, next_seq
 from repro.radio.medium import Frame, Radio, RadioState
 from repro.sim.kernel import Simulator
+from repro.sim.timers import Timer
 from repro.sim.trace import TraceLog
 
 
@@ -47,6 +51,9 @@ class _TxJob:
     auth_bytes: int = 0
     #: ``mac.job`` span context (repro.obs); None when untraced.
     ctx: Any = None
+    #: Retry budget spent, in the MAC's own unit: unacknowledged
+    #: attempts (CSMA, TSCH) or whole strobes/waits (LPL, RI-MAC).
+    retries: int = 0
 
 
 class MacLayer(abc.ABC):
@@ -55,9 +62,10 @@ class MacLayer(abc.ABC):
     Subclasses implement channel access in :meth:`_start_job` and call
     :meth:`_finish_job` exactly once per job; :meth:`stop` does it for
     them when it cuts an exchange short.  Frames received from the
-    radio flow through :meth:`_on_phy_receive`, which dispatches ACKs to
-    :meth:`_handle_ack` and hands deduplicated DATA frames to the
-    ``on_receive`` upcall.
+    radio flow through :meth:`_on_phy_receive`, which hands the ACK of
+    the job in flight to :meth:`_handle_ack` and deduplicated DATA
+    frames to :meth:`_deliver` (the ``on_receive`` upcall).  Timers come
+    from :meth:`_timer`, so a stopped MAC has none armed.
     """
 
     def __init__(
@@ -82,6 +90,10 @@ class MacLayer(abc.ABC):
         #: The dequeued job channel access is working on, if any.
         self._in_flight: Optional[_TxJob] = None
         self._started = False
+        #: Every timer of this MAC (see :meth:`_timer`).
+        self._timers: List[Timer] = []
+        #: When the last frame handed to the medium leaves the air.
+        self._tx_end = 0.0
         self._dedup: Dict[int, int] = {}
         radio.on_receive = self._on_phy_receive
         self._rng = sim.substream(f"mac.{radio.node_id}")
@@ -116,6 +128,7 @@ class MacLayer(abc.ABC):
             return
         self._started = False
         self._on_stop()
+        self._idle()
         if self._in_flight is not None:
             self._finish_job(self._in_flight, False)
         while self._queue:
@@ -129,10 +142,29 @@ class MacLayer(abc.ABC):
     def _on_start(self) -> None:
         """Subclass hook: begin the duty cycle."""
 
-    @abc.abstractmethod
     def _on_stop(self) -> None:
-        """Subclass hook: cancel timers, forget the exchange in progress,
-        idle the radio.  The base class finishes the job itself."""
+        """Subclass hook, first thing in :meth:`stop`: settle what only
+        a running MAC can.  Timers, radio and jobs are the base's."""
+
+    def _idle(self) -> None:
+        """Unless running again: no armed timer, radio off.  A frame on
+        the air is not cut short; when it ends the medium returns the
+        radio to LISTEN and runs the sender's completion (which may arm
+        a timer), so this runs once more right after that."""
+        if self._started:
+            return
+        for timer in self._timers:
+            timer.cancel()
+        if self.radio.state is RadioState.TX:
+            self.sim.schedule_at(self._tx_end, self._idle)
+        else:
+            self.radio.sleep()
+
+    def _timer(self, callback: Callable[[], None]) -> Timer:
+        """A restartable timer that :meth:`stop` cancels."""
+        timer = Timer(self.sim, callback)
+        self._timers.append(timer)
+        return timer
 
     # ------------------------------------------------------------------
     # listen plan (event-free idle listening; see repro.radio.medium)
@@ -270,7 +302,9 @@ class MacLayer(abc.ABC):
             channel=self.radio.channel,
             sender=self.radio.node_id,
         )
-        return self.radio.medium.transmit(self.radio, phy, done)
+        airtime = self.radio.medium.transmit(self.radio, phy, done)
+        self._tx_end = self.sim.now + airtime
+        return airtime
 
     def data_frame(self, job: _TxJob) -> MacFrame:
         """Build the DATA frame for a job (one seq for all its copies)."""
@@ -295,8 +329,10 @@ class MacLayer(abc.ABC):
         if not isinstance(frame, MacFrame):
             return
         if frame.kind is FrameKind.ACK:
-            if frame.dst == self.radio.node_id:
-                self._handle_ack(frame)
+            job = self._in_flight
+            if (job is not None and frame.dst == self.radio.node_id
+                    and frame.src == job.dest and frame.seq == job.seq):
+                self._handle_ack(job)
             return
         if frame.kind is FrameKind.BEACON:
             self._handle_beacon(frame)
@@ -321,17 +357,23 @@ class MacLayer(abc.ABC):
         return frame
 
     def _handle_data(self, frame: MacFrame) -> None:
-        """Default DATA handling: accept then deliver.  Subclasses that
-        acknowledge call this after sending their ACK."""
+        """ACK a unicast addressed here, then accept and deliver."""
+        if frame.dst == self.radio.node_id:
+            self._send_ack(frame.src, frame.seq)
         frame = self._accept(frame)
-        if frame is None:
-            return
+        if frame is not None:
+            self._deliver(frame)
+
+    def _deliver(self, frame: MacFrame) -> None:
+        """An accepted DATA frame: count it and hand it up."""
         self.stats.rx_delivered += 1
         if self.on_receive is not None:
             self.on_receive(frame)
 
-    def _handle_ack(self, frame: MacFrame) -> None:
-        """Subclasses awaiting ACKs override this."""
+    @abc.abstractmethod
+    def _handle_ack(self, job: _TxJob) -> None:
+        """The ACK of ``job``, the one in flight, arrived: act on it if
+        the MAC is waiting for one."""
 
     def _handle_beacon(self, frame: MacFrame) -> None:
         """Receiver-initiated MACs override this."""

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
-from repro.net.packet import BROADCAST, MacFrame
+from repro.net.packet import BROADCAST
 from repro.radio.medium import RadioState
-from repro.sim.timers import Timer
 
 
 @dataclass(frozen=True)
@@ -49,26 +48,13 @@ class CsmaMac(MacLayer):
         super().__init__(sim, radio, **kwargs)
         self.config = config if config is not None else CsmaConfig()
         self.config.validate()
-        self._ack_timer = Timer(sim, self._ack_timeout)
-        self._awaiting: Optional[_TxJob] = None
-        self._retries = 0
+        self._ack_timer = self._timer(self._ack_timeout)
 
-    # ------------------------------------------------------------------
     def _on_start(self) -> None:
         self.radio.set_listening()
 
-    def _on_stop(self) -> None:
-        self._ack_timer.cancel()
-        self._awaiting = None
-        if self.radio.state is not RadioState.TX:
-            self.radio.sleep()
-
     # ------------------------------------------------------------------
     def _start_job(self, job: _TxJob) -> None:
-        self._retries = 0
-        self._attempt(job)
-
-    def _attempt(self, job: _TxJob) -> None:
         self._cca(job, cca_attempt=0)
 
     def _cca(self, job: _TxJob, cca_attempt: int) -> None:
@@ -98,31 +84,19 @@ class CsmaMac(MacLayer):
             if job.dest == BROADCAST:
                 self._finish_job(job, True)
                 return
-            self._awaiting = job
             self._ack_timer.start(self.config.ack_timeout_s)
 
         self._transmit_frame(frame, tx_done)
 
     def _ack_timeout(self) -> None:
-        job = self._awaiting
-        self._awaiting = None
-        if job is None:
-            return
-        self._retries += 1
-        if self._retries > self.config.max_retries:
+        job = self._in_flight
+        job.retries += 1
+        if job.retries > self.config.max_retries:
             self._finish_job(job, False)
         else:
-            self._attempt(job)
+            self._cca(job, cca_attempt=0)
 
-    def _handle_ack(self, frame: MacFrame) -> None:
-        job = self._awaiting
-        if job is None or frame.src != job.dest or frame.seq != job.seq:
-            return
-        self._ack_timer.cancel()
-        self._awaiting = None
-        self._finish_job(job, True)
-
-    def _handle_data(self, frame: MacFrame) -> None:
-        if frame.dst == self.radio.node_id:
-            self._send_ack(frame.src, frame.seq)
-        super()._handle_data(frame)
+    def _handle_ack(self, job: _TxJob) -> None:
+        if self._ack_timer.armed:
+            self._ack_timer.cancel()
+            self._finish_job(job, True)

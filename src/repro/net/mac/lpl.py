@@ -18,7 +18,6 @@ from typing import Dict, Optional
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, MacFrame
 from repro.radio.medium import RadioState
-from repro.sim.timers import Timer
 
 
 @dataclass(frozen=True)
@@ -60,12 +59,11 @@ class LplMac(MacLayer):
         super().__init__(sim, radio, **kwargs)
         self.config = config if config is not None else LplConfig()
         self.config.validate()
-        self._probe_timer = Timer(sim, self._probe)
-        self._hold_timer = Timer(sim, self._hold_expired)
-        self._ack_timer = Timer(sim, self._copy_gap_elapsed)
-        self._job: Optional[_TxJob] = None
+        self._probe_timer = self._timer(self._probe)
+        self._hold_timer = self._timer(self._hold_expired)
+        #: The gap between copies doubles as the ACK listen window.
+        self._ack_timer = self._timer(self._send_copy)
         self._strobe_deadline = 0.0
-        self._retries = 0
         self._awake_hold = False
         self._got_ack = False
         self._copies_sent = 0
@@ -81,16 +79,9 @@ class LplMac(MacLayer):
         # Random phase avoids network-wide synchronized probes.
         self._probe_timer.start(self._rng.uniform(0, self.config.wake_interval_s))
 
-    def _on_stop(self) -> None:
-        for timer in (self._probe_timer, self._hold_timer, self._ack_timer):
-            timer.cancel()
-        self._job = None
-        if self.radio.state is not RadioState.TX:
-            self.radio.sleep()
-
     def _probe(self) -> None:
         self._probe_timer.start(self.config.wake_interval_s)
-        if self._job is not None:
+        if self._in_flight is not None:
             return  # already awake, strobing
         if self.radio.state is RadioState.TX:
             return
@@ -99,7 +90,7 @@ class LplMac(MacLayer):
         self._hold_timer.start(self.config.probe_duration_s)
 
     def _hold_expired(self) -> None:
-        if self._job is not None:
+        if self._in_flight is not None:
             return
         if self.radio.state is RadioState.TX:
             self._hold_timer.start(self.config.hold_duration_s)
@@ -112,18 +103,15 @@ class LplMac(MacLayer):
         self.radio.sleep()
 
     def _handle_data(self, frame: MacFrame) -> None:
-        if frame.dst == self.radio.node_id:
-            self._send_ack(frame.src, frame.seq)
         super()._handle_data(frame)
         # Done with this wakeup unless we are mid-strobe ourselves.
-        if self._job is None and frame.dst == self.radio.node_id:
+        if self._in_flight is None and frame.dst == self.radio.node_id:
             self._hold_timer.start(self.config.hold_duration_s)
 
     # ------------------------------------------------------------------
     # strobe (sender side)
     # ------------------------------------------------------------------
     def _start_job(self, job: _TxJob) -> None:
-        self._retries = 0
         if (
             self.config.phase_lock
             and job.dest != BROADCAST
@@ -147,7 +135,6 @@ class LplMac(MacLayer):
         periods = max(0, int((now + guard - anchor) / interval)) + 1
         predicted = anchor + periods * interval
         start_delay = max(0.0, predicted - guard - now)
-        self._job = job
         self._got_ack = False
         self._copies_sent = 0
         # Strobe only around the predicted wakeup (plus the receiver's
@@ -159,13 +146,12 @@ class LplMac(MacLayer):
         self.sim.schedule(start_delay, self._phase_strobe_start)
 
     def _phase_strobe_start(self) -> None:
-        if self._job is None or not self._started:
+        if self._in_flight is None:
             return
         self.radio.set_listening()
         self._send_copy()
 
     def _begin_strobe(self, job: _TxJob) -> None:
-        self._job = job
         self._got_ack = False
         self._copies_sent = 0
         self._strobe_deadline = (
@@ -177,14 +163,15 @@ class LplMac(MacLayer):
         self.sim.schedule(self._rng.uniform(0, 0.008), self._send_copy)
 
     def _send_copy(self) -> None:
-        job = self._job
-        if job is None or not self._started:
+        job = self._in_flight
+        if job is None:
             return
         if self._got_ack:
-            self._strobe_done(True)
+            self._strobe_done(job, True)
             return
         if self.sim.now >= self._strobe_deadline:
-            self._strobe_done(job.dest == BROADCAST and self._copies_sent > 0)
+            self._strobe_done(
+                job, job.dest == BROADCAST and self._copies_sent > 0)
             return
         if self.radio.state is RadioState.TX or self.radio.carrier_busy():
             # Channel occupied (often a neighbour's strobe): defer the
@@ -197,24 +184,14 @@ class LplMac(MacLayer):
             frame, lambda: self._ack_timer.start(self.config.copy_gap_s)
         )
 
-    def _copy_gap_elapsed(self) -> None:
-        # The gap doubles as the ACK listen window.
-        self._send_copy()
-
-    def _handle_ack(self, frame: MacFrame) -> None:
-        job = self._job
-        if job is None or frame.src != job.dest or frame.seq != job.seq:
-            return
+    def _handle_ack(self, job: _TxJob) -> None:
         self._got_ack = True
         # The ACK instant is (approximately) a moment the neighbor was
         # awake: the phase anchor ContikiMAC-style senders lock onto.
-        self._neighbor_phase[frame.src] = self.sim.now
+        self._neighbor_phase[job.dest] = self.sim.now
 
-    def _strobe_done(self, success: bool) -> None:
-        job = self._job
-        self._job = None
+    def _strobe_done(self, job: _TxJob, success: bool) -> None:
         self._ack_timer.cancel()
-        assert job is not None
         if self.config.phase_lock and job.dest != BROADCAST:
             if success:
                 self.phase_lock_hits += 1
@@ -222,8 +199,8 @@ class LplMac(MacLayer):
                 # Stale phase: drop it so the retry relearns honestly.
                 self.phase_lock_misses += 1
                 self._neighbor_phase.pop(job.dest, None)
-        if not success and self._retries < self.config.max_retries:
-            self._retries += 1
+        if not success and job.retries < self.config.max_retries:
+            job.retries += 1
             self._begin_strobe(job)
             return
         if self.radio.state is not RadioState.TX and not self._awake_hold:

@@ -16,7 +16,6 @@ from typing import Optional
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 from repro.net.packet import BROADCAST, FrameKind, MacFrame
 from repro.radio.medium import RadioState
-from repro.sim.timers import Timer
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,9 @@ class RiMac(MacLayer):
         super().__init__(sim, radio, **kwargs)
         self.config = config if config is not None else RiMacConfig()
         self.config.validate()
-        self._beacon_timer = Timer(sim, self._beacon)
-        self._dwell_timer = Timer(sim, self._dwell_over)
-        self._wait_timer = Timer(sim, self._wait_expired)
-        self._job: Optional[_TxJob] = None
-        self._job_deadline = 0.0
-        self._retries = 0
-        self._got_ack = False
+        self._beacon_timer = self._timer(self._beacon)
+        self._dwell_timer = self._timer(self._dwell_over)
+        self._wait_timer = self._timer(self._wait_expired)
         self._broadcast_targets_served = 0
 
     # ------------------------------------------------------------------
@@ -63,13 +58,6 @@ class RiMac(MacLayer):
     # ------------------------------------------------------------------
     def _on_start(self) -> None:
         self._beacon_timer.start(self._rng.uniform(0, self.config.wake_interval_s))
-
-    def _on_stop(self) -> None:
-        for timer in (self._beacon_timer, self._dwell_timer, self._wait_timer):
-            timer.cancel()
-        self._job = None
-        if self.radio.state is not RadioState.TX:
-            self.radio.sleep()
 
     def _next_beacon_delay(self) -> float:
         w, j = self.config.wake_interval_s, self.config.jitter
@@ -94,12 +82,11 @@ class RiMac(MacLayer):
         if self.radio.state is RadioState.TX:
             self._dwell_timer.start(self.config.dwell_s)
             return
-        if self._job is None:
+        if self._in_flight is None:
             self.radio.sleep()
 
     def _handle_data(self, frame: MacFrame) -> None:
         if frame.dst == self.radio.node_id:
-            self._send_ack(frame.src, frame.seq)
             # Hold the radio briefly in case the sender has more.
             self._dwell_timer.start(self.config.dwell_s)
         super()._handle_data(frame)
@@ -108,23 +95,17 @@ class RiMac(MacLayer):
     # sender side
     # ------------------------------------------------------------------
     def _start_job(self, job: _TxJob) -> None:
-        self._retries = 0
-        self._begin_wait(job)
-
-    def _begin_wait(self, job: _TxJob) -> None:
-        self._job = job
-        self._got_ack = False
         self._broadcast_targets_served = 0
-        self._job_deadline = (
+        deadline = (
             self.sim.now
             + self.config.wake_interval_s * (1 + self.config.jitter)
             + self.config.wait_margin_s
         )
         self.radio.set_listening()
-        self._wait_timer.start(self._job_deadline - self.sim.now)
+        self._wait_timer.start(deadline - self.sim.now)
 
     def _handle_beacon(self, frame: MacFrame) -> None:
-        job = self._job
+        job = self._in_flight
         if job is None:
             return
         if job.dest != BROADCAST and frame.src != job.dest:
@@ -133,8 +114,8 @@ class RiMac(MacLayer):
         delay = self._rng.uniform(0, self.config.tx_spread_s)
 
         def fire() -> None:
-            if self._job is not job:
-                return
+            if self._in_flight is not job:
+                return  # the job ended while the spread delay ran
             if self.radio.state is RadioState.TX or self.radio.carrier_busy():
                 return  # lost the race to another sender; next beacon
             self._transmit_frame(self.data_frame(job))
@@ -143,32 +124,22 @@ class RiMac(MacLayer):
 
         self.sim.schedule(delay, fire)
 
-    def _handle_ack(self, frame: MacFrame) -> None:
-        job = self._job
-        if job is None or frame.src != job.dest or frame.seq != job.seq:
-            return
-        self._got_ack = True
-        self._wait_timer.cancel()
-        self._complete(True)
+    def _handle_ack(self, job: _TxJob) -> None:
+        self._complete(job, True)
 
     def _wait_expired(self) -> None:
-        job = self._job
-        if job is None:
-            return
+        job = self._in_flight
         if job.dest == BROADCAST:
-            self._complete(self._broadcast_targets_served > 0
+            self._complete(job, self._broadcast_targets_served > 0
                            or not self.radio.medium.audible_from(self.radio))
             return
-        self._complete(False)
+        self._complete(job, False)
 
-    def _complete(self, success: bool) -> None:
-        job = self._job
-        self._job = None
+    def _complete(self, job: _TxJob, success: bool) -> None:
         self._wait_timer.cancel()
-        assert job is not None
-        if not success and job.dest != BROADCAST and self._retries < self.config.max_retries:
-            self._retries += 1
-            self._begin_wait(job)
+        if not success and job.dest != BROADCAST and job.retries < self.config.max_retries:
+            job.retries += 1
+            self._start_job(job)  # the same wait once more
             return
         if self.radio.state is not RadioState.TX and not self._dwell_timer.armed:
             self.radio.sleep()

@@ -1,4 +1,4 @@
-"""TSCH-style scheduled MAC: slotframe, cells, and 6P cell negotiation.
+"""TSCH-style scheduled MAC: the slot engine, MSF, and 6P's transport.
 
 Time-Slotted Channel Hopping (IEEE 802.15.4-2015 TSCH, the 6TiSCH
 industrial baseline) divides time into a repeating *slotframe* of fixed
@@ -18,11 +18,10 @@ slots.  A node is awake only in slots where its schedule holds a
   adds cells above :attr:`TschConfig.msf_high` and deletes them below
   :attr:`TschConfig.msf_low`;
 - cell negotiation is a **6P-style two-step transaction**
-  (:class:`SixpPeer`): the initiator reserves candidate slots and sends
-  an ADD request, the responder installs the first workable candidate as
-  an RX cell and confirms it, and only the confirmed cell is committed
-  as a TX cell — so a dedicated TX cell always has a matching RX cell at
-  the peer, and a timeout releases every reservation (no orphans);
+  (:mod:`repro.net.mac.sixp`) over the node's slotframe
+  (:mod:`repro.net.mac.schedule`): a dedicated TX cell always has a
+  matching RX cell at the peer, and a timeout releases every
+  reservation.  This module carries the messages and keeps the clock;
 - **channel hopping**: the frequency of a cell is
   ``hopping[(ASN + channelOffset) % len(hopping)]``, so cells on
   different channel offsets never interfere and narrow-band interferers
@@ -66,24 +65,25 @@ a function of (ASN, node id) — not of which of them happened to be
 scheduled, which under a listen plan varies from run to run of the same
 protocol behaviour.
 
-The class plugs into the :class:`~repro.net.mac.base.MacLayer` contract
-unchanged: same ``mac.job`` spans split at ``service_start`` (here the
-split point is dequeue, so ``mac.access`` covers the wait for a usable
-cell — exactly the scheduled-MAC latency story), same ``mac.tx``
-instruments, same queue/dedup/ACK machinery.
+Toward the :class:`~repro.net.mac.base.MacLayer` contract the class
+supplies channel access only: the job in flight, its retry count, ACK
+matching, timers and the stop path are the base's (``service_start`` is
+dequeue, so ``mac.access`` covers the wait for a usable cell — exactly
+the scheduled-MAC latency story).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
+# The schedule's and 6P's names stay importable from here.
+from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule  # noqa: F401
+from repro.net.mac.sixp import SIXP_MESSAGE_BYTES, SixpMessage, SixpPeer, TschStats
 from repro.net.packet import BROADCAST, MacFrame
 from repro.radio.medium import RadioState
-from repro.sim.timers import Timer
 
 #: The default 6TiSCH hopping sequence over the 16 IEEE 802.15.4
 #: channels (11..26).  All nodes share it; a cell's frequency is
@@ -94,339 +94,6 @@ DEFAULT_HOPPING: Tuple[int, ...] = (
 
 #: Slot of the shared minimal cell (6TiSCH-minimal: slot 0, offset 0).
 MINIMAL_SLOT = 0
-
-#: Wire size charged for a 6P negotiation payload.
-SIXP_MESSAGE_BYTES = 14
-
-
-class SlotConflictError(ValueError):
-    """Raised when a cell would double-book a slot (or reservation)."""
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One schedule entry: a (slot, channel offset) rendezvous.
-
-    ``neighbor`` is the peer the cell is dedicated to, or
-    :data:`~repro.net.packet.BROADCAST` for the shared minimal cell.
-    """
-
-    slot: int
-    channel_offset: int
-    neighbor: int
-    tx: bool = False
-    rx: bool = False
-    shared: bool = False
-
-    @property
-    def listens(self) -> bool:
-        """Does serving the cell turn the receiver on?"""
-        return self.rx or self.shared
-
-
-@dataclass(frozen=True)
-class SixpMessage:
-    """A 6P-style negotiation payload, carried inside a DATA frame.
-
-    ``cells`` holds ``(slot, channel_offset)`` pairs: the candidate
-    list on a request, the confirmed (or removed) cells on a response.
-    ADD requests also carry ``active`` — the initiator's authoritative
-    list of TX cells it currently holds toward the responder — so the
-    responder can garbage-collect RX cells orphaned by lost or late
-    responses before judging its capacity.
-    """
-
-    op: str                                # "add" | "delete"
-    step: str                              # "request" | "response"
-    txn: int
-    cells: Tuple[Tuple[int, int], ...]
-    ok: bool = True
-    active: Tuple[Tuple[int, int], ...] = ()
-
-
-class TschSchedule:
-    """One node's slotframe: at most one cell per slot, plus the
-    transaction reservations 6P holds while an ADD is in flight."""
-
-    def __init__(self, slots: int) -> None:
-        if slots < 2:
-            raise MacConfigError("slotframe needs at least 2 slots")
-        self.slots = slots
-        self._cells: Dict[int, Cell] = {}
-        #: The scheduled slots in order, kept by add/remove.
-        self._slots: List[int] = []
-        self._reserved: Dict[int, int] = {}    # slot -> holding txn
-
-    # -- queries -------------------------------------------------------
-    def get(self, slot: int) -> Optional[Cell]:
-        return self._cells.get(slot)
-
-    def cells(self) -> List[Cell]:
-        return [self._cells[s] for s in self._slots]
-
-    def next_occurrence(self, asn: int,
-                        wanted: Callable[[Cell], bool]) -> Optional[int]:
-        """The first ASN ``>= asn`` whose slot holds a cell ``wanted``
-        accepts (None if no cell does): one pass over the scheduled
-        slots, starting at ``asn``'s own."""
-        slots = self._slots
-        frame_start = asn - asn % self.slots
-        first = bisect_left(slots, asn - frame_start)
-        for i in range(first, first + len(slots)):
-            wrapped, index = divmod(i, len(slots))
-            if wanted(self._cells[slots[index]]):
-                return frame_start + wrapped * self.slots + slots[index]
-        return None
-
-    def dedicated_cells(self) -> List[Cell]:
-        return [c for c in self.cells() if not c.shared]
-
-    def tx_cells_to(self, neighbor: int) -> List[Cell]:
-        return [c for c in self.cells() if c.tx and not c.shared
-                and c.neighbor == neighbor]
-
-    def rx_cells_from(self, neighbor: int) -> List[Cell]:
-        return [c for c in self.cells() if c.rx and not c.shared
-                and c.neighbor == neighbor]
-
-    def neighbors(self) -> List[int]:
-        return sorted({c.neighbor for c in self._cells.values()
-                       if not c.shared})
-
-    def free_slots(self) -> List[int]:
-        """Slots neither scheduled nor reserved, in slot order."""
-        return [s for s in range(self.slots)
-                if s not in self._cells and s not in self._reserved]
-
-    def reserved_slots(self, txn: Optional[int] = None) -> List[int]:
-        return sorted(s for s, t in self._reserved.items()
-                      if txn is None or t == txn)
-
-    # -- mutation ------------------------------------------------------
-    def add(self, cell: Cell) -> None:
-        if not 0 <= cell.slot < self.slots:
-            raise SlotConflictError(
-                f"slot {cell.slot} outside slotframe of {self.slots}")
-        if cell.slot in self._cells:
-            raise SlotConflictError(f"slot {cell.slot} already scheduled")
-        if cell.slot in self._reserved:
-            raise SlotConflictError(
-                f"slot {cell.slot} reserved by txn {self._reserved[cell.slot]}")
-        self._cells[cell.slot] = cell
-        insort(self._slots, cell.slot)
-
-    def remove(self, slot: int) -> Cell:
-        if slot not in self._cells:
-            raise SlotConflictError(f"slot {slot} not scheduled")
-        del self._slots[bisect_left(self._slots, slot)]
-        return self._cells.pop(slot)
-
-    def reserve(self, slot: int, txn: int) -> None:
-        if slot in self._cells:
-            raise SlotConflictError(f"slot {slot} already scheduled")
-        if slot in self._reserved:
-            raise SlotConflictError(
-                f"slot {slot} reserved by txn {self._reserved[slot]}")
-        self._reserved[slot] = txn
-
-    def release(self, slot: int, txn: int) -> None:
-        if self._reserved.get(slot) == txn:
-            del self._reserved[slot]
-
-    def install_reserved(self, slot: int, txn: int, cell: Cell) -> None:
-        """Commit a reservation into a real cell (the 6P confirm step)."""
-        if self._reserved.get(slot) != txn:
-            raise SlotConflictError(
-                f"slot {slot} not reserved by txn {txn}")
-        del self._reserved[slot]
-        self.add(cell)
-
-
-@dataclass
-class _Transaction:
-    txn: int
-    peer: int
-    op: str
-    cells: Tuple[Tuple[int, int], ...]
-    deadline: float
-
-
-@dataclass
-class TschStats:
-    """Scheduled-MAC counters beyond the common :class:`MacStats`."""
-
-    dedicated_tx: int = 0
-    shared_tx: int = 0
-    #: Shared-cell TX opportunities given up to CCA or backoff.
-    shared_deferrals: int = 0
-    #: Unicast attempts in the shared cell that drew no ACK.
-    shared_failures: int = 0
-    sixp_sent: int = 0
-    sixp_received: int = 0
-    cells_added: int = 0
-    cells_deleted: int = 0
-    sixp_timeouts: int = 0
-    #: Lifetime dedicated-cell accounting (MSF's used/elapsed signal).
-    cells_elapsed: int = 0
-    cells_used: int = 0
-
-
-class SixpPeer:
-    """The 6P-style two-step transaction layer over one schedule.
-
-    Pure state machine — no timers, no radio: callers feed it
-    :meth:`initiate_add` / :meth:`initiate_delete` / :meth:`handle` /
-    :meth:`expire` and transport whatever messages it returns.  Under
-    any interleaving of message loss and timeouts it maintains:
-
-    - at most one in-flight transaction per peer;
-    - candidate slots stay reserved only while their transaction is in
-      flight — a response, a timeout, or a failure releases every one
-      (*no orphaned reservations*);
-    - a TX cell is committed only for the cell the peer confirmed, and
-      responders install their RX cell *before* the confirmation
-      travels back — so a lost response can leave a superfluous RX
-      cell (idle listening, reclaimed by a later delete) but never a
-      TX cell nobody listens to;
-    - deletes drop the initiator's TX cells at request time, keeping
-      the same "RX is a superset of peer TX" invariant for removal.
-    """
-
-    def __init__(self, node_id: int, schedule: TschSchedule, rng,
-                 config: "TschConfig", stats: Optional[TschStats] = None) -> None:
-        self.node_id = node_id
-        self.schedule = schedule
-        self._rng = rng
-        self.config = config
-        self.stats = stats if stats is not None else TschStats()
-        self._txn_seq = 0
-        self._inflight: Dict[int, _Transaction] = {}
-
-    def busy(self, peer: int) -> bool:
-        return peer in self._inflight
-
-    def inflight_count(self) -> int:
-        return len(self._inflight)
-
-    def _next_txn(self) -> int:
-        self._txn_seq += 1
-        # Node-scoped ids: (initiator, txn) is unique network-wide.
-        return self._txn_seq
-
-    # -- initiator side ------------------------------------------------
-    def initiate_add(self, peer: int, now: float) -> Optional[SixpMessage]:
-        """Reserve candidates and build an ADD request (None = can't)."""
-        if peer in self._inflight:
-            return None
-        free = self.schedule.free_slots()
-        if not free:
-            return None
-        count = min(self.config.sixp_candidates, len(free))
-        slots = sorted(self._rng.sample(free, count))
-        txn = self._next_txn()
-        cells = tuple(
-            (slot, self._rng.randrange(self.config.channel_offsets))
-            for slot in slots)
-        for slot, _ in cells:
-            self.schedule.reserve(slot, txn)
-        self._inflight[peer] = _Transaction(
-            txn, peer, "add", cells, now + self.config.sixp_timeout_s)
-        active = tuple((c.slot, c.channel_offset)
-                       for c in self.schedule.tx_cells_to(peer))
-        return SixpMessage("add", "request", txn, cells, active=active)
-
-    def initiate_delete(self, peer: int, victims: List[Cell],
-                        now: float) -> Optional[SixpMessage]:
-        """Drop TX cells toward ``peer`` and build the DELETE request.
-
-        The cells are removed immediately (optimistic delete): the
-        request only tells the peer to stop listening, so losing it can
-        strand RX cells but never a transmitting side.
-        """
-        if peer in self._inflight or not victims:
-            return None
-        cells = tuple((c.slot, c.channel_offset) for c in victims)
-        for cell in victims:
-            self.schedule.remove(cell.slot)
-        self.stats.cells_deleted += len(victims)
-        txn = self._next_txn()
-        self._inflight[peer] = _Transaction(
-            txn, peer, "delete", cells, now + self.config.sixp_timeout_s)
-        return SixpMessage("delete", "request", txn, cells)
-
-    # -- responder side ------------------------------------------------
-    def handle(self, src: int, msg: SixpMessage,
-               now: float) -> Optional[SixpMessage]:
-        """Process one received 6P message; returns the reply to send."""
-        if msg.step == "request":
-            return self._handle_request(src, msg)
-        self._handle_response(src, msg)
-        return None
-
-    def _handle_request(self, src: int, msg: SixpMessage) -> SixpMessage:
-        if msg.op == "add":
-            # Reconcile against the initiator's declared TX set: an RX
-            # cell the initiator does not transmit into is an orphan
-            # from a lost/late response — reclaim it, or the neighbor
-            # cap would wedge all future ADDs from this peer.
-            active = set(msg.active)
-            for cell in self.schedule.rx_cells_from(src):
-                if (cell.slot, cell.channel_offset) not in active:
-                    self.schedule.remove(cell.slot)
-                    self.stats.cells_deleted += 1
-            if (len(self.schedule.rx_cells_from(src))
-                    >= self.config.max_cells_per_neighbor):
-                return SixpMessage("add", "response", msg.txn, (), ok=False)
-            for slot, choff in msg.cells:
-                cell = Cell(slot, choff, neighbor=src, rx=True)
-                try:
-                    self.schedule.add(cell)
-                except SlotConflictError:
-                    continue
-                self.stats.cells_added += 1
-                return SixpMessage("add", "response", msg.txn,
-                                   ((slot, choff),), ok=True)
-            return SixpMessage("add", "response", msg.txn, (), ok=False)
-        removed = []
-        for slot, choff in msg.cells:
-            cell = self.schedule.get(slot)
-            if cell is not None and cell.rx and cell.neighbor == src:
-                self.schedule.remove(slot)
-                removed.append((slot, choff))
-        self.stats.cells_deleted += len(removed)
-        return SixpMessage("delete", "response", msg.txn,
-                           tuple(removed), ok=True)
-
-    def _handle_response(self, src: int, msg: SixpMessage) -> None:
-        txn = self._inflight.get(src)
-        if txn is None or txn.txn != msg.txn or txn.op != msg.op:
-            return      # stale or duplicate response
-        del self._inflight[src]
-        if txn.op != "add":
-            return      # delete already applied at request time
-        chosen = msg.cells[0] if (msg.ok and msg.cells) else None
-        if chosen is not None and chosen not in txn.cells:
-            chosen = None       # peer confirmed a cell we never offered
-        for slot, choff in txn.cells:
-            if chosen is not None and (slot, choff) == chosen:
-                self.schedule.install_reserved(
-                    slot, txn.txn,
-                    Cell(slot, choff, neighbor=src, tx=True))
-                self.stats.cells_added += 1
-            else:
-                self.schedule.release(slot, txn.txn)
-
-    # -- timeouts ------------------------------------------------------
-    def expire(self, now: float) -> int:
-        """Abort transactions past their deadline, releasing holds."""
-        expired = [p for p, t in self._inflight.items() if t.deadline <= now]
-        for peer in expired:
-            txn = self._inflight.pop(peer)
-            if txn.op == "add":
-                for slot, _ in txn.cells:
-                    self.schedule.release(slot, txn.txn)
-            self.stats.sixp_timeouts += 1
-        return len(expired)
 
 
 @dataclass(frozen=True)
@@ -525,9 +192,7 @@ class TschMac(MacLayer):
                                tx=True, rx=True, shared=True))
         self.sixp = SixpPeer(radio.node_id, self.schedule, self._rng,
                              self.config, stats=self._tsch_stats)
-        self._job: Optional[_TxJob] = None
-        self._attempts = 0
-        self._awaiting: Optional[_TxJob] = None
+        #: Was the frame whose ACK is awaited sent in the shared cell?
         self._await_shared = False
         self._be = self.config.shared_be_min
         self._backoff = 0
@@ -542,9 +207,9 @@ class TschMac(MacLayer):
         self._synced_asn = 0
         self._synced_until = 0.0
         self._syncing = False
-        self._slot_timer = Timer(sim, self._slot_tick)
-        self._slot_end_timer = Timer(sim, self._slot_end)
-        self._ack_timer = Timer(sim, self._ack_timeout)
+        self._slot_timer = self._timer(self._slot_tick)
+        self._slot_end_timer = self._timer(self._slot_end)
+        self._ack_timer = self._timer(self._ack_timeout)
         #: Slotframe boundaries below this index have had their
         #: ``_frame_boundary`` (run, or its counters added in closed
         #: form); ``_boundary_frame`` is the next one that must run.
@@ -582,13 +247,6 @@ class TschMac(MacLayer):
         self.sync()
         self._account_boundaries()
         self.radio.set_listen_plan(None)
-        self._slot_timer.cancel()
-        self._slot_end_timer.cancel()
-        self._ack_timer.cancel()
-        self._awaiting = None
-        self._job = None
-        if self.radio.state is not RadioState.TX:
-            self.radio.sleep()
 
     # ------------------------------------------------------------------
     # slot engine
@@ -621,13 +279,13 @@ class TschMac(MacLayer):
         cells only while a matching frame is in flight."""
         if cell.listens:
             return True
-        return (self._job is not None and cell.tx
-                and cell.neighbor == self._job.dest)
+        job = self._in_flight
+        return job is not None and cell.tx and cell.neighbor == job.dest
 
     def _needs_tick(self, cell: Cell) -> bool:
         """Is there a job to serve in this cell (a transmission to arm,
         or a shared-cell backoff to count down)?"""
-        job = self._job
+        job = self._in_flight
         if job is None:
             return False
         if cell.shared:
@@ -672,8 +330,6 @@ class TschMac(MacLayer):
                                       self._tick_priority)
 
     def _slot_tick(self) -> None:
-        if not self._started:
-            return
         asn = self._next_asn
         self._catch_up(asn - 1)
         self._mark_synced(asn)
@@ -695,7 +351,7 @@ class TschMac(MacLayer):
 
     def _job_for(self, cell: Cell) -> Optional[_TxJob]:
         """The head-of-line job if this cell is to carry it now."""
-        job = self._job
+        job = self._in_flight
         if job is None:
             return None
         if cell.shared:
@@ -737,8 +393,8 @@ class TschMac(MacLayer):
             self._plan_boundary()   # a use can change the window's verdict
 
         def fire() -> None:
-            if not self._started or self._job is not job:
-                return
+            if self._in_flight is not job:
+                return  # the job ended before its cell's TX offset
             if cell.shared and self.radio.carrier_busy():
                 # Lost the CCA race; stay in RX for the winner's frame.
                 self._tsch_stats.shared_deferrals += 1
@@ -748,9 +404,7 @@ class TschMac(MacLayer):
         self.sim.schedule(delay, fire)
 
     def _slot_end(self) -> None:
-        if not self._started:
-            return
-        if (self.radio.state is RadioState.TX or self._awaiting is not None
+        if (self.radio.state is RadioState.TX or self._ack_timer.armed
                 or self.radio.carrier_busy()):
             # Mid-exchange (long frame, pending ACK, or an incoming
             # frame still in the air): hold the radio and re-check.
@@ -845,8 +499,6 @@ class TschMac(MacLayer):
     # data path
     # ------------------------------------------------------------------
     def _start_job(self, job: _TxJob) -> None:
-        self._job = job
-        self._attempts = 0
         # A new head-of-line frame can make an earlier (dedicated TX)
         # slot actionable; recompute the wake plan.
         self._schedule_next_slot()
@@ -866,59 +518,44 @@ class TschMac(MacLayer):
                              cell="shared" if cell.shared else "dedicated")
 
         def tx_done() -> None:
-            if self._job is not job:
+            if self._in_flight is not job:
                 return  # stop() ended the job while the frame was on air
             if job.dest == BROADCAST:
-                self._complete(job, True)
+                self._finish_job(job, True)
                 return
-            self._awaiting = job
             self._await_shared = cell.shared
             self._ack_timer.start(self.config.ack_wait_s)
 
         self._transmit_frame(frame, tx_done)
 
     def _ack_timeout(self) -> None:
-        job = self._awaiting
-        self._awaiting = None
-        if job is None:
-            return
-        self._attempts += 1
+        job = self._in_flight
+        job.retries += 1
         if self._await_shared:
             self._tsch_stats.shared_failures += 1
             self._be = min(self._be + 1, self.config.shared_be_max)
             self._backoff = self._rng.randrange(2 ** self._be)
-        if self._attempts > self.config.max_retries:
-            self._complete(job, False)
+        if job.retries > self.config.max_retries:
+            self._finish_job(job, False)
         # Otherwise the job stays in flight; the next matching cell
         # retries it (TSCH retransmits across cells, not within one).
 
-    def _handle_ack(self, frame: MacFrame) -> None:
-        job = self._awaiting
-        if job is None or frame.src != job.dest or frame.seq != job.seq:
+    def _handle_ack(self, job: _TxJob) -> None:
+        if not self._ack_timer.armed:
             return
         self._ack_timer.cancel()
-        self._awaiting = None
         if self._await_shared:
             self._be = self.config.shared_be_min
             self._backoff = 0
-        self._complete(job, True)
+        self._finish_job(job, True)
 
-    def _complete(self, job: _TxJob, ok: bool) -> None:
-        self._job = None
-        self._attempts = 0
-        self._finish_job(job, ok)
-
-    def _handle_data(self, frame: MacFrame) -> None:
-        if frame.dst == self.radio.node_id:
-            self._send_ack(frame.src, frame.seq)
+    def _deliver(self, frame: MacFrame) -> None:
         if isinstance(frame.payload, SixpMessage):
             # 6P terminates at the MAC, past the same dedup and filter as
             # data, so secured networks authenticate 6P frames too.
-            frame = self._accept(frame)
-            if frame is not None:
-                self._on_sixp(frame.src, frame.payload)
-            return
-        super()._handle_data(frame)
+            self._on_sixp(frame.src, frame.payload)
+        else:
+            super()._deliver(frame)
 
     # ------------------------------------------------------------------
     # scheduling function (minimal MSF) + 6P transport

@@ -33,7 +33,7 @@ from repro.net.rpl.messages import (
 )
 from repro.net.rpl.objective import Mrhof, ObjectiveFunction, Of0
 from repro.net.rpl.rnfd import Cfrc, RnfdAgent, RnfdConfig
-from repro.radio.medium import Medium, Radio, RadioState
+from repro.radio.medium import Medium, Radio
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
@@ -173,7 +173,6 @@ class NetworkStack:
         self.alive = False
         self.stop()
         self.radio.enabled = False
-        self._force_radio_sleep()
         self.trace.emit(self.sim.now, "node.failed", node=self.node_id)
 
     def recover(self) -> None:
@@ -188,12 +187,6 @@ class NetworkStack:
             self.rnfd.reset()
             self.rnfd.start()
         self.trace.emit(self.sim.now, "node.recovered", node=self.node_id)
-
-    def _force_radio_sleep(self) -> None:
-        if self.radio.state is RadioState.TX:
-            self.sim.schedule(0.05, self._force_radio_sleep)
-        else:
-            self.radio.sleep()
 
     # ------------------------------------------------------------------
     # RplTransport protocol

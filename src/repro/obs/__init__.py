@@ -1,13 +1,11 @@
 """repro.obs — the unified observability layer.
 
-Four parts (DESIGN.md, "Observability"):
+The parts (DESIGN.md, "Observability"):
 
 - :mod:`repro.obs.registry` — labeled counters/gauges/exact histograms
   with deterministic snapshot/merge semantics;
 - :mod:`repro.obs.spans` — packet-lifecycle span tracing with
   parent/child links, threaded through the stack as ``trace_ctx``;
-- :mod:`repro.obs.profiler` — opt-in wall-time attribution inside the
-  simulation kernel;
 - :mod:`repro.obs.health` — the per-node :class:`NodeHealthSampler`
   gauge set (duty cycle, MAC queue, neighbors, rank, CRDT staleness);
 - :mod:`repro.obs.diff` — snapshot diffing behind
@@ -47,7 +45,6 @@ from repro.obs.export import (
     write_windows_jsonl,
 )
 from repro.obs.health import NodeHealthSampler, health_rows
-from repro.obs.profiler import SimProfiler
 from repro.obs.recorder import FlightDump, FlightRecorder
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsSnapshot,
                                 Registry)
@@ -72,7 +69,6 @@ __all__ = [
     "Observability",
     "Registry",
     "Segment",
-    "SimProfiler",
     "Span",
     "SpanContext",
     "SpanNode",

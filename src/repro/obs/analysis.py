@@ -575,11 +575,9 @@ def explain_main(argv) -> int:
         return code
 
     # The deterministic report demo — the same run `make diff-core`
-    # pins — with the profiler off so attribution output is
-    # byte-reproducible across hosts.
+    # pins.
     from repro.obs.report import run_demo
-    run = run_demo(side=args.side, traffic_s=args.duration, seed=args.seed,
-                   profile=False)
+    run = run_demo(side=args.side, traffic_s=args.duration, seed=args.seed)
     system = run.system
     spans = system.obs.spans
     if spans is None:

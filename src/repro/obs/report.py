@@ -3,12 +3,12 @@
 Runs a small instrumented deployment end to end (DODAG convergence,
 then CoAP request traffic from the border router to every leaf, one
 in-network aggregation query, and a gossiped CRDT counter) with the
-full observability stack attached — metrics registry, span tracing,
-node-health sampling, and the kernel profiler — and renders what it
-saw: delivery counters, latency percentiles, duty cycles, control-plane
-activity, a per-node health table, trace hot categories, wall-time hot
-spots, and reconstructed lifecycle trees for a data-plane packet, a
-control-plane event, and a middleware round.  ``--export DIR``
+full observability stack attached — metrics registry, span tracing
+and node-health sampling — and renders what it saw: delivery counters,
+latency percentiles, duty cycles, control-plane activity, a per-node
+health table, trace hot categories, and reconstructed lifecycle trees
+for a data-plane packet, a control-plane event, and a middleware
+round.  ``--export DIR``
 additionally writes the JSONL/CSV/JSON artifacts for offline analysis
 (``metrics.json`` feeds ``python -m repro diff``).
 
@@ -34,7 +34,6 @@ from repro.devices.sensors import SensorFault
 from repro.faults.plan import FaultPlan, FaultPlanRuntime
 from repro.obs.export import export_run
 from repro.obs.health import NodeHealthSampler, health_rows
-from repro.obs.profiler import SimProfiler
 
 
 @dataclass
@@ -42,7 +41,6 @@ class ReportRun:
     """Everything one instrumented demo run produced."""
 
     system: IIoTSystem
-    profiler: Optional[SimProfiler]
     requests_sent: int = 0
     responses: int = 0
     failures: int = 0
@@ -81,7 +79,6 @@ def run_demo(
     converge_s: float = 180.0,
     traffic_s: float = 120.0,
     seed: int = 2018,
-    profile: bool = True,
     faults: bool = False,
     span_sample_rate: float = 1.0,
     span_max_stored: Optional[int] = None,
@@ -102,7 +99,6 @@ def run_demo(
     system = IIoTSystem.build(grid_topology(side), config=config, seed=seed)
     if live_sink is not None and system.telemetry is not None:
         system.telemetry.sink = live_sink
-    profiler = SimProfiler(system.sim) if profile else None
     system.add_field_sensors("temp", DiurnalField(mean=21.0))
     system.start()
     system.run(converge_s)
@@ -116,7 +112,7 @@ def run_demo(
         server.add_resource(CallbackResource(
             "/temp", on_get=lambda n=node: (n.sensors["temp"].read(), 4)))
     client = CoapClient(CoapTransport(system.root.stack))
-    run = ReportRun(system=system, profiler=profiler)
+    run = ReportRun(system=system)
 
     # Middleware under observation: one epoch-aggregation query and a
     # gossiped CRDT counter, so the dashboard has anti-entropy rounds
@@ -357,10 +353,6 @@ def render_report(run: ReportRun, top: int = 8) -> str:
     for category, count in ranked[:top]:
         lines.append(f"{category:<28} {count:>9,}")
 
-    if run.profiler is not None:
-        lines.append(_section("simulation wall-time hot spots"))
-        lines.append(run.profiler.table(top))
-
     spans = system.obs.spans
     if spans is not None and run.answered_traces:
         lines.append(_section("sample packet lifecycle (first answered GET)"))
@@ -388,7 +380,7 @@ def report_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
         description="Run an instrumented demo deployment and print the "
-                    "observability dashboard (metrics, spans, profiler).",
+                    "observability dashboard (metrics, spans).",
     )
     parser.add_argument("--side", type=int, default=3,
                         help="grid side length (default: 3 -> 9 nodes)")
@@ -398,8 +390,6 @@ def report_main(argv) -> int:
                         help="simulation seed (default: 2018)")
     parser.add_argument("--top", type=int, default=8,
                         help="rows per ranked table (default: 8)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip kernel wall-time profiling")
     parser.add_argument("--faults", action="store_true",
                         help="drive a demo fault plan (crash, sensor fault, "
                              "partition, link flap, interference) through "
@@ -444,7 +434,7 @@ def report_main(argv) -> int:
             sink = sink_file = open(args.live, "w")
     try:
         run = run_demo(side=args.side, traffic_s=args.duration, seed=args.seed,
-                       profile=not args.no_profile, faults=args.faults,
+                       faults=args.faults,
                        span_sample_rate=args.span_sample_rate,
                        span_max_stored=args.span_max_stored,
                        telemetry_interval_s=interval,

@@ -93,9 +93,6 @@ class Simulator:
         self._events_processed = 0
         self._cancelled_queued = 0
         self._compactions = 0
-        #: Opt-in wall-time profiler (:class:`repro.obs.SimProfiler`);
-        #: None costs a single branch per event.
-        self._profiler = None
 
     # ------------------------------------------------------------------
     # time
@@ -174,11 +171,7 @@ class Simulator:
             self._now = time
             handle.fired = True
             self._events_processed += 1
-            profiler = self._profiler
-            if profiler is None:
-                handle.callback()
-            else:
-                profiler.record(handle.callback)
+            handle.callback()
             return True
         return False
 
@@ -260,27 +253,3 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self._now:.6f}, pending={self.pending_events})"
 
-
-def exponential_backoff(
-    rng: random.Random,
-    attempt: int,
-    base: float,
-    factor: float = 2.0,
-    cap: float = float("inf"),
-    jitter: float = 0.5,
-) -> float:
-    """Shared truncated-exponential-backoff helper.
-
-    Returns a delay for retry number ``attempt`` (0-based): the base
-    interval doubled per attempt, capped, with ±``jitter`` fractional
-    randomization.  Used by CoAP retransmission, MAC retries, and
-    anti-entropy scheduling so they all back off consistently.
-    """
-    if attempt < 0:
-        raise ValueError("attempt must be >= 0")
-    interval = min(base * (factor**attempt), cap)
-    if jitter <= 0:
-        return interval
-    low = interval * (1.0 - jitter)
-    high = interval * (1.0 + jitter)
-    return rng.uniform(low, min(high, cap) if cap != float("inf") else high)

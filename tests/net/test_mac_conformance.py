@@ -23,7 +23,7 @@ import pytest
 from repro.net.stack import _MAC_REGISTRY
 from repro.obs import MetricsSnapshot, Observability
 from repro.parallel import TrialExecutor
-from repro.radio.medium import Radio
+from repro.radio.medium import Radio, RadioState
 from repro.sim.kernel import Simulator
 from tests.conftest import build_line_network, build_medium
 
@@ -162,6 +162,50 @@ class TestStopMidExchange:
         assert mac_tx_by_outcome(obs.registry.snapshot(), 0) == (
             stats.tx_success, stats.tx_failed)
         assert peer.stats.rx_delivered >= 1
+
+    def _stopped_mid_frame(self, mac):
+        """A sender ``stop()``ped at the first instant its radio
+        transmits a unicast (both ends up), and its simulator."""
+        sim = Simulator(seed=3)
+        medium = build_medium(sim)
+        mac_cls, _ = _MAC_REGISTRY[mac]
+        sender = mac_cls(sim, Radio(medium, 0, (0.0, 0.0)))
+        peer = mac_cls(sim, Radio(medium, 1, (10.0, 0.0)))
+        sender.start()
+        peer.start()
+        sender.send(1, "unicast", 20)
+        while sender.radio.state is not RadioState.TX:
+            assert sim.step(), "the sender never transmitted"
+        sender.stop()
+        assert sender.radio.state is RadioState.TX  # frames are not cut short
+        return sim, sender
+
+    @staticmethod
+    def _run_to_frame_end(sim, radio):
+        while radio.state is RadioState.TX:
+            sim.step()
+        sim.run(until=sim.now)  # whatever else is due at that instant
+
+    def test_stop_mid_frame_sleeps_the_radio_when_the_frame_ends(self, mac):
+        """The medium returns a transmitting radio to LISTEN when the
+        frame ends; a MAC stopped mid-frame must still turn it off."""
+        sim, sender = self._stopped_mid_frame(mac)
+        radio = sender.radio
+        self._run_to_frame_end(sim, radio)
+        assert radio.state is RadioState.SLEEP
+        assert not any(timer.armed for timer in sender._timers)
+        listened = radio.flush_state_time()[RadioState.LISTEN]
+        sim.run(until=sim.now + 100.0)
+        assert radio.state is RadioState.SLEEP
+        assert radio.flush_state_time()[RadioState.LISTEN] == listened
+
+    def test_restart_before_the_frame_ends_keeps_the_radio_on(self, mac):
+        """The deferred sleep belongs to the stop: it must not turn off
+        the radio of a MAC that is running again by then."""
+        sim, sender = self._stopped_mid_frame(mac)
+        sender.start()
+        self._run_to_frame_end(sim, sender.radio)
+        assert sender.radio.state is RadioState.LISTEN
 
 
 @pytest.mark.parametrize("mac", MACS)

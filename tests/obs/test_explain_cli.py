@@ -17,8 +17,7 @@ from repro.obs.report import run_demo
 
 @pytest.fixture(scope="module")
 def demo_run():
-    return run_demo(side=3, converge_s=180.0, traffic_s=60.0, seed=2018,
-                    profile=False)
+    return run_demo(side=3, converge_s=180.0, traffic_s=60.0, seed=2018)
 
 
 def _analyze(demo_run, **kwargs):
@@ -70,7 +69,7 @@ class TestAnalyzeRun:
 
     def test_deterministic_across_identical_runs(self, demo_run):
         other = run_demo(side=3, converge_s=180.0, traffic_s=60.0,
-                         seed=2018, profile=False)
+                         seed=2018)
         a = json.dumps(_analyze(demo_run), sort_keys=True)
         b = json.dumps(_analyze(other), sort_keys=True)
         assert a == b

@@ -18,7 +18,7 @@ def demo_run():
 def fault_run():
     """The same demo with the scripted fault plan driven through it."""
     return run_demo(side=3, converge_s=180.0, traffic_s=120.0, seed=9,
-                    profile=False, faults=True)
+                    faults=True)
 
 
 class TestRunDemo:
@@ -32,7 +32,6 @@ class TestRunDemo:
         assert system.obs is system.trace.obs
         assert system.obs.registry.total("net.delivered") >= 1
         assert len(system.obs.spans) > 0
-        assert demo_run.profiler.total_events == system.sim.events_processed
 
     def test_duty_cycle_gauges_frozen_per_node(self, demo_run):
         registry = demo_run.system.obs.registry
@@ -46,8 +45,7 @@ class TestRender:
     def test_report_contains_every_section(self, demo_run):
         text = render_report(demo_run)
         for heading in ("delivery", "end-to-end latency", "radio duty cycle",
-                        "top trace categories", "wall-time hot spots",
-                        "sample packet lifecycle"):
+                        "top trace categories", "sample packet lifecycle"):
             assert heading in text
         assert "coap.request" in text  # the rendered span tree
 
@@ -88,7 +86,7 @@ class TestFaultTimeline:
 
     def test_cli_faults_flag_reaches_the_report(self, capsys):
         assert report_main(["--side", "2", "--duration", "60",
-                            "--seed", "11", "--no-profile", "--faults"]) == 0
+                            "--seed", "11", "--faults"]) == 0
         text = capsys.readouterr().out
         assert "fault timeline" in text
         assert "fault.crash" in text
@@ -134,7 +132,7 @@ class TestCli:
 
     def test_report_links_worst_exemplar_traces(self, capsys):
         assert report_main(["--side", "2", "--duration", "40",
-                            "--seed", "6", "--no-profile"]) == 0
+                            "--seed", "6"]) == 0
         text = capsys.readouterr().out
         assert "worst exemplar traces:" in text
         assert "python -m repro explain --trace" in text

@@ -13,8 +13,7 @@ from repro.obs.report import report_main, run_demo
 class TestReportThreading:
     def test_run_demo_applies_rate(self):
         run = run_demo(side=2, converge_s=60.0, traffic_s=30.0, seed=5,
-                       profile=False, span_sample_rate=0.2,
-                       span_max_stored=40)
+                       span_sample_rate=0.2, span_max_stored=40)
         spans = run.system.obs.spans
         assert spans.sample_rate == 0.2
         assert spans.max_spans == 40

@@ -88,8 +88,7 @@ class TestReportLive:
 
         sink = io.StringIO()
         run = run_demo(side=2, converge_s=60.0, traffic_s=30.0, seed=5,
-                       profile=False, telemetry_interval_s=15.0,
-                       live_sink=sink)
+                       telemetry_interval_s=15.0, live_sink=sink)
         windows = read_windows_jsonl(sink.getvalue().splitlines())
         assert len(windows) == run.system.telemetry.windows_closed
         assert len(windows) == 6  # 90 s at 15 s intervals
@@ -101,7 +100,7 @@ class TestReportLive:
 
         path = tmp_path / "live.jsonl"
         rc = report_main(["--side", "2", "--duration", "30",
-                          "--no-profile", "--live", str(path),
+                          "--live", str(path),
                           "--telemetry-interval", "20"])
         assert rc == 0
         assert read_windows_jsonl(path.read_text().splitlines())
@@ -112,7 +111,7 @@ class TestReportLive:
         from repro.obs.report import run_demo
 
         run = run_demo(side=2, converge_s=60.0, traffic_s=30.0, seed=5,
-                       profile=False, telemetry_interval_s=15.0)
+                       telemetry_interval_s=15.0)
         written = export_run(run.system.trace, str(tmp_path))
         assert written["telemetry.jsonl"] == 6
         windows = read_windows_jsonl(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import SimTimeError, Simulator, exponential_backoff
+from repro.sim.kernel import SimTimeError, Simulator
 
 
 class TestScheduling:
@@ -180,38 +180,6 @@ class TestDeterminism:
     def test_substream_is_cached(self):
         sim = Simulator(seed=7)
         assert sim.substream("x") is sim.substream("x")
-
-
-class TestExponentialBackoff:
-    def test_grows_with_attempts(self):
-        import random
-
-        rng = random.Random(1)
-        delays = [
-            exponential_backoff(rng, attempt, base=1.0, jitter=0.0)
-            for attempt in range(4)
-        ]
-        assert delays == [1.0, 2.0, 4.0, 8.0]
-
-    def test_cap_applies(self):
-        import random
-
-        rng = random.Random(1)
-        assert exponential_backoff(rng, 10, base=1.0, cap=5.0, jitter=0.0) == 5.0
-
-    def test_jitter_within_band(self):
-        import random
-
-        rng = random.Random(1)
-        for _ in range(100):
-            delay = exponential_backoff(rng, 2, base=1.0, jitter=0.5)
-            assert 2.0 <= delay <= 6.0
-
-    def test_negative_attempt_rejected(self):
-        import random
-
-        with pytest.raises(ValueError):
-            exponential_backoff(random.Random(1), -1, base=1.0)
 
 
 class TestHeapCompaction:
