@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: test gates check-invariants check-dependability sweep bench bench-perf \
 	bench-perf-quick bench-scale bench-scale-quick bench-layers \
-	bench-layers-tsch report demo diff-core \
+	bench-layers-tsch cold-start report demo diff-core \
 	diff-core-baseline dependability-baseline diff-taxonomy \
 	diff-taxonomy-baseline explain-core explain-core-baseline \
 	bench-taxonomy-matrix diff-taxonomy-matrix taxonomy-matrix-baseline
@@ -94,6 +94,20 @@ bench-layers:
 
 bench-layers-tsch:
 	python3 benchmarks/layers/run.py --workload grid_tsch_collect --seconds 4 --trace 1
+
+# What a process pays before its first simulated event (DESIGN.md, "Cold
+# start"): the best of five fresh interpreters for `import repro`
+# (seconds, modules loaded, peak RSS in MB; ru_maxrss is kB on Linux),
+# then the ten largest cumulative lines of -X importtime (self us |
+# cumulative us | module).
+cold-start:
+	@for i in 1 2 3 4 5; do PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import resource, sys, time; \
+		t = time.perf_counter(); import repro; s = time.perf_counter() - t; \
+		rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; \
+		print(f'{s:.3f} s  {len(sys.modules)} modules  {rss:.1f} MB  (import repro, best of 5)')"; \
+	done | sort -n | head -1
+	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X importtime -c "import repro" 2>&1 \
+		| sort -t'|' -k2 -n -r | head -10
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one

@@ -20,4 +20,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],
+    extras_require={
+        "analysis": ["scipy"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+    },
 )

@@ -12,7 +12,19 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from scipy import stats
+
+def _scipy_stats():
+    """``scipy.stats``, imported when a helper below is called: no
+    simulation executes it, so no run pays its import (DESIGN.md, "Cold
+    start")."""
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise ImportError(
+            "confidence_interval and linear_fit need scipy: install the "
+            "'analysis' extra (pip install 'repro[analysis]')"
+        ) from exc
+    return stats
 
 
 @dataclass(frozen=True)
@@ -48,7 +60,7 @@ def confidence_interval(
                                 confidence=confidence, n=1)
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
-    t = stats.t.ppf(0.5 + confidence / 2.0, df=n - 1)
+    t = _scipy_stats().t.ppf(0.5 + confidence / 2.0, df=n - 1)
     return IntervalEstimate(
         mean=mean, lower=mean - t * sem, upper=mean + t * sem,
         confidence=confidence, n=n,
@@ -73,7 +85,7 @@ def linear_fit(points: Sequence[Tuple[float, float]]) -> LinearFit:
         raise ValueError("need at least two points")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    result = stats.linregress(xs, ys)
+    result = _scipy_stats().linregress(xs, ys)
     return LinearFit(slope=float(result.slope),
                      intercept=float(result.intercept),
                      r_squared=float(result.rvalue ** 2))

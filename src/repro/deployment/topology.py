@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 Position = Tuple[float, float]
 
@@ -38,27 +37,30 @@ class Topology:
     def node_ids(self) -> List[int]:
         return sorted(self.positions)
 
-    def connectivity_graph(self, radio_range_m: float) -> "nx.Graph":
-        """Disk-model connectivity graph at the given range."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.positions)
-        items = list(self.positions.items())
-        for i, (a, pa) in enumerate(items):
-            for b, pb in items[i + 1:]:
-                if math.dist(pa, pb) <= radio_range_m:
-                    graph.add_edge(a, b)
-        return graph
+    def _hops_from_root(self, radio_range_m: float) -> Dict[int, int]:
+        """Hop count to every node the root reaches: a breadth-first
+        search of the disk-model connectivity graph at the given range."""
+        positions = self.positions
+        hops = {self.root_id: 0}
+        unreached = set(positions) - {self.root_id}
+        queue = deque([self.root_id])
+        while queue and unreached:
+            a = queue.popleft()
+            pa = positions[a]
+            near = [b for b in unreached
+                    if math.dist(pa, positions[b]) <= radio_range_m]
+            unreached.difference_update(near)
+            hops.update(dict.fromkeys(near, hops[a] + 1))
+            queue.extend(near)
+        return hops
 
     def is_connected(self, radio_range_m: float) -> bool:
         """Whether every node can reach the root at the given range."""
-        graph = self.connectivity_graph(radio_range_m)
-        return nx.is_connected(graph) if graph.number_of_nodes() > 0 else True
+        return len(self._hops_from_root(radio_range_m)) == len(self.positions)
 
     def network_depth(self, radio_range_m: float) -> int:
         """Hop eccentricity of the root (the diameter that matters)."""
-        graph = self.connectivity_graph(radio_range_m)
-        lengths = nx.single_source_shortest_path_length(graph, self.root_id)
-        return max(lengths.values()) if lengths else 0
+        return max(self._hops_from_root(radio_range_m).values())
 
 
 def line_topology(n: int, spacing_m: float = 20.0) -> Topology:

@@ -1,6 +1,7 @@
 """Statistical helpers: confidence intervals and linear fits."""
 
 import math
+import sys
 
 import pytest
 
@@ -87,3 +88,15 @@ class TestSweepIntervals:
         assert rows[0]["trials"] == 4
         assert rows[1]["m mean"] == pytest.approx(5.0)
         assert rows[1]["m ci95 low"] == pytest.approx(5.0)
+
+
+def test_missing_scipy_names_the_extra(monkeypatch):
+    # None in sys.modules makes `import scipy` raise, as on an install
+    # without the optional extra.
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(ImportError, match=r"repro\[analysis\]"):
+        confidence_interval([1.0, 2.0, 3.0])
+    with pytest.raises(ImportError, match=r"repro\[analysis\]"):
+        linear_fit([(0.0, 0.0), (1.0, 1.0)])
+    # What needs no t quantile still answers.
+    assert confidence_interval([7.0]).mean == 7.0

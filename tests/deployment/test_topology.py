@@ -1,5 +1,8 @@
 """Topology generators and rollout plans."""
 
+import math
+import random
+
 import pytest
 
 from repro.deployment.rollout import RolloutPlan, RolloutStage
@@ -69,6 +72,66 @@ class TestGenerators:
             campus_topology(0, 10)
         with pytest.raises(ValueError):
             campus_topology(3, 0)
+
+
+def _scattered(n, seed, area_m=100.0):
+    """``n`` uniform placements, root included: connected or not."""
+    rng = random.Random(seed)
+    return Topology({i: (rng.uniform(0, area_m), rng.uniform(0, area_m))
+                     for i in range(n)})
+
+
+class TestReachability:
+    """``is_connected`` / ``network_depth`` are one breadth-first search
+    from the root; networkx, where installed, is the reference."""
+
+    @pytest.mark.parametrize("topology", [
+        *[_scattered(n, seed) for seed, n in enumerate([2, 7, 20, 35, 60, 60])],
+        Topology({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (500.0, 0.0),
+                  3: (510.0, 0.0)}),
+        Topology({0: (3.0, 4.0)}),
+        line_topology(12, spacing_m=20.0),
+    ], ids=lambda topology: f"{topology.name}-{topology.size}")
+    def test_matches_networkx(self, topology):
+        nx = pytest.importorskip("networkx")
+        # Around the connectivity threshold of the scattered placements
+        # (~100 * sqrt(ln n / (pi n)) m), and either side of the line's
+        # 20 m spacing.
+        for radio_range_m in (5.0, 12.0, 19.9, 20.0, 26.0, 33.0, 45.0, 150.0):
+            graph = nx.Graph()
+            graph.add_nodes_from(topology.positions)
+            graph.add_edges_from(
+                (a, b) for a, pa in topology.positions.items()
+                for b, pb in topology.positions.items()
+                if a < b and math.dist(pa, pb) <= radio_range_m)
+            hops = nx.single_source_shortest_path_length(graph,
+                                                         topology.root_id)
+            assert topology.is_connected(radio_range_m) \
+                == nx.is_connected(graph)
+            assert topology.network_depth(radio_range_m) == max(hops.values())
+
+    def test_unreachable_nodes_do_not_count_towards_depth(self):
+        topology = Topology({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (500.0, 0.0)})
+        assert not topology.is_connected(25.0)
+        assert topology.network_depth(25.0) == 1
+        assert Topology({0: (0.0, 0.0)}).network_depth(25.0) == 0
+
+    @pytest.mark.parametrize("seed, last_position, depth", [
+        # Recorded while networkx answered is_connected; seeds 5 and 3
+        # take four placements to connect, 11 two, 2 one.
+        (5, (32.70885870112694, 63.40226166060327), 6),
+        (3, (62.82597660073649, 9.165752336868433), 6),
+        (11, (11.787037534495772, 57.934361134005044), 6),
+        (2, (80.42143829246896, 71.70839292794756), 8),
+    ])
+    def test_random_topology_resamples_as_before(self, seed, last_position,
+                                                 depth):
+        # The retry loop consumes is_connected: one different answer and
+        # every later position differs (seed 5 is benchmark A2's call).
+        topology = random_topology(20, area_m=90.0, radio_range_m=30.0,
+                                   seed=seed)
+        assert topology.positions[19] == last_position
+        assert topology.network_depth(30.0) == depth
 
 
 class TestCampus:
