@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test gates check-invariants check-dependability sweep bench bench-perf \
+.PHONY: test gates census check-invariants check-dependability sweep bench bench-perf \
 	bench-perf-quick bench-scale bench-scale-quick bench-layers \
 	bench-layers-tsch cold-start report demo diff-core \
 	diff-core-baseline dependability-baseline diff-taxonomy \
@@ -12,10 +12,18 @@ PYTHONPATH := src
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
-# Every byte-identity gate and nothing else (~40 s on two cores): what a
+# Every byte-identity gate and nothing else (~17.5 s on two cores): what a
 # PR that must not change simulated behaviour runs, with no baseline
 # re-recorded.
 gates: diff-core explain-core diff-taxonomy diff-taxonomy-matrix check-dependability
+
+# The reachability census tests/core/test_reachability.py enforces: per
+# definition under src/repro, who keeps it alive (another module,
+# benchmarks/, examples/, its own module, or an allow-list row), then
+# the totals and the size of src/.
+census:
+	$(PYTHON) tests/core/test_reachability.py
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 # The invariant-checking suite: per-checker unit tests, determinism
 # regressions, and the multi-seed fault sweeps. Kept separate from

@@ -116,7 +116,7 @@ def main(argv=None) -> int:
           f"(DIO-staleness baseline: ~1500 s)")
 
     print("\nFull reproduction: pytest benchmarks/ --benchmark-only -s "
-          "(13 experiments; see EXPERIMENTS.md)")
+          "(one benchmark per claim; see EXPERIMENTS.md)")
     print("Invariant sweep:    python -m repro sweep  "
           "(fault scenarios under runtime checking)")
     print("Observability:      python -m repro report  "

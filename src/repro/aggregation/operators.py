@@ -24,15 +24,6 @@ class AggregateOperator:
     #: Bytes one partial state record occupies on the air.
     state_bytes: int
 
-    def fold(self, values) -> Any:
-        """Fold an iterable of readings into one partial (for tests and
-        ground-truth computation)."""
-        state = None
-        for value in values:
-            part = self.initialize(value)
-            state = part if state is None else self.merge(state, part)
-        return state
-
 
 MIN = AggregateOperator(
     name="min",

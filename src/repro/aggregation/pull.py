@@ -10,7 +10,6 @@ load.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
@@ -21,8 +20,6 @@ from repro.sim.trace import TraceLog
 
 #: Service port.
 PULL_PORT = 9904
-
-_pull_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -110,10 +107,6 @@ class KoalaPullService:
         )
         self._sampler.start()
 
-    def stop_sampling(self) -> None:
-        if self._sampler is not None:
-            self._sampler.stop()
-
     def _sample(self) -> None:
         if not self.node.alive:
             return
@@ -138,7 +131,7 @@ class KoalaPullService:
         if not self.node.is_root:
             raise RuntimeError("pulls are issued by the root")
         request = PullRequest(
-            pull_id=next(_pull_ids),
+            pull_id=self.sim.next_id("agg.pull"),
             field_name=field_name,
             max_samples=max_samples,
             response_window_s=response_window_s,

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from repro.aggregation.operators import OPERATORS
-
-_query_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -47,14 +44,3 @@ class AggregationQuery:
 
     def epoch_start(self, index: int) -> float:
         return self.start_time + index * self.epoch_s
-
-    @staticmethod
-    def create(field: str, operator: str, epoch_s: float, start_time: float,
-               lifetime_epochs: int = 0) -> "AggregationQuery":
-        """Allocate a query with a fresh id."""
-        return AggregationQuery(
-            query_id=next(_query_ids),
-            field=field, operator=operator,
-            epoch_s=epoch_s, start_time=start_time,
-            lifetime_epochs=lifetime_epochs,
-        )

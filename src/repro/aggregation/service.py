@@ -125,8 +125,8 @@ class AggregationService:
         """Root: start a query; results arrive once per epoch."""
         if not self.node.is_root:
             raise RuntimeError("queries are issued by the root")
-        query = AggregationQuery.create(
-            field_name, operator, epoch_s,
+        query = AggregationQuery(
+            self.sim.next_id("agg.query"), field_name, operator, epoch_s,
             start_time=self.sim.now, lifetime_epochs=lifetime_epochs,
         )
         self.on_result = on_result

@@ -12,21 +12,9 @@
   assessments over measured data.
 """
 
-from repro.core.analysis import (
-    IntervalEstimate,
-    LinearFit,
-    confidence_interval,
-    linear_fit,
-    sweep_intervals,
-)
+from repro.core.analysis import IntervalEstimate, confidence_interval
 from repro.core.experiment import Sweep, Trial, seeds_for
-from repro.core.metrics import (
-    EnergySummary,
-    NetworkSummary,
-    collect_energy,
-    collect_network,
-    percentile,
-)
+from repro.core.metrics import EnergySummary, collect_energy, percentile
 from repro.core.report import ascii_table, format_value, write_csv
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.core.taxonomy import (
@@ -43,11 +31,7 @@ __all__ = [
     "EnergySummary",
     "IIoTSystem",
     "IntervalEstimate",
-    "LinearFit",
     "confidence_interval",
-    "linear_fit",
-    "sweep_intervals",
-    "NetworkSummary",
     "ScalabilityReport",
     "Sweep",
     "SystemConfig",
@@ -56,7 +40,6 @@ __all__ = [
     "assess_dependability",
     "assess_scalability",
     "collect_energy",
-    "collect_network",
     "format_value",
     "percentile",
     "seeds_for",

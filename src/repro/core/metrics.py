@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.devices.node import DeviceNode
-from repro.sim.trace import TraceLog
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -37,59 +36,6 @@ def percentile(values: Sequence[float], fraction: float) -> float:
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; NaN on empty input."""
     return sum(values) / len(values) if values else float("nan")
-
-
-@dataclass
-class NetworkSummary:
-    """End-to-end datagram statistics over a node population."""
-
-    sent: int
-    delivered: int
-    forwarded: int
-    dropped: int
-    latencies_s: List[float]
-
-    @property
-    def delivery_ratio(self) -> float:
-        return self.delivered / self.sent if self.sent else 1.0
-
-    @property
-    def median_latency_s(self) -> float:
-        return percentile(self.latencies_s, 0.5)
-
-    @property
-    def p95_latency_s(self) -> float:
-        return percentile(self.latencies_s, 0.95)
-
-
-def collect_network(
-    nodes: Iterable[DeviceNode],
-    trace: Optional[TraceLog] = None,
-    since: float = float("-inf"),
-) -> NetworkSummary:
-    """Aggregate stack counters (+ latencies from the trace if given)."""
-    sent = delivered = forwarded = dropped = 0
-    for node in nodes:
-        stats = node.stack.stats
-        sent += stats.datagrams_sent
-        delivered += stats.datagrams_delivered
-        forwarded += stats.datagrams_forwarded
-        dropped += (
-            stats.datagrams_dropped_no_route
-            + stats.datagrams_dropped_ttl
-            + stats.datagrams_dropped_link
-        )
-    latencies: List[float] = []
-    if trace is not None:
-        latencies = [
-            record.data["latency"]
-            for record in trace.query("net.delivered", since=since)
-        ]
-    return NetworkSummary(
-        sent=sent, delivered=delivered,
-        forwarded=forwarded, dropped=dropped,
-        latencies_s=latencies,
-    )
 
 
 @dataclass
@@ -120,16 +66,3 @@ def collect_energy(
             )
         )
     return summaries
-
-
-def convergence_times(trace: TraceLog, node_count: int,
-                      fraction: float = 0.9) -> Optional[float]:
-    """Time at which ``fraction`` of nodes had first joined the DODAG."""
-    firsts: Dict[int, float] = {}
-    for record in trace.query("rpl.joined"):
-        if record.node is not None and record.node not in firsts:
-            firsts[record.node] = record.time
-    if len(firsts) < math.ceil(fraction * node_count):
-        return None
-    ordered = sorted(firsts.values())
-    return ordered[math.ceil(fraction * node_count) - 1]

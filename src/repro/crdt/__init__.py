@@ -13,9 +13,9 @@ baseline used by experiment E9.
 """
 
 from repro.crdt.base import StateCrdt
-from repro.crdt.counters import GCounter, PNCounter
-from repro.crdt.registers import LWWRegister, MVRegister
-from repro.crdt.sets import GSet, ORSet, TwoPhaseSet
+from repro.crdt.counters import GCounter
+from repro.crdt.registers import LWWRegister
+from repro.crdt.sets import ORSet
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
 from repro.crdt.store import CoordinatedStore, StoreClient
@@ -25,14 +25,10 @@ __all__ = [
     "CoordinatedStore",
     "CrdtReplica",
     "GCounter",
-    "GSet",
     "LWWMap",
     "LWWRegister",
-    "MVRegister",
     "NetworkReplicator",
     "ORSet",
-    "PNCounter",
     "StateCrdt",
     "StoreClient",
-    "TwoPhaseSet",
 ]

@@ -1,4 +1,4 @@
-"""Counter CRDTs: G-Counter and PN-Counter."""
+"""Counter CRDT: G-Counter."""
 
 from __future__ import annotations
 
@@ -40,37 +40,3 @@ class GCounter(StateCrdt):
 
     def size_bytes(self) -> int:
         return 4 + 6 * len(self.slots)
-
-
-class PNCounter(StateCrdt):
-    """Increment/decrement counter as a pair of G-Counters."""
-
-    def __init__(self, replica_id: int) -> None:
-        self.replica_id = replica_id
-        self.positive = GCounter(replica_id)
-        self.negative = GCounter(replica_id)
-
-    def increment(self, amount: int = 1) -> None:
-        self.positive.increment(amount)
-
-    def decrement(self, amount: int = 1) -> None:
-        self.negative.increment(amount)
-
-    def merge(self, other: StateCrdt) -> bool:
-        self._require_same_type(other)
-        assert isinstance(other, PNCounter)
-        changed_p = self.positive.merge(other.positive)
-        changed_n = self.negative.merge(other.negative)
-        return changed_p or changed_n
-
-    def value(self) -> int:
-        return self.positive.value() - self.negative.value()
-
-    def copy(self) -> "PNCounter":
-        clone = PNCounter(self.replica_id)
-        clone.positive = self.positive.copy()
-        clone.negative = self.negative.copy()
-        return clone
-
-    def size_bytes(self) -> int:
-        return self.positive.size_bytes() + self.negative.size_bytes()

@@ -11,9 +11,6 @@ from typing import Any, Dict, Iterator, Tuple
 from repro.crdt.base import StateCrdt
 from repro.crdt.registers import LWWRegister
 
-#: Tombstone marker distinguishing "deleted" from "never set".
-_TOMBSTONE = object()
-
 
 class LWWMap(StateCrdt):
     """A dictionary whose entries resolve by last-writer-wins."""
@@ -30,16 +27,11 @@ class LWWMap(StateCrdt):
             self._registers[key] = register
         register.set(value, timestamp)
 
-    def delete(self, key: Any, timestamp: float) -> None:
-        """Delete resolves like a write (of a tombstone)."""
-        self.set(key, _TOMBSTONE, timestamp)
-
     def get(self, key: Any, default: Any = None) -> Any:
         register = self._registers.get(key)
         if register is None:
             return default
-        value = register.value()
-        return default if value is _TOMBSTONE else value
+        return register.value()
 
     def merge(self, other: StateCrdt) -> bool:
         self._require_same_type(other)
@@ -60,7 +52,6 @@ class LWWMap(StateCrdt):
         return {
             key: register.value()
             for key, register in self._registers.items()
-            if register.value() is not _TOMBSTONE
         }
 
     def items(self) -> Iterator[Tuple[Any, Any]]:
@@ -78,5 +69,4 @@ class LWWMap(StateCrdt):
         return len(self.value())
 
     def __contains__(self, key: Any) -> bool:
-        register = self._registers.get(key)
-        return register is not None and register.value() is not _TOMBSTONE
+        return key in self._registers

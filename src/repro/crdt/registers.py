@@ -1,8 +1,8 @@
-"""Register CRDTs: last-writer-wins and multi-value."""
+"""Register CRDT: last-writer-wins."""
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.crdt.base import StateCrdt
 
@@ -51,71 +51,3 @@ class LWWRegister(StateCrdt):
 
     def size_bytes(self) -> int:
         return 16
-
-
-class MVRegister(StateCrdt):
-    """Multi-value register: concurrent writes are all kept.
-
-    Uses version vectors; :meth:`value` returns the frozen set of
-    concurrent candidates, surfacing the conflict to the application —
-    the "decentralized conflict resolution" alternative to LWW's silent
-    arbitration.
-    """
-
-    def __init__(self, replica_id: int) -> None:
-        self.replica_id = replica_id
-        #: Set of (value, version-vector-as-sorted-tuple) candidates.
-        self.candidates: FrozenSet[Tuple[Any, Tuple[Tuple[int, int], ...]]] = frozenset()
-        self._clock: dict = {}
-
-    def set(self, value: Any) -> None:
-        """Locally overwrite: supersedes everything seen so far."""
-        self._clock[self.replica_id] = self._clock.get(self.replica_id, 0) + 1
-        vector = tuple(sorted(self._clock.items()))
-        self.candidates = frozenset({(value, vector)})
-
-    @staticmethod
-    def _dominates(a: Tuple[Tuple[int, int], ...],
-                   b: Tuple[Tuple[int, int], ...]) -> bool:
-        da, db = dict(a), dict(b)
-        at_least_one = False
-        for replica in set(da) | set(db):
-            va, vb = da.get(replica, 0), db.get(replica, 0)
-            if va < vb:
-                return False
-            if va > vb:
-                at_least_one = True
-        return at_least_one
-
-    def merge(self, other: StateCrdt) -> bool:
-        self._require_same_type(other)
-        assert isinstance(other, MVRegister)
-        union = self.candidates | other.candidates
-        surviving = frozenset(
-            (value, vector)
-            for value, vector in union
-            if not any(
-                self._dominates(other_vector, vector)
-                for _v, other_vector in union
-                if other_vector != vector
-            )
-        )
-        for replica, count in dict(x for _v, vec in other.candidates for x in vec).items():
-            self._clock[replica] = max(self._clock.get(replica, 0), count)
-        if surviving != self.candidates:
-            self.candidates = surviving
-            return True
-        return False
-
-    def value(self) -> FrozenSet[Any]:
-        return frozenset(value for value, _vector in self.candidates)
-
-    def copy(self) -> "MVRegister":
-        clone = MVRegister(self.replica_id)
-        clone.candidates = self.candidates
-        clone._clock = dict(self._clock)
-        return clone
-
-    def size_bytes(self) -> int:
-        vector_bytes = sum(8 + 6 * len(vec) for _v, vec in self.candidates)
-        return 4 + vector_bytes

@@ -1,84 +1,10 @@
-"""Set CRDTs: G-Set, 2P-Set, OR-Set."""
+"""Set CRDT: OR-Set."""
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, FrozenSet, Set, Tuple
 
 from repro.crdt.base import StateCrdt
-
-_tag_counter = itertools.count(1)
-
-
-class GSet(StateCrdt):
-    """Grow-only set."""
-
-    def __init__(self) -> None:
-        self.items: Set[Any] = set()
-
-    def add(self, item: Any) -> None:
-        self.items.add(item)
-
-    def merge(self, other: StateCrdt) -> bool:
-        self._require_same_type(other)
-        assert isinstance(other, GSet)
-        before = len(self.items)
-        self.items |= other.items
-        return len(self.items) != before
-
-    def value(self) -> FrozenSet[Any]:
-        return frozenset(self.items)
-
-    def copy(self) -> "GSet":
-        clone = GSet()
-        clone.items = set(self.items)
-        return clone
-
-    def size_bytes(self) -> int:
-        return 4 + 8 * len(self.items)
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self.items
-
-
-class TwoPhaseSet(StateCrdt):
-    """Add + remove set where removal is final (tombstones)."""
-
-    def __init__(self) -> None:
-        self.added = GSet()
-        self.removed = GSet()
-
-    def add(self, item: Any) -> None:
-        if item in self.removed:
-            raise ValueError(f"{item!r} was removed; 2P-Set removal is final")
-        self.added.add(item)
-
-    def remove(self, item: Any) -> None:
-        if item not in self.added:
-            raise KeyError(item)
-        self.removed.add(item)
-
-    def merge(self, other: StateCrdt) -> bool:
-        self._require_same_type(other)
-        assert isinstance(other, TwoPhaseSet)
-        changed_a = self.added.merge(other.added)
-        changed_r = self.removed.merge(other.removed)
-        return changed_a or changed_r
-
-    def value(self) -> FrozenSet[Any]:
-        return frozenset(self.added.items - self.removed.items)
-
-    def copy(self) -> "TwoPhaseSet":
-        clone = TwoPhaseSet()
-        clone.added = self.added.copy()
-        clone.removed = self.removed.copy()
-        return clone
-
-    def size_bytes(self) -> int:
-        return self.added.size_bytes() + self.removed.size_bytes()
-
-    def __contains__(self, item: Any) -> bool:
-        return item in self.added.items and item not in self.removed.items
 
 
 class ORSet(StateCrdt):
@@ -87,7 +13,9 @@ class ORSet(StateCrdt):
     Every add carries a unique tag; a remove tombstones only the tags it
     has *observed*, so an add concurrent with the remove survives — the
     semantics the paper's "decentralized resolution of potentially
-    conflicting updates" needs for things like active-alarm sets.
+    conflicting updates" needs for things like active-alarm sets.  A tag
+    is ``(replica_id, n)`` with ``n`` counted by the replica that adds,
+    so a replica id names one writer.
     """
 
     def __init__(self, replica_id: int) -> None:
@@ -96,9 +24,11 @@ class ORSet(StateCrdt):
         self.entries: Dict[Any, Set[Tuple[int, int]]] = {}
         #: tombstoned tags.
         self.tombstones: Set[Tuple[int, int]] = set()
+        self._adds = 0
 
     def add(self, item: Any) -> None:
-        tag = (self.replica_id, next(_tag_counter))
+        self._adds += 1
+        tag = (self.replica_id, self._adds)
         self.entries.setdefault(item, set()).add(tag)
 
     def remove(self, item: Any) -> None:
@@ -140,6 +70,7 @@ class ORSet(StateCrdt):
         clone = ORSet(self.replica_id)
         clone.entries = {item: set(tags) for item, tags in self.entries.items()}
         clone.tombstones = set(self.tombstones)
+        clone._adds = self._adds
         return clone
 
     def size_bytes(self) -> int:

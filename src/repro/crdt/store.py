@@ -9,7 +9,6 @@ systems.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
@@ -18,8 +17,6 @@ from repro.sim.timers import Timer
 
 #: Ports for the request/response pair.
 STORE_PORT = 9902
-
-_request_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -122,7 +119,7 @@ class StoreClient:
     def _issue(self, op: str, key: Any, value: Any,
                callback: Optional[Callable[[bool, Any], None]]) -> None:
         request = StoreRequest(
-            request_id=next(_request_ids),
+            request_id=self.sim.next_id("store.request"),
             client=self.stack.node_id,
             op=op, key=key, value=value,
         )

@@ -52,10 +52,6 @@ class RolloutPlan:
                     raise ValueError(f"node {node_id} not in topology")
                 seen.add(node_id)
 
-    def cumulative_size(self, stage_index: int) -> int:
-        """Active node count after the given stage."""
-        return sum(s.size for s in self.stages[: stage_index + 1])
-
     @staticmethod
     def geometric(
         topology: Topology,

@@ -8,7 +8,7 @@ synthetic physical phenomena with noise/drift/stuck-at faults
 actuators with rate limits and delays (:mod:`repro.devices.actuators`).
 """
 
-from repro.devices.actuators import Actuator, ActuatorCommand, OnOffActuator
+from repro.devices.actuators import Actuator, ActuatorCommand
 from repro.devices.energy import Battery, EnergyMeter
 from repro.devices.inference import (
     InferencePartitioner,
@@ -17,14 +17,7 @@ from repro.devices.inference import (
     example_keyword_spotting_model,
 )
 from repro.devices.node import DeviceNode
-from repro.devices.phenomena import (
-    CompositeField,
-    DiurnalField,
-    Phenomenon,
-    RandomWalkField,
-    StepEventField,
-    UniformField,
-)
+from repro.devices.phenomena import DiurnalField, Phenomenon, RandomWalkField
 from repro.devices.platform import (
     CLASS_0_MOTE,
     CLASS_1_MOTE,
@@ -41,7 +34,6 @@ __all__ = [
     "CLASS_0_MOTE",
     "CLASS_1_MOTE",
     "CLASS_2_GATEWAY",
-    "CompositeField",
     "DeviceNode",
     "DiurnalField",
     "EnergyMeter",
@@ -49,7 +41,6 @@ __all__ = [
     "Layer",
     "PartitionCost",
     "example_keyword_spotting_model",
-    "OnOffActuator",
     "PLATFORMS",
     "Phenomenon",
     "PlatformProfile",
@@ -57,6 +48,4 @@ __all__ = [
     "Sensor",
     "SensorConfig",
     "SensorFault",
-    "StepEventField",
-    "UniformField",
 ]

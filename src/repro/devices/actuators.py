@@ -55,7 +55,6 @@ class Actuator:
         self._target_since = 0.0
         self.commands: List[ActuatorCommand] = []
         self.commands_applied = 0
-        self.commands_rejected = 0
 
     def _clamp(self, value: float) -> float:
         return min(max(value, self.minimum), self.maximum)
@@ -70,10 +69,6 @@ class Actuator:
         self._target_since = self.sim.now + self.actuation_delay_s
         self.commands_applied += 1
         return True
-
-    def reject(self, target: float, issuer: int = -1) -> None:
-        """Record a command that was refused (failed authentication)."""
-        self.commands_rejected += 1
 
     def _advance_output(self) -> None:
         now = self.sim.now
@@ -100,23 +95,3 @@ class Actuator:
     @property
     def target(self) -> float:
         return self._target
-
-
-class OnOffActuator(Actuator):
-    """A binary actuator (relay, valve): output snaps to 0 or 1."""
-
-    def __init__(self, sim: Simulator, name: str, initial: bool = False,
-                 actuation_delay_s: float = 0.0) -> None:
-        super().__init__(
-            sim, name,
-            initial=1.0 if initial else 0.0,
-            minimum=0.0, maximum=1.0,
-            actuation_delay_s=actuation_delay_s,
-        )
-
-    def command(self, target: float, issuer: int = -1) -> bool:
-        return super().command(1.0 if target >= 0.5 else 0.0, issuer)
-
-    @property
-    def is_on(self) -> bool:
-        return self.output >= 0.5

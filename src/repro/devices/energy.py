@@ -13,9 +13,6 @@ from typing import Dict, Optional
 from repro.devices.platform import PlatformProfile
 from repro.radio.medium import Radio, RadioState
 
-#: Seconds per hour, for mAh conversions.
-_SECONDS_PER_HOUR = 3600.0
-
 
 @dataclass
 class Battery:
@@ -26,11 +23,6 @@ class Battery:
     def validate(self) -> None:
         if self.capacity_mah <= 0:
             raise ValueError("capacity_mah must be positive")
-
-    @property
-    def capacity_mas(self) -> float:
-        """Capacity in milliamp-seconds."""
-        return self.capacity_mah * _SECONDS_PER_HOUR
 
 
 class EnergyMeter:
@@ -73,10 +65,6 @@ class EnergyMeter:
             + times[RadioState.SLEEP] * self.platform.sleep_current_ma
         )
 
-    def energy_joules(self) -> float:
-        """Energy drawn since the last reset."""
-        return self.charge_consumed_mas() / 1000.0 * self.platform.supply_voltage_v
-
     def average_current_ma(self, now: float) -> float:
         """Mean current over the accounting window."""
         elapsed = now - self._start_time
@@ -97,9 +85,3 @@ class EnergyMeter:
         if current <= 0:
             return float("inf")
         return self.battery.capacity_mah / current / 24.0
-
-    def depleted(self, now: float) -> bool:
-        """True once the accumulated charge exceeds battery capacity."""
-        if self.platform.mains_powered:
-            return False
-        return self.charge_consumed_mas() >= self.battery.capacity_mas

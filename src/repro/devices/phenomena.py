@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Protocol, Tuple
 
 Position = Tuple[float, float]
@@ -23,16 +23,6 @@ class Phenomenon(Protocol):
     def value_at(self, time: float, position: Position) -> float:
         """Field value at ``position`` at simulated ``time``."""
         ...
-
-
-@dataclass(frozen=True)
-class UniformField:
-    """The same value everywhere — the simplest test field."""
-
-    value: float = 20.0
-
-    def value_at(self, time: float, position: Position) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -90,39 +80,3 @@ class RandomWalkField:
             value = self._values[-1] + step
             self._values.append(min(max(value, self.lower), self.upper))
         return self._values[index]
-
-
-@dataclass(frozen=True)
-class StepEventField:
-    """A base level with a step change during an event window.
-
-    Models alarm conditions (a leak, a hot spot) that the control-loop
-    and safety experiments must detect and react to.
-    """
-
-    base: float = 0.0
-    event_value: float = 100.0
-    event_start_s: float = float("inf")
-    event_end_s: float = float("inf")
-    #: Radius around the epicenter affected by the event; inf = global.
-    epicenter: Position = (0.0, 0.0)
-    radius_m: float = float("inf")
-
-    def value_at(self, time: float, position: Position) -> float:
-        if not self.event_start_s <= time < self.event_end_s:
-            return self.base
-        dx = position[0] - self.epicenter[0]
-        dy = position[1] - self.epicenter[1]
-        if math.hypot(dx, dy) > self.radius_m:
-            return self.base
-        return self.event_value
-
-
-@dataclass
-class CompositeField:
-    """Sum of component fields (e.g. diurnal cycle + event spike)."""
-
-    components: List[Phenomenon] = field(default_factory=list)
-
-    def value_at(self, time: float, position: Position) -> float:
-        return sum(c.value_at(time, position) for c in self.components)

@@ -97,7 +97,3 @@ class Sensor:
             value = steps * self.config.quantization
         self._last_good = value
         return value
-
-    def ground_truth(self) -> float:
-        """The noiseless field value (for experiment error metrics)."""
-        return self.phenomenon.value_at(self.sim.now, self.position)

@@ -114,32 +114,3 @@ class FailureProcess:
     def down_node_ids(self) -> List[int]:
         """Nodes currently down because of this process."""
         return sorted(self._down_since)
-
-    # ------------------------------------------------------------------
-    def node_availability(self, node_id: int, window_s: float,
-                          now: float) -> float:
-        """Fraction of the window the node hardware was up."""
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        start = now - window_s
-        down = 0.0
-        for nid, down_at, up_at in self.downtime:
-            if nid != node_id:
-                continue
-            down += max(0.0, min(up_at, now) - max(down_at, start))
-        still_down = self._down_since.get(node_id)
-        if still_down is not None:
-            down += max(0.0, now - max(still_down, start))
-        return 1.0 - down / window_s
-
-    def fleet_availability(self, window_s: float, now: float) -> float:
-        """Mean hardware availability across the population."""
-        eligible = [
-            node.node_id for node in self.nodes.values()
-            if not (self.config.spare_root and node.is_root)
-        ]
-        if not eligible:
-            return 1.0
-        return sum(
-            self.node_availability(nid, window_s, now) for nid in eligible
-        ) / len(eligible)

@@ -68,16 +68,6 @@ class FaultInjector:
 
         self.sim.schedule_at(time, crash)
 
-    def recover_at(self, time: float, node_id: int) -> None:
-        """Recover a previously crashed node at ``time``."""
-        node = self.nodes[node_id]
-
-        def recover() -> None:
-            node.recover()
-            self._record("recover", node_id)
-
-        self.sim.schedule_at(time, recover)
-
     def sensor_fault_at(
         self,
         time: float,

@@ -13,7 +13,7 @@ flaps), so fault plans can overlay both without clobbering each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.radio.medium import Medium
 from repro.sim.kernel import Simulator
@@ -46,10 +46,6 @@ class PartitionController:
         self._blocked_links: Set[Tuple[int, int]] = set()
         self.partitions_applied = 0
         self.links_blocked = 0
-
-    @property
-    def partitioned(self) -> bool:
-        return self._sides is not None
 
     @property
     def sides(self) -> Optional[Dict[int, int]]:
@@ -129,17 +125,3 @@ class PartitionController:
         self._refresh_filter()
         self.trace.emit(self.sim.now, "partition.link_up", node=None,
                         a=pair[0], b=pair[1])
-
-    @property
-    def blocked_links(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset(self._blocked_links)
-
-    # ------------------------------------------------------------------
-    def isolated_sides(self) -> List[Set[int]]:
-        """Current side membership (empty when not partitioned)."""
-        if self._sides is None:
-            return []
-        groups: Dict[int, Set[int]] = {}
-        for node_id, side in self._sides.items():
-            groups.setdefault(side, set()).add(node_id)
-        return list(groups.values())

@@ -41,13 +41,6 @@ class LegacyModbusDevice:
         self.bus_latency_s = bus_latency_s
         self.reads = 0
         self.writes = 0
-        #: Optional live value sources: address -> provider().
-        self.providers: Dict[int, Callable[[], float]] = {}
-
-    def bind_input(self, address: int, provider: Callable[[], float],
-                   scale: float = 10.0) -> None:
-        """Back an input register with a live value source (a sensor)."""
-        self.providers[address] = lambda: int(round(provider() * scale))
 
     def read_holding(self, address: int,
                      callback: Callable[[Optional[int]], None]) -> None:
@@ -55,9 +48,6 @@ class LegacyModbusDevice:
         self.reads += 1
 
         def answer() -> None:
-            provider = self.providers.get(address)
-            if provider is not None:
-                self.registers[address] = provider()
             callback(self.registers.get(address))
 
         self.sim.schedule(self.bus_latency_s, answer)

@@ -14,16 +14,10 @@ from repro.middleware.coap.message import CoapMessage, CoapOptions
 from repro.middleware.coap.resource import ObservableResource, Resource
 from repro.middleware.coap.server import CoapServer
 from repro.middleware.coap.transport import CoapTransport, TransportConfig
-from repro.middleware.coap.wire import (
-    CoapDecodeError,
-    decode_options,
-    encode_options,
-)
 
 __all__ = [
     "CoapClient",
     "CoapCode",
-    "CoapDecodeError",
     "CoapMessage",
     "CoapOptions",
     "CoapServer",
@@ -33,6 +27,4 @@ __all__ = [
     "PendingRequest",
     "Resource",
     "TransportConfig",
-    "decode_options",
-    "encode_options",
 ]

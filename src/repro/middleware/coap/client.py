@@ -83,7 +83,8 @@ class CoapClient:
     ) -> CoapMessage:
         """Send a request; ``callback(response_or_None)`` fires once."""
         message = CoapMessage.request(
-            code, path, payload, payload_bytes, confirmable=confirmable
+            self.sim, code, path, payload, payload_bytes,
+            confirmable=confirmable,
         )
         pending = PendingRequest(dest=dest, message=message, callback=callback)
         pending.ctx = self._open_span(dest, code.name, path)
@@ -120,7 +121,7 @@ class CoapClient:
         timeout_s: Optional[float] = None,
     ) -> CoapMessage:
         """Register as an observer; notifications stream to the callback."""
-        message = CoapMessage.request(CoapCode.GET, path, observe=0)
+        message = CoapMessage.request(self.sim, CoapCode.GET, path, observe=0)
         pending = PendingRequest(
             dest=dest,
             message=message,
@@ -137,13 +138,6 @@ class CoapClient:
                             on_fail=lambda: self._timeout(message.token),
                             trace_ctx=pending.ctx)
         return message
-
-    def cancel_observe(self, dest: int, path: str, token: int) -> None:
-        """Deregister an observation (RFC 7641 observe=1)."""
-        self._observations.pop(token, None)
-        message = CoapMessage.request(CoapCode.GET, path, observe=1,
-                                      confirmable=False)
-        self.transport.send(dest, message)
 
     # ------------------------------------------------------------------
     def _handle_response(self, src: int, response: CoapMessage) -> None:

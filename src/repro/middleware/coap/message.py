@@ -8,24 +8,17 @@ and energy.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.middleware.coap.codes import CoapCode, CoapType
-
-_message_ids = itertools.count(1)
-_tokens = itertools.count(1)
+from repro.sim.kernel import Simulator
 
 
-def next_message_id() -> int:
-    """Allocate a message id (16-bit space, wrapped)."""
-    return next(_message_ids) & 0xFFFF
-
-
-def next_token() -> int:
-    """Allocate a request token."""
-    return next(_tokens)
+def next_message_id(sim: Simulator) -> int:
+    """Allocate a message id of the run ``sim`` drives (16-bit space,
+    wrapped)."""
+    return sim.next_id("coap.message_id") & 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -85,6 +78,7 @@ class CoapMessage:
     # ------------------------------------------------------------------
     @staticmethod
     def request(
+        sim: Simulator,
         code: CoapCode,
         path: str,
         payload: Any = None,
@@ -92,15 +86,16 @@ class CoapMessage:
         confirmable: bool = True,
         observe: Optional[int] = None,
     ) -> "CoapMessage":
-        """Build a fresh request with a new message id and token."""
+        """Build a fresh request with a new message id and token from
+        the id spaces of the run ``sim`` drives."""
         if not code.is_request:
             raise ValueError(f"{code} is not a request code")
         segments = tuple(s for s in path.split("/") if s)
         return CoapMessage(
             mtype=CoapType.CON if confirmable else CoapType.NON,
             code=code,
-            message_id=next_message_id(),
-            token=next_token(),
+            message_id=next_message_id(sim),
+            token=sim.next_id("coap.token"),
             options=CoapOptions(uri_path=segments, observe=observe),
             payload=payload,
             payload_bytes=payload_bytes,
@@ -112,12 +107,6 @@ class CoapMessage:
             mtype=CoapType.ACK, code=CoapCode.EMPTY, message_id=self.message_id
         )
 
-    def rst(self) -> "CoapMessage":
-        """Reset for this message."""
-        return CoapMessage(
-            mtype=CoapType.RST, code=CoapCode.EMPTY, message_id=self.message_id
-        )
-
     def response(
         self,
         code: CoapCode,
@@ -125,18 +114,23 @@ class CoapMessage:
         payload_bytes: int = 0,
         piggyback: bool = True,
         observe: Optional[int] = None,
+        sim: Optional[Simulator] = None,
     ) -> "CoapMessage":
         """Build a response to this request.
 
         A piggybacked response rides in the ACK (same message id); a
-        separate response gets its own id and CON/NON type.
+        separate response gets its own id, from the run ``sim`` drives,
+        and CON/NON type.
         """
         if not code.is_response:
             raise ValueError(f"{code} is not a response code")
         if piggyback and self.mtype is CoapType.CON:
             mtype, message_id = CoapType.ACK, self.message_id
         else:
-            mtype, message_id = CoapType.NON, next_message_id()
+            if sim is None:
+                raise ValueError("a separate response needs sim for its "
+                                 "own message id")
+            mtype, message_id = CoapType.NON, next_message_id(sim)
         return CoapMessage(
             mtype=mtype,
             code=code,

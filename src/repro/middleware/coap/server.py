@@ -46,15 +46,13 @@ class CoapServer:
             resource.notify_hook = self._notify_observers
         return resource
 
-    def remove_resource(self, path: str) -> None:
-        self.resources.pop(path, None)
-
     # ------------------------------------------------------------------
     def _handle_request(self, src: int, request: CoapMessage) -> None:
         self.requests_served += 1
         resource = self.resources.get(request.options.path)
         if resource is None:
-            response = request.response(CoapCode.NOT_FOUND)
+            response = request.response(CoapCode.NOT_FOUND,
+                                        sim=self.transport.sim)
             self._respond(src, request, response)
             return
 
@@ -73,7 +71,8 @@ class CoapServer:
                 resource.remove_observer(src, request.token or 0)
 
         code, payload, size = resource.dispatch(request.code, request.payload)
-        response = request.response(code, payload, size, observe=observe_seq)
+        response = request.response(code, payload, size, observe=observe_seq,
+                                    sim=self.transport.sim)
         self._respond(src, request, response)
 
     def _respond(self, src: int, request: CoapMessage,
@@ -89,7 +88,7 @@ class CoapServer:
             notification = CoapMessage(
                 mtype=CoapType.NON,
                 code=CoapCode.CONTENT,
-                message_id=next_message_id(),
+                message_id=next_message_id(self.transport.sim),
                 token=token,
                 options=CoapOptions(observe=resource.sequence),
                 payload=resource.state,

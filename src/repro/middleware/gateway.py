@@ -60,13 +60,6 @@ class ResourceDirectory(Resource):
         listing = [(e.node, e.path) for e in self.entries.values()]
         return (CoapCode.CONTENT, listing, 4 * len(listing))
 
-    def lookup(self, path_suffix: str = "") -> List[RdEntry]:
-        """All registrations whose path ends with ``path_suffix``."""
-        return [
-            entry for entry in self.entries.values()
-            if entry.path.endswith(path_suffix)
-        ]
-
     def nodes(self) -> List[int]:
         return sorted({entry.node for entry in self.entries.values()})
 
@@ -92,9 +85,6 @@ class Gateway:
         self.adapters: Dict[str, ProtocolAdapter] = {}
         self.reads = 0
         self.writes = 0
-        #: Observe-fed cache: (node, path) -> (value, updated_at).
-        self._cache: Dict[Tuple[int, str], Tuple[Any, float]] = {}
-        self.cache_hits = 0
 
     # ------------------------------------------------------------------
     # southbound attachment
@@ -167,51 +157,6 @@ class Gateway:
         if adapter is None:
             raise KeyError(f"no legacy device {name!r} attached")
         return adapter
-
-    # ------------------------------------------------------------------
-    # observe-fed caching
-    # ------------------------------------------------------------------
-    def watch(self, node: int, path: str,
-              on_update: Optional[Callable[[Any], None]] = None) -> None:
-        """Subscribe (CoAP Observe) to a native resource and keep its
-        latest value in the northbound cache.
-
-        This moves the read cost off the constrained network: dashboards
-        polling the gateway are served from the cache, while the device
-        only transmits when its state actually changes — the
-        application-tier pattern that complements in-network aggregation.
-        """
-        key = (node, path)
-
-        def on_notification(message: CoapMessage) -> None:
-            self._cache[key] = (message.payload, self.sim.now)
-            self.trace.emit(self.sim.now, "gateway.cache_update",
-                            node=self.stack.node_id, source=node, path=path)
-            if on_update is not None:
-                on_update(message.payload)
-
-        self.client.observe(node, path, on_notification=on_notification)
-
-    def read_cached(
-        self, target: str, point: str, max_age_s: float = float("inf")
-    ) -> Optional[Tuple[Any, float]]:
-        """Serve a native read from the Observe cache.
-
-        Returns ``(value, age_seconds)`` or None when the cache has no
-        fresh-enough entry (fall back to :meth:`read` then).
-        """
-        kind, _, ident = target.partition("/")
-        if kind != "native":
-            return None
-        entry = self._cache.get((int(ident), point))
-        if entry is None:
-            return None
-        value, updated_at = entry
-        age = self.sim.now - updated_at
-        if age > max_age_s:
-            return None
-        self.cache_hits += 1
-        return (value, age)
 
 
 def pairwise_integration_cost(n_systems: int) -> int:

@@ -15,7 +15,6 @@ calls.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -32,8 +31,6 @@ FRAG1_HEADER_BYTES = 4
 FRAGN_HEADER_BYTES = 5
 #: Reassembly buffers are discarded after this long (RFC 4944: 15 s).
 REASSEMBLY_TIMEOUT_S = 15.0
-
-_tag_counter = itertools.count(1)
 
 
 @dataclass
@@ -133,7 +130,7 @@ class FragmentationAdapter:
                           trace_ctx=trace_ctx)
             return
         sizes = self.plan(size_bytes)
-        tag = next(_tag_counter)
+        tag = self.sim.next_id("frag.tag")
         self.packets_fragmented += 1
         outcome = {"pending": len(sizes), "failed": False}
 
@@ -217,7 +214,3 @@ class FragmentationAdapter:
             self.reassembly_failures += 1
             self.trace.emit(self.sim.now, "frag.timeout",
                             node=self.mac.radio.node_id, tag=key[1])
-
-    @property
-    def pending_reassemblies(self) -> int:
-        return len(self._buffers)

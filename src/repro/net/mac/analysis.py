@@ -12,15 +12,13 @@ Analytic counterparts to the simulated MACs, used two ways:
 Models:
 
 - **LPL (BoX-MAC, unicast, clean channel)** — per-hop rendezvous waits
-  for the receiver's next probe: U(0, W), so the expected per-hop
-  latency is ``W/2`` plus transmission serialization; an idle node's
+  for the receiver's next probe: U(0, W), so a sender strobes for
+  ``W/2`` on average plus transmission serialization; an idle node's
   duty cycle is ``probe/W`` plus the occasional hold; a phase-locked
   sender transmits for ~a guard window instead of the rendezvous wait.
-- **TSCH (scheduled slotframe)** — per-hop rendezvous waits for the
-  next usable cell: U(0, F/n) over a slotframe of period F with n
-  cells toward the hop, so the expected latency is ``F/(2n)`` plus the
-  in-slot exchange; an idle node's duty cycle is its listening slots
-  (the shared minimal cell plus any RX cells) over the slotframe.
+- **TSCH (scheduled slotframe)** — an idle node's duty cycle is its
+  listening slots (the shared minimal cell plus any RX cells) over the
+  slotframe.
 
 :func:`mac_summary_lines` is the report dashboard's MAC section: it
 dispatches on the fleet's MAC type, so scheduled MACs report cells and
@@ -49,18 +47,6 @@ class LplExpectations:
 
     config: LplConfig
 
-    def expected_hop_latency_s(self, payload_bytes: int = 20) -> float:
-        """Mean unicast one-hop delay: rendezvous + one frame."""
-        return (self.config.wake_interval_s / 2.0
-                + frame_airtime_s(payload_bytes))
-
-    def expected_path_latency_s(self, hops: int,
-                                payload_bytes: int = 20) -> float:
-        """Mean end-to-end delay over ``hops`` independent rendezvous."""
-        if hops < 0:
-            raise ValueError("hops must be >= 0")
-        return hops * self.expected_hop_latency_s(payload_bytes)
-
     def idle_duty_cycle(self) -> float:
         """Radio-on fraction of a node with no traffic at all."""
         return min(1.0, self.config.probe_duration_s
@@ -77,46 +63,12 @@ class LplExpectations:
         return (self.config.wake_interval_s / 2.0
                 + frame_airtime_s(payload_bytes))
 
-    def sender_duty_cycle(self, sends_per_second: float,
-                          payload_bytes: int = 20) -> float:
-        """Duty cycle of a node sending unicasts at a steady rate."""
-        if sends_per_second < 0:
-            raise ValueError("sends_per_second must be >= 0")
-        traffic = sends_per_second * self.sender_strobe_airtime_s(payload_bytes)
-        return min(1.0, self.idle_duty_cycle() + traffic)
-
 
 @dataclass(frozen=True)
 class TschExpectations:
     """Analytic predictions for one TSCH configuration."""
 
     config: TschConfig
-
-    def slotframe_period_s(self) -> float:
-        """One slotframe revolution, seconds."""
-        return self.config.slot_duration_s * self.config.slotframe_slots
-
-    def expected_hop_latency_s(self, cells: int = 1,
-                               payload_bytes: int = 20) -> float:
-        """Mean one-hop delay through ``cells`` usable cells per frame.
-
-        ``cells=1`` covers both a single dedicated cell and the shared
-        minimal cell: the frame arrives uniformly within the slotframe,
-        waits ``F/(2·cells)`` for the next rendezvous, then pays the
-        in-slot offset and serialization.
-        """
-        if cells < 1:
-            raise ValueError("cells must be >= 1")
-        return (self.slotframe_period_s() / (2.0 * cells)
-                + self.config.tx_offset_s
-                + frame_airtime_s(payload_bytes))
-
-    def expected_path_latency_s(self, hops: int, cells: int = 1,
-                                payload_bytes: int = 20) -> float:
-        """Mean end-to-end delay over ``hops`` independent rendezvous."""
-        if hops < 0:
-            raise ValueError("hops must be >= 0")
-        return hops * self.expected_hop_latency_s(cells, payload_bytes)
 
     def idle_duty_cycle(self, rx_cells: int = 0) -> float:
         """Radio-on fraction of a node listening its shared minimal

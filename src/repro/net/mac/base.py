@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.net.packet import BROADCAST, FrameKind, MacFrame, next_seq
+from repro.net.packet import BROADCAST, FrameKind, MacFrame
 from repro.radio.medium import Frame, Radio, RadioState
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
@@ -229,7 +229,7 @@ class MacLayer(abc.ABC):
             payload=payload,
             payload_bytes=payload_bytes,
             done=done,
-            seq=next_seq(),
+            seq=self.sim.next_id("net.seq"),
             auth_bytes=self.auth_overhead_bytes,
             ctx=ctx,
         )

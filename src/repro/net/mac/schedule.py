@@ -97,10 +97,6 @@ class TschSchedule:
         return [s for s in range(self.slots)
                 if s not in self._cells and s not in self._reserved]
 
-    def reserved_slots(self, txn: Optional[int] = None) -> List[int]:
-        return sorted(s for s, t in self._reserved.items()
-                      if txn is None or t == txn)
-
     # -- mutation ------------------------------------------------------
     def add(self, cell: Cell) -> None:
         if not 0 <= cell.slot < self.slots:

@@ -97,10 +97,6 @@ class SyncFloodService:
             self._graph = graph
         return self._graph
 
-    def invalidate(self) -> None:
-        """Recompute connectivity on next use (after topology changes)."""
-        self._graph = None
-
     def hop_distances(self, initiator: int) -> Dict[int, int]:
         """BFS hop count from ``initiator`` over the flooding graph."""
         graph = self.connectivity()

@@ -11,8 +11,7 @@ model.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 #: Link-layer broadcast address.
@@ -26,8 +25,6 @@ ACK_SIZE_BYTES = 5
 NET_HEADER_BYTES = 7
 #: Compressed UDP header.
 UDP_HEADER_BYTES = 4
-
-_seq_counter = itertools.count(1)
 
 
 class FrameKind(enum.Enum):
@@ -83,7 +80,10 @@ class NetPacket:
     #: signals a loop.
     sender_rank: int = 0
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_seq_counter))
+    #: Drawn by the sender from the run's ``net.seq`` id space
+    #: (:meth:`~repro.sim.kernel.Simulator.next_id`), which MAC frame
+    #: sequence numbers share; 0 = built outside a run.
+    packet_id: int = 0
     #: Root span of this packet's lifecycle trace (repro.obs); stays on
     #: the packet across hops so every layer attaches child spans to it.
     trace_ctx: Any = None
@@ -111,8 +111,3 @@ class Datagram:
     @property
     def size_bytes(self) -> int:
         return UDP_HEADER_BYTES + self.payload_bytes
-
-
-def next_seq() -> int:
-    """Globally unique sequence number source for frames and packets."""
-    return next(_seq_counter)

@@ -9,7 +9,7 @@ on (§IV-B, §V-D; refs [14], [32], [44], [45]):
   objective functions with parent-switch hysteresis;
 - :mod:`repro.net.rpl.neighbors` — EWMA ETX link estimation;
 - :mod:`repro.net.rpl.dodag` — DODAG formation, parent selection, DAO
-  reporting, poisoning, local/global repair, floating DODAGs under
+  reporting, poisoning, local repair, floating DODAGs under
   partition;
 - :mod:`repro.net.rpl.rnfd` — RNFD, the parallel root-failure detector
   of ref [32], reproduced for experiment E5.

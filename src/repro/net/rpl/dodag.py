@@ -643,13 +643,3 @@ class RplRouter:
                 return path
             cursor = parent
         return None
-
-    def trigger_global_repair(self) -> None:
-        """Root only: bump the DODAG version (RFC 6550 global repair)."""
-        if not self.is_root:
-            raise RuntimeError("only the root can trigger global repair")
-        self.version += 1
-        self.dao_table.clear()
-        self.trickle.reset()
-        self.trace.emit(self.sim.now, "rpl.global_repair", node=self.node_id,
-                        version=self.version)

@@ -267,10 +267,6 @@ class TrickleTimer:
         """Register a consistent received message (increments c)."""
         self.counter += 1
 
-    def hear_inconsistent(self) -> None:
-        """Register an inconsistent message: reset to I_min."""
-        self.reset()
-
     def reset(self) -> None:
         """External event: restart at the variant's reset interval."""
         if not self._running:

@@ -284,6 +284,7 @@ class NetworkStack:
             src=self.node_id, dst=dst,
             payload=datagram, payload_bytes=datagram.size_bytes,
             ttl=self.config.default_ttl, created_at=self.sim.now,
+            packet_id=self.sim.next_id("net.seq"),
         )
         obs = self.trace.obs
         if obs is not None:
@@ -320,13 +321,6 @@ class NetworkStack:
             datagram.trace_ctx = trace_ctx
         self.frag.send(BROADCAST, datagram, datagram.size_bytes,
                        trace_ctx=trace_ctx)
-
-    @property
-    def connected(self) -> bool:
-        """True when the node has an upward route to a grounded root."""
-        if self.is_root:
-            return True
-        return self.rpl.state is RplState.JOINED and self.rpl.grounded
 
     # ------------------------------------------------------------------
     # routing / forwarding

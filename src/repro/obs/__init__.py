@@ -36,7 +36,6 @@ from repro.obs.analysis import (
 from repro.obs.diff import MetricDelta, diff_snapshots, load_snapshot
 from repro.obs.export import (
     export_run,
-    read_metrics_json,
     write_explain_txt,
     write_metrics_csv,
     write_metrics_json,
@@ -84,7 +83,6 @@ __all__ = [
     "export_run",
     "health_rows",
     "load_snapshot",
-    "read_metrics_json",
     "render_explain",
     "write_explain_txt",
     "write_metrics_csv",
@@ -155,8 +153,3 @@ class Observability:
         """Make this bundle visible to every layer sharing ``trace``."""
         trace.obs = self
         return self
-
-    @staticmethod
-    def of(trace: TraceLog) -> Optional["Observability"]:
-        """The bundle attached to ``trace``, or None."""
-        return trace.obs

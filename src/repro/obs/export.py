@@ -88,12 +88,6 @@ def write_windows_jsonl(windows, path: str) -> int:
     return count
 
 
-def read_metrics_json(path: str) -> MetricsSnapshot:
-    """Load a snapshot written by :func:`write_metrics_json`."""
-    with open(path, "r") as handle:
-        return MetricsSnapshot.from_jsonable(json.load(handle))
-
-
 def write_metrics_csv(snapshot: MetricsSnapshot, path: str) -> int:
     """The snapshot's flat rows as CSV.  Returns the row count."""
     rows = snapshot.rows()

@@ -54,7 +54,6 @@ __all__ = [
     "TelemetryEngine",
     "TelemetrySnapshot",
     "TelemetryWindow",
-    "read_windows_jsonl",
     "window_from_jsonable",
     "window_to_jsonable",
 ]
@@ -78,13 +77,6 @@ class TelemetryWindow:
 
     def counter_total(self, name: str) -> float:
         return sum(v for (n, _), v in self.counters.items() if n == name)
-
-    def series_labels(self, name: str) -> List[Tuple[Tuple[str, Any], ...]]:
-        """Sorted label sets under which ``name`` appears in this window."""
-        out = {labels for (n, labels) in self.counters if n == name}
-        out |= {labels for (n, labels) in self.gauges if n == name}
-        out |= {labels for (n, labels) in self.histograms if n == name}
-        return sorted(out, key=repr)
 
 
 # ----------------------------------------------------------------------
@@ -131,16 +123,6 @@ def window_from_jsonable(payload: Dict[str, Any]) -> TelemetryWindow:
         count, total = entry["value"]
         window.histograms[key_of(entry)] = (float(count), float(total))
     return window
-
-
-def read_windows_jsonl(lines: Iterable[str]) -> List[TelemetryWindow]:
-    """Decode a stream of JSONL lines, skipping blanks."""
-    out = []
-    for line in lines:
-        line = line.strip()
-        if line:
-            out.append(window_from_jsonable(json.loads(line)))
-    return out
 
 
 @dataclass

@@ -170,17 +170,3 @@ class TrialExecutor:
             argses: Iterable[Tuple[Any, ...]]) -> List[Any]:
         """Like :meth:`imap`, but collects the full result list."""
         return list(self.imap(fn, argses))
-
-    def map_merge(self, fn: Callable[..., Any],
-                  argses: Iterable[Tuple[Any, ...]],
-                  merge: Callable[[Iterable[Any]], Any]) -> Any:
-        """Run trials and fold their results through ``merge``.
-
-        ``merge`` receives the per-trial results *in submission order*
-        (the in-order-given contract of
-        :meth:`~repro.obs.registry.MetricsSnapshot.merge` and
-        :meth:`~repro.obs.timeseries.TelemetrySnapshot.merge`), so the
-        merged aggregate is byte-identical for every ``jobs`` count and
-        chunksize.
-        """
-        return merge(self.imap(fn, argses))

@@ -50,15 +50,3 @@ def ieee802154_channels_hit_by_wifi(wifi_channel: int) -> FrozenSet[int]:
     return frozenset(
         ch for ch in IEEE802154_CHANNELS if wifi_overlaps_802154(wifi_channel, ch)
     )
-
-
-def clear_802154_channels(*wifi_channels: int) -> FrozenSet[int]:
-    """802.15.4 channels untouched by all the given Wi-Fi channels.
-
-    With Wi-Fi 1/6/11 active, this returns the classic survivor set
-    {15, 20, 25, 26} used in coexistence channel planning.
-    """
-    hit: set = set()
-    for wifi_channel in wifi_channels:
-        hit |= ieee802154_channels_hit_by_wifi(wifi_channel)
-    return frozenset(ch for ch in IEEE802154_CHANNELS if ch not in hit)

@@ -292,14 +292,6 @@ class Radio:
         self.version += 1
         self.medium._radio_changed(self)
 
-    def move_to(self, position: Position) -> None:
-        """Relocate the radio (mobility / reconfiguration experiments)."""
-        self.position = position
-
-    def set_tx_power(self, dbm: float) -> None:
-        """Change transmit power (topology-control experiments)."""
-        self.tx_power_dbm = dbm
-
     # ------------------------------------------------------------------
     # state machine
     # ------------------------------------------------------------------

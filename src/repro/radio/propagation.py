@@ -71,15 +71,10 @@ _BATCH_MIN = 8
 SHADOWING_CACHE_MAX = 65_536
 
 
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two planar positions in meters."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def _link_distance(a: Position, b: Position) -> float:
     """Distance as ``sqrt(dx*dx + dy*dy)``.
 
-    Used by the models instead of :func:`distance`: ``sqrt``, ``*`` and
+    Used by the models instead of ``math.hypot``: ``sqrt``, ``*`` and
     ``+`` are exactly-rounded IEEE operations, so numpy's vectorized
     form produces bit-identical values — ``math.hypot`` does not.
     """

@@ -3,19 +3,18 @@
 The paper argues safety in non-life-critical industrial IoT is
 *continuous*: an HVAC system may deliberately trade comfort-margin
 violations for energy savings, with revenue tied to both.  This package
-provides the physics (lumped-RC thermal zones), the policies (bang-bang,
-PI, and occupancy-aware setback controllers), the comfort accounting,
-and the revenue model experiment E8 sweeps.
+provides the physics (lumped-RC thermal zones), the policies (bang-bang
+and occupancy-aware setback controllers), the comfort accounting, and
+the revenue model experiment E8 sweeps.
 """
 
 from repro.safety.comfort import ComfortBand, ComfortTracker, OccupancySchedule
 from repro.safety.controllers import (
     BangBangController,
     Controller,
-    PIController,
     SetbackController,
 )
-from repro.safety.hvac import HvacZone, HvacBuilding
+from repro.safety.hvac import HvacZone
 from repro.safety.revenue import RevenueModel, RevenueStatement
 from repro.safety.thermal import ThermalZone, ThermalConfig
 
@@ -24,10 +23,8 @@ __all__ = [
     "ComfortBand",
     "ComfortTracker",
     "Controller",
-    "HvacBuilding",
     "HvacZone",
     "OccupancySchedule",
-    "PIController",
     "RevenueModel",
     "RevenueStatement",
     "SetbackController",

@@ -37,10 +37,6 @@ class ComfortBand:
         """A softer band (the energy-saving knob of experiment E8)."""
         return ComfortBand(self.lower_c - margin_c, self.upper_c + margin_c)
 
-    @property
-    def midpoint_c(self) -> float:
-        return (self.lower_c + self.upper_c) / 2.0
-
 
 class OccupancySchedule:
     """Daily occupancy: a list of (start_hour, end_hour, headcount)."""
@@ -106,10 +102,3 @@ class ComfortTracker:
         violation = self.band.violation_degrees(self.temperature())
         self.violation_degree_hours += violation * hours
         self.worst_violation_c = max(self.worst_violation_c, violation)
-
-    @property
-    def mean_violation_c(self) -> float:
-        """Average violation depth over occupied time."""
-        if self.occupied_hours == 0:
-            return 0.0
-        return self.violation_degree_hours / self.occupied_hours

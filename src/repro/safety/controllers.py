@@ -48,31 +48,6 @@ class BangBangController(Controller):
 
 
 @dataclass
-class PIController(Controller):
-    """Proportional-integral control toward the band midpoint."""
-
-    band: ComfortBand
-    kp: float = 0.8
-    ki: float = 0.002
-    #: Anti-windup clamp on the integral term.
-    integral_limit: float = 400.0
-    sample_period_s: float = 60.0
-
-    def __post_init__(self) -> None:
-        self._integral = 0.0
-
-    def control(self, temperature_c: float, time_s: float) -> Tuple[float, float]:
-        error = self.band.midpoint_c - temperature_c
-        self._integral += error * self.sample_period_s
-        self._integral = max(-self.integral_limit,
-                             min(self.integral_limit, self._integral))
-        output = self.kp * error + self.ki * self._integral
-        if output >= 0:
-            return (min(output, 1.0), 0.0)
-        return (0.0, min(-output, 1.0))
-
-
-@dataclass
 class SetbackController(Controller):
     """Occupancy-aware setback: soft margins when nobody is there.
 
@@ -102,15 +77,3 @@ class SetbackController(Controller):
     def control(self, temperature_c: float, time_s: float) -> Tuple[float, float]:
         policy = self._strict if self._strict_mode(time_s) else self._relaxed
         return policy.control(temperature_c, time_s)
-
-
-@dataclass
-class FixedOutputController(Controller):
-    """Constant actuation — the fallback a partitioned zone can apply
-    when it cannot reach its remote controller (fails safe, §V-C)."""
-
-    heat_fraction: float = 0.0
-    cool_fraction: float = 0.0
-
-    def control(self, temperature_c: float, time_s: float) -> Tuple[float, float]:
-        return (self.heat_fraction, self.cool_fraction)

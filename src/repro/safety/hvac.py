@@ -13,7 +13,7 @@ Two control placements, matching the availability discussion (§V-C):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.devices.actuators import Actuator
 from repro.devices.node import DeviceNode
@@ -243,21 +243,3 @@ class RemoteControlLoop:
             heat, cool = self.fallback.control(reading, self.sim.now)
             self.zone.apply(heat, cool)
         self._watchdog.start(self.zone.control_period_s)
-
-
-class HvacBuilding:
-    """A set of zones sharing an outside climate (convenience wiring)."""
-
-    def __init__(self, outside: Callable[[float], float]) -> None:
-        self.outside = outside
-        self.zones: List[HvacZone] = []
-
-    def add_zone(self, zone: HvacZone) -> HvacZone:
-        self.zones.append(zone)
-        return zone
-
-    def total_energy_kwh(self) -> float:
-        return sum(zone.zone.energy_used_kwh for zone in self.zones)
-
-    def total_violation_degree_hours(self) -> float:
-        return sum(zone.comfort.violation_degree_hours for zone in self.zones)

@@ -9,12 +9,12 @@ package provides the pieces to quantify that tension:
   any MAC via its ``frame_filter`` hook;
 - :mod:`repro.security.crypto_cost` — the CPU/energy/latency price of
   software crypto on Class-1 hardware (experiment E11's overhead axis);
-- :mod:`repro.security.attacks` — command injection and jamming
-  adversaries (E11's impact axis);
+- :mod:`repro.security.attacks` — the command-injection adversary
+  (E11's impact axis; a run jams through ``FaultPlan.interference``);
 - :mod:`repro.security.detector` — a lightweight anomaly monitor.
 """
 
-from repro.security.attacks import CommandInjector, Jammer, ReplayAttacker
+from repro.security.attacks import CommandInjector
 from repro.security.auth import AuthConfig, FrameAuthenticator
 from repro.security.crypto_cost import CryptoCostModel, SOFTWARE_AES_CLASS1
 from repro.security.detector import AnomalyDetector
@@ -26,8 +26,6 @@ __all__ = [
     "CommandInjector",
     "CryptoCostModel",
     "FrameAuthenticator",
-    "Jammer",
     "KeyStore",
-    "ReplayAttacker",
     "SOFTWARE_AES_CLASS1",
 ]

@@ -1,21 +1,19 @@
-"""Adversaries for the security experiments.
+"""The adversary of the security experiments.
 
-Both attackers model an *outsider*: physically present (their radio is
-on the shared medium) but without key material.  With link-layer
-authentication enabled their frames die at the MAC filter; without it,
+The attacker is an *outsider*: physically present (its radio is on the
+shared medium) but without key material.  With link-layer
+authentication enabled its frames die at the MAC filter; without it,
 injected commands reach actuators — the delta experiment E11 reports.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.net.mac.csma import CsmaMac
 from repro.net.packet import Datagram, NetPacket
-from repro.radio.interference import InterfererConfig, WifiInterferer
 from repro.radio.medium import Medium, Radio
 from repro.sim.kernel import Simulator
-from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLog
 
 
@@ -42,7 +40,6 @@ class CommandInjector:
         self.mac = CsmaMac(sim, self.radio)
         self.mac.start()
         self.injections = 0
-        self._timer: Optional[PeriodicTimer] = None
 
     def inject(
         self,
@@ -63,115 +60,9 @@ class CommandInjector:
             payload=datagram, payload_bytes=datagram.size_bytes,
             created_at=self.sim.now,
             sender_rank=0,  # pose as upstream so datapath checks pass
+            packet_id=self.sim.next_id("net.seq"),
         )
         self.injections += 1
         self.trace.emit(self.sim.now, "attack.inject", node=self.radio.node_id,
                         victim=victim, port=port)
         self.mac.send(victim, packet, packet.size_bytes)
-
-    def start_campaign(
-        self,
-        victim: int,
-        port: int,
-        payload: Any,
-        payload_bytes: int,
-        period_s: float = 30.0,
-        spoof_src: int = 0,
-    ) -> None:
-        """Inject periodically until :meth:`stop`."""
-        self._timer = PeriodicTimer(
-            self.sim, period_s,
-            lambda: self.inject(victim, port, payload, payload_bytes, spoof_src),
-        )
-        self._timer.start()
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-
-
-class ReplayAttacker:
-    """Captures authenticated frames off the air and plays them back.
-
-    Replay defeats *authentication alone*: the captured frame carries a
-    valid MIC.  It is stopped by the authenticator's monotonic-sequence
-    check — the pairing experiment E11 relies on.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        medium: Medium,
-        node_id: int,
-        position: Tuple[float, float],
-        trace: Optional[TraceLog] = None,
-    ) -> None:
-        self.sim = sim
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
-        self.radio = Radio(medium, node_id, position)
-        self.radio.set_listening()
-        self.captured: List[Any] = []
-        self.replays = 0
-        self._capture_filter: Optional[int] = None
-        self.radio.on_receive = self._sniff
-
-    def capture_for(self, victim: int) -> None:
-        """Start recording DATA frames addressed to ``victim``."""
-        self._capture_filter = victim
-
-    def _sniff(self, phy_frame, rssi_dbm: float) -> None:
-        from repro.net.packet import FrameKind, MacFrame
-
-        frame = phy_frame.payload
-        if not isinstance(frame, MacFrame) or frame.kind is not FrameKind.DATA:
-            return
-        if self._capture_filter is not None and frame.dst != self._capture_filter:
-            return
-        self.captured.append(frame)
-
-    def replay(self, index: int = -1) -> bool:
-        """Re-transmit a captured frame verbatim.  Returns False when
-        nothing has been captured yet."""
-        if not self.captured:
-            return False
-        frame = self.captured[index]
-        self.replays += 1
-        self.trace.emit(self.sim.now, "attack.replay",
-                        node=self.radio.node_id, victim=frame.dst)
-        from repro.radio.medium import Frame, RadioState
-
-        if self.radio.state is RadioState.TX:
-            return False
-        self.radio.medium.transmit(self.radio, Frame(
-            payload=frame, size_bytes=frame.size_bytes,
-            channel=self.radio.channel, sender=self.radio.node_id,
-        ))
-        return True
-
-
-class Jammer(WifiInterferer):
-    """A deliberate wide-band jammer: an interferer at high duty cycle.
-
-    Denial of service through spectrum occupation; the coexistence
-    machinery already models the physics, the jammer just turns the
-    knob to hostile settings.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        medium: Medium,
-        node_id: int,
-        position: Tuple[float, float],
-        duty_cycle: float = 0.8,
-        wifi_channel: int = 6,
-    ) -> None:
-        super().__init__(
-            sim, medium, node_id, position,
-            config=InterfererConfig(
-                wifi_channel=wifi_channel,
-                duty_cycle=duty_cycle,
-                burst_airtime_s=0.004,
-                tx_power_dbm=20.0,
-            ),
-        )

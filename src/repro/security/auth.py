@@ -88,11 +88,6 @@ class FrameAuthenticator:
 
         self.mac.data_frame = tagging_data_frame  # type: ignore[method-assign]
 
-    def disable(self) -> None:
-        self._enabled = False
-        self.mac.auth_overhead_bytes = 0
-        self.mac.frame_filter = None
-
     # ------------------------------------------------------------------
     def _verify(self, frame: MacFrame) -> Optional[MacFrame]:
         payload = frame.payload

@@ -37,15 +37,6 @@ class CryptoCostModel:
             * platform.supply_voltage_v
         )
 
-    def energy_per_day_j(
-        self,
-        frames_per_hour: float,
-        frame_bytes: int,
-        platform: PlatformProfile,
-    ) -> float:
-        """Daily crypto energy at a given traffic rate."""
-        return self.energy_j(frame_bytes, platform) * frames_per_hour * 24.0
-
 
 #: Software AES-CCM on a Class-1 mote (TelosB-class MSP430 @ 8 MHz).
 SOFTWARE_AES_CLASS1 = CryptoCostModel()

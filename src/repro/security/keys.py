@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 
 class KeyStore:
-    """Per-node key storage: a network-wide key plus pairwise keys.
+    """Per-node key storage: the network-wide key.
 
     Keys are opaque integers — the simulator never does real crypto, it
     models *possession*: a tag computed under key K verifies only
@@ -16,19 +16,15 @@ class KeyStore:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.network_key: Optional[int] = None
-        self.pairwise: Dict[int, int] = {}
 
     def provision_network_key(self, key: int) -> None:
         """Install the network-wide key (commissioning step)."""
         self.network_key = key
 
-    def provision_pairwise(self, peer: int, key: int) -> None:
-        self.pairwise[peer] = key
-
     def key_for(self, peer: int) -> Optional[int]:
-        """Best key for a peer: pairwise if provisioned, else network."""
-        return self.pairwise.get(peer, self.network_key)
+        """The key shared with ``peer``: the network key."""
+        return self.network_key
 
     @property
     def provisioned(self) -> bool:
-        return self.network_key is not None or bool(self.pairwise)
+        return self.network_key is not None

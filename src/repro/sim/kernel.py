@@ -6,8 +6,11 @@ same instant fire in the order they were scheduled (FIFO) unless an
 explicit priority says otherwise.  Determinism is a hard requirement:
 every stochastic component in the reproduction draws from
 :meth:`Simulator.rng` (or a named substream from :meth:`Simulator.substream`),
-never from the global :mod:`random` module, so that a simulation run is a
-pure function of its seed.
+never from the global :mod:`random` module, and every protocol id
+(frame sequence numbers, CoAP tokens, fragment tags, …) from
+:meth:`Simulator.next_id`, never from a module-level counter, so that a
+simulation run is a pure function of its seed — also the second run
+inside one interpreter, which is what a warm pool worker executes.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class Simulator:
         self.seed = seed
         self.rng = random.Random(seed)
         self._substreams: Dict[str, random.Random] = {}
+        self._ids: Dict[str, int] = {}
         self._heap: List[tuple] = []
         self._seq = 0
         self._now = 0.0
@@ -108,7 +112,7 @@ class Simulator:
         return self._events_processed
 
     # ------------------------------------------------------------------
-    # randomness
+    # randomness and ids
     # ------------------------------------------------------------------
     def substream(self, name: str) -> random.Random:
         """Return a named RNG substream derived from the master seed.
@@ -126,6 +130,17 @@ class Simulator:
             stream = random.Random(int.from_bytes(digest[:8], "little"))
             self._substreams[name] = stream
         return stream
+
+    def next_id(self, space: str) -> int:
+        """The next id (1, 2, 3, …) of this run's id space ``space``.
+
+        Id spaces belong to the run, not to the process: two systems
+        built one after the other in one interpreter number their
+        frames, tokens and tags alike.
+        """
+        value = self._ids.get(space, 0) + 1
+        self._ids[space] = value
+        return value
 
     # ------------------------------------------------------------------
     # scheduling

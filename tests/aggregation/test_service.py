@@ -7,12 +7,13 @@ from repro.aggregation.pull import KoalaPullService
 from repro.aggregation.query import AggregationQuery
 from repro.aggregation.service import AggregationService, RawCollectionService
 from repro.devices.node import DeviceNode
-from repro.devices.phenomena import DiurnalField, UniformField
+from repro.devices.phenomena import DiurnalField
 from repro.net.stack import StackConfig
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
+from tests.conftest import constant_field
 
 
 def device_grid(side=3, seed=80, field_value=20.0):
@@ -20,7 +21,7 @@ def device_grid(side=3, seed=80, field_value=20.0):
     trace = TraceLog()
     medium = Medium(sim, UnitDiskModel(radius_m=25.0), trace)
     config = StackConfig(mac="csma")
-    phenomenon = UniformField(field_value)
+    phenomenon = constant_field(field_value)
     nodes = []
     node_id = 0
     for y in range(side):
@@ -37,18 +38,18 @@ def device_grid(side=3, seed=80, field_value=20.0):
 
 class TestQuery:
     def test_epoch_arithmetic(self):
-        query = AggregationQuery.create("t", "avg", epoch_s=30.0, start_time=100.0)
+        query = AggregationQuery(1, "t", "avg", epoch_s=30.0, start_time=100.0)
         assert query.epoch_index(100.0) == 0
         assert query.epoch_index(159.9) == 1
         assert query.epoch_start(2) == 160.0
 
     def test_invalid_operator_rejected(self):
         with pytest.raises(ValueError):
-            AggregationQuery.create("t", "median", 30.0, 0.0)
+            AggregationQuery(1, "t", "median", 30.0, 0.0)
 
     def test_invalid_epoch_rejected(self):
         with pytest.raises(ValueError):
-            AggregationQuery.create("t", "avg", 0.0, 0.0)
+            AggregationQuery(1, "t", "avg", 0.0, 0.0)
 
 
 class TestAggregationService:
@@ -101,7 +102,7 @@ class TestAggregationService:
     def test_min_operator_end_to_end(self):
         sim, trace, nodes = device_grid()
         # Give one node a colder sensor.
-        nodes[5].sensors["temp"].phenomenon = UniformField(5.0)
+        nodes[5].sensors["temp"].phenomenon = constant_field(5.0)
         services = [AggregationService(n) for n in nodes]
         results = []
         services[0].run_query("temp", "min", epoch_s=30.0,

@@ -4,16 +4,22 @@ Two guarantees pinned here:
 
 1. The same scenario under the same seed reproduces the **identical**
    trace record sequence — the property the whole repro-bundle story
-   rests on (a bundled seed must replay the failure exactly).
+   rests on (a bundled seed must replay the failure exactly).  Both
+   runs happen in this one interpreter, which is what a warm pool
+   worker does: every protocol id space therefore belongs to the run
+   (``Simulator.next_id``), none to the process.
 2. Checkers are transparent: a run with ``invariant_checking=True``
    produces exactly the trace the same seed produces with checking off,
    so enabling verification cannot change what is being verified.
 """
 
-from repro.checking.scenarios import partition_crdt_scenario
+import pytest
+
+from repro.checking.scenarios import BUILTIN_SCENARIOS, partition_crdt_scenario
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.net.stack import StackConfig
+from repro.obs.report import run_demo
 
 
 def _signature(trace):
@@ -21,6 +27,14 @@ def _signature(trace):
     return [
         (r.time, r.category, r.node, sorted(r.data.items(), key=lambda kv: kv[0]))
         for r in trace.records
+    ]
+
+
+def _span_list(tracer):
+    return [
+        (s.trace_id, s.span_id, s.parent_id, s.category, s.node, s.start,
+         s.end, sorted(s.data.items(), key=lambda kv: kv[0]))
+        for trace_id in tracer.trace_ids() for s in tracer.spans_for(trace_id)
     ]
 
 
@@ -40,13 +54,28 @@ def _mid_size_run(seed: int, invariant_checking: bool):
 
 
 class TestDeterminism:
-    def test_same_seed_same_scenario_identical_traces(self):
-        first = partition_crdt_scenario(1234)
-        second = partition_crdt_scenario(1234)
+    @pytest.mark.parametrize("scenario", sorted(BUILTIN_SCENARIOS))
+    def test_same_seed_same_scenario_identical_traces(self, scenario):
+        first = BUILTIN_SCENARIOS[scenario](1234)
+        second = BUILTIN_SCENARIOS[scenario](1234)
         sig_a, sig_b = _signature(first.trace), _signature(second.trace)
         assert len(sig_a) > 100  # a mid-size run, not a trivial one
         assert sig_a == sig_b
         assert first.sim.now == second.sim.now
+
+    def test_same_seed_same_report_demo_identical_observations(self):
+        # The demo polls over CoAP, runs an aggregation query and gossips
+        # a CRDT: tokens, message ids, query ids and frame sequence
+        # numbers all show in its trace records and span annotations.
+        first = run_demo(side=3, converge_s=120.0, traffic_s=60.0, seed=7)
+        second = run_demo(side=3, converge_s=120.0, traffic_s=60.0, seed=7)
+        assert first.responses > 0
+        assert (_signature(first.system.trace)
+                == _signature(second.system.trace))
+        assert (_span_list(first.system.obs.spans)
+                == _span_list(second.system.obs.spans))
+        assert (first.system.obs.registry.snapshot()
+                == second.system.obs.registry.snapshot())
 
     def test_different_seeds_differ(self):
         # The converse sanity check: the signature is discriminating.

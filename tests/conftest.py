@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import json
+from typing import Any, List, Optional, Tuple
 
 import pytest
 
+from repro.devices.phenomena import DiurnalField
+from repro.net.packet import FrameKind, MacFrame
 from repro.net.stack import NetworkStack, StackConfig
-from repro.radio.medium import Medium
+from repro.obs.timeseries import TelemetryWindow, window_from_jsonable
+from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -32,6 +36,12 @@ def build_medium(
     """A unit-disk medium (deterministic links) for protocol tests."""
     return Medium(sim, UnitDiskModel(radius_m=radius_m),
                   trace if trace is not None else TraceLog(enabled=False))
+
+
+def constant_field(value: float = 20.0) -> DiurnalField:
+    """The same value everywhere and always: a diurnal field with no
+    cycle and no gradient."""
+    return DiurnalField(mean=value, amplitude=0.0, gradient_per_m=0.0)
 
 
 def full_scan(model_cls):
@@ -99,6 +109,28 @@ def build_grid_network(
     return simulator, log, stacks
 
 
+def read_windows_jsonl(lines) -> List[TelemetryWindow]:
+    """The telemetry windows in a stream of JSONL lines (what ``report
+    --live`` and ``export_run`` write), blanks skipped."""
+    return [window_from_jsonable(json.loads(line))
+            for line in lines if line.strip()]
+
+
+def bump_dodag_version(root_router) -> None:
+    """What an RFC 6550 global repair does at the root: a new DODAG
+    version, advertised at once.  No run starts one; the tests use it to
+    drive the version-adoption path every router's ``handle_dio`` keeps."""
+    root_router.version += 1
+    root_router.dao_table.clear()
+    root_router.trickle.reset()
+
+
+def reserved_slots(schedule) -> List[int]:
+    """Slots a 6P transaction still holds in a ``TschSchedule`` — what the
+    no-reservation-leak invariants of the TSCH tests read."""
+    return sorted(schedule._reserved)
+
+
 def eager_tsch():
     """``TschMac`` with nothing left to its listen plan.
 
@@ -118,3 +150,60 @@ def eager_tsch():
             return self._frames_done
 
     return EagerTschMac
+
+
+class ReplayAttacker:
+    """Captures authenticated frames off the air and plays them back.
+
+    Replay defeats *authentication alone*: the captured frame carries a
+    valid MIC.  It is stopped by the authenticator's monotonic-sequence
+    check, which ``tests/security/test_replay.py`` holds this adversary
+    against.  Test-side only — no run replays frames (a run jams through
+    ``FaultPlan.interference`` and injects through ``CommandInjector``).
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        medium: Medium,
+        node_id: int,
+        position: Tuple[float, float],
+        trace: Optional[TraceLog] = None,
+    ) -> None:
+        self.sim = sim
+        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.radio = Radio(medium, node_id, position)
+        self.radio.set_listening()
+        self.captured: List[Any] = []
+        self.replays = 0
+        self._capture_filter: Optional[int] = None
+        self.radio.on_receive = self._sniff
+
+    def capture_for(self, victim: int) -> None:
+        """Start recording DATA frames addressed to ``victim``."""
+        self._capture_filter = victim
+
+    def _sniff(self, phy_frame, rssi_dbm: float) -> None:
+        frame = phy_frame.payload
+        if not isinstance(frame, MacFrame) or frame.kind is not FrameKind.DATA:
+            return
+        if self._capture_filter is not None and frame.dst != self._capture_filter:
+            return
+        self.captured.append(frame)
+
+    def replay(self, index: int = -1) -> bool:
+        """Re-transmit a captured frame verbatim.  Returns False when
+        nothing has been captured yet."""
+        if not self.captured:
+            return False
+        frame = self.captured[index]
+        self.replays += 1
+        self.trace.emit(self.sim.now, "attack.replay",
+                        node=self.radio.node_id, victim=frame.dst)
+        if self.radio.state is RadioState.TX:
+            return False
+        self.radio.medium.transmit(self.radio, Frame(
+            payload=frame, size_bytes=frame.size_bytes,
+            channel=self.radio.channel, sender=self.radio.node_id,
+        ))
+        return True

@@ -1,17 +1,11 @@
-"""Statistical helpers: confidence intervals and linear fits."""
+"""Statistical helpers: confidence intervals."""
 
 import math
 import sys
 
 import pytest
 
-from repro.core.analysis import (
-    IntervalEstimate,
-    confidence_interval,
-    linear_fit,
-    sweep_intervals,
-)
-from repro.core.experiment import Trial
+from repro.core.analysis import confidence_interval
 
 
 class TestConfidenceInterval:
@@ -51,52 +45,11 @@ class TestConfidenceInterval:
         assert "±" in str(confidence_interval([1.0, 2.0]))
 
 
-class TestLinearFit:
-    def test_exact_line_recovered(self):
-        points = [(x, 2.0 * x + 1.0) for x in range(6)]
-        fit = linear_fit(points)
-        assert fit.slope == pytest.approx(2.0)
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.predict(10.0) == pytest.approx(21.0)
-
-    def test_noisy_line_good_fit(self):
-        import random
-
-        rng = random.Random(3)
-        points = [(x, 0.5 * x + rng.gauss(0, 0.05)) for x in range(20)]
-        fit = linear_fit(points)
-        assert fit.slope == pytest.approx(0.5, abs=0.05)
-        assert fit.r_squared > 0.95
-
-    def test_too_few_points_rejected(self):
-        with pytest.raises(ValueError):
-            linear_fit([(0.0, 0.0)])
-
-
-class TestSweepIntervals:
-    def test_groups_by_parameter(self):
-        trials = [
-            Trial(params={"n": 1}, seed=s, metrics={"m": 1.0 + s * 0.1})
-            for s in range(4)
-        ] + [
-            Trial(params={"n": 2}, seed=s, metrics={"m": 5.0})
-            for s in range(3)
-        ]
-        rows = sweep_intervals(trials, "n", "m")
-        assert [row["n"] for row in rows] == [1, 2]
-        assert rows[0]["trials"] == 4
-        assert rows[1]["m mean"] == pytest.approx(5.0)
-        assert rows[1]["m ci95 low"] == pytest.approx(5.0)
-
-
 def test_missing_scipy_names_the_extra(monkeypatch):
     # None in sys.modules makes `import scipy` raise, as on an install
     # without the optional extra.
     monkeypatch.setitem(sys.modules, "scipy", None)
     with pytest.raises(ImportError, match=r"repro\[analysis\]"):
         confidence_interval([1.0, 2.0, 3.0])
-    with pytest.raises(ImportError, match=r"repro\[analysis\]"):
-        linear_fit([(0.0, 0.0), (1.0, 1.0)])
     # What needs no t quantile still answers.
     assert confidence_interval([7.0]).mean == 7.0

@@ -5,13 +5,7 @@ import math
 import pytest
 
 from repro.core.experiment import Sweep, seeds_for
-from repro.core.metrics import (
-    collect_energy,
-    collect_network,
-    convergence_times,
-    mean,
-    percentile,
-)
+from repro.core.metrics import collect_energy, mean, percentile
 from repro.core.report import ascii_table, format_value, write_csv
 from repro.core.system import IIoTSystem, SystemConfig, TimeSeriesStore
 from repro.core.taxonomy import (
@@ -52,10 +46,10 @@ class TestIIoTSystem:
         assert system.gateway is system.gateway
 
     def test_field_sensors_attach_everywhere(self):
-        from repro.devices.phenomena import UniformField
+        from tests.conftest import constant_field
 
         system = IIoTSystem.build(grid_topology(3), seed=4)
-        system.add_field_sensors("temp", UniformField(20.0))
+        system.add_field_sensors("temp", constant_field(20.0))
         assert "temp" not in system.root.sensors
         assert all(
             "temp" in node.sensors
@@ -90,19 +84,6 @@ class TestMetrics:
         assert mean([1.0, 3.0]) == 2.0
         assert math.isnan(mean([]))
 
-    def test_collect_network_from_system(self):
-        system = IIoTSystem.build(line_topology(4), seed=5)
-        system.start()
-        system.run(240.0)
-        got = []
-        system.root.stack.bind(7, lambda d: got.append(1))
-        system.nodes[3].stack.send_datagram(0, 7, "x", 10)
-        system.run(30.0)
-        summary = collect_network(system.nodes.values(), system.trace)
-        assert summary.delivered >= 1
-        assert 0.0 < summary.delivery_ratio <= 1.0
-        assert summary.latencies_s
-
     def test_collect_energy_skips_root(self):
         system = IIoTSystem.build(line_topology(3), seed=6)
         system.start()
@@ -110,13 +91,6 @@ class TestMetrics:
         summaries = collect_energy(system.nodes.values(), system.sim.now)
         assert len(summaries) == 2
         assert all(s.average_current_ma > 0 for s in summaries)
-
-    def test_convergence_times(self):
-        system = IIoTSystem.build(line_topology(4), seed=7)
-        system.start()
-        system.run(240.0)
-        t90 = convergence_times(system.trace, node_count=3, fraction=0.9)
-        assert t90 is not None and t90 > 0
 
 
 class TestSweep:

@@ -4,29 +4,7 @@ import math
 
 import pytest
 
-from repro.core.metrics import (
-    collect_network,
-    convergence_times,
-    mean,
-    percentile,
-)
-from repro.sim.trace import TraceLog
-
-
-class _FakeStats:
-    def __init__(self, sent=0, delivered=0, forwarded=0,
-                 no_route=0, ttl=0, link=0):
-        self.datagrams_sent = sent
-        self.datagrams_delivered = delivered
-        self.datagrams_forwarded = forwarded
-        self.datagrams_dropped_no_route = no_route
-        self.datagrams_dropped_ttl = ttl
-        self.datagrams_dropped_link = link
-
-
-class _FakeNode:
-    def __init__(self, **stats):
-        self.stack = type("Stack", (), {"stats": _FakeStats(**stats)})()
+from repro.core.metrics import mean, percentile
 
 
 class TestPercentile:
@@ -58,56 +36,3 @@ class TestPercentile:
 
     def test_mean_of_empty_is_nan(self):
         assert math.isnan(mean([]))
-
-
-class TestConvergenceTimes:
-    def _trace(self, join_times):
-        trace = TraceLog()
-        for node, t in join_times.items():
-            trace.emit(t, "rpl.joined", node=node)
-        return trace
-
-    def test_below_threshold_returns_none(self):
-        trace = self._trace({0: 10.0, 1: 20.0})  # 2 of 10 joined
-        assert convergence_times(trace, node_count=10, fraction=0.9) is None
-
-    def test_empty_trace_returns_none(self):
-        assert convergence_times(TraceLog(), node_count=4) is None
-
-    def test_exact_threshold_reports_the_kth_join(self):
-        trace = self._trace({0: 5.0, 1: 15.0, 2: 25.0, 3: 35.0})
-        assert convergence_times(trace, node_count=4, fraction=0.5) == 15.0
-
-    def test_rejoins_do_not_count_twice(self):
-        trace = self._trace({0: 5.0})
-        trace.emit(50.0, "rpl.joined", node=0)  # churned and rejoined
-        assert convergence_times(trace, node_count=2, fraction=0.9) is None
-
-    def test_nodeless_records_are_ignored(self):
-        trace = self._trace({0: 5.0})
-        trace.emit(6.0, "rpl.joined")  # node=None
-        assert convergence_times(trace, node_count=2, fraction=1.0) is None
-
-
-class TestCollectNetwork:
-    def test_without_trace_latencies_are_empty_not_an_error(self):
-        summary = collect_network([_FakeNode(sent=4, delivered=3)])
-        assert summary.sent == 4
-        assert summary.latencies_s == []
-        assert math.isnan(summary.median_latency_s)
-        assert math.isnan(summary.p95_latency_s)
-
-    def test_no_traffic_delivery_ratio_is_one(self):
-        assert collect_network([_FakeNode()]).delivery_ratio == 1.0
-
-    def test_drop_reasons_aggregate(self):
-        summary = collect_network(
-            [_FakeNode(no_route=1, ttl=2), _FakeNode(link=3)])
-        assert summary.dropped == 6
-
-    def test_trace_window_filters_latencies(self):
-        trace = TraceLog()
-        trace.emit(10.0, "net.delivered", node=0, latency=0.5)
-        trace.emit(90.0, "net.delivered", node=0, latency=1.5)
-        summary = collect_network([_FakeNode()], trace=trace, since=50.0)
-        assert summary.latencies_s == [1.5]

@@ -1,0 +1,380 @@
+"""Nothing shipped that nothing runs: a reachability census of ``src/repro``.
+
+The paper is reproduced by what the CLI, ``benchmarks/`` and
+``examples/`` *execute*, so a definition under ``src/repro`` that only
+``tests/`` or a package ``__all__`` ever touch measures nothing and is
+still paid for in every refactor.  This file walks the tree with the
+standard library's ``ast`` and fails on such a definition unless it is
+pinned, with a reason, in :data:`ALLOW` below — as
+``test_option_surface.py`` pins options (DESIGN.md, "Conventions").
+
+The rule is by *name*.  A module-level function or class, or a non-dunder
+method, is **run** when its name appears (``Name`` / ``Attribute`` /
+import alias)
+
+* in any file under ``benchmarks/`` or ``examples/``, or
+* in another ``src/repro`` module — executable code in a package
+  ``__init__`` counts, its import lines and ``__all__`` do not — or
+* in its own module outside its own body,
+
+and the appearance is not itself inside a definition that is not run
+(iterated to a fixpoint).  Names are shared across classes, so ``x.add``
+keeps every ``add`` method alive: the rule errs towards keeping.
+``make census`` prints the full report.
+"""
+
+from __future__ import annotations
+
+import ast
+import fnmatch
+import pathlib
+import sys
+import textwrap
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import pytest
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+SRC = REPO / "src" / "repro"
+CALLER_ROOTS = (REPO / "benchmarks", REPO / "examples")
+
+# (module, qualname, reason).  Three kinds of row only: a test-side
+# oracle that must live next to what it checks, dynamic dispatch the
+# walker cannot see, and code whose caller is a named open ROADMAP item
+# (the row says which item removes it).  A row that has become run fails
+# the test too, so stale rows do not accumulate.
+ALLOW: Tuple[Tuple[str, str, str], ...] = (
+    ("obs/analysis.py", "Attribution.verify_partition",
+     "test-side oracle: the partition identity tests/obs assert on every "
+     "attribution, kept beside the fields it sums"),
+    ("faults/plan.py", "FaultPlanRuntime._install_*",
+     "dynamic dispatch: install() calls getattr(self, f'_install_{clause.kind}')"),
+    ("core/analysis.py", "confidence_interval",
+     "ROADMAP item 2 (claim ledger) is its caller, or removes it"),
+)
+MAX_ALLOW_ROWS = 12
+
+
+@dataclass(frozen=True)
+class Definition:
+    module: str            # path relative to the package root, e.g. "crdt/sets.py"
+    qualname: str          # "function", "Class" or "Class.method"
+    lines: int
+
+    @property
+    def name(self) -> str:
+        return self.qualname.rpartition(".")[2]
+
+    @property
+    def owner_class(self) -> Optional[str]:
+        return self.qualname.rpartition(".")[0] or None
+
+
+@dataclass(frozen=True)
+class Use:
+    name: str
+    module: str
+    inside: Tuple[str, ...]   # qualnames of the listed definitions enclosing it
+
+
+def _span(node: ast.AST) -> int:
+    first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    return node.end_lineno - first + 1
+
+
+def _is_listed(node: ast.AST, class_name: Optional[str]) -> bool:
+    """Module level lists functions and classes; class level lists
+    non-dunder methods."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return class_name is None or not (
+            node.name.startswith("__") and node.name.endswith("__"))
+    return isinstance(node, ast.ClassDef) and class_name is None
+
+
+def _walk_module(module: str, tree: ast.Module, is_package_init: bool
+                 ) -> Tuple[List[Definition], List[Use]]:
+    """Definitions listed in ``tree`` and every name it uses, each tagged
+    with the listed definitions that enclose the use."""
+    definitions: List[Definition] = []
+    uses: List[Use] = []
+
+    def names_in(node: ast.AST) -> Iterator[str]:
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+    def visit(node: ast.AST, inside: Tuple[str, ...], class_name: Optional[str],
+              listing: bool) -> None:
+        """``listing``: the children of ``node`` sit at module or class
+        level, where definitions are listed."""
+        for child in ast.iter_child_nodes(node):
+            if is_package_init and isinstance(child, (ast.Import, ast.ImportFrom)):
+                continue
+            if listing and _is_listed(child, class_name):
+                qualname = f"{class_name}.{child.name}" if class_name else child.name
+                definitions.append(Definition(module, qualname, _span(child)))
+                # Decorators, bases and defaults belong to the definition:
+                # they stop running when it goes.
+                is_class = isinstance(child, ast.ClassDef)
+                visit(child, inside + (qualname,),
+                      child.name if is_class else None, is_class)
+                continue
+            for name in names_in(child):
+                uses.append(Use(name, module, inside))
+            # Conditional definitions (``if TYPE_CHECKING:``, ``try:``) are
+            # still module- or class-level.
+            conditional = listing and isinstance(child, (ast.If, ast.Try, ast.With))
+            visit(child, inside, class_name if conditional else None, conditional)
+
+    visit(tree, (), None, True)
+    return definitions, uses
+
+
+def _names_used(root: pathlib.Path) -> Set[str]:
+    names: Set[str] = set()
+    for path in sorted(root.rglob("*.py")):
+        _, uses = _walk_module(path.name, ast.parse(path.read_text()), False)
+        names.update(use.name for use in uses)
+    return names
+
+
+@dataclass(frozen=True)
+class Row:
+    definition: Definition
+    kept_by: Optional[str]      # who names it; None: no run does
+    allow_row: Optional[int]    # index of the ALLOW row covering it, if any
+
+
+def _allow_row(d: Definition, allow: Sequence[Tuple[str, str, str]]) -> Optional[int]:
+    for index, (module, pattern, _) in enumerate(allow):
+        if module == d.module and fnmatch.fnmatchcase(d.qualname, pattern):
+            return index
+    return None
+
+
+def census(src: pathlib.Path = SRC,
+           caller_roots: Sequence[pathlib.Path] = CALLER_ROOTS,
+           allow: Sequence[Tuple[str, str, str]] = ALLOW) -> List[Row]:
+    """One row per listed definition of the package at ``src``: who keeps
+    it alive (``kept_by`` is ``None`` when no run executes it).  An
+    allow-listed definition is treated as run, so what it names stays
+    alive, but its ``kept_by`` still tells whether the row is needed."""
+    definitions: List[Definition] = []
+    uses_of: Dict[str, List[Use]] = {}
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        found, uses = _walk_module(module, ast.parse(path.read_text()),
+                                   path.name == "__init__.py")
+        definitions.extend(found)
+        for use in uses:
+            uses_of.setdefault(use.name, []).append(use)
+    external = [(root.name, _names_used(root)) for root in caller_roots]
+    allow_rows = {(d.module, d.qualname): _allow_row(d, allow) for d in definitions}
+
+    dead: Set[Tuple[str, str]] = set()
+
+    def keeper(d: Definition) -> Optional[str]:
+        if d.owner_class and (d.module, d.owner_class) in dead:
+            return None
+        for label, names in external:
+            if d.name in names:
+                return label + "/"
+        own: Optional[str] = None
+        for use in uses_of.get(d.name, ()):
+            if any((use.module, q) in dead for q in use.inside):
+                continue
+            if use.module != d.module:
+                return use.module
+            if d.qualname not in use.inside:
+                own = "own module"
+        return own
+
+    while True:
+        newly = {(d.module, d.qualname) for d in definitions
+                 if (d.module, d.qualname) not in dead
+                 and allow_rows[d.module, d.qualname] is None
+                 and keeper(d) is None}
+        if not newly:
+            break
+        dead |= newly
+    return [Row(d, keeper(d), allow_rows[d.module, d.qualname]) for d in definitions]
+
+
+def unrun(rows: Iterable[Row]) -> List[Definition]:
+    """The definitions nothing runs and no row allows, a dead class
+    standing for its methods."""
+    flagged = [row.definition for row in rows
+               if row.kept_by is None and row.allow_row is None]
+    dead_classes = {(d.module, d.qualname) for d in flagged if d.owner_class is None}
+    return [d for d in flagged
+            if d.owner_class is None or (d.module, d.owner_class) not in dead_classes]
+
+
+def check(rows: Sequence[Row], allow: Sequence[Tuple[str, str, str]]) -> List[str]:
+    """What is wrong: un-run definitions not allow-listed, and allow-list
+    rows that no longer hold anything up."""
+    problems = [f"{d.module}::{d.qualname} ({d.lines} lines): no run executes it — "
+                f"delete it, or give it a caller outside tests/"
+                for d in unrun(rows)]
+    needed = {row.allow_row for row in rows
+              if row.kept_by is None and row.allow_row is not None}
+    problems += [f"{module}::{pattern}: allow-listed but run (or gone) — drop the row"
+                 for index, (module, pattern, _) in enumerate(allow)
+                 if index not in needed]
+    return problems
+
+
+def test_every_definition_under_src_is_run_or_allow_listed():
+    assert len(ALLOW) <= MAX_ALLOW_ROWS
+    assert all(reason.strip() for _, _, reason in ALLOW)
+    problems = check(census(), ALLOW)
+    assert not problems, "\n".join(problems)
+
+
+# ----------------------------------------------------------------------
+# The walker itself, over a synthetic package
+# ----------------------------------------------------------------------
+_SYNTHETIC = {
+    "pkg/__init__.py": """
+        from pkg.a import exported_only, registered
+        __all__ = ["exported_only", "registered"]
+        HOOKS = [registered]
+    """,
+    "pkg/a.py": """
+        def used_by_b():
+            return helper()
+
+        def helper():
+            return 1
+
+        def nobody():
+            return only_by_nobody()
+
+        def only_by_nobody():
+            return 2
+
+        def exported_only():
+            return 3
+
+        def registered():
+            return 4
+
+        def recursive():
+            return recursive()
+
+        class Thing:
+            def reached(self):
+                return 5
+
+            def unreached(self):
+                return 6
+
+            def __len__(self):
+                return 0
+    """,
+    "pkg/b.py": """
+        from pkg.a import Thing, used_by_b
+
+        def entry():
+            used_by_b()
+            return Thing().reached()
+    """,
+    "callers/bench.py": """
+        from pkg.b import entry
+        entry()
+    """,
+}
+
+
+@pytest.fixture
+def synthetic(tmp_path):
+    for name, body in _SYNTHETIC.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(body))
+
+    def run(allow=()):
+        rows = census(tmp_path / "pkg", [tmp_path / "callers"], allow)
+        return rows, check(rows, allow)
+
+    return run
+
+
+def _kept(rows):
+    return {row.definition.qualname: row.kept_by for row in rows}
+
+
+def test_walker_keeps_what_a_caller_reaches(synthetic):
+    rows, _ = synthetic()
+    kept = _kept(rows)
+    assert kept["entry"] == "callers/"          # named by a benchmark
+    assert kept["used_by_b"] == "b.py"          # named by another module
+    assert kept["helper"] == "own module"       # named by live code beside it
+    assert kept["Thing.reached"] == "b.py"      # a method, through obj.attr
+    assert kept["registered"] == "__init__.py"  # executable __init__ code
+    assert "Thing.__len__" not in kept          # dunders are not listed
+
+
+def test_walker_flags_what_no_run_names(synthetic):
+    rows, problems = synthetic()
+    assert [d.qualname for d in unrun(rows)] == [
+        "nobody",           # nobody names it
+        "only_by_nobody",   # named only by a flagged function: second round
+        "exported_only",    # an __init__ import line and __all__ are not callers
+        "recursive",        # its own body is not a caller
+        "Thing.unreached",
+    ]
+    assert len(problems) == 5
+    assert all("no run executes it" in problem for problem in problems)
+
+
+def test_flagging_iterates_to_a_fixpoint(synthetic):
+    # Were `nobody` run (here: allow-listed), what it names would be too.
+    rows, _ = synthetic(allow=[("a.py", "nobody", "dynamic dispatch")])
+    assert _kept(rows)["only_by_nobody"] == "own module"
+    assert "only_by_nobody" not in [d.qualname for d in unrun(rows)]
+
+
+def test_allow_list_rows_silence_a_flag_and_go_stale(synthetic):
+    allow = [("a.py", "Thing.un*", "test-side oracle"),
+             ("a.py", "used_by_b", "ROADMAP item 0")]
+    _, problems = synthetic(allow)
+    assert not any("Thing.unreached" in problem for problem in problems)
+    # used_by_b is run: its row holds nothing up and must be dropped.
+    assert [p for p in problems if "drop the row" in p] == [
+        "a.py::used_by_b: allow-listed but run (or gone) — drop the row"]
+
+
+def report(out=sys.stdout) -> None:
+    """What ``make census`` prints: per definition who keeps it alive,
+    then totals by kind of keeper."""
+    rows = census()
+    totals: Dict[str, int] = {}
+    for row in rows:
+        d = row.definition
+        kept = kind = row.kept_by
+        if kept is None:
+            kept = kind = "NOTHING"
+            if row.allow_row is not None:
+                kind = "allow-list"
+                kept = "allow-list: " + ALLOW[row.allow_row][2]
+        elif kept.endswith(".py"):
+            kind = "another module"
+        totals[kind] = totals.get(kind, 0) + 1
+        print(f"{d.module}::{d.qualname:<46} {d.lines:>4}  {kept}", file=out)
+    print(f"\n{len(rows)} definitions kept by: "
+          + ", ".join(f"{kind} {count}" for kind, count in sorted(totals.items())),
+          file=out)
+    flagged = unrun(rows)
+    print(f"{len(flagged)} un-run ({sum(d.lines for d in flagged)} lines); "
+          f"{len(ALLOW)} allow-list rows of at most {MAX_ALLOW_ROWS}", file=out)
+    for problem in check(rows, ALLOW):
+        print("FAIL", problem, file=out)
+
+
+if __name__ == "__main__":
+    report()

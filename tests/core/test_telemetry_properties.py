@@ -1,10 +1,10 @@
 """Property tests of the telemetry plane's merge determinism.
 
 The claim, fuzzed rather than spot-checked (mirroring
-``test_parallel_properties``): a fleet of telemetry trials folded
-through :meth:`TrialExecutor.map_merge` is **byte-identical** for every
-(jobs, chunksize) shape — windowed series and histograms both ride the
-in-order-given merge contract.
+``test_parallel_properties``): a fleet of telemetry trials streamed by
+:meth:`TrialExecutor.imap` and folded in submission order is
+**byte-identical** for every (jobs, chunksize) shape — windowed series
+and histograms both ride the in-order-given merge contract.
 
 ``REPRO_PARALLEL_FORCE=1`` keeps the claim honest on single-core CI.
 Module-level trial functions: process pools move work through pickle.
@@ -79,10 +79,11 @@ class TestMapMergeByteIdentity:
     def test_jobs_and_chunksize_never_change_merged_output(
             self, values, seed, jobs, chunksize):
         argses = [(v, seed + i) for i, v in enumerate(values)]
-        serial = TrialExecutor(jobs=1).map_merge(
-            _telemetry_trial, argses, _merge_pair_stream)
-        parallel = TrialExecutor(jobs=jobs, chunksize=chunksize).map_merge(
-            _telemetry_trial, argses, _merge_pair_stream)
+        serial = _merge_pair_stream(
+            TrialExecutor(jobs=1).imap(_telemetry_trial, argses))
+        parallel = _merge_pair_stream(
+            TrialExecutor(jobs=jobs, chunksize=chunksize).imap(
+                _telemetry_trial, argses))
         assert serial == parallel
 
     @FEW

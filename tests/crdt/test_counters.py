@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crdt.counters import GCounter, PNCounter
+from repro.crdt.counters import GCounter
+from repro.crdt.registers import LWWRegister
 
 
 class TestGCounter:
@@ -46,26 +47,4 @@ class TestGCounter:
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(TypeError):
-            GCounter(1).merge(PNCounter(1))
-
-
-class TestPNCounter:
-    def test_increment_decrement(self):
-        counter = PNCounter(1)
-        counter.increment(10)
-        counter.decrement(3)
-        assert counter.value() == 7
-
-    def test_concurrent_mixed_operations_converge(self):
-        a, b = PNCounter(1), PNCounter(2)
-        a.increment(5)
-        b.decrement(2)
-        a_copy, b_copy = a.copy(), b.copy()
-        a.merge(b_copy)
-        b.merge(a_copy)
-        assert a.value() == b.value() == 3
-
-    def test_value_can_go_negative(self):
-        counter = PNCounter(1)
-        counter.decrement(4)
-        assert counter.value() == -4
+            GCounter(1).merge(LWWRegister(1))

@@ -8,11 +8,11 @@ convergence regardless of gossip order, duplication, or delay.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.crdt.counters import GCounter, PNCounter
+from repro.crdt.counters import GCounter
 from repro.crdt.maps import LWWMap
 from repro.crdt.registers import LWWRegister
 from repro.crdt.replication import CrdtReplica
-from repro.crdt.sets import GSet, ORSet
+from repro.crdt.sets import ORSet
 
 
 # ----------------------------------------------------------------------
@@ -23,23 +23,6 @@ def build_gcounter(replica_id, amounts):
     for amount in amounts:
         counter.increment(amount)
     return counter
-
-
-def build_pncounter(replica_id, deltas):
-    counter = PNCounter(replica_id)
-    for delta in deltas:
-        if delta >= 0:
-            counter.increment(delta)
-        else:
-            counter.decrement(-delta)
-    return counter
-
-
-def build_gset(items):
-    s = GSet()
-    for item in items:
-        s.add(item)
-    return s
 
 
 def build_orset(replica_id, ops):
@@ -67,8 +50,6 @@ def build_map(replica_id, writes):
 
 
 amounts = st.lists(st.integers(min_value=0, max_value=20), max_size=6)
-deltas = st.lists(st.integers(min_value=-10, max_value=10), max_size=6)
-items = st.lists(st.integers(min_value=0, max_value=5), max_size=6)
 orops = st.lists(
     st.tuples(st.booleans(), st.integers(min_value=0, max_value=3)),
     max_size=8,
@@ -87,8 +68,6 @@ map_writes = st.lists(
 
 CASES = [
     ("gcounter", amounts, lambda rid, ops: build_gcounter(rid, ops)),
-    ("pncounter", deltas, lambda rid, ops: build_pncounter(rid, ops)),
-    ("gset", items, lambda rid, ops: build_gset(ops)),
     ("orset", orops, lambda rid, ops: build_orset(rid, ops)),
     ("lww", writes, lambda rid, ops: build_lww(rid, ops)),
     ("lwwmap", map_writes, lambda rid, ops: build_map(rid, ops)),
@@ -260,23 +239,3 @@ def test_replica_gcounter_monotone_convergence(events):
     _full_exchange(replicas)
     # Convergence is exact: every increment counted once, everywhere.
     assert [r.state.value() for r in replicas] == [total_increments] * 3
-
-
-@given(events=_gossip_events(st.integers(min_value=-10, max_value=10)))
-@settings(max_examples=60, deadline=None)
-def test_replica_pncounter_converges_to_exact_sum(events):
-    replicas = [CrdtReplica(rid, PNCounter(rid)) for rid in _REPLICA_IDS]
-    total = 0
-    for event in events:
-        if event[0] == "op":
-            _, index, delta = event
-            if delta >= 0:
-                replicas[index].mutate(lambda s, d=delta: s.increment(d))
-            else:
-                replicas[index].mutate(lambda s, d=-delta: s.decrement(d))
-            total += delta
-        else:
-            _, source, sink = event
-            replicas[sink].absorb(replicas[source].state.copy())
-    _full_exchange(replicas)
-    assert [r.state.value() for r in replicas] == [total] * 3

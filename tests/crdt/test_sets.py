@@ -1,45 +1,6 @@
 """Set CRDT unit behaviour, especially OR-Set add/remove semantics."""
 
-import pytest
-
-from repro.crdt.sets import GSet, ORSet, TwoPhaseSet
-
-
-class TestGSet:
-    def test_add_and_membership(self):
-        s = GSet()
-        s.add("x")
-        assert "x" in s
-        assert s.value() == frozenset({"x"})
-
-    def test_merge_unions(self):
-        a, b = GSet(), GSet()
-        a.add(1)
-        b.add(2)
-        assert a.merge(b)
-        assert a.value() == frozenset({1, 2})
-
-
-class TestTwoPhaseSet:
-    def test_remove_is_final(self):
-        s = TwoPhaseSet()
-        s.add("x")
-        s.remove("x")
-        assert "x" not in s
-        with pytest.raises(ValueError):
-            s.add("x")
-
-    def test_remove_unknown_rejected(self):
-        with pytest.raises(KeyError):
-            TwoPhaseSet().remove("ghost")
-
-    def test_merge_propagates_tombstones(self):
-        a, b = TwoPhaseSet(), TwoPhaseSet()
-        a.add("x")
-        b.merge(a)
-        b.remove("x")
-        a.merge(b)
-        assert "x" not in a
+from repro.crdt.sets import ORSet
 
 
 class TestORSet:
@@ -48,7 +9,7 @@ class TestORSet:
         s.add("x")
         s.remove("x")
         assert "x" not in s
-        s.add("x")  # unlike 2P-Set, re-add works
+        s.add("x")  # removal is not final: re-add works
         assert "x" in s
 
     def test_concurrent_add_wins_over_remove(self):

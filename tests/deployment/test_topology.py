@@ -191,12 +191,6 @@ class TestRollout:
         assert plan.stages[0].size == 3
         assert plan.stages[1].size == 9
 
-    def test_cumulative_size(self):
-        topology = grid_topology(4)
-        plan = RolloutPlan.geometric(topology, pilot_size=5, growth_factor=2)
-        assert plan.cumulative_size(0) == 5
-        assert plan.cumulative_size(1) == 15
-
     def test_duplicate_node_rejected(self):
         topology = line_topology(4)
         plan = RolloutPlan(topology, [

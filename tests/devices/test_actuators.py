@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.actuators import Actuator, OnOffActuator
+from repro.devices.actuators import Actuator
 from repro.sim.kernel import Simulator
 
 
@@ -43,12 +43,6 @@ class TestActuator:
         assert actuator.commands[0].issuer == 7
         assert actuator.commands_applied == 2
 
-    def test_reject_counts_refused_commands(self, sim):
-        actuator = Actuator(sim, "valve")
-        actuator.reject(0.9, issuer=666)
-        assert actuator.commands_rejected == 1
-        assert actuator.output == 0.0
-
     def test_invalid_range_rejected(self, sim):
         with pytest.raises(ValueError):
             Actuator(sim, "bad", minimum=1.0, maximum=0.0)
@@ -60,16 +54,3 @@ class TestActuator:
         actuator.command(0.0)
         sim.run(until=4.0)
         assert actuator.output == pytest.approx(0.2)
-
-
-class TestOnOffActuator:
-    def test_snaps_to_binary(self, sim):
-        relay = OnOffActuator(sim, "relay")
-        relay.command(0.7)
-        assert relay.is_on
-        relay.command(0.3)
-        assert not relay.is_on
-
-    def test_initial_state(self, sim):
-        relay = OnOffActuator(sim, "relay", initial=True)
-        assert relay.is_on

@@ -73,26 +73,6 @@ class TestEnergyMeter:
         radio.set_listening()
         sim.run(until=3600.0)
         assert meter.projected_lifetime_days(sim.now) == float("inf")
-        assert not meter.depleted(sim.now)
-
-    def test_depletion(self, sim):
-        radio = make_radio(sim)
-        tiny = Battery(capacity_mah=0.001)
-        meter = EnergyMeter(radio, CLASS_1_MOTE, tiny)
-        meter.reset(sim.now)
-        radio.set_listening()
-        sim.run(until=3600.0)
-        assert meter.depleted(sim.now)
-
-    def test_energy_joules_uses_voltage(self, sim):
-        radio = make_radio(sim)
-        meter = EnergyMeter(radio, CLASS_1_MOTE)
-        meter.reset(sim.now)
-        radio.set_listening()
-        sim.run(until=10.0)
-        joules = meter.energy_joules()
-        expected = 10.0 * CLASS_1_MOTE.rx_current_ma / 1000.0 * 3.0
-        assert joules == pytest.approx(expected)
 
     def test_invalid_battery_rejected(self):
         with pytest.raises(ValueError):

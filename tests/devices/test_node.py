@@ -4,11 +4,11 @@ import pytest
 
 from repro.devices.node import DeviceNode
 from repro.devices.actuators import Actuator
-from repro.devices.phenomena import UniformField
 from repro.devices.platform import CLASS_2_GATEWAY
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from tests.conftest import constant_field
 
 
 @pytest.fixture
@@ -19,15 +19,15 @@ def medium(sim):
 class TestDeviceNode:
     def test_sensor_attachment_and_read(self, sim, medium):
         node = DeviceNode(sim, medium, 1, (0, 0))
-        node.add_sensor("temp", UniformField(19.0))
+        node.add_sensor("temp", constant_field(19.0))
         node.start()
         assert node.read("temp") == pytest.approx(19.0, abs=0.5)
 
     def test_duplicate_sensor_rejected(self, sim, medium):
         node = DeviceNode(sim, medium, 1, (0, 0))
-        node.add_sensor("temp", UniformField(19.0))
+        node.add_sensor("temp", constant_field(19.0))
         with pytest.raises(ValueError):
-            node.add_sensor("temp", UniformField(20.0))
+            node.add_sensor("temp", constant_field(20.0))
 
     def test_actuator_attachment(self, sim, medium):
         node = DeviceNode(sim, medium, 1, (0, 0))

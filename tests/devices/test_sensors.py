@@ -2,23 +2,13 @@
 
 import pytest
 
-from repro.devices.phenomena import (
-    CompositeField,
-    DiurnalField,
-    RandomWalkField,
-    StepEventField,
-    UniformField,
-)
+from repro.devices.phenomena import DiurnalField, RandomWalkField
 from repro.devices.sensors import Sensor, SensorConfig, SensorFault
 from repro.sim.kernel import Simulator
+from tests.conftest import constant_field
 
 
 class TestPhenomena:
-    def test_uniform_field(self):
-        field = UniformField(value=21.0)
-        assert field.value_at(0.0, (0, 0)) == 21.0
-        assert field.value_at(9999.0, (50, 50)) == 21.0
-
     def test_diurnal_cycle_period(self):
         field = DiurnalField(mean=10.0, amplitude=5.0, gradient_per_m=0.0)
         noon = field.value_at(86_400 / 4, (0, 0))
@@ -46,29 +36,15 @@ class TestPhenomena:
         values = [field.value_at(t * 10.0, (0, 0)) for t in range(200)]
         assert all(-5.0 <= v <= 5.0 for v in values)
 
-    def test_step_event_window_and_radius(self):
-        field = StepEventField(base=0.0, event_value=100.0,
-                               event_start_s=10.0, event_end_s=20.0,
-                               epicenter=(0, 0), radius_m=5.0)
-        assert field.value_at(5.0, (0, 0)) == 0.0
-        assert field.value_at(15.0, (0, 0)) == 100.0
-        assert field.value_at(15.0, (10, 0)) == 0.0
-        assert field.value_at(25.0, (0, 0)) == 0.0
-
-    def test_composite_sums_components(self):
-        field = CompositeField([UniformField(10.0), UniformField(5.0)])
-        assert field.value_at(0.0, (0, 0)) == 15.0
-
 
 class TestSensor:
     def make(self, sim, noise=0.0, **kwargs):
         config = SensorConfig(noise_sigma=noise, quantization=0.0, **kwargs)
-        return Sensor(sim, "temp", UniformField(20.0), (0, 0), config)
+        return Sensor(sim, "temp", constant_field(20.0), (0, 0), config)
 
     def test_noiseless_read_matches_truth(self, sim):
         sensor = self.make(sim)
         assert sensor.read() == pytest.approx(20.0)
-        assert sensor.ground_truth() == 20.0
 
     def test_noise_spreads_readings(self, sim):
         sensor = self.make(sim, noise=1.0)
@@ -79,7 +55,7 @@ class TestSensor:
 
     def test_quantization(self, sim):
         config = SensorConfig(noise_sigma=0.0, quantization=0.5)
-        sensor = Sensor(sim, "t", UniformField(20.3), (0, 0), config)
+        sensor = Sensor(sim, "t", constant_field(20.3), (0, 0), config)
         assert sensor.read() == pytest.approx(20.5)
 
     def test_stuck_fault_repeats_last_value(self, sim):
@@ -108,7 +84,7 @@ class TestSensor:
     def test_drift_accumulates_with_time(self, sim):
         config = SensorConfig(noise_sigma=0.0, quantization=0.0,
                               drift_per_day=2.0)
-        sensor = Sensor(sim, "t", UniformField(20.0), (0, 0), config)
+        sensor = Sensor(sim, "t", constant_field(20.0), (0, 0), config)
         sim.run(until=86_400.0)
         assert sensor.read() == pytest.approx(22.0)
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
-from repro.devices.phenomena import UniformField
 from repro.devices.sensors import SensorFault
 from repro.faults.plan import (
     BORDER_ROUTER,
@@ -26,6 +25,7 @@ from repro.faults.plan import (
 )
 from repro.obs import MetricsSnapshot
 from repro.parallel import TrialExecutor
+from tests.conftest import constant_field
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +114,7 @@ def build_system(seed=31, observability=True):
         config=SystemConfig(observability=observability),
         seed=seed,
     )
-    system.add_field_sensors("temp", UniformField(20.0))
+    system.add_field_sensors("temp", constant_field(20.0))
     system.start()
     system.run(240.0)
     assert system.converged()
@@ -172,13 +172,13 @@ class TestRuntimeEffects:
                                      down_s=20.0, cycles=2, up_s=20.0)
         runtime = plan.install(system)
         system.run(40.0)   # inside cycle 1 down
-        assert runtime.partitions.blocked_links
+        assert runtime.partitions._blocked_links
         system.run(20.0)   # inside cycle 1 up
-        assert not runtime.partitions.blocked_links
+        assert not runtime.partitions._blocked_links
         system.run(20.0)   # inside cycle 2 down
-        assert runtime.partitions.blocked_links
+        assert runtime.partitions._blocked_links
         system.run(40.0)   # past the window
-        assert not runtime.partitions.blocked_links
+        assert not runtime.partitions._blocked_links
         assert runtime.active_clauses == 0
 
     def test_sensor_clause_faults_and_clears(self):

@@ -56,15 +56,6 @@ class TestModbus:
         sim.run()
         assert done_at[0] == pytest.approx(device.bus_latency_s)
 
-    def test_live_input_binding(self, sim):
-        device, adapter = self.make(sim)
-        level = [42.0]
-        device.bind_input(100, lambda: level[0], scale=10.0)
-        out = []
-        adapter.read_point("temp", out.append)
-        sim.run()
-        assert out == [42.0]
-
     def test_missing_register_reads_none(self, sim):
         device = LegacyModbusDevice(sim, unit_id=1)
         adapter = ModbusAdapter(device, {"x": RegisterSpec(address=7)})

@@ -166,20 +166,3 @@ class TestObserve:
         sim.run(until=sim.now + 10.0)
         assert sequences == sorted(sequences)
         assert len(set(sequences)) == len(sequences)
-
-    def test_cancel_observe_stops_notifications(self):
-        sim, trace, stacks = converged_line(3)
-        _, server, _ = coap_on(stacks[2])
-        resource = ObservableResource("/obs", initial=0)
-        server.add_resource(resource)
-        _, _, client = coap_on(stacks[0])
-        seen = []
-        message = client.observe(2, "/obs",
-                                 on_notification=lambda m: seen.append(m.payload))
-        sim.run(until=sim.now + 30.0)
-        client.cancel_observe(2, "/obs", message.token)
-        sim.run(until=sim.now + 10.0)
-        count = len(seen)
-        resource.update(42)
-        sim.run(until=sim.now + 10.0)
-        assert len(seen) == count

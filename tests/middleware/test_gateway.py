@@ -51,7 +51,8 @@ class TestResourceDirectory:
         sim.run(until=sim.now + 30.0)
         assert outcome == [CoapCode.CREATED]
         assert gateway.directory.nodes() == [3]
-        assert len(gateway.directory.lookup("/temp")) == 1
+        assert sorted(gateway.directory.entries) == [
+            (3, "/actuators/valve"), (3, "/sensors/temp")]
         assert gateway.targets() == ["native/3"]
 
     def test_malformed_registration_rejected(self):

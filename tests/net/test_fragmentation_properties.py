@@ -99,14 +99,14 @@ def test_reassembly_fuzz_arbitrary_arrival(data, total):
     if complete:
         assert received == [(4, "payload", total)]
         assert adapter.reassemblies == 1
-        assert adapter.pending_reassemblies == 0
+        assert len(adapter._buffers) == 0
     else:
         assert received == []
         assert adapter.reassemblies == 0
-        assert adapter.pending_reassemblies == (1 if arrivals else 0)
+        assert len(adapter._buffers) == (1 if arrivals else 0)
     # Expiry reclaims any incomplete buffer; completed tags don't expire.
     sim.run(until=sim.now + 2 * REASSEMBLY_TIMEOUT_S)
-    assert adapter.pending_reassemblies == 0
+    assert len(adapter._buffers) == 0
     assert adapter.reassembly_failures == (
         1 if arrivals and not complete else 0)
     assert len(received) == (1 if complete else 0)
@@ -136,7 +136,7 @@ def test_reassembly_fuzz_interleaved_tags(data, totals):
         adapter.on_frame(src=src, payload=fragment,
                          payload_bytes=fragment.size_bytes)
     assert adapter.reassemblies == len(streams)
-    assert adapter.pending_reassemblies == 0
+    assert len(adapter._buffers) == 0
     assert sorted(received) == sorted(
         (src, f"payload-{src}", total)
         for src, total in enumerate(totals)
@@ -147,4 +147,4 @@ def test_non_fragment_payloads_pass_through():
     _, adapter, received = make_receiver()
     assert adapter.on_frame(src=2, payload="plain", payload_bytes=8) is False
     assert received == []
-    assert adapter.pending_reassemblies == 0
+    assert len(adapter._buffers) == 0

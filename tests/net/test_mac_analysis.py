@@ -5,9 +5,9 @@ one of them; these tests pin the agreement within generous tolerances
 (the analytic model ignores CCA deferral and ack micro-timing).
 """
 
+import numpy as np
 import pytest
 
-from repro.core.analysis import linear_fit
 from repro.net.mac.analysis import LplExpectations, frame_airtime_s
 from repro.net.mac.lpl import LplConfig, LplMac
 from repro.radio.medium import Medium, Radio
@@ -42,11 +42,11 @@ def run_one_hop(config, count=60, period=4.31, seed=7):
 class TestAgainstSimulation:
     def test_hop_latency_matches_w_over_2(self):
         config = LplConfig(wake_interval_s=0.5)
-        model = LplExpectations(config)
         _, _, _, latencies = run_one_hop(config)
         measured = sum(latencies) / len(latencies)
+        # Rendezvous U(0, W) plus one frame.
         assert measured == pytest.approx(
-            model.expected_hop_latency_s(20), rel=0.35)
+            config.wake_interval_s / 2.0 + frame_airtime_s(20), rel=0.35)
 
     def test_idle_duty_cycle_matches(self):
         config = LplConfig(wake_interval_s=0.5)
@@ -65,8 +65,10 @@ class TestAgainstSimulation:
             config = LplConfig(wake_interval_s=0.5, phase_lock=phase_lock)
             model = LplExpectations(config)
             _, sender, _, _ = run_one_hop(config)
+            expected = (model.idle_duty_cycle()
+                        + rate * model.sender_strobe_airtime_s(20))
             assert sender.duty_cycle() == pytest.approx(
-                model.sender_duty_cycle(rate), rel=0.5), phase_lock
+                expected, rel=0.5), phase_lock
 
     def test_latency_scales_linearly_with_w(self):
         points = []
@@ -74,10 +76,11 @@ class TestAgainstSimulation:
             config = LplConfig(wake_interval_s=w)
             _, _, _, latencies = run_one_hop(config, count=40)
             points.append((w, sum(latencies) / len(latencies)))
-        fit = linear_fit(points)
+        ws, means = zip(*points)
+        slope, _ = np.polyfit(ws, means, 1)
         # Slope ~0.5 (the W/2 law), good linearity.
-        assert fit.slope == pytest.approx(0.5, abs=0.15)
-        assert fit.r_squared > 0.95
+        assert slope == pytest.approx(0.5, abs=0.15)
+        assert np.corrcoef(ws, means)[0, 1] ** 2 > 0.95
 
 
 class TestModelBasics:
@@ -85,22 +88,9 @@ class TestModelBasics:
         # (11 PHY + 9 MAC + 20 payload) * 8 / 250k = 1.28 ms.
         assert frame_airtime_s(20) == pytest.approx(0.00128)
 
-    def test_path_latency_linear_in_hops(self):
-        model = LplExpectations(LplConfig(wake_interval_s=0.5))
-        assert model.expected_path_latency_s(4) == pytest.approx(
-            4 * model.expected_hop_latency_s())
-        with pytest.raises(ValueError):
-            model.expected_path_latency_s(-1)
-
     def test_phase_lock_shrinks_sender_cost(self):
         unlocked = LplExpectations(LplConfig(wake_interval_s=0.5))
         locked = LplExpectations(
             LplConfig(wake_interval_s=0.5, phase_lock=True))
         assert (locked.sender_strobe_airtime_s()
                 < unlocked.sender_strobe_airtime_s() / 3)
-
-    def test_duty_cycle_saturates_at_one(self):
-        model = LplExpectations(LplConfig(wake_interval_s=0.5))
-        assert model.sender_duty_cycle(1e6) == 1.0
-        with pytest.raises(ValueError):
-            model.sender_duty_cycle(-1.0)

@@ -10,8 +10,8 @@ from repro.net.packet import (
     NET_HEADER_BYTES,
     NetPacket,
     UDP_HEADER_BYTES,
-    next_seq,
 )
+from repro.sim.kernel import Simulator
 
 
 class TestMacFrame:
@@ -44,9 +44,11 @@ class TestNetPacket:
                            source_route=(3, 4, 5))
         assert routed.size_bytes == plain.size_bytes + 6
 
-    def test_packet_ids_are_unique(self):
-        a = NetPacket(src=1, dst=2, payload=None, payload_bytes=0)
-        b = NetPacket(src=1, dst=2, payload=None, payload_bytes=0)
+    def test_packet_ids_are_unique(self, sim):
+        a = NetPacket(src=1, dst=2, payload=None, payload_bytes=0,
+                      packet_id=sim.next_id("net.seq"))
+        b = NetPacket(src=1, dst=2, payload=None, payload_bytes=0,
+                      packet_id=sim.next_id("net.seq"))
         assert a.packet_id != b.packet_id
 
 
@@ -57,6 +59,10 @@ class TestDatagram:
         assert datagram.size_bytes == UDP_HEADER_BYTES + 12
 
 
-def test_next_seq_monotone():
-    a, b = next_seq(), next_seq()
-    assert b > a
+def test_next_seq_monotone(sim):
+    a, b = sim.next_id("net.seq"), sim.next_id("net.seq")
+    assert (a, b) == (1, 2)
+    # Id spaces are independent, and belong to the run: the next
+    # simulator in this process numbers from 1 again.
+    assert sim.next_id("frag.tag") == 1
+    assert Simulator(seed=9).next_id("net.seq") == 1

@@ -150,13 +150,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             build_line_network(2, config=StackConfig(objective="fancy"))
 
-    def test_connected_property(self):
-        sim, trace, stacks = build_line_network(3, seed=36)
-        assert stacks[0].connected  # root always
-        assert not stacks[2].connected
-        sim.run(until=120.0)
-        assert stacks[2].connected
-
     def test_of0_network_still_converges(self):
         sim, trace, stacks = build_line_network(
             4, seed=37, config=StackConfig(mac="csma", objective="of0"),

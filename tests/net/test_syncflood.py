@@ -96,11 +96,3 @@ class TestCollect:
         service = SyncFloodService(sim, medium)
         distances = service.hop_distances(0)
         assert distances == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-
-    def test_invalidate_recomputes_graph(self, sim):
-        medium = make_line(sim, 3)
-        service = SyncFloodService(sim, medium)
-        assert len(service.hop_distances(0)) == 3
-        Radio(medium, 10, (60.0, 0.0))
-        service.invalidate()
-        assert len(service.hop_distances(0)) == 4

@@ -16,6 +16,7 @@ from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from tests.conftest import reserved_slots
 
 
 def make_pair(sim, distance=10.0, **cfg):
@@ -199,8 +200,8 @@ class TestMsfNegotiation:
         sim.run(until=200.0)
         assert a.sixp.inflight_count() == 0
         assert b.sixp.inflight_count() == 0
-        assert a.schedule.reserved_slots() == []
-        assert b.schedule.reserved_slots() == []
+        assert reserved_slots(a.schedule) == []
+        assert reserved_slots(b.schedule) == []
 
 
 class TestDeterminism:

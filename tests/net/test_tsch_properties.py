@@ -24,6 +24,7 @@ from repro.net.mac.tsch import (
     TschConfig,
     TschSchedule,
 )
+from tests.conftest import reserved_slots
 
 SLOTS = 23
 CONFIG = TschConfig(slotframe_slots=SLOTS, sixp_timeout_s=5.0,
@@ -68,9 +69,9 @@ def test_schedule_never_double_books(ops):
             pass
         scheduled = [c.slot for c in schedule.cells()]
         assert len(scheduled) == len(set(scheduled))
-        assert not set(scheduled) & set(schedule.reserved_slots())
+        assert not set(scheduled) & set(reserved_slots(schedule))
         assert (set(schedule.free_slots()) | set(scheduled)
-                | set(schedule.reserved_slots())) == set(range(SLOTS))
+                | set(reserved_slots(schedule))) == set(range(SLOTS))
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +82,8 @@ def check_invariants(a, b):
     for initiator, responder in ((a, b), (b, a)):
         # Reservations exist only while a transaction is in flight.
         if initiator.inflight_count() == 0:
-            assert initiator.schedule.reserved_slots() == []
-        assert (len(initiator.schedule.reserved_slots())
+            assert reserved_slots(initiator.schedule) == []
+        assert (len(reserved_slots(initiator.schedule))
                 <= initiator.inflight_count() * CONFIG.sixp_candidates)
         # A TX cell nobody listens to can never exist: responders
         # install RX before the confirmation travels back.
@@ -149,8 +150,8 @@ def test_negotiation_never_orphans_cells(seed, ops):
     a.expire(now)
     b.expire(now)
     assert a.inflight_count() == 0 and b.inflight_count() == 0
-    assert a.schedule.reserved_slots() == []
-    assert b.schedule.reserved_slots() == []
+    assert reserved_slots(a.schedule) == []
+    assert reserved_slots(b.schedule) == []
     check_invariants(a, b)
 
 
@@ -178,7 +179,7 @@ def test_lossless_in_order_negotiation_converges(seed, rounds):
     rx = b.schedule.rx_cells_from(1)
     assert {(c.slot, c.channel_offset) for c in tx} \
         <= {(c.slot, c.channel_offset) for c in rx}
-    assert a.schedule.reserved_slots() == []
+    assert reserved_slots(a.schedule) == []
 
 
 # ---------------------------------------------------------------------------

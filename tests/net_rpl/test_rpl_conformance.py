@@ -6,7 +6,7 @@ from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.messages import DaoMessage, DioMessage, DisMessage
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
 from repro.net.stack import StackConfig
-from tests.conftest import build_line_network
+from tests.conftest import build_line_network, bump_dodag_version
 
 
 class TestDisBehaviour:
@@ -40,7 +40,7 @@ class TestVersioning:
     def test_old_version_dio_does_not_regress(self):
         sim, trace, stacks = build_line_network(3, seed=272)
         sim.run(until=120.0)
-        stacks[0].rpl.trigger_global_repair()  # version 1
+        bump_dodag_version(stacks[0].rpl)  # version 1
         sim.run(until=400.0)
         node = stacks[2].rpl
         assert node.version == 1

@@ -11,8 +11,8 @@ Fuzzed claims (mirroring ``test_telemetry_properties``):
    reconstructed tree: consecutive spans are parent/child and the walk
    never stops early.
 3. Exemplar reservoirs ride the executor's merge contract: a fleet of
-   exemplar-recording trials folded through
-   :meth:`TrialExecutor.map_merge` is **byte-identical** for every
+   exemplar-recording trials streamed by :meth:`TrialExecutor.imap` and
+   folded in submission order is **byte-identical** for every
    (jobs, chunksize) shape.  ``REPRO_PARALLEL_FORCE=1`` keeps the claim
    honest on single-core CI; module-level trial functions because
    process pools move work through pickle.
@@ -163,9 +163,10 @@ class TestExemplarParallelIdentity:
     def test_jobs_and_chunksize_never_change_merged_exemplars(
             self, values, seed, jobs, chunksize):
         argses = [(v, seed + i) for i, v in enumerate(values)]
-        serial = TrialExecutor(jobs=1).map_merge(
-            _exemplar_trial, argses, _merge_to_json)
-        parallel = TrialExecutor(jobs=jobs, chunksize=chunksize).map_merge(
-            _exemplar_trial, argses, _merge_to_json)
+        serial = _merge_to_json(
+            TrialExecutor(jobs=1).imap(_exemplar_trial, argses))
+        parallel = _merge_to_json(
+            TrialExecutor(jobs=jobs, chunksize=chunksize).imap(
+                _exemplar_trial, argses))
         assert serial == parallel
         assert '"exemplars"' in serial  # the claim is about real links

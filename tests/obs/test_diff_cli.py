@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.obs.diff import diff_main, diff_snapshots, load_snapshot
-from repro.obs.export import read_metrics_json, write_metrics_json
+from repro.obs.export import write_metrics_json
 from repro.obs.registry import MetricsSnapshot, Registry
 
 
@@ -69,7 +69,7 @@ class TestJsonRoundTrip:
     def test_snapshot_survives_the_interchange_format(self, tmp_path):
         snapshot = sample_registry().snapshot()
         path = write_snapshot(tmp_path / "a.json", sample_registry())
-        loaded = read_metrics_json(path)
+        loaded = load_snapshot(path)
         assert loaded.counters == snapshot.counters
         assert loaded.gauges == snapshot.gauges
         assert loaded.histograms == snapshot.histograms

@@ -12,14 +12,13 @@ from repro.aggregation.service import AggregationService
 from repro.crdt.counters import GCounter
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
 from repro.devices.node import DeviceNode
-from repro.devices.phenomena import UniformField
 from repro.net.stack import StackConfig
 from repro.obs import Observability
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import build_grid_network, build_line_network
+from tests.conftest import build_grid_network, build_line_network, constant_field
 
 
 def trees_of(obs, category):
@@ -98,7 +97,7 @@ def device_line(n=3, seed=80):
     for i in range(n):
         node = DeviceNode(sim, medium, i, (i * 20.0, 0.0), config,
                           is_root=(i == 0), trace=log)
-        node.add_sensor("temp", UniformField(20.0))
+        node.add_sensor("temp", constant_field(20.0))
         node.start()
         nodes.append(node)
     sim.run(until=240.0)

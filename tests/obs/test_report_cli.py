@@ -110,13 +110,13 @@ class TestCli:
 
     def test_export_round_trips_exemplars_and_writes_explain(
             self, tmp_path, capsys):
-        from repro.obs.export import read_metrics_json
+        from repro.obs.diff import load_snapshot
 
         out_dir = tmp_path / "export"
         assert report_main(["--side", "2", "--duration", "40",
                             "--seed", "6", "--export", str(out_dir)]) == 0
         capsys.readouterr()
-        snapshot = read_metrics_json(str(out_dir / "metrics.json"))
+        snapshot = load_snapshot(str(out_dir / "metrics.json"))
         # The exported metrics carry the exemplar reservoirs, and they
         # survive the JSON round trip with trace links intact.
         exemplars = snapshot.exemplars_for("net.latency_s")

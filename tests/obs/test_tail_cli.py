@@ -6,8 +6,8 @@ import json
 import pytest
 
 from repro.obs.tail import render_window_line, tail_main
-from repro.obs.timeseries import (TelemetryWindow, read_windows_jsonl,
-                                  window_to_jsonable)
+from repro.obs.timeseries import TelemetryWindow, window_to_jsonable
+from tests.conftest import read_windows_jsonl
 
 
 def window_line(index=0, start=0.0, end=10.0, counters=(), alerts=()):

@@ -19,9 +19,9 @@ from repro.obs import Observability
 from repro.obs.registry import Registry
 from repro.obs.timeseries import (AlertRule, TelemetryEngine,
                                   TelemetrySnapshot, TelemetryWindow,
-                                  read_windows_jsonl, window_from_jsonable,
-                                  window_to_jsonable)
+                                  window_from_jsonable, window_to_jsonable)
 from repro.sim.kernel import Simulator
+from tests.conftest import read_windows_jsonl
 
 
 def make_engine(sim=None, registry=None, **kwargs):
@@ -267,11 +267,6 @@ class TestCodecAndSnapshot:
         window = self._sample_window()
         payload = json.loads(json.dumps(window_to_jsonable(window)))
         assert window_from_jsonable(payload) == window
-
-    def test_read_windows_jsonl(self):
-        window = self._sample_window()
-        lines = [json.dumps(window_to_jsonable(window)), "", "  "]
-        assert read_windows_jsonl(lines) == [window]
 
     def test_snapshot_merge_in_order(self):
         a = TelemetrySnapshot(windows=[self._sample_window()], dropped=2)

@@ -5,7 +5,6 @@ import pytest
 from repro.radio.channels import (
     IEEE802154_CHANNELS,
     WIFI_CHANNELS,
-    clear_802154_channels,
     ieee802154_center_mhz,
     ieee802154_channels_hit_by_wifi,
     wifi_center_mhz,
@@ -42,8 +41,9 @@ class TestChannelPlan:
 
     def test_classic_survivor_set(self):
         # With Wi-Fi 1/6/11 active, the textbook clear channels remain.
-        clear = clear_802154_channels(1, 6, 11)
-        assert clear == {15, 20, 25, 26}
+        hit = set().union(*(ieee802154_channels_hit_by_wifi(wifi)
+                            for wifi in (1, 6, 11)))
+        assert set(IEEE802154_CHANNELS) - hit == {15, 20, 25, 26}
 
     def test_overlap_is_symmetric_in_distance(self):
         assert wifi_overlaps_802154(1, 11)

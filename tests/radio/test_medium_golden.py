@@ -16,10 +16,11 @@ change must not need to.
 """
 
 import hashlib
+import math
 import random
 
 from repro.radio.medium import Frame, Medium, Radio
-from repro.radio.propagation import LogDistanceModel, distance
+from repro.radio.propagation import LogDistanceModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 from tests.conftest import full_scan
@@ -86,7 +87,7 @@ def run_scenario(model_cls=LogDistanceModel):
             for anchor in rng.sample(eligible, SENDERS_PER_ROUND // 4):
                 senders += sorted(
                     (r for r in eligible if r not in senders),
-                    key=lambda r: (distance(r.position, anchor.position),
+                    key=lambda r: (math.dist(r.position, anchor.position),
                                    r.node_id))[:4]
         else:
             senders = rng.sample(eligible, SENDERS_PER_ROUND)
@@ -102,15 +103,15 @@ def run_scenario(model_cls=LogDistanceModel):
     # in flight; a sleeper that never sends wakes next to another sender,
     # too late for the frames already on air.
     mover = rounds[2][0]
-    sim.schedule_at(3 * ROUND_S + 0.0005, lambda: mover.move_to(
-        (mover.position[0] + 60.0, mover.position[1])))
+    sim.schedule_at(3 * ROUND_S + 0.0005, lambda: setattr(
+        mover, "position", (mover.position[0] + 60.0, mover.position[1])))
     listener = next(r for r in eligible if r not in rounds[2]
                     and r.node_id % 17 != 7)
-    sim.schedule_at(3 * ROUND_S + 0.0007, lambda: listener.move_to(
-        rounds[2][1].position))
+    sim.schedule_at(3 * ROUND_S + 0.0007, lambda: setattr(
+        listener, "position", rounds[2][1].position))
     sleeper = min((r for r in radios if r.node_id % 17 == 7
                    and not any(r in senders for senders in rounds)),
-                  key=lambda r: min(distance(r.position, s.position)
+                  key=lambda r: min(math.dist(r.position, s.position)
                                     for s in rounds[2]))
     sim.schedule_at(3 * ROUND_S + 0.0009, sleeper.set_listening)
     # Rounds 4-5: a partition-style filter goes in and comes out, both
@@ -121,7 +122,7 @@ def run_scenario(model_cls=LogDistanceModel):
                     lambda: medium.set_link_filter(None))
     # Round 6: a power write above the grid's sizing basis, mid-flight.
     sim.schedule_at(6 * ROUND_S + 0.0004,
-                    lambda: rounds[5][2].set_tx_power(6.0))
+                    lambda: setattr(rounds[5][2], "tx_power_dbm", 6.0))
     sim.run()
     return medium, radios, cca, upcalls, max_active[0]
 

@@ -1,5 +1,7 @@
 """Link-quality model behaviour."""
 
+import math
+
 from hypothesis import given, settings, strategies as st
 
 from repro.radio import propagation
@@ -7,7 +9,6 @@ from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
     UnitDiskModel,
-    distance,
 )
 
 
@@ -81,10 +82,6 @@ class TestLogDistance:
         assert at_zero == at_half
 
 
-def test_distance_euclidean():
-    assert distance((0, 0), (3, 4)) == 5.0
-
-
 coords = st.floats(min_value=0.0, max_value=500.0,
                    allow_nan=False, allow_infinity=False)
 points = st.tuples(coords, coords)
@@ -139,7 +136,7 @@ class TestAudibleRangeBound:
         """
         threshold = -100.0
         model = LogDistanceModel(shadowing_sigma_db=sigma, seed=model_seed)
-        if distance(sender, receiver) > model.max_audible_range_m(
+        if math.dist(sender, receiver) > model.max_audible_range_m(
                 tx, threshold):
             assert model.rssi_dbm(sender, receiver, tx) < threshold
 

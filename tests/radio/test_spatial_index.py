@@ -67,8 +67,8 @@ def contended_scripts(draw):
     edits = draw(st.lists(st.tuples(
         st.floats(0.0, 1.0),  # when, as a fraction of the script
         st.integers(0, n - 1),
-        st.one_of(st.tuples(coords, coords),  # move_to
-                  st.floats(-10.0, 6.0))),  # set_tx_power (6 regrows the grid)
+        st.one_of(st.tuples(coords, coords),  # a new position
+                  st.floats(-10.0, 6.0))),  # a new tx power (6 regrows the grid)
         max_size=6))
     return positions, rounds, edits
 
@@ -157,10 +157,11 @@ class TestIdentityProperties:
                     sim.schedule_at(0.001 + k * ROUND_S + i * STAGGER_S,
                                     lambda radio=radios[sender]: send(radio))
             for when, who, change in edits:
-                edit = (radios[who].move_to if isinstance(change, tuple)
-                        else radios[who].set_tx_power)
-                sim.schedule_at(when * len(rounds) * ROUND_S,
-                                lambda edit=edit, change=change: edit(change))
+                attr = "position" if isinstance(change, tuple) else "tx_power_dbm"
+                sim.schedule_at(
+                    when * len(rounds) * ROUND_S,
+                    lambda radio=radios[who], attr=attr, change=change:
+                        setattr(radio, attr, change))
             sim.run()
             assert peak[0] > _SMALL_ACTIVE
             answers.append((cca, [r.frames_received for r in radios]))
@@ -182,8 +183,8 @@ class TestIdentityProperties:
         for ir, br in zip(idx_radios, bf_radios):
             assert audible_ids(indexed, ir) == audible_ids(brute, br)
         for who, x, y in moves:
-            idx_radios[who].move_to((x, y))
-            bf_radios[who].move_to((x, y))
+            idx_radios[who].position = (x, y)
+            bf_radios[who].position = (x, y)
             for ir, br in zip(idx_radios, bf_radios):
                 assert audible_ids(indexed, ir) == audible_ids(brute, br)
 
@@ -205,7 +206,7 @@ class TestCacheInvalidation:
         b = Radio(medium, 2, (1000.0, 0.0))
         b.set_listening()
         assert audible_ids(medium, a) == []
-        b.move_to((10.0, 0.0))
+        b.position = (10.0, 0.0)
         after = audible_ids(medium, a)
         assert [node for node, _ in after] == [2]
         assert after[0][1] == self._model_rssi(medium, a, b)
@@ -216,9 +217,9 @@ class TestCacheInvalidation:
         b = Radio(medium, 2, (150.0, 0.0))
         b.set_listening()
         assert audible_ids(medium, a) == []
-        a.set_tx_power(20.0)
+        a.tx_power_dbm = 20.0
         assert [node for node, _ in audible_ids(medium, a)] == [2]
-        a.set_tx_power(-20.0)
+        a.tx_power_dbm = -20.0
         assert audible_ids(medium, a) == []
 
     def test_attach_after_queries_is_visible(self, sim):
@@ -261,7 +262,7 @@ class TestCacheInvalidation:
         b = Radio(medium, 2, (10.0, 0.0))
         near = medium.rssi_between(a, b)
         assert near == self._model_rssi(medium, a, b)
-        b.move_to((200.0, 0.0))
+        b.position = (200.0, 0.0)
         far = medium.rssi_between(a, b)
         assert far == self._model_rssi(medium, a, b) < near
 
@@ -281,15 +282,15 @@ class TestCacheInvalidation:
 
         near = heard()
         assert near is not None
-        b.move_to((30.0, 0.0))
+        b.position = (30.0, 0.0)
         assert heard() < near
-        b.move_to((5000.0, 0.0))
+        b.position = (5000.0, 0.0)
         assert heard() is None
-        b.move_to((10.0, 0.0))
+        b.position = (10.0, 0.0)
         assert heard() == near
-        a.set_tx_power(-70.0)
+        a.tx_power_dbm = -70.0
         assert heard() is None
-        a.set_tx_power(0.0)
+        a.tx_power_dbm = 0.0
         assert heard() == near
         medium.set_link_filter(lambda s, r: (s, r) == (1, 2))
         assert heard() is None
@@ -332,7 +333,7 @@ class TestGridEngagement:
                         TraceLog(enabled=False))
         a = Radio(medium, 1, (0.0, 0.0))
         before = medium.grid_info()["cells"]
-        a.move_to((500.0, 500.0))
+        a.position = (500.0, 500.0)
         Radio(medium, 2, (0.0, 0.0))
         assert medium.grid_info()["cells"] >= before
         # The moved radio is findable at its new home.
@@ -395,7 +396,8 @@ class TestPerFrameArbitration:
         crowd()
         sender.transmit("wanted", 40)
         interferer.transmit("unwanted", 40)
-        sim.schedule(0.0005, lambda: receiver.move_to((310.0, 0.0)))
+        sim.schedule(0.0005,
+                     lambda: setattr(receiver, "position", (310.0, 0.0)))
         sim.run()
         assert self._outcomes(medium, 2) == ["radio.collision"]
 

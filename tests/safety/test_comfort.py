@@ -18,9 +18,6 @@ class TestComfortBand:
         assert band.lower_c == 18.0
         assert band.upper_c == 25.0
 
-    def test_midpoint(self):
-        assert ComfortBand(20.0, 24.0).midpoint_c == 22.0
-
     def test_inverted_band_rejected(self):
         with pytest.raises(ValueError):
             ComfortBand(25.0, 20.0)
@@ -65,7 +62,7 @@ class TestComfortTracker:
         # 2 degrees below band for ~1 hour.
         assert tracker.violation_degree_hours == pytest.approx(2.0, abs=0.1)
         assert tracker.worst_violation_c == pytest.approx(2.0)
-        assert tracker.mean_violation_c == pytest.approx(2.0, abs=0.1)
+        assert tracker.occupied_hours == pytest.approx(1.0, abs=0.05)
 
     def test_empty_room_accrues_nothing(self, sim):
         tracker = ComfortTracker(
@@ -75,4 +72,4 @@ class TestComfortTracker:
         tracker.start()
         sim.run(until=24 * 3600.0)
         assert tracker.violation_degree_hours == 0.0
-        assert tracker.mean_violation_c == 0.0
+        assert tracker.occupied_hours == 0.0

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.safety.comfort import ComfortBand, OccupancySchedule
-from repro.safety.controllers import (
-    BangBangController,
-    FixedOutputController,
-    PIController,
-    SetbackController,
-)
+from repro.safety.controllers import BangBangController, SetbackController
 from repro.safety.revenue import RevenueModel
 
 
@@ -39,31 +34,6 @@ class TestBangBang:
         assert heat == 0.0
 
 
-class TestPI:
-    def test_output_proportional_to_error(self):
-        controller = PIController(BAND, kp=0.5, ki=0.0)
-        heat, cool = controller.control(20.5, 0.0)  # 1 below midpoint
-        assert heat == pytest.approx(0.5)
-        assert cool == 0.0
-
-    def test_output_clamped(self):
-        controller = PIController(BAND, kp=10.0, ki=0.0)
-        heat, _ = controller.control(10.0, 0.0)
-        assert heat == 1.0
-
-    def test_integral_accumulates(self):
-        controller = PIController(BAND, kp=0.0, ki=0.001)
-        first, _ = controller.control(20.5, 0.0)
-        second, _ = controller.control(20.5, 60.0)
-        assert second > first
-
-    def test_anti_windup(self):
-        controller = PIController(BAND, kp=0.0, ki=1.0, integral_limit=10.0)
-        for _ in range(100):
-            controller.control(10.0, 0.0)
-        assert controller._integral == 10.0
-
-
 class TestSetback:
     def test_strict_when_occupied(self):
         schedule = OccupancySchedule([(8.0, 18.0, 5)])
@@ -83,12 +53,6 @@ class TestSetback:
         controller = SetbackController(BAND, schedule, warmup_lead_s=3600.0)
         heat, _ = controller.control(18.0, 7.5 * 3600.0)  # 07:30
         assert heat == 1.0
-
-
-class TestFixedOutput:
-    def test_constant(self):
-        controller = FixedOutputController(heat_fraction=0.3)
-        assert controller.control(99.0, 0.0) == (0.3, 0.0)
 
 
 class TestRevenue:

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.security.attacks import ReplayAttacker
 from repro.security.auth import FrameAuthenticator
 from repro.security.keys import KeyStore
-from tests.conftest import build_line_network
+from tests.conftest import ReplayAttacker, build_line_network
 
 KEY = 0xA11CE
 
