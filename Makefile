@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: test gates census check-invariants check-dependability sweep bench bench-perf \
 	bench-perf-quick bench-scale bench-scale-quick bench-layers \
-	bench-layers-tsch cold-start report demo diff-core \
+	bench-layers-tsch cold-start cold-fill report demo diff-core \
 	diff-core-baseline dependability-baseline diff-taxonomy \
 	diff-taxonomy-baseline explain-core explain-core-baseline \
 	bench-taxonomy-matrix diff-taxonomy-matrix taxonomy-matrix-baseline
@@ -116,6 +116,14 @@ cold-start:
 	done | sort -n | head -1
 	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X importtime -c "import repro" 2>&1 \
 		| sort -t'|' -k2 -n -r | head -10
+
+# What campus_medium's set-up does per sender (DESIGN.md, "Scaling the
+# medium"): one seeded N=10k cold pass, then per sender the radios in its
+# nine cells / inside its audible disc / evaluated by the link model /
+# audible, and radio.cold_frame_us. SEED=n picks the seed.
+SEED ?= 2018
+cold-fill:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/cold_fill.py --seed $(SEED)
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one

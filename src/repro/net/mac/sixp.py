@@ -88,7 +88,8 @@ class SixpPeer:
       responders install their RX cell *before* the confirmation
       travels back — so a lost response can leave a superfluous RX
       cell (idle listening, reclaimed by a later delete) but never a
-      TX cell nobody listens to;
+      TX cell nobody listens to — which is also why a responder refuses
+      a request its initiator has already superseded;
     - deletes drop the initiator's TX cells at request time, keeping
       the same "RX is a superset of peer TX" invariant for removal.
     """
@@ -102,6 +103,8 @@ class SixpPeer:
         self.stats = stats if stats is not None else TschStats()
         self._txn_seq = 0
         self._inflight: Dict[int, _Transaction] = {}
+        #: Per initiator, the newest request ``txn`` served from it.
+        self._served: Dict[int, int] = {}
 
     def busy(self, peer: int) -> bool:
         return peer in self._inflight
@@ -165,6 +168,15 @@ class SixpPeer:
         return None
 
     def _handle_request(self, src: int, msg: SixpMessage) -> SixpMessage:
+        # Ids are per-initiator and monotonic, so a request no newer
+        # than the last one served from ``src`` was overtaken by its
+        # successor (its initiator gave up on it): acting on it now —
+        # reconciling against its outdated ``active`` list, or deleting
+        # a slot since re-granted — would take RX cells from under the
+        # newer transaction's TX cells.
+        if msg.txn <= self._served.get(src, 0):
+            return SixpMessage(msg.op, "response", msg.txn, (), ok=False)
+        self._served[src] = msg.txn
         if msg.op == "add":
             # Reconcile against the initiator's declared TX set: an RX
             # cell the initiator does not transmit into is an orphan

@@ -21,7 +21,12 @@ see :mod:`repro.radio.propagation`), the medium buckets radios into
 square cells at least that large, so "who can hear this radio" resolves
 against the 3×3 cell neighborhood instead of the full population: any
 radio that could possibly be heard is in an adjacent cell by
-construction.
+construction.  Inside those nine cells only the radios within the
+sender's own disc — the same bound at *its* power, times the same
+``_CELL_MARGIN`` — are handed to the model: the nine cells cover about
+nine cell areas, the disc about π of one, and every link evaluation is a
+shadowing draw, so a squared-distance compare per candidate is the
+cheaper way to say no to the other ~60 %.
 
 The index is an *accelerator, not an approximation*: the candidate set
 is a superset of the audible set, every candidate is then evaluated with
@@ -54,11 +59,16 @@ Cache invalidation rules (the part that must not rot):
 
 - ``Radio.position`` / ``Radio.tx_power_dbm`` are properties; every
   write bumps ``Radio.version`` and notifies the medium.
-- The neighborhoods are the only place the medium keeps signal
-  strengths.  A neighborhood (triples and ``rssi_by_id``, built in one
-  pass from one batch model call) is stamped with the world version, its
-  sender's version, the link-filter version, and the grid cells it drew
-  candidates from with those cells' versions.  Attaching or moving a
+- The neighborhoods are the only place signal strengths are kept:
+  the medium has no other cache and the link model keeps none (a
+  shadowing draw is recomputed from ``(seed, link key)`` whenever a
+  neighborhood is rebuilt).  A neighborhood (triples and
+  ``rssi_by_id``, built in one pass from one batch model call) is
+  stamped with the world version, its sender's version, the link-filter
+  version, and the nine grid cells around its sender with those cells'
+  versions — all nine, although candidates come from the disc inside
+  them: a radio that moves within a cell can enter the disc, and the
+  cell stamp is what notices.  Attaching or moving a
   radio bumps only the affected cells, so distant neighborhoods
   revalidate with an integer compare instead of rebuilding.  Every read
   — delivery, CCA, arbitration, :meth:`Medium.rssi_between` — goes
@@ -148,6 +158,11 @@ class RadioState(enum.Enum):
     SLEEP = "sleep"
     LISTEN = "listen"
     TX = "tx"
+
+    # Members are singletons compared by identity; Enum's own
+    # ``hash(self._name_)`` is a Python-level call that every
+    # ``state_seconds[...]`` update would pay.
+    __hash__ = object.__hash__
 
 
 @dataclass
@@ -499,16 +514,25 @@ class Medium:
             return
         self._grid_max_tx = max(
             (r.tx_power_dbm for r in self.radios.values()), default=0.0)
-        range_m = self._model_range_fn(self._grid_max_tx, AUDIBLE_THRESHOLD_DBM)
-        if range_m is None or not range_m > 0 or math.isinf(range_m):
+        reach = self._reach_m(self._grid_max_tx)
+        if reach is None:
             return
-        self._cell_size = max(range_m * _CELL_MARGIN, 1.0)
+        self._cell_size = max(reach, 1.0)
         grid: Dict[Tuple[int, int], Dict[int, Radio]] = {}
         for radio in self.radios.values():
             grid.setdefault(self._cell_of(radio.position), {})[radio.node_id] = radio
         self._grid = grid
         if self._active:
             self._rebuild_cell_active()
+
+    def _reach_m(self, tx_power_dbm: float) -> Optional[float]:
+        """The model's audible-range bound at this power, inflated by
+        ``_CELL_MARGIN``; None when it gives no usable bound (indexing
+        is then unsound)."""
+        range_m = self._model_range_fn(tx_power_dbm, AUDIBLE_THRESHOLD_DBM)
+        if range_m is None or not range_m > 0 or math.isinf(range_m):
+            return None
+        return range_m * _CELL_MARGIN
 
     def _cell_of(self, position: Position) -> Tuple[int, int]:
         size = self._cell_size
@@ -522,14 +546,14 @@ class Medium:
         if self._grid is None or tx_power_dbm <= self._grid_max_tx:
             return
         self._grid_max_tx = tx_power_dbm
-        range_m = self._model_range_fn(tx_power_dbm, AUDIBLE_THRESHOLD_DBM)
-        if range_m is None or not range_m > 0 or math.isinf(range_m):
+        reach = self._reach_m(tx_power_dbm)
+        if reach is None:
             # Range became unbounded: indexing is no longer sound.
             self._grid = None
             self._cell_active = {}
             self._cell_active_count = 0
             self._neighborhoods.clear()
-        elif range_m * _CELL_MARGIN > self._cell_size:
+        elif reach > self._cell_size:
             self._rebuild_grid()
 
     def grid_info(self) -> Dict[str, Any]:
@@ -658,6 +682,21 @@ class Medium:
                 bucket = self._grid.get(cell)
                 if bucket:
                     candidates.extend(bucket.values())
+            # The nine cells cover the loudest radio's range from
+            # anywhere in the home cell; the model can make audible only
+            # what lies inside this sender's own disc, so only that is
+            # worth a link evaluation.  (No bound: all nine cells.)
+            reach = self._reach_m(sender.tx_power_dbm)
+            if reach is not None:
+                x, y = sender.position
+                limit = reach * reach
+                in_cells, candidates = candidates, []
+                for radio in in_cells:
+                    px, py = radio._position
+                    dx = px - x
+                    dy = py - y
+                    if dx * dx + dy * dy <= limit:
+                        candidates.append(radio)
         else:
             cells = ()
             cell_versions = ()

@@ -36,10 +36,12 @@ silently corrupting it):
 
 Shadowing is derived per link from a stable hash of
 ``(model seed, link key)`` — never from a sequentially-consumed RNG —
-so the value of a link does not depend on the *order* in which links
-are first evaluated.  A spatially-indexed medium evaluates far fewer
-(and differently-ordered) links than a brute-force one; order-free
-draws are what make the two produce byte-identical traces.
+so the value of a link depends neither on the *order* in which links
+are evaluated nor on *whether* any other link ever is.  A
+spatially-indexed medium evaluates far fewer (and differently-ordered)
+links than a brute-force one; order-free draws are what make the two
+produce byte-identical traces.  The model remembers no draw: the
+medium's neighborhoods hold every signal strength a run reads twice.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 try:  # numpy is the expected fast path; everything degrades without it.
     import numpy as _np
@@ -64,11 +66,6 @@ SHADOWING_CLAMP_SIGMA = 4.0
 
 #: Below this many receivers a python loop beats numpy array setup.
 _BATCH_MIN = 8
-
-#: Per-link shadowing draws kept before a wholesale clear.  A draw is a
-#: pure function of the model seed and the link key, so an evicted link
-#: re-derives the same value.
-SHADOWING_CACHE_MAX = 65_536
 
 
 def _link_distance(a: Position, b: Position) -> float:
@@ -108,10 +105,10 @@ class LogDistanceModel:
     shadowing_sigma_db:
         Standard deviation of per-link log-normal shadowing.  Shadowing
         is derived per (sender, receiver) pair from a stable hash of
-        the model seed and the link key — order-free, cached up to
-        ``SHADOWING_CACHE_MAX`` links — and clamped to
-        ``±SHADOWING_CLAMP_SIGMA`` sigmas so audibility has a hard
-        geometric bound (see module docstring).
+        the model seed and the link key — order-free, recomputed on
+        every evaluation, the model keeps no per-link state — and
+        clamped to ``±SHADOWING_CLAMP_SIGMA`` sigmas so audibility has a
+        hard geometric bound (see module docstring).
     sensitivity_dbm:
         RSSI at which PRR is 50%.
     transition_width_db:
@@ -126,22 +123,17 @@ class LogDistanceModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self._shadowing: Dict[Tuple[Position, Position], float] = {}
+        #: Re-seeded for every draw: the only state is the generator.
+        self._rng = random.Random(0)
 
     def _link_shadowing_db(self, a: Position, b: Position) -> float:
         key = (a, b) if a <= b else (b, a)  # symmetric links
-        value = self._shadowing.get(key)
-        if value is None:
-            # Numeric hashing is deterministic across processes (only
-            # str/bytes are salted), so parallel trial workers agree.
-            draw = random.Random(hash((self.seed, key))).gauss(
-                0.0, self.shadowing_sigma_db)
-            clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
-            value = max(-clamp, min(clamp, draw))
-            if len(self._shadowing) >= SHADOWING_CACHE_MAX:
-                self._shadowing.clear()
-            self._shadowing[key] = value
-        return value
+        # Numeric hashing is deterministic across processes (only
+        # str/bytes are salted), so parallel trial workers agree.
+        self._rng.seed(hash((self.seed, key)))
+        draw = self._rng.gauss(0.0, self.shadowing_sigma_db)
+        clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
+        return max(-clamp, min(clamp, draw))
 
     def rssi_dbm(self, sender: Position, receiver: Position, tx_power_dbm: float) -> float:
         d = max(_link_distance(sender, receiver), 1.0)

@@ -42,8 +42,10 @@ def test_workload_runs_traced_and_untraced_to_the_same_digest(name):
     assert traced["digest"] == plain["digest"]
     assert traced["sim"] == plain["sim"]
     ledger = traced["trace"]
+    # 1 % of the wall, with a floor: the tiny campus run is ~10 ms, and
+    # one scheduler hiccup between the two clock reads is 0.2 ms.
     assert abs(ledger["partition_sum_s"] - traced["wall_s"]) \
-        < 0.01 * traced["wall_s"]
+        < max(0.01 * traced["wall_s"], 0.0005)
 
 
 def test_every_name_the_traced_pass_patches_still_resolves():

@@ -15,7 +15,7 @@ timeouts — and check the documented invariants after every step:
 
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.mac.tsch import (
     Cell,
@@ -107,6 +107,12 @@ def check_invariants(a, b):
         max_size=40,
     ),
 )
+@example(seed=0, ops=[
+    # A stale ADD request handled after its timeout, behind its
+    # successor: reconciling against its empty ``active`` list would
+    # reclaim the RX cell just granted to the newer transaction.
+    ("add_ab", 0), ("add_ba", 0), ("timeout", 0), ("add_ba", 0),
+    ("deliver", 2), ("deliver", 1), ("deliver", 1)])
 @settings(max_examples=120, deadline=None)
 def test_negotiation_never_orphans_cells(seed, ops):
     """Random interleavings of initiations, arbitrary-order delivery,

@@ -4,7 +4,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.radio import propagation
 from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
@@ -172,25 +171,35 @@ class TestShadowingOrderIndependence:
         assert a == list(reversed(b))
 
 
-class TestShadowingCacheBound:
-    def test_eviction_is_invisible(self, monkeypatch):
-        """The draw cache is bounded, and a cleared link reads the same.
+class TestShadowingPurity:
+    def test_draws_are_pure_and_the_model_keeps_none(self):
+        """A draw is a function of ``(seed, link key)`` and nothing else.
 
-        A draw is a pure function of ``(seed, link key)``, so the
-        wholesale clear can only cost a re-derivation: shadowing, scalar
-        RSSI and batch RSSI are bit-equal before and after.
+        Scalar, batch and re-ordered evaluation — with 10 000 other
+        links drawn in between — agree to the last bit, and afterwards
+        the model holds what it held before the first link: no per-link
+        state to bound, evict or invalidate.
         """
-        monkeypatch.setattr(propagation, "SHADOWING_CACHE_MAX", 8)
         model = LogDistanceModel(shadowing_sigma_db=4.0, seed=3)
-        a, b = (0.0, 0.0), (12.0, 5.0)
-        others = [(float(k), 100.0) for k in range(40)]
-        shadow = model._link_shadowing_db(a, b)
-        rssi = model.rssi_dbm(a, b, 0.0)
-        batch = model.rssi_dbm_batch(a, [b] + others, 0.0)
-        assert len(model._shadowing) <= 8
-        assert (a, b) not in model._shadowing  # evicted by the batch
-        assert model._link_shadowing_db(a, b).hex() == shadow.hex()
-        assert model.rssi_dbm(a, b, 0.0).hex() == rssi.hex()
-        assert [v.hex() for v in model.rssi_dbm_batch(a, [b] + others, 0.0)] \
-            == [v.hex() for v in batch]
-        assert batch[0].hex() == rssi.hex()
+        attributes = sorted(vars(model))
+        a = (0.0, 0.0)
+        near = [(12.0 + k, 5.0) for k in range(40)]
+        shadow = [model._link_shadowing_db(a, b).hex() for b in near]
+        scalar = [model.rssi_dbm(a, b, 0.0).hex() for b in near]
+        batch = [v.hex() for v in model.rssi_dbm_batch(a, near, 0.0)]
+        assert batch == scalar
+
+        far = [(float(k % 100), 100.0 + k // 100) for k in range(10_000)]
+        assert len({v.hex() for v in model.rssi_dbm_batch(a, far, 0.0)}) > 9_000
+
+        assert [model._link_shadowing_db(b, a).hex()
+                for b in reversed(near)] == shadow[::-1]
+        assert [model.rssi_dbm(a, b, 0.0).hex()
+                for b in reversed(near)] == scalar[::-1]
+        assert [v.hex() for v in model.rssi_dbm_batch(a, near[::-1], 0.0)] \
+            == batch[::-1]
+        # Same attributes as before the first link, none of them a
+        # container a link could have been put in.
+        assert sorted(vars(model)) == attributes
+        assert not any(hasattr(value, "__len__")
+                       for value in vars(model).values())

@@ -16,7 +16,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.radio.medium import _SMALL_ACTIVE, Frame, Medium, Radio
+from benchmarks.cold_fill import census
+from repro.deployment.topology import campus_topology
+from repro.radio.medium import (
+    _CELL_MARGIN,
+    _SMALL_ACTIVE,
+    AUDIBLE_THRESHOLD_DBM,
+    Frame,
+    Medium,
+    Radio,
+)
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -41,6 +50,14 @@ def build_pair(positions, model_cls, model_kw, seed=1, trace=False):
 
 def audible_ids(medium, radio):
     return [(r.node_id, rssi) for r, rssi in medium.audible_from(radio)]
+
+
+def neighborhood_bits(medium, radio):
+    """A sender's whole cached effect, floats to the last bit."""
+    entry = medium._neighborhood(radio)
+    return ([(r.node_id, rssi.hex(), prr.hex())
+             for r, rssi, prr in entry.receivers],
+            {node: rssi.hex() for node, rssi in entry.rssi_by_id.items()})
 
 
 coords = st.floats(min_value=0.0, max_value=400.0,
@@ -187,6 +204,85 @@ class TestIdentityProperties:
             bf_radios[who].position = (x, y)
             for ir, br in zip(idx_radios, bf_radios):
                 assert audible_ids(indexed, ir) == audible_ids(brute, br)
+
+
+#: The grid is first sized for 0 dBm: powers on both sides of that.
+tx_powers = st.sampled_from([-15.0, -6.0, 0.0, 3.0, 7.0])
+
+
+class TestAudibleDisc:
+    """Inside its nine cells a sender evaluates only its own disc.
+
+    The disc is the model's range bound at the *sender's* power, so the
+    cases that matter are powers away from the one the cells were sized
+    for, radios on the disc's edge, and the world edits that move a
+    radio across it.  The reference is the full scan, which prunes
+    nothing.
+    """
+
+    @given(positions=placements,
+           powers=st.lists(tx_powers, min_size=20, max_size=20),
+           sigma=st.sampled_from([0.0, 2.0, 6.0]),
+           model_seed=st.integers(0, 1000),
+           mover=st.integers(0, 19), target=st.tuples(coords, coords),
+           raiser=st.integers(0, 19), blocked_id=st.integers(0, 19))
+    @settings(max_examples=40, deadline=None)
+    def test_neighborhoods_match_full_scan(self, positions, powers, sigma,
+                                           model_seed, mover, target,
+                                           raiser, blocked_id):
+        model_kw = dict(path_loss_exponent=3.5, shadowing_sigma_db=sigma,
+                        seed=model_seed)
+        # Four more radios straddle radio 0's audible range and the
+        # inflated range the disc (and the cells) are cut at.
+        range_m = LogDistanceModel(**model_kw).max_audible_range_m(
+            powers[0], AUDIBLE_THRESHOLD_DBM)
+        x, y = positions[0]
+        edge = [(x + range_m * scale * (1.0 + nudge), y)
+                for scale in (1.0, _CELL_MARGIN) for nudge in (-1e-12, 1e-12)]
+        worlds = build_pair(positions + edge, LogDistanceModel, model_kw)
+        (_, indexed, idx_radios), (_, brute, bf_radios) = worlds
+        assert not brute.grid_info()["spatial_index"]
+
+        def check():
+            assert indexed.grid_info()["spatial_index"]
+            for ir, br in zip(idx_radios, bf_radios):
+                assert neighborhood_bits(indexed, ir) \
+                    == neighborhood_bits(brute, br)
+
+        def edit(who, attr, value):
+            for _, _, radios in worlds:
+                setattr(radios[who % len(radios)], attr, value)
+            check()
+
+        for who, power in enumerate(powers[:len(positions)]):
+            for _, _, radios in worlds:
+                radios[who].tx_power_dbm = power
+        check()
+        edit(mover, "position", target)
+        edit(raiser, "tx_power_dbm", 12.0)  # beyond any sizing basis so far
+        for _, medium, _ in worlds:
+            medium.set_link_filter(
+                lambda s, r: blocked_id % len(idx_radios) in (s, r))
+        check()
+
+    def test_cold_neighborhood_evaluates_the_disc_and_nothing_else(self):
+        """Counts, not clocks: the model is asked about exactly the
+        radios within reach of the sender, which is under half of what
+        its nine cells hold once the campus is wider than one cell row
+        (4 x 4 buildings here; a single row of four reads 0.66)."""
+        topology = campus_topology(16, 100, seed=5)
+        model = LogDistanceModel(path_loss_exponent=3.5,
+                                 shadowing_sigma_db=2.0, seed=5)
+        medium = Medium(Simulator(seed=5), model, TraceLog(enabled=False))
+        radios = [Radio(medium, node_id, topology.positions[node_id])
+                  for node_id in topology.node_ids()]
+        rows = census(medium, radios[::8])
+        assert all(row["evaluated"] == row["in_reach"] for row in rows)
+        assert all(row["audible"] <= row["evaluated"] <= row["candidates"]
+                   for row in rows)
+        assert sum(row["evaluated"] for row in rows) \
+            < 0.5 * sum(row["candidates"] for row in rows)
+        assert "_link_shadowing_db" not in vars(model)  # census cleaned up
 
 
 class TestCacheInvalidation:
