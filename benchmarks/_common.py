@@ -14,26 +14,16 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.experiment import Sweep, Trial
 from repro.core.report import ascii_table, write_csv
-from repro.obs.export import write_metrics_json
 from repro.obs.registry import MetricsSnapshot, Registry
 from repro.parallel import TrialExecutor
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 
-def metrics_export_enabled() -> bool:
-    """True when ``REPRO_BENCH_EXPORT_METRICS`` asks for snapshots.
-
-    With it set (any value but ``0``), every :func:`publish` call also
-    writes ``results/<name>.metrics.json`` in the ``repro diff``
-    interchange format, so two benchmark runs can be compared with
-    ``python -m repro diff`` instead of eyeballing tables.
-    """
-    return os.environ.get("REPRO_BENCH_EXPORT_METRICS", "0") != "0"
-
-
 def rows_to_snapshot(bench: str, rows: Sequence[Dict[str, Any]]) -> MetricsSnapshot:
-    """A result table as a :class:`MetricsSnapshot` for ``repro diff``.
+    """A result table as a :class:`MetricsSnapshot` — the form in which
+    ``benchmarks/gates.py`` diffs the taxonomy tables against their
+    committed baselines.
 
     Each numeric column becomes a gauge ``<bench>.<column>``; the row's
     non-numeric cells become its labels (bools count as labels — they
@@ -54,14 +44,6 @@ def rows_to_snapshot(bench: str, rows: Sequence[Dict[str, Any]]) -> MetricsSnaps
         for column, value in values.items():
             registry.set(f"{bench}.{column}", value, **labels)
     return registry.snapshot()
-
-
-def export_metrics(name: str, rows: Sequence[Dict[str, Any]]) -> str:
-    """Write ``results/<name>.metrics.json`` and return its path."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.metrics.json")
-    write_metrics_json(rows_to_snapshot(name, rows), path)
-    return path
 
 
 def assert_trial_invariants(trial: Trial) -> None:
@@ -138,8 +120,6 @@ def publish(
     with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as handle:
         handle.write(table + "\n")
     write_csv(os.path.join(RESULTS_DIR, f"{name}.csv"), list(rows))
-    if metrics_export_enabled():
-        export_metrics(name, rows)
     print("\n" + table)
     return table
 

@@ -9,10 +9,10 @@ radio duty cycle.
 
 Each cell is an independent trial (module-level function), so the
 matrix honors ``REPRO_BENCH_JOBS`` and its table is byte-identical for
-every jobs count.  ``make diff-taxonomy-matrix`` diffs the exported
-snapshot against the committed baseline inside ``make
-check-invariants`` — a silent behaviour shift in any MAC or Trickle
-variant moves a cell and fails the gate.
+every jobs count.  The ``taxonomy-matrix`` row of
+``benchmarks/gates.py`` diffs :func:`run_matrix`'s rows against the
+committed baseline (``make gates``) — a silent behaviour shift in any
+MAC or Trickle variant moves a cell and fails the gate.
 """
 
 from benchmarks._common import once, publish, run_trials

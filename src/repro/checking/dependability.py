@@ -6,8 +6,8 @@ fault-aware checkers, and exits nonzero when either scenario records a
 violation or the taxonomy's availability axis grades to zero.  With
 ``--export`` the summary is written as a focused
 ``repro.metrics/1`` snapshot — ``dependability.*`` gauges plus the run's
-``fault.injected`` counters — which ``make check-dependability`` diffs
-against a committed baseline with ``python -m repro diff --fail-on``.
+``fault.injected`` counters — the snapshot ``benchmarks/gates.py``
+diffs, exactly, against its committed baseline.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.checking.availability import AvailabilityChecker
 from repro.checking.base import CheckerSuite, Violation
 from repro.checking.safety import ComfortEnvelopeChecker
 from repro.core.taxonomy import availability_score
-from repro.obs.registry import Registry
+from repro.obs.registry import MetricsSnapshot, Registry
 
 #: The gate's fixed seed: the snapshot it exports must be byte-stable.
 GATE_SEED = 2018
@@ -65,12 +65,56 @@ def _run_scenario(name: str, scenario, seed: int,
     return violations, suite
 
 
-def dependability_main(argv=None) -> int:
+def run_gate(seed: int = GATE_SEED) -> Tuple[bool, List[str], MetricsSnapshot]:
+    """Both fault-plan scenarios at ``seed``.
+
+    Returns whether the gate passed (no violation, an availability axis
+    that does not grade to zero), the report lines, and the gated
+    snapshot — what ``python -m repro dependability`` prints and
+    exports, and what the ``dependability`` row of ``benchmarks/gates.py``
+    diffs against its committed baseline.
+    """
     from repro.checking.scenarios import (
         availability_probe_scenario,
         hvac_safety_scenario,
     )
 
+    registry = Registry()
+    lines: List[str] = []
+    passed = True
+    scenarios = [
+        ("hvac-safety", hvac_safety_scenario),
+        ("availability-probe", availability_probe_scenario),
+    ]
+    availability: Optional[float] = None
+    for name, scenario in scenarios:
+        violations, suite = _run_scenario(name, scenario, seed, registry)
+        verdict = "OK" if not violations else f"{len(violations)} VIOLATION(S)"
+        lines.append(f"{name}: seed {seed}, {verdict}")
+        lines.extend(f"  {violation}" for violation in violations[:10])
+        passed = passed and not violations
+        for checker in suite.checkers:
+            if isinstance(checker, AvailabilityChecker):
+                availability = checker.mean_availability()
+                lines.append(f"  service availability: mean "
+                             f"{availability:.4f}, min "
+                             f"{checker.min_availability():.4f}, reachable "
+                             f"mean {checker.mean_reachable():.4f}")
+
+    if availability is None:
+        lines.append("availability axis: NOT MEASURED")
+        passed = False
+    else:
+        score = availability_score(availability)
+        lines.append(f"availability axis score: {score:.3f} "
+                     f"(grade anchors: 0.999 good, 0.900 bad)")
+        if score <= 0.0:
+            lines.append("availability axis grades to zero — gate FAILED")
+            passed = False
+    return passed, lines, registry.snapshot()
+
+
+def dependability_main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro dependability",
         description="Run the fault-plan dependability scenarios and gate "
@@ -83,42 +127,10 @@ def dependability_main(argv=None) -> int:
                              "(repro.metrics/1 JSON) to PATH")
     args = parser.parse_args(argv)
 
-    registry = Registry()
-    failed = False
-    scenarios = [
-        ("hvac-safety", hvac_safety_scenario),
-        ("availability-probe", availability_probe_scenario),
-    ]
-    availability: Optional[float] = None
-    for name, scenario in scenarios:
-        violations, suite = _run_scenario(name, scenario, args.seed, registry)
-        verdict = "OK" if not violations else f"{len(violations)} VIOLATION(S)"
-        print(f"{name}: seed {args.seed}, {verdict}")
-        for violation in violations[:10]:
-            failed = True
-            print(f"  {violation}")
-        for checker in suite.checkers:
-            if isinstance(checker, AvailabilityChecker):
-                availability = checker.mean_availability()
-                print(f"  service availability: mean "
-                      f"{availability:.4f}, min "
-                      f"{checker.min_availability():.4f}, reachable mean "
-                      f"{checker.mean_reachable():.4f}")
-
-    if availability is None:
-        print("availability axis: NOT MEASURED")
-        failed = True
-    else:
-        score = availability_score(availability)
-        print(f"availability axis score: {score:.3f} "
-              f"(grade anchors: 0.999 good, 0.900 bad)")
-        if score <= 0.0:
-            print("availability axis grades to zero — gate FAILED")
-            failed = True
-
+    passed, lines, snapshot = run_gate(args.seed)
+    print("\n".join(lines))
     if args.export:
         from repro.obs.export import write_metrics_json
-        series = write_metrics_json(registry.snapshot(), args.export)
+        series = write_metrics_json(snapshot, args.export)
         print(f"exported {series} series -> {args.export}")
-
-    return 1 if failed else 0
+    return 0 if passed else 1

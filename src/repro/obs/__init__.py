@@ -30,7 +30,6 @@ from repro.obs.analysis import (
     analyze_run,
     attribute_trace,
     critical_path,
-    diff_explain,
     render_explain,
 )
 from repro.obs.diff import MetricDelta, diff_snapshots, load_snapshot
@@ -78,7 +77,6 @@ __all__ = [
     "analyze_run",
     "attribute_trace",
     "critical_path",
-    "diff_explain",
     "diff_snapshots",
     "export_run",
     "health_rows",
@@ -97,7 +95,7 @@ __all__ = [
 #: records dependability gates grade (``rpl.parent_switch``,
 #: ``rnfd.verdict``) and every fault-plan clause span (``fault.*`` —
 #: pinned by its first dotted segment).  Repro bundles and
-#: ``make check-dependability`` read these after the fact, so a ring
+#: the ``dependability`` gate read these after the fact, so a ring
 #: buffer that evicted them would silently weaken the gates.
 #: ``alert`` (every ``alert.<rule>`` span, pinned by first dotted
 #: segment) joins them: SLO firings are exactly what flight dumps and

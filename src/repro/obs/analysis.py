@@ -20,8 +20,9 @@ record into *why it took that long*:
   exemplar traces (repro.obs.registry) behind a percentile of a metric
   and freezes them into the ``repro.explain/1`` payload.
 - :func:`explain_main` is ``python -m repro explain``: waterfall
-  rendering, single-trace drilldown, and an attribution-aware diff that
-  names which layer's share moved.
+  rendering and single-trace drilldown.  Two exported payloads compare
+  with ``python -m repro diff`` (:func:`repro.obs.diff.snapshot_of`),
+  which names the layer whose share moved most.
 
 Attribution rules (deterministic by construction):
 
@@ -467,58 +468,6 @@ def render_trace(spans: SpanTracer, trace_id: int) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# attribution-aware diff
-# ----------------------------------------------------------------------
-def diff_explain(a: Dict[str, Any], b: Dict[str, Any],
-                 fail_on: Optional[float] = None,
-                 ) -> Tuple[List[str], int]:
-    """Compare two ``repro.explain/1`` payloads layer by layer.
-
-    Returns printable lines and an exit code: 0 when within
-    ``fail_on`` (relative seconds change per layer and total), 1 when a
-    layer moved beyond it or appeared/vanished.  ``fail_on=None``
-    reports without gating.
-    """
-    for payload in (a, b):
-        if payload.get("format") != EXPLAIN_FORMAT:
-            raise ValueError("not a repro explain payload: "
-                             f"format={payload.get('format')!r}")
-    layers = sorted(set(a["layers"]) | set(b["layers"]))
-    lines = [f"explain diff — {a['metric']} p{a['p']:g}"]
-    failed = False
-    moved: List[Tuple[float, str, float]] = []
-    for layer in layers:
-        sa = a["layers"].get(layer, {}).get("seconds", 0.0)
-        sb = b["layers"].get(layer, {}).get("seconds", 0.0)
-        share_a = a["layers"].get(layer, {}).get("share", 0.0)
-        share_b = b["layers"].get(layer, {}).get("share", 0.0)
-        delta_pp = (share_b - share_a) * 100.0
-        rel = abs(sb - sa) / abs(sa) if sa else (math.inf if sb else 0.0)
-        marker = ""
-        if fail_on is not None and rel > fail_on:
-            failed = True
-            marker = "  <-- moved"
-        if layer not in a["layers"] or layer not in b["layers"]:
-            failed = fail_on is not None or failed
-            marker = "  <-- " + ("new layer" if layer not in a["layers"]
-                                 else "vanished layer")
-        lines.append(f"  {layer:<14}  {sa:>12.6f} s -> {sb:>12.6f} s  "
-                     f"share {share_a * 100:>5.1f}% -> "
-                     f"{share_b * 100:>5.1f}% ({delta_pp:+.1f}pp){marker}")
-        moved.append((abs(delta_pp), layer, delta_pp))
-    ta, tb = a["total_s"], b["total_s"]
-    rel_total = abs(tb - ta) / abs(ta) if ta else (math.inf if tb else 0.0)
-    if fail_on is not None and rel_total > fail_on:
-        failed = True
-    lines.append(f"  {'total':<14}  {ta:>12.6f} s -> {tb:>12.6f} s")
-    moved.sort(reverse=True)
-    if moved and moved[0][0] > 0:
-        _mag, layer, delta_pp = moved[0]
-        lines.append(f"  largest share shift: {layer} ({delta_pp:+.1f}pp)")
-    return lines, (1 if failed else 0)
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def explain_main(argv) -> int:
@@ -538,21 +487,13 @@ def explain_main(argv) -> int:
     parser.add_argument("--trace", type=int, default=None, metavar="ID",
                         help="drill into one trace id instead of the "
                              "percentile exemplars")
-    parser.add_argument("--diff", nargs=2, metavar=("A.json", "B.json"),
-                        default=None,
-                        help="compare two exported attribution tables "
-                             "instead of running the demo")
-    parser.add_argument("--fail-on", type=float, default=None,
-                        metavar="REL",
-                        help="with --diff: exit 1 when any layer's "
-                             "seconds move by more than this relative "
-                             "fraction (0.0 = demand exact equality)")
     parser.add_argument("--export", metavar="PATH", default=None,
-                        help="write the repro.explain/1 JSON payload")
+                        help="write the repro.explain/1 JSON payload "
+                             "(compare two with `python -m repro diff`)")
     parser.add_argument("--max-traces", type=int, default=4,
                         help="exemplar traces to attribute (default: 4)")
     parser.add_argument("--side", type=int, default=3,
-                        help="demo grid side (default: 3, the diff-core "
+                        help="demo grid side (default: 3, the gated "
                              "configuration)")
     parser.add_argument("--duration", type=float, default=120.0,
                         help="demo traffic seconds (default: 120)")
@@ -560,22 +501,8 @@ def explain_main(argv) -> int:
                         help="demo seed (default: 2018)")
     args = parser.parse_args(argv)
 
-    if args.diff is not None:
-        payloads = []
-        for path in args.diff:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payloads.append(json.load(handle))
-            except (OSError, ValueError) as exc:
-                print(f"cannot load {path}: {exc}")
-                return 2
-        lines, code = diff_explain(payloads[0], payloads[1],
-                                   fail_on=args.fail_on)
-        print("\n".join(lines))
-        return code
-
-    # The deterministic report demo — the same run `make diff-core`
-    # pins.
+    # The deterministic report demo — the run the `core` and `explain`
+    # gates of benchmarks/gates.py pin.
     from repro.obs.report import run_demo
     run = run_demo(side=args.side, traffic_s=args.duration, seed=args.seed)
     system = run.system

@@ -1,21 +1,26 @@
 """Metrics-snapshot diffing: the regression-hunting workhorse.
 
-``python -m repro diff A.json B.json`` loads two exported
-:class:`~repro.obs.registry.MetricsSnapshot` files (written by
-``repro report --export``, ``benchmarks`` run with
-``--export-metrics``/``REPRO_BENCH_EXPORT_METRICS=1``, or
-:func:`repro.obs.export.write_metrics_json`), aligns every metric key,
+``python -m repro diff A.json B.json`` loads two exported files —
+:class:`~repro.obs.registry.MetricsSnapshot` exports (``repro report
+--export``, ``repro dependability --export``,
+:func:`repro.obs.export.write_metrics_json`) or ``repro.explain/1``
+attribution tables (``repro explain --export``) — aligns every series,
 and reports relative deltas.  ``--fail-on R`` makes the exit code
-non-zero when any aligned series moved by more than the fraction ``R``
-— which is what lets a Makefile gate (``make diff-core``) catch a
-silent behaviour change the way the taxonomy gates caught the PR-2
-medium rework.
+non-zero when any aligned series moved by more than the fraction ``R``.
+This is the one comparison every byte-identity gate rests on:
+``benchmarks/gates.py`` calls :func:`diff_snapshots` at ``R = 0`` for
+each committed baseline, which is how a silent behaviour change (the
+PR-2 medium rework's lost deliveries) fails a PR.
 
 Alignment rules: counters and gauges compare value-to-value;
-histograms compare count, sum, p50 and p95 as four derived series.
-Series present on only one side are always reported (and count as
-failures under ``--fail-on``, since an appearing/disappearing metric is
-a behaviour change too).
+histograms compare count, sum, p50 and p95 as four derived series; an
+attribution table compares ``explain.seconds{layer}``,
+``explain.share{layer}`` and ``explain.total_s``.  A series present on
+only one side, a number that became NaN (or the reverse) and a move
+away from zero have no finite relative change: they are always
+reported, and count as failures under any ``--fail-on``, since an
+appearing/disappearing metric is a behaviour change too.  NaN on both
+sides is equality.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.metrics import percentile
-from repro.obs.registry import MetricsSnapshot, SeriesKey
+from repro.obs.analysis import EXPLAIN_FORMAT
+from repro.obs.registry import MetricsSnapshot
 
 
 @dataclass
@@ -41,15 +47,30 @@ class MetricDelta:
     b: Optional[float]
 
     @property
+    def one_sided(self) -> bool:
+        return self.a is None or self.b is None
+
+    @property
     def rel(self) -> float:
-        """Relative change |b-a|/|a|; inf for one-sided series."""
-        if self.a is None or self.b is None:
+        """Relative change |b-a|/|a|, never NaN; inf where there is no
+        finite ratio (one-sided, number <-> NaN, away from zero)."""
+        if self.one_sided:
             return math.inf
-        if self.a == self.b:
+        a_nan, b_nan = math.isnan(self.a), math.isnan(self.b)
+        if self.a == self.b or (a_nan and b_nan):
             return 0.0
-        if self.a == 0.0:
+        if a_nan or b_nan or self.a == 0.0:
             return math.inf
         return abs(self.b - self.a) / abs(self.a)
+
+    @property
+    def rel_text(self) -> str:
+        if self.one_sided:
+            return "new/gone"
+        if self.rel == math.inf:
+            nan = math.isnan(self.a) or math.isnan(self.b)
+            return "nan" if nan else "from 0"
+        return f"{self.rel * 100:+.1f}%"
 
     @property
     def key(self) -> str:
@@ -87,16 +108,49 @@ def diff_snapshots(
             kind=kind, name=name, labels=labels,
             a=series_a.get(key), b=series_b.get(key),
         ))
-    # One-sided series (rel=inf) first, then by descending rel; key
-    # breaks ties so the ordering is deterministic.
+    # Series with no finite ratio (rel=inf) first, then by descending
+    # rel; key breaks ties so the ordering is deterministic.
     deltas.sort(key=lambda d: (0 if d.rel == math.inf else 1,
                                -min(d.rel, 1e18), d.key))
     return deltas
 
 
+def snapshot_of(payload: Dict[str, Any]) -> MetricsSnapshot:
+    """An exported payload as the snapshot :func:`diff_snapshots` aligns.
+
+    A ``repro.metrics/1`` snapshot decodes as itself; a
+    ``repro.explain/1`` attribution table flattens to gauges —
+    ``explain.seconds{layer}``, ``explain.share{layer}``,
+    ``explain.total_s`` — so a layer that vanished or appeared is a
+    one-sided series like any other.
+    """
+    if payload.get("format") != EXPLAIN_FORMAT:
+        return MetricsSnapshot.from_jsonable(payload)
+    snap = MetricsSnapshot()
+    snap.gauges[("explain.total_s", ())] = float(payload["total_s"])
+    for layer, info in payload["layers"].items():
+        labels = (("layer", layer),)
+        snap.gauges[("explain.seconds", labels)] = float(info["seconds"])
+        snap.gauges[("explain.share", labels)] = float(info["share"])
+    return snap
+
+
 def load_snapshot(path: str) -> MetricsSnapshot:
     with open(path, "r", encoding="utf-8") as handle:
-        return MetricsSnapshot.from_jsonable(json.load(handle))
+        return snapshot_of(json.load(handle))
+
+
+def _share_shift(deltas: List[MetricDelta]) -> Optional[str]:
+    """Which layer's share of an attribution table moved most, in
+    percentage points — read off the ``explain.share`` deltas."""
+    shifts = [(((d.b or 0.0) - (d.a or 0.0)) * 100.0, dict(d.labels)["layer"])
+              for d in deltas if d.name == "explain.share"]
+    if not shifts:
+        return None
+    shift_pp, layer = max(shifts, key=lambda s: (abs(s[0]), s[1]))
+    if not shift_pp:
+        return None
+    return f"  largest share shift: {layer} ({shift_pp:+.1f}pp)"
 
 
 def render_deltas(
@@ -119,11 +173,14 @@ def render_deltas(
         for d in shown:
             a = "-" if d.a is None else f"{d.a:g}"
             b = "-" if d.b is None else f"{d.b:g}"
-            rel = "new/gone" if d.rel == math.inf else f"{d.rel * 100:+.1f}%"
             marker = "!" if d.rel > threshold else " "
-            lines.append(f" {marker} {d.key:<{width}}  {a} -> {b}  ({rel})")
+            lines.append(f" {marker} {d.key:<{width}}  {a} -> {b}  "
+                         f"({d.rel_text})")
     else:
         lines.append("  no differences")
+    shift = _share_shift(deltas)
+    if shift:
+        lines.append(shift)
     return "\n".join(lines)
 
 
@@ -134,8 +191,8 @@ def deltas_jsonable(
 ) -> Dict[str, Any]:
     """The machine-readable diff shape behind ``repro diff --json``.
 
-    Stable interchange format ``repro.diff/1``; ``rel`` is null for
-    one-sided series (JSON has no infinity).
+    Stable interchange format ``repro.diff/1``; ``rel`` is null where
+    there is no finite ratio (JSON has no infinity).
     """
     threshold = fail_on if fail_on is not None else 0.0
     return {
@@ -153,7 +210,7 @@ def deltas_jsonable(
                 "a": d.a,
                 "b": d.b,
                 "rel": None if d.rel == math.inf else d.rel,
-                "one_sided": d.a is None or d.b is None,
+                "one_sided": d.one_sided,
                 "over_threshold": d.rel > threshold,
             }
             for d in deltas
@@ -166,10 +223,11 @@ def diff_main(argv: Optional[List[str]] = None) -> int:
     one series moved more than ``--fail-on``, 2 = usage/load error."""
     parser = argparse.ArgumentParser(
         prog="python -m repro diff",
-        description="Diff two exported metrics snapshots.",
+        description="Diff two exported metrics snapshots or two "
+                    "exported latency-attribution tables.",
     )
-    parser.add_argument("snapshot_a", help="baseline metrics JSON")
-    parser.add_argument("snapshot_b", help="candidate metrics JSON")
+    parser.add_argument("snapshot_a", help="baseline JSON")
+    parser.add_argument("snapshot_b", help="candidate JSON")
     parser.add_argument("--fail-on", type=float, default=None, metavar="REL",
                         help="exit 1 when any series moves by more than this "
                              "relative fraction (e.g. 0.05 = 5%%)")

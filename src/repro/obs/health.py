@@ -26,8 +26,9 @@ gauge                           source
 The sampler is deliberately **not** auto-attached by
 ``SystemConfig(observability=True)``: sampling schedules simulator
 events, and the observability layer guarantees it never changes the
-event sequence of an uninstrumented run (``bench_perf_core`` pins
-obs-off and obs-on runs to identical event streams).  Attach it
+event sequence of an uninstrumented run
+(``tests/obs/test_span_sampling.py`` pins obs-off and obs-on runs to
+identical event counts).  Attach it
 explicitly where a health table is wanted — ``repro report`` does.
 
 Determinism: nodes are visited in sorted id order and gauges carry the

@@ -8,8 +8,8 @@ Three instrument kinds, all labeled:
 - :class:`Histogram` — full-resolution value series with exact
   percentiles (``net.latency_s``).
 
-Histograms are exact on purpose: the ``diff-core`` and ``explain-core``
-gates pin percentiles to the last digit, which no bucketed estimate can
+Histograms are exact on purpose: the ``core`` and ``explain`` gates
+(``benchmarks/gates.py``) pin percentiles to the last digit, which no bucketed estimate can
 reproduce.
 
 Instruments are addressed as ``registry.counter("mac.tx", node=3)``;
@@ -235,8 +235,9 @@ class Registry:
     # These inline the cache probe instead of delegating to
     # counter()/gauge()/histogram(): the delegation would re-pack the
     # labels dict into kwargs a second time per call, and these three
-    # run once per packet/hop/frame in instrumented runs — the
-    # overhead-percentage number in BENCH_core.json is mostly them.
+    # run once per packet/hop/frame in instrumented runs — most of what
+    # an instrumented run pays over a bare one (the layered benchmark's
+    # obs.slowdown_x) is these three.
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         instrument = self._counter_cache.get((name, tuple(labels.items())))
         if instrument is None:

@@ -135,9 +135,9 @@ class TrialExecutor:
         if self.jobs == 1 or len(argses) < MIN_PARALLEL_TASKS:
             return True
         # The single-core fast-path: with one usable core, worker
-        # processes only add dispatch cost (BENCH_core.json measured
-        # 0.72x), so honor the *intent* of jobs>1 — "go faster" — by
-        # not paying for parallelism that cannot exist.
+        # processes only add dispatch cost (a 20-trial sweep measured
+        # 0.72x of serial), so honor the *intent* of jobs>1 — "go
+        # faster" — by not paying for parallelism that cannot exist.
         if usable_cores() == 1 and not parallel_forced():
             return True
         # A daemonic worker (e.g. a trial that itself sweeps) cannot

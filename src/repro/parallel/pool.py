@@ -1,10 +1,10 @@
 """The persistent warm worker pool.
 
-``BENCH_core.json`` showed why a pool-per-call executor cannot win on
-small sweeps: every ``Sweep.run``/``SeedSweepRunner.run`` spawned a
-fresh ``ProcessPoolExecutor``, so each call paid worker start-up
-(interpreter boot or fork, pipe setup) before the first trial ran —
-enough to make ``jobs>1`` *slower* than serial for 20-trial sweeps.
+A pool-per-call executor cannot win on small sweeps: when every
+``Sweep.run``/``SeedSweepRunner.run`` spawned a fresh
+``ProcessPoolExecutor``, each call paid worker start-up (interpreter
+boot or fork, pipe setup) before the first trial ran — enough to make
+``jobs>1`` *slower* than serial for 20-trial sweeps.
 :class:`WorkerPool` amortizes that cost the way the 6tisch simulator
 amortizes connectivity-matrix construction: pay once, reuse across
 runs.

@@ -1,6 +1,7 @@
 """``python -m repro dependability`` gate semantics.
 
-The scenarios themselves are exercised by ``make check-dependability``;
+The scenarios themselves are exercised by the ``dependability`` gate
+(``make gates``);
 here ``_run_scenario`` is stubbed so the CLI contract — which outcomes
 pass the gate and which fail it — is testable in milliseconds.
 """

@@ -6,7 +6,9 @@ benchmarks must cover, so the names below are spelled out — a new
 fails this file until it is added on purpose (DESIGN.md, "Conventions":
 one way to do each thing).  A run is configured by ``SystemConfig`` alone; the one
 environment variable the library reads steers *how* trials execute,
-never what they compute.
+never what they compute.  The tooling around the library — the
+experiment scripts' variables, the Makefile's overridable ones — is
+pinned the same way.
 """
 
 import dataclasses
@@ -67,3 +69,26 @@ def test_environment_variables_read_by_the_library():
             environ_files.add(path.relative_to(root).as_posix())
     assert names == {"REPRO_PARALLEL_FORCE"}
     assert environ_files == {"parallel/executor.py"}
+
+
+def _repo_root():
+    return pathlib.Path(__file__).resolve().parents[2]
+
+
+def test_environment_variables_read_by_the_experiment_scripts():
+    # benchmarks/layers is the PR driver's harness, with a surface of
+    # its own; everything else under benchmarks/ shares these two.
+    benchmarks = _repo_root() / "benchmarks"
+    names = set()
+    for path in benchmarks.rglob("*.py"):
+        if "layers" not in path.relative_to(benchmarks).parts:
+            names.update(re.findall(
+                r"""(?:environ(?:\.get\(|\[)|getenv\()\s*["'](REPRO_\w+)""",
+                path.read_text()))
+    assert names == {"REPRO_BENCH_JOBS", "REPRO_BENCH_CHECK"}
+
+
+def test_makefile_variables():
+    makefile = (_repo_root() / "Makefile").read_text()
+    assert re.findall(r"^(\w+) \?=", makefile, re.M) == [
+        "PYTHON", "SEEDS", "JOBS", "SEED", "EXPORT"]

@@ -2,7 +2,7 @@
 
 These are the conformance tests of the pool engine underneath
 ``TrialExecutor``: workers must survive across dispatches (the whole
-point — ``BENCH_core.json``'s ``pool_reuse`` leg measures the win),
+point of the pool),
 chunking must never change results, exceptions must surface at their
 task index, and shutdown must leave no processes behind.
 

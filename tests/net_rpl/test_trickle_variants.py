@@ -1,7 +1,7 @@
 """Pluggable Trickle adaptation variants: policy units and wiring.
 
 The classic variant's byte-identity with the pre-refactor timer is
-enforced by ``make diff-core``; these tests cover the adaptive policies
+enforced by the ``core`` gate (``make gates``); these tests cover the adaptive policies
 themselves, the config plumbing (``RplConfig``, alone and inside a
 ``SystemConfig``), and
 the jobs=1 vs jobs=N DIO-count determinism the taxonomy matrix relies

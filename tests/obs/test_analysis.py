@@ -10,9 +10,8 @@ End-to-end behaviour over a real instrumented run lives in
 ``test_analysis_properties.py``.
 """
 
+import json
 import math
-
-import pytest
 
 from repro.obs.analysis import (
     EXPLAIN_FORMAT,
@@ -20,9 +19,9 @@ from repro.obs.analysis import (
     Segment,
     attribute_trace,
     critical_path,
-    diff_explain,
     render_explain,
 )
+from repro.obs.diff import diff_main
 from repro.obs.spans import SpanTracer
 
 
@@ -183,44 +182,62 @@ def _payload(layers, total):
 
 
 class TestDiffExplain:
-    def test_identical_payloads_pass_exact_gate(self):
-        a = _payload({"airtime": 1.0, "mac.queue": 0.5}, 1.5)
-        lines, code = diff_explain(a, a, fail_on=0.0)
-        assert code == 0
-        assert any("largest share shift" not in line for line in lines)
+    """Two ``repro.explain/1`` payloads through ``repro diff``: a layer
+    is a series, so the metrics diff's verdicts are the attribution
+    diff's."""
 
-    def test_moved_layer_fails_and_is_named(self):
+    def _diff(self, tmp_path, capsys, a, b, *flags):
+        paths = []
+        for name, payload in (("a.json", a), ("b.json", b)):
+            path = tmp_path / name
+            path.write_text(json.dumps(payload))
+            paths.append(str(path))
+        code = diff_main(paths + list(flags))
+        return capsys.readouterr().out, code
+
+    def test_identical_payloads_pass_exact_gate(self, tmp_path, capsys):
+        a = _payload({"airtime": 1.0, "mac.queue": 0.5}, 1.5)
+        text, code = self._diff(tmp_path, capsys, a, a, "--fail-on", "0.0")
+        assert code == 0
+        assert "no differences" in text
+        assert "largest share shift" not in text
+
+    def test_moved_layer_fails_and_is_named(self, tmp_path, capsys):
         a = _payload({"airtime": 1.0, "mac.queue": 0.5}, 1.5)
         b = _payload({"airtime": 1.0, "mac.queue": 1.0}, 2.0)
-        lines, code = diff_explain(a, b, fail_on=0.0)
+        text, code = self._diff(tmp_path, capsys, a, b, "--fail-on", "0.0")
         assert code == 1
-        text = "\n".join(lines)
-        assert "moved" in text
-        assert "largest share shift: mac.queue" in text
+        assert "! explain.seconds{layer=mac.queue}" in text
+        assert "largest share shift: mac.queue (+16.7pp)" in text
 
-    def test_new_and_vanished_layers_fail(self):
+    def test_new_and_vanished_layers_fail(self, tmp_path, capsys):
         a = _payload({"airtime": 1.0}, 1.0)
         b = _payload({"airtime": 1.0, "frag": 0.1}, 1.1)
-        _lines, code = diff_explain(a, b, fail_on=0.0)
+        text, code = self._diff(tmp_path, capsys, a, b, "--fail-on", "0.0")
         assert code == 1
-        _lines, code = diff_explain(b, a, fail_on=0.0)
+        assert "- -> 0.1  (new/gone)" in text
+        # One-sided series fail under any threshold.
+        _text, code = self._diff(tmp_path, capsys, b, a, "--fail-on", "0.5")
         assert code == 1
 
-    def test_fail_on_none_reports_without_gating(self):
+    def test_fail_on_none_reports_without_gating(self, tmp_path, capsys):
         a = _payload({"airtime": 1.0}, 1.0)
         b = _payload({"airtime": 9.0}, 9.0)
-        _lines, code = diff_explain(a, b, fail_on=None)
+        text, code = self._diff(tmp_path, capsys, a, b)
         assert code == 0
+        assert "explain.total_s" in text
 
-    def test_tolerance_admits_small_moves(self):
+    def test_tolerance_admits_small_moves(self, tmp_path, capsys):
         a = _payload({"airtime": 1.00}, 1.00)
         b = _payload({"airtime": 1.01}, 1.01)
-        _lines, code = diff_explain(a, b, fail_on=0.05)
+        _text, code = self._diff(tmp_path, capsys, a, b, "--fail-on", "0.05")
         assert code == 0
 
-    def test_non_explain_payload_is_rejected(self):
-        with pytest.raises(ValueError):
-            diff_explain({"format": "bogus"}, _payload({}, 0.0))
+    def test_non_explain_payload_is_rejected(self, tmp_path, capsys):
+        text, code = self._diff(tmp_path, capsys, {"format": "bogus"},
+                                _payload({}, 0.0), "--fail-on", "0.0")
+        assert code == 2
+        assert "error:" in text
 
 
 class TestRendering:

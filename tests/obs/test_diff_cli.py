@@ -57,6 +57,44 @@ class TestDiffSnapshots:
         assert deltas[0].key == "rnfd.globally_down{node=2}"
         assert deltas[0].a is None and deltas[0].b == 1.0
 
+    def test_number_to_nan_is_a_difference_both_ways(self):
+        # What matrix_trial emits for a cell that delivered no probe,
+        # round-tripped through the JSON codec like a committed baseline.
+        from benchmarks._common import rows_to_snapshot
+
+        def cell(latency_ms):
+            snapshot = rows_to_snapshot(
+                "m", [{"mac": "csma", "latency_ms": latency_ms}])
+            return MetricsSnapshot.from_jsonable(
+                json.loads(json.dumps(snapshot.to_jsonable())))
+
+        number, nan = cell(12.5), cell(float("nan"))
+        for a, b in ((number, nan), (nan, number)):
+            (delta,) = diff_snapshots(a, b)
+            assert delta.rel == math.inf and delta.rel > 0.0
+            assert not delta.one_sided
+            assert delta.rel_text == "nan"
+        (delta,) = diff_snapshots(nan, cell(float("nan")))
+        assert delta.rel == 0.0
+
+    def test_nan_sorts_with_the_unbounded_moves(self):
+        a, b = sample_registry(), sample_registry(delivery=90.0)
+        a.set("m.latency_ms", 12.5, mac="csma")
+        b.set("m.latency_ms", float("nan"), mac="csma")
+        deltas = diff_snapshots(a.snapshot(), b.snapshot())
+        assert [d.key for d in deltas[:2]] == [
+            "m.latency_ms{mac=csma}", "net.delivered{node=1}"]
+        assert deltas == diff_snapshots(a.snapshot(), b.snapshot())
+
+    def test_move_away_from_zero_is_not_called_new(self):
+        a, b = Registry(), Registry()
+        a.set("queue.depth", 0.0, node=1)
+        b.set("queue.depth", 0.4, node=1)
+        (delta,) = diff_snapshots(a.snapshot(), b.snapshot())
+        assert delta.rel == math.inf
+        assert not delta.one_sided
+        assert delta.rel_text == "from 0"
+
     def test_ordering_is_deterministic(self):
         a = sample_registry(delivery=100.0).snapshot()
         b = sample_registry(delivery=50.0, latency_scale=1.5).snapshot()
@@ -124,6 +162,28 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert diff_main([a, str(bad)]) == 2
+
+    def test_nan_and_from_zero_fail_any_gate_and_are_labelled(
+            self, tmp_path, capsys):
+        before, after = sample_registry(), sample_registry()
+        before.set("m.latency_ms", 12.5, mac="csma")
+        after.set("m.latency_ms", float("nan"), mac="csma")
+        before.set("queue.depth", 0.0, node=1)
+        after.set("queue.depth", 0.4, node=1)
+        a = write_snapshot(tmp_path / "a.json", before)
+        b = write_snapshot(tmp_path / "b.json", after)
+        assert diff_main([a, b, "--fail-on", "0.5"]) == 1
+        out = capsys.readouterr().out
+        assert "2 over threshold" in out
+        assert "12.5 -> nan  (nan)" in out
+        assert "0 -> 0.4  (from 0)" in out
+        assert "new/gone" not in out
+        assert diff_main([a, b, "--fail-on", "0.5", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        over = {d["key"]: d for d in doc["deltas"] if d["over_threshold"]}
+        assert set(over) == {"m.latency_ms{mac=csma}", "queue.depth{node=1}"}
+        assert all(d["rel"] is None and not d["one_sided"]
+                   for d in over.values())
 
     def test_filter_narrows_the_report(self, tmp_path, capsys):
         a = write_snapshot(tmp_path / "a.json", sample_registry(100.0))

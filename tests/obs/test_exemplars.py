@@ -148,3 +148,28 @@ class TestMerge:
         merged = MetricsSnapshot.merge([a.snapshot(), empty.snapshot()])
         assert merged.exemplars_for("lat") == [(0.2, 1)]
         assert merged.histogram_values("lat") == [0.2, 0.3]
+
+
+class TestSystemRun:
+    def test_reservoirs_never_change_an_instrumented_run(self):
+        """``SystemConfig(exemplar_max_per_bucket=)`` reaches the run's
+        registry, and a whole instrumented run is the same run at the
+        default cap and at zero: same events, same metric values — only
+        the annotations differ."""
+        from repro.core.system import IIoTSystem, SystemConfig
+        from repro.deployment.topology import grid_topology
+
+        def run(cap):
+            config = SystemConfig(observability=True, trace_enabled=False,
+                                  exemplar_max_per_bucket=cap)
+            system = IIoTSystem.build(grid_topology(3), config=config, seed=13)
+            system.start()
+            system.run(600.0)
+            return system.sim.events_processed, system.obs.registry.snapshot()
+
+        (events_on, on), (events_off, off) = run(4), run(0)
+        assert events_on == events_off
+        assert on.counters == off.counters
+        assert on.gauges == off.gauges
+        assert on.histograms == off.histograms
+        assert on.exemplars and not off.exemplars

@@ -2,9 +2,10 @@
 
 One shared demo run (the expensive part) feeds every test: the
 aggregated waterfall, the export/round-trip contract (the exported
-payload is byte-identical run over run — the ``make explain-core``
-gate's foundation), the single-trace drilldown, and the diff exit
-codes.  The demo is the diff-core configuration shrunk to test budget.
+payload is byte-identical run over run — the ``explain`` gate's
+foundation), the single-trace drilldown, and the exit codes of
+``repro diff`` over exported payloads.  The demo is the gated
+configuration shrunk to test budget.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 import pytest
 
 from repro.obs.analysis import EXPLAIN_FORMAT, analyze_run, explain_main
+from repro.obs.diff import diff_main
 from repro.obs.report import run_demo
 
 
@@ -87,10 +89,8 @@ class TestExplainCli:
         payload = json.loads(out.read_text())
         assert payload["format"] == EXPLAIN_FORMAT
         # Round trip: the exported payload diffs clean against itself
-        # under the exact gate — the make explain-core contract.
-        code = explain_main(["--diff", str(out), str(out),
-                             "--fail-on", "0.0"])
-        assert code == 0
+        # under the exact gate — the `explain` gate's contract.
+        assert diff_main([str(out), str(out), "--fail-on", "0.0"]) == 0
 
     def test_diff_flags_a_moved_layer(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -104,9 +104,10 @@ class TestExplainCli:
         b = tmp_path / "b.json"
         b.write_text(json.dumps(payload))
         capsys.readouterr()
-        code = explain_main(["--diff", str(a), str(b), "--fail-on", "0.0"])
-        assert code == 1
-        assert "largest share shift" in capsys.readouterr().out
+        assert diff_main([str(a), str(b), "--fail-on", "0.0"]) == 1
+        out = capsys.readouterr().out
+        assert f"! explain.seconds{{layer={layer}}}" in out
+        assert "largest share shift" in out
 
     def test_trace_drilldown(self, tmp_path, capsys):
         out = tmp_path / "explain.json"
@@ -121,12 +122,15 @@ class TestExplainCli:
         assert "radio.airtime" in text  # the span tree rendering
 
     def test_diff_load_error_exits_two(self, tmp_path, capsys):
-        # Same contract as `repro diff`: unreadable input is exit 2,
-        # not a traceback.
+        # Comparing is `repro diff`'s job: `explain --diff` is a usage
+        # error, and an unreadable payload is exit 2, not a traceback.
         missing = tmp_path / "missing.json"
-        code = explain_main(["--diff", str(missing), str(missing)])
-        assert code == 2
-        assert "cannot load" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as usage:
+            explain_main(["--diff", str(missing), str(missing)])
+        assert usage.value.code == 2
+        capsys.readouterr()
+        assert diff_main([str(missing), str(missing)]) == 2
+        assert "error:" in capsys.readouterr().out
 
     def test_unknown_trace_fails(self, capsys):
         code = explain_main(["--duration", "60", "--trace", "999999"])

@@ -5,8 +5,7 @@ pure *storage* policy:
 
 - sampling decisions are seed-derived and deterministic — never
   wall-clock, never global RNG state;
-- counters, gauges, and histograms stay exact at every rate (the
-  ``BENCH_core.json`` overhead leg asserts the same thing end to end);
+- counters, gauges, and histograms stay exact at every rate;
 - the simulation itself is never perturbed: event counts are identical
   with observability off, sampled, or full;
 - pinned (gate-graded) categories survive both knobs.

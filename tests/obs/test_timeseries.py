@@ -298,8 +298,7 @@ class TestSystemIntegration:
     def test_campus_system_rolls_up_per_domain(self):
         """A (small) campus run produces per-domain windowed series
         inside the engine's default retention ring — the
-        acceptance-criteria shape, at tier-1 scale (the N=10k version
-        runs in bench_perf_scale)."""
+        acceptance-criteria shape, at tier-1 scale."""
         from repro.core.system import IIoTSystem, SystemConfig
         from repro.deployment.topology import campus_topology
 

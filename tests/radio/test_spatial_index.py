@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.cold_fill import census
+from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import campus_topology
+from repro.net.stack import StackConfig
 from repro.radio.medium import (
     _CELL_MARGIN,
     _SMALL_ACTIVE,
@@ -283,6 +285,47 @@ class TestAudibleDisc:
         assert sum(row["evaluated"] for row in rows) \
             < 0.5 * sum(row["candidates"] for row in rows)
         assert "_link_shadowing_db" not in vars(model)  # census cleaned up
+
+
+class TestSystemIdentity:
+    def test_full_system_run_is_identical_under_the_index(self):
+        """Two complete CSMA/RPL systems — stacks, MACs, routing, sensor
+        traffic — differing only in whether the link model declares its
+        range bound.  The *entire* trace is compared, not just radio
+        events: if the index perturbed anything downstream (a parent
+        choice, a DAO's timing), it shows here."""
+
+        def run(model_cls):
+            topology = campus_topology(2, 9, building_span_m=40.0,
+                                       building_gap_m=30.0, seed=3)
+            model = model_cls(path_loss_exponent=3.0,
+                              shadowing_sigma_db=2.0, seed=3)
+            system = IIoTSystem.build(
+                topology, config=SystemConfig(stack=StackConfig(mac="csma")),
+                link_model=model, seed=2018)
+            system.start()
+            sim, root_id = system.sim, topology.root_id
+
+            def reporter(stack, offset):
+                def send():
+                    stack.send_datagram(root_id, 7, payload="r",
+                                        payload_bytes=24)
+                    sim.schedule(30.0, send)
+                sim.schedule(120.0 + offset, send)  # after formation
+
+            for node_id in sorted(system.nodes):
+                if node_id != root_id:
+                    reporter(system.nodes[node_id].stack, 0.1 * node_id)
+            system.run(200.0)
+            return system
+
+        indexed, brute = run(LogDistanceModel), run(full_scan(LogDistanceModel))
+        assert indexed.medium.grid_info()["spatial_index"]
+        assert not brute.medium.grid_info()["spatial_index"]
+        assert indexed.trace.records == brute.trace.records
+        assert indexed.sim.events_processed == brute.sim.events_processed
+        for outcome in ("radio.rx", "radio.collision", "radio.miss"):
+            assert indexed.trace.count(outcome) > 0
 
 
 class TestCacheInvalidation:
