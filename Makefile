@@ -84,7 +84,8 @@ cold-start:
 # What campus_medium's set-up does per sender (DESIGN.md, "Scaling the
 # medium"): one seeded N=10k cold pass, then per sender the radios in its
 # nine cells / inside its audible disc / evaluated by the link model /
-# audible, and radio.cold_frame_us. SEED=n picks the seed.
+# audible, radio.cold_frame_us, and one neighbourhood build's time by
+# stage. SEED=n picks the seed.
 SEED ?= 2018
 cold-fill:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/cold_fill.py --seed $(SEED)

@@ -7,11 +7,18 @@ blind to link quality, so on a realistic lossy topology it happily picks
 long, marginal links; MRHOF weighs ETX and routes around them.
 
 Scenario: a random 20-node field with log-distance links (wide
-transitional region), CBR telemetry from the five farthest nodes;
-reported per objective function.
+transitional region), CBR telemetry from the five farthest nodes; both
+objective functions run on the same shadowing realisation, one
+realisation per seed in :data:`SEEDS`.  The claim is read on the median
+over seeds and on the fraction of seeds it holds on — not at one pinned
+seed: a realisation that cuts the root's good links congestion-collapses
+*both* objectives, and how often that happens is part of the result
+(EXPERIMENTS.md, A2: fragile).
 """
 
-from benchmarks._common import once, publish
+from statistics import median
+
+from benchmarks._common import once, publish, run_sweep
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import random_topology
 from repro.net.stack import StackConfig
@@ -19,6 +26,10 @@ from repro.radio.propagation import LogDistanceModel
 
 PACKETS = 50
 PERIOD_S = 4.0
+SEEDS = tuple(range(1, 9))
+#: A majority.  Seeds 1, 6 and 8 collapse under both objectives (either
+#: delivers under 55 %): the realisation, not the objective, decides.
+MIN_SEEDS_HELD = 5
 
 
 def _link_model(seed):
@@ -60,12 +71,10 @@ def _run(objective, seed):
     tx_used = sum(
         n.stack.radio.frames_sent for n in system.nodes.values()
     ) - tx_before
-    mean_link_etx = _mean_parent_etx(system)
     return {
-        "objective": objective,
-        "delivery ratio": len(delivered) / attempts,
-        "tx per delivered": tx_used / max(len(delivered), 1),
-        "mean parent ETX": mean_link_etx,
+        "delivery": len(delivered) / attempts,
+        "tx/delivered": tx_used / max(len(delivered), 1),
+        "parent ETX": _mean_parent_etx(system),
     }
 
 
@@ -84,24 +93,38 @@ def _mean_parent_etx(system):
     return sum(values) / len(values) if values else float("nan")
 
 
+def _both(seed, _trial_seed):
+    """One sweep trial: both objectives at ``seed`` (the sweep's own
+    derived seed is not used — the seed *is* the swept parameter)."""
+    return {f"{objective} {name}": value
+            for objective in ("mrhof", "of0")
+            for name, value in _run(objective, seed).items()}
+
+
+def _holds(row):
+    """The paper's claim on one row: OF0's hop-count blindness picks
+    worse links, which costs delivery and retransmission energy."""
+    return (row["of0 parent ETX"] > row["mrhof parent ETX"]
+            and row["mrhof delivery"] > row["of0 delivery"] + 0.1
+            and row["mrhof tx/delivered"] < row["of0 tx/delivered"] / 2
+            and row["mrhof delivery"] > 0.75)
+
+
 def run_a2():
-    # Seed re-pinned when shadowing moved to hash-derived per-link
-    # draws (the medium's spatial-index rework): the old seed's new
-    # realization congestion-collapses under *both* objectives, which
-    # measures nothing.  42 restores the intended regime — good short
-    # links, marginal long ones.
-    return [_run("mrhof", seed=42), _run("of0", seed=42)]
+    rows = run_sweep("seed", SEEDS, _both, repetitions=1).rows()
+    rows.append({"seed": "median", **{
+        column: median(row[column] for row in rows)
+        for column in rows[0] if column != "seed"}})
+    for row in rows:
+        row["holds"] = _holds(row)
+    return rows
 
 
 def bench_a2_objective_functions(benchmark):
     rows = once(benchmark, run_a2)
+    held = sum(row["holds"] for row in rows[:-1])
     publish("a2_objective_functions",
             "A2 (ablation, paper s V-D): MRHOF vs OF0 parent selection "
-            "on lossy links", rows)
-    mrhof, of0 = rows
-    # OF0's hop-count blindness picks worse links...
-    assert of0["mean parent ETX"] > mrhof["mean parent ETX"]
-    # ...which costs delivery and retransmission energy.
-    assert mrhof["delivery ratio"] > of0["delivery ratio"] + 0.1
-    assert mrhof["tx per delivered"] < of0["tx per delivered"] / 2
-    assert mrhof["delivery ratio"] > 0.75
+            f"on lossy links -- holds on {held}/{len(SEEDS)} seeds", rows)
+    assert rows[-1]["holds"]
+    assert held >= MIN_SEEDS_HELD

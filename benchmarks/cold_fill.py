@@ -8,14 +8,15 @@ funnel a neighbourhood goes through (DESIGN.md, "Scaling the medium") —
 - *candidates*: radios in the sender's nine grid cells;
 - *in reach*: radios inside its audible disc (the model's range bound at
   its power, times the cell margin), counted over **all** radios;
-- *evaluated*: shadowing draws the link model makes for it;
+- *evaluated*: links the medium asks the model about (the receivers it
+  hands ``rssi_dbm_batch``, or one ``rssi_dbm`` each);
 - *audible*: radios that end up in the neighbourhood
 
-— and ``radio.cold_frame_us`` as the layered benchmark defines it, so
-ROADMAP item 1(c) starts from a committed count rather than a profile.
-``evaluated == in reach`` is the medium's promise (pinned at small size
-by ``tests/radio/test_spatial_index.py``); what is left to save is the
-cost of one draw, not the number of them.
+— ``radio.cold_frame_us`` as the layered benchmark defines it, and where
+a build's time goes, stage by stage, so the next cold-fill change starts
+from a committed split rather than a profile.  ``evaluated == in reach``
+is the medium's promise (pinned at small size by
+``tests/radio/test_spatial_index.py``).
 
     make cold-fill            # python benchmarks/cold_fill.py --seed 2018
 """
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from time import perf_counter
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -35,41 +37,69 @@ from benchmarks.layers.workloads import CampusMedium
 from repro.radio.medium import Medium, Radio
 
 COLUMNS = ("candidates", "in_reach", "evaluated", "audible")
+#: Wall-clock stages of one ``Medium._build_neighborhood``, cut at the
+#: calls it makes: cell gather | ``_reach_m`` | disc + link filter |
+#: model RSSI | threshold + sort | model PRR | assembling the entry.
+STAGES = ("gather_s", "filter_s", "model_s", "sort_s", "assemble_s")
 
 
-def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, int]]:
-    """One row of :data:`COLUMNS` per sender, from a fresh neighbourhood
-    build each (nothing cached is read or replaced).  Needs the grid
-    index on and a model that draws through ``_link_shadowing_db``."""
+def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
+    """One row of :data:`COLUMNS` and :data:`STAGES` per sender, from a
+    fresh neighbourhood build each (nothing cached is read or replaced).
+    Needs the grid index on and a model with both batch methods."""
     model = medium.model
     positions = np.array([radio.position for radio in medium.radios.values()])
-    draws = 0
-    draw = model._link_shadowing_db
+    asked = 0
+    marks: List[float] = []
 
-    def counted(a, b):
-        nonlocal draws
-        draws += 1
-        return draw(a, b)
+    def stamped(call, count=None):
+        def wrapper(*args):
+            nonlocal asked
+            marks.append(perf_counter())
+            before = asked
+            result = call(*args)
+            if count is not None:
+                # Whatever a batch asks of the scalar is the same request.
+                asked = before + count(args)
+            marks.append(perf_counter())
+            return result
+        return wrapper
 
     rows = []
-    model._link_shadowing_db = counted  # shadows the method on this instance
+    # Instance attributes shadow the methods for the length of the census.
+    batches = medium._model_rssi_batch, medium._model_prr_batch
+    medium._reach_m = stamped(medium._reach_m)
+    medium._model_rssi_batch = stamped(batches[0], lambda args: len(args[1]))
+    medium._model_prr_batch = stamped(batches[1])
+    model.rssi_dbm = stamped(model.rssi_dbm, lambda args: 1)
     try:
         for sender in senders:
-            before = draws
-            entry = medium._build_neighborhood(sender)
             reach = medium._reach_m(sender.tx_power_dbm)
+            before = asked
+            del marks[:]
+            start = perf_counter()
+            entry = medium._build_neighborhood(sender)
+            end = perf_counter()
             dx = positions[:, 0] - sender.position[0]
             dy = positions[:, 1] - sender.position[1]
-            rows.append({
+            row = {
                 "candidates": sum(len(medium._grid.get(cell, ()))
                                   for cell in entry.cells) - 1,
                 "in_reach": int(np.count_nonzero(
                     dx * dx + dy * dy <= reach * reach)) - 1,
-                "evaluated": draws - before,
+                "evaluated": asked - before,
                 "audible": len(entry.receivers),
-            })
+            }
+            if len(marks) == 6:  # reach, rssi batch, prr batch: in, out
+                row.update(gather_s=marks[0] - start,
+                           filter_s=marks[2] - marks[1],
+                           model_s=marks[3] - marks[2] + marks[5] - marks[4],
+                           sort_s=marks[4] - marks[3],
+                           assemble_s=end - marks[5])
+            rows.append(row)
     finally:
-        del model._link_shadowing_db
+        del medium._reach_m, model.rssi_dbm
+        medium._model_rssi_batch, medium._model_prr_batch = batches
     return rows
 
 
@@ -98,6 +128,12 @@ def main() -> int:
     print(f"  radio.cold_frame_us {cold_us:.0f}  "
           f"(cold pass {workload.cold_s:.2f} s over "
           f"{workload.cold_frames} first frames)")
+    staged = [row for row in rows if "model_s" in row]
+    print(f"  of which one neighbourhood build, re-run over {len(staged)} "
+          f"senders (us per sender):")
+    for stage in STAGES:
+        print(f"    {stage[:-2]:10s}"
+              f"{sum(row[stage] for row in staged) / len(staged) * 1e6:8.0f}")
     return 0
 
 

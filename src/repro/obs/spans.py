@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.sim.mix import GOLDEN, mix64
+
 
 class SpanContext:
     """A cheap immutable reference to one span inside one trace."""
@@ -171,18 +173,15 @@ class SpanTracer:
     def _trace_sampled(self, trace_id: int) -> bool:
         """Deterministic keep/skip decision for one trace.
 
-        A splitmix-style integer hash of ``(sample_seed, trace_id)``
-        scaled against the rate: stateless, seed-derived, and uniform
-        enough that the kept fraction tracks ``sample_rate`` closely.
+        Output ``trace_id`` of the splitmix64 stream ``sample_seed``
+        names, scaled against the rate: stateless, seed-derived, and
+        uniform enough that the kept fraction tracks ``sample_rate``.
         """
         if self.sample_rate >= 1.0:
             return True
         if self.sample_rate <= 0.0:
             return False
-        h = (trace_id * 0x9E3779B97F4A7C15 + self.sample_seed * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 27
+        h = mix64(mix64(self.sample_seed) + trace_id * GOLDEN)
         return (h % 1_000_000) < int(self.sample_rate * 1_000_000)
 
     def _is_pinned(self, category: str) -> bool:

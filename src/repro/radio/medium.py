@@ -241,6 +241,17 @@ class _Neighborhood:
     cell_versions: Tuple[int, ...]
 
 
+class PositionError(ValueError):
+    """A radio placed at a NaN or infinite coordinate — it would key the
+    link model's draws and never equal its own grid cell."""
+
+
+def _placed(node_id: int, position: Position) -> Position:
+    if not (math.isfinite(position[0]) and math.isfinite(position[1])):
+        raise PositionError(f"radio {node_id}: position {position!r}")
+    return position
+
+
 class Radio:
     """One node's transceiver, attached to a :class:`Medium`.
 
@@ -259,7 +270,7 @@ class Radio:
     ) -> None:
         self.medium = medium
         self.node_id = node_id
-        self._position = position
+        self._position = _placed(node_id, position)
         self._tx_power_dbm = tx_power_dbm
         #: Bumped on every position/power write; caches stamp entries
         #: with it, so stale geometry can never be served (see Medium).
@@ -291,7 +302,7 @@ class Radio:
         old = self._position
         if value == old:
             return
-        self._position = value
+        self._position = _placed(self.node_id, value)
         self.version += 1
         self.medium._radio_changed(self, old_position=old)
 

@@ -2,59 +2,54 @@
 
 The reproduction's claims (latency per hop, funnel energy drain,
 coexistence collapse) are protocol-level, so the physical layer only
-needs a credible mapping from distance to packet reception ratio (PRR).
-Two models are provided:
+needs a credible mapping from distance to packet reception ratio (PRR):
 
 - :class:`LogDistanceModel` — log-distance path loss with per-link
-  log-normal shadowing and a logistic SNR→PRR curve.  This yields the
-  characteristic *transitional region* of real low-power links (Zuniga &
-  Krishnamachari), which matters for routing-protocol realism.
-- :class:`UnitDiskModel` — idealized binary connectivity for unit tests
-  and debugging, where stochastic links would obscure the logic under
-  test.
+  log-normal shadowing and a logistic SNR→PRR curve: the *transitional
+  region* of real low-power links (Zuniga & Krishnamachari), which
+  matters for routing-protocol realism.
+- :class:`UnitDiskModel` — idealized binary connectivity, for tests and
+  debugging where stochastic links would obscure the logic under test.
 
 City-scale contract
 -------------------
-The spatial grid index in :class:`~repro.radio.medium.Medium` relies on
-three properties a model may declare *on its own class* (an inherited
-definition does not count — a subclass that overrides :meth:`rssi_dbm`
-with new semantics silently opts back out of indexing rather than
-silently corrupting it):
+What the spatial index in :class:`~repro.radio.medium.Medium` needs of
+a model (DESIGN.md, "Scaling the medium"), declared *on its own class* —
+a subclass that overrides :meth:`rssi_dbm` silently opts back out of
+indexing rather than silently corrupting it:
 
-- ``max_audible_range_m(tx_power_dbm, threshold_dbm)`` — a hard
-  geometric bound: no receiver farther away can ever hear the sender at
-  or above the threshold.  For :class:`LogDistanceModel` this is exact
-  because shadowing draws are clamped to
+- ``max_audible_range_m(tx_power_dbm, threshold_dbm)`` — a hard bound:
+  no receiver farther away can hear the sender at the threshold.  Exact
+  for :class:`LogDistanceModel` because shadowing draws are clamped to
   ``±SHADOWING_CLAMP_SIGMA * sigma``.
-- ``rssi_dbm_batch`` / ``reception_probability_batch`` — vectorized
-  evaluation that returns **bit-identical** values to the scalar
-  methods for every element.  To make that guarantee, the scalar
-  methods route their transcendental math through numpy too (numpy's
-  SIMD ``log10``/``exp`` are not bitwise-equal to libm's, but they are
-  equal to themselves at every array size).  When numpy is absent both
-  paths fall back to ``math`` and remain mutually consistent.
-
-Shadowing is derived per link from a stable hash of
-``(model seed, link key)`` — never from a sequentially-consumed RNG —
-so the value of a link depends neither on the *order* in which links
-are evaluated nor on *whether* any other link ever is.  A
-spatially-indexed medium evaluates far fewer (and differently-ordered)
-links than a brute-force one; order-free draws are what make the two
-produce byte-identical traces.  The model remembers no draw: the
-medium's neighborhoods hold every signal strength a run reads twice.
+- ``rssi_dbm_batch`` / ``reception_probability_batch`` — **bit-identical**
+  to the scalar methods, element for element.  Hence the scalar methods
+  take their transcendentals through numpy too: its SIMD
+  ``log``/``log10``/``exp``/``cos`` differ from libm's in the last bit,
+  but a ufunc runs one inner loop whatever the array size.
+- Order-free links.  Shadowing is a counter-based draw: each endpoint's
+  position — the bit patterns of ``x + 0.0``, ``y + 0.0``, so an ``int``
+  keys like its float and ``-0.0`` like ``0.0`` — hashes to one word;
+  the two words in numeric order and the model seed are the state of a
+  splitmix64 stream whose first two outputs give one clamped normal
+  through Box–Muller.  A link's value is symmetric, positional (a moved
+  radio draws anew) and independent of which other links are evaluated
+  and in what order: an indexed medium evaluates far fewer, differently
+  ordered links than a full scan and must produce the same bytes.  The
+  model keeps no draw and no generator — the medium's neighborhoods
+  hold every signal strength a run reads twice.
 """
 
 from __future__ import annotations
 
 import math
-import random
+import struct
 from dataclasses import dataclass
 from typing import List, Optional, Protocol, Sequence, Tuple
 
-try:  # numpy is the expected fast path; everything degrades without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on bare hosts
-    _np = None
+import numpy as _np
+
+from repro.sim.mix import GOLDEN, MASK64, mix64
 
 Position = Tuple[float, float]
 
@@ -66,6 +61,26 @@ SHADOWING_CLAMP_SIGMA = 4.0
 
 #: Below this many receivers a python loop beats numpy array setup.
 _BATCH_MIN = 8
+
+_TWO_PI = 2.0 * math.pi
+_INV_2_53 = 2.0 ** -53
+_pack_floats, _float_bits = struct.Struct("<2d").pack, struct.Struct("<2Q").unpack
+
+
+def _point_word(p: Position) -> int:
+    """One word per position (the batch path is the same two lines)."""
+    x, y = _float_bits(_pack_floats(p[0] + 0.0, p[1] + 0.0))
+    return (mix64(x) + y) & MASK64
+
+
+def _link_gauss(seed: int, lo, hi):
+    """Standard normal of the link with endpoint words ``lo <= hi``: two
+    ints, or an int and a ``uint64`` array — exact integer arithmetic,
+    exactly-rounded ``sqrt``/``*``, numpy's ``log``/``cos`` either way."""
+    state = mix64(mix64(seed) + lo) + hi + GOLDEN
+    u1 = ((mix64(state) >> 11) + 1) * _INV_2_53  # (0, 1]
+    u2 = (mix64(state + GOLDEN) >> 11) * _INV_2_53  # [0, 1)
+    return _np.sqrt(-2.0 * _np.log(u1)) * _np.cos(_TWO_PI * u2)
 
 
 def _link_distance(a: Position, b: Position) -> float:
@@ -103,12 +118,10 @@ class LogDistanceModel:
     reference_loss_db:
         Path loss at the 1 m reference distance.
     shadowing_sigma_db:
-        Standard deviation of per-link log-normal shadowing.  Shadowing
-        is derived per (sender, receiver) pair from a stable hash of
-        the model seed and the link key — order-free, recomputed on
-        every evaluation, the model keeps no per-link state — and
-        clamped to ``±SHADOWING_CLAMP_SIGMA`` sigmas so audibility has a
-        hard geometric bound (see module docstring).
+        Standard deviation of per-link log-normal shadowing: a hash of
+        the model seed and the two positions, recomputed on every
+        evaluation and clamped to ``±SHADOWING_CLAMP_SIGMA`` sigmas so
+        audibility has a hard geometric bound (see module docstring).
     sensitivity_dbm:
         RSSI at which PRR is 50%.
     transition_width_db:
@@ -122,30 +135,24 @@ class LogDistanceModel:
     transition_width_db: float = 2.5
     seed: int = 0
 
-    def __post_init__(self) -> None:
-        #: Re-seeded for every draw: the only state is the generator.
-        self._rng = random.Random(0)
-
     def _link_shadowing_db(self, a: Position, b: Position) -> float:
-        key = (a, b) if a <= b else (b, a)  # symmetric links
-        # Numeric hashing is deterministic across processes (only
-        # str/bytes are salted), so parallel trial workers agree.
-        self._rng.seed(hash((self.seed, key)))
-        draw = self._rng.gauss(0.0, self.shadowing_sigma_db)
+        a, b = _point_word(a), _point_word(b)
+        draw = float(_link_gauss(self.seed, min(a, b), max(a, b))) \
+            * self.shadowing_sigma_db
         clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
         return max(-clamp, min(clamp, draw))
 
     def rssi_dbm(self, sender: Position, receiver: Position, tx_power_dbm: float) -> float:
         d = max(_link_distance(sender, receiver), 1.0)
-        log_d = float(_np.log10(d)) if _np is not None else math.log10(d)
-        path_loss = self.reference_loss_db + 10.0 * self.path_loss_exponent * log_d
+        path_loss = (self.reference_loss_db
+                     + 10.0 * self.path_loss_exponent * float(_np.log10(d)))
         return tx_power_dbm - path_loss + self._link_shadowing_db(sender, receiver)
 
     def rssi_dbm_batch(self, sender: Position,
                        receivers: Sequence[Position],
                        tx_power_dbm: float) -> List[float]:
         """Vectorized :meth:`rssi_dbm`; bit-identical to the scalar path."""
-        if _np is None or len(receivers) < _BATCH_MIN:
+        if len(receivers) < _BATCH_MIN:
             return [self.rssi_dbm(sender, r, tx_power_dbm) for r in receivers]
         arr = _np.asarray(receivers, dtype=float)
         dx = arr[:, 0] - sender[0]
@@ -153,10 +160,14 @@ class LogDistanceModel:
         d = _np.maximum(_np.sqrt(dx * dx + dy * dy), 1.0)
         path_loss = (self.reference_loss_db
                      + 10.0 * self.path_loss_exponent * _np.log10(d))
-        shadow = _np.fromiter(
-            (self._link_shadowing_db(sender, r) for r in receivers),
-            dtype=float, count=len(receivers))
-        return ((tx_power_dbm - path_loss) + shadow).tolist()
+        bits = (arr + 0.0).view(_np.uint64)
+        words = mix64(bits[:, 0]) + bits[:, 1]
+        a = _point_word(sender)
+        draw = _link_gauss(self.seed, _np.minimum(words, a),
+                           _np.maximum(words, a)) * self.shadowing_sigma_db
+        clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
+        return ((tx_power_dbm - path_loss)
+                + _np.clip(draw, -clamp, clamp)).tolist()
 
     def reception_probability(self, rssi_dbm: float) -> float:
         x = (rssi_dbm - self.sensitivity_dbm) / self.transition_width_db
@@ -165,12 +176,11 @@ class LogDistanceModel:
             return 1.0
         if x < -30:
             return 0.0
-        exp = float(_np.exp(-x)) if _np is not None else math.exp(-x)
-        return 1.0 / (1.0 + exp)
+        return 1.0 / (1.0 + float(_np.exp(-x)))
 
     def reception_probability_batch(self, rssis: Sequence[float]) -> List[float]:
         """Vectorized :meth:`reception_probability`; bit-identical."""
-        if _np is None or len(rssis) < _BATCH_MIN:
+        if len(rssis) < _BATCH_MIN:
             return [self.reception_probability(r) for r in rssis]
         x = (_np.asarray(rssis, dtype=float) - self.sensitivity_dbm) \
             / self.transition_width_db
@@ -217,7 +227,7 @@ class UnitDiskModel:
     def rssi_dbm_batch(self, sender: Position,
                        receivers: Sequence[Position],
                        tx_power_dbm: float) -> List[float]:
-        if _np is None or len(receivers) < _BATCH_MIN:
+        if len(receivers) < _BATCH_MIN:
             return [self.rssi_dbm(sender, r, tx_power_dbm) for r in receivers]
         arr = _np.asarray(receivers, dtype=float)
         dx = arr[:, 0] - sender[0]
@@ -229,7 +239,7 @@ class UnitDiskModel:
         return 1.0 if rssi_dbm > -100.0 else 0.0
 
     def reception_probability_batch(self, rssis: Sequence[float]) -> List[float]:
-        if _np is None or len(rssis) < _BATCH_MIN:
+        if len(rssis) < _BATCH_MIN:
             return [self.reception_probability(r) for r in rssis]
         return _np.where(_np.asarray(rssis, dtype=float) > -100.0,
                          1.0, 0.0).tolist()

@@ -16,6 +16,7 @@ from typing import Optional
 from repro.net.mac.base import MacLayer
 from repro.net.packet import MacFrame
 from repro.security.keys import KeyStore
+from repro.sim.mix import mix64
 from repro.sim.trace import TraceLog
 
 
@@ -33,7 +34,10 @@ class AuthConfig:
 
 def compute_tag(key: int, src: int, seq: int) -> int:
     """The modelled MIC: deterministic in (key, frame identity)."""
-    return hash((key, src, seq)) & 0xFFFFFFFF
+    tag = 0
+    for word in (key, src, seq):
+        tag = mix64(tag + word)
+    return tag & 0xFFFFFFFF
 
 
 class FrameAuthenticator:

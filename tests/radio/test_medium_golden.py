@@ -3,8 +3,9 @@
 The indexed and the full-scan medium share their arbitration code, so
 the twin-identity properties in ``test_spatial_index.py`` cannot see a
 change that moves both the same way.  This test can: the digest below
-was recorded on the commit *before* per-frame arbitration (PR 12) and
-covers every ``radio.*`` record, every ``on_receive`` upcall and every
+was recorded when the shadowing draw became a counter-based hash (PR 24;
+on that commit the previous draw, restored in a subclass, still gave the
+digest recorded *before* per-frame arbitration, PR 12) and covers every ``radio.*`` record, every ``on_receive`` upcall and every
 CCA answer of a run that reaches each branch of the delivery path —
 more than ``_SMALL_ACTIVE`` concurrent senders (the per-cell heaps), a
 wide-band jammer, a link filter installed and cleared while frames are
@@ -34,15 +35,15 @@ STAGGER_S = 0.0001
 FAILED = 5
 
 GOLDEN = {
-    "digest": "5d38b8d0355d08639b1c0dadbc605e573ca74648dc6c7161264aa66f128f5a5f",
+    "digest": "9aa2f55716a9458442195dbddb265373bf69792ef7fbeac1021a19f391d3ebc4",
     "radio.tx": 113,
-    "radio.rx": 139,
-    "radio.miss": 173,
-    "radio.collision": 402,
+    "radio.rx": 132,
+    "radio.miss": 175,
+    "radio.collision": 423,
     "radio.drop": 218,
     "cca_busy": 21,
     "cca_probes": 113,
-    "frames_received": 139,
+    "frames_received": 132,
 }
 
 

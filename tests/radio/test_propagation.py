@@ -2,13 +2,18 @@
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.radio.medium import Medium, PositionError, Radio
 from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
     UnitDiskModel,
 )
+from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 class TestUnitDisk:
@@ -96,7 +101,7 @@ class TestBatchScalarEquivalence:
     """
 
     @given(sender=points,
-           receivers=st.lists(points, min_size=1, max_size=16),
+           receivers=st.lists(points, min_size=1, max_size=200),
            tx=st.floats(-25.0, 25.0),
            model_seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
@@ -203,3 +208,109 @@ class TestShadowingPurity:
         assert sorted(vars(model)) == attributes
         assert not any(hasattr(value, "__len__")
                        for value in vars(model).values())
+
+
+#: Coordinates a bit-pattern key could get wrong: both zeros, ints,
+#: negatives, values that differ in the last bit.
+awkward = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 7, -7, 7.0, math.nextafter(7.0, 8.0)]),
+    st.floats(-500.0, 500.0, allow_nan=False))
+awkward_points = st.tuples(awkward, awkward)
+
+
+class TestCounterBasedDraw:
+    """The draw is a hash of ``(seed, the two positions)``: what that
+    buys (symmetry, order- and company-freedom, portability) and what a
+    key made of float *bits* must not get wrong."""
+
+    @given(a=awkward_points, b=awkward_points,
+           model_seed=st.integers(-2**70, 2**70),
+           sigma=st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_and_clamped_on_any_pair(self, a, b, model_seed, sigma):
+        model = LogDistanceModel(shadowing_sigma_db=sigma, seed=model_seed)
+        draw = model._link_shadowing_db(a, b)
+        assert draw.hex() == model._link_shadowing_db(b, a).hex()
+        assert abs(draw) <= SHADOWING_CLAMP_SIGMA * sigma
+
+    @given(x=st.integers(-3, 3), y=st.integers(-3, 3), other=points)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_positions_draw_equal_values(self, x, y, other):
+        """``-0.0 == 0.0`` and ``7 == 7.0``: one radio, one key."""
+        model = LogDistanceModel(shadowing_sigma_db=4.0, seed=1)
+
+        def minus(v):
+            return -0.0 if v == 0 else float(v)
+
+        as_float = model._link_shadowing_db((float(x), float(y)), other)
+        assert model._link_shadowing_db((x, y), other) == as_float
+        assert model._link_shadowing_db((minus(x), minus(y)), other) == as_float
+        assert model.rssi_dbm_batch(other, [(minus(x), y)] * 9, 0.0) \
+            == [model.rssi_dbm((float(x), float(y)), other, 0.0)] * 9
+
+    def test_a_radio_on_an_axis_has_symmetric_links(self):
+        model = LogDistanceModel(shadowing_sigma_db=4.0, seed=1)
+        near = [(float(k), 3.0) for k in range(1, 13)]
+        for origin in ((0.0, -0.0), (-0.0, 0.0), (0, 0)):
+            assert model.rssi_dbm_batch(origin, near, 0.0) \
+                == model.rssi_dbm_batch((0.0, 0.0), near, 0.0) \
+                == [model.rssi_dbm(r, origin, 0.0) for r in near]
+
+    @given(sender=awkward_points,
+           receivers=st.lists(awkward_points, min_size=1, max_size=40,
+                              unique=True),
+           company=st.lists(awkward_points, max_size=40),
+           order=st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_free_of_batch_company_and_order(self, sender, receivers,
+                                                      company, order):
+        model = LogDistanceModel(shadowing_sigma_db=3.0, seed=11)
+        alone = dict(zip(receivers,
+                         model.rssi_dbm_batch(sender, receivers, 0.0)))
+        mixed = receivers + company
+        order.shuffle(mixed)
+        for r, rssi in zip(mixed, model.rssi_dbm_batch(sender, mixed, 0.0)):
+            if r in alone:
+                assert rssi.hex() == alone[r].hex()
+                assert rssi.hex() == model.rssi_dbm(r, sender, 0.0).hex()
+
+    def test_moments_and_seed_independence_over_1e5_links(self):
+        """Standard normal to sampling error, on the coordinates
+        topologies actually produce (a lattice: mantissas mostly
+        zeros) as on scattered ones; two seeds share nothing."""
+        lattice = [(float(x), float(y))
+                   for x in range(1, 401) for y in range(1, 251)]
+        spread = np.random.default_rng(3).uniform(0.0, 3000.0, (100_000, 2))
+        for points_ in (lattice, [tuple(p) for p in spread.tolist()]):
+            draws = []
+            for model_seed in (2018, 2019):
+                model = LogDistanceModel(shadowing_sigma_db=1.0,
+                                         reference_loss_db=0.0,
+                                         path_loss_exponent=0.0,
+                                         seed=model_seed)
+                draws.append(np.array(
+                    model.rssi_dbm_batch((0.5, 0.5), points_, 0.0)))
+            for sample in draws:
+                assert abs(sample.mean()) < 0.02
+                assert abs(sample.std() - 1.0) < 0.01
+                assert np.abs(sample).max() <= SHADOWING_CLAMP_SIGMA
+            assert abs(np.corrcoef(draws[0], draws[1])[0, 1]) < 0.01
+            # Neighbouring links (next lattice point) share nothing either.
+            assert abs(np.corrcoef(draws[0][:-1], draws[0][1:])[0, 1]) < 0.01
+
+
+class TestNonFinitePositions:
+    """A NaN would poison the link key (and never equal its own grid
+    cell); the radio refuses it where it enters."""
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan),
+                                     (math.inf, 0.0), (0.0, -math.inf)])
+    def test_rejected_at_construction_and_on_write(self, bad):
+        medium = Medium(Simulator(seed=1), LogDistanceModel(), TraceLog())
+        with pytest.raises(PositionError):
+            Radio(medium, 1, bad)
+        assert 1 not in medium.radios
+        radio = Radio(medium, 2, (1.0, 2.0))
+        with pytest.raises(PositionError):
+            radio.position = bad
+        assert radio.position == (1.0, 2.0) and radio.version == 0

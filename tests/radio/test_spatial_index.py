@@ -284,7 +284,11 @@ class TestAudibleDisc:
                    for row in rows)
         assert sum(row["evaluated"] for row in rows) \
             < 0.5 * sum(row["candidates"] for row in rows)
-        assert "_link_shadowing_db" not in vars(model)  # census cleaned up
+        # The census cleaned up, and a neighbourhood still builds.
+        assert "rssi_dbm" not in vars(model)
+        assert "_reach_m" not in vars(medium)
+        assert medium._model_rssi_batch == model.rssi_dbm_batch
+        assert len(medium.audible_from(radios[0])) == rows[0]["audible"]
 
 
 class TestSystemIdentity:
