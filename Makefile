@@ -93,7 +93,7 @@ cold-fill:
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one
 # reconstructed packet-lifecycle span tree.
-# EXPORT=dir additionally writes spans.jsonl/metrics.csv/trace.jsonl.
+# EXPORT=dir additionally writes spans.jsonl/metrics.{csv,json}/explain.txt.
 EXPORT ?=
 report:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro report $(if $(EXPORT),--export $(EXPORT))

@@ -47,15 +47,17 @@ def _measure_upward_latency(system, hops):
     latencies = []
     system.root.stack.bind(7, lambda d: None)
     source = system.nodes[hops].stack
-    start = system.sim.now
+
+    def on_delivered(record):
+        if record.node == 0 and record.data["port"] == 7:
+            latencies.append(record.data["latency"])
+
+    system.trace.subscribe("net.delivered", on_delivered)
     for i in range(PROBES):
         system.sim.schedule(
             i * 30.0, (lambda: source.send_datagram(0, 7, "probe", 16))
         )
     system.run(PROBES * 30.0 + 60.0)
-    for record in system.trace.query("net.delivered", since=start):
-        if record.node == 0 and record.data["port"] == 7:
-            latencies.append(record.data["latency"])
     return mean(latencies) if latencies else float("nan")
 
 

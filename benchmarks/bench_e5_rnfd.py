@@ -39,13 +39,16 @@ def _run(rnfd_enabled, seed, probe_period=10.0, fail_threshold=3):
     system.run(300.0)
     assert system.converged()
     kill_time = system.sim.now
+    first_detach = {}
+
+    def on_detached(record):
+        first_detach.setdefault(record.node, record.time - kill_time)
+
+    system.trace.subscribe("rpl.detached", on_detached)
     system.root.fail()
     system.run(RUN_S)
 
     survivors = [n for n in system.nodes.values() if not n.is_root]
-    first_detach = {}
-    for record in system.trace.query("rpl.detached", since=kill_time):
-        first_detach.setdefault(record.node, record.time - kill_time)
     times = sorted(first_detach.values())
     aware = len(first_detach) / len(survivors)
     return {

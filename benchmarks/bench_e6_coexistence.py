@@ -52,16 +52,14 @@ def _run(channel, wifi_channels, seed):
     delivered = set()
     system.root.stack.bind(7, lambda d: delivered.add(d.payload))
     source = system.nodes[4].stack
-    start = system.sim.now
+    collisions_before = system.trace.count("radio.collision")
     for i in range(PACKETS):
         system.sim.schedule(
             i * PERIOD_S,
             (lambda k: lambda: source.send_datagram(0, 7, k, 16))(i),
         )
     system.run(PACKETS * PERIOD_S + 60.0)
-    collisions = sum(
-        1 for r in system.trace.query("radio.collision", since=start)
-    )
+    collisions = system.trace.count("radio.collision") - collisions_before
     if system.checkers is not None:
         system.checkers.finish()
         system.checkers.detach()

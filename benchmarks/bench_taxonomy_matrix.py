@@ -51,7 +51,14 @@ def matrix_trial(mac, variant, seed):
     sources = [n for n in system.nodes.values() if not n.is_root][-3:]
     delivered = set()
     system.root.stack.bind(PORT, lambda d: delivered.add((d.src, d.payload)))
-    probe_start = system.sim.now
+    latencies = []
+
+    def on_delivered(record):
+        if (record.node == system.topology.root_id
+                and record.data["port"] == PORT):
+            latencies.append(record.data["latency"])
+
+    system.trace.subscribe("net.delivered", on_delivered)
     expected = 0
     for order, node in enumerate(sources):
         for k in range(10):
@@ -63,9 +70,6 @@ def matrix_trial(mac, variant, seed):
             )
     system.run(10 * 5.0 + 60.0)
 
-    latencies = [r.data["latency"] for r in system.trace.query(
-        "net.delivered", since=probe_start)
-        if r.node == system.topology.root_id and r.data["port"] == PORT]
     stacks = [n.stack for n in system.nodes.values()]
     return {
         "mac": mac,

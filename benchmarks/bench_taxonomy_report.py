@@ -84,16 +84,19 @@ def measure_scalability(seed=171):
     line = IIoTSystem.build(line_topology(7), seed=seed + 2)
     line.start()
     line.run(400.0)
-    latencies = []
+    samples = []
     line.root.stack.bind(7, lambda d: None)
-    start = line.sim.now
+
+    def on_delivered(record):
+        if record.node == 0 and record.data["port"] == 7:
+            samples.append(record.data["latency"])
+
+    line.trace.subscribe("net.delivered", on_delivered)
     for k in range(10):
         line.sim.schedule(k * 5.0,
                           (lambda: line.nodes[6].stack.send_datagram(
                               0, 7, "p", 8)))
     line.run(80.0)
-    samples = [r.data["latency"] for r in line.trace.query(
-        "net.delivered", since=start) if r.node == 0 and r.data["port"] == 7]
     latency_per_hop = mean(samples) / 6 if samples else float("nan")
 
     # Administrative: PRR beside one overlapping Wi-Fi tenant.  The

@@ -2,7 +2,8 @@
 
 Each scenario is a pure function of its seed with the signature the
 :class:`~repro.checking.sweep.SeedSweepRunner` expects: build a system
-with ``invariant_checking=True``, drive a fault script, return the
+with ``invariant_checking=True`` and ``trace_enabled=True`` (the tail a
+repro bundle carries), drive a fault script, return the
 :class:`~repro.checking.base.CheckerSuite`.  They cover the two fault
 families the paper leans on hardest — network partitions (§V-C) and
 border-router failure under RNFD (E5) — so sweeping them across seeds
@@ -51,6 +52,7 @@ def partition_crdt_scenario(seed: int) -> CheckerSuite:
     config = SystemConfig(
         stack=StackConfig(mac="csma"),
         invariant_checking=True,
+        trace_enabled=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
     suite = system.checkers
@@ -107,6 +109,7 @@ def rnfd_root_failure_scenario(seed: int) -> CheckerSuite:
             rpl=RplConfig(dao_period_s=60.0),
         ),
         invariant_checking=True,
+        trace_enabled=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
     suite = system.checkers
@@ -141,6 +144,7 @@ def hvac_safety_scenario(seed: int) -> CheckerSuite:
             rpl=RplConfig(dao_period_s=60.0),
         ),
         invariant_checking=True,
+        trace_enabled=True,
         observability=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
@@ -203,6 +207,7 @@ def availability_probe_scenario(seed: int) -> CheckerSuite:
     config = SystemConfig(
         stack=StackConfig(mac="csma"),
         invariant_checking=True,
+        trace_enabled=True,
         observability=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
@@ -253,6 +258,7 @@ def random_crashes_scenario(seed: int) -> CheckerSuite:
             rpl=RplConfig(dao_period_s=60.0),
         ),
         invariant_checking=True,
+        trace_enabled=True,
         observability=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
@@ -305,6 +311,7 @@ def tsch_dependability_scenario(seed: int) -> CheckerSuite:
                           trickle_variant="adaptive-imin"),
         ),
         invariant_checking=True,
+        trace_enabled=True,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
     suite = system.checkers

@@ -7,7 +7,9 @@ suite.  The :class:`SeedSweepRunner` executes the scenario across many
 seeds, asserts zero invariant violations, and — because every run is a
 pure function of its seed — a failure reduces to a minimal
 :class:`ReproBundle`: the seed, the scenario name, the violation
-records, and the trailing trace window leading up to the first breach.
+records, and the trailing trace window leading up to the first breach
+(taken from the log's bounded tail, so the scenario must build its
+:class:`~repro.sim.trace.TraceLog` enabled).
 Re-running the same scenario with the bundled seed reproduces the
 failure exactly.
 """
@@ -141,7 +143,7 @@ class SeedSweepRunner:
                 suite.sim.now - self.trace_window_s,
                 violations[0].time,
             )
-            tail = [r for r in suite.trace.records if r.time >= window_start]
+            tail = [r for r in suite.trace.tail if r.time >= window_start]
             span_trees = self._span_trees(suite, window_start)
             obs = getattr(suite.trace, "obs", None)
             recorder = getattr(obs, "recorder", None)

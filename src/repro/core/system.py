@@ -37,7 +37,11 @@ class SystemConfig:
     stack: StackConfig = field(default_factory=StackConfig)
     node_platform: PlatformProfile = CLASS_1_MOTE
     root_platform: PlatformProfile = CLASS_2_GATEWAY
-    trace_enabled: bool = True
+    #: Keep the bounded tail of recent trace records (repro.sim.trace.
+    #: TAIL) that repro bundles read when a sweep seed fails.  Counters
+    #: and subscribers work either way; off by default, since nothing
+    #: but a bundle reads the tail.
+    trace_enabled: bool = False
     #: Attach the default runtime invariant checkers (repro.checking).
     #: Off by default so benchmarks pay nothing; checkers are passive
     #: observers, so enabling them does not change simulation outcomes.

@@ -94,7 +94,7 @@ class RolloutPlan:
     ) -> None:
         """Schedule every stage's activations on the kernel."""
         self.validate()
-        log = trace if trace is not None else TraceLog(enabled=False)
+        log = trace if trace is not None else TraceLog()
 
         def run_stage(stage: RolloutStage) -> None:
             for node_id in stage.node_ids:

@@ -45,7 +45,7 @@ class FailureProcess:
         self.nodes = nodes
         self.config = config if config is not None else FailureProcessConfig()
         self.config.validate()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.failures = 0
         self.repairs = 0
         #: (node, down_at, up_at) intervals for availability accounting.

@@ -38,7 +38,7 @@ class FaultInjector:
     ) -> None:
         self.sim = sim
         self.nodes = nodes
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.injected: List[InjectedFault] = []
 
     def _record(self, kind: str, node: int, **detail: object) -> None:

@@ -41,7 +41,7 @@ class PartitionController:
     ) -> None:
         self.sim = sim
         self.medium = medium
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self._sides: Optional[Dict[int, int]] = None
         self._blocked_links: Set[Tuple[int, int]] = set()
         self.partitions_applied = 0

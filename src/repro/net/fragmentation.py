@@ -77,7 +77,7 @@ class FragmentationAdapter:
         self.mac = mac
         self.deliver = deliver
         self.mtu_bytes = mtu_bytes
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self._buffers: Dict[Tuple[int, int], _ReassemblyBuffer] = {}
         #: Recently completed (src, tag) pairs: a straggler duplicate of
         #: an already-delivered packet must not seed a fresh buffer (and

@@ -77,7 +77,7 @@ class MacLayer(abc.ABC):
     ) -> None:
         self.sim = sim
         self.radio = radio
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.max_queue = max_queue
         self.stats = MacStats()
         self.on_receive: Optional[Callable[[MacFrame], None]] = None

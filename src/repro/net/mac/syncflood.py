@@ -75,7 +75,7 @@ class SyncFloodService:
         self.sim = sim
         self.medium = medium
         self.config = config if config is not None else SyncFloodConfig()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self._rng = sim.substream("syncflood")
         self._graph: Optional[Dict[int, List[int]]] = None
         self.floods_run = 0

@@ -120,7 +120,7 @@ class RplRouter:
         self.transport = transport
         self.config = config if config is not None else RplConfig()
         self.objective = objective if objective is not None else Mrhof()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root
         self._rng = sim.substream(f"rpl.{node_id}")
 

@@ -121,7 +121,7 @@ class RnfdAgent:
         self.sim = sim
         self.router = router
         self.config = config if config is not None else RnfdConfig()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.cfrc = Cfrc()
         self.root_state = RootState.ALIVE
         self.detection_time: Optional[float] = None

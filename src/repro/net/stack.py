@@ -115,7 +115,7 @@ class NetworkStack:
         self.medium = medium
         self.node_id = node_id
         self.config = config if config is not None else StackConfig()
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root
         self.stats = StackStats()
         self.radio = Radio(

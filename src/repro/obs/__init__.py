@@ -39,7 +39,6 @@ from repro.obs.export import (
     write_metrics_csv,
     write_metrics_json,
     write_spans_jsonl,
-    write_trace_jsonl,
     write_windows_jsonl,
 )
 from repro.obs.health import NodeHealthSampler, health_rows
@@ -86,7 +85,6 @@ __all__ = [
     "write_metrics_csv",
     "write_metrics_json",
     "write_spans_jsonl",
-    "write_trace_jsonl",
     "write_windows_jsonl",
 ]
 

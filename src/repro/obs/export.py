@@ -1,4 +1,4 @@
-"""Exporters: JSONL spans/trace, CSV metrics.
+"""Exporters: JSONL spans and telemetry, CSV/JSON metrics.
 
 Each writer emits deterministically ordered records so exported files
 are diffable across runs of the same seed.  Payload values that are not
@@ -45,21 +45,6 @@ def write_spans_jsonl(tracer: SpanTracer, path: str) -> int:
                     "data": _jsonable(span.data),
                 }, sort_keys=True) + "\n")
                 count += 1
-    return count
-
-
-def write_trace_jsonl(trace: TraceLog, path: str) -> int:
-    """One JSON object per stored trace record, in emission order."""
-    count = 0
-    with open(path, "w") as handle:
-        for record in trace.records:
-            handle.write(json.dumps({
-                "time": record.time,
-                "category": record.category,
-                "node": record.node,
-                "data": _jsonable(record.data),
-            }, sort_keys=True) + "\n")
-            count += 1
     return count
 
 
@@ -126,8 +111,8 @@ def export_run(
     Exports whatever observability state is attached to ``trace``:
     span JSONL when a tracer is present, metrics CSV when a snapshot is
     given (or a registry is attached), the latency-attribution
-    ``explain.txt`` when exemplar traces exist, and the raw trace JSONL
-    when recording was enabled.
+    ``explain.txt`` when exemplar traces exist, and the telemetry
+    windows and flight-recorder dumps when those are attached.
     """
     os.makedirs(directory, exist_ok=True)
     written: Dict[str, int] = {}
@@ -160,7 +145,4 @@ def export_run(
                       handle, indent=1, sort_keys=True)
             handle.write("\n")
         written["flight.json"] = len(recorder.dumps)
-    if trace.enabled:
-        written["trace.jsonl"] = write_trace_jsonl(
-            trace, os.path.join(directory, "trace.jsonl"))
     return written

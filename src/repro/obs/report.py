@@ -395,8 +395,8 @@ def report_main(argv) -> int:
                              "partition, link flap, interference) through "
                              "the traffic window")
     parser.add_argument("--export", metavar="DIR",
-                        help="write spans.jsonl / metrics.csv / trace.jsonl "
-                             "into DIR")
+                        help="write spans.jsonl / metrics.csv / "
+                             "metrics.json / explain.txt into DIR")
     parser.add_argument("--span-sample-rate", type=float, default=1.0,
                         metavar="RATE",
                         help="store only this fraction of span traces "

@@ -455,7 +455,7 @@ class Medium:
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.radios: Dict[int, Radio] = {}
         #: Min-heap of ``(end, seq, transmission)``: recent and in-flight
         #: transmissions, pruned lazily (see :meth:`_prune_active`).

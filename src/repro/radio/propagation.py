@@ -22,9 +22,10 @@ indexing rather than silently corrupting it:
   no receiver farther away can hear the sender at the threshold.  Exact
   for :class:`LogDistanceModel` because shadowing draws are clamped to
   ``±SHADOWING_CLAMP_SIGMA * sigma``.
-- ``rssi_dbm_batch`` / ``reception_probability_batch`` — **bit-identical**
-  to the scalar methods, element for element.  Hence the scalar methods
-  take their transcendentals through numpy too: its SIMD
+- ``rssi_dbm_batch`` / ``reception_probability_batch`` (optional; only
+  :class:`LogDistanceModel` has them) — **bit-identical** to the scalar
+  methods, element for element.  Hence its scalar methods take their
+  transcendentals through numpy too: numpy's SIMD
   ``log``/``log10``/``exp``/``cos`` differ from libm's in the last bit,
   but a ufunc runs one inner loop whatever the array size.
 - Order-free links.  Shadowing is a counter-based draw: each endpoint's
@@ -210,8 +211,10 @@ class UnitDiskModel:
 
     Deliberately unrealistic; used by tests that need deterministic
     topologies, and as the "clean RF" baseline in ablations.  The
-    in/out decision compares *squared* distances — exact IEEE
-    arithmetic, so the scalar and vectorized paths agree bit-for-bit.
+    in/out decision compares *squared* distances, the same exact IEEE
+    arithmetic the medium's disc filter uses.  It has no batch methods:
+    two comparisons per link lose to numpy's array set-up at every
+    neighbourhood size, so the medium calls the scalar methods.
     """
 
     radius_m: float = 30.0
@@ -224,25 +227,8 @@ class UnitDiskModel:
             return -50.0  # comfortably above any sensitivity threshold
         return -200.0
 
-    def rssi_dbm_batch(self, sender: Position,
-                       receivers: Sequence[Position],
-                       tx_power_dbm: float) -> List[float]:
-        if len(receivers) < _BATCH_MIN:
-            return [self.rssi_dbm(sender, r, tx_power_dbm) for r in receivers]
-        arr = _np.asarray(receivers, dtype=float)
-        dx = arr[:, 0] - sender[0]
-        dy = arr[:, 1] - sender[1]
-        inside = (dx * dx + dy * dy) <= self.radius_m * self.radius_m
-        return _np.where(inside, -50.0, -200.0).tolist()
-
     def reception_probability(self, rssi_dbm: float) -> float:
         return 1.0 if rssi_dbm > -100.0 else 0.0
-
-    def reception_probability_batch(self, rssis: Sequence[float]) -> List[float]:
-        if len(rssis) < _BATCH_MIN:
-            return [self.reception_probability(r) for r in rssis]
-        return _np.where(_np.asarray(rssis, dtype=float) > -100.0,
-                         1.0, 0.0).tolist()
 
     def max_audible_range_m(self, tx_power_dbm: float,
                             threshold_dbm: float) -> Optional[float]:

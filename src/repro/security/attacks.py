@@ -35,7 +35,7 @@ class CommandInjector:
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.radio = Radio(medium, node_id, position)
         self.mac = CsmaMac(sim, self.radio)
         self.mac.start()

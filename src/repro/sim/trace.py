@@ -1,15 +1,32 @@
-"""Structured event tracing.
+"""Structured event tracing: one event channel.
 
 Every layer of the stack emits trace records (packet sent, parent
-changed, comfort violated, ...).  Experiments and tests query the trace
-instead of instrumenting protocol internals, which keeps measurement
-code out of the protocols themselves.
+changed, comfort violated, ...).  A :class:`TraceLog` turns each emit
+into three things and stores nothing else:
+
+- a per-category **counter**, always;
+- a call to every **subscriber** of the category — checkers, metric
+  collectors and experiments register before the window they measure;
+- when ``enabled``, an entry in a bounded **tail** of the most recent
+  records, which repro bundles read when a seed fails.
+
+Measurement code therefore stays out of the protocols, and a run's
+memory does not grow with its length.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
+
+#: Records the tail keeps.  A repro bundle takes the trailing 120 s of
+#: simulated time (``SeedSweepRunner``'s default window); across the
+#: builtin grid(3) sweep scenarios the busiest 120 s holds ≈5 600
+#: records (``rnfd-root-failure``: the root crash, its poisoning and the
+#: DIS storm after it), so 8 192 keeps that window whole with ≈1.5×
+#: headroom at a few MB.
+TAIL = 8192
 
 
 @dataclass(frozen=True)
@@ -35,20 +52,19 @@ class TraceRecord:
 
 
 class TraceLog:
-    """An append-only log of :class:`TraceRecord` with query helpers.
+    """Counters and subscribers for every emit, plus a bounded tail.
 
-    Set ``enabled = False`` to turn recording off (benchmarks that only
-    need counters do this); counters keep accumulating either way.
+    ``enabled`` keeps the last :data:`TAIL` records in ``tail`` for repro
+    bundles; off (the default), a record is only built when a subscriber
+    will see it.  Counters accumulate either way.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.records: List[TraceRecord] = []
         self.counters: Dict[str, int] = {}
         self._subscribers: Dict[str, List[Callable[[TraceRecord], None]]] = {}
-        #: Per-category view of ``records``, maintained on emit so
-        #: category queries never rescan the whole log.
-        self._by_category: Dict[str, List[TraceRecord]] = {}
+        #: The most recent records, oldest first; empty unless enabled.
+        self.tail: Deque[TraceRecord] = deque(maxlen=TAIL)
         #: The run's observability bundle (:class:`repro.obs.Observability`),
         #: attached externally; None keeps instrumentation disabled.
         self.obs = None
@@ -64,13 +80,13 @@ class TraceLog:
         node: Optional[int] = None,
         **data: Any,
     ) -> None:
-        """Record one occurrence and notify subscribers.
+        """Count one occurrence and notify subscribers.
 
         Counters always accumulate; the :class:`TraceRecord` itself is
-        only built when someone will see it (recording enabled, or a
+        only built when someone will see it (the tail is enabled, or a
         subscriber on this category).  Disabled-and-unwatched emits are
-        therefore nearly free — the common case for benchmark runs,
-        which is why protocols can trace liberally.
+        therefore nearly free — the common case, which is why protocols
+        can trace liberally.
         """
         counters = self.counters
         counters[category] = counters.get(category, 0) + 1
@@ -79,11 +95,7 @@ class TraceLog:
             return
         record = TraceRecord(time=time, category=category, node=node, data=data)
         if self.enabled:
-            self.records.append(record)
-            bucket = self._by_category.get(category)
-            if bucket is None:
-                bucket = self._by_category[category] = []
-            bucket.append(record)
+            self.tail.append(record)
         if subscribers:
             # Iterate over a snapshot: a callback may unsubscribe
             # (itself or another subscriber) while the loop runs.
@@ -114,38 +126,3 @@ class TraceLog:
     def count(self, category: str) -> int:
         """Total records emitted in ``category`` (even while disabled)."""
         return self.counters.get(category, 0)
-
-    def query(
-        self,
-        category: Optional[str] = None,
-        node: Optional[int] = None,
-        since: float = float("-inf"),
-        until: float = float("inf"),
-    ) -> Iterator[TraceRecord]:
-        """Iterate stored records matching the filters.
-
-        Category queries walk the per-category index instead of the
-        whole log — checkers and metric collectors issue them per call,
-        so a full rescan would be O(records x queries).  Records within
-        one category are in emission order, the same order the full
-        scan yields them.
-        """
-        if category is not None:
-            candidates = self._by_category.get(category, ())
-        else:
-            candidates = self.records
-        for record in candidates:
-            if node is not None and record.node != node:
-                continue
-            if not (since <= record.time <= until):
-                continue
-            yield record
-
-    def clear(self) -> None:
-        """Drop stored records and counters."""
-        self.records.clear()
-        self.counters.clear()
-        self._by_category.clear()
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -2,8 +2,8 @@
 
 The scenario is module-level (picklable) so the runner genuinely
 dispatches to worker processes; outcomes — including full repro
-bundles with their trace tails — must come back byte-identical and in
-seed order.
+bundles with their trace tails (the scenario's log keeps one) — must
+come back byte-identical and in seed order.
 """
 
 from repro.checking.base import CheckerSuite, InvariantChecker
@@ -32,7 +32,7 @@ class _EvenSeedBreaker(InvariantChecker):
 
 
 def breaker_scenario(seed: int) -> CheckerSuite:
-    sim, trace = Simulator(seed=seed), TraceLog()
+    sim, trace = Simulator(seed=seed), TraceLog(enabled=True)
     suite = CheckerSuite(sim, trace)
     suite.add(_EvenSeedBreaker(seed))
     for t in (10.0, 120.0, 160.0, 190.0):

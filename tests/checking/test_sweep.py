@@ -10,7 +10,7 @@ from repro.checking.sweep import (
 )
 from repro.core.experiment import seeds_for
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TAIL, TraceLog
 
 
 class AlwaysCleanChecker(InvariantChecker):
@@ -42,7 +42,7 @@ def clean_scenario(seed: int) -> CheckerSuite:
 
 
 def parity_scenario(seed: int) -> CheckerSuite:
-    sim, trace = Simulator(seed=seed), TraceLog()
+    sim, trace = Simulator(seed=seed), TraceLog(enabled=True)
     suite = CheckerSuite(sim, trace)
     suite.add(FailsOnEvenSeeds(seed))
     trace.emit(10.0, "early", node=0)
@@ -112,6 +112,20 @@ class TestSeedSweepRunner:
         # Even a tiny window must keep everything from the violation on:
         # start = min(now - window, first violation time) = 150.
         assert [r.time for r in bundle.trace_tail] == [160.0]
+
+    def test_tail_of_a_long_run_ends_at_the_last_record(self):
+        def long_scenario(seed: int) -> CheckerSuite:
+            suite = parity_scenario(seed)
+            for seq in range(TAIL + 100):
+                suite.trace.emit(170.0 + seq * 1e-3, "tick", node=0, seq=seq)
+            return suite
+
+        bundle = SeedSweepRunner("long", long_scenario).run_seed(4).bundle
+        tail = bundle.trace_tail
+        # Everything is inside the window; the ring kept the newest TAIL.
+        assert len(tail) == TAIL
+        assert tail[-1].data["seq"] == TAIL + 99
+        assert tail[0].data["seq"] == 100
 
     def test_clean_seed_in_failing_scenario_passes(self):
         runner = SeedSweepRunner("parity", parity_scenario)

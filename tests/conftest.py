@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import pytest
 
@@ -14,7 +14,7 @@ from repro.obs.timeseries import TelemetryWindow, window_from_jsonable
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, TraceRecord
 
 
 @pytest.fixture
@@ -25,7 +25,48 @@ def sim() -> Simulator:
 
 @pytest.fixture
 def trace() -> TraceLog:
-    return TraceLog(enabled=True)
+    return TraceLog()
+
+
+class TraceRecorder:
+    """Every record each :class:`TraceLog` emits while installed.
+
+    ``TraceLog`` keeps counters, subscribers and a bounded tail — no
+    stream.  The whole-stream oracles (same seed, same records; indexed
+    medium vs full scan; lazy vs eager TSCH) compare everything a run
+    emitted, so they wrap ``TraceLog.emit`` for their duration:
+    ``recorder(log)`` is that log's records, in emission order.  Use the
+    :func:`recorded` fixture, or ``with TraceRecorder() as recorder:``
+    inside a hypothesis test.  Test-side only — no run keeps a stream.
+    """
+
+    def __init__(self) -> None:
+        self._streams: Dict[TraceLog, List[TraceRecord]] = {}
+        self._emit = TraceLog.emit
+
+    def __call__(self, log: TraceLog) -> List[TraceRecord]:
+        return self._streams.get(log, [])
+
+    def __enter__(self) -> "TraceRecorder":
+        streams, emit = self._streams, self._emit
+
+        def recording_emit(log, time, category, node=None, **data):
+            streams.setdefault(log, []).append(
+                TraceRecord(time, category, node, data))
+            emit(log, time, category, node, **data)
+
+        TraceLog.emit = recording_emit
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        TraceLog.emit = self._emit
+
+
+@pytest.fixture
+def recorded():
+    """A :class:`TraceRecorder` installed for the test's duration."""
+    with TraceRecorder() as recorder:
+        yield recorder
 
 
 def build_medium(
@@ -35,7 +76,7 @@ def build_medium(
 ) -> Medium:
     """A unit-disk medium (deterministic links) for protocol tests."""
     return Medium(sim, UnitDiskModel(radius_m=radius_m),
-                  trace if trace is not None else TraceLog(enabled=False))
+                  trace if trace is not None else TraceLog())
 
 
 def constant_field(value: float = 20.0) -> DiurnalField:
@@ -65,7 +106,7 @@ def build_line_network(
 ) -> Tuple[Simulator, TraceLog, List[NetworkStack]]:
     """A line of ``n`` stacks with the root at index 0, all started."""
     simulator = Simulator(seed=seed)
-    log = TraceLog(enabled=True)
+    log = TraceLog()
     medium = Medium(simulator, UnitDiskModel(radius_m=radius_m), log)
     stack_config = config if config is not None else StackConfig(mac=mac)
     stacks = [
@@ -89,7 +130,7 @@ def build_grid_network(
 ) -> Tuple[Simulator, TraceLog, List[NetworkStack]]:
     """A ``side x side`` grid of stacks, root at the corner, started."""
     simulator = Simulator(seed=seed)
-    log = TraceLog(enabled=True)
+    log = TraceLog()
     medium = Medium(simulator, UnitDiskModel(radius_m=25.0), log)
     stack_config = config if config is not None else StackConfig(mac=mac)
     stacks = []
@@ -171,7 +212,7 @@ class ReplayAttacker:
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TraceLog(enabled=False)
+        self.trace = trace if trace is not None else TraceLog()
         self.radio = Radio(medium, node_id, position)
         self.radio.set_listening()
         self.captured: List[Any] = []

@@ -21,6 +21,7 @@ from repro.core.system import SystemConfig
 from repro.obs import Observability, Registry
 from repro.obs.registry import MetricsSnapshot
 from repro.radio.medium import Medium
+from repro.sim.trace import TraceLog
 
 
 def _keywords(cls):
@@ -31,6 +32,11 @@ def _keywords(cls):
 
 
 def test_system_config_fields():
+    # ``trace_enabled`` (keep the trace tail for repro bundles) stays
+    # because the layered benchmark builds
+    # ``SystemConfig(trace_enabled=self.observed)`` in
+    # benchmarks/layers/workloads.py: on for grid_csma_observed, off for
+    # the plain workloads.
     assert [f.name for f in dataclasses.fields(SystemConfig)] == [
         "stack", "node_platform", "root_platform", "trace_enabled",
         "invariant_checking", "observability", "span_sample_rate",
@@ -47,6 +53,10 @@ def test_observability_keywords():
 
 def test_registry_keywords():
     assert _keywords(Registry) == ["exemplar_max_per_bucket"]
+
+
+def test_trace_log_keywords():
+    assert _keywords(TraceLog) == ["enabled"]
 
 
 def test_medium_takes_no_options():

@@ -33,7 +33,7 @@ sys.path[:0] = [{src!r}, {root!r}]
 from benchmarks import gates
 from tests.radio.test_medium_golden import run_scenario, summary_of
 core = json.dumps(gates.core(), sort_keys=True).encode()
-print(json.dumps({{"medium": summary_of(*run_scenario()[:4])["digest"],
+print(json.dumps({{"medium": summary_of(*run_scenario()[:5])["digest"],
                   "core": hashlib.sha256(core).hexdigest()}}))
 """
 

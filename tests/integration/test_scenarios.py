@@ -68,13 +68,13 @@ class TestRnfdVersusBaseline:
         system.run(300.0)
         assert system.converged()
         kill_time = system.sim.now
+        aware_times = []
+        system.trace.subscribe("rpl.detached", lambda record:
+                               aware_times.append(record.time - kill_time))
         system.root.fail()
         system.run(3000.0)
         # Time until 90% of survivors knew (left the grounded DODAG).
         survivors = [n for n in system.nodes.values() if not n.is_root]
-        aware_times = []
-        for record in system.trace.query("rpl.detached", since=kill_time):
-            aware_times.append(record.time - kill_time)
         detached_now = sum(
             1 for node in survivors
             if node.stack.rpl.state is not RplState.JOINED

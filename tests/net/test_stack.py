@@ -22,13 +22,13 @@ class TestSockets:
         with pytest.raises(ValueError):
             stacks[0].bind(7, lambda d: None)
 
-    def test_unbound_port_drops_silently(self):
+    def test_unbound_port_drops_silently(self, recorded):
         sim, trace, stacks = build_line_network(3, seed=30)
         sim.run(until=60.0)
         stacks[2].send_datagram(0, 42, "x", 20)
         sim.run(until=65.0)  # no handler: no crash, delivery still traced
-        arrivals = [r for r in trace.query("net.delivered")
-                    if r.node == 0 and r.data["port"] == 42]
+        arrivals = [r for r in recorded(trace) if r.category == "net.delivered"
+                    and r.node == 0 and r.data["port"] == 42]
         assert len(arrivals) == 1
 
     def test_local_delivery_loops_back(self):
@@ -42,7 +42,7 @@ class TestSockets:
 
 
 class TestRouting:
-    def test_upward_multihop(self):
+    def test_upward_multihop(self, recorded):
         sim, trace, stacks = build_line_network(6, seed=31)
         sim.run(until=120.0)
         got = []
@@ -50,8 +50,9 @@ class TestRouting:
         stacks[5].send_datagram(0, 7, "x", 20)
         sim.run(until=130.0)
         assert got == [5]
-        hops = [r.data["hops"] for r in trace.query("net.delivered")
-                if r.node == 0 and r.data["port"] == 7]
+        hops = [r.data["hops"] for r in recorded(trace)
+                if r.category == "net.delivered"
+                and r.node == 0 and r.data["port"] == 7]
         assert hops == [5]
 
     def test_downward_source_routing(self):

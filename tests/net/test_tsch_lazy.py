@@ -103,7 +103,7 @@ def run_grid(mac_cls, seed, model, *, side=3, formation_s=90.0,
     return system, delivered, latencies
 
 
-def exact_fingerprint(system, delivered):
+def exact_fingerprint(system, delivered, records):
     """Everything that must match bit for bit."""
     nodes = [system.nodes[i] for i in sorted(system.nodes)]
     macs = [n.stack.mac for n in nodes]
@@ -124,18 +124,18 @@ def exact_fingerprint(system, delivered):
         "dio": [n.stack.rpl.dio_sent for n in nodes],
         "radio_trace": [
             (r.time, r.category, r.node, sorted(r.data.items()))
-            for r in system.trace.query()
-            if r.category in RADIO_CATEGORIES],
+            for r in records if r.category in RADIO_CATEGORIES],
         "violations": [(v.time, v.checker, v.invariant, v.node)
                        for v in system.checkers.finish()],
     }
 
 
-def assert_same_run(lazy, eager):
+def assert_same_run(lazy, eager, recorded):
     (lazy_sys, lazy_delivered, lazy_lat) = lazy
     (eager_sys, eager_delivered, eager_lat) = eager
-    a = exact_fingerprint(lazy_sys, lazy_delivered)
-    b = exact_fingerprint(eager_sys, eager_delivered)
+    a = exact_fingerprint(lazy_sys, lazy_delivered, recorded(lazy_sys.trace))
+    b = exact_fingerprint(eager_sys, eager_delivered,
+                          recorded(eager_sys.trace))
     for key in a:
         assert a[key] == b[key], key
     assert lazy_lat == pytest.approx(eager_lat, rel=1e-9, abs=0.0)
@@ -151,7 +151,7 @@ def assert_same_run(lazy, eager):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("lossy", [False, True], ids=["unit-disk", "lossy"])
-def test_lazy_run_equals_eager_reference(seed, lossy):
+def test_lazy_run_equals_eager_reference(seed, lossy, recorded):
     """Jammer, two crash/reboots, tracing and checking on; 6P runs under
     loss on the lossy links."""
     def model():
@@ -159,7 +159,7 @@ def test_lazy_run_equals_eager_reference(seed, lossy):
 
     lazy = run_grid(TschMac, seed, model())
     eager = run_grid(eager_tsch(), seed, model())
-    assert_same_run(lazy, eager)
+    assert_same_run(lazy, eager, recorded)
     system, delivered, _ = lazy
     # The scenario must exercise what it claims to.
     macs = [n.stack.mac for n in system.nodes.values()]
@@ -175,7 +175,7 @@ def test_lazy_run_equals_eager_reference(seed, lossy):
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_frames_straddling_slot_boundaries(seed):
+def test_frames_straddling_slot_boundaries(seed, recorded):
     """A late TsTxOffset puts every data frame across its slot's end and
     the next slot's start: holds, ACKs sent after the slot end, and
     windows opened under a frame already in flight all occur."""
@@ -185,13 +185,13 @@ def test_frames_straddling_slot_boundaries(seed):
                     mac_config=config, hostile=False)
     eager = run_grid(eager_tsch(), seed, UnitDiskModel(radius_m=25.0),
                      mac_config=config, hostile=False)
-    assert_same_run(lazy, eager)
+    assert_same_run(lazy, eager, recorded)
     system, delivered, _ = lazy
     assert delivered
     slot = config.slot_duration_s
     straddlers = [
-        r for r in system.trace.query("radio.tx")
-        if int(r.time / slot) != int((r.time + (11 + r.data["size"]) * 8
+        r for r in recorded(system.trace) if r.category == "radio.tx"
+        and int(r.time / slot) != int((r.time + (11 + r.data["size"]) * 8
                                       / 250_000) / slot)]
     assert straddlers
 
@@ -242,7 +242,7 @@ def test_closed_form_listen_time_equals_the_window_sum(
     def build(mac_cls):
         sim = Simulator(seed=3)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0),
-                        TraceLog(enabled=False))
+                        TraceLog())
         mac = mac_cls(sim, Radio(medium, 1, (0.0, 0.0)),
                       config=TschConfig(slotframe_slots=nslots))
         for cell in cells:
@@ -276,7 +276,7 @@ def test_closed_form_listen_time_equals_the_window_sum(
 # ----------------------------------------------------------------------
 def make_pair(sim, trace=None, mac_cls=TschMac):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0),
-                    trace if trace is not None else TraceLog(enabled=False))
+                    trace if trace is not None else TraceLog())
     a = mac_cls(sim, Radio(medium, 1, (0, 0)))
     b = mac_cls(sim, Radio(medium, 2, (10.0, 0)))
     a.start()
@@ -308,7 +308,8 @@ class TestListenPlan:
         sim.run(until=3 * frame_s + 0.0099)     # in the guard
         assert a.radio.state is RadioState.SLEEP
 
-    def test_sleeping_radio_keeps_the_last_windows_channel(self, sim, trace):
+    def test_sleeping_radio_keeps_the_last_windows_channel(self, sim, trace,
+                                                           recorded):
         """``_deliver`` tells a silent skip from a ``radio.miss`` by the
         channel a sleeping radio was left on."""
         medium, a, _ = make_pair(sim, trace)
@@ -323,10 +324,11 @@ class TestListenPlan:
         sim.schedule_at(2 * frame_s + 0.05, lambda: send(left_on))
         sim.schedule_at(2 * frame_s + 0.06, lambda: send(left_on + 1))
         sim.run(until=2 * frame_s + 0.1)
-        misses = [r.node for r in trace.query("radio.miss")]
+        misses = [r.node for r in recorded(trace)
+                  if r.category == "radio.miss"]
         assert misses == [1, 2]     # the first frame only, at both sleepers
 
-    def test_frame_makes_the_window_it_hits_real(self, sim, trace):
+    def test_frame_makes_the_window_it_hits_real(self, sim, trace, recorded):
         medium, a, _ = make_pair(sim, trace)
         stranger = Radio(medium, 3, (5.0, 0.0))
         frame_s = a.config.slotframe_slots * a.config.slot_duration_s
@@ -335,7 +337,8 @@ class TestListenPlan:
         sim.schedule_at(4 * frame_s + 0.003, lambda: medium.transmit(
             stranger, Frame("x", 20, channel, 3)))
         sim.run(until=4 * frame_s + 0.009)
-        assert [r.node for r in trace.query("radio.rx")] == [1, 2]
+        assert [r.node for r in recorded(trace)
+                if r.category == "radio.rx"] == [1, 2]
         assert a.radio._listen_since == 4 * frame_s
 
     def test_link_unblocked_under_a_frame_in_flight_is_sensed(self):

@@ -10,7 +10,7 @@ from tests.conftest import build_line_network, bump_dodag_version
 
 
 class TestDisBehaviour:
-    def test_detached_node_solicits_with_dis(self):
+    def test_detached_node_solicits_with_dis(self, recorded):
         # A node booted in isolation keeps sending DIS.
         sim, trace, stacks = build_line_network(1, seed=270)
         lone = stacks[0]
@@ -23,7 +23,8 @@ class TestDisBehaviour:
         sim.run(until=120.0)
         assert orphan.rpl.state is RplState.DETACHED
         dis_count = sum(
-            1 for r in trace.query("radio.tx", node=99)
+            1 for r in recorded(trace) if r.category == "radio.tx"
+            and r.node == 99
         )
         assert dis_count >= 3  # periodic solicitation kept running
 

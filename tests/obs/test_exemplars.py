@@ -160,7 +160,7 @@ class TestSystemRun:
         from repro.deployment.topology import grid_topology
 
         def run(cap):
-            config = SystemConfig(observability=True, trace_enabled=False,
+            config = SystemConfig(observability=True,
                                   exemplar_max_per_bucket=cap)
             system = IIoTSystem.build(grid_topology(3), config=config, seed=13)
             system.start()

@@ -89,7 +89,7 @@ class TestAntiEntropySpans:
 
 def device_line(n=3, seed=80):
     sim = Simulator(seed=seed)
-    log = TraceLog(enabled=True)
+    log = TraceLog()
     obs = Observability().attach(log)
     medium = Medium(sim, UnitDiskModel(radius_m=25.0), log)
     config = StackConfig(mac="csma")

@@ -108,6 +108,16 @@ class TestCli:
             spans = [json.loads(line) for line in handle]
         assert any(span["category"] == "coap.request" for span in spans)
 
+    def test_export_writes_no_trace_records(self, demo_run, tmp_path):
+        # Counters, spans and metrics are the exported record of a run;
+        # the trace log stores no stream to dump.
+        from repro.obs.export import export_run
+
+        written = export_run(demo_run.system.trace, str(tmp_path))
+        assert "trace.jsonl" not in written
+        assert not (tmp_path / "trace.jsonl").exists()
+        assert {"spans.jsonl", "metrics.csv", "metrics.json"} <= set(written)
+
     def test_export_round_trips_exemplars_and_writes_explain(
             self, tmp_path, capsys):
         from repro.obs.diff import load_snapshot

@@ -105,7 +105,7 @@ class TestRingBuffer:
 
 def _instrumented_system(rate, max_spans=None, seed=17):
     config = SystemConfig(
-        stack=StackConfig(mac="csma"), trace_enabled=False,
+        stack=StackConfig(mac="csma"),
         observability=True, span_sample_rate=rate,
         span_max_stored=max_spans,
     )
@@ -148,8 +148,7 @@ class TestOverheadKnobsAreStorageOnly:
     def test_observability_off_runs_the_same_simulation(self):
         off = IIoTSystem.build(
             grid_topology(3),
-            config=SystemConfig(stack=StackConfig(mac="csma"),
-                                trace_enabled=False),
+            config=SystemConfig(stack=StackConfig(mac="csma")),
             seed=17)
         off.add_field_sensors("temp", DiurnalField(mean=20.0))
         off.start()

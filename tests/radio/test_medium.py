@@ -12,7 +12,7 @@ def make_medium(sim, radius=30.0, trace=None):
     # Note: TraceLog defines __len__, so an empty log is falsy — always
     # compare against None, never truthiness.
     return Medium(sim, UnitDiskModel(radius_m=radius),
-                  trace if trace is not None else TraceLog(enabled=False))
+                  trace if trace is not None else TraceLog())
 
 
 class TestDelivery:
@@ -267,7 +267,7 @@ class TestAudibleOrdering:
 
     def _build(self, sim, attach_order):
         medium = Medium(sim, self._FixedRssi(radius_m=500.0),
-                        TraceLog(enabled=False))
+                        TraceLog())
         sender = Radio(medium, 0, (0.0, 0.0))
         for node_id, x in attach_order:
             Radio(medium, node_id, (x, 0.0))

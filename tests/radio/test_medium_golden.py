@@ -24,7 +24,7 @@ from repro.radio.medium import Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import full_scan
+from tests.conftest import TraceRecorder, full_scan
 
 RADIOS = 240
 ROUNDS = 7
@@ -51,7 +51,7 @@ def run_scenario(model_cls=LogDistanceModel):
     rng = random.Random(12)
     sim = Simulator(seed=12)
     model = model_cls(path_loss_exponent=3.5, shadowing_sigma_db=2.0, seed=12)
-    medium = Medium(sim, model, TraceLog(enabled=True))
+    medium = Medium(sim, model, TraceLog())
     upcalls = []
     radios = []
     for node_id in range(RADIOS):
@@ -124,13 +124,14 @@ def run_scenario(model_cls=LogDistanceModel):
     # Round 6: a power write above the grid's sizing basis, mid-flight.
     sim.schedule_at(6 * ROUND_S + 0.0004,
                     lambda: setattr(rounds[5][2], "tx_power_dbm", 6.0))
-    sim.run()
-    return medium, radios, cca, upcalls, max_active[0]
+    with TraceRecorder() as recorder:
+        sim.run()
+    return medium, radios, recorder(medium.trace), cca, upcalls, max_active[0]
 
 
-def digest_of(medium, cca, upcalls):
+def digest_of(records, cca, upcalls):
     h = hashlib.sha256()
-    for record in medium.trace.records:
+    for record in records:
         assert record.category.startswith("radio.")
         h.update(f"{record.time!r}|{record.category}|{record.node}|"
                  f"{sorted(record.data.items())!r}\n".encode())
@@ -139,8 +140,8 @@ def digest_of(medium, cca, upcalls):
     return h.hexdigest()
 
 
-def summary_of(medium, radios, cca, upcalls):
-    out = {"digest": digest_of(medium, cca, upcalls)}
+def summary_of(medium, radios, records, cca, upcalls):
+    out = {"digest": digest_of(records, cca, upcalls)}
     for category in ("radio.tx", "radio.rx", "radio.miss",
                      "radio.collision", "radio.drop"):
         out[category] = medium.trace.count(category)
@@ -151,7 +152,7 @@ def summary_of(medium, radios, cca, upcalls):
 
 
 def test_scenario_reaches_every_branch():
-    medium, radios, cca, upcalls, max_active = run_scenario()
+    medium, radios, _, cca, upcalls, max_active = run_scenario()
     assert medium.grid_info()["spatial_index"]
     assert len(radios) >= 200
     assert max_active > 12  # the per-cell heaps, not the global scan
@@ -163,16 +164,15 @@ def test_scenario_reaches_every_branch():
 
 
 def test_golden_trace_indexed():
-    medium, radios, cca, upcalls, _ = run_scenario()
-    assert summary_of(medium, radios, cca, upcalls) == GOLDEN
+    assert summary_of(*run_scenario()[:5]) == GOLDEN
 
 
 def test_golden_trace_brute_force():
-    medium, radios, cca, upcalls, _ = run_scenario(full_scan(LogDistanceModel))
-    assert not medium.grid_info()["spatial_index"]
-    assert summary_of(medium, radios, cca, upcalls) == GOLDEN
+    run = run_scenario(full_scan(LogDistanceModel))
+    assert not run[0].grid_info()["spatial_index"]
+    assert summary_of(*run[:5]) == GOLDEN
 
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=src:. python tests/radio/test_medium_golden.py
     import pprint
-    pprint.pprint(summary_of(*run_scenario()[:4]), sort_dicts=False)
+    pprint.pprint(summary_of(*run_scenario()[:5]), sort_dicts=False)

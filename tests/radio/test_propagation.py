@@ -114,15 +114,6 @@ class TestBatchScalarEquivalence:
         assert (model.reception_probability_batch(batch)
                 == [model.reception_probability(r) for r in batch])
 
-    @given(sender=points,
-           receivers=st.lists(points, min_size=1, max_size=16),
-           radius=st.floats(1.0, 200.0))
-    @settings(max_examples=60, deadline=None)
-    def test_unit_disk_batch_bitwise(self, sender, receivers, radius):
-        model = UnitDiskModel(radius_m=radius)
-        batch = model.rssi_dbm_batch(sender, receivers, 0.0)
-        assert batch == [model.rssi_dbm(sender, r, 0.0) for r in receivers]
-
 
 class TestAudibleRangeBound:
     @given(sender=points, receiver=points,

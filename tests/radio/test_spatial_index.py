@@ -31,15 +31,15 @@ from repro.radio.medium import (
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import full_scan
+from tests.conftest import TraceRecorder, full_scan
 
 
-def build_pair(positions, model_cls, model_kw, seed=1, trace=False):
+def build_pair(positions, model_cls, model_kw, seed=1):
     """The same placement twice: spatially indexed and full scan."""
     out = []
     for cls in (model_cls, full_scan(model_cls)):
         sim = Simulator(seed=seed)
-        medium = Medium(sim, cls(**model_kw), TraceLog(enabled=trace))
+        medium = Medium(sim, cls(**model_kw), TraceLog())
         radios = []
         for node_id, position in enumerate(positions):
             radio = Radio(medium, node_id, position)
@@ -124,11 +124,12 @@ class TestIdentityProperties:
         (isim, indexed, idx_radios), (bsim, brute, bf_radios) = build_pair(
             positions, LogDistanceModel,
             dict(shadowing_sigma_db=2.0, seed=model_seed),
-            seed=sim_seed, trace=True,
+            seed=sim_seed,
         )
         picker = random.Random(model_seed)
         senders = picker.sample(range(len(positions)),
                                 k=min(6, len(positions)))
+        streams = []
         for sim, medium, radios in ((isim, indexed, idx_radios),
                                     (bsim, brute, bf_radios)):
             cca = []
@@ -140,9 +141,10 @@ class TestIdentityProperties:
                         channel=radio.channel, sender=radio.node_id))
                 # Offsets inside one ~1.6 ms airtime: real contention.
                 sim.schedule(0.001 + k * 0.0003, send)
-            sim.run()
-            medium.trace.records.append(("cca", tuple(cca)))
-        assert indexed.trace.records == brute.trace.records
+            with TraceRecorder() as recorder:
+                sim.run()
+            streams.append(recorder(medium.trace) + [("cca", tuple(cca))])
+        assert streams[0] == streams[1]
 
     @given(script=contended_scripts(), model_seed=st.integers(0, 200),
            sim_seed=st.integers(0, 200))
@@ -156,7 +158,7 @@ class TestIdentityProperties:
             positions, LogDistanceModel,
             dict(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
                  seed=model_seed),
-            seed=sim_seed, trace=True,
+            seed=sim_seed,
         )
         answers = []
         for sim, medium, radios in ((isim, indexed, idx_radios),
@@ -181,10 +183,11 @@ class TestIdentityProperties:
                     when * len(rounds) * ROUND_S,
                     lambda radio=radios[who], attr=attr, change=change:
                         setattr(radio, attr, change))
-            sim.run()
+            with TraceRecorder() as recorder:
+                sim.run()
             assert peak[0] > _SMALL_ACTIVE
-            answers.append((cca, [r.frames_received for r in radios]))
-        assert indexed.trace.records == brute.trace.records
+            answers.append((recorder(medium.trace), cca,
+                            [r.frames_received for r in radios]))
         assert answers[0] == answers[1]
 
     @given(moves=st.lists(st.tuples(st.integers(0, 7), coords, coords),
@@ -275,7 +278,7 @@ class TestAudibleDisc:
         topology = campus_topology(16, 100, seed=5)
         model = LogDistanceModel(path_loss_exponent=3.5,
                                  shadowing_sigma_db=2.0, seed=5)
-        medium = Medium(Simulator(seed=5), model, TraceLog(enabled=False))
+        medium = Medium(Simulator(seed=5), model, TraceLog())
         radios = [Radio(medium, node_id, topology.positions[node_id])
                   for node_id in topology.node_ids()]
         rows = census(medium, radios[::8])
@@ -292,7 +295,7 @@ class TestAudibleDisc:
 
 
 class TestSystemIdentity:
-    def test_full_system_run_is_identical_under_the_index(self):
+    def test_full_system_run_is_identical_under_the_index(self, recorded):
         """Two complete CSMA/RPL systems — stacks, MACs, routing, sensor
         traffic — differing only in whether the link model declares its
         range bound.  The *entire* trace is compared, not just radio
@@ -326,7 +329,7 @@ class TestSystemIdentity:
         indexed, brute = run(LogDistanceModel), run(full_scan(LogDistanceModel))
         assert indexed.medium.grid_info()["spatial_index"]
         assert not brute.medium.grid_info()["spatial_index"]
-        assert indexed.trace.records == brute.trace.records
+        assert recorded(indexed.trace) == recorded(brute.trace)
         assert indexed.sim.events_processed == brute.sim.events_processed
         for outcome in ("radio.rx", "radio.collision", "radio.miss"):
             assert indexed.trace.count(outcome) > 0
@@ -335,7 +338,7 @@ class TestSystemIdentity:
 class TestCacheInvalidation:
     def _medium(self, sim):
         model = LogDistanceModel(shadowing_sigma_db=0.0, seed=1)
-        return Medium(sim, model, TraceLog(enabled=False))
+        return Medium(sim, model, TraceLog())
 
     @staticmethod
     def _model_rssi(medium, sender, receiver):
@@ -455,7 +458,7 @@ class TestGridEngagement:
             def rssi_dbm(self, sender, receiver, tx_power_dbm):
                 return -60.0  # everyone hears everyone
 
-        medium = Medium(sim, Weird(radius_m=1.0), TraceLog(enabled=False))
+        medium = Medium(sim, Weird(radius_m=1.0), TraceLog())
         assert not medium.grid_info()["spatial_index"]
         a = Radio(medium, 1, (0.0, 0.0))
         b = Radio(medium, 2, (5000.0, 0.0))
@@ -465,7 +468,7 @@ class TestGridEngagement:
     def test_grid_engages_for_builtin_models(self, sim):
         for model in (UnitDiskModel(), LogDistanceModel()):
             medium = Medium(Simulator(seed=1), model,
-                            TraceLog(enabled=False))
+                            TraceLog())
             Radio(medium, 1, (0.0, 0.0))
             info = medium.grid_info()
             assert info["spatial_index"]
@@ -473,7 +476,7 @@ class TestGridEngagement:
 
     def test_cells_follow_moves(self, sim):
         medium = Medium(sim, UnitDiskModel(radius_m=30.0),
-                        TraceLog(enabled=False))
+                        TraceLog())
         a = Radio(medium, 1, (0.0, 0.0))
         before = medium.grid_info()["cells"]
         a.position = (500.0, 500.0)
@@ -496,7 +499,7 @@ class TestPerFrameArbitration:
     def _medium(self, spatial):
         sim = Simulator(seed=3)
         model_cls = UnitDiskModel if spatial else full_scan(UnitDiskModel)
-        medium = Medium(sim, model_cls(radius_m=30.0), TraceLog(enabled=True))
+        medium = Medium(sim, model_cls(radius_m=30.0), TraceLog())
         assert medium.grid_info()["spatial_index"] == spatial
         fillers = [Radio(medium, 100 + i, (1000.0 + 100.0 * i, 1000.0))
                    for i in range(_SMALL_ACTIVE + 1)]
@@ -506,9 +509,13 @@ class TestPerFrameArbitration:
                 radio.transmit("filler", 60)
         return sim, medium, crowd
 
+    @pytest.fixture(autouse=True)
+    def _record(self, recorded):
+        self.recorded = recorded
+
     def _outcomes(self, medium, node, sender=1):
         """What became of ``sender``'s frames at ``node``."""
-        return [r.category for r in medium.trace.records
+        return [r.category for r in self.recorded(medium.trace)
                 if r.node == node and r.data.get("sender") == sender]
 
     @pytest.mark.parametrize("spatial", [True, False])

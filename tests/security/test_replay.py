@@ -33,7 +33,7 @@ class TestReplay:
         sim.run(until=sim.now + 60.0)
         assert len(attacker.captured) >= 1
 
-    def test_replayed_frame_rejected_as_replay(self):
+    def test_replayed_frame_rejected_as_replay(self, recorded):
         sim, trace, stacks, auths = secured_line()
         got = []
         stacks[2].bind(9, lambda d: got.append(d.payload))
@@ -50,8 +50,8 @@ class TestReplay:
         assert got == ["open-once"]
         assert auths[2].replays_rejected >= 1
         replay_rejections = [
-            r for r in trace.query("security.rejected", node=2)
-            if r.data.get("reason") == "replay"
+            r for r in recorded(trace) if r.category == "security.rejected"
+            and r.node == 2 and r.data.get("reason") == "replay"
         ]
         assert replay_rejections
 

@@ -1,14 +1,15 @@
-"""Trace log recording, counters, queries, and subscriptions."""
+"""Trace log counters, subscriptions and the bounded tail."""
 
-from repro.sim.trace import TraceLog
+from repro.sim import trace as trace_module
+from repro.sim.trace import TAIL, TraceLog
 
 
 class TestTraceLog:
     def test_emit_stores_record(self):
-        log = TraceLog()
+        log = TraceLog(enabled=True)
         log.emit(1.0, "mac.tx", node=3, size=10)
-        assert len(log) == 1
-        record = log.records[0]
+        assert len(log.tail) == 1
+        record = log.tail[0]
         assert record.time == 1.0
         assert record.category == "mac.tx"
         assert record.node == 3
@@ -24,21 +25,11 @@ class TestTraceLog:
         assert log.count("missing") == 0
 
     def test_disabled_log_counts_but_does_not_store(self):
-        log = TraceLog(enabled=False)
-        log.emit(1.0, "a")
-        assert len(log) == 0
-        assert log.count("a") == 1
-
-    def test_query_filters_by_category_node_and_window(self):
         log = TraceLog()
-        log.emit(1.0, "x", node=1)
-        log.emit(2.0, "x", node=2)
-        log.emit(3.0, "y", node=1)
-        log.emit(4.0, "x", node=1)
-        hits = list(log.query("x", node=1))
-        assert [r.time for r in hits] == [1.0, 4.0]
-        windowed = list(log.query("x", since=1.5, until=4.5))
-        assert [r.time for r in windowed] == [2.0, 4.0]
+        assert not log.enabled  # off is the default
+        log.emit(1.0, "a")
+        assert len(log.tail) == 0
+        assert log.count("a") == 1
 
     def test_subscription_fires_on_matching_category(self):
         log = TraceLog()
@@ -82,60 +73,25 @@ class TestTraceLog:
         log.emit(2.0, "alarm")
         assert seen == [("first", 1.0), ("second", 1.0), ("second", 2.0)]
 
-    def test_clear_resets_everything(self):
-        log = TraceLog()
-        log.emit(1.0, "a")
-        log.clear()
-        assert len(log) == 0
-        assert log.count("a") == 0
 
+class TestTail:
+    def test_keeps_at_most_tail_records_and_evicts_the_oldest(self):
+        log = TraceLog(enabled=True)
+        for i in range(TAIL + 5):
+            log.emit(float(i), ("mac.tx", "net.sent")[i % 2], node=i % 4, seq=i)
+        assert len(log.tail) == TAIL
+        assert [r.data["seq"] for r in log.tail] == list(range(5, TAIL + 5))
+        assert log.count("mac.tx") + log.count("net.sent") == TAIL + 5
 
-class TestCategoryIndex:
-    """The per-category index must be a pure view of ``records``: every
-    filtered query answers exactly what a full-log rescan would."""
-
-    def _brute_force(self, log, category, node=None,
-                     since=float("-inf"), until=float("inf")):
-        return [r for r in log.records
-                if r.category == category
-                and (node is None or r.node == node)
-                and since <= r.time <= until]
-
-    def _interleaved(self):
-        log = TraceLog()
-        for i in range(40):
-            log.emit(float(i), ("mac.tx", "net.sent", "rpl.dio")[i % 3],
-                     node=i % 4, seq=i)
-        return log
-
-    def test_indexed_query_equals_full_scan(self):
-        log = self._interleaved()
-        for category in ("mac.tx", "net.sent", "rpl.dio", "missing"):
-            assert list(log.query(category)) == self._brute_force(log, category)
-
-    def test_index_respects_node_and_window_filters(self):
-        log = self._interleaved()
-        assert list(log.query("mac.tx", node=0, since=5.0, until=30.0)) == \
-            self._brute_force(log, "mac.tx", node=0, since=5.0, until=30.0)
-
-    def test_index_preserves_emission_order(self):
-        log = self._interleaved()
-        times = [r.time for r in log.query("net.sent")]
-        assert times == sorted(times)
-        assert [r.data["seq"] % 3 for r in log.query("net.sent")] == \
-            [1] * len(times)
-
-    def test_clear_resets_the_index(self):
-        log = self._interleaved()
-        log.clear()
-        assert list(log.query("mac.tx")) == []
-        log.emit(1.0, "mac.tx", node=9)
-        assert [r.node for r in log.query("mac.tx")] == [9]
-
-    def test_disabled_log_indexes_nothing(self):
-        log = TraceLog(enabled=False)
-        log.emit(1.0, "mac.tx")
-        assert list(log.query("mac.tx")) == []
+    def test_subscribers_see_every_record_enabled_or_not(self):
+        for enabled in (True, False):
+            log = TraceLog(enabled=enabled)
+            seen = []
+            log.subscribe("mac.tx", lambda r: seen.append(r.data["seq"]))
+            for i in range(TAIL + 3):
+                log.emit(float(i), "mac.tx", seq=i)
+            assert seen == list(range(TAIL + 3))
+            assert len(log.tail) == (TAIL if enabled else 0)
 
 
 class TestEmitFastPath:
@@ -144,7 +100,19 @@ class TestEmitFastPath:
         log.emit(1.0, "mac.tx", node=3, size=10)
         log.emit(2.0, "mac.tx", node=4, size=20)
         assert log.count("mac.tx") == 2
-        assert len(log) == 0
+        assert len(log.tail) == 0
+
+    def test_disabled_unwatched_emit_builds_no_record(self, monkeypatch):
+        built = []
+        real = trace_module.TraceRecord
+        monkeypatch.setattr(trace_module, "TraceRecord",
+                            lambda *a, **kw: built.append(1) or real(*a, **kw))
+        log = TraceLog()
+        log.subscribe("alarm", lambda r: None)
+        log.emit(1.0, "mac.tx", node=3, size=10)
+        assert built == []
+        log.emit(2.0, "alarm")  # watched: one record for the subscriber
+        assert built == [1]
 
     def test_disabled_log_still_notifies_subscribers(self):
         log = TraceLog(enabled=False)
