@@ -36,14 +36,14 @@ census:
 # The gates, then the invariant-checking suite: per-checker unit tests,
 # determinism regressions, and the multi-seed fault sweeps. Kept
 # separate from tier-1 so its longer scenario runs don't slow the inner
-# loop. The CLI sweep runs with --jobs 2 as a standing smoke of the
-# parallel engine (outcomes are identical for every jobs count);
-# REPRO_PARALLEL_FORCE=1 routes it through the warm worker pool even on
-# a single-core host, where the executor's serial fast-path would
-# otherwise (correctly) skip multiprocessing entirely.
+# loop. The CLI sweep runs with --jobs 2 and prints the same lines for
+# every jobs count; on a multi-core host it goes through the warm worker
+# pool, on a single-core host the executor's serial fast-path runs it
+# in-process (the pool itself is exercised on any host by the tests
+# that take the `multicore` fixture).
 check-invariants: gates
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/checking -q
-	REPRO_PARALLEL_FORCE=1 PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro sweep --seeds 10 --jobs 2
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro sweep --seeds 10 --jobs 2
 
 # Just the CLI sweep (SEEDS=n to widen, JOBS=n to parallelize; 0 = all
 # cores).

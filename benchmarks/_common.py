@@ -66,16 +66,14 @@ def trial_jobs(default: int = 1) -> int:
     """Worker processes for benchmark trials.
 
     Set ``REPRO_BENCH_JOBS`` (0 = all cores) to fan independent trials
-    out over the process-wide *warm* worker pool
-    (:func:`repro.parallel.shared_pool`): workers fork on the first
-    parallel dispatch of the benchmark session and every later
-    :func:`run_trials`/:func:`run_sweep` call reuses them, so a session
-    of many small sweeps pays the spawn cost once, not per call.
-    Results are merged by trial index, so a benchmark's tables are
-    byte-identical for every jobs count — the knob only changes
-    wall-clock time.  On a single-core host the executor auto-selects
-    its serial fast-path regardless (set ``REPRO_PARALLEL_FORCE=1`` to
-    exercise the pool anyway).
+    out over :class:`repro.parallel.TrialExecutor`'s *warm* worker pool
+    for that jobs count: workers fork on the first parallel dispatch of
+    the benchmark session and every later :func:`run_trials`/
+    :func:`run_sweep` call reuses them, so a session of many small
+    sweeps pays the spawn cost once, not per call.  Results are merged
+    by trial index, so a benchmark's tables are byte-identical for every
+    jobs count — the knob only changes wall-clock time.  On a
+    single-core host the executor runs the trials serially regardless.
     """
     return int(os.environ.get("REPRO_BENCH_JOBS", default))
 

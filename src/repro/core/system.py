@@ -67,12 +67,6 @@ class SystemConfig:
     #: scrape timer), like NodeHealthSampler.  Enabling it also attaches
     #: the flight recorder (repro.obs.recorder).
     telemetry_interval_s: Optional[float] = None
-    #: Histogram exemplar reservoir bound: keep at most this many
-    #: ``(value, trace_id)`` exemplars per log bucket per series
-    #: (repro.obs.registry).  Exemplars annotate metrics — they never
-    #: change counter/gauge/histogram values, so gated runs and diff
-    #: baselines are unaffected at any setting.  0 disables exemplars.
-    exemplar_max_per_bucket: int = 4
 
 
 class TimeSeriesStore:
@@ -135,7 +129,6 @@ class IIoTSystem:
                 span_sample_rate=config.span_sample_rate,
                 span_seed=sim.seed,
                 span_max=config.span_max_stored,
-                exemplar_max_per_bucket=config.exemplar_max_per_bucket,
             )
             self.obs.attach(trace)
             if config.telemetry_interval_s is not None:

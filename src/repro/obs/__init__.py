@@ -130,10 +130,8 @@ class Observability:
                  spans: bool = True,
                  span_sample_rate: float = 1.0,
                  span_seed: int = 0,
-                 span_max: Optional[int] = None,
-                 exemplar_max_per_bucket: int = 4) -> None:
-        self.registry = registry if registry is not None else Registry(
-            exemplar_max_per_bucket=exemplar_max_per_bucket)
+                 span_max: Optional[int] = None) -> None:
+        self.registry = registry if registry is not None else Registry()
         #: set by the system wiring when SystemConfig(telemetry_interval_s=)
         #: is given — layers and exporters find both via ``trace.obs``.
         self.telemetry: Optional[TelemetryEngine] = None

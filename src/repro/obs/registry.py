@@ -48,13 +48,18 @@ def _series_key(name: str, labels: Dict[str, Any]) -> SeriesKey:
 # exemplar reservoirs
 # ----------------------------------------------------------------------
 # Exemplars link histogram values back to the span traces that produced
-# them: ``observe(..., exemplar=trace_id)`` keeps the first ``cap``
-# ``(value, trace_id)`` pairs per log-scale bucket, so the reservoir
-# spans the value range instead of filling up with the common case.
+# them: ``observe(..., exemplar=trace_id)`` keeps the first
+# ``EXEMPLARS_PER_BUCKET`` ``(value, trace_id)`` pairs per log-scale
+# bucket, so the reservoir spans the value range instead of filling up
+# with the common case.
 # First-K is the deterministic reservoir policy: observation order is
 # seed-determined, and merging concatenates per bucket in the order
 # given before re-truncating — byte-identical for every jobs count.
 # Exemplars never feed back into the metric values themselves.
+
+#: Reservoir bound: ``(value, trace_id)`` exemplars kept per log bucket
+#: per series.  Frozen reservoirs carry it as their ``cap``.
+EXEMPLARS_PER_BUCKET = 4
 
 #: Bucket resolution: 8 buckets per decade, edges growing by
 #: 10^(1/8) ≈ 1.33×.
@@ -84,7 +89,7 @@ def merge_exemplars(a: ExemplarData, b: ExemplarData) -> ExemplarData:
     Per bucket: concatenate ``a``'s entries then ``b``'s, re-truncate to
     the cap (first snapshot's cap wins, mirroring gauge last-write /
     first-structure conventions).  Order-given merging keeps the result
-    byte-identical across jobs counts and chunksizes.
+    byte-identical for every jobs count.
     """
     cap = a[0]
     buckets: Dict[int, List[Tuple[float, int]]] = {idx: list(entries) for idx, entries in a[1]}
@@ -131,16 +136,13 @@ class Histogram:
     instrument and call ``instrument.record(v)``, which is one C call.
     """
 
-    __slots__ = ("name", "labels", "values", "record",
-                 "exemplar_cap", "exemplars")
+    __slots__ = ("name", "labels", "values", "record", "exemplars")
 
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...],
-                 exemplar_cap: int = 0) -> None:
+    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
         self.name = name
         self.labels = labels
         self.values: List[float] = []
         self.record = self.values.append
-        self.exemplar_cap = exemplar_cap
         self.exemplars: Dict[int, List[Tuple[float, int]]] = {}
 
     def observe(self, value: float) -> None:
@@ -148,18 +150,16 @@ class Histogram:
 
     def add_exemplar(self, value: float, trace_id: int) -> None:
         """Remember ``trace_id`` as an exemplar for ``value``'s bucket."""
-        if self.exemplar_cap <= 0:
-            return
         bucket = log_bucket(value)
         entries = self.exemplars.get(bucket)
         if entries is None:
             entries = self.exemplars[bucket] = []
-        if len(entries) < self.exemplar_cap:
+        if len(entries) < EXEMPLARS_PER_BUCKET:
             entries.append((value, int(trace_id)))
 
     def freeze_exemplars(self) -> ExemplarData:
         """Plain-data view of the reservoir (buckets sorted by index)."""
-        return (self.exemplar_cap,
+        return (EXEMPLARS_PER_BUCKET,
                 tuple((idx, tuple(entries))
                       for idx, entries in sorted(self.exemplars.items())))
 
@@ -178,8 +178,7 @@ class Histogram:
 class Registry:
     """Get-or-create instrument store for one run (or one trial)."""
 
-    def __init__(self, exemplar_max_per_bucket: int = 4) -> None:
-        self.exemplar_max_per_bucket = exemplar_max_per_bucket
+    def __init__(self) -> None:
         self._counters: Dict[SeriesKey, Counter] = {}
         self._gauges: Dict[SeriesKey, Gauge] = {}
         self._histograms: Dict[SeriesKey, Histogram] = {}
@@ -224,8 +223,7 @@ class Registry:
             key = _series_key(name, labels)
             instrument = self._histograms.get(key)
             if instrument is None:
-                instrument = self._histograms[key] = Histogram(
-                    name, key[1], self.exemplar_max_per_bucket)
+                instrument = self._histograms[key] = Histogram(name, key[1])
             self._histogram_cache[cache_key] = instrument
         return instrument
 

@@ -75,7 +75,7 @@ Cache invalidation rules (the part that must not rot):
   through :meth:`Medium._neighborhood`, which checks the stamps, so
   moves and power changes can never serve old signal strengths and an
   interferer's map is never staler than its ``audible_from``.
-- ``set_link_filter`` and model replacement invalidate everything.
+- ``set_link_filter`` invalidates everything.
 - A frame's receiver triples are the ones current when it was *sent*;
   its interferers' maps are the ones current when it *ends*.
 
@@ -480,21 +480,11 @@ class Medium:
         self._cell_active_count = 0
         #: Radios with a listen plan; zero skips every plan hook.
         self._planned = 0
-        self._bind_model(model)
-
-    # ------------------------------------------------------------------
-    # model binding and the spatial grid
-    # ------------------------------------------------------------------
-    def _bind_model(self, model: LinkQualityModel) -> None:
-        """Adopt ``model``: detect index capabilities, reset all caches.
-
-        Capabilities are read from the model's *own* class dict, never
-        the MRO: a subclass that overrides ``rssi_dbm`` with different
-        semantics must not inherit a range bound or batch path that no
-        longer describes it — it silently falls back to the full scan.
-        """
-        self.model = model
-        self._bound_model = model
+        # Capabilities are read from the model's *own* class dict, never
+        # the MRO: a subclass that overrides ``rssi_dbm`` with different
+        # semantics must not inherit a range bound or batch path that no
+        # longer describes it — it silently falls back to the full scan.
+        self._model = model
         own = type(model).__dict__
         self._model_range_fn = (
             model.max_audible_range_m if "max_audible_range_m" in own else None)
@@ -503,13 +493,16 @@ class Medium:
         self._model_prr_batch = (
             model.reception_probability_batch
             if "reception_probability_batch" in own else None)
-        self._world_version += 1
         self._rebuild_grid()
 
-    def _sync_model(self) -> None:
-        if self.model is not self._bound_model:
-            self._bind_model(self.model)
+    @property
+    def model(self) -> LinkQualityModel:
+        """The link-quality model, bound for the medium's lifetime."""
+        return self._model
 
+    # ------------------------------------------------------------------
+    # the spatial grid
+    # ------------------------------------------------------------------
     def _rebuild_grid(self) -> None:
         """(Re)derive the cell size from the range bound and re-bucket.
 
@@ -640,12 +633,11 @@ class Medium:
 
     def rssi_between(self, sender: Radio, receiver: Radio) -> float:
         """RSSI of ``sender`` as heard by ``receiver``."""
-        self._sync_model()
         rssi = self._neighborhood(sender).rssi_by_id.get(receiver.node_id)
         if rssi is None:
             # Blocked or inaudible links are left out of the map; the
             # physical signal strength is still the model's to say.
-            rssi = self.model.rssi_dbm(
+            rssi = self._model.rssi_dbm(
                 sender.position, receiver.position, sender.tx_power_dbm)
         return rssi
 
@@ -657,7 +649,6 @@ class Medium:
         insertion order, so adding radios in a different order cannot
         perturb a seeded run.
         """
-        self._sync_model()
         return [(radio, rssi)
                 for radio, rssi, _ in self._neighborhood(sender).receivers]
 
@@ -723,7 +714,7 @@ class Medium:
                 sender.tx_power_dbm)
         else:
             rssis = [
-                self.model.rssi_dbm(
+                self._model.rssi_dbm(
                     sender.position, radio.position, sender.tx_power_dbm)
                 for radio in radios]
 
@@ -733,7 +724,7 @@ class Medium:
         if self._model_prr_batch is not None and len(pairs) > 1:
             prrs = self._model_prr_batch([rssi for _, rssi in pairs])
         else:
-            prrs = [self.model.reception_probability(rssi) for _, rssi in pairs]
+            prrs = [self._model.reception_probability(rssi) for _, rssi in pairs]
         return _Neighborhood(
             receivers=[(radio, rssi, prr)
                        for (radio, rssi), prr in zip(pairs, prrs)],
@@ -756,7 +747,7 @@ class Medium:
         receiver = self.radios.get(receiver_id)
         if sender is None or receiver is None:
             return 0.0
-        return self.model.reception_probability(self.rssi_between(sender, receiver))
+        return self._model.reception_probability(self.rssi_between(sender, receiver))
 
     # ------------------------------------------------------------------
     # channel activity
@@ -817,7 +808,6 @@ class Medium:
 
     def carrier_busy(self, radio: Radio) -> bool:
         """True if any audible transmission occupies ``radio``'s channel."""
-        self._sync_model()
         now = self.sim.now
         channel = radio.channel
         radio_id = radio.node_id
@@ -837,7 +827,6 @@ class Medium:
 
         A listen plan keeps every window that begins before this real.
         """
-        self._sync_model()
         latest = self.sim.now
         radio_id = radio.node_id
         for _, _, tx in self._active_around(radio.position, 1):
@@ -868,7 +857,6 @@ class Medium:
             raise RuntimeError(f"radio {radio.node_id} is disabled (node failed)")
         if radio.state is RadioState.TX:
             raise RuntimeError(f"radio {radio.node_id} already transmitting")
-        self._sync_model()
         now = self.sim.now
         airtime = frame.airtime
         if airtime > self._max_airtime:

@@ -28,6 +28,24 @@ def trace() -> TraceLog:
     return TraceLog()
 
 
+@pytest.fixture(scope="module")
+def multicore():
+    """``repro.parallel`` sees four usable cores for the module's tests.
+
+    On a single-core host a ``jobs > 1`` request takes the executor's
+    serial fast-path; with this fixture it dispatches to the warm pool
+    on any host, so the tests exercise the real workers.  Outputs are
+    identical either way.  The pools are shut down once, when the
+    module ends: tearing them down per test would defeat warm reuse.
+    """
+    from repro import parallel
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parallel, "usable_cores", lambda: 4)
+        yield
+    parallel.shutdown_shared_pools()
+
+
 class TraceRecorder:
     """Every record each :class:`TraceLog` emits while installed.
 

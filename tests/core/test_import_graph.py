@@ -53,6 +53,22 @@ def test_no_module_imports_undeclared_third_party_code():
     assert foreign == []
 
 
+def test_a_simulation_never_loads_the_process_pool_machinery():
+    # repro.parallel imports multiprocessing and concurrent.futures only
+    # when it dispatches to workers; a plain run never does.
+    loaded = _fresh_interpreter(
+        "import repro\n"
+        "from repro.core.system import IIoTSystem\n"
+        "from repro.deployment.topology import grid_topology\n"
+        "system = IIoTSystem.build(grid_topology(3), seed=1)\n"
+        "system.start()\n"
+        "system.run(60.0)\n"
+        "result = sorted(name for name in sys.modules\n"
+        "                if name.startswith(('multiprocessing', 'concurrent')))\n"
+    )
+    assert loaded == []
+
+
 def test_import_repro_loads_a_bounded_number_of_modules():
     # About 300 with numpy as the only third-party import; scipy.stats
     # alone would add some 900.

@@ -4,11 +4,10 @@ Every independently settable value doubles the configurations tests and
 benchmarks must cover, so the names below are spelled out — a new
 ``SystemConfig`` field, constructor keyword or ``REPRO_*`` variable
 fails this file until it is added on purpose (DESIGN.md, "Conventions":
-one way to do each thing).  A run is configured by ``SystemConfig`` alone; the one
-environment variable the library reads steers *how* trials execute,
-never what they compute.  The tooling around the library — the
-experiment scripts' variables, the Makefile's overridable ones — is
-pinned the same way.
+one way to do each thing).  A run is configured by ``SystemConfig`` alone,
+and the library reads no environment variable.  The tooling around the
+library — the experiment scripts' variables, the Makefile's overridable
+ones — is pinned the same way.
 """
 
 import dataclasses
@@ -20,6 +19,7 @@ import repro
 from repro.core.system import SystemConfig
 from repro.obs import Observability, Registry
 from repro.obs.registry import MetricsSnapshot
+from repro.parallel import TrialExecutor
 from repro.radio.medium import Medium
 from repro.sim.trace import TraceLog
 
@@ -40,19 +40,22 @@ def test_system_config_fields():
     assert [f.name for f in dataclasses.fields(SystemConfig)] == [
         "stack", "node_platform", "root_platform", "trace_enabled",
         "invariant_checking", "observability", "span_sample_rate",
-        "span_max_stored", "telemetry_interval_s", "exemplar_max_per_bucket",
+        "span_max_stored", "telemetry_interval_s",
     ]
 
 
 def test_observability_keywords():
     assert _keywords(Observability) == [
         "registry", "spans", "span_sample_rate", "span_seed", "span_max",
-        "exemplar_max_per_bucket",
     ]
 
 
 def test_registry_keywords():
-    assert _keywords(Registry) == ["exemplar_max_per_bucket"]
+    assert _keywords(Registry) == []
+
+
+def test_trial_executor_keywords():
+    assert _keywords(TrialExecutor) == ["jobs"]
 
 
 def test_trace_log_keywords():
@@ -77,8 +80,8 @@ def test_environment_variables_read_by_the_library():
             r"""(?:environ(?:\.get\(|\[)|getenv\()\s*["'](REPRO_\w+)""", text))
         if "os.environ" in text or "getenv" in text:
             environ_files.add(path.relative_to(root).as_posix())
-    assert names == {"REPRO_PARALLEL_FORCE"}
-    assert environ_files == {"parallel/executor.py"}
+    assert names == set()
+    assert environ_files == set()
 
 
 def _repo_root():

@@ -11,13 +11,17 @@ import time
 import pytest
 
 from repro.core.experiment import Sweep, Trial
-from repro.parallel import TrialExecutor, payload_picklable, resolve_jobs
+from repro.parallel import TrialExecutor, usable_cores
 
 JOBS = 4  # more workers than cores is fine: determinism must not care
 
 
 def _square(x):
     return x * x
+
+
+def _pid(_x):
+    return os.getpid()
 
 
 def _sleep_inverse(index):
@@ -49,24 +53,32 @@ def _sparse_metrics(value, seed):
 
 class TestResolveJobs:
     def test_explicit_count_is_literal(self):
-        assert resolve_jobs(1) == 1
-        assert resolve_jobs(7) == 7
+        assert TrialExecutor(jobs=1).jobs == 1
+        assert TrialExecutor(jobs=7).jobs == 7
 
     def test_none_and_zero_mean_all_cores(self):
-        assert resolve_jobs(None) >= 1
-        assert resolve_jobs(0) == resolve_jobs(None)
-        assert resolve_jobs(-1) == resolve_jobs(None)
+        assert TrialExecutor(jobs=None).jobs == usable_cores() >= 1
+        assert TrialExecutor(jobs=0).jobs == usable_cores()
+        assert TrialExecutor(jobs=-1).jobs == usable_cores()
 
 
+@pytest.mark.usefixtures("multicore")
 class TestPicklabilityProbe:
+    """Only a payload that pickles reaches a worker; any other runs in
+    this process, in order."""
+
     def test_module_level_function_passes(self):
-        assert payload_picklable(_square, [(1,), (2,)])
+        pids = TrialExecutor(jobs=2).map(_pid, [(1,), (2,)])
+        assert os.getpid() not in pids
 
     def test_lambda_fails(self):
-        assert not payload_picklable(lambda x: x, [(1,)])
+        pid = lambda x: os.getpid()  # noqa: E731 - the point is the lambda
+        assert TrialExecutor(jobs=2).map(pid, [(1,), (2,)]) \
+            == [os.getpid()] * 2
 
     def test_unpicklable_argument_fails(self):
-        assert not payload_picklable(_square, [(lambda: None,)])
+        assert TrialExecutor(jobs=2).map(_pid, [(lambda: None,), (2,)]) \
+            == [os.getpid()] * 2
 
 
 class TestTrialExecutor:

@@ -4,7 +4,7 @@ Two claims, fuzzed instead of spot-checked:
 
 1. A parallel ``Sweep`` is **byte-identical** to its serial twin for
    every (value set, repetition count, jobs count) — not just the
-   handful of shapes the unit tests pin.  ``REPRO_PARALLEL_FORCE=1``
+   handful of shapes the unit tests pin.  The ``multicore`` fixture
    keeps the claim honest on single-core CI, where the executor would
    otherwise (correctly) never leave the serial fast-path.
 2. ``MetricsSnapshot.merge`` is order-invariant exactly where the
@@ -30,14 +30,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.experiment import Sweep  # noqa: E402
 from repro.obs.registry import MetricsSnapshot  # noqa: E402
-from repro.parallel import (  # noqa: E402
-    TrialExecutor,
-    WorkerPool,
-    shutdown_shared_pools,
-)
+from repro.parallel import TrialExecutor  # noqa: E402
 
 FEW = settings(max_examples=12, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
+
+pytestmark = pytest.mark.usefixtures("multicore")
 
 
 def _metrics(value, seed):
@@ -47,18 +45,6 @@ def _metrics(value, seed):
 
 def _cube(x):
     return x ** 3
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _forced_pool():
-    """Force the pool on single-core hosts; tear it down once at the
-    end (per-example teardown would defeat warm reuse)."""
-    import os
-
-    os.environ["REPRO_PARALLEL_FORCE"] = "1"
-    yield
-    os.environ.pop("REPRO_PARALLEL_FORCE", None)
-    shutdown_shared_pools()
 
 
 class TestSweepByteIdentity:
@@ -81,30 +67,11 @@ class TestSweepByteIdentity:
     @FEW
     @given(
         tasks=st.integers(min_value=1, max_value=40),
-        chunksize=st.one_of(st.none(), st.integers(min_value=1,
-                                                   max_value=12)),
-    )
-    def test_chunksize_never_changes_pool_output(self, tasks, chunksize):
-        argses = [(i,) for i in range(tasks)]
-        pool = WorkerPool(2)
-        try:
-            assert pool.map(_cube, argses, chunksize=chunksize) \
-                == [i ** 3 for i in range(tasks)]
-        finally:
-            pool.shutdown()
-
-    @FEW
-    @given(
-        tasks=st.integers(min_value=2, max_value=24),
         jobs=st.integers(min_value=2, max_value=5),
-        chunksize=st.one_of(st.none(), st.integers(min_value=1,
-                                                   max_value=8)),
     )
-    def test_executor_matches_serial_for_any_shape(
-            self, tasks, jobs, chunksize):
+    def test_executor_matches_serial_for_any_shape(self, tasks, jobs):
         argses = [(i,) for i in range(tasks)]
-        parallel = TrialExecutor(jobs=jobs, chunksize=chunksize).map(
-            _cube, argses)
+        parallel = TrialExecutor(jobs=jobs).map(_cube, argses)
         assert parallel == [i ** 3 for i in range(tasks)]
 
 

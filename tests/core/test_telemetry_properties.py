@@ -3,10 +3,10 @@
 The claim, fuzzed rather than spot-checked (mirroring
 ``test_parallel_properties``): a fleet of telemetry trials streamed by
 :meth:`TrialExecutor.imap` and folded in submission order is
-**byte-identical** for every (jobs, chunksize) shape — windowed series
+**byte-identical** for every (task count, jobs) shape — windowed series
 and histograms both ride the in-order-given merge contract.
 
-``REPRO_PARALLEL_FORCE=1`` keeps the claim honest on single-core CI.
+The ``multicore`` fixture keeps the claim honest on single-core CI.
 Module-level trial functions: process pools move work through pickle.
 """
 
@@ -20,11 +20,13 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs.registry import MetricsSnapshot, Registry  # noqa: E402
 from repro.obs.timeseries import TelemetryEngine, TelemetrySnapshot  # noqa: E402
-from repro.parallel import TrialExecutor, shutdown_shared_pools  # noqa: E402
+from repro.parallel import TrialExecutor  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 
 FEW = settings(max_examples=12, deadline=None,
                suppress_health_check=[HealthCheck.too_slow])
+
+pytestmark = pytest.mark.usefixtures("multicore")
 
 
 def _telemetry_trial(value, seed):
@@ -55,35 +57,20 @@ def _merge_pair_stream(results):
             json.dumps(metrics.to_jsonable(), sort_keys=True))
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _forced_pool():
-    """Force the pool on single-core hosts; tear it down once at the
-    end (per-example teardown would defeat warm reuse)."""
-    import os
-
-    os.environ["REPRO_PARALLEL_FORCE"] = "1"
-    yield
-    os.environ.pop("REPRO_PARALLEL_FORCE", None)
-    shutdown_shared_pools()
-
-
 class TestMapMergeByteIdentity:
     @FEW
     @given(
         values=st.lists(st.integers(min_value=0, max_value=7),
-                        min_size=2, max_size=5),
+                        min_size=2, max_size=9),
         seed=st.integers(min_value=0, max_value=99),
         jobs=st.integers(min_value=2, max_value=4),
-        chunksize=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     )
-    def test_jobs_and_chunksize_never_change_merged_output(
-            self, values, seed, jobs, chunksize):
+    def test_jobs_never_change_merged_output(self, values, seed, jobs):
         argses = [(v, seed + i) for i, v in enumerate(values)]
         serial = _merge_pair_stream(
             TrialExecutor(jobs=1).imap(_telemetry_trial, argses))
         parallel = _merge_pair_stream(
-            TrialExecutor(jobs=jobs, chunksize=chunksize).imap(
-                _telemetry_trial, argses))
+            TrialExecutor(jobs=jobs).imap(_telemetry_trial, argses))
         assert serial == parallel
 
     @FEW

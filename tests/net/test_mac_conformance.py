@@ -234,9 +234,9 @@ class TestSpanNesting:
 
 
 @pytest.mark.parametrize("mac", MACS)
+@pytest.mark.usefixtures("multicore")
 class TestParallelSnapshots:
-    def test_jobs1_and_jobs2_merge_byte_identically(self, mac, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
+    def test_jobs1_and_jobs2_merge_byte_identically(self, mac):
         tasks = [(mac, seed) for seed in SEEDS]
         serial = MetricsSnapshot.merge(
             TrialExecutor(jobs=1).map(_snapshot_trial, tasks))

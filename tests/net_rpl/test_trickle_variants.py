@@ -195,8 +195,8 @@ class TestDeterminism:
     SEEDS = [21, 22, 23]
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_dio_counts_identical_across_jobs(self, variant, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_FORCE", "1")
+    @pytest.mark.usefixtures("multicore")
+    def test_dio_counts_identical_across_jobs(self, variant):
         tasks = [(variant, seed) for seed in self.SEEDS]
         serial = MetricsSnapshot.merge(
             TrialExecutor(jobs=1).map(_dio_trial, tasks))

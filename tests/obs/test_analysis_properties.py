@@ -13,7 +13,7 @@ Fuzzed claims (mirroring ``test_telemetry_properties``):
 3. Exemplar reservoirs ride the executor's merge contract: a fleet of
    exemplar-recording trials streamed by :meth:`TrialExecutor.imap` and
    folded in submission order is **byte-identical** for every
-   (jobs, chunksize) shape.  ``REPRO_PARALLEL_FORCE=1`` keeps the claim
+   (task count, jobs) shape.  The ``multicore`` fixture keeps the claim
    honest on single-core CI; module-level trial functions because
    process pools move work through pickle.
 """
@@ -29,7 +29,7 @@ from hypothesis import strategies as st  # noqa: E402
 from repro.obs.analysis import attribute_trace, critical_path  # noqa: E402
 from repro.obs.registry import MetricsSnapshot, Registry  # noqa: E402
 from repro.obs.spans import SpanTracer  # noqa: E402
-from repro.parallel import TrialExecutor, shutdown_shared_pools  # noqa: E402
+from repro.parallel import TrialExecutor  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 
 FEW = settings(max_examples=25, deadline=None,
@@ -128,7 +128,7 @@ class TestCriticalPathChain:
 def _exemplar_trial(value, seed):
     """A pure trial: exemplar-annotated observations from (value, seed)."""
     sim = Simulator(seed=seed)
-    registry = Registry(exemplar_max_per_bucket=2)
+    registry = Registry()
     rng = sim.substream("exemplar-prop")
     for i in range(3 + value):
         registry.observe("lat", rng.uniform(1e-4, 2.0),
@@ -141,32 +141,20 @@ def _merge_to_json(results):
     return json.dumps(merged.to_jsonable(), sort_keys=True)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _forced_pool():
-    import os
-
-    os.environ["REPRO_PARALLEL_FORCE"] = "1"
-    yield
-    os.environ.pop("REPRO_PARALLEL_FORCE", None)
-    shutdown_shared_pools()
-
-
+@pytest.mark.usefixtures("multicore")
 class TestExemplarParallelIdentity:
     @FEW
     @given(
         values=st.lists(st.integers(min_value=0, max_value=6),
-                        min_size=2, max_size=5),
+                        min_size=2, max_size=9),
         seed=st.integers(min_value=0, max_value=99),
         jobs=st.integers(min_value=2, max_value=4),
-        chunksize=st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     )
-    def test_jobs_and_chunksize_never_change_merged_exemplars(
-            self, values, seed, jobs, chunksize):
+    def test_jobs_never_change_merged_exemplars(self, values, seed, jobs):
         argses = [(v, seed + i) for i, v in enumerate(values)]
         serial = _merge_to_json(
             TrialExecutor(jobs=1).imap(_exemplar_trial, argses))
         parallel = _merge_to_json(
-            TrialExecutor(jobs=jobs, chunksize=chunksize).imap(
-                _exemplar_trial, argses))
+            TrialExecutor(jobs=jobs).imap(_exemplar_trial, argses))
         assert serial == parallel
         assert '"exemplars"' in serial  # the claim is about real links

@@ -3,17 +3,16 @@
 The reservoir contract (DESIGN.md, "Latency attribution"):
 
 - ``Registry.observe(..., exemplar=trace_id)`` keeps the first
-  ``exemplar_max_per_bucket`` ``(value, trace_id)`` pairs per log
+  ``EXEMPLARS_PER_BUCKET`` ``(value, trace_id)`` pairs per log
   bucket per series — first-K, not last-K, so the links are stable
   under later traffic;
 - exemplars never alter counter/gauge/histogram values, so every
-  committed diff baseline is unaffected at any cap;
+  committed diff baseline is unaffected by them;
 - snapshots freeze, JSON round-trips, and the ``exemplars`` key is
   emitted only when non-empty (pre-exemplar baselines stay
   byte-identical);
-- merge is order-given: concatenate per bucket, truncate to the first
-  snapshot's cap — the same in-trial-index-order fold every other
-  snapshot field rides.
+- merge is order-given: concatenate per bucket, truncate to the cap —
+  the same in-trial-index-order fold every other snapshot field rides.
 """
 
 import json
@@ -21,6 +20,8 @@ import json
 import pytest
 
 from repro.obs.registry import (
+    EXEMPLARS_PER_BUCKET,
+    Histogram,
     MetricsSnapshot,
     Registry,
     log_bucket,
@@ -47,21 +48,16 @@ class TestReservoir:
         assert values == sorted(values, reverse=True)
 
     def test_first_k_per_bucket_wins(self):
-        registry = Registry(exemplar_max_per_bucket=2)
-        # Five observations landing in one log bucket: only the first
-        # two trace links survive; the histogram keeps all five values.
-        values = [0.1, 0.101, 0.102, 0.103, 0.104]
+        registry = Registry()
+        # Six observations landing in one log bucket: only the first
+        # four trace links survive; the histogram keeps all six values.
+        values = [0.1, 0.101, 0.102, 0.103, 0.104, 0.105]
         for i, value in enumerate(values):
             registry.observe("lat", value, exemplar=10 + i)
+        assert EXEMPLARS_PER_BUCKET == 4
         assert registry.exemplars_for("lat") == [
-            (0.101, 11), (0.1, 10)]
-        assert registry.histogram("lat").count == 5
-
-    def test_cap_zero_disables_recording(self):
-        registry = Registry(exemplar_max_per_bucket=0)
-        registry.observe("lat", 0.25, exemplar=41)
-        assert registry.exemplars_for("lat") == []
-        assert registry.snapshot().exemplars == {}
+            (0.103, 13), (0.102, 12), (0.101, 11), (0.1, 10)]
+        assert registry.histogram("lat").count == 6
 
     def test_observation_without_exemplar_records_nothing(self):
         registry = Registry()
@@ -89,7 +85,7 @@ class TestSnapshotAndJson:
         assert snap.exemplars_for("lat") == [(0.25, 41)]
 
     def test_json_round_trip(self):
-        registry = Registry(exemplar_max_per_bucket=3)
+        registry = Registry()
         _observe_decade(registry, "lat", port=7)
         registry.inc("sent")
         snap = registry.snapshot()
@@ -118,20 +114,23 @@ class TestSnapshotAndJson:
 
 class TestMerge:
     def test_merge_concatenates_in_order_given(self):
-        a, b = Registry(exemplar_max_per_bucket=4), Registry(
-            exemplar_max_per_bucket=4)
+        a, b = Registry(), Registry()
         a.observe("lat", 0.200, exemplar=1)
         b.observe("lat", 0.201, exemplar=2)
         merged = MetricsSnapshot.merge([a.snapshot(), b.snapshot()])
         assert merged.exemplars_for("lat") == [(0.201, 2), (0.2, 1)]
 
     def test_merge_truncates_to_first_snapshots_cap(self):
-        a, b = Registry(exemplar_max_per_bucket=1), Registry(
-            exemplar_max_per_bucket=4)
-        a.observe("lat", 0.200, exemplar=1)
-        b.observe("lat", 0.201, exemplar=2)
+        # Three links per side in one bucket: the merge keeps the first
+        # snapshot's three, then the second's first, and drops the rest.
+        a, b = Registry(), Registry()
+        for i, (ours, theirs) in enumerate(
+                zip((0.2, 0.201, 0.202), (0.21, 0.211, 0.212))):
+            a.observe("lat", ours, exemplar=1 + i)
+            b.observe("lat", theirs, exemplar=11 + i)
         merged = MetricsSnapshot.merge([a.snapshot(), b.snapshot()])
-        assert merged.exemplars_for("lat") == [(0.2, 1)]
+        assert merged.exemplars_for("lat") == [
+            (0.21, 11), (0.202, 3), (0.201, 2), (0.2, 1)]
 
     def test_merge_exemplars_is_associative_in_fold_order(self):
         def data(trace, value):
@@ -151,23 +150,24 @@ class TestMerge:
 
 
 class TestSystemRun:
-    def test_reservoirs_never_change_an_instrumented_run(self):
-        """``SystemConfig(exemplar_max_per_bucket=)`` reaches the run's
-        registry, and a whole instrumented run is the same run at the
-        default cap and at zero: same events, same metric values — only
-        the annotations differ."""
+    def test_reservoirs_never_change_an_instrumented_run(self, monkeypatch):
+        """A whole instrumented run is the same run with reservoirs and
+        with ``Histogram.add_exemplar`` a no-op: same events, same
+        metric values — only the annotations differ."""
         from repro.core.system import IIoTSystem, SystemConfig
         from repro.deployment.topology import grid_topology
 
-        def run(cap):
-            config = SystemConfig(observability=True,
-                                  exemplar_max_per_bucket=cap)
+        def run():
+            config = SystemConfig(observability=True)
             system = IIoTSystem.build(grid_topology(3), config=config, seed=13)
             system.start()
             system.run(600.0)
             return system.sim.events_processed, system.obs.registry.snapshot()
 
-        (events_on, on), (events_off, off) = run(4), run(0)
+        events_on, on = run()
+        monkeypatch.setattr(Histogram, "add_exemplar",
+                            lambda self, value, trace_id: None)
+        events_off, off = run()
         assert events_on == events_off
         assert on.counters == off.counters
         assert on.gauges == off.gauges

@@ -118,14 +118,12 @@ class TestCollisions:
         assert got == ["first", "second"]
 
     def test_capture_strong_frame_survives(self, sim):
-        medium = Medium(sim, UnitDiskModel(radius_m=200.0))
-
         # Override RSSI to create a strong/weak pair.
         class TwoLevel(UnitDiskModel):
             def rssi_dbm(self, sender, receiver, tx_power_dbm):
                 return -40.0 if sender == (1.0, 0.0) else -60.0
 
-        medium.model = TwoLevel(radius_m=200.0)
+        medium = Medium(sim, TwoLevel(radius_m=200.0))
         strong = Radio(medium, 1, (1.0, 0.0))
         weak = Radio(medium, 2, (2.0, 0.0))
         victim = Radio(medium, 3, (3.0, 0.0))
@@ -136,6 +134,16 @@ class TestCollisions:
         weak.transmit("weak", 50)
         sim.run()
         assert got == ["strong"]
+
+
+def test_link_model_is_bound_once(sim):
+    # The grid and the batch paths are derived from the model at
+    # construction; a replacement would silently keep serving them.
+    model = UnitDiskModel(radius_m=30.0)
+    medium = Medium(sim, model)
+    with pytest.raises(AttributeError):
+        medium.model = UnitDiskModel(radius_m=200.0)
+    assert medium.model is model
 
 
 class TestCarrierSense:
