@@ -150,7 +150,8 @@ def measure_dependability(seed=181):
             lambda: availability_samples.append(
                 service_availability(system, endpoints, partitions=cutter)),
         )
-    cutter.apply_at(system.sim.now + 120.0, GeometricPartition(cut_x=30.0))
+    system.sim.schedule(120.0,
+                        lambda: cutter.apply(GeometricPartition(cut_x=30.0)))
     system.sim.schedule(300.0, system.nodes[15].fail)
     system.sim.schedule(420.0, system.nodes[15].recover)
     system.sim.schedule(720.0, cutter.heal)

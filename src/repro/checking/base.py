@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.kernel import EventHandle, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import TraceLog, TraceRecord
 
 
@@ -56,32 +57,6 @@ class Violation:
         extras = " ".join(f"{k}={v!r}" for k, v in sorted(self.detail.items()))
         return (f"[t={self.time:.3f}] {self.checker}/{self.invariant}"
                 f"{where} {extras}".rstrip())
-
-
-class _Sampler:
-    """A fixed-period repeating probe (no jitter: determinism)."""
-
-    def __init__(self, sim: Simulator, period_s: float,
-                 probe: Callable[[], None]) -> None:
-        if period_s <= 0:
-            raise ValueError("sampling period must be positive")
-        self.sim = sim
-        self.period_s = period_s
-        self.probe = probe
-        self._handle: Optional[EventHandle] = None
-        self._arm()
-
-    def _arm(self) -> None:
-        self._handle = self.sim.schedule(self.period_s, self._tick)
-
-    def _tick(self) -> None:
-        self.probe()
-        self._arm()
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
 
 class FaultWindowMixin:
@@ -137,7 +112,7 @@ class InvariantChecker:
         self.sim: Optional[Simulator] = None
         self.trace: Optional[TraceLog] = None
         self._unsubscribes: List[Callable[[], None]] = []
-        self._samplers: List[_Sampler] = []
+        self._samplers: List[PeriodicTimer] = []
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -163,7 +138,7 @@ class InvariantChecker:
             unsubscribe()
         self._unsubscribes.clear()
         for sampler in self._samplers:
-            sampler.cancel()
+            sampler.stop()
         self._samplers.clear()
 
     def _setup(self) -> None:
@@ -182,9 +157,12 @@ class InvariantChecker:
         self._unsubscribes.append(self.trace.subscribe(category, callback))
 
     def sample_every(self, period_s: float, probe: Callable[[], None]) -> None:
-        """Run ``probe`` every ``period_s`` simulated seconds."""
+        """Run ``probe`` every ``period_s`` simulated seconds, first at
+        ``period_s`` (an explicit phase draws no RNG: determinism)."""
         assert self.sim is not None, "attach() first"
-        self._samplers.append(_Sampler(self.sim, period_s, probe))
+        sampler = PeriodicTimer(self.sim, period_s, probe, phase=period_s)
+        sampler.start()
+        self._samplers.append(sampler)
 
     def record(self, invariant: str, node: Optional[int] = None,
                **detail: Any) -> Violation:

@@ -1,9 +1,10 @@
-"""Built-in sweep scenarios: fault scripts under full invariant checking.
+"""Built-in sweep scenarios: fault plans under full invariant checking.
 
 Each scenario is a pure function of its seed with the signature the
 :class:`~repro.checking.sweep.SeedSweepRunner` expects: build a system
 with ``invariant_checking=True`` and ``trace_enabled=True`` (the tail a
-repro bundle carries), drive a fault script, return the
+repro bundle carries), install a :class:`~repro.faults.plan.FaultPlan`
+(which a failing seed's bundle then carries), return the
 :class:`~repro.checking.base.CheckerSuite`.  They cover the two fault
 families the paper leans on hardest — network partitions (§V-C) and
 border-router failure under RNFD (E5) — so sweeping them across seeds
@@ -27,8 +28,6 @@ from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplic
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.devices.sensors import SensorFault
-from repro.faults.injector import FaultInjector
-from repro.faults.partitions import GeometricPartition, PartitionController
 from repro.faults.plan import FaultPlan
 from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
@@ -75,10 +74,11 @@ def partition_crdt_scenario(seed: int) -> CheckerSuite:
         replicator.start()
     system.run(60.0)
 
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=_CUT_X))
+    FaultPlan().partition(system.sim.now, cut_x=_CUT_X,
+                          heal_after_s=120.0).install(system)
     # Divergent writes on both sides of the cut (distinct keys, so the
-    # converged value is the union regardless of LWW tie-breaking).
+    # converged value is the union regardless of LWW tie-breaking).  The
+    # cut is the next event to run, so no gossip of these writes crosses it.
     for stack, replica in zip(stacks, replicas):
         side = "left" if stack.radio.position[0] < _CUT_X else "right"
         replica.mutate(
@@ -87,9 +87,7 @@ def partition_crdt_scenario(seed: int) -> CheckerSuite:
         )
     for _stack, replicator in zip(stacks, replicators):
         replicator.notify_local_update()
-    system.run(120.0)
-
-    cutter.heal()
+    system.run(120.0)  # the cut heals at the end of this window
     system.run(240.0)  # anti-entropy quiesces; convergence checked at finish
     return suite
 
@@ -117,9 +115,8 @@ def rnfd_root_failure_scenario(seed: int) -> CheckerSuite:
     system.start()
     system.run(240.0)
 
-    injector = FaultInjector(system.sim, system.nodes, system.trace)
-    injector.crash_at(system.sim.now + 10.0, system.topology.root_id,
-                      recover_after=300.0)
+    FaultPlan().kill_border_router(system.sim.now + 10.0,
+                                   recover_after_s=300.0).install(system)
     system.run(700.0)
     return suite
 

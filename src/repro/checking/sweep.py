@@ -1,9 +1,9 @@
 """The deterministic seed-sweep harness.
 
 A *scenario* is a callable ``scenario(seed) -> CheckerSuite``: it builds
-a system, attaches checkers, drives the simulation (typically through a
-:class:`~repro.faults.injector.FaultInjector` script), and returns the
-suite.  The :class:`SeedSweepRunner` executes the scenario across many
+a system, attaches checkers, drives the simulation (typically under an
+installed :class:`~repro.faults.plan.FaultPlan`, which the bundle below
+then carries), and returns the suite.  The :class:`SeedSweepRunner` executes the scenario across many
 seeds, asserts zero invariant violations, and — because every run is a
 pure function of its seed — a failure reduces to a minimal
 :class:`ReproBundle`: the seed, the scenario name, the violation

@@ -96,13 +96,6 @@ class PartitionController:
         self._refresh_filter()
         self.trace.emit(self.sim.now, "partition.healed", node=None)
 
-    def apply_at(self, time: float, partition: GeometricPartition,
-                 heal_after: Optional[float] = None) -> None:
-        """Schedule a partition (and optional heal) on the kernel."""
-        self.sim.schedule_at(time, lambda: self.apply(partition))
-        if heal_after is not None:
-            self.sim.schedule_at(time + heal_after, self.heal)
-
     # ------------------------------------------------------------------
     def block_link(self, a: int, b: int) -> None:
         """Sever one bidirectional link (a flapping or shadowed hop)."""

@@ -1,19 +1,17 @@
 """Declarative fault plans: composable, seed-deterministic fault schedules.
 
-A :class:`FaultPlan` is the declarative counterpart to hand-wiring
-:class:`~repro.faults.injector.FaultInjector`,
-:class:`~repro.faults.partitions.PartitionController`,
-:class:`~repro.faults.failures.FailureProcess` and
-:class:`~repro.radio.interference.WifiInterferer` per scenario.  A plan
-is a list of *clauses* — timed node crashes (including the border
-router), geometric partition/heal cycles, per-link flaps, sensor
-stuck/drift faults, interference bursts, and bounded stochastic
-crash/repair windows — expressed in absolute simulated time.  The same
-plan serves three consumers at once:
+A :class:`FaultPlan` is the one way to schedule a fault.  A plan is a
+list of *clauses* — timed node crashes (including the border router),
+geometric partition/heal cycles, per-link flaps, sensor stuck/drift
+faults, interference bursts, and bounded stochastic crash/repair windows
+— expressed in absolute simulated time.  The same plan serves three
+consumers at once:
 
-- :meth:`FaultPlan.install` compiles the clauses onto a running
-  :class:`~repro.core.system.IIoTSystem` through the existing fault
-  primitives, returning a :class:`FaultPlanRuntime`;
+- :meth:`FaultPlan.install` compiles the clauses straight onto the fault
+  primitives — ``DeviceNode.fail/recover``, ``Sensor.inject_fault``,
+  :class:`~repro.faults.partitions.PartitionController` and
+  :class:`~repro.radio.interference.WifiInterferer` — returning the
+  :class:`FaultPlanRuntime` that schedules every one of them;
 - :meth:`FaultPlan.declare_windows` feeds every clause's fault window to
   a fault-aware checker
   (:class:`~repro.checking.base.FaultWindowMixin`), so excursions during
@@ -32,13 +30,12 @@ test).
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.devices.sensors import SensorFault
-from repro.faults.failures import FailureProcess, FailureProcessConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.partitions import GeometricPartition, PartitionController
 
 #: Sentinel node id: resolved to the system's border router at install.
@@ -166,7 +163,6 @@ _CLAUSE_KINDS = {
 
 
 def _clause_to_jsonable(clause: Clause) -> Dict[str, Any]:
-    import dataclasses
     payload: Dict[str, Any] = {"kind": clause.kind}
     for f in dataclasses.fields(clause):
         value = getattr(clause, f.name)
@@ -178,22 +174,62 @@ def _clause_to_jsonable(clause: Clause) -> Dict[str, Any]:
     return payload
 
 
-def _clause_from_jsonable(payload: Dict[str, Any]) -> Clause:
-    import dataclasses
+def _json_type(value: Any, *types: type) -> Any:
+    """``value`` if its type is exactly one of ``types`` (so a JSON
+    ``true`` is not an integer)."""
+    if type(value) not in types:
+        names = "/".join(t.__name__ for t in types)
+        raise ValueError(f"expected {names}, got {value!r}")
+    return value
+
+
+def _number(value: Any) -> float:
+    return float(_json_type(value, int, float))
+
+
+def _point(value: Any) -> Tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"expected an [x, y] pair, got {value!r}")
+    return _number(value[0]), _number(value[1])
+
+
+#: Field name → JSON decoder; every field not named here is a number.
+_FIELD_DECODERS = {
+    **dict.fromkeys(("node", "a", "b", "cycles", "wifi_channel", "node_id"),
+                    lambda value: _json_type(value, int)),
+    "sensor": lambda value: _json_type(value, str),
+    "spare_root": lambda value: _json_type(value, bool),
+    "mode": SensorFault,
+    "position": _point,
+}
+
+
+def _clause_from_jsonable(payload: Any) -> Clause:
+    """Decode one clause; anything malformed raises ``ValueError``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a clause is an object, not {payload!r}")
     kind = payload.get("kind")
-    cls = _CLAUSE_KINDS.get(kind)
+    cls = _CLAUSE_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown fault clause kind {kind!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(fields) - {"kind"}
+    if unknown:
+        raise ValueError(f"{kind}: unknown field(s) {sorted(map(str, unknown))}")
     kwargs: Dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in payload:
+    for name, f in fields.items():
+        if name not in payload:
+            if f.default is dataclasses.MISSING:
+                raise ValueError(f"{kind}: missing field {name!r}")
             continue
-        value = payload[f.name]
-        if f.name == "mode":
-            value = SensorFault(value)
-        elif f.name == "position":
-            value = tuple(value)
-        kwargs[f.name] = value
+        value = payload[name]
+        if value is None and f.default is None:
+            kwargs[name] = None
+            continue
+        try:
+            kwargs[name] = _FIELD_DECODERS.get(name, _number)(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{kind}.{name}: {exc}") from None
     return cls(**kwargs)
 
 
@@ -278,12 +314,21 @@ class FaultPlan:
             checker.declare_fault_window(start, end, grace_s=grace_s)
 
     def validate(self) -> None:
-        for clause in self.clauses:
+        """Reject a malformed schedule before anything runs (the
+        comparisons are written so that NaN fails them)."""
+        for index, clause in enumerate(self.clauses):
+            where = f"fault plan clause {index} ({clause.kind})"
             start, end = clause.window()
-            if start < 0:
-                raise ValueError(f"{clause.kind} clause starts before t=0")
-            if end < start:
-                raise ValueError(f"{clause.kind} clause ends before it starts")
+            if not 0 <= start < math.inf:
+                raise ValueError(f"{where} must start at a finite t >= 0, "
+                                 f"not {start!r}")
+            if not end >= start:
+                raise ValueError(f"{where} ends before it starts")
+            if isinstance(clause, RandomCrashesClause) and not (
+                    0 < clause.mtbf_s < math.inf
+                    and 0 < clause.mttr_s < math.inf):
+                raise ValueError(f"{where}: mtbf_s and mttr_s must be "
+                                 f"positive and finite")
 
     # -- serialization (repro bundles, flight dumps) --------------------
     def to_jsonable(self) -> Dict[str, Any]:
@@ -294,11 +339,28 @@ class FaultPlan:
         }
 
     @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "FaultPlan":
-        if payload.get("format") != "repro.faultplan/1":
-            raise ValueError(
-                f"not a fault plan: format={payload.get('format')!r}")
-        return cls(_clause_from_jsonable(c) for c in payload.get("clauses", []))
+    def from_jsonable(cls, payload: Any) -> "FaultPlan":
+        """Decode :meth:`to_jsonable`'s shape into a validated plan.
+
+        Every malformed payload — wrong shape, unknown kind or field, a
+        missing or mistyped field, an invalid schedule — raises
+        ``ValueError``, naming the offending clause's index.
+        """
+        if not isinstance(payload, dict) \
+                or payload.get("format") != "repro.faultplan/1":
+            raise ValueError(f"not a fault plan: {payload!r:.80}")
+        clauses = payload.get("clauses", [])
+        unknown = set(payload) - {"format", "clauses"}
+        if unknown or not isinstance(clauses, list):
+            raise ValueError("a fault plan is {format, clauses: [...]}")
+        plan = cls()
+        for index, clause in enumerate(clauses):
+            try:
+                plan.add(_clause_from_jsonable(clause))
+            except ValueError as exc:
+                raise ValueError(f"fault plan clause {index}: {exc}") from None
+        plan.validate()
+        return plan
 
     # -- compilation ---------------------------------------------------
     def install(self, system) -> "FaultPlanRuntime":
@@ -328,12 +390,14 @@ class FaultPlan:
 # the runtime
 # ----------------------------------------------------------------------
 class FaultPlanRuntime:
-    """One plan compiled onto one system.
+    """One plan compiled onto one system: the only fault scheduler.
 
-    Owns the fault primitives, schedules every clause, and manages the
-    observability surface: one ``fault.<kind>`` span per clause held
-    open across its active window (stochastic crashes inside a
-    ``random_crashes`` window land as child events), and the
+    Every clause is scheduled here, straight onto the primitives, and
+    every injected fault is counted in ``fault.injected{kind,node}``
+    before its ``fault.<kind>`` trace record is emitted.  The runtime
+    also manages the observability surface: one ``fault.<kind>`` span
+    per clause held open across its active window (stochastic crashes
+    inside a ``random_crashes`` window land as child events), and the
     ``fault.active`` gauge tracking how many clauses are live.
     """
 
@@ -342,24 +406,25 @@ class FaultPlanRuntime:
         self.system = system
         self.sim = system.sim
         self.trace = system.trace
-        self.injector = FaultInjector(system.sim, system.nodes, system.trace)
         self.partitions = PartitionController(system.sim, system.medium,
                                               system.trace)
-        self.failure_processes: List[FailureProcess] = []
         self.interferers: List = []
         self.active_clauses = 0
         self._spans: Dict[int, Any] = {}
-        self._unsubscribes: List = []
         for index, clause in enumerate(plan.clauses):
             getattr(self, f"_install_{clause.kind}")(index, clause)
 
-    # -- shared window bookkeeping -------------------------------------
-    def _obs(self):
-        return self.trace.obs
+    # -- shared bookkeeping ---------------------------------------------
+    def _inject(self, kind: str, node: int, **detail: Any) -> None:
+        """Count, then trace, one fault injected at ``node`` now."""
+        obs = self.trace.obs
+        if obs is not None:
+            obs.registry.inc("fault.injected", kind=kind, node=node)
+        self.trace.emit(self.sim.now, f"fault.{kind}", node=node, **detail)
 
     def _begin(self, index: int, clause: Clause, **data: Any) -> None:
         self.active_clauses += 1
-        obs = self._obs()
+        obs = self.trace.obs
         if obs is None:
             return
         obs.registry.set("fault.active", self.active_clauses)
@@ -373,15 +438,22 @@ class FaultPlanRuntime:
             # moment to freeze the pre-fault telemetry weather.
             recorder.on_fault_window(clause.kind, self.sim.now, clause=index)
 
-    def _end(self, index: int, **data: Any) -> None:
+    def _end(self, index: int) -> None:
         self.active_clauses -= 1
-        obs = self._obs()
+        obs = self.trace.obs
         if obs is None:
             return
         obs.registry.set("fault.active", self.active_clauses)
         ctx = self._spans.get(index)
         if ctx is not None and obs.spans is not None:
-            obs.spans.finish(ctx, self.sim.now, **data)
+            obs.spans.finish(ctx, self.sim.now)
+
+    def _child_event(self, index: int, category: str, node: int) -> None:
+        """A stochastic crash or repair, as an event of its clause span."""
+        obs = self.trace.obs
+        ctx = self._spans.get(index)
+        if obs is not None and obs.spans is not None and ctx is not None:
+            obs.spans.event(ctx, category, node=node, t=self.sim.now)
 
     def _window_events(self, index: int, clause: Clause,
                        **data: Any) -> None:
@@ -391,19 +463,34 @@ class FaultPlanRuntime:
             self.sim.schedule_at(end, lambda: self._end(index))
 
     # -- per-clause installers -----------------------------------------
-    def _resolve(self, node: int) -> int:
-        return self.system.topology.root_id if node == BORDER_ROUTER else node
-
+    # A clause's effect is scheduled before its window events, and a
+    # recovery is armed from the fault instant (``schedule(after)``),
+    # so at a shared instant the window closes before the recovery runs.
     def _install_crash(self, index: int, clause: CrashClause) -> None:
-        node = self._resolve(clause.node)
-        self.injector.crash_at(clause.at_s, node,
-                               recover_after=clause.recover_after_s)
-        self._window_events(index, clause, node=node)
+        node_id = (self.system.topology.root_id
+                   if clause.node == BORDER_ROUTER else clause.node)
+        node = self.system.nodes[node_id]
+
+        def crash() -> None:
+            node.fail()
+            self._inject("crash", node_id)
+            if clause.recover_after_s is not None:
+                self.sim.schedule(clause.recover_after_s, recover)
+
+        def recover() -> None:
+            node.recover()
+            self._inject("recover", node_id)
+
+        self.sim.schedule_at(clause.at_s, crash)
+        self._window_events(index, clause, node=node_id)
 
     def _install_partition(self, index: int, clause: PartitionClause) -> None:
-        self.partitions.apply_at(clause.at_s,
-                                 GeometricPartition(cut_x=clause.cut_x),
-                                 heal_after=clause.heal_after_s)
+        partition = GeometricPartition(cut_x=clause.cut_x)
+        self.sim.schedule_at(clause.at_s,
+                             lambda: self.partitions.apply(partition))
+        if clause.heal_after_s is not None:
+            self.sim.schedule_at(clause.at_s + clause.heal_after_s,
+                                 self.partitions.heal)
         self._window_events(index, clause, cut_x=clause.cut_x)
 
     def _install_link_flap(self, index: int, clause: LinkFlapClause) -> None:
@@ -419,9 +506,20 @@ class FaultPlanRuntime:
                             cycles=clause.cycles)
 
     def _install_sensor(self, index: int, clause: SensorClause) -> None:
-        self.injector.sensor_fault_at(clause.at_s, clause.node, clause.sensor,
-                                      clause.mode,
-                                      clear_after=clause.clear_after_s)
+        node = self.system.nodes[clause.node]
+
+        def inject() -> None:
+            node.sensors[clause.sensor].inject_fault(clause.mode)
+            self._inject("sensor", clause.node, sensor=clause.sensor,
+                         mode=clause.mode.value)
+            if clause.clear_after_s is not None:
+                self.sim.schedule(clause.clear_after_s, clear)
+
+        def clear() -> None:
+            node.sensors[clause.sensor].clear_fault()
+            self._inject("sensor_clear", clause.node, sensor=clause.sensor)
+
+        self.sim.schedule_at(clause.at_s, inject)
         self._window_events(index, clause, node=clause.node,
                             sensor=clause.sensor, mode=clause.mode.value)
 
@@ -439,7 +537,7 @@ class FaultPlanRuntime:
                                         tx_power_dbm=clause.tx_power_dbm))
             self.interferers.append(interferer)
             interferer.start()
-            obs = self._obs()
+            obs = self.trace.obs
             if obs is not None:
                 obs.registry.inc("fault.injected", kind="interference")
             self.trace.emit(self.sim.now, "fault.interference", node=None,
@@ -453,41 +551,55 @@ class FaultPlanRuntime:
 
     def _install_random_crashes(self, index: int,
                                 clause: RandomCrashesClause) -> None:
-        process = FailureProcess(
-            self.sim, self.system.nodes,
-            config=FailureProcessConfig(mtbf_s=clause.mtbf_s,
-                                        mttr_s=clause.mttr_s,
-                                        spare_root=clause.spare_root),
-            trace=self.trace)
-        self.failure_processes.append(process)
+        """Exponential MTBF/MTTR crash/repair cycles over the fleet
+        (root spared unless ``spare_root=False``), drawn from the
+        ``"faults.process"`` substream in node order; at the window's
+        end the cycles stop and every node still down is repaired."""
+        rng = self.sim.substream("faults.process")
+        nodes = self.system.nodes
+        down: Set[int] = set()
+        running = False
 
-        def mirror(record) -> None:
-            # Stochastic crashes land as child events of the clause span.
-            obs = self._obs()
-            ctx = self._spans.get(index)
-            if obs is not None and obs.spans is not None and ctx is not None:
-                obs.spans.event(ctx, record.category, node=record.node,
-                                t=record.time)
+        def arm(node) -> None:
+            delay = rng.expovariate(1.0 / clause.mtbf_s)
+            self.sim.schedule(delay, lambda: fail(node))
 
-        self._unsubscribes.append(
-            self.trace.subscribe("fault.random_crash", mirror))
-        self._unsubscribes.append(
-            self.trace.subscribe("fault.random_repair", mirror))
+        def fail(node) -> None:
+            if not running or not node.alive:
+                return
+            node.fail()
+            down.add(node.node_id)
+            self._inject("random_crash", node.node_id)
+            self._child_event(index, "fault.random_crash", node.node_id)
+            repair_delay = rng.expovariate(1.0 / clause.mttr_s)
+            self.sim.schedule(repair_delay, lambda: repair(node))
 
-        self.sim.schedule_at(clause.at_s, process.start)
-        # Bound the disturbance: drain repairs anything still down.
-        self.sim.schedule_at(clause.at_s + clause.duration_s, process.drain)
+        def repaired(node) -> None:
+            node.recover()
+            down.discard(node.node_id)
+            self.trace.emit(self.sim.now, "fault.random_repair",
+                            node=node.node_id)
+            self._child_event(index, "fault.random_repair", node.node_id)
+
+        def repair(node) -> None:
+            if running:
+                repaired(node)
+                arm(node)
+
+        def start() -> None:
+            nonlocal running
+            running = True
+            for node in nodes.values():
+                if not (clause.spare_root and node.is_root):
+                    arm(node)
+
+        def drain() -> None:
+            nonlocal running
+            running = False
+            for node_id in sorted(down):
+                repaired(nodes[node_id])
+
+        self.sim.schedule_at(clause.at_s, start)
+        self.sim.schedule_at(clause.at_s + clause.duration_s, drain)
         self._window_events(index, clause, mtbf_s=clause.mtbf_s,
                             mttr_s=clause.mttr_s)
-
-    # -- bookkeeping ----------------------------------------------------
-    @property
-    def injected(self) -> List:
-        """Scripted fault records (see :class:`FaultInjector`)."""
-        return self.injector.injected
-
-    def detach(self) -> None:
-        """Drop trace subscriptions (after the run, before inspection)."""
-        for unsubscribe in self._unsubscribes:
-            unsubscribe()
-        self._unsubscribes.clear()

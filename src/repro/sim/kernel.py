@@ -152,8 +152,8 @@ class Simulator:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimTimeError(f"negative delay {delay!r}")
+        if not delay >= 0:  # written so that NaN is rejected too
+            raise SimTimeError(f"negative or NaN delay {delay!r}")
         return self.schedule_at(self._now + delay, callback, priority)
 
     def schedule_at(
@@ -163,7 +163,7 @@ class Simulator:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # written so that NaN is rejected too
             raise SimTimeError(f"cannot schedule at {time} < now {self._now}")
         if (self._cancelled_queued >= self._COMPACT_MIN_CANCELLED
                 and self._cancelled_queued * 2 >= len(self._heap)):

@@ -175,6 +175,25 @@ class TestSeedSweepRunner:
         assert bundle.span_trees == []
         assert "packet lifecycles" not in bundle.summary()
 
+    @pytest.mark.parametrize("name, clause", [
+        ("partition-crdt", "partition @ t=240s  cut_x=30.0, heal_after_s=120.0"),
+        ("rnfd-root-failure", "crash @ t=250s  node=-1, recover_after_s=300.0"),
+    ])
+    def test_builtin_bundle_carries_its_fault_plan(self, name, clause):
+        from repro.checking.scenarios import BUILTIN_SCENARIOS
+
+        def failing(seed: int) -> CheckerSuite:
+            suite = BUILTIN_SCENARIOS[name](seed)
+            assert len(suite.trace.fault_plan) == 1
+            suite.checkers[0].record("synthetic")
+            return suite
+
+        bundle = SeedSweepRunner(name, failing).run_seed(1).bundle
+        assert bundle.fault_plan is not None
+        summary = bundle.summary()
+        assert "fault plan (1 clause(s)):" in summary
+        assert clause in summary
+
     def test_summary_truncates_long_listings(self):
         suite = clean_scenario(1)
         checker = suite.checkers[0]

@@ -1,12 +1,13 @@
-"""Fault injection: scripted, stochastic, and partitions."""
+"""Fault injection: scripted and stochastic plan clauses, and partitions."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.devices.node import DeviceNode
 from repro.devices.sensors import SensorFault
-from repro.faults.failures import FailureProcess, FailureProcessConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.partitions import GeometricPartition, PartitionController
+from repro.faults.plan import FaultPlan
 from repro.net.stack import StackConfig
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
@@ -30,73 +31,83 @@ def device_line(n=4, seed=110):
     return sim, trace, medium, nodes
 
 
-class TestFaultInjector:
+def install(plan, sim, trace, medium, nodes):
+    """Compile ``plan`` onto a bare device line (what a plan needs of a
+    system: its kernel, trace, medium, nodes and root)."""
+    system = SimpleNamespace(sim=sim, trace=trace, medium=medium, nodes=nodes,
+                             topology=SimpleNamespace(root_id=0))
+    return plan.install(system)
+
+
+class TestScriptedFaults:
     def test_scheduled_crash_and_recovery(self):
         sim, trace, medium, nodes = device_line()
-        injector = FaultInjector(sim, nodes, trace)
-        injector.crash_at(100.0, 2, recover_after=50.0)
+        kinds = []
+        for category in ("fault.crash", "fault.recover"):
+            trace.subscribe(category, lambda r: kinds.append(r.category))
+        install(FaultPlan().crash(100.0, 2, recover_after_s=50.0),
+                sim, trace, medium, nodes)
         sim.run(until=120.0)
         assert not nodes[2].alive
         sim.run(until=200.0)
         assert nodes[2].alive
-        kinds = [fault.kind for fault in injector.injected]
-        assert kinds == ["crash", "recover"]
+        assert kinds == ["fault.crash", "fault.recover"]
 
     def test_sensor_fault_window(self):
         sim, trace, medium, nodes = device_line()
-        injector = FaultInjector(sim, nodes, trace)
-        injector.sensor_fault_at(50.0, 3, "temp", SensorFault.DEAD,
-                                 clear_after=100.0)
+        install(FaultPlan().sensor_fault(50.0, 3, "temp", SensorFault.DEAD,
+                                         clear_after_s=100.0),
+                sim, trace, medium, nodes)
         sim.run(until=60.0)
         assert nodes[3].read("temp") is None
         sim.run(until=200.0)
         assert nodes[3].read("temp") is not None
+        assert trace.count("fault.sensor") == trace.count("fault.sensor_clear") == 1
 
 
-class TestFailureProcess:
+class TestRandomCrashes:
     def test_failures_and_repairs_cycle(self):
         sim, trace, medium, nodes = device_line()
-        process = FailureProcess(
-            sim, nodes,
-            FailureProcessConfig(mtbf_s=500.0, mttr_s=100.0),
-            trace,
-        )
-        process.start()
+        install(FaultPlan().random_crashes(0.0, 10_000.0, mtbf_s=500.0,
+                                           mttr_s=100.0),
+                sim, trace, medium, nodes)
         sim.run(until=6000.0)
-        assert process.failures > 0
-        assert process.repairs > 0
+        assert trace.count("fault.random_crash") > 0
+        assert trace.count("fault.random_repair") > 0
 
     def test_root_is_spared_by_default(self):
         sim, trace, medium, nodes = device_line()
-        process = FailureProcess(
-            sim, nodes,
-            FailureProcessConfig(mtbf_s=100.0, mttr_s=1e9),
-            trace,
-        )
-        process.start()
+        install(FaultPlan().random_crashes(0.0, 10_000.0, mtbf_s=100.0,
+                                           mttr_s=1e9),
+                sim, trace, medium, nodes)
         sim.run(until=5000.0)
         assert nodes[0].alive
+        assert not any(nodes[i].alive for i in (1, 2, 3))
 
     def test_availability_accounting(self):
         sim, trace, medium, nodes = device_line()
-        process = FailureProcess(
-            sim, nodes,
-            FailureProcessConfig(mtbf_s=1000.0, mttr_s=200.0),
-            trace,
-        )
-        process.start()
-        sim.run(until=20_000.0)
-        process.drain()  # close the intervals of nodes still down
-        down_s = sum(up_at - down_at
-                     for _node, down_at, up_at in process.downtime)
+        down_since, down_s = {}, []
+        trace.subscribe("fault.random_crash",
+                        lambda r: down_since.__setitem__(r.node, r.time))
+        trace.subscribe("fault.random_repair",
+                        lambda r: down_s.append(r.time - down_since.pop(r.node)))
+        duration = 20_000.0
+        install(FaultPlan().random_crashes(0.0, duration, mtbf_s=1000.0,
+                                           mttr_s=200.0),
+                sim, trace, medium, nodes)
+        sim.run(until=duration)  # the window's end repairs nodes still down
+        assert not down_since
         eligible = sum(1 for node in nodes.values() if not node.is_root)
-        availability = 1.0 - down_s / (eligible * sim.now)
+        availability = 1.0 - sum(down_s) / (eligible * duration)
         # MTBF/(MTBF+MTTR) ≈ 0.83; allow wide stochastic slack.
         assert 0.5 < availability < 1.0
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            FailureProcessConfig(mtbf_s=0.0).validate()
+        for mtbf_s, mttr_s in ((0.0, 600.0), (3600.0, -1.0),
+                               (float("inf"), 600.0)):
+            with pytest.raises(ValueError, match="clause 0"):
+                FaultPlan().random_crashes(0.0, 100.0, mtbf_s=mtbf_s,
+                                           mttr_s=mttr_s).validate()
 
 
 class TestPartitions:
@@ -128,12 +139,12 @@ class TestPartitions:
 
     def test_scheduled_partition_with_heal(self):
         sim, trace, medium, nodes = device_line()
-        controller = PartitionController(sim, medium, trace)
-        controller.apply_at(100.0, GeometricPartition(cut_x=30.0),
-                            heal_after=50.0)
+        runtime = install(FaultPlan().partition(100.0, cut_x=30.0,
+                                                heal_after_s=50.0),
+                          sim, trace, medium, nodes)
         sim.run(until=120.0)
-        assert controller.sides is not None
+        assert runtime.partitions.sides is not None
         sim.run(until=200.0)
-        assert controller.sides is None
+        assert runtime.partitions.sides is None
         assert trace.count("partition.applied") == 1
         assert trace.count("partition.healed") == 1

@@ -140,7 +140,8 @@ class TestRuntimeEffects:
         system.run(120.0)
         assert system.nodes[5].alive
         assert runtime.active_clauses == 0
-        assert [f.kind for f in runtime.injected] == ["crash", "recover"]
+        assert system.trace.count("fault.crash") == 1
+        assert system.trace.count("fault.recover") == 1
 
     def test_border_router_sentinel_resolves_to_root(self):
         system = build_system()
@@ -203,11 +204,17 @@ class TestRuntimeEffects:
                                           mtbf_s=300.0, mttr_s=10_000.0)
         runtime = plan.install(system)
         system.run(620.0)
-        (process,) = runtime.failure_processes
-        assert process.down_node_ids()  # disturbance actually happened
-        system.run(60.0)  # past the window end
-        assert not process.down_node_ids()
+        # The disturbance actually happened...
+        assert not all(node.alive for node in system.nodes.values())
+        system.run(60.0)  # ...and the window's end repaired it.
         assert all(node.alive for node in system.nodes.values())
+        assert (system.trace.count("fault.random_repair")
+                == system.trace.count("fault.random_crash"))
+        # Every stochastic crash and repair is an event of the clause span.
+        events = [span.category for span in system.obs.spans.spans.values()
+                  if span.category.startswith("fault.random_")]
+        for category in ("fault.random_crash", "fault.random_repair"):
+            assert events.count(category) == system.trace.count(category)
         assert runtime.active_clauses == 0
 
     def test_interference_clause_starts_and_stops_the_jammer(self):
@@ -285,7 +292,8 @@ class TestObservabilitySurface:
         system.run(180.0)
         assert system.obs is None
         assert runtime.active_clauses == 0
-        assert [f.kind for f in runtime.injected] == ["crash", "recover"]
+        assert system.trace.count("fault.crash") == 1
+        assert system.trace.count("fault.recover") == 1
 
 
 # ----------------------------------------------------------------------
@@ -307,9 +315,8 @@ def _plan_trial(seed):
                           position=(20.0, 20.0))
             .random_crashes(at_s=start + 320.0, duration_s=200.0,
                             mtbf_s=400.0, mttr_s=60.0))
-    runtime = plan.install(system)
+    plan.install(system)
     system.run(600.0)
-    runtime.detach()
     return system.obs.registry.snapshot()
 
 

@@ -1,11 +1,17 @@
 """FaultPlan JSON serialization — the injection script rides the bundle."""
 
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.faults.plan import (BORDER_ROUTER, FaultPlan, SensorClause,
-                               _clause_from_jsonable, _clause_to_jsonable)
+from repro.faults.plan import (BORDER_ROUTER, CrashClause, FaultPlan,
+                               InterferenceClause, LinkFlapClause,
+                               PartitionClause, RandomCrashesClause,
+                               SensorClause, _clause_from_jsonable,
+                               _clause_to_jsonable)
 from repro.devices.sensors import SensorFault
 
 
@@ -69,6 +75,133 @@ class TestPlanRoundtrip:
         with pytest.raises(ValueError):
             FaultPlan.from_jsonable({"format": "repro.faultplan/999",
                                      "clauses": []})
+
+
+def _payload(*clauses):
+    return {"format": "repro.faultplan/1", "clauses": list(clauses)}
+
+
+class TestMalformedPayloads:
+    """Every malformed payload is a ValueError naming the clause index."""
+
+    @pytest.mark.parametrize("clause", [
+        {"kind": "crash", "node": 3},                        # missing at_s
+        [1, 2],                                              # not an object
+        {"kind": "crash", "at_s": 1.0, "node": 3, "nod": 4},  # unknown field
+        {"kind": "crash", "at_s": "soon", "node": 3},        # mistyped
+        {"kind": "crash", "at_s": 1.0, "node": 3.5},         # not an int
+        {"kind": "crash", "at_s": 10 ** 400, "node": 3},     # overflows
+        {"kind": "sensor", "at_s": 1.0, "node": 3, "sensor": "t",
+         "mode": "melted"},
+        {"kind": "interference", "at_s": 1.0, "duration_s": 5.0,
+         "position": 7},
+        {"kind": ["crash"], "at_s": 1.0},                    # unhashable kind
+    ])
+    def test_malformed_clause_names_its_index(self, clause):
+        good = {"kind": "crash", "at_s": 1.0, "node": 3}
+        with pytest.raises(ValueError, match="clause 1"):
+            FaultPlan.from_jsonable(_payload(good, clause))
+
+    @pytest.mark.parametrize("payload", [
+        None, [], "repro.faultplan/1",
+        {"format": "repro.faultplan/1", "clauses": {}},
+        {"format": "repro.faultplan/1", "clauses": [], "extra": 1},
+    ])
+    def test_malformed_plan_rejected(self, payload):
+        with pytest.raises(ValueError):
+            FaultPlan.from_jsonable(payload)
+
+    @pytest.mark.parametrize("at_s", [math.nan, math.inf, -1.0])
+    def test_validate_rejects_non_finite_and_negative_starts(self, at_s):
+        with pytest.raises(ValueError, match="clause 0"):
+            FaultPlan().crash(at_s, node=2).validate()
+        with pytest.raises(ValueError, match="clause 0"):
+            FaultPlan.from_jsonable(_payload(
+                {"kind": "crash", "at_s": at_s, "node": 2}))
+
+    def test_validate_rejects_nan_windows_and_zero_mtbf(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            FaultPlan().crash(1.0, node=2, recover_after_s=math.nan).validate()
+        with pytest.raises(ValueError, match="mtbf_s"):
+            FaultPlan().random_crashes(1.0, 60.0, mtbf_s=0.0).validate()
+
+
+# ----------------------------------------------------------------------
+# fuzzed: round trip is identity, decoding raises nothing but ValueError
+# ----------------------------------------------------------------------
+_times = st.floats(min_value=0.0, max_value=1e6)
+_spans = st.floats(min_value=1e-3, max_value=1e4)
+_maybe = st.none() | _spans
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_nodes = st.integers(min_value=BORDER_ROUTER, max_value=500)
+
+_clauses = st.one_of(
+    st.builds(CrashClause, _times, _nodes, _maybe),
+    st.builds(PartitionClause, _times, _finite, _maybe),
+    st.builds(LinkFlapClause, _times, _nodes, _nodes, _spans,
+              st.integers(min_value=1, max_value=5),
+              st.floats(min_value=0.0, max_value=1e4)),
+    st.builds(SensorClause, _times, _nodes, st.text(max_size=8),
+              st.sampled_from(SensorFault), _maybe),
+    st.builds(InterferenceClause, _times, _spans,
+              st.tuples(_finite, _finite), st.integers(1, 13),
+              st.floats(min_value=0.0, max_value=1.0), _finite,
+              st.integers(0, 2000)),
+    st.builds(RandomCrashesClause, _times, _spans, _spans, _spans,
+              st.booleans()),
+)
+_plans = st.lists(_clauses, max_size=6).map(FaultPlan)
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_FIELD_NAMES = sorted({f.name for cls in (CrashClause, PartitionClause,
+                                          LinkFlapClause, SensorClause,
+                                          InterferenceClause,
+                                          RandomCrashesClause)
+                       for f in dataclasses.fields(cls)})
+_clause_like = st.builds(
+    lambda kind, fields: {**fields, "kind": kind},
+    st.sampled_from(["crash", "partition", "link_flap", "sensor",
+                     "interference", "random_crashes"]) | _json,
+    st.dictionaries(st.sampled_from(_FIELD_NAMES), _json, max_size=7))
+
+
+@st.composite
+def _corrupted_payloads(draw):
+    """A valid plan's payload with one clause field replaced or dropped."""
+    payload = json.loads(json.dumps(draw(_plans).to_jsonable()))
+    if payload["clauses"]:
+        clause = draw(st.sampled_from(payload["clauses"]))
+        key = draw(st.sampled_from(sorted(clause)))
+        if draw(st.booleans()):
+            del clause[key]
+        else:
+            clause[key] = draw(_json)
+    return payload
+
+
+class TestFuzzedCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(_plans)
+    def test_round_trip_is_identity(self, plan):
+        payload = json.loads(json.dumps(plan.to_jsonable()))
+        assert FaultPlan.from_jsonable(payload).clauses == plan.clauses
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        _json,
+        st.lists(_clause_like, max_size=3).map(_payload),
+        _corrupted_payloads(),
+    ))
+    def test_any_json_decodes_or_raises_value_error(self, payload):
+        try:
+            plan = FaultPlan.from_jsonable(payload)
+        except ValueError:
+            return
+        assert isinstance(plan, FaultPlan)
 
 
 class TestInstallRegistersPlan:

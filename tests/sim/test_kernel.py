@@ -50,6 +50,18 @@ class TestScheduling:
         with pytest.raises(SimTimeError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_times_rejected(self):
+        # NaN fails every comparison, so a `delay < 0` guard let it in
+        # and the event then set `sim.now` to NaN.
+        sim = Simulator()
+        nan = float("nan")
+        with pytest.raises(SimTimeError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(SimTimeError):
+            sim.schedule_at(nan, lambda: None)
+        sim.run()
+        assert sim.now == 0.0 and sim.pending_events == 0
+
     def test_events_scheduled_during_events_run(self):
         sim = Simulator()
         order = []
