@@ -235,18 +235,15 @@ class AggregationService:
         done = None
         if obs is not None:
             obs.registry.inc("agg.partial", node=self.node.node_id)
-            if obs.spans is not None:
-                # One span per contributed partial; the datagram journey
-                # to the parent (and each fold along the way) nests
-                # beneath it.
-                ctx = obs.spans.start(
-                    None, "agg.partial", node=self.node.node_id,
-                    t=self.sim.now, epoch=epoch, count=count,
-                )
-                spans = obs.spans
+            # One span per contributed partial; the datagram journey to
+            # the parent (and each fold along the way) nests beneath it.
+            ctx = obs.spans.start(
+                None, "agg.partial", node=self.node.node_id,
+                t=self.sim.now, epoch=epoch, count=count,
+            )
 
-                def done(ok: bool, _ctx=ctx) -> None:
-                    spans.finish(_ctx, self.sim.now, ok=ok)
+            def done(ok: bool, _ctx=ctx) -> None:
+                obs.spans.finish(_ctx, self.sim.now, ok=ok)
 
         self.stack.send_datagram(parent, self.port, record, record.size_bytes,
                                  done=done, trace_ctx=ctx)
@@ -266,10 +263,9 @@ class AggregationService:
         obs = self.trace.obs
         if obs is not None:
             obs.registry.inc("agg.fold", node=self.node.node_id)
-            if obs.spans is not None and ctx is not None:
-                obs.spans.event(ctx, "agg.fold", node=self.node.node_id,
-                                t=self.sim.now, epoch=epoch,
-                                count=count + record.count)
+            obs.spans.event(ctx, "agg.fold", node=self.node.node_id,
+                            t=self.sim.now, epoch=epoch,
+                            count=count + record.count)
 
     # ------------------------------------------------------------------
     # root-side finalize
@@ -307,16 +303,15 @@ class AggregationService:
             obs.registry.inc("agg.result", node=self.node.node_id)
             obs.registry.observe("agg.contributions", count,
                                  node=self.node.node_id)
-            if obs.spans is not None:
-                # The epoch span covers the whole collection window:
-                # opened retroactively at the epoch boundary, closed at
-                # finalize, with the answer and contribution count.
-                ctx = obs.spans.start(
-                    None, "agg.epoch", node=self.node.node_id,
-                    t=query.epoch_start(epoch), epoch=epoch,
-                )
-                obs.spans.finish(ctx, self.sim.now, value=result.value,
-                                 contributions=count)
+            # The epoch span covers the whole collection window: opened
+            # retroactively at the epoch boundary, closed at finalize,
+            # with the answer and contribution count.
+            ctx = obs.spans.start(
+                None, "agg.epoch", node=self.node.node_id,
+                t=query.epoch_start(epoch), epoch=epoch,
+            )
+            obs.spans.finish(ctx, self.sim.now, value=result.value,
+                             contributions=count)
         if self.on_result is not None:
             self.on_result(result)
 

@@ -160,7 +160,7 @@ class SeedSweepRunner:
         """Rendered lifecycle trees overlapping the violation window,
         when the scenario ran with span tracing attached."""
         obs = getattr(suite.trace, "obs", None)
-        if obs is None or obs.spans is None:
+        if obs is None:
             return []
         trace_ids = obs.spans.traces_overlapping(window_start, suite.sim.now)
         return [obs.spans.render(tid)

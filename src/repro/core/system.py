@@ -134,10 +134,11 @@ class IIoTSystem:
             if config.telemetry_interval_s is not None:
                 from repro.obs.recorder import FlightRecorder
                 from repro.obs.timeseries import TelemetryEngine
-                self.telemetry = TelemetryEngine.for_system(
-                    self, interval_s=config.telemetry_interval_s)
-                self.recorder = FlightRecorder(self.telemetry,
-                                               spans=self.obs.spans)
+                self.telemetry = TelemetryEngine(
+                    sim, self.obs.registry,
+                    interval_s=config.telemetry_interval_s,
+                    domain_of=getattr(topology, "domain_of", None))
+                self.recorder = FlightRecorder(self.telemetry, self.obs.spans)
                 self.obs.telemetry = self.telemetry
                 self.obs.recorder = self.recorder
         self._build_nodes()

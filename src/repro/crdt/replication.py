@@ -127,14 +127,13 @@ class NetworkReplicator:
         if obs is not None:
             obs.registry.inc("crdt.gossip", node=node)
             obs.registry.inc("crdt.gossip_bytes", size, node=node)
-            if obs.spans is not None:
-                # One anti-entropy round = one trace: the broadcast's
-                # fragments/MAC jobs and every receiver's merge outcome
-                # hang beneath it (the context rides on the datagram).
-                ctx = obs.spans.start(
-                    None, "crdt.anti_entropy", node=node, t=self.sim.now,
-                    round=self.gossips_sent, bytes=size,
-                )
+            # One anti-entropy round = one trace: the broadcast's
+            # fragments/MAC jobs and every receiver's merge outcome hang
+            # beneath it (the context rides on the datagram).
+            ctx = obs.spans.start(
+                None, "crdt.anti_entropy", node=node, t=self.sim.now,
+                round=self.gossips_sent, bytes=size,
+            )
         self.stack.send_local_broadcast(self.config.port, state, size,
                                         trace_ctx=ctx)
         if ctx is not None:
@@ -156,13 +155,10 @@ class NetworkReplicator:
                     "crdt.merge_lag_s", self.staleness(self.sim.now),
                     node=node,
                 )
-            if obs.spans is not None:
-                sender_ctx = getattr(datagram, "trace_ctx", None)
-                if sender_ctx is not None:
-                    obs.spans.event(
-                        sender_ctx, "crdt.merge", node=self.stack.node_id,
-                        t=self.sim.now, changed=changed,
-                    )
+            obs.spans.event(
+                getattr(datagram, "trace_ctx", None), "crdt.merge",
+                node=node, t=self.sim.now, changed=changed,
+            )
         if changed:
             self.last_change_s = self.sim.now
             self.trace.emit(self.sim.now, "crdt.merge_changed",

@@ -428,10 +428,9 @@ class FaultPlanRuntime:
         if obs is None:
             return
         obs.registry.set("fault.active", self.active_clauses)
-        if obs.spans is not None:
-            self._spans[index] = obs.spans.start(
-                None, f"fault.{clause.kind}", node=data.pop("node", None),
-                t=self.sim.now, **data)
+        self._spans[index] = obs.spans.start(
+            None, f"fault.{clause.kind}", node=data.pop("node", None),
+            t=self.sim.now, **data)
         recorder = getattr(obs, "recorder", None)
         if recorder is not None:
             # Flight-recorder trigger: a fault window opening is the
@@ -444,16 +443,14 @@ class FaultPlanRuntime:
         if obs is None:
             return
         obs.registry.set("fault.active", self.active_clauses)
-        ctx = self._spans.get(index)
-        if ctx is not None and obs.spans is not None:
-            obs.spans.finish(ctx, self.sim.now)
+        obs.spans.finish(self._spans.get(index), self.sim.now)
 
     def _child_event(self, index: int, category: str, node: int) -> None:
         """A stochastic crash or repair, as an event of its clause span."""
         obs = self.trace.obs
-        ctx = self._spans.get(index)
-        if obs is not None and obs.spans is not None and ctx is not None:
-            obs.spans.event(ctx, category, node=node, t=self.sim.now)
+        if obs is not None:
+            obs.spans.event(self._spans.get(index), category, node=node,
+                            t=self.sim.now)
 
     def _window_events(self, index: int, clause: Clause,
                        **data: Any) -> None:

@@ -57,7 +57,7 @@ class CoapClient:
     def _open_span(self, dest: int, method: str, path: str) -> Any:
         """Root span for one request's end-to-end journey (repro.obs)."""
         obs = self.trace.obs
-        if obs is None or obs.spans is None:
+        if obs is None:
             return None
         obs.registry.inc("coap.request", node=self.node_id, method=method)
         return obs.spans.start(None, "coap.request", node=self.node_id,
@@ -66,7 +66,7 @@ class CoapClient:
 
     def _close_span(self, pending: PendingRequest, ok: bool) -> None:
         obs = self.trace.obs
-        if obs is not None and obs.spans is not None and pending.ctx is not None:
+        if obs is not None:
             obs.spans.finish(pending.ctx, self.sim.now, ok=ok)
 
     # ------------------------------------------------------------------

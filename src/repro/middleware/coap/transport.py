@@ -133,9 +133,8 @@ class CoapTransport:
                             node=self.stack.node_id, dest=pending.dest)
             if obs is not None:
                 obs.registry.inc("coap.con_failed", node=self.stack.node_id)
-                if obs.spans is not None and pending.ctx is not None:
-                    obs.spans.event(pending.ctx, "coap.con_failed",
-                                    node=self.stack.node_id, t=self.sim.now)
+                obs.spans.event(pending.ctx, "coap.con_failed",
+                                node=self.stack.node_id, t=self.sim.now)
             if pending.on_fail is not None:
                 pending.on_fail()
             return
@@ -146,10 +145,9 @@ class CoapTransport:
                         max_retransmit=self.config.max_retransmit)
         if obs is not None:
             obs.registry.inc("coap.retransmit", node=self.stack.node_id)
-            if obs.spans is not None and pending.ctx is not None:
-                obs.spans.event(pending.ctx, "coap.retransmit",
-                                node=self.stack.node_id, t=self.sim.now,
-                                retries=pending.retries)
+            obs.spans.event(pending.ctx, "coap.retransmit",
+                            node=self.stack.node_id, t=self.sim.now,
+                            retries=pending.retries)
         pending.timeout *= 2.0
         pending.timer.start(pending.timeout)
         self._transmit(pending.dest, pending.message, pending.ctx)

@@ -142,7 +142,6 @@ class FragmentationAdapter:
                 done(not outcome["failed"])
 
         obs = self.trace.obs
-        spans = obs.spans if obs is not None else None
         node_id = self.mac.radio.node_id
         if obs is not None:
             obs.registry.inc("frag.fragments", len(sizes), node=node_id)
@@ -155,15 +154,15 @@ class FragmentationAdapter:
             self.fragments_sent += 1
             frag_ctx = trace_ctx
             frag_done: Callable[[bool], None] = all_done
-            if spans is not None and trace_ctx is not None:
-                frag_ctx = spans.start(
+            if obs is not None and trace_ctx is not None:
+                frag_ctx = obs.spans.start(
                     trace_ctx, "net.fragment", node=node_id, t=self.sim.now,
                     tag=tag, index=index, of=len(sizes),
                     bytes=fragment.size_bytes,
                 )
 
                 def frag_done(ok: bool, _ctx=frag_ctx) -> None:
-                    spans.finish(_ctx, self.sim.now, ok=ok)
+                    obs.spans.finish(_ctx, self.sim.now, ok=ok)
                     all_done(ok)
 
             self.mac.send(dest, fragment, fragment.size_bytes,

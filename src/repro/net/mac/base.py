@@ -214,14 +214,13 @@ class MacLayer(abc.ABC):
             self.stats.queue_drops += 1
             if obs is not None:
                 obs.registry.inc("mac.queue_drop", node=node)
-                if obs.spans is not None and trace_ctx is not None:
-                    obs.spans.event(trace_ctx, "mac.queue_drop", node=node,
-                                    t=self.sim.now, dest=dest)
+                obs.spans.event(trace_ctx, "mac.queue_drop", node=node,
+                                t=self.sim.now, dest=dest)
             if done is not None:
                 done(False)
             return False
         ctx = None
-        if obs is not None and obs.spans is not None and trace_ctx is not None:
+        if obs is not None and trace_ctx is not None:
             ctx = obs.spans.start(trace_ctx, "mac.job", node=node,
                                   t=self.sim.now, dest=dest)
         job = _TxJob(
@@ -248,11 +247,9 @@ class MacLayer(abc.ABC):
             return
         job = self._in_flight = self._queue.popleft()
         if job.ctx is not None:
-            obs = self.trace.obs
-            if obs is not None and obs.spans is not None:
-                # Waypoint for latency attribution: time before this is
-                # queue wait, after it channel access (backoff/CCA).
-                obs.spans.annotate(job.ctx, service_start=self.sim.now)
+            # Waypoint for latency attribution: time before this is
+            # queue wait, after it channel access (backoff/CCA).
+            self.trace.obs.spans.annotate(job.ctx, service_start=self.sim.now)
         self._start_job(job)
 
     @abc.abstractmethod
@@ -279,7 +276,7 @@ class MacLayer(abc.ABC):
                 instrument = counters[index] = obs.registry.counter(
                     "mac.tx", node=self.radio.node_id, ok=success)
             instrument.value += 1.0
-            if obs.spans is not None and job.ctx is not None:
+            if job.ctx is not None:
                 obs.spans.finish(job.ctx, self.sim.now, ok=success)
         self._in_flight = None
         if job.done is not None:

@@ -238,11 +238,10 @@ class RplRouter:
         obs = self.trace.obs
         if obs is not None:
             obs.registry.inc("rpl.dio", node=self.node_id)
-            if obs.spans is not None:
-                ctx = obs.spans.start(
-                    None, "rpl.dio", node=self.node_id, t=self.sim.now,
-                    rank=self.rank,
-                )
+            ctx = obs.spans.start(
+                None, "rpl.dio", node=self.node_id, t=self.sim.now,
+                rank=self.rank,
+            )
         self.transport.broadcast_control(dio, dio.size_bytes, trace_ctx=ctx)
         if ctx is not None:
             obs.spans.finish(ctx, self.sim.now)
@@ -463,19 +462,17 @@ class RplRouter:
                             parent=entry.node_id, rank=self.rank)
             if obs is not None:
                 obs.registry.inc("rpl.parent_change", node=self.node_id)
-                if obs.spans is not None:
-                    # One span per parent switch; it stays open until
-                    # the repair DAO is dispatched (or the switch is
-                    # superseded/aborted), so the DAO's datagram journey
-                    # nests beneath the routing decision that caused it.
-                    if self._switch_ctx is not None:
-                        obs.spans.finish(self._switch_ctx, self.sim.now,
-                                         superseded=True)
-                    self._switch_ctx = obs.spans.start(
-                        None, "rpl.parent_switch", node=self.node_id,
-                        t=self.sim.now, old=old_parent, new=entry.node_id,
-                        rank=self.rank,
-                    )
+                # One span per parent switch; it stays open until the
+                # repair DAO is dispatched (or the switch is superseded/
+                # aborted), so the DAO's datagram journey nests beneath
+                # the routing decision that caused it.
+                obs.spans.finish(self._switch_ctx, self.sim.now,
+                                 superseded=True)
+                self._switch_ctx = obs.spans.start(
+                    None, "rpl.parent_switch", node=self.node_id,
+                    t=self.sim.now, old=old_parent, new=entry.node_id,
+                    rank=self.rank,
+                )
             self._schedule_dao_soon()
             if self.on_parent_change is not None:
                 self.on_parent_change(entry.node_id)
@@ -512,9 +509,8 @@ class RplRouter:
         if obs is not None:
             obs.registry.set("rpl.rank", self.rank, node=self.node_id)
             obs.registry.set("rpl.parent", -1, node=self.node_id)
-            if obs.spans is not None and self._switch_ctx is not None:
-                obs.spans.finish(self._switch_ctx, self.sim.now, aborted=reason)
-                self._switch_ctx = None
+            obs.spans.finish(self._switch_ctx, self.sim.now, aborted=reason)
+            self._switch_ctx = None
         if was_attached:
             self.trace.emit(self.sim.now, "rpl.detached", node=self.node_id,
                             reason=reason)

@@ -302,7 +302,7 @@ class RnfdAgent:
         the dissemination wave reconstructs as one tree per node.
         """
         obs = self.trace.obs
-        if obs is None or obs.spans is None or self._verdict_ctx is not None:
+        if obs is None or self._verdict_ctx is not None:
             return
         self._verdict_ctx = obs.spans.start(
             None, "rnfd.verdict", node=self.router.node_id, t=self.sim.now,
@@ -324,15 +324,14 @@ class RnfdAgent:
                 if obs is not None:
                     obs.registry.inc("rnfd.globally_down",
                                      node=self.router.node_id)
-                    if obs.spans is not None:
-                        self._ensure_verdict_span(role="observer")
-                        obs.spans.event(
-                            self._verdict_ctx, "rnfd.globally_down",
-                            node=self.router.node_id, t=self.sim.now,
-                            fraction=fraction,
-                        )
-                        obs.spans.finish(self._verdict_ctx, self.sim.now,
-                                         verdict="globally_down")
+                    self._ensure_verdict_span(role="observer")
+                    obs.spans.event(
+                        self._verdict_ctx, "rnfd.globally_down",
+                        node=self.router.node_id, t=self.sim.now,
+                        fraction=fraction,
+                    )
+                    obs.spans.finish(self._verdict_ctx, self.sim.now,
+                                     verdict="globally_down")
                 self._mark_dirty()
                 self._gossip()
                 if self.on_global_down is not None:
@@ -350,10 +349,9 @@ class RnfdAgent:
                             node=self.router.node_id)
             if obs is not None:
                 obs.registry.inc("rnfd.absolved", node=self.router.node_id)
-                if obs.spans is not None and self._verdict_ctx is not None:
-                    obs.spans.event(self._verdict_ctx, "rnfd.absolved",
-                                    node=self.router.node_id, t=self.sim.now)
-                    self._verdict_ctx = None
+                obs.spans.event(self._verdict_ctx, "rnfd.absolved",
+                                node=self.router.node_id, t=self.sim.now)
+                self._verdict_ctx = None
         elif self.cfrc.down_count > 0:
             self._set_state(RootState.SUSPECTED)
             self._ensure_verdict_span(
@@ -361,9 +359,7 @@ class RnfdAgent:
             )
         else:
             self._set_state(RootState.ALIVE)
-            if self._verdict_ctx is not None and obs is not None and (
-                obs.spans is not None
-            ):
+            if self._verdict_ctx is not None and obs is not None:
                 obs.spans.finish(self._verdict_ctx, self.sim.now,
                                  verdict="revoked")
                 self._verdict_ctx = None
@@ -386,8 +382,6 @@ class RnfdAgent:
         self._consecutive_failures = 0
         self._gossip_budget = 0
         obs = self.trace.obs
-        if obs is not None and obs.spans is not None and (
-            self._verdict_ctx is not None
-        ):
+        if obs is not None and self._verdict_ctx is not None:
             obs.spans.finish(self._verdict_ctx, self.sim.now, verdict="reset")
         self._verdict_ctx = None

@@ -288,12 +288,10 @@ class NetworkStack:
         )
         obs = self.trace.obs
         if obs is not None:
-            ctx = trace_ctx
-            if obs.spans is not None:
-                ctx = obs.spans.start(
-                    trace_ctx, "net.datagram", node=self.node_id,
-                    t=self.sim.now, dst=dst, port=dst_port,
-                )
+            ctx = obs.spans.start(
+                trace_ctx, "net.datagram", node=self.node_id,
+                t=self.sim.now, dst=dst, port=dst_port,
+            )
             packet.trace_ctx = ctx
             datagram.trace_ctx = ctx
             self._count_datagram(obs, self._SENT, "net.sent")
@@ -356,9 +354,8 @@ class NetworkStack:
             if obs is not None:
                 self._count_datagram(obs, self._DROP_SLOT["no_route"],
                                      "net.dropped", reason="no_route")
-                if obs.spans is not None and packet.trace_ctx is not None:
-                    obs.spans.finish(packet.trace_ctx, self.sim.now,
-                                     dropped="no_route")
+                obs.spans.finish(packet.trace_ctx, self.sim.now,
+                                 dropped="no_route")
             if done is not None:
                 done(False)
             return
@@ -366,8 +363,7 @@ class NetworkStack:
         # One forwarding-hop span per transmission attempt: the RPL
         # next-hop decision, the MAC job beneath it, and the outcome.
         hop_ctx = packet.trace_ctx
-        if (obs is not None and obs.spans is not None
-                and packet.trace_ctx is not None):
+        if obs is not None and packet.trace_ctx is not None:
             hop_ctx = obs.spans.start(
                 packet.trace_ctx, "net.hop", node=self.node_id,
                 t=self.sim.now, next_hop=next_hop, ttl=packet.ttl,
@@ -391,9 +387,8 @@ class NetworkStack:
             if obs is not None:
                 self._count_datagram(obs, self._DROP_SLOT["link"],
                                      "net.dropped", reason="link")
-                if obs.spans is not None and packet.trace_ctx is not None:
-                    obs.spans.finish(packet.trace_ctx, self.sim.now,
-                                     dropped="link")
+                obs.spans.finish(packet.trace_ctx, self.sim.now,
+                                 dropped="link")
             if done is not None:
                 done(False)
 
@@ -439,10 +434,8 @@ class NetworkStack:
             ctx = packet.trace_ctx
             self._observe_latency(obs, datagram.dst_port, latency,
                                   ctx.trace_id if ctx is not None else None)
-            if obs.spans is not None and packet.trace_ctx is not None:
-                obs.spans.finish(packet.trace_ctx, self.sim.now,
-                                 delivered=True, latency=latency,
-                                 hops=packet.hops)
+            obs.spans.finish(ctx, self.sim.now, delivered=True,
+                             latency=latency, hops=packet.hops)
         if datagram.dst_port == RPL_DAO_PORT:
             if isinstance(datagram.payload, DaoMessage):
                 self.rpl.handle_dao(datagram.payload)
@@ -508,9 +501,8 @@ class NetworkStack:
             if obs is not None:
                 self._count_datagram(obs, self._DROP_SLOT["ttl"],
                                      "net.dropped", reason="ttl")
-                if obs.spans is not None and packet.trace_ctx is not None:
-                    obs.spans.finish(packet.trace_ctx, self.sim.now,
-                                     dropped="ttl")
+                obs.spans.finish(packet.trace_ctx, self.sim.now,
+                                 dropped="ttl")
             return
         self.stats.datagrams_forwarded += 1
         if obs is not None:

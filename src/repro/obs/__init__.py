@@ -8,10 +8,18 @@ The parts (DESIGN.md, "Observability"):
   parent/child links, threaded through the stack as ``trace_ctx``;
 - :mod:`repro.obs.health` — the per-node :class:`NodeHealthSampler`
   gauge set (duty cycle, MAC queue, neighbors, rank, CRDT staleness);
+- :mod:`repro.obs.timeseries` — the windowed telemetry plane: every
+  closed window is a :class:`MetricsSnapshot` of that interval, and
+  :mod:`repro.obs.recorder` freezes recent windows and pinned spans
+  into flight dumps;
 - :mod:`repro.obs.diff` — snapshot diffing behind
   ``python -m repro diff`` (regression gates);
 - :mod:`repro.obs.export` — JSONL/CSV/JSON exporters, and
   :mod:`repro.obs.report` — the ``python -m repro report`` dashboard.
+
+One metrics data model serves them all: an end-of-run snapshot, a
+telemetry window and a diff operand are :class:`MetricsSnapshot`
+values, written and read by its one JSON codec.
 
 The :class:`Observability` bundle rides on the run's shared
 :class:`~repro.sim.trace.TraceLog` (``trace.obs``), which every layer
@@ -46,12 +54,10 @@ from repro.obs.recorder import FlightDump, FlightRecorder
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsSnapshot,
                                 Registry)
 from repro.obs.spans import Span, SpanContext, SpanNode, SpanTracer
-from repro.obs.timeseries import (AlertRule, TelemetryEngine,
-                                  TelemetrySnapshot, TelemetryWindow)
+from repro.obs.timeseries import TelemetryEngine, TelemetryWindow
 from repro.sim.trace import TraceLog
 
 __all__ = [
-    "AlertRule",
     "Attribution",
     "AttributionError",
     "Counter",
@@ -71,7 +77,6 @@ __all__ = [
     "SpanNode",
     "SpanTracer",
     "TelemetryEngine",
-    "TelemetrySnapshot",
     "TelemetryWindow",
     "analyze_run",
     "attribute_trace",
@@ -95,11 +100,7 @@ __all__ = [
 #: pinned by its first dotted segment).  Repro bundles and
 #: the ``dependability`` gate read these after the fact, so a ring
 #: buffer that evicted them would silently weaken the gates.
-#: ``alert`` (every ``alert.<rule>`` span, pinned by first dotted
-#: segment) joins them: SLO firings are exactly what flight dumps and
-#: ``repro diff`` gates must never lose to sampling.
 GATED_SPAN_CATEGORIES = frozenset({
-    "alert",
     "fault",
     "rnfd.verdict",
     "rpl.parent_switch",
@@ -107,12 +108,12 @@ GATED_SPAN_CATEGORIES = frozenset({
 
 
 class Observability:
-    """One run's observability state: a registry plus (optionally) spans.
+    """One run's observability state: a metrics registry plus spans.
 
     Attach to the run's trace log with :meth:`attach`; every layer then
-    finds it as ``self.trace.obs`` and instruments itself.  ``spans``
-    is None when span tracing is off — layers must check, which keeps
-    metric-only runs from paying span allocation.
+    finds it as ``self.trace.obs`` and instruments itself.  The bundle
+    always carries a :class:`~repro.obs.spans.SpanTracer`: there is no
+    metrics-only mode, because metrics never depend on spans.
 
     ``span_sample_rate`` / ``span_max`` bound what the tracer *stores*
     (see :class:`~repro.obs.spans.SpanTracer`); metrics are never
@@ -126,22 +127,20 @@ class Observability:
     :class:`~repro.core.system.SystemConfig` alone.
     """
 
-    def __init__(self, registry: Optional[Registry] = None,
-                 spans: bool = True,
-                 span_sample_rate: float = 1.0,
+    def __init__(self, span_sample_rate: float = 1.0,
                  span_seed: int = 0,
                  span_max: Optional[int] = None) -> None:
-        self.registry = registry if registry is not None else Registry()
+        self.registry = Registry()
         #: set by the system wiring when SystemConfig(telemetry_interval_s=)
         #: is given — layers and exporters find both via ``trace.obs``.
         self.telemetry: Optional[TelemetryEngine] = None
         self.recorder: Optional[FlightRecorder] = None
-        self.spans: Optional[SpanTracer] = SpanTracer(
+        self.spans = SpanTracer(
             sample_rate=span_sample_rate,
             sample_seed=span_seed,
             max_spans=span_max,
             pinned_categories=GATED_SPAN_CATEGORIES,
-        ) if spans else None
+        )
 
     def attach(self, trace: TraceLog) -> "Observability":
         """Make this bundle visible to every layer sharing ``trace``."""

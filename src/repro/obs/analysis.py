@@ -507,9 +507,6 @@ def explain_main(argv) -> int:
     run = run_demo(side=args.side, traffic_s=args.duration, seed=args.seed)
     system = run.system
     spans = system.obs.spans
-    if spans is None:
-        print("span tracing is off; nothing to attribute")
-        return 1
 
     if args.trace is not None:
         text = render_trace(spans, args.trace)

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.metrics import percentile
 from repro.obs.analysis import EXPLAIN_FORMAT
-from repro.obs.registry import MetricsSnapshot
+from repro.obs.registry import MetricsSnapshot, json_number
 
 
 @dataclass
@@ -115,23 +115,33 @@ def diff_snapshots(
     return deltas
 
 
-def snapshot_of(payload: Dict[str, Any]) -> MetricsSnapshot:
+def snapshot_of(payload: Any) -> MetricsSnapshot:
     """An exported payload as the snapshot :func:`diff_snapshots` aligns.
 
     A ``repro.metrics/1`` snapshot decodes as itself; a
     ``repro.explain/1`` attribution table flattens to gauges —
     ``explain.seconds{layer}``, ``explain.share{layer}``,
     ``explain.total_s`` — so a layer that vanished or appeared is a
-    one-sided series like any other.
+    one-sided series like any other.  A malformed payload of either
+    kind raises ``ValueError`` and nothing else.
     """
-    if payload.get("format") != EXPLAIN_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != EXPLAIN_FORMAT:
         return MetricsSnapshot.from_jsonable(payload)
     snap = MetricsSnapshot()
-    snap.gauges[("explain.total_s", ())] = float(payload["total_s"])
-    for layer, info in payload["layers"].items():
+    snap.gauges[("explain.total_s", ())] = json_number(payload.get("total_s"),
+                                                       "total_s")
+    layers = payload.get("layers")
+    if not isinstance(layers, dict):
+        raise ValueError("layers: expected an object")
+    for layer, info in layers.items():
+        where = f"layers[{layer!r}]"
+        if not isinstance(info, dict):
+            raise ValueError(f"{where}: expected an object")
         labels = (("layer", layer),)
-        snap.gauges[("explain.seconds", labels)] = float(info["seconds"])
-        snap.gauges[("explain.share", labels)] = float(info["share"])
+        snap.gauges[("explain.seconds", labels)] = json_number(
+            info.get("seconds"), where)
+        snap.gauges[("explain.share", labels)] = json_number(
+            info.get("share"), where)
     return snap
 
 
@@ -245,7 +255,7 @@ def diff_main(argv: Optional[List[str]] = None) -> int:
     try:
         snap_a = load_snapshot(args.snapshot_a)
         snap_b = load_snapshot(args.snapshot_b)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         if args.json:
             print(json.dumps({"format": "repro.diff/1", "error": str(exc),
                               "exit": 2}))

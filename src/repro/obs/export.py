@@ -63,12 +63,10 @@ def write_windows_jsonl(windows, path: str) -> int:
     """One JSON object per telemetry window (the ``repro tail`` wire
     format).  Accepts any iterable of
     :class:`~repro.obs.timeseries.TelemetryWindow`."""
-    from repro.obs.timeseries import window_to_jsonable
     count = 0
     with open(path, "w") as handle:
         for window in windows:
-            handle.write(json.dumps(window_to_jsonable(window),
-                                    sort_keys=True) + "\n")
+            handle.write(json.dumps(window.to_jsonable(), sort_keys=True) + "\n")
             count += 1
     return count
 
@@ -109,7 +107,7 @@ def export_run(
     """Write every artifact a run produced into ``directory``.
 
     Exports whatever observability state is attached to ``trace``:
-    span JSONL when a tracer is present, metrics CSV when a snapshot is
+    span JSONL when a bundle is attached, metrics CSV when a snapshot is
     given (or a registry is attached), the latency-attribution
     ``explain.txt`` when exemplar traces exist, and the telemetry
     windows and flight-recorder dumps when those are attached.
@@ -117,7 +115,7 @@ def export_run(
     os.makedirs(directory, exist_ok=True)
     written: Dict[str, int] = {}
     obs = trace.obs
-    if obs is not None and obs.spans is not None:
+    if obs is not None:
         written["spans.jsonl"] = write_spans_jsonl(
             obs.spans, os.path.join(directory, "spans.jsonl"))
     if snapshot is None and obs is not None:
@@ -127,8 +125,7 @@ def export_run(
             snapshot, os.path.join(directory, "metrics.csv"))
         written["metrics.json"] = write_metrics_json(
             snapshot, os.path.join(directory, "metrics.json"))
-    if (snapshot is not None and obs is not None
-            and obs.spans is not None and snapshot.exemplars):
+    if snapshot is not None and obs is not None and snapshot.exemplars:
         traces = write_explain_txt(
             obs.spans, snapshot, os.path.join(directory, "explain.txt"),
             topology=topology)

@@ -31,9 +31,12 @@ event sequence of an uninstrumented run
 identical event counts).  Attach it
 explicitly where a health table is wanted — ``repro report`` does.
 
-Determinism: nodes are visited in sorted id order and gauges carry the
-node id as a label, so per-trial snapshots merge identically for any
-``jobs`` count.
+Determinism: the sampler ticks every :data:`PERIOD_S` seconds with a
+fixed phase of one period, so building it draws nothing from the
+simulator's RNG streams (the RPL routers' stale timers draw their
+phases from the shared ``"periodic-timer"`` substream).  Nodes are
+visited in sorted id order and gauges carry the node id as a label, so
+per-trial snapshots merge identically for any ``jobs`` count.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ from repro.sim.timers import PeriodicTimer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.system import IIoTSystem
     from repro.crdt.replication import NetworkReplicator
+    from repro.obs.registry import MetricsSnapshot
+
+#: Sampling period in sim seconds (also the phase of the first sample).
+PERIOD_S = 30.0
 
 
 class NodeHealthSampler:
@@ -53,11 +60,8 @@ class NodeHealthSampler:
     def __init__(
         self,
         system: "IIoTSystem",
-        period_s: float = 30.0,
         replicators: Optional[Dict[int, "NetworkReplicator"]] = None,
     ) -> None:
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
         obs = system.trace.obs
         if obs is None:
             raise ValueError(
@@ -66,10 +70,10 @@ class NodeHealthSampler:
             )
         self.system = system
         self.registry = obs.registry
-        self.period_s = period_s
         self.replicators = replicators if replicators is not None else {}
         self.samples_taken = 0
-        self._timer = PeriodicTimer(system.sim, period_s, self.sample_once)
+        self._timer = PeriodicTimer(system.sim, PERIOD_S, self.sample_once,
+                                    phase=PERIOD_S)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -119,8 +123,8 @@ class NodeHealthSampler:
                              replicator.staleness(now), node=node_id)
 
 
-def health_rows(snapshot_or_registry) -> list:
-    """Per-node health table rows from a Registry or MetricsSnapshot.
+def health_rows(snapshot: "MetricsSnapshot") -> list:
+    """Per-node health table rows from a metrics snapshot.
 
     Returns dicts keyed by short column names, one row per node that has
     at least one ``health.*`` gauge, sorted by node id.
@@ -136,11 +140,8 @@ def health_rows(snapshot_or_registry) -> list:
         "parent": "health.parent",
         "crdt_stale_s": "health.crdt_staleness_s",
     }
-    gauges = getattr(snapshot_or_registry, "gauges", None)
-    if gauges is None:  # a live Registry
-        gauges = snapshot_or_registry.snapshot().gauges
     per_node: Dict[int, Dict[str, float]] = {}
-    for (name, labels), value in gauges.items():
+    for (name, labels), value in snapshot.gauges.items():
         if not name.startswith("health."):
             continue
         label_map = dict(labels)

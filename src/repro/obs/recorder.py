@@ -9,8 +9,12 @@ freezes a :class:`FlightDump` of
 - the last K telemetry windows from the engine's retention ring (the
   metric weather just before the event), and
 - the recent *pinned* spans (``fault.*``, ``rnfd.verdict``,
-  ``rpl.parent_switch``, ``alert.*`` — the categories the ring buffer
-  never evicts, so they exist at every sampling rate).
+  ``rpl.parent_switch`` — the categories the ring buffer never evicts,
+  so they exist at every sampling rate).
+
+Every bound is a module constant: :data:`LAST_K` windows per dump,
+pinned spans from the last :data:`SPAN_LOOKBACK_S` seconds, at most
+:data:`MAX_SPANS` of them, and at most :data:`MAX_DUMPS` dumps per run.
 
 Dumps ride into :class:`~repro.checking.sweep.ReproBundle`, so a
 failing seed's bundle carries its own black-box recording next to the
@@ -26,14 +30,21 @@ the same transparency contract the checkers obey.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional
 
-from repro.obs.timeseries import TelemetryEngine, TelemetryWindow, window_to_jsonable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.spans import SpanTracer
+from repro.obs.spans import SpanTracer
+from repro.obs.timeseries import TelemetryEngine, TelemetryWindow
 
 __all__ = ["FlightDump", "FlightRecorder"]
+
+#: Telemetry windows frozen into each dump (the most recent ones).
+LAST_K = 16
+#: How far back before the trigger a pinned span may start.
+SPAN_LOOKBACK_S = 600.0
+#: Pinned spans kept per dump (the most recent ones).
+MAX_SPANS = 64
+#: Dumps kept per run; later triggers are counted, not stored.
+MAX_DUMPS = 8
 
 
 @dataclass
@@ -53,7 +64,7 @@ class FlightDump:
             "format": "repro.flightdump/1",
             "trigger": self.trigger,
             "at_s": self.at_s,
-            "windows": [window_to_jsonable(w) for w in self.windows],
+            "windows": [w.to_jsonable() for w in self.windows],
             "spans": self.spans,
         }
         if self.exemplars:
@@ -71,10 +82,9 @@ class FlightDump:
         lines = [f"flight dump @ t={self.at_s:.3f}s  [{trigger}]"]
         for window in self.windows:
             active = len(window.counters) + len(window.histograms)
-            alerts = f"  alerts={','.join(window.alerts)}" if window.alerts else ""
             lines.append(
                 f"  window {window.index}  t={window.start:.1f}..{window.end:.1f}s"
-                f"  active_series={active}{alerts}")
+                f"  active_series={active}")
         for span in self.spans:
             end = span.get("end")
             end_s = f"{end:.3f}" if end is not None else "open"
@@ -89,24 +99,14 @@ class FlightDump:
 class FlightRecorder:
     """Freezes telemetry + pinned spans when something goes wrong.
 
-    ``last_k`` bounds windows per dump, ``span_lookback_s`` and
-    ``max_spans`` bound the span slice, and ``max_dumps`` bounds the
-    recorder itself (a fault storm must not grow memory without bound —
-    later triggers are counted in :attr:`suppressed`, not stored).
+    Memory is bounded by the module constants: a fault storm must not
+    grow the recorder without bound, so triggers beyond
+    :data:`MAX_DUMPS` are counted in :attr:`suppressed`, not stored.
     """
 
-    def __init__(self, engine: TelemetryEngine,
-                 spans: Optional["SpanTracer"] = None,
-                 last_k: int = 16,
-                 span_lookback_s: float = 600.0,
-                 max_spans: int = 64,
-                 max_dumps: int = 8) -> None:
+    def __init__(self, engine: TelemetryEngine, spans: SpanTracer) -> None:
         self.engine = engine
         self.spans = spans
-        self.last_k = last_k
-        self.span_lookback_s = span_lookback_s
-        self.max_spans = max_spans
-        self.max_dumps = max_dumps
         self.dumps: List[FlightDump] = []
         self.suppressed = 0
 
@@ -131,11 +131,11 @@ class FlightRecorder:
 
     # ------------------------------------------------------------------
     def _dump(self, trigger: Dict[str, Any], at_s: float) -> Optional[FlightDump]:
-        if len(self.dumps) >= self.max_dumps:
+        if len(self.dumps) >= MAX_DUMPS:
             self.suppressed += 1
             return None
         dump = FlightDump(trigger=trigger, at_s=at_s,
-                          windows=self.engine.recent(self.last_k),
+                          windows=self.engine.recent(LAST_K),
                           spans=self._recent_pinned_spans(at_s),
                           exemplars=self._exemplar_links())
         self.dumps.append(dump)
@@ -144,21 +144,14 @@ class FlightRecorder:
 
     def _exemplar_links(self, per_metric: int = 4) -> Dict[str, List[int]]:
         """Worst exemplar traces per histogram metric at dump time."""
-        registry = self.engine.registry
-        metrics = sorted({key[0] for key in registry._histograms})
-        links: Dict[str, List[int]] = {}
-        for metric in metrics:
-            traces = [trace for _value, trace
-                      in registry.exemplars_for(metric)[:per_metric]]
-            if traces:
-                links[metric] = traces
-        return links
+        snapshot = self.engine.registry.snapshot()
+        return {metric: [trace for _value, trace
+                         in snapshot.exemplars_for(metric)[:per_metric]]
+                for metric in sorted({key[0] for key in snapshot.exemplars})}
 
     def _recent_pinned_spans(self, at_s: float) -> List[Dict[str, Any]]:
         tracer = self.spans
-        if tracer is None:
-            return []
-        horizon = at_s - self.span_lookback_s
+        horizon = at_s - SPAN_LOOKBACK_S
         rows = []
         for span in tracer.spans.values():
             if span.start < horizon or span.start > at_s:
@@ -169,7 +162,7 @@ class FlightRecorder:
                          "start": span.start, "end": span.end,
                          "data": dict(span.data), "span_id": span.span_id})
         rows.sort(key=lambda r: (r["start"], r["span_id"]))
-        return rows[-self.max_spans:]
+        return rows[-MAX_SPANS:]
 
     # ------------------------------------------------------------------
     def render_all(self) -> List[str]:
@@ -177,5 +170,5 @@ class FlightRecorder:
         out = [dump.render() for dump in self.dumps]
         if self.suppressed:
             out.append(f"({self.suppressed} further flight dumps suppressed "
-                       f"beyond max_dumps={self.max_dumps})")
+                       f"beyond {MAX_DUMPS})")
         return out

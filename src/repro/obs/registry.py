@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, ClassVar, Dict, Iterable, Iterator, List, Optional,
+                    Tuple)
 
 from repro.core.metrics import percentile
 
@@ -42,6 +43,38 @@ ExemplarData = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[float, int], ...]], ...]]
 
 def _series_key(name: str, labels: Dict[str, Any]) -> SeriesKey:
     return name, tuple(sorted(labels.items()))
+
+
+# ----------------------------------------------------------------------
+# strict JSON field readers (the codec's only way to take a value)
+# ----------------------------------------------------------------------
+#: The label value types a series key may carry: the JSON scalars.
+_LABEL_TYPES = (str, int, float, bool, type(None))
+
+
+def json_number(value: Any, what: str) -> float:
+    """``value`` as a float when it is a JSON number (not a bool);
+    ``ValueError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what}: number out of range") from None
+
+
+def json_int(value: Any, what: str) -> int:
+    """``value`` when it is a JSON integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what}: expected an integer, got {type(value).__name__}")
+    return value
+
+
+def json_list(value: Any, what: str) -> List[Any]:
+    """``value`` when it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: expected a list, got {type(value).__name__}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -163,14 +196,6 @@ class Histogram:
                 tuple((idx, tuple(entries))
                       for idx, entries in sorted(self.exemplars.items())))
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def sum(self) -> float:
-        return sum(self.values)
-
     def percentile(self, fraction: float) -> float:
         return percentile(self.values, fraction)
 
@@ -259,33 +284,6 @@ class Registry:
         if exemplar is not None:
             instrument.add_exemplar(value, exemplar)
 
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
-    def total(self, name: str) -> float:
-        """Sum of a counter over every label combination."""
-        return sum(c.value for (n, _), c in self._counters.items() if n == name)
-
-    def values(self, name: str) -> List[float]:
-        """Concatenated histogram observations over every label set,
-        in deterministic (sorted-key) order."""
-        out: List[float] = []
-        for key in sorted(self._histograms, key=repr):
-            if key[0] == name:
-                out.extend(self._histograms[key].values)
-        return out
-
-    def exemplars_for(self, name: str) -> List[Tuple[float, int]]:
-        """Live view of :meth:`MetricsSnapshot.exemplars_for`: every
-        ``(value, trace_id)`` exemplar of ``name``, worst first."""
-        out: List[Tuple[float, int]] = []
-        for key in sorted(self._histograms, key=repr):
-            if key[0] == name:
-                for entries in self._histograms[key].exemplars.values():
-                    out.extend(entries)
-        out.sort(key=lambda entry: (-entry[0], entry[1]))
-        return out
-
     def snapshot(self) -> "MetricsSnapshot":
         """Freeze the registry into plain, picklable data."""
         return MetricsSnapshot(
@@ -302,7 +300,9 @@ class MetricsSnapshot:
     """A frozen registry: plain dicts keyed by :data:`SeriesKey`.
 
     Equality is value equality over every series, which is what the
-    ``jobs=1`` vs ``jobs=N`` identity tests compare.
+    ``jobs=1`` vs ``jobs=N`` identity tests compare.  A telemetry window
+    (:class:`~repro.obs.timeseries.TelemetryWindow`) is one of these for
+    a scrape interval, so it shares the readers and the JSON codec.
     """
 
     counters: Dict[SeriesKey, float] = field(default_factory=dict)
@@ -362,12 +362,16 @@ class MetricsSnapshot:
     # ------------------------------------------------------------------
     # JSON round trip (the `repro diff` interchange format)
     # ------------------------------------------------------------------
+    #: The ``format`` tag :meth:`to_jsonable` writes and
+    #: :meth:`from_jsonable` requires.
+    FORMAT: ClassVar[str] = "repro.metrics/1"
+
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-JSON shape: series listed in deterministic key order.
 
         Label keys are always strings (they arrive as kwargs); label
         values survive the round trip for JSON scalars (str/int/float/
-        bool), which is every label the codebase emits.
+        bool/null), which is every label the codebase emits.
         """
         def series(mapping: Dict[SeriesKey, Any]) -> List[Dict[str, Any]]:
             out = []
@@ -379,7 +383,7 @@ class MetricsSnapshot:
             return out
 
         payload = {
-            "format": "repro.metrics/1",
+            "format": self.FORMAT,
             "counters": series(self.counters),
             "gauges": series(self.gauges),
             "histograms": series(self.histograms),
@@ -400,26 +404,59 @@ class MetricsSnapshot:
         return payload
 
     @classmethod
-    def from_jsonable(cls, payload: Dict[str, Any]) -> "MetricsSnapshot":
-        if payload.get("format") != "repro.metrics/1":
-            raise ValueError(f"not a repro metrics snapshot: format={payload.get('format')!r}")
+    def from_jsonable(cls, payload: Any) -> "MetricsSnapshot":
+        """Decode :meth:`to_jsonable`'s shape.
 
-        def key_of(entry: Dict[str, Any]) -> SeriesKey:
-            return entry["name"], tuple(sorted(entry.get("labels", {}).items()))
+        Any malformed payload — a wrong top-level or entry type, another
+        format, a missing or mistyped field, a non-scalar label — raises
+        ``ValueError`` and nothing else, so every reader (``repro diff``,
+        the gates, ``repro tail``) can report a bad file instead of
+        crashing on it.
+        """
+        if not isinstance(payload, dict):
+            raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+        if payload.get("format") != cls.FORMAT:
+            raise ValueError(f"not a {cls.FORMAT} payload: "
+                             f"format={payload.get('format')!r}")
+
+        def entries(table: str) -> Iterator[Tuple[str, SeriesKey, Dict[str, Any]]]:
+            for i, entry in enumerate(json_list(payload.get(table, []), table)):
+                where = f"{table}[{i}]"
+                if not isinstance(entry, dict):
+                    raise ValueError(f"{where}: expected an object")
+                name = entry.get("name")
+                if not isinstance(name, str):
+                    raise ValueError(f"{where}: 'name' must be a string")
+                labels = entry.get("labels", {})
+                if not isinstance(labels, dict) or not all(
+                        isinstance(k, str) and isinstance(v, _LABEL_TYPES)
+                        for k, v in labels.items()):
+                    raise ValueError(f"{where}: 'labels' must map names to "
+                                     f"JSON scalars")
+                yield where, (name, tuple(sorted(labels.items()))), entry
+
+        def pair(value: Any, what: str) -> List[Any]:
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValueError(f"{what}: expected a two-element list")
+            return value
 
         snap = cls()
-        for entry in payload.get("counters", []):
-            snap.counters[key_of(entry)] = float(entry["value"])
-        for entry in payload.get("gauges", []):
-            snap.gauges[key_of(entry)] = float(entry["value"])
-        for entry in payload.get("histograms", []):
-            snap.histograms[key_of(entry)] = tuple(float(v) for v in entry["value"])
-        for entry in payload.get("exemplars", []):
-            snap.exemplars[key_of(entry)] = (
-                int(entry["cap"]),
-                tuple((int(idx), tuple((float(v), int(t)) for v, t in entries))
-                      for idx, entries in entry["buckets"]),
-            )
+        for where, key, entry in entries("counters"):
+            snap.counters[key] = json_number(entry.get("value"), where)
+        for where, key, entry in entries("gauges"):
+            snap.gauges[key] = json_number(entry.get("value"), where)
+        for where, key, entry in entries("histograms"):
+            snap.histograms[key] = tuple(
+                json_number(v, where) for v in json_list(entry.get("value"), where))
+        for where, key, entry in entries("exemplars"):
+            buckets = []
+            for bucket in json_list(entry.get("buckets"), where):
+                idx, found = pair(bucket, where)
+                buckets.append((json_int(idx, where), tuple(
+                    (json_number(value, where), json_int(trace, where))
+                    for value, trace in (pair(e, where)
+                                         for e in json_list(found, where)))))
+            snap.exemplars[key] = (json_int(entry.get("cap"), where), tuple(buckets))
         return snap
 
     def rows(self) -> List[Dict[str, Any]]:

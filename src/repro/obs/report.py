@@ -134,24 +134,22 @@ def run_demo(
     # Per-node health telemetry on a sim-time cadence (explicitly
     # attached: the sampler schedules events, so it is never implied by
     # observability=True alone).
-    run.health = NodeHealthSampler(system, period_s=30.0,
-                                   replicators=replicators)
+    run.health = NodeHealthSampler(system, replicators=replicators)
     run.health.start()
 
     spans = system.obs.spans
 
     def poll(node_id: int) -> None:
-        before = set(spans.trace_ids()) if spans is not None else set()
+        before = set(spans.trace_ids())
 
         def on_response(response) -> None:
             if response is None:
                 run.failures += 1
                 return
             run.responses += 1
-            if spans is not None:
-                new = [t for t in spans.trace_ids() if t not in before]
-                if new:
-                    run.answered_traces.append(new[0])
+            new = [t for t in spans.trace_ids() if t not in before]
+            if new:
+                run.answered_traces.append(new[0])
 
         client.get(node_id, "/temp", on_response)
         run.requests_sent += 1
@@ -209,7 +207,9 @@ def _format_table(rows: List[Dict], columns: List[str]) -> List[str]:
 def render_report(run: ReportRun, top: int = 8) -> str:
     """The dashboard, as printable text."""
     system = run.system
-    registry = system.obs.registry
+    metrics = system.obs.registry.snapshot()
+    total = metrics.counter_total
+    spans = system.obs.spans
     trace = system.trace
     lines: List[str] = []
     lines.append(
@@ -219,22 +219,22 @@ def render_report(run: ReportRun, top: int = 8) -> str:
     )
 
     lines.append(_section("delivery"))
-    sent = registry.total("net.sent")
-    delivered = registry.total("net.delivered")
+    sent = total("net.sent")
+    delivered = total("net.delivered")
     ratio = delivered / sent if sent else 0.0
     lines.append(f"datagrams: sent={sent:.0f} delivered={delivered:.0f} "
-                 f"({ratio:.0%}) forwarded={registry.total('net.forwarded'):.0f} "
-                 f"dropped={registry.total('net.dropped'):.0f}")
+                 f"({ratio:.0%}) forwarded={total('net.forwarded'):.0f} "
+                 f"dropped={total('net.dropped'):.0f}")
     lines.append(f"coap: requests={run.requests_sent} responses={run.responses} "
                  f"failures={run.failures} "
-                 f"retransmits={registry.total('coap.retransmit'):.0f}")
-    lines.append(f"mac tx: {registry.total('mac.tx'):.0f} jobs, "
-                 f"queue drops={registry.total('mac.queue_drop'):.0f}")
+                 f"retransmits={total('coap.retransmit'):.0f}")
+    lines.append(f"mac tx: {total('mac.tx'):.0f} jobs, "
+                 f"queue drops={total('mac.queue_drop'):.0f}")
     from repro.net.mac.analysis import mac_summary_lines
     lines.extend(mac_summary_lines(
         [system.nodes[nid].stack.mac for nid in sorted(system.nodes)]))
 
-    latencies = registry.values("net.latency_s")
+    latencies = metrics.histogram_values("net.latency_s")
     lines.append(_section("end-to-end latency"))
     if latencies:
         lines.append(
@@ -242,7 +242,7 @@ def render_report(run: ReportRun, top: int = 8) -> str:
             f"p95={percentile(latencies, 0.95):.4f}s  "
             f"max={max(latencies):.4f}s"
         )
-        exemplars = registry.exemplars_for("net.latency_s")[:3]
+        exemplars = metrics.exemplars_for("net.latency_s")[:3]
         if exemplars:
             # The histogram's worst exemplar traces, linked so the p95
             # row leads straight to attributable span trees.
@@ -260,75 +260,70 @@ def render_report(run: ReportRun, top: int = 8) -> str:
 
     lines.append(_section("control plane"))
     lines.append(
-        f"rpl: dio={registry.total('rpl.dio'):.0f} "
-        f"dao={registry.total('rpl.dao'):.0f} "
-        f"parent switches={registry.total('rpl.parent_change'):.0f} "
-        f"detaches={registry.total('rpl.detach'):.0f}"
+        f"rpl: dio={total('rpl.dio'):.0f} "
+        f"dao={total('rpl.dao'):.0f} "
+        f"parent switches={total('rpl.parent_change'):.0f} "
+        f"detaches={total('rpl.detach'):.0f}"
     )
-    trickle_tx = registry.total("rpl.trickle.tx")
-    trickle_sup = registry.total("rpl.trickle.suppressed")
+    trickle_tx = total("rpl.trickle.tx")
+    trickle_sup = total("rpl.trickle.suppressed")
     fired = trickle_tx + trickle_sup
     suppression = trickle_sup / fired if fired else 0.0
     lines.append(
         f"trickle: tx={trickle_tx:.0f} suppressed={trickle_sup:.0f} "
-        f"({suppression:.0%}) resets={registry.total('rpl.trickle.reset'):.0f}"
+        f"({suppression:.0%}) resets={total('rpl.trickle.reset'):.0f}"
     )
-    rnfd_probes = registry.total("rnfd.probe")
+    rnfd_probes = total("rnfd.probe")
     if rnfd_probes:
         lines.append(
             f"rnfd: probes={rnfd_probes:.0f} "
-            f"locally_down={registry.total('rnfd.locally_down'):.0f} "
-            f"verdicts={registry.total('rnfd.globally_down'):.0f}"
+            f"locally_down={total('rnfd.locally_down'):.0f} "
+            f"verdicts={total('rnfd.globally_down'):.0f}"
         )
 
     lines.append(_section("middleware"))
     lines.append(
-        f"aggregation: partials={registry.total('agg.partial'):.0f} "
-        f"folds={registry.total('agg.fold'):.0f} "
-        f"epochs={registry.total('agg.result'):.0f}"
+        f"aggregation: partials={total('agg.partial'):.0f} "
+        f"folds={total('agg.fold'):.0f} "
+        f"epochs={total('agg.result'):.0f}"
         + (f" (last avg={run.agg_results[-1].value:.1f} over "
            f"{run.agg_results[-1].node_count} nodes)" if run.agg_results else "")
     )
     lines.append(
-        f"crdt: anti-entropy rounds={registry.total('crdt.gossip'):.0f} "
-        f"({registry.total('crdt.gossip_bytes'):.0f} B) "
-        f"merges={registry.total('crdt.merge'):.0f}"
+        f"crdt: anti-entropy rounds={total('crdt.gossip'):.0f} "
+        f"({total('crdt.gossip_bytes'):.0f} B) "
+        f"merges={total('crdt.merge'):.0f}"
     )
-    lags = registry.values("crdt.merge_lag_s")
+    lags = metrics.histogram_values("crdt.merge_lag_s")
     if lags:
         lines.append(
             f"merge convergence lag: n={len(lags)} "
             f"p50={percentile(lags, 0.5):.1f}s p95={percentile(lags, 0.95):.1f}s"
         )
 
-    spans = system.obs.spans
-    if spans is not None:
-        fault_spans = sorted(
-            (s for s in spans.spans.values()
-             if s.category.startswith("fault.")),
-            key=lambda s: (s.start, s.span_id),
-        )
-        if fault_spans:
-            lines.append(_section("fault timeline"))
-            lines.append(f"injected: {registry.total('fault.injected'):.0f} "
-                         f"fault events across {len(fault_spans)} spans")
-            for span in fault_spans:
-                end = f"{span.end:.0f}" if span.end is not None else "open"
-                where = f" node={span.node}" if span.node is not None else ""
-                extras = " ".join(f"{k}={v}"
-                                  for k, v in sorted(span.data.items()))
-                lines.append(
-                    f"t={span.start:.0f}..{end}s {span.category}{where}"
-                    + (f" {extras}" if extras else "")
-                )
+    fault_spans = sorted(
+        (s for s in spans.spans.values() if s.category.startswith("fault.")),
+        key=lambda s: (s.start, s.span_id),
+    )
+    if fault_spans:
+        lines.append(_section("fault timeline"))
+        lines.append(f"injected: {total('fault.injected'):.0f} "
+                     f"fault events across {len(fault_spans)} spans")
+        for span in fault_spans:
+            end = f"{span.end:.0f}" if span.end is not None else "open"
+            where = f" node={span.node}" if span.node is not None else ""
+            extras = " ".join(f"{k}={v}" for k, v in sorted(span.data.items()))
+            lines.append(
+                f"t={span.start:.0f}..{end}s {span.category}{where}"
+                + (f" {extras}" if extras else "")
+            )
 
     telemetry = system.telemetry
     if telemetry is not None:
         lines.append(_section("telemetry windows"))
         lines.append(
             f"interval={telemetry.interval_s:g}s closed={telemetry.windows_closed} "
-            f"retained={len(telemetry.windows)} dropped={telemetry.dropped} "
-            f"alerts={telemetry.alerts_fired}")
+            f"retained={len(telemetry.windows)} dropped={telemetry.dropped}")
         last = telemetry.last_window
         if last is not None:
             lines.append(
@@ -341,7 +336,7 @@ def render_report(run: ReportRun, top: int = 8) -> str:
             lines.append(f"flight dumps: {len(recorder.dumps)} "
                          f"(+{recorder.suppressed} suppressed)")
 
-    rows = health_rows(registry)
+    rows = health_rows(metrics)
     if rows:
         lines.append(_section("node health (last sample)"))
         columns = ["node", "alive", "duty_cycle", "avg_ma", "queue",
@@ -353,21 +348,19 @@ def render_report(run: ReportRun, top: int = 8) -> str:
     for category, count in ranked[:top]:
         lines.append(f"{category:<28} {count:>9,}")
 
-    spans = system.obs.spans
-    if spans is not None and run.answered_traces:
+    if run.answered_traces:
         lines.append(_section("sample packet lifecycle (first answered GET)"))
         lines.append(spans.render(run.answered_traces[0]))
 
-    if spans is not None:
-        control = _first_trace_of(spans, ("rpl.parent_switch", "rnfd.verdict"))
-        if control is not None:
-            lines.append(_section("sample control-plane lifecycle"))
-            lines.append(spans.render(control))
-        middleware = _first_trace_of(spans, ("crdt.anti_entropy", "agg.epoch",
-                                             "agg.partial"))
-        if middleware is not None:
-            lines.append(_section("sample middleware lifecycle"))
-            lines.append(spans.render(middleware))
+    control = _first_trace_of(spans, ("rpl.parent_switch", "rnfd.verdict"))
+    if control is not None:
+        lines.append(_section("sample control-plane lifecycle"))
+        lines.append(spans.render(control))
+    middleware = _first_trace_of(spans, ("crdt.anti_entropy", "agg.epoch",
+                                         "agg.partial"))
+    if middleware is not None:
+        lines.append(_section("sample middleware lifecycle"))
+        lines.append(spans.render(middleware))
 
     return "\n".join(lines)
 

@@ -1,11 +1,13 @@
 """``python -m repro tail`` — follow a run's telemetry stream.
 
-Reads the window-JSONL wire format written by ``report --live`` (or any
-:class:`~repro.obs.timeseries.TelemetryEngine` with a sink) and renders
-one line per closed window.  With ``--follow`` it keeps polling the
-file for new windows — the operator's view of a sweep in flight; the
-poll uses wall-clock by necessity, which is fine because tailing only
-*reads* a finished byte stream and can never perturb the run.
+Reads the ``repro.window/2`` JSONL stream written by ``report --live``
+(or any :class:`~repro.obs.timeseries.TelemetryEngine` with a sink),
+decodes each line with :meth:`TelemetryWindow.from_jsonable` and renders
+one line per closed window; a malformed window exits 2.  With
+``--follow`` it keeps polling the file for new windows — the operator's
+view of a sweep in flight; the poll uses wall-clock by necessity, which
+is fine because tailing only *reads* a finished byte stream and can
+never perturb the run.
 """
 
 from __future__ import annotations
@@ -14,33 +16,36 @@ import argparse
 import json
 import sys
 import time
-from typing import Any, Dict, IO, Optional
+from typing import IO, Optional
+
+from repro.obs.timeseries import TelemetryWindow
 
 
-def render_window_line(payload: Dict[str, Any], top: int = 3) -> str:
+def render_window_line(window: TelemetryWindow, top: int = 3) -> str:
     """One human line per window: time range, activity, top movers."""
-    counters = payload.get("counters", [])
-    ranked = sorted(counters, key=lambda e: (-e["value"], e["name"]))[:top]
+    counters = window.counters
+    ranked = sorted(counters.items(),
+                    key=lambda item: (-item[1], repr(item[0])))[:top]
 
-    def label_str(entry: Dict[str, Any]) -> str:
-        labels = ",".join(f"{k}={v}" for k, v in sorted(entry["labels"].items()))
-        return f"{entry['name']}{{{labels}}}" if labels else entry["name"]
+    def series(name: str, labels) -> str:
+        label_str = ",".join(f"{k}={v}" for k, v in labels)
+        return f"{name}{{{label_str}}}" if label_str else name
 
-    movers = "  ".join(f"{label_str(e)}={e['value']:g}" for e in ranked)
-    alerts = payload.get("alerts", [])
-    alert_str = f"  ALERTS: {','.join(alerts)}" if alerts else ""
-    return (f"window {payload['index']:>4}  "
-            f"t={payload['start']:.1f}..{payload['end']:.1f}s  "
-            f"series={len(counters)}c/{len(payload.get('gauges', []))}g/"
-            f"{len(payload.get('histograms', []))}h"
-            f"{'  ' + movers if movers else ''}{alert_str}")
+    movers = "  ".join(f"{series(*key)}={value:g}" for key, value in ranked)
+    return (f"window {window.index:>4}  "
+            f"t={window.start:.1f}..{window.end:.1f}s  "
+            f"series={len(counters)}c/{len(window.gauges)}g/"
+            f"{len(window.histograms)}h"
+            f"{'  ' + movers if movers else ''}")
 
 
 def _emit(line: str, raw: bool, out: IO[str]) -> None:
     payload = json.loads(line)
-    if payload.get("format") != "repro.window/1":
+    if not isinstance(payload, dict) or \
+            payload.get("format") != TelemetryWindow.FORMAT:
         return
-    out.write((line.strip() if raw else render_window_line(payload)) + "\n")
+    window = TelemetryWindow.from_jsonable(payload)
+    out.write((line.strip() if raw else render_window_line(window)) + "\n")
     out.flush()
 
 
@@ -98,4 +103,7 @@ def tail_main(argv, out: Optional[IO[str]] = None,
         return 0
     except FileNotFoundError:
         print(f"tail: no such file: {args.path}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"tail: {args.path}: malformed window: {exc}", file=sys.stderr)
         return 2

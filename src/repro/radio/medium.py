@@ -864,7 +864,7 @@ class Medium:
         self._prune_active(now)
         span = addressee = None
         obs = self.trace.obs
-        if obs is not None and obs.spans is not None:
+        if obs is not None:
             parent = getattr(frame.payload, "trace_ctx", None)
             if parent is not None:
                 span = obs.spans.start(parent, "radio.airtime",
@@ -948,10 +948,8 @@ class Medium:
             # outcomes cost nothing otherwise.  Only the addressee's
             # outcome explains the hop; overheard copies at third
             # parties are not part of the packet's lifecycle.
-            spans = None
-            if tx.span is not None and (tx.addressee is None
-                                        or tx.addressee == node):
-                spans = self.trace.obs.spans
+            traced = tx.span is not None and (tx.addressee is None
+                                              or tx.addressee == node)
             if receiver.state is not RadioState.LISTEN or receiver._listen_since > tx.start:
                 # Slept through (part of) the frame — the duty-cycling cost.
                 lost = "radio.miss"
@@ -973,14 +971,14 @@ class Medium:
                     lost = None
             if lost is not None:
                 emit(now, lost, node=node, sender=frame.sender)
-                if spans is not None:
-                    spans.event(tx.span, lost, node=node, t=now)
+                if traced:
+                    self.trace.obs.spans.event(tx.span, lost, node=node, t=now)
                 continue
             receiver.frames_received += 1
             emit(now, "radio.rx", node=node, sender=frame.sender,
                  size=frame.size_bytes)
-            if spans is not None:
-                spans.event(tx.span, "radio.rx", node=node, t=now,
-                            rssi=round(rssi, 1))
+            if traced:
+                self.trace.obs.spans.event(tx.span, "radio.rx", node=node,
+                                           t=now, rssi=round(rssi, 1))
             if receiver.on_receive is not None:
                 receiver.on_receive(frame, rssi)

@@ -10,7 +10,7 @@ import pytest
 from repro.devices.phenomena import DiurnalField
 from repro.net.packet import FrameKind, MacFrame
 from repro.net.stack import NetworkStack, StackConfig
-from repro.obs.timeseries import TelemetryWindow, window_from_jsonable
+from repro.obs.timeseries import TelemetryWindow
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
@@ -171,7 +171,7 @@ def build_grid_network(
 def read_windows_jsonl(lines) -> List[TelemetryWindow]:
     """The telemetry windows in a stream of JSONL lines (what ``report
     --live`` and ``export_run`` write), blanks skipped."""
-    return [window_from_jsonable(json.loads(line))
+    return [TelemetryWindow.from_jsonable(json.loads(line))
             for line in lines if line.strip()]
 
 

@@ -94,6 +94,21 @@ def test_unreadable_baseline_exits_two(baselines, capsys):
     assert "core: cannot read baseline" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name, corrupt", [
+    pytest.param("core", lambda payload: payload.update(counters=5),
+                 id="core-counters-not-a-list"),
+    pytest.param("core",
+                 lambda payload: payload["gauges"][0]["labels"].update(node=[0]),
+                 id="core-list-valued-label"),
+    pytest.param("explain", lambda payload: payload.update(layers=[]),
+                 id="explain-layers-a-list"),
+])
+def test_corrupted_baseline_exits_two(baselines, capsys, name, corrupt):
+    _edit(baselines[name], corrupt)
+    assert gates.main(["check", name]) == 2
+    assert f"{name}: cannot read baseline" in capsys.readouterr().out
+
+
 def test_shared_demo_run_is_a_cache_not_a_dependency():
     gates._demo.cache_clear()
     alone = gates.explain()

@@ -17,7 +17,8 @@ import re
 
 import repro
 from repro.core.system import SystemConfig
-from repro.obs import Observability, Registry
+from repro.obs import (FlightRecorder, NodeHealthSampler, Observability,
+                       Registry, TelemetryEngine)
 from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from repro.radio.medium import Medium
@@ -46,8 +47,25 @@ def test_system_config_fields():
 
 def test_observability_keywords():
     assert _keywords(Observability) == [
-        "registry", "spans", "span_sample_rate", "span_seed", "span_max",
+        "span_sample_rate", "span_seed", "span_max",
     ]
+
+
+def test_telemetry_engine_keywords():
+    # Retention is the module constant repro.obs.timeseries.RETENTION;
+    # the live sink is an attribute `repro report --live` assigns.
+    assert _keywords(TelemetryEngine) == [
+        "sim", "registry", "interval_s", "domain_of"]
+
+
+def test_flight_recorder_keywords():
+    # Its bounds are the module constants of repro.obs.recorder.
+    assert _keywords(FlightRecorder) == ["engine", "spans"]
+
+
+def test_node_health_sampler_keywords():
+    # The period is the module constant repro.obs.health.PERIOD_S.
+    assert _keywords(NodeHealthSampler) == ["system", "replicators"]
 
 
 def test_registry_keywords():

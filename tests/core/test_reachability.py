@@ -10,7 +10,8 @@ pinned, with a reason, in :data:`ALLOW` below — as
 
 The rule is by *name*.  A module-level function or class, or a non-dunder
 method, is **run** when its name appears (``Name`` / ``Attribute`` /
-import alias)
+import alias, outside type annotations — annotating with a class runs
+nothing)
 
 * in any file under ``benchmarks/`` or ``examples/``, or
 * in another ``src/repro`` module — executable code in a package
@@ -18,8 +19,10 @@ import alias)
 * in its own module outside its own body,
 
 and the appearance is not itself inside a definition that is not run
-(iterated to a fixpoint).  Names are shared across classes, so ``x.add``
-keeps every ``add`` method alive: the rule errs towards keeping.
+(iterated to a fixpoint).  ``typing.Protocol`` subclasses are
+declarations and are not listed.  Names are shared across classes, so
+``x.add`` keeps every ``add`` method alive: the rule errs towards
+keeping.
 ``make census`` prints the full report.
 """
 
@@ -83,13 +86,31 @@ def _span(node: ast.AST) -> int:
     return node.end_lineno - first + 1
 
 
+def _is_protocol(node: ast.ClassDef) -> bool:
+    return any((isinstance(base, ast.Name) and base.id == "Protocol")
+               or (isinstance(base, ast.Attribute) and base.attr == "Protocol")
+               for base in node.bases)
+
+
 def _is_listed(node: ast.AST, class_name: Optional[str]) -> bool:
-    """Module level lists functions and classes; class level lists
-    non-dunder methods."""
+    """Module level lists functions and classes, except ``typing.Protocol``
+    subclasses (declarations, never run); class level lists non-dunder
+    methods."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         return class_name is None or not (
             node.name.startswith("__") and node.name.endswith("__"))
-    return isinstance(node, ast.ClassDef) and class_name is None
+    return (isinstance(node, ast.ClassDef) and class_name is None
+            and not _is_protocol(node))
+
+
+def _annotation(node: ast.AST) -> Optional[ast.AST]:
+    """The type annotation hanging off ``node``: naming a class in one
+    declares a type, it does not run the class."""
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        return node.annotation
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.returns
+    return None
 
 
 def _walk_module(module: str, tree: ast.Module, is_package_init: bool
@@ -111,7 +132,10 @@ def _walk_module(module: str, tree: ast.Module, is_package_init: bool
               listing: bool) -> None:
         """``listing``: the children of ``node`` sit at module or class
         level, where definitions are listed."""
+        annotation = _annotation(node)
         for child in ast.iter_child_nodes(node):
+            if child is annotation:
+                continue
             if is_package_init and isinstance(child, (ast.Import, ast.ImportFrom)):
                 continue
             if listing and _is_listed(child, class_name):
@@ -290,18 +314,18 @@ _SYNTHETIC = {
 }
 
 
-@pytest.fixture
-def synthetic(tmp_path):
-    for name, body in _SYNTHETIC.items():
-        path = tmp_path / name
+def _censused(root: pathlib.Path, files: Dict[str, str], allow=()):
+    for name, body in files.items():
+        path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(body))
+    rows = census(root / "pkg", [root / "callers"], allow)
+    return rows, check(rows, allow)
 
-    def run(allow=()):
-        rows = census(tmp_path / "pkg", [tmp_path / "callers"], allow)
-        return rows, check(rows, allow)
 
-    return run
+@pytest.fixture
+def synthetic(tmp_path):
+    return lambda allow=(): _censused(tmp_path, _SYNTHETIC, allow)
 
 
 def _kept(rows):
@@ -347,6 +371,41 @@ def test_allow_list_rows_silence_a_flag_and_go_stale(synthetic):
     # used_by_b is run: its row holds nothing up and must be dropped.
     assert [p for p in problems if "drop the row" in p] == [
         "a.py::used_by_b: allow-listed but run (or gone) — drop the row"]
+
+
+_ANNOTATED = {
+    "pkg/a.py": """
+        from typing import Protocol
+
+        class OnlyAnnotated:
+            pass
+
+        class Transport(Protocol):
+            def send(self, frame) -> None:
+                ...
+
+        def entry(x: OnlyAnnotated, transport: Transport) -> OnlyAnnotated:
+            y: OnlyAnnotated = x
+            transport.send(y)
+            return y
+    """,
+    "callers/bench.py": """
+        from pkg.a import entry
+        entry(None, None)
+    """,
+}
+
+
+def test_a_class_named_only_in_annotations_is_flagged(tmp_path):
+    rows, problems = _censused(tmp_path, _ANNOTATED)
+    assert _kept(rows)["entry"] == "callers/"
+    assert [d.qualname for d in unrun(rows)] == ["OnlyAnnotated"]
+    assert len(problems) == 1
+
+
+def test_a_protocol_is_a_declaration_not_a_definition(tmp_path):
+    rows, _ = _censused(tmp_path, _ANNOTATED)
+    assert not [q for q in _kept(rows) if q.startswith("Transport")]
 
 
 def report(out=sys.stdout) -> None:

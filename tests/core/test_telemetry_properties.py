@@ -3,8 +3,10 @@
 The claim, fuzzed rather than spot-checked (mirroring
 ``test_parallel_properties``): a fleet of telemetry trials streamed by
 :meth:`TrialExecutor.imap` and folded in submission order is
-**byte-identical** for every (task count, jobs) shape — windowed series
-and histograms both ride the in-order-given merge contract.
+**byte-identical** for every (task count, jobs) shape — each trial
+returns its windows' JSON, the fold concatenates them in submission
+order, and the end-of-run metrics ride the in-order-given merge
+contract.
 
 The ``multicore`` fixture keeps the claim honest on single-core CI.
 Module-level trial functions: process pools move work through pickle.
@@ -19,7 +21,7 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.obs.registry import MetricsSnapshot, Registry  # noqa: E402
-from repro.obs.timeseries import TelemetryEngine, TelemetrySnapshot  # noqa: E402
+from repro.obs.timeseries import TelemetryEngine  # noqa: E402
 from repro.parallel import TrialExecutor  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 
@@ -33,7 +35,7 @@ def _telemetry_trial(value, seed):
     """A pure trial: windows and metrics depend only on (value, seed)."""
     sim = Simulator(seed=seed)
     registry = Registry()
-    engine = TelemetryEngine(sim, registry, interval_s=5.0, retention=64)
+    engine = TelemetryEngine(sim, registry, interval_s=5.0)
     engine.start()
     rng = sim.substream("telemetry-prop")
 
@@ -45,16 +47,17 @@ def _telemetry_trial(value, seed):
     for i in range(1 + value):
         sim.schedule_at(1.0 + 2.0 * i, tick)
     sim.run(until=5.0 * (1 + value % 4) + 2.0)
-    return engine.snapshot(), registry.snapshot()
+    windows = [json.dumps(w.to_jsonable(), sort_keys=True)
+               for w in engine.windows]
+    return windows, registry.snapshot()
 
 
 def _merge_pair_stream(results):
-    """Fold (telemetry, metrics) pairs into canonical JSON strings."""
+    """Fold (windows, metrics) pairs into canonical JSON strings."""
     pairs = list(results)
-    telemetry = TelemetrySnapshot.merge([t for t, _ in pairs])
+    windows = "\n".join(line for lines, _ in pairs for line in lines)
     metrics = MetricsSnapshot.merge([m for _, m in pairs])
-    return (json.dumps(telemetry.to_jsonable(), sort_keys=True),
-            json.dumps(metrics.to_jsonable(), sort_keys=True))
+    return windows, json.dumps(metrics.to_jsonable(), sort_keys=True)
 
 
 class TestMapMergeByteIdentity:

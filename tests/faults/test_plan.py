@@ -280,7 +280,7 @@ class TestObservabilitySurface:
                                 node=5).value == 1
         assert registry.counter("fault.injected",
                                 kind="interference").value == 1
-        assert registry.total("fault.injected") >= 5
+        assert registry.snapshot().counter_total("fault.injected") >= 5
 
     def test_plan_without_observability_runs_silently(self):
         system = build_system(observability=False)

@@ -38,7 +38,7 @@ def _snapshot_trial(mac, seed):
     Module-level so process pools can move it through pickle.
     """
     sim, log, stacks = build_line_network(3, mac=mac, seed=seed)
-    obs = Observability(spans=False).attach(log)
+    obs = Observability().attach(log)
     sim.run(until=300.0)
     stacks[-1].send_datagram(0, 7, payload="reading", payload_bytes=20)
     sim.run(until=sim.now + 60.0)
@@ -92,7 +92,7 @@ class TestTerminalOutcomes:
 
     def test_registry_tx_counters_reconcile_with_mac_stats(self, mac):
         sim, log, stacks = build_line_network(3, mac=mac, seed=7)
-        obs = Observability(spans=False).attach(log)
+        obs = Observability().attach(log)
         sim.run(until=300.0)
         stacks[-1].send_datagram(0, 7, payload="reading", payload_bytes=20)
         sim.run(until=sim.now + 60.0)
@@ -117,7 +117,7 @@ class TestStopMidExchange:
         sim = Simulator(seed=3)
         medium = build_medium(sim)
         mac_cls, _ = _MAC_REGISTRY[mac]
-        obs = Observability(spans=False).attach(medium.trace)
+        obs = Observability().attach(medium.trace)
         sender = mac_cls(sim, Radio(medium, 0, (0.0, 0.0)), trace=medium.trace)
         peer = mac_cls(sim, Radio(medium, 1, (10.0, 0.0)), trace=medium.trace)
         sender.start()  # the peer is down: nothing can be acknowledged

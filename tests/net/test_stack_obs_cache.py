@@ -22,22 +22,22 @@ def run_traffic(stacks, sim, count=5):
 class TestInstrumentCache:
     def test_counters_match_stack_stats(self):
         sim, trace, stacks = build_line_network(4)
-        obs = Observability(spans=False).attach(trace)
+        obs = Observability().attach(trace)
         sim.run(until=60.0)
         stacks[-1].bind(7, lambda *a: None)
         stacks[0].bind(7, lambda *a: None)
         run_traffic(stacks, sim)
-        registry = obs.registry
-        assert registry.total("net.sent") == sum(
+        snapshot = obs.registry.snapshot()
+        assert snapshot.counter_total("net.sent") == sum(
             s.stats.datagrams_sent for s in stacks)
-        assert registry.total("net.delivered") == sum(
+        assert snapshot.counter_total("net.delivered") == sum(
             s.stats.datagrams_delivered for s in stacks)
-        assert registry.total("net.forwarded") == sum(
+        assert snapshot.counter_total("net.forwarded") == sum(
             s.stats.datagrams_forwarded for s in stacks)
-        assert registry.total("net.delivered") > 0
-        assert registry.total("net.forwarded") > 0
-        assert len(registry.values("net.latency_s")) == registry.total(
-            "net.delivered")
+        assert snapshot.counter_total("net.delivered") > 0
+        assert snapshot.counter_total("net.forwarded") > 0
+        assert len(snapshot.histogram_values("net.latency_s")) == \
+            snapshot.counter_total("net.delivered")
 
     def test_latency_series_labeled_by_port_only(self):
         """The latency histogram key is (port,) — no node label.
@@ -47,7 +47,7 @@ class TestInstrumentCache:
         shift every exported snapshot.
         """
         sim, trace, stacks = build_line_network(3)
-        obs = Observability(spans=False).attach(trace)
+        obs = Observability().attach(trace)
         sim.run(until=60.0)
         stacks[0].bind(7, lambda *a: None)
         run_traffic(stacks, sim)
@@ -62,31 +62,31 @@ class TestInstrumentCache:
 
     def test_registry_swap_refreshes_cache(self):
         sim, trace, stacks = build_line_network(3)
-        first = Observability(spans=False).attach(trace)
+        first = Observability().attach(trace)
         sim.run(until=60.0)
         stacks[0].bind(7, lambda *a: None)
         run_traffic(stacks, sim, count=3)
-        sent_before = first.registry.total("net.sent")
+        sent_before = first.registry.snapshot().counter_total("net.sent")
         assert sent_before > 0
         # Mid-run re-instrumentation: a brand-new bundle on the same
         # trace.  The stacks' cached slots are keyed by registry
         # identity and must fall over to the new one on first use.
-        second = Observability(spans=False).attach(trace)
+        second = Observability().attach(trace)
         stats_before = sum(s.stats.datagrams_sent for s in stacks)
         run_traffic(stacks, sim, count=4)
         stats_delta = sum(s.stats.datagrams_sent for s in stacks) - stats_before
-        assert first.registry.total("net.sent") == sent_before
-        assert second.registry.total("net.sent") == stats_delta
+        assert first.registry.snapshot().counter_total("net.sent") == sent_before
+        assert second.registry.snapshot().counter_total("net.sent") == stats_delta
         assert stats_delta >= 4
 
     def test_drop_reasons_counted(self):
         sim, trace, stacks = build_line_network(3)
-        obs = Observability(spans=False).attach(trace)
+        obs = Observability().attach(trace)
         sim.run(until=60.0)
         # No route yet at a node that never joined anything: send from
         # a stack to an unknown destination.
         stacks[1].send_datagram(99, 7, payload="x", payload_bytes=10)
         sim.run(until=sim.now + 30.0)
         dropped = sum(s.stats.datagrams_dropped_no_route for s in stacks)
-        assert obs.registry.total("net.dropped") == dropped
+        assert obs.registry.snapshot().counter_total("net.dropped") == dropped
         assert dropped > 0

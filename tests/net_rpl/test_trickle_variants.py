@@ -184,7 +184,7 @@ def _dio_trial(variant, seed):
     sim, log, stacks = build_line_network(
         3, seed=seed,
         config=StackConfig(rpl=RplConfig(trickle_variant=variant)))
-    obs = Observability(spans=False).attach(log)
+    obs = Observability().attach(log)
     sim.run(until=600.0)
     return obs.registry.snapshot()
 
@@ -213,7 +213,7 @@ class TestDeterminism:
             sim, log, stacks = build_line_network(
                 3, seed=21,
                 config=StackConfig(rpl=RplConfig(trickle_variant=variant)))
-            obs = Observability(spans=False).attach(log)
+            obs = Observability().attach(log)
             sim.run(until=200.0)
             for i in range(1, 40):
                 sim.schedule(200.0 + 3.0 * i, stacks[0].rpl.trickle.reset)

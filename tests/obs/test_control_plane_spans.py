@@ -69,12 +69,13 @@ class TestParentSwitchSpans:
         sim, obs, stacks = instrumented_line(3)
         sim.run(until=600.0)
         registry = obs.registry
-        assert registry.total("rpl.dio") > 0
-        assert registry.total("rpl.dao") > 0
-        assert registry.total("rpl.parent_change") >= 2
+        total = registry.snapshot().counter_total
+        assert total("rpl.dio") > 0
+        assert total("rpl.dao") > 0
+        assert total("rpl.parent_change") >= 2
         # Every trickle firing either transmitted or suppressed.
-        assert registry.total("rpl.trickle.tx") == registry.total("rpl.dio")
-        assert registry.total("rpl.trickle.reset") > 0
+        assert total("rpl.trickle.tx") == total("rpl.dio")
+        assert total("rpl.trickle.reset") > 0
         # The interval gauge records the current doubled interval.
         assert registry.gauge("rpl.trickle.interval_s", node=0).value > 0
 
@@ -153,9 +154,10 @@ class TestRnfdVerdictSpans:
         for stack in stacks[1:]:
             # 0 = alive, 1 = suspected, 2 = globally down.
             assert registry.gauge("rnfd.state", node=stack.node_id).value == 2
-        assert registry.total("rnfd.globally_down") == len(stacks) - 1
-        assert registry.total("rnfd.probe") > 0
-        assert registry.total("rnfd.gossip") > 0
+        total = registry.snapshot().counter_total
+        assert total("rnfd.globally_down") == len(stacks) - 1
+        assert total("rnfd.probe") > 0
+        assert total("rnfd.gossip") > 0
 
     def test_healthy_root_opens_no_verdict_span(self):
         sim, obs, stacks = rnfd_grid()
@@ -163,4 +165,4 @@ class TestRnfdVerdictSpans:
         down = [tree for tree in trees_of(obs, "rnfd.verdict")
                 if tree.span.data.get("verdict") == "globally_down"]
         assert down == []
-        assert obs.registry.total("rnfd.globally_down") == 0
+        assert obs.registry.snapshot().counter_total("rnfd.globally_down") == 0

@@ -39,12 +39,12 @@ class TestReservoir:
     def test_exemplar_links_value_to_trace(self):
         registry = Registry()
         registry.observe("lat", 0.25, exemplar=41, port=7)
-        assert registry.exemplars_for("lat") == [(0.25, 41)]
+        assert registry.snapshot().exemplars_for("lat") == [(0.25, 41)]
 
     def test_exemplars_for_sorts_worst_value_first(self):
         registry = Registry()
         _observe_decade(registry, "lat", port=7)
-        values = [value for value, _trace in registry.exemplars_for("lat")]
+        values = [value for value, _trace in registry.snapshot().exemplars_for("lat")]
         assert values == sorted(values, reverse=True)
 
     def test_first_k_per_bucket_wins(self):
@@ -55,14 +55,14 @@ class TestReservoir:
         for i, value in enumerate(values):
             registry.observe("lat", value, exemplar=10 + i)
         assert EXEMPLARS_PER_BUCKET == 4
-        assert registry.exemplars_for("lat") == [
+        assert registry.snapshot().exemplars_for("lat") == [
             (0.103, 13), (0.102, 12), (0.101, 11), (0.1, 10)]
-        assert registry.histogram("lat").count == 6
+        assert len(registry.histogram("lat").values) == 6
 
     def test_observation_without_exemplar_records_nothing(self):
         registry = Registry()
         registry.observe("lat", 0.25)
-        assert registry.exemplars_for("lat") == []
+        assert registry.snapshot().exemplars_for("lat") == []
 
     def test_exemplars_never_change_metric_values(self):
         plain, annotated = Registry(), Registry()

@@ -72,7 +72,7 @@ class TestAntiEntropySpans:
         replicators[0].notify_local_update()
         mark = sim.now
         sim.run(until=sim.now + 120.0)
-        assert obs.registry.values("crdt.merge_lag_s")
+        assert obs.registry.snapshot().histogram_values("crdt.merge_lag_s")
         # Every replicator converged, so staleness counts from its last
         # incorporated change — bounded by the window we just ran.
         for replicator in replicators:
@@ -82,9 +82,9 @@ class TestAntiEntropySpans:
     def test_gossip_counters(self):
         sim, obs, stacks, replicas, replicators = gossiping_grid()
         sim.run(until=sim.now + 60.0)
-        registry = obs.registry
-        assert registry.total("crdt.gossip") > 0
-        assert registry.total("crdt.gossip_bytes") > 0
+        snapshot = obs.registry.snapshot()
+        assert snapshot.counter_total("crdt.gossip") > 0
+        assert snapshot.counter_total("crdt.gossip_bytes") > 0
 
 
 def device_line(n=3, seed=80):
@@ -139,12 +139,12 @@ class TestAggregationSpans:
 
     def test_aggregation_counters_and_histogram(self):
         obs, results = self.run_query()
-        registry = obs.registry
-        assert registry.total("agg.announce") > 0
-        assert registry.total("agg.partial") > 0
-        assert registry.total("agg.fold") > 0
-        assert registry.total("agg.result") == len(results)
-        assert registry.values("agg.contributions")
+        snapshot = obs.registry.snapshot()
+        assert snapshot.counter_total("agg.announce") > 0
+        assert snapshot.counter_total("agg.partial") > 0
+        assert snapshot.counter_total("agg.fold") > 0
+        assert snapshot.counter_total("agg.result") == len(results)
+        assert snapshot.histogram_values("agg.contributions")
 
 
 class TestFragmentSpans:
@@ -175,4 +175,4 @@ class TestFragmentSpans:
         for span in fragments:
             assert span.parent_id is not None
             assert span.end is not None
-        assert obs.registry.total("frag.fragments") == len(fragments)
+        assert obs.registry.snapshot().counter_total("frag.fragments") == len(fragments)

@@ -13,15 +13,16 @@ from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.net.stack import StackConfig
 from repro.obs import NodeHealthSampler, health_rows
+from repro.obs.health import PERIOD_S
 from repro.parallel import TrialExecutor
 
 
-def sampled_system(side=3, seed=42, duration_s=400.0, period_s=30.0):
+def sampled_system(side=3, seed=42, duration_s=400.0):
     config = SystemConfig(stack=StackConfig(mac="csma"), observability=True)
     system = IIoTSystem.build(grid_topology(side), config=config, seed=seed)
     system.add_field_sensors("temp", DiurnalField(mean=20.0))
     system.start()
-    sampler = NodeHealthSampler(system, period_s=period_s)
+    sampler = NodeHealthSampler(system)
     sampler.start()
     system.run(duration_s)
     return system, sampler
@@ -62,11 +63,9 @@ class TestSampling:
 
     def test_health_rows_render_one_row_per_node(self):
         system, sampler = sampled_system()
-        rows = health_rows(system.obs.registry)
+        rows = health_rows(system.obs.registry.snapshot())
         assert [row["node"] for row in rows] == sorted(system.nodes)
         assert all("duty_cycle" in row and "rank" in row for row in rows)
-        # Rendering accepts registries and snapshots interchangeably.
-        assert health_rows(system.obs.registry.snapshot()) == rows
 
     def test_stop_halts_sampling(self):
         system, sampler = sampled_system(duration_s=100.0)
@@ -75,14 +74,25 @@ class TestSampling:
         system.run(200.0)
         assert sampler.samples_taken == taken
 
-    def test_rejects_bad_period_and_missing_observability(self):
-        config = SystemConfig(stack=StackConfig(mac="csma"), observability=True)
-        system = IIoTSystem.build(grid_topology(2), config=config, seed=1)
-        with pytest.raises(ValueError):
-            NodeHealthSampler(system, period_s=0.0)
+    def test_rejects_missing_observability(self):
         bare = IIoTSystem.build(grid_topology(2), seed=1)
         with pytest.raises(ValueError):
             NodeHealthSampler(bare)
+
+    def test_samples_on_a_fixed_phase_without_drawing_rng(self):
+        # RplRouter stale timers draw their phases from the shared
+        # "periodic-timer" substream; the sampler must not take a draw.
+        config = SystemConfig(stack=StackConfig(mac="csma"), observability=True)
+        system = IIoTSystem.build(grid_topology(2), config=config, seed=1)
+        stream = system.sim.substream("periodic-timer")
+        state = stream.getstate()
+        sampler = NodeHealthSampler(system)
+        sampler.start()
+        assert stream.getstate() == state
+        system.run(3 * PERIOD_S)
+        assert system.obs.registry.gauge("health.sampled_at_s").value == \
+            3 * PERIOD_S
+        assert sampler.samples_taken == 3
 
 
 class TestDeterminism:

@@ -82,15 +82,15 @@ class TestLifecycleTree:
 
     def test_registry_counts_the_journey(self):
         obs = request_roundtrip()
-        registry = obs.registry
-        assert registry.total("coap.request") == 1
-        assert registry.total("coap.response") == 1
+        snapshot = obs.registry.snapshot()
+        assert snapshot.counter_total("coap.request") == 1
+        assert snapshot.counter_total("coap.response") == 1
         # Request datagram + response datagram, both delivered.
-        assert registry.total("net.sent") >= 2
-        assert registry.total("net.delivered") >= 2
-        assert registry.total("net.forwarded") >= 2
-        assert registry.total("mac.tx") >= 4
-        assert registry.values("net.latency_s")  # histogram populated
+        assert snapshot.counter_total("net.sent") >= 2
+        assert snapshot.counter_total("net.delivered") >= 2
+        assert snapshot.counter_total("net.forwarded") >= 2
+        assert snapshot.counter_total("mac.tx") >= 4
+        assert snapshot.histogram_values("net.latency_s")  # histogram populated
 
     def test_same_seed_reproduces_identical_spans(self):
         def fingerprint():

@@ -17,7 +17,7 @@ def _snapshot_trial(seed):
     """One instrumented scenario: converge a 3-node line, push one
     application datagram end to end, snapshot the registry."""
     sim, log, stacks = build_line_network(3, seed=seed)
-    obs = Observability(spans=False).attach(log)
+    obs = Observability().attach(log)
     sim.run(until=300.0)
     stacks[-1].send_datagram(0, 7, payload="reading", payload_bytes=20)
     sim.run(until=sim.now + 30.0)

@@ -2,19 +2,20 @@
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs import Observability, recorder as recorder_module
 from repro.obs.recorder import FlightDump, FlightRecorder
 from repro.obs.registry import Registry
+from repro.obs.spans import SpanTracer
 from repro.obs.timeseries import TelemetryEngine
 from repro.sim.kernel import Simulator
 
 
-def make_recorder(spans=None, **kwargs):
+def make_recorder():
     sim = Simulator(seed=5)
     registry = Registry()
-    engine = TelemetryEngine(sim, registry, interval_s=10.0, retention=8)
+    engine = TelemetryEngine(sim, registry, interval_s=10.0)
     engine.start()
-    recorder = FlightRecorder(engine, spans=spans, **kwargs)
+    recorder = FlightRecorder(engine, SpanTracer())
     return sim, registry, engine, recorder
 
 
@@ -27,8 +28,9 @@ class FakeViolation:
 
 
 class TestTriggers:
-    def test_violation_trigger_freezes_windows(self):
-        sim, registry, engine, recorder = make_recorder(last_k=2)
+    def test_violation_trigger_freezes_windows(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "LAST_K", 2)
+        sim, registry, engine, recorder = make_recorder()
         sim.schedule_at(1.0, lambda: registry.inc("pkts", node=1))
         sim.run(until=45.0)
         dump = recorder.on_violation(FakeViolation(time=42.0))
@@ -36,7 +38,7 @@ class TestTriggers:
         assert dump.trigger == {"kind": "violation", "checker": "TestChecker",
                                 "invariant": "thing-holds", "node": 7}
         assert dump.at_s == 42.0
-        assert [w.index for w in dump.windows] == [2, 3]  # last_k bound
+        assert [w.index for w in dump.windows] == [2, 3]  # LAST_K bound
         assert registry.snapshot().counters[
             ("recorder.dumps", (("trigger", "violation"),))] == 1.0
 
@@ -48,8 +50,9 @@ class TestTriggers:
                                 "clause": 0}
         assert len(dump.windows) == 2
 
-    def test_max_dumps_bounds_memory(self):
-        sim, registry, engine, recorder = make_recorder(max_dumps=2)
+    def test_max_dumps_bounds_memory(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "MAX_DUMPS", 2)
+        sim, registry, engine, recorder = make_recorder()
         sim.run(until=15.0)
         assert recorder.on_fault_window("crash", sim.now) is not None
         assert recorder.on_fault_window("crash", sim.now) is not None
@@ -58,13 +61,13 @@ class TestTriggers:
         assert recorder.suppressed == 1
         assert any("suppressed" in block for block in recorder.render_all())
 
-    def test_pinned_spans_captured_within_lookback(self):
-        obs = Observability(spans=True)
+    def test_pinned_spans_captured_within_lookback(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "SPAN_LOOKBACK_S", 30.0)
+        obs = Observability()
         sim = Simulator(seed=5)
         engine = TelemetryEngine(sim, obs.registry, interval_s=10.0)
         engine.start()
-        recorder = FlightRecorder(engine, spans=obs.spans,
-                                  span_lookback_s=30.0)
+        recorder = FlightRecorder(engine, obs.spans)
         # one pinned span inside the lookback, one unpinned, one stale
         sim.run(until=50.0)
         stale = obs.spans.start(None, "fault.crash", node=1, t=2.0)
@@ -84,6 +87,7 @@ class TestTriggers:
         payload = dump.to_jsonable()
         assert payload["format"] == "repro.flightdump/1"
         assert payload["trigger"]["checker"] == "TestChecker"
+        assert [w["format"] for w in payload["windows"]] == ["repro.window/2"]
         # Additive-key contract: no exemplars recorded, no key — a
         # pre-exemplar dump's JSON shape is preserved exactly.
         assert "exemplars" not in payload

