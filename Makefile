@@ -28,7 +28,8 @@ gates-update:
 # The reachability census tests/core/test_reachability.py enforces: per
 # definition under src/repro, who keeps it alive (another module,
 # benchmarks/, examples/, its own module, or an allow-list row), then
-# the totals and the size of src/.
+# the totals; then the field census: per *Config field, the files under
+# src/, benchmarks/ and examples/ that set it; then the size of src/.
 census:
 	$(PYTHON) tests/core/test_reachability.py
 	@find src -name '*.py' | xargs wc -l | tail -1

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.deployment.topology import Topology
 from repro.devices.node import DeviceNode
-from repro.devices.platform import CLASS_1_MOTE, CLASS_2_GATEWAY, PlatformProfile
+from repro.devices.platform import CLASS_1_MOTE, CLASS_2_GATEWAY
 from repro.middleware.gateway import Gateway
 from repro.net.rpl.dodag import RplState
 from repro.net.stack import StackConfig
@@ -35,8 +35,6 @@ class SystemConfig:
     """How to materialize a topology into a running system."""
 
     stack: StackConfig = field(default_factory=StackConfig)
-    node_platform: PlatformProfile = CLASS_1_MOTE
-    root_platform: PlatformProfile = CLASS_2_GATEWAY
     #: Keep the bounded tail of recent trace records (repro.sim.trace.
     #: TAIL) that repro bundles read when a sweep seed fails.  Counters
     #: and subscribers work either way; off by default, since nothing
@@ -170,15 +168,11 @@ class IIoTSystem:
     def _build_nodes(self) -> None:
         for node_id in self.topology.node_ids():
             is_root = node_id == self.topology.root_id
-            platform = (
-                self.config.root_platform if is_root
-                else self.config.node_platform
-            )
             self.nodes[node_id] = DeviceNode(
                 self.sim, self.medium, node_id,
                 self.topology.positions[node_id],
                 stack_config=self.config.stack,
-                platform=platform,
+                platform=CLASS_2_GATEWAY if is_root else CLASS_1_MOTE,
                 is_root=is_root,
                 trace=self.trace,
             )

@@ -1,8 +1,8 @@
 """Anti-entropy replication of CRDT state over the simulated network.
 
 Each node holds a :class:`CrdtReplica`; a :class:`NetworkReplicator`
-gossips the full state to MAC neighbors on a jittered period, plus a
-fast "rumor" round shortly after anything changes.  Because merges are
+gossips the full state to MAC neighbors on a randomly phased period,
+plus a fast "rumor" round shortly after anything changes.  Because merges are
 lattice joins, the protocol needs no ordering, no ACKs, and no
 membership — which is precisely why it keeps working across partitions
 (experiment E9) where the coordinated baseline blocks.
@@ -18,8 +18,11 @@ from repro.net.stack import NetworkStack
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.trace import TraceLog
 
-#: Default gossip port.
+#: Gossip port.
 GOSSIP_PORT = 9901
+#: Upper bound of the random delay before the fast "rumor" round that
+#: follows a local change (read at run time; a test patches it).
+RUMOR_DELAY_S = 2.0
 
 
 class CrdtReplica:
@@ -51,10 +54,6 @@ class AntiEntropyConfig:
     """Gossip pacing."""
 
     period_s: float = 30.0
-    jitter: float = 0.3
-    #: Extra fast round this long after a change (rumor mongering).
-    rumor_delay_s: float = 2.0
-    port: int = GOSSIP_PORT
 
 
 class NetworkReplicator:
@@ -84,7 +83,7 @@ class NetworkReplicator:
             phase=self._rng.uniform(0.5, self.config.period_s),
         )
         self._rumor_timer = Timer(stack.sim, self._gossip)
-        stack.bind(self.config.port, self._on_datagram)
+        stack.bind(GOSSIP_PORT, self._on_datagram)
         self._started = False
 
     def start(self) -> None:
@@ -106,7 +105,7 @@ class NetworkReplicator:
         self.last_change_s = self.sim.now
         if self._started and not self._rumor_timer.armed:
             self._rumor_timer.start(
-                self._rng.uniform(0.1, self.config.rumor_delay_s)
+                self._rng.uniform(0.1, RUMOR_DELAY_S)
             )
 
     def staleness(self, now: float) -> float:
@@ -134,7 +133,7 @@ class NetworkReplicator:
                 None, "crdt.anti_entropy", node=node, t=self.sim.now,
                 round=self.gossips_sent, bytes=size,
             )
-        self.stack.send_local_broadcast(self.config.port, state, size,
+        self.stack.send_local_broadcast(GOSSIP_PORT, state, size,
                                         trace_ctx=ctx)
         if ctx is not None:
             obs.spans.finish(ctx, self.sim.now)

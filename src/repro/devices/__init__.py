@@ -25,7 +25,7 @@ from repro.devices.platform import (
     PLATFORMS,
     PlatformProfile,
 )
-from repro.devices.sensors import Sensor, SensorConfig, SensorFault
+from repro.devices.sensors import Sensor, SensorFault
 
 __all__ = [
     "Actuator",
@@ -46,6 +46,5 @@ __all__ = [
     "PlatformProfile",
     "RandomWalkField",
     "Sensor",
-    "SensorConfig",
     "SensorFault",
 ]

@@ -14,7 +14,7 @@ from repro.devices.actuators import Actuator
 from repro.devices.energy import Battery, EnergyMeter
 from repro.devices.platform import CLASS_1_MOTE, PlatformProfile
 from repro.devices.phenomena import Phenomenon
-from repro.devices.sensors import Sensor, SensorConfig
+from repro.devices.sensors import Sensor
 from repro.net.stack import NetworkStack, StackConfig
 from repro.radio.medium import Medium
 from repro.sim.kernel import Simulator
@@ -50,16 +50,11 @@ class DeviceNode:
         self.actuators: Dict[str, Actuator] = {}
 
     # ------------------------------------------------------------------
-    def add_sensor(
-        self,
-        name: str,
-        phenomenon: Phenomenon,
-        config: Optional[SensorConfig] = None,
-    ) -> Sensor:
+    def add_sensor(self, name: str, phenomenon: Phenomenon) -> Sensor:
         """Attach a sensor channel observing ``phenomenon`` here."""
         if name in self.sensors:
             raise ValueError(f"sensor {name!r} already attached")
-        sensor = Sensor(self.sim, name, phenomenon, self.position, config)
+        sensor = Sensor(self.sim, name, phenomenon, self.position)
         self.sensors[name] = sensor
         return sensor
 

@@ -9,7 +9,6 @@ maintainability experiment's automated-diagnosis half (§V-D).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.devices.phenomena import Phenomenon
@@ -26,23 +25,17 @@ class SensorFault(enum.Enum):
     DEAD = "dead"            # returns None
 
 
-@dataclass(frozen=True)
-class SensorConfig:
-    """Measurement characteristics."""
-
-    noise_sigma: float = 0.1
-    quantization: float = 0.01
-    #: Slow calibration drift in value units per day.
-    drift_per_day: float = 0.0
-    offset_fault_bias: float = 5.0
-    #: Bias growth under an injected DRIFT fault, value units per hour.
-    fault_drift_per_hour: float = 2.0
-
-    def validate(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.quantization < 0:
-            raise ValueError("quantization must be non-negative")
+# Measurement characteristics, read at run time (a test patches them).
+#: Standard deviation of the Gaussian read noise, value units.
+NOISE_SIGMA = 0.1
+#: Reading resolution, value units (0 = unquantized).
+QUANTIZATION = 0.01
+#: Slow calibration drift in value units per day.
+DRIFT_PER_DAY = 0.0
+#: Bias of an injected OFFSET fault, value units.
+OFFSET_FAULT_BIAS = 5.0
+#: Bias growth under an injected DRIFT fault, value units per hour.
+FAULT_DRIFT_PER_HOUR = 2.0
 
 
 class Sensor:
@@ -54,14 +47,11 @@ class Sensor:
         name: str,
         phenomenon: Phenomenon,
         position: Tuple[float, float],
-        config: Optional[SensorConfig] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.phenomenon = phenomenon
         self.position = position
-        self.config = config if config is not None else SensorConfig()
-        self.config.validate()
         self.fault = SensorFault.NONE
         self.readings_taken = 0
         self._last_good: Optional[float] = None
@@ -85,15 +75,15 @@ class Sensor:
         if self.fault is SensorFault.STUCK:
             return self._last_good
         truth = self.phenomenon.value_at(self.sim.now, self.position)
-        value = truth + self._rng.gauss(0.0, self.config.noise_sigma)
-        value += self.config.drift_per_day * (self.sim.now / 86_400.0)
+        value = truth + self._rng.gauss(0.0, NOISE_SIGMA)
+        value += DRIFT_PER_DAY * (self.sim.now / 86_400.0)
         if self.fault is SensorFault.OFFSET:
-            value += self.config.offset_fault_bias
+            value += OFFSET_FAULT_BIAS
         if self.fault is SensorFault.DRIFT and self._fault_since is not None:
             hours = (self.sim.now - self._fault_since) / 3600.0
-            value += self.config.fault_drift_per_hour * hours
-        if self.config.quantization > 0:
-            steps = round(value / self.config.quantization)
-            value = steps * self.config.quantization
+            value += FAULT_DRIFT_PER_HOUR * hours
+        if QUANTIZATION > 0:
+            steps = round(value / QUANTIZATION)
+            value = steps * QUANTIZATION
         self._last_good = value
         return value

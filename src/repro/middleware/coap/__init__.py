@@ -13,7 +13,7 @@ from repro.middleware.coap.codes import CoapCode, CoapType
 from repro.middleware.coap.message import CoapMessage, CoapOptions
 from repro.middleware.coap.resource import ObservableResource, Resource
 from repro.middleware.coap.server import CoapServer
-from repro.middleware.coap.transport import CoapTransport, TransportConfig
+from repro.middleware.coap.transport import CoapTransport
 
 __all__ = [
     "CoapClient",
@@ -26,5 +26,4 @@ __all__ = [
     "ObservableResource",
     "PendingRequest",
     "Resource",
-    "TransportConfig",
 ]

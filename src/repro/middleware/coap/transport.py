@@ -8,7 +8,6 @@ messages the upper layer answered separately or not at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.middleware.coap.codes import CoapCode, CoapType
@@ -20,16 +19,13 @@ from repro.sim.trace import TraceLog
 #: Default CoAP UDP port.
 COAP_PORT = 5683
 
-
-@dataclass(frozen=True)
-class TransportConfig:
-    """RFC 7252 §4.8 transmission parameters."""
-
-    ack_timeout_s: float = 2.0
-    ack_random_factor: float = 1.5
-    max_retransmit: int = 4
-    #: How long (peer, message id) pairs are remembered for dedup.
-    exchange_lifetime_s: float = 240.0
+# RFC 7252 §4.8 transmission parameters, read at run time (a test
+# patches them).
+ACK_TIMEOUT_S = 2.0
+ACK_RANDOM_FACTOR = 1.5
+MAX_RETRANSMIT = 4
+#: How long (peer, message id) pairs are remembered for dedup.
+EXCHANGE_LIFETIME_S = 240.0
 
 
 class _PendingCon:
@@ -57,13 +53,11 @@ class CoapTransport:
     def __init__(
         self,
         stack: NetworkStack,
-        config: Optional[TransportConfig] = None,
         port: int = COAP_PORT,
         trace: Optional[TraceLog] = None,
     ) -> None:
         self.stack = stack
         self.sim = stack.sim
-        self.config = config if config is not None else TransportConfig()
         self.port = port
         self.trace = trace if trace is not None else stack.trace
         #: Upper layer: called with (src_node, message).
@@ -98,9 +92,7 @@ class CoapTransport:
             obs.registry.inc("coap.sent", node=self.stack.node_id,
                              mtype=message.mtype.name)
         if message.mtype is CoapType.CON:
-            timeout = self.config.ack_timeout_s * self._rng.uniform(
-                1.0, self.config.ack_random_factor
-            )
+            timeout = ACK_TIMEOUT_S * self._rng.uniform(1.0, ACK_RANDOM_FACTOR)
             key = (dest, message.message_id)
             timer = Timer(self.sim, lambda: self._retransmit(key))
             pending = _PendingCon(message, dest, timeout, timer, on_fail,
@@ -126,7 +118,7 @@ class CoapTransport:
             return
         pending.retries += 1
         obs = self.trace.obs
-        if pending.retries > self.config.max_retransmit:
+        if pending.retries > MAX_RETRANSMIT:
             del self._pending[key]
             self.failures += 1
             self.trace.emit(self.sim.now, "coap.con_failed",
@@ -142,7 +134,7 @@ class CoapTransport:
         self.trace.emit(self.sim.now, "coap.retransmit",
                         node=self.stack.node_id, dest=pending.dest,
                         retries=pending.retries,
-                        max_retransmit=self.config.max_retransmit)
+                        max_retransmit=MAX_RETRANSMIT)
         if obs is not None:
             obs.registry.inc("coap.retransmit", node=self.stack.node_id)
             obs.spans.event(pending.ctx, "coap.retransmit",
@@ -193,7 +185,7 @@ class CoapTransport:
     def _gc_seen(self, now: float) -> None:
         if len(self._seen) < 256:
             return
-        horizon = now - self.config.exchange_lifetime_s
+        horizon = now - EXCHANGE_LIFETIME_S
         for key in [k for k, t in self._seen.items() if t < horizon]:
             del self._seen[key]
             self._acked_by_us.pop(key, None)

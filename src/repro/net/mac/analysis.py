@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro.net.mac import csma, lpl, rimac, tsch
 from repro.net.mac.lpl import LplConfig
 from repro.net.mac.tsch import TschConfig
 from repro.net.packet import MAC_HEADER_BYTES
@@ -49,15 +50,13 @@ class LplExpectations:
 
     def idle_duty_cycle(self) -> float:
         """Radio-on fraction of a node with no traffic at all."""
-        return min(1.0, self.config.probe_duration_s
-                   / self.config.wake_interval_s)
+        return min(1.0, lpl.PROBE_DURATION_S / self.config.wake_interval_s)
 
     def sender_strobe_airtime_s(self, payload_bytes: int = 20) -> float:
         """Mean radio-on time a sender pays for one unicast."""
         if self.config.phase_lock:
             # Guard window before the wake, plus the exchange itself.
-            return (self.config.phase_guard_s
-                    + self.config.probe_duration_s
+            return (lpl.PHASE_GUARD_S + lpl.PROBE_DURATION_S
                     + frame_airtime_s(payload_bytes))
         # Strobes until the receiver's probe: W/2 on average.
         return (self.config.wake_interval_s / 2.0
@@ -87,16 +86,11 @@ def mac_summary_lines(macs: Sequence[object]) -> List[str]:
     duty-cycle parameters — the report no longer assumes CSMA-shaped
     internals.
     """
-    from repro.net.mac.csma import CsmaMac
-    from repro.net.mac.lpl import LplMac
-    from repro.net.mac.rimac import RiMac
-    from repro.net.mac.tsch import TschMac
-
     macs = list(macs)
     if not macs:
         return []
     head = macs[0]
-    if isinstance(head, TschMac):
+    if isinstance(head, tsch.TschMac):
         cells = [len(m.schedule.dedicated_cells()) for m in macs]
         util = [m.cell_utilization() for m in macs]
         contention = [m.shared_contention() for m in macs]
@@ -107,8 +101,8 @@ def mac_summary_lines(macs: Sequence[object]) -> List[str]:
         expect = TschExpectations(head.config)
         return [
             (f"tsch: slotframe={head.config.slotframe_slots} slots x "
-             f"{head.config.slot_duration_s * 1000:.0f}ms, "
-             f"{len(head.config.hopping)}-channel hopping"),
+             f"{tsch.SLOT_DURATION_S * 1000:.0f}ms, "
+             f"{len(tsch.HOPPING)}-channel hopping"),
             (f"cells: dedicated={sum(cells)} "
              f"(max/node={max(cells)}), added={added} deleted={deleted}, "
              f"6p msgs={sixp} timeouts={timeouts}"),
@@ -118,23 +112,23 @@ def mac_summary_lines(macs: Sequence[object]) -> List[str]:
             (f"idle duty-cycle floor: {expect.idle_duty_cycle():.1%} "
              f"(shared minimal cell)"),
         ]
-    if isinstance(head, LplMac):
+    if isinstance(head, lpl.LplMac):
         expect = LplExpectations(head.config)
         return [
             (f"lpl: wake interval={head.config.wake_interval_s:.3f}s, "
-             f"probe={head.config.probe_duration_s * 1000:.1f}ms, "
+             f"probe={lpl.PROBE_DURATION_S * 1000:.1f}ms, "
              f"idle duty-cycle floor: {expect.idle_duty_cycle():.1%}"),
         ]
-    if isinstance(head, RiMac):
+    if isinstance(head, rimac.RiMac):
         return [
             (f"rimac: beacon period={head.config.wake_interval_s:.3f}s "
-             f"(±{head.config.jitter:.0%}), "
-             f"dwell={head.config.dwell_s * 1000:.1f}ms"),
+             f"(±{rimac.JITTER:.0%}), "
+             f"dwell={rimac.DWELL_S * 1000:.1f}ms"),
         ]
-    if isinstance(head, CsmaMac):
+    if isinstance(head, csma.CsmaMac):
         return [
             (f"csma: always-on CSMA/CA, max retries="
              f"{head.config.max_retries}, "
-             f"cca attempts={head.config.max_cca_attempts}"),
+             f"cca attempts={csma.MAX_CCA_ATTEMPTS}"),
         ]
     return []

@@ -23,6 +23,11 @@ from repro.sim.timers import Timer
 from repro.sim.trace import TraceLog
 
 
+#: Transmit-queue bound: the frames a MAC holds beyond the one in flight
+#: (read at run time; a test patches it).
+MAX_QUEUE = 16
+
+
 class MacConfigError(ValueError):
     """Raised for invalid MAC configuration values."""
 
@@ -73,12 +78,10 @@ class MacLayer(abc.ABC):
         sim: Simulator,
         radio: Radio,
         trace: Optional[TraceLog] = None,
-        max_queue: int = 16,
     ) -> None:
         self.sim = sim
         self.radio = radio
         self.trace = trace if trace is not None else TraceLog()
-        self.max_queue = max_queue
         self.stats = MacStats()
         self.on_receive: Optional[Callable[[MacFrame], None]] = None
         #: Optional verifier installed by the security layer: returns the
@@ -210,7 +213,7 @@ class MacLayer(abc.ABC):
         """
         obs = self.trace.obs
         node = self.radio.node_id
-        if not self._started or len(self._queue) >= self.max_queue:
+        if not self._started or len(self._queue) >= MAX_QUEUE:
             self.stats.queue_drops += 1
             if obs is not None:
                 obs.registry.inc("mac.queue_drop", node=node)

@@ -16,29 +16,28 @@ from repro.net.packet import BROADCAST
 from repro.radio.medium import RadioState
 
 
+# 802.15.4 unslotted CSMA timing, read at run time (a test patches them).
+#: Initial backoff window; doubles per failed CCA.
+BACKOFF_UNIT_S = 0.00032
+#: Backoff exponent bounds (window = unit * 2**be slots).
+MIN_BE = 3
+MAX_BE = 5
+#: Clear-channel attempts before declaring channel-access failure.
+MAX_CCA_ATTEMPTS = 5
+#: How long to wait for the ACK after the data frame ends.
+ACK_TIMEOUT_S = 0.003
+
+
 @dataclass(frozen=True)
 class CsmaConfig:
-    """CSMA/CA parameters (defaults follow 802.15.4 unslotted CSMA)."""
+    """CSMA/CA parameters."""
 
-    #: Initial backoff window; doubles per failed CCA.
-    backoff_unit_s: float = 0.00032
-    #: Initial backoff exponent (window = unit * 2**be slots).
-    min_be: int = 3
-    max_be: int = 5
-    #: Clear-channel attempts before declaring channel-access failure.
-    max_cca_attempts: int = 5
     #: Retransmissions of an unacknowledged unicast frame.
     max_retries: int = 3
-    #: How long to wait for the ACK after the data frame ends.
-    ack_timeout_s: float = 0.003
 
     def validate(self) -> None:
-        if self.max_cca_attempts < 1:
-            raise MacConfigError("max_cca_attempts must be >= 1")
         if self.max_retries < 0:
             raise MacConfigError("max_retries must be >= 0")
-        if not self.min_be <= self.max_be:
-            raise MacConfigError("min_be must not exceed max_be")
 
 
 class CsmaMac(MacLayer):
@@ -58,15 +57,15 @@ class CsmaMac(MacLayer):
         self._cca(job, cca_attempt=0)
 
     def _cca(self, job: _TxJob, cca_attempt: int) -> None:
-        be = min(self.config.min_be + cca_attempt, self.config.max_be)
-        window = self.config.backoff_unit_s * (2**be)
+        be = min(MIN_BE + cca_attempt, MAX_BE)
+        window = BACKOFF_UNIT_S * (2**be)
         delay = self._rng.uniform(0, window)
 
         def check() -> None:
             if self._in_flight is not job:
                 return  # stop() ended the job while the backoff ran
             if self.radio.carrier_busy() or self.radio.state is RadioState.TX:
-                if cca_attempt + 1 >= self.config.max_cca_attempts:
+                if cca_attempt + 1 >= MAX_CCA_ATTEMPTS:
                     self._finish_job(job, False)
                 else:
                     self._cca(job, cca_attempt + 1)
@@ -84,7 +83,7 @@ class CsmaMac(MacLayer):
             if job.dest == BROADCAST:
                 self._finish_job(job, True)
                 return
-            self._ack_timer.start(self.config.ack_timeout_s)
+            self._ack_timer.start(ACK_TIMEOUT_S)
 
         self._transmit_frame(frame, tx_done)
 

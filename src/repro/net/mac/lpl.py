@@ -20,35 +20,38 @@ from repro.net.packet import BROADCAST, MacFrame
 from repro.radio.medium import RadioState
 
 
+# BoX-MAC-2 timing, read at run time (a test patches them).
+#: How long a probe listens before declaring the channel idle.
+PROBE_DURATION_S = 0.006
+#: Idle gap between strobe copies, during which the sender listens for
+#: an ACK.
+COPY_GAP_S = 0.0025
+#: Extra strobe time beyond one wake interval (clock tolerance).
+STROBE_MARGIN_S = 0.02
+#: Whole-strobe retries for unacknowledged unicast.
+MAX_RETRIES = 1
+#: How long a receiver holds the radio on after hearing activity.
+HOLD_DURATION_S = 0.03
+#: How early before a phase-locked neighbor's predicted wakeup the short
+#: strobe starts, and how far past it the strobe persists.
+PHASE_GUARD_S = 0.025
+
+
 @dataclass(frozen=True)
 class LplConfig:
     """Low-power-listening parameters."""
 
     #: Receiver probe period — the latency/energy knob (E3 sweeps it).
     wake_interval_s: float = 0.5
-    #: How long a probe listens before declaring the channel idle.
-    probe_duration_s: float = 0.006
-    #: Idle gap between strobe copies, during which the sender listens
-    #: for an ACK.
-    copy_gap_s: float = 0.0025
-    #: Extra strobe time beyond one wake interval (clock tolerance).
-    strobe_margin_s: float = 0.02
-    #: Whole-strobe retries for unacknowledged unicast.
-    max_retries: int = 1
-    #: How long a receiver holds the radio on after hearing activity.
-    hold_duration_s: float = 0.03
     #: ContikiMAC-style phase lock: once a neighbor's wake phase is
     #: learned (from its ACK timing), unicast strobes start just before
     #: the predicted wakeup instead of spanning a full wake interval.
     phase_lock: bool = False
-    #: How early before the predicted wakeup the short strobe starts,
-    #: and how far past it the strobe persists before falling back.
-    phase_guard_s: float = 0.025
 
     def validate(self) -> None:
         if self.wake_interval_s <= 0:
             raise MacConfigError("wake_interval_s must be positive")
-        if self.probe_duration_s >= self.wake_interval_s:
+        if PROBE_DURATION_S >= self.wake_interval_s:
             raise MacConfigError("probe must be shorter than wake interval")
 
 
@@ -87,18 +90,18 @@ class LplMac(MacLayer):
             return
         self.radio.set_listening()
         self._awake_hold = False
-        self._hold_timer.start(self.config.probe_duration_s)
+        self._hold_timer.start(PROBE_DURATION_S)
 
     def _hold_expired(self) -> None:
         if self._in_flight is not None:
             return
         if self.radio.state is RadioState.TX:
-            self._hold_timer.start(self.config.hold_duration_s)
+            self._hold_timer.start(HOLD_DURATION_S)
             return
         if self.radio.carrier_busy():
             # Someone is strobing: hold until we catch a full copy.
             self._awake_hold = True
-            self._hold_timer.start(self.config.hold_duration_s)
+            self._hold_timer.start(HOLD_DURATION_S)
             return
         self.radio.sleep()
 
@@ -106,7 +109,7 @@ class LplMac(MacLayer):
         super()._handle_data(frame)
         # Done with this wakeup unless we are mid-strobe ourselves.
         if self._in_flight is None and frame.dst == self.radio.node_id:
-            self._hold_timer.start(self.config.hold_duration_s)
+            self._hold_timer.start(HOLD_DURATION_S)
 
     # ------------------------------------------------------------------
     # strobe (sender side)
@@ -129,7 +132,7 @@ class LplMac(MacLayer):
         the learned phase.
         """
         interval = self.config.wake_interval_s
-        guard = self.config.phase_guard_s
+        guard = PHASE_GUARD_S
         anchor = self._neighbor_phase[job.dest]
         now = self.sim.now
         periods = max(0, int((now + guard - anchor) / interval)) + 1
@@ -140,8 +143,8 @@ class LplMac(MacLayer):
         # Strobe only around the predicted wakeup (plus the receiver's
         # probe length), not a full interval.
         self._strobe_deadline = (
-            predicted + guard + self.config.probe_duration_s
-            + self.config.hold_duration_s
+            predicted + guard + PROBE_DURATION_S
+            + HOLD_DURATION_S
         )
         self.sim.schedule(start_delay, self._phase_strobe_start)
 
@@ -155,7 +158,7 @@ class LplMac(MacLayer):
         self._got_ack = False
         self._copies_sent = 0
         self._strobe_deadline = (
-            self.sim.now + self.config.wake_interval_s + self.config.strobe_margin_s
+            self.sim.now + self.config.wake_interval_s + STROBE_MARGIN_S
         )
         self.radio.set_listening()
         # Dither strobe starts so two nodes triggered by the same event
@@ -176,12 +179,12 @@ class LplMac(MacLayer):
         if self.radio.state is RadioState.TX or self.radio.carrier_busy():
             # Channel occupied (often a neighbour's strobe): defer the
             # copy rather than collide with it for its whole length.
-            self._ack_timer.start(self.config.copy_gap_s)
+            self._ack_timer.start(COPY_GAP_S)
             return
         frame = self.data_frame(job)
         self._copies_sent += 1
         self._transmit_frame(
-            frame, lambda: self._ack_timer.start(self.config.copy_gap_s)
+            frame, lambda: self._ack_timer.start(COPY_GAP_S)
         )
 
     def _handle_ack(self, job: _TxJob) -> None:
@@ -199,7 +202,7 @@ class LplMac(MacLayer):
                 # Stale phase: drop it so the retry relearns honestly.
                 self.phase_lock_misses += 1
                 self._neighbor_phase.pop(job.dest, None)
-        if not success and job.retries < self.config.max_retries:
+        if not success and job.retries < MAX_RETRIES:
             job.retries += 1
             self._begin_strobe(job)
             return

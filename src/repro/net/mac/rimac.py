@@ -18,27 +18,29 @@ from repro.net.packet import BROADCAST, FrameKind, MacFrame
 from repro.radio.medium import RadioState
 
 
+# RI-MAC timing, read at run time (a test patches them).
+#: Beacon periods are jittered ±JITTER around the wake interval.
+JITTER = 0.2
+#: How long a receiver listens after its beacon for incoming data.
+DWELL_S = 0.008
+#: Random pre-transmission delay spreading contending senders.
+TX_SPREAD_S = 0.002
+#: How long past a full wake interval a sender keeps waiting.
+WAIT_MARGIN_S = 0.1
+#: Whole-wait retries for unacknowledged unicast.
+MAX_RETRIES = 1
+
+
 @dataclass(frozen=True)
 class RiMacConfig:
     """Receiver-initiated MAC parameters."""
 
-    #: Mean beacon period; actual periods are jittered ±``jitter``.
+    #: Mean beacon period.
     wake_interval_s: float = 0.5
-    jitter: float = 0.2
-    #: How long a receiver listens after its beacon for incoming data.
-    dwell_s: float = 0.008
-    #: Random pre-transmission delay spreading contending senders.
-    tx_spread_s: float = 0.002
-    #: How long past a full wake interval a sender keeps waiting.
-    wait_margin_s: float = 0.1
-    #: Whole-wait retries for unacknowledged unicast.
-    max_retries: int = 1
 
     def validate(self) -> None:
         if self.wake_interval_s <= 0:
             raise MacConfigError("wake_interval_s must be positive")
-        if not 0 <= self.jitter < 1:
-            raise MacConfigError("jitter must be in [0, 1)")
 
 
 class RiMac(MacLayer):
@@ -60,7 +62,7 @@ class RiMac(MacLayer):
         self._beacon_timer.start(self._rng.uniform(0, self.config.wake_interval_s))
 
     def _next_beacon_delay(self) -> float:
-        w, j = self.config.wake_interval_s, self.config.jitter
+        w, j = self.config.wake_interval_s, JITTER
         return self._rng.uniform(w * (1 - j), w * (1 + j))
 
     def _beacon(self) -> None:
@@ -75,12 +77,12 @@ class RiMac(MacLayer):
             seq=0,
         )
         self._transmit_frame(
-            beacon, lambda: self._dwell_timer.start(self.config.dwell_s)
+            beacon, lambda: self._dwell_timer.start(DWELL_S)
         )
 
     def _dwell_over(self) -> None:
         if self.radio.state is RadioState.TX:
-            self._dwell_timer.start(self.config.dwell_s)
+            self._dwell_timer.start(DWELL_S)
             return
         if self._in_flight is None:
             self.radio.sleep()
@@ -88,7 +90,7 @@ class RiMac(MacLayer):
     def _handle_data(self, frame: MacFrame) -> None:
         if frame.dst == self.radio.node_id:
             # Hold the radio briefly in case the sender has more.
-            self._dwell_timer.start(self.config.dwell_s)
+            self._dwell_timer.start(DWELL_S)
         super()._handle_data(frame)
 
     # ------------------------------------------------------------------
@@ -98,8 +100,8 @@ class RiMac(MacLayer):
         self._broadcast_targets_served = 0
         deadline = (
             self.sim.now
-            + self.config.wake_interval_s * (1 + self.config.jitter)
-            + self.config.wait_margin_s
+            + self.config.wake_interval_s * (1 + JITTER)
+            + WAIT_MARGIN_S
         )
         self.radio.set_listening()
         self._wait_timer.start(deadline - self.sim.now)
@@ -111,7 +113,7 @@ class RiMac(MacLayer):
         if job.dest != BROADCAST and frame.src != job.dest:
             return
 
-        delay = self._rng.uniform(0, self.config.tx_spread_s)
+        delay = self._rng.uniform(0, TX_SPREAD_S)
 
         def fire() -> None:
             if self._in_flight is not job:
@@ -137,7 +139,7 @@ class RiMac(MacLayer):
 
     def _complete(self, job: _TxJob, success: bool) -> None:
         self._wait_timer.cancel()
-        if not success and job.dest != BROADCAST and job.retries < self.config.max_retries:
+        if not success and job.dest != BROADCAST and job.retries < MAX_RETRIES:
             job.retries += 1
             self._start_job(job)  # the same wait once more
             return

@@ -12,15 +12,22 @@ slotframe boundaries).  :class:`TschStats` is here because both write it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule
 
-if TYPE_CHECKING:
-    from repro.net.mac.tsch import TschConfig
-
 #: Wire size charged for a 6P negotiation payload.
 SIXP_MESSAGE_BYTES = 14
+# Negotiation limits, read at run time (a test patches them).
+#: ADD candidates offered per 6P request.
+SIXP_CANDIDATES = 3
+#: Transaction lifetime before the initiator gives up.
+SIXP_TIMEOUT_S = 6.0
+#: Channel-offset space for dedicated cells (the minimal cell is pinned
+#: at offset 0).
+CHANNEL_OFFSETS = 4
+#: Dedicated cells one node grants toward one neighbor (MSF adds no more).
+MAX_CELLS_PER_NEIGHBOR = 3
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,10 @@ class SixpPeer:
     """
 
     def __init__(self, node_id: int, schedule: TschSchedule, rng,
-                 config: "TschConfig", stats: Optional[TschStats] = None) -> None:
+                 stats: Optional[TschStats] = None) -> None:
         self.node_id = node_id
         self.schedule = schedule
         self._rng = rng
-        self.config = config
         self.stats = stats if stats is not None else TschStats()
         self._txn_seq = 0
         self._inflight: Dict[int, _Transaction] = {}
@@ -125,16 +131,16 @@ class SixpPeer:
         free = self.schedule.free_slots()
         if not free:
             return None
-        count = min(self.config.sixp_candidates, len(free))
+        count = min(SIXP_CANDIDATES, len(free))
         slots = sorted(self._rng.sample(free, count))
         txn = self._next_txn()
         cells = tuple(
-            (slot, self._rng.randrange(self.config.channel_offsets))
+            (slot, self._rng.randrange(CHANNEL_OFFSETS))
             for slot in slots)
         for slot, _ in cells:
             self.schedule.reserve(slot, txn)
         self._inflight[peer] = _Transaction(
-            txn, peer, "add", cells, now + self.config.sixp_timeout_s)
+            txn, peer, "add", cells, now + SIXP_TIMEOUT_S)
         active = tuple((c.slot, c.channel_offset)
                        for c in self.schedule.tx_cells_to(peer))
         return SixpMessage("add", "request", txn, cells, active=active)
@@ -155,7 +161,7 @@ class SixpPeer:
         self.stats.cells_deleted += len(victims)
         txn = self._next_txn()
         self._inflight[peer] = _Transaction(
-            txn, peer, "delete", cells, now + self.config.sixp_timeout_s)
+            txn, peer, "delete", cells, now + SIXP_TIMEOUT_S)
         return SixpMessage("delete", "request", txn, cells)
 
     # -- responder side ------------------------------------------------
@@ -187,8 +193,7 @@ class SixpPeer:
                 if (cell.slot, cell.channel_offset) not in active:
                     self.schedule.remove(cell.slot)
                     self.stats.cells_deleted += 1
-            if (len(self.schedule.rx_cells_from(src))
-                    >= self.config.max_cells_per_neighbor):
+            if len(self.schedule.rx_cells_from(src)) >= MAX_CELLS_PER_NEIGHBOR:
                 return SixpMessage("add", "response", msg.txn, (), ok=False)
             for slot, choff in msg.cells:
                 cell = Cell(slot, choff, neighbor=src, rx=True)

@@ -25,18 +25,20 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
 
+#: One relay slot: frame airtime + processing (Glossy: ~a few ms).
+SLOT_S = 0.004
+#: Links with PRR below this do not count as flooding edges.
+PRR_THRESHOLD = 0.7
+#: Number of retransmissions per node within the flood (Glossy N).
+RETRANSMISSIONS = 2
+
+
 @dataclass(frozen=True)
 class SyncFloodConfig:
-    """Slot-level parameters of the flooding primitive."""
+    """Parameters of the flooding primitive."""
 
-    #: One relay slot: frame airtime + processing (Glossy: ~a few ms).
-    slot_s: float = 0.004
     #: Probability a node at hop ring h hears the flood from ring h-1.
     per_hop_reliability: float = 0.999
-    #: Links with PRR below this do not count as flooding edges.
-    prr_threshold: float = 0.7
-    #: Number of retransmissions per node within the flood (Glossy N).
-    retransmissions: int = 2
 
 
 @dataclass
@@ -92,7 +94,7 @@ class SyncFloodService:
                 for b, _rssi in self.medium.audible_from(a):
                     if b.channel == 0:
                         continue
-                    if self.medium.link_prr(a.node_id, b.node_id) >= self.config.prr_threshold:
+                    if self.medium.link_prr(a.node_id, b.node_id) >= PRR_THRESHOLD:
                         graph[a.node_id].append(b.node_id)
             self._graph = graph
         return self._graph
@@ -134,7 +136,7 @@ class SyncFloodService:
         max_hop = max(distances.values()) if distances else 0
         # Per-node on-time: every participant keeps its radio on for the
         # whole flood window (slot per ring + retransmissions).
-        flood_window = (max_hop + self.config.retransmissions) * self.config.slot_s
+        flood_window = (max_hop + RETRANSMISSIONS) * SLOT_S
         result.radio_on_s_per_node = flood_window
         self.total_radio_on_s += flood_window * len(live_nodes)
         self.floods_run += 1
@@ -158,7 +160,7 @@ class SyncFloodService:
                 result.missed.add(node_id)
                 self.trace.emit(self.sim.now, "syncflood.miss", node=node_id)
                 continue
-            latency = hop * self.config.slot_s
+            latency = hop * SLOT_S
             result.reached[node_id] = latency
             if deliver is not None:
                 self.sim.schedule(
@@ -191,8 +193,8 @@ class SyncFloodService:
         distances = self.hop_distances(sink)
         max_hop = max(distances.values()) if distances else 0
         latency = (
-            max_hop * self.config.slot_s * self.config.retransmissions
-            + len(values) * self.config.slot_s
+            max_hop * SLOT_S * RETRANSMISSIONS
+            + len(values) * SLOT_S
         )
         collected = {
             node: value for node, value in values.items() if node in distances

@@ -15,22 +15,22 @@ slots.  A node is awake only in slots where its schedule holds a
   demand by a minimal MSF-like scheduling function: unicast demand
   observed on the shared cell triggers a first ADD, and the per-neighbor
   cell utilization (used/elapsed, MSF's ``NumCellsUsed/NumCellsElapsed``)
-  adds cells above :attr:`TschConfig.msf_high` and deletes them below
-  :attr:`TschConfig.msf_low`;
+  adds cells above :data:`MSF_HIGH` and deletes them below
+  :data:`MSF_LOW`;
 - cell negotiation is a **6P-style two-step transaction**
   (:mod:`repro.net.mac.sixp`) over the node's slotframe
   (:mod:`repro.net.mac.schedule`): a dedicated TX cell always has a
   matching RX cell at the peer, and a timeout releases every
   reservation.  This module carries the messages and keeps the clock;
 - **channel hopping**: the frequency of a cell is
-  ``hopping[(ASN + channelOffset) % len(hopping)]``, so cells on
+  ``HOPPING[(ASN + channelOffset) % len(HOPPING)]``, so cells on
   different channel offsets never interfere and narrow-band interferers
   are averaged over the hop sequence.
 
 Slot alignment is global: ASN is derived from simulation time against a
 shared epoch at t=0 (the network is assumed time-synchronized, the
 coordination cost §IV-B attributes to scheduled MACs), and every slot
-instant is ``ASN * slot_duration_s`` — a function of the ASN alone.
+instant is ``ASN * SLOT_DURATION_S`` — a function of the ASN alone.
 That also makes schedules seed-deterministic — every random choice
 (candidate slots, channel offsets, shared-cell jitter/backoff) draws
 from the node's ``mac.<id>`` substream.
@@ -43,7 +43,7 @@ for as long as the radio is awake afterwards (an exchange, an ACK, a
 carrier-sense hold).  Once ``_slot_end`` puts the radio to sleep with
 nothing pending, the RX and shared cells ahead are a *listen plan*
 (:mod:`repro.radio.medium`, "Listen plans"): window ``[ASN·slot,
-ASN·slot + slot − guard]`` on channel ``hopping[(ASN + offset) % 16]``
+ASN·slot + slot − guard]`` on channel ``HOPPING[(ASN + offset) % 16]``
 for every ASN whose slot holds such a cell.  ``sync()`` charges the
 windows that elapsed untouched in closed form; ``frame_started()``,
 called by the medium for every frame audible here, makes real the
@@ -78,6 +78,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.net.mac import sixp
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
 # The schedule's and 6P's names stay importable from here.
 from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule  # noqa: F401
@@ -85,89 +86,52 @@ from repro.net.mac.sixp import SIXP_MESSAGE_BYTES, SixpMessage, SixpPeer, TschSt
 from repro.net.packet import BROADCAST, MacFrame
 from repro.radio.medium import RadioState
 
-#: The default 6TiSCH hopping sequence over the 16 IEEE 802.15.4
-#: channels (11..26).  All nodes share it; a cell's frequency is
-#: ``hopping[(ASN + channel_offset) % 16]``.
-DEFAULT_HOPPING: Tuple[int, ...] = (
+# The 6TiSCH-minimal shape, read at run time (a test patches them).
+#: The 6TiSCH hopping sequence over the 16 IEEE 802.15.4 channels
+#: (11..26).  All nodes share it; a cell's frequency is
+#: ``HOPPING[(ASN + channel_offset) % 16]``.
+HOPPING: Tuple[int, ...] = (
     16, 17, 23, 18, 26, 15, 25, 22, 19, 11, 12, 13, 24, 14, 20, 21,
 )
 
 #: Slot of the shared minimal cell (6TiSCH-minimal: slot 0, offset 0).
 MINIMAL_SLOT = 0
+#: Slot length (10 ms, the 802.15.4 TSCH default template).
+SLOT_DURATION_S = 0.010
+#: In-slot delay before the data frame starts (TsTxOffset).
+TX_OFFSET_S = 0.0021
+#: Shared-cell CSMA-CA: transmission jitter window before which CCA runs,
+#: so contending nodes serialize instead of colliding head-on.
+SHARED_JITTER_S = 0.0012
+#: How long past the frame end the sender waits for the ACK.
+ACK_WAIT_S = 0.003
+#: Radio-off guard before the slot boundary (avoids a sleep/wake tie with
+#: the next slot's tick).
+SLOT_GUARD_S = 0.0005
+#: Link-layer retransmissions of one frame (across later cells).
+MAX_RETRIES = 7
+#: Shared-cell backoff exponent bounds: after a failed shared-cell
+#: unicast the node skips ``U{0 .. 2^BE-1}`` shared occurrences.
+SHARED_BE_MIN = 1
+SHARED_BE_MAX = 5
+#: MSF evaluation window (dedicated TX cell occurrences per neighbor)
+#: and the add/delete utilization thresholds.
+MSF_EVAL_CELLS = 8
+MSF_HIGH = 0.75
+MSF_LOW = 0.15
 
 
 @dataclass(frozen=True)
 class TschConfig:
-    """TSCH parameters (defaults follow the 6TiSCH-minimal shape)."""
+    """TSCH parameters."""
 
-    #: Slot length (10 ms, the 802.15.4 TSCH default template).
-    slot_duration_s: float = 0.010
     #: Slots per slotframe (101, prime, so dedicated cells precess
     #: against periodic traffic instead of phase-locking to it).
     slotframe_slots: int = 101
-    #: Channel-offset space for dedicated cells (the minimal cell is
-    #: pinned at offset 0).
-    channel_offsets: int = 4
-    #: Network-wide hop sequence; frequency = hopping[(ASN+off) % len].
-    hopping: Tuple[int, ...] = DEFAULT_HOPPING
-    #: In-slot delay before the data frame starts (TsTxOffset).
-    tx_offset_s: float = 0.0021
-    #: Shared-cell CSMA-CA: transmission jitter window before which CCA
-    #: runs, so contending nodes serialize instead of colliding head-on.
-    shared_jitter_s: float = 0.0012
-    #: How long past the frame end the sender waits for the ACK.
-    ack_wait_s: float = 0.003
-    #: Radio-off guard before the slot boundary (avoids a sleep/wake
-    #: tie with the next slot's tick).
-    slot_guard_s: float = 0.0005
-    #: Link-layer retransmissions of one frame (across later cells).
-    max_retries: int = 7
-    #: Shared-cell backoff exponent bounds: after a failed shared-cell
-    #: unicast the node skips ``U{0 .. 2^BE-1}`` shared occurrences.
-    shared_be_min: int = 1
-    shared_be_max: int = 5
-    #: MSF evaluation window (dedicated TX cell occurrences per
-    #: neighbor) and the add/delete utilization thresholds.
-    msf_eval_cells: int = 8
-    msf_high: float = 0.75
-    msf_low: float = 0.15
-    max_cells_per_neighbor: int = 3
-    #: ADD candidates offered per 6P request.
-    sixp_candidates: int = 3
-    #: 6P transaction lifetime before the initiator gives up.
-    sixp_timeout_s: float = 6.0
 
     def validate(self) -> None:
-        if self.slot_duration_s <= 0:
-            raise MacConfigError("slot_duration_s must be positive")
         if self.slotframe_slots < 2:
             raise MacConfigError("slotframe_slots must be >= 2")
-        if self.channel_offsets < 1:
-            raise MacConfigError("channel_offsets must be >= 1")
-        if not self.hopping:
-            raise MacConfigError("hopping sequence must be non-empty")
-        if self.tx_offset_s <= 0:
-            raise MacConfigError("tx_offset_s must be positive")
-        in_slot = (self.tx_offset_s + self.shared_jitter_s
-                   + self.slot_guard_s)
-        if in_slot >= self.slot_duration_s:
-            raise MacConfigError(
-                "tx_offset_s + shared_jitter_s + slot_guard_s must fit "
-                "inside one slot")
-        if not self.shared_be_min <= self.shared_be_max:
-            raise MacConfigError("shared_be_min must not exceed shared_be_max")
-        if self.max_retries < 0:
-            raise MacConfigError("max_retries must be >= 0")
-        if self.msf_eval_cells < 1:
-            raise MacConfigError("msf_eval_cells must be >= 1")
-        if not 0.0 <= self.msf_low < self.msf_high <= 1.0:
-            raise MacConfigError("need 0 <= msf_low < msf_high <= 1")
-        if self.max_cells_per_neighbor < 1:
-            raise MacConfigError("max_cells_per_neighbor must be >= 1")
-        if self.sixp_candidates < 1:
-            raise MacConfigError("sixp_candidates must be >= 1")
-        if self.sixp_timeout_s <= 0:
-            raise MacConfigError("sixp_timeout_s must be positive")
 
 
 #: Slot events run before anything else due at the same instant (a slot
@@ -191,13 +155,13 @@ class TschMac(MacLayer):
         self.schedule.add(Cell(MINIMAL_SLOT, 0, BROADCAST,
                                tx=True, rx=True, shared=True))
         self.sixp = SixpPeer(radio.node_id, self.schedule, self._rng,
-                             self.config, stats=self._tsch_stats)
+                             stats=self._tsch_stats)
         #: Was the frame whose ACK is awaited sent in the shared cell?
         self._await_shared = False
-        self._be = self.config.shared_be_min
+        self._be = SHARED_BE_MIN
         self._backoff = 0
         #: How long a cell's window keeps the radio on.
-        self._listen_s = self.config.slot_duration_s - self.config.slot_guard_s
+        self._listen_s = SLOT_DURATION_S - SLOT_GUARD_S
         self._end_priority = _SLOT_PRIORITY_BASE + 2 * radio.node_id
         self._tick_priority = self._end_priority + 1
         self._next_asn = 0
@@ -260,7 +224,7 @@ class TschMac(MacLayer):
     def _current_asn(self) -> int:
         # The slack absorbs float error in slot-boundary event times; it
         # is ~1e-8 s against a 10 ms slot, far below any event spacing.
-        return int(self.sim.now / self.config.slot_duration_s + 1e-6)
+        return int(self.sim.now / SLOT_DURATION_S + 1e-6)
 
     def _begun_asn(self) -> int:
         """The last slot whose start instant is not in the future."""
@@ -268,11 +232,10 @@ class TschMac(MacLayer):
         return asn if self._slot_start(asn) <= self.sim.now else asn - 1
 
     def _slot_start(self, asn: int) -> float:
-        return asn * self.config.slot_duration_s
+        return asn * SLOT_DURATION_S
 
     def _channel_for(self, cell: Cell, asn: int) -> int:
-        seq = self.config.hopping
-        return seq[(asn + cell.channel_offset) % len(seq)]
+        return HOPPING[(asn + cell.channel_offset) % len(HOPPING)]
 
     def _cell_actionable(self, cell: Cell) -> bool:
         """Worth waking for?  RX and shared cells always; dedicated TX
@@ -384,10 +347,9 @@ class TschMac(MacLayer):
 
     def _arm_tx(self, job: _TxJob, cell: Cell) -> None:
         if cell.shared:
-            delay = (self.config.tx_offset_s
-                     + self._rng.uniform(0.0, self.config.shared_jitter_s))
+            delay = TX_OFFSET_S + self._rng.uniform(0.0, SHARED_JITTER_S)
         else:
-            delay = self.config.tx_offset_s
+            delay = TX_OFFSET_S
             self._used[cell.neighbor] = self._used.get(cell.neighbor, 0) + 1
             self._tsch_stats.cells_used += 1
             self._plan_boundary()   # a use can change the window's verdict
@@ -409,7 +371,7 @@ class TschMac(MacLayer):
             # Mid-exchange (long frame, pending ACK, or an incoming
             # frame still in the air): hold the radio and re-check.
             self._slot_end_timer.start_at(
-                self.sim.now + self.config.ack_wait_s, self._end_priority)
+                self.sim.now + ACK_WAIT_S, self._end_priority)
             return
         self.radio.sleep()
         # Asleep with nothing pending: from here the listen plan stands
@@ -524,7 +486,7 @@ class TschMac(MacLayer):
                 self._finish_job(job, True)
                 return
             self._await_shared = cell.shared
-            self._ack_timer.start(self.config.ack_wait_s)
+            self._ack_timer.start(ACK_WAIT_S)
 
         self._transmit_frame(frame, tx_done)
 
@@ -533,9 +495,9 @@ class TschMac(MacLayer):
         job.retries += 1
         if self._await_shared:
             self._tsch_stats.shared_failures += 1
-            self._be = min(self._be + 1, self.config.shared_be_max)
+            self._be = min(self._be + 1, SHARED_BE_MAX)
             self._backoff = self._rng.randrange(2 ** self._be)
-        if job.retries > self.config.max_retries:
+        if job.retries > MAX_RETRIES:
             self._finish_job(job, False)
         # Otherwise the job stays in flight; the next matching cell
         # retries it (TSCH retransmits across cells, not within one).
@@ -545,7 +507,7 @@ class TschMac(MacLayer):
             return
         self._ack_timer.cancel()
         if self._await_shared:
-            self._be = self.config.shared_be_min
+            self._be = SHARED_BE_MIN
             self._backoff = 0
         self._finish_job(job, True)
 
@@ -576,7 +538,7 @@ class TschMac(MacLayer):
             # the first ``mac.tsch.cells`` sample to publish.
             return frame
         due = math.inf
-        window = self.config.msf_eval_cells
+        window = MSF_EVAL_CELLS
         for peer in self.schedule.neighbors():
             cells = len(self.schedule.tx_cells_to(peer))
             if not cells:
@@ -593,18 +555,17 @@ class TschMac(MacLayer):
 
     def _boundaries_to_close(self, peer: int, cells: int) -> int:
         """Boundaries until ``peer``'s open MSF window has seen its
-        ``msf_eval_cells`` occurrences, ``cells`` per boundary."""
-        left = self.config.msf_eval_cells - self._elapsed.get(peer, 0)
+        ``MSF_EVAL_CELLS`` occurrences, ``cells`` per boundary."""
+        left = MSF_EVAL_CELLS - self._elapsed.get(peer, 0)
         return max(1, -(-left // cells))
 
     def _msf_verdict(self, used: int, elapsed: int, cells: int) -> int:
         """MSF's decision on a closed window: +1 add a cell, -1 delete
         one, 0 leave the ``cells`` toward this neighbor as they are."""
         utilization = used / elapsed
-        if (utilization > self.config.msf_high
-                and cells < self.config.max_cells_per_neighbor):
+        if utilization > MSF_HIGH and cells < sixp.MAX_CELLS_PER_NEIGHBOR:
             return 1
-        if utilization < self.config.msf_low and cells > 1:
+        if utilization < MSF_LOW and cells > 1:
             return -1
         return 0
 
@@ -631,7 +592,7 @@ class TschMac(MacLayer):
         if skipped <= 0:
             return
         self._frames_done = upto
-        window = self.config.msf_eval_cells
+        window = MSF_EVAL_CELLS
         for peer in self.schedule.neighbors():
             cells = len(self.schedule.tx_cells_to(peer))
             if not cells:
@@ -668,7 +629,7 @@ class TschMac(MacLayer):
                 continue
             self._elapsed[peer] = self._elapsed.get(peer, 0) + len(cells)
             self._tsch_stats.cells_elapsed += len(cells)
-            if self._elapsed[peer] < self.config.msf_eval_cells:
+            if self._elapsed[peer] < MSF_EVAL_CELLS:
                 continue
             verdict = self._msf_verdict(
                 self._used.get(peer, 0), self._elapsed[peer], len(cells))

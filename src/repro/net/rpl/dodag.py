@@ -65,6 +65,21 @@ class RplTransport(Protocol):
         ...
 
 
+# One-value routing constants, read at run time (a test patches them).
+#: How long a parent that failed ``parent_fail_threshold`` times stays
+#: ineligible.
+BLACKLIST_S = 60.0
+#: Seed ETX estimates from ground-truth PRR on a neighbor's first DIO.
+ORACLE_SEED = True
+#: Neighbor-table capacity.
+NEIGHBOR_CAPACITY = 32
+#: DAGMaxRankIncrease (RFC 6550 §8.2.2.4): a node may not advertise a
+#: rank above its floor (lowest rank held in this DODAG version) plus
+#: this bound; exceeding it forces a detach, which caps
+#: count-to-infinity loops at a few Trickle exchanges.
+MAX_RANK_INCREASE = 4 * 256
+
+
 @dataclass(frozen=True)
 class RplConfig:
     """Tunables of the routing layer.
@@ -85,21 +100,12 @@ class RplConfig:
     dao_period_s: float = 120.0
     dis_period_s: float = 15.0
     parent_fail_threshold: int = 3
-    blacklist_s: float = 60.0
     #: Parent considered dead when silent this long (None = only MAC
     #: feedback detects death).  Defaults to ~3 * Imax.
     staleness_timeout_s: Optional[float] = 1500.0
     staleness_check_period_s: float = 30.0
     #: Form floating DODAGs when detached this long; None disables.
     float_delay_s: Optional[float] = None
-    #: Seed ETX estimates from ground truth PRR.
-    oracle_seed: bool = True
-    neighbor_capacity: int = 32
-    #: DAGMaxRankIncrease (RFC 6550 §8.2.2.4): a node may not advertise
-    #: a rank above its floor (lowest rank held in this DODAG version)
-    #: plus this bound; exceeding it forces a detach, which caps
-    #: count-to-infinity loops at a few Trickle exchanges.
-    max_rank_increase: int = 4 * 256
 
 
 class RplRouter:
@@ -130,7 +136,7 @@ class RplRouter:
         self.version = 0
         self.grounded = False
         self.preferred_parent: Optional[int] = None
-        self.neighbors = NeighborTable(self.config.neighbor_capacity)
+        self.neighbors = NeighborTable(NEIGHBOR_CAPACITY)
         self._parent_failures = 0
         self._path_seq = 0
         self._rank_floor = INFINITE_RANK
@@ -279,7 +285,7 @@ class RplRouter:
         entry = self.neighbors.get_or_create(src)
         first_sighting = entry.dio_count == 0
         entry.observe_dio(dio, self.sim.now)
-        if first_sighting and self.config.oracle_seed:
+        if first_sighting and ORACLE_SEED:
             prr = self.transport.link_prr(src)
             entry.estimator.probability = max(prr, 1.0 / 16.0)
         else:
@@ -337,7 +343,7 @@ class RplRouter:
         if self._parent_failures >= self.config.parent_fail_threshold:
             self._parent_failures = 0
             self.neighbors.blacklist(
-                neighbor, self.sim.now + self.config.blacklist_s
+                neighbor, self.sim.now + BLACKLIST_S
             )
             self.trace.emit(self.sim.now, "rpl.parent_lost", node=self.node_id,
                             parent=neighbor)
@@ -431,7 +437,7 @@ class RplRouter:
     def _exceeds_rank_cap(self, new_rank: int) -> bool:
         if self._rank_floor >= INFINITE_RANK:
             return False
-        return new_rank > self._rank_floor + self.config.max_rank_increase
+        return new_rank > self._rank_floor + MAX_RANK_INCREASE
 
     def _adopt(self, entry: NeighborEntry, new_rank: int) -> None:
         was_joined = self.state is RplState.JOINED
@@ -568,7 +574,7 @@ class RplRouter:
             self.trace.emit(self.sim.now, "rpl.parent_stale", node=self.node_id,
                             parent=parent.node_id)
             self.neighbors.blacklist(
-                parent.node_id, self.sim.now + self.config.blacklist_s
+                parent.node_id, self.sim.now + BLACKLIST_S
             )
             self._evaluate_parents(forced=True)
 

@@ -12,7 +12,7 @@ The reproduction follows the published algorithm's structure:
 - Verdicts live in a **CFRC** (conflict-free replicated counter — a
   per-sentinel epoch/flag map with a join-semilattice merge), gossiped
   network-wide piggybacked on DIOs plus dedicated gossip rounds.
-- Every node evaluates the same predicate: when at least ``quorum`` of
+- Every node evaluates the same predicate: when at least ``QUORUM`` of
   the known sentinels say *down*, the root is **globally down** and the
   router detaches at once — no per-node timeout chains.
 
@@ -92,19 +92,22 @@ class Cfrc:
         return self.down_count / len(self.entries)
 
 
+# One-value RNFD constants, read at run time (a test patches them).
+#: Fraction of known sentinels that must say down.
+QUORUM = 0.51
+#: Require at least this many sentinel entries before a verdict.
+MIN_SENTINELS = 1
+#: Period of the dedicated gossip broadcasts after the CFRC changed.
+GOSSIP_PERIOD_S = 15.0
+
+
 @dataclass(frozen=True)
 class RnfdConfig:
-    """RNFD tunables (the quorum is experiment E5's ablation knob)."""
+    """RNFD tunables: experiment E5 sweeps the probe period and the
+    failure threshold."""
 
     probe_period_s: float = 10.0
     fail_threshold: int = 3
-    #: Fraction of known sentinels that must say down.
-    quorum: float = 0.51
-    #: Require at least this many sentinel entries before a verdict.
-    min_sentinels: int = 1
-    #: Dedicated gossip broadcasts when the CFRC changed recently.
-    gossip_period_s: float = 15.0
-    probe_size_bytes: int = RnfdProbe.SIZE_BYTES
 
 
 class RnfdAgent:
@@ -139,8 +142,8 @@ class RnfdAgent:
             phase=self._rng.uniform(0.5, self.config.probe_period_s),
         )
         self._gossip_timer = PeriodicTimer(
-            sim, self.config.gossip_period_s, self._gossip,
-            phase=self._rng.uniform(0.5, self.config.gossip_period_s),
+            sim, GOSSIP_PERIOD_S, self._gossip,
+            phase=self._rng.uniform(0.5, GOSSIP_PERIOD_S),
         )
         router.dio_option_providers.append(self._dio_options)
         self._started = False
@@ -201,7 +204,7 @@ class RnfdAgent:
         self._probe_seq += 1
         probe = RnfdProbe(seq=self._probe_seq)
         self.router.transport.unicast_control(
-            root_id, probe, self.config.probe_size_bytes, done=self._probe_done
+            root_id, probe, RnfdProbe.SIZE_BYTES, done=self._probe_done
         )
 
     def _probe_done(self, success: bool) -> None:
@@ -310,11 +313,11 @@ class RnfdAgent:
         )
 
     def _reevaluate(self) -> None:
-        if self.cfrc.sentinel_count < self.config.min_sentinels:
+        if self.cfrc.sentinel_count < MIN_SENTINELS:
             return
         obs = self.trace.obs
         fraction = self.cfrc.down_fraction()
-        if fraction >= self.config.quorum:
+        if fraction >= QUORUM:
             if self.root_state is not RootState.GLOBALLY_DOWN:
                 self._set_state(RootState.GLOBALLY_DOWN)
                 self.detection_time = self.sim.now

@@ -33,12 +33,15 @@ from repro.net.rpl.messages import (
 )
 from repro.net.rpl.objective import Mrhof, ObjectiveFunction, Of0
 from repro.net.rpl.rnfd import Cfrc, RnfdAgent, RnfdConfig
+from repro.radio.channels import IEEE802154_CHANNELS
 from repro.radio.medium import Medium, Radio
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
 #: Reserved UDP-like port carrying DAO messages to the root.
 RPL_DAO_PORT = 0
+#: Hop limit a datagram starts with (read at run time; a test patches it).
+DEFAULT_TTL = 16
 
 _MAC_REGISTRY = {
     "csma": (CsmaMac, CsmaConfig),
@@ -52,38 +55,51 @@ _OBJECTIVE_REGISTRY = {"mrhof": Mrhof, "of0": Of0}
 
 @dataclass
 class StackConfig:
-    """Configuration shared by every node of one network."""
+    """Configuration shared by every node of one network.
+
+    Checked when built: a mismatched or unknown value raises
+    ``ValueError`` naming the field, not an ``AttributeError`` mid-run.
+    """
 
     mac: str = "csma"
+    #: An instance of the config class ``_MAC_REGISTRY`` lists for
+    #: ``mac``; None builds that class's defaults.
     mac_config: Optional[object] = None
     rpl: RplConfig = field(default_factory=RplConfig)
     objective: str = "mrhof"
     rnfd_enabled: bool = False
     rnfd: RnfdConfig = field(default_factory=RnfdConfig)
-    default_ttl: int = 16
     channel: int = 26
-    tx_power_dbm: float = 0.0
     #: One blind retry through a (possibly new) parent on upward failure.
     upward_retries: int = 1
 
-    def make_mac(self, sim: Simulator, radio: Radio, trace: TraceLog) -> MacLayer:
-        try:
-            mac_cls, config_cls = _MAC_REGISTRY[self.mac]
-        except KeyError:
+    def __post_init__(self) -> None:
+        if self.mac not in _MAC_REGISTRY:
+            raise ValueError(f"StackConfig.mac: unknown MAC {self.mac!r}; "
+                             f"choose from {sorted(_MAC_REGISTRY)}")
+        config_cls = _MAC_REGISTRY[self.mac][1]
+        if self.mac_config is not None and not isinstance(self.mac_config, config_cls):
             raise ValueError(
-                f"unknown MAC {self.mac!r}; choose from {sorted(_MAC_REGISTRY)}"
-            ) from None
+                f"StackConfig.mac_config: mac={self.mac!r} takes a "
+                f"{config_cls.__name__}, not {type(self.mac_config).__name__}")
+        if self.objective not in _OBJECTIVE_REGISTRY:
+            raise ValueError(
+                f"StackConfig.objective: unknown objective {self.objective!r}; "
+                f"choose from {sorted(_OBJECTIVE_REGISTRY)}")
+        if self.channel not in IEEE802154_CHANNELS:
+            raise ValueError(f"StackConfig.channel: {self.channel} is not an "
+                             f"IEEE 802.15.4 channel (11..26)")
+        if self.upward_retries < 0:
+            raise ValueError(f"StackConfig.upward_retries: must be >= 0, "
+                             f"not {self.upward_retries}")
+
+    def make_mac(self, sim: Simulator, radio: Radio, trace: TraceLog) -> MacLayer:
+        mac_cls, config_cls = _MAC_REGISTRY[self.mac]
         mac_config = self.mac_config if self.mac_config is not None else config_cls()
         return mac_cls(sim, radio, config=mac_config, trace=trace)
 
     def make_objective(self) -> ObjectiveFunction:
-        try:
-            return _OBJECTIVE_REGISTRY[self.objective]()
-        except KeyError:
-            raise ValueError(
-                f"unknown objective {self.objective!r}; "
-                f"choose from {sorted(_OBJECTIVE_REGISTRY)}"
-            ) from None
+        return _OBJECTIVE_REGISTRY[self.objective]()
 
 
 @dataclass
@@ -118,11 +134,7 @@ class NetworkStack:
         self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root
         self.stats = StackStats()
-        self.radio = Radio(
-            medium, node_id, position,
-            tx_power_dbm=self.config.tx_power_dbm,
-            channel=self.config.channel,
-        )
+        self.radio = Radio(medium, node_id, position, channel=self.config.channel)
         self.mac = self.config.make_mac(sim, self.radio, self.trace)
         self.mac.on_receive = self._on_mac_frame
         self.frag = FragmentationAdapter(
@@ -283,7 +295,7 @@ class NetworkStack:
         packet = NetPacket(
             src=self.node_id, dst=dst,
             payload=datagram, payload_bytes=datagram.size_bytes,
-            ttl=self.config.default_ttl, created_at=self.sim.now,
+            ttl=DEFAULT_TTL, created_at=self.sim.now,
             packet_id=self.sim.next_id("net.seq"),
         )
         obs = self.trace.obs

@@ -20,26 +20,29 @@ from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.sim.kernel import Simulator
 
 
+#: Length of each busy burst (a frame or aggregate); read at run time,
+#: so a test patches it.
+BURST_AIRTIME_S = 0.002
+
+
 @dataclass(frozen=True)
 class InterfererConfig:
     """Traffic shape of a Wi-Fi interferer.
 
-    ``duty_cycle`` is the long-run fraction of airtime occupied;
-    ``burst_airtime_s`` is the length of each busy burst (a frame or
-    aggregate).  Gaps between bursts are exponential, giving Poisson
-    burst arrivals at the rate implied by the duty cycle.
+    ``duty_cycle`` is the long-run fraction of airtime occupied by bursts
+    of :data:`BURST_AIRTIME_S`.  Gaps between bursts are exponential,
+    giving Poisson burst arrivals at the rate implied by the duty cycle.
     """
 
     wifi_channel: int = 6
     duty_cycle: float = 0.10
-    burst_airtime_s: float = 0.002
     tx_power_dbm: float = 15.0
 
     def mean_gap_s(self) -> float:
         """Mean idle gap between bursts implied by the duty cycle."""
         if not 0.0 < self.duty_cycle < 1.0:
             raise ValueError("duty_cycle must be in (0, 1)")
-        return self.burst_airtime_s * (1.0 - self.duty_cycle) / self.duty_cycle
+        return BURST_AIRTIME_S * (1.0 - self.duty_cycle) / self.duty_cycle
 
 
 class WifiInterferer:
@@ -84,7 +87,7 @@ class WifiInterferer:
     def _burst(self) -> None:
         if not self._running:
             return
-        airtime = self.config.burst_airtime_s
+        airtime = BURST_AIRTIME_S
         size_bytes = max(1, int(airtime * 250_000 / 8))
         frame = Frame(
             payload=None,

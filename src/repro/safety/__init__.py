@@ -16,7 +16,7 @@ from repro.safety.controllers import (
 )
 from repro.safety.hvac import HvacZone
 from repro.safety.revenue import RevenueModel, RevenueStatement
-from repro.safety.thermal import ThermalZone, ThermalConfig
+from repro.safety.thermal import ThermalZone
 
 __all__ = [
     "BangBangController",
@@ -28,6 +28,5 @@ __all__ = [
     "RevenueModel",
     "RevenueStatement",
     "SetbackController",
-    "ThermalConfig",
     "ThermalZone",
 ]

@@ -19,7 +19,7 @@ from repro.devices.actuators import Actuator
 from repro.devices.node import DeviceNode
 from repro.safety.comfort import ComfortBand, ComfortTracker, OccupancySchedule
 from repro.safety.controllers import BangBangController, Controller
-from repro.safety.thermal import ThermalConfig, ThermalZone
+from repro.safety.thermal import ThermalZone
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.trace import TraceLog
 
@@ -77,7 +77,6 @@ class HvacZone:
         outside: Callable[[float], float],
         band: ComfortBand,
         schedule: Optional[OccupancySchedule] = None,
-        thermal: Optional[ThermalConfig] = None,
         control_period_s: float = 60.0,
         initial_temp_c: float = 18.0,
     ) -> None:
@@ -88,7 +87,7 @@ class HvacZone:
         self.zone = ThermalZone(
             node.sim, self.name, outside,
             occupants=self.schedule.occupants,
-            config=thermal, initial_temp_c=initial_temp_c,
+            initial_temp_c=initial_temp_c,
         )
         self.band = band
         self.control_period_s = control_period_s

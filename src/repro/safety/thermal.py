@@ -9,33 +9,25 @@ comfort-vs-energy tradeoff non-trivial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer
 
 
-@dataclass(frozen=True)
-class ThermalConfig:
-    """Zone physics parameters."""
-
-    #: Thermal resistance to outside, K/W.
-    resistance_k_per_w: float = 0.02
-    #: Thermal capacitance, J/K (~a small office).
-    capacitance_j_per_k: float = 2.0e6
-    #: Heater maximum power, W.
-    heater_max_w: float = 3000.0
-    #: Cooling maximum power (extracted), W.
-    cooler_max_w: float = 3000.0
-    #: Integration step, s.
-    step_s: float = 60.0
-    #: Internal gains per occupant, W.
-    occupant_gain_w: float = 100.0
-
-    def validate(self) -> None:
-        if min(self.resistance_k_per_w, self.capacitance_j_per_k, self.step_s) <= 0:
-            raise ValueError("physical parameters must be positive")
+# Zone physics, read at run time (a test patches them).
+#: Thermal resistance to outside, K/W.
+RESISTANCE_K_PER_W = 0.02
+#: Thermal capacitance, J/K (~a small office).
+CAPACITANCE_J_PER_K = 2.0e6
+#: Heater maximum power, W.
+HEATER_MAX_W = 3000.0
+#: Cooling maximum power (extracted), W.
+COOLER_MAX_W = 3000.0
+#: Integration step, s.
+STEP_S = 60.0
+#: Internal gains per occupant, W.
+OCCUPANT_GAIN_W = 100.0
 
 
 class ThermalZone:
@@ -52,20 +44,17 @@ class ThermalZone:
         name: str,
         outside: Callable[[float], float],
         occupants: Optional[Callable[[float], int]] = None,
-        config: Optional[ThermalConfig] = None,
         initial_temp_c: float = 18.0,
     ) -> None:
         self.sim = sim
         self.name = name
         self.outside = outside
         self.occupants = occupants if occupants is not None else (lambda t: 0)
-        self.config = config if config is not None else ThermalConfig()
-        self.config.validate()
         self.temperature_c = initial_temp_c
         self.heat_fraction = 0.0
         self.cool_fraction = 0.0
         self.energy_used_j = 0.0
-        self._stepper = PeriodicTimer(sim, self.config.step_s, self._step, phase=0.0)
+        self._stepper = PeriodicTimer(sim, STEP_S, self._step, phase=0.0)
 
     def start(self) -> None:
         """Begin integrating the zone physics."""
@@ -75,25 +64,21 @@ class ThermalZone:
         self._stepper.stop()
 
     def _step(self) -> None:
-        cfg = self.config
         now = self.sim.now
         t_out = self.outside(now)
-        q_hvac = (
-            self.heat_fraction * cfg.heater_max_w
-            - self.cool_fraction * cfg.cooler_max_w
-        )
-        q_internal = self.occupants(now) * cfg.occupant_gain_w
+        q_hvac = self.heat_fraction * HEATER_MAX_W - self.cool_fraction * COOLER_MAX_W
+        q_internal = self.occupants(now) * OCCUPANT_GAIN_W
         # Exact solution of the linear ODE over one step (stable for any
         # step size, unlike forward Euler).
-        tau = cfg.resistance_k_per_w * cfg.capacitance_j_per_k
+        tau = RESISTANCE_K_PER_W * CAPACITANCE_J_PER_K
         q_total = q_hvac + q_internal
-        equilibrium = t_out + q_total * cfg.resistance_k_per_w
-        decay = math.exp(-cfg.step_s / tau)
+        equilibrium = t_out + q_total * RESISTANCE_K_PER_W
+        decay = math.exp(-STEP_S / tau)
         self.temperature_c = equilibrium + (self.temperature_c - equilibrium) * decay
         self.energy_used_j += (
-            abs(self.heat_fraction) * cfg.heater_max_w
-            + abs(self.cool_fraction) * cfg.cooler_max_w
-        ) * cfg.step_s
+            abs(self.heat_fraction) * HEATER_MAX_W
+            + abs(self.cool_fraction) * COOLER_MAX_W
+        ) * STEP_S
 
     @property
     def energy_used_kwh(self) -> float:

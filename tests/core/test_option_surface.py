@@ -15,13 +15,27 @@ import inspect
 import pathlib
 import re
 
+import pytest
+
 import repro
 from repro.core.system import SystemConfig
+from repro.crdt.replication import AntiEntropyConfig
+from repro.net.mac.base import MacLayer
+from repro.net.mac.csma import CsmaConfig
+from repro.net.mac.lpl import LplConfig
+from repro.net.mac.rimac import RiMacConfig
+from repro.net.mac.syncflood import SyncFloodConfig
+from repro.net.mac.tsch import TschConfig
+from repro.net.rpl.dodag import RplConfig
+from repro.net.rpl.rnfd import RnfdConfig
+from repro.net.stack import StackConfig
 from repro.obs import (FlightRecorder, NodeHealthSampler, Observability,
                        Registry, TelemetryEngine)
 from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
+from repro.radio.interference import InterfererConfig
 from repro.radio.medium import Medium
+from repro.security.auth import AuthConfig
 from repro.sim.trace import TraceLog
 
 
@@ -39,10 +53,41 @@ def test_system_config_fields():
     # benchmarks/layers/workloads.py: on for grid_csma_observed, off for
     # the plain workloads.
     assert [f.name for f in dataclasses.fields(SystemConfig)] == [
-        "stack", "node_platform", "root_platform", "trace_enabled",
-        "invariant_checking", "observability", "span_sample_rate",
-        "span_max_stored", "telemetry_interval_s",
+        "stack", "trace_enabled", "invariant_checking", "observability",
+        "span_sample_rate", "span_max_stored", "telemetry_interval_s",
     ]
+
+
+# Every other ``*Config``: only fields some run sets
+# (tests/core/test_reachability.py's field census); a one-value
+# parameter is a module constant of the module that reads it.
+CONFIG_FIELDS = {
+    StackConfig: ["mac", "mac_config", "rpl", "objective", "rnfd_enabled",
+                  "rnfd", "channel", "upward_retries"],
+    RplConfig: ["trickle_imin_s", "trickle_doublings", "trickle_k",
+                "trickle_variant", "dao_period_s", "dis_period_s",
+                "parent_fail_threshold", "staleness_timeout_s",
+                "staleness_check_period_s", "float_delay_s"],
+    RnfdConfig: ["probe_period_s", "fail_threshold"],
+    CsmaConfig: ["max_retries"],
+    LplConfig: ["wake_interval_s", "phase_lock"],
+    RiMacConfig: ["wake_interval_s"],
+    TschConfig: ["slotframe_slots"],
+    SyncFloodConfig: ["per_hop_reliability"],
+    AntiEntropyConfig: ["period_s"],
+    InterfererConfig: ["wifi_channel", "duty_cycle", "tx_power_dbm"],
+    AuthConfig: ["mic_bytes"],
+}
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_FIELDS), ids=lambda cls: cls.__name__)
+def test_config_fields(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == CONFIG_FIELDS[cls]
+
+
+def test_mac_layer_keywords():
+    # The queue bound is the module constant repro.net.mac.base.MAX_QUEUE.
+    assert _keywords(MacLayer) == ["sim", "radio", "trace"]
 
 
 def test_observability_keywords():

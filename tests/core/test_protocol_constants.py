@@ -1,0 +1,38 @@
+"""The one-value protocol constants satisfy what ``validate()`` checked.
+
+Each was a ``*Config`` field no run set; as a module constant it is
+checked once, here, instead of on every build.  A test that patches one
+to another value takes on the same duty.  LPL's "probe shorter than the
+wake interval" stays a run-time check in ``LplConfig.validate``, because
+the wake interval is still settable.
+"""
+
+from repro.devices import sensors
+from repro.net.mac import csma, rimac, sixp, tsch
+from repro.radio.channels import IEEE802154_CHANNELS
+from repro.safety import thermal
+
+
+def test_constants_satisfy_the_checks_validate_ran():
+    # TSCH: the in-slot offsets fit in one slot ...
+    assert tsch.TX_OFFSET_S > 0
+    assert (tsch.TX_OFFSET_S + tsch.SHARED_JITTER_S + tsch.SLOT_GUARD_S
+            < tsch.SLOT_DURATION_S)
+    # ... the shared-cell backoff and MSF thresholds are ordered ...
+    assert 0 <= tsch.SHARED_BE_MIN <= tsch.SHARED_BE_MAX
+    assert 0.0 <= tsch.MSF_LOW < tsch.MSF_HIGH <= 1.0
+    assert tsch.MSF_EVAL_CELLS >= 1 and tsch.MAX_RETRIES >= 0
+    # ... and frames hop over valid 802.15.4 channels.
+    assert tsch.HOPPING and set(tsch.HOPPING) <= set(IEEE802154_CHANNELS)
+    # 6P offers, times out and grants something.
+    assert sixp.SIXP_CANDIDATES >= 1 and sixp.SIXP_TIMEOUT_S > 0
+    assert sixp.CHANNEL_OFFSETS >= 1 and sixp.MAX_CELLS_PER_NEIGHBOR >= 1
+    # CSMA backoff exponents are ordered; at least one CCA runs.
+    assert csma.MIN_BE <= csma.MAX_BE and csma.MAX_CCA_ATTEMPTS >= 1
+    # RI-MAC beacon jitter is a fraction of the period.
+    assert 0 <= rimac.JITTER < 1
+    # Zone physics is well posed.
+    assert min(thermal.RESISTANCE_K_PER_W, thermal.CAPACITANCE_J_PER_K,
+               thermal.STEP_S) > 0
+    # Sensor noise and resolution are not negative.
+    assert sensors.NOISE_SIGMA >= 0 and sensors.QUANTIZATION >= 0

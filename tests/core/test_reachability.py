@@ -23,7 +23,10 @@ and the appearance is not itself inside a definition that is not run
 declarations and are not listed.  Names are shared across classes, so
 ``x.add`` keeps every ``add`` method alive: the rule errs towards
 keeping.
-``make census`` prints the full report.
+
+A second rule covers options: every field of a ``*Config`` dataclass is
+passed by keyword in some call outside ``tests/`` (the field census
+below).  ``make census`` prints the full report.
 """
 
 from __future__ import annotations
@@ -408,9 +411,127 @@ def test_a_protocol_is_a_declaration_not_a_definition(tmp_path):
     assert not [q for q in _kept(rows) if q.startswith("Transport")]
 
 
+# ----------------------------------------------------------------------
+# The field census: every ``*Config`` field is one a run sets
+# ----------------------------------------------------------------------
+# DESIGN.md, "Conventions": an option exists only while a caller sets it;
+# a value nobody sets is a module constant.  A field of a ``*Config``
+# dataclass under ``src/repro`` is *set* when some call to that class in
+# ``src/``, ``benchmarks/`` or ``examples/`` — the callers the definition
+# census counts — passes it by keyword.  Tests do not count: a test that
+# needs another value patches the module constant.
+FIELD_CALLER_ROOTS = (SRC,) + CALLER_ROOTS
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def config_fields(src: pathlib.Path = SRC) -> Dict[str, Tuple[str, List[str]]]:
+    """Class name -> (module, field names) of every ``*Config`` dataclass."""
+    found: Dict[str, Tuple[str, List[str]]] = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+                    and _is_dataclass(node)):
+                continue
+            assert node.name not in found, f"two classes named {node.name}"
+            fields = [stmt.target.id for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign)
+                      and isinstance(stmt.target, ast.Name)
+                      and "ClassVar" not in ast.unparse(stmt.annotation)]
+            found[node.name] = (path.relative_to(src).as_posix(), fields)
+    return found
+
+
+def field_setters(classes: Iterable[str],
+                  roots: Sequence[pathlib.Path] = FIELD_CALLER_ROOTS
+                  ) -> Dict[Tuple[str, str], List[str]]:
+    """(class, field) -> the files whose calls to the class pass the
+    field by keyword, relative to the repository."""
+    classes = set(classes)
+    setters: Dict[Tuple[str, str], List[str]] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name not in classes:
+                    continue
+                where = path.relative_to(root.parent).as_posix()
+                if root == SRC:
+                    where = "src/" + where
+                for keyword in node.keywords:
+                    files = setters.setdefault((name, keyword.arg), [])
+                    if where not in files:
+                        files.append(where)
+    return setters
+
+
+def unset_fields(fields: Dict[str, Tuple[str, List[str]]],
+                 setters: Dict[Tuple[str, str], List[str]]) -> List[str]:
+    return [f"{module}::{cls}.{name}"
+            for cls, (module, names) in fields.items()
+            for name in names if (cls, name) not in setters]
+
+
+def test_every_config_field_is_set_by_a_run():
+    fields = config_fields()
+    setters = field_setters(fields)
+    # A ``**mapping`` splat would hide which fields a call sets.
+    assert not [cls for cls, arg in setters if arg is None]
+    problems = unset_fields(fields, setters)
+    assert not problems, (
+        "no call outside tests/ sets these fields — make each a module "
+        "constant the reading module owns:\n" + "\n".join(problems))
+
+
+_CONFIGS = {
+    "pkg/conf.py": """
+        from dataclasses import dataclass, field
+        from typing import ClassVar
+
+        @dataclass(frozen=True)
+        class RadioConfig:
+            KIND: ClassVar[str] = "radio"
+            power: float = 0.0
+            channel: int = 26
+
+        @dataclass
+        class Other:
+            unset: int = 0
+    """,
+    "callers/bench.py": """
+        from pkg.conf import RadioConfig
+        RadioConfig(power=3.0)
+    """,
+}
+
+
+def test_field_census_counts_keywords_of_calls_outside_tests(tmp_path):
+    for name, body in _CONFIGS.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(body))
+    fields = config_fields(tmp_path / "pkg")
+    assert fields == {"RadioConfig": ("conf.py", ["power", "channel"])}
+    setters = field_setters(fields, [tmp_path / "callers"])
+    assert setters == {("RadioConfig", "power"): ["callers/bench.py"]}
+    assert unset_fields(fields, setters) == ["conf.py::RadioConfig.channel"]
+
+
 def report(out=sys.stdout) -> None:
     """What ``make census`` prints: per definition who keeps it alive,
-    then totals by kind of keeper."""
+    then totals by kind of keeper; then per ``*Config`` field the files
+    that set it."""
     rows = census()
     totals: Dict[str, int] = {}
     for row in rows:
@@ -433,6 +554,19 @@ def report(out=sys.stdout) -> None:
           f"{len(ALLOW)} allow-list rows of at most {MAX_ALLOW_ROWS}", file=out)
     for problem in check(rows, ALLOW):
         print("FAIL", problem, file=out)
+    fields = config_fields()
+    setters = field_setters(fields)
+    print(file=out)
+    for cls, (module, names) in fields.items():
+        for name in names:
+            files = setters.get((cls, name))
+            print(f"{module + '::' + cls + '.' + name:<56} "
+                  f"{', '.join(files) if files else 'NOTHING'}", file=out)
+    unset = unset_fields(fields, setters)
+    print(f"{sum(len(names) for _, names in fields.values())} fields of "
+          f"{len(fields)} *Config classes, {len(unset)} set by no run", file=out)
+    for problem in unset:
+        print("FAIL", problem, "is set by no run", file=out)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.devices.phenomena import DiurnalField, RandomWalkField
-from repro.devices.sensors import Sensor, SensorConfig, SensorFault
+from repro.devices import sensors
+from repro.devices.sensors import Sensor, SensorFault
 from repro.sim.kernel import Simulator
 from tests.conftest import constant_field
 
@@ -38,25 +39,30 @@ class TestPhenomena:
 
 
 class TestSensor:
-    def make(self, sim, noise=0.0, **kwargs):
-        config = SensorConfig(noise_sigma=noise, quantization=0.0, **kwargs)
-        return Sensor(sim, "temp", constant_field(20.0), (0, 0), config)
+    @pytest.fixture(autouse=True)
+    def exact(self, monkeypatch):
+        """Noise-free, unquantized readings unless a test patches more."""
+        monkeypatch.setattr(sensors, "NOISE_SIGMA", 0.0)
+        monkeypatch.setattr(sensors, "QUANTIZATION", 0.0)
+
+    def make(self, sim, value=20.0):
+        return Sensor(sim, "temp", constant_field(value), (0, 0))
 
     def test_noiseless_read_matches_truth(self, sim):
         sensor = self.make(sim)
         assert sensor.read() == pytest.approx(20.0)
 
-    def test_noise_spreads_readings(self, sim):
-        sensor = self.make(sim, noise=1.0)
+    def test_noise_spreads_readings(self, sim, monkeypatch):
+        monkeypatch.setattr(sensors, "NOISE_SIGMA", 1.0)
+        sensor = self.make(sim)
         readings = [sensor.read() for _ in range(50)]
         assert max(readings) != min(readings)
         mean = sum(readings) / len(readings)
         assert mean == pytest.approx(20.0, abs=1.0)
 
-    def test_quantization(self, sim):
-        config = SensorConfig(noise_sigma=0.0, quantization=0.5)
-        sensor = Sensor(sim, "t", constant_field(20.3), (0, 0), config)
-        assert sensor.read() == pytest.approx(20.5)
+    def test_quantization(self, sim, monkeypatch):
+        monkeypatch.setattr(sensors, "QUANTIZATION", 0.5)
+        assert self.make(sim, 20.3).read() == pytest.approx(20.5)
 
     def test_stuck_fault_repeats_last_value(self, sim):
         sensor = self.make(sim)
@@ -81,13 +87,8 @@ class TestSensor:
         sensor.clear_fault()
         assert sensor.read() == pytest.approx(20.0)
 
-    def test_drift_accumulates_with_time(self, sim):
-        config = SensorConfig(noise_sigma=0.0, quantization=0.0,
-                              drift_per_day=2.0)
-        sensor = Sensor(sim, "t", constant_field(20.0), (0, 0), config)
+    def test_drift_accumulates_with_time(self, sim, monkeypatch):
+        monkeypatch.setattr(sensors, "DRIFT_PER_DAY", 2.0)
+        sensor = self.make(sim)
         sim.run(until=86_400.0)
         assert sensor.read() == pytest.approx(22.0)
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            SensorConfig(noise_sigma=-1.0).validate()

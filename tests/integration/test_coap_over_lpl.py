@@ -12,7 +12,8 @@ from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.codes import CoapCode
 from repro.middleware.coap.resource import CallbackResource
 from repro.middleware.coap.server import CoapServer
-from repro.middleware.coap.transport import CoapTransport, TransportConfig
+from repro.middleware.coap import transport as coap_transport
+from repro.middleware.coap.transport import CoapTransport
 from repro.net.mac.lpl import LplConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
@@ -36,15 +37,17 @@ def lpl_line(n=4, seed=260, phase_lock=True):
 
 
 class TestCoapOverLpl:
+    @pytest.fixture(autouse=True)
+    def patient_acks(self, monkeypatch):
+        """A CON's first ACK timeout spans several LPL rendezvous."""
+        monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 8.0)
+
     def test_large_response_crosses_duty_cycled_multihop(self):
         sim, trace, stacks = lpl_line()
-        _, server = (lambda t: (t, CoapServer(t)))(CoapTransport(
-            stacks[3], config=TransportConfig(ack_timeout_s=8.0)))
+        server = CoapServer(CoapTransport(stacks[3]))
         server.add_resource(CallbackResource(
             "/logs/dump", on_get=lambda: ("x" * 16, BIG_PAYLOAD_BYTES)))
-        client_transport = CoapTransport(
-            stacks[0], config=TransportConfig(ack_timeout_s=8.0))
-        client = CoapClient(client_transport)
+        client = CoapClient(CoapTransport(stacks[0]))
         responses = []
         client.get(3, "/logs/dump", responses.append, timeout_s=120.0)
         sim.run(until=sim.now + 120.0)
@@ -58,12 +61,9 @@ class TestCoapOverLpl:
 
     def test_latency_reflects_duty_cycle_rendezvous(self):
         sim, trace, stacks = lpl_line(seed=261)
-        transport = CoapTransport(stacks[3],
-                                  config=TransportConfig(ack_timeout_s=8.0))
-        server = CoapServer(transport)
+        server = CoapServer(CoapTransport(stacks[3]))
         server.add_resource(CallbackResource("/v", on_get=lambda: (1, 4)))
-        client = CoapClient(CoapTransport(
-            stacks[0], config=TransportConfig(ack_timeout_s=8.0)))
+        client = CoapClient(CoapTransport(stacks[0]))
         issued = sim.now
         latencies = []
         client.get(3, "/v", lambda r: latencies.append(sim.now - issued),

@@ -11,12 +11,13 @@ from repro.middleware.coap.resource import (
     Resource,
 )
 from repro.middleware.coap.server import CoapServer
-from repro.middleware.coap.transport import CoapTransport, TransportConfig
+from repro.middleware.coap import transport as coap_transport
+from repro.middleware.coap.transport import CoapTransport
 from tests.conftest import build_line_network
 
 
-def coap_on(stack, **transport_kwargs):
-    transport = CoapTransport(stack, **transport_kwargs)
+def coap_on(stack):
+    transport = CoapTransport(stack)
     return transport, CoapServer(transport), CoapClient(transport)
 
 
@@ -91,13 +92,13 @@ class TestRequestResponse:
 
 
 class TestTransportReliability:
-    def test_con_retransmits_through_loss(self):
+    def test_con_retransmits_through_loss(self, monkeypatch):
         # Make the path lossy by injecting 60% frame drops at the medium
         # level via a probabilistic link filter substitute: instead we
         # simply check the retransmission machinery arms and resolves.
+        monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 0.5)
         sim, trace, stacks = converged_line(3)
-        transport_sender, _, client = coap_on(
-            stacks[0], config=TransportConfig(ack_timeout_s=0.5))
+        transport_sender, _, client = coap_on(stacks[0])
         _, server, _ = coap_on(stacks[2])
         server.add_resource(CallbackResource("/r", on_get=lambda: (1, 4)))
         responses = []
@@ -106,12 +107,11 @@ class TestTransportReliability:
         assert responses[0] is not None
         assert transport_sender.failures == 0
 
-    def test_con_to_dead_peer_fails_after_max_retransmit(self):
+    def test_con_to_dead_peer_fails_after_max_retransmit(self, monkeypatch):
+        monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(coap_transport, "MAX_RETRANSMIT", 2)
         sim, trace, stacks = converged_line(3)
-        transport, _, client = coap_on(
-            stacks[0],
-            config=TransportConfig(ack_timeout_s=0.5, max_retransmit=2),
-        )
+        transport, _, client = coap_on(stacks[0])
         stacks[2].fail()
         responses = []
         client.get(2, "/r", responses.append, timeout_s=300.0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.mac import base
 from repro.net.mac.csma import CsmaConfig, CsmaMac
 from repro.net.mac.base import MacConfigError
 from repro.net.packet import BROADCAST
@@ -59,9 +60,9 @@ class TestUnicast:
         sim.run(until=2.0)
         assert got == [f"m{i}" for i in range(5)]
 
-    def test_queue_overflow_drops(self, sim):
+    def test_queue_overflow_drops(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_QUEUE", 2)
         _, a, b = make_pair(sim)
-        a.max_queue = 2
         outcomes = []
         for i in range(5):
             a.send(2, f"m{i}", 20, done=outcomes.append)
@@ -123,9 +124,7 @@ class TestChannelAccess:
 class TestConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(MacConfigError):
-            CsmaConfig(max_cca_attempts=0).validate()
-        with pytest.raises(MacConfigError):
-            CsmaConfig(min_be=5, max_be=3).validate()
+            CsmaConfig(max_retries=-1).validate()
 
     def test_duty_cycle_is_high_when_always_on(self, sim):
         _, a, b = make_pair(sim)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.mac.base import MacConfigError
+from repro.net.mac import lpl
 from repro.net.mac.lpl import LplConfig, LplMac
 from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio
@@ -33,7 +34,7 @@ class TestRendezvous:
         sim.run(until=5.0)
         assert got and outcome == [True]
         latency = got[0] - sent_at
-        assert latency <= config.wake_interval_s + config.strobe_margin_s
+        assert latency <= config.wake_interval_s + lpl.STROBE_MARGIN_S
 
     def test_strobe_stops_early_on_ack(self, sim):
         config = LplConfig(wake_interval_s=1.0)
@@ -45,7 +46,7 @@ class TestRendezvous:
         sim.run(until=5.0)
         # The job should finish well before a full 1 s strobe on average;
         # allow the full interval as the hard bound.
-        assert done_at and done_at[0] - 1.0 <= 1.0 + config.strobe_margin_s
+        assert done_at and done_at[0] - 1.0 <= 1.0 + lpl.STROBE_MARGIN_S
 
     def test_broadcast_strobes_full_interval(self, sim):
         config = LplConfig(wake_interval_s=0.5)
@@ -86,7 +87,7 @@ class TestRendezvous:
         assert b.stats.rx_duplicates >= 0  # duplicates counted, not delivered
 
     def test_unreachable_unicast_fails(self, sim):
-        config = LplConfig(wake_interval_s=0.5, max_retries=1)
+        config = LplConfig(wake_interval_s=0.5)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
         a = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
         b = LplMac(sim, Radio(medium, 2, (100, 0)), config=config)
@@ -100,7 +101,7 @@ class TestRendezvous:
 
 class TestEnergy:
     def test_idle_duty_cycle_is_low(self, sim):
-        config = LplConfig(wake_interval_s=0.5, probe_duration_s=0.006)
+        config = LplConfig(wake_interval_s=0.5)
         _, macs = make_line(sim, 2, config=config)
         sim.run(until=300.0)
         for mac in macs:
@@ -127,8 +128,11 @@ class TestEnergy:
 
 
 class TestConfig:
-    def test_invalid_config_rejected(self):
+    def test_invalid_config_rejected(self, monkeypatch):
         with pytest.raises(MacConfigError):
             LplConfig(wake_interval_s=0.0).validate()
+        # The probe must fit inside the (settable) wake interval.
+        LplConfig(wake_interval_s=0.1).validate()
+        monkeypatch.setattr(lpl, "PROBE_DURATION_S", 0.2)
         with pytest.raises(MacConfigError):
-            LplConfig(wake_interval_s=0.1, probe_duration_s=0.2).validate()
+            LplConfig(wake_interval_s=0.1).validate()

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.net import stack as stack_module
+from repro.net.mac.csma import CsmaConfig
+from repro.net.mac.lpl import LplConfig
+from repro.net.mac.tsch import TschConfig
 from repro.net.stack import NetworkStack, StackConfig
 from tests.conftest import build_grid_network, build_line_network
 
@@ -81,12 +85,9 @@ class TestRouting:
         assert outcome == [False]
         assert stacks[2].stats.datagrams_dropped_no_route == 1
 
-    def test_ttl_protects_against_loops(self):
-        sim, trace, stacks = build_line_network(4, seed=33,
-                                                config=StackConfig(
-                                                    mac="csma",
-                                                    default_ttl=2,
-                                                ))
+    def test_ttl_protects_against_loops(self, monkeypatch):
+        monkeypatch.setattr(stack_module, "DEFAULT_TTL", 2)
+        sim, trace, stacks = build_line_network(4, seed=33)
         sim.run(until=120.0)
         got = []
         stacks[0].bind(7, lambda d: got.append(d))
@@ -144,12 +145,31 @@ class TestFaults:
 
 class TestConfig:
     def test_unknown_mac_rejected(self):
-        with pytest.raises(ValueError):
-            build_line_network(2, config=StackConfig(mac="tdma-magic"))
+        with pytest.raises(ValueError, match=r"StackConfig\.mac: unknown MAC"):
+            StackConfig(mac="tdma-magic")
 
     def test_unknown_objective_rejected(self):
-        with pytest.raises(ValueError):
-            build_line_network(2, config=StackConfig(objective="fancy"))
+        with pytest.raises(ValueError, match=r"StackConfig\.objective: unknown"):
+            StackConfig(objective="fancy")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"mac": "lpl", "mac_config": CsmaConfig()},
+         r"StackConfig\.mac_config: mac='lpl' takes a LplConfig, not CsmaConfig"),
+        ({"mac": "csma", "mac_config": TschConfig()},
+         r"StackConfig\.mac_config: mac='csma' takes a CsmaConfig, not TschConfig"),
+        ({"mac": "tsch", "mac_config": LplConfig()},
+         r"StackConfig\.mac_config: mac='tsch' takes a TschConfig, not LplConfig"),
+        ({"mac_config": {"max_retries": 2}},
+         r"StackConfig\.mac_config: mac='csma' takes a CsmaConfig, not dict"),
+        ({"channel": 5}, r"StackConfig\.channel: 5 is not"),
+        ({"upward_retries": -1}, r"StackConfig\.upward_retries: must be >= 0"),
+    ], ids=["lpl-csma-config", "csma-tsch-config", "tsch-lpl-config",
+            "dict-config", "channel-5", "negative-retries"])
+    def test_mismatch_fails_at_construction(self, kwargs, message):
+        # Each of these used to build, then fail mid-run with an
+        # AttributeError, fail at build with one, or run silently.
+        with pytest.raises(ValueError, match=message):
+            StackConfig(**kwargs)
 
     def test_of0_network_still_converges(self):
         sim, trace, stacks = build_line_network(

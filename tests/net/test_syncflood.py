@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.mac import syncflood
 from repro.net.mac.syncflood import FloodResult, SyncFloodConfig, SyncFloodService
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
@@ -19,11 +20,10 @@ class TestFlood:
     def test_latency_is_hops_times_slot(self, sim):
         medium = make_line(sim, 6)
         service = SyncFloodService(sim, medium,
-                                   SyncFloodConfig(slot_s=0.004,
-                                                   per_hop_reliability=1.0))
+                                   SyncFloodConfig(per_hop_reliability=1.0))
         result = service.flood(0)
         for node, latency in result.reached.items():
-            assert latency == pytest.approx(node * 0.004)
+            assert latency == pytest.approx(node * syncflood.SLOT_S)
 
     def test_deliver_callbacks_fire_at_latency(self, sim):
         medium = make_line(sim, 4)
@@ -36,7 +36,7 @@ class TestFlood:
         assert len(arrivals) == 3
         for node, time, payload in arrivals:
             assert payload == "cmd"
-            assert time == pytest.approx(node * service.config.slot_s)
+            assert time == pytest.approx(node * syncflood.SLOT_S)
 
     def test_disconnected_nodes_are_missed(self, sim):
         medium = make_line(sim, 3, spacing=20.0)

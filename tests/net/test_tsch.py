@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.mac import base, sixp, tsch
 from repro.net.mac.base import MacConfigError
 from repro.net.mac.tsch import (
     MINIMAL_SLOT,
@@ -19,10 +20,10 @@ from repro.sim.kernel import Simulator
 from tests.conftest import reserved_slots
 
 
-def make_pair(sim, distance=10.0, **cfg):
+def make_pair(sim, distance=10.0, config=None):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-    a = TschMac(sim, Radio(medium, 1, (0, 0)), **cfg)
-    b = TschMac(sim, Radio(medium, 2, (distance, 0)), **cfg)
+    a = TschMac(sim, Radio(medium, 1, (0, 0)), config=config)
+    b = TschMac(sim, Radio(medium, 2, (distance, 0)), config=config)
     a.start()
     b.start()
     return medium, a, b
@@ -32,26 +33,13 @@ class TestConfig:
     def test_defaults_validate(self):
         TschConfig().validate()
 
-    @pytest.mark.parametrize("kwargs", [
-        {"slot_duration_s": 0.0},
-        {"slotframe_slots": 1},
-        {"channel_offsets": 0},
-        {"hopping": ()},
-        {"tx_offset_s": 0.0},
-        {"tx_offset_s": 0.02},          # does not fit in the slot
-        {"shared_be_min": 4, "shared_be_max": 2},
-        {"max_retries": -1},
-        {"msf_eval_cells": 0},
-        {"msf_low": 0.8, "msf_high": 0.5},
-        {"max_cells_per_neighbor": 0},
-        {"sixp_candidates": 0},
-        {"sixp_timeout_s": 0.0},
-    ])
-    def test_invalid_config_rejected(self, sim, kwargs):
+    def test_invalid_config_rejected(self, sim):
+        # The one settable field; the constants' own consistency is
+        # tests/core/test_protocol_constants.py.
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
         with pytest.raises(MacConfigError):
             TschMac(sim, Radio(medium, 1, (0, 0)),
-                    config=TschConfig(**kwargs))
+                    config=TschConfig(slotframe_slots=1))
 
 
 class TestSchedule:
@@ -100,7 +88,7 @@ class TestUnicast:
         # give it many slotframes.  Attempts are snapshotted at job
         # completion, before any queued 6P retries run.
         sim.run(until=200.0)
-        assert snap == [(False, 1 + a.config.max_retries)]
+        assert snap == [(False, 1 + tsch.MAX_RETRIES)]
 
     def test_queue_serializes_jobs(self, sim):
         _, a, b = make_pair(sim)
@@ -111,8 +99,9 @@ class TestUnicast:
         sim.run(until=30.0)
         assert got == [f"m{i}" for i in range(5)]
 
-    def test_queue_overflow_fails_fast(self, sim):
-        _, a, _ = make_pair(sim, max_queue=2)
+    def test_queue_overflow_fails_fast(self, sim, monkeypatch):
+        monkeypatch.setattr(base, "MAX_QUEUE", 2)
+        _, a, _ = make_pair(sim)
         outcomes = []
         # One job goes in flight immediately, two queue, the rest drop.
         for i in range(5):
@@ -177,13 +166,15 @@ class TestMsfNegotiation:
                        for r in b.schedule.rx_cells_from(1))
         assert a.tsch_stats.dedicated_tx > 0
 
-    def test_idle_cells_are_deleted_again(self, sim):
+    def test_idle_cells_are_deleted_again(self, sim, monkeypatch):
         # Saturate one cell's capacity (~1 frame/slotframe) so MSF
         # utilization pins at 1.0 and the schedule grows past one cell.
         # 6P rides the normal queue, so give it room behind the backlog
         # and a timeout longer than the head-of-line wait.
-        config = TschConfig(msf_eval_cells=4, sixp_timeout_s=30.0)
-        _, a, b = make_pair(sim, config=config, max_queue=200)
+        monkeypatch.setattr(tsch, "MSF_EVAL_CELLS", 4)
+        monkeypatch.setattr(sixp, "SIXP_TIMEOUT_S", 30.0)
+        monkeypatch.setattr(base, "MAX_QUEUE", 200)
+        _, a, b = make_pair(sim)
         for k in range(120):
             sim.schedule(0.5 * k, (lambda kk: lambda: a.send(2, f"m{kk}", 20))(k))
         sim.run(until=45.0)
@@ -234,7 +225,7 @@ class TestChannelHopping:
     def test_cell_frequency_follows_the_hop_sequence(self, sim):
         _, a, _ = make_pair(sim)
         cell = a.schedule.get(MINIMAL_SLOT)
-        seq = a.config.hopping
+        seq = tsch.HOPPING
         assert a._channel_for(cell, 0) == seq[0]
         assert a._channel_for(cell, 1) == seq[1]
         assert (a._channel_for(cell, len(seq) + 3) == seq[3])

@@ -21,8 +21,10 @@ from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.faults.plan import FaultPlan
 from repro.net import stack as stack_module
+from repro.net.mac import tsch
 from repro.net.mac.tsch import Cell, TschConfig, TschMac
 from repro.net.stack import StackConfig
+from repro.radio import interference
 from repro.radio.interference import InterfererConfig, WifiInterferer
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
@@ -76,8 +78,7 @@ def run_grid(mac_cls, seed, model, *, side=3, formation_s=90.0,
          ).install(system)
         jammer = WifiInterferer(
             sim, system.medium, 900, (10.0, 10.0),
-            InterfererConfig(wifi_channel=6, duty_cycle=0.05,
-                             burst_airtime_s=0.013))
+            InterfererConfig(wifi_channel=6, duty_cycle=0.05))
         sim.schedule(formation_s / 2, jammer.start)
     system.start()
     rng = random.Random(seed)
@@ -151,9 +152,11 @@ def assert_same_run(lazy, eager, recorded):
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("lossy", [False, True], ids=["unit-disk", "lossy"])
-def test_lazy_run_equals_eager_reference(seed, lossy, recorded):
+def test_lazy_run_equals_eager_reference(seed, lossy, recorded, monkeypatch):
     """Jammer, two crash/reboots, tracing and checking on; 6P runs under
     loss on the lossy links."""
+    # 13 ms jamming bursts: longer than a slot, so they cover whole cells.
+    monkeypatch.setattr(interference, "BURST_AIRTIME_S", 0.013)
     def model():
         return lossy_model(seed) if lossy else UnitDiskModel(radius_m=25.0)
 
@@ -175,12 +178,12 @@ def test_lazy_run_equals_eager_reference(seed, lossy, recorded):
 
 
 @pytest.mark.parametrize("seed", [11, 12])
-def test_frames_straddling_slot_boundaries(seed, recorded):
+def test_frames_straddling_slot_boundaries(seed, recorded, monkeypatch):
     """A late TsTxOffset puts every data frame across its slot's end and
     the next slot's start: holds, ACKs sent after the slot end, and
     windows opened under a frame already in flight all occur."""
-    config = TschConfig(slotframe_slots=11, tx_offset_s=0.0068,
-                        shared_jitter_s=0.0012)
+    monkeypatch.setattr(tsch, "TX_OFFSET_S", 0.0068)
+    config = TschConfig(slotframe_slots=11)
     lazy = run_grid(TschMac, seed, UnitDiskModel(radius_m=25.0),
                     mac_config=config, hostile=False)
     eager = run_grid(eager_tsch(), seed, UnitDiskModel(radius_m=25.0),
@@ -188,7 +191,7 @@ def test_frames_straddling_slot_boundaries(seed, recorded):
     assert_same_run(lazy, eager, recorded)
     system, delivered, _ = lazy
     assert delivered
-    slot = config.slot_duration_s
+    slot = tsch.SLOT_DURATION_S
     straddlers = [
         r for r in recorded(system.trace) if r.category == "radio.tx"
         and int(r.time / slot) != int((r.time + (11 + r.data["size"]) * 8
@@ -292,19 +295,19 @@ class TestListenPlan:
         sim.run(until=125.0)
         assert sim.events_processed == before
         # ... and is still charged for a window per slotframe.
-        frames = 125.0 / (a.config.slotframe_slots * a.config.slot_duration_s)
+        frames = 125.0 / (a.config.slotframe_slots * tsch.SLOT_DURATION_S)
         listen = a.radio.flush_state_time()[RadioState.LISTEN]
         assert listen == pytest.approx(
-            int(frames) * (a.config.slot_duration_s - a.config.slot_guard_s),
+            int(frames) * (tsch.SLOT_DURATION_S - tsch.SLOT_GUARD_S),
             rel=1e-9)
 
     def test_reading_inside_a_window_finds_the_radio_listening(self, sim):
         _, a, _ = make_pair(sim)
-        frame_s = a.config.slotframe_slots * a.config.slot_duration_s
+        frame_s = a.config.slotframe_slots * tsch.SLOT_DURATION_S
         sim.run(until=3 * frame_s + 0.004)      # 4 ms into slot 0
         assert a.radio.state is RadioState.LISTEN
-        assert a.radio.channel == a.config.hopping[
-            (3 * a.config.slotframe_slots) % len(a.config.hopping)]
+        assert a.radio.channel == tsch.HOPPING[
+            (3 * a.config.slotframe_slots) % len(tsch.HOPPING)]
         sim.run(until=3 * frame_s + 0.0099)     # in the guard
         assert a.radio.state is RadioState.SLEEP
 
@@ -314,9 +317,9 @@ class TestListenPlan:
         channel a sleeping radio was left on."""
         medium, a, _ = make_pair(sim, trace)
         stranger = Radio(medium, 3, (5.0, 0.0))
-        frame_s = a.config.slotframe_slots * a.config.slot_duration_s
-        left_on = a.config.hopping[
-            (2 * a.config.slotframe_slots) % len(a.config.hopping)]
+        frame_s = a.config.slotframe_slots * tsch.SLOT_DURATION_S
+        left_on = tsch.HOPPING[
+            (2 * a.config.slotframe_slots) % len(tsch.HOPPING)]
 
         def send(channel):
             medium.transmit(stranger, Frame("x", 20, channel, 3))
@@ -331,9 +334,9 @@ class TestListenPlan:
     def test_frame_makes_the_window_it_hits_real(self, sim, trace, recorded):
         medium, a, _ = make_pair(sim, trace)
         stranger = Radio(medium, 3, (5.0, 0.0))
-        frame_s = a.config.slotframe_slots * a.config.slot_duration_s
-        channel = a.config.hopping[
-            (4 * a.config.slotframe_slots) % len(a.config.hopping)]
+        frame_s = a.config.slotframe_slots * tsch.SLOT_DURATION_S
+        channel = tsch.HOPPING[
+            (4 * a.config.slotframe_slots) % len(tsch.HOPPING)]
         sim.schedule_at(4 * frame_s + 0.003, lambda: medium.transmit(
             stranger, Frame("x", 20, channel, 3)))
         sim.run(until=4 * frame_s + 0.009)
@@ -350,8 +353,8 @@ class TestListenPlan:
             stranger = Radio(medium, 3, (5.0, 0.0))
             medium.set_link_filter(lambda sender, receiver: sender == 3)
             nslots = a.config.slotframe_slots
-            start = 2 * nslots * a.config.slot_duration_s
-            channel = a.config.hopping[2 * nslots % len(a.config.hopping)]
+            start = 2 * nslots * tsch.SLOT_DURATION_S
+            channel = tsch.HOPPING[2 * nslots % len(tsch.HOPPING)]
             # ~10 ms of airtime from 4 ms in: across the window's end.
             sim.schedule_at(start + 0.004, lambda: medium.transmit(
                 stranger, Frame("x", 300, channel, 3)))

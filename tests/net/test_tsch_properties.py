@@ -14,26 +14,32 @@ timeouts — and check the documented invariants after every step:
 """
 
 import random
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.net.mac import sixp
 from repro.net.mac.tsch import (
     Cell,
     SixpPeer,
     SlotConflictError,
-    TschConfig,
     TschSchedule,
 )
 from tests.conftest import reserved_slots
 
 SLOTS = 23
-CONFIG = TschConfig(slotframe_slots=SLOTS, sixp_timeout_s=5.0,
-                    max_cells_per_neighbor=4)
+
+
+#: The negotiation properties run under a shorter timeout and a higher
+#: per-neighbor cap than a run's: more expiries, more cells.  A decorator
+#: below ``@given``, so every example patches and restores them.
+sixp_limits = mock.patch.multiple(sixp, SIXP_TIMEOUT_S=5.0,
+                                  MAX_CELLS_PER_NEIGHBOR=4)
 
 
 def make_peer(node_id, seed):
     schedule = TschSchedule(SLOTS)
-    return SixpPeer(node_id, schedule, random.Random(seed), CONFIG)
+    return SixpPeer(node_id, schedule, random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def check_invariants(a, b):
         if initiator.inflight_count() == 0:
             assert reserved_slots(initiator.schedule) == []
         assert (len(reserved_slots(initiator.schedule))
-                <= initiator.inflight_count() * CONFIG.sixp_candidates)
+                <= initiator.inflight_count() * sixp.SIXP_CANDIDATES)
         # A TX cell nobody listens to can never exist: responders
         # install RX before the confirmation travels back.
         for cell in initiator.schedule.tx_cells_to(responder.node_id):
@@ -114,6 +120,7 @@ def check_invariants(a, b):
     ("add_ab", 0), ("add_ba", 0), ("timeout", 0), ("add_ba", 0),
     ("deliver", 2), ("deliver", 1), ("deliver", 1)])
 @settings(max_examples=120, deadline=None)
+@sixp_limits
 def test_negotiation_never_orphans_cells(seed, ops):
     """Random interleavings of initiations, arbitrary-order delivery,
     loss, and timeouts keep every invariant, and full quiescence leaves
@@ -146,13 +153,13 @@ def test_negotiation_never_orphans_cells(seed, ops):
         elif op == "drop" and pending:
             pending.pop(pick % len(pending))
         elif op == "timeout":
-            now += CONFIG.sixp_timeout_s
+            now += sixp.SIXP_TIMEOUT_S
             a.expire(now)
             b.expire(now)
         check_invariants(a, b)
 
     # Quiesce: expire whatever is still in flight and drop the mail.
-    now += 2 * CONFIG.sixp_timeout_s
+    now += 2 * sixp.SIXP_TIMEOUT_S
     a.expire(now)
     b.expire(now)
     assert a.inflight_count() == 0 and b.inflight_count() == 0
@@ -166,6 +173,7 @@ def test_negotiation_never_orphans_cells(seed, ops):
     rounds=st.integers(min_value=1, max_value=6),
 )
 @settings(max_examples=60, deadline=None)
+@sixp_limits
 def test_lossless_in_order_negotiation_converges(seed, rounds):
     """With reliable in-order transport, every completed ADD yields a
     TX/RX pair on the same (slot, channel offset)."""

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.rpl import rnfd
 from repro.net.rpl.rnfd import Cfrc, RnfdConfig, RootState
 from repro.net.stack import StackConfig
 from tests.conftest import build_grid_network
@@ -120,10 +121,11 @@ class TestDetection:
             for s in stacks[1:]
         )
 
-    def test_quorum_prevents_single_sentinel_verdict(self):
+    def test_quorum_prevents_single_sentinel_verdict(self, monkeypatch):
         # With quorum over 0.5 and two sentinels, one sentinel's bad link
         # cannot convict the root.
-        sim, trace, stacks = build_rnfd_grid(quorum=0.75)
+        monkeypatch.setattr(rnfd, "QUORUM", 0.75)
+        sim, trace, stacks = build_rnfd_grid()
         sim.run(until=300.0)
         # Cut only sentinel 1's link to the root.
         stacks[0].medium.set_link_filter(

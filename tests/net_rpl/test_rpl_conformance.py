@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.rpl import dodag
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.messages import DaoMessage, DioMessage, DisMessage
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
@@ -79,10 +80,10 @@ class TestLoopGuards:
                                        rank=INFINITE_RANK))
         assert node.preferred_parent != 99
 
-    def test_blacklist_expires(self):
+    def test_blacklist_expires(self, monkeypatch):
+        monkeypatch.setattr(dodag, "BLACKLIST_S", 30.0)
         config = StackConfig(mac="csma",
-                             rpl=RplConfig(blacklist_s=30.0,
-                                           parent_fail_threshold=1))
+                             rpl=RplConfig(parent_fail_threshold=1))
         sim, trace, stacks = build_line_network(3, config=config, seed=276)
         sim.run(until=120.0)
         node = stacks[2].rpl

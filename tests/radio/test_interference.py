@@ -11,7 +11,7 @@ from repro.sim.trace import TraceLog
 
 class TestInterfererConfig:
     def test_mean_gap_matches_duty_cycle(self):
-        config = InterfererConfig(duty_cycle=0.5, burst_airtime_s=0.002)
+        config = InterfererConfig(duty_cycle=0.5)
         assert config.mean_gap_s() == pytest.approx(0.002)
 
     def test_invalid_duty_cycle_rejected(self):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.stack import StackConfig
+from repro.radio import interference
 from repro.radio.interference import InterfererConfig, WifiInterferer
 from repro.security.attacks import CommandInjector
 from repro.security.auth import AuthConfig, FrameAuthenticator, compute_tag
@@ -165,15 +166,16 @@ class TestCryptoCost:
 
 
 class TestJammer:
-    def test_jamming_degrades_delivery(self):
+    def test_jamming_degrades_delivery(self, monkeypatch):
         sim, trace, stacks, _ = secured_network(secure=False, seed=103)
         got = []
         stacks[0].bind(7, lambda d: got.append(1))
         # A deliberate jammer is an interferer turned to hostile settings.
+        monkeypatch.setattr(interference, "BURST_AIRTIME_S", 0.004)
         jammer = WifiInterferer(
             sim, stacks[0].medium, 777, (30.0, 5.0),
             config=InterfererConfig(wifi_channel=6, duty_cycle=0.9,
-                                    burst_airtime_s=0.004, tx_power_dbm=20.0))
+                                    tx_power_dbm=20.0))
         jammer.start()
         for i in range(20):
             sim.schedule(sim.now + 5.0 * i,
