@@ -8,8 +8,8 @@ funnel a neighbourhood goes through (DESIGN.md, "Scaling the medium") —
 - *candidates*: radios in the sender's nine grid cells;
 - *in reach*: radios inside its audible disc (the model's range bound at
   its power, times the cell margin), counted over **all** radios;
-- *evaluated*: links the medium asks the model about (the receivers it
-  hands ``rssi_dbm_batch``, or one ``rssi_dbm`` each);
+- *evaluated*: links the medium asks the model about (the rows it hands
+  ``model.rssi_dbm``);
 - *audible*: radios that end up in the neighbourhood
 
 — ``radio.cold_frame_us`` as the layered benchmark defines it, and where
@@ -38,15 +38,15 @@ from repro.radio.medium import Medium, Radio
 
 COLUMNS = ("candidates", "in_reach", "evaluated", "audible")
 #: Wall-clock stages of one ``Medium._build_neighborhood``, cut at the
-#: calls it makes: cell gather | ``_reach_m`` | disc + link filter |
-#: model RSSI | threshold + sort | model PRR | assembling the entry.
-STAGES = ("gather_s", "filter_s", "model_s", "sort_s", "assemble_s")
+#: calls it makes: cell gather | ``_reach_m`` + disc + dropping the
+#: sender | ``model.rssi_dbm`` | threshold + lexsort |
+#: ``model.reception_probability`` | assembling the entry.
+STAGES = ("gather_s", "disc_s", "model_s", "sort_s", "assemble_s")
 
 
 def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
     """One row of :data:`COLUMNS` and :data:`STAGES` per sender, from a
-    fresh neighbourhood build each (nothing cached is read or replaced).
-    Needs the grid index on and a model with both batch methods."""
+    fresh neighbourhood build each (nothing cached is read or replaced)."""
     model = medium.model
     positions = np.array([radio.position for radio in medium.radios.values()])
     asked = 0
@@ -56,22 +56,18 @@ def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
         def wrapper(*args):
             nonlocal asked
             marks.append(perf_counter())
-            before = asked
             result = call(*args)
             if count is not None:
-                # Whatever a batch asks of the scalar is the same request.
-                asked = before + count(args)
+                asked += count(args)
             marks.append(perf_counter())
             return result
         return wrapper
 
     rows = []
     # Instance attributes shadow the methods for the length of the census.
-    batches = medium._model_rssi_batch, medium._model_prr_batch
     medium._reach_m = stamped(medium._reach_m)
-    medium._model_rssi_batch = stamped(batches[0], lambda args: len(args[1]))
-    medium._model_prr_batch = stamped(batches[1])
-    model.rssi_dbm = stamped(model.rssi_dbm, lambda args: 1)
+    model.rssi_dbm = stamped(model.rssi_dbm, lambda args: len(args[1]))
+    model.reception_probability = stamped(model.reception_probability)
     try:
         for sender in senders:
             reach = medium._reach_m(sender.tx_power_dbm)
@@ -82,24 +78,22 @@ def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
             end = perf_counter()
             dx = positions[:, 0] - sender.position[0]
             dy = positions[:, 1] - sender.position[1]
-            row = {
+            rows.append({
                 "candidates": sum(len(medium._grid.get(cell, ()))
                                   for cell in entry.cells) - 1,
                 "in_reach": int(np.count_nonzero(
                     dx * dx + dy * dy <= reach * reach)) - 1,
                 "evaluated": asked - before,
                 "audible": len(entry.receivers),
-            }
-            if len(marks) == 6:  # reach, rssi batch, prr batch: in, out
-                row.update(gather_s=marks[0] - start,
-                           filter_s=marks[2] - marks[1],
-                           model_s=marks[3] - marks[2] + marks[5] - marks[4],
-                           sort_s=marks[4] - marks[3],
-                           assemble_s=end - marks[5])
-            rows.append(row)
+                # marks: reach, rssi, prr — each in, out
+                "gather_s": marks[0] - start,
+                "disc_s": marks[2] - marks[0],
+                "model_s": marks[3] - marks[2] + marks[5] - marks[4],
+                "sort_s": marks[4] - marks[3],
+                "assemble_s": end - marks[5],
+            })
     finally:
-        del medium._reach_m, model.rssi_dbm
-        medium._model_rssi_batch, medium._model_prr_batch = batches
+        del medium._reach_m, model.rssi_dbm, model.reception_probability
     return rows
 
 
@@ -128,12 +122,11 @@ def main() -> int:
     print(f"  radio.cold_frame_us {cold_us:.0f}  "
           f"(cold pass {workload.cold_s:.2f} s over "
           f"{workload.cold_frames} first frames)")
-    staged = [row for row in rows if "model_s" in row]
-    print(f"  of which one neighbourhood build, re-run over {len(staged)} "
+    print(f"  of which one neighbourhood build, re-run over {len(rows)} "
           f"senders (us per sender):")
     for stage in STAGES:
         print(f"    {stage[:-2]:10s}"
-              f"{sum(row[stage] for row in staged) / len(staged) * 1e6:8.0f}")
+              f"{sum(row[stage] for row in rows) / len(rows) * 1e6:8.0f}")
     return 0
 
 

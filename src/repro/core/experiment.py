@@ -68,7 +68,7 @@ class Sweep:
             for seed in seeds_for(base_seed + index, repetitions)
         ]
         executor = TrialExecutor(jobs)
-        for (value, seed), metrics in zip(tasks, executor.imap(scenario, tasks)):
+        for (value, seed), metrics in zip(tasks, executor.map(scenario, tasks)):
             self.trials.append(Trial(params={self.parameter: value},
                                      seed=seed, metrics=metrics))
         return self

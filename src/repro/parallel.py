@@ -6,10 +6,10 @@ arguments — so trials can run on all cores *without* giving up
 reproducibility, provided results are merged by trial index rather than
 by arrival order.  :class:`TrialExecutor` is that contract as code:
 
-1. **Determinism.**  Results are yielded in *submission* order no matter
+1. **Determinism.**  Results come back in *submission* order no matter
    which worker finishes first, so a sweep built on the executor is
    byte-identical to its serial equivalent.  A task that raises
-   re-raises at its own index, where a serial loop would have raised.
+   re-raises the exception a serial loop would have raised.
 2. **Transparent fallback.**  Parallelism is an optimization, never a
    requirement: with ``jobs=1``, fewer than two tasks, one usable core,
    inside a daemonic process, or with a payload that does not pickle,
@@ -32,7 +32,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List,
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Tuple)
 
 if TYPE_CHECKING:
@@ -183,34 +183,31 @@ class TrialExecutor:
             return True
         return not _picklable(fn, tasks)
 
-    def imap(self, fn: Callable[..., Any],
-             argses: Iterable[Task]) -> Iterator[Any]:
-        """Yield ``fn(*args)`` for each tuple, in submission order.
+    def map(self, fn: Callable[..., Any],
+            argses: Iterable[Task]) -> List[Any]:
+        """``[fn(*args) for args in argses]``, in submission order.
 
-        Results stream as soon as the *next in-order* trial completes,
-        so per-trial observers (progress, invariant hooks) fire in the
-        same order serial execution would fire them.  A trial that
-        raises re-raises here at its own index, after every earlier
-        trial's result; later trials may still have executed (they are
-        side-effect free by contract).
+        A trial that raises re-raises here, after every earlier trial
+        ran — the exception a serial loop would have raised; later
+        trials may still have executed (they are side-effect free by
+        contract).
         """
         tasks: List[Task] = [tuple(args) for args in argses]
         if self._in_process(fn, tasks):
-            for args in tasks:
-                yield fn(*args)
-            return
+            return [fn(*args) for args in tasks]
         from concurrent.futures.process import BrokenProcessPool
 
         pool = _warm_pool(self.jobs)
+        results: List[Any] = []
         try:
             # Executor.map yields chunk results strictly in submission
             # order regardless of completion order: the merge by index.
-            for results in pool.map(_run_chunk, [
+            for chunk in pool.map(_run_chunk, [
                     (fn, chunk) for chunk in _chunks(tasks, self.jobs)]):
-                for ok, value in results:
+                for ok, value in chunk:
                     if not ok:
                         raise value
-                    yield value
+                    results.append(value)
         except BrokenProcessPool:
             # A worker died mid-dispatch (OOM-killed, hard crash).  A
             # broken pool never serves again: drop it, so the next
@@ -220,8 +217,4 @@ class TrialExecutor:
                     del _POOLS[self.jobs]
             pool.shutdown(wait=True)
             raise
-
-    def map(self, fn: Callable[..., Any],
-            argses: Iterable[Task]) -> List[Any]:
-        """Like :meth:`imap`, but collects the full result list."""
-        return list(self.imap(fn, argses))
+        return results

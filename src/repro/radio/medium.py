@@ -15,27 +15,23 @@ Scaling: the spatial grid index
 -------------------------------
 With tens of thousands of radios the hot queries — who can hear a
 sender, is the carrier busy, which overlapping frames reach a receiver —
-cannot afford to visit every radio.  When the link model publishes a
-hard audible-range bound (``max_audible_range_m`` on its *own* class,
-see :mod:`repro.radio.propagation`), the medium buckets radios into
-square cells at least that large, so "who can hear this radio" resolves
-against the 3×3 cell neighborhood instead of the full population: any
-radio that could possibly be heard is in an adjacent cell by
-construction.  Inside those nine cells only the radios within the
-sender's own disc — the same bound at *its* power, times the same
-``_CELL_MARGIN`` — are handed to the model: the nine cells cover about
-nine cell areas, the disc about π of one, and every link evaluation is a
-shadowing draw, so a squared-distance compare per candidate is the
-cheaper way to say no to the other ~60 %.
+cannot afford to visit every radio.  Every link model declares a hard
+audible-range bound (``max_audible_range_m``, see
+:mod:`repro.radio.propagation`), so the medium keeps its radios'
+positions as one ``(N, 2)`` array and buckets their row indices into
+square cells at least that large: any radio that could possibly be heard
+is in one of the sender's nine surrounding cells by construction.  A
+neighbourhood is one vectorised pass over those rows — cut to the
+sender's own disc (the bound at *its* power, times ``_CELL_MARGIN``,
+with a squared-distance compare), drop the sender and any blocked link,
+one model call for the RSSIs, the threshold, one ``lexsort`` by
+``(rssi desc, node_id)``, one model call for the PRRs.
 
-The index is an *accelerator, not an approximation*: the candidate set
-is a superset of the audible set, every candidate is then evaluated with
-exactly the same model math, results are sorted by the same
-``(rssi desc, node_id)`` key, and the PRR draw order is unchanged — so
-an indexed medium reproduces the full-scan medium's event trace
-byte-for-byte (``make check-invariants`` pins this).  There is no switch:
-a model that declares no range bound gets the full scan, and that is
-where the identity tests take their reference from.
+The index is an *accelerator, not an approximation*: the disc is a
+superset of the audible set, every candidate is evaluated with the same
+model math, and a link's value does not depend on which others share its
+call — so the medium reproduces a full scan's event trace byte for byte
+(``tests/conftest.py::FullScanMedium`` is that reference).
 
 Collisions: arbitrated once per frame
 -------------------------------------
@@ -58,12 +54,15 @@ maps, usually an empty list.
 Cache invalidation rules (the part that must not rot):
 
 - ``Radio.position`` / ``Radio.tx_power_dbm`` are properties; every
-  write bumps ``Radio.version`` and notifies the medium.
+  write bumps ``Radio.version`` and notifies the medium, which updates
+  the radio's row of the position array.  A NaN or infinite value is
+  refused before anything changes (:class:`PositionError`,
+  :class:`PowerError`).
 - The neighborhoods are the only place signal strengths are kept:
   the medium has no other cache and the link model keeps none (a
   shadowing draw is recomputed from ``(seed, link key)`` whenever a
   neighborhood is rebuilt).  A neighborhood (triples and
-  ``rssi_by_id``, built in one pass from one batch model call) is
+  ``rssi_by_id``, built in the one pass) is
   stamped with the world version, its sender's version, the link-filter
   version, and the nine grid cells around its sender with those cells'
   versions — all nine, although candidates come from the disc inside
@@ -127,6 +126,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.radio.propagation import LinkQualityModel, Position
 from repro.sim.kernel import Simulator
@@ -246,10 +247,21 @@ class PositionError(ValueError):
     link model's draws and never equal its own grid cell."""
 
 
+class PowerError(ValueError):
+    """A radio given a NaN or infinite transmit power — it would size
+    the grid cells and cut the sender's disc by that value."""
+
+
 def _placed(node_id: int, position: Position) -> Position:
     if not (math.isfinite(position[0]) and math.isfinite(position[1])):
         raise PositionError(f"radio {node_id}: position {position!r}")
     return position
+
+
+def _powered(node_id: int, tx_power_dbm: float) -> float:
+    if not math.isfinite(tx_power_dbm):
+        raise PowerError(f"radio {node_id}: tx power {tx_power_dbm!r} dBm")
+    return tx_power_dbm
 
 
 class Radio:
@@ -271,7 +283,9 @@ class Radio:
         self.medium = medium
         self.node_id = node_id
         self._position = _placed(node_id, position)
-        self._tx_power_dbm = tx_power_dbm
+        self._tx_power_dbm = _powered(node_id, tx_power_dbm)
+        #: Row of this radio in the medium's position array.
+        self._row = -1
         #: Bumped on every position/power write; caches stamp entries
         #: with it, so stale geometry can never be served (see Medium).
         self.version = 0
@@ -314,7 +328,7 @@ class Radio:
     def tx_power_dbm(self, value: float) -> None:
         if value == self._tx_power_dbm:
             return
-        self._tx_power_dbm = value
+        self._tx_power_dbm = _powered(self.node_id, value)
         self.version += 1
         self.medium._radio_changed(self)
 
@@ -362,7 +376,12 @@ class Radio:
         if plan is not None and not isinstance(self, _PlannedRadio):
             if type(self) is not Radio:
                 raise TypeError("listen plans need a plain Radio")
+            fields = [(name, getattr(self, name)) for name in _SYNCED]
+            for name, _ in fields:
+                delattr(self, name)
             self.__class__ = _PlannedRadio
+            for name, value in fields:
+                setattr(self, name, value)
         self.medium._planned += (plan is not None) - (self.listen_plan is not None)
         self.listen_plan = plan
 
@@ -412,15 +431,21 @@ class Radio:
         return self.medium.transmit(self, frame, done)
 
 
+#: The fields a planned radio brings up to ``now`` before they are read.
+_SYNCED = ("state", "channel", "state_seconds")
+
+
 def _synced(name: str) -> property:
+    stored = "_" + name
+
     def read(self: "Radio") -> Any:
         plan = self.listen_plan
         if plan is not None:
             plan.sync()
-        return self.__dict__[name]
+        return getattr(self, stored)
 
     def write(self: "Radio", value: Any) -> None:
-        self.__dict__[name] = value
+        setattr(self, stored, value)
 
     return property(read, write)
 
@@ -469,30 +494,22 @@ class Medium:
         self._neighborhoods: Dict[int, _Neighborhood] = {}
         self._world_version = 0
         self._filter_version = 0
-        #: ``cell -> {node_id: radio}``; None when the model gives no
-        #: finite range bound.
-        self._grid: Optional[Dict[Tuple[int, int], Dict[int, Radio]]] = None
+        #: Row ``i`` of the arrays is the ``i``-th radio attached
+        #: (radios never detach); rows past ``len(_rows)`` are spare.
+        self._rows: List[Radio] = []
+        self._xy = np.empty((64, 2))
+        self._ids = np.empty(64, dtype=np.int64)
+        #: ``cell -> [row, ...]``.
+        self._grid: Dict[Tuple[int, int], List[int]] = {}
         self._cell_size = 0.0
         self._cell_versions: Dict[Tuple[int, int], int] = {}
-        self._grid_max_tx = float("-inf")
+        self._grid_max_tx = 0.0
         #: Per-cell mirrors of ``_active`` for O(near) CCA/interference.
         self._cell_active: Dict[Tuple[int, int], List[_ActiveItem]] = {}
         self._cell_active_count = 0
         #: Radios with a listen plan; zero skips every plan hook.
         self._planned = 0
-        # Capabilities are read from the model's *own* class dict, never
-        # the MRO: a subclass that overrides ``rssi_dbm`` with different
-        # semantics must not inherit a range bound or batch path that no
-        # longer describes it — it silently falls back to the full scan.
         self._model = model
-        own = type(model).__dict__
-        self._model_range_fn = (
-            model.max_audible_range_m if "max_audible_range_m" in own else None)
-        self._model_rssi_batch = (
-            model.rssi_dbm_batch if "rssi_dbm_batch" in own else None)
-        self._model_prr_batch = (
-            model.reception_probability_batch
-            if "reception_probability_batch" in own else None)
         self._rebuild_grid()
 
     @property
@@ -509,33 +526,24 @@ class Medium:
         Also drops every cached neighborhood: cell versions restart, so
         old stamps must not be comparable against the new grid.
         """
-        self._grid = None
+        self._cell_size = max(self._reach_m(self._grid_max_tx), 1.0)
+        self._grid = {}
+        for row, radio in enumerate(self._rows):
+            self._grid.setdefault(self._cell_of(radio._position), []).append(row)
         self._cell_versions = {}
-        self._cell_active = {}
-        self._cell_active_count = 0
         self._neighborhoods.clear()
-        if self._model_range_fn is None:
-            return
-        self._grid_max_tx = max(
-            (r.tx_power_dbm for r in self.radios.values()), default=0.0)
-        reach = self._reach_m(self._grid_max_tx)
-        if reach is None:
-            return
-        self._cell_size = max(reach, 1.0)
-        grid: Dict[Tuple[int, int], Dict[int, Radio]] = {}
-        for radio in self.radios.values():
-            grid.setdefault(self._cell_of(radio.position), {})[radio.node_id] = radio
-        self._grid = grid
-        if self._active:
-            self._rebuild_cell_active()
+        self._rebuild_cell_active()
 
-    def _reach_m(self, tx_power_dbm: float) -> Optional[float]:
+    def _reach_m(self, tx_power_dbm: float) -> float:
         """The model's audible-range bound at this power, inflated by
-        ``_CELL_MARGIN``; None when it gives no usable bound (indexing
-        is then unsound)."""
-        range_m = self._model_range_fn(tx_power_dbm, AUDIBLE_THRESHOLD_DBM)
-        if range_m is None or not range_m > 0 or math.isinf(range_m):
-            return None
+        ``_CELL_MARGIN``; a model that gives no finite positive bound
+        cannot be indexed and is refused."""
+        range_m = self._model.max_audible_range_m(
+            tx_power_dbm, AUDIBLE_THRESHOLD_DBM)
+        if range_m is None or not 0.0 < range_m < math.inf:
+            raise ValueError(
+                f"link model {self._model!r} gives no finite audible range "
+                f"at {tx_power_dbm} dBm: {range_m!r}")
         return range_m * _CELL_MARGIN
 
     def _cell_of(self, position: Position) -> Tuple[int, int]:
@@ -546,26 +554,18 @@ class Medium:
         self._cell_versions[cell] = self._cell_versions.get(cell, 0) + 1
 
     def _ensure_grid_covers(self, tx_power_dbm: float) -> None:
-        """Grow the grid when a power write exceeds its sizing basis."""
-        if self._grid is None or tx_power_dbm <= self._grid_max_tx:
-            return
-        self._grid_max_tx = tx_power_dbm
-        reach = self._reach_m(tx_power_dbm)
-        if reach is None:
-            # Range became unbounded: indexing is no longer sound.
-            self._grid = None
-            self._cell_active = {}
-            self._cell_active_count = 0
-            self._neighborhoods.clear()
-        elif reach > self._cell_size:
-            self._rebuild_grid()
+        """Grow the grid when a power exceeds its sizing basis."""
+        if tx_power_dbm > self._grid_max_tx:
+            self._grid_max_tx = tx_power_dbm
+            if self._reach_m(tx_power_dbm) > self._cell_size:
+                self._rebuild_grid()
 
     def grid_info(self) -> Dict[str, Any]:
         """Introspection for benchmarks and tests: index shape and caches."""
         return {
-            "spatial_index": self._grid is not None,
-            "cell_size_m": self._cell_size if self._grid is not None else None,
-            "cells": len(self._grid) if self._grid is not None else 0,
+            "spatial_index": True,
+            "cell_size_m": self._cell_size,
+            "cells": len(self._grid),
             "radios": len(self.radios),
             # Directed-link RSSI values held: the maps are the cache.
             "rssi_cache": sum(len(entry.rssi_by_id)
@@ -595,35 +595,43 @@ class Medium:
     def _attach(self, radio: Radio) -> None:
         if radio.node_id in self.radios:
             raise ValueError(f"duplicate radio id {radio.node_id}")
+        # Before the radio has a row: a regrown grid buckets only the
+        # radios already attached, and this one is bucketed below.
+        self._ensure_grid_covers(radio._tx_power_dbm)
+        row = len(self._rows)
+        if row == len(self._ids):
+            self._xy = np.concatenate([self._xy, np.empty_like(self._xy)])
+            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
+        self._xy[row] = radio._position
+        self._ids[row] = radio.node_id
+        radio._row = row
+        self._rows.append(radio)
         self.radios[radio.node_id] = radio
         self._world_version += 1
-        self._ensure_grid_covers(radio.tx_power_dbm)
-        if self._grid is not None:
-            cell = self._cell_of(radio.position)
-            self._grid.setdefault(cell, {})[radio.node_id] = radio
-            self._bump_cell(cell)
+        cell = self._cell_of(radio._position)
+        self._grid.setdefault(cell, []).append(row)
+        self._bump_cell(cell)
 
     def _radio_changed(self, radio: Radio, old_position: Optional[Position] = None) -> None:
         """A position (``old_position`` given) or power write happened."""
         self._world_version += 1
         self._neighborhoods.pop(radio.node_id, None)
-        if self._grid is not None:
-            if old_position is None:
-                self._ensure_grid_covers(radio.tx_power_dbm)
-            else:
-                self._rebucket(radio, old_position)
+        if old_position is None:
+            self._ensure_grid_covers(radio._tx_power_dbm)
+        else:
+            self._xy[radio._row] = radio._position
+            self._rebucket(radio, old_position)
         self._replan_listeners()
 
     def _rebucket(self, radio: Radio, old_position: Position) -> None:
         old_cell = self._cell_of(old_position)
-        new_cell = self._cell_of(radio.position)
+        new_cell = self._cell_of(radio._position)
         if new_cell != old_cell:
-            bucket = self._grid.get(old_cell)
-            if bucket is not None:
-                bucket.pop(radio.node_id, None)
-                if not bucket:
-                    del self._grid[old_cell]
-            self._grid.setdefault(new_cell, {})[radio.node_id] = radio
+            bucket = self._grid[old_cell]
+            bucket.remove(radio._row)
+            if not bucket:
+                del self._grid[old_cell]
+            self._grid.setdefault(new_cell, []).append(radio._row)
             self._bump_cell(old_cell)
             if self._cell_active:
                 # In-flight frames radiate from wherever the sender is
@@ -637,8 +645,10 @@ class Medium:
         if rssi is None:
             # Blocked or inaudible links are left out of the map; the
             # physical signal strength is still the model's to say.
-            rssi = self._model.rssi_dbm(
-                sender.position, receiver.position, sender.tx_power_dbm)
+            row = receiver._row
+            rssi = float(self._model.rssi_dbm(
+                sender._position, self._xy[row:row + 1],
+                sender._tx_power_dbm)[0])
         return rssi
 
     def audible_from(self, sender: Radio) -> List[Tuple[Radio, float]]:
@@ -657,8 +667,7 @@ class Medium:
         if entry is not None:
             if entry.world_version == self._world_version:
                 return entry
-            if (self._grid is not None
-                    and entry.sender_version == sender.version
+            if (entry.sender_version == sender.version
                     and entry.filter_version == self._filter_version
                     and all(self._cell_versions.get(cell, 0) == version
                             for cell, version
@@ -670,65 +679,54 @@ class Medium:
         self._neighborhoods[sender.node_id] = entry
         return entry
 
+    def _in_reach(self, sender: Radio,
+                  cells: Sequence[Tuple[int, int]]) -> np.ndarray:
+        """Rows in ``cells`` that lie inside ``sender``'s own disc.
+
+        The nine cells cover the loudest radio's range from anywhere in
+        the home cell; the model can make audible only what lies inside
+        this sender's disc, so only that is worth a link evaluation.
+        """
+        gathered: List[int] = []
+        for cell in cells:
+            bucket = self._grid.get(cell)
+            if bucket:
+                gathered += bucket
+        rows = np.array(gathered, dtype=np.intp)
+        reach = self._reach_m(sender._tx_power_dbm)
+        x, y = sender._position
+        xy = self._xy[rows]
+        dx = xy[:, 0] - x
+        dy = xy[:, 1] - y
+        return rows[dx * dx + dy * dy <= reach * reach]
+
     def _build_neighborhood(self, sender: Radio) -> _Neighborhood:
-        sender_id = sender.node_id
+        hx, hy = self._cell_of(sender._position)
+        cells = tuple((hx + dx, hy + dy)
+                      for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+        cell_versions = tuple(self._cell_versions.get(c, 0) for c in cells)
+        rows = self._in_reach(sender, cells)
+        rows = rows[rows != sender._row]
         blocked = self._link_filter
-        if self._grid is not None:
-            home = self._cell_of(sender.position)
-            cells = tuple(
-                (home[0] + dx, home[1] + dy)
-                for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-            cell_versions = tuple(self._cell_versions.get(c, 0) for c in cells)
-            candidates: List[Radio] = []
-            for cell in cells:
-                bucket = self._grid.get(cell)
-                if bucket:
-                    candidates.extend(bucket.values())
-            # The nine cells cover the loudest radio's range from
-            # anywhere in the home cell; the model can make audible only
-            # what lies inside this sender's own disc, so only that is
-            # worth a link evaluation.  (No bound: all nine cells.)
-            reach = self._reach_m(sender.tx_power_dbm)
-            if reach is not None:
-                x, y = sender.position
-                limit = reach * reach
-                in_cells, candidates = candidates, []
-                for radio in in_cells:
-                    px, py = radio._position
-                    dx = px - x
-                    dy = py - y
-                    if dx * dx + dy * dy <= limit:
-                        candidates.append(radio)
-        else:
-            cells = ()
-            cell_versions = ()
-            candidates = list(self.radios.values())
-
-        radios = [
-            radio for radio in candidates
-            if radio is not sender
-            and (blocked is None or not blocked(sender_id, radio.node_id))]
-        if self._model_rssi_batch is not None and len(radios) > 1:
-            rssis = self._model_rssi_batch(
-                sender.position, [radio.position for radio in radios],
-                sender.tx_power_dbm)
-        else:
-            rssis = [
-                self._model.rssi_dbm(
-                    sender.position, radio.position, sender.tx_power_dbm)
-                for radio in radios]
-
-        pairs = [(radio, rssi) for radio, rssi in zip(radios, rssis)
-                 if rssi >= AUDIBLE_THRESHOLD_DBM]
-        pairs.sort(key=lambda pair: (-pair[1], pair[0].node_id))
-        if self._model_prr_batch is not None and len(pairs) > 1:
-            prrs = self._model_prr_batch([rssi for _, rssi in pairs])
-        else:
-            prrs = [self._model.reception_probability(rssi) for _, rssi in pairs]
+        if blocked is not None and len(rows):
+            sender_id = sender.node_id
+            rows = rows[np.array([not blocked(sender_id, node)
+                                  for node in self._ids[rows].tolist()])]
+        model = self._model
+        rssi = model.rssi_dbm(sender._position, self._xy[rows],
+                              sender._tx_power_dbm)
+        audible = rssi >= AUDIBLE_THRESHOLD_DBM
+        rows, rssi = rows[audible], rssi[audible]
+        order = np.lexsort((self._ids[rows], -rssi))
+        rssi = rssi[order]
+        prr = model.reception_probability(rssi).tolist()
+        rssi = rssi.tolist()
+        by_row = self._rows
+        radios = [by_row[row] for row in rows[order].tolist()]
         return _Neighborhood(
-            receivers=[(radio, rssi, prr)
-                       for (radio, rssi), prr in zip(pairs, prrs)],
-            rssi_by_id={radio.node_id: rssi for radio, rssi in pairs},
+            receivers=list(zip(radios, rssi, prr)),
+            # Keyed by the radios' own id objects, not fresh ints.
+            rssi_by_id=dict(zip([radio.node_id for radio in radios], rssi)),
             world_version=self._world_version,
             sender_version=sender.version,
             filter_version=self._filter_version,
@@ -747,7 +745,8 @@ class Medium:
         receiver = self.radios.get(receiver_id)
         if sender is None or receiver is None:
             return 0.0
-        return self._model.reception_probability(self.rssi_between(sender, receiver))
+        return float(self._model.reception_probability(
+            [self.rssi_between(sender, receiver)])[0])
 
     # ------------------------------------------------------------------
     # channel activity
@@ -771,8 +770,6 @@ class Medium:
         """Re-bucket every live transmission by its sender's current cell."""
         self._cell_active = {}
         self._cell_active_count = 0
-        if self._grid is None:
-            return
         for item in self._active:
             cell = self._cell_of(item[2].radio.position)
             self._cell_active.setdefault(cell, []).append(item)
@@ -783,12 +780,12 @@ class Medium:
     def _active_around(self, position: Position, reach: int) -> Sequence[_ActiveItem]:
         """Heap items of transmissions within ``reach`` cells of ``position``.
 
-        Falls back to the (exact, identical) global heap when indexing
-        is off or the active set is small.  Any transmission audible at
+        Falls back to the (exact, identical) global heap when the active
+        set is small.  Any transmission audible at
         ``position`` radiates from within the range bound, hence from an
         adjacent cell (``reach=1``) — a superset either way.
         """
-        if self._grid is None or len(self._active) <= _SMALL_ACTIVE:
+        if len(self._active) <= _SMALL_ACTIVE:
             return self._active
         home_x, home_y = self._cell_of(position)
         horizon = self.sim.now - self._max_airtime
@@ -876,19 +873,18 @@ class Medium:
         self._active_seq += 1
         item = (tx.end, self._active_seq, tx)
         heapq.heappush(self._active, item)
-        if self._grid is not None:
-            cell = self._cell_of(radio.position)
-            heap = self._cell_active.setdefault(cell, [])
-            horizon = now - self._max_airtime
-            while heap and heap[0][0] <= horizon:
-                heapq.heappop(heap)
-                self._cell_active_count -= 1
-            heapq.heappush(heap, item)
-            self._cell_active_count += 1
-            if self._cell_active_count > 2 * len(self._active) + 32:
-                # Untouched cells accumulate expired entries; rebuild
-                # from the (already pruned) global heap to re-bound them.
-                self._rebuild_cell_active()
+        cell = self._cell_of(radio.position)
+        heap = self._cell_active.setdefault(cell, [])
+        horizon = now - self._max_airtime
+        while heap and heap[0][0] <= horizon:
+            heapq.heappop(heap)
+            self._cell_active_count -= 1
+        heapq.heappush(heap, item)
+        self._cell_active_count += 1
+        if self._cell_active_count > 2 * len(self._active) + 32:
+            # Untouched cells accumulate expired entries; rebuild
+            # from the (already pruned) global heap to re-bound them.
+            self._rebuild_cell_active()
         radio._set_state(RadioState.TX)
         radio.frames_sent += 1
         radio.bytes_sent += frame.size_bytes

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.devices.phenomena import DiurnalField
@@ -103,15 +104,32 @@ def constant_field(value: float = 20.0) -> DiurnalField:
     return DiurnalField(mean=value, amplitude=0.0, gradient_per_m=0.0)
 
 
-def full_scan(model_cls):
-    """``model_cls`` with none of its declared capabilities.
+class FullScanMedium(Medium):
+    """A :class:`Medium` that uses no spatial index.
 
-    The medium reads a range bound and the batch paths from a model's
-    *own* class dict, so an empty subclass gets the full scan and the
-    scalar math: the reference an indexed medium must reproduce byte
-    for byte.
+    Every attached radio is a candidate of every sender — no cells, no
+    disc, no range bound — and every overlap query (CCA, audible-until,
+    collision arbitration) reads the global end-time heap; a cached
+    neighbourhood is reused only while nothing anywhere changed.  The
+    reference the indexed medium must reproduce byte for byte.
+    Test-side only: ``src/`` has one medium path.
     """
-    return type("FullScan" + model_cls.__name__, (model_cls,), {})
+
+    def _in_reach(self, sender, cells):
+        return np.arange(len(self.radios))
+
+    def _active_around(self, position, reach):
+        return self._active
+
+    def _neighborhood(self, sender):
+        entry = self._neighborhoods.get(sender.node_id)
+        if entry is None or entry.world_version != self._world_version:
+            entry = self._build_neighborhood(sender)
+            self._neighborhoods[sender.node_id] = entry
+        return entry
+
+    def grid_info(self):
+        return dict(super().grid_info(), spatial_index=False)
 
 
 def build_line_network(
@@ -231,9 +249,9 @@ def eager_tsch():
     Every actionable cell ticks as a real event and every slotframe
     boundary runs ``_frame_boundary``, so radio-on time accumulates
     window by window and the MSF counters boundary by boundary: the
-    reference the event-free engine must reproduce (as :func:`full_scan`
-    is for the indexed medium).  Test-side only — ``src/`` has one slot
-    engine and no switch.
+    reference the event-free engine must reproduce (as
+    :class:`FullScanMedium` is for the indexed medium).  Test-side
+    only — ``src/`` has one slot engine and no switch.
     """
     from repro.net.mac.tsch import TschMac
 

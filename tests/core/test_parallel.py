@@ -112,11 +112,6 @@ class TestTrialExecutor:
         with pytest.raises(ValueError, match="boom at 2"):
             TrialExecutor(jobs=1).map(_fail_on, [(i,) for i in range(5)])
 
-    def test_imap_streams_in_order(self):
-        it = TrialExecutor(jobs=1).imap(_square, [(i,) for i in range(3)])
-        assert next(it) == 0
-        assert list(it) == [1, 4]
-
 
 class TestSweepParallelDeterminism:
     def test_rows_identical_across_jobs_counts(self):

@@ -1,8 +1,8 @@
 """Property tests of the telemetry plane's merge determinism.
 
 The claim, fuzzed rather than spot-checked (mirroring
-``test_parallel_properties``): a fleet of telemetry trials streamed by
-:meth:`TrialExecutor.imap` and folded in submission order is
+``test_parallel_properties``): a fleet of telemetry trials mapped by
+:meth:`TrialExecutor.map` and folded in submission order is
 **byte-identical** for every (task count, jobs) shape — each trial
 returns its windows' JSON, the fold concatenates them in submission
 order, and the end-of-run metrics ride the in-order-given merge
@@ -71,9 +71,9 @@ class TestMapMergeByteIdentity:
     def test_jobs_never_change_merged_output(self, values, seed, jobs):
         argses = [(v, seed + i) for i, v in enumerate(values)]
         serial = _merge_pair_stream(
-            TrialExecutor(jobs=1).imap(_telemetry_trial, argses))
+            TrialExecutor(jobs=1).map(_telemetry_trial, argses))
         parallel = _merge_pair_stream(
-            TrialExecutor(jobs=jobs).imap(_telemetry_trial, argses))
+            TrialExecutor(jobs=jobs).map(_telemetry_trial, argses))
         assert serial == parallel
 
     @FEW

@@ -155,14 +155,13 @@ class TestChunkedDispatch:
         assert TrialExecutor(jobs=3).map(_square, [(i,) for i in range(30)]) \
             == [i * i for i in range(30)]
 
-    def test_exception_surfaces_at_failing_index(self):
+    def test_map_raises_the_failing_trials_exception(self):
         # 6 tasks over 2 workers are one task per chunk; 20 and 60 put
         # the failure inside a multi-task chunk.
         for tasks in (6, 20, 60):
-            it = TrialExecutor(jobs=2).imap(_fail_on, [(i,) for i in range(tasks)])
-            assert [next(it), next(it), next(it)] == [0, 1, 2]
             with pytest.raises(ValueError, match="boom at 3"):
-                next(it)
+                TrialExecutor(jobs=2).map(_fail_on,
+                                          [(i,) for i in range(tasks)])
 
     def test_empty_dispatch_spawns_nothing(self):
         assert TrialExecutor(jobs=2).map(_square, []) == []

@@ -389,6 +389,9 @@ class TestListenPlan:
         assert type(bare) is Radio and bare.listen_plan is None
         assert "state" in vars(bare)
         assert type(a.radio) is not Radio and a.radio.listen_plan is a
+        # One copy of each synced field: the plain attribute moved
+        # behind the property, none is left to shadow it.
+        assert "state" not in vars(a.radio)
         a.stop()
         assert a.radio.listen_plan is None
         assert medium._planned == 1

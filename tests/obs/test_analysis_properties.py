@@ -11,7 +11,7 @@ Fuzzed claims (mirroring ``test_telemetry_properties``):
    reconstructed tree: consecutive spans are parent/child and the walk
    never stops early.
 3. Exemplar reservoirs ride the executor's merge contract: a fleet of
-   exemplar-recording trials streamed by :meth:`TrialExecutor.imap` and
+   exemplar-recording trials mapped by :meth:`TrialExecutor.map` and
    folded in submission order is **byte-identical** for every
    (task count, jobs) shape.  The ``multicore`` fixture keeps the claim
    honest on single-core CI; module-level trial functions because
@@ -153,8 +153,8 @@ class TestExemplarParallelIdentity:
     def test_jobs_never_change_merged_exemplars(self, values, seed, jobs):
         argses = [(v, seed + i) for i, v in enumerate(values)]
         serial = _merge_to_json(
-            TrialExecutor(jobs=1).imap(_exemplar_trial, argses))
+            TrialExecutor(jobs=1).map(_exemplar_trial, argses))
         parallel = _merge_to_json(
-            TrialExecutor(jobs=jobs).imap(_exemplar_trial, argses))
+            TrialExecutor(jobs=jobs).map(_exemplar_trial, argses))
         assert serial == parallel
         assert '"exemplars"' in serial  # the claim is about real links

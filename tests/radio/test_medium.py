@@ -1,5 +1,6 @@
 """Shared-medium semantics: delivery, sleep, collisions, CCA, energy."""
 
+import numpy as np
 import pytest
 
 from repro.radio.medium import Frame, Medium, Radio, RadioState
@@ -118,10 +119,12 @@ class TestCollisions:
         assert got == ["first", "second"]
 
     def test_capture_strong_frame_survives(self, sim):
-        # Override RSSI to create a strong/weak pair.
+        # Override RSSI to create a strong/weak pair (the reach stays
+        # the unit disk's 200 m).
         class TwoLevel(UnitDiskModel):
-            def rssi_dbm(self, sender, receiver, tx_power_dbm):
-                return -40.0 if sender == (1.0, 0.0) else -60.0
+            def rssi_dbm(self, sender, receivers, tx_power_dbm):
+                level = -40.0 if tuple(sender) == (1.0, 0.0) else -60.0
+                return np.full(len(receivers), level)
 
         medium = Medium(sim, TwoLevel(radius_m=200.0))
         strong = Radio(medium, 1, (1.0, 0.0))
@@ -137,8 +140,8 @@ class TestCollisions:
 
 
 def test_link_model_is_bound_once(sim):
-    # The grid and the batch paths are derived from the model at
-    # construction; a replacement would silently keep serving them.
+    # The grid is sized from the model at construction; a replacement
+    # would silently keep serving it.
     model = UnitDiskModel(radius_m=30.0)
     medium = Medium(sim, model)
     with pytest.raises(AttributeError):
@@ -266,12 +269,14 @@ class TestLinkFilter:
 
 class TestAudibleOrdering:
     class _FixedRssi(UnitDiskModel):
-        """RSSI keyed by receiver x-coordinate, independent of distance."""
+        """RSSI keyed by receiver x-coordinate, independent of distance
+        (within the unit disk's reach)."""
 
         LEVELS = {10.0: -50.0, 20.0: -40.0, 30.0: -40.0, 40.0: -70.0}
 
-        def rssi_dbm(self, sender, receiver, tx_power_dbm):
-            return self.LEVELS.get(receiver[0], -45.0)
+        def rssi_dbm(self, sender, receivers, tx_power_dbm):
+            return np.array([self.LEVELS.get(x, -45.0)
+                             for x in np.asarray(receivers)[:, 0].tolist()])
 
     def _build(self, sim, attach_order):
         medium = Medium(sim, self._FixedRssi(radius_m=500.0),

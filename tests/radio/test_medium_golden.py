@@ -24,7 +24,7 @@ from repro.radio.medium import Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import TraceRecorder, full_scan
+from tests.conftest import FullScanMedium, TraceRecorder
 
 RADIOS = 240
 ROUNDS = 7
@@ -47,11 +47,12 @@ GOLDEN = {
 }
 
 
-def run_scenario(model_cls=LogDistanceModel):
+def run_scenario(medium_cls=Medium):
     rng = random.Random(12)
     sim = Simulator(seed=12)
-    model = model_cls(path_loss_exponent=3.5, shadowing_sigma_db=2.0, seed=12)
-    medium = Medium(sim, model, TraceLog())
+    model = LogDistanceModel(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
+                             seed=12)
+    medium = medium_cls(sim, model, TraceLog())
     upcalls = []
     radios = []
     for node_id in range(RADIOS):
@@ -168,7 +169,7 @@ def test_golden_trace_indexed():
 
 
 def test_golden_trace_brute_force():
-    run = run_scenario(full_scan(LogDistanceModel))
+    run = run_scenario(FullScanMedium)
     assert not run[0].grid_info()["spatial_index"]
     assert summary_of(*run[:5]) == GOLDEN
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.radio.medium import Medium, PositionError, Radio
+from repro.radio.medium import Medium, PositionError, PowerError, Radio
 from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
@@ -16,57 +16,82 @@ from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
 
+def rssi_call(model, sender, receivers, tx_power_dbm=0.0):
+    """One ``rssi_dbm`` call over ``receivers``, as a list of floats."""
+    return model.rssi_dbm(sender, np.array(receivers, dtype=float),
+                          tx_power_dbm).tolist()
+
+
+def link_rssi(model, sender, receiver, tx_power_dbm=0.0):
+    """One link's RSSI: a one-row call, as the medium makes for a link
+    its neighbourhood maps leave out."""
+    return rssi_call(model, sender, [receiver], tx_power_dbm)[0]
+
+
+def link_prr(model, rssi):
+    return model.reception_probability(np.array([rssi])).tolist()[0]
+
+
+def shadowing_db(model, a, b):
+    """The clamped shadowing draw of link ``a``-``b``: the same model
+    with no path loss, at 0 dBm, hears nothing but the draw."""
+    bare = LogDistanceModel(path_loss_exponent=0.0, reference_loss_db=0.0,
+                            shadowing_sigma_db=model.shadowing_sigma_db,
+                            seed=model.seed)
+    return link_rssi(bare, a, b)
+
+
 class TestUnitDisk:
     def test_binary_connectivity(self):
         model = UnitDiskModel(radius_m=30.0)
-        near = model.rssi_dbm((0, 0), (10, 0), 0.0)
-        far = model.rssi_dbm((0, 0), (40, 0), 0.0)
-        assert model.reception_probability(near) == 1.0
-        assert model.reception_probability(far) == 0.0
+        near = link_rssi(model, (0, 0), (10, 0), 0.0)
+        far = link_rssi(model, (0, 0), (40, 0), 0.0)
+        assert link_prr(model, near) == 1.0
+        assert link_prr(model, far) == 0.0
 
     def test_boundary_inclusive(self):
         model = UnitDiskModel(radius_m=30.0)
-        edge = model.rssi_dbm((0, 0), (30, 0), 0.0)
-        assert model.reception_probability(edge) == 1.0
+        edge = link_rssi(model, (0, 0), (30, 0), 0.0)
+        assert link_prr(model, edge) == 1.0
 
 
 class TestLogDistance:
     def test_rssi_decreases_with_distance(self):
         model = LogDistanceModel(shadowing_sigma_db=0.0)
         rssis = [
-            model.rssi_dbm((0, 0), (d, 0), 0.0) for d in (5, 10, 20, 40, 80)
+            link_rssi(model, (0, 0), (d, 0), 0.0) for d in (5, 10, 20, 40, 80)
         ]
         assert rssis == sorted(rssis, reverse=True)
 
     def test_prr_monotone_in_rssi(self):
         model = LogDistanceModel()
-        assert model.reception_probability(-70) > model.reception_probability(-95)
+        assert link_prr(model, -70) > link_prr(model, -95)
 
     def test_prr_saturates(self):
         model = LogDistanceModel()
-        assert model.reception_probability(-20) > 0.999999
-        assert model.reception_probability(-200) == 0.0
+        assert link_prr(model, -20) > 0.999999
+        assert link_prr(model, -200) == 0.0
 
     def test_prr_half_at_sensitivity(self):
         model = LogDistanceModel(sensitivity_dbm=-90.0)
-        assert abs(model.reception_probability(-90.0) - 0.5) < 1e-9
+        assert abs(link_prr(model, -90.0) - 0.5) < 1e-9
 
     def test_shadowing_is_per_link_stable(self):
         model = LogDistanceModel(shadowing_sigma_db=6.0, seed=3)
-        first = model.rssi_dbm((0, 0), (30, 0), 0.0)
-        second = model.rssi_dbm((0, 0), (30, 0), 0.0)
+        first = link_rssi(model, (0, 0), (30, 0), 0.0)
+        second = link_rssi(model, (0, 0), (30, 0), 0.0)
         assert first == second
 
     def test_shadowing_is_symmetric(self):
         model = LogDistanceModel(shadowing_sigma_db=6.0, seed=3)
-        ab = model.rssi_dbm((0, 0), (30, 0), 0.0)
-        ba = model.rssi_dbm((30, 0), (0, 0), 0.0)
+        ab = link_rssi(model, (0, 0), (30, 0), 0.0)
+        ba = link_rssi(model, (30, 0), (0, 0), 0.0)
         assert ab == ba
 
     def test_shadowing_differs_across_links(self):
         model = LogDistanceModel(shadowing_sigma_db=6.0, seed=3)
         links = {
-            model.rssi_dbm((0, 0), (30, float(k)), 0.0) for k in range(8)
+            link_rssi(model, (0, 0), (30, float(k)), 0.0) for k in range(8)
         }
         assert len(links) > 1
 
@@ -74,15 +99,15 @@ class TestLogDistance:
         # Some distance band should have PRR strictly between 5% and 95%.
         model = LogDistanceModel(shadowing_sigma_db=0.0)
         prrs = [
-            model.reception_probability(model.rssi_dbm((0, 0), (d, 0), 0.0))
+            link_prr(model, link_rssi(model, (0, 0), (d, 0), 0.0))
             for d in range(5, 120, 2)
         ]
         assert any(0.05 < p < 0.95 for p in prrs)
 
     def test_minimum_distance_clamped(self):
         model = LogDistanceModel(shadowing_sigma_db=0.0)
-        at_zero = model.rssi_dbm((0, 0), (0, 0), 0.0)
-        at_half = model.rssi_dbm((0, 0), (0.5, 0), 0.0)
+        at_zero = link_rssi(model, (0, 0), (0, 0), 0.0)
+        at_half = link_rssi(model, (0, 0), (0.5, 0), 0.0)
         assert at_zero == at_half
 
 
@@ -91,13 +116,14 @@ coords = st.floats(min_value=0.0, max_value=500.0,
 points = st.tuples(coords, coords)
 
 
-class TestBatchScalarEquivalence:
-    """The vectorized paths must be *bitwise* equal to the scalar ones.
+class TestCallSizeIndependence:
+    """A link's value does not depend on how many others share its call.
 
-    The medium batches neighborhood math through ``rssi_dbm_batch`` /
-    ``reception_probability_batch`` when it has several candidates and
-    falls back to the scalar calls for singletons — any numeric drift
-    between the two would break the trace-identity contract.
+    The medium evaluates a neighbourhood in one ``rssi_dbm`` call and
+    one ``reception_probability`` call, and a single link (one its maps
+    leave out) in a one-row call: element *i* of a *k*-receiver call
+    must be *bitwise* the one-receiver value, or the trace would depend
+    on who else happens to be in range.
     """
 
     @given(sender=points,
@@ -105,14 +131,27 @@ class TestBatchScalarEquivalence:
            tx=st.floats(-25.0, 25.0),
            model_seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
-    def test_log_distance_batch_bitwise(self, sender, receivers, tx,
-                                        model_seed):
+    def test_log_distance_element_equals_one_row_call(self, sender, receivers,
+                                                      tx, model_seed):
         model = LogDistanceModel(shadowing_sigma_db=3.0, seed=model_seed)
-        batch = model.rssi_dbm_batch(sender, receivers, tx)
-        scalars = [model.rssi_dbm(sender, r, tx) for r in receivers]
-        assert batch == scalars
-        assert (model.reception_probability_batch(batch)
-                == [model.reception_probability(r) for r in batch])
+        together = rssi_call(model, sender, receivers, tx)
+        alone = [link_rssi(model, sender, r, tx) for r in receivers]
+        assert [v.hex() for v in together] == [v.hex() for v in alone]
+        prrs = model.reception_probability(np.array(together)).tolist()
+        assert [v.hex() for v in prrs] \
+            == [link_prr(model, r).hex() for r in together]
+
+    @given(sender=points,
+           receivers=st.lists(points, min_size=1, max_size=200),
+           radius=st.floats(1.0, 300.0))
+    @settings(max_examples=30, deadline=None)
+    def test_unit_disk_element_equals_one_row_call(self, sender, receivers,
+                                                   radius):
+        model = UnitDiskModel(radius_m=radius)
+        together = rssi_call(model, sender, receivers)
+        assert together == [link_rssi(model, sender, r) for r in receivers]
+        assert model.reception_probability(np.array(together)).tolist() \
+            == [link_prr(model, r) for r in together]
 
 
 class TestAudibleRangeBound:
@@ -133,7 +172,7 @@ class TestAudibleRangeBound:
         model = LogDistanceModel(shadowing_sigma_db=sigma, seed=model_seed)
         if math.dist(sender, receiver) > model.max_audible_range_m(
                 tx, threshold):
-            assert model.rssi_dbm(sender, receiver, tx) < threshold
+            assert link_rssi(model, sender, receiver, tx) < threshold
 
     @given(sigma=st.floats(0.1, 10.0), model_seed=st.integers(0, 500),
            receiver=points)
@@ -141,8 +180,8 @@ class TestAudibleRangeBound:
     def test_shadowing_clamped(self, sigma, model_seed, receiver):
         model = LogDistanceModel(shadowing_sigma_db=sigma, seed=model_seed)
         deterministic = LogDistanceModel(shadowing_sigma_db=0.0)
-        drawn = model.rssi_dbm((0.0, 0.0), receiver, 0.0)
-        base = deterministic.rssi_dbm((0.0, 0.0), receiver, 0.0)
+        drawn = link_rssi(model, (0.0, 0.0), receiver, 0.0)
+        base = link_rssi(deterministic, (0.0, 0.0), receiver, 0.0)
         assert abs(drawn - base) <= SHADOWING_CLAMP_SIGMA * sigma + 1e-9
 
     def test_unit_disk_range_is_radius(self):
@@ -162,8 +201,8 @@ class TestShadowingOrderIndependence:
         forward = LogDistanceModel(shadowing_sigma_db=5.0, seed=9)
         backward = LogDistanceModel(shadowing_sigma_db=5.0, seed=9)
         links = [((0.0, 0.0), (float(k), 10.0)) for k in range(12)]
-        a = [forward.rssi_dbm(s, r, 0.0) for s, r in links]
-        b = [backward.rssi_dbm(s, r, 0.0) for s, r in reversed(links)]
+        a = [link_rssi(forward, s, r, 0.0) for s, r in links]
+        b = [link_rssi(backward, s, r, 0.0) for s, r in reversed(links)]
         assert a == list(reversed(b))
 
 
@@ -171,7 +210,7 @@ class TestShadowingPurity:
     def test_draws_are_pure_and_the_model_keeps_none(self):
         """A draw is a function of ``(seed, link key)`` and nothing else.
 
-        Scalar, batch and re-ordered evaluation — with 10 000 other
+        One-row, many-row and re-ordered evaluation — with 10 000 other
         links drawn in between — agree to the last bit, and afterwards
         the model holds what it held before the first link: no per-link
         state to bound, evict or invalidate.
@@ -180,20 +219,20 @@ class TestShadowingPurity:
         attributes = sorted(vars(model))
         a = (0.0, 0.0)
         near = [(12.0 + k, 5.0) for k in range(40)]
-        shadow = [model._link_shadowing_db(a, b).hex() for b in near]
-        scalar = [model.rssi_dbm(a, b, 0.0).hex() for b in near]
-        batch = [v.hex() for v in model.rssi_dbm_batch(a, near, 0.0)]
-        assert batch == scalar
+        shadow = [shadowing_db(model, a, b).hex() for b in near]
+        alone = [link_rssi(model, a, b, 0.0).hex() for b in near]
+        together = [v.hex() for v in rssi_call(model, a, near, 0.0)]
+        assert together == alone
 
         far = [(float(k % 100), 100.0 + k // 100) for k in range(10_000)]
-        assert len({v.hex() for v in model.rssi_dbm_batch(a, far, 0.0)}) > 9_000
+        assert len({v.hex() for v in rssi_call(model, a, far, 0.0)}) > 9_000
 
-        assert [model._link_shadowing_db(b, a).hex()
+        assert [shadowing_db(model, b, a).hex()
                 for b in reversed(near)] == shadow[::-1]
-        assert [model.rssi_dbm(a, b, 0.0).hex()
-                for b in reversed(near)] == scalar[::-1]
-        assert [v.hex() for v in model.rssi_dbm_batch(a, near[::-1], 0.0)] \
-            == batch[::-1]
+        assert [link_rssi(model, a, b, 0.0).hex()
+                for b in reversed(near)] == alone[::-1]
+        assert [v.hex() for v in rssi_call(model, a, near[::-1], 0.0)] \
+            == together[::-1]
         # Same attributes as before the first link, none of them a
         # container a link could have been put in.
         assert sorted(vars(model)) == attributes
@@ -220,8 +259,8 @@ class TestCounterBasedDraw:
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_clamped_on_any_pair(self, a, b, model_seed, sigma):
         model = LogDistanceModel(shadowing_sigma_db=sigma, seed=model_seed)
-        draw = model._link_shadowing_db(a, b)
-        assert draw.hex() == model._link_shadowing_db(b, a).hex()
+        draw = shadowing_db(model, a, b)
+        assert draw.hex() == shadowing_db(model, b, a).hex()
         assert abs(draw) <= SHADOWING_CLAMP_SIGMA * sigma
 
     @given(x=st.integers(-3, 3), y=st.integers(-3, 3), other=points)
@@ -233,19 +272,19 @@ class TestCounterBasedDraw:
         def minus(v):
             return -0.0 if v == 0 else float(v)
 
-        as_float = model._link_shadowing_db((float(x), float(y)), other)
-        assert model._link_shadowing_db((x, y), other) == as_float
-        assert model._link_shadowing_db((minus(x), minus(y)), other) == as_float
-        assert model.rssi_dbm_batch(other, [(minus(x), y)] * 9, 0.0) \
-            == [model.rssi_dbm((float(x), float(y)), other, 0.0)] * 9
+        as_float = shadowing_db(model, (float(x), float(y)), other)
+        assert shadowing_db(model, (x, y), other) == as_float
+        assert shadowing_db(model, (minus(x), minus(y)), other) == as_float
+        assert rssi_call(model, other, [(minus(x), y)] * 9, 0.0) \
+            == [link_rssi(model, (float(x), float(y)), other, 0.0)] * 9
 
     def test_a_radio_on_an_axis_has_symmetric_links(self):
         model = LogDistanceModel(shadowing_sigma_db=4.0, seed=1)
         near = [(float(k), 3.0) for k in range(1, 13)]
         for origin in ((0.0, -0.0), (-0.0, 0.0), (0, 0)):
-            assert model.rssi_dbm_batch(origin, near, 0.0) \
-                == model.rssi_dbm_batch((0.0, 0.0), near, 0.0) \
-                == [model.rssi_dbm(r, origin, 0.0) for r in near]
+            assert rssi_call(model, origin, near, 0.0) \
+                == rssi_call(model, (0.0, 0.0), near, 0.0) \
+                == [link_rssi(model, r, origin, 0.0) for r in near]
 
     @given(sender=awkward_points,
            receivers=st.lists(awkward_points, min_size=1, max_size=40,
@@ -257,13 +296,13 @@ class TestCounterBasedDraw:
                                                       company, order):
         model = LogDistanceModel(shadowing_sigma_db=3.0, seed=11)
         alone = dict(zip(receivers,
-                         model.rssi_dbm_batch(sender, receivers, 0.0)))
+                         rssi_call(model, sender, receivers, 0.0)))
         mixed = receivers + company
         order.shuffle(mixed)
-        for r, rssi in zip(mixed, model.rssi_dbm_batch(sender, mixed, 0.0)):
+        for r, rssi in zip(mixed, rssi_call(model, sender, mixed, 0.0)):
             if r in alone:
                 assert rssi.hex() == alone[r].hex()
-                assert rssi.hex() == model.rssi_dbm(r, sender, 0.0).hex()
+                assert rssi.hex() == link_rssi(model, r, sender, 0.0).hex()
 
     def test_moments_and_seed_independence_over_1e5_links(self):
         """Standard normal to sampling error, on the coordinates
@@ -280,7 +319,7 @@ class TestCounterBasedDraw:
                                          path_loss_exponent=0.0,
                                          seed=model_seed)
                 draws.append(np.array(
-                    model.rssi_dbm_batch((0.5, 0.5), points_, 0.0)))
+                    rssi_call(model, (0.5, 0.5), points_, 0.0)))
             for sample in draws:
                 assert abs(sample.mean()) < 0.02
                 assert abs(sample.std() - 1.0) < 0.01
@@ -305,3 +344,28 @@ class TestNonFinitePositions:
         with pytest.raises(PositionError):
             radio.position = bad
         assert radio.position == (1.0, 2.0) and radio.version == 0
+
+
+class TestNonFinitePowers:
+    """A NaN or infinite power would size the grid cells and cut the
+    sender's disc; the radio refuses it where it enters, like a
+    position, and the index keeps the size it had."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_at_construction_and_on_write(self, bad):
+        medium = Medium(Simulator(seed=1), LogDistanceModel(), TraceLog())
+        size = medium.grid_info()["cell_size_m"]
+        with pytest.raises(PowerError):
+            Radio(medium, 1, (0.0, 0.0), tx_power_dbm=bad)
+        assert 1 not in medium.radios
+        radio = Radio(medium, 2, (1.0, 2.0))
+        with pytest.raises(PowerError):
+            radio.tx_power_dbm = bad
+        assert radio.tx_power_dbm == 0.0 and radio.version == 0
+        info = medium.grid_info()
+        assert info["spatial_index"] and info["cell_size_m"] == size
+        # The index still sizes for a real power written afterwards.
+        radio.tx_power_dbm = 10.0
+        assert medium.grid_info()["cell_size_m"] > size
+        other = Radio(medium, 3, (40.0, 2.0))
+        assert [r.node_id for r, _ in medium.audible_from(radio)] == [3]

@@ -3,20 +3,24 @@
 The medium's scalability rework (DESIGN.md, "Scaling the medium")
 replaced all-pairs scans with a cell grid plus versioned neighborhoods.
 The contract is *trace-exact equivalence*: an indexed medium must be
-indistinguishable from the full scan a capability-free model gets —
-same audible sets, same CCA answers, same collisions, byte for byte.
+indistinguishable from the test-side full scan
+(``tests.conftest.FullScanMedium``) — same audible sets, same CCA
+answers, same collisions, byte for byte.
 The property tests here pin that over random placements; the regression
 tests pin the invalidation rules (move, power change, attach, link
 filter) that keep the neighborhoods honest, with ``model.rssi_dbm`` as
 the oracle.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from benchmarks.cold_fill import census
+from repro.core import system as system_module
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import campus_topology
 from repro.net.stack import StackConfig
@@ -31,15 +35,15 @@ from repro.radio.medium import (
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import TraceRecorder, full_scan
+from tests.conftest import FullScanMedium, TraceRecorder
 
 
 def build_pair(positions, model_cls, model_kw, seed=1):
     """The same placement twice: spatially indexed and full scan."""
     out = []
-    for cls in (model_cls, full_scan(model_cls)):
+    for medium_cls in (Medium, FullScanMedium):
         sim = Simulator(seed=seed)
-        medium = Medium(sim, cls(**model_kw), TraceLog())
+        medium = medium_cls(sim, model_cls(**model_kw), TraceLog())
         radios = []
         for node_id, position in enumerate(positions):
             radio = Radio(medium, node_id, position)
@@ -289,27 +293,30 @@ class TestAudibleDisc:
             < 0.5 * sum(row["candidates"] for row in rows)
         # The census cleaned up, and a neighbourhood still builds.
         assert "rssi_dbm" not in vars(model)
+        assert "reception_probability" not in vars(model)
         assert "_reach_m" not in vars(medium)
-        assert medium._model_rssi_batch == model.rssi_dbm_batch
         assert len(medium.audible_from(radios[0])) == rows[0]["audible"]
 
 
 class TestSystemIdentity:
     def test_full_system_run_is_identical_under_the_index(self, recorded):
         """Two complete CSMA/RPL systems — stacks, MACs, routing, sensor
-        traffic — differing only in whether the link model declares its
-        range bound.  The *entire* trace is compared, not just radio
-        events: if the index perturbed anything downstream (a parent
-        choice, a DAO's timing), it shows here."""
+        traffic — differing only in whether the system's medium is the
+        indexed one or the full scan.  The *entire* trace is compared,
+        not just radio events: if the index perturbed anything
+        downstream (a parent choice, a DAO's timing), it shows here."""
 
-        def run(model_cls):
+        def run(medium_cls):
             topology = campus_topology(2, 9, building_span_m=40.0,
                                        building_gap_m=30.0, seed=3)
-            model = model_cls(path_loss_exponent=3.0,
-                              shadowing_sigma_db=2.0, seed=3)
-            system = IIoTSystem.build(
-                topology, config=SystemConfig(stack=StackConfig(mac="csma")),
-                link_model=model, seed=2018)
+            model = LogDistanceModel(path_loss_exponent=3.0,
+                                     shadowing_sigma_db=2.0, seed=3)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(system_module, "Medium", medium_cls)
+                system = IIoTSystem.build(
+                    topology,
+                    config=SystemConfig(stack=StackConfig(mac="csma")),
+                    link_model=model, seed=2018)
             system.start()
             sim, root_id = system.sim, topology.root_id
 
@@ -326,7 +333,7 @@ class TestSystemIdentity:
             system.run(200.0)
             return system
 
-        indexed, brute = run(LogDistanceModel), run(full_scan(LogDistanceModel))
+        indexed, brute = run(Medium), run(FullScanMedium)
         assert indexed.medium.grid_info()["spatial_index"]
         assert not brute.medium.grid_info()["spatial_index"]
         assert recorded(indexed.trace) == recorded(brute.trace)
@@ -343,8 +350,9 @@ class TestCacheInvalidation:
     @staticmethod
     def _model_rssi(medium, sender, receiver):
         """The oracle: the model asked directly, past every cache."""
-        return medium.model.rssi_dbm(
-            sender.position, receiver.position, sender.tx_power_dbm)
+        return float(medium.model.rssi_dbm(
+            sender.position, np.array([receiver.position]),
+            sender.tx_power_dbm)[0])
 
     def test_move_invalidates_rssi_and_neighborhoods(self, sim):
         medium = self._medium(sim)
@@ -445,25 +453,18 @@ class TestCacheInvalidation:
 
 
 class TestGridEngagement:
-    def test_subclass_without_range_falls_back(self, sim):
-        """A model overriding only rssi_dbm must not inherit the grid.
+    @pytest.mark.parametrize("bound", [None, math.nan, math.inf, 0.0])
+    def test_model_without_finite_range_is_rejected(self, sim, bound):
+        """Every model declares a finite positive reach: the grid is
+        sized by it and a sender's disc cut by it, and there is no full
+        scan to fall back to, so the medium refuses a model without one
+        when it is built."""
+        class Unbounded(UnitDiskModel):
+            def max_audible_range_m(self, tx_power_dbm, threshold_dbm):
+                return bound
 
-        Its base class advertises max_audible_range_m, but that bound
-        describes the *base* math — trusting it for arbitrary override
-        math could silently drop audible radios.  The capability check
-        reads the model's own class dict, so this subclass gets the
-        full scan (capabilities are own-``__dict__`` opt-ins).
-        """
-        class Weird(UnitDiskModel):
-            def rssi_dbm(self, sender, receiver, tx_power_dbm):
-                return -60.0  # everyone hears everyone
-
-        medium = Medium(sim, Weird(radius_m=1.0), TraceLog())
-        assert not medium.grid_info()["spatial_index"]
-        a = Radio(medium, 1, (0.0, 0.0))
-        b = Radio(medium, 2, (5000.0, 0.0))
-        b.set_listening()
-        assert [node for node, _ in audible_ids(medium, a)] == [2]
+        with pytest.raises(ValueError, match="audible range"):
+            Medium(sim, Unbounded(), TraceLog())
 
     def test_grid_engages_for_builtin_models(self, sim):
         for model in (UnitDiskModel(), LogDistanceModel()):
@@ -498,8 +499,8 @@ class TestPerFrameArbitration:
 
     def _medium(self, spatial):
         sim = Simulator(seed=3)
-        model_cls = UnitDiskModel if spatial else full_scan(UnitDiskModel)
-        medium = Medium(sim, model_cls(radius_m=30.0), TraceLog())
+        medium_cls = Medium if spatial else FullScanMedium
+        medium = medium_cls(sim, UnitDiskModel(radius_m=30.0), TraceLog())
         assert medium.grid_info()["spatial_index"] == spatial
         fillers = [Radio(medium, 100 + i, (1000.0 + 100.0 * i, 1000.0))
                    for i in range(_SMALL_ACTIVE + 1)]
