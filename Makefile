@@ -2,8 +2,8 @@ PYTHON ?= python
 PYTHONPATH := src
 
 .PHONY: test gates gates-update census check-invariants sweep bench \
-	bench-layers bench-layers-tsch bench-taxonomy-matrix cold-start \
-	cold-fill report demo
+	bench-layers bench-layers-tsch bench-pairs bench-taxonomy-matrix \
+	cold-start cold-fill report demo
 
 # Tier-1: the fast correctness suite (must always pass).
 test:
@@ -67,6 +67,17 @@ bench-layers:
 
 bench-layers-tsch:
 	python3 benchmarks/layers/run.py --workload grid_tsch_collect --seconds 4 --trace 1
+
+# A claimed gain, judged: PAIRS (default 10) alternating parent/change
+# repetitions of WORKLOAD, each in a fresh child through that tree's own
+# benchmarks/layers/run.py. PARENT=<checkout of the parent commit> (e.g.
+# from git archive) and WORKLOAD=<name> are required; prints each side's
+# median and quartiles of ops_per_s, setup_s and rss_peak_mb, the
+# per-pair ratios and the wins; exit 1 on any sim_digest or check
+# mismatch. SEED=n picks the seed.
+bench-pairs:
+	python3 benchmarks/pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
+		$(if $(PAIRS),--pairs $(PAIRS)) --seed $(SEED)
 
 # What a process pays before its first simulated event (DESIGN.md, "Cold
 # start"): the best of five fresh interpreters for `import repro`

@@ -48,8 +48,12 @@ small, else from the per-cell heaps within ±2 cells of the sender — a
 receiver is at most one cell from the sender, an interferer it hears at
 most one further.  That bound holds for the geometry the receiver list
 was computed under, so a frame that saw any world change in flight scans
-the global heap.  Each listening receiver then takes a max over those
-maps, usually an empty list.
+the global heap.  Each listening receiver then walks those maps, usually
+an empty list, and stops at the first interferer inside the capture
+margin: rounded subtraction is monotone, so ``rssi - other < margin``
+holds for some interferer exactly when it holds for the strongest.
+An outcome nobody watches (:meth:`TraceLog.watched`) is counted in
+place, with no ``emit`` call per receiver.
 
 Cache invalidation rules (the part that must not rot):
 
@@ -144,6 +148,10 @@ CCA_THRESHOLD_DBM = -85.0
 #: A frame survives a collision if it is this much stronger than the
 #: strongest interferer (capture effect).
 CAPTURE_MARGIN_DB = 6.0
+
+#: The categories the medium counts in place when nobody watches them.
+_CATEGORIES = ("radio.tx", "radio.miss", "radio.collision", "radio.drop",
+               "radio.rx")
 
 #: Grid cells are inflated this much over the model's range bound so a
 #: borderline-audible link can never straddle more than one cell edge.
@@ -509,6 +517,10 @@ class Medium:
         self._cell_active_count = 0
         #: Radios with a listen plan; zero skips every plan hook.
         self._planned = 0
+        #: Which of ``_CATEGORIES`` the trace watches, as of its version
+        #: ``_watch_version`` (see :meth:`_rewatch`).
+        self._watched: FrozenSet[str] = frozenset()
+        self._watch_version = -1
         self._model = model
         self._rebuild_grid()
 
@@ -888,8 +900,15 @@ class Medium:
         radio._set_state(RadioState.TX)
         radio.frames_sent += 1
         radio.bytes_sent += frame.size_bytes
-        self.trace.emit(now, "radio.tx", node=radio.node_id, size=frame.size_bytes,
-                        channel=frame.channel)
+        trace = self.trace
+        watched = (self._watched if self._watch_version == trace.version
+                   else self._rewatch())
+        if "radio.tx" in watched:
+            trace.emit(now, "radio.tx", node=radio.node_id,
+                       size=frame.size_bytes, channel=frame.channel)
+        else:
+            counters = trace.counters
+            counters["radio.tx"] = counters.get("radio.tx", 0) + 1
 
         # Jammers are never received, only interfere.  The triples are
         # the ones current *now*: a later move re-aims future frames.
@@ -912,6 +931,13 @@ class Medium:
         self.sim.schedule(airtime, finish)
         return airtime
 
+    def _rewatch(self) -> FrozenSet[str]:
+        """Ask the trace again which of ``_CATEGORIES`` it watches."""
+        trace = self.trace
+        self._watch_version = trace.version
+        self._watched = frozenset(c for c in _CATEGORIES if trace.watched(c))
+        return self._watched
+
     def _interferers(self, tx: _Transmission) -> List[Dict[int, float]]:
         """``rssi_by_id`` of every transmission that overlapped ``tx``.
 
@@ -930,23 +956,34 @@ class Medium:
 
     def _deliver(self, tx: _Transmission,
                  receivers: Sequence[Tuple[Radio, float, float]]) -> None:
-        """Decide the frame's fate at each radio that could hear it sent."""
+        """Decide the frame's fate at each radio that could hear it sent.
+
+        An outcome category nobody watches is counted in place — the
+        one thing its ``emit`` would have done — so an unobserved frame
+        costs no call per receiver.  Who watches is asked again whenever
+        the log's version moves (an upcall may subscribe, unsubscribe or
+        flip ``enabled``).
+        """
         frame = tx.frame
+        channel, start, sender = frame.channel, tx.start, frame.sender
         now = self.sim.now
-        emit = self.trace.emit
+        trace = self.trace
+        emit, counters = trace.emit, trace.counters
+        draw = self._rng.random
+        # tx.span is None in every untraced run, so traced delivery
+        # outcomes cost nothing otherwise.  Only the addressee's
+        # outcome explains the hop; overheard copies at third parties
+        # are not part of the packet's lifecycle.
+        span, addressee = tx.span, tx.addressee
+        listen = RadioState.LISTEN
         interferers: List[Dict[int, float]] = []
         world_version = -1
+        watch_version, watched = self._watch_version, self._watched
         for receiver, rssi, prr in receivers:
-            if not receiver.enabled or receiver.channel != frame.channel:
+            if not receiver.enabled or receiver.channel != channel:
                 continue
             node = receiver.node_id
-            # tx.span is None in every untraced run, so traced delivery
-            # outcomes cost nothing otherwise.  Only the addressee's
-            # outcome explains the hop; overheard copies at third
-            # parties are not part of the packet's lifecycle.
-            traced = tx.span is not None and (tx.addressee is None
-                                              or tx.addressee == node)
-            if receiver.state is not RadioState.LISTEN or receiver._listen_since > tx.start:
+            if receiver.state is not listen or receiver._listen_since > start:
                 # Slept through (part of) the frame — the duty-cycling cost.
                 lost = "radio.miss"
             else:
@@ -954,27 +991,36 @@ class Medium:
                     # First listener, or an upcall just changed the world.
                     interferers = self._interferers(tx)
                     world_version = self._world_version
-                strongest = None
+                # Rounded subtraction is monotone, so the frame loses
+                # to the strongest interferer exactly when it loses to
+                # some interferer: the first one found decides.
                 for rssi_by_id in interferers:
                     other = rssi_by_id.get(node)
-                    if other is not None and (strongest is None or other > strongest):
-                        strongest = other
-                if strongest is not None and rssi - strongest < CAPTURE_MARGIN_DB:
-                    lost = "radio.collision"
-                elif self._rng.random() > prr:
-                    lost = "radio.drop"
+                    if other is not None and rssi - other < CAPTURE_MARGIN_DB:
+                        lost = "radio.collision"
+                        break
                 else:
-                    lost = None
+                    lost = "radio.drop" if draw() > prr else None
+            if trace.version != watch_version:
+                watched = self._rewatch()
+                watch_version = trace.version
+            traced = span is not None and (addressee is None or addressee == node)
             if lost is not None:
-                emit(now, lost, node=node, sender=frame.sender)
+                if lost in watched:
+                    emit(now, lost, node=node, sender=sender)
+                else:
+                    counters[lost] = counters.get(lost, 0) + 1
                 if traced:
-                    self.trace.obs.spans.event(tx.span, lost, node=node, t=now)
+                    trace.obs.spans.event(span, lost, node=node, t=now)
                 continue
             receiver.frames_received += 1
-            emit(now, "radio.rx", node=node, sender=frame.sender,
-                 size=frame.size_bytes)
+            if "radio.rx" in watched:
+                emit(now, "radio.rx", node=node, sender=sender,
+                     size=frame.size_bytes)
+            else:
+                counters["radio.rx"] = counters.get("radio.rx", 0) + 1
             if traced:
-                self.trace.obs.spans.event(tx.span, "radio.rx", node=node,
-                                           t=now, rssi=round(rssi, 1))
+                trace.obs.spans.event(span, "radio.rx", node=node,
+                                      t=now, rssi=round(rssi, 1))
             if receiver.on_receive is not None:
                 receiver.on_receive(frame, rssi)

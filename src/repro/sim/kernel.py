@@ -197,7 +197,9 @@ class Simulator:
 
         When ``until`` is given, simulated time is advanced to exactly
         ``until`` even if the queue drains earlier, so metrics windows
-        have well-defined lengths.
+        have well-defined lengths — unless ``max_events`` stopped the
+        run with an event still due by ``until``: the clock then stays
+        at the last event fired, since it never runs backwards.
         """
         if until is not None and not until >= self._now:  # NaN fails too
             raise SimTimeError(f"cannot run until {until} < now {self._now}")
@@ -218,7 +220,9 @@ class Simulator:
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:
-            self._now = until
+            next_time = self._peek_time()
+            if next_time is None or next_time > until:
+                self._now = until
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""

@@ -53,38 +53,53 @@ class TraceRecorder:
     ``TraceLog`` keeps counters, subscribers and a bounded tail — no
     stream.  The whole-stream oracles (same seed, same records; indexed
     medium vs full scan; lazy vs eager TSCH) compare everything a run
-    emitted, so they wrap ``TraceLog.emit`` for their duration:
-    ``recorder(log)`` is that log's records, in emission order.  Use the
-    :func:`recorded` fixture, or ``with TraceRecorder() as recorder:``
-    inside a hypothesis test.  Test-side only — no run keeps a stream.
+    emitted, so the recorder holds a stream subscription
+    (:meth:`TraceLog.subscribe_stream`) on every log built while it is
+    installed, and on each log built before it that it is given:
+    ``recorder(log)`` is that log's records, in emission order.  A
+    recorded log is watched in every category, so each of its emits
+    builds and delivers its record.  Use the :func:`recorded` fixture
+    (which records the test's ``trace``), or ``with
+    TraceRecorder(medium.trace) as recorder:`` inside a hypothesis
+    test.  Test-side only — no run keeps a stream.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *logs: TraceLog) -> None:
+        self._logs = logs
         self._streams: Dict[TraceLog, List[TraceRecord]] = {}
-        self._emit = TraceLog.emit
+        self._detach: List[Any] = []
+        self._init = TraceLog.__init__
 
     def __call__(self, log: TraceLog) -> List[TraceRecord]:
         return self._streams.get(log, [])
 
+    def _attach(self, log: TraceLog) -> None:
+        stream = self._streams[log] = []
+        self._detach.append(log.subscribe_stream(stream.append))
+
     def __enter__(self) -> "TraceRecorder":
-        streams, emit = self._streams, self._emit
+        init, attach = self._init, self._attach
+        for log in self._logs:
+            attach(log)
 
-        def recording_emit(log, time, category, node=None, **data):
-            streams.setdefault(log, []).append(
-                TraceRecord(time, category, node, data))
-            emit(log, time, category, node, **data)
+        def recording_init(log, *args, **kwargs):
+            init(log, *args, **kwargs)
+            attach(log)
 
-        TraceLog.emit = recording_emit
+        TraceLog.__init__ = recording_init
         return self
 
     def __exit__(self, *exc_info) -> None:
-        TraceLog.emit = self._emit
+        TraceLog.__init__ = self._init
+        for detach in self._detach:
+            detach()
 
 
 @pytest.fixture
-def recorded():
-    """A :class:`TraceRecorder` installed for the test's duration."""
-    with TraceRecorder() as recorder:
+def recorded(trace):
+    """A :class:`TraceRecorder` installed for the test's duration; it
+    records the test's ``trace`` fixture too."""
+    with TraceRecorder(trace) as recorder:
         yield recorder
 
 

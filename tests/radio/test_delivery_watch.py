@@ -1,0 +1,233 @@
+"""Delivery outcomes counted in place, and the first-hit capture rule.
+
+``Medium._deliver`` counts an outcome nobody watches in place instead of
+calling ``TraceLog.emit``, and asks again who watches whenever the log's
+version moves; collision arbitration stops at the first interferer
+inside the capture margin.  Neither may change what a run does or what
+an observer sees.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.system import IIoTSystem, SystemConfig
+from repro.deployment.topology import grid_topology
+from repro.net.stack import StackConfig
+from repro.radio.interference import InterfererConfig, WifiInterferer
+from repro.radio.medium import CAPTURE_MARGIN_DB, Frame, Medium, Radio
+from repro.radio.propagation import LogDistanceModel, UnitDiskModel
+from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
+from tests.conftest import TraceRecorder
+
+OUTCOMES = ("radio.rx", "radio.miss", "radio.drop", "radio.collision")
+PORT = 7
+
+
+def lossy_grid_run(mac: str, seed: int):
+    """A 3x3 grid on lossy links with a Wi-Fi jammer: every delivery
+    outcome occurs.  Returns the system and the root's deliveries."""
+    model = LogDistanceModel(path_loss_exponent=3.3, shadowing_sigma_db=3.0,
+                             seed=seed)
+    system = IIoTSystem.build(
+        grid_topology(3), config=SystemConfig(stack=StackConfig(mac=mac)),
+        link_model=model, seed=seed)
+    sim = system.sim
+    delivered = []
+    system.root.stack.bind(
+        PORT, lambda d: delivered.append((d.src, d.payload, sim.now)))
+    jammer = WifiInterferer(sim, system.medium, 900, (10.0, 10.0),
+                            InterfererConfig(wifi_channel=6, duty_cycle=0.05))
+    sim.schedule(10.0, jammer.start)
+    system.start()
+    rng = random.Random(seed)
+    for node_id in sorted(system.nodes):
+        if node_id == system.topology.root_id:
+            continue
+
+        def send(stack=system.nodes[node_id].stack, seq=[0]):
+            seq[0] += 1
+            stack.send_datagram(0, PORT, seq[0], 24)
+            if sim.now < 25.0:
+                sim.schedule(3.0, send)
+
+        sim.schedule(20.0 + rng.uniform(0.0, 3.0), send)
+    system.run(30.0)
+    return system, delivered
+
+
+@pytest.mark.parametrize("mac", ["csma", "lpl", "rimac", "tsch"])
+def test_counters_are_the_same_watched_or_not(mac):
+    plain, plain_delivered = lossy_grid_run(mac, seed=3)
+    with TraceRecorder() as recorder:
+        watched, watched_delivered = lossy_grid_run(mac, seed=3)
+    for category in OUTCOMES:
+        assert plain.trace.count(category) > 0, category
+    assert list(plain.trace.counters.items()) == list(
+        watched.trace.counters.items())
+    records = recorder(watched.trace)
+    for category in ("radio.tx",) + OUTCOMES:
+        assert (sum(1 for r in records if r.category == category)
+                == watched.trace.count(category)), category
+    assert plain_delivered == watched_delivered
+    assert ([vars(n.stack.stats) for n in plain.nodes.values()]
+            == [vars(n.stack.stats) for n in watched.nodes.values()])
+    assert ([n.stack.radio.frames_received for n in plain.nodes.values()]
+            == [n.stack.radio.frames_received for n in watched.nodes.values()])
+
+
+# ----------------------------------------------------------------------
+# who watches changes while a frame is being delivered
+# ----------------------------------------------------------------------
+def capture_scene(trace: TraceLog, upcall):
+    """Sender 0 and interferer 9 overlap on the air.  Receivers 1 and 2
+    hear only 0 (received, in that order); 3 and 4 hear both at equal
+    strength (collided).  Receiver 1's ``on_receive`` runs ``upcall``."""
+    sim = Simulator(seed=1)
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), trace)
+    sender = Radio(medium, 0, (0.0, 0.0))
+    jammer = Radio(medium, 9, (40.0, 0.0))
+    receivers = [Radio(medium, node, xy) for node, xy in
+                 ((1, (-10.0, 0.0)), (2, (5.0, 0.0)),
+                  (3, (20.0, 0.0)), (4, (22.0, 0.0)))]
+    for radio in receivers:
+        radio.set_listening()
+    receivers[0].on_receive = lambda frame, rssi: (
+        upcall() if frame.sender == 0 else None)
+    sim.schedule(0.001, lambda: medium.transmit(
+        sender, Frame(payload="p", size_bytes=40, channel=26, sender=0)))
+    sim.schedule(0.0012, lambda: medium.transmit(
+        jammer, Frame(payload="j", size_bytes=40, channel=26, sender=9)))
+    sim.run()
+    return medium
+
+
+def outcomes_of(records, sender=0):
+    return [(r.category, r.node) for r in records
+            if r.category in OUTCOMES and r.data.get("sender") == sender]
+
+
+SENDER_0 = [("radio.rx", 1), ("radio.rx", 2),
+            ("radio.collision", 3), ("radio.collision", 4)]
+
+
+@pytest.mark.parametrize("category", ["radio.rx", "radio.collision"])
+def test_upcall_that_subscribes_sees_every_later_receiver(category):
+    trace = TraceLog()
+    seen = []
+    capture_scene(trace, lambda: trace.subscribe(category, seen.append))
+    assert outcomes_of(seen) == [o for o in SENDER_0[1:] if o[0] == category]
+    # 9's frame collides at 3 and 4 as well.
+    assert (trace.count("radio.rx"), trace.count("radio.collision")) == (2, 4)
+
+
+def test_upcall_that_unsubscribes_stops_notifications():
+    trace = TraceLog()
+    seen = []
+    handles = [trace.subscribe("radio.rx", seen.append),
+               trace.subscribe("radio.collision", seen.append)]
+    capture_scene(trace, lambda: [drop() for drop in handles])
+    assert outcomes_of(seen) == SENDER_0[:1]
+    assert trace.count("radio.collision") == 4
+
+
+@pytest.mark.parametrize("enable", [True, False])
+def test_upcall_that_flips_enabled_moves_the_tail(enable):
+    trace = TraceLog(enabled=not enable)
+
+    def flip():
+        trace.enabled = enable
+
+    capture_scene(trace, flip)
+    tailed = outcomes_of(trace.tail)
+    assert tailed == (SENDER_0[1:] if enable else SENDER_0[:1])
+
+
+def test_every_outcome_counted_once_whoever_watches():
+    plain, recorded_log = TraceLog(), TraceLog()
+    capture_scene(plain, lambda: None)
+    with TraceRecorder(recorded_log) as recorder:
+        capture_scene(recorded_log, lambda: None)
+    assert plain.counters == recorded_log.counters
+    assert outcomes_of(recorder(recorded_log)) == SENDER_0
+
+
+# ----------------------------------------------------------------------
+# the capture boundary
+# ----------------------------------------------------------------------
+class TableModel:
+    """RSSI from a ``(sender x, receiver x) -> dBm`` table; every other
+    link is inaudible.  PRR 1 wherever audible."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def max_audible_range_m(self, tx_power_dbm, threshold_dbm):
+        return 1000.0
+
+    def rssi_dbm(self, sender, receivers, tx_power_dbm):
+        return np.array([self.table.get((sender[0], x), -200.0)
+                         for x in np.asarray(receivers)[:, 0].tolist()])
+
+    def reception_probability(self, rssi):
+        return np.where(np.asarray(rssi, dtype=float) >= -100.0, 1.0, 0.0)
+
+
+def outcome_at_receiver(rssi, interferers):
+    """Sender 1's frame at receiver 0 while ``interferers`` (their RSSI
+    at receiver 0, None for inaudible) send overlapping frames."""
+    table = {(1.0, 0.0): rssi}
+    for k, other in enumerate(interferers):
+        if other is not None:
+            table[(2.0 + k, 0.0)] = other
+    sim = Simulator(seed=1)
+    trace = TraceLog()
+    medium = Medium(sim, TableModel(table), trace)
+    receiver = Radio(medium, 0, (0.0, 0.0))
+    receiver.set_listening()
+    senders = [Radio(medium, 1 + k, (1.0 + k, 0.0))
+               for k in range(1 + len(interferers))]
+    seen = []
+    for category in ("radio.rx", "radio.collision"):
+        trace.subscribe(category, seen.append)
+    for radio in senders:
+        sim.schedule(0.001, lambda radio=radio: medium.transmit(
+            radio, Frame(payload="p", size_bytes=40, channel=26,
+                         sender=radio.node_id)))
+    sim.run()
+    (outcome,) = [r.category for r in seen if r.data["sender"] == 1]
+    return outcome
+
+
+dbm = st.floats(-99.0, -20.0, allow_nan=False)
+
+
+@given(rssi=dbm, interferers=st.lists(st.none() | dbm, max_size=5))
+@settings(max_examples=60, deadline=None)
+@example(rssi=-50.0, interferers=[])
+@example(rssi=-50.0, interferers=[None, None])
+@example(rssi=-50.0, interferers=[-50.0 - CAPTURE_MARGIN_DB])
+@example(rssi=-50.0,
+         interferers=[math.nextafter(-50.0 - CAPTURE_MARGIN_DB, 0.0)])
+@example(rssi=-50.0, interferers=[-70.0, None, -80.0, -52.0])
+def test_first_hit_rule_is_the_max_rule(rssi, interferers):
+    present = [other for other in interferers if other is not None]
+    collides = bool(present) and rssi - max(present) < CAPTURE_MARGIN_DB
+    assert outcome_at_receiver(rssi, interferers) == (
+        "radio.collision" if collides else "radio.rx")
+
+
+def test_capture_boundary_cases():
+    margin = CAPTURE_MARGIN_DB
+    assert outcome_at_receiver(-50.0, []) == "radio.rx"
+    assert outcome_at_receiver(-50.0, [-50.0 - margin]) == "radio.rx"
+    assert outcome_at_receiver(
+        -50.0, [math.nextafter(-50.0 - margin, 0.0)]) == "radio.collision"
+    assert outcome_at_receiver(
+        -50.0, [-70.0, -80.0, -52.0]) == "radio.collision"

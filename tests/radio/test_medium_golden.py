@@ -125,7 +125,7 @@ def run_scenario(medium_cls=Medium):
     # Round 6: a power write above the grid's sizing basis, mid-flight.
     sim.schedule_at(6 * ROUND_S + 0.0004,
                     lambda: setattr(rounds[5][2], "tx_power_dbm", 6.0))
-    with TraceRecorder() as recorder:
+    with TraceRecorder(medium.trace) as recorder:
         sim.run()
     return medium, radios, recorder(medium.trace), cca, upcalls, max_active[0]
 

@@ -145,7 +145,7 @@ class TestIdentityProperties:
                         channel=radio.channel, sender=radio.node_id))
                 # Offsets inside one ~1.6 ms airtime: real contention.
                 sim.schedule(0.001 + k * 0.0003, send)
-            with TraceRecorder() as recorder:
+            with TraceRecorder(medium.trace) as recorder:
                 sim.run()
             streams.append(recorder(medium.trace) + [("cca", tuple(cca))])
         assert streams[0] == streams[1]
@@ -187,7 +187,7 @@ class TestIdentityProperties:
                     when * len(rounds) * ROUND_S,
                     lambda radio=radios[who], attr=attr, change=change:
                         setattr(radio, attr, change))
-            with TraceRecorder() as recorder:
+            with TraceRecorder(medium.trace) as recorder:
                 sim.run()
             assert peak[0] > _SMALL_ACTIVE
             answers.append((recorder(medium.trace), cca,

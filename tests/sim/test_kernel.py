@@ -143,6 +143,25 @@ class TestRunWindows:
         sim.run(until=15.0)
         assert fired == [1]
 
+    def test_max_events_inside_until_keeps_the_clock_monotone(self):
+        sim = Simulator()
+        seen = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda: seen.append(sim.now))
+        sim.run(until=10.0, max_events=1)
+        # Stopped by the event budget with work still due by 10 s: the
+        # clock stays at the event it fired, never jumping past work.
+        assert seen == [1.0]
+        assert sim.now == 1.0
+        sim.run()
+        assert seen == [1.0, 2.0, 3.0]
+        # With nothing left due by ``until``, the window is advanced.
+        sim.schedule_at(20.0, lambda: seen.append(sim.now))
+        sim.run(until=10.0, max_events=5)
+        assert sim.now == 10.0
+        sim.run(until=30.0, max_events=1)
+        assert seen[-1] == 20.0 and sim.now == 30.0
+
     def test_run_rejects_nan_and_past_until(self):
         # A self-rescheduling event keeps the queue non-empty; max_events
         # bounds the run where an unchecked NaN would never stop.
