@@ -41,10 +41,12 @@ census:
 # every jobs count; on a multi-core host it goes through the warm worker
 # pool, on a single-core host the executor's serial fast-path runs it
 # in-process (the pool itself is exercised on any host by the tests
-# that take the `multicore` fixture).
+# that take the `multicore` fixture). Last, one seed is replayed the way
+# a failing bundle would be: fully observed, it must report 0 violations.
 check-invariants: gates
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/checking -q
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro sweep --seeds 10 --jobs 2
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro replay --scenario partition-crdt --seed 1
 
 # Just the CLI sweep (SEEDS=n to widen, JOBS=n to parallelize; 0 = all
 # cores).

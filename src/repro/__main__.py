@@ -3,9 +3,10 @@
 With no arguments: builds a small deployment, converges it, runs one
 aggregation query, kills the border router to show RNFD, and prints the
 taxonomy verdicts.  ``python -m repro sweep`` instead runs the built-in
-fault scenarios under full invariant checking across many seeds (see
-DESIGN.md, "Runtime invariant checking").  For the full experiment
-suite run ``pytest benchmarks/ --benchmark-only``.
+fault scenarios under full invariant checking across many seeds, and
+``python -m repro replay`` re-runs one of their seeds (see DESIGN.md,
+"Runtime invariant checking").  For the full experiment suite run
+``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -60,10 +61,35 @@ def sweep_main(argv) -> int:
     return 1 if failed else 0
 
 
+def replay_main(argv) -> int:
+    """``python -m repro replay`` — re-run one seed of a built-in."""
+    from repro.checking.scenarios import BUILTIN_SCENARIOS
+    from repro.checking.sweep import ReproBundle, replay
+
+    parser = argparse.ArgumentParser(
+        prog="python -m repro replay",
+        description="Re-run one seed of a built-in scenario fully "
+                    "observed: its violations, the trace and span trees "
+                    "of the 120 s up to the first, and its latency "
+                    "waterfall; exit 1 on any violation.",
+    )
+    parser.add_argument("--scenario", choices=sorted(BUILTIN_SCENARIOS),
+                        required=True, help="the scenario to replay")
+    parser.add_argument("--seed", type=int, required=True,
+                        help="the seed to replay (a bundle's seed=)")
+    args = parser.parse_args(argv)
+    description = BUILTIN_SCENARIOS[args.scenario].to_jsonable()
+    result = replay(ReproBundle(args.scenario, args.seed, [], description))
+    print(result.render())
+    return 1 if result.violations else 0
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "sweep":
         return sweep_main(argv[1:])
+    if argv and argv[0] == "replay":
+        return replay_main(argv[1:])
     if argv and argv[0] == "report":
         # Imported lazily: the dashboard pulls in repro.core.
         from repro.obs.report import report_main

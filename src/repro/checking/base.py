@@ -174,12 +174,6 @@ class InvariantChecker:
             node=node, detail=detail,
         )
         self.violations.append(violation)
-        obs = self.trace.obs if self.trace is not None else None
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            # Flight-recorder trigger: freeze the telemetry windows and
-            # pinned spans leading up to this breach (repro.obs.recorder).
-            recorder.on_violation(violation)
         return violation
 
     @property

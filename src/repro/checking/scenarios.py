@@ -1,9 +1,10 @@
 """Built-in sweep scenarios: fault plans under full invariant checking.
 
 Each built-in is a :class:`~repro.core.scenario.Scenario` with
-``invariant_checking=True`` and ``trace_enabled=True`` (the tail a repro
-bundle carries); :class:`~repro.checking.sweep.SeedSweepRunner` runs it
-per seed and reads the system's :class:`~repro.checking.base.CheckerSuite`.
+``invariant_checking=True``; :class:`~repro.checking.sweep.SeedSweepRunner`
+runs it per seed and reads the system's
+:class:`~repro.checking.base.CheckerSuite`, and ``python -m repro replay``
+re-runs a failing seed fully observed: nothing is recorded in advance.
 They cover the two fault families the paper leans on hardest — network
 partitions (§V-C) and border-router failure under RNFD (E5) — so
 sweeping them across seeds exercises every layer's checkers against the
@@ -43,7 +44,7 @@ BUILTIN_SCENARIOS = {
     "partition-crdt": Scenario(
         topology=grid_topology(3),
         config=SystemConfig(stack=StackConfig(mac="csma"),
-                            invariant_checking=True, trace_enabled=True),
+                            invariant_checking=True),
         workloads=(PartitionCrdt(),),
         faults=FaultPlan().partition(240.0, cut_x=CUT_X,
                                      heal_after_s=120.0).clauses,
@@ -57,8 +58,7 @@ BUILTIN_SCENARIOS = {
     # with the highest historical risk of routing loops.
     "rnfd-root-failure": Scenario(
         topology=grid_topology(3),
-        config=SystemConfig(stack=_RNFD, invariant_checking=True,
-                            trace_enabled=True),
+        config=SystemConfig(stack=_RNFD, invariant_checking=True),
         faults=FaultPlan().kill_border_router(
             250.0, recover_after_s=300.0).clauses,
         formation_s=240.0,
@@ -72,7 +72,7 @@ BUILTIN_SCENARIOS = {
     "hvac-safety": Scenario(
         topology=grid_topology(3),
         config=SystemConfig(stack=_RNFD, invariant_checking=True,
-                            trace_enabled=True, observability=True),
+                            observability=True),
         workloads=(HvacSafety(),),
         faults=(FaultPlan()
                 .crash(2640.0, 4, recover_after_s=900.0)
@@ -92,8 +92,7 @@ BUILTIN_SCENARIOS = {
     "availability-probe": Scenario(
         topology=grid_topology(3),
         config=SystemConfig(stack=StackConfig(mac="csma"),
-                            invariant_checking=True, trace_enabled=True,
-                            observability=True),
+                            invariant_checking=True, observability=True),
         workloads=(AvailabilityProbe(),),
         faults=(FaultPlan()
                 .partition(360.0, cut_x=CUT_X, heal_after_s=600.0)
@@ -112,8 +111,7 @@ BUILTIN_SCENARIOS = {
         topology=grid_topology(3),
         config=SystemConfig(stack=StackConfig(mac="csma",
                                               rpl=RplConfig(dao_period_s=60.0)),
-                            invariant_checking=True, trace_enabled=True,
-                            observability=True),
+                            invariant_checking=True, observability=True),
         faults=FaultPlan().random_crashes(300.0, duration_s=900.0,
                                           mtbf_s=1800.0, mttr_s=120.0,
                                           spare_root=True).clauses,
@@ -141,7 +139,6 @@ BUILTIN_SCENARIOS = {
                               trickle_variant="adaptive-imin"),
             ),
             invariant_checking=True,
-            trace_enabled=True,
         ),
         faults=(FaultPlan()
                 .partition(660.0, cut_x=CUT_X, heal_after_s=600.0)

@@ -1,28 +1,34 @@
-"""The deterministic seed-sweep harness.
+"""The deterministic seed-sweep harness, and replay.
 
 A *scenario* is a :class:`~repro.core.scenario.Scenario`:
 ``scenario.run(seed)`` builds, forms and runs a system with
 ``invariant_checking=True`` (its checkers become the run's
 :class:`~repro.checking.base.CheckerSuite`).  The
-:class:`SeedSweepRunner` executes the scenario across many seeds,
-asserts zero invariant violations, and — because every run is a pure
-function of its seed — a failure reduces to a minimal
-:class:`ReproBundle`: the seed, the scenario as JSON, the violation
-records, and the trailing trace window leading up to the first breach
-(taken from the log's bounded tail, so the scenario must set
-``trace_enabled=True``).  ``Scenario.from_jsonable(bundle.scenario)
-.run(bundle.seed)`` reproduces the failure exactly.
+:class:`SeedSweepRunner` executes the scenario across many seeds and
+asserts zero invariant violations.  Every run is a pure function of its
+scenario and seed, so a failure reduces to a minimal
+:class:`ReproBundle` — the seed, the scenario as JSON and the violation
+records — and nothing of the run is recorded in advance: :func:`replay`
+runs it again with full observation and a whole-stream trace
+subscriber, which observe without perturbing, and shows the trace
+records, span trees and latency waterfall around the first violation
+(``python -m repro replay --scenario NAME --seed S`` for a built-in,
+:func:`replay` for any bundle).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 from repro.checking.base import CheckerSuite, Violation
 from repro.core.experiment import seeds_for
 from repro.parallel import TrialExecutor
 from repro.sim.trace import TraceRecord
+
+#: Simulated seconds of trace a replay shows up to the first violation.
+WINDOW_S = 120.0
 
 
 class InvariantViolationError(AssertionError):
@@ -40,19 +46,12 @@ class ReproBundle:
     name: str
     seed: int
     violations: List[Violation]
-    trace_tail: List[TraceRecord] = field(default_factory=list)
-    #: Rendered packet-lifecycle span trees (repro.obs) overlapping the
-    #: violation window — empty unless the scenario ran with spans on.
-    span_trees: List[str] = field(default_factory=list)
-    #: Rendered flight-recorder dumps (repro.obs.recorder) — empty
-    #: unless the scenario ran with telemetry + recorder attached.
-    flight_dumps: List[str] = field(default_factory=list)
     #: The run's description (``Scenario.to_jsonable()``), whose
     #: ``faults`` are the injection script.
     scenario: Optional[Dict[str, Any]] = None
 
-    def summary(self, max_violations: int = 10, max_trace: int = 20) -> str:
-        """Human-readable repro recipe."""
+    def summary(self, max_violations: int = 10) -> str:
+        """Human-readable repro recipe; the last line replays it."""
         lines = [
             f"scenario={self.name!r} seed={self.seed}: "
             f"{len(self.violations)} violation(s)",
@@ -71,27 +70,13 @@ class ReproBundle:
                                    if k not in ("kind", "at_s"))
                 lines.append(f"    {clause['kind']} @ t={clause['at_s']:g}s"
                              f"  {detail}")
-        if self.trace_tail:
-            lines.append(f"  trailing trace ({len(self.trace_tail)} records,"
-                         f" last {max_trace} shown):")
-            for record in self.trace_tail[-max_trace:]:
-                lines.append(
-                    f"    t={record.time:.3f} {record.category}"
-                    f" node={record.node} {record.data}"
-                )
-        if self.span_trees:
-            lines.append(f"  packet lifecycles in the violation window "
-                         f"({len(self.span_trees)} trace(s)):")
-            for tree in self.span_trees:
-                for tree_line in tree.splitlines():
-                    lines.append(f"    {tree_line}")
-        if self.flight_dumps:
-            lines.append(f"  flight recorder ({len(self.flight_dumps)} dump(s)):")
-            for dump in self.flight_dumps:
-                for dump_line in dump.splitlines():
-                    lines.append(f"    {dump_line}")
-        lines.append(f"  repro: rerun scenario {self.name!r} "
-                     f"with seed={self.seed}")
+        from repro.checking.scenarios import BUILTIN_SCENARIOS
+        builtin = BUILTIN_SCENARIOS.get(self.name)
+        if builtin is not None and builtin.to_jsonable() == self.scenario:
+            lines.append(f"  repro: python -m repro replay "
+                         f"--scenario {self.name} --seed {self.seed}")
+        else:
+            lines.append("  repro: repro.checking.sweep.replay(bundle)")
         return "\n".join(lines)
 
 
@@ -117,19 +102,11 @@ class SeedSweepRunner:
         Scenario name, recorded in repro bundles.
     scenario:
         The :class:`~repro.core.scenario.Scenario` to run.
-    trace_window_s:
-        How much trailing simulated time of the trace to capture into a
-        repro bundle when a run fails.
     """
 
-    #: How many rendered span trees a repro bundle carries at most.
-    MAX_BUNDLE_TRACES = 3
-
-    def __init__(self, name: str, scenario,
-                 trace_window_s: float = 120.0) -> None:
+    def __init__(self, name: str, scenario) -> None:
         self.name = name
         self.scenario = scenario
-        self.trace_window_s = trace_window_s
 
     # ------------------------------------------------------------------
     def run_seed(self, seed: int) -> SweepOutcome:
@@ -139,30 +116,9 @@ class SeedSweepRunner:
         suite.detach()
         bundle = None
         if violations:
-            window_start = min(
-                suite.sim.now - self.trace_window_s,
-                violations[0].time,
-            )
-            tail = [r for r in suite.trace.tail if r.time >= window_start]
-            span_trees = self._span_trees(suite, window_start)
-            obs = getattr(suite.trace, "obs", None)
-            recorder = getattr(obs, "recorder", None)
-            flight_dumps = recorder.render_all() if recorder is not None else []
-            bundle = ReproBundle(self.name, seed, violations, tail,
-                                 span_trees=span_trees,
-                                 flight_dumps=flight_dumps,
+            bundle = ReproBundle(self.name, seed, violations,
                                  scenario=self.scenario.to_jsonable())
         return SweepOutcome(seed=seed, violations=violations, bundle=bundle)
-
-    def _span_trees(self, suite: CheckerSuite, window_start: float) -> List[str]:
-        """Rendered lifecycle trees overlapping the violation window,
-        when the scenario ran with span tracing attached."""
-        obs = getattr(suite.trace, "obs", None)
-        if obs is None:
-            return []
-        trace_ids = obs.spans.traces_overlapping(window_start, suite.sim.now)
-        return [obs.spans.render(tid)
-                for tid in trace_ids[-self.MAX_BUNDLE_TRACES:]]
 
     def run(self, seeds: Sequence[int], jobs: int = 1) -> List[SweepOutcome]:
         """Run every seed; ``jobs`` > 1 fans the runs out over a process
@@ -193,3 +149,110 @@ class SeedSweepRunner:
         outcomes = self.run_count(repetitions, base_seed, jobs=jobs)
         self.assert_clean(outcomes)
         return outcomes
+
+
+# ----------------------------------------------------------------------
+# replay
+# ----------------------------------------------------------------------
+class _Window:
+    """A stream subscriber keeping the records of the last
+    :data:`WINDOW_S` simulated seconds, until ``suite`` records its
+    first violation: from then on it keeps only the records up to that
+    violation's time, and drops nothing.  Memory is bounded by the
+    window, not by the run's length."""
+
+    def __init__(self, suite: CheckerSuite) -> None:
+        self.suite = suite
+        self.records: Deque[TraceRecord] = deque()
+        #: The first violation's time, once there is one.
+        self.end: Optional[float] = None
+        self._now = float("-inf")
+
+    def __call__(self, record: TraceRecord) -> None:
+        time, records = record.time, self.records
+        if self.end is None and time > self._now:
+            self._now = time
+            if not self.suite.clean:
+                self.end = self.suite.violations[0].time
+            else:
+                while records and records[0].time < time - WINDOW_S:
+                    records.popleft()
+        if self.end is None or time <= self.end:
+            records.append(record)
+
+
+@dataclass
+class Replay:
+    """A re-run's violations and what led to the first one."""
+
+    name: str
+    seed: int
+    violations: List[Violation]
+    #: Every trace record from :data:`WINDOW_S` before the first
+    #: violation through it, in emission order (empty when clean).
+    records: List[TraceRecord]
+    #: Rendered span trees of the traces overlapping those seconds.
+    trees: List[str]
+    #: The run's ``repro explain`` waterfall; None without exemplars.
+    explain: Optional[str]
+
+    def render(self) -> str:
+        """What ``python -m repro replay`` prints."""
+        lines = [f"scenario={self.name!r} seed={self.seed}: "
+                 f"{len(self.violations)} violation(s)"]
+        lines.extend(f"  {violation}" for violation in self.violations)
+        if self.violations:
+            t0 = self.violations[0].time
+            lines.append(f"trace t={t0 - WINDOW_S:.3f}..{t0:.3f}s "
+                         f"({len(self.records)} record(s)):")
+            lines.extend(f"  t={r.time:.3f} {r.category} node={r.node} {r.data}"
+                         for r in self.records)
+            lines.append(f"span trees overlapping the window "
+                         f"({len(self.trees)} trace(s)):")
+            for tree in self.trees:
+                lines.extend(f"  {line}" for line in tree.splitlines())
+        if self.explain is not None:
+            lines.append(self.explain)
+        return "\n".join(lines)
+
+
+def replay(bundle: ReproBundle) -> Replay:
+    """Run the bundle's scenario, decoded from its JSON, at its seed
+    again, fully observed, and collect what a failing run needs to be
+    read: the violations, the trace records of the :data:`WINDOW_S`
+    seconds through the first one, the span trees overlapping them and
+    the run's latency waterfall.  The bundle's own violations are not
+    read.
+
+    Observation is transparent (checkers, spans, metrics and stream
+    subscribers neither draw RNG nor schedule events), so this run *is*
+    the run the sweep made.
+    """
+    from repro.core.scenario import Scenario
+    from repro.obs.analysis import analyze_run, render_explain
+
+    scenario = Scenario.from_jsonable(bundle.scenario)
+    observed = replace(scenario, config=replace(scenario.config,
+                                                observability=True))
+    window: Optional[_Window] = None
+
+    def watch(system) -> None:
+        nonlocal window
+        window = _Window(system.checkers)
+        system.trace.subscribe_stream(window)
+
+    system = observed.run(bundle.seed, observe=watch)
+    violations = system.checkers.finish()
+    records: List[TraceRecord] = []
+    trees: List[str] = []
+    spans = system.obs.spans
+    if violations:
+        t0 = violations[0].time
+        records = [r for r in window.records
+                   if t0 - WINDOW_S <= r.time <= t0]
+        trees = [spans.render(trace_id) for trace_id
+                 in spans.traces_overlapping(t0 - WINDOW_S, t0)]
+    payload = analyze_run(spans, system.obs.registry.snapshot(),
+                          domain_of=getattr(system.topology, "domain_of", None))
+    return Replay(bundle.name, bundle.seed, violations, records, trees,
+                  None if payload is None else render_explain(payload))

@@ -92,16 +92,17 @@ class Scenario:
         FaultPlan(self.faults).validate()
 
     # -- running ---------------------------------------------------------
-    def build(self, seed: int, sink=None) -> IIoTSystem:
+    def build(self, seed: int, observe=None) -> IIoTSystem:
         """The system formed at ``formation_s``, its workloads started
         and its plan installed (or, with ``faults_at_s``, scheduled to be
         installed once everything queued for that instant has run).
-        ``sink``, a writable text handle, receives every closed telemetry
-        window as JSONL."""
+        ``observe(system)`` runs on the bare system before anything is
+        started or emitted: where ``report --live`` sets the telemetry
+        sink and ``repro replay`` subscribes to the whole trace."""
         system = IIoTSystem.build(self.topology, config=self.config,
                                   link_model=self.link_model, seed=seed)
-        if sink is not None:
-            system.telemetry.sink = sink
+        if observe is not None:
+            observe(system)
         for name, phenomenon in self.sensors:
             system.add_field_sensors(name, phenomenon)
         system.workloads = [w.attach(system, self) for w in self.workloads]
@@ -123,9 +124,9 @@ class Scenario:
                                        AFTER_INSTANT)
         return system
 
-    def run(self, seed: int, sink=None) -> IIoTSystem:
+    def run(self, seed: int, observe=None) -> IIoTSystem:
         """:meth:`build`, then ``run_s`` more simulated seconds."""
-        system = self.build(seed, sink)
+        system = self.build(seed, observe)
         system.run(self.run_s)
         return system
 

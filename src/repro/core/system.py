@@ -35,10 +35,10 @@ class SystemConfig:
     """How to materialize a topology into a running system."""
 
     stack: StackConfig = field(default_factory=StackConfig)
-    #: Keep the bounded tail of recent trace records (repro.sim.trace.
-    #: TAIL) that repro bundles read when a sweep seed fails.  Counters
-    #: and subscribers work either way; off by default, since nothing
-    #: but a bundle reads the tail.
+    #: Keep a bounded tail of recent trace records (repro.sim.trace.
+    #: TAIL); counters and subscribers work either way.  Only the layered
+    #: benchmark still sets it: a failing sweep seed is replayed, not
+    #: recorded (``python -m repro replay``).
     trace_enabled: bool = False
     #: Attach the default runtime invariant checkers (repro.checking).
     #: Off by default so benchmarks pay nothing; checkers are passive
@@ -62,8 +62,7 @@ class SystemConfig:
     #: timeseries).  None (the default) attaches no engine and keeps
     #: the zero-diff guarantee of uninstrumented runs; a value requires
     #: ``observability=True`` and *does* schedule simulator events (the
-    #: scrape timer), like NodeHealthSampler.  Enabling it also attaches
-    #: the flight recorder (repro.obs.recorder).
+    #: scrape timer), like NodeHealthSampler.
     telemetry_interval_s: Optional[float] = None
 
 
@@ -115,7 +114,6 @@ class IIoTSystem:
         self._activated: set = set()
         self.obs = None
         self.telemetry = None
-        self.recorder = None
         #: Run-time drivers of the workloads a
         #: :class:`~repro.core.scenario.Scenario` attached, in its order.
         self.workloads: List = []
@@ -133,15 +131,12 @@ class IIoTSystem:
             )
             self.obs.attach(trace)
             if config.telemetry_interval_s is not None:
-                from repro.obs.recorder import FlightRecorder
                 from repro.obs.timeseries import TelemetryEngine
                 self.telemetry = TelemetryEngine(
                     sim, self.obs.registry,
                     interval_s=config.telemetry_interval_s,
                     domain_of=getattr(topology, "domain_of", None))
-                self.recorder = FlightRecorder(self.telemetry, self.obs.spans)
                 self.obs.telemetry = self.telemetry
-                self.obs.recorder = self.recorder
         self._build_nodes()
         self.checkers = None
         if config.invariant_checking:

@@ -330,7 +330,7 @@ class FaultPlan:
                 raise ValueError(f"{where}: mtbf_s and mttr_s must be "
                                  f"positive and finite")
 
-    # -- serialization (repro bundles, flight dumps) --------------------
+    # -- serialization (scenarios, repro bundles) ----------------------
     def to_jsonable(self) -> Dict[str, Any]:
         """Plain-JSON shape; clauses keep plan order."""
         return {
@@ -424,11 +424,6 @@ class FaultPlanRuntime:
         self._spans[index] = obs.spans.start(
             None, f"fault.{clause.kind}", node=data.pop("node", None),
             t=self.sim.now, **data)
-        recorder = getattr(obs, "recorder", None)
-        if recorder is not None:
-            # Flight-recorder trigger: a fault window opening is the
-            # moment to freeze the pre-fault telemetry weather.
-            recorder.on_fault_window(clause.kind, self.sim.now, clause=index)
 
     def _end(self, index: int) -> None:
         self.active_clauses -= 1

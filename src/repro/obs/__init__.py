@@ -9,9 +9,7 @@ The parts (DESIGN.md, "Observability"):
 - :mod:`repro.obs.health` — the per-node :class:`NodeHealthSampler`
   gauge set (duty cycle, MAC queue, neighbors, rank, CRDT staleness);
 - :mod:`repro.obs.timeseries` — the windowed telemetry plane: every
-  closed window is a :class:`MetricsSnapshot` of that interval, and
-  :mod:`repro.obs.recorder` freezes recent windows and pinned spans
-  into flight dumps;
+  closed window is a :class:`MetricsSnapshot` of that interval;
 - :mod:`repro.obs.diff` — snapshot diffing behind
   ``python -m repro diff`` (regression gates);
 - :mod:`repro.obs.export` — JSONL/CSV/JSON exporters, and
@@ -50,7 +48,6 @@ from repro.obs.export import (
     write_windows_jsonl,
 )
 from repro.obs.health import NodeHealthSampler, health_rows
-from repro.obs.recorder import FlightDump, FlightRecorder
 from repro.obs.registry import (Counter, Gauge, Histogram, MetricsSnapshot,
                                 Registry)
 from repro.obs.spans import Span, SpanContext, SpanNode, SpanTracer
@@ -61,8 +58,6 @@ __all__ = [
     "Attribution",
     "AttributionError",
     "Counter",
-    "FlightDump",
-    "FlightRecorder",
     "GATED_SPAN_CATEGORIES",
     "Gauge",
     "Histogram",
@@ -132,9 +127,8 @@ class Observability:
                  span_max: Optional[int] = None) -> None:
         self.registry = Registry()
         #: set by the system wiring when SystemConfig(telemetry_interval_s=)
-        #: is given — layers and exporters find both via ``trace.obs``.
+        #: is given — layers and exporters find it via ``trace.obs``.
         self.telemetry: Optional[TelemetryEngine] = None
-        self.recorder: Optional[FlightRecorder] = None
         self.spans = SpanTracer(
             sample_rate=span_sample_rate,
             sample_seed=span_seed,

@@ -495,6 +495,10 @@ def explain_main(argv) -> int:
     from repro.obs.report import add_demo_arguments, demo_scenario
     add_demo_arguments(parser)
     args = parser.parse_args(argv)
+    if not 0.0 <= args.p <= 100.0:
+        parser.error("--p must be a percentile in [0, 100]")
+    if args.max_traces < 1:
+        parser.error("--max-traces must be >= 1")
 
     # The deterministic report demo — the run the `core` and `explain`
     # gates of benchmarks/gates.py pin.

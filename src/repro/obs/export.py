@@ -110,7 +110,7 @@ def export_run(
     span JSONL when a bundle is attached, metrics CSV when a snapshot is
     given (or a registry is attached), the latency-attribution
     ``explain.txt`` when exemplar traces exist, and the telemetry
-    windows and flight-recorder dumps when those are attached.
+    windows when an engine is attached.
     """
     os.makedirs(directory, exist_ok=True)
     written: Dict[str, int] = {}
@@ -135,11 +135,4 @@ def export_run(
     if telemetry is not None:
         written["telemetry.jsonl"] = write_windows_jsonl(
             telemetry.windows, os.path.join(directory, "telemetry.jsonl"))
-    recorder = getattr(obs, "recorder", None)
-    if recorder is not None and recorder.dumps:
-        with open(os.path.join(directory, "flight.json"), "w") as handle:
-            json.dump([dump.to_jsonable() for dump in recorder.dumps],
-                      handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        written["flight.json"] = len(recorder.dumps)
     return written

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
@@ -255,10 +256,6 @@ def render_report(run: DemoRun, top: int = 8) -> str:
                 f"sent={last.counter_total('net.sent'):.0f} "
                 f"delivered={last.counter_total('net.delivered'):.0f} "
                 f"mac.tx={last.counter_total('mac.tx'):.0f}")
-        recorder = system.recorder
-        if recorder is not None and recorder.dumps:
-            lines.append(f"flight dumps: {len(recorder.dumps)} "
-                         f"(+{recorder.suppressed} suppressed)")
 
     rows = health_rows(metrics)
     if rows:
@@ -317,6 +314,7 @@ def report_main(argv) -> int:
                         metavar="N",
                         help="ring-buffer bound on stored spans")
     parser.add_argument("--live", metavar="PATH", default=None,
+                        type=argparse.FileType("w"),
                         help="stream telemetry windows as JSONL to PATH "
                              "('-' for stdout) while the run advances; "
                              "follow with `python -m repro tail PATH -f`")
@@ -328,8 +326,11 @@ def report_main(argv) -> int:
     args = parser.parse_args(argv)
     if not 0.0 <= args.span_sample_rate <= 1.0:
         parser.error("--span-sample-rate must be in [0, 1]")
-    if args.telemetry_interval is not None and args.telemetry_interval <= 0:
-        parser.error("--telemetry-interval must be positive")
+    if args.span_max_stored is not None and args.span_max_stored < 1:
+        parser.error("--span-max-stored must be >= 1")
+    if args.telemetry_interval is not None \
+            and not 0.0 < args.telemetry_interval < math.inf:
+        parser.error("--telemetry-interval must be finite and > 0")
 
     interval = args.telemetry_interval
     if interval is None and args.live is not None:
@@ -339,19 +340,16 @@ def report_main(argv) -> int:
         span_max_stored=args.span_max_stored, telemetry_interval_s=interval))
     if args.faults:
         scenario = replace(scenario, faults=demo_faults(scenario))
-    sink = None
-    sink_file = None
-    if args.live is not None:
-        import sys as _sys
-        if args.live == "-":
-            sink = _sys.stdout
-        else:
-            sink = sink_file = open(args.live, "w")
+
+    def live(system) -> None:
+        system.telemetry.sink = args.live
+
     try:
-        run = scenario.run(args.seed, sink=sink).workloads[0]
+        run = scenario.run(
+            args.seed, observe=None if args.live is None else live).workloads[0]
     finally:
-        if sink_file is not None:
-            sink_file.close()
+        if args.live not in (None, sys.stdout):
+            args.live.close()
     print(render_report(run, top=args.top))
     if args.export:
         written: Dict[str, int] = export_run(

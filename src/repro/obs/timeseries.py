@@ -14,9 +14,9 @@ reads a window:
 - **histograms** hold the observations recorded *during* the window.
 
 On the wire a window is :meth:`MetricsSnapshot.to_jsonable` plus that
-header under the format tag ``repro.window/2``; ``repro tail``, flight
-dumps, ``export_run`` and the ``report --live`` sink all go through
-that one codec.
+header under the format tag ``repro.window/2``; ``repro tail``,
+``export_run`` and the ``report --live`` sink all go through that one
+codec.
 
 Memory stays bounded at city scale three ways:
 
@@ -146,12 +146,6 @@ class TelemetryEngine:
     @property
     def last_window(self) -> Optional[TelemetryWindow]:
         return self._ring[-1] if self._ring else None
-
-    def recent(self, k: int) -> List[TelemetryWindow]:
-        """The last ``k`` retained windows, oldest first."""
-        if k <= 0:
-            return []
-        return list(self._ring)[-k:]
 
     # ------------------------------------------------------------------
     # scraping

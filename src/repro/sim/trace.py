@@ -10,7 +10,8 @@ into three things and stores nothing else:
   and to every **stream subscriber**, which sees every record of every
   category in emission order (whole-run oracles, replay);
 - when ``enabled``, an entry in a bounded **tail** of the most recent
-  records, which repro bundles read when a seed fails.
+  records (only the layered benchmark enables it: a failing sweep seed
+  is replayed with a stream subscriber, not recorded in advance).
 
 Measurement code therefore stays out of the protocols, and a run's
 memory does not grow with its length.
@@ -33,12 +34,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-#: Records the tail keeps.  A repro bundle takes the trailing 120 s of
-#: simulated time (``SeedSweepRunner``'s default window); across the
-#: builtin grid(3) sweep scenarios the busiest 120 s holds ≈5 600
-#: records (``rnfd-root-failure``: the root crash, its poisoning and the
-#: DIS storm after it), so 8 192 keeps that window whole with ≈1.5×
-#: headroom at a few MB.
+#: Records the tail keeps.  Only the layered benchmark's observed
+#: workload still enables a tail; across the builtin grid(3) sweep
+#: scenarios the busiest 120 s holds ≈5 600 records, so 8 192 holds
+#: such a window whole at a few MB.
 TAIL = 8192
 
 @dataclass(frozen=True)
@@ -78,10 +77,10 @@ def _without(callbacks: Tuple[Callback, ...],
 class TraceLog:
     """Counters and subscribers for every emit, plus a bounded tail.
 
-    ``enabled`` keeps the last :data:`TAIL` records in ``tail`` for repro
-    bundles — the tail is a stream subscriber like any other; off (the
-    default), a record is only built when a subscriber will see it.
-    Counters accumulate either way.
+    ``enabled`` keeps the last :data:`TAIL` records in ``tail`` — the
+    tail is a stream subscriber like any other; off (the default), a
+    record is only built when a subscriber will see it.  Counters
+    accumulate either way.
     """
 
     def __init__(self, enabled: bool = False) -> None:

@@ -1,18 +1,26 @@
 """Parallel seed sweeps: jobs=N must reproduce jobs=1 exactly.
 
-The scenario is module-level (picklable) so the runner genuinely
-dispatches to worker processes; outcomes — including full repro
-bundles with their trace tails (the scenario's log keeps one) — must
-come back byte-identical and in seed order.
+The scenarios are module-level (picklable) so the runner genuinely
+dispatches to worker processes; outcomes — including repro bundles,
+which replay — must come back identical and in seed order.
 """
 
+import dataclasses
+
 from repro.checking.base import CheckerSuite, InvariantChecker
-from repro.checking.sweep import SeedSweepRunner
+from repro.checking.scenarios import BUILTIN_SCENARIOS
+from repro.checking.sweep import SeedSweepRunner, replay
+from repro.core.workloads import CUT_X
+from repro.faults.plan import PartitionClause
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 from tests.conftest import SuiteScenario
 
 JOBS = 4
+
+#: partition-crdt whose cut never heals: every seed violates.
+NEVER_HEALS = dataclasses.replace(BUILTIN_SCENARIOS["partition-crdt"],
+                                  faults=(PartitionClause(240.0, CUT_X),))
 
 
 class _EvenSeedBreaker(InvariantChecker):
@@ -33,7 +41,7 @@ class _EvenSeedBreaker(InvariantChecker):
 
 
 def breaker_scenario(seed: int) -> CheckerSuite:
-    sim, trace = Simulator(seed=seed), TraceLog(enabled=True)
+    sim, trace = Simulator(seed=seed), TraceLog()
     suite = CheckerSuite(sim, trace)
     suite.add(_EvenSeedBreaker(seed))
     for t in (10.0, 120.0, 160.0, 190.0):
@@ -56,19 +64,15 @@ class TestParallelSeedSweep:
 
     def test_repro_bundles_identical_across_jobs_counts(self):
         seeds = [2, 4, 6]
-        serial = SeedSweepRunner("pp", SuiteScenario(breaker_scenario),
-                                 trace_window_s=120.0).run(seeds, jobs=1)
-        parallel = SeedSweepRunner("pp", SuiteScenario(breaker_scenario),
-                                   trace_window_s=120.0).run(seeds, jobs=JOBS)
+        serial = SeedSweepRunner("pp", NEVER_HEALS).run(seeds, jobs=1)
+        parallel = SeedSweepRunner("pp", NEVER_HEALS).run(seeds, jobs=JOBS)
         for one, other in zip(serial, parallel):
             assert one.bundle is not None and other.bundle is not None
             assert one.bundle == other.bundle
             assert one.bundle.summary() == other.bundle.summary()
-            # Trace tails carry RNG-derived payloads: byte-identity here
-            # means the workers replayed the exact serial runs.
-            assert one.bundle.trace_tail == other.bundle.trace_tail
-            assert one.bundle.trace_tail[0].data["jitter"] == \
-                other.bundle.trace_tail[0].data["jitter"]
+        # A worker's bundle replays, in this process, to the serial
+        # run's violations.
+        assert replay(parallel[0].bundle).violations == serial[0].violations
 
     def test_parallel_sweep_over_closure_falls_back_serially(self):
         captured = []  # a closure: unpicklable, must degrade gracefully

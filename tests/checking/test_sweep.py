@@ -1,17 +1,28 @@
-"""SeedSweepRunner: clean sweeps, repro bundles, failure reporting."""
+"""SeedSweepRunner: clean sweeps, repro bundles, failure reporting, replay."""
+
+import dataclasses
+from dataclasses import dataclass
+from typing import ClassVar
 
 import pytest
 
+from repro.__main__ import main
 from repro.checking.base import CheckerSuite, InvariantChecker
+from repro.checking.scenarios import BUILTIN_SCENARIOS
 from repro.checking.sweep import (
+    WINDOW_S,
     InvariantViolationError,
     ReproBundle,
     SeedSweepRunner,
+    _Window,
+    replay,
 )
 from repro.core.experiment import seeds_for
+from repro.core.workloads import CUT_X, WORKLOADS, Driver, Workload
+from repro.faults.plan import PartitionClause
 from repro.sim.kernel import Simulator
-from repro.sim.trace import TAIL, TraceLog
-from tests.conftest import SuiteScenario
+from repro.sim.trace import TraceLog, TraceRecord
+from tests.conftest import SuiteScenario, TraceRecorder
 
 
 class AlwaysCleanChecker(InvariantChecker):
@@ -43,30 +54,9 @@ def clean_scenario(seed: int) -> CheckerSuite:
 
 
 def parity_scenario(seed: int) -> CheckerSuite:
-    sim, trace = Simulator(seed=seed), TraceLog(enabled=True)
-    suite = CheckerSuite(sim, trace)
-    suite.add(FailsOnEvenSeeds(seed))
-    trace.emit(10.0, "early", node=0)
-    trace.emit(140.0, "late", node=0)
-    trace.emit(160.0, "aftermath", node=0)
-    sim.run(until=200.0)
-    return suite
-
-
-def instrumented_parity_scenario(seed: int) -> CheckerSuite:
-    """parity_scenario with span tracing attached: one packet lifecycle
-    inside the violation window, one long before it."""
-    from repro.obs import Observability
-
     sim, trace = Simulator(seed=seed), TraceLog()
-    obs = Observability().attach(trace)
     suite = CheckerSuite(sim, trace)
     suite.add(FailsOnEvenSeeds(seed))
-    old = obs.spans.start(None, "net.datagram", node=0, t=5.0, dst=1)
-    obs.spans.finish(old, 6.0, delivered=True)
-    recent = obs.spans.start(None, "net.datagram", node=0, t=145.0, dst=1)
-    obs.spans.event(recent, "radio.rx", node=1, t=145.2)
-    obs.spans.finish(recent, 145.2, delivered=True)
     sim.run(until=200.0)
     return suite
 
@@ -86,8 +76,7 @@ class TestSeedSweepRunner:
         assert [o.seed for o in outcomes] == [3, 8, 21]
 
     def test_failing_seed_produces_a_repro_bundle(self):
-        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario),
-                                 trace_window_s=120.0)
+        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
         outcome = runner.run_seed(4)
         assert not outcome.clean
         bundle = outcome.bundle
@@ -95,38 +84,6 @@ class TestSeedSweepRunner:
         assert bundle.name == "parity"
         assert bundle.seed == 4
         assert [v.invariant for v in bundle.violations] == ["even_seed"]
-
-    def test_bundle_trace_tail_covers_the_window_and_the_violation(self):
-        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario),
-                                 trace_window_s=120.0)
-        bundle = runner.run_seed(4).bundle
-        # Run ends at t=200, window 120 -> records from t>=80... but the
-        # window is widened to include the first violation (t=150).
-        times = [r.time for r in bundle.trace_tail]
-        assert 140.0 in times
-        assert 10.0 not in times
-
-    def test_window_stretches_back_to_the_first_violation(self):
-        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario),
-                                 trace_window_s=1.0)
-        bundle = runner.run_seed(4).bundle
-        # Even a tiny window must keep everything from the violation on:
-        # start = min(now - window, first violation time) = 150.
-        assert [r.time for r in bundle.trace_tail] == [160.0]
-
-    def test_tail_of_a_long_run_ends_at_the_last_record(self):
-        def long_scenario(seed: int) -> CheckerSuite:
-            suite = parity_scenario(seed)
-            for seq in range(TAIL + 100):
-                suite.trace.emit(170.0 + seq * 1e-3, "tick", node=0, seq=seq)
-            return suite
-
-        bundle = SeedSweepRunner("long", SuiteScenario(long_scenario)).run_seed(4).bundle
-        tail = bundle.trace_tail
-        # Everything is inside the window; the ring kept the newest TAIL.
-        assert len(tail) == TAIL
-        assert tail[-1].data["seq"] == TAIL + 99
-        assert tail[0].data["seq"] == 100
 
     def test_clean_seed_in_failing_scenario_passes(self):
         runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
@@ -141,40 +98,9 @@ class TestSeedSweepRunner:
         message = str(err.value)
         assert "scenario='parity' seed=4" in message
         assert "even_seed" in message
-        assert "repro" in message
-
-    def test_bundle_attaches_span_trees_from_the_violation_window(self):
-        runner = SeedSweepRunner("parity", SuiteScenario(instrumented_parity_scenario),
-                                 trace_window_s=120.0)
-        bundle = runner.run_seed(4).bundle
-        # Only the lifecycle overlapping [80, 200] is bundled; the t=5
-        # datagram predates the window.
-        assert len(bundle.span_trees) == 1
-        tree = bundle.span_trees[0]
-        assert "net.datagram" in tree
-        assert "radio.rx" in tree
-        assert "t=5.0000" not in tree
-        summary = bundle.summary()
-        assert "packet lifecycles in the violation window" in summary
-        assert "net.datagram" in summary
-
-    def test_bundle_span_trees_are_capped(self):
-        def busy_scenario(seed: int) -> CheckerSuite:
-            suite = instrumented_parity_scenario(seed)
-            spans = suite.trace.obs.spans
-            for i in range(6):
-                ctx = spans.start(None, "net.datagram", node=i, t=150.0 + i)
-                spans.finish(ctx, 151.0 + i)
-            return suite
-
-        bundle = SeedSweepRunner("busy", SuiteScenario(busy_scenario)).run_seed(4).bundle
-        assert len(bundle.span_trees) == SeedSweepRunner.MAX_BUNDLE_TRACES
-
-    def test_uninstrumented_scenario_bundles_no_trees(self):
-        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
-        bundle = runner.run_seed(4).bundle
-        assert bundle.span_trees == []
-        assert "packet lifecycles" not in bundle.summary()
+        # Not a builtin: the bundle replays through the library.
+        assert message.splitlines()[-1] == \
+            "  repro: repro.checking.sweep.replay(bundle)"
 
     @pytest.mark.parametrize("name, clause", [
         ("partition-crdt", "partition @ t=240s  cut_x=30.0, heal_after_s=120.0"),
@@ -198,11 +124,137 @@ class TestSeedSweepRunner:
         assert f"scenario sha256={content_hash(bundle.scenario)}" in summary
         assert "fault plan (1 clause(s)):" in summary
         assert clause in summary
+        assert summary.splitlines()[-1] == \
+            f"  repro: python -m repro replay --scenario {name} --seed 1"
+        # A builtin's name on another scenario is not that builtin.
+        renamed = dataclasses.replace(bundle, scenario=NEVER_HEALS.to_jsonable())
+        assert renamed.summary().splitlines()[-1] == \
+            "  repro: repro.checking.sweep.replay(bundle)"
 
     def test_summary_truncates_long_listings(self):
         suite = clean_scenario(1)
         checker = suite.checkers[0]
         records = [checker.record(f"v{i}", node=i) for i in range(15)]
-        bundle = ReproBundle("big", 1, records, [])
+        bundle = ReproBundle("big", 1, records)
         text = bundle.summary(max_violations=10)
         assert "... 5 more" in text
+
+
+# ----------------------------------------------------------------------
+# replay
+# ----------------------------------------------------------------------
+class _PlantDriver(Driver):
+    def formed(self) -> None:
+        checker = self.system.checkers.checkers[0]
+        self.system.sim.schedule_at(self.workload.at_s,
+                                    lambda: checker.record("planted"))
+
+
+@dataclass(frozen=True)
+class PlantViolation(Workload):
+    """Records one violation at ``at_s``, mid-run (test-only: a test
+    that replays it registers it in ``WORKLOADS``)."""
+
+    kind: ClassVar[str] = "plant-violation"
+    driver: ClassVar[type] = _PlantDriver
+    at_s: float = 0.0
+
+
+#: partition-crdt whose cut never heals: the replicas diverge, which the
+#: CRDT checker reports at the end of the run (t=600).
+NEVER_HEALS = dataclasses.replace(BUILTIN_SCENARIOS["partition-crdt"],
+                                  faults=(PartitionClause(240.0, CUT_X),))
+
+
+def bundle_of(scenario, seed=1):
+    """What a sweep of ``scenario`` would bundle (its violations aside:
+    replay does not read them)."""
+    return ReproBundle("planted", seed, [], scenario.to_jsonable())
+
+
+def replayed_with_stream(scenario, seed=1):
+    """``replay`` and the whole trace stream of that very run."""
+    with TraceRecorder() as recorder:
+        result = replay(bundle_of(scenario, seed))
+    (log,) = recorder._streams
+    return result, recorder(log)
+
+
+def window_of(stream, t0):
+    """The records with ``t0 - WINDOW_S <= time <= t0``, checked to be
+    one contiguous run of ``stream``."""
+    hits = [i for i, r in enumerate(stream) if t0 - WINDOW_S <= r.time <= t0]
+    assert hits == list(range(hits[0], hits[-1] + 1))
+    return stream[hits[0]:hits[-1] + 1]
+
+
+class TestReplay:
+    def test_records_are_the_window_of_the_whole_stream(self):
+        result, stream = replayed_with_stream(NEVER_HEALS)
+        t0 = result.violations[0].time
+        assert t0 == NEVER_HEALS.formation_s + NEVER_HEALS.run_s
+        assert result.records == window_of(stream, t0)
+        # The window is not the whole run, and it is printed whole.
+        assert len(stream) > len(result.records) > 0
+        text = result.render()
+        assert f"({len(result.records)} record(s)):" in text
+        for record in (result.records[0], result.records[-1]):
+            assert (f"  t={record.time:.3f} {record.category} "
+                    f"node={record.node} {record.data}") in text
+
+    def test_window_freezes_at_a_mid_run_violation(self, monkeypatch):
+        monkeypatch.setitem(WORKLOADS, PlantViolation.kind, PlantViolation)
+        scenario = dataclasses.replace(
+            NEVER_HEALS, faults=(),
+            workloads=NEVER_HEALS.workloads + (PlantViolation(300.0),))
+        swept = scenario.run(1).checkers.finish()
+        result, stream = replayed_with_stream(scenario)
+        assert result.violations == swept
+        assert result.violations[0].time == 300.0
+        assert result.records == window_of(stream, 300.0)
+        assert stream[-1].time > 300.0
+
+    def test_the_buffer_holds_the_window_not_the_run(self):
+        suite = clean_scenario(1)
+        window = _Window(suite)
+        longest = 0
+        for step in range(6000):  # one record per 0.1 s for 600 s
+            window(TraceRecord(step / 10.0, "tick", 0))
+            longest = max(longest, len(window.records))
+        assert longest == 10 * WINDOW_S + 1
+        # A violation freezes it: nothing later is kept, nothing dropped.
+        suite.sim.run(until=600.0)
+        suite.checkers[0].record("late")
+        for time in (600.0, 600.1, 800.0):
+            window(TraceRecord(time, "tick", 0))
+        assert window.end == 600.0
+        assert [r.time for r in window.records][-2:] == [599.9, 600.0]
+        assert len(window.records) == longest + 1
+
+    def test_trees_and_waterfall_when_the_run_has_exemplars(self):
+        result = replay(bundle_of(NEVER_HEALS))
+        assert result.trees and result.explain is not None
+        text = result.render()
+        assert f"span trees overlapping the window " \
+            f"({len(result.trees)} trace(s)):" in text
+        assert "net.datagram" in text
+        assert "aggregate waterfall" in text
+
+    def test_cli_replays_a_clean_builtin_seed(self, capsys):
+        assert main(["replay", "--scenario", "partition-crdt",
+                     "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("scenario='partition-crdt' seed=1: "
+                              "0 violation(s)\n")
+        assert "trace t=" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "no-such-scenario", "--seed", "1"],
+        ["--scenario", "partition-crdt"],
+        ["--seed", "1"],
+    ])
+    def test_cli_usage_errors_exit_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["replay"] + argv)
+        assert exit_.value.code == 2
+        assert "usage: python -m repro replay" in capsys.readouterr().err

@@ -216,7 +216,12 @@ def dashboard_run(side: int = 3, converge_s: float = 180.0,
         run_s=traffic_s, config=dataclasses.replace(DEMO.config, **config))
     if faults:
         scenario = dataclasses.replace(scenario, faults=demo_faults(scenario))
-    return scenario.run(seed, sink=sink).workloads[0]
+
+    def live(system) -> None:
+        system.telemetry.sink = sink
+
+    return scenario.run(
+        seed, observe=None if sink is None else live).workloads[0]
 
 
 class SuiteScenario:

@@ -18,6 +18,7 @@ import re
 import pytest
 
 import repro
+from repro.checking.sweep import ReproBundle, SeedSweepRunner
 from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import WORKLOADS, Probe
@@ -31,8 +32,8 @@ from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
-from repro.obs import (FlightRecorder, NodeHealthSampler, Observability,
-                       Registry, TelemetryEngine)
+from repro.obs import (NodeHealthSampler, Observability, Registry,
+                       TelemetryEngine)
 from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from repro.radio.interference import InterfererConfig
@@ -49,8 +50,9 @@ def _keywords(cls):
 
 
 def test_system_config_fields():
-    # ``trace_enabled`` (keep the trace tail for repro bundles) stays
-    # because the layered benchmark builds
+    # ``trace_enabled`` (keep a bounded trace tail; nothing in src/ sets
+    # it since repro bundles replay) stays only because the layered
+    # benchmark builds
     # ``SystemConfig(trace_enabled=self.observed)`` in
     # benchmarks/layers/workloads.py: on for grid_csma_observed, off for
     # the plain workloads.
@@ -106,6 +108,18 @@ def test_workload_fields():
     assert WORKLOADS["probe"] is Probe
 
 
+def test_seed_sweep_runner_keywords():
+    # The replay window is the module constant
+    # repro.checking.sweep.WINDOW_S, and a replay takes only the bundle.
+    assert _keywords(SeedSweepRunner) == ["name", "scenario"]
+
+
+def test_repro_bundle_fields():
+    # A bundle is what replays the run, nothing recorded from it.
+    assert [f.name for f in dataclasses.fields(ReproBundle)] == [
+        "name", "seed", "violations", "scenario"]
+
+
 def test_mac_layer_keywords():
     # The queue bound is the module constant repro.net.mac.base.MAX_QUEUE.
     assert _keywords(MacLayer) == ["sim", "radio", "trace"]
@@ -122,11 +136,6 @@ def test_telemetry_engine_keywords():
     # the live sink is an attribute `repro report --live` assigns.
     assert _keywords(TelemetryEngine) == [
         "sim", "registry", "interval_s", "domain_of"]
-
-
-def test_flight_recorder_keywords():
-    # Its bounds are the module constants of repro.obs.recorder.
-    assert _keywords(FlightRecorder) == ["engine", "spans"]
 
 
 def test_node_health_sampler_keywords():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import SeedSweepRunner
+from repro.checking.sweep import SeedSweepRunner, replay
 from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import (AvailabilityProbe, Demo, HvacSafety,
@@ -207,9 +207,13 @@ class TestSweeps:
         assert bundle is not None and bundle.violations
         replayed = Scenario.from_jsonable(bundle.scenario).run(bundle.seed)
         assert replayed.checkers.finish() == bundle.violations
+        # Fully observed, with a whole-stream subscriber: the same run.
+        assert replay(bundle).violations == bundle.violations
         summary = bundle.summary()
         assert f"scenario sha256={planted.content_hash}" in summary
         assert "partition @ t=240s  cut_x=30.0, heal_after_s=None" in summary
+        assert summary.splitlines()[-1] == \
+            "  repro: repro.checking.sweep.replay(bundle)"
 
 
 # ----------------------------------------------------------------------

@@ -43,7 +43,7 @@ _time = st.floats(min_value=0.0, max_value=64.0,
 
 
 @st.composite
-def _span_trees(draw, depth=0):
+def _tree_specs(draw, depth=0):
     """A random span spec: (category, start, end, waypoint?, children).
 
     Children are drawn *unconstrained* relative to the parent window on
@@ -59,7 +59,7 @@ def _span_trees(draw, depth=0):
         waypoint = draw(_time)
     children = []
     if depth < 3:
-        children = draw(st.lists(_span_trees(depth=depth + 1),
+        children = draw(st.lists(_tree_specs(depth=depth + 1),
                                  min_size=0, max_size=3))
     return (category, start, end, waypoint, children)
 
@@ -77,7 +77,7 @@ def _record(tracer, parent, spec):
 
 class TestPartitionInvariant:
     @FEW
-    @given(spec=_span_trees())
+    @given(spec=_tree_specs())
     def test_segments_partition_any_forest_exactly(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)
@@ -96,7 +96,7 @@ class TestPartitionInvariant:
             assert all(seg.end > seg.start for seg in segments)
 
     @FEW
-    @given(spec=_span_trees())
+    @given(spec=_tree_specs())
     def test_layers_fsum_tracks_total_closely(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)
@@ -107,7 +107,7 @@ class TestPartitionInvariant:
 
 class TestCriticalPathChain:
     @FEW
-    @given(spec=_span_trees())
+    @given(spec=_tree_specs())
     def test_path_is_root_to_leaf(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)

@@ -142,3 +142,12 @@ class TestExplainCli:
                              "--metric", "no.such.metric"])
         assert code == 1
         assert "no exemplars" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "150"], ["--p", "nan"], ["--p", "-1"], ["--max-traces", "0"],
+    ])
+    def test_bad_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            explain_main(["--duration", "20"] + argv)
+        assert exit_.value.code == 2
+        assert argv[0] in capsys.readouterr().err

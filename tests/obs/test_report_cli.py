@@ -153,3 +153,17 @@ class TestCli:
         with pytest.raises(SystemExit):
             report_main(["--side", "1"])
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--span-max-stored", "0"], "--span-max-stored"),
+        (["--span-max-stored", "-5"], "--span-max-stored"),
+        (["--telemetry-interval", "nan"], "--telemetry-interval"),
+        (["--telemetry-interval", "inf"], "--telemetry-interval"),
+        (["--live", "{missing}/live.jsonl"], "--live"),
+    ])
+    def test_bad_flags_are_usage_errors(self, argv, flag, tmp_path, capsys):
+        argv = [arg.format(missing=tmp_path / "no-such-dir") for arg in argv]
+        with pytest.raises(SystemExit) as exit_:
+            report_main(["--side", "2", "--duration", "20"] + argv)
+        assert exit_.value.code == 2
+        assert flag in capsys.readouterr().err

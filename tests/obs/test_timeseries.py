@@ -144,13 +144,6 @@ class TestRetention:
         assert engine.dropped == 4
         assert [w.index for w in engine.windows] == [4, 5, 6]
 
-    def test_recent_returns_last_k(self, monkeypatch):
-        monkeypatch.setattr(timeseries, "RETENTION", 5)
-        sim, registry, engine = make_engine()
-        sim.run(until=55.0)
-        assert [w.index for w in engine.recent(2)] == [3, 4]
-        assert engine.recent(0) == []
-
     def test_invalid_parameters_rejected(self):
         sim = Simulator(seed=1)
         with pytest.raises(ValueError):
@@ -218,7 +211,6 @@ class TestSystemIntegration:
 
         engine = system.telemetry
         assert engine is not None and system.obs.telemetry is engine
-        assert system.recorder is not None
         assert engine.windows_closed == 8
         assert len(engine.windows) == 8 <= timeseries.RETENTION
         assert engine.dropped == 0
@@ -249,4 +241,3 @@ class TestSystemIntegration:
                                   config=SystemConfig(observability=True),
                                   seed=1)
         assert system.telemetry is None
-        assert system.recorder is None
