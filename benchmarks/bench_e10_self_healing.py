@@ -21,11 +21,12 @@ from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
-from repro.devices.sensors import SensorFault
+from repro.faults.plan import CrashClause, SensorClause
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.stack import StackConfig
 
 KILLED = (6, 8, 12, 16, 18)
+FORMATION_S = 400.0
 PROBE_PERIOD = 30.0
 
 
@@ -38,8 +39,11 @@ def _run_recovery(imin, seed):
         ),
         invariant_checking=True,
     )
+    # The five nodes crash the instant formation ends.
     system = Scenario(topology=grid_topology(5), config=config,
-                      formation_s=400.0).build(seed)
+                      faults=tuple(CrashClause(FORMATION_S, node_id)
+                                   for node_id in KILLED),
+                      formation_s=FORMATION_S).build(seed)
     assert system.converged()
 
     # Steady upward traffic so failures are noticed at the data plane.
@@ -48,7 +52,7 @@ def _run_recovery(imin, seed):
             continue
         for k in range(200):
             system.sim.schedule(
-                400.0 - system.sim.now + k * PROBE_PERIOD + node.node_id % 17,
+                k * PROBE_PERIOD + node.node_id % 17,
                 (lambda s: lambda: s.send_datagram(0, 7, "hb", 8)
                  if s.alive else None)(node.stack),
             )
@@ -56,12 +60,9 @@ def _run_recovery(imin, seed):
 
     dio_before = sum(n.stack.rpl.dio_sent for n in system.nodes.values())
     kill_time = system.sim.now
-    for node_id in KILLED:
-        system.nodes[node_id].fail()
-
     survivors = [
         n for n in system.nodes.values()
-        if n.alive and not n.is_root
+        if n.node_id not in KILLED and not n.is_root
     ]
     need = int(0.95 * len(survivors))
     recovered_at = None
@@ -90,8 +91,13 @@ def _run_diagnosis(seed):
     series stops tracking its neighbors."""
     field = DiurnalField(mean=20.0, amplitude=8.0, period_s=3600.0,
                          gradient_per_m=0.0)
+    # Node 5's sensor sticks at t=300, once everything queued for that
+    # instant has run: 120 s after formation, so it has produced good
+    # readings for STUCK to repeat (a fresh stuck sensor reports nothing
+    # at all, which a presence check would catch instead).
     system = Scenario(topology=grid_topology(3), sensors=(("temp", field),),
-                      formation_s=180.0).build(seed)
+                      faults=(SensorClause(300.0, 5, "temp"),),
+                      faults_at_s=300.0, formation_s=180.0).build(seed)
     collectors = [RawCollectionService(n, root_id=0)
                   for n in system.nodes.values()]
     for collector in collectors:
@@ -107,12 +113,7 @@ def _run_diagnosis(seed):
     system.nodes[0].stack.unbind(collectors[0].port)
     system.nodes[0].stack.bind(collectors[0].port, tagging)
 
-    # Let the sensor produce one good reading so STUCK has a value to
-    # repeat (a fresh stuck sensor reports nothing at all, which a
-    # presence check would catch instead).
-    system.run(120.0)
-    system.nodes[5].sensors["temp"].inject_fault(SensorFault.STUCK)
-    system.run(1800.0)
+    system.run(120.0 + 1800.0)
     # Diagnosis: variance of each node's series; stuck -> ~zero.
     import statistics
 

@@ -17,11 +17,13 @@ from repro.core.metrics import percentile
 from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
+from repro.faults.plan import BORDER_ROUTER, CrashClause
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
 
 STALENESS_S = 1500.0
+FORMATION_S = 300.0
 RUN_S = 6000.0
 
 
@@ -35,17 +37,17 @@ def _run(rnfd_enabled, seed, probe_period=10.0, fail_threshold=3):
                       staleness_check_period_s=30.0,
                       dao_period_s=1e6),
     ))
+    # The border router dies the instant formation ends.
     system = Scenario(topology=grid_topology(4), config=config,
-                      formation_s=300.0).build(seed)
+                      faults=(CrashClause(FORMATION_S, BORDER_ROUTER),),
+                      formation_s=FORMATION_S).build(seed)
     assert system.converged()
-    kill_time = system.sim.now
     first_detach = {}
 
     def on_detached(record):
-        first_detach.setdefault(record.node, record.time - kill_time)
+        first_detach.setdefault(record.node, record.time - FORMATION_S)
 
     system.trace.subscribe("rpl.detached", on_detached)
-    system.root.fail()
     system.run(RUN_S)
 
     survivors = [n for n in system.nodes.values() if not n.is_root]

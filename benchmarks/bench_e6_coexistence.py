@@ -9,7 +9,7 @@ masks) restores it.
 
 Scenario: a 4-hop 802.15.4 line on channel 18 sending CBR telemetry;
 0-3 co-located Wi-Fi tenants appear on Wi-Fi channel 6 (whose 22 MHz
-mask blankets 802.15.4 channel 18), 20% duty each; the last row applies
+mask blankets 802.15.4 channel 18), 30% duty each; the last row applies
 the classic mitigation — retune to channel 26, which stays clear of the
 1/6/11 Wi-Fi masks.
 """
@@ -19,33 +19,33 @@ from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import Probe
 from repro.deployment.topology import line_topology
+from repro.faults.plan import InterferenceClause
 from repro.net.stack import StackConfig
-from repro.radio.interference import InterfererConfig, WifiInterferer
 
 PACKETS = 80
 PERIOD_S = 2.0
+FORMATION_S = 180.0
+RUN_S = PACKETS * PERIOD_S + 60.0
 
 
 def _run(channel, wifi_channels, seed):
+    # Each tenant switches on when formation ends and stays for the run.
+    tenants = tuple(
+        InterferenceClause(FORMATION_S, RUN_S, (20.0 + 15.0 * index, 10.0),
+                           wifi_channel=wifi_channel, duty_cycle=0.30,
+                           tx_power_dbm=15.0, node_id=900 + index)
+        for index, wifi_channel in enumerate(wifi_channels))
     scenario = Scenario(
         topology=line_topology(5),
         config=SystemConfig(stack=StackConfig(mac="csma", channel=channel),
                             invariant_checking=True),
+        faults=tenants,
         workloads=(Probe(sources=(4,), count=PACKETS, period_s=PERIOD_S),),
-        formation_s=180.0,
-        run_s=PACKETS * PERIOD_S + 60.0,
+        formation_s=FORMATION_S,
+        run_s=RUN_S,
     )
     system = scenario.build(seed)
     assert system.joined_fraction() == 1.0
-
-    for index, wifi_channel in enumerate(wifi_channels):
-        WifiInterferer(
-            system.sim, system.medium, 900 + index,
-            (20.0 + 15.0 * index, 10.0),
-            config=InterfererConfig(wifi_channel=wifi_channel,
-                                    duty_cycle=0.30,
-                                    tx_power_dbm=15.0),
-        ).start()
 
     collisions_before = system.trace.count("radio.collision")
     system.run(scenario.run_s)

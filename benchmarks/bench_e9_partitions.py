@@ -23,14 +23,21 @@ from repro.crdt.maps import LWWMap
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
 from repro.crdt.store import CoordinatedStore, StoreClient
 from repro.deployment.topology import grid_topology
-from repro.faults.partitions import GeometricPartition, PartitionController
+from repro.faults.plan import PartitionClause
 
+FORMATION_S = 240.0
 PARTITION_S = 600.0
 WRITE_PERIOD_S = 60.0
 
 
-def _build(seed):
-    system = Scenario(topology=grid_topology(4), formation_s=240.0).build(seed)
+def _build(seed, heal_after_s):
+    """The formed grid, cut down the middle the instant formation ends
+    and healed ``heal_after_s`` later."""
+    system = Scenario(
+        topology=grid_topology(4),
+        faults=(PartitionClause(FORMATION_S, 30.0, heal_after_s),),
+        formation_s=FORMATION_S,
+    ).build(seed)
     assert system.converged()
     return system
 
@@ -46,14 +53,12 @@ def _probe_reachability(system):
 
 
 def _run_cp(seed):
-    system = _build(seed)
+    system = _build(seed, PARTITION_S + 60.0)
     CoordinatedStore(system.root.stack)
     clients = {
         node.node_id: StoreClient(node.stack, coordinator=0, timeout_s=30.0)
         for node in system.nodes.values() if not node.is_root
     }
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=30.0))
     for node_id, client in clients.items():
         for k in range(int(PARTITION_S / WRITE_PERIOD_S)):
             system.sim.schedule(
@@ -62,9 +67,7 @@ def _run_cp(seed):
                     client, node_id),
             )
     reach = _probe_reachability(system)
-    system.run(PARTITION_S + 60.0)
-    cutter.heal()
-    system.run(300.0)
+    system.run(PARTITION_S + 60.0 + 300.0)
     operations = sum(c.operations for c in clients.values())
     successes = sum(c.successes for c in clients.values())
     return {
@@ -77,7 +80,7 @@ def _run_cp(seed):
 
 
 def _run_crdt(seed):
-    system = _build(seed)
+    system = _build(seed, PARTITION_S + 60.0)
     stacks = [node.stack for node in system.nodes.values()]
     replicas = [CrdtReplica(s.node_id, LWWMap(s.node_id)) for s in stacks]
     replicators = [
@@ -86,8 +89,6 @@ def _run_crdt(seed):
     ]
     for replicator in replicators:
         replicator.start()
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=30.0))
     reach = _probe_reachability(system)
     writes = 0
     for replica, replicator in zip(replicas[1:], replicators[1:]):
@@ -101,9 +102,7 @@ def _run_crdt(seed):
                 ))(replica, replicator),
             )
             writes += 1
-    system.run(PARTITION_S + 60.0)
-    cutter.heal()
-    system.run(300.0)
+    system.run(PARTITION_S + 60.0 + 300.0)
     # Every local CRDT write succeeded by construction; availability 1.
     expected_keys = {f"setpoint/{s.node_id}" for s in stacks[1:]}
     stale = sum(
@@ -148,7 +147,7 @@ def bench_e9_partitions(benchmark):
 
 def _crdt_convergence_after_heal(period_s, seed):
     """Time from heal until every replica holds every key."""
-    system = _build(seed)
+    system = _build(seed, 120.0)
     stacks = [node.stack for node in system.nodes.values()]
     replicas = [CrdtReplica(s.node_id, LWWMap(s.node_id)) for s in stacks]
     replicators = [
@@ -157,14 +156,11 @@ def _crdt_convergence_after_heal(period_s, seed):
     ]
     for replicator in replicators:
         replicator.start()
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=30.0))
     for replica, replicator in zip(replicas[1:], replicators[1:]):
         replica.mutate(lambda s, r=replica: s.set(
             f"k/{r.node_id}", 1, system.sim.now))
         replicator.notify_local_update()
     system.run(120.0)
-    cutter.heal()
     heal_at = system.sim.now
     expected = {f"k/{s.node_id}" for s in stacks[1:]}
     bytes_before = sum(r.bytes_sent for r in replicators)

@@ -26,8 +26,7 @@ from repro.core.taxonomy import (
 )
 from repro.core.workloads import Probe, ProbeRun
 from repro.deployment.topology import grid_topology, line_topology
-from repro.faults.partitions import GeometricPartition, PartitionController
-from repro.radio.interference import InterfererConfig, WifiInterferer
+from repro.faults.plan import FaultPlan
 from repro.security.attacks import CommandInjector
 from repro.security.auth import FrameAuthenticator
 from repro.security.keys import KeyStore
@@ -72,9 +71,6 @@ def measure_scalability(seed=171):
     # without measurable loss, which would hide the axis's genuine
     # tension instead of measuring it.
     shared = Scenario(topology=grid_topology(3), formation_s=300.0).build(seed + 3)
-    tenant = WifiInterferer(
-        shared.sim, shared.medium, 990, (20.0, 10.0),
-        config=InterfererConfig(wifi_channel=6, duty_cycle=0.45))
     # Note: default 802.15.4 channel is 26, clear of Wi-Fi 6; move the
     # network into the contested band first.  (No cache to clear:
     # channel is evaluated per delivery, never cached in
@@ -82,7 +78,9 @@ def measure_scalability(seed=171):
     for node in shared.nodes.values():
         node.stack.radio.channel = 18
     shared.run(60.0)
-    tenant.start()
+    FaultPlan().interference(shared.sim.now, PROBE_S, (20.0, 10.0),
+                             wifi_channel=6, duty_cycle=0.45,
+                             node_id=990).install(shared)
     probe = ProbeRun(shared, _probe(shared.topology, 4))
     probe.formed()
     shared.run(PROBE_S)
@@ -110,38 +108,37 @@ def measure_dependability(seed=181):
     # axis grades.  The old measure — mean delivery of probes across
     # the cut — conflated reliability with availability and pinned the
     # axis at zero no matter how the deployment was engineered.
-    cutter = PartitionController(system.sim, system.medium, system.trace)
+    # The plan is installed after the samples are scheduled: at the
+    # instants they share (t0 + 120/300/420/720) a sample runs first.
     endpoints = [system.topology.root_id, 15]
     availability_samples = []
     for k in range(64):
         system.sim.schedule(
             k * 15.0,
             lambda: availability_samples.append(
-                service_availability(system, endpoints, partitions=cutter)),
+                service_availability(system, endpoints, partitions=runtime)),
         )
-    system.sim.schedule(120.0,
-                        lambda: cutter.apply(GeometricPartition(cut_x=30.0)))
-    system.sim.schedule(300.0, system.nodes[15].fail)
-    system.sim.schedule(420.0, system.nodes[15].recover)
-    system.sim.schedule(720.0, cutter.heal)
+    t0 = system.sim.now
+    runtime = (FaultPlan()
+               .partition(t0 + 120.0, 30.0, heal_after_s=600.0)
+               .crash(t0 + 300.0, 15, recover_after_s=120.0)
+               .install(system))
     system.run(64 * 15.0)
     availability = mean(availability_samples)
 
     # Maintainability: recovery after two node crashes.
-    system.nodes[5].fail()
-    system.nodes[10].fail()
     kill_time = system.sim.now
+    FaultPlan().crash(kill_time, 5).crash(kill_time, 10).install(system)
+    survivors = [n for n in nodes if n.node_id not in (5, 10)]
     recovery_time = None
-    for node in nodes:
-        if node.alive:
-            for k in range(40):
-                system.sim.schedule(k * 15.0,
-                                    (lambda s: lambda: s.send_datagram(
-                                        0, 7, "hb", 8) if s.alive else None)(
-                                        node.stack))
+    for node in survivors:
+        for k in range(40):
+            system.sim.schedule(k * 15.0,
+                                (lambda s: lambda: s.send_datagram(
+                                    0, 7, "hb", 8) if s.alive else None)(
+                                    node.stack))
     while system.sim.now < kill_time + 1200.0:
         system.run(15.0)
-        survivors = [n for n in nodes if n.alive]
         joined = sum(
             1 for n in survivors
             if n.stack.rpl.state is RplState.JOINED

@@ -22,8 +22,7 @@ from repro.core.scenario import Rollout, Scenario
 from repro.core.workloads import Probe
 from repro.crdt import AntiEntropyConfig, CrdtReplica, NetworkReplicator, ORSet
 from repro.deployment import clustered_site_topology
-from repro.faults import GeometricPartition, PartitionController
-from repro.radio.interference import InterfererConfig, WifiInterferer
+from repro.faults import FaultPlan, InterferenceClause
 
 
 def main() -> None:
@@ -64,16 +63,13 @@ def main() -> None:
 
     # --- another tenant moves in ---------------------------------------
     print("a contractor's Wi-Fi (channel 6) goes live next to the site...")
-    interferers = [
-        WifiInterferer(system.sim, system.medium, 900 + i,
-                       (40.0 + 40.0 * i, 8.0),
-                       config=InterfererConfig(wifi_channel=6,
-                                               duty_cycle=0.35,
-                                               tx_power_dbm=16.0))
+    # Three access points, on air from now until well past the end.
+    FaultPlan([
+        InterferenceClause(system.sim.now, 3600.0, (40.0 + 40.0 * i, 8.0),
+                           wifi_channel=6, duty_cycle=0.35,
+                           tx_power_dbm=16.0, node_id=900 + i)
         for i in range(3)
-    ]
-    for interferer in interferers:
-        interferer.start()
+    ]).install(system)
     degraded = probe_delivery(active[-8:])
     print(f"  probe delivery with co-located Wi-Fi: {degraded:.0%}")
 
@@ -97,8 +93,8 @@ def main() -> None:
 
     east = active[-1].node_id
     west = active[0].node_id
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=70.0))
+    FaultPlan().partition(system.sim.now, 70.0,
+                          heal_after_s=240.0).install(system)
     print("trenching cuts the site in half; both offices keep working:")
     ledger[west].mutate(lambda s: s.add("excavator-1 checked out"))
     replicators[west].notify_local_update()
@@ -108,7 +104,6 @@ def main() -> None:
     print(f"  west office sees: {sorted(ledger[west].state.value())}")
     print(f"  east office sees: {sorted(ledger[east].state.value())}")
 
-    cutter.heal()
     system.run(400.0)
     values = {frozenset(replica.state.value()) for replica in ledger.values()}
     print(f"link restored: all {len(ledger)} replicas agree: "

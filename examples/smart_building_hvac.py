@@ -21,7 +21,7 @@ from repro import SystemConfig, StackConfig, building_topology
 from repro.core.scenario import Scenario
 from repro.core.metrics import collect_energy, mean
 from repro.devices import DiurnalField
-from repro.faults import GeometricPartition, PartitionController
+from repro.faults import FaultPlan
 from repro.net.mac import LplConfig
 from repro.net.rpl import RplConfig
 from repro.safety import (
@@ -81,8 +81,8 @@ def main() -> None:
           f"commands delivered {controller.reports_handled}")
 
     # Afternoon: a partition cuts the far half of the building off.
-    cutter = PartitionController(system.sim, system.medium, system.trace)
-    cutter.apply(GeometricPartition(cut_x=45.0))
+    FaultPlan().partition(system.sim.now, 45.0,
+                          heal_after_s=3 * 3600.0).install(system)
     print("partition applied at x=45m (backhaul side vs far wing)")
     system.run(3 * 3600.0)
     in_fallback = sum(1 for loop in loops if loop.in_fallback)
@@ -90,7 +90,6 @@ def main() -> None:
     print(f"after 3h partitioned: {in_fallback} zones on local fallback, "
           f"worst comfort violation {worst:.1f} C (soft-safe)")
 
-    cutter.heal()
     system.run(3 * 3600.0)
     print(f"healed: {sum(1 for l in loops if l.in_fallback)} zones still "
           f"in fallback")

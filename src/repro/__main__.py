@@ -18,6 +18,7 @@ from repro import SystemConfig, StackConfig, __version__, grid_topology
 from repro.aggregation import AggregationService
 from repro.core.scenario import Scenario
 from repro.devices import DiurnalField
+from repro.faults import FaultPlan
 from repro.net.rpl import RnfdConfig, RplConfig, RplState
 
 
@@ -131,7 +132,7 @@ def main(argv=None) -> int:
                       for r in results))
 
     kill_time = system.sim.now
-    system.root.fail()
+    FaultPlan().kill_border_router(kill_time).install(system)
     system.run(120.0)
     aware = sum(
         1 for node in system.nodes.values()

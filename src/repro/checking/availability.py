@@ -24,16 +24,10 @@ declared fault window, or fails to fully restore by the end of the run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.checking.base import FaultWindowMixin, InvariantChecker
 from repro.net.rpl.dodag import RplState
-
-
-def _partition_sides(partitions) -> Optional[Dict[int, int]]:
-    if partitions is None:
-        return None
-    return partitions.sides  # None when not partitioned
 
 
 def service_availability(
@@ -42,8 +36,10 @@ def service_availability(
     partitions=None,
 ) -> float:
     """Fraction of alive non-endpoint nodes with a live endpoint on
-    their side of the (possible) partition."""
-    sides = _partition_sides(partitions)
+    their side of the (possible) partition: ``partitions`` is the
+    :class:`~repro.faults.plan.FaultPlanRuntime` that cuts it, whose
+    ``sides`` is None when the network is whole."""
+    sides = partitions.sides if partitions is not None else None
     alive_endpoint_sides = {
         (sides.get(nid) if sides is not None else 0)
         for nid in endpoints

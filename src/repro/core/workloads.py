@@ -252,7 +252,7 @@ class _AvailabilityRun(Driver):
             period_s=15.0,
             floor=0.6,
             settle_s=system.sim.now,
-            partitions=runtime.partitions,
+            partitions=runtime,
         )
         plan.declare_windows(checker, grace_s=60.0)
         system.checkers.add(checker)

@@ -1,22 +1,19 @@
 """Fault injection for the dependability experiments (paper §V).
 
-- :mod:`repro.faults.plan` — the one fault scheduler: declarative,
-  seed-deterministic fault plans (timed crashes and border-router
-  kills, sensor faults, partitions, link flaps, interference, bounded
-  MTBF/MTTR crash storms) whose :class:`FaultPlanRuntime` compiles each
-  clause straight onto the primitives, with checker fault-window
-  declaration and ``fault.*`` observability built in;
-- :mod:`repro.faults.partitions` — the partition primitive: geometric
-  network cuts and per-link blocks through the medium's link filter,
-  and their healing.
+:mod:`repro.faults.plan` is the one fault path: declarative,
+seed-deterministic fault plans (timed crashes and border-router kills,
+sensor faults, partitions, link flaps, interference, bounded MTBF/MTTR
+crash storms) whose :class:`FaultPlanRuntime` compiles each clause
+straight onto the primitives, with checker fault-window declaration and
+``fault.*`` observability built in.
 
-The other primitives live with what they break — ``DeviceNode.fail``/
-``recover``, ``Sensor.inject_fault`` and
-:class:`~repro.radio.interference.WifiInterferer` — and an experiment
-that must act at one chosen instant calls them directly.
+The primitives live with what they break — ``DeviceNode.fail``/
+``recover``, ``Sensor.inject_fault``/``clear_fault``, the medium's link
+filter and :class:`~repro.radio.interference.WifiInterferer` — and only
+the runtime calls them: an experiment that must act at one chosen
+instant installs a plan whose clause starts then.
 """
 
-from repro.faults.partitions import GeometricPartition, PartitionController
 from repro.faults.plan import (
     BORDER_ROUTER,
     CrashClause,
@@ -34,11 +31,9 @@ __all__ = [
     "CrashClause",
     "FaultPlan",
     "FaultPlanRuntime",
-    "GeometricPartition",
     "InterferenceClause",
     "LinkFlapClause",
     "PartitionClause",
-    "PartitionController",
     "RandomCrashesClause",
     "SensorClause",
 ]

@@ -17,12 +17,11 @@ from repro.radio.channels import (
 )
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import LinkQualityModel, LogDistanceModel, UnitDiskModel
-from repro.radio.interference import InterfererConfig, WifiInterferer
+from repro.radio.interference import WifiInterferer
 
 __all__ = [
     "Frame",
     "IEEE802154_CHANNELS",
-    "InterfererConfig",
     "LinkQualityModel",
     "LogDistanceModel",
     "Medium",

@@ -12,9 +12,6 @@ collapse in the cited studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.radio.channels import ieee802154_channels_hit_by_wifi
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.sim.kernel import Simulator
@@ -25,51 +22,37 @@ from repro.sim.kernel import Simulator
 BURST_AIRTIME_S = 0.002
 
 
-@dataclass(frozen=True)
-class InterfererConfig:
-    """Traffic shape of a Wi-Fi interferer.
+class WifiInterferer:
+    """A Wi-Fi access point + stations, abstracted to a busy-burst source.
 
-    ``duty_cycle`` is the long-run fraction of airtime occupied by bursts
-    of :data:`BURST_AIRTIME_S`.  Gaps between bursts are exponential,
-    giving Poisson burst arrivals at the rate implied by the duty cycle.
+    Built from a :class:`~repro.faults.plan.InterferenceClause` (its
+    ``node_id``, ``position``, ``wifi_channel``, ``duty_cycle`` and
+    ``tx_power_dbm``): ``duty_cycle`` is the long-run fraction of
+    airtime occupied by bursts of :data:`BURST_AIRTIME_S`, with
+    exponential gaps between them — Poisson burst arrivals at the rate
+    the duty cycle implies.
     """
 
-    wifi_channel: int = 6
-    duty_cycle: float = 0.10
-    tx_power_dbm: float = 15.0
-
-    def mean_gap_s(self) -> float:
-        """Mean idle gap between bursts implied by the duty cycle."""
-        if not 0.0 < self.duty_cycle < 1.0:
-            raise ValueError("duty_cycle must be in (0, 1)")
-        return BURST_AIRTIME_S * (1.0 - self.duty_cycle) / self.duty_cycle
-
-
-class WifiInterferer:
-    """A Wi-Fi access point + stations, abstracted to a busy-burst source."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        medium: Medium,
-        node_id: int,
-        position: tuple,
-        config: Optional[InterfererConfig] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, medium: Medium, clause) -> None:
         self.sim = sim
         self.medium = medium
-        self.config = config if config is not None else InterfererConfig()
+        self.duty_cycle = clause.duty_cycle
         self.radio = Radio(
             medium,
-            node_id,
-            position,
-            tx_power_dbm=self.config.tx_power_dbm,
+            clause.node_id,
+            clause.position,
+            tx_power_dbm=clause.tx_power_dbm,
             channel=0,  # not an 802.15.4 channel; this radio only jams
         )
-        self.jam_channels = ieee802154_channels_hit_by_wifi(self.config.wifi_channel)
-        self._rng = sim.substream(f"interferer.{node_id}")
+        self.jam_channels = ieee802154_channels_hit_by_wifi(clause.wifi_channel)
+        self._rng = sim.substream(f"interferer.{clause.node_id}")
         self._running = False
         self.bursts_sent = 0
+
+    def _gap_s(self) -> float:
+        """One idle gap between bursts, drawn around the duty cycle's mean."""
+        mean_s = BURST_AIRTIME_S * (1.0 - self.duty_cycle) / self.duty_cycle
+        return self._rng.expovariate(1.0 / mean_s)
 
     def start(self) -> None:
         """Begin emitting busy bursts."""
@@ -77,8 +60,7 @@ class WifiInterferer:
             return
         self._running = True
         self.radio.set_listening()
-        self.sim.schedule(self._rng.expovariate(1.0 / self.config.mean_gap_s()),
-                          self._burst)
+        self.sim.schedule(self._gap_s(), self._burst)
 
     def stop(self) -> None:
         """Cease interfering after the current burst."""
@@ -99,5 +81,4 @@ class WifiInterferer:
         if self.radio.state is not RadioState.TX:
             self.medium.transmit(self.radio, frame)
             self.bursts_sent += 1
-        gap = self._rng.expovariate(1.0 / self.config.mean_gap_s())
-        self.sim.schedule(airtime + gap, self._burst)
+        self.sim.schedule(airtime + self._gap_s(), self._burst)

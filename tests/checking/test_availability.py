@@ -13,7 +13,7 @@ from repro.checking.scenarios import BUILTIN_SCENARIOS
 from repro.checking.sweep import SeedSweepRunner
 from repro.core.system import IIoTSystem
 from repro.deployment.topology import grid_topology
-from repro.faults.partitions import GeometricPartition, PartitionController
+from repro.faults.plan import FaultPlan
 
 
 def build_system(seed=41):
@@ -22,6 +22,14 @@ def build_system(seed=41):
     system.run(240.0)
     assert system.converged()
     return system
+
+
+def cut(system, heal_after_s=None):
+    """Partition the grid at x=30 now; the runtime holds the sides."""
+    runtime = FaultPlan().partition(system.sim.now, 30.0,
+                                    heal_after_s).install(system)
+    system.run(0.0)
+    return runtime
 
 
 # ----------------------------------------------------------------------
@@ -39,19 +47,18 @@ class TestServiceAvailability:
 
     def test_partition_without_standby_cuts_the_far_side(self):
         system = build_system()
-        cutter = PartitionController(system.sim, system.medium, system.trace)
-        cutter.apply(GeometricPartition(cut_x=30.0))
+        cutter = cut(system)
         # grid(3) at cut_x=30: left holds root + 5 clients, right holds 3.
         assert service_availability(
             system, [0], partitions=cutter) == pytest.approx(5 / 8)
 
     def test_standby_endpoint_on_the_far_side_restores_service(self):
         system = build_system()
-        cutter = PartitionController(system.sim, system.medium, system.trace)
-        cutter.apply(GeometricPartition(cut_x=30.0))
+        cutter = cut(system, heal_after_s=10.0)
         assert service_availability(system, [0, 8],
                                     partitions=cutter) == 1.0
-        cutter.heal()
+        system.run(10.0)
+        assert cutter.sides is None
         assert service_availability(system, [0, 8],
                                     partitions=cutter) == 1.0
 

@@ -36,7 +36,6 @@ from repro.obs import (NodeHealthSampler, Observability, Registry,
                        TelemetryEngine)
 from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
-from repro.radio.interference import InterfererConfig
 from repro.radio.medium import Medium
 from repro.security.auth import AuthConfig
 from repro.sim.trace import TraceLog
@@ -79,7 +78,6 @@ CONFIG_FIELDS = {
     TschConfig: ["slotframe_slots"],
     SyncFloodConfig: ["per_hop_reliability"],
     AntiEntropyConfig: ["period_s"],
-    InterfererConfig: ["wifi_channel", "duty_cycle", "tx_power_dbm"],
     AuthConfig: ["mic_bytes"],
 }
 

@@ -5,7 +5,6 @@ import pytest
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
 from repro.crdt.store import CoordinatedStore, StoreClient
-from repro.faults.partitions import GeometricPartition, PartitionController
 from tests.conftest import build_grid_network
 
 
@@ -66,11 +65,16 @@ class TestNetworkReplicator:
         assert all(rep.bytes_sent > 0 for rep in replicators)
 
 
+def cut(stacks):
+    """Sever every link across x=30, as a partition clause would."""
+    left = {s.node_id for s in stacks if s.radio.position[0] < 30.0}
+    stacks[0].medium.set_link_filter(lambda a, b: (a in left) != (b in left))
+
+
 class TestPartitionedReplication:
     def test_both_sides_stay_writable_and_heal(self):
         sim, trace, stacks, replicas, replicators = gossiping_grid(seed=71)
-        controller = PartitionController(sim, stacks[0].medium, trace)
-        controller.apply(GeometricPartition(cut_x=30.0))
+        cut(stacks)
         # Writes on both sides during the partition.
         replicas[0].mutate(lambda s: s.set("left", 1, sim.now))
         replicators[0].notify_local_update()
@@ -79,7 +83,7 @@ class TestPartitionedReplication:
         sim.run(until=sim.now + 120.0)
         # Divided: left value hasn't crossed.
         assert replicas[8].state.get("left") is None
-        controller.heal()
+        stacks[0].medium.set_link_filter(None)
         sim.run(until=sim.now + 200.0)
         assert all(
             r.state.get("left") == 1 and r.state.get("right") == 2
@@ -106,8 +110,7 @@ class TestCoordinatedStore:
         sim.run(until=120.0)
         CoordinatedStore(stacks[0])
         client = StoreClient(stacks[8], coordinator=0, timeout_s=20.0)
-        controller = PartitionController(sim, stacks[0].medium, trace)
-        controller.apply(GeometricPartition(cut_x=30.0))
+        cut(stacks)
         results = []
         client.put("k", 1, lambda ok, v: results.append(ok))
         sim.run(until=sim.now + 60.0)

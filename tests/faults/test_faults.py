@@ -6,7 +6,6 @@ import pytest
 
 from repro.devices.node import DeviceNode
 from repro.devices.sensors import SensorFault
-from repro.faults.partitions import GeometricPartition, PartitionController
 from repro.faults.plan import FaultPlan
 from repro.net.stack import StackConfig
 from repro.radio.medium import Medium
@@ -37,6 +36,11 @@ def install(plan, sim, trace, medium, nodes):
     system = SimpleNamespace(sim=sim, trace=trace, medium=medium, nodes=nodes,
                              topology=SimpleNamespace(root_id=0))
     return plan.install(system)
+
+
+def blocked(medium, a, b):
+    """Whether the medium's link filter severs a—b now."""
+    return medium._link_filter is not None and medium._link_filter(a, b)
 
 
 class TestScriptedFaults:
@@ -111,17 +115,13 @@ class TestRandomCrashes:
 
 
 class TestPartitions:
-    def test_geometric_side_assignment(self):
-        partition = GeometricPartition(cut_x=50.0)
-        assert partition.side((10.0, 0.0)) == 0
-        assert partition.side((60.0, 0.0)) == 1
-
-    def test_apply_cuts_cross_links_only(self):
+    def test_partition_cuts_cross_links_only(self):
         sim, trace, medium, nodes = device_line()
-        controller = PartitionController(sim, medium, trace)
-        sides = controller.apply(GeometricPartition(cut_x=30.0))
-        assert sides == {0: 0, 1: 0, 2: 1, 3: 1}
-        assert controller.sides == sides
+        runtime = install(FaultPlan().partition(0.0, cut_x=30.0),
+                          sim, trace, medium, nodes)
+        sim.run(until=0.0)
+        assert runtime.sides == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert blocked(medium, 1, 2) and not blocked(medium, 0, 1)
         # Same-side traffic still flows.
         got = []
         sim.run(until=120.0)
@@ -130,21 +130,34 @@ class TestPartitions:
         sim.run(until=140.0)
         assert got == [1]
 
-    def test_heal_restores(self):
-        sim, trace, medium, nodes = device_line()
-        controller = PartitionController(sim, medium, trace)
-        controller.apply(GeometricPartition(cut_x=30.0))
-        controller.heal()
-        assert controller.sides is None
-
     def test_scheduled_partition_with_heal(self):
         sim, trace, medium, nodes = device_line()
         runtime = install(FaultPlan().partition(100.0, cut_x=30.0,
                                                 heal_after_s=50.0),
                           sim, trace, medium, nodes)
         sim.run(until=120.0)
-        assert runtime.partitions.sides is not None
+        assert runtime.sides is not None
         sim.run(until=200.0)
-        assert runtime.partitions.sides is None
+        assert runtime.sides is None
+        assert not blocked(medium, 1, 2)
         assert trace.count("partition.applied") == 1
         assert trace.count("partition.healed") == 1
+
+    def test_heal_leaves_a_flapped_link_blocked(self):
+        """The link filter composes the cut with blocked links: a flap
+        inside a partition outlives the heal, and its own end restores
+        the link."""
+        sim, trace, medium, nodes = device_line()
+        install(FaultPlan()
+                .partition(100.0, cut_x=30.0, heal_after_s=50.0)
+                .flap_link(120.0, 1, 0, down_s=60.0),
+                sim, trace, medium, nodes)
+        sim.run(until=130.0)
+        assert blocked(medium, 0, 1) and blocked(medium, 1, 2)
+        sim.run(until=160.0)  # healed; the flap is still down
+        assert blocked(medium, 0, 1) and not blocked(medium, 1, 2)
+        sim.run(until=200.0)
+        assert not blocked(medium, 0, 1)
+        assert medium._link_filter is None
+        assert trace.count("partition.link_down") == 1
+        assert trace.count("partition.link_up") == 1

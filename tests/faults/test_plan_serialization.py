@@ -145,7 +145,8 @@ _clauses = st.one_of(
               st.sampled_from(SensorFault), _maybe),
     st.builds(InterferenceClause, _times, _spans,
               st.tuples(_finite, _finite), st.integers(1, 13),
-              st.floats(min_value=0.0, max_value=1.0), _finite,
+              st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                        exclude_max=True), _finite,
               st.integers(0, 2000)),
     st.builds(RandomCrashesClause, _times, _spans, _spans, _spans,
               st.booleans()),

@@ -14,7 +14,7 @@ from repro.deployment.topology import (
     line_topology,
 )
 from repro.devices.phenomena import DiurnalField
-from repro.faults.partitions import GeometricPartition, PartitionController
+from repro.faults.plan import FaultPlan
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
@@ -111,8 +111,9 @@ class TestCapUnderPartition:
         CoordinatedStore(stacks[0])
         cp_client = StoreClient(stacks[8], coordinator=0, timeout_s=20.0)
 
-        cutter = PartitionController(system.sim, system.medium, system.trace)
-        cutter.apply(GeometricPartition(cut_x=30.0))
+        FaultPlan().partition(system.sim.now, 30.0,
+                              heal_after_s=120.0).install(system)
+        system.run(0.0)
 
         cp_results = []
         cp_client.put("setpoint", 21.0, lambda ok, v: cp_results.append(ok))
@@ -125,7 +126,6 @@ class TestCapUnderPartition:
                       if s.radio.position[0] >= 30.0]
         assert all(r.state.get("setpoint") == 21.0 for r in right_side)
 
-        cutter.heal()
         system.run(200.0)
         assert all(r.state.get("setpoint") == 21.0 for r in replicas)
 

@@ -25,7 +25,6 @@ from repro.net.mac import tsch
 from repro.net.mac.tsch import Cell, TschConfig, TschMac
 from repro.net.stack import StackConfig
 from repro.radio import interference
-from repro.radio.interference import InterfererConfig, WifiInterferer
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
@@ -73,13 +72,13 @@ def run_grid(mac_cls, seed, model, *, side=3, formation_s=90.0,
     if hostile:
         last = side * side - 1
         (FaultPlan()
+         .interference(at_s=formation_s / 2,
+                       duration_s=formation_s + traffic_s,
+                       position=(10.0, 10.0), wifi_channel=6,
+                       duty_cycle=0.05, node_id=900)
          .crash(at_s=formation_s + 20.0, node=last // 2, recover_after_s=25.0)
          .crash(at_s=formation_s + 41.3, node=last, recover_after_s=12.0)
          ).install(system)
-        jammer = WifiInterferer(
-            sim, system.medium, 900, (10.0, 10.0),
-            InterfererConfig(wifi_channel=6, duty_cycle=0.05))
-        sim.schedule(formation_s / 2, jammer.start)
     system.start()
     rng = random.Random(seed)
     for node_id in sorted(system.nodes):

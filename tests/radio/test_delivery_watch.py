@@ -18,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
+from repro.faults.plan import FaultPlan
 from repro.net.stack import StackConfig
-from repro.radio.interference import InterfererConfig, WifiInterferer
 from repro.radio.medium import CAPTURE_MARGIN_DB, Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
@@ -42,9 +42,8 @@ def lossy_grid_run(mac: str, seed: int):
     delivered = []
     system.root.stack.bind(
         PORT, lambda d: delivered.append((d.src, d.payload, sim.now)))
-    jammer = WifiInterferer(sim, system.medium, 900, (10.0, 10.0),
-                            InterfererConfig(wifi_channel=6, duty_cycle=0.05))
-    sim.schedule(10.0, jammer.start)
+    FaultPlan().interference(10.0, 20.0, (10.0, 10.0), wifi_channel=6,
+                             duty_cycle=0.05, node_id=900).install(system)
     system.start()
     rng = random.Random(seed)
     for node_id in sorted(system.nodes):

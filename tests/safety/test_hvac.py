@@ -32,6 +32,11 @@ def hvac_network(seed=90, n=4):
     return sim, trace, nodes
 
 
+def cut(nodes):
+    """Sever every link across x=30: nodes 0, 1 | nodes 2, 3."""
+    nodes[0].stack.medium.set_link_filter(lambda a, b: (a < 2) != (b < 2))
+
+
 class TestLocalControl:
     def test_zone_held_inside_band(self):
         sim, trace, nodes = hvac_network()
@@ -81,12 +86,9 @@ class TestRemoteControl:
         assert zone.comfort.worst_violation_c < 2.0
 
     def test_partition_triggers_fallback(self):
-        from repro.faults.partitions import GeometricPartition, PartitionController
-
         sim, trace, nodes, zone, controller, loop = self._remote_setup()
         sim.run(until=sim.now + 3600.0)
-        cutter = PartitionController(sim, nodes[0].stack.medium, trace)
-        cutter.apply(GeometricPartition(cut_x=30.0))
+        cut(nodes)
         sim.run(until=sim.now + 4 * 3600.0)
         assert loop.in_fallback
         assert loop.fallback_activations >= 1
@@ -94,14 +96,11 @@ class TestRemoteControl:
         assert zone.zone.temperature_c > BAND.lower_c - 3.0
 
     def test_heal_exits_fallback(self):
-        from repro.faults.partitions import GeometricPartition, PartitionController
-
         sim, trace, nodes, zone, controller, loop = self._remote_setup()
         sim.run(until=sim.now + 3600.0)
-        cutter = PartitionController(sim, nodes[0].stack.medium, trace)
-        cutter.apply(GeometricPartition(cut_x=30.0))
+        cut(nodes)
         sim.run(until=sim.now + 2 * 3600.0)
-        cutter.heal()
+        nodes[0].stack.medium.set_link_filter(None)
         sim.run(until=sim.now + 2 * 3600.0)
         assert not loop.in_fallback
 

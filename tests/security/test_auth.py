@@ -4,7 +4,8 @@ import pytest
 
 from repro.net.stack import StackConfig
 from repro.radio import interference
-from repro.radio.interference import InterfererConfig, WifiInterferer
+from repro.faults.plan import InterferenceClause
+from repro.radio.interference import WifiInterferer
 from repro.security.attacks import CommandInjector
 from repro.security.auth import AuthConfig, FrameAuthenticator, compute_tag
 from repro.security.crypto_cost import (
@@ -172,10 +173,9 @@ class TestJammer:
         stacks[0].bind(7, lambda d: got.append(1))
         # A deliberate jammer is an interferer turned to hostile settings.
         monkeypatch.setattr(interference, "BURST_AIRTIME_S", 0.004)
-        jammer = WifiInterferer(
-            sim, stacks[0].medium, 777, (30.0, 5.0),
-            config=InterfererConfig(wifi_channel=6, duty_cycle=0.9,
-                                    tx_power_dbm=20.0))
+        jammer = WifiInterferer(sim, stacks[0].medium, InterferenceClause(
+            sim.now, 150.0, (30.0, 5.0), wifi_channel=6, duty_cycle=0.9,
+            tx_power_dbm=20.0, node_id=777))
         jammer.start()
         for i in range(20):
             sim.schedule(sim.now + 5.0 * i,
