@@ -29,9 +29,12 @@ gates-update:
 # definition under src/repro, who keeps it alive (another module,
 # benchmarks/, examples/, its own module, or an allow-list row), then
 # the totals; then the field census: per *Config field, the files under
-# src/, benchmarks/ and examples/ that set it; then the size of src/.
+# src/, benchmarks/ and examples/ that set it; then the layer census
+# tests/core/test_layering.py enforces: per package its tier and the
+# packages it imports; then the size of src/.
 census:
 	$(PYTHON) tests/core/test_reachability.py
+	$(PYTHON) tests/core/test_layering.py
 	@find src -name '*.py' | xargs wc -l | tail -1
 
 # The gates, then the invariant-checking suite: per-checker unit tests,
@@ -82,17 +85,18 @@ bench-pairs:
 		$(if $(PAIRS),--pairs $(PAIRS)) --seed $(SEED)
 
 # What a process pays before its first simulated event (DESIGN.md, "Cold
-# start"): the best of five fresh interpreters for `import repro`
+# start"): the best of five fresh interpreters for `import
+# repro.core.system`, which every run and the layered harness import
 # (seconds, modules loaded, peak RSS in MB; ru_maxrss is kB on Linux),
 # then the ten largest cumulative lines of -X importtime (self us |
 # cumulative us | module).
 cold-start:
 	@for i in 1 2 3 4 5; do PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import resource, sys, time; \
-		t = time.perf_counter(); import repro; s = time.perf_counter() - t; \
+		t = time.perf_counter(); import repro.core.system; s = time.perf_counter() - t; \
 		rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; \
-		print(f'{s:.3f} s  {len(sys.modules)} modules  {rss:.1f} MB  (import repro, best of 5)')"; \
+		print(f'{s:.3f} s  {len(sys.modules)} modules  {rss:.1f} MB  (import repro.core.system, best of 5)')"; \
 	done | sort -n | head -1
-	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X importtime -c "import repro" 2>&1 \
+	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X importtime -c "import repro.core.system" 2>&1 \
 		| sort -t'|' -k2 -n -r | head -10
 
 # What campus_medium's set-up does per sender (DESIGN.md, "Scaling the

@@ -13,7 +13,6 @@ ablation DESIGN.md calls out.
 """
 
 from benchmarks._common import once, publish, run_trials
-from repro.core.metrics import percentile
 from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
@@ -21,6 +20,7 @@ from repro.faults.plan import BORDER_ROUTER, CrashClause
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
+from repro.obs.registry import percentile
 
 STALENESS_S = 1500.0
 FORMATION_S = 300.0

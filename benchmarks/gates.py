@@ -51,7 +51,7 @@ class VerdictFailed(Exception):
 def _demo():
     """The seed-2018 dashboard demo both ``core`` and ``explain`` read:
     run once however many of the two are asked for."""
-    from repro.obs.report import DEMO
+    from repro.app.report import DEMO
     return DEMO.run(2018)
 
 
@@ -84,7 +84,7 @@ def taxonomy_matrix() -> Payload:
 
 
 def dependability() -> Payload:
-    from repro.checking.dependability import run_gate
+    from repro.app.dependability import run_gate
     passed, lines, snapshot = run_gate()
     if not passed:
         raise VerdictFailed("\n".join(lines))

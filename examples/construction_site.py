@@ -17,12 +17,18 @@ What it shows (paper sections in brackets):
    gap and converges when the gap closes [§IV-B, §V-C].
 """
 
-from repro import SystemConfig, StackConfig
 from repro.core.scenario import Rollout, Scenario
+from repro.core.system import SystemConfig
 from repro.core.workloads import Probe
-from repro.crdt import AntiEntropyConfig, CrdtReplica, NetworkReplicator, ORSet
-from repro.deployment import clustered_site_topology
-from repro.faults import FaultPlan, InterferenceClause
+from repro.crdt.replication import (
+    AntiEntropyConfig,
+    CrdtReplica,
+    NetworkReplicator,
+)
+from repro.crdt.sets import ORSet
+from repro.deployment.topology import clustered_site_topology
+from repro.faults.plan import FaultPlan, InterferenceClause
+from repro.net.stack import StackConfig
 
 
 def main() -> None:

@@ -16,30 +16,30 @@ What it shows (paper sections in brackets):
    MAC with MIC-32 enabled, raising an alarm [§V-E].
 """
 
-from repro import grid_topology
 from repro.core.scenario import Scenario
-from repro.middleware import (
-    CoapClient,
-    CoapServer,
-    CoapTransport,
+from repro.deployment.topology import grid_topology
+from repro.middleware.adapters.modbus import (
     LegacyModbusDevice,
     ModbusAdapter,
+    RegisterSpec,
+)
+from repro.middleware.adapters.proprietary import (
     ProprietaryAdapter,
     ProprietaryAsciiDevice,
 )
-from repro.middleware.adapters.modbus import RegisterSpec
+from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.codes import CoapCode
 from repro.middleware.coap.resource import CallbackResource
+from repro.middleware.coap.server import CoapServer
+from repro.middleware.coap.transport import CoapTransport
 from repro.middleware.gateway import (
     middleware_integration_cost,
     pairwise_integration_cost,
 )
-from repro.security import (
-    AnomalyDetector,
-    CommandInjector,
-    FrameAuthenticator,
-    KeyStore,
-)
+from repro.security.attacks import CommandInjector
+from repro.security.auth import FrameAuthenticator
+from repro.security.detector import AnomalyDetector
+from repro.security.keys import KeyStore
 
 NETWORK_KEY = 0x5EC2E7
 

@@ -13,13 +13,14 @@ What it shows:
 4. the energy story: per-node duty cycle and projected battery life.
 """
 
-from repro import grid_topology
-from repro.aggregation import AggregationService
-from repro.core.scenario import Scenario
+from repro.aggregation.service import AggregationService
 from repro.core.metrics import collect_energy, mean
-from repro.devices import DiurnalField
-from repro.middleware import CoapClient, CoapServer, CoapTransport
+from repro.core.scenario import Scenario
+from repro.deployment.topology import grid_topology
+from repro.devices.phenomena import DiurnalField
 from repro.middleware.coap.resource import CallbackResource
+from repro.middleware.coap.server import CoapServer
+from repro.middleware.coap.transport import CoapTransport
 
 
 def main() -> None:

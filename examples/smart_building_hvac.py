@@ -17,21 +17,19 @@ What it shows (paper sections in brackets):
    recover when the network heals [§V-C].
 """
 
-from repro import SystemConfig, StackConfig, building_topology
-from repro.core.scenario import Scenario
 from repro.core.metrics import collect_energy, mean
-from repro.devices import DiurnalField
-from repro.faults import FaultPlan
-from repro.net.mac import LplConfig
-from repro.net.rpl import RplConfig
-from repro.safety import (
-    BangBangController,
-    ComfortBand,
-    OccupancySchedule,
-    RevenueModel,
-    SetbackController,
-)
+from repro.core.scenario import Scenario
+from repro.core.system import SystemConfig
+from repro.deployment.topology import building_topology
+from repro.devices.phenomena import DiurnalField
+from repro.faults.plan import FaultPlan
+from repro.net.mac.lpl import LplConfig
+from repro.net.rpl.dodag import RplConfig
+from repro.net.stack import StackConfig
+from repro.safety.comfort import ComfortBand, OccupancySchedule
+from repro.safety.controllers import BangBangController, SetbackController
 from repro.safety.hvac import HvacZone, RemoteControlLoop, RemoteHvacController
+from repro.safety.revenue import RevenueModel
 
 BAND = ComfortBand(20.0, 23.0)
 SCHEDULE = OccupancySchedule([(8.0, 18.0, 6)])

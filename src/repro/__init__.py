@@ -12,54 +12,23 @@ case study, security machinery, and fault injection — plus an
 experiment harness that regenerates a quantitative result for every
 claim the paper makes (see DESIGN.md and EXPERIMENTS.md).
 
+Every name is imported from the module that defines it; the packages
+re-export nothing, so ``import repro`` loads no submodule.  The packages
+form tiers, lowest first — ``sim``; ``radio`` and ``obs``; ``net``;
+``devices``/``deployment``/``crdt``/``middleware``;
+``aggregation``/``safety``/``security``; ``faults``/``checking``;
+``core``; ``app`` — and a package imports only lower tiers (DESIGN.md,
+"Layers").
+
 Quick start — a run is a :class:`~repro.core.scenario.Scenario`, a
 frozen value (topology, config, sensors, faults, workloads, times)::
 
-    from repro import grid_topology
     from repro.core.scenario import Scenario
+    from repro.deployment.topology import grid_topology
 
     system = Scenario(topology=grid_topology(side=5),
                       formation_s=300.0).build(seed=1)
     print(f"joined: {system.joined_fraction():.0%}")
 """
 
-from repro.core.system import IIoTSystem, SystemConfig
-from repro.deployment.topology import (
-    CampusTopology,
-    Topology,
-    building_topology,
-    campus_topology,
-    clustered_site_topology,
-    grid_topology,
-    line_topology,
-    random_topology,
-)
-from repro.net.stack import NetworkStack, StackConfig
-from repro.parallel import TrialExecutor
-from repro.radio.medium import Medium, Radio
-from repro.radio.propagation import LogDistanceModel, UnitDiskModel
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "IIoTSystem",
-    "LogDistanceModel",
-    "Medium",
-    "NetworkStack",
-    "Radio",
-    "Simulator",
-    "StackConfig",
-    "SystemConfig",
-    "Topology",
-    "TraceLog",
-    "TrialExecutor",
-    "UnitDiskModel",
-    "__version__",
-    "building_topology",
-    "clustered_site_topology",
-    "grid_topology",
-    "line_topology",
-    "random_topology",
-]

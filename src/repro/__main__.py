@@ -2,11 +2,12 @@
 
 With no arguments: builds a small deployment, converges it, runs one
 aggregation query, kills the border router to show RNFD, and prints the
-taxonomy verdicts.  ``python -m repro sweep`` instead runs the built-in
+taxonomy verdicts.  A first argument names one of :data:`SUBCOMMANDS`
+(``python -m repro --help`` lists them): ``sweep`` runs the built-in
 fault scenarios under full invariant checking across many seeds, and
-``python -m repro replay`` re-runs one of their seeds (see DESIGN.md,
-"Runtime invariant checking").  For the full experiment suite run
-``pytest benchmarks/ --benchmark-only``.
+``replay`` re-runs one of their seeds (see DESIGN.md, "Runtime
+invariant checking").  Any other first argument is a usage error.  For
+the full experiment suite run ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -14,19 +15,26 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import SystemConfig, StackConfig, __version__, grid_topology
-from repro.aggregation import AggregationService
+from repro import __version__
+from repro.aggregation.service import AggregationService
+from repro.app.dependability import dependability_main
+from repro.app.report import explain_main, report_main
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import ReproBundle, SeedSweepRunner, replay
 from repro.core.scenario import Scenario
-from repro.devices import DiurnalField
-from repro.faults import FaultPlan
-from repro.net.rpl import RnfdConfig, RplConfig, RplState
+from repro.core.system import SystemConfig
+from repro.deployment.topology import grid_topology
+from repro.devices.phenomena import DiurnalField
+from repro.faults.plan import FaultPlan
+from repro.net.rpl.dodag import RplConfig, RplState
+from repro.net.rpl.rnfd import RnfdConfig
+from repro.net.stack import StackConfig
+from repro.obs.diff import diff_main
+from repro.obs.tail import tail_main
 
 
 def sweep_main(argv) -> int:
     """``python -m repro sweep`` — seed-sweep the built-in scenarios."""
-    from repro.checking.scenarios import BUILTIN_SCENARIOS
-    from repro.checking.sweep import SeedSweepRunner
-
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
         description="Run fault scenarios under runtime invariant checking "
@@ -64,9 +72,6 @@ def sweep_main(argv) -> int:
 
 def replay_main(argv) -> int:
     """``python -m repro replay`` — re-run one seed of a built-in."""
-    from repro.checking.scenarios import BUILTIN_SCENARIOS
-    from repro.checking.sweep import ReproBundle, replay
-
     parser = argparse.ArgumentParser(
         prog="python -m repro replay",
         description="Re-run one seed of a built-in scenario fully "
@@ -85,28 +90,8 @@ def replay_main(argv) -> int:
     return 1 if result.violations else 0
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return replay_main(argv[1:])
-    if argv and argv[0] == "report":
-        # Imported lazily: the dashboard pulls in repro.core.
-        from repro.obs.report import report_main
-        return report_main(argv[1:])
-    if argv and argv[0] == "diff":
-        from repro.obs.diff import diff_main
-        return diff_main(argv[1:])
-    if argv and argv[0] == "explain":
-        from repro.obs.analysis import explain_main
-        return explain_main(argv[1:])
-    if argv and argv[0] == "dependability":
-        from repro.checking.dependability import dependability_main
-        return dependability_main(argv[1:])
-    if argv and argv[0] == "tail":
-        from repro.obs.tail import tail_main
-        return tail_main(argv[1:])
+def demo_main() -> int:
+    """``python -m repro`` with no arguments — the guided demo."""
     print(f"repro {__version__} — 'A Distributed Systems Perspective on "
           f"Industrial IoT' (ICDCS 2018), executable\n")
 
@@ -155,6 +140,46 @@ def main(argv=None) -> int:
     print("Live telemetry:     python -m repro report --live run.jsonl; "
           "python -m repro tail run.jsonl  (windowed time-series stream)")
     return 0
+
+
+#: ``python -m repro NAME ARGS...``: NAME -> (its entry point, taking
+#: ARGS, and the one line ``--help`` prints for it).
+SUBCOMMANDS = {
+    "sweep": (sweep_main, "seed-sweep the built-in fault scenarios under "
+                          "invariant checking"),
+    "replay": (replay_main, "re-run one seed of a built-in scenario fully "
+                            "observed"),
+    "report": (report_main, "the observability dashboard of an "
+                            "instrumented demo"),
+    "explain": (explain_main, "attribute a latency percentile of the demo "
+                              "to layers"),
+    "diff": (diff_main, "compare two metrics snapshots or explain "
+                        "payloads"),
+    "dependability": (dependability_main, "the dependability gate: fault-"
+                                          "plan scenarios, availability"),
+    "tail": (tail_main, "render a telemetry window stream"),
+}
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        usage="%(prog)s [-h] [SUBCOMMAND [ARGS ...]]",
+        description="With no subcommand: a 30-second guided demo. "
+                    "`python -m repro SUBCOMMAND --help` describes one.",
+        epilog="subcommands:\n" + "\n".join(
+            f"  {name:<15} {summary}"
+            for name, (_, summary) in SUBCOMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("subcommand", nargs="?", choices=list(SUBCOMMANDS),
+                        metavar="SUBCOMMAND",
+                        help="one of the subcommands below")
+    args = parser.parse_args(argv[:1])
+    if args.subcommand is None:
+        return demo_main()
+    return SUBCOMMANDS[args.subcommand][0](argv[1:])
 
 
 if __name__ == "__main__":

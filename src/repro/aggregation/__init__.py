@@ -6,41 +6,10 @@ state records into its own, and forwards a single record up the DODAG.
 The funnel around the border router then carries O(1) records per node
 per epoch instead of O(subtree) raw readings — the mechanism that
 "alleviates the effects of the heavy load in the vicinity of border
-routers".
+routers".  :mod:`repro.aggregation.service` runs it, with the
+partial-state operators of :mod:`repro.aggregation.operators` and the
+query of :mod:`repro.aggregation.query`.
 
 :mod:`repro.aggregation.pull` adds Koala-style on-demand retrieval:
 nodes buffer locally and the network stays silent between rare pulls.
 """
-
-from repro.aggregation.operators import (
-    AVG,
-    COUNT,
-    MAX,
-    MIN,
-    OPERATORS,
-    SUM,
-    AggregateOperator,
-)
-from repro.aggregation.query import AggregationQuery
-from repro.aggregation.service import (
-    AggregationService,
-    EpochResult,
-    RawCollectionService,
-)
-from repro.aggregation.pull import KoalaPullService, PullResult
-
-__all__ = [
-    "AVG",
-    "AggregateOperator",
-    "AggregationQuery",
-    "AggregationService",
-    "COUNT",
-    "EpochResult",
-    "KoalaPullService",
-    "MAX",
-    "MIN",
-    "OPERATORS",
-    "PullResult",
-    "RawCollectionService",
-    "SUM",
-]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 from typing import List, Optional, Tuple
 
+from repro.app.scenarios import BUILTIN_SCENARIOS
 from repro.checking.availability import AvailabilityChecker
 from repro.checking.base import CheckerSuite, Violation
 from repro.checking.safety import ComfortEnvelopeChecker
@@ -28,7 +29,6 @@ GATE_SEED = 2018
 def _run_scenario(name: str, seed: int,
                   registry: Registry) -> Tuple[List[Violation], CheckerSuite]:
     """One built-in scenario's run, summarized into ``registry``."""
-    from repro.checking.scenarios import BUILTIN_SCENARIOS
     suite = BUILTIN_SCENARIOS[name].run(seed).checkers
     violations = suite.finish()
     suite.detach()

@@ -12,19 +12,22 @@ round.  ``--export DIR``
 additionally writes the JSONL/CSV/JSON artifacts for offline analysis
 (``metrics.json`` feeds ``python -m repro diff``).
 
-The module is imported lazily by :mod:`repro.__main__` (it pulls in
-:mod:`repro.core`, which :mod:`repro.obs` itself must not import).
+``python -m repro explain`` (:func:`explain_main`) runs the same demo
+and attributes a percentile of its latency to layers
+(:mod:`repro.obs.analysis`).  Both sit in the application tier: they
+build a :mod:`repro.core` system, which :mod:`repro.obs` must not
+import.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.metrics import percentile
 from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import Demo, DemoRun
@@ -32,8 +35,11 @@ from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.devices.sensors import SensorFault
 from repro.faults.plan import FaultPlan
+from repro.net.mac.analysis import mac_summary_lines
+from repro.obs.analysis import analyze_run, render_explain, render_trace
 from repro.obs.export import export_run
 from repro.obs.health import health_rows
+from repro.obs.registry import percentile
 
 #: The dashboard's run: a 3x3 grid, converged for 180 s, then 120 s of
 #: demo traffic.  At seed 2018 it is what the ``core`` and ``explain``
@@ -155,7 +161,6 @@ def render_report(run: DemoRun, top: int = 8) -> str:
                  f"retransmits={total('coap.retransmit'):.0f}")
     lines.append(f"mac tx: {total('mac.tx'):.0f} jobs, "
                  f"queue drops={total('mac.queue_drop'):.0f}")
-    from repro.net.mac.analysis import mac_summary_lines
     lines.extend(mac_summary_lines(
         [system.nodes[nid].stack.mac for nid in sorted(system.nodes)]))
 
@@ -359,4 +364,62 @@ def report_main(argv) -> int:
         print(_section("exported"))
         for name in sorted(written):
             print(f"{args.export}/{name}: {written[name]} records")
+    return 0
+
+
+def explain_main(argv) -> int:
+    """``python -m repro explain`` entry point."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro explain",
+        description="Attribute end-to-end latency to layers via the "
+                    "critical path of histogram exemplar traces.",
+    )
+    parser.add_argument("--metric", default="net.latency_s",
+                        help="histogram metric to explain "
+                             "(default: net.latency_s; 'net.latency' "
+                             "is accepted)")
+    parser.add_argument("--p", type=float, default=95.0,
+                        help="percentile whose exemplars to attribute "
+                             "(default: 95)")
+    parser.add_argument("--trace", type=int, default=None, metavar="ID",
+                        help="drill into one trace id instead of the "
+                             "percentile exemplars")
+    parser.add_argument("--export", metavar="PATH", default=None,
+                        help="write the repro.explain/1 JSON payload "
+                             "(compare two with `python -m repro diff`)")
+    parser.add_argument("--max-traces", type=int, default=4,
+                        help="exemplar traces to attribute (default: 4)")
+    add_demo_arguments(parser)
+    args = parser.parse_args(argv)
+    if not 0.0 <= args.p <= 100.0:
+        parser.error("--p must be a percentile in [0, 100]")
+    if args.max_traces < 1:
+        parser.error("--max-traces must be >= 1")
+
+    # The deterministic report demo — the run the `core` and `explain`
+    # gates of benchmarks/gates.py pin.
+    system = demo_scenario(parser, args).run(args.seed)
+    spans = system.obs.spans
+
+    if args.trace is not None:
+        text = render_trace(spans, args.trace)
+        if text is None:
+            print(f"trace {args.trace} not found")
+            return 1
+        print(text)
+        return 0
+
+    domain_of = getattr(system.topology, "domain_of", None)
+    payload = analyze_run(spans, system.obs.registry.snapshot(),
+                          metric=args.metric, p=args.p,
+                          max_traces=args.max_traces,
+                          domain_of=domain_of)
+    if payload is None:
+        print(f"no exemplars recorded for metric {args.metric!r}")
+        return 1
+    if args.export:
+        with open(args.export, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    print(render_explain(payload))
     return 0

@@ -1,7 +1,7 @@
 """Built-in sweep scenarios: fault plans under full invariant checking.
 
 Each built-in is a :class:`~repro.core.scenario.Scenario` with
-``invariant_checking=True``; :class:`~repro.checking.sweep.SeedSweepRunner`
+``invariant_checking=True``; :class:`~repro.app.sweep.SeedSweepRunner`
 runs it per seed and reads the system's
 :class:`~repro.checking.base.CheckerSuite`, and ``python -m repro replay``
 re-runs a failing seed fully observed: nothing is recorded in advance.
@@ -11,9 +11,9 @@ sweeping them across seeds exercises every layer's checkers against the
 nastiest schedules the deterministic kernel can produce.  Their bespoke
 parts are the workloads of the same names (:mod:`repro.core.workloads`).
 
-Kept out of ``repro.checking.__init__`` on purpose: scenarios import
-half the codebase (system, CRDTs, faults), and the checking package must
-stay importable from :mod:`repro.core.system` without cycles.
+They live in the application tier: a scenario imports half the codebase
+(system, CRDTs, faults), and :mod:`repro.checking` sits below
+:mod:`repro.core.system`, which installs its checkers.
 """
 
 from __future__ import annotations

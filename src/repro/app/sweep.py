@@ -22,8 +22,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Deque, Dict, List, Optional, Sequence
 
+from repro.app.scenarios import BUILTIN_SCENARIOS
 from repro.checking.base import CheckerSuite, Violation
 from repro.core.experiment import seeds_for
+from repro.core.scenario import Scenario, content_hash
+from repro.obs.analysis import analyze_run, render_explain
 from repro.parallel import TrialExecutor
 from repro.sim.trace import TraceRecord
 
@@ -61,7 +64,6 @@ class ReproBundle:
         if len(self.violations) > max_violations:
             lines.append(f"  ... {len(self.violations) - max_violations} more")
         if self.scenario is not None:
-            from repro.core.scenario import content_hash
             clauses = self.scenario["faults"]["clauses"]
             lines.append(f"  scenario sha256={content_hash(self.scenario)}")
             lines.append(f"  fault plan ({len(clauses)} clause(s)):")
@@ -70,13 +72,12 @@ class ReproBundle:
                                    if k not in ("kind", "at_s"))
                 lines.append(f"    {clause['kind']} @ t={clause['at_s']:g}s"
                              f"  {detail}")
-        from repro.checking.scenarios import BUILTIN_SCENARIOS
         builtin = BUILTIN_SCENARIOS.get(self.name)
         if builtin is not None and builtin.to_jsonable() == self.scenario:
             lines.append(f"  repro: python -m repro replay "
                          f"--scenario {self.name} --seed {self.seed}")
         else:
-            lines.append("  repro: repro.checking.sweep.replay(bundle)")
+            lines.append("  repro: repro.app.sweep.replay(bundle)")
         return "\n".join(lines)
 
 
@@ -228,9 +229,6 @@ def replay(bundle: ReproBundle) -> Replay:
     subscribers neither draw RNG nor schedule events), so this run *is*
     the run the sweep made.
     """
-    from repro.core.scenario import Scenario
-    from repro.obs.analysis import analyze_run, render_explain
-
     scenario = Scenario.from_jsonable(bundle.scenario)
     observed = replace(scenario, config=replace(scenario.config,
                                                 observability=True))

@@ -1,27 +1,28 @@
-"""Runtime invariant checking and the deterministic seed-sweep harness.
+"""Runtime invariant checking.
 
 The dependability taxonomy the paper builds (reliability, safety,
 availability) demands that protocol correctness hold *under faults*, not
-just on the happy path.  This package provides the tooling:
+just on the happy path.  This package provides the checkers:
 
-- :mod:`repro.checking.base` — the :class:`InvariantChecker` contract
+- :mod:`repro.checking.base` — the ``InvariantChecker`` contract
   (subscribe to trace categories and/or sample system state on a
-  schedule) and the :class:`CheckerSuite` that manages a set of them;
+  schedule) and the ``CheckerSuite`` that manages a set of them;
 - concrete checkers spanning the stack's layers:
   :mod:`~repro.checking.rpl` (DODAG acyclicity, rank monotonicity,
   delivered-path loop bounds), :mod:`~repro.checking.macradio` (radio
   state machine and collision accounting),
   :mod:`~repro.checking.coap` (at-most-once responses, retransmission
   bounds, Observe monotonicity), :mod:`~repro.checking.crdt` (lattice
-  laws on live states, convergence after quiescence), and
+  laws on live states, convergence after quiescence),
   :mod:`~repro.checking.safety` (comfort envelope outside declared
-  fault windows);
-- :mod:`repro.checking.sweep` — the :class:`SeedSweepRunner` that runs
-  a scenario across many seeds, asserts zero violations, and emits a
-  minimal repro bundle on failure;
-- :mod:`repro.checking.scenarios` — built-in fault scenarios
-  (partition, RNFD root death) wired with checkers, shared by the
-  integration tests and ``python -m repro sweep``.
+  fault windows) and :mod:`~repro.checking.availability` (service
+  availability under partitions);
+- :func:`default_suite`, the cross-layer set a system with
+  ``SystemConfig(invariant_checking=True)`` installs.
+
+The seed-sweep harness and the built-in fault scenarios that run these
+checkers sit a tier up, in :mod:`repro.app.sweep` and
+:mod:`repro.app.scenarios`.
 
 Checkers are read-only observers: they never mutate protocol state,
 never draw from the simulation's RNG, and never emit into the shared
@@ -29,50 +30,10 @@ never draw from the simulation's RNG, and never emit into the shared
 produces exactly the trace the same seed produces without them.
 """
 
-from repro.checking.availability import (
-    AvailabilityChecker,
-    reachable_fraction,
-    service_availability,
-)
-from repro.checking.base import (
-    CheckerSuite,
-    FaultWindowMixin,
-    InvariantChecker,
-    Violation,
-)
+from repro.checking.base import CheckerSuite
 from repro.checking.coap import CoapExchangeChecker
-from repro.checking.crdt import CrdtLatticeChecker
 from repro.checking.macradio import CollisionAccountingChecker, RadioStateChecker
 from repro.checking.rpl import DeliveredPathChecker, DodagStructureChecker
-from repro.checking.safety import ComfortEnvelopeChecker
-from repro.checking.sweep import (
-    InvariantViolationError,
-    ReproBundle,
-    SeedSweepRunner,
-    SweepOutcome,
-)
-
-__all__ = [
-    "AvailabilityChecker",
-    "CheckerSuite",
-    "CoapExchangeChecker",
-    "CollisionAccountingChecker",
-    "ComfortEnvelopeChecker",
-    "CrdtLatticeChecker",
-    "DeliveredPathChecker",
-    "DodagStructureChecker",
-    "FaultWindowMixin",
-    "InvariantChecker",
-    "InvariantViolationError",
-    "RadioStateChecker",
-    "ReproBundle",
-    "SeedSweepRunner",
-    "SweepOutcome",
-    "Violation",
-    "default_suite",
-    "reachable_fraction",
-    "service_availability",
-]
 
 
 def default_suite(system) -> CheckerSuite:

@@ -6,31 +6,10 @@ them to the summary statistics the benchmark tables print.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from repro.devices.node import DeviceNode
-
-
-def percentile(values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile; NaN on empty input."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be in [0, 1]")
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    index = fraction * (len(ordered) - 1)
-    low = int(math.floor(index))
-    high = int(math.ceil(index))
-    if low == high or ordered[low] == ordered[high]:
-        # The equality case also avoids interpolation rounding ever
-        # producing a value a few ulps outside [min, max].
-        return ordered[low]
-    weight = index - low
-    return ordered[low] * (1 - weight) + ordered[high] * weight
 
 
 def mean(values: Sequence[float]) -> float:

@@ -22,12 +22,18 @@ from repro.aggregation.service import AggregationService
 from repro.checking.availability import AvailabilityChecker
 from repro.checking.crdt import CrdtLatticeChecker
 from repro.checking.safety import ComfortEnvelopeChecker
-from repro.crdt import CrdtReplica, GCounter, NetworkReplicator
+from repro.crdt.counters import GCounter
 from repro.crdt.maps import LWWMap
-from repro.crdt.replication import AntiEntropyConfig
+from repro.crdt.replication import (
+    AntiEntropyConfig,
+    CrdtReplica,
+    NetworkReplicator,
+)
 from repro.devices.phenomena import DiurnalField
-from repro.middleware.coap import CoapClient, CoapServer, CoapTransport
+from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.resource import CallbackResource
+from repro.middleware.coap.server import CoapServer
+from repro.middleware.coap.transport import CoapTransport
 from repro.obs.health import NodeHealthSampler
 from repro.safety.comfort import ComfortBand, OccupancySchedule
 from repro.safety.controllers import BangBangController

@@ -11,24 +11,3 @@ idempotence) for every type here.
 network; :mod:`repro.crdt.store` adds the CP (coordination-based)
 baseline used by experiment E9.
 """
-
-from repro.crdt.base import StateCrdt
-from repro.crdt.counters import GCounter
-from repro.crdt.registers import LWWRegister
-from repro.crdt.sets import ORSet
-from repro.crdt.maps import LWWMap
-from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
-from repro.crdt.store import CoordinatedStore, StoreClient
-
-__all__ = [
-    "AntiEntropyConfig",
-    "CoordinatedStore",
-    "CrdtReplica",
-    "GCounter",
-    "LWWMap",
-    "LWWRegister",
-    "NetworkReplicator",
-    "ORSet",
-    "StateCrdt",
-    "StoreClient",
-]

@@ -1,32 +1,8 @@
 """Deployment modelling: topologies and incremental rollout (§IV).
 
 Sensing/actuation points are *placed by the application*, not by the
-software architect — topologies here encode that: grids and buildings
-for structured plants, clustered layouts for construction sites, and
-rollout plans that grow a deployment by orders of magnitude in stages.
+software architect — :mod:`repro.deployment.topology` encodes that:
+grids and buildings for structured plants, clustered layouts for
+construction sites; :mod:`repro.deployment.rollout` grows a deployment
+by orders of magnitude in stages.
 """
-
-from repro.deployment.topology import (
-    CampusTopology,
-    Topology,
-    building_topology,
-    campus_topology,
-    clustered_site_topology,
-    grid_topology,
-    line_topology,
-    random_topology,
-)
-from repro.deployment.rollout import RolloutPlan, RolloutStage
-
-__all__ = [
-    "RolloutPlan",
-    "RolloutStage",
-    "CampusTopology",
-    "Topology",
-    "building_topology",
-    "campus_topology",
-    "clustered_site_topology",
-    "grid_topology",
-    "line_topology",
-    "random_topology",
-]

@@ -15,40 +15,3 @@ of that argument:
   directory plus uniform northbound access to native and legacy devices,
   the artifact experiment E12 measures.
 """
-
-from repro.middleware.coap import (
-    CoapClient,
-    CoapCode,
-    CoapMessage,
-    CoapServer,
-    CoapTransport,
-    CoapType,
-    ObservableResource,
-    Resource,
-)
-from repro.middleware.gateway import Gateway, ResourceDirectory
-from repro.middleware.adapters import (
-    LegacyModbusDevice,
-    ModbusAdapter,
-    ProprietaryAsciiDevice,
-    ProprietaryAdapter,
-    ProtocolAdapter,
-)
-
-__all__ = [
-    "CoapClient",
-    "CoapCode",
-    "CoapMessage",
-    "CoapServer",
-    "CoapTransport",
-    "CoapType",
-    "Gateway",
-    "LegacyModbusDevice",
-    "ModbusAdapter",
-    "ObservableResource",
-    "ProprietaryAdapter",
-    "ProprietaryAsciiDevice",
-    "ProtocolAdapter",
-    "Resource",
-    "ResourceDirectory",
-]

@@ -3,23 +3,9 @@
 Industrial IoT systems "have to operate with legacy components,
 sometimes in ways that were not envisioned by the creators of those
 components".  These modules model two such component families — a
-Modbus-like register-map fieldbus device and a proprietary ASCII-over-
-serial controller — and the adapters that lift each behind the uniform
-point abstraction the gateway serves.
+Modbus-like register-map fieldbus device
+(:mod:`repro.middleware.adapters.modbus`) and a proprietary
+ASCII-over-serial controller (:mod:`repro.middleware.adapters.proprietary`)
+— and the adapters that lift each behind the uniform point abstraction
+of :mod:`repro.middleware.adapters.base` the gateway serves.
 """
-
-from repro.middleware.adapters.base import AdapterError, ProtocolAdapter
-from repro.middleware.adapters.modbus import LegacyModbusDevice, ModbusAdapter
-from repro.middleware.adapters.proprietary import (
-    ProprietaryAdapter,
-    ProprietaryAsciiDevice,
-)
-
-__all__ = [
-    "AdapterError",
-    "LegacyModbusDevice",
-    "ModbusAdapter",
-    "ProprietaryAdapter",
-    "ProprietaryAsciiDevice",
-    "ProtocolAdapter",
-]

@@ -12,15 +12,3 @@ The stack mirrors what runs on real sensing-and-actuation-layer devices:
 - :mod:`repro.net.stack` — the per-node stack binding radio, MAC,
   routing, and a UDP-like socket API together.
 """
-
-from repro.net.packet import BROADCAST, Datagram, MacFrame, NetPacket
-from repro.net.stack import NetworkStack, StackConfig
-
-__all__ = [
-    "BROADCAST",
-    "Datagram",
-    "MacFrame",
-    "NetPacket",
-    "NetworkStack",
-    "StackConfig",
-]

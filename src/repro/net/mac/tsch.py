@@ -80,8 +80,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.net.mac import sixp
 from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
-# The schedule's and 6P's names stay importable from here.
-from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule  # noqa: F401
+from repro.net.mac.schedule import Cell, TschSchedule
 from repro.net.mac.sixp import SIXP_MESSAGE_BYTES, SixpMessage, SixpPeer, TschStats
 from repro.net.packet import BROADCAST, MacFrame
 from repro.radio.medium import RadioState

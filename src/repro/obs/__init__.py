@@ -6,18 +6,22 @@ The parts (DESIGN.md, "Observability"):
   with deterministic snapshot/merge semantics;
 - :mod:`repro.obs.spans` — packet-lifecycle span tracing with
   parent/child links, threaded through the stack as ``trace_ctx``;
-- :mod:`repro.obs.health` — the per-node :class:`NodeHealthSampler`
-  gauge set (duty cycle, MAC queue, neighbors, rank, CRDT staleness);
+- :mod:`repro.obs.analysis` — causal latency attribution over span
+  trees (what ``python -m repro explain`` prints);
+- :mod:`repro.obs.health` — the per-node ``NodeHealthSampler`` gauge
+  set (duty cycle, MAC queue, neighbors, rank, CRDT staleness);
 - :mod:`repro.obs.timeseries` — the windowed telemetry plane: every
-  closed window is a :class:`MetricsSnapshot` of that interval;
+  closed window is a ``MetricsSnapshot`` of that interval, and
+  :mod:`repro.obs.tail` renders a stream of them;
 - :mod:`repro.obs.diff` — snapshot diffing behind
   ``python -m repro diff`` (regression gates);
-- :mod:`repro.obs.export` — JSONL/CSV/JSON exporters, and
-  :mod:`repro.obs.report` — the ``python -m repro report`` dashboard.
+- :mod:`repro.obs.export` — JSONL/CSV/JSON exporters.  The
+  ``python -m repro report`` dashboard that drives them is
+  :mod:`repro.app.report`, a tier up.
 
 One metrics data model serves them all: an end-of-run snapshot, a
-telemetry window and a diff operand are :class:`MetricsSnapshot`
-values, written and read by its one JSON codec.
+telemetry window and a diff operand are ``MetricsSnapshot`` values,
+written and read by its one JSON codec.
 
 The :class:`Observability` bundle rides on the run's shared
 :class:`~repro.sim.trace.TraceLog` (``trace.obs``), which every layer
@@ -29,65 +33,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.obs.analysis import (
-    Attribution,
-    AttributionError,
-    Segment,
-    analyze_run,
-    attribute_trace,
-    critical_path,
-    render_explain,
-)
-from repro.obs.diff import MetricDelta, diff_snapshots, load_snapshot
-from repro.obs.export import (
-    export_run,
-    write_explain_txt,
-    write_metrics_csv,
-    write_metrics_json,
-    write_spans_jsonl,
-    write_windows_jsonl,
-)
-from repro.obs.health import NodeHealthSampler, health_rows
-from repro.obs.registry import (Counter, Gauge, Histogram, MetricsSnapshot,
-                                Registry)
-from repro.obs.spans import Span, SpanContext, SpanNode, SpanTracer
-from repro.obs.timeseries import TelemetryEngine, TelemetryWindow
+from repro.obs.registry import Registry
+from repro.obs.spans import SpanTracer
+from repro.obs.timeseries import TelemetryEngine
 from repro.sim.trace import TraceLog
-
-__all__ = [
-    "Attribution",
-    "AttributionError",
-    "Counter",
-    "GATED_SPAN_CATEGORIES",
-    "Gauge",
-    "Histogram",
-    "MetricDelta",
-    "MetricsSnapshot",
-    "NodeHealthSampler",
-    "Observability",
-    "Registry",
-    "Segment",
-    "Span",
-    "SpanContext",
-    "SpanNode",
-    "SpanTracer",
-    "TelemetryEngine",
-    "TelemetryWindow",
-    "analyze_run",
-    "attribute_trace",
-    "critical_path",
-    "diff_snapshots",
-    "export_run",
-    "health_rows",
-    "load_snapshot",
-    "render_explain",
-    "write_explain_txt",
-    "write_metrics_csv",
-    "write_metrics_json",
-    "write_spans_jsonl",
-    "write_windows_jsonl",
-]
-
 
 #: Span categories the storage layer must never drop: the control-plane
 #: records dependability gates grade (``rpl.parent_switch``,

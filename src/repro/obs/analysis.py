@@ -19,10 +19,12 @@ record into *why it took that long*:
 - :func:`analyze_run` aggregates attributions over the histogram
   exemplar traces (repro.obs.registry) behind a percentile of a metric
   and freezes them into the ``repro.explain/1`` payload.
-- :func:`explain_main` is ``python -m repro explain``: waterfall
-  rendering and single-trace drilldown.  Two exported payloads compare
-  with ``python -m repro diff`` (:func:`repro.obs.diff.snapshot_of`),
-  which names the layer whose share moved most.
+- :func:`render_explain` and :func:`render_trace` are the waterfall
+  and the single-trace drilldown ``python -m repro explain``
+  (:func:`repro.app.report.explain_main`) prints.  Two exported
+  payloads compare with ``python -m repro diff``
+  (:func:`repro.obs.diff.snapshot_of`), which names the layer whose
+  share moved most.
 
 Attribution rules (deterministic by construction):
 
@@ -42,15 +44,12 @@ Attribution rules (deterministic by construction):
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.metrics import percentile
-from repro.obs.registry import MetricsSnapshot, log_bucket
+from repro.obs.registry import MetricsSnapshot, log_bucket, percentile
 from repro.obs.spans import Span, SpanNode, SpanTracer
 
 #: The payload format tag of an exported attribution table.
@@ -465,65 +464,3 @@ def render_trace(spans: SpanTracer, trace_id: int) -> Optional[str]:
     lines.append("")
     lines.append(spans.render(trace_id))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def explain_main(argv) -> int:
-    """``python -m repro explain`` — see module docstring."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro explain",
-        description="Attribute end-to-end latency to layers via the "
-                    "critical path of histogram exemplar traces.",
-    )
-    parser.add_argument("--metric", default="net.latency_s",
-                        help="histogram metric to explain "
-                             "(default: net.latency_s; 'net.latency' "
-                             "is accepted)")
-    parser.add_argument("--p", type=float, default=95.0,
-                        help="percentile whose exemplars to attribute "
-                             "(default: 95)")
-    parser.add_argument("--trace", type=int, default=None, metavar="ID",
-                        help="drill into one trace id instead of the "
-                             "percentile exemplars")
-    parser.add_argument("--export", metavar="PATH", default=None,
-                        help="write the repro.explain/1 JSON payload "
-                             "(compare two with `python -m repro diff`)")
-    parser.add_argument("--max-traces", type=int, default=4,
-                        help="exemplar traces to attribute (default: 4)")
-    from repro.obs.report import add_demo_arguments, demo_scenario
-    add_demo_arguments(parser)
-    args = parser.parse_args(argv)
-    if not 0.0 <= args.p <= 100.0:
-        parser.error("--p must be a percentile in [0, 100]")
-    if args.max_traces < 1:
-        parser.error("--max-traces must be >= 1")
-
-    # The deterministic report demo — the run the `core` and `explain`
-    # gates of benchmarks/gates.py pin.
-    system = demo_scenario(parser, args).run(args.seed)
-    spans = system.obs.spans
-
-    if args.trace is not None:
-        text = render_trace(spans, args.trace)
-        if text is None:
-            print(f"trace {args.trace} not found")
-            return 1
-        print(text)
-        return 0
-
-    domain_of = getattr(system.topology, "domain_of", None)
-    payload = analyze_run(spans, system.obs.registry.snapshot(),
-                          metric=args.metric, p=args.p,
-                          max_traces=args.max_traces,
-                          domain_of=domain_of)
-    if payload is None:
-        print(f"no exemplars recorded for metric {args.metric!r}")
-        return 1
-    if args.export:
-        with open(args.export, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    print(render_explain(payload))
-    return 0

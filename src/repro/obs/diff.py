@@ -31,9 +31,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.metrics import percentile
 from repro.obs.analysis import EXPLAIN_FORMAT
-from repro.obs.registry import MetricsSnapshot, json_number
+from repro.obs.registry import MetricsSnapshot, json_number, percentile
 
 
 @dataclass

@@ -13,19 +13,3 @@ package provides the pieces to quantify that tension:
   (E11's impact axis; a run jams through ``FaultPlan.interference``);
 - :mod:`repro.security.detector` — a lightweight anomaly monitor.
 """
-
-from repro.security.attacks import CommandInjector
-from repro.security.auth import AuthConfig, FrameAuthenticator
-from repro.security.crypto_cost import CryptoCostModel, SOFTWARE_AES_CLASS1
-from repro.security.detector import AnomalyDetector
-from repro.security.keys import KeyStore
-
-__all__ = [
-    "AnomalyDetector",
-    "AuthConfig",
-    "CommandInjector",
-    "CryptoCostModel",
-    "FrameAuthenticator",
-    "KeyStore",
-    "SOFTWARE_AES_CLASS1",
-]

@@ -3,14 +3,14 @@ dependability scenarios."""
 
 import pytest
 
-from repro.checking import CheckerSuite
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import SeedSweepRunner
 from repro.checking.availability import (
     AvailabilityChecker,
     reachable_fraction,
     service_availability,
 )
-from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import SeedSweepRunner
+from repro.checking.base import CheckerSuite
 from repro.core.system import IIoTSystem
 from repro.deployment.topology import grid_topology
 from repro.faults.plan import FaultPlan

@@ -6,7 +6,7 @@ here ``_run_scenario`` is stubbed so the CLI contract — which outcomes
 pass the gate and which fail it — is testable in milliseconds.
 """
 
-import repro.checking.dependability as dep
+import repro.app.dependability as dep
 from repro.checking.availability import AvailabilityChecker
 
 

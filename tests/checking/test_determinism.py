@@ -15,7 +15,7 @@ Two guarantees pinned here:
 
 import pytest
 
-from repro.checking.scenarios import BUILTIN_SCENARIOS
+from repro.app.scenarios import BUILTIN_SCENARIOS
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.net.stack import StackConfig

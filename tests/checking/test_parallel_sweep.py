@@ -7,9 +7,9 @@ which replay — must come back identical and in seed order.
 
 import dataclasses
 
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import SeedSweepRunner, replay
 from repro.checking.base import CheckerSuite, InvariantChecker
-from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import SeedSweepRunner, replay
 from repro.core.workloads import CUT_X
 from repro.faults.plan import PartitionClause
 from repro.sim.kernel import Simulator

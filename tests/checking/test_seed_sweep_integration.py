@@ -7,8 +7,8 @@ runs this module (and the rest of tests/checking) separately from the
 tier-1 suite.
 """
 
-from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import SeedSweepRunner
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import SeedSweepRunner
 from repro.core.scenario import Scenario
 
 SEEDS = 10

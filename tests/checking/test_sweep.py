@@ -7,9 +7,8 @@ from typing import ClassVar
 import pytest
 
 from repro.__main__ import main
-from repro.checking.base import CheckerSuite, InvariantChecker
-from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import (
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import (
     WINDOW_S,
     InvariantViolationError,
     ReproBundle,
@@ -17,6 +16,7 @@ from repro.checking.sweep import (
     _Window,
     replay,
 )
+from repro.checking.base import CheckerSuite, InvariantChecker
 from repro.core.experiment import seeds_for
 from repro.core.workloads import CUT_X, WORKLOADS, Driver, Workload
 from repro.faults.plan import PartitionClause
@@ -100,14 +100,14 @@ class TestSeedSweepRunner:
         assert "even_seed" in message
         # Not a builtin: the bundle replays through the library.
         assert message.splitlines()[-1] == \
-            "  repro: repro.checking.sweep.replay(bundle)"
+            "  repro: repro.app.sweep.replay(bundle)"
 
     @pytest.mark.parametrize("name, clause", [
         ("partition-crdt", "partition @ t=240s  cut_x=30.0, heal_after_s=120.0"),
         ("rnfd-root-failure", "crash @ t=250s  node=-1, recover_after_s=300.0"),
     ])
     def test_builtin_bundle_carries_its_fault_plan(self, name, clause):
-        from repro.checking.scenarios import BUILTIN_SCENARIOS
+        from repro.app.scenarios import BUILTIN_SCENARIOS
         from repro.core.scenario import content_hash
 
         scenario = BUILTIN_SCENARIOS[name]
@@ -129,7 +129,7 @@ class TestSeedSweepRunner:
         # A builtin's name on another scenario is not that builtin.
         renamed = dataclasses.replace(bundle, scenario=NEVER_HEALS.to_jsonable())
         assert renamed.summary().splitlines()[-1] == \
-            "  repro: repro.checking.sweep.replay(bundle)"
+            "  repro: repro.app.sweep.replay(bundle)"
 
     def test_summary_truncates_long_listings(self):
         suite = clean_scenario(1)

@@ -204,12 +204,12 @@ def build_grid_network(
 def dashboard_run(side: int = 3, converge_s: float = 180.0,
                   traffic_s: float = 120.0, seed: int = 2018,
                   faults: bool = False, sink=None, **config):
-    """The dashboard demo (``repro.obs.report.DEMO``) on a side x side
+    """The dashboard demo (``repro.app.report.DEMO``) on a side x side
     grid, ``config`` replacing ``SystemConfig`` fields: its ``DemoRun``."""
     import dataclasses
 
     from repro.deployment.topology import grid_topology
-    from repro.obs.report import DEMO, demo_faults
+    from repro.app.report import DEMO, demo_faults
 
     scenario = dataclasses.replace(
         DEMO, topology=grid_topology(side), formation_s=converge_s,

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.experiment import Sweep, seeds_for
-from repro.core.metrics import collect_energy, mean, percentile
+from repro.core.metrics import collect_energy, mean
 from repro.core.report import ascii_table, format_value, write_csv
 from repro.core.system import IIoTSystem, SystemConfig, TimeSeriesStore
 from repro.core.taxonomy import (
@@ -14,6 +14,7 @@ from repro.core.taxonomy import (
     taxonomy_table,
 )
 from repro.deployment.topology import grid_topology, line_topology
+from repro.obs.registry import percentile
 
 
 class TestIIoTSystem:

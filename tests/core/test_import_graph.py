@@ -87,3 +87,31 @@ def test_import_repro_loads_a_bounded_number_of_modules():
     # alone would add some 900.
     loaded = _fresh_interpreter("import repro\nresult = len(sys.modules)\n")
     assert loaded <= 450
+
+
+def _repro_modules_after(statement: str):
+    """The ``repro`` modules a fresh interpreter holds after ``statement``."""
+    return _fresh_interpreter(
+        f"{statement}\n"
+        "result = sorted(name for name in sys.modules\n"
+        "                if name == 'repro' or name.startswith('repro.'))\n"
+    )
+
+
+def test_import_repro_loads_no_submodule():
+    # The packages re-export nothing (DESIGN.md, "Layers"): a name is
+    # imported from the module that defines it.
+    assert _repro_modules_after("import repro") == ["repro"]
+
+
+@pytest.mark.parametrize("module, tiers", [
+    ("repro.radio.medium", ("sim", "radio")),
+    ("repro.obs.registry", ("sim", "obs")),
+])
+def test_a_low_tier_module_loads_only_its_own_and_lower_tiers(module, tiers):
+    loaded = _repro_modules_after(f"import {module}")
+    assert module in loaded
+    allowed = tuple(f"repro.{tier}" for tier in tiers)
+    assert [name for name in loaded if name != "repro" and not any(
+        name == prefix or name.startswith(prefix + ".")
+        for prefix in allowed)] == []

@@ -1,10 +1,12 @@
-"""Edge cases of the core measurement helpers (repro.core.metrics)."""
+"""Edge cases of the measurement helpers (``repro.core.metrics.mean``,
+``repro.obs.registry.percentile``)."""
 
 import math
 
 import pytest
 
-from repro.core.metrics import mean, percentile
+from repro.core.metrics import mean
+from repro.obs.registry import percentile
 
 
 class TestPercentile:

@@ -18,7 +18,7 @@ import re
 import pytest
 
 import repro
-from repro.checking.sweep import ReproBundle, SeedSweepRunner
+from repro.app.sweep import ReproBundle, SeedSweepRunner
 from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import WORKLOADS, Probe
@@ -32,9 +32,10 @@ from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
-from repro.obs import (NodeHealthSampler, Observability, Registry,
-                       TelemetryEngine)
-from repro.obs.registry import MetricsSnapshot
+from repro.obs import Observability
+from repro.obs.health import NodeHealthSampler
+from repro.obs.registry import MetricsSnapshot, Registry
+from repro.obs.timeseries import TelemetryEngine
 from repro.parallel import TrialExecutor
 from repro.radio.medium import Medium
 from repro.security.auth import AuthConfig
@@ -108,7 +109,7 @@ def test_workload_fields():
 
 def test_seed_sweep_runner_keywords():
     # The replay window is the module constant
-    # repro.checking.sweep.WINDOW_S, and a replay takes only the bundle.
+    # repro.app.sweep.WINDOW_S, and a replay takes only the bundle.
     assert _keywords(SeedSweepRunner) == ["name", "scenario"]
 
 

@@ -57,7 +57,7 @@ ALLOW: Tuple[Tuple[str, str, str], ...] = (
     ("faults/plan.py", "FaultPlanRuntime._install_*",
      "dynamic dispatch: install() calls getattr(self, f'_install_{clause.kind}')"),
     ("core/analysis.py", "confidence_interval",
-     "ROADMAP item 2 (claim ledger) is its caller, or removes it"),
+     "ROADMAP item 3 (claim ledger) is its caller, or removes it"),
 )
 MAX_ALLOW_ROWS = 12
 

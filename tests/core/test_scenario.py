@@ -16,8 +16,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.checking.scenarios import BUILTIN_SCENARIOS
-from repro.checking.sweep import SeedSweepRunner, replay
+from repro.app.report import DEMO, explain_main, report_main
+from repro.app.scenarios import BUILTIN_SCENARIOS
+from repro.app.sweep import SeedSweepRunner, replay
 from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import (AvailabilityProbe, Demo, HvacSafety,
@@ -29,8 +30,6 @@ from repro.net.mac.lpl import LplConfig
 from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
-from repro.obs.analysis import explain_main
-from repro.obs.report import DEMO, report_main
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from tests.faults.test_plan_serialization import _clauses, _json
 
@@ -155,8 +154,8 @@ class TestCodec:
 
     def test_hash_is_the_same_in_every_process(self):
         code = ("import json\n"
-                "from repro.checking.scenarios import BUILTIN_SCENARIOS\n"
-                "from repro.obs.report import DEMO\n"
+                "from repro.app.scenarios import BUILTIN_SCENARIOS\n"
+                "from repro.app.report import DEMO\n"
                 "print(json.dumps([DEMO.content_hash] + [BUILTIN_SCENARIOS[n]"
                 ".content_hash for n in sorted(BUILTIN_SCENARIOS)]))\n")
         hashes = []
@@ -213,7 +212,7 @@ class TestSweeps:
         assert f"scenario sha256={planted.content_hash}" in summary
         assert "partition @ t=240s  cut_x=30.0, heal_after_s=None" in summary
         assert summary.splitlines()[-1] == \
-            "  repro: repro.checking.sweep.replay(bundle)"
+            "  repro: repro.app.sweep.replay(bundle)"
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.faults.plan import (
     RandomCrashesClause,
     SensorClause,
 )
-from repro.obs import MetricsSnapshot
+from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from tests.conftest import constant_field
 

@@ -4,7 +4,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.metrics import percentile
 from repro.net.fragmentation import (
     FRAGN_HEADER_BYTES,
     FRAME_MTU_BYTES,
@@ -12,9 +11,10 @@ from repro.net.fragmentation import (
     Fragment,
     FragmentationAdapter,
 )
+from repro.net.mac.csma import CsmaMac
+from repro.obs.registry import percentile
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
-from repro.net.mac.csma import CsmaMac
 from repro.sim.kernel import Simulator
 
 

@@ -21,7 +21,8 @@ harnesses can swap MACs without touching a checker:
 import pytest
 
 from repro.net.stack import _MAC_REGISTRY
-from repro.obs import MetricsSnapshot, Observability
+from repro.obs import Observability
+from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from repro.radio.medium import Radio, RadioState
 from repro.sim.kernel import Simulator

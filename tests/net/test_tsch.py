@@ -4,15 +4,9 @@ import pytest
 
 from repro.net.mac import base, sixp, tsch
 from repro.net.mac.base import MacConfigError
-from repro.net.mac.tsch import (
-    MINIMAL_SLOT,
-    Cell,
-    SixpMessage,
-    SlotConflictError,
-    TschConfig,
-    TschMac,
-    TschSchedule,
-)
+from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule
+from repro.net.mac.sixp import SixpMessage
+from repro.net.mac.tsch import MINIMAL_SLOT, TschConfig, TschMac
 from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel

@@ -22,7 +22,8 @@ from repro.deployment.topology import grid_topology
 from repro.faults.plan import FaultPlan
 from repro.net import stack as stack_module
 from repro.net.mac import tsch
-from repro.net.mac.tsch import Cell, TschConfig, TschMac
+from repro.net.mac.schedule import Cell, TschSchedule
+from repro.net.mac.tsch import TschConfig, TschMac
 from repro.net.stack import StackConfig
 from repro.radio import interference
 from repro.radio.medium import Frame, Medium, Radio, RadioState
@@ -398,7 +399,6 @@ class TestListenPlan:
 
 class TestSortedSchedule:
     def test_next_occurrence_walks_slots_in_order_and_wraps(self):
-        from repro.net.mac.tsch import TschSchedule
         schedule = TschSchedule(10)
         for slot in (7, 2, 5):
             schedule.add(Cell(slot, 0, neighbor=1, rx=True))

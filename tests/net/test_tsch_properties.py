@@ -19,12 +19,8 @@ from unittest import mock
 from hypothesis import example, given, settings, strategies as st
 
 from repro.net.mac import sixp
-from repro.net.mac.tsch import (
-    Cell,
-    SixpPeer,
-    SlotConflictError,
-    TschSchedule,
-)
+from repro.net.mac.schedule import Cell, SlotConflictError, TschSchedule
+from repro.net.mac.sixp import SixpPeer
 from tests.conftest import reserved_slots
 
 SLOTS = 23

@@ -22,7 +22,8 @@ from repro.net.rpl.trickle import (
     make_trickle_variant,
 )
 from repro.net.stack import StackConfig
-from repro.obs import MetricsSnapshot, Observability
+from repro.obs import Observability
+from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from repro.sim.kernel import Simulator
 from tests.conftest import build_line_network

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.obs.analysis import EXPLAIN_FORMAT, analyze_run, explain_main
+from repro.app.report import explain_main
+from repro.obs.analysis import EXPLAIN_FORMAT, analyze_run
 from repro.obs.diff import diff_main
 from tests.conftest import dashboard_run
 

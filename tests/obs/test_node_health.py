@@ -12,8 +12,7 @@ from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.net.stack import StackConfig
-from repro.obs import NodeHealthSampler, health_rows
-from repro.obs.health import PERIOD_S
+from repro.obs.health import PERIOD_S, NodeHealthSampler, health_rows
 from repro.parallel import TrialExecutor
 
 

@@ -5,7 +5,8 @@ must merge to exactly the registry a jobs=1 sweep produces.
 through pickle (same contract as tests/core/test_parallel.py).
 """
 
-from repro.obs import MetricsSnapshot, Observability
+from repro.obs import Observability
+from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from tests.conftest import build_line_network
 

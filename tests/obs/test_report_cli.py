@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.obs.report import render_report, report_main
+from repro.app.report import render_report, report_main
 from tests.conftest import dashboard_run
 
 

@@ -7,7 +7,7 @@ carries them and nothing is read from the environment.
 
 import pytest
 
-from repro.obs.report import report_main
+from repro.app.report import report_main
 from tests.conftest import dashboard_run
 
 

@@ -17,7 +17,8 @@ from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.net.stack import StackConfig
-from repro.obs import GATED_SPAN_CATEGORIES, Observability, SpanTracer
+from repro.obs import GATED_SPAN_CATEGORIES, Observability
+from repro.obs.spans import SpanTracer
 
 
 def _kept_traces(rate, seed, traces=400):

@@ -110,7 +110,7 @@ class TestReportLive:
         assert windows == run.system.telemetry.windows
 
     def test_report_cli_live_flag(self, tmp_path, capsys):
-        from repro.obs.report import report_main
+        from repro.app.report import report_main
 
         path = tmp_path / "live.jsonl"
         rc = report_main(["--side", "2", "--duration", "30",
