@@ -78,9 +78,10 @@ def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
             end = perf_counter()
             dx = positions[:, 0] - sender.position[0]
             dy = positions[:, 1] - sender.position[1]
+            hx, hy = medium._cell_of(sender.position)
             rows.append({
-                "candidates": sum(len(medium._grid.get(cell, ()))
-                                  for cell in entry.cells) - 1,
+                "candidates": sum(len(medium._grid.get((hx + i, hy + j), ()))
+                                  for i in (-1, 0, 1) for j in (-1, 0, 1)) - 1,
                 "in_reach": int(np.count_nonzero(
                     dx * dx + dy * dy <= reach * reach)) - 1,
                 "evaluated": asked - before,

@@ -44,6 +44,7 @@ zero-diff guarantees of uninstrumented runs are untouched by default.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, IO, List, Optional
@@ -101,8 +102,11 @@ class TelemetryEngine:
         interval_s: float,
         domain_of: Optional[Callable[[int], Optional[str]]] = None,
     ) -> None:
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
+        if not 0.0 < interval_s < math.inf:
+            # NaN would fail only at the first scrape, inf never scrape.
+            raise ValueError(
+                "SystemConfig.telemetry_interval_s must be finite and "
+                f"positive: {interval_s!r}")
         self.sim = sim
         self.registry = registry
         self.interval_s = interval_s

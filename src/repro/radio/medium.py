@@ -13,8 +13,7 @@ charge drawn, which drives the funnel-effect and lifetime experiments.
 
 Scaling: the spatial grid index
 -------------------------------
-With tens of thousands of radios the hot queries — who can hear a
-sender, is the carrier busy, which overlapping frames reach a receiver —
+With tens of thousands of radios the question "who can hear a sender"
 cannot afford to visit every radio.  Every link model declares a hard
 audible-range bound (``max_audible_range_m``, see
 :mod:`repro.radio.propagation`), so the medium keeps its radios'
@@ -41,44 +40,36 @@ walks (``audible_from`` is their first two columns) and ``rssi_by_id``,
 the same links as a ``node_id -> rssi`` map, blocked and inaudible links
 left out.  CCA and collision arbitration never evaluate a link: "how
 loud is that transmission at radio ``r``" is its sender's
-``rssi_by_id.get(r.node_id)``.  When a frame ends, the transmissions
-that overlapped it in time and channel are resolved *once*
-(:meth:`Medium._interferers`): from the global end-time heap while it is
-small, else from the per-cell heaps within ±2 cells of the sender — a
-receiver is at most one cell from the sender, an interferer it hears at
-most one further.  That bound holds for the geometry the receiver list
-was computed under, so a frame that saw any world change in flight scans
-the global heap.  Each listening receiver then walks those maps, usually
-an empty list, and stops at the first interferer inside the capture
-margin: rounded subtraction is monotone, so ``rssi - other < margin``
-holds for some interferer exactly when it holds for the strongest.
-An outcome nobody watches (:meth:`TraceLog.watched`) is counted in
-place, with no ``emit`` call per receiver.
+``rssi_by_id.get(r.node_id)``.  The frames that can overlap anything
+are one end-time heap, ``_active``; CCA scans it, and when a frame ends
+the transmissions that overlapped it in time and channel are resolved
+from it *once* (:meth:`Medium._interferers`).  Each listening receiver
+then walks their maps, usually an empty list, and stops at the first
+interferer inside the capture margin: rounded subtraction is monotone,
+so ``rssi - other < margin`` holds for some interferer exactly when it
+holds for the strongest.  An outcome nobody watches
+(:meth:`TraceLog.watched`) is counted in place, with no ``emit`` call
+per receiver.
+
+The world the medium models is a fixed installation: a radio's
+``position`` and ``tx_power_dbm`` are set when it is built (a NaN or
+infinite value is refused, :class:`PositionError`, :class:`PowerError`)
+and read-only after, radios never detach, and what changes is that
+radios attach and that a link filter is set or cleared.
 
 Cache invalidation rules (the part that must not rot):
 
-- ``Radio.position`` / ``Radio.tx_power_dbm`` are properties; every
-  write bumps ``Radio.version`` and notifies the medium, which updates
-  the radio's row of the position array.  A NaN or infinite value is
-  refused before anything changes (:class:`PositionError`,
-  :class:`PowerError`).
 - The neighborhoods are the only place signal strengths are kept:
   the medium has no other cache and the link model keeps none (a
   shadowing draw is recomputed from ``(seed, link key)`` whenever a
-  neighborhood is rebuilt).  A neighborhood (triples and
-  ``rssi_by_id``, built in the one pass) is
-  stamped with the world version, its sender's version, the link-filter
-  version, and the nine grid cells around its sender with those cells'
-  versions — all nine, although candidates come from the disc inside
-  them: a radio that moves within a cell can enter the disc, and the
-  cell stamp is what notices.  Attaching or moving a
-  radio bumps only the affected cells, so distant neighborhoods
-  revalidate with an integer compare instead of rebuilding.  Every read
-  — delivery, CCA, arbitration, :meth:`Medium.rssi_between` — goes
-  through :meth:`Medium._neighborhood`, which checks the stamps, so
-  moves and power changes can never serve old signal strengths and an
-  interferer's map is never staler than its ``audible_from``.
-- ``set_link_filter`` invalidates everything.
+  neighborhood is rebuilt).  Every read — delivery, CCA, arbitration,
+  :meth:`Medium.rssi_between` — goes through
+  :meth:`Medium._neighborhood`, which builds an entry (triples and
+  ``rssi_by_id`` in the one pass) the first time a sender is asked
+  about, so an interferer's map is never staler than its
+  ``audible_from``.
+- An attach (the new radio may be inside anyone's disc) and
+  ``set_link_filter`` drop every entry.
 - A frame's receiver triples are the ones current when it was *sent*;
   its interferers' maps are the ones current when it *ends*.
 
@@ -113,8 +104,8 @@ function of time the plan can evaluate later.
   of the last audible frame in flight.  From there delivery, capture,
   ACKs and carrier-sense holds run on real state, unchanged.  A read
   that lands inside a window makes it real the same way.  A link-filter
-  or geometry change asks every plan again, since it can make a frame
-  already in flight audible somewhere new.
+  change asks every plan again, since it can make a frame already in
+  flight audible somewhere new.
 - **Why tie order is canonical.**  With most wake-ups never scheduled,
   the kernel's FIFO order among same-instant events would depend on
   which windows happened to become real.  Plans therefore schedule
@@ -156,9 +147,6 @@ _CATEGORIES = ("radio.tx", "radio.miss", "radio.collision", "radio.drop",
 #: Grid cells are inflated this much over the model's range bound so a
 #: borderline-audible link can never straddle more than one cell edge.
 _CELL_MARGIN = 1.01
-#: With this few active transmissions, scanning the global heap is
-#: cheaper than assembling the per-cell view (and equally exact).
-_SMALL_ACTIVE = 12
 
 
 class RadioState(enum.Enum):
@@ -204,15 +192,11 @@ class Frame:
 class _Transmission:
     """One frame on the air, kept until nothing can overlap it any more."""
 
-    __slots__ = ("radio", "frame", "start", "end", "world_version",
-                 "span", "addressee")
+    __slots__ = ("radio", "frame", "start", "end", "span", "addressee")
     radio: "Radio"
     frame: Frame
     start: float
     end: float
-    #: ``Medium._world_version`` at send time: unchanged at the end means
-    #: the receiver list still describes the geometry.
-    world_version: int
     #: ``radio.airtime`` span context (repro.obs); None when untraced.
     span: Any
     #: Link-layer addressee of a traced frame (duck-typed from the
@@ -226,28 +210,17 @@ _ActiveItem = Tuple[float, int, _Transmission]
 
 @dataclass
 class _Neighborhood:
-    """A sender's cached audible set, with everything needed to reuse it.
+    """A sender's cached audible set.
 
     ``receivers`` holds the ``(radio, rssi, prr)`` triples delivery
     walks, in ``audible_from`` order, so a frame skips the per-link
     logistic; ``rssi_by_id`` maps the same radios' ids to the same RSSI
     for CCA and collision arbitration (absent = blocked or inaudible).
-    The version stamps implement the two-tier validation described in
-    the module docstring: a matching ``world_version`` means *nothing
-    anywhere* changed (one compare); otherwise the entry is still good
-    if its sender, the link filter, and every grid cell it drew
-    candidates from are unchanged.
     """
 
-    __slots__ = ("receivers", "rssi_by_id", "world_version",
-                 "sender_version", "filter_version", "cells", "cell_versions")
+    __slots__ = ("receivers", "rssi_by_id")
     receivers: List[Tuple["Radio", float, float]]
     rssi_by_id: Dict[int, float]
-    world_version: int
-    sender_version: int
-    filter_version: int
-    cells: Tuple[Tuple[int, int], ...]
-    cell_versions: Tuple[int, ...]
 
 
 class PositionError(ValueError):
@@ -294,9 +267,6 @@ class Radio:
         self._tx_power_dbm = _powered(node_id, tx_power_dbm)
         #: Row of this radio in the medium's position array.
         self._row = -1
-        #: Bumped on every position/power write; caches stamp entries
-        #: with it, so stale geometry can never be served (see Medium).
-        self.version = 0
         self.channel = channel
         self.on_receive: Optional[Callable[[Frame, float], None]] = None
         self.enabled = True
@@ -313,32 +283,15 @@ class Radio:
         medium._attach(self)
 
     # ------------------------------------------------------------------
-    # geometry / configuration (invalidation-tracked)
+    # geometry: fixed at construction
     # ------------------------------------------------------------------
     @property
     def position(self) -> Position:
         return self._position
 
-    @position.setter
-    def position(self, value: Position) -> None:
-        old = self._position
-        if value == old:
-            return
-        self._position = _placed(self.node_id, value)
-        self.version += 1
-        self.medium._radio_changed(self, old_position=old)
-
     @property
     def tx_power_dbm(self) -> float:
         return self._tx_power_dbm
-
-    @tx_power_dbm.setter
-    def tx_power_dbm(self, value: float) -> None:
-        if value == self._tx_power_dbm:
-            return
-        self._tx_power_dbm = _powered(self.node_id, value)
-        self.version += 1
-        self.medium._radio_changed(self)
 
     # ------------------------------------------------------------------
     # state machine
@@ -500,8 +453,9 @@ class Medium:
         #: the link (partition experiments).  Set via set_link_filter.
         self._link_filter: Optional[Callable[[int, int], bool]] = None
         self._neighborhoods: Dict[int, _Neighborhood] = {}
+        #: Bumped by an attach or a link filter: :meth:`_deliver`
+        #: re-resolves a frame's interferers when an upcall bumped it.
         self._world_version = 0
-        self._filter_version = 0
         #: Row ``i`` of the arrays is the ``i``-th radio attached
         #: (radios never detach); rows past ``len(_rows)`` are spare.
         self._rows: List[Radio] = []
@@ -510,11 +464,7 @@ class Medium:
         #: ``cell -> [row, ...]``.
         self._grid: Dict[Tuple[int, int], List[int]] = {}
         self._cell_size = 0.0
-        self._cell_versions: Dict[Tuple[int, int], int] = {}
         self._grid_max_tx = 0.0
-        #: Per-cell mirrors of ``_active`` for O(near) CCA/interference.
-        self._cell_active: Dict[Tuple[int, int], List[_ActiveItem]] = {}
-        self._cell_active_count = 0
         #: Radios with a listen plan; zero skips every plan hook.
         self._planned = 0
         #: Which of ``_CATEGORIES`` the trace watches, as of its version
@@ -533,18 +483,11 @@ class Medium:
     # the spatial grid
     # ------------------------------------------------------------------
     def _rebuild_grid(self) -> None:
-        """(Re)derive the cell size from the range bound and re-bucket.
-
-        Also drops every cached neighborhood: cell versions restart, so
-        old stamps must not be comparable against the new grid.
-        """
+        """(Re)derive the cell size from the range bound and re-bucket."""
         self._cell_size = max(self._reach_m(self._grid_max_tx), 1.0)
         self._grid = {}
         for row, radio in enumerate(self._rows):
             self._grid.setdefault(self._cell_of(radio._position), []).append(row)
-        self._cell_versions = {}
-        self._neighborhoods.clear()
-        self._rebuild_cell_active()
 
     def _reach_m(self, tx_power_dbm: float) -> float:
         """The model's audible-range bound at this power, inflated by
@@ -561,16 +504,6 @@ class Medium:
     def _cell_of(self, position: Position) -> Tuple[int, int]:
         size = self._cell_size
         return (int(position[0] // size), int(position[1] // size))
-
-    def _bump_cell(self, cell: Tuple[int, int]) -> None:
-        self._cell_versions[cell] = self._cell_versions.get(cell, 0) + 1
-
-    def _ensure_grid_covers(self, tx_power_dbm: float) -> None:
-        """Grow the grid when a power exceeds its sizing basis."""
-        if tx_power_dbm > self._grid_max_tx:
-            self._grid_max_tx = tx_power_dbm
-            if self._reach_m(tx_power_dbm) > self._cell_size:
-                self._rebuild_grid()
 
     def grid_info(self) -> Dict[str, Any]:
         """Introspection for benchmarks and tests: index shape and caches."""
@@ -596,10 +529,16 @@ class Medium:
         experiments need.
         """
         self._link_filter = blocked
-        self._filter_version += 1
         self._world_version += 1
         self._neighborhoods.clear()
-        self._replan_listeners()
+        if self._planned:
+            # A frame in flight may now be audible where it was not, so
+            # every listen plan looks again.
+            until = max((end for end, _, _ in self._active), default=0.0)
+            if until > self.sim.now:
+                for radio in list(self.radios.values()):
+                    if radio.listen_plan is not None:
+                        radio.listen_plan.frame_started(until)
 
     # ------------------------------------------------------------------
     # topology
@@ -607,9 +546,13 @@ class Medium:
     def _attach(self, radio: Radio) -> None:
         if radio.node_id in self.radios:
             raise ValueError(f"duplicate radio id {radio.node_id}")
-        # Before the radio has a row: a regrown grid buckets only the
-        # radios already attached, and this one is bucketed below.
-        self._ensure_grid_covers(radio._tx_power_dbm)
+        # Grow the grid when this power exceeds its sizing basis — before
+        # the radio has a row: a regrown grid buckets only the radios
+        # already attached, and this one is bucketed below.
+        if radio._tx_power_dbm > self._grid_max_tx:
+            self._grid_max_tx = radio._tx_power_dbm
+            if self._reach_m(self._grid_max_tx) > self._cell_size:
+                self._rebuild_grid()
         row = len(self._rows)
         if row == len(self._ids):
             self._xy = np.concatenate([self._xy, np.empty_like(self._xy)])
@@ -620,36 +563,8 @@ class Medium:
         self._rows.append(radio)
         self.radios[radio.node_id] = radio
         self._world_version += 1
-        cell = self._cell_of(radio._position)
-        self._grid.setdefault(cell, []).append(row)
-        self._bump_cell(cell)
-
-    def _radio_changed(self, radio: Radio, old_position: Optional[Position] = None) -> None:
-        """A position (``old_position`` given) or power write happened."""
-        self._world_version += 1
-        self._neighborhoods.pop(radio.node_id, None)
-        if old_position is None:
-            self._ensure_grid_covers(radio._tx_power_dbm)
-        else:
-            self._xy[radio._row] = radio._position
-            self._rebucket(radio, old_position)
-        self._replan_listeners()
-
-    def _rebucket(self, radio: Radio, old_position: Position) -> None:
-        old_cell = self._cell_of(old_position)
-        new_cell = self._cell_of(radio._position)
-        if new_cell != old_cell:
-            bucket = self._grid[old_cell]
-            bucket.remove(radio._row)
-            if not bucket:
-                del self._grid[old_cell]
-            self._grid.setdefault(new_cell, []).append(radio._row)
-            self._bump_cell(old_cell)
-            if self._cell_active:
-                # In-flight frames radiate from wherever the sender is
-                # *now*; re-bucket them so nearby CCA still sees them.
-                self._rebuild_cell_active()
-        self._bump_cell(new_cell)
+        self._neighborhoods.clear()
+        self._grid.setdefault(self._cell_of(radio._position), []).append(row)
 
     def rssi_between(self, sender: Radio, receiver: Radio) -> float:
         """RSSI of ``sender`` as heard by ``receiver``."""
@@ -676,34 +591,26 @@ class Medium:
 
     def _neighborhood(self, sender: Radio) -> _Neighborhood:
         entry = self._neighborhoods.get(sender.node_id)
-        if entry is not None:
-            if entry.world_version == self._world_version:
-                return entry
-            if (entry.sender_version == sender.version
-                    and entry.filter_version == self._filter_version
-                    and all(self._cell_versions.get(cell, 0) == version
-                            for cell, version
-                            in zip(entry.cells, entry.cell_versions))):
-                # Something changed somewhere, but not near this sender.
-                entry.world_version = self._world_version
-                return entry
-        entry = self._build_neighborhood(sender)
-        self._neighborhoods[sender.node_id] = entry
+        if entry is None:
+            entry = self._build_neighborhood(sender)
+            self._neighborhoods[sender.node_id] = entry
         return entry
 
-    def _in_reach(self, sender: Radio,
-                  cells: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Rows in ``cells`` that lie inside ``sender``'s own disc.
+    def _in_reach(self, sender: Radio) -> np.ndarray:
+        """Rows in the nine cells around ``sender`` that lie inside its
+        own disc.
 
         The nine cells cover the loudest radio's range from anywhere in
         the home cell; the model can make audible only what lies inside
         this sender's disc, so only that is worth a link evaluation.
         """
+        hx, hy = self._cell_of(sender._position)
         gathered: List[int] = []
-        for cell in cells:
-            bucket = self._grid.get(cell)
-            if bucket:
-                gathered += bucket
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                bucket = self._grid.get((hx + dx, hy + dy))
+                if bucket:
+                    gathered += bucket
         rows = np.array(gathered, dtype=np.intp)
         reach = self._reach_m(sender._tx_power_dbm)
         x, y = sender._position
@@ -713,11 +620,7 @@ class Medium:
         return rows[dx * dx + dy * dy <= reach * reach]
 
     def _build_neighborhood(self, sender: Radio) -> _Neighborhood:
-        hx, hy = self._cell_of(sender._position)
-        cells = tuple((hx + dx, hy + dy)
-                      for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-        cell_versions = tuple(self._cell_versions.get(c, 0) for c in cells)
-        rows = self._in_reach(sender, cells)
+        rows = self._in_reach(sender)
         rows = rows[rows != sender._row]
         blocked = self._link_filter
         if blocked is not None and len(rows):
@@ -739,11 +642,6 @@ class Medium:
             receivers=list(zip(radios, rssi, prr)),
             # Keyed by the radios' own id objects, not fresh ints.
             rssi_by_id=dict(zip([radio.node_id for radio in radios], rssi)),
-            world_version=self._world_version,
-            sender_version=sender.version,
-            filter_version=self._filter_version,
-            cells=cells,
-            cell_versions=cell_versions,
         )
 
     def link_prr(self, sender_id: int, receiver_id: int) -> float:
@@ -778,49 +676,12 @@ class Medium:
         while active and active[0][0] <= horizon:
             heapq.heappop(active)
 
-    def _rebuild_cell_active(self) -> None:
-        """Re-bucket every live transmission by its sender's current cell."""
-        self._cell_active = {}
-        self._cell_active_count = 0
-        for item in self._active:
-            cell = self._cell_of(item[2].radio.position)
-            self._cell_active.setdefault(cell, []).append(item)
-            self._cell_active_count += 1
-        for heap in self._cell_active.values():
-            heapq.heapify(heap)
-
-    def _active_around(self, position: Position, reach: int) -> Sequence[_ActiveItem]:
-        """Heap items of transmissions within ``reach`` cells of ``position``.
-
-        Falls back to the (exact, identical) global heap when the active
-        set is small.  Any transmission audible at
-        ``position`` radiates from within the range bound, hence from an
-        adjacent cell (``reach=1``) — a superset either way.
-        """
-        if len(self._active) <= _SMALL_ACTIVE:
-            return self._active
-        home_x, home_y = self._cell_of(position)
-        horizon = self.sim.now - self._max_airtime
-        cell_active = self._cell_active
-        found: List[_ActiveItem] = []
-        offsets = range(-reach, reach + 1)
-        for dx in offsets:
-            for dy in offsets:
-                heap = cell_active.get((home_x + dx, home_y + dy))
-                if not heap:
-                    continue
-                while heap and heap[0][0] <= horizon:
-                    heapq.heappop(heap)
-                    self._cell_active_count -= 1
-                found.extend(heap)
-        return found
-
     def carrier_busy(self, radio: Radio) -> bool:
         """True if any audible transmission occupies ``radio``'s channel."""
         now = self.sim.now
         channel = radio.channel
         radio_id = radio.node_id
-        for _, _, tx in self._active_around(radio.position, 1):
+        for _, _, tx in self._active:
             if tx.end <= now or not tx.frame.interferes_with(channel):
                 continue
             # A sender is never in its own map, so a radio does not
@@ -838,22 +699,11 @@ class Medium:
         """
         latest = self.sim.now
         radio_id = radio.node_id
-        for _, _, tx in self._active_around(radio.position, 1):
+        for _, _, tx in self._active:
             if (tx.end > latest
                     and radio_id in self._neighborhood(tx.radio).rssi_by_id):
                 latest = tx.end
         return latest
-
-    def _replan_listeners(self) -> None:
-        """The world changed under frames in flight: one of them may now
-        be audible where it was not, so every listen plan looks again."""
-        if not self._planned:
-            return
-        until = max((end for end, _, _ in self._active), default=0.0)
-        if until > self.sim.now:
-            for radio in list(self.radios.values()):
-                if radio.listen_plan is not None:
-                    radio.listen_plan.frame_started(until)
 
     def transmit(
         self,
@@ -880,23 +730,9 @@ class Medium:
                                        node=radio.node_id, t=now,
                                        size=frame.size_bytes)
                 addressee = getattr(frame.payload, "dst", None)
-        tx = _Transmission(radio, frame, now, now + airtime,
-                           self._world_version, span, addressee)
+        tx = _Transmission(radio, frame, now, now + airtime, span, addressee)
         self._active_seq += 1
-        item = (tx.end, self._active_seq, tx)
-        heapq.heappush(self._active, item)
-        cell = self._cell_of(radio.position)
-        heap = self._cell_active.setdefault(cell, [])
-        horizon = now - self._max_airtime
-        while heap and heap[0][0] <= horizon:
-            heapq.heappop(heap)
-            self._cell_active_count -= 1
-        heapq.heappush(heap, item)
-        self._cell_active_count += 1
-        if self._cell_active_count > 2 * len(self._active) + 32:
-            # Untouched cells accumulate expired entries; rebuild
-            # from the (already pruned) global heap to re-bound them.
-            self._rebuild_cell_active()
+        heapq.heappush(self._active, (tx.end, self._active_seq, tx))
         radio._set_state(RadioState.TX)
         radio.frames_sent += 1
         radio.bytes_sent += frame.size_bytes
@@ -911,7 +747,8 @@ class Medium:
             counters["radio.tx"] = counters.get("radio.tx", 0) + 1
 
         # Jammers are never received, only interfere.  The triples are
-        # the ones current *now*: a later move re-aims future frames.
+        # the ones current *now*: a later attach or filter changes only
+        # future frames.
         receivers = () if frame.jam_channels else self._neighborhood(radio).receivers
         if self._planned:
             # Sensed by every listener in earshot, jam frames included.
@@ -944,13 +781,9 @@ class Medium:
         Overlap is in time and channel; where each one is audible is
         what its map says *now*, at the end of ``tx``.
         """
-        # ±2 cells is a superset only under the geometry the receivers
-        # were computed for: after any world change, scan everything.
-        active = (self._active if tx.world_version != self._world_version
-                  else self._active_around(tx.radio.position, 2))
         start, end, channel = tx.start, tx.end, tx.frame.channel
         return [self._neighborhood(other.radio).rssi_by_id
-                for _, _, other in active
+                for _, _, other in self._active
                 if other is not tx and other.end > start and other.start < end
                 and other.frame.interferes_with(channel)]
 

@@ -123,25 +123,13 @@ class FullScanMedium(Medium):
     """A :class:`Medium` that uses no spatial index.
 
     Every attached radio is a candidate of every sender — no cells, no
-    disc, no range bound — and every overlap query (CCA, audible-until,
-    collision arbitration) reads the global end-time heap; a cached
-    neighbourhood is reused only while nothing anywhere changed.  The
-    reference the indexed medium must reproduce byte for byte.
-    Test-side only: ``src/`` has one medium path.
+    disc, no range bound.  The reference the indexed medium must
+    reproduce byte for byte.  Test-side only: ``src/`` has one medium
+    path.
     """
 
-    def _in_reach(self, sender, cells):
+    def _in_reach(self, sender):
         return np.arange(len(self.radios))
-
-    def _active_around(self, position, reach):
-        return self._active
-
-    def _neighborhood(self, sender):
-        entry = self._neighborhoods.get(sender.node_id)
-        if entry is None or entry.world_version != self._world_version:
-            entry = self._build_neighborhood(sender)
-            self._neighborhoods[sender.node_id] = entry
-        return entry
 
     def grid_info(self):
         return dict(super().grid_info(), spatial_index=False)

@@ -12,6 +12,7 @@ Covers the contracts of ``repro.obs.timeseries``:
 """
 
 import json
+import math
 
 import pytest
 
@@ -232,6 +233,20 @@ class TestSystemIntegration:
             IIoTSystem.build(grid_topology(2),
                              config=SystemConfig(telemetry_interval_s=10.0),
                              seed=1)
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_interval_fails_at_build(self, interval):
+        """NaN would fail only at ``start()`` (the kernel's negative-or-
+        NaN delay) and inf would attach an engine that never scrapes:
+        both are refused when the system is built, like 0 and -1."""
+        from repro.core.system import IIoTSystem, SystemConfig
+        from repro.deployment.topology import grid_topology
+
+        config = SystemConfig(observability=True,
+                              telemetry_interval_s=interval)
+        with pytest.raises(ValueError,
+                           match="SystemConfig.telemetry_interval_s"):
+            IIoTSystem.build(grid_topology(2), config=config, seed=1)
 
     def test_telemetry_off_schedules_nothing(self):
         from repro.core.system import IIoTSystem, SystemConfig

@@ -3,14 +3,14 @@
 The indexed and the full-scan medium share their arbitration code, so
 the twin-identity properties in ``test_spatial_index.py`` cannot see a
 change that moves both the same way.  This test can: the digest below
-was recorded when the shadowing draw became a counter-based hash (PR 24;
-on that commit the previous draw, restored in a subclass, still gave the
-digest recorded *before* per-frame arbitration, PR 12) and covers every ``radio.*`` record, every ``on_receive`` upcall and every
+covers every ``radio.*`` record, every ``on_receive`` upcall and every
 CCA answer of a run that reaches each branch of the delivery path —
-more than ``_SMALL_ACTIVE`` concurrent senders (the per-cell heaps), a
-wide-band jammer, a link filter installed and cleared while frames are
-in flight, a sender and a listener moved mid-frame, a power write that
-regrows the grid, a late waker, off-channel, sleeping and failed radios.
+more than 12 concurrent senders, a wide-band jammer, a link filter
+installed and cleared while frames are in flight, a radio attached
+beside an in-flight frame, a 6 dBm radio attached mid-flight (it
+regrows the grid), a late waker, off-channel, sleeping and failed
+radios.  It was recorded with the previous medium (movable radios,
+per-cell overlap heaps), which this one reproduces byte for byte.
 
 A legitimate behaviour change re-records ``GOLDEN``; a performance
 change must not need to.
@@ -35,15 +35,15 @@ STAGGER_S = 0.0001
 FAILED = 5
 
 GOLDEN = {
-    "digest": "9aa2f55716a9458442195dbddb265373bf69792ef7fbeac1021a19f391d3ebc4",
-    "radio.tx": 113,
-    "radio.rx": 132,
-    "radio.miss": 175,
-    "radio.collision": 423,
-    "radio.drop": 218,
-    "cca_busy": 21,
-    "cca_probes": 113,
-    "frames_received": 132,
+    "digest": "c04f15ad0b7c2c0031508da0ac93bad1f955eae5a4f9e44f6d79daa7ab062313",
+    "radio.tx": 115,
+    "radio.rx": 138,
+    "radio.miss": 182,
+    "radio.collision": 444,
+    "radio.drop": 212,
+    "cca_busy": 23,
+    "cca_probes": 115,
+    "frames_received": 138,
 }
 
 
@@ -101,16 +101,24 @@ def run_scenario(medium_cls=Medium):
     jammer = next(r for r in eligible if r not in rounds[1])
     sim.schedule_at(2 * ROUND_S + 0.0005, send(
         jammer, channel=0, jam_channels=frozenset({24, 25, 26})))
-    # Round 3: a sender and one of its listeners move while its frame is
-    # in flight; a sleeper that never sends wakes next to another sender,
-    # too late for the frames already on air.
-    mover = rounds[2][0]
-    sim.schedule_at(3 * ROUND_S + 0.0005, lambda: setattr(
-        mover, "position", (mover.position[0] + 60.0, mover.position[1])))
-    listener = next(r for r in eligible if r not in rounds[2]
-                    and r.node_id % 17 != 7)
-    sim.schedule_at(3 * ROUND_S + 0.0007, lambda: setattr(
-        listener, "position", rounds[2][1].position))
+    def late(node_id, beside, tx_power_dbm=0.0):
+        """Attach a listening radio 1 m from ``beside`` and send at once."""
+        def fire():
+            radio = Radio(medium, node_id,
+                          (beside.position[0] + 1.0, beside.position[1]),
+                          tx_power_dbm=tx_power_dbm)
+            radio.on_receive = (
+                lambda frame, rssi:
+                upcalls.append((node_id, frame.sender, round(rssi, 6))))
+            radio.set_listening()
+            radios.append(radio)
+            send(radio)()
+        return fire
+
+    # Round 3: a radio is attached beside a sender whose frame is in
+    # flight and sends over it; a sleeper that never sends wakes next to
+    # another sender, too late for the frames already on air.
+    sim.schedule_at(3 * ROUND_S + 0.0005, late(RADIOS, rounds[2][1]))
     sleeper = min((r for r in radios if r.node_id % 17 == 7
                    and not any(r in senders for senders in rounds)),
                   key=lambda r: min(math.dist(r.position, s.position)
@@ -122,9 +130,9 @@ def run_scenario(medium_cls=Medium):
         lambda s, r: (s + r) % 3 == 0))
     sim.schedule_at(5 * ROUND_S + 0.0006,
                     lambda: medium.set_link_filter(None))
-    # Round 6: a power write above the grid's sizing basis, mid-flight.
+    # Round 6: a radio louder than the grid's sizing basis, mid-flight.
     sim.schedule_at(6 * ROUND_S + 0.0004,
-                    lambda: setattr(rounds[5][2], "tx_power_dbm", 6.0))
+                    late(RADIOS + 1, rounds[5][2], tx_power_dbm=6.0))
     with TraceRecorder(medium.trace) as recorder:
         sim.run()
     return medium, radios, recorder(medium.trace), cca, upcalls, max_active[0]
@@ -156,7 +164,7 @@ def test_scenario_reaches_every_branch():
     medium, radios, _, cca, upcalls, max_active = run_scenario()
     assert medium.grid_info()["spatial_index"]
     assert len(radios) >= 200
-    assert max_active > 12  # the per-cell heaps, not the global scan
+    assert max_active > 12
     assert 0 < sum(cca) < len(cca)
     for category in ("radio.rx", "radio.miss", "radio.collision",
                      "radio.drop"):

@@ -331,7 +331,8 @@ class TestCounterBasedDraw:
 
 class TestNonFinitePositions:
     """A NaN would poison the link key (and never equal its own grid
-    cell); the radio refuses it where it enters."""
+    cell); the radio refuses it where it enters, and a position is set
+    only there."""
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0), (0.0, math.nan),
                                      (math.inf, 0.0), (0.0, -math.inf)])
@@ -341,15 +342,16 @@ class TestNonFinitePositions:
             Radio(medium, 1, bad)
         assert 1 not in medium.radios
         radio = Radio(medium, 2, (1.0, 2.0))
-        with pytest.raises(PositionError):
+        with pytest.raises(AttributeError):
             radio.position = bad
-        assert radio.position == (1.0, 2.0) and radio.version == 0
+        assert radio.position == (1.0, 2.0)
 
 
 class TestNonFinitePowers:
     """A NaN or infinite power would size the grid cells and cut the
     sender's disc; the radio refuses it where it enters, like a
-    position, and the index keeps the size it had."""
+    position, and the index keeps the size it had.  A power is set only
+    there."""
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejected_at_construction_and_on_write(self, bad):
@@ -359,13 +361,13 @@ class TestNonFinitePowers:
             Radio(medium, 1, (0.0, 0.0), tx_power_dbm=bad)
         assert 1 not in medium.radios
         radio = Radio(medium, 2, (1.0, 2.0))
-        with pytest.raises(PowerError):
+        with pytest.raises(AttributeError):
             radio.tx_power_dbm = bad
-        assert radio.tx_power_dbm == 0.0 and radio.version == 0
+        assert radio.tx_power_dbm == 0.0
         info = medium.grid_info()
         assert info["spatial_index"] and info["cell_size_m"] == size
-        # The index still sizes for a real power written afterwards.
-        radio.tx_power_dbm = 10.0
+        # The index still sizes for a real power attached afterwards.
+        loud = Radio(medium, 3, (1.0, 4.0), tx_power_dbm=10.0)
         assert medium.grid_info()["cell_size_m"] > size
-        other = Radio(medium, 3, (40.0, 2.0))
-        assert [r.node_id for r, _ in medium.audible_from(radio)] == [3]
+        Radio(medium, 4, (40.0, 4.0))
+        assert [r.node_id for r, _ in medium.audible_from(loud)] == [2, 4]

@@ -7,9 +7,10 @@ indistinguishable from the test-side full scan
 (``tests.conftest.FullScanMedium``) — same audible sets, same CCA
 answers, same collisions, byte for byte.
 The property tests here pin that over random placements; the regression
-tests pin the invalidation rules (move, power change, attach, link
-filter) that keep the neighborhoods honest, with ``model.rssi_dbm`` as
-the oracle.
+tests pin the invalidation rules (a late attach, a link filter set and
+cleared) that keep the neighborhoods honest, with ``model.rssi_dbm`` as
+the oracle, and that a radio's geometry cannot be written after it is
+built.
 """
 
 import math
@@ -26,7 +27,6 @@ from repro.deployment.topology import campus_topology
 from repro.net.stack import StackConfig
 from repro.radio.medium import (
     _CELL_MARGIN,
-    _SMALL_ACTIVE,
     AUDIBLE_THRESHOLD_DBM,
     Frame,
     Medium,
@@ -38,32 +38,42 @@ from repro.sim.trace import TraceLog
 from tests.conftest import FullScanMedium, TraceRecorder
 
 
-def build_pair(positions, model_cls, model_kw, seed=1):
-    """The same placement twice: spatially indexed and full scan."""
+def build_pair(positions, model_cls, model_kw, seed=1, powers=()):
+    """The same placement twice: spatially indexed and full scan.
+    ``powers[i]`` is radio ``i``'s tx power (0 dBm past the list)."""
     out = []
     for medium_cls in (Medium, FullScanMedium):
         sim = Simulator(seed=seed)
         medium = medium_cls(sim, model_cls(**model_kw), TraceLog())
-        radios = []
-        for node_id, position in enumerate(positions):
-            radio = Radio(medium, node_id, position)
-            radio.on_receive = lambda frame, rssi: None
-            radio.set_listening()
-            radios.append(radio)
+        radios = [attach(medium, node_id, position,
+                         powers[node_id] if node_id < len(powers) else 0.0)
+                  for node_id, position in enumerate(positions)]
         out.append((sim, medium, radios))
     return out
+
+
+def attach(medium, node_id, position, tx_power_dbm=0.0):
+    """A listening radio that discards what it receives."""
+    radio = Radio(medium, node_id, position, tx_power_dbm=tx_power_dbm)
+    radio.on_receive = lambda frame, rssi: None
+    radio.set_listening()
+    return radio
 
 
 def audible_ids(medium, radio):
     return [(r.node_id, rssi) for r, rssi in medium.audible_from(radio)]
 
 
-def neighborhood_bits(medium, radio):
-    """A sender's whole cached effect, floats to the last bit."""
-    entry = medium._neighborhood(radio)
+def entry_bits(entry):
+    """A neighbourhood entry, floats to the last bit."""
     return ([(r.node_id, rssi.hex(), prr.hex())
              for r, rssi, prr in entry.receivers],
             {node: rssi.hex() for node, rssi in entry.rssi_by_id.items()})
+
+
+def neighborhood_bits(medium, radio):
+    """A sender's whole cached effect."""
+    return entry_bits(medium._neighborhood(radio))
 
 
 coords = st.floats(min_value=0.0, max_value=400.0,
@@ -79,19 +89,23 @@ STAGGER_S = 0.00008
 
 @st.composite
 def contended_scripts(draw):
-    """Radios, rounds of overlapping senders, and world edits at any time."""
-    n = draw(st.integers(_SMALL_ACTIVE + 4, 26))
+    """Radios, rounds of overlapping senders, and world edits at any time:
+    a late radio attached (it sends one frame at once) or a link filter
+    set or cleared."""
+    n = draw(st.integers(16, 26))
     positions = draw(st.lists(st.tuples(coords, coords),
                               min_size=n, max_size=n))
     rounds = draw(st.lists(
-        st.lists(st.integers(0, n - 1), min_size=_SMALL_ACTIVE + 2,
+        st.lists(st.integers(0, n - 1), min_size=14,
                  max_size=n, unique=True),
         min_size=1, max_size=3))
     edits = draw(st.lists(st.tuples(
         st.floats(0.0, 1.0),  # when, as a fraction of the script
-        st.integers(0, n - 1),
-        st.one_of(st.tuples(coords, coords),  # a new position
-                  st.floats(-10.0, 6.0))),  # a new tx power (6 regrows the grid)
+        st.one_of(
+            # A late radio: where, and its tx power (6 regrows the grid).
+            st.tuples(st.tuples(coords, coords), st.floats(-10.0, 6.0)),
+            st.integers(0, n - 1),  # cut every link of this radio
+            st.none())),  # clear the filter
         max_size=6))
     return positions, rounds, edits
 
@@ -154,9 +168,9 @@ class TestIdentityProperties:
            sim_seed=st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_contended_traffic_identical(self, script, model_seed, sim_seed):
-        """More than ``_SMALL_ACTIVE`` frames on the air, moves and power
-        writes between and during them: the per-cell heaps arbitrate
-        exactly like the global scan."""
+        """More than 12 frames on the air, late attaches and link
+        filters between and during them: the indexed medium arbitrates
+        exactly like the full scan."""
         positions, rounds, edits = script
         (isim, indexed, idx_radios), (bsim, brute, bf_radios) = build_pair(
             positions, LogDistanceModel,
@@ -171,6 +185,12 @@ class TestIdentityProperties:
             peak = [0]
 
             def send(radio):
+                # Both media share the cache, so it is checked against
+                # fresh builds: no world edit may leave an entry stale.
+                stale = [node for node, entry in medium._neighborhoods.items()
+                         if entry_bits(entry) != entry_bits(
+                             medium._build_neighborhood(medium.radios[node]))]
+                assert not stale, f"stale neighbourhoods: {stale}"
                 cca.append(medium.carrier_busy(radio))
                 medium.transmit(radio, Frame(
                     payload="p", size_bytes=40,
@@ -181,39 +201,27 @@ class TestIdentityProperties:
                 for i, sender in enumerate(senders):
                     sim.schedule_at(0.001 + k * ROUND_S + i * STAGGER_S,
                                     lambda radio=radios[sender]: send(radio))
-            for when, who, change in edits:
-                attr = "position" if isinstance(change, tuple) else "tx_power_dbm"
-                sim.schedule_at(
-                    when * len(rounds) * ROUND_S,
-                    lambda radio=radios[who], attr=attr, change=change:
-                        setattr(radio, attr, change))
+
+            def edit(change):
+                if isinstance(change, tuple):
+                    position, power = change
+                    late = attach(medium, len(radios), position, power)
+                    radios.append(late)
+                    send(late)
+                elif change is None:
+                    medium.set_link_filter(None)
+                else:
+                    medium.set_link_filter(lambda s, r: change in (s, r))
+
+            for when, change in edits:
+                sim.schedule_at(when * len(rounds) * ROUND_S,
+                                lambda change=change: edit(change))
             with TraceRecorder(medium.trace) as recorder:
                 sim.run()
-            assert peak[0] > _SMALL_ACTIVE
+            assert peak[0] > 12
             answers.append((recorder(medium.trace), cca,
                             [r.frames_received for r in radios]))
         assert answers[0] == answers[1]
-
-    @given(moves=st.lists(st.tuples(st.integers(0, 7), coords, coords),
-                          min_size=1, max_size=10),
-           model_seed=st.integers(0, 200))
-    @settings(max_examples=20, deadline=None)
-    def test_identity_survives_moves(self, moves, model_seed):
-        """Random relocations between queries never desync the caches."""
-        positions = [(40.0 * (i % 4), 40.0 * (i // 4)) for i in range(8)]
-        (_, indexed, idx_radios), (_, brute, bf_radios) = build_pair(
-            positions, LogDistanceModel,
-            dict(shadowing_sigma_db=2.0, seed=model_seed),
-        )
-        # Warm every cache before the first move.
-        for ir, br in zip(idx_radios, bf_radios):
-            assert audible_ids(indexed, ir) == audible_ids(brute, br)
-        for who, x, y in moves:
-            idx_radios[who].position = (x, y)
-            bf_radios[who].position = (x, y)
-            for ir, br in zip(idx_radios, bf_radios):
-                assert audible_ids(indexed, ir) == audible_ids(brute, br)
-
 
 #: The grid is first sized for 0 dBm: powers on both sides of that.
 tx_powers = st.sampled_from([-15.0, -6.0, 0.0, 3.0, 7.0])
@@ -224,21 +232,19 @@ class TestAudibleDisc:
 
     The disc is the model's range bound at the *sender's* power, so the
     cases that matter are powers away from the one the cells were sized
-    for, radios on the disc's edge, and the world edits that move a
-    radio across it.  The reference is the full scan, which prunes
-    nothing.
+    for, radios on the disc's edge, a late radio loud enough to regrow
+    the cells, and a link filter.  The reference is the full scan, which
+    prunes nothing.
     """
 
     @given(positions=placements,
            powers=st.lists(tx_powers, min_size=20, max_size=20),
            sigma=st.sampled_from([0.0, 2.0, 6.0]),
            model_seed=st.integers(0, 1000),
-           mover=st.integers(0, 19), target=st.tuples(coords, coords),
-           raiser=st.integers(0, 19), blocked_id=st.integers(0, 19))
+           target=st.tuples(coords, coords), blocked_id=st.integers(0, 19))
     @settings(max_examples=40, deadline=None)
     def test_neighborhoods_match_full_scan(self, positions, powers, sigma,
-                                           model_seed, mover, target,
-                                           raiser, blocked_id):
+                                           model_seed, target, blocked_id):
         model_kw = dict(path_loss_exponent=3.5, shadowing_sigma_db=sigma,
                         seed=model_seed)
         # Four more radios straddle radio 0's audible range and the
@@ -248,7 +254,8 @@ class TestAudibleDisc:
         x, y = positions[0]
         edge = [(x + range_m * scale * (1.0 + nudge), y)
                 for scale in (1.0, _CELL_MARGIN) for nudge in (-1e-12, 1e-12)]
-        worlds = build_pair(positions + edge, LogDistanceModel, model_kw)
+        worlds = build_pair(positions + edge, LogDistanceModel, model_kw,
+                            powers=powers[:len(positions)])
         (_, indexed, idx_radios), (_, brute, bf_radios) = worlds
         assert not brute.grid_info()["spatial_index"]
 
@@ -258,17 +265,11 @@ class TestAudibleDisc:
                 assert neighborhood_bits(indexed, ir) \
                     == neighborhood_bits(brute, br)
 
-        def edit(who, attr, value):
-            for _, _, radios in worlds:
-                setattr(radios[who % len(radios)], attr, value)
-            check()
-
-        for who, power in enumerate(powers[:len(positions)]):
-            for _, _, radios in worlds:
-                radios[who].tx_power_dbm = power
         check()
-        edit(mover, "position", target)
-        edit(raiser, "tx_power_dbm", 12.0)  # beyond any sizing basis so far
+        # Beyond any sizing basis so far: the grid regrows.
+        for _, medium, radios in worlds:
+            radios.append(attach(medium, len(radios), target, 12.0))
+        check()
         for _, medium, _ in worlds:
             medium.set_link_filter(
                 lambda s, r: blocked_id % len(idx_radios) in (s, r))
@@ -354,26 +355,20 @@ class TestCacheInvalidation:
             sender.position, np.array([receiver.position]),
             sender.tx_power_dbm)[0])
 
-    def test_move_invalidates_rssi_and_neighborhoods(self, sim):
+    @pytest.mark.parametrize("attr, value", [("position", (5.0, 0.0)),
+                                             ("tx_power_dbm", 20.0)])
+    def test_geometry_is_read_only(self, sim, attr, value):
+        """A radio is placed once: its position and power are set when
+        it is built, and a write is refused without touching a cache."""
         medium = self._medium(sim)
         a = Radio(medium, 1, (0.0, 0.0))
-        b = Radio(medium, 2, (1000.0, 0.0))
-        b.set_listening()
-        assert audible_ids(medium, a) == []
-        b.position = (10.0, 0.0)
-        after = audible_ids(medium, a)
-        assert [node for node, _ in after] == [2]
-        assert after[0][1] == self._model_rssi(medium, a, b)
-
-    def test_power_change_invalidates(self, sim):
-        medium = self._medium(sim)
-        a = Radio(medium, 1, (0.0, 0.0), tx_power_dbm=-20.0)
         b = Radio(medium, 2, (150.0, 0.0))
         b.set_listening()
+        before = getattr(b, attr)
         assert audible_ids(medium, a) == []
-        a.tx_power_dbm = 20.0
-        assert [node for node, _ in audible_ids(medium, a)] == [2]
-        a.tx_power_dbm = -20.0
+        with pytest.raises(AttributeError):
+            setattr(b, attr, value)
+        assert getattr(b, attr) == before
         assert audible_ids(medium, a) == []
 
     def test_attach_after_queries_is_visible(self, sim):
@@ -416,40 +411,30 @@ class TestCacheInvalidation:
         b = Radio(medium, 2, (10.0, 0.0))
         near = medium.rssi_between(a, b)
         assert near == self._model_rssi(medium, a, b)
-        b.position = (200.0, 0.0)
-        far = medium.rssi_between(a, b)
-        assert far == self._model_rssi(medium, a, b) < near
 
     def test_stale_rssi_map_not_served(self, sim):
-        """CCA and arbitration read a sender's id->RSSI map; every write
+        """CCA and arbitration read a sender's id->RSSI map; every edit
         that changes a link must be visible in it on the next read."""
         medium = self._medium(sim)
         a = Radio(medium, 1, (0.0, 0.0))
         b = Radio(medium, 2, (10.0, 0.0))
         a.transmit("long frame", 120)  # on the air for the whole test
 
-        def heard():
-            rssi = medium._neighborhood(a).rssi_by_id.get(b.node_id)
-            assert rssi is None or rssi == self._model_rssi(medium, a, b)
-            assert medium.carrier_busy(b) == (rssi is not None)
+        def heard(radio):
+            rssi = medium._neighborhood(a).rssi_by_id.get(radio.node_id)
+            assert rssi is None or rssi == self._model_rssi(medium, a, radio)
+            assert medium.carrier_busy(radio) == (rssi is not None)
             return rssi
 
-        near = heard()
+        near = heard(b)
         assert near is not None
-        b.position = (30.0, 0.0)
-        assert heard() < near
-        b.position = (5000.0, 0.0)
-        assert heard() is None
-        b.position = (10.0, 0.0)
-        assert heard() == near
-        a.tx_power_dbm = -70.0
-        assert heard() is None
-        a.tx_power_dbm = 0.0
-        assert heard() == near
+        # Attached while the frame is in flight, after its map was built.
+        late = Radio(medium, 3, (0.0, 10.0))
+        assert heard(late) is not None
         medium.set_link_filter(lambda s, r: (s, r) == (1, 2))
-        assert heard() is None
+        assert heard(b) is None
         medium.set_link_filter(None)
-        assert heard() == near
+        assert heard(b) == near
 
 
 class TestGridEngagement:
@@ -475,26 +460,12 @@ class TestGridEngagement:
             assert info["spatial_index"]
             assert info["cell_size_m"] >= 1.0
 
-    def test_cells_follow_moves(self, sim):
-        medium = Medium(sim, UnitDiskModel(radius_m=30.0),
-                        TraceLog())
-        a = Radio(medium, 1, (0.0, 0.0))
-        before = medium.grid_info()["cells"]
-        a.position = (500.0, 500.0)
-        Radio(medium, 2, (0.0, 0.0))
-        assert medium.grid_info()["cells"] >= before
-        # The moved radio is findable at its new home.
-        b = Radio(medium, 3, (505.0, 500.0))
-        b.set_listening()
-        assert [node for node, _ in audible_ids(medium, a)] == [3]
-
-
 class TestPerFrameArbitration:
     """Where the overlapping set of a frame is looked for.
 
     Unit-disk radius 30 m gives 30.3 m cells; thirteen far-away fillers
-    keep more than ``_SMALL_ACTIVE`` frames on the air so the indexed
-    medium takes the per-cell path.  The full scan must agree.
+    keep more than 12 frames on the air, all in the one end-time heap the
+    overlapping set is read from.  The full scan must agree.
     """
 
     def _medium(self, spatial):
@@ -503,7 +474,7 @@ class TestPerFrameArbitration:
         medium = medium_cls(sim, UnitDiskModel(radius_m=30.0), TraceLog())
         assert medium.grid_info()["spatial_index"] == spatial
         fillers = [Radio(medium, 100 + i, (1000.0 + 100.0 * i, 1000.0))
-                   for i in range(_SMALL_ACTIVE + 1)]
+                   for i in range(13)]
 
         def crowd():
             for radio in fillers:
@@ -529,28 +500,10 @@ class TestPerFrameArbitration:
         crowd()
         sender.transmit("wanted", 40)
         interferer.transmit("unwanted", 40)
-        assert len(medium._active) > _SMALL_ACTIVE
+        assert len(medium._active) > 12
         sim.run()
         assert self._outcomes(medium, 2) == ["radio.collision"]
         assert self._outcomes(medium, 2, sender=3) == ["radio.collision"]
-
-    @pytest.mark.parametrize("spatial", [True, False])
-    def test_receiver_moved_in_flight_meets_distant_interferer(self, spatial):
-        """The receiver list is the one from send time, interference is
-        judged where everyone is when the frame ends — even ten cells
-        from the sender."""
-        sim, medium, crowd = self._medium(spatial)
-        sender = Radio(medium, 1, (0.0, 0.0))
-        receiver = Radio(medium, 2, (10.0, 0.0))
-        interferer = Radio(medium, 3, (300.0, 0.0))
-        receiver.set_listening()
-        crowd()
-        sender.transmit("wanted", 40)
-        interferer.transmit("unwanted", 40)
-        sim.schedule(0.0005,
-                     lambda: setattr(receiver, "position", (310.0, 0.0)))
-        sim.run()
-        assert self._outcomes(medium, 2) == ["radio.collision"]
 
     @pytest.mark.parametrize("spatial", [True, False])
     def test_upcall_that_cuts_a_link_is_seen_by_later_receivers(self, spatial):
