@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: test gates gates-update census check-invariants sweep bench \
 	bench-layers bench-layers-tsch bench-pairs bench-taxonomy-matrix \
-	cold-start cold-fill report demo
+	cold-start cold-fill kernel-floor report demo
 
 # Tier-1: the fast correctness suite (must always pass).
 test:
@@ -107,6 +107,14 @@ cold-start:
 SEED ?= 2018
 cold-fill:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/cold_fill.py --seed $(SEED)
+
+# What one kernel event costs and how many a run makes (DESIGN.md, "Hot
+# single-trial paths"): the best of five us/event of a no-op event chain
+# and of a cancel/re-arm loop, then grid_csma_collect's timed-section
+# census at SEED — events, heap pushes, pushes cancelled before they
+# fired, zero-delay pushes and heap compactions.
+kernel-floor:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED)
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one

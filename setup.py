@@ -16,7 +16,7 @@ setup(
         "Executable reproduction of 'A Distributed Systems Perspective on "
         "Industrial IoT' (Iwanicki, ICDCS 2018)"
     ),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy"],

@@ -46,7 +46,7 @@ class MacStats:
     acks_sent: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _TxJob:
     dest: int
     payload: Any

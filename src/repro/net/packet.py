@@ -35,7 +35,7 @@ class FrameKind(enum.Enum):
     BEACON = "beacon"
 
 
-@dataclass
+@dataclass(slots=True)
 class MacFrame:
     """A link-layer frame as seen by MAC state machines."""
 
@@ -60,7 +60,7 @@ class MacFrame:
         return MAC_HEADER_BYTES + self.payload_bytes + self.auth_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class NetPacket:
     """A network-layer packet routed hop by hop.
 
@@ -94,7 +94,7 @@ class NetPacket:
         return NET_HEADER_BYTES + route_bytes + self.payload_bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Datagram:
     """A UDP-like datagram delivered to a port on the destination node."""
 

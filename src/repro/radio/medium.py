@@ -162,7 +162,7 @@ class RadioState(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """A physical-layer frame.
 
@@ -188,11 +188,10 @@ class Frame:
         return channel == self.channel or channel in self.jam_channels
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transmission:
     """One frame on the air, kept until nothing can overlap it any more."""
 
-    __slots__ = ("radio", "frame", "start", "end", "span", "addressee")
     radio: "Radio"
     frame: Frame
     start: float
@@ -208,7 +207,7 @@ class _Transmission:
 _ActiveItem = Tuple[float, int, _Transmission]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Neighborhood:
     """A sender's cached audible set.
 
@@ -218,7 +217,6 @@ class _Neighborhood:
     for CCA and collision arbitration (absent = blocked or inaudible).
     """
 
-    __slots__ = ("receivers", "rssi_by_id")
     receivers: List[Tuple["Radio", float, float]]
     rssi_by_id: Dict[int, float]
 
@@ -273,7 +271,7 @@ class Radio:
         self.state = RadioState.SLEEP
         self.state_seconds: Dict[RadioState, float] = {s: 0.0 for s in RadioState}
         self._state_since = medium.sim.now
-        self._listen_since = float("inf")
+        self._listen_since = math.inf
         #: Set by :meth:`set_listen_plan`; None means every field above
         #: is always current.
         self.listen_plan: Any = None
@@ -298,12 +296,13 @@ class Radio:
     # ------------------------------------------------------------------
     def _set_state(self, state: RadioState) -> None:
         now = self.medium.sim.now
-        self.state_seconds[self.state] += now - self._state_since
+        old = self.state  # a planned radio syncs on this one read
+        self.state_seconds[old] += now - self._state_since
         self._state_since = now
-        if state is RadioState.LISTEN and self.state is not RadioState.LISTEN:
-            self._listen_since = now
         if state is not RadioState.LISTEN:
-            self._listen_since = float("inf")
+            self._listen_since = math.inf
+        elif old is not RadioState.LISTEN:
+            self._listen_since = now
         self.state = state
 
     def set_listening(self) -> None:

@@ -16,13 +16,16 @@ inside one interpreter, which is what a warm pool worker executes.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Callable, Dict, List, Optional
+
+_INF = float("inf")
 
 
 class SimTimeError(ValueError):
-    """Raised when an event is scheduled in the simulated past."""
+    """Raised when an event is scheduled in the simulated past, at a
+    NaN or infinite time, or a run is asked to end at one."""
 
 
 class EventHandle:
@@ -32,9 +35,9 @@ class EventHandle:
     popped.  This keeps cancellation O(1) which matters because protocol
     timers (MAC backoffs, Trickle intervals, CoAP retransmissions) are
     cancelled far more often than they fire.  The owning simulator
-    counts cancelled-but-queued events and compacts the heap when they
-    dominate it, so long-lived runs don't drag dead entries through
-    every push and pop.
+    counts cancelled-but-queued events, and a cancel that makes them
+    dominate the heap compacts it, so long-lived runs don't drag dead
+    entries through every push and pop.
     """
 
     __slots__ = ("time", "callback", "cancelled", "fired", "_sim")
@@ -48,10 +51,18 @@ class EventHandle:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent; safe after firing."""
-        if not self.cancelled and not self.fired and self._sim is not None:
-            self._sim._note_cancelled()
-        self.cancelled = True
+        """Prevent the event from firing.  Idempotent; safe after firing.
+
+        The cancel that leaves the heap at least half dead compacts it.
+        """
+        sim = self._sim
+        if self.cancelled or self.fired or sim is None:
+            self.cancelled = True
+            return
+        self.cancelled = True  # first: compaction keeps live entries only
+        dead = sim._cancelled_queued = sim._cancelled_queued + 1
+        if dead >= sim._COMPACT_MIN_CANCELLED and dead * 2 >= len(sim._heap):
+            sim._compact()
 
     @property
     def pending(self) -> bool:
@@ -91,7 +102,11 @@ class Simulator:
         self._ids: Dict[str, int] = {}
         self._heap: List[tuple] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds.  Only the kernel advances
+        #: it; a plain attribute, not a property, because every layer
+        #: reads it (over two reads per event) and CPython 3.10/3.11
+        #: charge a Python call per property read.
+        self.now = 0.0
         self._running = False
         self._stopped = False
         self._events_processed = 0
@@ -101,11 +116,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # time
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Number of events executed so far (for budget checks in tests)."""
@@ -152,9 +162,14 @@ class Simulator:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if not delay >= 0:  # written so that NaN is rejected too
-            raise SimTimeError(f"negative or NaN delay {delay!r}")
-        return self.schedule_at(self._now + delay, callback, priority)
+        # One chained compare: NaN fails it too, and so does inf.
+        if not 0.0 <= delay < _INF:
+            raise SimTimeError(f"delay {delay!r} must be finite and >= 0")
+        time = self.now + delay
+        handle = EventHandle(time, callback, self)
+        self._seq += 1
+        heappush(self._heap, (time, priority, self._seq, handle))
+        return handle
 
     def schedule_at(
         self,
@@ -163,27 +178,34 @@ class Simulator:
         priority: int = 0,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute simulated time ``time``."""
-        if not time >= self._now:  # written so that NaN is rejected too
-            raise SimTimeError(f"cannot schedule at {time} < now {self._now}")
-        if (self._cancelled_queued >= self._COMPACT_MIN_CANCELLED
-                and self._cancelled_queued * 2 >= len(self._heap)):
-            self._compact()
+        if not self.now <= time < _INF:  # NaN and inf fail too
+            raise SimTimeError(
+                f"cannot schedule at {time!r}: must be finite and >= now {self.now}")
         handle = EventHandle(time, callback, self)
         self._seq += 1
-        heapq.heappush(self._heap, (time, priority, self._seq, handle))
+        heappush(self._heap, (time, priority, self._seq, handle))
         return handle
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns False when none remain."""
-        while self._heap:
-            time, _priority, _seq, handle = heapq.heappop(self._heap)
+    def step(self, until: float = _INF) -> bool:
+        """Execute the next pending event if it is due by ``until``.
+
+        Returns False when none remains or the next one lies beyond
+        ``until`` (that entry goes back on the heap, unchanged).  One
+        pop per event: cancelled entries are dropped on the way.
+        """
+        heap = self._heap
+        while heap:
+            time, priority, seq, handle = heappop(heap)
             if handle.cancelled:
                 self._cancelled_queued -= 1
                 continue
-            self._now = time
+            if time > until:
+                heappush(heap, (time, priority, seq, handle))
+                return False
+            self.now = time
             handle.fired = True
             self._events_processed += 1
             handle.callback()
@@ -192,8 +214,8 @@ class Simulator:
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the event queue drains, ``until`` is reached, or
-        ``max_events`` have executed.  An ``until`` before now (or NaN)
-        raises :class:`SimTimeError`.
+        ``max_events`` have executed.  An ``until`` before now, NaN or
+        infinite raises :class:`SimTimeError`.
 
         When ``until`` is given, simulated time is advanced to exactly
         ``until`` even if the queue drains earlier, so metrics windows
@@ -201,28 +223,28 @@ class Simulator:
         run with an event still due by ``until``: the clock then stays
         at the last event fired, since it never runs backwards.
         """
-        if until is not None and not until >= self._now:  # NaN fails too
-            raise SimTimeError(f"cannot run until {until} < now {self._now}")
+        bound = _INF
+        if until is not None:
+            if not self.now <= until < _INF:  # NaN and inf fail too
+                raise SimTimeError(
+                    f"cannot run until {until!r}: must be finite and >= now {self.now}")
+            bound = until
         self._stopped = False
         self._running = True
+        step = self.step
+        limit = _INF if max_events is None else max_events
         executed = 0
         try:
-            while self._heap and not self._stopped:
-                next_time = self._peek_time()
-                if next_time is None:
+            while executed < limit and step(bound):
+                executed += 1
+                if self._stopped:
                     break
-                if until is not None and next_time > until:
-                    break
-                if max_events is not None and executed >= max_events:
-                    break
-                if self.step():
-                    executed += 1
         finally:
             self._running = False
-        if until is not None and not self._stopped and self._now < until:
+        if until is not None and not self._stopped and self.now < until:
             next_time = self._peek_time()
             if next_time is None or next_time > until:
-                self._now = until
+                self.now = until
 
     def stop(self) -> None:
         """Stop :meth:`run` after the current event returns."""
@@ -232,7 +254,7 @@ class Simulator:
         while self._heap:
             time, _priority, _seq, handle = self._heap[0]
             if handle.cancelled:
-                heapq.heappop(self._heap)
+                heappop(self._heap)
                 self._cancelled_queued -= 1
                 continue
             return time
@@ -241,10 +263,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # heap hygiene
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """An EventHandle in the heap was cancelled before firing."""
-        self._cancelled_queued += 1
-
     def _compact(self) -> None:
         """Drop cancelled entries and re-heapify.
 
@@ -255,7 +273,7 @@ class Simulator:
         bounds amortized cost at O(1) per cancellation.
         """
         self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        heapify(self._heap)
         self._cancelled_queued = 0
         self._compactions += 1
 
@@ -273,5 +291,5 @@ class Simulator:
         return self.schedule(0.0, callback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.6f}, pending={self.pending_events})"
+        return f"Simulator(now={self.now:.6f}, pending={self.pending_events})"
 

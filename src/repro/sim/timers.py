@@ -8,6 +8,7 @@ lifecycle so protocol modules never touch the heap directly.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from repro.sim.kernel import EventHandle, Simulator
@@ -17,8 +18,12 @@ class Timer:
     """A one-shot, restartable timer.
 
     Restarting an armed timer cancels the previous deadline — the common
-    "push the watchdog" idiom.
+    "push the watchdog" idiom.  The kernel fires the callback itself:
+    a fired handle is no longer pending, which is all :attr:`armed`
+    needs, so there is no trampoline event in between.
     """
+
+    __slots__ = ("_sim", "_callback", "_handle")
 
     def __init__(self, sim: Simulator, callback: Callable[[], None]) -> None:
         self._sim = sim
@@ -26,19 +31,27 @@ class Timer:
         self._handle: Optional[EventHandle] = None
 
     def start(self, delay: float) -> None:
-        """(Re)arm the timer ``delay`` seconds from now."""
-        self.cancel()
-        self._handle = self._sim.schedule(delay, self._fire)
+        """(Re)arm the timer ``delay`` seconds from now.
+
+        An invalid ``delay`` raises before the old deadline is touched.
+        """
+        old = self._handle
+        self._handle = self._sim.schedule(delay, self._callback)
+        if old is not None:
+            old.cancel()
 
     def start_at(self, time: float, priority: int = 0) -> None:
         """(Re)arm the timer for the absolute instant ``time``.
 
         For deadlines that are a function of something other than the
         arming instant (a slot number times the slot length): ``now +
-        (time - now)`` need not round back to ``time``.
+        (time - now)`` need not round back to ``time``.  An invalid
+        ``time`` raises before the old deadline is touched.
         """
-        self.cancel()
-        self._handle = self._sim.schedule_at(time, self._fire, priority)
+        old = self._handle
+        self._handle = self._sim.schedule_at(time, self._callback, priority)
+        if old is not None:
+            old.cancel()
 
     def cancel(self) -> None:
         """Disarm the timer.  Idempotent."""
@@ -48,7 +61,7 @@ class Timer:
 
     @property
     def armed(self) -> bool:
-        """True while the timer will still fire."""
+        """True while the timer will still fire (False in its callback)."""
         return self._handle is not None and self._handle.pending
 
     @property
@@ -59,9 +72,11 @@ class Timer:
             return self._handle.time
         return None
 
-    def _fire(self) -> None:
-        self._handle = None
-        self._callback()
+
+def _period(value: float) -> float:
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"period must be finite and positive, got {value!r}")
+    return value
 
 
 class PeriodicTimer:
@@ -70,8 +85,12 @@ class PeriodicTimer:
     The first firing happens after ``phase`` seconds (drawn uniformly in
     ``[0, period)`` when not given, to avoid artificial synchronization
     between nodes — a classic simulation artifact this kernel must not
-    exhibit).
+    exhibit).  A NaN or infinite period or phase is refused at
+    construction, and a period also by the setter.
     """
+
+    __slots__ = ("_sim", "_period", "_callback", "_handle", "_running",
+                 "_phase")
 
     def __init__(
         self,
@@ -81,15 +100,15 @@ class PeriodicTimer:
         phase: Optional[float] = None,
         rng_stream: str = "periodic-timer",
     ) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
         self._sim = sim
-        self._period = period
+        self._period = _period(period)
         self._callback = callback
         self._handle: Optional[EventHandle] = None
         self._running = False
         if phase is None:
             phase = sim.substream(rng_stream).uniform(0.0, period)
+        elif not 0.0 <= phase < math.inf:  # NaN fails too
+            raise ValueError(f"phase must be finite and >= 0, got {phase!r}")
         self._phase = phase
 
     @property
@@ -98,9 +117,7 @@ class PeriodicTimer:
 
     @period.setter
     def period(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError("period must be positive")
-        self._period = value
+        self._period = _period(value)
 
     def start(self) -> None:
         """Start the periodic schedule.  Idempotent while running."""

@@ -62,6 +62,31 @@ class TestScheduling:
         sim.run()
         assert sim.now == 0.0 and sim.pending_events == 0
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")], ids=repr)
+    def test_infinite_times_rejected(self, bad):
+        # An event at t = inf would drag ``now`` there, and every later
+        # schedule with it.
+        sim = Simulator()
+        with pytest.raises(SimTimeError):
+            sim.schedule(bad, lambda: None)
+        with pytest.raises(SimTimeError):
+            sim.schedule_at(bad, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_run_until_infinity_rejected(self):
+        # On a queue that drains, run(until=inf) used to leave now == inf.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        with pytest.raises(SimTimeError):
+            sim.run(until=float("inf"))
+        assert sim.now == 0.0 and sim.events_processed == 0
+        sim.run()
+        assert fired == [1.0] and sim.now == 1.0
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        sim.run(until=5.0)
+        assert fired == [1.0, 3.0] and sim.now == 5.0
+
     def test_events_scheduled_during_events_run(self):
         sim = Simulator()
         order = []
@@ -248,13 +273,20 @@ class TestHeapCompaction:
     def test_mass_cancellation_compacts_the_heap(self):
         sim = Simulator(seed=1)
         handles = [sim.schedule(10.0 + i, lambda: None) for i in range(500)]
-        for handle in handles[:400]:
+        for handle in handles[:249]:
             handle.cancel()
-        assert sim.pending_events == 100
-        # The next schedule sees a majority-dead heap and compacts it.
+        assert sim._compactions == 0
+        assert len(sim._heap) == 500
+        # The cancel that leaves half the heap dead compacts it.
+        handles[249].cancel()
+        assert sim._compactions == 1
+        assert len(sim._heap) == sim.pending_events == 250
+        # ... and again at 125 dead of 250; a push never compacts.
+        for handle in handles[250:400]:
+            handle.cancel()
         sim.schedule(1.0, lambda: None)
-        assert sim._compactions >= 1
-        assert len(sim._heap) == 101
+        assert sim._compactions == 2
+        assert len(sim._heap) == 126
         assert sim.pending_events == 101
 
     def test_compaction_preserves_execution_order(self):

@@ -1,9 +1,13 @@
 """Timer and PeriodicTimer semantics."""
 
+import re
+
 import pytest
 
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import SimTimeError, Simulator
 from repro.sim.timers import PeriodicTimer, Timer
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 class TestTimer:
@@ -53,6 +57,29 @@ class TestTimer:
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
 
+    def test_not_armed_inside_its_own_callback(self, sim: Simulator):
+        seen = []
+        timer = Timer(sim, lambda: seen.append((timer.armed, timer.deadline)))
+        timer.start(2.0)
+        sim.run()
+        assert seen == [(False, None)]
+
+    def test_failed_rearm_keeps_the_old_deadline(self, sim: Simulator):
+        # The new deadline is refused before the old one is cancelled.
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(3.0)
+        with pytest.raises(SimTimeError):
+            timer.start(-1)
+        assert timer.armed and timer.deadline == 3.0
+        sim.run(until=1.0)
+        for bad in (0.5, float("nan"), float("inf")):
+            with pytest.raises(SimTimeError):
+                timer.start_at(bad)
+            assert timer.armed and timer.deadline == 3.0
+        sim.run()
+        assert fired == [3.0]
+
 
 class TestPeriodicTimer:
     def test_fires_periodically(self, sim: Simulator):
@@ -92,6 +119,32 @@ class TestPeriodicTimer:
     def test_invalid_period_rejected(self, sim: Simulator):
         with pytest.raises(ValueError):
             PeriodicTimer(sim, 0.0, lambda: None)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_period_rejected_at_construction(
+            self, sim: Simulator, bad: float):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PeriodicTimer(sim, bad, lambda: None, phase=0.0)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PeriodicTimer(sim, bad, lambda: None)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_period_rejected_by_the_setter(
+            self, sim: Simulator, bad: float):
+        fired = []
+        timer = PeriodicTimer(sim, 1.0, lambda: fired.append(sim.now),
+                              phase=0.0)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            timer.period = bad
+        assert timer.period == 1.0
+        timer.start()
+        sim.run(until=2.5)
+        assert fired == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_non_finite_phase_rejected(self, sim: Simulator, bad: float):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            PeriodicTimer(sim, 1.0, lambda: None, phase=bad)
 
     def test_period_change_applies_next_cycle(self, sim: Simulator):
         fired = []
