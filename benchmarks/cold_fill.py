@@ -31,7 +31,10 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from benchmarks.layers.workloads import CampusMedium
 from repro.radio.medium import Medium, Radio

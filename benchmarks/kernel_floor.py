@@ -28,7 +28,10 @@ import sys
 from time import perf_counter
 from typing import Any, Callable, Dict, List
 
-sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _path in (os.path.join(_ROOT, "src"), _ROOT):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
 from benchmarks.layers.workloads import GridCsmaCollect, advance
 from repro.sim.kernel import Simulator

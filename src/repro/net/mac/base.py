@@ -99,6 +99,9 @@ class MacLayer(abc.ABC):
         self._tx_end = 0.0
         self._dedup: Dict[int, int] = {}
         radio.on_receive = self._on_phy_receive
+        # Address recognition: a frame addressed elsewhere is counted at
+        # the radio and never handed up.
+        radio.rx_addresses = frozenset((radio.node_id, BROADCAST))
         self._rng = sim.substream(f"mac.{radio.node_id}")
         #: Cached ``mac.tx`` instruments ``[registry, ok_counter,
         #: failed_counter]`` — _finish_job runs once per frame, making
@@ -182,9 +185,10 @@ class MacLayer(abc.ABC):
         """Bring the radio up to ``sim.now``: charge the windows that
         elapsed untouched in closed form (LISTEN seconds, the channel
         the last one left behind) and, when ``now`` lies inside a
-        window, make that one real.  Called on every read of the
-        radio's state; must be idempotent and cheap when nothing
-        elapsed."""
+        window, make that one real.  Called through
+        :meth:`Radio.sync` wherever the radio's fields are read (the
+        sync rule, :mod:`repro.radio.medium`); must be idempotent and
+        cheap when nothing elapsed."""
 
     def frame_started(self, until: float) -> None:
         """A frame that is on the air until ``until`` just became
@@ -337,9 +341,6 @@ class MacLayer(abc.ABC):
         if frame.kind is FrameKind.BEACON:
             self._handle_beacon(frame)
             return
-        if frame.dst not in (self.radio.node_id, BROADCAST):
-            self._overheard(frame)
-            return
         self._handle_data(frame)
 
     def _accept(self, frame: MacFrame) -> Optional[MacFrame]:
@@ -377,9 +378,6 @@ class MacLayer(abc.ABC):
 
     def _handle_beacon(self, frame: MacFrame) -> None:
         """Receiver-initiated MACs override this."""
-
-    def _overheard(self, frame: MacFrame) -> None:
-        """Frame addressed elsewhere; hooks for snooping MACs."""
 
     def _send_ack(self, to: int, seq: int, turnaround: float = 0.000192) -> None:
         """Transmit a link-layer ACK after the radio turnaround time."""

@@ -6,7 +6,9 @@ engine (:mod:`repro.net.mac.tsch`) can ask for the next occurrence of a
 cell it cares about, plus the per-transaction slot reservations the 6P
 layer (:mod:`repro.net.mac.sixp`) takes while an ADD is in flight.
 Double-booking a slot, scheduled or reserved, raises
-:class:`SlotConflictError`.
+:class:`SlotConflictError`.  The views the slot engine reads on every
+sync and boundary — the listening cells, the TX cells per neighbour —
+are built once and dropped by the next ``add``/``remove``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class TschSchedule:
         #: The scheduled slots in order, kept by add/remove.
         self._slots: List[int] = []
         self._reserved: Dict[int, int] = {}    # slot -> holding txn
+        #: Cached views (see :meth:`listening_cells`, :meth:`tx_cells`);
+        #: None until asked for after the last add/remove.
+        self._listening: Optional[List[Cell]] = None
+        self._tx_cells: Optional[Dict[int, List[Cell]]] = None
 
     # -- queries -------------------------------------------------------
     def get(self, slot: int) -> Optional[Cell]:
@@ -77,12 +83,30 @@ class TschSchedule:
                 return frame_start + wrapped * self.slots + slots[index]
         return None
 
+    def listening_cells(self) -> List[Cell]:
+        """The RX and shared cells, in slot order.  Cached: the caller
+        must not mutate it."""
+        if self._listening is None:
+            self._listening = [c for c in self.cells() if c.listens]
+        return self._listening
+
+    def tx_cells(self) -> Dict[int, List[Cell]]:
+        """``neighbor -> its dedicated TX cells`` in slot order, for
+        every neighbour that has one, in neighbour order.  Cached: the
+        caller must not mutate it."""
+        if self._tx_cells is None:
+            by_neighbor: Dict[int, List[Cell]] = {}
+            for c in self.cells():
+                if c.tx and not c.shared:
+                    by_neighbor.setdefault(c.neighbor, []).append(c)
+            self._tx_cells = dict(sorted(by_neighbor.items()))
+        return self._tx_cells
+
     def dedicated_cells(self) -> List[Cell]:
         return [c for c in self.cells() if not c.shared]
 
     def tx_cells_to(self, neighbor: int) -> List[Cell]:
-        return [c for c in self.cells() if c.tx and not c.shared
-                and c.neighbor == neighbor]
+        return list(self.tx_cells().get(neighbor, ()))
 
     def rx_cells_from(self, neighbor: int) -> List[Cell]:
         return [c for c in self.cells() if c.rx and not c.shared
@@ -109,11 +133,13 @@ class TschSchedule:
                 f"slot {cell.slot} reserved by txn {self._reserved[cell.slot]}")
         self._cells[cell.slot] = cell
         insort(self._slots, cell.slot)
+        self._listening = self._tx_cells = None
 
     def remove(self, slot: int) -> Cell:
         if slot not in self._cells:
             raise SlotConflictError(f"slot {slot} not scheduled")
         del self._slots[bisect_left(self._slots, slot)]
+        self._listening = self._tx_cells = None
         return self._cells.pop(slot)
 
     def reserve(self, slot: int, txn: int) -> None:

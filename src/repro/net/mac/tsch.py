@@ -169,7 +169,6 @@ class TschMac(MacLayer):
         #: when that ASN begins: until then there is nothing to sync.
         self._synced_asn = 0
         self._synced_until = 0.0
-        self._syncing = False
         self._slot_timer = self._timer(self._slot_tick)
         self._slot_end_timer = self._timer(self._slot_end)
         self._ack_timer = self._timer(self._ack_timeout)
@@ -342,7 +341,7 @@ class TschMac(MacLayer):
         no dedicated cell toward its destination yet."""
         if job.dest == BROADCAST:
             return True
-        return not self.schedule.tx_cells_to(job.dest)
+        return job.dest not in self.schedule.tx_cells()
 
     def _arm_tx(self, job: _TxJob, cell: Cell) -> None:
         if cell.shared:
@@ -390,7 +389,7 @@ class TschMac(MacLayer):
     # listen plan: the windows no tick was scheduled for
     # ------------------------------------------------------------------
     def sync(self) -> None:
-        if self.sim.now < self._synced_until or self._syncing:
+        if self.sim.now < self._synced_until:
             return
         self._catch_up(self._begun_asn())
 
@@ -407,14 +406,7 @@ class TschMac(MacLayer):
 
     def _catch_up(self, asn: int) -> None:
         """Account for every slot up to ``asn``, which has begun."""
-        if asn < self._synced_asn:
-            return
-        self._syncing = True    # the radio reads in there are the sync
-        try:
-            opened = self._account_idle(asn)
-        finally:
-            self._syncing = False
-        if opened:
+        if asn >= self._synced_asn and self._account_idle(asn):
             self._schedule_next_slot()      # awake now
 
     def _account_idle(self, asn: int) -> bool:
@@ -439,9 +431,7 @@ class TschMac(MacLayer):
                   and now <= start + self._listen_s)
         upto = asn if inside else asn + 1
         windows, last, last_cell = 0, -1, None
-        for idle in self.schedule.cells():
-            if not idle.listens:
-                continue
+        for idle in self.schedule.listening_cells():
             # Last occurrence of this cell below ``upto``.
             at = upto - 1 - (upto - 1 - idle.slot) % nslots
             if at >= first:
@@ -538,10 +528,8 @@ class TschMac(MacLayer):
             return frame
         due = math.inf
         window = MSF_EVAL_CELLS
-        for peer in self.schedule.neighbors():
-            cells = len(self.schedule.tx_cells_to(peer))
-            if not cells:
-                continue
+        for peer, tx_cells in self.schedule.tx_cells().items():
+            cells = len(tx_cells)
             # The open MSF window closes with what was used so far (a
             # later use re-plans); every window after it closes unused.
             closes = self._boundaries_to_close(peer, cells)
@@ -592,10 +580,8 @@ class TschMac(MacLayer):
             return
         self._frames_done = upto
         window = MSF_EVAL_CELLS
-        for peer in self.schedule.neighbors():
-            cells = len(self.schedule.tx_cells_to(peer))
-            if not cells:
-                continue
+        for peer, tx_cells in self.schedule.tx_cells().items():
+            cells = len(tx_cells)
             self._tsch_stats.cells_elapsed += skipped * cells
             closes = self._boundaries_to_close(peer, cells)
             if skipped < closes:

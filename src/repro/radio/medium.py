@@ -85,13 +85,17 @@ function of time the plan can evaluate later.
 
 - **The sync rule.**  ``plan.sync()`` brings the radio's real fields
   (``state``, ``channel``, ``state_seconds``, ``_listen_since``) up to
-  ``sim.now``.  A radio with a plan is a :class:`_PlannedRadio`, whose
-  ``state`` / ``channel`` / ``state_seconds`` reads sync first, so
-  ``_deliver``, ``carrier_busy``, ``flush_state_time``, the energy meter
-  and any test see what an event-per-window MAC would have left there —
-  including the *stale channel* of a sleeping radio, which decides
-  between a silent skip and a ``radio.miss``.  A plain :class:`Radio`
-  has no property and pays nothing.
+  ``sim.now``.  A planned radio is a plain :class:`Radio` with plain
+  fields; what reads them syncs it first: the radio's own state
+  changes (``_set_state``, ``set_listening``, ``sleep``,
+  ``flush_state_time``), the sender in :meth:`Medium.transmit`, the
+  sensing radio in :meth:`Medium.carrier_busy` and each planned
+  receiver in ``_deliver`` — so they see what an event-per-window MAC
+  would have left there, including the *stale channel* of a sleeping
+  radio, which decides between a silent skip and a ``radio.miss``.
+  Anything else calls :meth:`Radio.sync` before it reads.  At these
+  points an unplanned radio pays one ``listen_plan`` test; ``_deliver``
+  pays nothing per receiver while no radio on the medium has a plan.
 - **What is charged in closed form.**  Windows that elapsed untouched:
   ``n * window`` seconds of LISTEN, the rest of the interval SLEEP, and
   the channel the last of them hopped to.
@@ -251,6 +255,13 @@ class Radio:
     ``on_receive(frame, rssi_dbm)`` callback.
     """
 
+    #: Link-layer addresses this radio recognises: ``_deliver`` hands up
+    #: a frame whose payload names a ``dst`` only if it is in the set
+    #: (it still counts every reception).  None, the class default a
+    #: bare radio keeps without a per-instance copy, hands up every
+    #: frame.
+    rx_addresses: Optional[FrozenSet[Any]] = None
+
     def __init__(
         self,
         medium: "Medium",
@@ -295,8 +306,11 @@ class Radio:
     # state machine
     # ------------------------------------------------------------------
     def _set_state(self, state: RadioState) -> None:
+        # Radio.sync, inlined: every frame changes its sender's state twice.
+        if self.listen_plan is not None:
+            self.listen_plan.sync()
         now = self.medium.sim.now
-        old = self.state  # a planned radio syncs on this one read
+        old = self.state
         self.state_seconds[old] += now - self._state_since
         self._state_since = now
         if state is not RadioState.LISTEN:
@@ -311,6 +325,7 @@ class Radio:
         A no-op while transmitting: the radio returns to LISTEN when the
         in-flight frame ends, so the request is already satisfied.
         """
+        self.sync()
         if self.state is RadioState.TX:
             return
         if self.state is not RadioState.LISTEN:
@@ -318,6 +333,7 @@ class Radio:
 
     def sleep(self) -> None:
         """Power the transceiver down."""
+        self.sync()
         if self.state is RadioState.TX:
             raise RuntimeError(f"radio {self.node_id} busy transmitting")
         if self.state is not RadioState.SLEEP:
@@ -325,23 +341,22 @@ class Radio:
 
     def flush_state_time(self) -> Dict[RadioState, float]:
         """Account time up to now and return the per-state residencies."""
+        self.sync()
         self._set_state(self.state)
         return dict(self.state_seconds)
 
     # ------------------------------------------------------------------
     # listen plan (see the module docstring)
     # ------------------------------------------------------------------
+    def sync(self) -> None:
+        """Bring ``state``, ``channel`` and ``state_seconds`` up to now
+        (the sync rule, see the module docstring); a no-op without a
+        plan."""
+        if self.listen_plan is not None:
+            self.listen_plan.sync()
+
     def set_listen_plan(self, plan: Any) -> None:
         """Register (or clear, with None) the MAC's listen plan."""
-        if plan is not None and not isinstance(self, _PlannedRadio):
-            if type(self) is not Radio:
-                raise TypeError("listen plans need a plain Radio")
-            fields = [(name, getattr(self, name)) for name in _SYNCED]
-            for name, _ in fields:
-                delattr(self, name)
-            self.__class__ = _PlannedRadio
-            for name, value in fields:
-                setattr(self, name, value)
         self.medium._planned += (plan is not None) - (self.listen_plan is not None)
         self.listen_plan = plan
 
@@ -382,6 +397,7 @@ class Radio:
         (the MAC decides whether to sleep afterwards).  ``done`` fires
         when the transmission completes.
         """
+        self.sync()
         frame = Frame(
             payload=payload,
             size_bytes=size_bytes,
@@ -389,34 +405,6 @@ class Radio:
             sender=self.node_id,
         )
         return self.medium.transmit(self, frame, done)
-
-
-#: The fields a planned radio brings up to ``now`` before they are read.
-_SYNCED = ("state", "channel", "state_seconds")
-
-
-def _synced(name: str) -> property:
-    stored = "_" + name
-
-    def read(self: "Radio") -> Any:
-        plan = self.listen_plan
-        if plan is not None:
-            plan.sync()
-        return getattr(self, stored)
-
-    def write(self: "Radio", value: Any) -> None:
-        setattr(self, stored, value)
-
-    return property(read, write)
-
-
-class _PlannedRadio(Radio):
-    """What a :class:`Radio` becomes once a listen plan is registered:
-    reading where it is first brings it up to now."""
-
-    state = _synced("state")
-    channel = _synced("channel")
-    state_seconds = _synced("state_seconds")
 
 
 class Medium:
@@ -677,6 +665,8 @@ class Medium:
 
     def carrier_busy(self, radio: Radio) -> bool:
         """True if any audible transmission occupies ``radio``'s channel."""
+        if radio.listen_plan is not None:
+            radio.listen_plan.sync()
         now = self.sim.now
         channel = radio.channel
         radio_id = radio.node_id
@@ -713,6 +703,8 @@ class Medium:
         """Put ``frame`` on the air from ``radio``."""
         if not radio.enabled:
             raise RuntimeError(f"radio {radio.node_id} is disabled (node failed)")
+        if radio.listen_plan is not None:
+            radio.listen_plan.sync()
         if radio.state is RadioState.TX:
             raise RuntimeError(f"radio {radio.node_id} already transmitting")
         now = self.sim.now
@@ -794,8 +786,15 @@ class Medium:
         one thing its ``emit`` would have done — so an unobserved frame
         costs no call per receiver.  Who watches is asked again whenever
         the log's version moves (an upcall may subscribe, unsubscribe or
-        flip ``enabled``).
+        flip ``enabled``).  A frame whose payload names a ``dst`` a
+        receiver does not recognise (:attr:`Radio.rx_addresses`) is
+        counted there like any other and not handed up.
         """
+        if self._planned:
+            # The sync rule, for every receiver the loop below reads.
+            for receiver, _, _ in receivers:
+                if receiver.listen_plan is not None and receiver.enabled:
+                    receiver.listen_plan.sync()
         frame = tx.frame
         channel, start, sender = frame.channel, tx.start, frame.sender
         now = self.sim.now
@@ -808,6 +807,7 @@ class Medium:
         # are not part of the packet's lifecycle.
         span, addressee = tx.span, tx.addressee
         listen = RadioState.LISTEN
+        dst = getattr(frame.payload, "dst", None)
         interferers: List[Dict[int, float]] = []
         world_version = -1
         watch_version, watched = self._watch_version, self._watched
@@ -854,5 +854,7 @@ class Medium:
             if traced:
                 trace.obs.spans.event(span, "radio.rx", node=node,
                                       t=now, rssi=round(rssi, 1))
-            if receiver.on_receive is not None:
+            if receiver.on_receive is not None and (
+                    dst is None or receiver.rx_addresses is None
+                    or dst in receiver.rx_addresses):
                 receiver.on_receive(frame, rssi)

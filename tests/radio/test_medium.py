@@ -342,3 +342,111 @@ class TestActivePruning:
         # Both directions of the overlap must be arbitrated: the long
         # frame's delivery sees the short frame even though it expired.
         assert trace.count("radio.collision") == 2
+
+
+# ----------------------------------------------------------------------
+# the sync rule: a planned radio is synced where it is read
+# ----------------------------------------------------------------------
+def _logged(name):
+    stored = "_logged_" + name
+
+    def read(self):
+        self.log.append("read " + name)
+        return getattr(self, stored)
+
+    def write(self, value):
+        setattr(self, stored, value)
+
+    return property(read, write)
+
+
+class LoggedRadio(Radio):
+    """Logs every read of the three fields a listen plan keeps current."""
+
+    state = _logged("state")
+    channel = _logged("channel")
+    state_seconds = _logged("state_seconds")
+
+
+class CountingPlan:
+    """A listen plan that only logs that it was asked."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def sync(self):
+        self.log.append("sync")
+
+    def frame_started(self, until):
+        self.log.append("frame_started")
+
+
+class TestSyncRule:
+    def planned(self, sim):
+        medium = make_medium(sim)
+        radio = LoggedRadio(medium, 1, (0, 0))
+        radio.log = []
+        radio.set_listen_plan(CountingPlan(radio.log))
+        return medium, radio
+
+    @pytest.mark.parametrize("point", [
+        "_set_state", "set_listening", "sleep", "flush_state_time",
+        "carrier_busy", "Radio.transmit", "Medium.transmit"])
+    def test_each_sync_point_syncs_before_it_reads(self, sim, point):
+        medium, radio = self.planned(sim)
+        radio.set_listening()
+        radio.log.clear()
+        {"_set_state": lambda: radio._set_state(RadioState.SLEEP),
+         "set_listening": radio.set_listening,
+         "sleep": radio.sleep,
+         "flush_state_time": radio.flush_state_time,
+         "carrier_busy": lambda: medium.carrier_busy(radio),
+         "Radio.transmit": lambda: radio.transmit("x", 20),
+         "Medium.transmit": lambda: medium.transmit(
+             radio, Frame("x", 20, 26, 1)),
+         }[point]()
+        assert radio.log[0] == "sync"
+        assert any(entry.startswith("read ") for entry in radio.log)
+
+    def test_a_frame_ending_syncs_the_sender_and_each_receiver(self, sim):
+        medium, radio = self.planned(sim)
+        radio.set_listening()
+        sender = Radio(medium, 2, (10, 0))
+        got = []
+        radio.on_receive = lambda frame, rssi: got.append(frame.payload)
+        medium.transmit(sender, Frame("to the plan", 20, 26, 2))
+        assert radio.log[-1] == "frame_started"
+        radio.log.clear()
+        sim.run()
+        assert got == ["to the plan"]
+        assert radio.log[0] == "sync"
+        assert "read channel" in radio.log and "read state" in radio.log
+        # ... and the planned sender when its frame ends.
+        medium.transmit(radio, Frame("from the plan", 20, 26, 1))
+        radio.log.clear()
+        sim.run()
+        assert radio.log[0] == "sync" and "read state" in radio.log
+
+    def test_public_sync_asks_the_plan_and_reads_nothing(self, sim):
+        _, radio = self.planned(sim)
+        radio.log.clear()
+        radio.sync()
+        assert radio.log == ["sync"]
+        radio.set_listen_plan(None)
+        radio.sync()
+        assert radio.log == ["sync"]
+
+    def test_frames_look_for_plans_only_while_the_medium_has_one(self, sim):
+        """One ``_planned`` test per frame: with no plan registered,
+        neither ``transmit`` nor ``_deliver`` visits a receiver's plan
+        (a plan set behind the medium's back shows it)."""
+        medium = make_medium(sim)
+        sender = Radio(medium, 1, (0, 0))
+        receiver = Radio(medium, 2, (10, 0))
+        receiver.set_listening()
+        log = []
+        receiver.listen_plan = CountingPlan(log)
+        assert medium._planned == 0
+        sender.transmit("x", 20)
+        sim.run()
+        assert log == [] and receiver.frames_received == 1
