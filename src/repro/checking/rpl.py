@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.checking.base import FaultWindowMixin, InvariantChecker
+from repro.net import packet as wire
 from repro.net.rpl.dodag import RplRouter, RplState
 from repro.net.rpl.objective import INFINITE_RANK
 from repro.sim.trace import TraceRecord
@@ -200,12 +201,12 @@ class DeliveredPathChecker(InvariantChecker):
 
     name = "rpl.path"
 
-    def __init__(self, node_count: int, ttl_limit: int = 16) -> None:
+    def __init__(self, node_count: int) -> None:
         super().__init__()
         self.node_count = node_count
-        #: ttl decrements per forward; the final delivery hop does not
-        #: decrement, hence the +1.
-        self.max_hops = ttl_limit + 1
+        #: Hop *k* receives TTL ``DEFAULT_TTL + 1 - k`` and forwards only
+        #: while that stays above 1, so no copy is delivered farther.
+        self.max_hops = wire.DEFAULT_TTL
         self.deliveries = 0
 
     def _setup(self) -> None:

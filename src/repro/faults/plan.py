@@ -402,7 +402,7 @@ class FaultPlan:
                     and system.medium in _OWNED_LINK_FILTERS:
                 raise ValueError(f"{where}: another installed fault plan "
                                  f"already owns this system's link filter")
-            if clause.at_s < now - 1e-9:
+            if clause.at_s < now:
                 raise ValueError(f"{where} at t={clause.at_s:g} is in the "
                                  f"past (now={now:g})")
             for node in (getattr(clause, name)

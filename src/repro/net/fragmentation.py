@@ -33,7 +33,7 @@ FRAGN_HEADER_BYTES = 5
 REASSEMBLY_TIMEOUT_S = 15.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Fragment:
     """One link-layer fragment of a larger payload."""
 

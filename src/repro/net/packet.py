@@ -25,6 +25,9 @@ ACK_SIZE_BYTES = 5
 NET_HEADER_BYTES = 7
 #: Compressed UDP header.
 UDP_HEADER_BYTES = 4
+#: Hop limit a datagram starts with, and so the longest delivered path
+#: in links.  Read at run time; a test patches it here.
+DEFAULT_TTL = 16
 
 
 class FrameKind(enum.Enum):
@@ -64,15 +67,17 @@ class MacFrame:
 class NetPacket:
     """A network-layer packet routed hop by hop.
 
-    ``source_route`` carries the remaining downward route in non-storing
-    RPL; empty for upward (default-route) traffic.
+    Written once: each attempt sends its own copy (DESIGN.md, "Wire
+    values").  ``source_route`` carries the downward route in
+    non-storing RPL; empty for upward (default-route) traffic.
     """
 
     src: int
     dst: int
     payload: Any
     payload_bytes: int
-    ttl: int = 16
+    ttl: int = DEFAULT_TTL
+    #: Links this copy has crossed.
     hops: int = 0
     source_route: Tuple[int, ...] = ()
     #: RPL datapath validation (RFC 6550 §11.2): rank of the last
@@ -84,8 +89,8 @@ class NetPacket:
     #: (:meth:`~repro.sim.kernel.Simulator.next_id`), which MAC frame
     #: sequence numbers share; 0 = built outside a run.
     packet_id: int = 0
-    #: Root span of this packet's lifecycle trace (repro.obs); stays on
-    #: the packet across hops so every layer attaches child spans to it.
+    #: Root span of this packet's lifecycle trace (repro.obs); every hop's
+    #: copy carries it, so every layer attaches child spans to it.
     trace_ctx: Any = None
 
     @property

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.net import packet as wire
 from repro.net.fragmentation import FragmentationAdapter
 from repro.net.mac.base import MacLayer
 from repro.net.mac.csma import CsmaConfig, CsmaMac
@@ -40,8 +41,6 @@ from repro.sim.trace import TraceLog
 
 #: Reserved UDP-like port carrying DAO messages to the root.
 RPL_DAO_PORT = 0
-#: Hop limit a datagram starts with (read at run time; a test patches it).
-DEFAULT_TTL = 16
 
 _MAC_REGISTRY = {
     "csma": (CsmaMac, CsmaConfig),
@@ -287,28 +286,27 @@ class NetworkStack:
         child of the caller's span; under an observability run a root
         span is opened when the caller has none.
         """
-        datagram = Datagram(
-            src=self.node_id, src_port=src_port,
-            dst=dst, dst_port=dst_port,
-            payload=payload, payload_bytes=payload_bytes,
-        )
-        packet = NetPacket(
-            src=self.node_id, dst=dst,
-            payload=datagram, payload_bytes=datagram.size_bytes,
-            ttl=DEFAULT_TTL, created_at=self.sim.now,
-            packet_id=self.sim.next_id("net.seq"),
-        )
+        ctx = None
         obs = self.trace.obs
         if obs is not None:
             ctx = obs.spans.start(
                 trace_ctx, "net.datagram", node=self.node_id,
                 t=self.sim.now, dst=dst, port=dst_port,
             )
-            packet.trace_ctx = ctx
-            datagram.trace_ctx = ctx
             self._count_datagram(obs, self._SENT, "net.sent")
+        datagram = Datagram(
+            src=self.node_id, src_port=src_port,
+            dst=dst, dst_port=dst_port,
+            payload=payload, payload_bytes=payload_bytes, trace_ctx=ctx,
+        )
+        packet = NetPacket(
+            src=self.node_id, dst=dst,
+            payload=datagram, payload_bytes=datagram.size_bytes,
+            ttl=wire.DEFAULT_TTL, created_at=self.sim.now,
+            packet_id=self.sim.next_id("net.seq"), trace_ctx=ctx,
+        )
         self.stats.datagrams_sent += 1
-        self._route(packet, done)
+        self._route(packet, packet.ttl, done, self.config.upward_retries)
 
     def send_local_broadcast(
         self, port: int, payload: Any, payload_bytes: int, src_port: int = 1,
@@ -325,10 +323,8 @@ class NetworkStack:
         datagram = Datagram(
             src=self.node_id, src_port=src_port,
             dst=BROADCAST, dst_port=port,
-            payload=payload, payload_bytes=payload_bytes,
+            payload=payload, payload_bytes=payload_bytes, trace_ctx=trace_ctx,
         )
-        if trace_ctx is not None:
-            datagram.trace_ctx = trace_ctx
         self.frag.send(BROADCAST, datagram, datagram.size_bytes,
                        trace_ctx=trace_ctx)
 
@@ -347,18 +343,20 @@ class NetworkStack:
     def _route(
         self,
         packet: NetPacket,
-        done: Optional[Callable[[bool], None]] = None,
-        retries_left: Optional[int] = None,
+        ttl: int,
+        done: Optional[Callable[[bool], None]],
+        retries_left: int,
     ) -> None:
-        if retries_left is None:
-            retries_left = self.config.upward_retries
+        """Send a copy of ``packet``, the header as originated or received,
+        one hop on with hop limit ``ttl``; a retry re-routes the same
+        header, never a copy in flight (DESIGN.md, "Wire values")."""
         if packet.dst == self.node_id:
             self._deliver(packet)
             if done is not None:
                 done(True)
             return
         obs = self.trace.obs
-        next_hop = self._next_hop(packet)
+        next_hop, route = self._next_hop(packet)
         if next_hop is None:
             self.stats.datagrams_dropped_no_route += 1
             self.trace.emit(self.sim.now, "net.no_route", node=self.node_id,
@@ -378,7 +376,7 @@ class NetworkStack:
         if obs is not None and packet.trace_ctx is not None:
             hop_ctx = obs.spans.start(
                 packet.trace_ctx, "net.hop", node=self.node_id,
-                t=self.sim.now, next_hop=next_hop, ttl=packet.ttl,
+                t=self.sim.now, next_hop=next_hop, ttl=ttl,
             )
 
         def feedback(ok: bool) -> None:
@@ -391,7 +389,7 @@ class NetworkStack:
                 return
             if retries_left > 0:
                 # Parent re-selection may have found a different hop.
-                self._route(packet, done, retries_left - 1)
+                self._route(packet, ttl, done, retries_left - 1)
                 return
             self.stats.datagrams_dropped_link += 1
             self.trace.emit(self.sim.now, "net.link_drop", node=self.node_id,
@@ -404,31 +402,33 @@ class NetworkStack:
             if done is not None:
                 done(False)
 
-        packet.sender_rank = self.rpl.rank
-        self.frag.send(next_hop, packet, packet.size_bytes, done=feedback,
-                       trace_ctx=hop_ctx)
+        outgoing = NetPacket(
+            src=packet.src, dst=packet.dst, payload=packet.payload,
+            payload_bytes=packet.payload_bytes, ttl=ttl,
+            hops=packet.hops + 1, source_route=route,
+            sender_rank=self.rpl.rank, created_at=packet.created_at,
+            packet_id=packet.packet_id, trace_ctx=packet.trace_ctx,
+        )
+        self.frag.send(next_hop, outgoing, outgoing.size_bytes,
+                       done=feedback, trace_ctx=hop_ctx)
 
-    def _next_hop(self, packet: NetPacket) -> Optional[int]:
-        # Downward source routing.
-        if packet.source_route:
-            try:
-                index = packet.source_route.index(self.node_id)
-            except ValueError:
-                return packet.source_route[0]
-            if index + 1 < len(packet.source_route):
-                return packet.source_route[index + 1]
-            return None
+    def _next_hop(
+        self, packet: NetPacket
+    ) -> Tuple[Optional[int], Tuple[int, ...]]:
+        """The next hop for ``packet`` and the source route to send it with."""
+        route = packet.source_route
+        if route:
+            # Downward source routing: the hop after this node's place.
+            at = route.index(self.node_id) + 1 if self.node_id in route else 0
+            return (route[at] if at < len(route) else None), route
         # At the root: attach a source route from the DAO table.
         if self.rpl.state in (RplState.ROOT, RplState.FLOATING_ROOT) and (
             self.rpl.node_id == (self.rpl.dodag_id or self.rpl.node_id)
         ):
-            route = self.rpl.route_to(packet.dst)
-            if not route:
-                return None
-            packet.source_route = tuple(route)
-            return route[0]
+            hops = self.rpl.route_to(packet.dst)
+            return (hops[0], tuple(hops)) if hops else (None, route)
         # Upward default route.
-        return self.rpl.preferred_parent
+        return self.rpl.preferred_parent, route
 
     def _deliver(self, packet: NetPacket) -> None:
         datagram = packet.payload
@@ -460,8 +460,8 @@ class NetworkStack:
     # MAC upcall dispatch
     # ------------------------------------------------------------------
     def _on_reassembled(self, src: int, payload: Any, total_bytes: int) -> None:
-        """A fragmented payload completed reassembly: dispatch it as if
-        it had arrived in one frame."""
+        """Dispatch a network payload, whole in one frame or reassembled
+        from fragments: a packet, or a header-less broadcast datagram."""
         if isinstance(payload, NetPacket):
             self._handle_packet(payload)
         elif isinstance(payload, Datagram):
@@ -487,26 +487,19 @@ class NetworkStack:
             if self.rnfd is not None:
                 self.rnfd.handle_options({"cfrc": Cfrc(entries=dict(payload.entries))})
             return
-        if isinstance(payload, NetPacket):
-            self._handle_packet(payload)
-            return
-        if isinstance(payload, Datagram):
-            # Link-local broadcast datagram (no network header).
-            handler = self._sockets.get(payload.dst_port)
-            if handler is not None:
-                handler(payload)
+        # A packet, or a link-local broadcast datagram (no network header).
+        self._on_reassembled(frame.src, payload, frame.payload_bytes)
 
     def _handle_packet(self, packet: NetPacket) -> None:
-        packet.hops += 1  # one link traversed, delivery or forward alike
         if packet.dst == self.node_id:
             self._deliver(packet)
             return
         if not packet.source_route and packet.sender_rank <= self.rpl.rank:
             # Upward traffic must strictly decrease in rank.
             self.rpl.datapath_inconsistency()
-        packet.ttl -= 1
+        ttl = packet.ttl - 1
         obs = self.trace.obs
-        if packet.ttl <= 0:
+        if ttl <= 0:
             self.stats.datagrams_dropped_ttl += 1
             self.trace.emit(self.sim.now, "net.ttl_drop", node=self.node_id,
                             dst=packet.dst)
@@ -519,4 +512,4 @@ class NetworkStack:
         self.stats.datagrams_forwarded += 1
         if obs is not None:
             self._count_datagram(obs, self._FORWARDED, "net.forwarded")
-        self._route(packet)
+        self._route(packet, ttl, None, self.config.upward_retries)

@@ -11,10 +11,10 @@ overhead, the energy, and the *possession* semantics, all preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 from repro.net.mac.base import MacLayer
-from repro.net.packet import MacFrame
+from repro.net.packet import FrameKind, MacFrame
 from repro.security.keys import KeyStore
 from repro.sim.mix import mix64
 from repro.sim.trace import TraceLog
@@ -76,19 +76,22 @@ class FrameAuthenticator:
         self._enabled = True
         self.mac.auth_overhead_bytes = self.config.mic_bytes
         self.mac.frame_filter = self._verify
-        # Tag outgoing frames as they are built.
+        # Tag outgoing frames as they are built, in one construction.
         original_data_frame = self.mac.data_frame
+        src = self.mac.radio.node_id
 
         def tagging_data_frame(job):
-            frame = original_data_frame(job)
-            key = self.keystore.key_for(frame.dst)
-            if key is not None:
-                frame.payload = _Authenticated(
-                    tag=compute_tag(key, frame.src, frame.seq),
-                    inner=frame.payload,
-                )
-                self.frames_tagged += 1
-            return frame
+            key = self.keystore.key_for(job.dest)
+            if key is None:
+                return original_data_frame(job)
+            self.frames_tagged += 1
+            return MacFrame(
+                kind=FrameKind.DATA, src=src, dst=job.dest, seq=job.seq,
+                payload=_Authenticated(tag=compute_tag(key, src, job.seq),
+                                       inner=job.payload),
+                payload_bytes=job.payload_bytes, auth_bytes=job.auth_bytes,
+                trace_ctx=job.ctx,
+            )
 
         self.mac.data_frame = tagging_data_frame  # type: ignore[method-assign]
 
@@ -127,11 +130,9 @@ class FrameAuthenticator:
         )
 
 
+@dataclass(frozen=True, slots=True)
 class _Authenticated:
     """Wrapper carrying the MIC alongside the protected payload."""
 
-    __slots__ = ("tag", "inner")
-
-    def __init__(self, tag: int, inner) -> None:
-        self.tag = tag
-        self.inner = inner
+    tag: int
+    inner: Any

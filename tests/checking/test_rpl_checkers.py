@@ -135,13 +135,15 @@ class TestDeliveredPathChecker:
         assert checker.clean
 
     def test_hop_budget_overrun_is_flagged(self):
-        checker = DeliveredPathChecker(node_count=9, ttl_limit=16)
+        checker = DeliveredPathChecker(node_count=9)
         _sim, trace = _attach(checker)
-        trace.emit(1.0, "net.delivered", node=0, src=5, hops=18, path=())
+        trace.emit(1.0, "net.delivered", node=0, src=5, hops=16, path=())
+        assert checker.clean
+        trace.emit(2.0, "net.delivered", node=0, src=5, hops=17, path=())
         assert [v.invariant for v in checker.violations] == [
             "hop_budget_exceeded"
         ]
-        assert checker.violations[0].detail["budget"] == 17
+        assert checker.violations[0].detail["budget"] == 16
 
     def test_source_route_revisit_is_flagged(self):
         checker = DeliveredPathChecker(node_count=9)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -9,13 +10,49 @@ import numpy as np
 import pytest
 
 from repro.devices.phenomena import DiurnalField
-from repro.net.packet import FrameKind, MacFrame
+from repro.net.fragmentation import Fragment
+from repro.net.packet import Datagram, FrameKind, MacFrame, NetPacket
 from repro.net.stack import NetworkStack, StackConfig
 from repro.obs.timeseries import TelemetryWindow
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog, TraceRecord
+
+
+#: What crosses ``Medium.transmit`` and is built as a mutable slotted
+#: dataclass for speed (DESIGN.md, "Wire values"): written once, never
+#: after construction.
+WIRE_TYPES = (Frame, MacFrame, NetPacket, Datagram, Fragment)
+
+
+def _write_once(cls):
+    """A ``__setattr__`` that lets each slot be set once: the
+    constructor's writes pass, any later write raises."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        try:
+            getattr(self, name)
+        except AttributeError:
+            object.__setattr__(self, name, value)
+            return
+        raise dataclasses.FrozenInstanceError(
+            f"{cls.__name__}.{name} written after construction: a wire "
+            f"value is written once; build a new {cls.__name__} instead")
+
+    return __setattr__
+
+
+@pytest.fixture(scope="session", autouse=True)
+def write_once_wire_types():
+    """The tier-1 tripwire: for the whole session, writing a field of a
+    built wire value raises ``FrozenInstanceError`` at the writer.  The
+    classes themselves stay plain slotted dataclasses, so runs outside
+    the tests pay nothing (``frozen=True`` measured ×0.91–0.93)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for cls in WIRE_TYPES:
+            patch.setattr(cls, "__setattr__", _write_once(cls))
+        yield
 
 
 @pytest.fixture

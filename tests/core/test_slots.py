@@ -9,6 +9,7 @@ with a class-level descriptor that stores the raw and the traced
 callback in the instance ``__dict__``.
 """
 
+from repro.net.fragmentation import Fragment
 from repro.net.mac.base import _TxJob
 from repro.net.mac.csma import CsmaMac
 from repro.net.packet import Datagram, FrameKind, MacFrame, NetPacket
@@ -31,6 +32,8 @@ def _slotted(sim: Simulator) -> dict:
         "MacFrame": MacFrame(FrameKind.DATA, 1, 2, 1),
         "NetPacket": NetPacket(1, 2, None, 0),
         "Datagram": Datagram(1, 7, 2, 7, None, 0),
+        "Fragment": Fragment(tag=1, index=0, count=2, total_bytes=150,
+                             chunk_bytes=98),
         "_TxJob": _TxJob(dest=2, payload=None, payload_bytes=0, done=None,
                          seq=1),
         "_Transmission": _Transmission(radio, frame, 0.0, 1.0, None, None),

@@ -150,6 +150,18 @@ class TestRuntimeEffects:
         with pytest.raises(ValueError, match="past"):
             plan.install(system)
 
+    def test_install_rejects_a_clause_a_hair_before_now(self):
+        # Below any float tolerance: the kernel refuses the instant, so
+        # the plan must refuse the clause, by name, before scheduling.
+        system = build_system()
+        plan = FaultPlan().crash(at_s=system.sim.now - 5e-10, node=3)
+        with pytest.raises(ValueError, match="clause 0 .*in the past"):
+            plan.install(system)
+        plan = FaultPlan().crash(at_s=system.sim.now, node=3)
+        plan.install(system)
+        system.run(10.0)
+        assert system.trace.count("fault.crash") == 1
+
     @pytest.mark.parametrize("plan, match", [
         (FaultPlan().crash(300.0, 42), "clause 0 .*unknown node 42"),
         (FaultPlan().sensor_fault(300.0, 1, "nope"),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import stack as stack_module
+from repro.net import packet as wire
 from repro.net.mac.csma import CsmaConfig
 from repro.net.mac.lpl import LplConfig
 from repro.net.mac.tsch import TschConfig
@@ -86,7 +86,7 @@ class TestRouting:
         assert stacks[2].stats.datagrams_dropped_no_route == 1
 
     def test_ttl_protects_against_loops(self, monkeypatch):
-        monkeypatch.setattr(stack_module, "DEFAULT_TTL", 2)
+        monkeypatch.setattr(wire, "DEFAULT_TTL", 2)
         sim, trace, stacks = build_line_network(4, seed=33)
         sim.run(until=120.0)
         got = []
