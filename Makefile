@@ -110,11 +110,14 @@ cold-fill:
 
 # What one kernel event costs and how many a run makes (DESIGN.md, "Hot
 # single-trial paths"): the best of five us/event of a no-op event chain
-# and of a cancel/re-arm loop, then grid_csma_collect's timed-section
+# and of a cancel/re-arm loop, then WORKLOAD's (default
+# grid_csma_collect; any full-stack layered workload) timed-section
 # census at SEED — events, heap pushes, pushes cancelled before they
-# fired, zero-delay pushes and heap compactions.
+# fired, zero-delay pushes and heap compactions, the twelve most pushed
+# callbacks, and the outcome digest (sim_digest's parts without events).
 kernel-floor:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED)
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED) \
+		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one

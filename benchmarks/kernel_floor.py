@@ -8,16 +8,26 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   a *cancel/re-arm loop* (the same chain, where every event also
   re-arms a watchdog :class:`~repro.sim.timers.Timer` that never fires:
   one cancel and one push more per event);
-- the event census of ``grid_csma_collect``'s timed section at ``--seed``
-  (the layered benchmark's own set-up and slicing, untraced): events
-  run, heap pushes, pushes cancelled before they fired, zero-delay
-  pushes (``call_soon`` and friends) and heap compactions.
+- the event census of one full-stack layered workload's timed section
+  (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
+  the layered benchmark's own set-up and slicing, untraced: events run,
+  heap pushes, pushes cancelled before they fired, zero-delay pushes
+  (``call_soon`` and friends) and heap compactions;
+- the same pushes per callback (qualified name: pushed, fired,
+  cancelled before fire), the twelve most pushed;
+- the *outcome digest*: sha256 of the workload's ``sim_digest`` parts
+  without ``events`` — what must not move when a change only removes
+  events nothing observes, while ``sim_digest`` itself hashes
+  ``events_processed``.
 
 The census counts through instance attributes that shadow
-``schedule``/``schedule_at`` on that one simulator, so it runs
-unchanged on any checkout with the same kernel API.
+``schedule``/``schedule_at`` on that one simulator, and captures the
+digest parts by shadowing ``benchmarks.layers.workloads.sim_digest`` in
+this process, so it runs unchanged on any checkout with the same kernel
+and workload API.
 
     make kernel-floor         # python benchmarks/kernel_floor.py --seed 2018
+    make kernel-floor WORKLOAD=gateway_services SEED=2021
 """
 
 from __future__ import annotations
@@ -25,21 +35,28 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from time import perf_counter
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (os.path.join(_ROOT, "src"), _ROOT):
     if _path not in sys.path:
         sys.path.insert(0, _path)
 
-from benchmarks.layers.workloads import GridCsmaCollect, advance
+from benchmarks.layers import workloads
+from benchmarks.layers.workloads import DEFAULT_SCALE, WORKLOADS, advance
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 
 #: Events per synthetic loop, and how many times each is run.
 LOOP_EVENTS = 200_000
 REPEATS = 5
+#: The layered workloads that run the whole stack (all but the bare
+#: medium).
+FULL_STACK = tuple(name for name in WORKLOADS if name != "campus_medium")
+#: Callbacks listed by the per-callback census.
+TOP_CALLBACKS = 12
 
 
 def noop_chain(events: int) -> float:
@@ -81,12 +98,16 @@ def rearm_loop(events: int) -> float:
     return (perf_counter() - start) / sim.events_processed * 1e6
 
 
-def census(seed: int) -> Dict[str, int]:
-    """The event census of ``grid_csma_collect``'s timed section."""
-    workload = GridCsmaCollect(seed)
+def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
+           scale: float = DEFAULT_SCALE
+           ) -> Tuple[Dict[str, int], List[Tuple[str, int, int, int]], str]:
+    """The event census of ``workload_name``'s timed section: the
+    totals, ``(qualname, pushed, fired, cancelled before fire)`` per
+    callback, most pushed first, and the outcome digest."""
+    workload = WORKLOADS[workload_name](seed, scale)
     workload.setup(lambda: None)
     sim = workload.sim
-    handles: List[Any] = []
+    pushes: List[Tuple[str, Any]] = []
     zero = 0
     depth = 0
 
@@ -103,7 +124,9 @@ def census(seed: int) -> Dict[str, int]:
             finally:
                 depth -= 1
             if depth == 0:
-                handles.append(handle)
+                name = getattr(callback, "__qualname__",
+                               type(callback).__qualname__)
+                pushes.append((name, handle))
                 zero += is_zero(when)
             return handle
         return wrapper
@@ -116,19 +139,50 @@ def census(seed: int) -> Dict[str, int]:
         advance(sim, workload.timed_until, lambda: None)
     finally:
         del sim.schedule, sim.schedule_at
-    return {
+    totals = {
         "events": sim.events_processed - events,
-        "pushes": len(handles),
+        "pushes": len(pushes),
         "cancelled before fire": sum(
-            1 for h in handles if h.cancelled and not h.fired),
+            1 for _, h in pushes if h.cancelled and not h.fired),
         "zero-delay pushes": zero,
         "compactions": sim._compactions - compactions,
     }
+    pushed: Counter = Counter()
+    fired: Counter = Counter()
+    cancelled: Counter = Counter()
+    for name, handle in pushes:
+        pushed[name] += 1
+        fired[name] += handle.fired
+        cancelled[name] += handle.cancelled and not handle.fired
+    rows = [(name, count, fired[name], cancelled[name])
+            for name, count in pushed.most_common()]
+    return totals, rows, outcome_digest(workload)
+
+
+def outcome_digest(workload: Any) -> str:
+    """Run ``workload.finish()`` and hash its ``sim_digest`` parts
+    without ``events``."""
+    original = workloads.sim_digest
+    captured: List[Dict[str, Any]] = []
+
+    def capturing(parts: Dict[str, Any]) -> str:
+        captured.append(parts)
+        return original(parts)
+
+    workloads.sim_digest = capturing
+    try:
+        workload.finish()
+    finally:
+        workloads.sim_digest = original
+    (parts,) = captured
+    return original({k: v for k, v in parts.items() if k != "events"})
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2018)
+    parser.add_argument("--workload", choices=FULL_STACK,
+                        default="grid_csma_collect")
     args = parser.parse_args()
 
     print(f"kernel floor, best of {REPEATS} x {LOOP_EVENTS} events:")
@@ -136,9 +190,14 @@ def main() -> int:
                        ("cancel/re-arm loop", rearm_loop)):
         best = min(loop(LOOP_EVENTS) for _ in range(REPEATS))
         print(f"  {name:24s}{best:8.2f} us/event")
-    print(f"grid_csma_collect seed {args.seed}, timed section:")
-    for name, value in census(args.seed).items():
+    totals, rows, digest = census(args.workload, args.seed)
+    print(f"{args.workload} seed {args.seed}, timed section:")
+    for name, value in totals.items():
         print(f"  {name:24s}{value:8d}")
+    print(f"  {'callback':52s}{'pushed':>8s}{'fired':>8s}{'cancelled':>10s}")
+    for name, pushed, fired, cancelled in rows[:TOP_CALLBACKS]:
+        print(f"  {name:52s}{pushed:8d}{fired:8d}{cancelled:10d}")
+    print(f"outcome digest (sim_digest parts without events): {digest}")
     return 0
 
 

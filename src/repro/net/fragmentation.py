@@ -15,6 +15,7 @@ calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -53,13 +54,13 @@ class Fragment:
 
 
 class _ReassemblyBuffer:
-    __slots__ = ("fragments", "count", "payload", "timer")
+    __slots__ = ("fragments", "count", "payload", "deadline")
 
-    def __init__(self, count: int, timer: Timer) -> None:
+    def __init__(self, count: int, deadline: float) -> None:
         self.fragments: set = set()
         self.count = count
         self.payload: Any = None
-        self.timer = timer
+        self.deadline = deadline
 
 
 class FragmentationAdapter:
@@ -78,12 +79,17 @@ class FragmentationAdapter:
         self.deliver = deliver
         self.mtu_bytes = mtu_bytes
         self.trace = trace if trace is not None else TraceLog()
+        #: Live buffers in creation order, which is deadline order.
         self._buffers: Dict[Tuple[int, int], _ReassemblyBuffer] = {}
-        #: Recently completed (src, tag) pairs: a straggler duplicate of
-        #: an already-delivered packet must not seed a fresh buffer (and
-        #: eventually deliver twice).  Entries age out with the same
-        #: timeout as reassembly itself.
-        self._completed: Dict[Tuple[int, int], Timer] = {}
+        #: Recently completed (src, tag) -> until when a fragment of it
+        #: is a straggler that must not seed a fresh buffer (and deliver
+        #: twice).  In completion order; stale ones go from the front.
+        self._completed: Dict[Tuple[int, int], float] = {}
+        #: One timer for all buffers, armed at ``_due`` (inf: disarmed)
+        #: for the oldest one's deadline (DESIGN.md, "Hot single-trial
+        #: paths": the same expiries as a timer per buffer).
+        self._expiry = Timer(sim, self._expire_due)
+        self._due = math.inf
         self.packets_fragmented = 0
         self.fragments_sent = 0
         self.reassemblies = 0
@@ -182,34 +188,55 @@ class FragmentationAdapter:
         if not isinstance(payload, Fragment):
             return False
         key = (src, payload.tag)
-        if key in self._completed:
+        now = self.sim.now
+        if now < self._completed.get(key, now):
             self.duplicate_fragments += 1
             return True
+        if now >= self._due:
+            # Expiry is due at this very instant: a buffer's deadline
+            # comes before any fragment that arrives at it.
+            self._expire_due()
         buffer = self._buffers.get(key)
         if buffer is None:
-            timer = Timer(self.sim, lambda: self._expire(key))
-            buffer = _ReassemblyBuffer(payload.count, timer)
-            self._buffers[key] = buffer
-            timer.start(REASSEMBLY_TIMEOUT_S)
+            buffer = self._buffers[key] = _ReassemblyBuffer(
+                payload.count, now + REASSEMBLY_TIMEOUT_S)
+            if self._due == math.inf:
+                self._due = buffer.deadline
+                self._expiry.start_at(buffer.deadline)
         buffer.fragments.add(payload.index)
         if payload.index == 0:
             buffer.payload = payload.payload
         if len(buffer.fragments) == buffer.count:
-            buffer.timer.cancel()
             del self._buffers[key]
-            done_timer = Timer(self.sim, lambda: self._completed.pop(key, None))
-            self._completed[key] = done_timer
-            done_timer.start(REASSEMBLY_TIMEOUT_S)
+            completed = self._completed
+            while completed:
+                oldest = next(iter(completed))
+                if completed[oldest] > now:
+                    break
+                del completed[oldest]
+            completed[key] = now + REASSEMBLY_TIMEOUT_S
             self.reassemblies += 1
-            self.trace.emit(self.sim.now, "frag.reassembled",
+            self.trace.emit(now, "frag.reassembled",
                             node=self.mac.radio.node_id, src=src,
                             tag=payload.tag)
             self.deliver(src, buffer.payload, payload.total_bytes)
         return True
 
-    def _expire(self, key: Tuple[int, int]) -> None:
-        if key in self._buffers:
-            del self._buffers[key]
+    def _expire_due(self) -> None:
+        """Drop every buffer whose deadline has come, oldest first, then
+        re-arm for the oldest one left."""
+        now = self.sim.now
+        buffers = self._buffers
+        while buffers:
+            key = next(iter(buffers))
+            deadline = buffers[key].deadline
+            if deadline > now:
+                self._due = deadline
+                self._expiry.start_at(deadline)
+                return
+            del buffers[key]
             self.reassembly_failures += 1
-            self.trace.emit(self.sim.now, "frag.timeout",
+            self.trace.emit(now, "frag.timeout",
                             node=self.mac.radio.node_id, tag=key[1])
+        self._due = math.inf
+        self._expiry.cancel()

@@ -288,7 +288,11 @@ class MacLayer(abc.ABC):
         self._in_flight = None
         if job.done is not None:
             job.done(success)
-        self.sim.call_soon(self._kick)
+        # Over an empty queue the kick would be a no-op: ``send`` kicks
+        # synchronously and no ``_start_job`` ends its job before it
+        # returns, so a job enqueued later is in flight when it fires.
+        if self._queue:
+            self.sim.call_soon(self._kick)
 
     def _transmit_frame(
         self, frame: MacFrame, done: Optional[Callable[[], None]] = None

@@ -17,6 +17,7 @@ grounded DIOs win and the float dissolves.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
@@ -28,7 +29,11 @@ from repro.net.rpl.objective import (
     Mrhof,
     ROOT_RANK,
 )
-from repro.net.rpl.trickle import TrickleTimer, make_trickle_variant
+from repro.net.rpl.trickle import (
+    TRICKLE_VARIANTS,
+    TrickleTimer,
+    make_trickle_variant,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
 from repro.sim.trace import TraceLog
@@ -107,6 +112,28 @@ class RplConfig:
     #: Form floating DODAGs when detached this long; None disables.
     float_delay_s: Optional[float] = None
 
+    def validate(self) -> None:
+        """Refuse a value the router cannot run, naming its field."""
+        periods = ["trickle_imin_s", "dao_period_s", "dis_period_s",
+                   "staleness_check_period_s"]
+        periods += [name for name in ("staleness_timeout_s", "float_delay_s")
+                    if getattr(self, name) is not None]
+        for name in periods:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"RplConfig.{name} must be finite and "
+                                 f"positive, got {value!r}")
+        for name, least in (("trickle_doublings", 0), ("trickle_k", 1),
+                            ("parent_fail_threshold", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"RplConfig.{name} must be >= {least}, "
+                                 f"got {getattr(self, name)!r}")
+        if self.trickle_variant not in TRICKLE_VARIANTS:
+            raise ValueError(
+                f"RplConfig.trickle_variant: unknown Trickle variant "
+                f"{self.trickle_variant!r}; choose from "
+                f"{sorted(TRICKLE_VARIANTS)}")
+
 
 class RplRouter:
     """The per-node RPL routing agent."""
@@ -125,6 +152,7 @@ class RplRouter:
         self.node_id = node_id
         self.transport = transport
         self.config = config if config is not None else RplConfig()
+        self.config.validate()
         self.objective = objective if objective is not None else Mrhof()
         self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root

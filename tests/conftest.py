@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.devices.phenomena import DiurnalField
-from repro.net.fragmentation import Fragment
+from repro.net.fragmentation import (
+    REASSEMBLY_TIMEOUT_S,
+    Fragment,
+    FragmentationAdapter,
+    _ReassemblyBuffer,
+)
 from repro.net.packet import Datagram, FrameKind, MacFrame, NetPacket
 from repro.net.stack import NetworkStack, StackConfig
 from repro.obs.timeseries import TelemetryWindow
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.timers import Timer
 from repro.sim.trace import TraceLog, TraceRecord
 
 
@@ -307,6 +314,83 @@ def eager_tsch():
             return self._frames_done
 
     return EagerTschMac
+
+
+def eager_kick(mac_cls):
+    """``mac_cls`` that schedules a ``_kick`` after every job it ends,
+    queue or no queue.
+
+    ``MacLayer._finish_job`` schedules one only when a job is waiting:
+    a kick over an empty queue finds a job in flight or nothing to do.
+    This subclass adds the elided one back in the same place, after
+    ``done``, so its runs show what that elision changed: the events it
+    saves (counted in ``empty_kicks``) and nothing else.  Test-side only
+    — ``src/`` has one ``_finish_job``.
+    """
+
+    class EagerKickMac(mac_cls):
+        empty_kicks = 0
+
+        def _finish_job(self, job, success):
+            super()._finish_job(job, success)
+            if not self._queue:
+                self.empty_kicks += 1
+                self.sim.call_soon(self._kick)
+
+    return EagerKickMac
+
+
+class TimerPerBufferAdapter(FragmentationAdapter):
+    """A reassembler with a ``Timer`` per buffer and another per
+    completed ``(src, tag)``.
+
+    ``FragmentationAdapter`` keeps deadlines and one timer for them all;
+    this is the design it replaced, two timer pushes per packet, kept as
+    the reference the deadline rules must reproduce (as
+    :class:`FullScanMedium` is for the indexed medium).  Test-side only.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._timers: Dict[Tuple[int, int], Timer] = {}
+
+    def on_frame(self, src: int, payload: Any, payload_bytes: int) -> bool:
+        if not isinstance(payload, Fragment):
+            return False
+        key = (src, payload.tag)
+        if key in self._completed:
+            self.duplicate_fragments += 1
+            return True
+        buffer = self._buffers.get(key)
+        if buffer is None:
+            buffer = self._buffers[key] = _ReassemblyBuffer(
+                payload.count, math.inf)
+            timer = self._timers[key] = Timer(
+                self.sim, lambda: self._expire(key))
+            timer.start(REASSEMBLY_TIMEOUT_S)
+        buffer.fragments.add(payload.index)
+        if payload.index == 0:
+            buffer.payload = payload.payload
+        if len(buffer.fragments) == buffer.count:
+            self._timers.pop(key).cancel()
+            del self._buffers[key]
+            done = Timer(self.sim, lambda: self._completed.pop(key, None))
+            self._completed[key] = done
+            done.start(REASSEMBLY_TIMEOUT_S)
+            self.reassemblies += 1
+            self.trace.emit(self.sim.now, "frag.reassembled",
+                            node=self.mac.radio.node_id, src=src,
+                            tag=payload.tag)
+            self.deliver(src, buffer.payload, payload.total_bytes)
+        return True
+
+    def _expire(self, key: Tuple[int, int]) -> None:
+        if key in self._buffers:
+            del self._buffers[key]
+            del self._timers[key]
+            self.reassembly_failures += 1
+            self.trace.emit(self.sim.now, "frag.timeout",
+                            node=self.mac.radio.node_id, tag=key[1])
 
 
 class ReplayAttacker:

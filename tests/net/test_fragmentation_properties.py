@@ -1,8 +1,9 @@
-"""Property-based checks on fragmentation plans and kernel metrics."""
+"""Property-based checks on fragmentation plans, reassembly and kernel
+metrics."""
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.fragmentation import (
     FRAGN_HEADER_BYTES,
@@ -16,6 +17,7 @@ from repro.obs.registry import percentile
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from tests.conftest import TimerPerBufferAdapter
 
 
 def make_adapter():
@@ -148,3 +150,89 @@ def test_non_fragment_payloads_pass_through():
     assert adapter.on_frame(src=2, payload="plain", payload_bytes=8) is False
     assert received == []
     assert len(adapter._buffers) == 0
+
+
+# ----------------------------------------------------------------------
+# reassembly deadlines against a timer per buffer
+# ----------------------------------------------------------------------
+#: Gaps between arrivals: several at one instant, and sums that land on
+#: a deadline or an ``until`` exactly (multiples of 2.5 s add exactly).
+GAPS = st.sampled_from([0.0, 0.0, 2.5, 5.0, 10.0, 12.5, REASSEMBLY_TIMEOUT_S])
+#: ``(gap, src, tag, index)``; tags are distinct across sources (as
+#: ``frag.tag`` ids are in a run), so a timeout's tag names its buffer.
+ARRIVALS = st.lists(st.tuples(
+    GAPS, st.sampled_from([1, 2]), st.sampled_from([1, 2]),
+    st.integers(min_value=0, max_value=2)), max_size=30)
+
+
+def _count(src, tag):
+    return 2 + (src + tag) % 2
+
+
+def drive(adapter_cls, arrivals):
+    """Feed ``arrivals`` to a fresh ``adapter_cls``, each one scheduled
+    by the one before it, after that one's ``on_frame`` — as a frame's
+    reception is pushed when it starts, never before the buffer it
+    joins was created.  Returns the ``(time, category, src, tag)`` of
+    every ``frag.reassembled``/``frag.timeout``, the deliveries, the
+    counters and the adapter."""
+    sim, adapter, _ = make_receiver()
+    adapter = adapter_cls(sim, adapter.mac, deliver=adapter.deliver)
+    delivered = []
+    adapter.deliver = lambda src, payload, total: delivered.append(
+        (sim.now, src, payload))
+    records = []
+    adapter.trace.subscribe_stream(records.append)
+
+    def arrive(k):
+        _, src, tag, index = arrivals[k]
+        tag += 10 * src
+        count = _count(src, tag)
+        fragment = Fragment(tag=tag, index=index % count, count=count,
+                            total_bytes=400, chunk_bytes=97,
+                            payload=(src, tag) if index % count == 0 else None)
+        adapter.on_frame(src, fragment, fragment.size_bytes)
+        if k + 1 < len(arrivals):
+            sim.schedule(arrivals[k + 1][0], lambda: arrive(k + 1))
+
+    if arrivals:
+        sim.schedule(arrivals[0][0], lambda: arrive(0))
+    sim.run(until=sum(a[0] for a in arrivals) + 3 * REASSEMBLY_TIMEOUT_S)
+    frag = [(r.time, r.category, r.data.get("src"), r.data["tag"])
+            for r in records if r.category.startswith("frag.")]
+    counters = (adapter.reassemblies, adapter.reassembly_failures,
+                adapter.duplicate_fragments)
+    return frag, delivered, counters, adapter
+
+
+@given(arrivals=ARRIVALS)
+@example(arrivals=[  # a fragment at exactly its buffer's deadline
+    (0.0, 1, 1, 0), (REASSEMBLY_TIMEOUT_S, 1, 1, 1), (0.0, 1, 1, 2)])
+@example(arrivals=[  # stragglers before and at exactly the key's until
+    (0.0, 1, 1, 0), (0.0, 1, 1, 1), (0.0, 1, 1, 2), (12.5, 1, 1, 0),
+    (2.5, 1, 1, 1)])
+@example(arrivals=[  # several buffers created at one instant
+    (0.0, 1, 1, 0), (0.0, 2, 2, 0), (0.0, 1, 2, 1), (0.0, 2, 1, 1),
+    (REASSEMBLY_TIMEOUT_S, 2, 2, 1), (0.0, 1, 2, 0)])
+@example(arrivals=[  # a deadline reached after the one timer re-armed
+    (0.0, 1, 1, 0), (5.0, 2, 1, 0), (2.5, 1, 1, 1), (0.0, 1, 1, 2),
+    (12.5, 2, 1, 1)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_reassembly_deadlines_match_a_timer_per_buffer(arrivals):
+    """The one-timer reassembler times out, completes and discards as
+    the timer-per-buffer one does: same instants, same order."""
+    frag, delivered, counters, _ = drive(FragmentationAdapter, arrivals)
+    assert (frag, delivered, counters) == drive(
+        TimerPerBufferAdapter, arrivals)[:3]
+
+
+def test_completed_keys_age_out():
+    """After a quiet ``2 * REASSEMBLY_TIMEOUT_S`` one more completion
+    leaves only itself in ``_completed``: the memory stays bounded."""
+    quiet = 2 * REASSEMBLY_TIMEOUT_S
+    _, delivered, _, adapter = drive(FragmentationAdapter, [
+        (0.0, 1, 1, 0), (0.0, 1, 1, 1), (0.0, 1, 1, 2),
+        (0.0, 2, 2, 0), (0.0, 2, 2, 1), (0.0, 2, 2, 2),
+        (quiet, 1, 2, 0), (0.0, 1, 2, 1), (0.0, 1, 2, 2)])
+    assert [src for _, src, _ in delivered] == [1, 2, 1]
+    assert list(adapter._completed) == [(1, 12)]

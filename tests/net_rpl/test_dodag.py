@@ -1,9 +1,14 @@
 """DODAG formation, repair, and partition behaviour (integration-level,
 driven through full network stacks on a simulated medium)."""
 
-from repro.net.rpl.dodag import RplConfig, RplState
+import math
+
+import pytest
+
+from repro.net.rpl.dodag import RplConfig, RplRouter, RplState
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
 from repro.net.stack import StackConfig
+from repro.sim.kernel import Simulator
 from tests.conftest import (
     build_grid_network,
     build_line_network,
@@ -160,3 +165,32 @@ class TestFloating:
         sim.run(until=sim.now + 900.0)
         assert all(s.rpl.state is RplState.JOINED for s in stacks[1:])
         assert all(s.rpl.grounded for s in stacks[1:])
+
+
+class TestConfigValidation:
+    """``RplRouter`` refuses a config it cannot run at construction, and
+    the refusal names the field — not a kernel or timer error later."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("trickle_imin_s", 0.0),
+        ("dao_period_s", 0),
+        ("dis_period_s", math.nan),
+        ("staleness_check_period_s", -30.0),
+        ("staleness_timeout_s", math.inf),
+        ("float_delay_s", 0.0),
+        ("trickle_doublings", -1),
+        ("trickle_k", 0),
+        ("parent_fail_threshold", 0),
+        ("trickle_variant", "eager"),
+    ])
+    def test_bad_value_is_refused_by_name(self, field, value):
+        config = RplConfig(**{field: value})
+        with pytest.raises(ValueError, match=rf"RplConfig\.{field}\b"):
+            RplRouter(Simulator(seed=1), 1, None, config)
+
+    def test_defaults_and_unset_optionals_pass(self):
+        RplConfig().validate()
+        RplConfig(staleness_timeout_s=None, float_delay_s=None,
+                  trickle_imin_s=0.5, trickle_doublings=0, trickle_k=1,
+                  parent_fail_threshold=1,
+                  trickle_variant="adaptive-k").validate()
