@@ -26,7 +26,8 @@ from repro.core.taxonomy import (
 )
 from repro.core.workloads import Probe, ProbeRun
 from repro.deployment.topology import grid_topology, line_topology
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (CrashClause, InterferenceClause,
+                               PartitionClause, install)
 from repro.security.attacks import CommandInjector
 from repro.security.auth import FrameAuthenticator
 from repro.security.keys import KeyStore
@@ -78,9 +79,9 @@ def measure_scalability(seed=171):
     for node in shared.nodes.values():
         node.stack.radio.channel = 18
     shared.run(60.0)
-    FaultPlan().interference(shared.sim.now, PROBE_S, (20.0, 10.0),
-                             wifi_channel=6, duty_cycle=0.45,
-                             node_id=990).install(shared)
+    install(shared, (InterferenceClause(shared.sim.now, PROBE_S, (20.0, 10.0),
+                                        wifi_channel=6, duty_cycle=0.45,
+                                        node_id=990),))
     probe = ProbeRun(shared, _probe(shared.topology, 4))
     probe.formed()
     shared.run(PROBE_S)
@@ -119,16 +120,16 @@ def measure_dependability(seed=181):
                 service_availability(system, endpoints, partitions=runtime)),
         )
     t0 = system.sim.now
-    runtime = (FaultPlan()
-               .partition(t0 + 120.0, 30.0, heal_after_s=600.0)
-               .crash(t0 + 300.0, 15, recover_after_s=120.0)
-               .install(system))
+    runtime = install(system, (
+        PartitionClause(t0 + 120.0, 30.0, heal_after_s=600.0),
+        CrashClause(t0 + 300.0, 15, recover_after_s=120.0),
+    ))
     system.run(64 * 15.0)
     availability = mean(availability_samples)
 
     # Maintainability: recovery after two node crashes.
     kill_time = system.sim.now
-    FaultPlan().crash(kill_time, 5).crash(kill_time, 10).install(system)
+    install(system, (CrashClause(kill_time, 5), CrashClause(kill_time, 10)))
     survivors = [n for n in nodes if n.node_id not in (5, 10)]
     recovery_time = None
     for node in survivors:

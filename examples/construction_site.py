@@ -27,7 +27,7 @@ from repro.crdt.replication import (
 )
 from repro.crdt.sets import ORSet
 from repro.deployment.topology import clustered_site_topology
-from repro.faults.plan import FaultPlan, InterferenceClause
+from repro.faults.plan import InterferenceClause, PartitionClause, install
 from repro.net.stack import StackConfig
 
 
@@ -70,12 +70,12 @@ def main() -> None:
     # --- another tenant moves in ---------------------------------------
     print("a contractor's Wi-Fi (channel 6) goes live next to the site...")
     # Three access points, on air from now until well past the end.
-    FaultPlan([
+    install(system, [
         InterferenceClause(system.sim.now, 3600.0, (40.0 + 40.0 * i, 8.0),
                            wifi_channel=6, duty_cycle=0.35,
                            tx_power_dbm=16.0, node_id=900 + i)
         for i in range(3)
-    ]).install(system)
+    ])
     degraded = probe_delivery(active[-8:])
     print(f"  probe delivery with co-located Wi-Fi: {degraded:.0%}")
 
@@ -99,8 +99,8 @@ def main() -> None:
 
     east = active[-1].node_id
     west = active[0].node_id
-    FaultPlan().partition(system.sim.now, 70.0,
-                          heal_after_s=240.0).install(system)
+    install(system, (PartitionClause(system.sim.now, 70.0,
+                                     heal_after_s=240.0),))
     print("trenching cuts the site in half; both offices keep working:")
     ledger[west].mutate(lambda s: s.add("excavator-1 checked out"))
     replicators[west].notify_local_update()

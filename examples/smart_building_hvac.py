@@ -22,7 +22,7 @@ from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import building_topology
 from repro.devices.phenomena import DiurnalField
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import PartitionClause, install
 from repro.net.mac.lpl import LplConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
@@ -79,8 +79,8 @@ def main() -> None:
           f"commands delivered {controller.reports_handled}")
 
     # Afternoon: a partition cuts the far half of the building off.
-    FaultPlan().partition(system.sim.now, 45.0,
-                          heal_after_s=3 * 3600.0).install(system)
+    install(system, (PartitionClause(system.sim.now, 45.0,
+                                     heal_after_s=3 * 3600.0),))
     print("partition applied at x=45m (backhaul side vs far wing)")
     system.run(3 * 3600.0)
     in_fallback = sum(1 for loop in loops if loop.in_fallback)

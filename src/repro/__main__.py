@@ -25,7 +25,7 @@ from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import BORDER_ROUTER, CrashClause, install
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
@@ -117,7 +117,7 @@ def demo_main() -> int:
                       for r in results))
 
     kill_time = system.sim.now
-    FaultPlan().kill_border_router(kill_time).install(system)
+    install(system, (CrashClause(kill_time, BORDER_ROUTER),))
     system.run(120.0)
     aware = sum(
         1 for node in system.nodes.values()

@@ -34,7 +34,8 @@ from repro.core.workloads import Demo, DemoRun
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.devices.sensors import SensorFault
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (CrashClause, InterferenceClause, LinkFlapClause,
+                               PartitionClause, SensorClause)
 from repro.net.mac.analysis import mac_summary_lines
 from repro.obs.analysis import analyze_run, render_explain, render_trace
 from repro.obs.export import export_run
@@ -63,19 +64,19 @@ def demo_faults(scenario: Scenario) -> Tuple:
     node_ids = sorted(nid for nid in scenario.topology.positions
                       if nid != scenario.topology.root_id)
     center = spacing * (side - 1) / 2.0
-    return tuple(
-        FaultPlan()
-        .crash(now + 0.10 * traffic_s, node_ids[-1],
-               recover_after_s=0.20 * traffic_s)
-        .sensor_fault(now + 0.25 * traffic_s, node_ids[0], "temp",
-                      SensorFault.STUCK, clear_after_s=0.30 * traffic_s)
-        .partition(now + 0.40 * traffic_s, cut_x=spacing * (side - 1) - 10.0,
-                   heal_after_s=0.20 * traffic_s)
-        .flap_link(now + 0.65 * traffic_s, node_ids[0], node_ids[1],
-                   down_s=0.05 * traffic_s, cycles=2, up_s=0.05 * traffic_s)
-        .interference(now + 0.70 * traffic_s, 0.20 * traffic_s,
-                      position=(center, center))
-        .clauses
+    return (
+        CrashClause(now + 0.10 * traffic_s, node_ids[-1],
+                    recover_after_s=0.20 * traffic_s),
+        SensorClause(now + 0.25 * traffic_s, node_ids[0], "temp",
+                     SensorFault.STUCK, clear_after_s=0.30 * traffic_s),
+        PartitionClause(now + 0.40 * traffic_s,
+                        cut_x=spacing * (side - 1) - 10.0,
+                        heal_after_s=0.20 * traffic_s),
+        LinkFlapClause(now + 0.65 * traffic_s, node_ids[0], node_ids[1],
+                       down_s=0.05 * traffic_s, cycles=2,
+                       up_s=0.05 * traffic_s),
+        InterferenceClause(now + 0.70 * traffic_s, 0.20 * traffic_s,
+                           position=(center, center)),
     )
 
 

@@ -23,7 +23,8 @@ from repro.core.system import SystemConfig
 from repro.core.workloads import CUT_X, AvailabilityProbe, HvacSafety, PartitionCrdt
 from repro.deployment.topology import grid_topology
 from repro.devices.sensors import SensorFault
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (BORDER_ROUTER, CrashClause, PartitionClause,
+                               RandomCrashesClause, SensorClause)
 from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.rpl.rnfd import RnfdConfig
@@ -46,8 +47,7 @@ BUILTIN_SCENARIOS = {
         config=SystemConfig(stack=StackConfig(mac="csma"),
                             invariant_checking=True),
         workloads=(PartitionCrdt(),),
-        faults=FaultPlan().partition(240.0, cut_x=CUT_X,
-                                     heal_after_s=120.0).clauses,
+        faults=(PartitionClause(240.0, cut_x=CUT_X, heal_after_s=120.0),),
         faults_at_s=240.0,
         formation_s=180.0,
         run_s=420.0,
@@ -59,8 +59,7 @@ BUILTIN_SCENARIOS = {
     "rnfd-root-failure": Scenario(
         topology=grid_topology(3),
         config=SystemConfig(stack=_RNFD, invariant_checking=True),
-        faults=FaultPlan().kill_border_router(
-            250.0, recover_after_s=300.0).clauses,
+        faults=(CrashClause(250.0, BORDER_ROUTER, recover_after_s=300.0),),
         formation_s=240.0,
         run_s=700.0,
     ),
@@ -74,12 +73,13 @@ BUILTIN_SCENARIOS = {
         config=SystemConfig(stack=_RNFD, invariant_checking=True,
                             observability=True),
         workloads=(HvacSafety(),),
-        faults=(FaultPlan()
-                .crash(2640.0, 4, recover_after_s=900.0)
-                .partition(5640.0, cut_x=CUT_X, heal_after_s=1800.0)
-                .sensor_fault(9240.0, 8, "zone_temp", SensorFault.STUCK,
-                              clear_after_s=900.0)
-                .kill_border_router(11040.0, recover_after_s=600.0)).clauses,
+        faults=(
+            CrashClause(2640.0, 4, recover_after_s=900.0),
+            PartitionClause(5640.0, cut_x=CUT_X, heal_after_s=1800.0),
+            SensorClause(9240.0, 8, "zone_temp", SensorFault.STUCK,
+                         clear_after_s=900.0),
+            CrashClause(11040.0, BORDER_ROUTER, recover_after_s=600.0),
+        ),
         faults_at_s=2040.0,  # once the rooms settled (1800 s)
         formation_s=240.0,
         run_s=13800.0,
@@ -94,10 +94,11 @@ BUILTIN_SCENARIOS = {
         config=SystemConfig(stack=StackConfig(mac="csma"),
                             invariant_checking=True, observability=True),
         workloads=(AvailabilityProbe(),),
-        faults=(FaultPlan()
-                .partition(360.0, cut_x=CUT_X, heal_after_s=600.0)
-                .crash(420.0, 5, recover_after_s=300.0)
-                .crash(480.0, 8, recover_after_s=240.0)).clauses,
+        faults=(
+            PartitionClause(360.0, cut_x=CUT_X, heal_after_s=600.0),
+            CrashClause(420.0, 5, recover_after_s=300.0),
+            CrashClause(480.0, 8, recover_after_s=240.0),
+        ),
         formation_s=300.0,
         run_s=900.0,
     ),
@@ -112,9 +113,8 @@ BUILTIN_SCENARIOS = {
         config=SystemConfig(stack=StackConfig(mac="csma",
                                               rpl=RplConfig(dao_period_s=60.0)),
                             invariant_checking=True, observability=True),
-        faults=FaultPlan().random_crashes(300.0, duration_s=900.0,
-                                          mtbf_s=1800.0, mttr_s=120.0,
-                                          spare_root=True).clauses,
+        faults=(RandomCrashesClause(300.0, duration_s=900.0, mtbf_s=1800.0,
+                                    mttr_s=120.0, spare_root=True),),
         grace_s=180.0,
         formation_s=240.0,
         run_s=1200.0,
@@ -140,9 +140,10 @@ BUILTIN_SCENARIOS = {
             ),
             invariant_checking=True,
         ),
-        faults=(FaultPlan()
-                .partition(660.0, cut_x=CUT_X, heal_after_s=600.0)
-                .kill_border_router(2100.0, recover_after_s=600.0)).clauses,
+        faults=(
+            PartitionClause(660.0, cut_x=CUT_X, heal_after_s=600.0),
+            CrashClause(2100.0, BORDER_ROUTER, recover_after_s=600.0),
+        ),
         grace_s=600.0,
         formation_s=600.0,
         run_s=3300.0,

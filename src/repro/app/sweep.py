@@ -64,7 +64,7 @@ class ReproBundle:
         if len(self.violations) > max_violations:
             lines.append(f"  ... {len(self.violations) - max_violations} more")
         if self.scenario is not None:
-            clauses = self.scenario["faults"]["clauses"]
+            clauses = self.scenario["faults"]
             lines.append(f"  scenario sha256={content_hash(self.scenario)}")
             lines.append(f"  fault plan ({len(clauses)} clause(s)):")
             for clause in clauses:

@@ -63,12 +63,11 @@ class FaultWindowMixin:
     """Declared fault windows: periods where breaches are *expected*.
 
     Fault-aware checkers (comfort envelope, service availability) mix
-    this in so a scenario — or a
-    :class:`~repro.faults.plan.FaultPlan` via
-    :meth:`~repro.faults.plan.FaultPlan.declare_windows` — can tell them
-    when something is deliberately broken.  Excursions inside a declared
-    window are fault consequences; the same excursion outside one is a
-    genuine violation.
+    this in so a scenario — or an installed fault schedule via
+    :meth:`~repro.faults.plan.FaultPlanRuntime.declare_windows` — can
+    tell them when something is deliberately broken.  Excursions inside a
+    declared window are fault consequences; the same excursion outside
+    one is a genuine violation.
 
     State is created lazily so the mixin composes with any
     ``__init__`` ordering.

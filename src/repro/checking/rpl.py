@@ -64,7 +64,7 @@ class DodagStructureChecker(FaultWindowMixin, InvariantChecker):
 
     Fault-window aware: inside a window declared via
     :meth:`~repro.checking.base.FaultWindowMixin.declare_fault_window`
-    (e.g. a :meth:`~repro.faults.plan.FaultPlan.random_crashes` storm),
+    (e.g. a :class:`~repro.faults.plan.RandomCrashesClause` storm),
     sampled structure checks are suspended — stale parent pointers and
     DAO entries are expected consequences of deliberately crashing
     routers.  Persistence streaks freeze rather than reset, so a defect

@@ -2,10 +2,11 @@
 
 A scenario is one frozen, hashable value holding everything a run is
 made of (DESIGN.md, "Scenarios"): ``build(seed)`` returns the formed
-system with its workloads started and its fault plan installed, and
-``run(seed)`` runs it ``run_s`` more.  Its codec, ``repro.scenario/1``,
-embeds the fault plan's and keeps its contract — a malformed payload
-raises ``ValueError`` and nothing else, and a round trip is the
+system with its workloads started and its fault schedule installed, and
+``run(seed)`` runs it ``run_s`` more; one that cannot run is refused
+when made, naming the field.  Its codec, ``repro.scenario/2`` (fault
+clauses included), keeps one contract — a malformed payload raises
+``ValueError`` naming its path and nothing else, and a round trip is the
 identity; :attr:`Scenario.content_hash` is the sha256 of the canonical
 JSON.  ``import repro`` does not load this module.
 """
@@ -13,6 +14,7 @@ JSON.  ``import repro`` does not load this module.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -21,11 +23,11 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.system import IIoTSystem, SystemConfig
-from repro.core.workloads import AFTER_INSTANT, WORKLOADS, Workload
+from repro.core.workloads import AFTER_INSTANT, WORKLOADS, Probe, Workload
 from repro.deployment.rollout import RolloutPlan
 from repro.deployment.topology import Topology
 from repro.devices.phenomena import DiurnalField, RandomWalkField
-from repro.faults.plan import FaultPlan, _json_type, _number
+from repro.faults.plan import CLAUSES, Clause, check_schedule, install
 from repro.net.mac.csma import CsmaConfig
 from repro.net.mac.lpl import LplConfig
 from repro.net.mac.rimac import RiMacConfig
@@ -35,7 +37,7 @@ from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 
-FORMAT = "repro.scenario/1"
+FORMAT = "repro.scenario/2"
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,13 @@ class Scenario:
     #: (name, phenomenon) sensors on every non-root node, before start.
     sensors: Tuple[Tuple[str, Any], ...] = ()
     rollout: Optional[Rollout] = None
-    #: The fault plan's clauses, in absolute simulated time.
-    faults: Tuple[Any, ...] = ()
-    #: When the plan is installed: None when formation ends; a later
+    #: The fault schedule, in absolute simulated time.
+    faults: Tuple[Clause, ...] = ()
+    #: When the schedule is installed: None when formation ends; a later
     #: time once everything queued for that instant has run.
     faults_at_s: Optional[float] = None
-    #: Declare the plan's windows, with this grace, on every fault-aware
-    #: checker of the default suite (None: declare none).
+    #: Declare the clauses' windows, with this grace, on every
+    #: fault-aware checker of the default suite (None: declare none).
     grace_s: Optional[float] = None
     workloads: Tuple[Workload, ...] = ()
     formation_s: float = 0.0
@@ -89,12 +91,26 @@ class Scenario:
                 and not self.formation_s <= self.faults_at_s < math.inf:
             raise ValueError(f"Scenario.faults_at_s must be finite and >= "
                              f"formation_s, not {self.faults_at_s!r}")
-        FaultPlan(self.faults).validate()
+        nodes = self.topology.positions
+        check_schedule(self.faults, nodes, self.formation_s
+                       if self.faults_at_s is None else self.faults_at_s,
+                       where="Scenario.faults")
+        for index, workload in enumerate(self.workloads):
+            if isinstance(workload, Probe):
+                for source in workload.sources:
+                    if source not in nodes:
+                        raise ValueError(f"Scenario.workloads[{index}]."
+                                         f"sources: unknown node {source!r}")
+        names = [name for name, _ in self.sensors]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise ValueError(f"Scenario.sensors[{index}]: sensor "
+                                 f"name {name!r} is taken")
 
     # -- running ---------------------------------------------------------
     def build(self, seed: int, observe=None) -> IIoTSystem:
         """The system formed at ``formation_s``, its workloads started
-        and its plan installed (or, with ``faults_at_s``, scheduled to be
+        and its faults installed (or, with ``faults_at_s``, scheduled to be
         installed once everything queued for that instant has run).
         ``observe(system)`` runs on the bare system before anything is
         started or emitted: where ``report --live`` sets the telemetry
@@ -131,36 +147,35 @@ class Scenario:
         return system
 
     def _install_faults(self, system: IIoTSystem) -> None:
-        plan = FaultPlan(self.faults)
+        runtime = install(system, self.faults)
         if self.grace_s is not None:
             for checker in system.checkers.checkers:
                 if hasattr(checker, "declare_fault_window"):
-                    plan.declare_windows(checker, grace_s=self.grace_s)
-        runtime = plan.install(system)
+                    runtime.declare_windows(checker, self.grace_s)
         for driver in system.workloads:
-            driver.faults_installed(plan, runtime)
+            driver.faults_installed(runtime)
 
     # -- codec -----------------------------------------------------------
     def to_jsonable(self) -> Dict[str, Any]:
-        """Plain JSON (``repro.scenario/1``); the clauses ride the fault
-        plan's own codec."""
+        """Plain JSON (``repro.scenario/2``): ``faults`` is a list of
+        clauses tagged by ``kind``, as ``workloads`` is."""
         hints = typing.get_type_hints(Scenario)
-        payload = {f.name: _encode(getattr(self, f.name), hints[f.name])
-                   for f in dataclasses.fields(self) if f.name != "faults"}
-        return {"format": FORMAT, **payload,
-                "faults": FaultPlan(self.faults).to_jsonable()}
+        return {"format": FORMAT, **{
+            f.name: _encode(getattr(self, f.name), hints[f.name])
+            for f in dataclasses.fields(self)}}
 
     @classmethod
     def from_jsonable(cls, payload: Any) -> "Scenario":
         """Decode :meth:`to_jsonable`'s shape; anything malformed — wrong
-        shape, unknown type or field, a mistyped value, an invalid plan
-        or time — raises ``ValueError``."""
-        if not isinstance(payload, dict) or payload.get("format") != FORMAT \
-                or "faults" not in payload:
+        shape, unknown type or field, a mistyped value, a clause or time
+        the scenario refuses — raises ``ValueError`` naming its path."""
+        if not isinstance(payload, dict) or payload.get("format") != FORMAT:
             raise ValueError(f"not a scenario: {payload!r:.80}")
-        faults = tuple(FaultPlan.from_jsonable(payload["faults"]).clauses)
-        body = {k: v for k, v in payload.items() if k not in ("format", "faults")}
-        return _construct(cls, body, faults=faults)
+        try:
+            return _construct(cls, {k: v for k, v in payload.items()
+                                    if k != "format"})
+        except _PathError as exc:
+            raise ValueError("Scenario{}: {}".format(*exc.args)) from None
 
     @property
     def content_hash(self) -> str:
@@ -182,11 +197,33 @@ def content_hash(payload: Dict[str, Any]) -> str:
 # the value codec: dataclasses typed by their field annotations
 # ----------------------------------------------------------------------
 #: Every value class a scenario may hold, by the name its JSON tags it
-#: with (a workload is tagged by its ``kind`` instead).
+#: with (a workload or a fault clause is tagged by its ``kind`` instead).
 _VALUE_TYPES = {cls.__name__: cls for cls in (
     SystemConfig, StackConfig, RplConfig, RnfdConfig, CsmaConfig, LplConfig,
     RiMacConfig, TschConfig, UnitDiskModel, LogDistanceModel, Topology,
     DiurnalField, RandomWalkField, Rollout)}
+#: Base class → its ``kind`` table.
+_KINDS = {Workload: WORKLOADS, Clause: CLAUSES}
+
+
+class _PathError(ValueError):
+    """``(path, reason)``: a malformed value ``.field``/``[index]``
+    steps deep in the decoded scenario."""
+
+
+def _at(step: str, exc: Exception) -> _PathError:
+    """``exc`` seen one ``step`` further from the scenario."""
+    path, reason = exc.args if isinstance(exc, _PathError) else ("", exc)
+    return _PathError(step + path, reason)
+
+
+def _json_type(value: Any, *types: type) -> Any:
+    """``value`` if its type is exactly one of ``types`` (so a JSON
+    ``true`` is not an integer)."""
+    if type(value) not in types:
+        names = "/".join(t.__name__ for t in types)
+        raise ValueError(f"expected {names}, got {value!r:.60}")
+    return value
 
 
 def _strip_optional(hint: Any) -> Any:
@@ -210,7 +247,7 @@ def _encode(value: Any, hint: Any) -> Any:
     if value is None:
         return None
     if dataclasses.is_dataclass(value):
-        tag = (("kind", value.kind) if isinstance(value, Workload)
+        tag = (("kind", value.kind) if isinstance(value, tuple(_KINDS))
                else ("type", type(value).__name__))
         hints = typing.get_type_hints(type(value))
         return dict([tag], **{f.name: _encode(getattr(value, f.name), hints[f.name])
@@ -221,6 +258,8 @@ def _encode(value: Any, hint: Any) -> Any:
                 for item in sorted(value.items())]
     if isinstance(value, (tuple, list)):
         return [_encode(v, h) for v, h in zip(value, _items(hint, len(value)))]
+    if isinstance(value, enum.Enum):
+        return value.value
     return float(value) if hint is float else value
 
 
@@ -230,18 +269,26 @@ def _decode(value: Any, hint: Any) -> Any:
     hint = _strip_optional(hint)
     origin = typing.get_origin(hint)
     if hint is float:
-        return _number(value)
+        return float(_json_type(value, int, float))
     if hint in (int, bool, str):
         return _json_type(value, hint)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return hint(_json_type(value, str))
     if origin in (tuple, dict):
         if type(value) is not list:
             raise ValueError(f"expected a list, got {value!r:.60}")
         if origin is dict:
             pair = typing.Tuple[typing.get_args(hint)]
             return dict(_decode(item, pair) for item in value)
-        return tuple(_decode(v, h) for v, h in zip(value, _items(hint, len(value))))
-    tag, registry = (("kind", WORKLOADS) if hint is Workload
-                     else ("type", _VALUE_TYPES))
+        items = []
+        for index, (v, h) in enumerate(zip(value, _items(hint, len(value)))):
+            try:
+                items.append(_decode(v, h))
+            except (ValueError, OverflowError) as exc:
+                raise _at(f"[{index}]", exc) from None
+        return tuple(items)
+    tag = "kind" if hint in _KINDS else "type"
+    registry = _KINDS.get(hint, _VALUE_TYPES)
     if type(value) is not dict:
         raise ValueError(f"expected an object, got {value!r:.60}")
     name = value.get(tag)
@@ -252,25 +299,26 @@ def _decode(value: Any, hint: Any) -> Any:
     return _construct(cls, {k: v for k, v in value.items() if k != tag})
 
 
-def _construct(cls, payload: Dict[str, Any], **given: Any) -> Any:
-    """``cls`` from its decoded fields (plus ``given``, already decoded)."""
+def _construct(cls, payload: Dict[str, Any]) -> Any:
+    """``cls`` from its decoded fields; its own refusal (a
+    ``ValueError`` naming the field) passes through."""
     hints = typing.get_type_hints(cls)
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in given}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(payload) - set(fields)
     if unknown:
         raise ValueError(f"{cls.__name__}: unknown field(s) "
                          f"{sorted(map(str, unknown))}")
-    kwargs = dict(given)
+    kwargs = {}
     for name, f in fields.items():
         if name in payload:
             try:
                 kwargs[name] = _decode(payload[name], hints[name])
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+                raise _at(f".{name}", exc) from None
         elif f.default is dataclasses.MISSING \
                 and f.default_factory is dataclasses.MISSING:
             raise ValueError(f"{cls.__name__}: missing field {name!r}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ArithmeticError) as exc:
         raise ValueError(f"{cls.__name__}: {exc}") from None

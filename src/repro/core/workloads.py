@@ -4,8 +4,8 @@ formed network.
 A workload is a frozen parameter dataclass registered in
 :data:`WORKLOADS` by its ``kind`` (the shape of ``_MAC_REGISTRY``).
 Its :class:`Driver` is made before the nodes start; ``formed()`` runs
-when formation ends, before the fault plan is installed, and
-``faults_installed(plan, runtime)`` right after the plan is installed.
+when formation ends, before the fault schedule is installed, and
+``faults_installed(runtime)`` right after it is installed.
 Only drivers that replace hand-written code exist: ``probe`` (the
 experiments' delivery and latency probe), the bespoke parts of the
 ``partition-crdt``, ``hvac-safety`` and ``availability-probe`` built-ins,
@@ -62,10 +62,10 @@ class Driver:
         self.scenario = scenario
 
     def formed(self) -> None:
-        """Formation has ended (runs before the fault plan is installed)."""
+        """Formation has ended (runs before the faults are installed)."""
 
-    def faults_installed(self, plan, runtime) -> None:
-        """The scenario's fault plan was installed just now."""
+    def faults_installed(self, runtime) -> None:
+        """The scenario's faults were installed just now, as ``runtime``."""
 
 
 class Workload:
@@ -155,7 +155,7 @@ Probe.driver = ProbeRun
 @dataclass(frozen=True)
 class PartitionCrdt(Workload):
     """Gossiping LWW-map replicas on every node under the CRDT checker,
-    and one divergent write on each side of the cut the plan applies."""
+    and one divergent write on each side of the cut the schedule applies."""
 
     kind: ClassVar[str] = "partition-crdt"
 
@@ -178,7 +178,7 @@ class _PartitionCrdtRun(Driver):
         for replicator in self.replicators:
             replicator.start()
 
-    def faults_installed(self, plan, runtime) -> None:
+    def faults_installed(self, runtime) -> None:
         # Distinct keys per side, so the converged value is the union
         # regardless of LWW tie-breaking.  The cut is the next event to
         # run, so no gossip of these writes crosses it.
@@ -200,7 +200,7 @@ PartitionCrdt.driver = _PartitionCrdtRun
 class HvacSafety(Workload):
     """Two zones (nodes 4 and 8, one per side of the cut) controlled
     from the border router with a watchdog fallback, under the comfort
-    envelope checker.  It settles for 1800 s and excuses the plan's
+    envelope checker.  It settles for 1800 s and excuses the schedule's
     windows plus 1800 s: rooms re-heat far slower than networks re-join.
     """
 
@@ -232,8 +232,8 @@ class _HvacSafetyRun(Driver):
             self.comfort.watch_zone(zone)
         system.checkers.add(self.comfort)
 
-    def faults_installed(self, plan, runtime) -> None:
-        plan.declare_windows(self.comfort, grace_s=1800.0)
+    def faults_installed(self, runtime) -> None:
+        runtime.declare_windows(self.comfort, grace_s=1800.0)
 
 
 HvacSafety.driver = _HvacSafetyRun
@@ -241,16 +241,16 @@ HvacSafety.driver = _HvacSafetyRun
 
 @dataclass(frozen=True)
 class AvailabilityProbe(Workload):
-    """Service availability sampled every 15 s from the plan's install
+    """Service availability sampled every 15 s from the schedule's install
     on: the border router plus a standby endpoint (node 8, right of the
-    cut) serve both halves, the floor is 0.6, and the plan's windows
+    cut) serve both halves, the floor is 0.6, and the schedule's windows
     plus 60 s are excused."""
 
     kind: ClassVar[str] = "availability-probe"
 
 
 class _AvailabilityRun(Driver):
-    def faults_installed(self, plan, runtime) -> None:
+    def faults_installed(self, runtime) -> None:
         system = self.system
         checker = AvailabilityChecker(
             system,
@@ -260,7 +260,7 @@ class _AvailabilityRun(Driver):
             settle_s=system.sim.now,
             partitions=runtime,
         )
-        plan.declare_windows(checker, grace_s=60.0)
+        runtime.declare_windows(checker, grace_s=60.0)
         system.checkers.add(checker)
 
 
@@ -362,6 +362,6 @@ class DemoRun(Driver):
 Demo.driver = DemoRun
 
 
-#: kind -> workload class: the ``repro.scenario/1`` codec's registry.
+#: kind -> workload class: the ``repro.scenario/2`` codec's registry.
 WORKLOADS = {cls.kind: cls for cls in (
     Probe, PartitionCrdt, HvacSafety, AvailabilityProbe, Demo)}

@@ -1,21 +1,23 @@
-"""Declarative fault plans: composable, seed-deterministic fault schedules.
+"""Fault schedules: a tuple of clauses, installed onto a live system.
 
-A :class:`FaultPlan` is the one way to inject a fault: every experiment,
-example and the demo crash nodes, cut links, fault sensors and start
-interferers through one.  A plan is a list of *clauses* — timed node
-crashes (including the border router), geometric partition/heal cycles,
-per-link flaps, sensor stuck/drift faults, interference bursts, and
-bounded stochastic crash/repair windows — expressed in absolute
-simulated time.  The same plan serves three consumers at once:
+A schedule is a ``Tuple[Clause, ...]`` — a scenario's ``faults`` — and
+the one way to inject a fault.  A clause is a frozen dataclass in
+absolute simulated time: a node crash (the border router included), a
+geometric partition/heal, a link flap, a sensor fault, an interference
+burst or a bounded stochastic crash/repair window.  It refuses a bad
+value when it is made, naming the field.  Adding a kind is two parts: a
+:class:`Clause` subclass in :data:`CLAUSES` and its
+``FaultPlanRuntime._install_<kind>``.
 
-- :meth:`FaultPlan.install` checks the clauses against the system and
-  returns the :class:`FaultPlanRuntime` that schedules every one of
-  them.  The runtime owns the primitives' use: ``DeviceNode.fail/
-  recover``, ``Sensor.inject_fault/clear_fault``, the medium's link
-  filter (a geometric cut composed with individually blocked links)
-  and :class:`~repro.radio.interference.WifiInterferer`;
-- :meth:`FaultPlan.declare_windows` feeds every clause's fault window to
-  a fault-aware checker
+- :func:`install` checks the clauses against the system (start times and
+  node ids by :func:`check_schedule`, the rule a scenario applies when it
+  is made; sensors, interferer ids, the link filter's owner) and returns
+  the :class:`FaultPlanRuntime` that schedules them: the only user of
+  ``DeviceNode.fail/recover``, ``Sensor.inject_fault/clear_fault``, the
+  medium's link filter (a geometric cut composed with individually
+  blocked links) and :class:`~repro.radio.interference.WifiInterferer`;
+- :meth:`FaultPlanRuntime.declare_windows` feeds every clause's fault
+  window to a fault-aware checker
   (:class:`~repro.checking.base.FaultWindowMixin`), so excursions during
   injected faults are expected and the same excursion outside one fails
   the run;
@@ -25,9 +27,9 @@ simulated time.  The same plan serves three consumers at once:
   when a violation fired.
 
 Determinism: clause times are static, and every stochastic clause draws
-only from named kernel substreams — so a plan run is a pure function of
-the simulation seed (pinned by the jobs=1 vs jobs=N snapshot-identity
-test).
+only from named kernel substreams — so a schedule's run is a pure
+function of the simulation seed (pinned by the jobs=1 vs jobs=N
+snapshot-identity test).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ import dataclasses
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (Any, ClassVar, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.devices.sensors import SensorFault
 from repro.radio.channels import WIFI_CHANNELS
@@ -46,53 +49,91 @@ from repro.radio.interference import WifiInterferer
 BORDER_ROUTER = -1
 
 
+def _end(start: float, after: Optional[float]) -> float:
+    return math.inf if after is None else start + after
+
+
 # ----------------------------------------------------------------------
 # clauses
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class CrashClause:
-    """Crash-stop one node (``BORDER_ROUTER`` kills the root)."""
+class Clause:
+    """One timed fault.  A subclass names its ``kind`` — the codec's tag
+    and its ``FaultPlanRuntime._install_<kind>`` — gives its (start,
+    end) fault ``window()``, whose end is infinity for a fault never
+    cleared, and refuses a bad value when made, naming the field: every
+    ``*_s`` field is a time, finite and >= 0 (or None where that is the
+    default: the fault then lasts to the end of the run)."""
 
     at_s: float
+
+    kind: ClassVar[str]
+    #: Fields naming a deployment node (see :func:`check_schedule`).
+    node_fields: ClassVar[Tuple[str, ...]] = ()
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            optional = value is None and f.default is None
+            if f.name.endswith("_s") and not optional:
+                self._check(f.name, 0 <= value < math.inf, "finite and >= 0")
+
+    def _check(self, name: str, ok: bool, rule: str) -> None:
+        """Refuse field ``name`` unless ``ok`` (every comparison passed
+        in is written so that NaN fails it)."""
+        if not ok:
+            raise ValueError(f"{type(self).__name__}.{name} must be {rule}, "
+                             f"not {getattr(self, name)!r}")
+
+
+@dataclass(frozen=True)
+class CrashClause(Clause):
+    """Crash-stop one node (``BORDER_ROUTER`` kills the root)."""
+
     node: int
     recover_after_s: Optional[float] = None
 
-    kind = "crash"
+    kind: ClassVar[str] = "crash"
+    node_fields: ClassVar[Tuple[str, ...]] = ("node",)
 
     def window(self) -> Tuple[float, float]:
-        end = math.inf if self.recover_after_s is None \
-            else self.at_s + self.recover_after_s
-        return self.at_s, end
+        return self.at_s, _end(self.at_s, self.recover_after_s)
 
 
 @dataclass(frozen=True)
-class PartitionClause:
+class PartitionClause(Clause):
     """Apply a vertical geometric cut, optionally healing later."""
 
-    at_s: float
     cut_x: float
     heal_after_s: Optional[float] = None
 
-    kind = "partition"
+    kind: ClassVar[str] = "partition"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._check("cut_x", math.isfinite(self.cut_x), "finite")
 
     def window(self) -> Tuple[float, float]:
-        end = math.inf if self.heal_after_s is None \
-            else self.at_s + self.heal_after_s
-        return self.at_s, end
+        return self.at_s, _end(self.at_s, self.heal_after_s)
 
 
 @dataclass(frozen=True)
-class LinkFlapClause:
+class LinkFlapClause(Clause):
     """Sever one link for ``down_s``, ``cycles`` times, ``up_s`` apart."""
 
-    at_s: float
     a: int
     b: int
     down_s: float
     cycles: int = 1
     up_s: float = 0.0
 
-    kind = "link_flap"
+    kind: ClassVar[str] = "link_flap"
+    node_fields: ClassVar[Tuple[str, ...]] = ("a", "b")
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._check("down_s", self.down_s > 0, "> 0")
+        self._check("cycles", self.cycles >= 1, ">= 1")
 
     def window(self) -> Tuple[float, float]:
         period = self.down_s + self.up_s
@@ -100,28 +141,25 @@ class LinkFlapClause:
 
 
 @dataclass(frozen=True)
-class SensorClause:
+class SensorClause(Clause):
     """Put one sensor into a fault mode (stuck, drift, offset, dead)."""
 
-    at_s: float
     node: int
     sensor: str
     mode: SensorFault = SensorFault.STUCK
     clear_after_s: Optional[float] = None
 
-    kind = "sensor"
+    kind: ClassVar[str] = "sensor"
+    node_fields: ClassVar[Tuple[str, ...]] = ("node",)
 
     def window(self) -> Tuple[float, float]:
-        end = math.inf if self.clear_after_s is None \
-            else self.at_s + self.clear_after_s
-        return self.at_s, end
+        return self.at_s, _end(self.at_s, self.clear_after_s)
 
 
 @dataclass(frozen=True)
-class InterferenceClause:
+class InterferenceClause(Clause):
     """A co-located wide-band interferer active for ``duration_s``."""
 
-    at_s: float
     duration_s: float
     position: Tuple[float, float]
     wifi_channel: int = 6
@@ -130,322 +168,127 @@ class InterferenceClause:
     #: Interferer node id (must not collide with deployment node ids).
     node_id: int = 950
 
-    kind = "interference"
+    kind: ClassVar[str] = "interference"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._check("position", all(map(math.isfinite, self.position)),
+                    "finite")
+        self._check("wifi_channel", self.wifi_channel in WIFI_CHANNELS,
+                    "a Wi-Fi channel")
+        self._check("duty_cycle", 0 < self.duty_cycle < 1, "in (0, 1)")
+        self._check("tx_power_dbm", math.isfinite(self.tx_power_dbm),
+                    "finite")
 
     def window(self) -> Tuple[float, float]:
         return self.at_s, self.at_s + self.duration_s
 
 
 @dataclass(frozen=True)
-class RandomCrashesClause:
+class RandomCrashesClause(Clause):
     """A bounded stochastic crash/repair window (exponential MTBF/MTTR).
 
     At the window's end the process stops and any node still down is
     recovered, so the fault window genuinely bounds the disturbance.
     """
 
-    at_s: float
     duration_s: float
     mtbf_s: float = 4 * 3600.0
     mttr_s: float = 600.0
     spare_root: bool = True
 
-    kind = "random_crashes"
+    kind: ClassVar[str] = "random_crashes"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for name in ("mtbf_s", "mttr_s"):
+            self._check(name, getattr(self, name) > 0, "> 0")
 
     def window(self) -> Tuple[float, float]:
         return self.at_s, self.at_s + self.duration_s
 
 
-Clause = Any  # any of the clause dataclasses above
+#: ``kind`` → clause class: the scenario codec's kind table.
+CLAUSES = {cls.kind: cls for cls in (
+    CrashClause, PartitionClause, LinkFlapClause, SensorClause,
+    InterferenceClause, RandomCrashesClause)}
 
-#: ``kind`` → clause class, for the JSON round trip.
-_CLAUSE_KINDS = {
-    cls.kind: cls for cls in (
-        CrashClause, PartitionClause, LinkFlapClause, SensorClause,
-        InterferenceClause, RandomCrashesClause)
-}
-
-#: Clause class → its fields naming a deployment node (checked at install).
-_NODE_FIELDS = {CrashClause: ("node",), SensorClause: ("node",),
-                LinkFlapClause: ("a", "b")}
-
-#: Media whose link filter an installed plan's link clauses own.
+#: Media whose link filter an installed schedule's link clauses own.
 _OWNED_LINK_FILTERS: "weakref.WeakSet[Any]" = weakref.WeakSet()
 _LINK_CLAUSES = (PartitionClause, LinkFlapClause)
 
 
-def _clause_to_jsonable(clause: Clause) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {"kind": clause.kind}
-    for f in dataclasses.fields(clause):
-        value = getattr(clause, f.name)
-        if isinstance(value, SensorFault):
-            value = value.value
-        elif isinstance(value, tuple):
-            value = list(value)
-        payload[f.name] = value
-    return payload
-
-
-def _json_type(value: Any, *types: type) -> Any:
-    """``value`` if its type is exactly one of ``types`` (so a JSON
-    ``true`` is not an integer)."""
-    if type(value) not in types:
-        names = "/".join(t.__name__ for t in types)
-        raise ValueError(f"expected {names}, got {value!r}")
-    return value
-
-
-def _number(value: Any) -> float:
-    return float(_json_type(value, int, float))
-
-
-def _point(value: Any) -> Tuple[float, float]:
-    if type(value) is not list or len(value) != 2:
-        raise ValueError(f"expected an [x, y] pair, got {value!r}")
-    return _number(value[0]), _number(value[1])
-
-
-#: Field name → JSON decoder; every field not named here is a number.
-_FIELD_DECODERS = {
-    **dict.fromkeys(("node", "a", "b", "cycles", "wifi_channel", "node_id"),
-                    lambda value: _json_type(value, int)),
-    "sensor": lambda value: _json_type(value, str),
-    "spare_root": lambda value: _json_type(value, bool),
-    "mode": SensorFault,
-    "position": _point,
-}
-
-
-def _clause_from_jsonable(payload: Any) -> Clause:
-    """Decode one clause; anything malformed raises ``ValueError``."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"a clause is an object, not {payload!r}")
-    kind = payload.get("kind")
-    cls = _CLAUSE_KINDS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown fault clause kind {kind!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(payload) - set(fields) - {"kind"}
-    if unknown:
-        raise ValueError(f"{kind}: unknown field(s) {sorted(map(str, unknown))}")
-    kwargs: Dict[str, Any] = {}
-    for name, f in fields.items():
-        if name not in payload:
-            if f.default is dataclasses.MISSING:
-                raise ValueError(f"{kind}: missing field {name!r}")
-            continue
-        value = payload[name]
-        if value is None and f.default is None:
-            kwargs[name] = None
-            continue
-        try:
-            kwargs[name] = _FIELD_DECODERS.get(name, _number)(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{kind}.{name}: {exc}") from None
-    return cls(**kwargs)
-
-
 # ----------------------------------------------------------------------
-# the plan
+# checking and installing a schedule
 # ----------------------------------------------------------------------
-class FaultPlan:
-    """An ordered, composable schedule of fault clauses.
+def check_schedule(clauses: Iterable[Clause], node_ids, now: float,
+                   where: str = "clauses") -> None:
+    """Refuse a clause that starts before ``now`` (a schedule, not a
+    replay) or names a node not in ``node_ids`` — ``BORDER_ROUTER`` is a
+    crash's only other node.  A scenario applies this rule when it is
+    made, :func:`install` when it runs; the message names
+    ``<where>[index].<field>``."""
+    for index, clause in enumerate(clauses):
+        if clause.at_s < now:
+            raise ValueError(f"{where}[{index}].at_s={clause.at_s!r} is "
+                             f"before the install instant t={now!r}")
+        for name in clause.node_fields:
+            node = getattr(clause, name)
+            if node not in node_ids and not (
+                    node == BORDER_ROUTER and isinstance(clause, CrashClause)):
+                raise ValueError(f"{where}[{index}].{name}: unknown node "
+                                 f"{node!r}")
 
-    Builder methods append a clause and return the plan, so schedules
-    read as a chain::
 
-        plan = (FaultPlan()
-                .crash(at_s=1800.0, node=5, recover_after_s=600.0)
-                .partition(at_s=4800.0, cut_x=30.0, heal_after_s=900.0))
-
-    Times are absolute simulated seconds: the scenario that owns the
-    timeline builds the plan against it.
-    """
-
-    def __init__(self, clauses: Iterable[Clause] = ()) -> None:
-        self.clauses: List[Clause] = list(clauses)
-
-    # -- builders ------------------------------------------------------
-    def add(self, clause: Clause) -> "FaultPlan":
-        self.clauses.append(clause)
-        return self
-
-    def crash(self, at_s: float, node: int,
-              recover_after_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(CrashClause(at_s, node, recover_after_s))
-
-    def kill_border_router(self, at_s: float,
-                           recover_after_s: Optional[float] = None
-                           ) -> "FaultPlan":
-        return self.add(CrashClause(at_s, BORDER_ROUTER, recover_after_s))
-
-    def partition(self, at_s: float, cut_x: float,
-                  heal_after_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(PartitionClause(at_s, cut_x, heal_after_s))
-
-    def flap_link(self, at_s: float, a: int, b: int, down_s: float,
-                  cycles: int = 1, up_s: float = 0.0) -> "FaultPlan":
-        return self.add(LinkFlapClause(at_s, a, b, down_s, cycles, up_s))
-
-    def sensor_fault(self, at_s: float, node: int, sensor: str,
-                     mode: SensorFault = SensorFault.STUCK,
-                     clear_after_s: Optional[float] = None) -> "FaultPlan":
-        return self.add(SensorClause(at_s, node, sensor, mode, clear_after_s))
-
-    def interference(self, at_s: float, duration_s: float,
-                     position: Tuple[float, float], wifi_channel: int = 6,
-                     duty_cycle: float = 0.30,
-                     node_id: int = 950) -> "FaultPlan":
-        return self.add(InterferenceClause(
-            at_s, duration_s, position, wifi_channel=wifi_channel,
-            duty_cycle=duty_cycle, node_id=node_id))
-
-    def random_crashes(self, at_s: float, duration_s: float,
-                       mtbf_s: float = 4 * 3600.0, mttr_s: float = 600.0,
-                       spare_root: bool = True) -> "FaultPlan":
-        return self.add(RandomCrashesClause(at_s, duration_s, mtbf_s,
-                                            mttr_s, spare_root))
-
-    def extend(self, other: "FaultPlan") -> "FaultPlan":
-        """Compose another plan's clauses into this one."""
-        self.clauses.extend(other.clauses)
-        return self
-
-    # -- declarative views ---------------------------------------------
-    def windows(self) -> List[Tuple[float, float]]:
-        """Every clause's (start, end) fault window, in clause order.
-
-        Open-ended clauses (no recovery/heal/clear) end at infinity.
-        """
-        return [clause.window() for clause in self.clauses]
-
-    def declare_windows(self, checker, grace_s: float = 0.0) -> None:
-        """Feed every clause window to a fault-aware checker
-        (:class:`~repro.checking.base.FaultWindowMixin`)."""
-        for start, end in self.windows():
-            checker.declare_fault_window(start, end, grace_s=grace_s)
-
-    def validate(self) -> None:
-        """Reject a malformed schedule before anything runs (the
-        comparisons are written so that NaN fails them)."""
-        for index, clause in enumerate(self.clauses):
-            where = f"fault plan clause {index} ({clause.kind})"
-            start, end = clause.window()
-            if not 0 <= start < math.inf:
-                raise ValueError(f"{where} must start at a finite t >= 0, "
-                                 f"not {start!r}")
-            if not end >= start:
-                raise ValueError(f"{where} ends before it starts")
-            if isinstance(clause, RandomCrashesClause) and not (
-                    0 < clause.mtbf_s < math.inf
-                    and 0 < clause.mttr_s < math.inf):
-                raise ValueError(f"{where}: mtbf_s and mttr_s must be "
-                                 f"positive and finite")
-            if isinstance(clause, InterferenceClause):
-                if not 0 < clause.duty_cycle < 1:
-                    raise ValueError(f"{where}: duty_cycle must be in "
-                                     f"(0, 1), not {clause.duty_cycle!r}")
-                if clause.wifi_channel not in WIFI_CHANNELS:
-                    raise ValueError(f"{where}: invalid Wi-Fi channel "
-                                     f"{clause.wifi_channel!r}")
-                if not all(map(math.isfinite, (*clause.position,
-                                               clause.tx_power_dbm))):
-                    raise ValueError(f"{where}: position {clause.position!r} "
-                                     f"and tx_power_dbm must be finite")
-
-    # -- serialization (scenarios, repro bundles) ----------------------
-    def to_jsonable(self) -> Dict[str, Any]:
-        """Plain-JSON shape; clauses keep plan order."""
-        return {
-            "format": "repro.faultplan/1",
-            "clauses": [_clause_to_jsonable(c) for c in self.clauses],
-        }
-
-    @classmethod
-    def from_jsonable(cls, payload: Any) -> "FaultPlan":
-        """Decode :meth:`to_jsonable`'s shape into a validated plan.
-
-        Every malformed payload — wrong shape, unknown kind or field, a
-        missing or mistyped field, an invalid schedule — raises
-        ``ValueError``, naming the offending clause's index.
-        """
-        if not isinstance(payload, dict) \
-                or payload.get("format") != "repro.faultplan/1":
-            raise ValueError(f"not a fault plan: {payload!r:.80}")
-        clauses = payload.get("clauses", [])
-        unknown = set(payload) - {"format", "clauses"}
-        if unknown or not isinstance(clauses, list):
-            raise ValueError("a fault plan is {format, clauses: [...]}")
-        plan = cls()
-        for index, clause in enumerate(clauses):
-            try:
-                plan.add(_clause_from_jsonable(clause))
-            except ValueError as exc:
-                raise ValueError(f"fault plan clause {index}: {exc}") from None
-        plan.validate()
-        return plan
-
-    # -- compilation ---------------------------------------------------
-    def install(self, system) -> "FaultPlanRuntime":
-        """Compile onto a (typically converged) system.  Every clause is
-        checked against it first — a time already in the past (the plan
-        is a schedule, not a replay), an unknown node or sensor, an
-        interferer id another radio holds, a link clause where another
-        plan owns the link filter — so a plan that cannot run raises
-        ``ValueError`` before anything is scheduled."""
-        self.validate()
-        nodes, now = system.nodes, system.sim.now
-        radio_ids = set(nodes) | set(system.medium.radios)
-        for index, clause in enumerate(self.clauses):
-            where = f"fault plan clause {index} ({clause.kind})"
-            if isinstance(clause, _LINK_CLAUSES) \
-                    and system.medium in _OWNED_LINK_FILTERS:
-                raise ValueError(f"{where}: another installed fault plan "
-                                 f"already owns this system's link filter")
-            if clause.at_s < now:
-                raise ValueError(f"{where} at t={clause.at_s:g} is in the "
-                                 f"past (now={now:g})")
-            for node in (getattr(clause, name)
-                         for name in _NODE_FIELDS.get(type(clause), ())):
-                if node not in nodes and not (
-                        clause.kind == "crash" and node == BORDER_ROUTER):
-                    raise ValueError(f"{where}: unknown node {node!r}")
-            if isinstance(clause, SensorClause) \
-                    and clause.sensor not in nodes[clause.node].sensors:
-                raise ValueError(f"{where}: node {clause.node} has no "
-                                 f"sensor {clause.sensor!r}")
-            if isinstance(clause, InterferenceClause):
-                if clause.node_id in radio_ids:
-                    raise ValueError(f"{where}: interferer id "
-                                     f"{clause.node_id} is taken")
-                radio_ids.add(clause.node_id)
-        return FaultPlanRuntime(self, system)
-
-    def __len__(self) -> int:
-        return len(self.clauses)
+def install(system, clauses: Sequence[Clause]) -> "FaultPlanRuntime":
+    """Compile ``clauses`` onto a (typically converged) system.  Each is
+    checked against it first — :func:`check_schedule` at the system's
+    clock, a sensor its node lacks, an interferer id another radio
+    holds, a link clause where another installed schedule owns the link
+    filter — so a schedule that cannot run raises ``ValueError`` before
+    anything is scheduled."""
+    nodes = system.nodes
+    check_schedule(clauses, nodes, system.sim.now)
+    radio_ids = set(nodes) | set(system.medium.radios)
+    for index, clause in enumerate(clauses):
+        where = f"clauses[{index}]"
+        if isinstance(clause, _LINK_CLAUSES) \
+                and system.medium in _OWNED_LINK_FILTERS:
+            raise ValueError(f"{where}: another installed fault schedule "
+                             f"already owns this system's link filter")
+        if isinstance(clause, SensorClause) \
+                and clause.sensor not in nodes[clause.node].sensors:
+            raise ValueError(f"{where}.sensor: node {clause.node} has no "
+                             f"sensor {clause.sensor!r}")
+        if isinstance(clause, InterferenceClause):
+            if clause.node_id in radio_ids:
+                raise ValueError(f"{where}.node_id: interferer id "
+                                 f"{clause.node_id} is taken")
+            radio_ids.add(clause.node_id)
+    return FaultPlanRuntime(system, clauses)
 
 
 # ----------------------------------------------------------------------
 # the runtime
 # ----------------------------------------------------------------------
 class FaultPlanRuntime:
-    """One plan compiled onto one system: the only fault scheduler.
+    """One schedule compiled onto one system: the only fault scheduler.
 
     Every clause is scheduled here, straight onto the primitives, and
     every injected fault is counted in ``fault.injected{kind,...}``
     before its trace record is emitted.  The runtime owns the medium's
     link filter: one predicate composing the live geometric cut
     (``sides``) with the individually blocked links, so partitions and
-    link flaps overlay — within one plan: ``install`` refuses link
-    clauses on a system whose filter another plan owns.  It also
-    manages the observability surface: one ``fault.<kind>`` span per
-    clause held open across its active window (stochastic crashes
+    link flaps overlay — within one schedule: :func:`install` refuses
+    link clauses on a system whose filter another schedule owns.  It
+    also manages the observability surface: one ``fault.<kind>`` span
+    per clause held open across its active window (stochastic crashes
     inside a ``random_crashes`` window land as child events), and the
     ``fault.active`` gauge tracking how many clauses are live.
     """
 
-    def __init__(self, plan: FaultPlan, system) -> None:
-        self.plan = plan
+    def __init__(self, system, clauses: Sequence[Clause]) -> None:
+        self.clauses = tuple(clauses)
         self.system = system
         self.sim = system.sim
         self.trace = system.trace
@@ -457,10 +300,16 @@ class FaultPlanRuntime:
         self.interferers: List[WifiInterferer] = []
         self.active_clauses = 0
         self._spans: Dict[int, Any] = {}
-        if any(isinstance(c, _LINK_CLAUSES) for c in plan.clauses):
+        if any(isinstance(c, _LINK_CLAUSES) for c in self.clauses):
             _OWNED_LINK_FILTERS.add(system.medium)
-        for index, clause in enumerate(plan.clauses):
+        for index, clause in enumerate(self.clauses):
             getattr(self, f"_install_{clause.kind}")(index, clause)
+
+    def declare_windows(self, checker, grace_s: float) -> None:
+        """Feed every clause's fault window, plus ``grace_s``, to a
+        fault-aware checker (:class:`~repro.checking.base.FaultWindowMixin`)."""
+        for clause in self.clauses:
+            checker.declare_fault_window(*clause.window(), grace_s=grace_s)
 
     # -- shared bookkeeping ---------------------------------------------
     def _count(self, kind: str, **labels: Any) -> None:

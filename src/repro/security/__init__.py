@@ -10,6 +10,6 @@ package provides the pieces to quantify that tension:
 - :mod:`repro.security.crypto_cost` — the CPU/energy/latency price of
   software crypto on Class-1 hardware (experiment E11's overhead axis);
 - :mod:`repro.security.attacks` — the command-injection adversary
-  (E11's impact axis; a run jams through ``FaultPlan.interference``);
+  (E11's impact axis; a run jams through an ``InterferenceClause``);
 - :mod:`repro.security.detector` — a lightweight anomaly monitor.
 """

@@ -13,7 +13,7 @@ from repro.checking.availability import (
 from repro.checking.base import CheckerSuite
 from repro.core.system import IIoTSystem
 from repro.deployment.topology import grid_topology
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import PartitionClause, install
 
 
 def build_system(seed=41):
@@ -26,8 +26,8 @@ def build_system(seed=41):
 
 def cut(system, heal_after_s=None):
     """Partition the grid at x=30 now; the runtime holds the sides."""
-    runtime = FaultPlan().partition(system.sim.now, 30.0,
-                                    heal_after_s).install(system)
+    runtime = install(system, (PartitionClause(system.sim.now, 30.0,
+                                               heal_after_s),))
     system.run(0.0)
     return runtime
 

@@ -400,7 +400,7 @@ class ReplayAttacker:
     valid MIC.  It is stopped by the authenticator's monotonic-sequence
     check, which ``tests/security/test_replay.py`` holds this adversary
     against.  Test-side only — no run replays frames (a run jams through
-    ``FaultPlan.interference`` and injects through ``CommandInjector``).
+    an ``InterferenceClause`` and injects through ``CommandInjector``).
     """
 
     def __init__(

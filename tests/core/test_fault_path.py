@@ -1,12 +1,13 @@
-"""One fault path: only the fault-plan runtime injects a fault.
+"""One fault path: only the fault-schedule runtime injects a fault.
 
 A fault injected by hand reaches no ``fault.*`` span, no checker fault
 window and no scenario JSON, so outside ``faults/plan.py`` nothing
 under ``src/``, ``benchmarks/`` or ``examples/`` may use
 ``DeviceNode.fail``/``recover``, ``Sensor.inject_fault``/``clear_fault``
 or ``Medium.set_link_filter`` — called or handed over as a callback —
-or construct a ``WifiInterferer``; an experiment installs a
-:class:`~repro.faults.plan.FaultPlan` instead.  ``tests/`` may drive the
+or construct a ``WifiInterferer``; an experiment puts its clauses in
+``Scenario.faults`` or hands them to ``install(system, clauses)``
+(:func:`repro.faults.plan.install`) instead.  ``tests/`` may drive the
 primitives directly.  The walk is by attribute name, in the style of
 ``test_reachability.py``: ``self.stack.fail()`` inside
 ``devices/node.py`` — the network stack ``DeviceNode.fail`` delegates
@@ -62,8 +63,8 @@ def hand_faults() -> List[str]:
 
 def test_only_the_fault_plan_runtime_injects_faults():
     assert hand_faults() == [], (
-        "inject these through FaultPlan(...).install(system) or "
-        "Scenario.faults instead")
+        "inject these through Scenario.faults or "
+        "install(system, clauses) instead")
 
 
 def test_the_census_sees_every_primitive():

@@ -55,7 +55,7 @@ ALLOW: Tuple[Tuple[str, str, str], ...] = (
      "test-side oracle: the partition identity tests/obs assert on every "
      "attribution, kept beside the fields it sums"),
     ("faults/plan.py", "FaultPlanRuntime._install_*",
-     "dynamic dispatch: install() calls getattr(self, f'_install_{clause.kind}')"),
+     "dynamic dispatch: FaultPlanRuntime() calls getattr(self, f'_install_{clause.kind}')"),
     ("core/analysis.py", "confidence_interval",
      "ROADMAP item 3 (claim ledger) is its caller, or removes it"),
 )

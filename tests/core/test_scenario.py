@@ -1,8 +1,10 @@
-"""A run is one value: the ``Scenario`` codec, hash, lifecycle and CLI.
+"""A run is one value: the ``Scenario`` codec, hash, validation,
+lifecycle and CLI.
 
-The codec keeps the fault plan codec's contract — a round trip is the
-identity, and a malformed payload raises ``ValueError`` and nothing
-else — and the hash is a pure function of the canonical JSON, so a
+The codec — fault clauses included — keeps one contract: a round trip
+is the identity, and a malformed payload raises ``ValueError`` naming
+its path and nothing else.  A scenario that cannot run is refused when
+it is made, and the hash is a pure function of the canonical JSON, so a
 bundle's scenario names the same run in every process.
 """
 
@@ -25,13 +27,16 @@ from repro.core.workloads import (AvailabilityProbe, Demo, HvacSafety,
                                   PartitionCrdt, Probe)
 from repro.deployment.topology import grid_topology, line_topology
 from repro.devices.phenomena import DiurnalField, RandomWalkField
-from repro.faults.plan import PartitionClause
+from repro.devices.sensors import SensorFault
+from repro.faults.plan import (BORDER_ROUTER, CLAUSES, CrashClause,
+                               InterferenceClause, LinkFlapClause,
+                               PartitionClause, RandomCrashesClause,
+                               SensorClause)
 from repro.net.mac.lpl import LplConfig
 from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
-from tests.faults.test_plan_serialization import _clauses, _json
 
 _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -39,6 +44,8 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 # strategies
 # ----------------------------------------------------------------------
 _times = st.floats(min_value=0.0, max_value=1e5)
+_spans = st.floats(min_value=1e-3, max_value=1e4)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
 _stacks = st.one_of(
     st.builds(StackConfig, mac=st.just("csma"),
               rpl=st.builds(RplConfig, dao_period_s=_times,
@@ -54,39 +61,119 @@ _stacks = st.one_of(
 _configs = st.builds(SystemConfig, stack=_stacks,
                      trace_enabled=st.booleans(),
                      span_max_stored=st.none() | st.integers(0, 10_000))
-_workloads = st.one_of(
-    st.builds(Probe, sources=st.tuples(st.integers(0, 8)),
-              count=st.integers(0, 20), period_s=_times,
-              stagger_s=_times, copies=st.integers(1, 3),
-              size=st.integers(1, 64)),
-    st.sampled_from([PartitionCrdt(), HvacSafety(), AvailabilityProbe(),
-                     Demo()]),
-)
 _sensors = st.tuples(st.text(max_size=6), st.one_of(
     st.builds(DiurnalField, mean=_times, phase_s=_times),
     st.builds(RandomWalkField, step_s=st.floats(1e-3, 100.0),
               seed=st.integers(0, 2**32))))
+_TOPOLOGIES = (grid_topology(3), line_topology(4))
+
+
+def _clauses(nodes, start):
+    """Valid clauses naming only ``nodes`` and starting at ``start`` or
+    later."""
+    times = st.floats(min_value=start, max_value=start + 1e5)
+    node = st.sampled_from(nodes)
+    maybe = st.none() | _spans
+    return st.one_of(
+        st.builds(CrashClause, times, node | st.just(BORDER_ROUTER), maybe),
+        st.builds(PartitionClause, times, _finite, maybe),
+        st.builds(LinkFlapClause, times, node, node, _spans,
+                  st.integers(min_value=1, max_value=5),
+                  st.floats(min_value=0.0, max_value=1e4)),
+        st.builds(SensorClause, times, node, st.text(max_size=8),
+                  st.sampled_from(SensorFault), maybe),
+        st.builds(InterferenceClause, times, _spans,
+                  st.tuples(_finite, _finite), st.integers(1, 13),
+                  st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                            exclude_max=True), _finite,
+                  st.integers(0, 2000)),
+        st.builds(RandomCrashesClause, times, _spans, _spans, _spans,
+                  st.booleans()),
+    )
+
+
+def _workloads(nodes):
+    return st.one_of(
+        st.builds(Probe, sources=st.tuples(st.sampled_from(nodes)),
+                  count=st.integers(0, 20), period_s=_times,
+                  stagger_s=_times, copies=st.integers(1, 3),
+                  size=st.integers(1, 64)),
+        st.sampled_from([PartitionCrdt(), HvacSafety(), AvailabilityProbe(),
+                         Demo()]),
+    )
 
 
 @st.composite
 def _scenarios(draw):
+    """A valid scenario: its clauses and probes name the topology's
+    nodes, its clauses start no earlier than their install instant and
+    its sensor names are distinct."""
+    topology = draw(st.sampled_from(_TOPOLOGIES))
+    nodes = topology.node_ids()
     formation = draw(_times)
+    faults_at = draw(st.none() | st.floats(formation, 2e5))
+    start = formation if faults_at is None else faults_at
     return Scenario(
-        topology=draw(st.sampled_from([grid_topology(3), line_topology(4)])),
+        topology=topology,
         config=draw(_configs),
         link_model=draw(st.none() | st.builds(UnitDiskModel, radius_m=_times)
                         | st.builds(LogDistanceModel, seed=st.integers(0, 99))),
-        sensors=draw(st.lists(_sensors, max_size=2)),
+        sensors=draw(st.lists(_sensors, max_size=2,
+                              unique_by=lambda sensor: sensor[0])),
         rollout=draw(st.none() | st.builds(
             Rollout, pilot_size=st.integers(1, 5),
             growth_factor=st.integers(1, 4), stage_interval_s=_times)),
-        faults=draw(st.lists(_clauses, max_size=3)),
-        faults_at_s=draw(st.none() | st.floats(formation, 2e5)),
+        faults=draw(st.lists(_clauses(nodes, start), max_size=3)),
+        faults_at_s=faults_at,
         grace_s=draw(st.none() | _times),
-        workloads=draw(st.lists(_workloads, max_size=3)),
+        workloads=draw(st.lists(_workloads(nodes), max_size=3)),
         formation_s=formation,
         run_s=draw(_times),
     )
+
+
+@st.composite
+def _refused(draw):
+    """A valid scenario, one of its tuple fields with a refused item
+    inserted, and the path the refusal must name."""
+    scenario = draw(_scenarios())
+    nodes = scenario.topology.node_ids()
+    start = scenario.formation_s if scenario.faults_at_s is None \
+        else scenario.faults_at_s
+    unknown = draw(st.integers(0, 10_000).filter(lambda n: n not in nodes))
+    variants = [
+        ("faults", CrashClause(start, unknown), r"\.node: unknown node"),
+        ("faults", LinkFlapClause(start, nodes[0], unknown, 1.0),
+         r"\.b: unknown node"),
+        ("faults", SensorClause(start, BORDER_ROUTER, "temp"),
+         r"\.node: unknown node -1"),
+        ("workloads", Probe(sources=(unknown,)), r"\.sources: unknown node"),
+        ("sensors", (scenario.sensors or (("temp", DiurnalField()),))[0],
+         ": sensor name .* is taken"),
+    ]
+    if start > 0:
+        variants.append(("faults", CrashClause(
+            draw(st.floats(0.0, start, exclude_max=True)), nodes[0]),
+            r"\.at_s=.* is before the install instant"))
+    field, item, reason = draw(st.sampled_from(variants))
+    items = list(getattr(scenario, field))
+    if field == "sensors" and not items:
+        items.append(item)
+    items.insert(draw(st.integers(0, len(items))), item)
+    return scenario, field, tuple(items), reason
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+_FIELD_NAMES = sorted({f.name for cls in CLAUSES.values()
+                       for f in dataclasses.fields(cls)})
+_clause_like = st.builds(
+    lambda kind, fields: {**fields, "kind": kind},
+    st.sampled_from(sorted(CLAUSES)) | _json,
+    st.dictionaries(st.sampled_from(_FIELD_NAMES), _json, max_size=7))
 
 
 def _corrupt(draw, payload):
@@ -110,11 +197,32 @@ def _corrupt(draw, payload):
 
 @st.composite
 def _corrupted(draw):
+    """A valid payload with one key replaced or dropped, or with its
+    ``faults`` replaced by clause-like objects."""
     base = draw(st.sampled_from(
         [DEMO, *BUILTIN_SCENARIOS.values()]) | _scenarios())
     payload = json.loads(json.dumps(base.to_jsonable()))
-    _corrupt(draw, payload)
+    if draw(st.booleans()):
+        _corrupt(draw, payload)
+    else:
+        payload["faults"] = draw(st.lists(_clause_like, max_size=3))
     return payload
+
+
+#: One clause of every kind, on grid(3).
+_EVERY_KIND = (
+    CrashClause(at_s=30.0, node=5, recover_after_s=60.0),
+    CrashClause(at_s=40.0, node=BORDER_ROUTER),
+    PartitionClause(at_s=100.0, cut_x=45.0, heal_after_s=300.0),
+    LinkFlapClause(at_s=200.0, a=1, b=2, down_s=5.0, cycles=3, up_s=2.0),
+    SensorClause(at_s=300.0, node=7, sensor="temperature",
+                 mode=SensorFault.DRIFT, clear_after_s=120.0),
+    InterferenceClause(at_s=400.0, duration_s=60.0, position=(12.0, 8.0),
+                       wifi_channel=11, duty_cycle=0.5),
+    RandomCrashesClause(at_s=500.0, duration_s=600.0, mtbf_s=120.0,
+                        mttr_s=30.0, spare_root=False),
+)
+_FAULTED = Scenario(topology=grid_topology(3), faults=_EVERY_KIND)
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +246,56 @@ class TestCodec:
         except ValueError:
             return
         assert isinstance(scenario, Scenario)
+
+    def test_every_clause_kind_round_trips_in_order(self):
+        payload = json.loads(json.dumps(_FAULTED.to_jsonable()))
+        assert payload["format"] == "repro.scenario/2"
+        assert [c["kind"] for c in payload["faults"]] == [
+            "crash", "crash", "partition", "link_flap", "sensor",
+            "interference", "random_crashes"]
+        assert Scenario.from_jsonable(payload).faults == _EVERY_KIND
+
+    def test_enum_and_pair_fields_are_plain_json(self):
+        faults = _FAULTED.to_jsonable()["faults"]
+        assert faults[4]["mode"] == "drift"  # by value, not SensorFault
+        assert faults[5]["position"] == [12.0, 8.0]
+        decoded = Scenario.from_jsonable(_FAULTED.to_jsonable()).faults
+        assert decoded[4].mode is SensorFault.DRIFT
+        assert decoded[5].position == (12.0, 8.0)
+
+    def test_the_border_router_sentinel_survives(self):
+        decoded = Scenario.from_jsonable(_FAULTED.to_jsonable())
+        assert decoded.faults[1].node == BORDER_ROUTER
+
+    @pytest.mark.parametrize("clause, where", [
+        ({"kind": "meteor_strike", "at_s": 1.0}, r": unexpected kind"),
+        ({"kind": ["crash"], "at_s": 1.0}, r": unexpected kind"),
+        ({"kind": "crash", "node": 3}, r": CrashClause: missing field"),
+        ([1, 2], r": expected an object"),
+        ({"kind": "crash", "at_s": 1.0, "node": 3, "nod": 4},
+         r": CrashClause: unknown field"),
+        ({"kind": "crash", "at_s": "soon", "node": 3}, r"\.at_s: "),
+        ({"kind": "crash", "at_s": 1.0, "node": 3.5}, r"\.node: "),
+        ({"kind": "crash", "at_s": 10 ** 400, "node": 3}, r"\.at_s: "),
+        ({"kind": "crash", "at_s": -1.0, "node": 3},
+         r": CrashClause\.at_s must be"),
+        ({"kind": "crash", "at_s": 1.0, "node": 42}, r"\.node: unknown node"),
+        ({"kind": "sensor", "at_s": 1.0, "node": 3, "sensor": "t",
+          "mode": "melted"}, r"\.mode: "),
+        ({"kind": "interference", "at_s": 1.0, "duration_s": 5.0,
+          "position": 7}, r"\.position: "),
+        ({"kind": "interference", "at_s": 1.0, "duration_s": 5.0,
+          "position": [0.0, 0.0], "wifi_channel": 99},
+         r": InterferenceClause\.wifi_channel must be"),
+    ], ids=["unknown-kind", "unhashable-kind", "missing-field", "not-object",
+            "unknown-field", "mistyped", "not-int", "overflow",
+            "negative-start", "unknown-node", "bad-enum", "bad-pair",
+            "bad-channel"])
+    def test_a_malformed_clause_is_named_by_its_path(self, clause, where):
+        payload = _FAULTED.to_jsonable()
+        payload["faults"].insert(1, clause)
+        with pytest.raises(ValueError, match=r"^Scenario\.faults\[1\]" + where):
+            Scenario.from_jsonable(payload)
 
     def test_builtins_and_demo_are_scenarios(self):
         for scenario in (DEMO, *BUILTIN_SCENARIOS.values()):
@@ -181,10 +339,48 @@ class TestValidation:
             Scenario(topology=grid_topology(2), formation_s=60.0,
                      faults_at_s=30.0)
 
-    def test_an_invalid_plan_is_rejected(self):
-        with pytest.raises(ValueError, match="fault plan"):
+    @pytest.mark.parametrize("faults_at_s", [None, 90.0])
+    def test_a_clause_starts_no_earlier_than_its_install(self, faults_at_s):
+        with pytest.raises(ValueError,
+                           match=r"Scenario\.faults\[1\]\.at_s=30.0 is before"):
+            Scenario(topology=grid_topology(2), formation_s=60.0,
+                     faults_at_s=faults_at_s,
+                     faults=(CrashClause(90.0, 1), CrashClause(30.0, 1)))
+
+    @pytest.mark.parametrize("clause, field", [
+        (CrashClause(60.0, 4), "node"),
+        (SensorClause(60.0, 4, "temp"), "node"),
+        (SensorClause(60.0, BORDER_ROUTER, "temp"), "node"),
+        (LinkFlapClause(60.0, 0, 4, 5.0), "b"),
+    ])
+    def test_a_clause_names_a_node_of_the_topology(self, clause, field):
+        Scenario(topology=grid_topology(2), formation_s=60.0,
+                 faults=(CrashClause(60.0, BORDER_ROUTER),))
+        with pytest.raises(ValueError,
+                           match=fr"Scenario\.faults\[0\]\.{field}: unknown"):
+            Scenario(topology=grid_topology(2), formation_s=60.0,
+                     faults=(clause,))
+
+    def test_a_probe_source_is_a_node_of_the_topology(self):
+        with pytest.raises(ValueError, match=r"Scenario\.workloads\[1\]"
+                                             r"\.sources: unknown node 9"):
             Scenario(topology=grid_topology(2),
-                     faults=(PartitionClause(float("nan"), 10.0),))
+                     workloads=(Demo(), Probe(sources=(1, 9))))
+
+    def test_two_sensors_may_not_share_a_name(self):
+        with pytest.raises(ValueError, match=r"Scenario\.sensors\[1\]: "
+                                             r"sensor name 'temp' is taken"):
+            Scenario(topology=grid_topology(2),
+                     sensors=(("temp", DiurnalField()),
+                              ("temp", DiurnalField(mean=3.0))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_refused())
+    def test_a_refused_value_raises_at_construction(self, case):
+        scenario, field, items, reason = case
+        with pytest.raises(ValueError,
+                           match=fr"^Scenario\.{field}\[\d+\]{reason}"):
+            dataclasses.replace(scenario, **{field: items})
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Fault injection: scripted and stochastic plan clauses, and partitions."""
+"""Fault injection: scripted and stochastic clauses, and partitions."""
 
 from types import SimpleNamespace
 
@@ -6,7 +6,9 @@ import pytest
 
 from repro.devices.node import DeviceNode
 from repro.devices.sensors import SensorFault
-from repro.faults.plan import FaultPlan
+from repro.faults import plan
+from repro.faults.plan import (CrashClause, LinkFlapClause, PartitionClause,
+                               RandomCrashesClause, SensorClause)
 from repro.net.stack import StackConfig
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
@@ -30,12 +32,12 @@ def device_line(n=4, seed=110):
     return sim, trace, medium, nodes
 
 
-def install(plan, sim, trace, medium, nodes):
-    """Compile ``plan`` onto a bare device line (what a plan needs of a
-    system: its kernel, trace, medium, nodes and root)."""
+def install(clauses, sim, trace, medium, nodes):
+    """Compile ``clauses`` onto a bare device line (what a schedule needs
+    of a system: its kernel, trace, medium, nodes and root)."""
     system = SimpleNamespace(sim=sim, trace=trace, medium=medium, nodes=nodes,
                              topology=SimpleNamespace(root_id=0))
-    return plan.install(system)
+    return plan.install(system, clauses)
 
 
 def blocked(medium, a, b):
@@ -49,7 +51,7 @@ class TestScriptedFaults:
         kinds = []
         for category in ("fault.crash", "fault.recover"):
             trace.subscribe(category, lambda r: kinds.append(r.category))
-        install(FaultPlan().crash(100.0, 2, recover_after_s=50.0),
+        install([CrashClause(100.0, 2, recover_after_s=50.0)],
                 sim, trace, medium, nodes)
         sim.run(until=120.0)
         assert not nodes[2].alive
@@ -59,8 +61,8 @@ class TestScriptedFaults:
 
     def test_sensor_fault_window(self):
         sim, trace, medium, nodes = device_line()
-        install(FaultPlan().sensor_fault(50.0, 3, "temp", SensorFault.DEAD,
-                                         clear_after_s=100.0),
+        install([SensorClause(50.0, 3, "temp", SensorFault.DEAD,
+                              clear_after_s=100.0)],
                 sim, trace, medium, nodes)
         sim.run(until=60.0)
         assert nodes[3].read("temp") is None
@@ -72,8 +74,8 @@ class TestScriptedFaults:
 class TestRandomCrashes:
     def test_failures_and_repairs_cycle(self):
         sim, trace, medium, nodes = device_line()
-        install(FaultPlan().random_crashes(0.0, 10_000.0, mtbf_s=500.0,
-                                           mttr_s=100.0),
+        install([RandomCrashesClause(0.0, 10_000.0, mtbf_s=500.0,
+                                     mttr_s=100.0)],
                 sim, trace, medium, nodes)
         sim.run(until=6000.0)
         assert trace.count("fault.random_crash") > 0
@@ -81,8 +83,8 @@ class TestRandomCrashes:
 
     def test_root_is_spared_by_default(self):
         sim, trace, medium, nodes = device_line()
-        install(FaultPlan().random_crashes(0.0, 10_000.0, mtbf_s=100.0,
-                                           mttr_s=1e9),
+        install([RandomCrashesClause(0.0, 10_000.0, mtbf_s=100.0,
+                                     mttr_s=1e9)],
                 sim, trace, medium, nodes)
         sim.run(until=5000.0)
         assert nodes[0].alive
@@ -96,8 +98,8 @@ class TestRandomCrashes:
         trace.subscribe("fault.random_repair",
                         lambda r: down_s.append(r.time - down_since.pop(r.node)))
         duration = 20_000.0
-        install(FaultPlan().random_crashes(0.0, duration, mtbf_s=1000.0,
-                                           mttr_s=200.0),
+        install([RandomCrashesClause(0.0, duration, mtbf_s=1000.0,
+                                     mttr_s=200.0)],
                 sim, trace, medium, nodes)
         sim.run(until=duration)  # the window's end repairs nodes still down
         assert not down_since
@@ -107,17 +109,18 @@ class TestRandomCrashes:
         assert 0.5 < availability < 1.0
 
     def test_invalid_config_rejected(self):
-        for mtbf_s, mttr_s in ((0.0, 600.0), (3600.0, -1.0),
-                               (float("inf"), 600.0)):
-            with pytest.raises(ValueError, match="clause 0"):
-                FaultPlan().random_crashes(0.0, 100.0, mtbf_s=mtbf_s,
-                                           mttr_s=mttr_s).validate()
+        for mtbf_s, mttr_s, field in ((0.0, 600.0, "mtbf_s"),
+                                      (3600.0, -1.0, "mttr_s"),
+                                      (float("inf"), 600.0, "mtbf_s")):
+            with pytest.raises(ValueError,
+                               match=f"RandomCrashesClause.{field}"):
+                RandomCrashesClause(0.0, 100.0, mtbf_s=mtbf_s, mttr_s=mttr_s)
 
 
 class TestPartitions:
     def test_partition_cuts_cross_links_only(self):
         sim, trace, medium, nodes = device_line()
-        runtime = install(FaultPlan().partition(0.0, cut_x=30.0),
+        runtime = install([PartitionClause(0.0, cut_x=30.0)],
                           sim, trace, medium, nodes)
         sim.run(until=0.0)
         assert runtime.sides == {0: 0, 1: 0, 2: 1, 3: 1}
@@ -132,8 +135,8 @@ class TestPartitions:
 
     def test_scheduled_partition_with_heal(self):
         sim, trace, medium, nodes = device_line()
-        runtime = install(FaultPlan().partition(100.0, cut_x=30.0,
-                                                heal_after_s=50.0),
+        runtime = install([PartitionClause(100.0, cut_x=30.0,
+                                           heal_after_s=50.0)],
                           sim, trace, medium, nodes)
         sim.run(until=120.0)
         assert runtime.sides is not None
@@ -148,9 +151,8 @@ class TestPartitions:
         inside a partition outlives the heal, and its own end restores
         the link."""
         sim, trace, medium, nodes = device_line()
-        install(FaultPlan()
-                .partition(100.0, cut_x=30.0, heal_after_s=50.0)
-                .flap_link(120.0, 1, 0, down_s=60.0),
+        install([PartitionClause(100.0, cut_x=30.0, heal_after_s=50.0),
+                 LinkFlapClause(120.0, 1, 0, down_s=60.0)],
                 sim, trace, medium, nodes)
         sim.run(until=130.0)
         assert blocked(medium, 0, 1) and blocked(medium, 1, 2)

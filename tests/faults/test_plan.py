@@ -1,5 +1,6 @@
-"""The declarative fault-plan engine: builders, windows, compilation
-onto the live fault primitives, observability surface, determinism.
+"""Fault schedules: clauses that refuse a bad value when made, their
+windows, compilation onto the live fault primitives, observability
+surface, determinism.
 
 ``_plan_trial`` is module-level because the jobs=1 vs jobs=N snapshot
 identity check moves work through pickle (same contract as
@@ -10,19 +11,21 @@ import math
 
 import pytest
 
-from repro.core.scenario import Scenario
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.sensors import SensorFault
 from repro.faults.plan import (
     BORDER_ROUTER,
+    CLAUSES,
+    Clause,
     CrashClause,
-    FaultPlan,
+    FaultPlanRuntime,
     InterferenceClause,
     LinkFlapClause,
     PartitionClause,
     RandomCrashesClause,
     SensorClause,
+    install,
 )
 from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
@@ -30,36 +33,19 @@ from tests.conftest import constant_field
 
 
 # ----------------------------------------------------------------------
-# declarative layer (no simulator needed)
+# clauses (no simulator needed)
 # ----------------------------------------------------------------------
-class TestPlanBuilder:
-    def test_builders_chain_and_append_in_order(self):
-        plan = (FaultPlan()
-                .crash(at_s=10.0, node=5, recover_after_s=20.0)
-                .kill_border_router(at_s=40.0)
-                .partition(at_s=50.0, cut_x=30.0, heal_after_s=25.0)
-                .flap_link(at_s=80.0, a=1, b=2, down_s=5.0, cycles=3,
-                           up_s=5.0)
-                .sensor_fault(at_s=100.0, node=4, sensor="temp",
-                              mode=SensorFault.DRIFT, clear_after_s=30.0)
-                .interference(at_s=140.0, duration_s=60.0,
-                              position=(20.0, 20.0))
-                .random_crashes(at_s=210.0, duration_s=300.0))
-        assert len(plan) == 7
-        kinds = [clause.kind for clause in plan.clauses]
-        assert kinds == ["crash", "crash", "partition", "link_flap",
-                         "sensor", "interference", "random_crashes"]
-        assert plan.clauses[1].node == BORDER_ROUTER
-
+class TestClauses:
     def test_windows_cover_each_clause(self):
-        plan = (FaultPlan()
-                .crash(at_s=10.0, node=5, recover_after_s=20.0)
-                .partition(at_s=50.0, cut_x=30.0, heal_after_s=25.0)
-                .flap_link(at_s=80.0, a=1, b=2, down_s=5.0, cycles=3,
-                           up_s=5.0)
-                .interference(at_s=140.0, duration_s=60.0,
-                              position=(0.0, 0.0)))
-        assert plan.windows() == [
+        clauses = (
+            CrashClause(at_s=10.0, node=5, recover_after_s=20.0),
+            PartitionClause(at_s=50.0, cut_x=30.0, heal_after_s=25.0),
+            LinkFlapClause(at_s=80.0, a=1, b=2, down_s=5.0, cycles=3,
+                           up_s=5.0),
+            InterferenceClause(at_s=140.0, duration_s=60.0,
+                               position=(0.0, 0.0)),
+        )
+        assert [clause.window() for clause in clauses] == [
             (10.0, 30.0),
             (50.0, 75.0),
             (80.0, 105.0),  # 3 cycles of (5 down + 5 up), minus final up
@@ -67,64 +53,99 @@ class TestPlanBuilder:
         ]
 
     def test_open_ended_clauses_have_infinite_windows(self):
-        plan = (FaultPlan()
-                .crash(at_s=10.0, node=5)
-                .partition(at_s=20.0, cut_x=30.0)
-                .sensor_fault(at_s=30.0, node=4, sensor="temp"))
-        assert all(end == math.inf for _, end in plan.windows())
+        clauses = (CrashClause(at_s=10.0, node=5),
+                   PartitionClause(at_s=20.0, cut_x=30.0),
+                   SensorClause(at_s=30.0, node=4, sensor="temp"))
+        assert all(clause.window()[1] == math.inf for clause in clauses)
 
-    def test_extend_composes_plans(self):
-        base = FaultPlan().crash(at_s=10.0, node=1)
-        extra = FaultPlan().partition(at_s=20.0, cut_x=30.0)
-        combined = base.extend(extra)
-        assert combined is base
-        assert [c.kind for c in combined.clauses] == ["crash", "partition"]
+    @pytest.mark.parametrize("at_s", [math.nan, math.inf, -1.0])
+    def test_a_start_must_be_finite_and_non_negative(self, at_s):
+        with pytest.raises(ValueError, match="CrashClause.at_s"):
+            CrashClause(at_s, node=2)
 
-    def test_declare_windows_feeds_every_clause(self):
-        class Recorder:
-            def __init__(self):
-                self.windows = []
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: CrashClause(10.0, 2, recover_after_s=v), "recover_after_s"),
+        (lambda v: PartitionClause(10.0, 30.0, heal_after_s=v),
+         "heal_after_s"),
+        (lambda v: SensorClause(10.0, 2, "temp", clear_after_s=v),
+         "clear_after_s"),
+        (lambda v: InterferenceClause(10.0, v, (0.0, 0.0)), "duration_s"),
+        (lambda v: RandomCrashesClause(10.0, v), "duration_s"),
+    ])
+    @pytest.mark.parametrize("value", [-20.0, math.nan, math.inf])
+    def test_a_delay_must_be_finite_and_non_negative(self, make, field,
+                                                      value):
+        with pytest.raises(ValueError, match=f"Clause.{field}"):
+            make(value)
 
-            def declare_fault_window(self, start, end, grace_s=0.0):
-                self.windows.append((start, end, grace_s))
+    # A flap with a negative down_s would claim the window (10, 13) yet
+    # leave its link blocked for good, and a NaN cut would cut nothing:
+    # the clause refuses each, naming the field.
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_a_flap_is_down_for_a_finite_positive_time(self, value):
+        with pytest.raises(ValueError, match=r"LinkFlapClause\.down_s"):
+            LinkFlapClause(at_s=10.0, a=1, b=2, down_s=value, cycles=2,
+                           up_s=5.0)
 
-        plan = (FaultPlan()
-                .crash(at_s=10.0, node=5, recover_after_s=20.0)
-                .partition(at_s=50.0, cut_x=30.0))
-        recorder = Recorder()
-        plan.declare_windows(recorder, grace_s=60.0)
-        assert recorder.windows == [(10.0, 30.0, 60.0),
-                                    (50.0, math.inf, 60.0)]
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    def test_a_flap_is_up_for_a_finite_non_negative_time(self, value):
+        with pytest.raises(ValueError, match=r"LinkFlapClause\.up_s"):
+            LinkFlapClause(at_s=10.0, a=1, b=2, down_s=5.0, cycles=2,
+                           up_s=value)
 
-    def test_validate_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            FaultPlan().crash(at_s=-1.0, node=2).validate()
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_a_flap_has_at_least_one_cycle(self, cycles):
+        with pytest.raises(ValueError, match=r"LinkFlapClause\.cycles"):
+            LinkFlapClause(at_s=10.0, a=1, b=2, down_s=5.0, cycles=cycles)
 
-    def test_validate_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            FaultPlan().crash(at_s=10.0, node=2,
-                              recover_after_s=-20.0).validate()
+    @pytest.mark.parametrize("cut_x", [math.nan, math.inf, -math.inf])
+    def test_a_cut_is_finite(self, cut_x):
+        with pytest.raises(ValueError, match=r"PartitionClause\.cut_x"):
+            PartitionClause(at_s=10.0, cut_x=cut_x)
 
-    @pytest.mark.parametrize("bad, match", [
+    @pytest.mark.parametrize("bad, field", [
+        ({"mtbf_s": 0.0}, "mtbf_s"),
+        ({"mttr_s": -1.0}, "mttr_s"),
+        ({"mtbf_s": math.inf}, "mtbf_s"),
+    ])
+    def test_a_crash_storm_has_positive_finite_rates(self, bad, field):
+        with pytest.raises(ValueError, match=f"RandomCrashesClause.{field}"):
+            RandomCrashesClause(at_s=1.0, duration_s=60.0, **bad)
+
+    @pytest.mark.parametrize("bad, field", [
         ({"duty_cycle": 0.0}, "duty_cycle"),
         ({"duty_cycle": 1.0}, "duty_cycle"),
         ({"duty_cycle": 1.5}, "duty_cycle"),
         ({"duty_cycle": math.nan}, "duty_cycle"),
-        ({"wifi_channel": 99}, "Wi-Fi channel 99"),
+        ({"wifi_channel": 99}, "wifi_channel"),
         ({"position": (math.nan, 0.0)}, "position"),
+        ({"tx_power_dbm": math.inf}, "tx_power_dbm"),
     ], ids=["duty-0", "duty-1", "duty-1.5", "duty-nan", "channel-99",
-            "nan-position"])
-    def test_an_interferer_that_cannot_run_is_rejected_up_front(
-            self, bad, match):
-        plan = FaultPlan().crash(at_s=10.0, node=2).interference(
-            at_s=20.0, duration_s=5.0, **{"position": (0.0, 0.0), **bad})
-        match = f"clause 1 .*{match}"
-        with pytest.raises(ValueError, match=match):
-            plan.validate()
-        with pytest.raises(ValueError, match=match):
-            FaultPlan.from_jsonable(plan.to_jsonable())
-        with pytest.raises(ValueError, match=match):
-            Scenario(topology=grid_topology(2), faults=plan.clauses)
+            "nan-position", "inf-power"])
+    def test_an_interferer_that_cannot_run_cannot_be_made(self, bad, field):
+        with pytest.raises(ValueError, match=f"InterferenceClause.{field}"):
+            InterferenceClause(**{"at_s": 20.0, "duration_s": 5.0,
+                                  "position": (0.0, 0.0), **bad})
+
+
+class TestClauseKinds:
+    """Adding a clause kind is two parts: a ``Clause`` subclass listed in
+    ``CLAUSES`` and its ``FaultPlanRuntime._install_<kind>``."""
+
+    KINDS = Clause.__subclasses__()
+
+    def test_every_kind_is_unique(self):
+        kinds = [cls.kind for cls in self.KINDS]
+        assert len(kinds) == len(set(kinds)) == 6
+
+    def test_every_kind_is_in_the_codec_table(self):
+        assert {cls.kind: cls for cls in self.KINDS} == CLAUSES
+
+    def test_every_kind_has_an_installer(self):
+        missing = [cls.kind for cls in self.KINDS
+                   if not callable(getattr(FaultPlanRuntime,
+                                           f"_install_{cls.kind}", None))]
+        assert missing == []
 
 
 # ----------------------------------------------------------------------
@@ -146,39 +167,41 @@ def build_system(seed=31, observability=True):
 class TestRuntimeEffects:
     def test_install_rejects_clauses_in_the_past(self):
         system = build_system()
-        plan = FaultPlan().crash(at_s=10.0, node=5)  # now is 240
-        with pytest.raises(ValueError, match="past"):
-            plan.install(system)
+        clauses = [CrashClause(at_s=10.0, node=5)]  # now is 240
+        with pytest.raises(ValueError, match="before the install instant"):
+            install(system, clauses)
 
     def test_install_rejects_a_clause_a_hair_before_now(self):
         # Below any float tolerance: the kernel refuses the instant, so
-        # the plan must refuse the clause, by name, before scheduling.
+        # install must refuse the clause, by name, before scheduling.
         system = build_system()
-        plan = FaultPlan().crash(at_s=system.sim.now - 5e-10, node=3)
-        with pytest.raises(ValueError, match="clause 0 .*in the past"):
-            plan.install(system)
-        plan = FaultPlan().crash(at_s=system.sim.now, node=3)
-        plan.install(system)
+        clauses = [CrashClause(at_s=system.sim.now - 5e-10, node=3)]
+        with pytest.raises(ValueError, match=r"clauses\[0\]\.at_s=.* before"):
+            install(system, clauses)
+        install(system, [CrashClause(at_s=system.sim.now, node=3)])
         system.run(10.0)
         assert system.trace.count("fault.crash") == 1
 
-    @pytest.mark.parametrize("plan, match", [
-        (FaultPlan().crash(300.0, 42), "clause 0 .*unknown node 42"),
-        (FaultPlan().sensor_fault(300.0, 1, "nope"),
-         "clause 0 .*node 1 has no sensor 'nope'"),
-        (FaultPlan().crash(300.0, 2).flap_link(300.0, 40, 41, 5.0),
-         "clause 1 .*unknown node 40"),
-        (FaultPlan().interference(300.0, 5.0, (0.0, 0.0), node_id=3),
-         "clause 0 .*interferer id 3 is taken"),
-        (FaultPlan().interference(300.0, 5.0, (0.0, 0.0), node_id=900)
-                    .interference(400.0, 5.0, (0.0, 0.0), node_id=900),
-         "clause 1 .*interferer id 900 is taken"),
-    ], ids=["unknown-node", "unknown-sensor", "unknown-flap-node",
-            "taken-radio-id", "clashing-interferers"])
-    def test_install_rejects_a_plan_the_system_cannot_run(self, plan, match):
+    @pytest.mark.parametrize("clauses, match", [
+        ([CrashClause(300.0, 42)], r"clauses\[0\]\.node: unknown node 42"),
+        ([SensorClause(300.0, BORDER_ROUTER, "temp")],
+         r"clauses\[0\]\.node: unknown node -1"),
+        ([SensorClause(300.0, 1, "nope")],
+         r"clauses\[0\]\.sensor: node 1 has no sensor 'nope'"),
+        ([CrashClause(300.0, 2), LinkFlapClause(300.0, 40, 41, 5.0)],
+         r"clauses\[1\]\.a: unknown node 40"),
+        ([InterferenceClause(300.0, 5.0, (0.0, 0.0), node_id=3)],
+         r"clauses\[0\]\.node_id: interferer id 3 is taken"),
+        ([InterferenceClause(300.0, 5.0, (0.0, 0.0), node_id=900),
+          InterferenceClause(400.0, 5.0, (0.0, 0.0), node_id=900)],
+         r"clauses\[1\]\.node_id: interferer id 900 is taken"),
+    ], ids=["unknown-node", "border-router-sensor", "unknown-sensor",
+            "unknown-flap-node", "taken-radio-id", "clashing-interferers"])
+    def test_install_rejects_a_schedule_the_system_cannot_run(self, clauses,
+                                                              match):
         system = build_system()
         with pytest.raises(ValueError, match=match):
-            plan.install(system)
+            install(system, clauses)
         system.run(200.0)  # nothing was scheduled
         assert all(node.alive for node in system.nodes.values())
         assert system.trace.count("fault.crash") == 0
@@ -186,26 +209,43 @@ class TestRuntimeEffects:
     def test_install_refuses_a_second_plan_that_cuts_links(self):
         system = build_system()
         start = system.sim.now
-        runtime = FaultPlan().partition(start + 30.0, cut_x=30.0,
-                                        heal_after_s=60.0).install(system)
-        plan = FaultPlan().crash(start + 10.0, 2).flap_link(
-            start + 40.0, 0, 1, 5.0)
+        runtime = install(system, [PartitionClause(start + 30.0, cut_x=30.0,
+                                                   heal_after_s=60.0)])
+        clauses = [CrashClause(start + 10.0, 2),
+                   LinkFlapClause(start + 40.0, 0, 1, 5.0)]
         with pytest.raises(ValueError,
-                           match="clause 1 .*already owns this system's "
-                                 "link filter"):
-            plan.install(system)
-        # Plans without link clauses still stack on top.
-        FaultPlan().crash(start + 10.0, 2).install(system)
+                           match=r"clauses\[1\]: .*already owns this "
+                                 r"system's link filter"):
+            install(system, clauses)
+        # Schedules without link clauses still stack on top.
+        install(system, [CrashClause(start + 10.0, 2)])
         system.run(50.0)
         assert runtime.sides is not None
         assert system.trace.count("partition.link_down") == 0
 
+    def test_declare_windows_feeds_every_clause(self):
+        class Recorder:
+            def __init__(self):
+                self.windows = []
+
+            def declare_fault_window(self, start, end, grace_s=0.0):
+                self.windows.append((start, end, grace_s))
+
+        system = build_system()
+        start = system.sim.now
+        runtime = install(system, [
+            CrashClause(at_s=start + 10.0, node=5, recover_after_s=20.0),
+            PartitionClause(at_s=start + 50.0, cut_x=30.0)])
+        recorder = Recorder()
+        runtime.declare_windows(recorder, grace_s=60.0)
+        assert recorder.windows == [(start + 10.0, start + 30.0, 60.0),
+                                    (start + 50.0, math.inf, 60.0)]
+
     def test_crash_clause_crashes_and_recovers(self):
         system = build_system()
         start = system.sim.now
-        plan = FaultPlan().crash(at_s=start + 60.0, node=5,
-                                 recover_after_s=120.0)
-        runtime = plan.install(system)
+        runtime = install(system, [CrashClause(at_s=start + 60.0, node=5,
+                                               recover_after_s=120.0)])
         system.run(120.0)
         assert not system.nodes[5].alive
         assert runtime.active_clauses == 1
@@ -217,9 +257,9 @@ class TestRuntimeEffects:
 
     def test_border_router_sentinel_resolves_to_root(self):
         system = build_system()
-        plan = FaultPlan().kill_border_router(at_s=system.sim.now + 30.0,
-                                              recover_after_s=60.0)
-        plan.install(system)
+        install(system, [CrashClause(at_s=system.sim.now + 30.0,
+                                     node=BORDER_ROUTER,
+                                     recover_after_s=60.0)])
         system.run(60.0)
         assert not system.root.alive
         system.run(90.0)
@@ -228,9 +268,8 @@ class TestRuntimeEffects:
     def test_partition_clause_applies_and_heals(self):
         system = build_system()
         start = system.sim.now
-        plan = FaultPlan().partition(at_s=start + 30.0, cut_x=30.0,
-                                     heal_after_s=90.0)
-        runtime = plan.install(system)
+        runtime = install(system, [PartitionClause(
+            at_s=start + 30.0, cut_x=30.0, heal_after_s=90.0)])
         system.run(60.0)
         sides = runtime.sides
         assert sides is not None
@@ -241,9 +280,8 @@ class TestRuntimeEffects:
     def test_link_flap_blocks_then_restores_the_link(self):
         system = build_system()
         start = system.sim.now
-        plan = FaultPlan().flap_link(at_s=start + 30.0, a=0, b=1,
-                                     down_s=20.0, cycles=2, up_s=20.0)
-        runtime = plan.install(system)
+        runtime = install(system, [LinkFlapClause(
+            at_s=start + 30.0, a=0, b=1, down_s=20.0, cycles=2, up_s=20.0)])
 
         def down():
             link_filter = system.medium._link_filter
@@ -262,11 +300,9 @@ class TestRuntimeEffects:
     def test_sensor_clause_faults_and_clears(self):
         system = build_system()
         start = system.sim.now
-        plan = FaultPlan().sensor_fault(at_s=start + 30.0, node=4,
-                                        sensor="temp",
-                                        mode=SensorFault.STUCK,
-                                        clear_after_s=60.0)
-        plan.install(system)
+        install(system, [SensorClause(at_s=start + 30.0, node=4,
+                                      sensor="temp", mode=SensorFault.STUCK,
+                                      clear_after_s=60.0)])
         system.run(60.0)
         assert system.nodes[4].sensors["temp"].fault is SensorFault.STUCK
         system.run(60.0)
@@ -276,10 +312,9 @@ class TestRuntimeEffects:
         system = build_system()
         start = system.sim.now
         # MTBF short enough that several nodes are down mid-window.
-        plan = FaultPlan().random_crashes(at_s=start + 30.0,
-                                          duration_s=600.0,
-                                          mtbf_s=300.0, mttr_s=10_000.0)
-        runtime = plan.install(system)
+        runtime = install(system, [RandomCrashesClause(
+            at_s=start + 30.0, duration_s=600.0, mtbf_s=300.0,
+            mttr_s=10_000.0)])
         system.run(620.0)
         # The disturbance actually happened...
         assert not all(node.alive for node in system.nodes.values())
@@ -297,9 +332,8 @@ class TestRuntimeEffects:
     def test_interference_clause_starts_and_stops_the_jammer(self):
         system = build_system()
         start = system.sim.now
-        plan = FaultPlan().interference(at_s=start + 30.0, duration_s=60.0,
-                                        position=(20.0, 20.0))
-        runtime = plan.install(system)
+        runtime = install(system, [InterferenceClause(
+            at_s=start + 30.0, duration_s=60.0, position=(20.0, 20.0))])
         system.run(60.0)
         (interferer,) = runtime.interferers
         assert interferer._running
@@ -312,16 +346,17 @@ class TestObservabilitySurface:
     def _run_full_plan(self, seed=33):
         system = build_system(seed=seed)
         start = system.sim.now
-        plan = (FaultPlan()
-                .crash(at_s=start + 30.0, node=5, recover_after_s=60.0)
-                .partition(at_s=start + 120.0, cut_x=30.0, heal_after_s=60.0)
-                .flap_link(at_s=start + 200.0, a=0, b=1, down_s=10.0,
-                           cycles=2, up_s=10.0)
-                .sensor_fault(at_s=start + 260.0, node=4, sensor="temp",
-                              clear_after_s=30.0)
-                .interference(at_s=start + 300.0, duration_s=60.0,
-                              position=(20.0, 20.0)))
-        runtime = plan.install(system)
+        runtime = install(system, [
+            CrashClause(at_s=start + 30.0, node=5, recover_after_s=60.0),
+            PartitionClause(at_s=start + 120.0, cut_x=30.0,
+                            heal_after_s=60.0),
+            LinkFlapClause(at_s=start + 200.0, a=0, b=1, down_s=10.0,
+                           cycles=2, up_s=10.0),
+            SensorClause(at_s=start + 260.0, node=4, sensor="temp",
+                         clear_after_s=30.0),
+            InterferenceClause(at_s=start + 300.0, duration_s=60.0,
+                               position=(20.0, 20.0)),
+        ])
         system.run(420.0)
         return system, runtime
 
@@ -362,10 +397,10 @@ class TestObservabilitySurface:
     def test_plan_without_observability_runs_silently(self):
         system = build_system(observability=False)
         start = system.sim.now
-        plan = (FaultPlan()
-                .crash(at_s=start + 30.0, node=5, recover_after_s=30.0)
-                .partition(at_s=start + 90.0, cut_x=30.0, heal_after_s=30.0))
-        runtime = plan.install(system)
+        runtime = install(system, [
+            CrashClause(at_s=start + 30.0, node=5, recover_after_s=30.0),
+            PartitionClause(at_s=start + 90.0, cut_x=30.0, heal_after_s=30.0),
+        ])
         system.run(180.0)
         assert system.obs is None
         assert runtime.active_clauses == 0
@@ -374,25 +409,25 @@ class TestObservabilitySurface:
 
 
 # ----------------------------------------------------------------------
-# determinism: the plan is a pure function of the seed
+# determinism: a schedule's run is a pure function of the seed
 # ----------------------------------------------------------------------
 SEEDS = [11, 12, 13, 14]
 
 
 def _plan_trial(seed):
-    """One fully loaded plan run; returns the metrics snapshot."""
+    """One fully loaded schedule's run; returns the metrics snapshot."""
     system = build_system(seed=seed)
     start = system.sim.now
-    plan = (FaultPlan()
-            .crash(at_s=start + 30.0, node=5, recover_after_s=60.0)
-            .partition(at_s=start + 120.0, cut_x=30.0, heal_after_s=60.0)
-            .sensor_fault(at_s=start + 200.0, node=4, sensor="temp",
-                          clear_after_s=30.0)
-            .interference(at_s=start + 240.0, duration_s=60.0,
-                          position=(20.0, 20.0))
-            .random_crashes(at_s=start + 320.0, duration_s=200.0,
-                            mtbf_s=400.0, mttr_s=60.0))
-    plan.install(system)
+    install(system, [
+        CrashClause(at_s=start + 30.0, node=5, recover_after_s=60.0),
+        PartitionClause(at_s=start + 120.0, cut_x=30.0, heal_after_s=60.0),
+        SensorClause(at_s=start + 200.0, node=4, sensor="temp",
+                     clear_after_s=30.0),
+        InterferenceClause(at_s=start + 240.0, duration_s=60.0,
+                           position=(20.0, 20.0)),
+        RandomCrashesClause(at_s=start + 320.0, duration_s=200.0,
+                            mtbf_s=400.0, mttr_s=60.0),
+    ])
     system.run(600.0)
     return system.obs.registry.snapshot()
 

@@ -14,7 +14,7 @@ from repro.deployment.topology import (
     line_topology,
 )
 from repro.devices.phenomena import DiurnalField
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import PartitionClause, install
 from repro.net.rpl.dodag import RplConfig, RplState
 from repro.net.rpl.rnfd import RnfdConfig
 from repro.net.stack import StackConfig
@@ -111,8 +111,8 @@ class TestCapUnderPartition:
         CoordinatedStore(stacks[0])
         cp_client = StoreClient(stacks[8], coordinator=0, timeout_s=20.0)
 
-        FaultPlan().partition(system.sim.now, 30.0,
-                              heal_after_s=120.0).install(system)
+        install(system, (PartitionClause(system.sim.now, 30.0,
+                                         heal_after_s=120.0),))
         system.run(0.0)
 
         cp_results = []

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import (CrashClause, InterferenceClause,
+                               PartitionClause, install)
 from repro.net import stack as stack_module
 from repro.net.mac import tsch
 from repro.net.mac.schedule import Cell, TschSchedule
@@ -72,19 +73,21 @@ def run_grid(mac_cls, seed, model, *, side=3, formation_s=90.0,
     system.root.stack.bind(PORT, on_report)
     if hostile:
         last = side * side - 1
-        (FaultPlan()
-         .interference(at_s=formation_s / 2,
-                       duration_s=formation_s + traffic_s,
-                       position=(10.0, 10.0), wifi_channel=6,
-                       duty_cycle=0.05, node_id=900)
-         .crash(at_s=formation_s + 20.0, node=last // 2, recover_after_s=25.0)
-         .crash(at_s=formation_s + 41.3, node=last, recover_after_s=12.0)
-         # Cuts the last column off and heals: two link-filter changes,
-         # each re-asking every plan.  Both land mid-slot; on 8 of the
-         # 10 (seed, model) legs a frame is on the air at one of them.
-         .partition(at_s=formation_s + 59.2729, cut_x=30.0,
-                    heal_after_s=6.0)
-         ).install(system)
+        install(system, (
+            InterferenceClause(at_s=formation_s / 2,
+                               duration_s=formation_s + traffic_s,
+                               position=(10.0, 10.0), wifi_channel=6,
+                               duty_cycle=0.05, node_id=900),
+            CrashClause(at_s=formation_s + 20.0, node=last // 2,
+                        recover_after_s=25.0),
+            CrashClause(at_s=formation_s + 41.3, node=last,
+                        recover_after_s=12.0),
+            # Cuts the last column off and heals: two link-filter changes,
+            # each re-asking every plan.  Both land mid-slot; on 8 of the
+            # 10 (seed, model) legs a frame is on the air at one of them.
+            PartitionClause(at_s=formation_s + 59.2729, cut_x=30.0,
+                            heal_after_s=6.0),
+        ))
     system.start()
     rng = random.Random(seed)
     for node_id in sorted(system.nodes):

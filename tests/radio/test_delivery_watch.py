@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import InterferenceClause, install
 from repro.net.stack import StackConfig
 from repro.radio.medium import CAPTURE_MARGIN_DB, Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
@@ -42,8 +42,9 @@ def lossy_grid_run(mac: str, seed: int):
     delivered = []
     system.root.stack.bind(
         PORT, lambda d: delivered.append((d.src, d.payload, sim.now)))
-    FaultPlan().interference(10.0, 20.0, (10.0, 10.0), wifi_channel=6,
-                             duty_cycle=0.05, node_id=900).install(system)
+    install(system, (InterferenceClause(10.0, 20.0, (10.0, 10.0),
+                                        wifi_channel=6, duty_cycle=0.05,
+                                        node_id=900),))
     system.start()
     rng = random.Random(seed)
     for node_id in sorted(system.nodes):
