@@ -111,10 +111,13 @@ cold-fill:
 # What one kernel event costs and how many a run makes (DESIGN.md, "Hot
 # single-trial paths"): the best of five us/event of a no-op event chain
 # and of a cancel/re-arm loop, then WORKLOAD's (default
-# grid_csma_collect; any full-stack layered workload) timed-section
+# grid_csma_collect; any layered workload) timed-section
 # census at SEED — events, heap pushes, pushes cancelled before they
 # fired, zero-delay pushes and heap compactions, the twelve most pushed
-# callbacks, and the outcome digest (sim_digest's parts without events).
+# callbacks, and the outcome digest (sim_digest's parts without events);
+# then its delivery census — per frame the receivers Medium._deliver
+# walked, listeners, interferers, PRR draws and each outcome, and the
+# interferer probes per listener.
 kernel-floor:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))

@@ -1,6 +1,6 @@
 """Kernel-floor census — what one event costs, and how many a run makes.
 
-Every full-stack workload pays the kernel once per event and once per
+Every layered workload pays the kernel once per event and once per
 push (DESIGN.md, "Hot single-trial paths").  This prints
 
 - the best of five µs per event of two synthetic loops: a *no-op
@@ -8,7 +8,7 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   a *cancel/re-arm loop* (the same chain, where every event also
   re-arms a watchdog :class:`~repro.sim.timers.Timer` that never fires:
   one cancel and one push more per event);
-- the event census of one full-stack layered workload's timed section
+- the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
   heap pushes, pushes cancelled before they fired, zero-delay pushes
@@ -18,16 +18,23 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
 - the *outcome digest*: sha256 of the workload's ``sim_digest`` parts
   without ``events`` — what must not move when a change only removes
   events nothing observes, while ``sim_digest`` itself hashes
-  ``events_processed``.
+  ``events_processed``;
+- the *delivery census* of a second, identical pass over the timed
+  section: per delivered frame, the receivers ``Medium._deliver``
+  walked, the listeners among them (those it judged for capture), the
+  interferers resolved, the PRR draws, and the ``rssi_by_id`` probes per
+  listener; then each outcome category per frame.
 
-The census counts through instance attributes that shadow
-``schedule``/``schedule_at`` on that one simulator, and captures the
-digest parts by shadowing ``benchmarks.layers.workloads.sim_digest`` in
-this process, so it runs unchanged on any checkout with the same kernel
-and workload API.
+The censuses count through instance attributes: ``schedule``/
+``schedule_at`` on that one simulator, and ``_deliver``,
+``_interferers`` and ``_rng.random`` on that one medium (its
+interferer maps are handed to ``_deliver`` as copies that count their
+``get`` calls).  The digest parts are captured by shadowing
+``benchmarks.layers.workloads.sim_digest`` in this process.  So it runs
+unchanged on any checkout with the same kernel, medium and workload API.
 
     make kernel-floor         # python benchmarks/kernel_floor.py --seed 2018
-    make kernel-floor WORKLOAD=gateway_services SEED=2021
+    make kernel-floor WORKLOAD=campus_medium SEED=2021
 """
 
 from __future__ import annotations
@@ -52,9 +59,8 @@ from repro.sim.timers import Timer
 #: Events per synthetic loop, and how many times each is run.
 LOOP_EVENTS = 200_000
 REPEATS = 5
-#: The layered workloads that run the whole stack (all but the bare
-#: medium).
-FULL_STACK = tuple(name for name in WORKLOADS if name != "campus_medium")
+#: The delivery outcome categories, as ``TraceLog.counters`` keys.
+OUTCOMES = ("radio.miss", "radio.collision", "radio.drop", "radio.rx")
 #: Callbacks listed by the per-callback census.
 TOP_CALLBACKS = 12
 
@@ -159,6 +165,61 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
     return totals, rows, outcome_digest(workload)
 
 
+def delivery_census(workload_name: str = "grid_csma_collect",
+                    seed: int = 2018, scale: float = DEFAULT_SCALE,
+                    **sizes: Any) -> Dict[str, float]:
+    """What ``Medium._deliver`` did over ``workload_name``'s timed
+    section: totals of frames delivered, receivers walked, listeners,
+    interferers, PRR draws and interferer probes, and each outcome
+    category's count (``sizes`` go to the workload, as in
+    ``run.py --rep``)."""
+    workload = WORKLOADS[workload_name](seed, scale, **sizes)
+    workload.setup(lambda: None)
+    system = getattr(workload, "system", None)
+    medium = workload.medium if system is None else system.medium
+    counters = medium.trace.counters
+    totals = dict.fromkeys(
+        ("frames", "walked", "interferers", "draws", "probes"), 0)
+    deliver, interferers = medium._deliver, medium._interferers
+    rng = medium._rng
+    draw = rng.random
+
+    class ProbedMap(dict):
+        """An interferer's ``rssi_by_id``, copied, counting ``get``."""
+
+        def get(self, key: Any, default: Any = None) -> Any:
+            totals["probes"] += 1
+            return dict.get(self, key, default)
+
+    def counted_deliver(tx: Any, receivers: Any) -> None:
+        totals["frames"] += 1
+        totals["walked"] += len(receivers)
+        deliver(tx, receivers)
+
+    def counted_interferers(tx: Any) -> List[Dict[int, float]]:
+        maps = [ProbedMap(m) for m in interferers(tx)]
+        totals["interferers"] += len(maps)
+        return maps
+
+    def counted_draw() -> float:
+        totals["draws"] += 1
+        return draw()
+
+    before = {category: counters.get(category, 0) for category in OUTCOMES}
+    medium._deliver = counted_deliver
+    medium._interferers = counted_interferers
+    rng.random = counted_draw
+    try:
+        advance(workload.sim, workload.timed_until, lambda: None)
+    finally:
+        del medium._deliver, medium._interferers, rng.random
+    for category in OUTCOMES:
+        totals[category] = counters.get(category, 0) - before[category]
+    totals["listeners"] = sum(totals[category] for category in OUTCOMES
+                              if category != "radio.miss")
+    return totals
+
+
 def outcome_digest(workload: Any) -> str:
     """Run ``workload.finish()`` and hash its ``sim_digest`` parts
     without ``events``."""
@@ -181,7 +242,7 @@ def outcome_digest(workload: Any) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2018)
-    parser.add_argument("--workload", choices=FULL_STACK,
+    parser.add_argument("--workload", choices=tuple(WORKLOADS),
                         default="grid_csma_collect")
     args = parser.parse_args()
 
@@ -198,6 +259,17 @@ def main() -> int:
     for name, pushed, fired, cancelled in rows[:TOP_CALLBACKS]:
         print(f"  {name:52s}{pushed:8d}{fired:8d}{cancelled:10d}")
     print(f"outcome digest (sim_digest parts without events): {digest}")
+    delivery = delivery_census(args.workload, args.seed)
+    frames = max(1, delivery["frames"])
+    print(f"{args.workload} seed {args.seed}, delivery census "
+          f"({delivery['frames']} frames delivered):")
+    for name in ("walked", "listeners", "interferers", "draws"):
+        print(f"  {name + ' per frame':24s}{delivery[name] / frames:8.2f}")
+    print(f"  {'probes per listener':24s}"
+          f"{delivery['probes'] / max(1, delivery['listeners']):8.2f}")
+    for category in OUTCOMES:
+        print(f"  {category + ' per frame':24s}"
+              f"{delivery[category] / frames:8.2f}")
     return 0
 
 

@@ -96,11 +96,20 @@ class Scenario:
                        if self.faults_at_s is None else self.faults_at_s,
                        where="Scenario.faults")
         for index, workload in enumerate(self.workloads):
+            where = f"Scenario.workloads[{index}]"
             if isinstance(workload, Probe):
                 for source in workload.sources:
                     if source not in nodes:
-                        raise ValueError(f"Scenario.workloads[{index}]."
-                                         f"sources: unknown node {source!r}")
+                        raise ValueError(f"{where}.sources: unknown node "
+                                         f"{source!r}")
+            for node in workload.nodes:
+                if node not in nodes:
+                    raise ValueError(f"{where}: {workload.kind} needs node "
+                                     f"{node}, which the topology lacks")
+            for switch in workload.switches:
+                if not getattr(self.config, switch):
+                    raise ValueError(f"{where}: {workload.kind} needs "
+                                     f"SystemConfig.{switch}=True")
         names = [name for name, _ in self.sensors]
         for index, name in enumerate(names):
             if name in names[:index]:

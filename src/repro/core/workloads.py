@@ -69,10 +69,18 @@ class Driver:
 
 
 class Workload:
-    """Base of the workload parameter classes."""
+    """Base of the workload parameter classes.
+
+    ``nodes`` and ``switches`` are what the driver takes for granted:
+    the node ids it reaches for by number and the boolean
+    ``SystemConfig`` fields it needs on.  :class:`Scenario` refuses a
+    workload whose topology or config lacks one when it is made.
+    """
 
     kind: ClassVar[str]
     driver: ClassVar[type]
+    nodes: ClassVar[Tuple[int, ...]] = ()
+    switches: ClassVar[Tuple[str, ...]] = ()
 
     def attach(self, system, scenario) -> Driver:
         """This workload's driver on ``system``."""
@@ -158,6 +166,7 @@ class PartitionCrdt(Workload):
     and one divergent write on each side of the cut the schedule applies."""
 
     kind: ClassVar[str] = "partition-crdt"
+    switches: ClassVar[Tuple[str, ...]] = ("invariant_checking",)
 
 
 class _PartitionCrdtRun(Driver):
@@ -205,6 +214,8 @@ class HvacSafety(Workload):
     """
 
     kind: ClassVar[str] = "hvac-safety"
+    nodes: ClassVar[Tuple[int, ...]] = (4, 8)
+    switches: ClassVar[Tuple[str, ...]] = ("invariant_checking",)
 
 
 class _HvacSafetyRun(Driver):
@@ -247,6 +258,8 @@ class AvailabilityProbe(Workload):
     plus 60 s are excused."""
 
     kind: ClassVar[str] = "availability-probe"
+    nodes: ClassVar[Tuple[int, ...]] = (8,)
+    switches: ClassVar[Tuple[str, ...]] = ("invariant_checking",)
 
 
 class _AvailabilityRun(Driver):
@@ -280,6 +293,7 @@ class Demo(Workload):
     into a ``radio.duty_cycle`` gauge."""
 
     kind: ClassVar[str] = "demo"
+    switches: ClassVar[Tuple[str, ...]] = ("observability",)
 
 
 class DemoRun(Driver):

@@ -37,7 +37,9 @@ class CsmaConfig:
 
     def validate(self) -> None:
         if self.max_retries < 0:
-            raise MacConfigError("max_retries must be >= 0")
+            raise MacConfigError(
+                f"CsmaConfig.max_retries must be >= 0, "
+                f"got {self.max_retries!r}")
 
 
 class CsmaMac(MacLayer):

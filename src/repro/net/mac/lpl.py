@@ -50,9 +50,13 @@ class LplConfig:
 
     def validate(self) -> None:
         if self.wake_interval_s <= 0:
-            raise MacConfigError("wake_interval_s must be positive")
+            raise MacConfigError(
+                f"LplConfig.wake_interval_s must be positive, "
+                f"got {self.wake_interval_s!r}")
         if PROBE_DURATION_S >= self.wake_interval_s:
-            raise MacConfigError("probe must be shorter than wake interval")
+            raise MacConfigError(
+                f"LplConfig.wake_interval_s must exceed the probe "
+                f"({PROBE_DURATION_S} s), got {self.wake_interval_s!r}")
 
 
 class LplMac(MacLayer):

@@ -40,7 +40,9 @@ class RiMacConfig:
 
     def validate(self) -> None:
         if self.wake_interval_s <= 0:
-            raise MacConfigError("wake_interval_s must be positive")
+            raise MacConfigError(
+                f"RiMacConfig.wake_interval_s must be positive, "
+                f"got {self.wake_interval_s!r}")
 
 
 class RiMac(MacLayer):

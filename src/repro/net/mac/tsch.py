@@ -130,7 +130,9 @@ class TschConfig:
 
     def validate(self) -> None:
         if self.slotframe_slots < 2:
-            raise MacConfigError("slotframe_slots must be >= 2")
+            raise MacConfigError(
+                f"TschConfig.slotframe_slots must be >= 2, "
+                f"got {self.slotframe_slots!r}")
 
 
 #: Slot events run before anything else due at the same instant (a slot

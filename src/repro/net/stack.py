@@ -91,6 +91,11 @@ class StackConfig:
         if self.upward_retries < 0:
             raise ValueError(f"StackConfig.upward_retries: must be >= 0, "
                              f"not {self.upward_retries}")
+        # Each config's own refusal, at construction: a Scenario holding
+        # this stack is refused when made, not when its nodes are built.
+        self.rpl.validate()
+        (self.mac_config if self.mac_config is not None
+         else config_cls()).validate()
 
     def make_mac(self, sim: Simulator, radio: Radio, trace: TraceLog) -> MacLayer:
         mac_cls, config_cls = _MAC_REGISTRY[self.mac]

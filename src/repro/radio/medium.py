@@ -13,18 +13,17 @@ charge drawn, which drives the funnel-effect and lifetime experiments.
 
 Scaling: the spatial grid index
 -------------------------------
-With tens of thousands of radios the question "who can hear a sender"
-cannot afford to visit every radio.  Every link model declares a hard
-audible-range bound (``max_audible_range_m``, see
-:mod:`repro.radio.propagation`), so the medium keeps its radios'
-positions as one ``(N, 2)`` array and buckets their row indices into
-square cells at least that large: any radio that could possibly be heard
-is in one of the sender's nine surrounding cells by construction.  A
-neighbourhood is one vectorised pass over those rows — cut to the
-sender's own disc (the bound at *its* power, times ``_CELL_MARGIN``,
-with a squared-distance compare), drop the sender and any blocked link,
-one model call for the RSSIs, the threshold, one ``lexsort`` by
-``(rssi desc, node_id)``, one model call for the PRRs.
+With tens of thousands of radios, "who can hear a sender" cannot visit
+every radio.  Every link model declares a hard audible-range bound
+(``max_audible_range_m``, :mod:`repro.radio.propagation`), so the medium
+keeps its radios' positions as one ``(N, 2)`` array and buckets their
+rows into square cells at least that large: a radio that could be heard
+is in one of the sender's nine surrounding cells.  A neighbourhood is
+one vectorised pass over those rows — cut to the sender's own disc (the
+bound at *its* power, times ``_CELL_MARGIN``, a squared-distance
+compare), drop the sender and any blocked link, one model call for the
+RSSIs, the threshold, one ``lexsort`` by ``(rssi desc, node_id)``, one
+model call for the PRRs.
 
 The index is an *accelerator, not an approximation*: the disc is a
 superset of the audible set, every candidate is evaluated with the same
@@ -43,30 +42,38 @@ loud is that transmission at radio ``r``" is its sender's
 ``rssi_by_id.get(r.node_id)``.  The frames that can overlap anything
 are one end-time heap, ``_active``; CCA scans it, and when a frame ends
 the transmissions that overlapped it in time and channel are resolved
-from it *once* (:meth:`Medium._interferers`).  Each listening receiver
-then walks their maps, usually an empty list, and stops at the first
-interferer inside the capture margin: rounded subtraction is monotone,
-so ``rssi - other < margin`` holds for some interferer exactly when it
-holds for the strongest.  An outcome nobody watches
-(:meth:`TraceLog.watched`) is counted in place, with no ``emit`` call
-per receiver.
+from it *once* (:meth:`Medium._interferers`), loudest at the sender
+first.  Each listening receiver walks their maps, usually an empty
+list, and stops at the first interferer inside the capture margin:
+rounded subtraction is monotone, so ``rssi - other < margin`` holds for
+some interferer exactly when it holds for the strongest, in any order.
 
-The world the medium models is a fixed installation: a radio's
-``position`` and ``tx_power_dbm`` are set when it is built (a NaN or
-infinite value is refused, :class:`PositionError`, :class:`PowerError`)
-and read-only after, radios never detach, and what changes is that
-radios attach and that a link filter is set or cleared.
+Delivery walks the triples once, fates in their order: disabled or
+off-channel (skipped), slept through (``radio.miss``), captured
+(``radio.collision``), one PRR draw (``radio.drop`` or ``radio.rx``).
+Liveness is one compare, ``_listen_since > start``: leaving LISTEN sets
+``_listen_since`` to ``inf``.  While no outcome is watched
+(:meth:`TraceLog.watched`), the frame has no span and all four have a
+counter, losses are tallied per frame and added to ``trace.counters``
+before each ``on_receive`` upcall and at the end (a reception is
+counted as it happens): a reader anywhere sees what per-receiver
+counting would have left.  Only an upcall or a watched emit's
+subscriber can change who watches or the world, so both are looked at
+again only after one.
+
+The world is a fixed installation: a radio's ``position`` and
+``tx_power_dbm`` are set when it is built (NaN or infinite is refused:
+:class:`PositionError`, :class:`PowerError`) and read-only after, radios
+never detach, and only an attach or a link filter changes it.
 
 Cache invalidation rules (the part that must not rot):
 
-- The neighborhoods are the only place signal strengths are kept:
-  the medium has no other cache and the link model keeps none (a
-  shadowing draw is recomputed from ``(seed, link key)`` whenever a
-  neighborhood is rebuilt).  Every read — delivery, CCA, arbitration,
-  :meth:`Medium.rssi_between` — goes through
-  :meth:`Medium._neighborhood`, which builds an entry (triples and
-  ``rssi_by_id`` in the one pass) the first time a sender is asked
-  about, so an interferer's map is never staler than its
+- The neighborhoods are the only place signal strengths are kept (the
+  link model keeps none: a shadowing draw is recomputed from ``(seed,
+  link key)`` on every rebuild).  Every read — delivery, CCA,
+  arbitration, :meth:`Medium.rssi_between` — goes through
+  :meth:`Medium._neighborhood`, which builds triples and ``rssi_by_id``
+  in one pass, so an interferer's map is never staler than its
   ``audible_from``.
 - An attach (the new radio may be inside anyone's disc) and
   ``set_link_filter`` drop every entry.
@@ -101,21 +108,19 @@ function of time the plan can evaluate later.
   the channel the last of them hopped to.
 - **What makes a window real.**  A frame: :meth:`Medium.transmit` calls
   ``plan.frame_started(end)`` on every planned radio in the sender's
-  neighbourhood (jam frames too — they are sensed, never received).
-  The plan makes real the window it is in (LISTEN since the window's
-  own start, its end timer armed) and schedules a real wake-up for the
-  next window that begins before :meth:`Medium.audible_until` — the end
-  of the last audible frame in flight.  From there delivery, capture,
-  ACKs and carrier-sense holds run on real state, unchanged.  A read
-  that lands inside a window makes it real the same way.  A link-filter
-  change asks every plan again, since it can make a frame already in
-  flight audible somewhere new.
+  neighbourhood (jam frames too: they are sensed, never received).  The
+  plan makes real the window it is in (LISTEN since its start, its end
+  timer armed) and a real wake-up for the next window that begins
+  before :meth:`Medium.audible_until`, the end of the last audible frame
+  in flight; from there delivery, capture, ACKs and carrier-sense holds
+  run on real state.  A read inside a window makes it real the same
+  way, and a link-filter change asks every plan again (a frame already
+  in flight may be audible somewhere new).
 - **Why tie order is canonical.**  With most wake-ups never scheduled,
-  the kernel's FIFO order among same-instant events would depend on
-  which windows happened to become real.  Plans therefore schedule
-  their slot events with a ``priority`` that is a function of the node
-  id, so the order frames go on the air in — and with it the order of
-  the medium's PRR draws on lossy links — is a function of (slot, node).
+  FIFO order among same-instant events would depend on which windows
+  became real, so plans give slot events a ``priority`` that is a
+  function of the node id: the order frames go on the air, and so the
+  order of PRR draws on lossy links, is a function of (slot, node).
 """
 
 from __future__ import annotations
@@ -147,6 +152,8 @@ CAPTURE_MARGIN_DB = 6.0
 #: The categories the medium counts in place when nobody watches them.
 _CATEGORIES = ("radio.tx", "radio.miss", "radio.collision", "radio.drop",
                "radio.rx")
+#: The four a frame's delivery counts, one per receiver.
+_OUTCOMES = frozenset(_CATEGORIES[1:])
 
 #: Grid cells are inflated this much over the model's range bound so a
 #: borderline-audible link can never straddle more than one cell edge.
@@ -408,18 +415,10 @@ class Radio:
 
 
 class Medium:
-    """The shared spectrum connecting all attached radios.
-
-    Parameters
-    ----------
-    sim:
-        The simulation kernel (time + randomness source).
-    model:
-        Link-quality model mapping geometry to RSSI and PRR.
-    trace:
-        Optional trace log; the medium emits ``radio.tx``, ``radio.rx``,
-        ``radio.collision``, and ``radio.miss`` records.
-    """
+    """The shared spectrum connecting all attached radios: ``sim`` is
+    the kernel (time and randomness), ``model`` maps geometry to RSSI
+    and PRR, and ``trace`` (a fresh log if None) counts the
+    ``radio.tx/miss/collision/drop/rx`` records."""
 
     def __init__(
         self,
@@ -566,13 +565,10 @@ class Medium:
         return rssi
 
     def audible_from(self, sender: Radio) -> List[Tuple[Radio, float]]:
-        """Radios that can hear ``sender`` at all, with their RSSI.
-
-        Sorted by ``(rssi descending, node_id)``: delivery iteration
-        order is a property of the radio environment, not of dict
-        insertion order, so adding radios in a different order cannot
-        perturb a seeded run.
-        """
+        """Radios that can hear ``sender`` at all, with their RSSI, by
+        ``(rssi descending, node_id)``: delivery order is a property of
+        the radio environment, not of attach order, so attaching radios
+        in another order cannot perturb a seeded run."""
         return [(radio, rssi)
                 for radio, rssi, _ in self._neighborhood(sender).receivers]
 
@@ -773,23 +769,23 @@ class Medium:
         what its map says *now*, at the end of ``tx``.
         """
         start, end, channel = tx.start, tx.end, tx.frame.channel
-        return [self._neighborhood(other.radio).rssi_by_id
+        maps = [self._neighborhood(other.radio).rssi_by_id
                 for _, _, other in self._active
                 if other is not tx and other.end > start and other.start < end
                 and other.frame.interferes_with(channel)]
+        # Loudest at the sender first: the nearest is audible, and loud,
+        # at most of its receivers, so the first-hit walk stops soonest.
+        if len(maps) > 1:
+            sender = tx.frame.sender
+            maps.sort(key=lambda m: m.get(sender, -math.inf), reverse=True)
+        return maps
 
     def _deliver(self, tx: _Transmission,
                  receivers: Sequence[Tuple[Radio, float, float]]) -> None:
-        """Decide the frame's fate at each radio that could hear it sent.
-
-        An outcome category nobody watches is counted in place — the
-        one thing its ``emit`` would have done — so an unobserved frame
-        costs no call per receiver.  Who watches is asked again whenever
-        the log's version moves (an upcall may subscribe, unsubscribe or
-        flip ``enabled``).  A frame whose payload names a ``dst`` a
-        receiver does not recognise (:attr:`Radio.rx_addresses`) is
-        counted there like any other and not handed up.
-        """
+        """Decide the frame's fate at each radio that could hear it sent
+        (module docstring, "Delivery walks the triples once").  A
+        payload ``dst`` a receiver does not recognise
+        (:attr:`Radio.rx_addresses`) is counted there but not handed up."""
         if self._planned:
             # The sync rule, for every receiver the loop below reads.
             for receiver, _, _ in receivers:
@@ -797,35 +793,32 @@ class Medium:
                     receiver.listen_plan.sync()
         frame = tx.frame
         channel, start, sender = frame.channel, tx.start, frame.sender
-        now = self.sim.now
-        trace = self.trace
-        emit, counters = trace.emit, trace.counters
-        draw = self._rng.random
-        # tx.span is None in every untraced run, so traced delivery
-        # outcomes cost nothing otherwise.  Only the addressee's
-        # outcome explains the hop; overheard copies at third parties
-        # are not part of the packet's lifecycle.
+        now, trace = self.sim.now, self.trace
+        emit, counters, draw = trace.emit, trace.counters, self._rng.random
+        # Only the addressee's outcome explains the hop; overheard
+        # copies are not part of the packet's lifecycle.
         span, addressee = tx.span, tx.addressee
-        listen = RadioState.LISTEN
         dst = getattr(frame.payload, "dst", None)
-        interferers: List[Dict[int, float]] = []
-        world_version = -1
-        watch_version, watched = self._watch_version, self._watched
+        interferers: Optional[List[Dict[int, float]]] = None
+        world_version, watch_version = self._world_version, trace.version
+        watched = (self._watched if self._watch_version == watch_version
+                   else self._rewatch())
+        # Whether losses are tallied: decided at the first one.
+        tallied = None
+        misses = collisions = drops = 0
         for receiver, rssi, prr in receivers:
             if not receiver.enabled or receiver.channel != channel:
                 continue
-            node = receiver.node_id
-            if receiver.state is not listen or receiver._listen_since > start:
+            # _listen_since is inf unless LISTEN: one compare decides.
+            if receiver._listen_since > start:
                 # Slept through (part of) the frame — the duty-cycling cost.
                 lost = "radio.miss"
             else:
-                if world_version != self._world_version:
+                if interferers is None:
                     # First listener, or an upcall just changed the world.
                     interferers = self._interferers(tx)
-                    world_version = self._world_version
-                # Rounded subtraction is monotone, so the frame loses
-                # to the strongest interferer exactly when it loses to
-                # some interferer: the first one found decides.
+                node = receiver.node_id
+                # The first interferer inside the margin decides.
                 for rssi_by_id in interferers:
                     other = rssi_by_id.get(node)
                     if other is not None and rssi - other < CAPTURE_MARGIN_DB:
@@ -833,28 +826,58 @@ class Medium:
                         break
                 else:
                     lost = "radio.drop" if draw() > prr else None
-            if trace.version != watch_version:
-                watched = self._rewatch()
-                watch_version = trace.version
-            traced = span is not None and (addressee is None or addressee == node)
             if lost is not None:
+                if tallied is None:
+                    # Only once every outcome has its key: adding to a
+                    # key keeps the counters' order, creating one would not.
+                    tallied = (span is None and watched.isdisjoint(_OUTCOMES)
+                               and counters.keys() >= _OUTCOMES)
+                if tallied:
+                    if lost == "radio.collision":
+                        collisions += 1
+                    elif lost == "radio.miss":
+                        misses += 1
+                    else:
+                        drops += 1
+                    continue
+                node = receiver.node_id
                 if lost in watched:
                     emit(now, lost, node=node, sender=sender)
                 else:
                     counters[lost] = counters.get(lost, 0) + 1
-                if traced:
+                if span is not None and (
+                        addressee is None or addressee == node):
                     trace.obs.spans.event(span, lost, node=node, t=now)
-                continue
-            receiver.frames_received += 1
-            if "radio.rx" in watched:
-                emit(now, "radio.rx", node=node, sender=sender,
-                     size=frame.size_bytes)
             else:
-                counters["radio.rx"] = counters.get("radio.rx", 0) + 1
-            if traced:
-                trace.obs.spans.event(span, "radio.rx", node=node,
-                                      t=now, rssi=round(rssi, 1))
-            if receiver.on_receive is not None and (
-                    dst is None or receiver.rx_addresses is None
-                    or dst in receiver.rx_addresses):
-                receiver.on_receive(frame, rssi)
+                receiver.frames_received += 1
+                if "radio.rx" in watched:
+                    emit(now, "radio.rx", node=receiver.node_id, sender=sender,
+                         size=frame.size_bytes)
+                else:
+                    counters["radio.rx"] = counters.get("radio.rx", 0) + 1
+                if span is not None and (
+                        addressee is None or addressee == receiver.node_id):
+                    trace.obs.spans.event(span, "radio.rx",
+                                          node=receiver.node_id, t=now,
+                                          rssi=round(rssi, 1))
+                if receiver.on_receive is not None and (
+                        dst is None or receiver.rx_addresses is None
+                        or dst in receiver.rx_addresses):
+                    if tallied:
+                        counters["radio.miss"] += misses
+                        counters["radio.collision"] += collisions
+                        counters["radio.drop"] += drops
+                        misses = collisions = drops = 0
+                    receiver.on_receive(frame, rssi)
+            # What just ran may have changed who watches or the world.
+            if trace.version != watch_version:
+                watch_version = trace.version
+                watched = self._rewatch()
+                tallied = None
+            if self._world_version != world_version:
+                world_version = self._world_version
+                interferers = None
+        if tallied:
+            counters["radio.miss"] += misses
+            counters["radio.collision"] += collisions
+            counters["radio.drop"] += drops

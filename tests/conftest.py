@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -20,7 +20,13 @@ from repro.net.fragmentation import (
 from repro.net.packet import Datagram, FrameKind, MacFrame, NetPacket
 from repro.net.stack import NetworkStack, StackConfig
 from repro.obs.timeseries import TelemetryWindow
-from repro.radio.medium import Frame, Medium, Radio, RadioState
+from repro.radio.medium import (
+    CAPTURE_MARGIN_DB,
+    Frame,
+    Medium,
+    Radio,
+    RadioState,
+)
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
@@ -177,6 +183,91 @@ class FullScanMedium(Medium):
 
     def grid_info(self):
         return dict(super().grid_info(), spatial_index=False)
+
+
+class PerReceiverMedium(Medium):
+    """A :class:`Medium` whose delivery counts and re-checks per receiver.
+
+    ``Medium._deliver`` tallies unwatched losses per frame, adds them to
+    the counters before each upcall and at the end, tests liveness with
+    one ``_listen_since`` compare, and looks at who watches and at the
+    interferers again only after an upcall or a watched emit; its
+    ``_interferers`` puts the loudest at the sender first.  This is the
+    design they replaced, kept verbatim: every outcome bumped in place
+    or emitted as it is decided, ``state`` and ``_listen_since`` both
+    tested, the trace version and the world version compared at every
+    receiver, and the interferers in heap order.  The reference the
+    tallied delivery must reproduce (as :class:`FullScanMedium` is for
+    the indexed medium).  Test-side only — ``src/`` has one ``_deliver``.
+    """
+
+    def _interferers(self, tx) -> List[Dict[int, float]]:
+        start, end, channel = tx.start, tx.end, tx.frame.channel
+        return [self._neighborhood(other.radio).rssi_by_id
+                for _, _, other in self._active
+                if other is not tx and other.end > start and other.start < end
+                and other.frame.interferes_with(channel)]
+
+    def _deliver(self, tx,
+                 receivers: Sequence[Tuple[Radio, float, float]]) -> None:
+        if self._planned:
+            for receiver, _, _ in receivers:
+                if receiver.listen_plan is not None and receiver.enabled:
+                    receiver.listen_plan.sync()
+        frame = tx.frame
+        channel, start, sender = frame.channel, tx.start, frame.sender
+        now = self.sim.now
+        trace = self.trace
+        emit, counters = trace.emit, trace.counters
+        draw = self._rng.random
+        span, addressee = tx.span, tx.addressee
+        listen = RadioState.LISTEN
+        dst = getattr(frame.payload, "dst", None)
+        interferers: List[Dict[int, float]] = []
+        world_version = -1
+        watch_version, watched = self._watch_version, self._watched
+        for receiver, rssi, prr in receivers:
+            if not receiver.enabled or receiver.channel != channel:
+                continue
+            node = receiver.node_id
+            if receiver.state is not listen or receiver._listen_since > start:
+                lost = "radio.miss"
+            else:
+                if world_version != self._world_version:
+                    interferers = self._interferers(tx)
+                    world_version = self._world_version
+                for rssi_by_id in interferers:
+                    other = rssi_by_id.get(node)
+                    if other is not None and rssi - other < CAPTURE_MARGIN_DB:
+                        lost = "radio.collision"
+                        break
+                else:
+                    lost = "radio.drop" if draw() > prr else None
+            if trace.version != watch_version:
+                watched = self._rewatch()
+                watch_version = trace.version
+            traced = span is not None and (addressee is None or addressee == node)
+            if lost is not None:
+                if lost in watched:
+                    emit(now, lost, node=node, sender=sender)
+                else:
+                    counters[lost] = counters.get(lost, 0) + 1
+                if traced:
+                    trace.obs.spans.event(span, lost, node=node, t=now)
+                continue
+            receiver.frames_received += 1
+            if "radio.rx" in watched:
+                emit(now, "radio.rx", node=node, sender=sender,
+                     size=frame.size_bytes)
+            else:
+                counters["radio.rx"] = counters.get("radio.rx", 0) + 1
+            if traced:
+                trace.obs.spans.event(span, "radio.rx", node=node,
+                                      t=now, rssi=round(rssi, 1))
+            if receiver.on_receive is not None and (
+                    dst is None or receiver.rx_addresses is None
+                    or dst in receiver.rx_addresses):
+                receiver.on_receive(frame, rssi)
 
 
 def build_line_network(

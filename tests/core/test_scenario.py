@@ -32,7 +32,7 @@ from repro.faults.plan import (BORDER_ROUTER, CLAUSES, CrashClause,
                                InterferenceClause, LinkFlapClause,
                                PartitionClause, RandomCrashesClause,
                                SensorClause)
-from repro.net.mac.lpl import LplConfig
+from repro.net.mac.lpl import PROBE_DURATION_S, LplConfig
 from repro.net.mac.tsch import TschConfig
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
@@ -46,16 +46,20 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 _times = st.floats(min_value=0.0, max_value=1e5)
 _spans = st.floats(min_value=1e-3, max_value=1e4)
 _finite = st.floats(allow_nan=False, allow_infinity=False)
+#: Stacks a node can run: positive RPL periods, an LPL wake interval
+#: longer than its probe, at least two TSCH slots.
 _stacks = st.one_of(
     st.builds(StackConfig, mac=st.just("csma"),
-              rpl=st.builds(RplConfig, dao_period_s=_times,
-                            staleness_timeout_s=st.none() | _times)),
+              rpl=st.builds(RplConfig, dao_period_s=_spans,
+                            staleness_timeout_s=st.none() | _spans)),
     st.builds(StackConfig, mac=st.just("lpl"),
-              mac_config=st.builds(LplConfig, wake_interval_s=_times,
-                                   phase_lock=st.booleans())),
+              mac_config=st.builds(
+                  LplConfig, wake_interval_s=st.floats(
+                      PROBE_DURATION_S, 1e5, exclude_min=True),
+                  phase_lock=st.booleans())),
     st.builds(StackConfig, mac=st.just("tsch"),
               mac_config=st.none() | st.builds(
-                  TschConfig, slotframe_slots=st.integers(1, 200)),
+                  TschConfig, slotframe_slots=st.integers(2, 200)),
               channel=st.integers(11, 26)),
 )
 _configs = st.builds(SystemConfig, stack=_stacks,
@@ -93,29 +97,35 @@ def _clauses(nodes, start):
 
 
 def _workloads(nodes):
+    """Workloads whose fixed nodes ``nodes`` has (the scenario turns on
+    the switches they need)."""
     return st.one_of(
         st.builds(Probe, sources=st.tuples(st.sampled_from(nodes)),
                   count=st.integers(0, 20), period_s=_times,
                   stagger_s=_times, copies=st.integers(1, 3),
                   size=st.integers(1, 64)),
-        st.sampled_from([PartitionCrdt(), HvacSafety(), AvailabilityProbe(),
-                         Demo()]),
+        st.sampled_from([w for w in (PartitionCrdt(), HvacSafety(),
+                                     AvailabilityProbe(), Demo())
+                         if set(w.nodes) <= set(nodes)]),
     )
 
 
 @st.composite
 def _scenarios(draw):
     """A valid scenario: its clauses and probes name the topology's
-    nodes, its clauses start no earlier than their install instant and
-    its sensor names are distinct."""
+    nodes, its clauses start no earlier than their install instant, its
+    sensor names are distinct and its config has every switch its
+    workloads need."""
     topology = draw(st.sampled_from(_TOPOLOGIES))
     nodes = topology.node_ids()
     formation = draw(_times)
     faults_at = draw(st.none() | st.floats(formation, 2e5))
     start = formation if faults_at is None else faults_at
+    workloads = draw(st.lists(_workloads(nodes), max_size=3))
     return Scenario(
         topology=topology,
-        config=draw(_configs),
+        config=dataclasses.replace(draw(_configs), **{
+            switch: True for w in workloads for switch in w.switches}),
         link_model=draw(st.none() | st.builds(UnitDiskModel, radius_m=_times)
                         | st.builds(LogDistanceModel, seed=st.integers(0, 99))),
         sensors=draw(st.lists(_sensors, max_size=2,
@@ -126,7 +136,7 @@ def _scenarios(draw):
         faults=draw(st.lists(_clauses(nodes, start), max_size=3)),
         faults_at_s=faults_at,
         grace_s=draw(st.none() | _times),
-        workloads=draw(st.lists(_workloads(nodes), max_size=3)),
+        workloads=workloads,
         formation_s=formation,
         run_s=draw(_times),
     )
@@ -365,7 +375,65 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"Scenario\.workloads\[1\]"
                                              r"\.sources: unknown node 9"):
             Scenario(topology=grid_topology(2),
+                     config=SystemConfig(observability=True),
                      workloads=(Demo(), Probe(sources=(1, 9))))
+
+    @pytest.mark.parametrize("workload, node", [
+        (HvacSafety(), 4), (AvailabilityProbe(), 8)])
+    def test_a_workload_needs_its_nodes(self, workload, node):
+        config = SystemConfig(invariant_checking=True)
+        Scenario(topology=grid_topology(3), config=config,
+                 workloads=(workload,))
+        with pytest.raises(ValueError, match=(
+                fr"^Scenario\.workloads\[1\]: {workload.kind} needs node "
+                fr"{node}, which the topology lacks")):
+            Scenario(topology=grid_topology(2), config=config,
+                     workloads=(Probe(sources=(1,)), workload))
+
+    @pytest.mark.parametrize("workload, switch", [
+        (HvacSafety(), "invariant_checking"),
+        (AvailabilityProbe(), "invariant_checking"),
+        (PartitionCrdt(), "invariant_checking"),
+        (Demo(), "observability"),
+    ])
+    def test_a_workload_needs_its_switches(self, workload, switch):
+        Scenario(topology=grid_topology(3),
+                 config=SystemConfig(**{switch: True}),
+                 workloads=(workload,))
+        with pytest.raises(ValueError, match=(
+                fr"^Scenario\.workloads\[0\]: {workload.kind} needs "
+                fr"SystemConfig\.{switch}=True")):
+            Scenario(topology=grid_topology(3), workloads=(workload,))
+
+    @pytest.mark.parametrize("stack, field", [
+        (lambda: StackConfig(mac="lpl", mac_config=LplConfig(
+            wake_interval_s=PROBE_DURATION_S)), "LplConfig.wake_interval_s"),
+        (lambda: StackConfig(mac="lpl", mac_config=LplConfig(
+            wake_interval_s=PROBE_DURATION_S / 2)),
+         "LplConfig.wake_interval_s"),
+        (lambda: StackConfig(rpl=RplConfig(dao_period_s=0.0)),
+         "RplConfig.dao_period_s"),
+    ])
+    def test_a_stack_it_cannot_run_is_refused_when_made(self, stack, field):
+        with pytest.raises(ValueError, match=fr"^{field}"):
+            Scenario(topology=grid_topology(2),
+                     config=SystemConfig(stack=stack()))
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("mac_config", "wake_interval_s"), PROBE_DURATION_S,
+         "LplConfig.wake_interval_s"),
+        (("rpl", "dao_period_s"), 0.0, "RplConfig.dao_period_s"),
+    ])
+    def test_a_decoded_stack_is_refused_by_its_path(self, path, value, field):
+        payload = Scenario(topology=grid_topology(2), config=SystemConfig(
+            stack=StackConfig(mac="lpl"))).to_jsonable()
+        stack = payload["config"]["stack"]
+        if stack[path[0]] is None:
+            stack[path[0]] = {"type": "LplConfig"}
+        stack[path[0]][path[1]] = value
+        with pytest.raises(ValueError, match=(
+                fr"^Scenario\.config\.stack: {field}")):
+            Scenario.from_jsonable(json.loads(json.dumps(payload)))
 
     def test_two_sensors_may_not_share_a_name(self):
         with pytest.raises(ValueError, match=r"Scenario\.sensors\[1\]: "

@@ -9,8 +9,11 @@ an observer sees.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import pytest
@@ -20,11 +23,18 @@ from repro.core.system import IIoTSystem, SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.faults.plan import InterferenceClause, install
 from repro.net.stack import StackConfig
-from repro.radio.medium import CAPTURE_MARGIN_DB, Frame, Medium, Radio
+from repro.obs import Observability
+from repro.radio.medium import (
+    CAPTURE_MARGIN_DB,
+    Frame,
+    Medium,
+    Radio,
+    RadioState,
+)
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
-from tests.conftest import TraceRecorder
+from tests.conftest import PerReceiverMedium, TraceRecorder
 
 OUTCOMES = ("radio.rx", "radio.miss", "radio.drop", "radio.collision")
 PORT = 7
@@ -231,3 +241,170 @@ def test_capture_boundary_cases():
         -50.0, [math.nextafter(-50.0 - margin, 0.0)]) == "radio.collision"
     assert outcome_at_receiver(
         -50.0, [-70.0, -80.0, -52.0]) == "radio.collision"
+
+
+# ----------------------------------------------------------------------
+# the tallied delivery against the per-receiver reference
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Payload:
+    """A frame payload with the two attributes the medium duck-types."""
+
+    trace_ctx: Any = None
+    dst: Any = None
+
+
+#: What an ``on_receive`` upcall may do besides snapshotting the counters.
+ACTIONS = st.one_of(
+    st.just(("read",)),
+    st.tuples(st.sampled_from(["subscribe", "unsubscribe"]),
+              st.sampled_from(OUTCOMES)),
+    st.tuples(st.just("isolate"), st.integers(0, 7)),
+    st.just(("unfilter",)),
+    st.tuples(st.just("disable"), st.integers(0, 7)),
+)
+
+
+@st.composite
+def delivery_scenes(draw):
+    """Radios on a small floor (some asleep, some waking late, some on
+    another channel, some recognising only their own address), frames
+    that overlap, outcome counters created up front in a drawn order,
+    an upcall per radio, and one observer: none (so delivery tallies
+    once every counter exists), a watched subset, spans, or a recorder
+    of the whole stream."""
+    n = draw(st.integers(3, 8))
+    coordinate = st.integers(0, 6).map(lambda k: 5.0 * k)
+    radios = draw(st.lists(st.fixed_dictionaries({
+        "xy": st.tuples(coordinate, coordinate),
+        "channel": st.sampled_from([26, 26, 26, 25]),
+        "listen": st.sampled_from(["now", "now", "never", "late"]),
+        "own_address_only": st.booleans(),
+        "upcall": st.none() | ACTIONS,
+    }), min_size=n, max_size=n))
+    frames = draw(st.lists(st.tuples(
+        st.integers(0, n - 1),                 # sender
+        st.integers(0, 16),                    # start, in 0.25 ms steps
+        st.integers(10, 60),                   # size
+        st.none() | st.integers(0, n - 1),     # dst
+    ), min_size=1, max_size=10))
+    return {
+        "radios": radios,
+        "frames": frames,
+        "lossy": draw(st.booleans()),
+        "seed": draw(st.integers(0, 3)),
+        "created": draw(st.permutations(OUTCOMES).flatmap(
+            lambda order: st.sampled_from([0, 1, 2, 3, 4, 4, 4]).map(
+                lambda k: order[:k]))),
+        "observer": draw(st.sampled_from(
+            ["none", "none", "none", "watched", "spans", "recorded"])),
+        "watched": draw(st.sets(st.sampled_from(OUTCOMES), min_size=1)),
+    }
+
+
+def run_delivery_scene(medium_cls, scene):
+    """Everything a reader could see of ``scene`` on ``medium_cls``."""
+    sim = Simulator(seed=scene["seed"])
+    trace = TraceLog()
+    for category in scene["created"]:
+        trace.emit(0.0, category)
+    model = (LogDistanceModel(path_loss_exponent=3.0, shadowing_sigma_db=4.0,
+                              seed=scene["seed"])
+             if scene["lossy"] else UnitDiskModel(radius_m=25.0))
+    medium = medium_cls(sim, model, trace)
+    observer = scene["observer"]
+    obs = Observability().attach(trace) if observer == "spans" else None
+    seen, snapshots, handles = [], [], {}
+    for category in scene["watched"] if observer == "watched" else ():
+        handles[category] = trace.subscribe(category, seen.append)
+    radios = [Radio(medium, node, spec["xy"], channel=spec["channel"])
+              for node, spec in enumerate(scene["radios"])]
+
+    def upcall(radio, action):
+        def on_receive(frame, rssi):
+            snapshots.append((radio.node_id, frame.sender,
+                              list(trace.counters.items())))
+            if action is None or action[0] == "read":
+                return
+            kind = action[0]
+            if kind == "subscribe" and action[1] not in handles:
+                handles[action[1]] = trace.subscribe(action[1], seen.append)
+            elif kind == "unsubscribe" and action[1] in handles:
+                handles.pop(action[1])()
+            elif kind == "isolate":
+                medium.set_link_filter(lambda s, r: action[1] in (s, r))
+            elif kind == "unfilter":
+                medium.set_link_filter(None)
+            elif kind == "disable" and action[1] < len(radios):
+                radios[action[1]].enabled = False
+        return on_receive
+
+    for radio, spec in zip(radios, scene["radios"]):
+        radio.on_receive = upcall(radio, spec["upcall"])
+        if spec["own_address_only"]:
+            radio.rx_addresses = frozenset({radio.node_id})
+        if spec["listen"] == "now":
+            radio.set_listening()
+        elif spec["listen"] == "late":
+            sim.schedule(0.002, radio.set_listening)
+
+    def send(sender, size, dst):
+        radio = radios[sender]
+        if not radio.enabled or radio.state is RadioState.TX:
+            return
+        ctx = (obs.spans.start(None, "test.frame", node=sender, t=sim.now)
+               if obs is not None else None)
+        medium.transmit(radio, Frame(Payload(ctx, dst), size, radio.channel,
+                                     sender))
+
+    for sender, step, size, dst in scene["frames"]:
+        sim.schedule(0.001 + step * 0.00025,
+                     lambda s=sender, z=size, d=dst: send(s, z, d))
+    with (TraceRecorder(trace) if observer == "recorded"
+          else contextlib.nullcontext()) as recorder:
+        sim.run()
+    return {
+        "snapshots": snapshots,
+        "counters": list(trace.counters.items()),
+        "seen": seen,
+        "stream": recorder(trace) if recorder is not None else None,
+        "received": [radio.frames_received for radio in radios],
+        "rng": medium._rng.getstate(),
+        "spans": None if obs is None else [
+            (s.category, s.node, s.start, s.end, s.data)
+            for s in obs.spans.spans.values()],
+    }
+
+
+def overlap_scene(upcall, created=OUTCOMES, observer="none", listen="now",
+                  upcaller_first=True):
+    """Sender 0's frame ends while sender 4's, sent 0.25 ms later, is on
+    the air.  The upcalling radio hears only 0; the other two (one of
+    them sleeping through, with ``listen="never"``) hear both.  Judged
+    in node-id order, the upcaller is radio 1, before the other two, or
+    radio 3, after them."""
+    def radio(xy, upcall=None, listen="now"):
+        return {"xy": xy, "channel": 26, "listen": listen,
+                "own_address_only": False, "upcall": upcall}
+
+    upcaller = radio((0.0, 5.0), upcall)
+    others = [radio((15.0, 0.0)), radio((15.0, 5.0), None, listen)]
+    middle = [upcaller] + others if upcaller_first else others + [upcaller]
+    return {"radios": [radio((0.0, 0.0))] + middle + [radio((30.0, 0.0))],
+            "frames": [(0, 0, 40, None), (4, 1, 40, None)],
+            "lossy": False, "seed": 0, "created": created,
+            "observer": observer, "watched": set(OUTCOMES)}
+
+
+@given(scene=delivery_scenes())
+@settings(max_examples=250, deadline=None)
+@example(scene=overlap_scene(("read",), upcaller_first=False))
+@example(scene=overlap_scene(("read",), created=(), listen="never"))
+@example(scene=overlap_scene(("subscribe", "radio.collision")))
+@example(scene=overlap_scene(("unsubscribe", "radio.collision"),
+                             observer="watched"))
+@example(scene=overlap_scene(("isolate", 4)))
+@example(scene=overlap_scene(("disable", 3)))
+def test_tallied_delivery_matches_the_per_receiver_reference(scene):
+    assert (run_delivery_scene(Medium, scene)
+            == run_delivery_scene(PerReceiverMedium, scene))

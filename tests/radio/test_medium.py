@@ -1,7 +1,10 @@
 """Shared-medium semantics: delivery, sleep, collisions, CCA, energy."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.radio.medium import Frame, Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
@@ -361,11 +364,12 @@ def _logged(name):
 
 
 class LoggedRadio(Radio):
-    """Logs every read of the three fields a listen plan keeps current."""
+    """Logs every read of the four fields a listen plan keeps current."""
 
     state = _logged("state")
     channel = _logged("channel")
     state_seconds = _logged("state_seconds")
+    _listen_since = _logged("_listen_since")
 
 
 class CountingPlan:
@@ -420,7 +424,9 @@ class TestSyncRule:
         sim.run()
         assert got == ["to the plan"]
         assert radio.log[0] == "sync"
-        assert "read channel" in radio.log and "read state" in radio.log
+        # Delivery's liveness test reads _listen_since, not state.
+        assert ("read channel" in radio.log
+                and "read _listen_since" in radio.log)
         # ... and the planned sender when its frame ends.
         medium.transmit(radio, Frame("from the plan", 20, 26, 1))
         radio.log.clear()
@@ -450,3 +456,54 @@ class TestSyncRule:
         sender.transmit("x", 20)
         sim.run()
         assert log == [] and receiver.frames_received == 1
+
+
+# ----------------------------------------------------------------------
+# the invariant behind delivery's one-compare liveness test
+# ----------------------------------------------------------------------
+RADIO_OPS = st.lists(st.one_of(
+    st.sampled_from(["listen", "sleep", "transmit", "peer transmits",
+                     "flush", "slept_until"]),
+    st.tuples(st.just("listen_from"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("advance"), st.floats(0.0, 0.004)),
+), max_size=40)
+
+
+@given(ops=RADIO_OPS)
+@settings(max_examples=150, deadline=None)
+def test_a_radio_not_listening_has_listened_since_never(ops):
+    """``state is not LISTEN`` implies ``_listen_since == inf``, and a
+    listening radio has listened since some instant no later than now:
+    what lets ``Medium._deliver`` test liveness with one compare."""
+    sim = Simulator(seed=1)
+    medium = make_medium(sim)
+    radio = Radio(medium, 1, (0, 0))
+    peer = Radio(medium, 2, (10, 0))
+    peer.set_listening()
+    for op in ops:
+        if op == "listen":
+            radio.set_listening()
+        elif op == "sleep" and radio.state is not RadioState.TX:
+            radio.sleep()
+        elif op == "transmit" and radio.state is not RadioState.TX:
+            radio.transmit("x", 20)
+        elif op == "peer transmits" and peer.state is not RadioState.TX:
+            peer.transmit("y", 20)
+        elif op == "flush":
+            radio.flush_state_time()
+        elif op == "slept_until" and radio.state is RadioState.SLEEP:
+            radio.slept_until(sim.now, 0.0)
+        elif op[0] == "listen_from":
+            # A plan makes real a window that began since the last change.
+            since = radio._state_since
+            radio.listen_from(since + op[1] * (sim.now - since))
+        elif op[0] == "advance":
+            # Frame ends (sender back to LISTEN, delivery) fire here.
+            sim.run(until=sim.now + op[1])
+        if radio.state is not RadioState.LISTEN:
+            assert radio._listen_since == math.inf, op
+        else:
+            assert radio._listen_since <= sim.now, op
+    sim.run()
+    listening = radio.state is RadioState.LISTEN
+    assert listening == (radio._listen_since < math.inf)

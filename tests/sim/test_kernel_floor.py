@@ -4,7 +4,14 @@ outcome without its event count."""
 
 import re
 
-from benchmarks.kernel_floor import census, outcome_digest
+import pytest
+
+from benchmarks.kernel_floor import (
+    OUTCOMES,
+    census,
+    delivery_census,
+    outcome_digest,
+)
 from benchmarks.layers import workloads
 
 
@@ -36,3 +43,19 @@ def test_outcome_digest_ignores_events_only():
     assert outcome_digest(Finished(events=2, delivered=[3, 4])) == digest
     assert outcome_digest(Finished(events=1, delivered=[3, 5])) != digest
     assert digest == workloads.sim_digest({"delivered": [3, 4]})
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("campus_medium", {"buildings": 4, "senders": 40}),
+    ("gateway_services", {}),
+])
+def test_delivery_census_adds_up(name, sizes):
+    totals = delivery_census(name, seed=2018, scale=0.05, **sizes)
+    assert totals["frames"] > 0
+    judged = sum(totals[category] for category in OUTCOMES)
+    # Every walked receiver is skipped (disabled, off-channel) or judged.
+    assert 0 < judged <= totals["walked"]
+    assert totals["listeners"] == judged - totals["radio.miss"]
+    # A listener that is not collided draws once: a drop or a reception.
+    assert totals["draws"] == totals["radio.drop"] + totals["radio.rx"]
+    assert totals["probes"] <= totals["listeners"] * totals["interferers"]
