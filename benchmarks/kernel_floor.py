@@ -8,13 +8,20 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   a *cancel/re-arm loop* (the same chain, where every event also
   re-arms a watchdog :class:`~repro.sim.timers.Timer` that never fires:
   one cancel and one push more per event);
+- the best of five µs of the two allocations a fully observed run
+  makes per traced occurrence: one ``TraceLog.emit`` of a
+  ``radio.rx``-shaped record under a whole-stream subscriber (the
+  bounded tail), and one span ``start`` + ``finish`` of a
+  ``radio.airtime``-shaped child span;
 - the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
-  heap pushes, pushes cancelled before they fired, zero-delay pushes
-  (``call_soon`` and friends) and heap compactions;
-- the same pushes per callback (qualified name: pushed, fired,
-  cancelled before fire), the twelve most pushed;
+  heap pushes, events queued during set-up and still pending when the
+  section starts, events cancelled before they fired, zero-delay
+  pushes (``call_soon`` and friends) and heap compactions;
+- the same per callback (qualified name: pushed in the section, queued
+  at its start, fired and cancelled before fire of both), the twelve
+  with the most events;
 - the *outcome digest*: sha256 of the workload's ``sim_digest`` parts
   without ``events`` — what must not move when a change only removes
   events nothing observes, while ``sim_digest`` itself hashes
@@ -53,11 +60,16 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
 
 from benchmarks.layers import workloads
 from benchmarks.layers.workloads import DEFAULT_SCALE, WORKLOADS, advance
+from repro.obs import GATED_SPAN_CATEGORIES
+from repro.obs.spans import SpanTracer
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
+from repro.sim.trace import TraceLog
 
 #: Events per synthetic loop, and how many times each is run.
 LOOP_EVENTS = 200_000
+#: Spans per span loop: every one stays stored, as in an observed run.
+LOOP_SPANS = 50_000
 REPEATS = 5
 #: The delivery outcome categories, as ``TraceLog.counters`` keys.
 OUTCOMES = ("radio.miss", "radio.collision", "radio.drop", "radio.rx")
@@ -104,16 +116,43 @@ def rearm_loop(events: int) -> float:
     return (perf_counter() - start) / sim.events_processed * 1e6
 
 
+def emit_loop(records: int) -> float:
+    """µs per ``TraceLog.emit`` of a ``radio.rx``-shaped record while a
+    whole-stream subscriber (the tail) watches every category."""
+    emit = TraceLog(enabled=True).emit
+    start = perf_counter()
+    for _ in range(records):
+        emit(1.0, "radio.rx", node=3, sender=4, size=40)
+    return (perf_counter() - start) / records * 1e6
+
+
+def span_loop(spans: int) -> float:
+    """µs per span ``start`` + ``finish`` of a ``radio.airtime``-shaped
+    child of one root, on a tracer set up as an observed run's."""
+    tracer = SpanTracer(pinned_categories=GATED_SPAN_CATEGORIES)
+    start_span, finish = tracer.start, tracer.finish
+    root = start_span(None, "net.send", 1, 0.0)
+    start = perf_counter()
+    for _ in range(spans):
+        finish(start_span(root, "radio.airtime", node=1, t=1.0, size=40), 1.5)
+    return (perf_counter() - start) / spans * 1e6
+
+
 def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
            scale: float = DEFAULT_SCALE
-           ) -> Tuple[Dict[str, int], List[Tuple[str, int, int, int]], str]:
+           ) -> Tuple[Dict[str, int], List[Tuple[str, int, int, int, int]],
+                      str]:
     """The event census of ``workload_name``'s timed section: the
-    totals, ``(qualname, pushed, fired, cancelled before fire)`` per
-    callback, most pushed first, and the outcome digest."""
+    totals, ``(qualname, pushed, queued, fired, cancelled before fire)``
+    per callback — pushed in the section, queued during set-up and
+    pending when it starts, fired or cancelled of both — most events
+    first, and the outcome digest."""
     workload = WORKLOADS[workload_name](seed, scale)
     workload.setup(lambda: None)
     sim = workload.sim
     pushes: List[Tuple[str, Any]] = []
+    queued = [(_name(handle.callback), handle)
+              for _, _, _, handle in sim._heap if handle.pending]
     zero = 0
     depth = 0
 
@@ -130,9 +169,7 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
             finally:
                 depth -= 1
             if depth == 0:
-                name = getattr(callback, "__qualname__",
-                               type(callback).__qualname__)
-                pushes.append((name, handle))
+                pushes.append((_name(callback), handle))
                 zero += is_zero(when)
             return handle
         return wrapper
@@ -148,21 +185,26 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
     totals = {
         "events": sim.events_processed - events,
         "pushes": len(pushes),
+        "queued at set-up": len(queued),
         "cancelled before fire": sum(
-            1 for _, h in pushes if h.cancelled and not h.fired),
+            1 for _, h in pushes + queued if h.cancelled and not h.fired),
         "zero-delay pushes": zero,
         "compactions": sim._compactions - compactions,
     }
-    pushed: Counter = Counter()
+    pushed: Counter = Counter(name for name, _ in pushes)
+    inherited: Counter = Counter(name for name, _ in queued)
     fired: Counter = Counter()
     cancelled: Counter = Counter()
-    for name, handle in pushes:
-        pushed[name] += 1
+    for name, handle in pushes + queued:
         fired[name] += handle.fired
         cancelled[name] += handle.cancelled and not handle.fired
-    rows = [(name, count, fired[name], cancelled[name])
-            for name, count in pushed.most_common()]
+    rows = [(name, pushed[name], inherited[name], fired[name], cancelled[name])
+            for name, _ in (pushed + inherited).most_common()]
     return totals, rows, outcome_digest(workload)
+
+
+def _name(callback: Callable[[], None]) -> str:
+    return getattr(callback, "__qualname__", type(callback).__qualname__)
 
 
 def delivery_census(workload_name: str = "grid_csma_collect",
@@ -251,13 +293,19 @@ def main() -> int:
                        ("cancel/re-arm loop", rearm_loop)):
         best = min(loop(LOOP_EVENTS) for _ in range(REPEATS))
         print(f"  {name:24s}{best:8.2f} us/event")
+    print(f"observation floor, best of {REPEATS}:")
+    best = min(emit_loop(LOOP_EVENTS) for _ in range(REPEATS))
+    print(f"  {'emit, stream watched':24s}{best:8.2f} us/record")
+    best = min(span_loop(LOOP_SPANS) for _ in range(REPEATS))
+    print(f"  {'span start + finish':24s}{best:8.2f} us/span")
     totals, rows, digest = census(args.workload, args.seed)
     print(f"{args.workload} seed {args.seed}, timed section:")
     for name, value in totals.items():
         print(f"  {name:24s}{value:8d}")
-    print(f"  {'callback':52s}{'pushed':>8s}{'fired':>8s}{'cancelled':>10s}")
-    for name, pushed, fired, cancelled in rows[:TOP_CALLBACKS]:
-        print(f"  {name:52s}{pushed:8d}{fired:8d}{cancelled:10d}")
+    print(f"  {'callback':52s}{'pushed':>8s}{'queued':>8s}{'fired':>8s}"
+          f"{'cancelled':>10s}")
+    for name, pushed, queued, fired, cancelled in rows[:TOP_CALLBACKS]:
+        print(f"  {name:52s}{pushed:8d}{queued:8d}{fired:8d}{cancelled:10d}")
     print(f"outcome digest (sim_digest parts without events): {digest}")
     delivery = delivery_census(args.workload, args.seed)
     frames = max(1, delivery["frames"])

@@ -27,6 +27,7 @@ from repro.sim.trace import TraceRecord
 
 #: Tolerance when matching a collision instant to a frame's end time.
 _TIME_EPS = 1e-9
+_TX = RadioState.TX
 
 
 def _airtime(size_bytes: int) -> float:
@@ -53,15 +54,14 @@ class RadioStateChecker(InvariantChecker):
         self.subscribe("radio.tx", self._on_tx)
 
     def _on_tx(self, record: TraceRecord) -> None:
-        node = record.node
-        self._tx_seen[node] = self._tx_seen.get(node, 0) + 1
+        node, seen = record.node, self._tx_seen
+        seen[node] = seen.get(node, 0) + 1
         radio = self.medium.radios.get(node)
         if radio is None:
             self.record("tx_from_unknown_radio", node=node)
-            return
-        if not radio.enabled:
+        elif not radio.enabled:
             self.record("tx_while_disabled", node=node)
-        elif radio.state is not RadioState.TX:
+        elif radio.state is not _TX:
             # The medium enters TX before tracing; a record emitted with
             # the radio in SLEEP/LISTEN is a transmit the state machine
             # never authorized.
@@ -105,12 +105,12 @@ class CollisionAccountingChecker(InvariantChecker):
         self.subscribe("radio.collision", self._on_collision)
 
     def _on_tx(self, record: TraceRecord) -> None:
-        start = record.time
-        end = start + _airtime(record.data.get("size", 0))
-        self._recent.append((record.node, start, end))
+        start, recent = record.time, self._recent
+        recent.append((record.node, start,
+                       start + _airtime(record.data.get("size", 0))))
         horizon = start - self.window_s
-        while self._recent and self._recent[0][2] < horizon:
-            self._recent.popleft()
+        while recent and recent[0][2] < horizon:
+            recent.popleft()
 
     def _on_collision(self, record: TraceRecord) -> None:
         self.collisions_checked += 1

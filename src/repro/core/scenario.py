@@ -27,7 +27,8 @@ from repro.core.workloads import AFTER_INSTANT, WORKLOADS, Probe, Workload
 from repro.deployment.rollout import RolloutPlan
 from repro.deployment.topology import Topology
 from repro.devices.phenomena import DiurnalField, RandomWalkField
-from repro.faults.plan import CLAUSES, Clause, check_schedule, install
+from repro.faults.plan import (CLAUSES, Clause, SensorClause,
+                               check_schedule, install)
 from repro.net.mac.csma import CsmaConfig
 from repro.net.mac.lpl import LplConfig
 from repro.net.mac.rimac import RiMacConfig
@@ -95,6 +96,12 @@ class Scenario:
         check_schedule(self.faults, nodes, self.formation_s
                        if self.faults_at_s is None else self.faults_at_s,
                        where="Scenario.faults")
+        names = [name for name, _ in self.sensors]
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise ValueError(f"Scenario.sensors[{index}]: sensor "
+                                 f"name {name!r} is taken")
+        owners: Dict[int, int] = {}
         for index, workload in enumerate(self.workloads):
             where = f"Scenario.workloads[{index}]"
             if isinstance(workload, Probe):
@@ -110,11 +117,25 @@ class Scenario:
                 if not getattr(self.config, switch):
                     raise ValueError(f"{where}: {workload.kind} needs "
                                      f"SystemConfig.{switch}=True")
-        names = [name for name, _ in self.sensors]
-        for index, name in enumerate(names):
-            if name in names[:index]:
-                raise ValueError(f"Scenario.sensors[{index}]: sensor "
-                                 f"name {name!r} is taken")
+            for name in workload.sensors:
+                if name not in names:
+                    raise ValueError(f"{where}: {workload.kind} reads sensor "
+                                     f"{name!r}, which Scenario.sensors lacks")
+            for port in workload.ports:
+                if port in owners:
+                    raise ValueError(
+                        f"{where}: {workload.kind} binds port {port}, which "
+                        f"Scenario.workloads[{owners[port]}] binds")
+                owners[port] = index
+        added = {pair for workload in self.workloads for pair in workload.adds}
+        for index, clause in enumerate(self.faults):
+            if isinstance(clause, SensorClause) \
+                    and (clause.node, clause.sensor) not in added \
+                    and (clause.sensor not in names
+                         or clause.node == self.topology.root_id):
+                raise ValueError(f"Scenario.faults[{index}].sensor: node "
+                                 f"{clause.node} has no sensor "
+                                 f"{clause.sensor!r}")
 
     # -- running ---------------------------------------------------------
     def build(self, seed: int, observe=None) -> IIoTSystem:

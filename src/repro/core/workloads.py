@@ -18,13 +18,14 @@ import functools
 from dataclasses import dataclass
 from typing import Any, ClassVar, List, Optional, Set, Tuple
 
-from repro.aggregation.service import AggregationService
+from repro.aggregation.service import AGGREGATION_PORT, AggregationService
 from repro.checking.availability import AvailabilityChecker
 from repro.checking.crdt import CrdtLatticeChecker
 from repro.checking.safety import ComfortEnvelopeChecker
 from repro.crdt.counters import GCounter
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import (
+    GOSSIP_PORT,
     AntiEntropyConfig,
     CrdtReplica,
     NetworkReplicator,
@@ -33,11 +34,17 @@ from repro.devices.phenomena import DiurnalField
 from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.resource import CallbackResource
 from repro.middleware.coap.server import CoapServer
-from repro.middleware.coap.transport import CoapTransport
+from repro.middleware.coap.transport import COAP_PORT, CoapTransport
 from repro.obs.health import NodeHealthSampler
 from repro.safety.comfort import ComfortBand, OccupancySchedule
 from repro.safety.controllers import BangBangController
-from repro.safety.hvac import HvacZone, RemoteControlLoop, RemoteHvacController
+from repro.safety.hvac import (
+    HVAC_COMMAND_PORT,
+    HVAC_REPORT_PORT,
+    HvacZone,
+    RemoteControlLoop,
+    RemoteHvacController,
+)
 
 #: Kernel priority of a step that runs once everything already queued
 #: for its instant has run — what code placed after
@@ -71,16 +78,23 @@ class Driver:
 class Workload:
     """Base of the workload parameter classes.
 
-    ``nodes`` and ``switches`` are what the driver takes for granted:
-    the node ids it reaches for by number and the boolean
-    ``SystemConfig`` fields it needs on.  :class:`Scenario` refuses a
-    workload whose topology or config lacks one when it is made.
+    The class variables are what the driver takes for granted: the
+    node ids it reaches for by number (``nodes``), the boolean
+    ``SystemConfig`` fields it needs on (``switches``), the ports it
+    binds on some node (``ports``), the scenario sensors it reads on
+    every non-root node (``sensors``) and the ``(node, sensor)`` pairs
+    it adds itself (``adds``).  :class:`Scenario` refuses, when it is
+    made, a workload whose topology, config or sensors lack one, and a
+    port two workloads bind.
     """
 
     kind: ClassVar[str]
     driver: ClassVar[type]
     nodes: ClassVar[Tuple[int, ...]] = ()
     switches: ClassVar[Tuple[str, ...]] = ()
+    ports: ClassVar[Tuple[int, ...]] = ()
+    sensors: ClassVar[Tuple[str, ...]] = ()
+    adds: ClassVar[Tuple[Tuple[int, str], ...]] = ()
 
     def attach(self, system, scenario) -> Driver:
         """This workload's driver on ``system``."""
@@ -103,6 +117,7 @@ class Probe(Workload):
     """
 
     kind: ClassVar[str] = "probe"
+    ports: ClassVar[Tuple[int, ...]] = (PROBE_PORT,)
     sources: Tuple[int, ...] = ()
     count: int = 0
     period_s: float = 0.0
@@ -125,7 +140,6 @@ class ProbeRun(Driver):
         """Bind the root's port and schedule every report from now."""
         system, probe = self.system, self.workload
         root = system.root.stack
-        root.unbind(PROBE_PORT)
         root.bind(PROBE_PORT, lambda d: self.delivered.add((d.src, d.payload)))
         system.trace.subscribe("net.delivered", self._on_delivered)
         for order, node_id in enumerate(probe.sources):
@@ -167,6 +181,7 @@ class PartitionCrdt(Workload):
 
     kind: ClassVar[str] = "partition-crdt"
     switches: ClassVar[Tuple[str, ...]] = ("invariant_checking",)
+    ports: ClassVar[Tuple[int, ...]] = (GOSSIP_PORT,)
 
 
 class _PartitionCrdtRun(Driver):
@@ -216,6 +231,9 @@ class HvacSafety(Workload):
     kind: ClassVar[str] = "hvac-safety"
     nodes: ClassVar[Tuple[int, ...]] = (4, 8)
     switches: ClassVar[Tuple[str, ...]] = ("invariant_checking",)
+    ports: ClassVar[Tuple[int, ...]] = (HVAC_REPORT_PORT, HVAC_COMMAND_PORT)
+    adds: ClassVar[Tuple[Tuple[int, str], ...]] = ((4, "zone_temp"),
+                                                   (8, "zone_temp"))
 
 
 class _HvacSafetyRun(Driver):
@@ -294,6 +312,9 @@ class Demo(Workload):
 
     kind: ClassVar[str] = "demo"
     switches: ClassVar[Tuple[str, ...]] = ("observability",)
+    ports: ClassVar[Tuple[int, ...]] = (COAP_PORT, AGGREGATION_PORT,
+                                        GOSSIP_PORT)
+    sensors: ClassVar[Tuple[str, ...]] = ("temp",)
 
 
 class DemoRun(Driver):

@@ -23,7 +23,7 @@ class PendingRequest:
     observe_callback: Optional[Callable[[CoapMessage], None]] = None
     timer: Optional[Timer] = None
     responded: bool = False
-    #: Root ``coap.request`` span context (repro.obs); None untraced.
+    #: The root ``coap.request`` span (repro.obs); None untraced.
     ctx: Any = None
 
 

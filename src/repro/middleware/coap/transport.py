@@ -43,7 +43,7 @@ class _PendingCon:
         self.timeout = timeout
         self.timer = timer
         self.on_fail = on_fail
-        #: Lifecycle span context (repro.obs) retransmissions inherit.
+        #: Lifecycle span (repro.obs) retransmissions inherit.
         self.ctx = ctx
 
 

@@ -54,7 +54,7 @@ class _TxJob:
     done: Optional[Callable[[bool], None]]
     seq: int
     auth_bytes: int = 0
-    #: ``mac.job`` span context (repro.obs); None when untraced.
+    #: The ``mac.job`` span (repro.obs); None when untraced.
     ctx: Any = None
     #: Retry budget spent, in the MAC's own unit: unacknowledged
     #: attempts (CSMA, TSCH) or whole strobes/waits (LPL, RI-MAC).

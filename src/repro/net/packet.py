@@ -109,7 +109,7 @@ class Datagram:
     dst_port: int
     payload: Any
     payload_bytes: int
-    #: Lifecycle span context (repro.obs), visible to the receiving
+    #: Lifecycle span (repro.obs), visible to the receiving
     #: application so request/response handlers can correlate.
     trace_ctx: Any = None
 

@@ -7,9 +7,10 @@ so the whole path (app → CoAP → RPL forwarding hops → MAC
 attempts/retransmissions → radio airtime and per-receiver outcomes)
 reconstructs as a tree after the run.
 
-The :class:`SpanContext` handle is threaded through the stack as the
-``trace_ctx`` attribute of datagrams, packets, and MAC frames; every
-layer that sees a context attaches its own child spans to it.  Ids are
+A :class:`Span` is its own handle: :meth:`SpanTracer.start` returns it,
+it is threaded through the stack as the ``trace_ctx`` attribute of
+datagrams, packets, and MAC frames, and every layer that sees one
+attaches its own child spans to it.  Ids are
 allocated from per-tracer counters in event-execution order, so a seeded
 run produces identical span ids run over run.
 
@@ -37,25 +38,15 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.sim.mix import GOLDEN, mix64
 
 
-class SpanContext:
-    """A cheap immutable reference to one span inside one trace."""
-
-    __slots__ = ("trace_id", "span_id")
-
-    def __init__(self, trace_id: int, span_id: int) -> None:
-        self.trace_id = trace_id
-        self.span_id = span_id
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SpanContext(trace={self.trace_id}, span={self.span_id})"
-
-
 class Span:
-    """One recorded step; ``end`` is None while the step is open.
+    """One recorded step, and the handle to it; ``end`` is None while
+    the step is open.
 
     A plain ``__slots__`` class (not a dataclass): span construction is
     the single hottest allocation of an instrumented run, and skipping
     the per-instance ``__dict__`` keeps each record small and cheap.
+    A span the ring buffer evicted stays a valid handle: finishing or
+    annotating it changes nothing stored.
     """
 
     __slots__ = ("span_id", "trace_id", "parent_id", "category", "node",
@@ -188,7 +179,7 @@ class SpanTracer:
         return (category in self._pinned
                 or category.split(".", 1)[0] in self._pinned)
 
-    def _store(self, span: Span) -> None:
+    def _store(self, span: Span) -> Span:
         self.spans[span.span_id] = span
         by_trace = self._by_trace.get(span.trace_id)
         if by_trace is None:
@@ -196,6 +187,7 @@ class SpanTracer:
         by_trace.append(span.span_id)
         if self.max_spans is not None and len(self.spans) > self.max_spans:
             self._evict()
+        return span
 
     def _evict(self) -> None:
         """Drop oldest non-pinned spans until back under the bound.
@@ -220,13 +212,14 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def start(
         self,
-        parent: Optional[SpanContext],
+        parent: Optional[Span],
         category: str,
         node: Optional[int],
         t: float,
         **data: Any,
-    ) -> Optional[SpanContext]:
-        """Open a span.  ``parent=None`` starts a fresh trace.
+    ) -> Optional[Span]:
+        """Open a span and return it.  ``parent=None`` starts a fresh
+        trace.
 
         Under sampling, an unsampled new trace returns ``None`` — the
         same value every layer already treats as "no span tracing
@@ -248,20 +241,16 @@ class SpanTracer:
             parent_id = parent.span_id
         span_id = self._next_span
         self._next_span += 1
-        self._store(Span(span_id, trace_id, parent_id,
-                         category, node, t, None, data))
-        return SpanContext(trace_id, span_id)
+        return self._store(Span(span_id, trace_id, parent_id,
+                                category, node, t, None, data))
 
-    def finish(self, ctx: Optional[SpanContext], t: float, **data: Any) -> None:
+    def finish(self, span: Optional[Span], t: float, **data: Any) -> None:
         """Close a span (idempotent: the first end time wins).
 
-        ``ctx=None`` — an unsampled trace's handle — is a no-op, so
+        ``span=None`` — an unsampled trace's handle — is a no-op, so
         callers can thread :meth:`start` results through without
         re-checking sampling decisions.
         """
-        if ctx is None:
-            return
-        span = self.spans.get(ctx.span_id)
         if span is None:
             return
         if span.end is None:
@@ -269,28 +258,25 @@ class SpanTracer:
         if data:
             span.data.update(data)
 
-    def annotate(self, ctx: Optional[SpanContext], **data: Any) -> None:
+    def annotate(self, span: Optional[Span], **data: Any) -> None:
         """Attach data to an open span *without* closing it.
 
         Mid-span waypoints (e.g. the MAC job's ``service_start``) let
         the latency attributor split one span's interval into finer
-        layers than start/end alone allow.  Same ``ctx=None`` no-op
+        layers than start/end alone allow.  Same ``span=None`` no-op
         contract as :meth:`finish`.
         """
-        if ctx is None or not data:
-            return
-        span = self.spans.get(ctx.span_id)
-        if span is not None:
+        if span is not None and data:
             span.data.update(data)
 
     def event(
         self,
-        parent: Optional[SpanContext],
+        parent: Optional[Span],
         category: str,
         node: Optional[int],
         t: float,
         **data: Any,
-    ) -> Optional[SpanContext]:
+    ) -> Optional[Span]:
         """A zero-duration child span (a point occurrence on the path).
 
         Built closed in one allocation rather than via start()+finish().
@@ -300,9 +286,8 @@ class SpanTracer:
             return None
         span_id = self._next_span
         self._next_span += 1
-        self._store(Span(span_id, parent.trace_id, parent.span_id,
-                         category, node, t, t, data))
-        return SpanContext(parent.trace_id, span_id)
+        return self._store(Span(span_id, parent.trace_id, parent.span_id,
+                                category, node, t, t, data))
 
     # ------------------------------------------------------------------
     # reconstruction

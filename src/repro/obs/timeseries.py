@@ -118,6 +118,8 @@ class TelemetryEngine:
         self._last_counters: Dict[SeriesKey, float] = {}
         #: Observations each histogram series had at the previous scrape.
         self._last_hist: Dict[SeriesKey, int] = {}
+        #: The registry's histogram keys in fold order (sorted by repr).
+        self._hist_order: List[SeriesKey] = []
         self._last_start = 0.0
         # Fixed phase: the first scrape lands exactly one interval in.
         # Passing an explicit phase keeps the engine from drawing RNG —
@@ -207,8 +209,12 @@ class TelemetryEngine:
         # zero-activity series suppressed.
         last_hist = self._last_hist
         histograms = window.histograms
-        for key in sorted(registry._histograms, key=repr):
-            values = registry._histograms[key].values
+        table = registry._histograms
+        if len(self._hist_order) != len(table):
+            # A registry never drops a series: a new length is a new one.
+            self._hist_order = sorted(table, key=repr)
+        for key in self._hist_order:
+            values = table[key].values
             seen = last_hist.get(key, 0)
             if len(values) != seen:
                 last_hist[key] = len(values)

@@ -207,7 +207,7 @@ class _Transmission:
     frame: Frame
     start: float
     end: float
-    #: ``radio.airtime`` span context (repro.obs); None when untraced.
+    #: The ``radio.airtime`` span (repro.obs); None when untraced.
     span: Any
     #: Link-layer addressee of a traced frame (duck-typed from the
     #: payload's ``dst``); per-receiver outcome events are recorded
@@ -747,8 +747,8 @@ class Medium:
             radio._set_state(RadioState.LISTEN)
             if receivers:
                 self._deliver(tx, receivers)
-            if tx.span is not None:
-                self.trace.obs.spans.finish(tx.span, self.sim.now)
+            if span is not None:
+                self.trace.obs.spans.finish(span, self.sim.now)
             if done is not None:
                 done()
 

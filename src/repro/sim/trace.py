@@ -31,8 +31,7 @@ with one int compare.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, NamedTuple, Optional, Tuple
 
 #: Records the tail keeps.  Only the layered benchmark's observed
 #: workload still enables a tail; across the builtin grid(3) sweep
@@ -40,9 +39,11 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 #: such a window whole at a few MB.
 TAIL = 8192
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One traced occurrence.
+
+class TraceRecord(NamedTuple):
+    """One traced occurrence: an immutable tuple with named fields (a
+    frozen dataclass cost three times as much to build, once per
+    watched emit).
 
     Attributes
     ----------
@@ -53,13 +54,21 @@ class TraceRecord:
     node:
         Originating node id, or None for system-wide records.
     data:
-        Free-form payload describing the occurrence.
+        Free-form payload describing the occurrence; ``emit`` passes
+        each record its own.
     """
 
     time: float
     category: str
     node: Optional[int]
-    data: Dict[str, Any] = field(default_factory=dict)
+    data: Dict[str, Any]
+
+    # Equal to a record with equal fields, never to a bare tuple.
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
 
 Callback = Callable[[TraceRecord], None]
@@ -141,7 +150,7 @@ class TraceLog:
         streams = self._streams
         if not streams and not subscribers:
             return
-        record = TraceRecord(time=time, category=category, node=node, data=data)
+        record = TraceRecord(time, category, node, data)
         # Subscriptions are replaced, never mutated, so a callback may
         # subscribe or unsubscribe while these loops run.
         for callback in streams:

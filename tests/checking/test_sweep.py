@@ -219,14 +219,14 @@ class TestReplay:
         window = _Window(suite)
         longest = 0
         for step in range(6000):  # one record per 0.1 s for 600 s
-            window(TraceRecord(step / 10.0, "tick", 0))
+            window(TraceRecord(step / 10.0, "tick", 0, {}))
             longest = max(longest, len(window.records))
         assert longest == 10 * WINDOW_S + 1
         # A violation freezes it: nothing later is kept, nothing dropped.
         suite.sim.run(until=600.0)
         suite.checkers[0].record("late")
         for time in (600.0, 600.1, 800.0):
-            window(TraceRecord(time, "tick", 0))
+            window(TraceRecord(time, "tick", 0, {}))
         assert window.end == 600.0
         assert [r.time for r in window.records][-2:] == [599.9, 600.0]
         assert len(window.records) == longest + 1

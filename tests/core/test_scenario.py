@@ -72,20 +72,23 @@ _sensors = st.tuples(st.text(max_size=6), st.one_of(
 _TOPOLOGIES = (grid_topology(3), line_topology(4))
 
 
-def _clauses(nodes, start):
-    """Valid clauses naming only ``nodes`` and starting at ``start`` or
-    later."""
+def _clauses(nodes, start, sensed):
+    """Valid clauses naming only ``nodes``, and only the ``(node,
+    sensor)`` pairs of ``sensed``, and starting at ``start`` or later."""
     times = st.floats(min_value=start, max_value=start + 1e5)
     node = st.sampled_from(nodes)
     maybe = st.none() | _spans
+    sensor_clauses = st.nothing() if not sensed else st.sampled_from(
+        sensed).flatmap(lambda pair: st.builds(
+            SensorClause, times, st.just(pair[0]), st.just(pair[1]),
+            st.sampled_from(SensorFault), maybe))
     return st.one_of(
         st.builds(CrashClause, times, node | st.just(BORDER_ROUTER), maybe),
         st.builds(PartitionClause, times, _finite, maybe),
         st.builds(LinkFlapClause, times, node, node, _spans,
                   st.integers(min_value=1, max_value=5),
                   st.floats(min_value=0.0, max_value=1e4)),
-        st.builds(SensorClause, times, node, st.text(max_size=8),
-                  st.sampled_from(SensorFault), maybe),
+        sensor_clauses,
         st.builds(InterferenceClause, times, _spans,
                   st.tuples(_finite, _finite), st.integers(1, 13),
                   st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
@@ -114,26 +117,39 @@ def _workloads(nodes):
 def _scenarios(draw):
     """A valid scenario: its clauses and probes name the topology's
     nodes, its clauses start no earlier than their install instant, its
-    sensor names are distinct and its config has every switch its
+    sensor names are distinct and include every one its workloads read,
+    its sensor clauses name a sensor their node has, no two of its
+    workloads bind one port and its config has every switch its
     workloads need."""
     topology = draw(st.sampled_from(_TOPOLOGIES))
     nodes = topology.node_ids()
     formation = draw(_times)
     faults_at = draw(st.none() | st.floats(formation, 2e5))
     start = formation if faults_at is None else faults_at
-    workloads = draw(st.lists(_workloads(nodes), max_size=3))
+    workloads, owned = [], set()
+    for workload in draw(st.lists(_workloads(nodes), max_size=3)):
+        if owned.isdisjoint(workload.ports):
+            workloads.append(workload)
+            owned.update(workload.ports)
+    sensors = draw(st.lists(_sensors, max_size=2,
+                            unique_by=lambda sensor: sensor[0]))
+    for workload in workloads:
+        sensors += [(name, DiurnalField()) for name in workload.sensors
+                    if name not in [known for known, _ in sensors]]
+    sensed = [(node, name) for node in nodes if node != topology.root_id
+              for name, _ in sensors]
+    sensed += [pair for workload in workloads for pair in workload.adds]
     return Scenario(
         topology=topology,
         config=dataclasses.replace(draw(_configs), **{
             switch: True for w in workloads for switch in w.switches}),
         link_model=draw(st.none() | st.builds(UnitDiskModel, radius_m=_times)
                         | st.builds(LogDistanceModel, seed=st.integers(0, 99))),
-        sensors=draw(st.lists(_sensors, max_size=2,
-                              unique_by=lambda sensor: sensor[0])),
+        sensors=sensors,
         rollout=draw(st.none() | st.builds(
             Rollout, pilot_size=st.integers(1, 5),
             growth_factor=st.integers(1, 4), stage_interval_s=_times)),
-        faults=draw(st.lists(_clauses(nodes, start), max_size=3)),
+        faults=draw(st.lists(_clauses(nodes, start, sensed), max_size=3)),
         faults_at_s=faults_at,
         grace_s=draw(st.none() | _times),
         workloads=workloads,
@@ -161,6 +177,15 @@ def _refused(draw):
         ("sensors", (scenario.sensors or (("temp", DiurnalField()),))[0],
          ": sensor name .* is taken"),
     ]
+    names = [name for name, _ in scenario.sensors]
+    sensing = [node for node in nodes if node != scenario.topology.root_id]
+    variants.append(("faults", SensorClause(
+        start, draw(st.sampled_from(sensing)), "?" + "".join(names)),
+        r"\.sensor: node .* has no sensor"))
+    bound = [w for w in scenario.workloads if w.ports]
+    if bound:
+        variants.append(("workloads", draw(st.sampled_from(bound)),
+                         r": .* binds port"))
     if start > 0:
         variants.append(("faults", CrashClause(
             draw(st.floats(0.0, start, exclude_max=True)), nodes[0]),
@@ -232,7 +257,9 @@ _EVERY_KIND = (
     RandomCrashesClause(at_s=500.0, duration_s=600.0, mtbf_s=120.0,
                         mttr_s=30.0, spare_root=False),
 )
-_FAULTED = Scenario(topology=grid_topology(3), faults=_EVERY_KIND)
+_FAULTED = Scenario(topology=grid_topology(3),
+                    sensors=(("temperature", DiurnalField()),),
+                    faults=_EVERY_KIND)
 
 
 # ----------------------------------------------------------------------
@@ -376,6 +403,7 @@ class TestValidation:
                                              r"\.sources: unknown node 9"):
             Scenario(topology=grid_topology(2),
                      config=SystemConfig(observability=True),
+                     sensors=(("temp", DiurnalField()),),
                      workloads=(Demo(), Probe(sources=(1, 9))))
 
     @pytest.mark.parametrize("workload, node", [
@@ -397,13 +425,15 @@ class TestValidation:
         (Demo(), "observability"),
     ])
     def test_a_workload_needs_its_switches(self, workload, switch):
+        sensors = (("temp", DiurnalField()),)
         Scenario(topology=grid_topology(3),
-                 config=SystemConfig(**{switch: True}),
+                 config=SystemConfig(**{switch: True}), sensors=sensors,
                  workloads=(workload,))
         with pytest.raises(ValueError, match=(
                 fr"^Scenario\.workloads\[0\]: {workload.kind} needs "
                 fr"SystemConfig\.{switch}=True")):
-            Scenario(topology=grid_topology(3), workloads=(workload,))
+            Scenario(topology=grid_topology(3), sensors=sensors,
+                     workloads=(workload,))
 
     @pytest.mark.parametrize("stack, field", [
         (lambda: StackConfig(mac="lpl", mac_config=LplConfig(
@@ -441,6 +471,48 @@ class TestValidation:
             Scenario(topology=grid_topology(2),
                      sensors=(("temp", DiurnalField()),
                               ("temp", DiurnalField(mean=3.0))))
+
+    @pytest.mark.parametrize("first, second, port", [
+        (Probe(sources=(1,), count=5), Probe(sources=(2,), count=5), 7),
+        (PartitionCrdt(), Demo(), 9901),
+    ], ids=["two-probes", "gossip"])
+    def test_two_workloads_may_not_bind_one_port(self, first, second, port):
+        config = SystemConfig(observability=True, invariant_checking=True)
+        sensors = (("temp", DiurnalField()),)
+        for alone in (first, second):
+            Scenario(topology=grid_topology(3), config=config,
+                     sensors=sensors, workloads=(alone,))
+        with pytest.raises(ValueError, match=(
+                fr"^Scenario\.workloads\[1\]: {second.kind} binds port "
+                fr"{port}, which Scenario\.workloads\[0\] binds")):
+            Scenario(topology=grid_topology(3), config=config,
+                     sensors=sensors, workloads=(first, second))
+
+    def test_a_demo_needs_a_temp_sensor(self):
+        with pytest.raises(ValueError, match=(
+                r"^Scenario\.workloads\[0\]: demo reads sensor 'temp', "
+                r"which Scenario\.sensors lacks")):
+            Scenario(topology=grid_topology(3),
+                     config=SystemConfig(observability=True),
+                     sensors=(("humidity", DiurnalField()),),
+                     workloads=(Demo(),))
+
+    @pytest.mark.parametrize("clause", [
+        SensorClause(60.0, 4, "humidity"),
+        SensorClause(60.0, 0, "temp"),  # the root senses nothing
+        SensorClause(60.0, 5, "zone_temp"),
+    ], ids=["unknown-sensor", "root", "not-a-zone"])
+    def test_a_sensor_clause_names_a_sensor_its_node_has(self, clause):
+        base = Scenario(topology=grid_topology(3), formation_s=60.0,
+                        config=SystemConfig(invariant_checking=True),
+                        sensors=(("temp", DiurnalField()),),
+                        workloads=(HvacSafety(),))
+        dataclasses.replace(base, faults=(SensorClause(60.0, 4, "temp"),
+                                          SensorClause(60.0, 8, "zone_temp")))
+        with pytest.raises(ValueError, match=(
+                fr"^Scenario\.faults\[1\]\.sensor: node {clause.node} has "
+                fr"no sensor '{clause.sensor}'")):
+            dataclasses.replace(base, faults=(CrashClause(60.0, 1), clause))
 
     @settings(max_examples=100, deadline=None)
     @given(_refused())

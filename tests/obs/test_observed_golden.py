@@ -1,0 +1,74 @@
+"""Golden observation of one fully observed run, pinned by digest.
+
+A grid(3) demo with spans, telemetry and every checker on, its whole
+trace stream subscribed: the sha256 of every record, in emission order,
+and of the span table, in span-id order.  It was recorded when a record
+was a frozen dataclass and a span was reached through a separate
+context handle; the tuple records and span handles reproduce both byte
+for byte.
+
+A legitimate behaviour change re-records ``GOLDEN``; a performance
+change to the observation plane must not need to.
+"""
+
+import hashlib
+from typing import Any, Dict, Iterable
+
+from repro.core.scenario import Scenario
+from repro.core.system import SystemConfig
+from repro.core.workloads import Demo
+from repro.deployment.topology import grid_topology
+from repro.devices.phenomena import DiurnalField
+
+SCENARIO = Scenario(
+    topology=grid_topology(3),
+    config=SystemConfig(observability=True, invariant_checking=True,
+                        telemetry_interval_s=10.0),
+    sensors=(("temp", DiurnalField(mean=21.0)),),
+    workloads=(Demo(),),
+    formation_s=180.0,
+    run_s=120.0,
+)
+SEED = 7
+
+GOLDEN = {
+    "records": 1582,
+    "records_sha256":
+        "83a3974b8c986e69531d94cae0caebe1342a1f3fd3339d9627885c2d6cbbad85",
+    "spans": 1158,
+    "spans_sha256":
+        "81bb14a81e4e6c4a69b45cab980be10fa1500d33b6e521a84fa7cf7316e9d464",
+    "violations": 0,
+    "windows": 30,
+}
+
+
+def _sha256(lines: Iterable[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def observe() -> Dict[str, Any]:
+    records = []
+    system = SCENARIO.run(SEED, observe=lambda system: (
+        system.trace.subscribe_stream(records.append)))
+    spans = [span for _, span in sorted(system.obs.spans.spans.items())]
+    return {
+        "records": len(records),
+        "records_sha256": _sha256(
+            repr((r.time, r.category, r.node, r.data)) for r in records),
+        "spans": len(spans),
+        "spans_sha256": _sha256(
+            repr((s.span_id, s.trace_id, s.parent_id, s.category, s.node,
+                  s.start, s.end, s.data)) for s in spans),
+        "violations": len(system.checkers.finish()),
+        "windows": system.telemetry.windows_closed,
+    }
+
+
+def test_the_observed_run_matches_its_golden():
+    assert observe() == GOLDEN
+
+
+if __name__ == "__main__":  # re-record: PYTHONPATH=src:. python tests/obs/test_observed_golden.py
+    import pprint
+    pprint.pprint(observe(), sort_dicts=False)

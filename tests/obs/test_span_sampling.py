@@ -94,6 +94,23 @@ class TestRingBuffer:
         assert stored.count("fault.crash") == 10  # every one, dotted match
         assert len(tracer) >= 10  # the cap may be overrun by pinned spans
 
+    def test_finishing_an_evicted_span_keeps_it_evicted(self):
+        tracer = SpanTracer(max_spans=4)
+        first = tracer.start(None, "coap.request", node=1, t=0.0)
+        child = tracer.start(first, "net.send", node=1, t=0.5)
+        for i in range(12):
+            tracer.start(None, "coap.request", node=1, t=1.0 + i)
+        stored = dict(tracer.spans)
+        tracer.annotate(child, service_start=0.7)
+        tracer.finish(child, 0.9, ok=True)
+        tracer.finish(first, 1.0)
+        assert len(tracer) == len(stored) == 4
+        assert tracer.spans == stored
+        assert first.span_id not in tracer.spans
+        assert child.span_id not in tracer.spans
+        assert tracer.spans_for(first.trace_id) == []
+        assert first.trace_id not in tracer.trace_ids()
+
     def test_evicted_traces_vanish_from_reconstruction(self):
         tracer = SpanTracer(max_spans=4)
         first = tracer.start(None, "coap.request", node=1, t=0.0)

@@ -15,6 +15,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import timeseries
 from repro.obs.registry import MetricsSnapshot, Registry
@@ -121,6 +122,33 @@ class TestRollup:
         # node=0's series sorts first, whatever the observation order.
         assert engine.windows[0].histograms[
             ("lat", (("domain", "bldg-0"),))] == (0.1, 0.3, 0.2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 49.0), st.sampled_from(
+        ["lat", "hops", "a.b"]), st.integers(0, 5), st.floats(0.0, 9.0)),
+        max_size=40))
+    def test_windows_equal_a_per_window_sort(self, observations):
+        """The fold order is sorted again only when a series appears;
+        every window is byte-identical to one sorted afresh."""
+
+        class Resorting(TelemetryEngine):
+            def _scrape(self):
+                self._hist_order = []
+                super()._scrape()
+
+        def windows(cls):
+            sim, registry = Simulator(seed=7), Registry()
+            engine = cls(sim, registry, interval_s=10.0,
+                         domain_of=self.domain_of)
+            engine.start()
+            for t, name, node, value in observations:
+                sim.schedule_at(t, lambda name=name, value=value, node=node:
+                                registry.observe(name, value, node=node))
+            sim.run(until=50.0)
+            return [json.dumps(w.to_jsonable(), sort_keys=True)
+                    for w in engine.windows]
+
+        assert windows(TelemetryEngine) == windows(Resorting)
 
     def test_unmapped_nodes_keep_node_label(self):
         sim, registry, engine = make_engine(domain_of=self.domain_of)

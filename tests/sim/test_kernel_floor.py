@@ -1,6 +1,7 @@
-"""``benchmarks/kernel_floor.py``'s census and outcome digest, at a scale
-tier-1 affords: the counts add up, and the digest is the workload's
-outcome without its event count."""
+"""``benchmarks/kernel_floor.py``'s census, outcome digest and
+observation loops, at a scale tier-1 affords: the counts add up, the
+digest is the workload's outcome without its event count, and each loop
+reports a time per operation."""
 
 import re
 
@@ -10,7 +11,9 @@ from benchmarks.kernel_floor import (
     OUTCOMES,
     census,
     delivery_census,
+    emit_loop,
     outcome_digest,
+    span_loop,
 )
 from benchmarks.layers import workloads
 
@@ -18,17 +21,36 @@ from benchmarks.layers import workloads
 def test_census_adds_up_and_cleans_up():
     original = workloads.sim_digest
     totals, rows, digest = census("gateway_services", seed=2018, scale=0.05)
-    assert totals["pushes"] == sum(pushed for _, pushed, _, _ in rows)
-    assert totals["cancelled before fire"] == sum(
-        cancelled for _, _, _, cancelled in rows)
-    assert all(fired + cancelled <= pushed
-               for _, pushed, fired, cancelled in rows)
-    assert [pushed for _, pushed, _, _ in rows] == sorted(
-        (pushed for _, pushed, _, _ in rows), reverse=True)
-    names = {name for name, _, _, _ in rows}
+    assert totals["pushes"] == sum(row[1] for row in rows)
+    assert totals["queued at set-up"] == sum(row[2] for row in rows)
+    # Every event of the section was pushed in it or queued before it.
+    assert totals["events"] == sum(row[3] for row in rows)
+    assert totals["cancelled before fire"] == sum(row[4] for row in rows)
+    assert all(fired + cancelled <= pushed + queued
+               for _, pushed, queued, fired, cancelled in rows)
+    assert [row[1] + row[2] for row in rows] == sorted(
+        (row[1] + row[2] for row in rows), reverse=True)
+    names = {row[0] for row in rows}
     assert {"MacLayer._kick", "FragmentationAdapter._expire_due"} <= names
     assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert workloads.sim_digest is original
+
+
+def test_census_counts_what_set_up_queued():
+    """campus_medium queues every send during set-up: the census sees
+    them, and they and their frames' ends are every event."""
+    totals, rows, _ = census("campus_medium", seed=2018, scale=0.05)
+    by_name = {row[0]: row[1:] for row in rows}
+    sends = by_name["CampusMedium._send.<locals>.send"]
+    ends = by_name["Medium.transmit.<locals>.finish"]
+    assert sends[0] == 0 and sends[1] == sends[2] > 0
+    assert ends[0] == ends[2] == sends[2]
+    assert totals["events"] == sends[2] + ends[2]
+
+
+def test_observation_loops_report_a_time_per_operation():
+    assert 0.0 < emit_loop(200)
+    assert 0.0 < span_loop(200)
 
 
 def test_outcome_digest_ignores_events_only():

@@ -1,7 +1,46 @@
 """Trace log counters, subscriptions and the bounded tail."""
 
+import pytest
+from hypothesis import given, strategies as st
+
 from repro.sim import trace as trace_module
-from repro.sim.trace import TAIL, TraceLog
+from repro.sim.trace import TAIL, TraceLog, TraceRecord
+
+_fields = st.tuples(
+    st.floats(allow_nan=False), st.text(max_size=8),
+    st.none() | st.integers(), st.dictionaries(st.text(max_size=3),
+                                               st.integers(), max_size=3))
+
+
+class TestTraceRecord:
+    @given(_fields, _fields)
+    def test_a_record_is_its_fields(self, a, b):
+        record = TraceRecord(*a)
+        assert (record.time, record.category, record.node,
+                record.data) == a
+        assert record == TraceRecord(*a)
+        assert (record == TraceRecord(*b)) == (a == b)
+        assert (record != TraceRecord(*b)) == (a != b)
+        # Equal to records only, as a frozen dataclass is.
+        assert record != a and a != record
+        for name in ("time", "category", "node", "data", "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert repr(record) == (
+            f"TraceRecord(time={a[0]!r}, category={a[1]!r}, "
+            f"node={a[2]!r}, data={a[3]!r})")
+
+    @given(_fields)
+    def test_no_two_records_share_a_data_dict(self, fields):
+        time, category, node, data = fields
+        log, seen = TraceLog(), []
+        log.subscribe_stream(seen.append)
+        log.emit(time, category, node, **data)
+        log.emit(time, category, node, **data)
+        first, second = seen
+        assert first == second == TraceRecord(time, category, node, data)
+        first.data["long"] = 1  # no drawn key is this long
+        assert second.data == data and "long" not in data
 
 
 class TestTraceLog:
