@@ -88,6 +88,7 @@ class AggregationService:
     EARLIEST_FRACTION = 0.25
     #: Root finalizes this far into the next epoch.
     GRACE_FRACTION = 0.1
+    COUNTED = (("agg.partial", {}, "records_sent"),)
 
     def __init__(
         self,
@@ -105,6 +106,7 @@ class AggregationService:
         self._accumulators: Dict[Tuple[int, int], Tuple[Any, int]] = {}
         self.records_sent = 0
         self.bytes_sent = 0
+        self.trace.add_reader(self, node.node_id, self.COUNTED)
         #: Root only.
         self.results: List[EpochResult] = []
         self.on_result: Optional[Callable[[EpochResult], None]] = None
@@ -234,7 +236,6 @@ class AggregationService:
         ctx = None
         done = None
         if obs is not None:
-            obs.registry.inc("agg.partial", node=self.node.node_id)
             # One span per contributed partial; the datagram journey to
             # the parent (and each fold along the way) nests beneath it.
             ctx = obs.spans.start(
@@ -253,8 +254,8 @@ class AggregationService:
         if query is None:
             return
         operator = OPERATORS[query.operator]
-        # Late records fold into whatever epoch is still open here:
-        # our own epoch if we have not sent yet, else the next one.
+        # A record folds into the epoch it was sent for; one arriving
+        # after this node sent (root: finalised) that epoch is never read.
         epoch = record.epoch
         key = (record.query_id, epoch)
         state, count = self._accumulators.get(key, (None, 0))

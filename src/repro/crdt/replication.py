@@ -59,6 +59,9 @@ class AntiEntropyConfig:
 class NetworkReplicator:
     """Gossips one replica's state to MAC neighbors."""
 
+    COUNTED = (("crdt.gossip", {}, "gossips_sent"),
+               ("crdt.gossip_bytes", {}, "bytes_sent"))
+
     def __init__(
         self,
         stack: NetworkStack,
@@ -73,6 +76,7 @@ class NetworkReplicator:
         self.trace = trace if trace is not None else stack.trace
         self.gossips_sent = 0
         self.bytes_sent = 0
+        self.trace.add_reader(self, stack.node_id, self.COUNTED)
         #: Sim time of the last local change (mutation or merge-in),
         #: driving the convergence-lag histogram and the replica
         #: staleness gauge of the NodeHealth table.
@@ -124,8 +128,6 @@ class NetworkReplicator:
         ctx = None
         obs = self.trace.obs
         if obs is not None:
-            obs.registry.inc("crdt.gossip", node=node)
-            obs.registry.inc("crdt.gossip_bytes", size, node=node)
             # One anti-entropy round = one trace: the broadcast's
             # fragments/MAC jobs and every receiver's merge outcome hang
             # beneath it (the context rides on the datagram).

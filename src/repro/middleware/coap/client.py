@@ -32,6 +32,7 @@ class CoapClient:
 
     #: Give the server this long end-to-end before reporting failure.
     DEFAULT_TIMEOUT_S = 60.0
+    COUNTED = (("coap.timeout", {}, "timeouts"),)
 
     def __init__(self, transport: CoapTransport) -> None:
         self.transport = transport
@@ -43,6 +44,7 @@ class CoapClient:
         self.requests_sent = 0
         self.responses_received = 0
         self.timeouts = 0
+        self.trace.add_reader(self, self.node_id, self.COUNTED)
         previous = transport.on_message
 
         def chained(src: int, message: CoapMessage) -> None:
@@ -181,8 +183,5 @@ class CoapClient:
         if pending.timer is not None:
             pending.timer.cancel()
         self.timeouts += 1
-        obs = self.trace.obs
-        if obs is not None:
-            obs.registry.inc("coap.timeout", node=self.node_id)
         self._close_span(pending, ok=False)
         pending.callback(None)

@@ -50,6 +50,9 @@ class _PendingCon:
 class CoapTransport:
     """The message layer bound to one node's network stack."""
 
+    COUNTED = (("coap.retransmit", {}, "retransmissions"),
+               ("coap.con_failed", {}, "failures"))
+
     def __init__(
         self,
         stack: NetworkStack,
@@ -69,6 +72,7 @@ class CoapTransport:
         self.messages_sent = 0
         self.retransmissions = 0
         self.failures = 0
+        self.trace.add_reader(self, stack.node_id, self.COUNTED)
         stack.bind(port, self._on_datagram)
 
     # ------------------------------------------------------------------
@@ -124,7 +128,6 @@ class CoapTransport:
             self.trace.emit(self.sim.now, "coap.con_failed",
                             node=self.stack.node_id, dest=pending.dest)
             if obs is not None:
-                obs.registry.inc("coap.con_failed", node=self.stack.node_id)
                 obs.spans.event(pending.ctx, "coap.con_failed",
                                 node=self.stack.node_id, t=self.sim.now)
             if pending.on_fail is not None:
@@ -136,7 +139,6 @@ class CoapTransport:
                         retries=pending.retries,
                         max_retransmit=MAX_RETRANSMIT)
         if obs is not None:
-            obs.registry.inc("coap.retransmit", node=self.stack.node_id)
             obs.spans.event(pending.ctx, "coap.retransmit",
                             node=self.stack.node_id, t=self.sim.now,
                             retries=pending.retries)

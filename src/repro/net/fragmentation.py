@@ -66,6 +66,8 @@ class _ReassemblyBuffer:
 class FragmentationAdapter:
     """Fragments oversized unicasts and reassembles inbound fragments."""
 
+    COUNTED = (("frag.fragments", {}, "fragments_sent"),)
+
     def __init__(
         self,
         sim: Simulator,
@@ -95,6 +97,7 @@ class FragmentationAdapter:
         self.reassemblies = 0
         self.reassembly_failures = 0
         self.duplicate_fragments = 0
+        self.trace.add_reader(self, mac.radio.node_id, self.COUNTED)
 
     # ------------------------------------------------------------------
     # sending
@@ -149,8 +152,6 @@ class FragmentationAdapter:
 
         obs = self.trace.obs
         node_id = self.mac.radio.node_id
-        if obs is not None:
-            obs.registry.inc("frag.fragments", len(sizes), node=node_id)
         for index, chunk_bytes in enumerate(sizes):
             fragment = Fragment(
                 tag=tag, index=index, count=len(sizes),

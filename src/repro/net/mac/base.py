@@ -5,8 +5,8 @@ Owned here, once: the bounded FIFO transmit queue and the single job in
 flight (as on real single-radio devices) with its spent retry budget,
 matching an ACK against that job, acknowledging a unicast addressed
 here, dedup and the security filter, the timers, the stop path, and the
-terminal accounting with its ``mac.tx`` instruments and ``mac.job``
-spans.  DESIGN.md, "MAC contract", lists the hooks a MAC supplies.
+terminal accounting in :class:`MacStats` (read as ``mac.tx``) with its
+``mac.job`` spans.  DESIGN.md, "MAC contract", lists the hooks a MAC supplies.
 """
 
 from __future__ import annotations
@@ -73,6 +73,13 @@ class MacLayer(abc.ABC):
     from :meth:`_timer`, so a stopped MAC has none armed.
     """
 
+    #: Counters the registry reads from this MAC (``TraceLog.add_reader``).
+    COUNTED = (
+        ("mac.tx", {"ok": True}, "stats.tx_success"),
+        ("mac.tx", {"ok": False}, "stats.tx_failed"),
+        ("mac.queue_drop", {}, "stats.queue_drops"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -103,14 +110,7 @@ class MacLayer(abc.ABC):
         # the radio and never handed up.
         radio.rx_addresses = frozenset((radio.node_id, BROADCAST))
         self._rng = sim.substream(f"mac.{radio.node_id}")
-        #: Cached ``mac.tx`` instruments ``[registry, ok_counter,
-        #: failed_counter]`` — _finish_job runs once per frame, making
-        #: it the single hottest registry callsite of an instrumented
-        #: run; holding the instruments skips the per-call label
-        #: packing.  Keyed on the registry so a re-attached
-        #: observability bundle refreshes the cache; each counter is
-        #: created lazily on its outcome's first occurrence.
-        self._tx_counters: Optional[list] = None
+        self.trace.add_reader(self, radio.node_id, self.COUNTED)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -220,7 +220,6 @@ class MacLayer(abc.ABC):
         if not self._started or len(self._queue) >= MAX_QUEUE:
             self.stats.queue_drops += 1
             if obs is not None:
-                obs.registry.inc("mac.queue_drop", node=node)
                 obs.spans.event(trace_ctx, "mac.queue_drop", node=node,
                                 t=self.sim.now, dest=dest)
             if done is not None:
@@ -268,23 +267,8 @@ class MacLayer(abc.ABC):
             self.stats.tx_success += 1
         else:
             self.stats.tx_failed += 1
-        obs = self.trace.obs
-        if obs is not None:
-            counters = self._tx_counters
-            if counters is None or counters[0] is not obs.registry:
-                counters = self._tx_counters = [obs.registry, None, None]
-            index = 1 if success else 2
-            instrument = counters[index]
-            if instrument is None:
-                # Each outcome's series registers on first occurrence
-                # only — eagerly creating both would add zero-valued
-                # ok=False series to nodes that never fail, shifting
-                # every exported snapshot against its baseline.
-                instrument = counters[index] = obs.registry.counter(
-                    "mac.tx", node=self.radio.node_id, ok=success)
-            instrument.value += 1.0
-            if job.ctx is not None:
-                obs.spans.finish(job.ctx, self.sim.now, ok=success)
+        if job.ctx is not None:
+            self.trace.obs.spans.finish(job.ctx, self.sim.now, ok=success)
         self._in_flight = None
         if job.done is not None:
             job.done(success)

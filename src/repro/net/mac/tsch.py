@@ -146,6 +146,11 @@ _SLOT_PRIORITY_BASE = -(1 << 40)
 class TschMac(MacLayer):
     """Slotted, scheduled channel access over a shared slotframe."""
 
+    COUNTED = MacLayer.COUNTED + (
+        ("mac.tsch.tx", {"cell": "shared"}, "_tsch_stats.shared_tx"),
+        ("mac.tsch.tx", {"cell": "dedicated"}, "_tsch_stats.dedicated_tx"),
+    )
+
     def __init__(self, sim, radio, config: Optional[TschConfig] = None,
                  **kwargs) -> None:
         super().__init__(sim, radio, **kwargs)
@@ -465,10 +470,6 @@ class TschMac(MacLayer):
                 self._plan_boundary()   # the next boundary has an ADD to send
         else:
             self._tsch_stats.dedicated_tx += 1
-        obs = self.trace.obs
-        if obs is not None:
-            obs.registry.inc("mac.tsch.tx", node=self.radio.node_id,
-                             cell="shared" if cell.shared else "dedicated")
 
         def tx_done() -> None:
             if self._in_flight is not job:

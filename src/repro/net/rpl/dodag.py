@@ -138,6 +138,16 @@ class RplConfig:
 class RplRouter:
     """The per-node RPL routing agent."""
 
+    #: Counters the registry reads from this router and its Trickle timer.
+    COUNTED = (
+        ("rpl.dio", {}, "dio_sent"),
+        ("rpl.dao", {}, "dao_sent"),
+        ("rpl.parent_change", {}, "parent_changes"),
+        ("rpl.trickle.reset", {}, "trickle.resets"),
+        ("rpl.trickle.tx", {}, "trickle.transmissions"),
+        ("rpl.trickle.suppressed", {}, "trickle.suppressions"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -210,6 +220,7 @@ class RplRouter:
         )
         self._float_timer = Timer(sim, self._become_floating_root)
         self._started = False
+        self.trace.add_reader(self, node_id, self.COUNTED)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -271,7 +282,6 @@ class RplRouter:
         ctx = None
         obs = self.trace.obs
         if obs is not None:
-            obs.registry.inc("rpl.dio", node=self.node_id)
             ctx = obs.spans.start(
                 None, "rpl.dio", node=self.node_id, t=self.sim.now,
                 rank=self.rank,
@@ -495,7 +505,6 @@ class RplRouter:
             self.trace.emit(self.sim.now, "rpl.parent_change", node=self.node_id,
                             parent=entry.node_id, rank=self.rank)
             if obs is not None:
-                obs.registry.inc("rpl.parent_change", node=self.node_id)
                 # One span per parent switch; it stays open until the
                 # repair DAO is dispatched (or the switch is superseded/
                 # aborted), so the DAO's datagram journey nests beneath
@@ -641,14 +650,12 @@ class RplRouter:
             path_seq=self._path_seq,
         )
         self.dao_sent += 1
-        obs = self.trace.obs
         ctx = self._switch_ctx
-        if obs is not None:
-            obs.registry.inc("rpl.dao", node=self.node_id)
         if self.send_dao_upward is not None:
             self.send_dao_upward(dao, dao.SIZE_BYTES, ctx)
         if ctx is not None:
-            obs.spans.finish(ctx, self.sim.now, dao_seq=self._path_seq)
+            self.trace.obs.spans.finish(ctx, self.sim.now,
+                                        dao_seq=self._path_seq)
             self._switch_ctx = None
 
     def route_to(self, dst: int, max_hops: int = 32) -> Optional[List[int]]:

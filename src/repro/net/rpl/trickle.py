@@ -199,9 +199,9 @@ class TrickleTimer:
     on_transmit:
         Called at the chosen instant t when not suppressed.
     trace / node:
-        Optional observability wiring: when the shared trace log carries
-        an ``repro.obs`` bundle, the timer records per-node
-        ``rpl.trickle.*`` counters and the current interval gauge.
+        Optional observability wiring: the per-node interval gauge.  The
+        ``rpl.trickle.*`` counters are this timer's tallies, which the
+        registry reads through the owning router.
     variant:
         Adaptation policy (default: classic RFC 6206 behaviour).
     """
@@ -272,9 +272,6 @@ class TrickleTimer:
         if not self._running:
             return
         self.resets += 1
-        obs = self._trace.obs if self._trace is not None else None
-        if obs is not None:
-            obs.registry.inc("rpl.trickle.reset", node=self._node)
         self.variant.observe_reset()
         target = self.variant.reset_interval()
         if self.interval > target:
@@ -296,16 +293,11 @@ class TrickleTimer:
         self._interval_timer.start(self.interval)
 
     def _fire(self) -> None:
-        obs = self._trace.obs if self._trace is not None else None
         if self.counter < self.variant.suppression_threshold():
             self.transmissions += 1
-            if obs is not None:
-                obs.registry.inc("rpl.trickle.tx", node=self._node)
             self.on_transmit()
         else:
             self.suppressions += 1
-            if obs is not None:
-                obs.registry.inc("rpl.trickle.suppressed", node=self._node)
 
     def _interval_end(self) -> None:
         self.variant.observe_interval_end(self.counter)

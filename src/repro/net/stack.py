@@ -121,6 +121,16 @@ class StackStats:
 class NetworkStack:
     """One node's complete stack: radio + MAC + RPL (+ RNFD) + sockets."""
 
+    #: Counters the registry reads from this stack (``TraceLog.add_reader``).
+    COUNTED = (
+        ("net.sent", {}, "stats.datagrams_sent"),
+        ("net.delivered", {}, "stats.datagrams_delivered"),
+        ("net.forwarded", {}, "stats.datagrams_forwarded"),
+        ("net.dropped", {"reason": "no_route"}, "stats.datagrams_dropped_no_route"),
+        ("net.dropped", {"reason": "link"}, "stats.datagrams_dropped_link"),
+        ("net.dropped", {"reason": "ttl"}, "stats.datagrams_dropped_ttl"),
+    )
+
     def __init__(
         self,
         sim: Simulator,
@@ -156,15 +166,7 @@ class NetworkStack:
             self.rnfd = RnfdAgent(sim, self.rpl, self.config.rnfd, self.trace)
         self._sockets: Dict[int, Callable[[Datagram], None]] = {}
         self.alive = True
-        #: ``[registry, sent, delivered, forwarded, dropped(no_route),
-        #: dropped(link), dropped(ttl), {port: latency histogram}]`` —
-        #: per-datagram instruments resolved once instead of through
-        #: the registry's label-tuple lookup on every packet (the MAC
-        #: ``_finish_job`` cache pattern).  Keyed by registry identity
-        #: so a fresh Observability never inherits another run's
-        #: instruments; each slot fills on first occurrence only, so no
-        #: zero-valued series appear in exported snapshots.
-        self._obs_cache: Optional[list] = None
+        self.trace.add_reader(self, node_id, self.COUNTED)
 
     # ------------------------------------------------------------------
     # lifecycle & faults
@@ -226,42 +228,6 @@ class NetworkStack:
         return self.medium.link_prr(self.node_id, neighbor)
 
     # ------------------------------------------------------------------
-    # hot-path observability instruments
-    # ------------------------------------------------------------------
-    _SENT, _DELIVERED, _FORWARDED = 1, 2, 3
-    _DROP_SLOT = {"no_route": 4, "link": 5, "ttl": 6}
-    _LATENCY = 7
-
-    def _obs_slots(self, obs: Any) -> list:
-        cache = self._obs_cache
-        if cache is None or cache[0] is not obs.registry:
-            cache = self._obs_cache = [obs.registry, None, None, None,
-                                       None, None, None, {}]
-        return cache
-
-    def _count_datagram(self, obs: Any, slot: int, name: str, **labels: Any) -> None:
-        cache = self._obs_slots(obs)
-        instrument = cache[slot]
-        if instrument is None:
-            instrument = cache[slot] = obs.registry.counter(
-                name, node=self.node_id, **labels)
-        instrument.value += 1.0
-
-    def _observe_latency(self, obs: Any, port: int, latency: float,
-                         trace_id: Optional[int] = None) -> None:
-        recorders = self._obs_slots(obs)[self._LATENCY]
-        slot = recorders.get(port)
-        if slot is None:
-            # `record` is the bound fast-path writer (values.append).
-            # The instrument rides along for exemplar recording, which
-            # only runs on sampled (trace-carrying) deliveries.
-            instrument = obs.registry.histogram("net.latency_s", port=port)
-            slot = recorders[port] = (instrument.record, instrument)
-        slot[0](latency)
-        if trace_id is not None:
-            slot[1].add_exemplar(latency, trace_id)
-
-    # ------------------------------------------------------------------
     # socket API
     # ------------------------------------------------------------------
     def bind(self, port: int, handler: Callable[[Datagram], None]) -> None:
@@ -298,7 +264,6 @@ class NetworkStack:
                 trace_ctx, "net.datagram", node=self.node_id,
                 t=self.sim.now, dst=dst, port=dst_port,
             )
-            self._count_datagram(obs, self._SENT, "net.sent")
         datagram = Datagram(
             src=self.node_id, src_port=src_port,
             dst=dst, dst_port=dst_port,
@@ -367,8 +332,6 @@ class NetworkStack:
             self.trace.emit(self.sim.now, "net.no_route", node=self.node_id,
                             dst=packet.dst)
             if obs is not None:
-                self._count_datagram(obs, self._DROP_SLOT["no_route"],
-                                     "net.dropped", reason="no_route")
                 obs.spans.finish(packet.trace_ctx, self.sim.now,
                                  dropped="no_route")
             if done is not None:
@@ -400,8 +363,6 @@ class NetworkStack:
             self.trace.emit(self.sim.now, "net.link_drop", node=self.node_id,
                             dst=packet.dst, hop=next_hop)
             if obs is not None:
-                self._count_datagram(obs, self._DROP_SLOT["link"],
-                                     "net.dropped", reason="link")
                 obs.spans.finish(packet.trace_ctx, self.sim.now,
                                  dropped="link")
             if done is not None:
@@ -447,10 +408,10 @@ class NetworkStack:
                         path=packet.source_route)
         obs = self.trace.obs
         if obs is not None:
-            self._count_datagram(obs, self._DELIVERED, "net.delivered")
             ctx = packet.trace_ctx
-            self._observe_latency(obs, datagram.dst_port, latency,
-                                  ctx.trace_id if ctx is not None else None)
+            obs.registry.observe(
+                "net.latency_s", latency, port=datagram.dst_port,
+                exemplar=ctx.trace_id if ctx is not None else None)
             obs.spans.finish(ctx, self.sim.now, delivered=True,
                              latency=latency, hops=packet.hops)
         if datagram.dst_port == RPL_DAO_PORT:
@@ -509,12 +470,8 @@ class NetworkStack:
             self.trace.emit(self.sim.now, "net.ttl_drop", node=self.node_id,
                             dst=packet.dst)
             if obs is not None:
-                self._count_datagram(obs, self._DROP_SLOT["ttl"],
-                                     "net.dropped", reason="ttl")
                 obs.spans.finish(packet.trace_ctx, self.sim.now,
                                  dropped="ttl")
             return
         self.stats.datagrams_forwarded += 1
-        if obs is not None:
-            self._count_datagram(obs, self._FORWARDED, "net.forwarded")
         self._route(packet, ttl, None, self.config.upward_retries)

@@ -26,7 +26,8 @@ written and read by its one JSON codec.
 The :class:`Observability` bundle rides on the run's shared
 :class:`~repro.sim.trace.TraceLog` (``trace.obs``), which every layer
 already holds — so instrumentation needs no new constructor plumbing
-and costs one attribute check when disabled.
+and costs one attribute check when disabled.  A count a protocol object
+keeps is read through that trace log's readers; only others are pushed.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ class Observability:
         )
 
     def attach(self, trace: TraceLog) -> "Observability":
-        """Make this bundle visible to every layer sharing ``trace``."""
+        """Make this bundle visible to every layer sharing ``trace``, and
+        its registry read what the trace's readers report."""
         trace.obs = self
+        self.registry.readers = trace.readers
         return self

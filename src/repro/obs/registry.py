@@ -12,8 +12,9 @@ Histograms are exact on purpose: the ``core`` and ``explain`` gates
 (``benchmarks/gates.py``) pin percentiles to the last digit, which no bucketed estimate can
 reproduce.
 
-Instruments are addressed as ``registry.counter("mac.tx", node=3)``;
+Instruments are addressed as ``registry.counter("rpl.dis", node=3)``;
 the ``(name, sorted label items)`` pair identifies one time series.
+Counts protocol objects keep are read (:meth:`Registry.counter_values`).
 
 Determinism is the design center: :meth:`Registry.snapshot` captures a
 plain-data :class:`MetricsSnapshot` (picklable, so trial workers can
@@ -27,8 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import (Any, ClassVar, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, ClassVar, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -182,23 +183,15 @@ class Gauge:
 
 
 class Histogram:
-    """An exact value series (simulation scale permits full resolution).
+    """An exact value series (simulation scale permits full resolution)."""
 
-    ``record`` is the bound ``values.append`` — hot paths cache the
-    instrument and call ``instrument.record(v)``, which is one C call.
-    """
-
-    __slots__ = ("name", "labels", "values", "record", "exemplars")
+    __slots__ = ("name", "labels", "values", "exemplars")
 
     def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
         self.name = name
         self.labels = labels
         self.values: List[float] = []
-        self.record = self.values.append
         self.exemplars: Dict[int, List[Tuple[float, int]]] = {}
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
 
     def add_exemplar(self, value: float, trace_id: int) -> None:
         """Remember ``trace_id`` as an exemplar for ``value``'s bucket."""
@@ -234,6 +227,8 @@ class Registry:
         self._counter_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Counter] = {}
         self._gauge_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Gauge] = {}
         self._histogram_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Histogram] = {}
+        #: Set to the trace log's readers by ``Observability.attach``.
+        self.readers: Dict[Any, Callable[[], Iterable[Tuple[SeriesKey, int]]]] = {}
 
     # ------------------------------------------------------------------
     # instrument access
@@ -275,11 +270,8 @@ class Registry:
     # one-shot conveniences (the instrumentation hot path)
     # ------------------------------------------------------------------
     # These inline the cache probe instead of delegating to
-    # counter()/gauge()/histogram(): the delegation would re-pack the
-    # labels dict into kwargs a second time per call, and these three
-    # run once per packet/hop/frame in instrumented runs — most of what
-    # an instrumented run pays over a bare one (the layered benchmark's
-    # obs.slowdown_x) is these three.
+    # counter()/gauge()/histogram(), which would re-pack the labels dict
+    # into kwargs a second time per call.
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         instrument = self._counter_cache.get((name, tuple(labels.items())))
         if instrument is None:
@@ -299,14 +291,24 @@ class Registry:
         instrument = self._histogram_cache.get((name, tuple(labels.items())))
         if instrument is None:
             instrument = self.histogram(name, **labels)
-        instrument.record(value)
+        instrument.values.append(value)
         if exemplar is not None:
             instrument.add_exemplar(value, exemplar)
+
+    def counter_values(self) -> Dict[SeriesKey, float]:
+        """Every counter series as a float: pushed counters, then the readers'
+        counts summed per key, zeros skipped (a series appears once it occurs)."""
+        values = {key: c.value for key, c in self._counters.items()}
+        for reader in self.readers.values():
+            for key, count in reader():
+                if count:
+                    values[key] = values.get(key, 0.0) + count
+        return values
 
     def snapshot(self) -> "MetricsSnapshot":
         """Freeze the registry into plain, picklable data."""
         return MetricsSnapshot(
-            counters={k: c.value for k, c in self._counters.items()},
+            counters=self.counter_values(),
             gauges={k: g.value for k, g in self._gauges.items()},
             histograms={k: tuple(h.values) for k, h in self._histograms.items()},
             exemplars={k: h.freeze_exemplars()

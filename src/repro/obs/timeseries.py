@@ -159,12 +159,9 @@ class TelemetryEngine:
     def _rolled_key(self, key: SeriesKey) -> SeriesKey:
         """Fold a ``node=`` label into its campus domain, if mapped."""
         name, labels = key
-        domain_of = self.domain_of
-        if domain_of is None:
-            return key
         for i, (label, value) in enumerate(labels):
             if label == "node":
-                domain = domain_of(value)
+                domain = self.domain_of(value)
                 if domain is None:
                     return key
                 rolled = labels[:i] + (("domain", domain),) + labels[i + 1:]
@@ -177,23 +174,26 @@ class TelemetryEngine:
                                  start=self._last_start, end=now)
         self._last_start = now
         registry = self.registry
+        by_domain = self.domain_of is not None
 
         # counters: deltas since the previous scrape, rolled up, with
         # zero deltas suppressed.
         last = self._last_counters
-        for key, instrument in registry._counters.items():
-            value = instrument.value
+        counters = window.counters
+        # A series, once read, is read at every later scrape.
+        self._last_counters = registry.counter_values()
+        for key, value in self._last_counters.items():
             delta = value - last.get(key, 0.0)
-            last[key] = value
             if delta != 0.0:
-                rolled = self._rolled_key(key)
-                window.counters[rolled] = window.counters.get(rolled, 0.0) + delta
+                if by_domain:
+                    key = self._rolled_key(key)
+                    delta += counters.get(key, 0.0)
+                counters[key] = delta
 
         # gauges: end-of-window levels; domain rollups average so a
         # building's gauge is comparable to a node's.
-        if self.domain_of is None:
-            for key, instrument in registry._gauges.items():
-                window.gauges[key] = instrument.value
+        if not by_domain:
+            window.gauges = {key: g.value for key, g in registry._gauges.items()}
         else:
             sums: Dict[SeriesKey, float] = {}
             counts: Dict[SeriesKey, int] = {}
@@ -218,8 +218,9 @@ class TelemetryEngine:
             seen = last_hist.get(key, 0)
             if len(values) != seen:
                 last_hist[key] = len(values)
-                rolled = self._rolled_key(key)
-                histograms[rolled] = histograms.get(rolled, ()) + tuple(values[seen:])
+                if by_domain:
+                    key = self._rolled_key(key)
+                histograms[key] = histograms.get(key, ()) + tuple(values[seen:])
 
         if len(self._ring) == self._ring.maxlen:
             self.dropped += 1

@@ -16,6 +16,9 @@ into three things and stores nothing else:
 Measurement code therefore stays out of the protocols, and a run's
 memory does not grow with its length.
 
+An object that tallies an occurrence in an attribute registers it with
+:meth:`TraceLog.add_reader`; the metrics registry reads it there.
+
 Who is watching
 ---------------
 A category is *watched* when it has a subscriber or a stream subscriber
@@ -31,13 +34,43 @@ with one int compare.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, NamedTuple, Optional, Tuple
+from itertools import chain
+from operator import attrgetter
+from typing import (Any, Callable, Deque, Dict, Iterable, List, NamedTuple,
+                    Optional, Tuple)
 
 #: Records the tail keeps.  Only the layered benchmark's observed
 #: workload still enables a tail; across the builtin grid(3) sweep
 #: scenarios the busiest 120 s holds ≈5 600 records, so 8 192 holds
 #: such a window whole at a few MB.
 TAIL = 8192
+
+
+class _Reader:
+    """``(series key, count)`` for each row of ``table`` (see
+    :meth:`TraceLog.add_reader`) and each owner, in registration order.
+    An owner's keys are built at the first read and reused ever after:
+    every telemetry window holds the keys of its series."""
+
+    __slots__ = ("table", "labels", "counts", "owners", "nodes", "keys")
+
+    def __init__(self, table: Tuple) -> None:
+        self.table = table
+        self.labels = [tuple(labels.items()) for _, labels, _ in table]
+        get = attrgetter(*(path for _, _, path in table))
+        self.counts = get if len(table) > 1 else lambda owner: (get(owner),)
+        self.owners: List[Any] = []
+        self.nodes: List[int] = []
+        self.keys: List[Tuple[str, Any]] = []
+
+    def __call__(self) -> Iterable[Tuple[Tuple[str, Any], int]]:
+        keys = self.keys
+        for node in self.nodes[len(keys) // len(self.table):]:
+            node_only = (("node", node),)
+            keys.extend((name, tuple(sorted(node_only + labels)) if labels
+                         else node_only)
+                        for (name, _, _), labels in zip(self.table, self.labels))
+        return zip(keys, chain.from_iterable(map(self.counts, self.owners)))
 
 
 class TraceRecord(NamedTuple):
@@ -101,6 +134,8 @@ class TraceLog:
         #: The run's observability bundle (:class:`repro.obs.Observability`),
         #: attached externally; None keeps instrumentation disabled.
         self.obs = None
+        #: One reader per table of counts (:meth:`add_reader`), by its id.
+        self.readers: Dict[int, _Reader] = {}
         #: Changes whenever :meth:`watched` may answer differently.
         self.version = 0
         self._untail: Optional[Callable[[], None]] = None
@@ -200,6 +235,16 @@ class TraceLog:
                 self.version += 1
 
         return unsubscribe
+
+    def add_reader(self, owner: Any, node: int, table: Tuple) -> None:
+        """Let the metrics registry read, as the counter ``name{node,
+        labels}``, ``owner``'s attribute at the dotted ``path`` of each
+        ``(name, labels, path)`` in ``table``, a class constant."""
+        reader = self.readers.get(id(table))
+        if reader is None:  # it holds ``table``, so the id stays unique
+            reader = self.readers[id(table)] = _Reader(table)
+        reader.owners.append(owner)
+        reader.nodes.append(node)
 
     def count(self, category: str) -> int:
         """Total records emitted in ``category`` (even while disabled)."""

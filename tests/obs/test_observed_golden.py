@@ -7,11 +7,20 @@ was a frozen dataclass and a span was reached through a separate
 context handle; the tuple records and span handles reproduce both byte
 for byte.
 
-A legitimate behaviour change re-records ``GOLDEN``; a performance
-change to the observation plane must not need to.
+The ``core`` gate observes the CSMA demo only, so the same demo on TSCH
+and on LPL is pinned here too, by the sha256 of its final metrics
+snapshot and of its telemetry windows, each as the JSON the exporters
+write.  They were recorded while every counter was still pushed beside
+the count its owner keeps; read from the owners, the JSON is the same
+byte for byte.
+
+A legitimate behaviour change re-records ``GOLDEN``/``MAC_GOLDEN``; a
+performance change to the observation plane must not need to.
 """
 
+import dataclasses
 import hashlib
+import json
 from typing import Any, Dict, Iterable
 
 from repro.core.scenario import Scenario
@@ -19,6 +28,7 @@ from repro.core.system import SystemConfig
 from repro.core.workloads import Demo
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
+from repro.net.stack import StackConfig
 
 SCENARIO = Scenario(
     topology=grid_topology(3),
@@ -65,10 +75,50 @@ def observe() -> Dict[str, Any]:
     }
 
 
+#: Per MAC: the final snapshot's and the windows' sha256, and the
+#: number of windows.
+MAC_GOLDEN = {
+    "tsch": {
+        "snapshot_sha256":
+            "70e9ae676ff9ea6b20dec7f82d37a226589ddd85dd2f4b8e4e13dd478c9ef9f4",
+        "windows_sha256":
+            "11bbad2230cd48871fe27470270183cd491692491a7faec5495e749fc9b29103",
+        "windows": 30,
+    },
+    "lpl": {
+        "snapshot_sha256":
+            "6f0e9a02df1a50fe9be8ebe71c069ab548abe937461273f8410149b1aed60382",
+        "windows_sha256":
+            "a6aeaa2a3702586ca22eb5195cf7237a1c386ae9482f64b3222ecf3c910b8cac",
+        "windows": 30,
+    },
+}
+
+
+def observe_metrics(mac: str) -> Dict[str, Any]:
+    scenario = dataclasses.replace(SCENARIO, config=dataclasses.replace(
+        SCENARIO.config, stack=StackConfig(mac=mac)))
+    system = scenario.run(SEED)
+    windows = system.telemetry.windows
+    return {
+        "snapshot_sha256": _sha256([json.dumps(
+            system.obs.registry.snapshot().to_jsonable(), sort_keys=True)]),
+        "windows_sha256": _sha256(json.dumps(w.to_jsonable(), sort_keys=True)
+                                  for w in windows),
+        "windows": len(windows),
+    }
+
+
 def test_the_observed_run_matches_its_golden():
     assert observe() == GOLDEN
+
+
+def test_the_observed_tsch_and_lpl_metrics_match_their_golden():
+    assert {mac: observe_metrics(mac) for mac in MAC_GOLDEN} == MAC_GOLDEN
 
 
 if __name__ == "__main__":  # re-record: PYTHONPATH=src:. python tests/obs/test_observed_golden.py
     import pprint
     pprint.pprint(observe(), sort_dicts=False)
+    pprint.pprint({mac: observe_metrics(mac) for mac in MAC_GOLDEN},
+                  sort_dicts=False)

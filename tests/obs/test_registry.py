@@ -1,10 +1,13 @@
 """Registry instruments and snapshot/merge determinism."""
 
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
+from repro.obs import Observability
 from repro.obs.registry import MetricsSnapshot, Registry
+from repro.sim.trace import TraceLog
 
 
 class TestInstruments:
@@ -53,6 +56,51 @@ class TestInstruments:
         registry = Registry()
         assert registry.counter("a", node=1) is registry.counter("a", node=1)
         assert registry.counter("a", node=1) is not registry.counter("a", node=2)
+
+
+class TestReaders:
+    """Counts an owner keeps are read through its trace log's readers."""
+
+    COUNTED = (("x.sent", {}, "sent"), ("x.lost", {"cause": "a"}, "stats.lost"))
+    SENT = (("x.sent", {}, "sent"),)
+
+    def test_read_counts_merge_with_pushed_ones_as_floats_skipping_zeros(self):
+        trace = TraceLog()
+        owner = SimpleNamespace(sent=0, stats=SimpleNamespace(lost=2))
+        trace.add_reader(owner, 3, self.COUNTED)
+        registry = Observability().attach(trace).registry
+        registry.inc("x.pushed", node=3)
+        counters = registry.snapshot().counters
+        assert counters == {("x.pushed", (("node", 3),)): 1.0,
+                            ("x.lost", (("cause", "a"), ("node", 3))): 2.0}
+        assert all(type(value) is float for value in counters.values())
+        owner.sent = 4
+        assert registry.counter_values()[("x.sent", (("node", 3),))] == 4.0
+
+    def test_owners_of_one_series_sum(self):
+        trace = TraceLog()
+        for sent in (2, 5):
+            trace.add_reader(SimpleNamespace(sent=sent), 1, self.SENT)
+        registry = Observability().attach(trace).registry
+        assert registry.counter_values() == {("x.sent", (("node", 1),)): 7.0}
+
+    def test_an_owner_built_after_attach_is_read(self):
+        trace = TraceLog()
+        registry = Observability().attach(trace).registry
+        trace.add_reader(SimpleNamespace(sent=1), 1, self.SENT)
+        assert registry.snapshot().counter_total("x.sent") == 1.0
+
+    def test_keys_are_built_once_per_owner(self):
+        trace = TraceLog()
+        owner = SimpleNamespace(sent=1, stats=SimpleNamespace(lost=1))
+        trace.add_reader(owner, 3, self.COUNTED)
+        (reader,) = trace.readers.values()
+        first = [key for key, _ in reader()]
+        owner.sent = 2
+        again = [key for key, _ in reader()]
+        assert first == [("x.sent", (("node", 3),)),
+                         ("x.lost", (("cause", "a"), ("node", 3)))]
+        assert all(a is b for a, b in zip(first, again))
 
 
 class TestSnapshot:

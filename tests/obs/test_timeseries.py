@@ -11,6 +11,7 @@ Covers the contracts of ``repro.obs.timeseries``:
 - windows round-trip through the one snapshot codec (``repro.window/2``).
 """
 
+import hashlib
 import json
 import math
 
@@ -252,6 +253,13 @@ class TestSystemIntegration:
             for (name, labels) in window.counters:
                 assert ("node" not in dict(labels)
                         or topology.domain_of(dict(labels)["node"]) is None)
+        # The windows as JSON, pinned: recorded while the counters an
+        # owner keeps were still pushed beside it, and while every
+        # scrape rolled every key whether or not a domain map was set.
+        text = "\n".join(json.dumps(w.to_jsonable(), sort_keys=True)
+                         for w in engine.windows)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2a277e779333b0c424fc3f06150f2997b0af6e4447479f9aaeb97004e0280cbe")
 
     def test_telemetry_requires_observability(self):
         from repro.core.system import IIoTSystem, SystemConfig
