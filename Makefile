@@ -31,10 +31,13 @@ gates-update:
 # the totals; then the field census: per *Config field, the files under
 # src/, benchmarks/ and examples/ that set it; then the layer census
 # tests/core/test_layering.py enforces: per package its tier and the
-# packages it imports; then the size of src/.
+# packages it imports; then the constructor surface
+# tests/core/test_option_surface.py pins: per class its keywords, and
+# their total; then the size of src/.
 census:
 	$(PYTHON) tests/core/test_reachability.py
 	$(PYTHON) tests/core/test_layering.py
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) tests/core/test_option_surface.py
 	@find src -name '*.py' | xargs wc -l | tail -1
 
 # The gates, then the invariant-checking suite: per-checker unit tests,

@@ -23,8 +23,8 @@ def _run(wake_interval, phase_lock, seed):
     sim = Simulator(seed=seed)
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
     config = LplConfig(wake_interval_s=wake_interval, phase_lock=phase_lock)
-    sender = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
-    receiver = LplMac(sim, Radio(medium, 2, (10, 0)), config=config)
+    sender = LplMac(Radio(medium, 1, (0, 0)), config=config)
+    receiver = LplMac(Radio(medium, 2, (10, 0)), config=config)
     sender.start()
     receiver.start()
     delivered = []

@@ -16,7 +16,7 @@ Imin.  Then a stuck-at sensor fault is planted and diagnosed.
 """
 
 from benchmarks._common import assert_no_violations, once, publish, run_trials
-from repro.aggregation.service import RawCollectionService
+from repro.aggregation.service import RAW_PORT, RawCollectionService
 from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
@@ -110,8 +110,8 @@ def _run_diagnosis(seed):
         series.setdefault(datagram.src, []).append(datagram.payload.value)
         original(datagram)
 
-    system.nodes[0].stack.unbind(collectors[0].port)
-    system.nodes[0].stack.bind(collectors[0].port, tagging)
+    system.nodes[0].stack.unbind(RAW_PORT)
+    system.nodes[0].stack.bind(RAW_PORT, tagging)
 
     system.run(120.0 + 1800.0)
     # Diagnosis: variance of each node's series; stuck -> ~zero.

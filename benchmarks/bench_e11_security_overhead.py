@@ -37,7 +37,7 @@ def _run(mic_bytes, seed):
         keystore.provision_network_key(NETWORK_KEY)
         authenticator = FrameAuthenticator(
             stack.mac, keystore,
-            config=AuthConfig(mic_bytes=mic_bytes or 4), trace=trace,
+            config=AuthConfig(mic_bytes=mic_bytes or 4),
         )
         if mic_bytes:
             authenticator.enable()
@@ -55,8 +55,7 @@ def _run(mic_bytes, seed):
     # The attack campaign against node 3's actuation port.
     applied = []
     stacks[3].bind(55, lambda d: applied.append(d.payload))
-    attacker = CommandInjector(sim, stacks[0].medium, 666, (70.0, 5.0),
-                               trace=trace)
+    attacker = CommandInjector(stacks[0].medium, 666, (70.0, 5.0))
     for i in range(INJECTIONS):
         sim.schedule(10.0 + i * 10.0,
                      (lambda: attacker.inject(3, 55, "OPEN", 8)))

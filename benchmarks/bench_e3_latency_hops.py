@@ -54,7 +54,7 @@ def _upward_latency(hops, mac, mac_config, seed):
 def _syncflood_latency(hops, seed):
     system = Scenario(topology=line_topology(hops + 1),
                       formation_s=1.0).build(seed)
-    service = SyncFloodService(system.sim, system.medium,
+    service = SyncFloodService(system.medium,
                                SyncFloodConfig(per_hop_reliability=1.0))
     result = service.flood(hops)  # farthest node floods to everyone
     return result.latency_to(0)

@@ -153,15 +153,13 @@ def measure_dependability(seed=181):
     for node in system.nodes.values():
         keystore = KeyStore(node.node_id)
         keystore.provision_network_key(0xFEED)
-        FrameAuthenticator(node.stack.mac, keystore,
-                           trace=system.trace).enable()
+        FrameAuthenticator(node.stack.mac, keystore).enable()
     victim = nodes[-1]
     applied = []
     victim.stack.bind(55, lambda d: applied.append(1))
-    attacker = CommandInjector(system.sim, system.medium, 666,
+    attacker = CommandInjector(system.medium, 666,
                                (victim.position[0] + 8.0,
-                                victim.position[1] + 8.0),
-                               trace=system.trace)
+                                victim.position[1] + 8.0))
     for k in range(10):
         system.sim.schedule(k * 10.0,
                             (lambda: attacker.inject(

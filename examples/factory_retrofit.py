@@ -103,8 +103,7 @@ def main() -> None:
     victim = system.nodes[8]
     opened = []
     victim.stack.bind(55, lambda d: opened.append(d.payload))
-    attacker = CommandInjector(system.sim, system.medium, 666,
-                               (45.0, 32.0), trace=system.trace)
+    attacker = CommandInjector(system.medium, 666, (45.0, 32.0))
     attacker.inject(victim=8, port=55, payload="VALVE_OPEN", payload_bytes=8)
     system.run(30.0)
     print(f"security OFF: injected commands applied = {opened}")
@@ -113,8 +112,7 @@ def main() -> None:
     for node in system.nodes.values():
         keystore = KeyStore(node.node_id)
         keystore.provision_network_key(NETWORK_KEY)
-        FrameAuthenticator(node.stack.mac, keystore,
-                           trace=system.trace).enable()
+        FrameAuthenticator(node.stack.mac, keystore).enable()
     detector = AnomalyDetector(system.sim, system.trace,
                                rejection_threshold=3, window_s=600.0)
     opened.clear()

@@ -16,10 +16,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.devices.node import DeviceNode
 from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog
 
 #: Service port.
 PULL_PORT = 9904
+#: Samples a node's ring buffer keeps (read when a service is built; a
+#: test patches it).
+BUFFER_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -71,21 +73,13 @@ class PullResult:
 class KoalaPullService:
     """Buffer-locally, pull-on-demand retrieval agent."""
 
-    def __init__(
-        self,
-        node: DeviceNode,
-        root_id: int,
-        buffer_size: int = 64,
-        port: int = PULL_PORT,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, node: DeviceNode, root_id: int) -> None:
         self.node = node
         self.stack = node.stack
         self.sim = node.sim
+        self.trace = self.stack.trace
         self.root_id = root_id
-        self.port = port
-        self.trace = trace if trace is not None else self.stack.trace
-        self.buffer: Deque[float] = deque(maxlen=buffer_size)
+        self.buffer: Deque[float] = deque(maxlen=BUFFER_SIZE)
         self._seen_pulls: Set[int] = set()
         self._sampler: Optional[PeriodicTimer] = None
         self._field = ""
@@ -93,7 +87,7 @@ class KoalaPullService:
         #: Root only: in-flight pulls.
         self._collecting: Dict[int, PullResult] = {}
         self._rng = self.sim.substream(f"koala.{node.node_id}")
-        self.stack.bind(port, self._on_datagram)
+        self.stack.bind(PULL_PORT, self._on_datagram)
 
     # ------------------------------------------------------------------
     # local sampling
@@ -139,7 +133,7 @@ class KoalaPullService:
         result = PullResult(pull_id=request.pull_id)
         self._collecting[request.pull_id] = result
         self._seen_pulls.add(request.pull_id)
-        self.stack.send_local_broadcast(self.port, request, request.size_bytes)
+        self.stack.send_local_broadcast(PULL_PORT, request, request.size_bytes)
 
         def finish() -> None:
             result.completed_at = self.sim.now
@@ -172,7 +166,7 @@ class KoalaPullService:
         self.sim.schedule(
             self._rng.uniform(0.1, 1.5),
             lambda: self.stack.send_local_broadcast(
-                self.port, request, request.size_bytes
+                PULL_PORT, request, request.size_bytes
             ),
         )
         if self.node.is_root:
@@ -187,7 +181,7 @@ class KoalaPullService:
                 return
             self.batches_sent += 1
             self.stack.send_datagram(
-                self.root_id, self.port, batch, batch.size_bytes
+                self.root_id, PULL_PORT, batch, batch.size_bytes
             )
 
         self.sim.schedule(

@@ -20,9 +20,8 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.aggregation.operators import OPERATORS, AggregateOperator
 from repro.aggregation.query import AggregationQuery
 from repro.devices.node import DeviceNode
-from repro.sim.trace import TraceLog
 
-#: Default service port.
+#: The services' ports: aggregation, and the raw-collection baseline.
 AGGREGATION_PORT = 9903
 RAW_PORT = 9905
 
@@ -90,17 +89,11 @@ class AggregationService:
     GRACE_FRACTION = 0.1
     COUNTED = (("agg.partial", {}, "records_sent"),)
 
-    def __init__(
-        self,
-        node: DeviceNode,
-        port: int = AGGREGATION_PORT,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, node: DeviceNode) -> None:
         self.node = node
         self.stack = node.stack
         self.sim = node.sim
-        self.port = port
-        self.trace = trace if trace is not None else self.stack.trace
+        self.trace = self.stack.trace
         self.queries: Dict[int, AggregationQuery] = {}
         self._seen_queries: Set[int] = set()
         self._accumulators: Dict[Tuple[int, int], Tuple[Any, int]] = {}
@@ -111,7 +104,7 @@ class AggregationService:
         self.results: List[EpochResult] = []
         self.on_result: Optional[Callable[[EpochResult], None]] = None
         self._rng = self.sim.substream(f"agg.{node.node_id}")
-        self.stack.bind(port, self._on_datagram)
+        self.stack.bind(AGGREGATION_PORT, self._on_datagram)
 
     # ------------------------------------------------------------------
     # root API
@@ -145,7 +138,7 @@ class AggregationService:
         if obs is not None:
             obs.registry.inc("agg.announce", node=self.node.node_id)
         self.stack.send_local_broadcast(
-            self.port, announce, announce.size_bytes
+            AGGREGATION_PORT, announce, announce.size_bytes
         )
 
     def _on_datagram(self, datagram: Any) -> None:
@@ -246,8 +239,8 @@ class AggregationService:
             def done(ok: bool, _ctx=ctx) -> None:
                 obs.spans.finish(_ctx, self.sim.now, ok=ok)
 
-        self.stack.send_datagram(parent, self.port, record, record.size_bytes,
-                                 done=done, trace_ctx=ctx)
+        self.stack.send_datagram(parent, AGGREGATION_PORT, record,
+                                 record.size_bytes, done=done, trace_ctx=ctx)
 
     def _handle_partial(self, record: PartialRecord, ctx: Any = None) -> None:
         query = self.queries.get(record.query_id)
@@ -320,19 +313,12 @@ class AggregationService:
 class RawCollectionService:
     """Baseline: every node ships raw readings to the root each epoch."""
 
-    def __init__(
-        self,
-        node: DeviceNode,
-        root_id: int,
-        port: int = RAW_PORT,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, node: DeviceNode, root_id: int) -> None:
         self.node = node
         self.stack = node.stack
         self.sim = node.sim
+        self.trace = self.stack.trace
         self.root_id = root_id
-        self.port = port
-        self.trace = trace if trace is not None else self.stack.trace
         self.readings_sent = 0
         #: Root only: epoch -> list of values.
         self.received: Dict[int, List[float]] = {}
@@ -341,7 +327,7 @@ class RawCollectionService:
         self._start = 0.0
         self._running = False
         self._rng = self.sim.substream(f"raw.{node.node_id}")
-        self.stack.bind(port, self._on_datagram)
+        self.stack.bind(RAW_PORT, self._on_datagram)
 
     def start(self, field_name: str, epoch_s: float) -> None:
         """Begin per-epoch reporting (no-op on the root, which collects)."""
@@ -377,7 +363,7 @@ class RawCollectionService:
         reading = RawReading(field_name=self._field, epoch=epoch, value=value)
         self.readings_sent += 1
         self.stack.send_datagram(
-            self.root_id, self.port, reading, reading.size_bytes
+            self.root_id, RAW_PORT, reading, reading.size_bytes
         )
 
     def _on_datagram(self, datagram: Any) -> None:

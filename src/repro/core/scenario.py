@@ -155,7 +155,7 @@ class Scenario:
         first = None
         if self.rollout is not None:
             self.rollout.plan(self.topology).execute(
-                system.sim, system.activate, trace=system.trace)
+                system.sim, system.activate, system.trace)
             first = []  # the root alone; the stages bring the rest
         system.start(first)
         system.run(self.formation_s)

@@ -167,12 +167,11 @@ class IIoTSystem:
         for node_id in self.topology.node_ids():
             is_root = node_id == self.topology.root_id
             self.nodes[node_id] = DeviceNode(
-                self.sim, self.medium, node_id,
+                self.medium, node_id,
                 self.topology.positions[node_id],
                 stack_config=self.config.stack,
                 platform=CLASS_2_GATEWAY if is_root else CLASS_1_MOTE,
                 is_root=is_root,
-                trace=self.trace,
             )
 
     # ------------------------------------------------------------------
@@ -216,7 +215,7 @@ class IIoTSystem:
     def gateway(self) -> Gateway:
         """The middleware gateway (created on first access)."""
         if self._gateway is None:
-            self._gateway = Gateway(self.root.stack, trace=self.trace)
+            self._gateway = Gateway(self.root.stack)
         return self._gateway
 
     def add_field_sensors(

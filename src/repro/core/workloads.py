@@ -243,7 +243,7 @@ class _HvacSafetyRun(Driver):
         schedule = OccupancySchedule([(8.0, 18.0, 8)])
         outside = DiurnalField(mean=4.0, amplitude=6.0, gradient_per_m=0.0,
                                phase_s=-6 * 3600.0)
-        controller = RemoteHvacController(system.root, trace=system.trace)
+        controller = RemoteHvacController(system.root)
         zones = []
         for node_id in (4, 8):
             zone = HvacZone(system.nodes[node_id],

@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional
 from repro.crdt.base import StateCrdt
 from repro.net.stack import NetworkStack
 from repro.sim.timers import PeriodicTimer, Timer
-from repro.sim.trace import TraceLog
 
 #: Gossip port.
 GOSSIP_PORT = 9901
@@ -67,13 +66,12 @@ class NetworkReplicator:
         stack: NetworkStack,
         replica: CrdtReplica,
         config: Optional[AntiEntropyConfig] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         self.stack = stack
         self.sim = stack.sim
+        self.trace = stack.trace
         self.replica = replica
         self.config = config if config is not None else AntiEntropyConfig()
-        self.trace = trace if trace is not None else stack.trace
         self.gossips_sent = 0
         self.bytes_sent = 0
         self.trace.add_reader(self, stack.node_id, self.COUNTED)

@@ -89,18 +89,18 @@ class RolloutPlan:
         self,
         sim: Simulator,
         activate: Callable[[int], None],
+        trace: TraceLog,
         on_stage_complete: Optional[Callable[[RolloutStage], None]] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        """Schedule every stage's activations on the kernel."""
+        """Schedule every stage's activations on the kernel; each stage
+        is a ``rollout.stage`` record in the run's ``trace``."""
         self.validate()
-        log = trace if trace is not None else TraceLog()
 
         def run_stage(stage: RolloutStage) -> None:
             for node_id in stage.node_ids:
                 activate(node_id)
-            log.emit(sim.now, "rollout.stage", node=None,
-                     name=stage.name, size=stage.size)
+            trace.emit(sim.now, "rollout.stage", node=None,
+                       name=stage.name, size=stage.size)
             if on_stage_complete is not None:
                 on_stage_complete(stage)
 

@@ -17,8 +17,6 @@ from repro.devices.phenomena import Phenomenon
 from repro.devices.sensors import Sensor
 from repro.net.stack import NetworkStack, StackConfig
 from repro.radio.medium import Medium
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
 
 
 class DeviceNode:
@@ -26,7 +24,6 @@ class DeviceNode:
 
     def __init__(
         self,
-        sim: Simulator,
         medium: Medium,
         node_id: int,
         position: Tuple[float, float],
@@ -34,16 +31,14 @@ class DeviceNode:
         platform: PlatformProfile = CLASS_1_MOTE,
         battery: Optional[Battery] = None,
         is_root: bool = False,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
+        self.sim = medium.sim
         self.node_id = node_id
         self.position = position
         self.platform = platform
         self.is_root = is_root
         self.stack = NetworkStack(
-            sim, medium, node_id, position,
-            config=stack_config, is_root=is_root, trace=trace,
+            medium, node_id, position, config=stack_config, is_root=is_root,
         )
         self.energy = EnergyMeter(self.stack.radio, platform, battery)
         self.sensors: Dict[str, Sensor] = {}

@@ -456,7 +456,7 @@ class FaultPlanRuntime:
     def _install_interference(self, index: int,
                               clause: InterferenceClause) -> None:
         def start() -> None:
-            interferer = WifiInterferer(self.sim, self.system.medium, clause)
+            interferer = WifiInterferer(self.system.medium, clause)
             self.interferers.append(interferer)
             interferer.start()
             self._count("interference")

@@ -8,7 +8,6 @@ from repro.middleware.coap.codes import CoapCode, CoapType
 from repro.middleware.coap.message import CoapMessage, CoapOptions, next_message_id
 from repro.middleware.coap.resource import ObservableResource, Resource
 from repro.middleware.coap.transport import CoapTransport
-from repro.sim.trace import TraceLog
 
 
 class CoapServer:
@@ -20,10 +19,10 @@ class CoapServer:
     claims responses.
     """
 
-    def __init__(self, transport: CoapTransport,
-                 trace: Optional[TraceLog] = None) -> None:
+    def __init__(self, transport: CoapTransport) -> None:
         self.transport = transport
-        self.trace = trace if trace is not None else transport.trace
+        self.sim = transport.sim
+        self.trace = transport.trace
         self.resources: Dict[str, Resource] = {}
         self.requests_served = 0
         previous = transport.on_message
@@ -52,7 +51,7 @@ class CoapServer:
         resource = self.resources.get(request.options.path)
         if resource is None:
             response = request.response(CoapCode.NOT_FOUND,
-                                        sim=self.transport.sim)
+                                        sim=self.sim)
             self._respond(src, request, response)
             return
 
@@ -65,14 +64,14 @@ class CoapServer:
             if request.options.observe == 0:
                 resource.add_observer(src, request.token or 0)
                 observe_seq = resource.sequence
-                self.trace.emit(self.transport.sim.now, "coap.observe_register",
+                self.trace.emit(self.sim.now, "coap.observe_register",
                                 node=self.transport.stack.node_id, observer=src)
             else:
                 resource.remove_observer(src, request.token or 0)
 
         code, payload, size = resource.dispatch(request.code, request.payload)
         response = request.response(code, payload, size, observe=observe_seq,
-                                    sim=self.transport.sim)
+                                    sim=self.sim)
         self._respond(src, request, response)
 
     def _respond(self, src: int, request: CoapMessage,
@@ -88,7 +87,7 @@ class CoapServer:
             notification = CoapMessage(
                 mtype=CoapType.NON,
                 code=CoapCode.CONTENT,
-                message_id=next_message_id(self.transport.sim),
+                message_id=next_message_id(self.sim),
                 token=token,
                 options=CoapOptions(observe=resource.sequence),
                 payload=resource.state,

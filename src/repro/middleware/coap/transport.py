@@ -14,7 +14,6 @@ from repro.middleware.coap.codes import CoapCode, CoapType
 from repro.middleware.coap.message import CoapMessage
 from repro.net.stack import NetworkStack
 from repro.sim.timers import Timer
-from repro.sim.trace import TraceLog
 
 #: Default CoAP UDP port.
 COAP_PORT = 5683
@@ -53,27 +52,21 @@ class CoapTransport:
     COUNTED = (("coap.retransmit", {}, "retransmissions"),
                ("coap.con_failed", {}, "failures"))
 
-    def __init__(
-        self,
-        stack: NetworkStack,
-        port: int = COAP_PORT,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, stack: NetworkStack) -> None:
         self.stack = stack
         self.sim = stack.sim
-        self.port = port
-        self.trace = trace if trace is not None else stack.trace
+        self.trace = stack.trace
         #: Upper layer: called with (src_node, message).
         self.on_message: Optional[Callable[[int, CoapMessage], None]] = None
         self._pending: Dict[Tuple[int, int], _PendingCon] = {}
         self._seen: Dict[Tuple[int, int], float] = {}
         self._acked_by_us: Dict[Tuple[int, int], CoapMessage] = {}
-        self._rng = stack.sim.substream(f"coap.{stack.node_id}")
+        self._rng = self.sim.substream(f"coap.{stack.node_id}")
         self.messages_sent = 0
         self.retransmissions = 0
         self.failures = 0
         self.trace.add_reader(self, stack.node_id, self.COUNTED)
-        stack.bind(port, self._on_datagram)
+        stack.bind(COAP_PORT, self._on_datagram)
 
     # ------------------------------------------------------------------
     # sending
@@ -109,10 +102,10 @@ class CoapTransport:
                   trace_ctx: Any = None) -> None:
         self.stack.send_datagram(
             dst=dest,
-            dst_port=self.port,
+            dst_port=COAP_PORT,
             payload=message,
             payload_bytes=message.size_bytes,
-            src_port=self.port,
+            src_port=COAP_PORT,
             trace_ctx=trace_ctx,
         )
 
@@ -197,4 +190,4 @@ class CoapTransport:
         for pending in self._pending.values():
             pending.timer.cancel()
         self._pending.clear()
-        self.stack.unbind(self.port)
+        self.stack.unbind(COAP_PORT)

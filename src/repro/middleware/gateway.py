@@ -22,7 +22,6 @@ from repro.middleware.coap.resource import Resource
 from repro.middleware.coap.server import CoapServer
 from repro.middleware.coap.transport import CoapTransport
 from repro.net.stack import NetworkStack
-from repro.sim.trace import TraceLog
 
 
 @dataclass(frozen=True)
@@ -67,16 +66,12 @@ class ResourceDirectory(Resource):
 class Gateway:
     """The border router's middleware service."""
 
-    def __init__(
-        self,
-        stack: NetworkStack,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, stack: NetworkStack) -> None:
         if not stack.is_root:
             raise ValueError("the gateway must run on the border router")
         self.stack = stack
         self.sim = stack.sim
-        self.trace = trace if trace is not None else stack.trace
+        self.trace = stack.trace
         self.transport = CoapTransport(stack)
         self.server = CoapServer(self.transport)
         self.client = CoapClient(self.transport)

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.mac.base import MacLayer
-from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
-from repro.sim.trace import TraceLog
 
 #: Maximum MAC payload a single 802.15.4 frame can carry after headers.
 FRAME_MTU_BYTES = 102
@@ -70,17 +68,13 @@ class FragmentationAdapter:
 
     def __init__(
         self,
-        sim: Simulator,
         mac: MacLayer,
         deliver: Callable[[int, Any, int], None],
-        mtu_bytes: int = FRAME_MTU_BYTES,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
         self.mac = mac
+        self.sim = mac.sim
+        self.trace = mac.trace
         self.deliver = deliver
-        self.mtu_bytes = mtu_bytes
-        self.trace = trace if trace is not None else TraceLog()
         #: Live buffers in creation order, which is deadline order.
         self._buffers: Dict[Tuple[int, int], _ReassemblyBuffer] = {}
         #: Recently completed (src, tag) -> until when a fragment of it
@@ -90,7 +84,7 @@ class FragmentationAdapter:
         #: One timer for all buffers, armed at ``_due`` (inf: disarmed)
         #: for the oldest one's deadline (DESIGN.md, "Hot single-trial
         #: paths": the same expiries as a timer per buffer).
-        self._expiry = Timer(sim, self._expire_due)
+        self._expiry = Timer(self.sim, self._expire_due)
         self._due = math.inf
         self.packets_fragmented = 0
         self.fragments_sent = 0
@@ -103,13 +97,13 @@ class FragmentationAdapter:
     # sending
     # ------------------------------------------------------------------
     def needs_fragmentation(self, size_bytes: int) -> bool:
-        return size_bytes > self.mtu_bytes
+        return size_bytes > FRAME_MTU_BYTES
 
     def plan(self, total_bytes: int) -> List[int]:
         """Chunk sizes for a payload of ``total_bytes``."""
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
-        chunk = self.mtu_bytes - FRAGN_HEADER_BYTES
+        chunk = FRAME_MTU_BYTES - FRAGN_HEADER_BYTES
         sizes = []
         remaining = total_bytes
         while remaining > 0:

@@ -18,9 +18,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.packet import BROADCAST, FrameKind, MacFrame
 from repro.radio.medium import Frame, Radio, RadioState
-from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
-from repro.sim.trace import TraceLog
 
 
 #: Transmit-queue bound: the frames a MAC holds beyond the one in flight
@@ -80,15 +78,10 @@ class MacLayer(abc.ABC):
         ("mac.queue_drop", {}, "stats.queue_drops"),
     )
 
-    def __init__(
-        self,
-        sim: Simulator,
-        radio: Radio,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, radio: Radio) -> None:
         self.radio = radio
-        self.trace = trace if trace is not None else TraceLog()
+        self.sim = radio.medium.sim
+        self.trace = radio.medium.trace
         self.stats = MacStats()
         self.on_receive: Optional[Callable[[MacFrame], None]] = None
         #: Optional verifier installed by the security layer: returns the
@@ -109,7 +102,7 @@ class MacLayer(abc.ABC):
         # Address recognition: a frame addressed elsewhere is counted at
         # the radio and never handed up.
         radio.rx_addresses = frozenset((radio.node_id, BROADCAST))
-        self._rng = sim.substream(f"mac.{radio.node_id}")
+        self._rng = self.sim.substream(f"mac.{radio.node_id}")
         self.trace.add_reader(self, radio.node_id, self.COUNTED)
 
     # ------------------------------------------------------------------

@@ -45,8 +45,8 @@ class CsmaConfig:
 class CsmaMac(MacLayer):
     """Unslotted CSMA/CA over an always-listening radio."""
 
-    def __init__(self, sim, radio, config: Optional[CsmaConfig] = None, **kwargs) -> None:
-        super().__init__(sim, radio, **kwargs)
+    def __init__(self, radio, config: Optional[CsmaConfig] = None) -> None:
+        super().__init__(radio)
         self.config = config if config is not None else CsmaConfig()
         self.config.validate()
         self._ack_timer = self._timer(self._ack_timeout)

@@ -62,8 +62,8 @@ class LplConfig:
 class LplMac(MacLayer):
     """BoX-MAC-2 style low-power listening MAC."""
 
-    def __init__(self, sim, radio, config: Optional[LplConfig] = None, **kwargs) -> None:
-        super().__init__(sim, radio, **kwargs)
+    def __init__(self, radio, config: Optional[LplConfig] = None) -> None:
+        super().__init__(radio)
         self.config = config if config is not None else LplConfig()
         self.config.validate()
         self._probe_timer = self._timer(self._probe)

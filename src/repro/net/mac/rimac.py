@@ -48,8 +48,8 @@ class RiMacConfig:
 class RiMac(MacLayer):
     """RI-MAC style receiver-initiated duty-cycled MAC."""
 
-    def __init__(self, sim, radio, config: Optional[RiMacConfig] = None, **kwargs) -> None:
-        super().__init__(sim, radio, **kwargs)
+    def __init__(self, radio, config: Optional[RiMacConfig] = None) -> None:
+        super().__init__(radio)
         self.config = config if config is not None else RiMacConfig()
         self.config.validate()
         self._beacon_timer = self._timer(self._beacon)

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.radio.medium import Medium
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
 
 
 #: One relay slot: frame airtime + processing (Glossy: ~a few ms).
@@ -69,16 +67,14 @@ class SyncFloodService:
 
     def __init__(
         self,
-        sim: Simulator,
         medium: Medium,
         config: Optional[SyncFloodConfig] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
         self.medium = medium
+        self.sim = medium.sim
+        self.trace = medium.trace
         self.config = config if config is not None else SyncFloodConfig()
-        self.trace = trace if trace is not None else TraceLog()
-        self._rng = sim.substream("syncflood")
+        self._rng = self.sim.substream("syncflood")
         self._graph: Optional[Dict[int, List[int]]] = None
         self.floods_run = 0
         self.total_radio_on_s = 0.0

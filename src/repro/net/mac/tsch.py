@@ -151,9 +151,8 @@ class TschMac(MacLayer):
         ("mac.tsch.tx", {"cell": "dedicated"}, "_tsch_stats.dedicated_tx"),
     )
 
-    def __init__(self, sim, radio, config: Optional[TschConfig] = None,
-                 **kwargs) -> None:
-        super().__init__(sim, radio, **kwargs)
+    def __init__(self, radio, config: Optional[TschConfig] = None) -> None:
+        super().__init__(radio)
         self.config = config if config is not None else TschConfig()
         self.config.validate()
         self._tsch_stats = TschStats()

@@ -49,7 +49,11 @@ class RplState(enum.Enum):
 
 
 class RplTransport(Protocol):
-    """What the router needs from the surrounding stack."""
+    """What the router needs from the surrounding stack: its run's
+    kernel and log, and three ways to reach a neighbour."""
+
+    sim: Simulator
+    trace: TraceLog
 
     def broadcast_control(
         self, message: Any, size_bytes: int, trace_ctx: Any = None
@@ -150,23 +154,21 @@ class RplRouter:
 
     def __init__(
         self,
-        sim: Simulator,
         node_id: int,
         transport: RplTransport,
         config: Optional[RplConfig] = None,
         objective: Optional[ObjectiveFunction] = None,
         is_root: bool = False,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
         self.node_id = node_id
-        self.transport = transport
         self.config = config if config is not None else RplConfig()
         self.config.validate()
+        self.transport = transport
+        self.sim = transport.sim
+        self.trace = transport.trace
         self.objective = objective if objective is not None else Mrhof()
-        self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root
-        self._rng = sim.substream(f"rpl.{node_id}")
+        self._rng = self.sim.substream(f"rpl.{node_id}")
 
         self.state = RplState.DETACHED
         self.rank = INFINITE_RANK
@@ -200,7 +202,7 @@ class RplRouter:
         self._switch_ctx: Any = None
 
         self.trickle = TrickleTimer(
-            sim,
+            self.sim,
             self.config.trickle_imin_s,
             self.config.trickle_doublings,
             self.config.trickle_k,
@@ -211,14 +213,15 @@ class RplRouter:
             variant=make_trickle_variant(self.config.trickle_variant),
         )
         self._dao_timer = PeriodicTimer(
-            sim, self.config.dao_period_s, self._send_dao,
+            self.sim, self.config.dao_period_s, self._send_dao,
             phase=self._rng.uniform(1.0, self.config.dao_period_s),
         )
-        self._dis_timer = Timer(sim, self._dis_tick)
+        self._dis_timer = Timer(self.sim, self._dis_tick)
         self._stale_timer = PeriodicTimer(
-            sim, self.config.staleness_check_period_s, self._check_staleness,
+            self.sim, self.config.staleness_check_period_s,
+            self._check_staleness,
         )
-        self._float_timer = Timer(sim, self._become_floating_root)
+        self._float_timer = Timer(self.sim, self._become_floating_root)
         self._started = False
         self.trace.add_reader(self, node_id, self.COUNTED)
 

@@ -29,9 +29,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.rpl.dodag import RplRouter, RplState
 from repro.net.rpl.messages import RnfdProbe
-from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer
-from repro.sim.trace import TraceLog
 
 
 class RootState(enum.Enum):
@@ -116,15 +114,13 @@ class RnfdAgent:
 
     def __init__(
         self,
-        sim: Simulator,
         router: RplRouter,
         config: Optional[RnfdConfig] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
         self.router = router
+        self.sim = router.sim
+        self.trace = router.trace
         self.config = config if config is not None else RnfdConfig()
-        self.trace = trace if trace is not None else TraceLog()
         self.cfrc = Cfrc()
         self.root_state = RootState.ALIVE
         self.detection_time: Optional[float] = None
@@ -136,13 +132,13 @@ class RnfdAgent:
         #: Open ``rnfd.verdict`` span: suspicion -> verdict/absolution.
         #: Kept after finish() so late gossip rounds still parent to it.
         self._verdict_ctx = None
-        self._rng = sim.substream(f"rnfd.{router.node_id}")
+        self._rng = self.sim.substream(f"rnfd.{router.node_id}")
         self._probe_timer = PeriodicTimer(
-            sim, self.config.probe_period_s, self._probe_root,
+            self.sim, self.config.probe_period_s, self._probe_root,
             phase=self._rng.uniform(0.5, self.config.probe_period_s),
         )
         self._gossip_timer = PeriodicTimer(
-            sim, GOSSIP_PERIOD_S, self._gossip,
+            self.sim, GOSSIP_PERIOD_S, self._gossip,
             phase=self._rng.uniform(0.5, GOSSIP_PERIOD_S),
         )
         router.dio_option_providers.append(self._dio_options)

@@ -36,8 +36,6 @@ from repro.net.rpl.objective import Mrhof, ObjectiveFunction, Of0
 from repro.net.rpl.rnfd import Cfrc, RnfdAgent, RnfdConfig
 from repro.radio.channels import IEEE802154_CHANNELS
 from repro.radio.medium import Medium, Radio
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
 
 #: Reserved UDP-like port carrying DAO messages to the root.
 RPL_DAO_PORT = 0
@@ -97,10 +95,10 @@ class StackConfig:
         (self.mac_config if self.mac_config is not None
          else config_cls()).validate()
 
-    def make_mac(self, sim: Simulator, radio: Radio, trace: TraceLog) -> MacLayer:
+    def make_mac(self, radio: Radio) -> MacLayer:
         mac_cls, config_cls = _MAC_REGISTRY[self.mac]
         mac_config = self.mac_config if self.mac_config is not None else config_cls()
-        return mac_cls(sim, radio, config=mac_config, trace=trace)
+        return mac_cls(radio, config=mac_config)
 
     def make_objective(self) -> ObjectiveFunction:
         return _OBJECTIVE_REGISTRY[self.objective]()
@@ -133,37 +131,33 @@ class NetworkStack:
 
     def __init__(
         self,
-        sim: Simulator,
         medium: Medium,
         node_id: int,
         position: Tuple[float, float],
         config: Optional[StackConfig] = None,
         is_root: bool = False,
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
         self.medium = medium
+        self.sim = medium.sim
+        self.trace = medium.trace
         self.node_id = node_id
         self.config = config if config is not None else StackConfig()
-        self.trace = trace if trace is not None else TraceLog()
         self.is_root = is_root
         self.stats = StackStats()
         self.radio = Radio(medium, node_id, position, channel=self.config.channel)
-        self.mac = self.config.make_mac(sim, self.radio, self.trace)
+        self.mac = self.config.make_mac(self.radio)
         self.mac.on_receive = self._on_mac_frame
-        self.frag = FragmentationAdapter(
-            sim, self.mac, deliver=self._on_reassembled, trace=self.trace,
-        )
+        self.frag = FragmentationAdapter(self.mac, deliver=self._on_reassembled)
         self.rpl = RplRouter(
-            sim, node_id, transport=self,
+            node_id, transport=self,
             config=self.config.rpl,
             objective=self.config.make_objective(),
-            is_root=is_root, trace=self.trace,
+            is_root=is_root,
         )
         self.rpl.send_dao_upward = self._send_dao
         self.rnfd: Optional[RnfdAgent] = None
         if self.config.rnfd_enabled:
-            self.rnfd = RnfdAgent(sim, self.rpl, self.config.rnfd, self.trace)
+            self.rnfd = RnfdAgent(self.rpl, self.config.rnfd)
         self._sockets: Dict[int, Callable[[Datagram], None]] = {}
         self.alive = True
         self.trace.add_reader(self, node_id, self.COUNTED)

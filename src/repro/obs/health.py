@@ -15,7 +15,6 @@ gauge                           source
 ``health.duty_cycle``           MAC radio-on fraction (``MacLayer.duty_cycle``)
 ``health.avg_current_ma``       :class:`~repro.devices.energy.EnergyMeter`
 ``health.mac_queue``            current transmit-queue depth
-``health.mac_queue_drops``      cumulative queue overflow drops
 ``health.neighbors``            RPL neighbor-table size
 ``health.rank``                 current RPL rank
 ``health.parent``               preferred parent id (-1 when detached)
@@ -109,8 +108,6 @@ class NodeHealthSampler:
                          node.energy.average_current_ma(now), node=node_id)
             registry.set("health.mac_queue", stack.mac.queue_length,
                          node=node_id)
-            registry.set("health.mac_queue_drops", stack.mac.stats.queue_drops,
-                         node=node_id)
             registry.set("health.neighbors", len(stack.rpl.neighbors),
                          node=node_id)
             registry.set("health.rank", stack.rpl.rank, node=node_id)
@@ -127,14 +124,14 @@ def health_rows(snapshot: "MetricsSnapshot") -> list:
     """Per-node health table rows from a metrics snapshot.
 
     Returns dicts keyed by short column names, one row per node that has
-    at least one ``health.*`` gauge, sorted by node id.
+    at least one ``health.*`` gauge, sorted by node id.  ``q_drops`` is
+    the node's ``mac.queue_drop`` counter (0 until the first drop).
     """
     columns = {
         "alive": "health.alive",
         "duty_cycle": "health.duty_cycle",
         "avg_ma": "health.avg_current_ma",
         "queue": "health.mac_queue",
-        "q_drops": "health.mac_queue_drops",
         "nbrs": "health.neighbors",
         "rank": "health.rank",
         "parent": "health.parent",
@@ -151,7 +148,8 @@ def health_rows(snapshot: "MetricsSnapshot") -> list:
     rows = []
     for node_id in sorted(per_node):
         values = per_node[node_id]
-        row = {"node": node_id}
+        row = {"node": node_id, "q_drops": snapshot.counters.get(
+            ("mac.queue_drop", (("node", node_id),)), 0.0)}
         for short, metric in columns.items():
             if metric in values:
                 row[short] = values[metric]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro.radio.channels import ieee802154_channels_hit_by_wifi
 from repro.radio.medium import Frame, Medium, Radio, RadioState
-from repro.sim.kernel import Simulator
 
 
 #: Length of each busy burst (a frame or aggregate); read at run time,
@@ -33,9 +32,9 @@ class WifiInterferer:
     the duty cycle implies.
     """
 
-    def __init__(self, sim: Simulator, medium: Medium, clause) -> None:
-        self.sim = sim
+    def __init__(self, medium: Medium, clause) -> None:
         self.medium = medium
+        self.sim = medium.sim
         self.duty_cycle = clause.duty_cycle
         self.radio = Radio(
             medium,
@@ -45,7 +44,7 @@ class WifiInterferer:
             channel=0,  # not an 802.15.4 channel; this radio only jams
         )
         self.jam_channels = ieee802154_channels_hit_by_wifi(clause.wifi_channel)
-        self._rng = sim.substream(f"interferer.{clause.node_id}")
+        self._rng = self.sim.substream(f"interferer.{clause.node_id}")
         self._running = False
         self.bursts_sent = 0
 

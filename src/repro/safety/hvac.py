@@ -21,7 +21,6 @@ from repro.safety.comfort import ComfortBand, ComfortTracker, OccupancySchedule
 from repro.safety.controllers import BangBangController, Controller
 from repro.safety.thermal import ThermalZone
 from repro.sim.timers import PeriodicTimer, Timer
-from repro.sim.trace import TraceLog
 
 #: Ports for the remote control loop.
 HVAC_REPORT_PORT = 9906
@@ -141,13 +140,12 @@ class HvacZone:
 class RemoteHvacController:
     """The controller side, hosted on the border router."""
 
-    def __init__(self, root_node: DeviceNode,
-                 trace: Optional[TraceLog] = None) -> None:
+    def __init__(self, root_node: DeviceNode) -> None:
         if not root_node.is_root:
             raise ValueError("remote controller runs on the border router")
         self.node = root_node
         self.sim = root_node.sim
-        self.trace = trace if trace is not None else root_node.stack.trace
+        self.trace = root_node.stack.trace
         self.policies: Dict[str, Controller] = {}
         self.reports_handled = 0
         root_node.stack.bind(HVAC_REPORT_PORT, self._on_report)

@@ -8,13 +8,11 @@ injected commands reach actuators — the delta experiment E11 reports.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.net.mac.csma import CsmaMac
 from repro.net.packet import Datagram, NetPacket
 from repro.radio.medium import Medium, Radio
-from repro.sim.kernel import Simulator
-from repro.sim.trace import TraceLog
 
 
 class CommandInjector:
@@ -28,16 +26,14 @@ class CommandInjector:
 
     def __init__(
         self,
-        sim: Simulator,
         medium: Medium,
         node_id: int,
         position: Tuple[float, float],
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
-        self.trace = trace if trace is not None else TraceLog()
+        self.sim = medium.sim
+        self.trace = medium.trace
         self.radio = Radio(medium, node_id, position)
-        self.mac = CsmaMac(sim, self.radio)
+        self.mac = CsmaMac(self.radio)
         self.mac.start()
         self.injections = 0
 

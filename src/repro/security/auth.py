@@ -17,7 +17,6 @@ from repro.net.mac.base import MacLayer
 from repro.net.packet import FrameKind, MacFrame
 from repro.security.keys import KeyStore
 from repro.sim.mix import mix64
-from repro.sim.trace import TraceLog
 
 
 @dataclass(frozen=True)
@@ -48,13 +47,13 @@ class FrameAuthenticator:
         mac: MacLayer,
         keystore: KeyStore,
         config: Optional[AuthConfig] = None,
-        trace: Optional[TraceLog] = None,
     ) -> None:
         self.mac = mac
+        self.sim = mac.sim
+        self.trace = mac.trace
         self.keystore = keystore
         self.config = config if config is not None else AuthConfig()
         self.config.validate()
-        self.trace = trace if trace is not None else mac.trace
         self.frames_tagged = 0
         self.frames_rejected = 0
         self.replays_rejected = 0
@@ -101,14 +100,14 @@ class FrameAuthenticator:
         if not isinstance(payload, _Authenticated):
             # Unauthenticated frame in a secured network: reject.
             self.frames_rejected += 1
-            self.trace.emit(self.mac.sim.now, "security.rejected",
+            self.trace.emit(self.sim.now, "security.rejected",
                             node=self.mac.radio.node_id, src=frame.src,
                             reason="missing_tag")
             return None
         key = self.keystore.key_for(frame.src)
         if key is None or payload.tag != compute_tag(key, frame.src, frame.seq):
             self.frames_rejected += 1
-            self.trace.emit(self.mac.sim.now, "security.rejected",
+            self.trace.emit(self.sim.now, "security.rejected",
                             node=self.mac.radio.node_id, src=frame.src,
                             reason="bad_tag")
             return None
@@ -116,7 +115,7 @@ class FrameAuthenticator:
         if last is not None and frame.seq <= last:
             self.frames_rejected += 1
             self.replays_rejected += 1
-            self.trace.emit(self.mac.sim.now, "security.rejected",
+            self.trace.emit(self.sim.now, "security.rejected",
                             node=self.mac.radio.node_id, src=frame.src,
                             reason="replay")
             return None

@@ -3,6 +3,7 @@ and the Koala pull service."""
 
 import pytest
 
+from repro.aggregation import pull
 from repro.aggregation.pull import KoalaPullService
 from repro.aggregation.query import AggregationQuery
 from repro.aggregation.service import AggregationService, RawCollectionService
@@ -26,8 +27,8 @@ def device_grid(side=3, seed=80, field_value=20.0):
     node_id = 0
     for y in range(side):
         for x in range(side):
-            node = DeviceNode(sim, medium, node_id, (x * 20.0, y * 20.0),
-                              config, is_root=(node_id == 0), trace=trace)
+            node = DeviceNode(medium, node_id, (x * 20.0, y * 20.0),
+                              config, is_root=(node_id == 0))
             node.add_sensor("temp", phenomenon)
             node.start()
             nodes.append(node)
@@ -173,9 +174,10 @@ class TestKoalaPull:
         assert services[8].buffer
         assert services[8].batches_sent == 0
 
-    def test_buffer_bounded(self):
+    def test_buffer_bounded(self, monkeypatch):
+        monkeypatch.setattr(pull, "BUFFER_SIZE", 16)
         sim, trace, nodes = device_grid()
-        service = KoalaPullService(nodes[8], root_id=0, buffer_size=16)
+        service = KoalaPullService(nodes[8], root_id=0)
         service.start_sampling("temp", 1.0)
         sim.run(until=sim.now + 300.0)
         assert len(service.buffer) == 16

@@ -285,8 +285,8 @@ def build_line_network(
     stack_config = config if config is not None else StackConfig(mac=mac)
     stacks = [
         NetworkStack(
-            simulator, medium, i, (i * spacing_m, 0.0),
-            stack_config, is_root=(i == 0), trace=log,
+            medium, i, (i * spacing_m, 0.0),
+            stack_config, is_root=(i == 0),
         )
         for i in range(n)
     ]
@@ -313,9 +313,9 @@ def build_grid_network(
         for x in range(side):
             stacks.append(
                 NetworkStack(
-                    simulator, medium, node_id,
+                    medium, node_id,
                     (x * spacing_m, y * spacing_m),
-                    stack_config, is_root=(node_id == 0), trace=log,
+                    stack_config, is_root=(node_id == 0),
                 )
             )
             node_id += 1
@@ -496,14 +496,12 @@ class ReplayAttacker:
 
     def __init__(
         self,
-        sim: Simulator,
         medium: Medium,
         node_id: int,
         position: Tuple[float, float],
-        trace: Optional[TraceLog] = None,
     ) -> None:
-        self.sim = sim
-        self.trace = trace if trace is not None else TraceLog()
+        self.sim = medium.sim
+        self.trace = medium.trace
         self.radio = Radio(medium, node_id, position)
         self.radio.set_listening()
         self.captured: List[Any] = []

@@ -72,7 +72,7 @@ def test_the_census_sees_every_primitive():
 node.fail(); node.recover(); sim.schedule(1.0, nodes[2].fail)
 sensor.inject_fault(mode); sensor.clear_fault()
 medium.set_link_filter(None)
-WifiInterferer(sim, medium, clause); interference.WifiInterferer(sim, medium, clause)
+WifiInterferer(medium, clause); interference.WifiInterferer(medium, clause)
 """
     assert sorted(expr for _, expr in _uses(ast.parse(source))) == sorted([
         "node.fail", "node.recover", "nodes[2].fail", "sensor.inject_fault",

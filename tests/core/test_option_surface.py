@@ -14,6 +14,7 @@ import dataclasses
 import inspect
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -23,22 +24,33 @@ from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import WORKLOADS, Probe
 from repro.crdt.replication import AntiEntropyConfig
+from repro.aggregation.pull import KoalaPullService
+from repro.aggregation.service import AggregationService, RawCollectionService
+from repro.crdt.replication import NetworkReplicator
+from repro.devices.node import DeviceNode
+from repro.middleware.coap.server import CoapServer
+from repro.middleware.coap.transport import CoapTransport
+from repro.middleware.gateway import Gateway
+from repro.net.fragmentation import FragmentationAdapter
 from repro.net.mac.base import MacLayer
-from repro.net.mac.csma import CsmaConfig
-from repro.net.mac.lpl import LplConfig
-from repro.net.mac.rimac import RiMacConfig
-from repro.net.mac.syncflood import SyncFloodConfig
-from repro.net.mac.tsch import TschConfig
-from repro.net.rpl.dodag import RplConfig
-from repro.net.rpl.rnfd import RnfdConfig
-from repro.net.stack import StackConfig
+from repro.net.mac.csma import CsmaConfig, CsmaMac
+from repro.net.mac.lpl import LplConfig, LplMac
+from repro.net.mac.rimac import RiMac, RiMacConfig
+from repro.net.mac.syncflood import SyncFloodConfig, SyncFloodService
+from repro.net.mac.tsch import TschConfig, TschMac
+from repro.net.rpl.dodag import RplConfig, RplRouter
+from repro.net.rpl.rnfd import RnfdAgent, RnfdConfig
+from repro.net.stack import NetworkStack, StackConfig
 from repro.obs import Observability
 from repro.obs.health import NodeHealthSampler
 from repro.obs.registry import MetricsSnapshot, Registry
 from repro.obs.timeseries import TelemetryEngine
 from repro.parallel import TrialExecutor
+from repro.radio.interference import WifiInterferer
 from repro.radio.medium import Medium
-from repro.security.auth import AuthConfig
+from repro.safety.hvac import RemoteHvacController
+from repro.security.attacks import CommandInjector
+from repro.security.auth import AuthConfig, FrameAuthenticator
 from repro.sim.trace import TraceLog
 
 
@@ -107,55 +119,68 @@ def test_workload_fields():
     assert WORKLOADS["probe"] is Probe
 
 
-def test_seed_sweep_runner_keywords():
-    # The replay window is the module constant
-    # repro.app.sweep.WINDOW_S, and a replay takes only the bundle.
-    assert _keywords(SeedSweepRunner) == ["name", "scenario"]
-
-
 def test_repro_bundle_fields():
     # A bundle is what replays the run, nothing recorded from it.
     assert [f.name for f in dataclasses.fields(ReproBundle)] == [
         "name", "seed", "violations", "scenario"]
 
 
-def test_mac_layer_keywords():
+# Constructor keywords, per class.  A component built on a collaborator
+# reads the run's ``sim`` and ``trace`` from it (DESIGN.md, "Conventions":
+# the clock and the log belong to the run), so none of these takes
+# either; only what a run builds from nothing — the medium, the kernel's
+# primitives, the observers — is handed them.  `make census` prints this
+# table and its total.
+CONSTRUCTOR_KEYWORDS = {
     # The queue bound is the module constant repro.net.mac.base.MAX_QUEUE.
-    assert _keywords(MacLayer) == ["sim", "radio", "trace"]
-
-
-def test_observability_keywords():
-    assert _keywords(Observability) == [
-        "span_sample_rate", "span_seed", "span_max",
-    ]
-
-
-def test_telemetry_engine_keywords():
+    MacLayer: ["radio"],
+    CsmaMac: ["radio", "config"],
+    LplMac: ["radio", "config"],
+    RiMac: ["radio", "config"],
+    TschMac: ["radio", "config"],
+    SyncFloodService: ["medium", "config"],
+    # The frame payload bound is repro.net.fragmentation.FRAME_MTU_BYTES.
+    FragmentationAdapter: ["mac", "deliver"],
+    RplRouter: ["node_id", "transport", "config", "objective", "is_root"],
+    RnfdAgent: ["router", "config"],
+    NetworkStack: ["medium", "node_id", "position", "config", "is_root"],
+    DeviceNode: ["medium", "node_id", "position", "stack_config",
+                 "platform", "battery", "is_root"],
+    # The port is repro.middleware.coap.transport.COAP_PORT.
+    CoapTransport: ["stack"],
+    CoapServer: ["transport"],
+    Gateway: ["stack"],
+    # The ports are AGGREGATION_PORT and RAW_PORT of
+    # repro.aggregation.service, PULL_PORT of repro.aggregation.pull;
+    # the pull buffer's length is repro.aggregation.pull.BUFFER_SIZE.
+    AggregationService: ["node"],
+    RawCollectionService: ["node", "root_id"],
+    KoalaPullService: ["node", "root_id"],
+    NetworkReplicator: ["stack", "replica", "config"],
+    FrameAuthenticator: ["mac", "keystore", "config"],
+    RemoteHvacController: ["root_node"],
+    CommandInjector: ["medium", "node_id", "position"],
+    WifiInterferer: ["medium", "clause"],
+    Medium: ["sim", "model", "trace"],
+    TraceLog: ["enabled"],
+    Registry: [],
+    Observability: ["span_sample_rate", "span_seed", "span_max"],
     # Retention is the module constant repro.obs.timeseries.RETENTION;
     # the live sink is an attribute `repro report --live` assigns.
-    assert _keywords(TelemetryEngine) == [
-        "sim", "registry", "interval_s", "domain_of"]
-
-
-def test_node_health_sampler_keywords():
+    TelemetryEngine: ["sim", "registry", "interval_s", "domain_of"],
     # The period is the module constant repro.obs.health.PERIOD_S.
-    assert _keywords(NodeHealthSampler) == ["system", "replicators"]
+    NodeHealthSampler: ["system", "replicators"],
+    TrialExecutor: ["jobs"],
+    # The replay window is the module constant
+    # repro.app.sweep.WINDOW_S, and a replay takes only the bundle.
+    SeedSweepRunner: ["name", "scenario"],
+}
 
 
-def test_registry_keywords():
-    assert _keywords(Registry) == []
-
-
-def test_trial_executor_keywords():
-    assert _keywords(TrialExecutor) == ["jobs"]
-
-
-def test_trace_log_keywords():
-    assert _keywords(TraceLog) == ["enabled"]
-
-
-def test_medium_takes_no_options():
-    assert _keywords(Medium) == ["sim", "model", "trace"]
+@pytest.mark.parametrize("cls", list(CONSTRUCTOR_KEYWORDS),
+                         ids=lambda cls: cls.__name__)
+def test_constructor_keywords(cls):
+    assert _keywords(cls) == CONSTRUCTOR_KEYWORDS[cls]
 
 
 def test_metrics_snapshot_fields():
@@ -197,3 +222,17 @@ def test_makefile_variables():
     makefile = (_repo_root() / "Makefile").read_text()
     assert re.findall(r"^(\w+) \?=", makefile, re.M) == [
         "PYTHON", "SEEDS", "JOBS", "SEED", "EXPORT"]
+
+
+def report(out=sys.stdout) -> None:
+    """What ``make census`` prints of the constructor surface: per
+    pinned class its keywords, then the total."""
+    for cls, names in CONSTRUCTOR_KEYWORDS.items():
+        print(f"{cls.__name__:<22} {', '.join(names) or '-'}", file=out)
+    print(f"\n{len(CONSTRUCTOR_KEYWORDS)} classes, "
+          f"{sum(map(len, CONSTRUCTOR_KEYWORDS.values()))} constructor "
+          f"keywords", file=out)
+
+
+if __name__ == "__main__":
+    report()

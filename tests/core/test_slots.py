@@ -53,6 +53,6 @@ def test_radio_and_mac_keep_their_instance_dict():
     sim = Simulator()
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
     radio = Radio(medium, 1, (0.0, 0.0))
-    mac = CsmaMac(sim, radio)
+    mac = CsmaMac(radio)
     assert hasattr(radio, "__dict__")
     assert hasattr(mac, "__dict__")

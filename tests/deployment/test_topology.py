@@ -215,13 +215,13 @@ class TestRollout:
         with pytest.raises(ValueError):
             plan.validate()
 
-    def test_execute_activates_on_schedule(self, sim):
+    def test_execute_activates_on_schedule(self, sim, trace):
         topology = line_topology(8)  # 7 non-root -> stages of 2, 4, 1
         plan = RolloutPlan.geometric(topology, pilot_size=2, growth_factor=2,
                                      stage_interval_s=100.0)
         activated = []
         stages_done = []
-        plan.execute(sim, activated.append,
+        plan.execute(sim, activated.append, trace,
                      on_stage_complete=lambda s: stages_done.append(
                          (sim.now, s.name)))
         sim.run(until=50.0)
@@ -230,3 +230,4 @@ class TestRollout:
         assert sorted(activated) == topology.node_ids()[1:]
         assert [name for _t, name in stages_done] == [
             "stage-0", "stage-1", "stage-2"]
+        assert trace.count("rollout.stage") == 3

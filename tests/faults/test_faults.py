@@ -24,8 +24,8 @@ def device_line(n=4, seed=110):
     config = StackConfig(mac="csma")
     nodes = {}
     for i in range(n):
-        node = DeviceNode(sim, medium, i, (i * 20.0, 0.0), config,
-                          is_root=(i == 0), trace=trace)
+        node = DeviceNode(medium, i, (i * 20.0, 0.0), config,
+                          is_root=(i == 0))
         node.add_sensor("temp", constant_field(20.0))
         node.start()
         nodes[i] = node

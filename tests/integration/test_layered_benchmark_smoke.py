@@ -66,7 +66,7 @@ def test_every_name_the_traced_pass_patches_still_resolves():
         tracer.uninstall()
     assert [cls.__dict__[method] for cls, method in patched] == before
     radio = Radio(build_medium(Simulator(seed=SEED)), 0, (0.0, 0.0))
-    mac = CsmaMac(radio.medium.sim, radio)
+    mac = CsmaMac(radio)
     for module, cls_name, attr in _HOOKS:
         cls = getattr(importlib.import_module(module), cls_name)
         (owner,) = [obj for obj in (radio, mac) if isinstance(obj, cls)]

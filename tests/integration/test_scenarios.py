@@ -146,8 +146,8 @@ class TestIncrementalRollout:
                 fractions.append((stage.name, system.joined_fraction()))
             system.sim.schedule(500.0, later)
 
-        plan.execute(system.sim, system.activate, on_stage_complete=check,
-                     trace=system.trace)
+        plan.execute(system.sim, system.activate, system.trace,
+                     on_stage_complete=check)
         system.start([])  # boot the root only
         system.run(600.0 * len(plan.stages) + 600.0)
         assert len(fractions) == len(plan.stages)

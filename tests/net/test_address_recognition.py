@@ -18,7 +18,7 @@ def build(sim):
     """Three CSMA nodes and a listening bare radio, all in range."""
     trace = TraceLog()
     medium = Medium(sim, UnitDiskModel(radius_m=25.0), trace)
-    macs = [CsmaMac(sim, Radio(medium, i, (5.0 * i, 0.0))) for i in (1, 2, 3)]
+    macs = [CsmaMac(Radio(medium, i, (5.0 * i, 0.0))) for i in (1, 2, 3)]
     upcalls = {}
     for mac in macs:
         # Wrap the radio upcall the MAC installed, counting what reaches it.

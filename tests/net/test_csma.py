@@ -13,8 +13,8 @@ from repro.sim.kernel import Simulator
 
 def make_pair(sim, distance=10.0, **cfg):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-    a = CsmaMac(sim, Radio(medium, 1, (0, 0)), **cfg)
-    b = CsmaMac(sim, Radio(medium, 2, (distance, 0)), **cfg)
+    a = CsmaMac(Radio(medium, 1, (0, 0)), **cfg)
+    b = CsmaMac(Radio(medium, 2, (distance, 0)), **cfg)
     a.start()
     b.start()
     return medium, a, b
@@ -86,9 +86,9 @@ class TestBroadcast:
 class TestChannelAccess:
     def test_backoff_defers_to_busy_channel(self, sim):
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        a = CsmaMac(sim, Radio(medium, 1, (0, 0)))
-        b = CsmaMac(sim, Radio(medium, 2, (10, 0)))
-        c = CsmaMac(sim, Radio(medium, 3, (5, 5)))
+        a = CsmaMac(Radio(medium, 1, (0, 0)))
+        b = CsmaMac(Radio(medium, 2, (10, 0)))
+        c = CsmaMac(Radio(medium, 3, (5, 5)))
         for mac in (a, b, c):
             mac.start()
         got = []

@@ -23,8 +23,8 @@ from tests.conftest import TimerPerBufferAdapter
 def make_adapter():
     sim = Simulator(seed=1)
     medium = Medium(sim, UnitDiskModel())
-    mac = CsmaMac(sim, Radio(medium, 1, (0, 0)))
-    return FragmentationAdapter(sim, mac, deliver=lambda *a: None)
+    mac = CsmaMac(Radio(medium, 1, (0, 0)))
+    return FragmentationAdapter(mac, deliver=lambda *a: None)
 
 
 @given(total=st.integers(min_value=1, max_value=5000))
@@ -62,10 +62,10 @@ def test_percentile_bounded_and_monotone(values, fraction):
 def make_receiver():
     sim = Simulator(seed=1)
     medium = Medium(sim, UnitDiskModel())
-    mac = CsmaMac(sim, Radio(medium, 1, (0, 0)))
+    mac = CsmaMac(Radio(medium, 1, (0, 0)))
     received = []
     adapter = FragmentationAdapter(
-        sim, mac,
+        mac,
         deliver=lambda src, payload, total: received.append(
             (src, payload, total)),
     )
@@ -177,7 +177,7 @@ def drive(adapter_cls, arrivals):
     every ``frag.reassembled``/``frag.timeout``, the deliveries, the
     counters and the adapter."""
     sim, adapter, _ = make_receiver()
-    adapter = adapter_cls(sim, adapter.mac, deliver=adapter.deliver)
+    adapter = adapter_cls(adapter.mac, deliver=adapter.deliver)
     delivered = []
     adapter.deliver = lambda src, payload, total: delivered.append(
         (sim.now, src, payload))

@@ -68,7 +68,7 @@ def run(mac_cls, seed, ops):
     with TraceRecorder() as recorder:
         sim = Simulator(seed=seed)
         medium = build_medium(sim)
-        macs = [mac_cls(sim, Radio(medium, node, (10.0 * node, 0.0)))
+        macs = [mac_cls(Radio(medium, node, (10.0 * node, 0.0)))
                 for node in (0, 1)]
         outcomes = []
         for op in ops:

@@ -15,7 +15,7 @@ def make_line(sim, n=2, spacing=10.0, config=None):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
     macs = []
     for i in range(n):
-        mac = LplMac(sim, Radio(medium, i + 1, (i * spacing, 0)),
+        mac = LplMac(Radio(medium, i + 1, (i * spacing, 0)),
                      config=config)
         mac.start()
         macs.append(mac)
@@ -62,9 +62,9 @@ class TestRendezvous:
     def test_broadcast_reaches_multiple_neighbors(self, sim):
         config = LplConfig(wake_interval_s=0.5)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        center = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
-        left = LplMac(sim, Radio(medium, 2, (-10, 0)), config=config)
-        right = LplMac(sim, Radio(medium, 3, (10, 0)), config=config)
+        center = LplMac(Radio(medium, 1, (0, 0)), config=config)
+        left = LplMac(Radio(medium, 2, (-10, 0)), config=config)
+        right = LplMac(Radio(medium, 3, (10, 0)), config=config)
         got = []
         for mac in (center, left, right):
             mac.start()
@@ -89,8 +89,8 @@ class TestRendezvous:
     def test_unreachable_unicast_fails(self, sim):
         config = LplConfig(wake_interval_s=0.5)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        a = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
-        b = LplMac(sim, Radio(medium, 2, (100, 0)), config=config)
+        a = LplMac(Radio(medium, 1, (0, 0)), config=config)
+        b = LplMac(Radio(medium, 2, (100, 0)), config=config)
         a.start()
         b.start()
         outcome = []

@@ -18,8 +18,8 @@ from repro.sim.kernel import Simulator
 def run_one_hop(config, count=60, period=4.31, seed=7):
     sim = Simulator(seed=seed)
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-    sender = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
-    receiver = LplMac(sim, Radio(medium, 2, (10, 0)), config=config)
+    sender = LplMac(Radio(medium, 1, (0, 0)), config=config)
+    receiver = LplMac(Radio(medium, 2, (10, 0)), config=config)
     sender.start()
     receiver.start()
     latencies = []
@@ -53,7 +53,7 @@ class TestAgainstSimulation:
         model = LplExpectations(config)
         sim = Simulator(seed=9)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        mac = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
+        mac = LplMac(Radio(medium, 1, (0, 0)), config=config)
         mac.start()
         sim.run(until=600.0)
         assert mac.duty_cycle() == pytest.approx(

@@ -119,8 +119,8 @@ class TestStopMidExchange:
         medium = build_medium(sim)
         mac_cls, _ = _MAC_REGISTRY[mac]
         obs = Observability().attach(medium.trace)
-        sender = mac_cls(sim, Radio(medium, 0, (0.0, 0.0)), trace=medium.trace)
-        peer = mac_cls(sim, Radio(medium, 1, (10.0, 0.0)), trace=medium.trace)
+        sender = mac_cls(Radio(medium, 0, (0.0, 0.0)))
+        peer = mac_cls(Radio(medium, 1, (10.0, 0.0)))
         sender.start()  # the peer is down: nothing can be acknowledged
         outcomes = []
 
@@ -170,8 +170,8 @@ class TestStopMidExchange:
         sim = Simulator(seed=3)
         medium = build_medium(sim)
         mac_cls, _ = _MAC_REGISTRY[mac]
-        sender = mac_cls(sim, Radio(medium, 0, (0.0, 0.0)))
-        peer = mac_cls(sim, Radio(medium, 1, (10.0, 0.0)))
+        sender = mac_cls(Radio(medium, 0, (0.0, 0.0)))
+        peer = mac_cls(Radio(medium, 1, (10.0, 0.0)))
         sender.start()
         peer.start()
         sender.send(1, "unicast", 20)

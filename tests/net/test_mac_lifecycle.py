@@ -47,7 +47,7 @@ class MacLifecycle(RuleBasedStateMachine):
         self.sim = Simulator(seed=7)
         medium = build_medium(self.sim)
         mac_cls, _ = _MAC_REGISTRY[self.mac_name]
-        self.macs = [mac_cls(self.sim, Radio(medium, node, (10.0 * node, 0.0)))
+        self.macs = [mac_cls(Radio(medium, node, (10.0 * node, 0.0)))
                      for node in (0, 1)]
         #: Per send, the outcomes its ``done`` reported.
         self.outcomes = []

@@ -12,8 +12,8 @@ def make_pair(seed, lock):
     sim = Simulator(seed=seed)
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
     config = LplConfig(wake_interval_s=0.5, phase_lock=lock)
-    a = LplMac(sim, Radio(medium, 1, (0, 0)), config=config)
-    b = LplMac(sim, Radio(medium, 2, (10, 0)), config=config)
+    a = LplMac(Radio(medium, 1, (0, 0)), config=config)
+    b = LplMac(Radio(medium, 2, (10, 0)), config=config)
     a.start()
     b.start()
     return sim, a, b

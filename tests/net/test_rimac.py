@@ -13,8 +13,8 @@ from repro.sim.kernel import Simulator
 
 def make_pair(sim, distance=10.0, config=None):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-    a = RiMac(sim, Radio(medium, 1, (0, 0)), config=config)
-    b = RiMac(sim, Radio(medium, 2, (distance, 0)), config=config)
+    a = RiMac(Radio(medium, 1, (0, 0)), config=config)
+    b = RiMac(Radio(medium, 2, (distance, 0)), config=config)
     a.start()
     b.start()
     return medium, a, b
@@ -37,8 +37,8 @@ class TestUnicast:
         monkeypatch.setattr(rimac, "MAX_RETRIES", 0)
         config = RiMacConfig(wake_interval_s=0.5)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        a = RiMac(sim, Radio(medium, 1, (0, 0)), config=config)
-        b = RiMac(sim, Radio(medium, 2, (100, 0)), config=config)
+        a = RiMac(Radio(medium, 1, (0, 0)), config=config)
+        b = RiMac(Radio(medium, 2, (100, 0)), config=config)
         a.start()
         b.start()
         outcome = []

@@ -19,7 +19,7 @@ def make_line(sim, n=6, spacing=20.0):
 class TestFlood:
     def test_latency_is_hops_times_slot(self, sim):
         medium = make_line(sim, 6)
-        service = SyncFloodService(sim, medium,
+        service = SyncFloodService(medium,
                                    SyncFloodConfig(per_hop_reliability=1.0))
         result = service.flood(0)
         for node, latency in result.reached.items():
@@ -27,7 +27,7 @@ class TestFlood:
 
     def test_deliver_callbacks_fire_at_latency(self, sim):
         medium = make_line(sim, 4)
-        service = SyncFloodService(sim, medium,
+        service = SyncFloodService(medium,
                                    SyncFloodConfig(per_hop_reliability=1.0))
         arrivals = []
         service.flood(0, payload="cmd",
@@ -41,14 +41,14 @@ class TestFlood:
     def test_disconnected_nodes_are_missed(self, sim):
         medium = make_line(sim, 3, spacing=20.0)
         Radio(medium, 99, (1000.0, 0.0))  # unreachable island
-        service = SyncFloodService(sim, medium)
+        service = SyncFloodService(medium)
         result = service.flood(0)
         assert 99 in result.missed
 
     def test_dead_nodes_are_missed(self, sim):
         medium = make_line(sim, 4)
         medium.radios[2].enabled = False
-        service = SyncFloodService(sim, medium,
+        service = SyncFloodService(medium,
                                    SyncFloodConfig(per_hop_reliability=1.0))
         result = service.flood(0)
         assert 2 in result.missed
@@ -58,20 +58,20 @@ class TestFlood:
 
     def test_reliability_metric(self, sim):
         medium = make_line(sim, 5)
-        service = SyncFloodService(sim, medium,
+        service = SyncFloodService(medium,
                                    SyncFloodConfig(per_hop_reliability=1.0))
         result = service.flood(0)
         assert result.reliability == 1.0
 
     def test_unknown_initiator_rejected(self, sim):
         medium = make_line(sim, 3)
-        service = SyncFloodService(sim, medium)
+        service = SyncFloodService(medium)
         with pytest.raises(KeyError):
             service.flood(77)
 
     def test_energy_accounting_grows_with_floods(self, sim):
         medium = make_line(sim, 5)
-        service = SyncFloodService(sim, medium)
+        service = SyncFloodService(medium)
         service.flood(0)
         first = service.total_radio_on_s
         service.flood(0)
@@ -81,7 +81,7 @@ class TestFlood:
 class TestCollect:
     def test_collect_gathers_reachable_values(self, sim):
         medium = make_line(sim, 5)
-        service = SyncFloodService(sim, medium)
+        service = SyncFloodService(medium)
         out = []
         values = {i: i * 10 for i in range(5)}
         service.collect(0, values,
@@ -93,6 +93,6 @@ class TestCollect:
 
     def test_hop_distances_bfs(self, sim):
         medium = make_line(sim, 5)
-        service = SyncFloodService(sim, medium)
+        service = SyncFloodService(medium)
         distances = service.hop_distances(0)
         assert distances == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}

@@ -16,8 +16,8 @@ from tests.conftest import reserved_slots
 
 def make_pair(sim, distance=10.0, config=None):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-    a = TschMac(sim, Radio(medium, 1, (0, 0)), config=config)
-    b = TschMac(sim, Radio(medium, 2, (distance, 0)), config=config)
+    a = TschMac(Radio(medium, 1, (0, 0)), config=config)
+    b = TschMac(Radio(medium, 2, (distance, 0)), config=config)
     a.start()
     b.start()
     return medium, a, b
@@ -32,7 +32,7 @@ class TestConfig:
         # tests/core/test_protocol_constants.py.
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
         with pytest.raises(MacConfigError):
-            TschMac(sim, Radio(medium, 1, (0, 0)),
+            TschMac(Radio(medium, 1, (0, 0)),
                     config=TschConfig(slotframe_slots=1))
 
 
@@ -118,7 +118,7 @@ class TestUnicast:
 class TestBroadcast:
     def test_broadcast_reaches_neighbors_via_shared_cell(self, sim):
         medium = Medium(sim, UnitDiskModel(radius_m=25.0))
-        macs = [TschMac(sim, Radio(medium, i, (i * 10.0, 0.0)))
+        macs = [TschMac(Radio(medium, i, (i * 10.0, 0.0)))
                 for i in range(3)]
         for mac in macs:
             mac.start()
@@ -194,8 +194,8 @@ class TestDeterminism:
     def _run(seed):
         simulator = Simulator(seed=seed)
         medium = Medium(simulator, UnitDiskModel(radius_m=25.0))
-        a = TschMac(simulator, Radio(medium, 1, (0, 0)))
-        b = TschMac(simulator, Radio(medium, 2, (10.0, 0)))
+        a = TschMac(Radio(medium, 1, (0, 0)))
+        b = TschMac(Radio(medium, 2, (10.0, 0)))
         a.start()
         b.start()
         for k in range(10):

@@ -258,7 +258,7 @@ def test_closed_form_listen_time_equals_the_window_sum(
         sim = Simulator(seed=3)
         medium = Medium(sim, UnitDiskModel(radius_m=25.0),
                         TraceLog())
-        mac = mac_cls(sim, Radio(medium, 1, (0.0, 0.0)),
+        mac = mac_cls(Radio(medium, 1, (0.0, 0.0)),
                       config=TschConfig(slotframe_slots=nslots))
         for cell in cells:
             mac.schedule.add(cell)
@@ -292,8 +292,8 @@ def test_closed_form_listen_time_equals_the_window_sum(
 def make_pair(sim, trace=None, mac_cls=TschMac):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0),
                     trace if trace is not None else TraceLog())
-    a = mac_cls(sim, Radio(medium, 1, (0, 0)))
-    b = mac_cls(sim, Radio(medium, 2, (10.0, 0)))
+    a = mac_cls(Radio(medium, 1, (0, 0)))
+    b = mac_cls(Radio(medium, 2, (10.0, 0)))
     a.start()
     b.start()
     return medium, a, b

@@ -8,7 +8,6 @@ import pytest
 from repro.net.rpl.dodag import RplConfig, RplRouter, RplState
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
 from repro.net.stack import StackConfig
-from repro.sim.kernel import Simulator
 from tests.conftest import (
     build_grid_network,
     build_line_network,
@@ -60,8 +59,8 @@ class TestFormation:
 
         sim, trace, stacks = build_line_network(4, seed=5)
         sim.run(until=120.0)
-        late = NetworkStack(sim, stacks[0].medium, 99, (4 * 20.0, 0.0),
-                            StackConfig(mac="csma"), trace=trace)
+        late = NetworkStack(stacks[0].medium, 99, (4 * 20.0, 0.0),
+                            StackConfig(mac="csma"))
         late.start()
         sim.run(until=240.0)
         assert late.rpl.state is RplState.JOINED
@@ -186,7 +185,7 @@ class TestConfigValidation:
     def test_bad_value_is_refused_by_name(self, field, value):
         config = RplConfig(**{field: value})
         with pytest.raises(ValueError, match=rf"RplConfig\.{field}\b"):
-            RplRouter(Simulator(seed=1), 1, None, config)
+            RplRouter(1, None, config)
 
     def test_defaults_and_unset_optionals_pass(self):
         RplConfig().validate()

@@ -18,8 +18,8 @@ class TestDisBehaviour:
         # Rebuild as a non-root: single non-root node, no DODAG around.
         from repro.net.stack import NetworkStack
 
-        orphan = NetworkStack(sim, lone.medium, 99, (100.0, 0.0),
-                              StackConfig(mac="csma"), trace=trace)
+        orphan = NetworkStack(lone.medium, 99, (100.0, 0.0),
+                              StackConfig(mac="csma"))
         orphan.start()
         sim.run(until=120.0)
         assert orphan.rpl.state is RplState.DETACHED

@@ -95,8 +95,8 @@ def device_line(n=3, seed=80):
     config = StackConfig(mac="csma")
     nodes = []
     for i in range(n):
-        node = DeviceNode(sim, medium, i, (i * 20.0, 0.0), config,
-                          is_root=(i == 0), trace=log)
+        node = DeviceNode(medium, i, (i * 20.0, 0.0), config,
+                          is_root=(i == 0))
         node.add_sensor("temp", constant_field(20.0))
         node.start()
         nodes.append(node)

@@ -41,8 +41,7 @@ class TestSampling:
         for node_id in system.nodes:
             for name in ("health.alive", "health.duty_cycle",
                          "health.avg_current_ma", "health.mac_queue",
-                         "health.mac_queue_drops", "health.neighbors",
-                         "health.rank", "health.parent"):
+                         "health.neighbors", "health.rank", "health.parent"):
                 gauge = registry.gauge(name, node=node_id)
                 assert gauge.value is not None, (name, node_id)
         assert registry.gauge("health.samples").value == \

@@ -12,7 +12,9 @@ and on LPL is pinned here too, by the sha256 of its final metrics
 snapshot and of its telemetry windows, each as the JSON the exporters
 write.  They were recorded while every counter was still pushed beside
 the count its owner keeps; read from the owners, the JSON is the same
-byte for byte.
+byte for byte.  They were re-recorded when the ``health.mac_queue_drops``
+gauge went (it repeated the ``mac.queue_drop`` counter): its nine
+series left both, and nothing else moved.
 
 A legitimate behaviour change re-records ``GOLDEN``/``MAC_GOLDEN``; a
 performance change to the observation plane must not need to.
@@ -80,16 +82,16 @@ def observe() -> Dict[str, Any]:
 MAC_GOLDEN = {
     "tsch": {
         "snapshot_sha256":
-            "70e9ae676ff9ea6b20dec7f82d37a226589ddd85dd2f4b8e4e13dd478c9ef9f4",
+            "d3de76ec89f68cf4439f95f10526318756f5b8d1f5de8f6850b1237946ccf842",
         "windows_sha256":
-            "11bbad2230cd48871fe27470270183cd491692491a7faec5495e749fc9b29103",
+            "d3b0ea2ad4edaf5023f2b93f0094027e73efd0fe243fe8643f3037fe18d02617",
         "windows": 30,
     },
     "lpl": {
         "snapshot_sha256":
-            "6f0e9a02df1a50fe9be8ebe71c069ab548abe937461273f8410149b1aed60382",
+            "f88c2cba5ad2b683d0e44ec640721051b9b176cf329ffd2c7b370f8f22ceb14c",
         "windows_sha256":
-            "a6aeaa2a3702586ca22eb5195cf7237a1c386ae9482f64b3222ecf3c910b8cac",
+            "73775354c4ea8d5909c49d1121227bed665391378fc1ae5ae2527012fc8a0fa1",
         "windows": 30,
     },
 }

@@ -17,7 +17,7 @@ class TestWifiInterferer:
         sender = Radio(medium, 1, (0, 0), channel=victim_channel)
         receiver = Radio(medium, 2, (10, 0), channel=victim_channel)
         receiver.set_listening()
-        interferer = WifiInterferer(sim, medium, InterferenceClause(
+        interferer = WifiInterferer(medium, InterferenceClause(
             0.0, 100.0, (5, 5), wifi_channel=wifi_channel, duty_cycle=duty,
             node_id=99))
         return trace, medium, sender, receiver, interferer

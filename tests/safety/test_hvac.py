@@ -22,8 +22,8 @@ def hvac_network(seed=90, n=4):
     medium = Medium(sim, UnitDiskModel(radius_m=25.0), trace)
     config = StackConfig(mac="csma")
     nodes = [
-        DeviceNode(sim, medium, i, (i * 20.0, 0.0), config,
-                   is_root=(i == 0), trace=trace)
+        DeviceNode(medium, i, (i * 20.0, 0.0), config,
+                   is_root=(i == 0))
         for i in range(n)
     ]
     for node in nodes:

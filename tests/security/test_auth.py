@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.system import IIoTSystem, SystemConfig
+from repro.deployment.topology import grid_topology
 from repro.net.stack import StackConfig
 from repro.radio import interference
 from repro.faults.plan import InterferenceClause
@@ -27,7 +29,7 @@ def secured_network(n=4, seed=100, secure=True):
     for stack in stacks:
         keystore = KeyStore(stack.node_id)
         keystore.provision_network_key(NETWORK_KEY)
-        authenticator = FrameAuthenticator(stack.mac, keystore, trace=trace)
+        authenticator = FrameAuthenticator(stack.mac, keystore)
         if secure:
             authenticator.enable()
         authenticators.append(authenticator)
@@ -84,8 +86,7 @@ class TestSecuredNetwork:
         sim, trace, stacks, auths = secured_network()
         hits = []
         stacks[3].bind(55, lambda d: hits.append(d.payload))
-        attacker = CommandInjector(sim, stacks[0].medium, 666, (70.0, 5.0),
-                                   trace=trace)
+        attacker = CommandInjector(stacks[0].medium, 666, (70.0, 5.0))
         attacker.inject(victim=3, port=55, payload="OPEN_VALVE",
                         payload_bytes=8, spoof_src=0)
         sim.run(until=sim.now + 30.0)
@@ -96,8 +97,7 @@ class TestSecuredNetwork:
         sim, trace, stacks, auths = secured_network(secure=False)
         hits = []
         stacks[3].bind(55, lambda d: hits.append(d.payload))
-        attacker = CommandInjector(sim, stacks[0].medium, 666, (70.0, 5.0),
-                                   trace=trace)
+        attacker = CommandInjector(stacks[0].medium, 666, (70.0, 5.0))
         attacker.inject(victim=3, port=55, payload="OPEN_VALVE",
                         payload_bytes=8, spoof_src=0)
         sim.run(until=sim.now + 30.0)
@@ -110,7 +110,7 @@ class TestSecuredNetwork:
         stacks[3].mac.auth_overhead_bytes = 0
         rogue_keys = KeyStore(3)
         rogue_keys.provision_network_key(0x1234)
-        rogue = FrameAuthenticator(stacks[3].mac, rogue_keys, trace=trace)
+        rogue = FrameAuthenticator(stacks[3].mac, rogue_keys)
         rogue.enable()
         got = []
         stacks[0].bind(7, lambda d: got.append(d.src))
@@ -122,12 +122,31 @@ class TestSecuredNetwork:
 
     def test_injection_campaign_counted(self):
         sim, trace, stacks, auths = secured_network()
-        attacker = CommandInjector(sim, stacks[0].medium, 666, (70.0, 5.0),
-                                   trace=trace)
+        attacker = CommandInjector(stacks[0].medium, 666, (70.0, 5.0))
         for i in range(1, 10):
             sim.schedule(10.0 * i, (lambda: attacker.inject(3, 55, "X", 4)))
         sim.run(until=sim.now + 95.0)
         assert attacker.injections == 9
+
+
+class TestAttackerIsObserved:
+    def test_the_attackers_mac_counts_into_the_run_registry(self):
+        # The nodes are never started, so no frame is acknowledged:
+        # each injection ends as one failed MAC job after its retries.
+        system = IIoTSystem.build(grid_topology(3),
+                                  SystemConfig(observability=True), seed=1)
+        victim = system.nodes[8]
+        attacker = CommandInjector(system.medium, 666,
+                                   (victim.position[0] + 8.0,
+                                    victim.position[1] + 8.0))
+        assert attacker.mac.trace is system.trace
+        for k in range(5):
+            system.sim.schedule(10.0 * k, lambda: attacker.inject(
+                victim.node_id, 55, "X", 4))
+        system.run(100.0)
+        assert attacker.mac.stats.tx_failed == 5
+        counters = system.obs.registry.snapshot().counters
+        assert counters[("mac.tx", (("node", 666), ("ok", False)))] == 5.0
 
 
 class TestDetector:
@@ -135,8 +154,7 @@ class TestDetector:
         sim, trace, stacks, auths = secured_network()
         detector = AnomalyDetector(sim, trace, rejection_threshold=3,
                                    window_s=600.0)
-        attacker = CommandInjector(sim, stacks[0].medium, 666, (70.0, 5.0),
-                                   trace=trace)
+        attacker = CommandInjector(stacks[0].medium, 666, (70.0, 5.0))
         for i in range(1, 20):
             sim.schedule(15.0 * i, (lambda: attacker.inject(3, 55, "X", 4)))
         sim.run(until=sim.now + 300.0)
@@ -173,7 +191,7 @@ class TestJammer:
         stacks[0].bind(7, lambda d: got.append(1))
         # A deliberate jammer is an interferer turned to hostile settings.
         monkeypatch.setattr(interference, "BURST_AIRTIME_S", 0.004)
-        jammer = WifiInterferer(sim, stacks[0].medium, InterferenceClause(
+        jammer = WifiInterferer(stacks[0].medium, InterferenceClause(
             sim.now, 150.0, (30.0, 5.0), wifi_channel=6, duty_cycle=0.9,
             tx_power_dbm=20.0, node_id=777))
         jammer.start()

@@ -15,7 +15,7 @@ def secured_line(n=3, seed=230):
     for stack in stacks:
         keystore = KeyStore(stack.node_id)
         keystore.provision_network_key(KEY)
-        authenticator = FrameAuthenticator(stack.mac, keystore, trace=trace)
+        authenticator = FrameAuthenticator(stack.mac, keystore)
         authenticator.enable()
         authenticators.append(authenticator)
     sim.run(until=150.0)
@@ -25,8 +25,7 @@ def secured_line(n=3, seed=230):
 class TestReplay:
     def test_sniffer_captures_victim_frames(self):
         sim, trace, stacks, auths = secured_line()
-        attacker = ReplayAttacker(sim, stacks[0].medium, 555, (25.0, 5.0),
-                                  trace=trace)
+        attacker = ReplayAttacker(stacks[0].medium, 555, (25.0, 5.0))
         attacker.capture_for(2)
         stacks[2].bind(9, lambda d: None)
         stacks[1].send_datagram(2, 9, "cmd", 8)
@@ -37,8 +36,7 @@ class TestReplay:
         sim, trace, stacks, auths = secured_line()
         got = []
         stacks[2].bind(9, lambda d: got.append(d.payload))
-        attacker = ReplayAttacker(sim, stacks[0].medium, 555, (25.0, 5.0),
-                                  trace=trace)
+        attacker = ReplayAttacker(stacks[0].medium, 555, (25.0, 5.0))
         attacker.capture_for(2)
         stacks[1].send_datagram(2, 9, "open-once", 8)
         sim.run(until=sim.now + 60.0)
@@ -58,8 +56,7 @@ class TestReplay:
     def test_without_antireplay_the_frame_would_verify(self):
         # The tag itself is valid: only the sequence check stops it.
         sim, trace, stacks, auths = secured_line()
-        attacker = ReplayAttacker(sim, stacks[0].medium, 555, (25.0, 5.0),
-                                  trace=trace)
+        attacker = ReplayAttacker(stacks[0].medium, 555, (25.0, 5.0))
         attacker.capture_for(2)
         stacks[2].bind(9, lambda d: None)
         stacks[1].send_datagram(2, 9, "cmd", 8)
@@ -73,8 +70,7 @@ class TestReplay:
         sim, trace, stacks, auths = secured_line()
         got = []
         stacks[2].bind(9, lambda d: got.append(d.payload))
-        attacker = ReplayAttacker(sim, stacks[0].medium, 555, (25.0, 5.0),
-                                  trace=trace)
+        attacker = ReplayAttacker(stacks[0].medium, 555, (25.0, 5.0))
         attacker.capture_for(2)
         stacks[1].send_datagram(2, 9, "first", 8)
         sim.run(until=sim.now + 60.0)
@@ -86,5 +82,5 @@ class TestReplay:
 
     def test_replay_with_nothing_captured_is_noop(self):
         sim, trace, stacks, auths = secured_line()
-        attacker = ReplayAttacker(sim, stacks[0].medium, 555, (25.0, 5.0))
+        attacker = ReplayAttacker(stacks[0].medium, 555, (25.0, 5.0))
         assert attacker.replay() is False
