@@ -14,6 +14,7 @@ from repro.net.mac.lpl import LplConfig, LplMac
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 PACKETS = 60
 PERIOD_S = 4.31  # incommensurate with every wake interval swept
@@ -21,7 +22,7 @@ PERIOD_S = 4.31  # incommensurate with every wake interval swept
 
 def _run(wake_interval, phase_lock, seed):
     sim = Simulator(seed=seed)
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     config = LplConfig(wake_interval_s=wake_interval, phase_lock=phase_lock)
     sender = LplMac(Radio(medium, 1, (0, 0)), config=config)
     receiver = LplMac(Radio(medium, 2, (10, 0)), config=config)

@@ -56,7 +56,7 @@ def _run_cp(seed):
     system = _build(seed, PARTITION_S + 60.0)
     CoordinatedStore(system.root.stack)
     clients = {
-        node.node_id: StoreClient(node.stack, coordinator=0, timeout_s=30.0)
+        node.node_id: StoreClient(node.stack, coordinator=0)
         for node in system.nodes.values() if not node.is_root
     }
     for node_id, client in clients.items():

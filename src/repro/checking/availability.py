@@ -29,6 +29,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.checking.base import FaultWindowMixin, InvariantChecker
 from repro.net.rpl.dodag import RplState
 
+#: Fixed sampling period, in sim seconds.
+PERIOD_S = 15.0
+#: Service availability below this, outside every fault window, is a
+#: violation.
+FLOOR = 0.6
+
 
 def service_availability(
     system,
@@ -107,20 +113,14 @@ class AvailabilityChecker(FaultWindowMixin, InvariantChecker):
         self,
         system,
         endpoints: Optional[Sequence[int]] = None,
-        period_s: float = 15.0,
-        floor: float = 0.6,
         settle_s: float = 0.0,
         partitions=None,
     ) -> None:
         super().__init__()
-        if not 0.0 <= floor <= 1.0:
-            raise ValueError("floor must be in [0, 1]")
         self.system = system
         self.endpoints: Tuple[int, ...] = tuple(
             endpoints if endpoints is not None else [system.topology.root_id]
         )
-        self.period_s = period_s
-        self.floor = floor
         self.settle_s = settle_s
         self.partitions = partitions
         #: (time, service_availability) samples.
@@ -129,7 +129,7 @@ class AvailabilityChecker(FaultWindowMixin, InvariantChecker):
         self.reachable_samples: List[Tuple[float, float]] = []
 
     def _setup(self) -> None:
-        self.sample_every(self.period_s, self._probe)
+        self.sample_every(PERIOD_S, self._probe)
 
     def _probe(self) -> None:
         now = self.sim.now
@@ -139,11 +139,11 @@ class AvailabilityChecker(FaultWindowMixin, InvariantChecker):
         self.reachable_samples.append((now, reachable_fraction(self.system)))
         if now < self.settle_s:
             return
-        if availability < self.floor and not self.in_fault_window(now):
+        if availability < FLOOR and not self.in_fault_window(now):
             self.record(
                 "service_availability_floor",
                 availability=round(availability, 4),
-                floor=self.floor,
+                floor=FLOOR,
             )
 
     def finish(self) -> None:

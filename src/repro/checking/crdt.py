@@ -16,27 +16,18 @@ from typing import Any, List
 from repro.checking.base import InvariantChecker
 from repro.crdt.replication import CrdtReplica
 
+#: Fixed law-sampling period, in sim seconds.
+PERIOD_S = 60.0
+
 
 class CrdtLatticeChecker(InvariantChecker):
-    """Samples lattice laws; asserts convergence at finish.
-
-    Parameters
-    ----------
-    period_s:
-        Fixed law-sampling period.
-    expect_convergence:
-        When True (default), :meth:`finish` requires all watched
-        replicas to resolve to the same value.  Scenarios that end
-        mid-partition (convergence is not yet due) set this False.
-    """
+    """Samples lattice laws every :data:`PERIOD_S`; at finish, requires
+    all watched replicas to resolve to the same value."""
 
     name = "crdt"
 
-    def __init__(self, period_s: float = 60.0,
-                 expect_convergence: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.period_s = period_s
-        self.expect_convergence = expect_convergence
         self.replicas: List[CrdtReplica] = []
         self.law_samples = 0
 
@@ -46,7 +37,7 @@ class CrdtLatticeChecker(InvariantChecker):
         return replica
 
     def _setup(self) -> None:
-        self.sample_every(self.period_s, self._sample_laws)
+        self.sample_every(PERIOD_S, self._sample_laws)
 
     # ------------------------------------------------------------------
     def _sample_laws(self) -> None:
@@ -79,7 +70,7 @@ class CrdtLatticeChecker(InvariantChecker):
 
     # ------------------------------------------------------------------
     def finish(self) -> None:
-        if not self.expect_convergence or len(self.replicas) < 2:
+        if len(self.replicas) < 2:
             return
         reference = self.replicas[0].state.value()
         for replica in self.replicas[1:]:

@@ -27,6 +27,9 @@ from repro.sim.trace import TraceRecord
 
 #: Tolerance when matching a collision instant to a frame's end time.
 _TIME_EPS = 1e-9
+#: How far back, in sim seconds, transmissions are kept to explain a
+#: collision.
+WINDOW_S = 1.0
 _TX = RadioState.TX
 
 
@@ -92,10 +95,9 @@ class CollisionAccountingChecker(InvariantChecker):
 
     name = "radio.collision"
 
-    def __init__(self, medium: Medium, window_s: float = 1.0) -> None:
+    def __init__(self, medium: Medium) -> None:
         super().__init__()
         self.medium = medium
-        self.window_s = window_s
         #: (sender, start, end) of recently observed transmissions.
         self._recent: Deque[Tuple[int, float, float]] = deque()
         self.collisions_checked = 0
@@ -108,7 +110,7 @@ class CollisionAccountingChecker(InvariantChecker):
         start, recent = record.time, self._recent
         recent.append((record.node, start,
                        start + _airtime(record.data.get("size", 0))))
-        horizon = start - self.window_s
+        horizon = start - WINDOW_S
         while recent and recent[0][2] < horizon:
             recent.popleft()
 

@@ -16,7 +16,7 @@ RPL is *self-stabilizing*, not loop-free at every instant: stale DIOs
 can create parent cycles or rank inversions that the protocol's own
 defenses (datapath validation, DAGMaxRankIncrease, Trickle resets)
 dissolve within a few exchanges.  The structural checks therefore use a
-persistence threshold — a defect must be observed in ``persistence``
+persistence threshold — a defect must be observed in ``PERSISTENCE``
 consecutive samples to count as a violation.  A transient inversion
 clears in one Trickle interval; one that survives multiple sampling
 periods is a genuine repair failure.
@@ -28,6 +28,14 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.checking.base import FaultWindowMixin, InvariantChecker
 from repro.net import packet as wire
+
+#: Fixed structure-sampling period, in sim seconds (no jitter —
+#: determinism).
+PERIOD_S = 30.0
+#: Consecutive samples a defect must survive before it is recorded: 1
+#: would flag transients too; 2 tolerates the convergence windows RPL's
+#: own loop defenses are built for.
+PERSISTENCE = 2
 from repro.net.rpl.dodag import RplRouter, RplState
 from repro.net.rpl.objective import INFINITE_RANK
 from repro.sim.trace import TraceRecord
@@ -69,19 +77,13 @@ class DodagStructureChecker(FaultWindowMixin, InvariantChecker):
     DAO entries are expected consequences of deliberately crashing
     routers.  Persistence streaks freeze rather than reset, so a defect
     that survives past the window (plus grace) still needs only
-    ``persistence`` further samples to fire.
+    :data:`PERSISTENCE` further samples to fire.
 
     Parameters
     ----------
     routers:
         node id -> :class:`~repro.net.rpl.dodag.RplRouter` (ground
         truth, read-only).
-    period_s:
-        Fixed sampling period (no jitter — determinism).
-    persistence:
-        Number of consecutive samples a defect must survive before it
-        is recorded.  1 flags transients too; the default 2 tolerates
-        the convergence windows RPL's own loop defenses are built for.
     alive:
         Optional predicate ``node_id -> bool``.  A crashed node's
         router retains its last state verbatim, which is staleness, not
@@ -94,22 +96,16 @@ class DodagStructureChecker(FaultWindowMixin, InvariantChecker):
     def __init__(
         self,
         routers: Dict[int, RplRouter],
-        period_s: float = 30.0,
-        persistence: int = 2,
         alive: Optional[Callable[[int], bool]] = None,
     ) -> None:
         super().__init__()
-        if persistence < 1:
-            raise ValueError("persistence must be >= 1")
         self.routers = routers
-        self.period_s = period_s
-        self.persistence = persistence
         self._alive = alive
         self._streaks: Dict[_StreakKey, int] = {}
         self.samples = 0
 
     def _setup(self) -> None:
-        self.sample_every(self.period_s, self._sample)
+        self.sample_every(PERIOD_S, self._sample)
 
     # ------------------------------------------------------------------
     def _bump(self, seen: set, key: _StreakKey, invariant: str,
@@ -117,7 +113,7 @@ class DodagStructureChecker(FaultWindowMixin, InvariantChecker):
         seen.add(key)
         count = self._streaks.get(key, 0) + 1
         self._streaks[key] = count
-        if count == self.persistence:
+        if count == PERSISTENCE:
             self.record(invariant, node=node, persisted_samples=count, **detail)
 
     def _sample(self) -> None:

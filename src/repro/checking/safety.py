@@ -18,6 +18,9 @@ from typing import Callable, List, Optional
 from repro.checking.base import FaultWindowMixin, InvariantChecker
 from repro.safety.comfort import ComfortBand
 
+#: Fixed sampling period, in sim seconds.
+PERIOD_S = 60.0
+
 
 @dataclass(frozen=True)
 class _WatchedZone:
@@ -30,10 +33,10 @@ class _WatchedZone:
 class ComfortEnvelopeChecker(FaultWindowMixin, InvariantChecker):
     """Comfort excursions only inside declared fault windows.
 
+    Zones are sampled every :data:`PERIOD_S`.
+
     Parameters
     ----------
-    period_s:
-        Fixed sampling period.
     margin_c:
         Extra envelope width beyond each zone's band: small controller
         overshoot (bang-bang hysteresis, sensor noise) is not a safety
@@ -45,10 +48,8 @@ class ComfortEnvelopeChecker(FaultWindowMixin, InvariantChecker):
 
     name = "safety.comfort"
 
-    def __init__(self, period_s: float = 60.0, margin_c: float = 0.5,
-                 settle_s: float = 0.0) -> None:
+    def __init__(self, margin_c: float = 0.5, settle_s: float = 0.0) -> None:
         super().__init__()
-        self.period_s = period_s
         self.margin_c = margin_c
         self.settle_s = settle_s
         self._zones: List[_WatchedZone] = []
@@ -69,7 +70,7 @@ class ComfortEnvelopeChecker(FaultWindowMixin, InvariantChecker):
 
     # ------------------------------------------------------------------
     def _setup(self) -> None:
-        self.sample_every(self.period_s, self._sample)
+        self.sample_every(PERIOD_S, self._sample)
 
     def _sample(self) -> None:
         self.samples += 1

@@ -15,6 +15,7 @@ The three logical tiers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -64,6 +65,23 @@ class SystemConfig:
     #: ``observability=True`` and *does* schedule simulator events (the
     #: scrape timer), like NodeHealthSampler.
     telemetry_interval_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # Refused when made, not when run: a config that constructs runs.
+        if not 0.0 <= self.span_sample_rate <= 1.0:  # NaN fails too
+            raise ValueError("SystemConfig.span_sample_rate must be within "
+                             f"[0.0, 1.0]: {self.span_sample_rate!r}")
+        if self.span_max_stored is not None and self.span_max_stored < 1:
+            raise ValueError("SystemConfig.span_max_stored must be >= 1 or "
+                             f"None: {self.span_max_stored!r}")
+        interval = self.telemetry_interval_s
+        if interval is not None and not 0.0 < interval < math.inf:
+            raise ValueError("SystemConfig.telemetry_interval_s must be "
+                             f"finite and positive: {interval!r}")
+        if interval is not None and not self.observability:
+            raise ValueError(
+                "SystemConfig.telemetry_interval_s requires "
+                "observability=True: the engine scrapes the obs registry")
 
 
 class TimeSeriesStore:
@@ -117,10 +135,6 @@ class IIoTSystem:
         #: Run-time drivers of the workloads a
         #: :class:`~repro.core.scenario.Scenario` attached, in its order.
         self.workloads: List = []
-        if config.telemetry_interval_s is not None and not config.observability:
-            raise ValueError(
-                "SystemConfig(telemetry_interval_s=...) requires "
-                "observability=True: the engine scrapes the obs registry")
         if config.observability:
             # Imported lazily, mirroring the checking import below.
             from repro.obs import Observability

@@ -187,7 +187,7 @@ class PartitionCrdt(Workload):
 class _PartitionCrdtRun(Driver):
     def __init__(self, system, workload, scenario) -> None:
         super().__init__(system, workload, scenario)
-        self.checker = system.checkers.add(CrdtLatticeChecker(period_s=60.0))
+        self.checker = system.checkers.add(CrdtLatticeChecker())
 
     def formed(self) -> None:
         self.stacks = [node.stack for node in self.system.nodes.values()]
@@ -255,7 +255,7 @@ class _HvacSafetyRun(Driver):
             zone.start()
             loop.start()
             zones.append(zone)
-        self.comfort = ComfortEnvelopeChecker(period_s=60.0, margin_c=1.0,
+        self.comfort = ComfortEnvelopeChecker(margin_c=1.0,
                                               settle_s=system.sim.now + 1800.0)
         for zone in zones:
             self.comfort.watch_zone(zone)
@@ -286,8 +286,6 @@ class _AvailabilityRun(Driver):
         checker = AvailabilityChecker(
             system,
             endpoints=[system.topology.root_id, 8],
-            period_s=15.0,
-            floor=0.6,
             settle_s=system.sim.now,
             partitions=runtime,
         )

@@ -15,9 +15,9 @@ class LWWRegister(StateCrdt):
     caller — the CRDT itself never reads a clock.
     """
 
-    def __init__(self, replica_id: int, initial: Any = None) -> None:
+    def __init__(self, replica_id: int) -> None:
         self.replica_id = replica_id
-        self._value: Any = initial
+        self._value: Any = None
         self._stamp: Tuple[float, int] = (float("-inf"), replica_id)
 
     def set(self, value: Any, timestamp: float) -> None:

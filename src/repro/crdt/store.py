@@ -17,6 +17,9 @@ from repro.sim.timers import Timer
 
 #: Ports for the request/response pair.
 STORE_PORT = 9902
+#: How long a client waits for the coordinator's answer before it counts
+#: the operation as failed, in sim seconds.
+REQUEST_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -54,14 +57,13 @@ class StoreResponse:
 class CoordinatedStore:
     """The authoritative copy, hosted on the root node."""
 
-    def __init__(self, stack: NetworkStack, port: int = STORE_PORT) -> None:
+    def __init__(self, stack: NetworkStack) -> None:
         if not stack.is_root:
             raise ValueError("the coordinated store must run on the root")
         self.stack = stack
-        self.port = port
         self.data: Dict[Any, Any] = {}
         self.operations_served = 0
-        stack.bind(port, self._on_request)
+        stack.bind(STORE_PORT, self._on_request)
 
     def _on_request(self, datagram: Any) -> None:
         request = datagram.payload
@@ -77,7 +79,7 @@ class CoordinatedStore:
         else:
             response = StoreResponse(request.request_id, ok=False)
         self.stack.send_datagram(
-            request.client, self.port, response, response.size_bytes
+            request.client, STORE_PORT, response, response.size_bytes
         )
 
 
@@ -88,23 +90,15 @@ class StoreClient:
     as unavailability — the metric E9 reports.
     """
 
-    def __init__(
-        self,
-        stack: NetworkStack,
-        coordinator: int,
-        port: int = STORE_PORT,
-        timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, stack: NetworkStack, coordinator: int) -> None:
         self.stack = stack
         self.sim = stack.sim
         self.coordinator = coordinator
-        self.port = port
-        self.timeout_s = timeout_s
         self.operations = 0
         self.successes = 0
         self.failures = 0
         self._pending: Dict[int, tuple] = {}
-        stack.bind(port, self._on_response)
+        stack.bind(STORE_PORT, self._on_response)
 
     def put(self, key: Any, value: Any,
             callback: Optional[Callable[[bool, Any], None]] = None) -> None:
@@ -126,9 +120,9 @@ class StoreClient:
         self.operations += 1
         timer = Timer(self.sim, lambda: self._timeout(request.request_id))
         self._pending[request.request_id] = (callback, timer)
-        timer.start(self.timeout_s)
+        timer.start(REQUEST_TIMEOUT_S)
         self.stack.send_datagram(
-            self.coordinator, self.port, request, request.size_bytes
+            self.coordinator, STORE_PORT, request, request.size_bytes
         )
 
     def _on_response(self, datagram: Any) -> None:

@@ -11,9 +11,17 @@ off) or are rejected at the MAC filter (security on).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.sim.kernel import Simulator
+
+#: The output range commands are clamped to; an actuator starts at 0.0.
+MINIMUM = 0.0
+MAXIMUM = 1.0
+#: How fast the output moves toward its target, per sim second.
+SLEW_PER_S = float("inf")
+#: Sim seconds between a command and the output starting to move.
+ACTUATION_DELAY_S = 0.0
 
 
 @dataclass(frozen=True)
@@ -28,36 +36,22 @@ class ActuatorCommand:
 class Actuator:
     """A continuous actuator with slew-rate limiting and delay.
 
-    ``output`` moves toward the commanded target at ``slew_per_s`` once
-    ``actuation_delay_s`` has elapsed since the command was applied.
+    ``output`` moves toward the commanded target at :data:`SLEW_PER_S`
+    once :data:`ACTUATION_DELAY_S` has elapsed since the command was
+    applied.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        initial: float = 0.0,
-        minimum: float = 0.0,
-        maximum: float = 1.0,
-        slew_per_s: float = float("inf"),
-        actuation_delay_s: float = 0.0,
-    ) -> None:
-        if minimum > maximum:
-            raise ValueError("minimum must not exceed maximum")
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
         self.name = name
-        self.minimum = minimum
-        self.maximum = maximum
-        self.slew_per_s = slew_per_s
-        self.actuation_delay_s = actuation_delay_s
-        self._output = self._clamp(initial)
+        self._output = self._clamp(0.0)
         self._target = self._output
         self._target_since = 0.0
         self.commands: List[ActuatorCommand] = []
         self.commands_applied = 0
 
     def _clamp(self, value: float) -> float:
-        return min(max(value, self.minimum), self.maximum)
+        return min(max(value, MINIMUM), MAXIMUM)
 
     def command(self, target: float, issuer: int = -1) -> bool:
         """Apply a setpoint command.  Out-of-range targets are clamped;
@@ -66,7 +60,7 @@ class Actuator:
         self.commands.append(cmd)
         self._advance_output()
         self._target = self._clamp(target)
-        self._target_since = self.sim.now + self.actuation_delay_s
+        self._target_since = self.sim.now + ACTUATION_DELAY_S
         self.commands_applied += 1
         return True
 
@@ -75,11 +69,11 @@ class Actuator:
         if now < self._target_since:
             return
         dt = now - self._target_since
-        if self.slew_per_s == float("inf"):
+        if SLEW_PER_S == float("inf"):
             self._output = self._target
             return
         delta = self._target - self._output
-        step = self.slew_per_s * dt
+        step = SLEW_PER_S * dt
         if abs(delta) <= step:
             self._output = self._target
         else:

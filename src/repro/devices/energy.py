@@ -7,22 +7,14 @@ TX; the meter multiplies residencies by the platform's current draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.devices.platform import PlatformProfile
 from repro.radio.medium import Radio, RadioState
 
-
-@dataclass
-class Battery:
-    """An ideal battery (no self-discharge curve; capacity in mAh)."""
-
-    capacity_mah: float = 2600.0  # two AA cells, roughly
-
-    def validate(self) -> None:
-        if self.capacity_mah <= 0:
-            raise ValueError("capacity_mah must be positive")
+#: An ideal battery's capacity (no self-discharge curve): two AA cells,
+#: roughly.
+BATTERY_CAPACITY_MAH = 2600.0
 
 
 class EnergyMeter:
@@ -32,15 +24,9 @@ class EnergyMeter:
     :meth:`charge_consumed_mas` at any simulated time.
     """
 
-    def __init__(
-        self,
-        radio: Radio,
-        platform: PlatformProfile,
-        battery: Optional[Battery] = None,
-    ) -> None:
+    def __init__(self, radio: Radio, platform: PlatformProfile) -> None:
         self.radio = radio
         self.platform = platform
-        self.battery = battery if battery is not None else Battery()
         self._baseline: Dict[RadioState, float] = {s: 0.0 for s in RadioState}
         self._start_time = 0.0
 
@@ -84,4 +70,4 @@ class EnergyMeter:
         current = self.average_current_ma(now)
         if current <= 0:
             return float("inf")
-        return self.battery.capacity_mah / current / 24.0
+        return BATTERY_CAPACITY_MAH / current / 24.0

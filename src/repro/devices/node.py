@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.devices.actuators import Actuator
-from repro.devices.energy import Battery, EnergyMeter
+from repro.devices.energy import EnergyMeter
 from repro.devices.platform import CLASS_1_MOTE, PlatformProfile
 from repro.devices.phenomena import Phenomenon
 from repro.devices.sensors import Sensor
@@ -29,7 +29,6 @@ class DeviceNode:
         position: Tuple[float, float],
         stack_config: Optional[StackConfig] = None,
         platform: PlatformProfile = CLASS_1_MOTE,
-        battery: Optional[Battery] = None,
         is_root: bool = False,
     ) -> None:
         self.sim = medium.sim
@@ -40,7 +39,7 @@ class DeviceNode:
         self.stack = NetworkStack(
             medium, node_id, position, config=stack_config, is_root=is_root,
         )
-        self.energy = EnergyMeter(self.stack.radio, platform, battery)
+        self.energy = EnergyMeter(self.stack.radio, platform)
         self.sensors: Dict[str, Sensor] = {}
         self.actuators: Dict[str, Actuator] = {}
 

@@ -15,6 +15,9 @@ from typing import Callable, Dict, List, Optional
 from repro.middleware.adapters.base import AdapterError, ProtocolAdapter
 from repro.sim.kernel import Simulator
 
+#: Serial-bus round trip of one register read or write, in sim seconds.
+BUS_LATENCY_S = 0.05
+
 
 @dataclass(frozen=True)
 class RegisterSpec:
@@ -33,12 +36,10 @@ class LegacyModbusDevice:
         sim: Simulator,
         unit_id: int,
         registers: Optional[Dict[int, int]] = None,
-        bus_latency_s: float = 0.05,
     ) -> None:
         self.sim = sim
         self.unit_id = unit_id
         self.registers: Dict[int, int] = dict(registers or {})
-        self.bus_latency_s = bus_latency_s
         self.reads = 0
         self.writes = 0
 
@@ -50,7 +51,7 @@ class LegacyModbusDevice:
         def answer() -> None:
             callback(self.registers.get(address))
 
-        self.sim.schedule(self.bus_latency_s, answer)
+        self.sim.schedule(BUS_LATENCY_S, answer)
 
     def write_holding(self, address: int, value: int,
                       callback: Callable[[bool], None]) -> None:
@@ -64,7 +65,7 @@ class LegacyModbusDevice:
             self.registers[address] = value
             callback(True)
 
-        self.sim.schedule(self.bus_latency_s, apply)
+        self.sim.schedule(BUS_LATENCY_S, apply)
 
 
 class ModbusAdapter(ProtocolAdapter):

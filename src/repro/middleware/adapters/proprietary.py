@@ -13,6 +13,11 @@ from typing import Callable, Dict, List, Optional
 from repro.middleware.adapters.base import AdapterError, ProtocolAdapter
 from repro.sim.kernel import Simulator
 
+#: Serial round trip of one command line, in sim seconds.
+LINE_LATENCY_S = 0.1
+#: Chance that the device answers a command ``BUSY``.
+BUSY_PROBABILITY = 0.1
+
 
 class ProprietaryAsciiDevice:
     """The legacy controller: a tiny command interpreter."""
@@ -22,14 +27,10 @@ class ProprietaryAsciiDevice:
         sim: Simulator,
         name: str,
         variables: Optional[Dict[str, float]] = None,
-        line_latency_s: float = 0.1,
-        busy_probability: float = 0.1,
     ) -> None:
         self.sim = sim
         self.name = name
         self.variables: Dict[str, float] = dict(variables or {})
-        self.line_latency_s = line_latency_s
-        self.busy_probability = busy_probability
         self.commands_handled = 0
         self._rng = sim.substream(f"proprietary.{name}")
 
@@ -41,10 +42,10 @@ class ProprietaryAsciiDevice:
         def answer() -> None:
             callback(self._interpret(line))
 
-        self.sim.schedule(self.line_latency_s, answer)
+        self.sim.schedule(LINE_LATENCY_S, answer)
 
     def _interpret(self, line: str) -> str:
-        if self._rng.random() < self.busy_probability:
+        if self._rng.random() < BUSY_PROBABILITY:
             return "BUSY"
         parts = line.strip().split()
         if len(parts) >= 2 and parts[0] == "RD":

@@ -26,6 +26,15 @@ from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceLog
 
+#: AdaptiveIminVariant: each reset multiplies the effective I_min by
+#: IMIN_SHRINK, floored at IMIN_FLOOR_FACTOR * imin; IMIN_RELAX_AFTER
+#: consecutive quiet intervals double it back toward imin.
+IMIN_SHRINK = 0.5
+IMIN_FLOOR_FACTOR = 0.25
+IMIN_RELAX_AFTER = 2
+#: AdaptiveKVariant: the effective k never drops below K_MIN.
+K_MIN = 1
+
 
 class TrickleVariant:
     """Adaptation policy consulted by :class:`TrickleTimer`.
@@ -76,27 +85,18 @@ class AdaptiveIminVariant(TrickleVariant):
     """Load-aware I_min adaptation (in the spirit of qTrickle).
 
     Bursts of inconsistency shrink the *effective* I_min — each reset
-    multiplies it by ``shrink``, floored at ``floor_factor * imin`` —
-    so repair traffic reacts faster while the topology is churning.
-    ``relax_after`` consecutive quiet intervals double it back toward
-    the configured I_min, restoring the classic steady-state overhead
+    multiplies it by :data:`IMIN_SHRINK`, floored at
+    :data:`IMIN_FLOOR_FACTOR` ``* imin`` — so repair traffic reacts
+    faster while the topology is churning.  :data:`IMIN_RELAX_AFTER`
+    consecutive quiet intervals double it back toward the configured
+    I_min, restoring the classic steady-state overhead
     once the network settles.
     """
 
     name = "adaptive-imin"
 
-    def __init__(self, shrink: float = 0.5, floor_factor: float = 0.25,
-                 relax_after: int = 2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0.0 < shrink < 1.0:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0.0 < floor_factor <= 1.0:
-            raise ValueError("floor_factor must be in (0, 1]")
-        if relax_after < 1:
-            raise ValueError("relax_after must be >= 1")
-        self.shrink = shrink
-        self.floor_factor = floor_factor
-        self.relax_after = relax_after
         self.imin_eff = 0.0
         self._quiet = 0
 
@@ -110,13 +110,13 @@ class AdaptiveIminVariant(TrickleVariant):
 
     def observe_reset(self) -> None:
         self._quiet = 0
-        self.imin_eff = max(self.timer.imin * self.floor_factor,
-                            self.imin_eff * self.shrink)
+        self.imin_eff = max(self.timer.imin * IMIN_FLOOR_FACTOR,
+                            self.imin_eff * IMIN_SHRINK)
         self.timer.record_gauge("rpl.trickle.imin_eff_s", self.imin_eff)
 
     def observe_interval_end(self, heard: int) -> None:
         self._quiet += 1
-        if self._quiet >= self.relax_after and self.imin_eff < self.timer.imin:
+        if self._quiet >= IMIN_RELAX_AFTER and self.imin_eff < self.timer.imin:
             self._quiet = 0
             self.imin_eff = min(self.timer.imin, self.imin_eff * 2.0)
             self.timer.record_gauge("rpl.trickle.imin_eff_s", self.imin_eff)
@@ -127,36 +127,30 @@ class AdaptiveKVariant(TrickleVariant):
 
     The effective ``k`` tracks observed per-interval redundancy: an
     interval that heard more than ``k_eff`` consistent messages lowers
-    it toward ``k_min`` (dense neighborhood — suppress more), one that
-    heard fewer than half raises it toward ``k_max`` (sparse — beacon
-    more so coverage doesn't starve).
+    it toward :data:`K_MIN` (dense neighborhood — suppress more), one
+    that heard fewer than half raises it toward ``k_max`` — twice the
+    timer's ``k``, at least ``k + 1`` (sparse — beacon more so coverage
+    doesn't starve).
     """
 
     name = "adaptive-k"
 
-    def __init__(self, k_min: int = 1, k_max: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if k_min < 1:
-            raise ValueError("k_min must be >= 1")
-        if k_max is not None and k_max < k_min:
-            raise ValueError("k_max must be >= k_min")
-        self.k_min = k_min
-        self._k_max_config = k_max
         self.k_eff = 0
         self.k_max = 0
 
     def bind(self, timer: "TrickleTimer") -> "AdaptiveKVariant":
         super().bind(timer)
-        self.k_eff = max(self.k_min, timer.k)
-        self.k_max = (self._k_max_config if self._k_max_config is not None
-                      else max(2 * timer.k, timer.k + 1))
+        self.k_eff = max(K_MIN, timer.k)
+        self.k_max = max(2 * timer.k, timer.k + 1)
         return self
 
     def suppression_threshold(self) -> int:
         return self.k_eff
 
     def observe_interval_end(self, heard: int) -> None:
-        if heard > self.k_eff and self.k_eff > self.k_min:
+        if heard > self.k_eff and self.k_eff > K_MIN:
             self.k_eff -= 1
             self.timer.record_gauge("rpl.trickle.k_eff", self.k_eff)
         elif heard < max(1, self.k_eff // 2) and self.k_eff < self.k_max:

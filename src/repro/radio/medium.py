@@ -417,17 +417,13 @@ class Radio:
 class Medium:
     """The shared spectrum connecting all attached radios: ``sim`` is
     the kernel (time and randomness), ``model`` maps geometry to RSSI
-    and PRR, and ``trace`` (a fresh log if None) counts the
-    ``radio.tx/miss/collision/drop/rx`` records."""
+    and PRR, and ``trace`` counts the ``radio.tx/miss/collision/drop/rx``
+    records."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        model: LinkQualityModel,
-        trace: Optional[TraceLog] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, model: LinkQualityModel,
+                 trace: TraceLog) -> None:
         self.sim = sim
-        self.trace = trace if trace is not None else TraceLog()
+        self.trace = trace
         self.radios: Dict[int, Radio] = {}
         #: Min-heap of ``(end, seq, transmission)``: recent and in-flight
         #: transmissions, pruned lazily (see :meth:`_prune_active`).

@@ -13,6 +13,9 @@ from typing import List, Optional, Tuple
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer
 
+#: How often a tracker samples its zone, in sim seconds.
+SAMPLE_PERIOD_S = 60.0
+
 
 @dataclass(frozen=True)
 class ComfortBand:
@@ -74,18 +77,17 @@ class ComfortTracker:
         temperature: "callable",
         band: ComfortBand,
         schedule: Optional[OccupancySchedule] = None,
-        sample_period_s: float = 60.0,
     ) -> None:
         self.sim = sim
         self.temperature = temperature
         self.band = band
         self.schedule = schedule if schedule is not None else OccupancySchedule()
-        self.sample_period_s = sample_period_s
         self.violation_degree_hours = 0.0
         self.occupied_hours = 0.0
         self.samples = 0
         self.worst_violation_c = 0.0
-        self._timer = PeriodicTimer(sim, sample_period_s, self._sample, phase=0.0)
+        self._timer = PeriodicTimer(sim, SAMPLE_PERIOD_S, self._sample,
+                                    phase=0.0)
 
     def start(self) -> None:
         self._timer.start()
@@ -97,7 +99,7 @@ class ComfortTracker:
         self.samples += 1
         if not self.schedule.occupied(self.sim.now):
             return
-        hours = self.sample_period_s / 3600.0
+        hours = SAMPLE_PERIOD_S / 3600.0
         self.occupied_hours += hours
         violation = self.band.violation_degrees(self.temperature())
         self.violation_degree_hours += violation * hours

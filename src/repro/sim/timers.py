@@ -13,6 +13,9 @@ from typing import Callable, Optional
 
 from repro.sim.kernel import EventHandle, Simulator
 
+#: The substream every :class:`PeriodicTimer` draws its random phase from.
+PHASE_STREAM = "periodic-timer"
+
 
 class Timer:
     """A one-shot, restartable timer.
@@ -83,10 +86,10 @@ class PeriodicTimer:
     """A fixed-period repeating timer with optional random phase.
 
     The first firing happens after ``phase`` seconds (drawn uniformly in
-    ``[0, period)`` when not given, to avoid artificial synchronization
-    between nodes — a classic simulation artifact this kernel must not
-    exhibit).  A NaN or infinite period or phase is refused at
-    construction, and a period also by the setter.
+    ``[0, period)`` from :data:`PHASE_STREAM` when not given, to avoid
+    artificial synchronization between nodes — a classic simulation
+    artifact this kernel must not exhibit).  A NaN or infinite period or
+    phase is refused at construction, and a period also by the setter.
     """
 
     __slots__ = ("_sim", "_period", "_callback", "_handle", "_running",
@@ -98,7 +101,6 @@ class PeriodicTimer:
         period: float,
         callback: Callable[[], None],
         phase: Optional[float] = None,
-        rng_stream: str = "periodic-timer",
     ) -> None:
         self._sim = sim
         self._period = _period(period)
@@ -106,7 +108,7 @@ class PeriodicTimer:
         self._handle: Optional[EventHandle] = None
         self._running = False
         if phase is None:
-            phase = sim.substream(rng_stream).uniform(0.0, period)
+            phase = sim.substream(PHASE_STREAM).uniform(0.0, period)
         elif not 0.0 <= phase < math.inf:  # NaN fails too
             raise ValueError(f"phase must be finite and >= 0, got {phase!r}")
         self._phase = phase

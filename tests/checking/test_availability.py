@@ -102,14 +102,9 @@ def attach(system, **kwargs):
 
 
 class TestAvailabilityChecker:
-    def test_floor_must_be_a_fraction(self):
-        system = build_system()
-        with pytest.raises(ValueError):
-            AvailabilityChecker(system, floor=1.5)
-
     def test_clean_run_records_nothing(self):
         system = build_system()
-        suite, checker = attach(system, period_s=15.0)
+        suite, checker = attach(system)
         system.run(300.0)
         suite.finish()
         suite.detach()
@@ -120,7 +115,7 @@ class TestAvailabilityChecker:
 
     def test_undeclared_outage_breaks_the_floor(self):
         system = build_system()
-        suite, checker = attach(system, period_s=15.0, floor=0.6)
+        suite, checker = attach(system)
         system.sim.schedule(60.0, system.root.fail)
         system.run(200.0)
         suite.finish()
@@ -131,7 +126,7 @@ class TestAvailabilityChecker:
 
     def test_declared_fault_window_suppresses_the_floor_check(self):
         system = build_system()
-        suite, checker = attach(system, period_s=15.0, floor=0.6)
+        suite, checker = attach(system)
         start = system.sim.now
         checker.declare_fault_window(start + 60.0, start + 180.0,
                                      grace_s=120.0)
@@ -145,7 +140,7 @@ class TestAvailabilityChecker:
 
     def test_unrestored_availability_is_flagged_at_finish(self):
         system = build_system()
-        suite, checker = attach(system, period_s=15.0, floor=0.6)
+        suite, checker = attach(system)
         start = system.sim.now
         # Declared, but never recovered: the window excuses the dips,
         # finish() still demands restoration.
@@ -160,8 +155,7 @@ class TestAvailabilityChecker:
     def test_settle_period_mutes_early_samples(self):
         system = build_system()
         system.root.fail()  # broken from the very first sample
-        suite, checker = attach(system, period_s=15.0,
-                                settle_s=system.sim.now + 10_000.0)
+        suite, checker = attach(system, settle_s=system.sim.now + 10_000.0)
         system.run(300.0)
         suite.detach()  # skip finish(): only the floor check is under test
         assert suite.violations == []

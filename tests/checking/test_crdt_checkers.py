@@ -1,5 +1,8 @@
 """CRDT lattice checker: clean on real CRDTs, firing on broken merges."""
 
+import pytest
+
+from repro.checking import crdt
 from repro.checking.crdt import CrdtLatticeChecker
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import CrdtReplica
@@ -26,6 +29,11 @@ class BrokenMergeCrdt:
         return tuple(self.history)
 
 
+@pytest.fixture(autouse=True)
+def _sample_every_10_s(monkeypatch):
+    monkeypatch.setattr(crdt, "PERIOD_S", 10.0)
+
+
 def _attach(checker):
     sim, trace = Simulator(seed=7), TraceLog()
     checker.attach(sim, trace)
@@ -34,7 +42,7 @@ def _attach(checker):
 
 class TestCrdtCheckerClean:
     def test_lww_replicas_pass_laws_and_converge(self):
-        checker = CrdtLatticeChecker(period_s=10.0)
+        checker = CrdtLatticeChecker()
         sim, _trace = _attach(checker)
         a = checker.watch(CrdtReplica(1, LWWMap(1)))
         b = checker.watch(CrdtReplica(2, LWWMap(2)))
@@ -50,21 +58,10 @@ class TestCrdtCheckerClean:
         assert a.state.value() == b.state.value()
         assert checker.clean, [str(v) for v in checker.violations]
 
-    def test_divergence_tolerated_when_convergence_not_expected(self):
-        checker = CrdtLatticeChecker(period_s=10.0,
-                                     expect_convergence=False)
-        _sim, _trace = _attach(checker)
-        a = checker.watch(CrdtReplica(1, LWWMap(1)))
-        checker.watch(CrdtReplica(2, LWWMap(2)))
-        a.mutate(lambda s: s.set("k", 1.0, 1.0))
-        checker.finish()
-        assert checker.clean
-
 
 class TestCrdtCheckerFiring:
     def test_broken_merge_fails_idempotence_and_commutativity(self):
-        checker = CrdtLatticeChecker(period_s=10.0,
-                                     expect_convergence=False)
+        checker = CrdtLatticeChecker()
         sim, _trace = _attach(checker)
         checker.watch(CrdtReplica(1, BrokenMergeCrdt(["a"])))
         checker.watch(CrdtReplica(2, BrokenMergeCrdt(["b"])))
@@ -74,15 +71,14 @@ class TestCrdtCheckerFiring:
         assert "merge_not_commutative" in invariants
 
     def test_law_probes_never_mutate_the_replicas(self):
-        checker = CrdtLatticeChecker(period_s=10.0,
-                                     expect_convergence=False)
+        checker = CrdtLatticeChecker()
         sim, _trace = _attach(checker)
         replica = checker.watch(CrdtReplica(1, BrokenMergeCrdt(["a"])))
         sim.run(until=40.0)
         assert replica.state.value() == ("a",)
 
     def test_diverged_replicas_flagged_at_finish(self):
-        checker = CrdtLatticeChecker(period_s=10.0)
+        checker = CrdtLatticeChecker()
         _sim, _trace = _attach(checker)
         a = checker.watch(CrdtReplica(1, LWWMap(1)))
         checker.watch(CrdtReplica(2, LWWMap(2)))

@@ -3,6 +3,9 @@
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+import pytest
+
+from repro.checking import rpl as rpl_checks
 from repro.checking.rpl import (
     DeliveredPathChecker,
     DodagStructureChecker,
@@ -52,9 +55,7 @@ class TestFindCycles:
 class TestDodagStructureCheckerClean:
     def test_converged_grid_samples_clean(self):
         sim, trace, stacks = build_grid_network(3, seed=11)
-        checker = DodagStructureChecker(
-            {s.node_id: s.rpl for s in stacks}, period_s=30.0
-        )
+        checker = DodagStructureChecker({s.node_id: s.rpl for s in stacks})
         checker.attach(sim, trace)
         sim.run(until=400.0)
         assert checker.samples >= 10
@@ -62,6 +63,10 @@ class TestDodagStructureCheckerClean:
 
 
 class TestDodagStructureCheckerFiring:
+    @pytest.fixture(autouse=True)
+    def _sample_every_10_s(self, monkeypatch):
+        monkeypatch.setattr(rpl_checks, "PERIOD_S", 10.0)
+
     def _routers(self):
         root = FakeRouter(0, RplState.ROOT, rank=256)
         child = FakeRouter(1, RplState.JOINED, rank=512, preferred_parent=0)
@@ -72,7 +77,7 @@ class TestDodagStructureCheckerFiring:
     def test_node_lying_about_rank_is_flagged(self):
         routers = self._routers()
         routers[1].rank = 100  # claims to outrank its own parent
-        checker = DodagStructureChecker(routers, period_s=10.0, persistence=2)
+        checker = DodagStructureChecker(routers)
         sim, _trace = _attach(checker)
         sim.run(until=50.0)
         invariants = {v.invariant for v in checker.violations}
@@ -86,7 +91,7 @@ class TestDodagStructureCheckerFiring:
     def test_parent_cycle_is_flagged(self):
         routers = self._routers()
         routers[1].preferred_parent = 2  # 1 -> 2 -> 1
-        checker = DodagStructureChecker(routers, period_s=10.0, persistence=2)
+        checker = DodagStructureChecker(routers)
         sim, _trace = _attach(checker)
         sim.run(until=30.0)
         cycle_hits = [v for v in checker.violations
@@ -97,7 +102,7 @@ class TestDodagStructureCheckerFiring:
     def test_dao_table_cycle_is_flagged(self):
         routers = self._routers()
         routers[0].dao_table = {1: (2, 0), 2: (1, 0)}
-        checker = DodagStructureChecker(routers, period_s=10.0, persistence=2)
+        checker = DodagStructureChecker(routers)
         sim, _trace = _attach(checker)
         sim.run(until=30.0)
         hits = [v for v in checker.violations
@@ -107,18 +112,19 @@ class TestDodagStructureCheckerFiring:
     def test_transient_defect_below_persistence_is_tolerated(self):
         routers = self._routers()
         routers[1].rank = 100
-        checker = DodagStructureChecker(routers, period_s=10.0, persistence=2)
+        checker = DodagStructureChecker(routers)
         sim, _trace = _attach(checker)
         # Heal the lie between the first and second samples.
         sim.schedule(15.0, lambda: setattr(routers[1], "rank", 512))
         sim.run(until=60.0)
         assert checker.clean
 
-    def test_detached_routers_are_ignored(self):
+    def test_detached_routers_are_ignored(self, monkeypatch):
+        monkeypatch.setattr(rpl_checks, "PERSISTENCE", 1)
         routers = self._routers()
         routers[1].state = RplState.DETACHED
         routers[1].rank = 0  # nonsense rank is fine while detached
-        checker = DodagStructureChecker(routers, period_s=10.0, persistence=1)
+        checker = DodagStructureChecker(routers)
         sim, _trace = _attach(checker)
         sim.run(until=30.0)
         assert checker.clean

@@ -1,11 +1,19 @@
 """Comfort-envelope checker: excursions only inside fault windows."""
 
+import pytest
+
+from repro.checking import safety
 from repro.checking.safety import ComfortEnvelopeChecker
 from repro.safety.comfort import ComfortBand
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
 BAND = ComfortBand(lower_c=20.0, upper_c=24.0)
+
+
+@pytest.fixture(autouse=True)
+def _sample_every_10_s(monkeypatch):
+    monkeypatch.setattr(safety, "PERIOD_S", 10.0)
 
 
 def _attach(checker):
@@ -16,7 +24,7 @@ def _attach(checker):
 
 class TestComfortCheckerClean:
     def test_in_band_temperature_is_clean(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0)
+        checker = ComfortEnvelopeChecker()
         sim, _trace = _attach(checker)
         checker.watch("office", lambda: 22.0, BAND, node=3)
         sim.run(until=100.0)
@@ -24,14 +32,14 @@ class TestComfortCheckerClean:
         assert checker.clean
 
     def test_small_overshoot_within_margin_is_clean(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0, margin_c=0.5)
+        checker = ComfortEnvelopeChecker(margin_c=0.5)
         sim, _trace = _attach(checker)
         checker.watch("office", lambda: 24.4, BAND)
         sim.run(until=50.0)
         assert checker.clean
 
     def test_excursion_inside_declared_fault_window_is_expected(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0)
+        checker = ComfortEnvelopeChecker()
         sim, _trace = _attach(checker)
         temp = {"c": 22.0}
         checker.watch("office", lambda: temp["c"], BAND)
@@ -42,7 +50,7 @@ class TestComfortCheckerClean:
         assert checker.clean, [str(v) for v in checker.violations]
 
     def test_settle_time_suppresses_startup_excursions(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0, settle_s=60.0)
+        checker = ComfortEnvelopeChecker(settle_s=60.0)
         sim, _trace = _attach(checker)
         temp = {"c": 10.0}  # cold start, far out of band
         checker.watch("office", lambda: temp["c"], BAND)
@@ -53,7 +61,7 @@ class TestComfortCheckerClean:
 
 class TestComfortCheckerFiring:
     def test_excursion_outside_fault_window_is_flagged(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0)
+        checker = ComfortEnvelopeChecker()
         sim, _trace = _attach(checker)
         checker.watch("office", lambda: 15.0, BAND, node=3)
         checker.declare_fault_window(200.0, 300.0)
@@ -66,7 +74,7 @@ class TestComfortCheckerFiring:
         assert violation.detail["excursion_c"] == 5.0
 
     def test_excursion_after_grace_expires_is_flagged(self):
-        checker = ComfortEnvelopeChecker(period_s=10.0)
+        checker = ComfortEnvelopeChecker()
         sim, _trace = _attach(checker)
         checker.watch("office", lambda: 30.0, BAND)
         checker.declare_fault_window(0.0, 20.0, grace_s=10.0)
@@ -87,7 +95,7 @@ class TestComfortCheckerFiring:
             band = BAND
             node = _Node()
 
-        checker = ComfortEnvelopeChecker(period_s=10.0)
+        checker = ComfortEnvelopeChecker()
         sim, _trace = _attach(checker)
         checker.watch_zone(_HvacZone())
         sim.run(until=10.0)

@@ -2,8 +2,8 @@
 
 Every independently settable value doubles the configurations tests and
 benchmarks must cover, so the names below are spelled out — a new
-``SystemConfig`` field, constructor keyword or ``REPRO_*`` variable
-fails this file until it is added on purpose (DESIGN.md, "Conventions":
+``SystemConfig`` field, constructor, constructor keyword or ``REPRO_*``
+variable fails this file until it is added on purpose (DESIGN.md, "Conventions":
 one way to do each thing).  A run is configured by ``SystemConfig`` alone,
 and the library reads no environment variable.  The tooling around the
 library — the experiment scripts' variables, the Makefile's overridable
@@ -11,6 +11,8 @@ ones — is pinned the same way.
 """
 
 import dataclasses
+import functools
+import importlib
 import inspect
 import pathlib
 import re
@@ -19,40 +21,21 @@ import sys
 import pytest
 
 import repro
-from repro.app.sweep import ReproBundle, SeedSweepRunner
+from repro.app.sweep import ReproBundle
 from repro.core.scenario import Rollout, Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import WORKLOADS, Probe
 from repro.crdt.replication import AntiEntropyConfig
-from repro.aggregation.pull import KoalaPullService
-from repro.aggregation.service import AggregationService, RawCollectionService
-from repro.crdt.replication import NetworkReplicator
-from repro.devices.node import DeviceNode
-from repro.middleware.coap.server import CoapServer
-from repro.middleware.coap.transport import CoapTransport
-from repro.middleware.gateway import Gateway
-from repro.net.fragmentation import FragmentationAdapter
-from repro.net.mac.base import MacLayer
-from repro.net.mac.csma import CsmaConfig, CsmaMac
-from repro.net.mac.lpl import LplConfig, LplMac
-from repro.net.mac.rimac import RiMac, RiMacConfig
-from repro.net.mac.syncflood import SyncFloodConfig, SyncFloodService
-from repro.net.mac.tsch import TschConfig, TschMac
-from repro.net.rpl.dodag import RplConfig, RplRouter
-from repro.net.rpl.rnfd import RnfdAgent, RnfdConfig
-from repro.net.stack import NetworkStack, StackConfig
-from repro.obs import Observability
-from repro.obs.health import NodeHealthSampler
-from repro.obs.registry import MetricsSnapshot, Registry
-from repro.obs.timeseries import TelemetryEngine
-from repro.parallel import TrialExecutor
-from repro.radio.interference import WifiInterferer
-from repro.radio.medium import Medium
-from repro.safety.hvac import RemoteHvacController
-from repro.security.attacks import CommandInjector
-from repro.security.auth import AuthConfig, FrameAuthenticator
-from repro.sim.trace import TraceLog
-
+from repro.net.mac.csma import CsmaConfig
+from repro.net.mac.lpl import LplConfig
+from repro.net.mac.rimac import RiMacConfig
+from repro.net.mac.syncflood import SyncFloodConfig
+from repro.net.mac.tsch import TschConfig
+from repro.net.rpl.dodag import RplConfig
+from repro.net.rpl.rnfd import RnfdConfig
+from repro.net.stack import StackConfig
+from repro.obs.registry import MetricsSnapshot
+from repro.security.auth import AuthConfig
 
 def _keywords(cls):
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
@@ -125,62 +108,177 @@ def test_repro_bundle_fields():
         "name", "seed", "violations", "scenario"]
 
 
-# Constructor keywords, per class.  A component built on a collaborator
-# reads the run's ``sim`` and ``trace`` from it (DESIGN.md, "Conventions":
-# the clock and the log belong to the run), so none of these takes
-# either; only what a run builds from nothing — the medium, the kernel's
-# primitives, the observers — is handed them.  `make census` prints this
-# table and its total.
+# Constructor keywords, per class: every class under src/repro that
+# writes an ``__init__`` is pinned here, so a new constructor fails this
+# file until it is added on purpose, and each defaulted keyword is one a
+# run sets (tests/core/test_reachability.py's keyword census).  A keyword
+# no run sets is a module constant of the module that reads it; the
+# comments name where such values live.  A component built
+# on a collaborator reads the run's ``sim`` and ``trace`` from it
+# (DESIGN.md, "Conventions": the clock and the log belong to the run), so
+# none of these takes either; only what a run builds from nothing — the
+# medium, the kernel's primitives, the observers — is handed them.
+# `make census` prints this table and its total.
 CONSTRUCTOR_KEYWORDS = {
-    # The queue bound is the module constant repro.net.mac.base.MAX_QUEUE.
-    MacLayer: ["radio"],
-    CsmaMac: ["radio", "config"],
-    LplMac: ["radio", "config"],
-    RiMac: ["radio", "config"],
-    TschMac: ["radio", "config"],
-    SyncFloodService: ["medium", "config"],
-    # The frame payload bound is repro.net.fragmentation.FRAME_MTU_BYTES.
-    FragmentationAdapter: ["mac", "deliver"],
-    RplRouter: ["node_id", "transport", "config", "objective", "is_root"],
-    RnfdAgent: ["router", "config"],
-    NetworkStack: ["medium", "node_id", "position", "config", "is_root"],
-    DeviceNode: ["medium", "node_id", "position", "stack_config",
-                 "platform", "battery", "is_root"],
-    # The port is repro.middleware.coap.transport.COAP_PORT.
-    CoapTransport: ["stack"],
-    CoapServer: ["transport"],
-    Gateway: ["stack"],
-    # The ports are AGGREGATION_PORT and RAW_PORT of
-    # repro.aggregation.service, PULL_PORT of repro.aggregation.pull;
-    # the pull buffer's length is repro.aggregation.pull.BUFFER_SIZE.
-    AggregationService: ["node"],
-    RawCollectionService: ["node", "root_id"],
-    KoalaPullService: ["node", "root_id"],
-    NetworkReplicator: ["stack", "replica", "config"],
-    FrameAuthenticator: ["mac", "keystore", "config"],
-    RemoteHvacController: ["root_node"],
-    CommandInjector: ["medium", "node_id", "position"],
-    WifiInterferer: ["medium", "clause"],
-    Medium: ["sim", "model", "trace"],
-    TraceLog: ["enabled"],
-    Registry: [],
-    Observability: ["span_sample_rate", "span_seed", "span_max"],
+    # sim
+    "Simulator": ["seed"],
+    "EventHandle": ["time", "callback", "sim"],
+    "Timer": ["sim", "callback"],
+    # A random phase is drawn from repro.sim.timers.PHASE_STREAM.
+    "PeriodicTimer": ["sim", "period", "callback", "phase"],
+    "TraceLog": ["enabled"],
+    "_Reader": ["table"],
+    "TrialExecutor": ["jobs"],
+    # radio
+    "Medium": ["sim", "model", "trace"],
+    "Radio": ["medium", "node_id", "position", "tx_power_dbm", "channel"],
+    "WifiInterferer": ["medium", "clause"],
+    # obs
+    "Registry": [],
+    "Counter": ["name", "labels"],
+    "Gauge": ["name", "labels"],
+    "Histogram": ["name", "labels"],
+    "Span": ["span_id", "trace_id", "parent_id", "category", "node", "start",
+             "end", "data"],
+    "SpanTracer": ["sample_rate", "sample_seed", "max_spans",
+                   "pinned_categories"],
+    "Observability": ["span_sample_rate", "span_seed", "span_max"],
     # Retention is the module constant repro.obs.timeseries.RETENTION;
     # the live sink is an attribute `repro report --live` assigns.
-    TelemetryEngine: ["sim", "registry", "interval_s", "domain_of"],
+    "TelemetryEngine": ["sim", "registry", "interval_s", "domain_of"],
     # The period is the module constant repro.obs.health.PERIOD_S.
-    NodeHealthSampler: ["system", "replicators"],
-    TrialExecutor: ["jobs"],
-    # The replay window is the module constant
-    # repro.app.sweep.WINDOW_S, and a replay takes only the bundle.
-    SeedSweepRunner: ["name", "scenario"],
+    "NodeHealthSampler": ["system", "replicators"],
+    # net: MACs (the queue bound is repro.net.mac.base.MAX_QUEUE)
+    "MacLayer": ["radio"],
+    "CsmaMac": ["radio", "config"],
+    "LplMac": ["radio", "config"],
+    "RiMac": ["radio", "config"],
+    "TschMac": ["radio", "config"],
+    "TschSchedule": ["slots"],
+    "SixpPeer": ["node_id", "schedule", "rng", "stats"],
+    "SyncFloodService": ["medium", "config"],
+    # The frame payload bound is repro.net.fragmentation.FRAME_MTU_BYTES.
+    "FragmentationAdapter": ["mac", "deliver"],
+    "_ReassemblyBuffer": ["count", "deadline"],
+    # net: routing (the adaptive variants' bounds are IMIN_SHRINK,
+    # IMIN_FLOOR_FACTOR, IMIN_RELAX_AFTER and K_MIN of
+    # repro.net.rpl.trickle)
+    "TrickleVariant": [],
+    "AdaptiveIminVariant": [],
+    "AdaptiveKVariant": [],
+    "TrickleTimer": ["sim", "imin_s", "doublings", "k", "on_transmit", "rng",
+                     "trace", "node", "variant"],
+    "NeighborTable": ["capacity"],
+    "RplRouter": ["node_id", "transport", "config", "objective", "is_root"],
+    "RnfdAgent": ["router", "config"],
+    "NetworkStack": ["medium", "node_id", "position", "config", "is_root"],
+    # devices (the battery is repro.devices.energy.BATTERY_CAPACITY_MAH;
+    # an actuator's range, slew and delay are MINIMUM, MAXIMUM,
+    # SLEW_PER_S and ACTUATION_DELAY_S of repro.devices.actuators)
+    "Sensor": ["sim", "name", "phenomenon", "position"],
+    "Actuator": ["sim", "name"],
+    "EnergyMeter": ["radio", "platform"],
+    "DeviceNode": ["medium", "node_id", "position", "stack_config",
+                   "platform", "is_root"],
+    # crdt (the store's port and timeout are STORE_PORT and
+    # REQUEST_TIMEOUT_S of repro.crdt.store)
+    "GCounter": ["replica_id"],
+    "ORSet": ["replica_id"],
+    "LWWRegister": ["replica_id"],
+    "LWWMap": ["replica_id"],
+    "CrdtReplica": ["node_id", "state"],
+    "NetworkReplicator": ["stack", "replica", "config"],
+    "CoordinatedStore": ["stack"],
+    "StoreClient": ["stack", "coordinator"],
+    # middleware (the port is repro.middleware.coap.transport.COAP_PORT;
+    # the legacy devices' latencies are BUS_LATENCY_S of
+    # repro.middleware.adapters.modbus, LINE_LATENCY_S and
+    # BUSY_PROBABILITY of repro.middleware.adapters.proprietary)
+    "CoapTransport": ["stack"],
+    "_PendingCon": ["message", "dest", "timeout", "timer", "on_fail", "ctx"],
+    "CoapServer": ["transport"],
+    "CoapClient": ["transport"],
+    "Resource": ["path"],
+    "CallbackResource": ["path", "on_get", "on_put"],
+    "ObservableResource": ["path", "initial", "size_bytes"],
+    "ResourceDirectory": [],
+    "Gateway": ["stack"],
+    "LegacyModbusDevice": ["sim", "unit_id", "registers"],
+    "ModbusAdapter": ["device", "register_map"],
+    "ProprietaryAsciiDevice": ["sim", "name", "variables"],
+    "ProprietaryAdapter": ["device"],
+    # aggregation (the ports are AGGREGATION_PORT and RAW_PORT of
+    # repro.aggregation.service, PULL_PORT of repro.aggregation.pull;
+    # the pull buffer's length is repro.aggregation.pull.BUFFER_SIZE)
+    "AggregationService": ["node"],
+    "RawCollectionService": ["node", "root_id"],
+    "KoalaPullService": ["node", "root_id"],
+    # safety (a tracker samples every
+    # repro.safety.comfort.SAMPLE_PERIOD_S)
+    "ThermalZone": ["sim", "name", "outside", "occupants", "initial_temp_c"],
+    "OccupancySchedule": ["periods"],
+    "ComfortTracker": ["sim", "temperature", "band", "schedule"],
+    "_ZoneTemperature": ["zone"],
+    "HvacZone": ["node", "outside", "band", "schedule", "control_period_s",
+                 "initial_temp_c"],
+    "RemoteControlLoop": ["zone", "controller_node", "fallback",
+                          "fallback_timeout_s"],
+    "RemoteHvacController": ["root_node"],
+    # security
+    "KeyStore": ["node_id"],
+    "FrameAuthenticator": ["mac", "keystore", "config"],
+    "CommandInjector": ["medium", "node_id", "position"],
+    "AnomalyDetector": ["sim", "trace", "rejection_threshold", "window_s"],
+    # faults
+    "FaultPlanRuntime": ["system", "clauses"],
+    # checking (each sampling period is the PERIOD_S of its checker's
+    # module; the availability floor is
+    # repro.checking.availability.FLOOR, the DODAG persistence
+    # repro.checking.rpl.PERSISTENCE, the collision window
+    # repro.checking.macradio.WINDOW_S)
+    "InvariantChecker": [],
+    "CheckerSuite": ["sim", "trace"],
+    "DodagStructureChecker": ["routers", "alive"],
+    "DeliveredPathChecker": ["node_count"],
+    "RadioStateChecker": ["medium"],
+    "CollisionAccountingChecker": ["medium"],
+    "CoapExchangeChecker": [],
+    "CrdtLatticeChecker": [],
+    "ComfortEnvelopeChecker": ["margin_c", "settle_s"],
+    "AvailabilityChecker": ["system", "endpoints", "settle_s", "partitions"],
+    # core
+    "TimeSeriesStore": [],
+    "IIoTSystem": ["sim", "medium", "trace", "topology", "config"],
+    "Driver": ["system", "workload", "scenario"],
+    "ProbeRun": ["system", "probe", "scenario"],
+    "_PartitionCrdtRun": ["system", "workload", "scenario"],
+    "DemoRun": ["system", "workload", "scenario"],
+    # app (the replay window is repro.app.sweep.WINDOW_S, and a replay
+    # takes only the bundle)
+    "SeedSweepRunner": ["name", "scenario"],
+    "InvariantViolationError": ["bundle"],
+    "_Window": ["suite"],
 }
 
 
-@pytest.mark.parametrize("cls", list(CONSTRUCTOR_KEYWORDS),
-                         ids=lambda cls: cls.__name__)
-def test_constructor_keywords(cls):
-    assert _keywords(cls) == CONSTRUCTOR_KEYWORDS[cls]
+@functools.lru_cache(maxsize=None)
+def _constructor_modules():
+    """Class name -> the module under src/repro whose class writes an
+    ``__init__`` (the keyword census's list)."""
+    from tests.core.test_reachability import constructors
+    return {name: init.module for name, init in constructors().items()}
+
+
+def test_every_constructor_is_pinned():
+    assert sorted(CONSTRUCTOR_KEYWORDS) == sorted(_constructor_modules())
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTOR_KEYWORDS))
+def test_constructor_keywords(name):
+    module = _constructor_modules()[name][:-len(".py")]
+    module = "repro." + module.removesuffix("/__init__").replace("/", ".")
+    cls = getattr(importlib.import_module(module), name)
+    assert _keywords(cls) == CONSTRUCTOR_KEYWORDS[name]
 
 
 def test_metrics_snapshot_fields():
@@ -227,8 +325,8 @@ def test_makefile_variables():
 def report(out=sys.stdout) -> None:
     """What ``make census`` prints of the constructor surface: per
     pinned class its keywords, then the total."""
-    for cls, names in CONSTRUCTOR_KEYWORDS.items():
-        print(f"{cls.__name__:<22} {', '.join(names) or '-'}", file=out)
+    for name, keywords in CONSTRUCTOR_KEYWORDS.items():
+        print(f"{name:<26} {', '.join(keywords) or '-'}", file=out)
     print(f"\n{len(CONSTRUCTOR_KEYWORDS)} classes, "
           f"{sum(map(len, CONSTRUCTOR_KEYWORDS.values()))} constructor "
           f"keywords", file=out)

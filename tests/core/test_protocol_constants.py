@@ -1,14 +1,17 @@
 """The one-value protocol constants satisfy what ``validate()`` checked.
 
-Each was a ``*Config`` field no run set; as a module constant it is
-checked once, here, instead of on every build.  A test that patches one
-to another value takes on the same duty.  LPL's "probe shorter than the
-wake interval" stays a run-time check in ``LplConfig.validate``, because
-the wake interval is still settable.
+Each was a ``*Config`` field or a constructor keyword no run set; as a
+module constant it is checked once, here, instead of on every build.  A
+test that patches one to another value takes on the same duty.  LPL's
+"probe shorter than the wake interval" stays a run-time check in
+``LplConfig.validate``, because the wake interval is still settable.
 """
 
-from repro.devices import sensors
+from repro.checking import availability
+from repro.checking import rpl as rpl_checks
+from repro.devices import actuators, energy, sensors
 from repro.net.mac import csma, rimac, sixp, tsch
+from repro.net.rpl import trickle
 from repro.radio.channels import IEEE802154_CHANNELS
 from repro.safety import thermal
 
@@ -36,3 +39,17 @@ def test_constants_satisfy_the_checks_validate_ran():
                thermal.STEP_S) > 0
     # Sensor noise and resolution are not negative.
     assert sensors.NOISE_SIGMA >= 0 and sensors.QUANTIZATION >= 0
+
+
+def test_constants_satisfy_the_checks_constructors_ran():
+    # The adaptive Trickle variants shrink, floor and relax I_min within
+    # bounds, and never suppress below one message.
+    assert 0.0 < trickle.IMIN_SHRINK < 1.0
+    assert 0.0 < trickle.IMIN_FLOOR_FACTOR <= 1.0
+    assert trickle.IMIN_RELAX_AFTER >= 1 and trickle.K_MIN >= 1
+    # An actuator's range is ordered; a node's battery holds charge.
+    assert actuators.MINIMUM <= actuators.MAXIMUM
+    assert energy.BATTERY_CAPACITY_MAH > 0
+    # The availability floor is a fraction; a defect needs one sample.
+    assert 0.0 <= availability.FLOOR <= 1.0
+    assert rpl_checks.PERSISTENCE >= 1

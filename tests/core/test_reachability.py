@@ -24,9 +24,11 @@ declarations and are not listed.  Names are shared across classes, so
 ``x.add`` keeps every ``add`` method alive: the rule errs towards
 keeping.
 
-A second rule covers options: every field of a ``*Config`` dataclass is
+Two more rules cover options: every field of a ``*Config`` dataclass is
 passed by keyword in some call outside ``tests/`` (the field census
-below).  ``make census`` prints the full report.
+below), and so is every defaulted keyword of a constructor, by keyword
+or by position (the keyword census).  ``make census`` prints the full
+report.
 """
 
 from __future__ import annotations
@@ -176,9 +178,12 @@ class Row:
     allow_row: Optional[int]    # index of the ALLOW row covering it, if any
 
 
-def _allow_row(d: Definition, allow: Sequence[Tuple[str, str, str]]) -> Optional[int]:
-    for index, (module, pattern, _) in enumerate(allow):
-        if module == d.module and fnmatch.fnmatchcase(d.qualname, pattern):
+def _allow_row(module: str, qualname: str,
+               allow: Sequence[Tuple[str, str, str]]) -> Optional[int]:
+    """The first row whose module and qualname patterns match."""
+    for index, (module_pattern, pattern, _) in enumerate(allow):
+        if (fnmatch.fnmatchcase(module, module_pattern)
+                and fnmatch.fnmatchcase(qualname, pattern)):
             return index
     return None
 
@@ -200,7 +205,8 @@ def census(src: pathlib.Path = SRC,
         for use in uses:
             uses_of.setdefault(use.name, []).append(use)
     external = [(root.name, _names_used(root)) for root in caller_roots]
-    allow_rows = {(d.module, d.qualname): _allow_row(d, allow) for d in definitions}
+    allow_rows = {(d.module, d.qualname): _allow_row(d.module, d.qualname, allow)
+                  for d in definitions}
 
     dead: Set[Tuple[str, str]] = set()
 
@@ -535,10 +541,232 @@ def test_field_census_counts_keywords_of_calls_outside_tests(tmp_path):
     assert unset_fields(fields, setters) == ["conf.py::RadioConfig.channel"]
 
 
+
+# ----------------------------------------------------------------------
+# The keyword census: every defaulted constructor keyword is one a run sets
+# ----------------------------------------------------------------------
+# The field census's rule, for the constructors a class writes itself: a
+# defaulted parameter of the ``__init__`` of a class under ``src/repro``
+# is *set* when some call to the class in ``src/``, ``benchmarks/`` or
+# ``examples/`` passes it — by keyword or by position — as an expression
+# whose source text differs from the default's.  Tests do not count: a
+# test that needs another value patches the module constant.
+#
+# (module, "Class.keyword" pattern, reason).  Two kinds of row only:
+# dynamic dispatch the name-based walker cannot see ("dynamic dispatch:
+# ..."), and a capability of DESIGN.md's middleware inventory that only
+# tests exercise ("capability: ...", naming the test file).  A row that
+# holds nothing up fails the test, as reachability rows do.
+KEYWORD_ALLOW: Tuple[Tuple[str, str, str], ...] = (
+    ("net/mac/*.py", "*Mac.config",
+     "dynamic dispatch: StackConfig.make_mac builds "
+     "mac_cls(radio, config=mac_config)"),
+    ("core/workloads.py", "ProbeRun.scenario",
+     "dynamic dispatch: Workload.attach builds "
+     "self.driver(system, self, scenario)"),
+    ("middleware/coap/resource.py", "CallbackResource.on_put",
+     "capability: native CoAP PUT, "
+     "tests/middleware/test_coap_end_to_end.py::test_put_changes_state"),
+    ("middleware/coap/resource.py", "ObservableResource.*",
+     "capability: CoAP Observe, "
+     "tests/middleware/test_coap_end_to_end.py::TestObserve"),
+)
+MAX_KEYWORD_ALLOW_ROWS = 6
+
+
+@dataclass(frozen=True)
+class Constructor:
+    module: str
+    params: Tuple[str, ...]              # after ``self``, in order
+    defaults: Dict[str, str]             # parameter -> source of its default
+
+
+def constructors(src: pathlib.Path = SRC) -> Dict[str, Constructor]:
+    """Class name -> its ``__init__``, for every class under ``src``
+    that writes one."""
+    found: Dict[str, Constructor] = {}
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for init in node.body:
+                if not (isinstance(init, ast.FunctionDef)
+                        and init.name == "__init__"):
+                    continue
+                args = init.args
+                params = [a.arg for a in args.posonlyargs + args.args][1:]
+                defaults = dict(zip(params[len(params) - len(args.defaults):],
+                                    map(ast.unparse, args.defaults)))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    params.append(arg.arg)
+                    if default is not None:
+                        defaults[arg.arg] = ast.unparse(default)
+                assert node.name not in found, f"two classes named {node.name}"
+                found[node.name] = Constructor(
+                    path.relative_to(src).as_posix(), tuple(params), defaults)
+    return found
+
+
+def keyword_setters(classes: Dict[str, Constructor],
+                    roots: Sequence[pathlib.Path] = FIELD_CALLER_ROOTS
+                    ) -> Dict[Tuple[str, Optional[str]], List[str]]:
+    """(class, keyword) -> the files whose calls to the class pass the
+    keyword a value other than its default, relative to the repository;
+    ``(class, None)`` lists the calls that splat ``*args`` or
+    ``**mapping``, which hide what they pass."""
+    setters: Dict[Tuple[str, Optional[str]], List[str]] = {}
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            where = path.relative_to(root.parent).as_posix()
+            if root == SRC:
+                where = "src/" + where
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name not in classes:
+                    continue
+                init = classes[name]
+                passed = [(kw.arg, kw.value) for kw in node.keywords]
+                for param, arg in zip(init.params, node.args):
+                    passed.append((None if isinstance(arg, ast.Starred)
+                                   else param, arg))
+                for param, value in passed:
+                    if param is None or (param in init.defaults and ast.unparse(
+                            value) != init.defaults[param]):
+                        files = setters.setdefault((name, param), [])
+                        if where not in files:
+                            files.append(where)
+    return setters
+
+
+def keyword_problems(classes: Dict[str, Constructor],
+                     setters: Dict[Tuple[str, Optional[str]], List[str]],
+                     allow: Sequence[Tuple[str, str, str]] = KEYWORD_ALLOW
+                     ) -> List[str]:
+    """What is wrong: a defaulted keyword no run sets and no row allows,
+    a splatting call, and a row that holds nothing up."""
+    problems = [f"{files[0]}: a splat in a call to {cls} hides what it passes"
+                for (cls, name), files in setters.items() if name is None]
+    needed = set()
+    for cls, init in classes.items():
+        for name in init.defaults:
+            if (cls, name) in setters:
+                continue
+            row = _allow_row(init.module, f"{cls}.{name}", allow)
+            if row is None:
+                problems.append(f"{init.module}::{cls}.{name}: no call outside "
+                                f"tests/ sets it — make it a module constant "
+                                f"the reading module owns")
+            needed.add(row)
+    problems += [f"{module}::{pattern}: allow-listed but set (or gone) — "
+                 f"drop the row"
+                 for index, (module, pattern, _) in enumerate(allow)
+                 if index not in needed]
+    return problems
+
+
+def test_every_constructor_keyword_is_set_by_a_run():
+    assert len(KEYWORD_ALLOW) <= MAX_KEYWORD_ALLOW_ROWS
+    for _, _, reason in KEYWORD_ALLOW:
+        kind, _, why = reason.partition(": ")
+        assert kind in ("dynamic dispatch", "capability") and why.strip()
+        if kind == "capability":
+            test = why.rpartition(", ")[2].partition("::")[0]
+            assert (REPO / test).is_file(), f"{reason}: names no test file"
+    classes = constructors()
+    problems = keyword_problems(classes, keyword_setters(classes))
+    assert not problems, "\n".join(problems)
+
+
+_CONSTRUCTORS = {
+    "pkg/timer.py": """
+        TIMEOUT_S = 30.0
+
+        class Timer:
+            def __init__(self, sim, period_s, stream="timer",
+                         jitter=0.0, phase=None, *, start=False):
+                pass
+
+        class Plain:
+            pass
+    """,
+    "callers/bench.py": """
+        from pkg.timer import TIMEOUT_S, Timer
+        Timer(sim, 1.0, "fast")
+        Timer(sim, 1.0, jitter=0.0, phase=TIMEOUT_S)
+    """,
+    "callers/splat.py": """
+        from pkg.timer import Timer
+        Timer(**options)
+    """,
+    "tests/test_timer.py": """
+        from pkg.timer import Timer
+        Timer(sim, 1.0, start=True)
+    """,
+}
+
+
+@pytest.fixture
+def keyword_census(tmp_path):
+    for name, body in _CONSTRUCTORS.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(body))
+    classes = constructors(tmp_path / "pkg")
+    return classes, keyword_setters(classes, [tmp_path / "callers"])
+
+
+def test_keyword_census_reads_every_init(keyword_census):
+    classes, _ = keyword_census
+    assert classes == {"Timer": Constructor(
+        "timer.py", ("sim", "period_s", "stream", "jitter", "phase", "start"),
+        {"stream": "'timer'", "jitter": "0.0", "phase": "None",
+         "start": "False"})}
+
+
+def test_keyword_census_counts_keyword_and_positional_arguments(
+        keyword_census):
+    _, setters = keyword_census
+    assert setters[("Timer", "stream")] == ["callers/bench.py"]   # positional
+    assert setters[("Timer", "phase")] == ["callers/bench.py"]    # keyword
+
+
+def test_a_default_valued_literal_leaves_a_keyword_unset(keyword_census):
+    _, setters = keyword_census
+    assert ("Timer", "jitter") not in setters
+
+
+def test_a_splat_is_refused(keyword_census):
+    classes, setters = keyword_census
+    assert setters[("Timer", None)] == ["callers/splat.py"]
+    assert keyword_problems(classes, setters, allow=())[0] == (
+        "callers/splat.py: a splat in a call to Timer hides what it passes")
+
+
+def test_a_call_under_tests_does_not_count(keyword_census):
+    classes, setters = keyword_census
+    assert ("Timer", "start") not in setters
+    assert "timer.py::Timer.start: no call outside tests/ sets it" in "\n".join(
+        keyword_problems(classes, setters, allow=()))
+
+
+def test_keyword_allow_rows_silence_a_flag_and_go_stale(keyword_census):
+    classes, setters = keyword_census
+    del setters[("Timer", None)]
+    allow = [("*.py", "Timer.[js]*", "dynamic dispatch: a registry"),
+             ("timer.py", "Timer.stream", "dynamic dispatch: stale")]
+    assert keyword_problems(classes, setters, allow) == [
+        "timer.py::Timer.stream: allow-listed but set (or gone) — drop the row"]
+
+
 def report(out=sys.stdout) -> None:
     """What ``make census`` prints: per definition who keeps it alive,
     then totals by kind of keeper; then per ``*Config`` field the files
-    that set it."""
+    that set it; then per defaulted constructor keyword the files that
+    set it, and the totals of constructors and their keywords."""
     rows = census()
     totals: Dict[str, int] = {}
     for row in rows:
@@ -575,6 +803,25 @@ def report(out=sys.stdout) -> None:
           f"{len(unset)} set by no run", file=out)
     for problem in unset:
         print("FAIL", problem, "is set by no run", file=out)
+    classes = constructors()
+    setters = keyword_setters(classes)
+    print(file=out)
+    for cls, init in classes.items():
+        for name in init.defaults:
+            row = _allow_row(init.module, f"{cls}.{name}", KEYWORD_ALLOW)
+            kept = ", ".join(setters.get((cls, name), ()))
+            if not kept:
+                kept = ("NOTHING" if row is None
+                        else "allow-list: " + KEYWORD_ALLOW[row][2])
+            print(f"{init.module + '::' + cls + '.' + name:<56} {kept}",
+                  file=out)
+    for problem in keyword_problems(classes, setters):
+        print("FAIL", problem, file=out)
+    print(f"{len(classes)} classes with an __init__, "
+          f"{sum(len(init.params) for init in classes.values())} keywords, "
+          f"{sum(len(init.defaults) for init in classes.values())} defaulted; "
+          f"{len(KEYWORD_ALLOW)} allow-list rows of at most "
+          f"{MAX_KEYWORD_ALLOW_ROWS}", file=out)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ span tracer or the checkers read.  Two checks pin that:
   walked from its roots, where each ``sim``/``trace`` met must be the
   run's;
 - a source rule: ``TraceLog(`` is called only where the run makes it
-  (``core/system.py``) and where a bare medium gets one
-  (``radio/medium.py``).
+  (``core/system.py``); a bare ``Medium`` is handed its log.
 """
 
 import ast
@@ -135,6 +134,5 @@ def _trace_log_calls():
     return sites
 
 
-def test_trace_log_is_made_only_by_the_run_and_a_bare_medium():
-    assert sorted(set(_trace_log_calls())) == ["core/system.py",
-                                               "radio/medium.py"]
+def test_trace_log_is_made_only_by_the_run():
+    assert sorted(set(_trace_log_calls())) == ["core/system.py"]

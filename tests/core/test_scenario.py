@@ -9,7 +9,9 @@ bundle's scenario names the same run in every process.
 """
 
 import dataclasses
+import functools
 import json
+import math
 import os
 import pickle
 import subprocess
@@ -64,7 +66,7 @@ _stacks = st.one_of(
 )
 _configs = st.builds(SystemConfig, stack=_stacks,
                      trace_enabled=st.booleans(),
-                     span_max_stored=st.none() | st.integers(0, 10_000))
+                     span_max_stored=st.none() | st.integers(1, 10_000))
 _sensors = st.tuples(st.text(max_size=6), st.one_of(
     st.builds(DiurnalField, mean=_times, phase_s=_times),
     st.builds(RandomWalkField, step_s=st.floats(1e-3, 100.0),
@@ -160,8 +162,10 @@ def _scenarios(draw):
 
 @st.composite
 def _refused(draw):
-    """A valid scenario, one of its tuple fields with a refused item
-    inserted, and the path the refusal must name."""
+    """A refused change to a valid scenario, as a thunk, and the pattern
+    its refusal must match: one of the scenario's tuple fields with a
+    refused item inserted (the refusal names its path), or its config
+    with a value no run can use (the refusal names the field)."""
     scenario = draw(_scenarios())
     nodes = scenario.topology.node_ids()
     start = scenario.formation_s if scenario.faults_at_s is None \
@@ -190,12 +194,29 @@ def _refused(draw):
         variants.append(("faults", CrashClause(
             draw(st.floats(0.0, start, exclude_max=True)), nodes[0]),
             r"\.at_s=.* is before the install instant"))
+    refused_configs = [
+        ({"span_sample_rate": draw(st.floats().filter(
+            lambda rate: not 0.0 <= rate <= 1.0))}, "span_sample_rate"),
+        ({"span_max_stored": draw(st.integers(max_value=0))},
+         "span_max_stored"),
+        ({"observability": True, "telemetry_interval_s": draw(st.floats(
+            ).filter(lambda s: not 0.0 < s < math.inf))},
+         "telemetry_interval_s must be finite"),
+        ({"observability": False, "telemetry_interval_s": draw(_spans)},
+         "telemetry_interval_s requires observability"),
+    ]
+    if draw(st.booleans()):
+        changes, reason = draw(st.sampled_from(refused_configs))
+        return (functools.partial(dataclasses.replace, scenario.config,
+                                  **changes), fr"^SystemConfig\.{reason}")
     field, item, reason = draw(st.sampled_from(variants))
     items = list(getattr(scenario, field))
     if field == "sensors" and not items:
         items.append(item)
     items.insert(draw(st.integers(0, len(items))), item)
-    return scenario, field, tuple(items), reason
+    return (functools.partial(dataclasses.replace, scenario,
+                              **{field: tuple(items)}),
+            fr"^Scenario\.{field}\[\d+\]{reason}")
 
 
 _json = st.recursive(
@@ -449,6 +470,21 @@ class TestValidation:
             Scenario(topology=grid_topology(2),
                      config=SystemConfig(stack=stack()))
 
+    @pytest.mark.parametrize("changes, field", [
+        ({"observability": True, "span_sample_rate": 1.5},
+         "span_sample_rate"),
+        ({"observability": True, "span_max_stored": 0}, "span_max_stored"),
+        ({"observability": True, "telemetry_interval_s": math.nan},
+         "telemetry_interval_s"),
+        ({"telemetry_interval_s": 10.0}, "telemetry_interval_s"),
+    ], ids=["rate-1.5", "max-stored-0", "interval-nan", "unobserved"])
+    def test_a_config_it_cannot_run_is_refused_when_made(self, changes,
+                                                         field):
+        # A config that constructs must run; each of these would fail
+        # only in run().
+        with pytest.raises(ValueError, match=fr"^SystemConfig\.{field} "):
+            SystemConfig(**changes)
+
     @pytest.mark.parametrize("path, value, field", [
         (("mac_config", "wake_interval_s"), PROBE_DURATION_S,
          "LplConfig.wake_interval_s"),
@@ -517,10 +553,9 @@ class TestValidation:
     @settings(max_examples=100, deadline=None)
     @given(_refused())
     def test_a_refused_value_raises_at_construction(self, case):
-        scenario, field, items, reason = case
-        with pytest.raises(ValueError,
-                           match=fr"^Scenario\.{field}\[\d+\]{reason}"):
-            dataclasses.replace(scenario, **{field: items})
+        make, pattern = case
+        with pytest.raises(ValueError, match=pattern):
+            make()
 
 
 # ----------------------------------------------------------------------

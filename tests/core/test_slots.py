@@ -18,10 +18,11 @@ from repro.radio.medium import (
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.timers import PeriodicTimer, Timer
+from repro.sim.trace import TraceLog
 
 
 def _slotted(sim: Simulator) -> dict:
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     radio = Radio(medium, 1, (0.0, 0.0))
     frame = Frame(payload=None, size_bytes=10, channel=26, sender=1)
     return {
@@ -51,7 +52,7 @@ def test_radio_and_mac_keep_their_instance_dict():
     # benchmarks/layers/trace.py::_Hook keeps the traced on_receive in
     # obj.__dict__; slotting these classes would break the traced pass.
     sim = Simulator()
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     radio = Radio(medium, 1, (0.0, 0.0))
     mac = CsmaMac(radio)
     assert hasattr(radio, "__dict__")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
+from repro.crdt import store
 from repro.crdt.store import CoordinatedStore, StoreClient
 from tests.conftest import build_grid_network
 
@@ -96,7 +97,7 @@ class TestCoordinatedStore:
         sim, trace, stacks = build_grid_network(3, seed=72)
         sim.run(until=120.0)
         CoordinatedStore(stacks[0])
-        client = StoreClient(stacks[8], coordinator=0, timeout_s=30.0)
+        client = StoreClient(stacks[8], coordinator=0)
         results = []
         client.put("k", 42, lambda ok, v: results.append(("put", ok)))
         sim.run(until=sim.now + 30.0)
@@ -105,11 +106,12 @@ class TestCoordinatedStore:
         assert results == [("put", True), ("get", True, 42)]
         assert client.availability == 1.0
 
-    def test_partition_blocks_cp_operations(self):
+    def test_partition_blocks_cp_operations(self, monkeypatch):
+        monkeypatch.setattr(store, "REQUEST_TIMEOUT_S", 20.0)
         sim, trace, stacks = build_grid_network(3, seed=72)
         sim.run(until=120.0)
         CoordinatedStore(stacks[0])
-        client = StoreClient(stacks[8], coordinator=0, timeout_s=20.0)
+        client = StoreClient(stacks[8], coordinator=0)
         cut(stacks)
         results = []
         client.put("k", 1, lambda ok, v: results.append(ok))

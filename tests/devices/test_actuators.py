@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.devices import actuators
 from repro.devices.actuators import Actuator
 from repro.sim.kernel import Simulator
 
@@ -13,22 +14,24 @@ class TestActuator:
         assert actuator.output == pytest.approx(0.7)
 
     def test_targets_clamped_to_range(self, sim):
-        actuator = Actuator(sim, "valve", minimum=0.0, maximum=1.0)
+        actuator = Actuator(sim, "valve")
         actuator.command(2.5)
         assert actuator.output == 1.0
         actuator.command(-1.0)
         assert actuator.output == 0.0
 
-    def test_slew_rate_limits_speed(self, sim):
-        actuator = Actuator(sim, "damper", slew_per_s=0.1)
+    def test_slew_rate_limits_speed(self, sim, monkeypatch):
+        monkeypatch.setattr(actuators, "SLEW_PER_S", 0.1)
+        actuator = Actuator(sim, "damper")
         actuator.command(1.0)
         sim.run(until=5.0)
         assert actuator.output == pytest.approx(0.5)
         sim.run(until=20.0)
         assert actuator.output == pytest.approx(1.0)
 
-    def test_actuation_delay_defers_motion(self, sim):
-        actuator = Actuator(sim, "relay", actuation_delay_s=2.0)
+    def test_actuation_delay_defers_motion(self, sim, monkeypatch):
+        monkeypatch.setattr(actuators, "ACTUATION_DELAY_S", 2.0)
+        actuator = Actuator(sim, "relay")
         actuator.command(1.0)
         sim.run(until=1.0)
         assert actuator.output == 0.0
@@ -43,12 +46,9 @@ class TestActuator:
         assert actuator.commands[0].issuer == 7
         assert actuator.commands_applied == 2
 
-    def test_invalid_range_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Actuator(sim, "bad", minimum=1.0, maximum=0.0)
-
-    def test_retarget_mid_slew(self, sim):
-        actuator = Actuator(sim, "damper", slew_per_s=0.1)
+    def test_retarget_mid_slew(self, sim, monkeypatch):
+        monkeypatch.setattr(actuators, "SLEW_PER_S", 0.1)
+        actuator = Actuator(sim, "damper")
         actuator.command(1.0)
         sim.run(until=3.0)  # output 0.3
         actuator.command(0.0)

@@ -2,15 +2,16 @@
 
 import pytest
 
-from repro.devices.energy import Battery, EnergyMeter
+from repro.devices.energy import EnergyMeter
 from repro.devices.platform import CLASS_1_MOTE, CLASS_2_GATEWAY
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_radio(sim):
-    medium = Medium(sim, UnitDiskModel())
+    medium = Medium(sim, UnitDiskModel(), TraceLog())
     return Radio(medium, 1, (0, 0))
 
 
@@ -59,7 +60,7 @@ class TestEnergyMeter:
 
     def test_lifetime_projection(self, sim):
         radio = make_radio(sim)
-        meter = EnergyMeter(radio, CLASS_1_MOTE, Battery(capacity_mah=2600))
+        meter = EnergyMeter(radio, CLASS_1_MOTE)
         meter.reset(sim.now)
         sim.run(until=3600.0)  # pure sleep
         days = meter.projected_lifetime_days(sim.now)
@@ -73,7 +74,3 @@ class TestEnergyMeter:
         radio.set_listening()
         sim.run(until=3600.0)
         assert meter.projected_lifetime_days(sim.now) == float("inf")
-
-    def test_invalid_battery_rejected(self):
-        with pytest.raises(ValueError):
-            Battery(capacity_mah=0).validate()

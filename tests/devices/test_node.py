@@ -8,12 +8,13 @@ from repro.devices.platform import CLASS_2_GATEWAY
 from repro.radio.medium import Medium
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 from tests.conftest import constant_field
 
 
 @pytest.fixture
 def medium(sim):
-    return Medium(sim, UnitDiskModel())
+    return Medium(sim, UnitDiskModel(), TraceLog())
 
 
 class TestDeviceNode:

@@ -6,6 +6,7 @@ from repro.aggregation.service import AggregationService
 from repro.core.system import IIoTSystem, SystemConfig
 from repro.crdt.maps import LWWMap
 from repro.crdt.replication import AntiEntropyConfig, CrdtReplica, NetworkReplicator
+from repro.crdt import store as cp_store
 from repro.crdt.store import CoordinatedStore, StoreClient
 from repro.deployment.rollout import RolloutPlan
 from repro.deployment.topology import (
@@ -95,7 +96,8 @@ class TestRnfdVersusBaseline:
 class TestCapUnderPartition:
     """E9's contrast: AP (CRDT) stays writable, CP blocks."""
 
-    def test_crdt_available_cp_blocked_same_partition(self):
+    def test_crdt_available_cp_blocked_same_partition(self, monkeypatch):
+        monkeypatch.setattr(cp_store, "REQUEST_TIMEOUT_S", 20.0)
         system = IIoTSystem.build(grid_topology(3), seed=202)
         system.start()
         system.run(180.0)
@@ -109,7 +111,7 @@ class TestCapUnderPartition:
         for replicator in replicators:
             replicator.start()
         CoordinatedStore(stacks[0])
-        cp_client = StoreClient(stacks[8], coordinator=0, timeout_s=20.0)
+        cp_client = StoreClient(stacks[8], coordinator=0)
 
         install(system, (PartitionClause(system.sim.now, 30.0,
                                          heal_after_s=120.0),))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.middleware.adapters import modbus, proprietary
 from repro.middleware.adapters.base import AdapterError
 from repro.middleware.adapters.modbus import (
     LegacyModbusDevice,
@@ -54,7 +55,7 @@ class TestModbus:
         done_at = []
         adapter.read_point("temp", lambda v: done_at.append(sim.now))
         sim.run()
-        assert done_at[0] == pytest.approx(device.bus_latency_s)
+        assert done_at[0] == pytest.approx(modbus.BUS_LATENCY_S)
 
     def test_missing_register_reads_none(self, sim):
         device = LegacyModbusDevice(sim, unit_id=1)
@@ -73,11 +74,13 @@ class TestModbus:
 
 
 class TestProprietary:
-    def make(self, sim, busy=0.0):
+    @pytest.fixture(autouse=True)
+    def _never_busy(self, monkeypatch):
+        monkeypatch.setattr(proprietary, "BUSY_PROBABILITY", 0.0)
+
+    def make(self, sim):
         device = ProprietaryAsciiDevice(
-            sim, "chiller", {"TEMP": 7.5, "VLV": 0.0},
-            busy_probability=busy,
-        )
+            sim, "chiller", {"TEMP": 7.5, "VLV": 0.0})
         return device, ProprietaryAdapter(device)
 
     def test_read_parses_ok_reply(self, sim):
@@ -102,8 +105,9 @@ class TestProprietary:
         sim.run()
         assert out == [None]
 
-    def test_busy_replies_are_retried(self, sim):
-        device, adapter = self.make(sim, busy=0.5)
+    def test_busy_replies_are_retried(self, sim, monkeypatch):
+        monkeypatch.setattr(proprietary, "BUSY_PROBABILITY", 0.5)
+        device, adapter = self.make(sim)
         out = []
         adapter.read_point("TEMP", out.append)
         sim.run()

@@ -9,10 +9,11 @@ from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_pair(sim, distance=10.0, **cfg):
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     a = CsmaMac(Radio(medium, 1, (0, 0)), **cfg)
     b = CsmaMac(Radio(medium, 2, (distance, 0)), **cfg)
     a.start()
@@ -85,7 +86,7 @@ class TestBroadcast:
 
 class TestChannelAccess:
     def test_backoff_defers_to_busy_channel(self, sim):
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         a = CsmaMac(Radio(medium, 1, (0, 0)))
         b = CsmaMac(Radio(medium, 2, (10, 0)))
         c = CsmaMac(Radio(medium, 3, (5, 5)))

@@ -17,12 +17,13 @@ from repro.obs.registry import percentile
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 from tests.conftest import TimerPerBufferAdapter
 
 
 def make_adapter():
     sim = Simulator(seed=1)
-    medium = Medium(sim, UnitDiskModel())
+    medium = Medium(sim, UnitDiskModel(), TraceLog())
     mac = CsmaMac(Radio(medium, 1, (0, 0)))
     return FragmentationAdapter(mac, deliver=lambda *a: None)
 
@@ -61,7 +62,7 @@ def test_percentile_bounded_and_monotone(values, fraction):
 # ----------------------------------------------------------------------
 def make_receiver():
     sim = Simulator(seed=1)
-    medium = Medium(sim, UnitDiskModel())
+    medium = Medium(sim, UnitDiskModel(), TraceLog())
     mac = CsmaMac(Radio(medium, 1, (0, 0)))
     received = []
     adapter = FragmentationAdapter(

@@ -9,10 +9,11 @@ from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_line(sim, n=2, spacing=10.0, config=None):
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     macs = []
     for i in range(n):
         mac = LplMac(Radio(medium, i + 1, (i * spacing, 0)),
@@ -61,7 +62,7 @@ class TestRendezvous:
 
     def test_broadcast_reaches_multiple_neighbors(self, sim):
         config = LplConfig(wake_interval_s=0.5)
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         center = LplMac(Radio(medium, 1, (0, 0)), config=config)
         left = LplMac(Radio(medium, 2, (-10, 0)), config=config)
         right = LplMac(Radio(medium, 3, (10, 0)), config=config)
@@ -88,7 +89,7 @@ class TestRendezvous:
 
     def test_unreachable_unicast_fails(self, sim):
         config = LplConfig(wake_interval_s=0.5)
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         a = LplMac(Radio(medium, 1, (0, 0)), config=config)
         b = LplMac(Radio(medium, 2, (100, 0)), config=config)
         a.start()

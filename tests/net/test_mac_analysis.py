@@ -13,11 +13,12 @@ from repro.net.mac.lpl import LplConfig, LplMac
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def run_one_hop(config, count=60, period=4.31, seed=7):
     sim = Simulator(seed=seed)
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     sender = LplMac(Radio(medium, 1, (0, 0)), config=config)
     receiver = LplMac(Radio(medium, 2, (10, 0)), config=config)
     sender.start()
@@ -52,7 +53,7 @@ class TestAgainstSimulation:
         config = LplConfig(wake_interval_s=0.5)
         model = LplExpectations(config)
         sim = Simulator(seed=9)
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         mac = LplMac(Radio(medium, 1, (0, 0)), config=config)
         mac.start()
         sim.run(until=600.0)

@@ -6,11 +6,12 @@ from repro.net.mac.lpl import LplConfig, LplMac
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_pair(seed, lock):
     sim = Simulator(seed=seed)
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     config = LplConfig(wake_interval_s=0.5, phase_lock=lock)
     a = LplMac(Radio(medium, 1, (0, 0)), config=config)
     b = LplMac(Radio(medium, 2, (10, 0)), config=config)

@@ -9,10 +9,11 @@ from repro.net.packet import BROADCAST, FrameKind
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_pair(sim, distance=10.0, config=None):
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     a = RiMac(Radio(medium, 1, (0, 0)), config=config)
     b = RiMac(Radio(medium, 2, (distance, 0)), config=config)
     a.start()
@@ -36,7 +37,7 @@ class TestUnicast:
     def test_unreachable_unicast_fails_after_wait(self, sim, monkeypatch):
         monkeypatch.setattr(rimac, "MAX_RETRIES", 0)
         config = RiMacConfig(wake_interval_s=0.5)
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         a = RiMac(Radio(medium, 1, (0, 0)), config=config)
         b = RiMac(Radio(medium, 2, (100, 0)), config=config)
         a.start()

@@ -7,10 +7,11 @@ from repro.net.mac.syncflood import FloodResult, SyncFloodConfig, SyncFloodServi
 from repro.radio.medium import Medium, Radio
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 
 
 def make_line(sim, n=6, spacing=20.0):
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     for i in range(n):
         Radio(medium, i, (i * spacing, 0.0))
     return medium

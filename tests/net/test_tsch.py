@@ -11,11 +11,12 @@ from repro.net.packet import BROADCAST
 from repro.radio.medium import Medium, Radio, RadioState
 from repro.radio.propagation import UnitDiskModel
 from repro.sim.kernel import Simulator
+from repro.sim.trace import TraceLog
 from tests.conftest import reserved_slots
 
 
 def make_pair(sim, distance=10.0, config=None):
-    medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
     a = TschMac(Radio(medium, 1, (0, 0)), config=config)
     b = TschMac(Radio(medium, 2, (distance, 0)), config=config)
     a.start()
@@ -30,7 +31,7 @@ class TestConfig:
     def test_invalid_config_rejected(self, sim):
         # The one settable field; the constants' own consistency is
         # tests/core/test_protocol_constants.py.
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         with pytest.raises(MacConfigError):
             TschMac(Radio(medium, 1, (0, 0)),
                     config=TschConfig(slotframe_slots=1))
@@ -117,7 +118,7 @@ class TestUnicast:
 
 class TestBroadcast:
     def test_broadcast_reaches_neighbors_via_shared_cell(self, sim):
-        medium = Medium(sim, UnitDiskModel(radius_m=25.0))
+        medium = Medium(sim, UnitDiskModel(radius_m=25.0), TraceLog())
         macs = [TschMac(Radio(medium, i, (i * 10.0, 0.0)))
                 for i in range(3)]
         for mac in macs:
@@ -193,7 +194,7 @@ class TestDeterminism:
     @staticmethod
     def _run(seed):
         simulator = Simulator(seed=seed)
-        medium = Medium(simulator, UnitDiskModel(radius_m=25.0))
+        medium = Medium(simulator, UnitDiskModel(radius_m=25.0), TraceLog())
         a = TschMac(Radio(medium, 1, (0, 0)))
         b = TschMac(Radio(medium, 2, (10.0, 0)))
         a.start()

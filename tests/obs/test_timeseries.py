@@ -274,14 +274,15 @@ class TestSystemIntegration:
     def test_bad_interval_fails_at_build(self, interval):
         """NaN would fail only at ``start()`` (the kernel's negative-or-
         NaN delay) and inf would attach an engine that never scrapes:
-        both are refused when the system is built, like 0 and -1."""
+        both are refused before the system is built — when its config is
+        made — like 0 and -1."""
         from repro.core.system import IIoTSystem, SystemConfig
         from repro.deployment.topology import grid_topology
 
-        config = SystemConfig(observability=True,
-                              telemetry_interval_s=interval)
         with pytest.raises(ValueError,
                            match="SystemConfig.telemetry_interval_s"):
+            config = SystemConfig(observability=True,
+                                  telemetry_interval_s=interval)
             IIoTSystem.build(grid_topology(2), config=config, seed=1)
 
     def test_telemetry_off_schedules_nothing(self):

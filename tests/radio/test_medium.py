@@ -129,7 +129,7 @@ class TestCollisions:
                 level = -40.0 if tuple(sender) == (1.0, 0.0) else -60.0
                 return np.full(len(receivers), level)
 
-        medium = Medium(sim, TwoLevel(radius_m=200.0))
+        medium = Medium(sim, TwoLevel(radius_m=200.0), TraceLog())
         strong = Radio(medium, 1, (1.0, 0.0))
         weak = Radio(medium, 2, (2.0, 0.0))
         victim = Radio(medium, 3, (3.0, 0.0))
@@ -146,7 +146,7 @@ def test_link_model_is_bound_once(sim):
     # The grid is sized from the model at construction; a replacement
     # would silently keep serving it.
     model = UnitDiskModel(radius_m=30.0)
-    medium = Medium(sim, model)
+    medium = Medium(sim, model, TraceLog())
     with pytest.raises(AttributeError):
         medium.model = UnitDiskModel(radius_m=200.0)
     assert medium.model is model
