@@ -12,7 +12,8 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   makes per traced occurrence: one ``TraceLog.emit`` of a
   ``radio.rx``-shaped record under a whole-stream subscriber (the
   bounded tail), and one span ``start`` + ``finish`` of a
-  ``radio.airtime``-shaped child span;
+  ``radio.airtime``-shaped child span, then the bytes each such span
+  leaves allocated once stored (tracemalloc over the same loop);
 - the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
@@ -47,8 +48,10 @@ unchanged on any checkout with the same kernel, medium and workload API.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import tracemalloc
 from collections import Counter
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Tuple
@@ -281,6 +284,24 @@ def outcome_digest(workload: Any) -> str:
     return original({k: v for k, v in parts.items() if k != "events"})
 
 
+def span_bytes(spans: int) -> float:
+    """Bytes per span that :func:`span_loop`'s spans leave allocated
+    once stored, by tracemalloc (the loop is not timed under it)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracer = SpanTracer(pinned_categories=GATED_SPAN_CATEGORIES)
+        root = tracer.start(None, "net.send", 1, 0.0)
+        for _ in range(spans):
+            tracer.finish(tracer.start(root, "radio.airtime", node=1, t=1.0,
+                                       size=40), 1.5)
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / spans
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2018)
@@ -298,6 +319,7 @@ def main() -> int:
     print(f"  {'emit, stream watched':24s}{best:8.2f} us/record")
     best = min(span_loop(LOOP_SPANS) for _ in range(REPEATS))
     print(f"  {'span start + finish':24s}{best:8.2f} us/span")
+    print(f"  {'span stored':24s}{span_bytes(LOOP_SPANS):8.1f} B/span")
     totals, rows, digest = census(args.workload, args.seed)
     print(f"{args.workload} seed {args.seed}, timed section:")
     for name, value in totals.items():

@@ -10,7 +10,7 @@ in-network aggregation pay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 
 @dataclass(frozen=True)

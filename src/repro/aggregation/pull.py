@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.devices.node import DeviceNode
 from repro.sim.timers import PeriodicTimer

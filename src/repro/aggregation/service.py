@@ -14,10 +14,10 @@ border router forward O(subtree) messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.aggregation.operators import OPERATORS, AggregateOperator
+from repro.aggregation.operators import OPERATORS
 from repro.aggregation.query import AggregationQuery
 from repro.devices.node import DeviceNode
 

@@ -330,20 +330,17 @@ def report_main(argv) -> int:
                              "(default: duration/10 when --live is given, "
                              "else telemetry stays off)")
     args = parser.parse_args(argv)
-    if not 0.0 <= args.span_sample_rate <= 1.0:
-        parser.error("--span-sample-rate must be in [0, 1]")
-    if args.span_max_stored is not None and args.span_max_stored < 1:
-        parser.error("--span-max-stored must be >= 1")
-    if args.telemetry_interval is not None \
-            and not 0.0 < args.telemetry_interval < math.inf:
-        parser.error("--telemetry-interval must be finite and > 0")
 
     interval = args.telemetry_interval
     if interval is None and args.live is not None:
         interval = max(1.0, args.duration / 10.0)
-    scenario = demo_scenario(parser, args, replace(
-        DEMO.config, span_sample_rate=args.span_sample_rate,
-        span_max_stored=args.span_max_stored, telemetry_interval_s=interval))
+    try:
+        config = replace(
+            DEMO.config, span_sample_rate=args.span_sample_rate,
+            span_max_stored=args.span_max_stored, telemetry_interval_s=interval)
+    except ValueError as refused:  # SystemConfig names the field
+        parser.error(str(refused))
+    scenario = demo_scenario(parser, args, config)
     if args.faults:
         scenario = replace(scenario, faults=demo_faults(scenario))
 

@@ -24,7 +24,7 @@ periods is a genuine repair failure.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.checking.base import FaultWindowMixin, InvariantChecker
 from repro.net import packet as wire

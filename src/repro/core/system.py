@@ -15,9 +15,8 @@ The three logical tiers:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.deployment.topology import Topology
 from repro.devices.node import DeviceNode
@@ -68,16 +67,19 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         # Refused when made, not when run: a config that constructs runs.
-        if not 0.0 <= self.span_sample_rate <= 1.0:  # NaN fails too
-            raise ValueError("SystemConfig.span_sample_rate must be within "
-                             f"[0.0, 1.0]: {self.span_sample_rate!r}")
-        if self.span_max_stored is not None and self.span_max_stored < 1:
-            raise ValueError("SystemConfig.span_max_stored must be >= 1 or "
-                             f"None: {self.span_max_stored!r}")
+        # The bounds live beside the classes they protect; their modules
+        # are imported only for a value off its (valid) default, so a
+        # plain config loads no repro.obs module.
+        if self.span_sample_rate != 1.0 or self.span_max_stored is not None:
+            from repro.obs.spans import check_max_spans, check_sample_rate
+            check_sample_rate(self.span_sample_rate,
+                              "SystemConfig.span_sample_rate")
+            check_max_spans(self.span_max_stored,
+                            "SystemConfig.span_max_stored")
         interval = self.telemetry_interval_s
-        if interval is not None and not 0.0 < interval < math.inf:
-            raise ValueError("SystemConfig.telemetry_interval_s must be "
-                             f"finite and positive: {interval!r}")
+        if interval is not None:
+            from repro.obs.timeseries import check_interval
+            check_interval(interval, "SystemConfig.telemetry_interval_s")
         if interval is not None and not self.observability:
             raise ValueError(
                 "SystemConfig.telemetry_interval_s requires "

@@ -11,7 +11,7 @@ every stage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.deployment.topology import Topology
 from repro.sim.kernel import Simulator

@@ -17,7 +17,7 @@ experiment E14 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.devices.platform import CLASS_1_MOTE, PlatformProfile
 from repro.radio.medium import BITRATE_BPS, PHY_OVERHEAD_BYTES

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.middleware.adapters.base import AdapterError, ProtocolAdapter
+from repro.middleware.adapters.base import ProtocolAdapter
 from repro.sim.kernel import Simulator
 
 #: Serial round trip of one command line, in sim seconds.

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from repro.middleware.coap.codes import CoapCode, CoapType
+from repro.middleware.coap.codes import CoapCode
 from repro.middleware.coap.message import CoapMessage
 from repro.middleware.coap.transport import CoapTransport
 from repro.sim.timers import Timer

@@ -7,7 +7,7 @@ the pattern industrial telemetry uses instead of polling.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.middleware.coap.codes import CoapCode
 

@@ -11,7 +11,7 @@ measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.middleware.adapters.base import ProtocolAdapter

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.net.packet import BROADCAST, FrameKind, MacFrame

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Tuple
 
 #: Link-layer broadcast address.
 BROADCAST = 0xFFFF
@@ -50,7 +50,7 @@ class MacFrame:
     payload_bytes: int = 0
     #: Authentication tag bytes added by the security layer (0 = none).
     auth_bytes: int = 0
-    #: Span context of the MAC job carrying this frame (repro.obs);
+    #: Span id of the MAC job carrying this frame (repro.obs);
     #: None outside observability runs and for control/ACK frames.
     trace_ctx: Any = None
 

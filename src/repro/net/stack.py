@@ -405,7 +405,7 @@ class NetworkStack:
             ctx = packet.trace_ctx
             obs.registry.observe(
                 "net.latency_s", latency, port=datagram.dst_port,
-                exemplar=ctx.trace_id if ctx is not None else None)
+                exemplar=None if ctx is None else obs.spans.trace_of(ctx))
             obs.spans.finish(ctx, self.sim.now, delivered=True,
                              latency=latency, hops=packet.hops)
         if datagram.dst_port == RPL_DAO_PORT:

@@ -7,12 +7,21 @@ so the whole path (app → CoAP → RPL forwarding hops → MAC
 attempts/retransmissions → radio airtime and per-receiver outcomes)
 reconstructs as a tree after the run.
 
-A :class:`Span` is its own handle: :meth:`SpanTracer.start` returns it,
-it is threaded through the stack as the ``trace_ctx`` attribute of
-datagrams, packets, and MAC frames, and every layer that sees one
-attaches its own child spans to it.  Ids are
-allocated from per-tracer counters in event-execution order, so a seeded
-run produces identical span ids run over run.
+A span's handle is its id: :meth:`SpanTracer.start` returns it, it is
+threaded through the stack as the ``trace_ctx`` attribute of datagrams,
+packets, and MAC frames, and every layer that sees one attaches its own
+child spans to it.  Ids are allocated densely from per-tracer counters
+in event-execution order, so a seeded run produces identical span ids
+run over run.
+
+A stored span is a row, not an object.  Its fixed-width fields (parent
+id, node, start time, category index) are packed into one byte buffer;
+its trace id, end time, data keys and data values sit in four lists,
+so a child span, ``finish`` and ``annotate`` index them directly.  A
+closed span's data is one tuple of values beside a key tuple interned
+per shape: an instrumented run keeps no per-span object or dict, only
+the data dict of each span still open.  Readers build :class:`Span`
+records from the rows on demand.
 
 Two storage knobs keep long instrumented runs cheap (both default off,
 so a plain ``SpanTracer()`` records everything, byte-identically to
@@ -32,54 +41,62 @@ every earlier release):
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from struct import Struct
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.mix import GOLDEN, mix64
 
+#: A stored span's fixed-width fields: parent id (0: a root), node
+#: (_NO_NODE: none), start, category index.
+_ROW = Struct("<qqdi")
+_ROW_SIZE = _ROW.size
+_NO_NODE = -(1 << 63)
+#: A stored span as one tuple: trace id, parent id, node, start, end,
+#: category index, data keys (None while open), data values (a dict
+#: while open).
+Row = Tuple[int, int, int, float, Optional[float], int,
+            Optional[Tuple[str, ...]], Any]
 
-class Span:
-    """One recorded step, and the handle to it; ``end`` is None while
-    the step is open.
 
-    A plain ``__slots__`` class (not a dataclass): span construction is
-    the single hottest allocation of an instrumented run, and skipping
-    the per-instance ``__dict__`` keeps each record small and cheap.
-    A span the ring buffer evicted stays a valid handle: finishing or
-    annotating it changes nothing stored.
+def check_sample_rate(rate: float,
+                      name: str = "SpanTracer.sample_rate") -> None:
+    """Refuse a sampling rate outside ``[0.0, 1.0]`` (NaN too), naming
+    the field ``name`` it came from."""
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{name} must be within [0.0, 1.0]: {rate!r}")
+
+
+def check_max_spans(bound: Optional[int],
+                    name: str = "SpanTracer.max_spans") -> None:
+    """Refuse a ring-buffer bound below 1, naming the field ``name`` it
+    came from; None (unbounded) passes."""
+    if bound is not None and bound < 1:
+        raise ValueError(f"{name} must be >= 1 or None: {bound!r}")
+
+
+class Span(NamedTuple):
+    """One stored span as a reader sees it; ``end`` is None while the
+    step is open.
+
+    Built on read from the tracer's rows: a record, not a handle.
+    Its ``data`` is a fresh dict, so changing it changes nothing stored.
     """
 
-    __slots__ = ("span_id", "trace_id", "parent_id", "category", "node",
-                 "start", "end", "data")
-
-    def __init__(
-        self,
-        span_id: int,
-        trace_id: int,
-        parent_id: Optional[int],
-        category: str,
-        node: Optional[int],
-        start: float,
-        end: Optional[float] = None,
-        data: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        self.span_id = span_id
-        self.trace_id = trace_id
-        self.parent_id = parent_id
-        self.category = category
-        self.node = node
-        self.start = start
-        self.end = end
-        self.data = data if data is not None else {}
+    span_id: int
+    trace_id: int
+    parent_id: Optional[int]
+    category: str
+    node: Optional[int]
+    start: float
+    end: Optional[float]
+    data: Dict[str, Any]
 
     @property
     def duration(self) -> float:
         return (self.end if self.end is not None else self.start) - self.start
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Span(id={self.span_id}, trace={self.trace_id}, "
-                f"parent={self.parent_id}, {self.category!r}, node={self.node}, "
-                f"t={self.start}..{self.end}, data={self.data})")
 
 
 @dataclass
@@ -106,6 +123,31 @@ class SpanNode:
             yield from child.walk()
 
 
+class _StoredSpans(Mapping):
+    """A tracer's stored spans by id, read-only; each lookup builds its
+    :class:`Span`."""
+
+    __slots__ = ("_tracer",)
+
+    def __init__(self, tracer: "SpanTracer") -> None:
+        self._tracer = tracer
+
+    def __getitem__(self, span_id: int) -> Span:
+        row = self._tracer._row(span_id)
+        if row is None:
+            raise KeyError(span_id)
+        return self._tracer._span(span_id, row)
+
+    def __contains__(self, span_id: object) -> bool:
+        return isinstance(span_id, int) and self._tracer._row(span_id) is not None
+
+    def __iter__(self) -> Iterator[int]:
+        return (span_id for span_id, _ in self._tracer._rows_stored())
+
+    def __len__(self) -> int:
+        return len(self._tracer)
+
+
 class SpanTracer:
     """Records spans and reconstructs per-trace trees.
 
@@ -129,6 +171,13 @@ class SpanTracer:
         its first dotted segment: ``"fault"`` pins ``"fault.crash"``).
         These are the records dependability gates and repro bundles
         grade; they survive even if the buffer overruns its bound.
+
+    Storage: row ``i`` is span id ``_base + i``.  A row behind the
+    eviction cursor whose category is not pinned is evicted (its data
+    is released at once).  Once the rows behind the cursor are half the
+    buffer, the ring drops them in one slice, and the pinned ones among
+    them move to a side table.  A dropped row keeps only its trace id (8 B), because any
+    handle ever returned may still parent a later span.
     """
 
     def __init__(
@@ -138,22 +187,43 @@ class SpanTracer:
         max_spans: Optional[int] = None,
         pinned_categories: Iterable[str] = (),
     ) -> None:
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be within [0.0, 1.0]")
-        if max_spans is not None and max_spans < 1:
-            raise ValueError("max_spans must be >= 1 (or None)")
-        self.spans: Dict[int, Span] = {}
-        self._by_trace: Dict[int, List[int]] = {}
+        check_sample_rate(sample_rate)
+        check_max_spans(max_spans)
         self._next_trace = 1
         self._next_span = 1
         self.sample_rate = sample_rate
         self.sample_seed = sample_seed
         self.max_spans = max_spans
         self._pinned = frozenset(pinned_categories)
+        #: Category names by index, their indices, and which the ring
+        #: may evict.
+        self._categories: List[str] = []
+        self._category_index: Dict[str, int] = {}
+        self._evictable: List[bool] = []
+        #: One key tuple per data shape.
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._base = 1
+        self._rows = bytearray()
+        self._trace: List[int] = []
+        self._end: List[Optional[float]] = []  # None: still open
+        #: A closed span's data: its interned key tuple and its values.
+        #: An open span's is the dict it was started with (key None):
+        #: annotate and finish update it in place, finish packs it.
+        self._keys: List[Optional[Tuple[str, ...]]] = []
+        self._values: List[Any] = []
+        #: Pinned rows dropped from the columns, by span id, as lists in
+        #: :data:`Row` order.
+        self._side: Dict[int, List[Any]] = {}
+        #: The trace id of every dropped row, at index span id - 1.
+        self._dropped_trace = array("q")
         #: Oldest span id not yet considered for eviction.  Span ids are
         #: allocated monotonically, so a single forward cursor finds the
         #: eviction victim in amortized O(1).
         self._evict_cursor = 1
+        #: Stored span ids by trace, built by the first read after a
+        #: write that stored or evicted a span.
+        self._grouped_at: Optional[Tuple[int, int]] = None
+        self._groups: Dict[int, List[int]] = {}
         #: Traces skipped by sampling / spans dropped by the ring.
         self.sampled_out = 0
         self.evicted = 0
@@ -179,47 +249,71 @@ class SpanTracer:
         return (category in self._pinned
                 or category.split(".", 1)[0] in self._pinned)
 
-    def _store(self, span: Span) -> Span:
-        self.spans[span.span_id] = span
-        by_trace = self._by_trace.get(span.trace_id)
-        if by_trace is None:
-            by_trace = self._by_trace[span.trace_id] = []
-        by_trace.append(span.span_id)
-        if self.max_spans is not None and len(self.spans) > self.max_spans:
-            self._evict()
-        return span
+    def _category(self, category: str) -> int:
+        index = self._category_index[category] = len(self._categories)
+        self._categories.append(category)
+        self._evictable.append(not self._is_pinned(category))
+        return index
+
+    def _evicted(self, span: int, i: int) -> bool:
+        """Whether the ring evicted ``span``, at row ``i``: the cursor
+        passed it and its category is not pinned."""
+        return (span < self._evict_cursor and self._evictable[
+            _ROW.unpack_from(self._rows, i * _ROW_SIZE)[3]])
 
     def _evict(self) -> None:
-        """Drop oldest non-pinned spans until back under the bound.
+        """Evict oldest non-pinned spans until back under the bound.
 
         Pinned spans are skipped (and, once passed, never revisited —
         they are immortal by policy, so the cursor owes them nothing).
         If only pinned spans remain the buffer is allowed to exceed its
         bound: gated categories outrank the memory cap.
         """
-        while (len(self.spans) > self.max_spans
+        base = self._base
+        while (len(self) > self.max_spans
                and self._evict_cursor < self._next_span):
-            sid = self._evict_cursor
+            span = self._evict_cursor
             self._evict_cursor += 1
-            span = self.spans.get(sid)
-            if span is None or self._is_pinned(span.category):
-                continue
-            del self.spans[sid]
-            self.evicted += 1
+            if self._evicted(span, span - base):
+                self._keys[span - base] = self._values[span - base] = ()
+                self.evicted += 1
+        passed = self._evict_cursor - base
+        # Half the rows or more at once: each row moves O(1) times.
+        if 2 * passed >= len(self._values):
+            self._drop(passed)
+
+    def _drop(self, rows: int) -> None:
+        """Drop the first ``rows`` rows, all behind the eviction cursor;
+        the pinned ones move to the side table."""
+        base = self._base
+        for i in range(rows):
+            row = self._row_at(i)
+            if not self._evictable[row[5]]:
+                self._side[base + i] = list(row)
+        self._dropped_trace.extend(self._trace[:rows])
+        del self._rows[:rows * _ROW_SIZE]
+        for column in (self._trace, self._end, self._keys, self._values):
+            del column[:rows]
+        self._base = base + rows
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
+    def trace_of(self, span: int) -> int:
+        """The trace of span handle ``span``, stored or evicted."""
+        i = span - self._base
+        return self._trace[i] if i >= 0 else self._dropped_trace[span - 1]
+
     def start(
         self,
-        parent: Optional[Span],
+        parent: Optional[int],
         category: str,
         node: Optional[int],
         t: float,
         **data: Any,
-    ) -> Optional[Span]:
-        """Open a span and return it.  ``parent=None`` starts a fresh
-        trace.
+    ) -> Optional[int]:
+        """Open a span and return its id.  ``parent=None`` starts a
+        fresh trace.
 
         Under sampling, an unsampled new trace returns ``None`` — the
         same value every layer already treats as "no span tracing
@@ -235,30 +329,54 @@ class SpanTracer:
             if not self._trace_sampled(trace_id) and not self._is_pinned(category):
                 self.sampled_out += 1
                 return None
-            parent_id = None
+            parent = 0
         else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
+            i = parent - self._base
+            trace_id = (self._trace[i] if i >= 0
+                        else self._dropped_trace[parent - 1])
+        # The store, written out here and in event() rather than called:
+        # it runs once per span, the hottest path of an observed run.
+        cat = self._category_index.get(category)
+        if cat is None:
+            cat = self._category(category)
+        self._rows += _ROW.pack(parent, _NO_NODE if node is None else node,
+                                t, cat)
+        self._trace.append(trace_id)
+        self._end.append(None)
+        self._keys.append(None)
+        self._values.append(data)
         span_id = self._next_span
-        self._next_span += 1
-        return self._store(Span(span_id, trace_id, parent_id,
-                                category, node, t, None, data))
+        self._next_span = span_id + 1
+        if self.max_spans is not None and len(self) > self.max_spans:
+            self._evict()
+        return span_id
 
-    def finish(self, span: Optional[Span], t: float, **data: Any) -> None:
+    def finish(self, span: Optional[int], t: float, **data: Any) -> None:
         """Close a span (idempotent: the first end time wins).
 
         ``span=None`` — an unsampled trace's handle — is a no-op, so
         callers can thread :meth:`start` results through without
-        re-checking sampling decisions.
+        re-checking sampling decisions.  So is a span the ring evicted.
         """
         if span is None:
             return
-        if span.end is None:
-            span.end = t
-        if data:
-            span.data.update(data)
+        i = span - self._base
+        end = self._end
+        if self._evict_cursor <= span < self._next_span and end[i] is None:
+            # _write(span, t, data) of an open row, written out: nearly
+            # every span is finished once, while it is open.
+            end[i] = t
+            values = self._values
+            opened = values[i]
+            if data:
+                opened.update(data)
+            keys = tuple(opened)
+            self._keys[i] = self._shapes.setdefault(keys, keys)
+            values[i] = tuple(opened.values())
+        else:
+            self._write(span, t, data)
 
-    def annotate(self, span: Optional[Span], **data: Any) -> None:
+    def annotate(self, span: Optional[int], **data: Any) -> None:
         """Attach data to an open span *without* closing it.
 
         Mid-span waypoints (e.g. the MAC job's ``service_start``) let
@@ -266,44 +384,145 @@ class SpanTracer:
         layers than start/end alone allow.  Same ``span=None`` no-op
         contract as :meth:`finish`.
         """
-        if span is not None and data:
-            span.data.update(data)
+        if span is None or not data:
+            return
+        i = span - self._base
+        if self._evict_cursor <= span < self._next_span and self._end[i] is None:
+            self._values[i].update(data)
+        else:
+            self._write(span, None, data)
+
+    def _write(self, span: int, end: Optional[float],
+               data: Dict[str, Any]) -> None:
+        """Close ``span`` at ``end`` (None: leave it open) and update its
+        data with ``data``, wherever its row is; a span evicted or never
+        recorded is left alone."""
+        i = span - self._base
+        if i < 0:
+            row = self._side.get(span)
+            if row is not None:
+                row[4], row[6], row[7] = self._written(
+                    row[4], row[6], row[7], end, data)
+        elif span < self._next_span and not self._evicted(span, i):
+            self._end[i], self._keys[i], self._values[i] = self._written(
+                self._end[i], self._keys[i], self._values[i], end, data)
+
+    def _written(self, end: Optional[float], keys: Optional[Tuple[str, ...]],
+                 values: Any, t: Optional[float], data: Dict[str, Any]
+                 ) -> Tuple[Optional[float], Optional[Tuple[str, ...]], Any]:
+        """A row's (end, keys, values) after :meth:`_write`.  A closed
+        row's new keys and values are appended, repeats included: the
+        dict a reader builds from them keeps each key where it first
+        came and the value it got last, as ``dict.update`` would."""
+        if end is None:
+            values.update(data)
+            if t is None:
+                return None, None, values
+            keys = tuple(values)
+            return t, self._shapes.setdefault(keys, keys), tuple(values.values())
+        if data:
+            keys += tuple(data)
+            keys = self._shapes.setdefault(keys, keys)
+            values += tuple(data.values())
+        return end, keys, values
 
     def event(
         self,
-        parent: Optional[Span],
+        parent: Optional[int],
         category: str,
         node: Optional[int],
         t: float,
         **data: Any,
-    ) -> Optional[Span]:
+    ) -> Optional[int]:
         """A zero-duration child span (a point occurrence on the path).
 
-        Built closed in one allocation rather than via start()+finish().
+        Stored closed in one row rather than via start()+finish().
         ``parent=None`` (unsampled trace) records nothing.
         """
         if parent is None:
             return None
+        i = parent - self._base
+        trace_id = self._trace[i] if i >= 0 else self._dropped_trace[parent - 1]
+        # The store, as in start(), of a span closed at once.
+        cat = self._category_index.get(category)
+        if cat is None:
+            cat = self._category(category)
+        self._rows += _ROW.pack(parent, _NO_NODE if node is None else node,
+                                t, cat)
+        self._trace.append(trace_id)
+        self._end.append(t)
+        keys = tuple(data)
+        self._keys.append(self._shapes.setdefault(keys, keys))
+        self._values.append(tuple(data.values()))
         span_id = self._next_span
-        self._next_span += 1
-        return self._store(Span(span_id, parent.trace_id, parent.span_id,
-                                category, node, t, t, data))
+        self._next_span = span_id + 1
+        if self.max_spans is not None and len(self) > self.max_spans:
+            self._evict()
+        return span_id
 
     # ------------------------------------------------------------------
-    # reconstruction
+    # reading
     # ------------------------------------------------------------------
+    def _row_at(self, i: int) -> Row:
+        parent, node, start, cat = _ROW.unpack_from(self._rows, i * _ROW_SIZE)
+        return (self._trace[i], parent, node, start, self._end[i], cat,
+                self._keys[i], self._values[i])
+
+    def _row(self, span: int) -> Optional[Row]:
+        """A stored span's row; None if it was evicted or never
+        recorded."""
+        i = span - self._base
+        if i < 0:
+            row = self._side.get(span)
+            return None if row is None else tuple(row)
+        if i >= len(self._end) or self._evicted(span, i):
+            return None
+        return self._row_at(i)
+
+    def _rows_stored(self) -> Iterator[Tuple[int, Row]]:
+        """``(span id, row)`` of every stored span, in recording order."""
+        for span_id, row in self._side.items():
+            yield span_id, tuple(row)
+        base, cursor, evictable = self._base, self._evict_cursor, self._evictable
+        for i, (parent, node, start, cat) in enumerate(
+                _ROW.iter_unpack(self._rows)):
+            if base + i >= cursor or not evictable[cat]:
+                yield base + i, (self._trace[i], parent, node, start,
+                                 self._end[i], cat, self._keys[i],
+                                 self._values[i])
+
+    def _span(self, span_id: int, row: Row) -> Span:
+        trace_id, parent, node, start, end, cat, keys, values = row
+        return Span(span_id, trace_id, parent or None, self._categories[cat],
+                    None if node == _NO_NODE else node, start, end,
+                    dict(values) if keys is None else dict(zip(keys, values)))
+
+    def _by_trace(self) -> Dict[int, List[int]]:
+        """Stored span ids grouped by trace, traces ascending: one pass
+        over the rows, repeated only after a store or an eviction."""
+        stamp = (self._next_span, self.evicted)
+        if self._grouped_at != stamp:
+            groups: Dict[int, List[int]] = {}
+            for span_id, row in self._rows_stored():
+                groups.setdefault(row[0], []).append(span_id)
+            self._groups = dict(sorted(groups.items()))
+            self._grouped_at = stamp
+        return self._groups
+
+    @property
+    def spans(self) -> Mapping:
+        """Stored spans by id, in recording order (read-only)."""
+        return _StoredSpans(self)
+
     def trace_ids(self) -> List[int]:
         """Trace ids with at least one span still stored."""
-        return sorted(
-            trace_id for trace_id, span_ids in self._by_trace.items()
-            if any(sid in self.spans for sid in span_ids)
-        )
+        return list(self._by_trace())
 
     def spans_for(self, trace_id: int) -> List[Span]:
         """Stored spans of one trace in recording (event-execution)
         order.  Spans the ring buffer evicted are simply absent."""
-        return [self.spans[sid] for sid in self._by_trace.get(trace_id, [])
-                if sid in self.spans]
+        return [self._span(span_id, self._row(span_id))
+                for span_id in self._by_trace().get(trace_id, ())]
 
     def tree(self, trace_id: int) -> Optional[SpanNode]:
         """Rebuild one trace's span tree; None for unknown traces.
@@ -333,17 +552,11 @@ class SpanTracer:
 
     def traces_overlapping(self, since: float, until: float) -> List[int]:
         """Trace ids with at least one span inside ``[since, until]``."""
-        hits = []
-        for trace_id, span_ids in sorted(self._by_trace.items()):
-            for sid in span_ids:
-                span = self.spans.get(sid)
-                if span is None:
-                    continue
-                end = span.end if span.end is not None else span.start
-                if end >= since and span.start <= until:
-                    hits.append(trace_id)
-                    break
-        return hits
+        hits = set()
+        for _, (trace_id, _, _, start, end, *_) in self._rows_stored():
+            if (start if end is None else end) >= since and start <= until:
+                hits.add(trace_id)
+        return sorted(hits)
 
     # ------------------------------------------------------------------
     # rendering
@@ -372,4 +585,4 @@ class SpanTracer:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return self._next_span - 1 - self.evicted

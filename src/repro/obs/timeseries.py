@@ -85,6 +85,15 @@ class TelemetryWindow(MetricsSnapshot):
         return window
 
 
+def check_interval(interval_s: float,
+                   name: str = "TelemetryEngine.interval_s") -> None:
+    """Refuse a scrape period that is not finite and positive, naming
+    the field ``name`` it came from: NaN would fail only at the first
+    scrape, and inf would never scrape."""
+    if not 0.0 < interval_s < math.inf:
+        raise ValueError(f"{name} must be finite and positive: {interval_s!r}")
+
+
 class TelemetryEngine:
     """Scrapes a :class:`Registry` into fixed sim-time windows.
 
@@ -102,11 +111,7 @@ class TelemetryEngine:
         interval_s: float,
         domain_of: Optional[Callable[[int], Optional[str]]] = None,
     ) -> None:
-        if not 0.0 < interval_s < math.inf:
-            # NaN would fail only at the first scrape, inf never scrape.
-            raise ValueError(
-                "SystemConfig.telemetry_interval_s must be finite and "
-                f"positive: {interval_s!r}")
+        check_interval(interval_s)
         self.sim = sim
         self.registry = registry
         self.interval_s = interval_s

@@ -13,7 +13,7 @@ Two control placements, matching the availability discussion (§V-C):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.devices.actuators import Actuator
 from repro.devices.node import DeviceNode

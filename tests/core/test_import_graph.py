@@ -7,6 +7,7 @@ start").  Each case asks one fresh interpreter what it loaded; nothing
 here reads a wall clock.
 """
 
+import ast
 import json
 import pathlib
 import subprocess
@@ -115,3 +116,52 @@ def test_a_low_tier_module_loads_only_its_own_and_lower_tiers(module, tiers):
     assert [name for name in loaded if name != "repro" and not any(
         name == prefix or name.startswith(prefix + ".")
         for prefix in allowed)] == []
+
+
+def _unused_imports(source: str):
+    """Names a module imports at module level and never mentions again —
+    in code, or in a string annotation."""
+    tree = ast.parse(source)
+    imported = {}
+    for statement in tree.body:
+        if isinstance(statement, ast.ImportFrom) \
+                and statement.module == "__future__":
+            continue
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            for alias in statement.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = statement.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(name.id for name in ast.walk(quoted)
+                        if isinstance(name, ast.Name))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_level_import_goes_unused():
+    # No linter runs here, so this is the check: an import nothing uses
+    # is a dependency the layering and cold-start censuses count for
+    # nothing.
+    root = pathlib.Path(repro.__file__).parent
+    unused = [f"{path.relative_to(root)}:{line}: {name}"
+              for path in sorted(root.rglob("*.py"))
+              for line, name in _unused_imports(path.read_text())]
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_names_code_and_annotations_use():
+    assert _unused_imports(
+        "from __future__ import annotations\n"
+        "import os, os.path\n"
+        "from typing import Dict, List, Optional\n"
+        "from a import b as c\n"
+        "def f(x: 'Optional[int]') -> List[int]:\n"
+        "    return os.sep\n") == [(3, "Dict"), (4, "c")]

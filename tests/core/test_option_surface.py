@@ -138,10 +138,9 @@ CONSTRUCTOR_KEYWORDS = {
     "Counter": ["name", "labels"],
     "Gauge": ["name", "labels"],
     "Histogram": ["name", "labels"],
-    "Span": ["span_id", "trace_id", "parent_id", "category", "node", "start",
-             "end", "data"],
     "SpanTracer": ["sample_rate", "sample_seed", "max_spans",
                    "pinned_categories"],
+    "_StoredSpans": ["tracer"],
     "Observability": ["span_sample_rate", "span_seed", "span_max"],
     # Retention is the module constant repro.obs.timeseries.RETENTION;
     # the live sink is an attribute `repro report --live` assigns.

@@ -57,7 +57,7 @@ def _delivery_trace(tracer):
     tracer.finish(hop2, 9.0)
     tracer.finish(dgram, 10.0, latency=10.0)
     tracer.finish(root, 10.0)
-    return root.trace_id
+    return tracer.trace_of(root)
 
 
 class TestAttribution:
@@ -105,7 +105,7 @@ class TestAttribution:
         tracer = SpanTracer()
         ctx = tracer.start(None, "novel.thing", node=1, t=0.0)
         tracer.finish(ctx, 2.0)
-        attribution = attribute_trace(tracer, ctx.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(ctx))
         assert attribution.by_layer() == {"other.novel": 2.0}
         assert attribution.verify_partition()
 
@@ -115,7 +115,7 @@ class TestAttribution:
         tracer.event(root, "radio.rx", node=2, t=0.5)
         tracer.event(root, "radio.collision", node=3, t=0.5)
         tracer.finish(root, 1.0)
-        attribution = attribute_trace(tracer, root.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(root))
         # The whole window stays charged to the airtime span — events
         # neither produce segments nor flip its phase away from "pre".
         assert attribution.by_layer() == {"airtime": 1.0}
@@ -129,7 +129,7 @@ class TestAttribution:
         tracer.finish(hop1, 4.0)
         tracer.finish(hop2, 6.0)
         tracer.finish(dgram, 6.0)
-        attribution = attribute_trace(tracer, dgram.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(dgram))
         assert attribution.verify_partition()
         hop_segments = [seg for seg in attribution.segments
                         if seg.layer.startswith("hop.")]
@@ -142,7 +142,7 @@ class TestAttribution:
         job = tracer.start(None, "mac.job", node=1, t=0.0)
         tracer.annotate(job, service_start=5.0)  # never got the channel
         tracer.finish(job, 3.0)
-        attribution = attribute_trace(tracer, job.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(job))
         assert attribution.by_layer() == {"mac.queue": 3.0}
 
 
@@ -265,7 +265,7 @@ class TestRendering:
     def test_attribution_total_of_open_anchor_is_zero(self):
         tracer = SpanTracer()
         ctx = tracer.start(None, "coap.request", node=1, t=5.0)
-        attribution = attribute_trace(tracer, ctx.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(ctx))
         assert attribution.total_s == 0.0
         assert attribution.segments == []
         assert attribution.verify_partition()
@@ -274,6 +274,6 @@ class TestRendering:
         span = SpanTracer()
         ctx = span.start(None, "coap.request", node=1, t=0.0)
         span.finish(ctx, 0.0)
-        attribution = Attribution(trace_id=ctx.trace_id,
-                                  anchor=span.spans[ctx.span_id])
+        attribution = Attribution(trace_id=span.trace_of(ctx),
+                                  anchor=span.spans[ctx])
         assert attribution.by_layer() == {}

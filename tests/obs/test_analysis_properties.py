@@ -81,7 +81,7 @@ class TestPartitionInvariant:
     def test_segments_partition_any_forest_exactly(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)
-        attribution = attribute_trace(tracer, ctx.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(ctx))
         # attribute_trace itself raises AttributionError on a structural
         # tiling failure; verify_partition re-proves the telescoped sum
         # in exact Fraction arithmetic.
@@ -100,7 +100,7 @@ class TestPartitionInvariant:
     def test_layers_fsum_tracks_total_closely(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)
-        attribution = attribute_trace(tracer, ctx.trace_id)
+        attribution = attribute_trace(tracer, tracer.trace_of(ctx))
         total = sum(attribution.by_layer().values())
         assert total == pytest.approx(attribution.total_s, abs=1e-9)
 
@@ -111,9 +111,9 @@ class TestCriticalPathChain:
     def test_path_is_root_to_leaf(self, spec):
         tracer = SpanTracer()
         ctx = _record(tracer, None, spec)
-        path = critical_path(tracer, ctx.trace_id)
-        tree = tracer.tree(ctx.trace_id)
-        assert path[0] is tree.span
+        path = critical_path(tracer, tracer.trace_of(ctx))
+        tree = tracer.tree(tracer.trace_of(ctx))
+        assert path[0] == tree.span
         for parent, child in zip(path, path[1:]):
             assert child.parent_id == parent.span_id
         # The walk only stops at a leaf of the reconstructed tree.

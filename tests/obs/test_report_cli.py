@@ -155,10 +155,11 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--span-max-stored", "0"], "--span-max-stored"),
-        (["--span-max-stored", "-5"], "--span-max-stored"),
-        (["--telemetry-interval", "nan"], "--telemetry-interval"),
-        (["--telemetry-interval", "inf"], "--telemetry-interval"),
+        (["--span-max-stored", "0"], "SystemConfig.span_max_stored"),
+        (["--span-max-stored", "-5"], "SystemConfig.span_max_stored"),
+        (["--span-sample-rate", "1.5"], "SystemConfig.span_sample_rate"),
+        (["--telemetry-interval", "nan"], "SystemConfig.telemetry_interval_s"),
+        (["--telemetry-interval", "inf"], "SystemConfig.telemetry_interval_s"),
         (["--live", "{missing}/live.jsonl"], "--live"),
     ])
     def test_bad_flags_are_usage_errors(self, argv, flag, tmp_path, capsys):

@@ -106,19 +106,19 @@ class TestRingBuffer:
         tracer.finish(first, 1.0)
         assert len(tracer) == len(stored) == 4
         assert tracer.spans == stored
-        assert first.span_id not in tracer.spans
-        assert child.span_id not in tracer.spans
-        assert tracer.spans_for(first.trace_id) == []
-        assert first.trace_id not in tracer.trace_ids()
+        assert first not in tracer.spans
+        assert child not in tracer.spans
+        assert tracer.spans_for(tracer.trace_of(first)) == []
+        assert tracer.trace_of(first) not in tracer.trace_ids()
 
     def test_evicted_traces_vanish_from_reconstruction(self):
         tracer = SpanTracer(max_spans=4)
         first = tracer.start(None, "coap.request", node=1, t=0.0)
         for i in range(12):
             tracer.start(None, "coap.request", node=1, t=1.0 + i)
-        assert first.trace_id not in tracer.trace_ids()
-        assert tracer.spans_for(first.trace_id) == []
-        assert tracer.tree(first.trace_id) is None
+        assert tracer.trace_of(first) not in tracer.trace_ids()
+        assert tracer.spans_for(tracer.trace_of(first)) == []
+        assert tracer.tree(tracer.trace_of(first)) is None
 
 
 def _instrumented_system(rate, max_spans=None, seed=17):

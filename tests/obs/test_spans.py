@@ -8,22 +8,22 @@ class TestRecording:
         tracer = SpanTracer()
         a = tracer.start(None, "coap.request", node=0, t=1.0)
         b = tracer.start(None, "coap.request", node=0, t=2.0)
-        assert a.trace_id != b.trace_id
-        assert tracer.trace_ids() == [a.trace_id, b.trace_id]
+        assert tracer.trace_of(a) != tracer.trace_of(b)
+        assert tracer.trace_ids() == [tracer.trace_of(a), tracer.trace_of(b)]
 
     def test_children_inherit_the_trace(self):
         tracer = SpanTracer()
         root = tracer.start(None, "root", node=0, t=0.0)
         child = tracer.start(root, "child", node=1, t=0.5)
-        assert child.trace_id == root.trace_id
-        assert tracer.spans[child.span_id].parent_id == root.span_id
+        assert tracer.trace_of(child) == tracer.trace_of(root)
+        assert tracer.spans[child].parent_id == root
 
     def test_finish_is_idempotent_first_end_wins(self):
         tracer = SpanTracer()
         ctx = tracer.start(None, "x", node=0, t=0.0)
         tracer.finish(ctx, 1.0, ok=True)
         tracer.finish(ctx, 5.0, ok=False)
-        span = tracer.spans[ctx.span_id]
+        span = tracer.spans[ctx]
         assert span.end == 1.0
         assert span.data["ok"] is False  # data still updates
         assert span.duration == 1.0
@@ -31,16 +31,19 @@ class TestRecording:
     def test_finish_unknown_span_is_a_noop(self):
         tracer = SpanTracer()
         ctx = tracer.start(None, "x", node=0, t=0.0)
-        tracer.spans.clear()
-        tracer.finish(ctx, 1.0)  # must not raise
+        stored = dict(tracer.spans)
+        for unknown in (0, -1, ctx + 1, ctx + 10_000):
+            tracer.finish(unknown, 1.0, ok=True)  # must not raise
+            tracer.annotate(unknown, ok=True)
+        assert tracer.spans == stored
 
     def test_event_is_a_closed_zero_duration_child(self):
         tracer = SpanTracer()
         root = tracer.start(None, "root", node=0, t=0.0)
         ctx = tracer.event(root, "radio.rx", node=2, t=0.75, rssi=-70.0)
-        span = tracer.spans[ctx.span_id]
+        span = tracer.spans[ctx]
         assert span.start == span.end == 0.75
-        assert span.parent_id == root.span_id
+        assert span.parent_id == root
 
     def test_ids_are_deterministic_in_recording_order(self):
         def build() -> list:
@@ -70,7 +73,7 @@ class TestTrees:
     def test_tree_reconstructs_the_layered_journey(self):
         tracer = SpanTracer()
         root = self._journey(tracer)
-        tree = tracer.tree(root.trace_id)
+        tree = tracer.tree(tracer.trace_of(root))
         assert tree.span.category == "coap.request"
         assert tree.depth() == 6
         assert tree.categories() == [
@@ -83,20 +86,22 @@ class TestTrees:
         root = tracer.start(None, "root", node=0, t=0.0)
         late = tracer.start(root, "late", node=0, t=2.0)
         early = tracer.start(root, "early", node=0, t=1.0)
-        tree = tracer.tree(root.trace_id)
+        tree = tracer.tree(tracer.trace_of(root))
         assert [n.span.category for n in tree.children] == ["early", "late"]
-        assert late.span_id != early.span_id
+        assert late != early
 
     def test_unknown_trace_returns_none(self):
         assert SpanTracer().tree(99) is None
 
     def test_orphan_roots_graft_under_the_earliest(self):
-        tracer = SpanTracer()
+        # The ring evicts the middle span, so its child is a second
+        # root of the trace: its parent was never stored.
+        tracer = SpanTracer(max_spans=2, pinned_categories=("first",))
         first = tracer.start(None, "first", node=0, t=0.0)
-        # Forge a second parentless span in the same trace.
-        orphan = tracer.start(first, "orphan", node=1, t=1.0)
-        tracer.spans[orphan.span_id].parent_id = None
-        tree = tracer.tree(first.trace_id)
+        middle = tracer.start(first, "middle", node=1, t=0.5)
+        tracer.start(middle, "orphan", node=1, t=1.0)
+        assert middle not in tracer.spans
+        tree = tracer.tree(tracer.trace_of(first))
         assert tree.span.category == "first"
         assert [n.span.category for n in tree.children] == ["orphan"]
 
@@ -106,18 +111,19 @@ class TestTrees:
         tracer.finish(a, 1.0)
         b = tracer.start(None, "b", node=0, t=5.0)
         tracer.finish(b, 6.0)
-        assert tracer.traces_overlapping(4.0, 10.0) == [b.trace_id]
-        assert tracer.traces_overlapping(0.5, 5.5) == [a.trace_id, b.trace_id]
+        assert tracer.traces_overlapping(4.0, 10.0) == [tracer.trace_of(b)]
+        assert tracer.traces_overlapping(0.5, 5.5) == [tracer.trace_of(a),
+                                                       tracer.trace_of(b)]
 
     def test_render_indents_by_depth_and_marks_open_spans(self):
         tracer = SpanTracer()
         root = self._journey(tracer)
         open_ctx = tracer.start(root, "net.hop", node=0, t=0.05)
-        text = tracer.render(root.trace_id)
+        text = tracer.render(tracer.trace_of(root))
         lines = text.splitlines()
-        assert lines[0] == f"trace {root.trace_id}:"
+        assert lines[0] == f"trace {tracer.trace_of(root)}:"
         assert lines[1].startswith("  coap.request")
         assert lines[2].startswith("    net.datagram")
         assert any("[open]" in line for line in lines)
         assert len(tracer.spans) == len(lines) - 1
-        assert open_ctx.trace_id == root.trace_id
+        assert tracer.trace_of(open_ctx) == tracer.trace_of(root)
