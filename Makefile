@@ -82,9 +82,10 @@ bench-layers-tsch:
 # repetitions of WORKLOAD, each in a fresh child through that tree's own
 # benchmarks/layers/run.py. PARENT=<checkout of the parent commit> (e.g.
 # from git archive) and WORKLOAD=<name> are required; prints each side's
-# median and quartiles of ops_per_s, setup_s and rss_peak_mb, the
-# per-pair ratios and the wins; exit 1 on any sim_digest or check
-# mismatch. SEED=n picks the seed.
+# median and quartiles of every end-to-end metric of BENCHMARK.json, the
+# per-pair ratios, the wins and, per metric, whether the gain is
+# claimable or else unresolved / worse / within its bound; exit 1 on any
+# sim_digest or check mismatch. SEED=n picks the seed.
 bench-pairs:
 	python3 benchmarks/pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
 		$(if $(PAIRS),--pairs $(PAIRS)) --seed $(SEED)
@@ -115,7 +116,9 @@ cold-fill:
 
 # What one kernel event costs and how many a run makes (DESIGN.md, "Hot
 # single-trial paths"): the best of five us/event of a no-op event chain
-# and of a cancel/re-arm loop, then WORKLOAD's (default
+# and of a cancel/re-arm loop, the bytes a stored span and a cached link
+# keep (the latter over campus_medium's cold fill at SEED), then
+# WORKLOAD's (default
 # grid_csma_collect; any layered workload) timed-section
 # census at SEED — events, heap pushes, pushes cancelled before they
 # fired, zero-delay pushes and heap compactions, the twelve most pushed

@@ -88,7 +88,7 @@ def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
                 "in_reach": int(np.count_nonzero(
                     dx * dx + dy * dy <= reach * reach)) - 1,
                 "evaluated": asked - before,
-                "audible": len(entry.receivers),
+                "audible": len(entry.radios),
                 # marks: reach, rssi, prr — each in, out
                 "gather_s": marks[0] - start,
                 "disc_s": marks[2] - marks[0],

@@ -14,6 +14,9 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   bounded tail), and one span ``start`` + ``finish`` of a
   ``radio.airtime``-shaped child span, then the bytes each such span
   leaves allocated once stored (tracemalloc over the same loop);
+- the bytes one cached link keeps: tracemalloc over the cold fill of
+  ``campus_medium``'s 1 000 senders on its campus topology at
+  ``--seed`` (every neighbourhood built again from nothing);
 - the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
@@ -62,7 +65,8 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
         sys.path.insert(0, _path)
 
 from benchmarks.layers import workloads
-from benchmarks.layers.workloads import DEFAULT_SCALE, WORKLOADS, advance
+from benchmarks.layers.workloads import (
+    DEFAULT_SCALE, WORKLOADS, CampusMedium, advance)
 from repro.obs import GATED_SPAN_CATEGORIES
 from repro.obs.spans import SpanTracer
 from repro.sim.kernel import Simulator
@@ -236,10 +240,10 @@ def delivery_census(workload_name: str = "grid_csma_collect",
             totals["probes"] += 1
             return dict.get(self, key, default)
 
-    def counted_deliver(tx: Any, receivers: Any) -> None:
+    def counted_deliver(tx: Any, entry: Any) -> None:
         totals["frames"] += 1
-        totals["walked"] += len(receivers)
-        deliver(tx, receivers)
+        totals["walked"] += len(entry.radios)
+        deliver(tx, entry)
 
     def counted_interferers(tx: Any) -> List[Dict[int, float]]:
         maps = [ProbedMap(m) for m in interferers(tx)]
@@ -302,6 +306,34 @@ def span_bytes(spans: int) -> float:
         tracemalloc.stop()
 
 
+def neighbourhood_bytes(medium: Any, senders: List[Any]) -> Tuple[float, int]:
+    """Bytes per link that building ``senders``' neighbourhoods on
+    ``medium`` leaves allocated (tracemalloc; every cached one is
+    dropped first), and the links they hold."""
+    medium._neighborhoods.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        links = sum(len(medium._neighborhood(radio).radios)
+                    for radio in senders)
+        gc.collect()
+        return (tracemalloc.get_traced_memory()[0] - before) / links, links
+    finally:
+        tracemalloc.stop()
+
+
+def campus_link_bytes(seed: int, **sizes: Any) -> Tuple[float, int]:
+    """:func:`neighbourhood_bytes` of ``campus_medium``'s senders, on the
+    medium its set-up (the cold pass) built (``sizes`` go to the
+    workload, as in ``run.py --rep``)."""
+    workload = CampusMedium(seed, **sizes)
+    workload.setup(lambda: None)
+    medium = workload.medium
+    senders = [medium.radios[node_id] for node_id in medium._neighborhoods]
+    return neighbourhood_bytes(medium, senders)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2018)
@@ -320,6 +352,9 @@ def main() -> int:
     best = min(span_loop(LOOP_SPANS) for _ in range(REPEATS))
     print(f"  {'span start + finish':24s}{best:8.2f} us/span")
     print(f"  {'span stored':24s}{span_bytes(LOOP_SPANS):8.1f} B/span")
+    per_link, links = campus_link_bytes(args.seed)
+    print(f"  {'neighbourhood stored':24s}{per_link:8.1f} B/link  "
+          f"(campus_medium seed {args.seed}: {links} links)")
     totals, rows, digest = census(args.workload, args.seed)
     print(f"{args.workload} seed {args.seed}, timed section:")
     for name, value in totals.items():

@@ -9,16 +9,23 @@ fresh child through that tree's own ``benchmarks/layers/run.py --rep``
 (its ``run_rep``).  Both sides get the same seed and scale (by default
 the benchmark's own); nothing under ``benchmarks/layers/`` is written.
 
-It prints, for ``ops_per_s``, ``setup_s`` and ``rss_peak_mb``, each
-side's median and quartiles, every pair's change/parent ratio and the
-change's wins out of the pairs (ties count for neither side), then
-whether the ``ops_per_s`` gain is claimable: wins in at least nine
-tenths of the pairs, and a median gain larger than the distance between
-the parent's quartiles.  Exit 0 when every repetition ran, passed its
-checks and agreed on ``sim_digest`` and the simulated metrics (the
-layered benchmark's own checks, :func:`benchmarks.layers.cli.summarise`,
-over every repetition of both sides); 1 otherwise — a behaviour change
-is not a like-for-like pair.
+It prints, for each end-to-end metric of ``BENCHMARK.json``
+(``ops_per_s``, ``setup_s``, ``rss_peak_mb``), each side's median and
+quartiles, every pair's change/parent ratio and the change's wins out of
+the pairs (ties count for neither side), then whether its gain is
+claimable: wins in at least nine tenths of the pairs, and a median gain
+larger than the distance between the parent's quartiles.  A metric that
+is not claimable is judged against its bound in ``BENCHMARK.json``
+(choosing-metrics, sect. 6): ``unresolved`` when the parent's quartile
+spread is wider than the bound (unless every run of the change reads
+better than every run of the parent), ``worse`` when the change's median
+is off the parent's by more than the bound, else ``within``.
+
+Exit 0 when every repetition ran, passed its checks and agreed on
+``sim_digest`` and the simulated metrics (the layered benchmark's own
+checks, :func:`benchmarks.layers.cli.summarise`, over every repetition
+of both sides); 1 otherwise — a behaviour change is not a like-for-like
+pair.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -40,9 +48,6 @@ from benchmarks.layers.cli import CHILD_TIMEOUT_S, summarise  # noqa: E402
 from benchmarks.layers.stats import summary  # noqa: E402
 from benchmarks.layers.workloads import WORKLOADS  # noqa: E402
 
-#: ``(name, better)`` of the host metrics compared.
-METRICS = (("ops_per_s", "higher"), ("setup_s", "lower"),
-           ("rss_peak_mb", "lower"))
 #: Share of pairs the change must win for a claim.
 WIN_SHARE = 0.9
 
@@ -50,18 +55,34 @@ Rep = Dict[str, Any]
 Spawn = Callable[[str, str, int, Optional[float]], Rep]
 
 
+def end_to_end() -> List[Dict[str, Any]]:
+    """The benchmark's end-to-end metrics (name, unit, better, bound),
+    read from this checkout's ``BENCHMARK.json``."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)["end_to_end"]
+
+
 def spawn_rep(tree: str, workload: str, seed: int,
               scale: Optional[float]) -> Rep:
     """One untraced repetition of ``workload`` on ``tree``, in a fresh
     child; ``scale`` None is the benchmark's default.  As
-    :func:`benchmarks.layers.cli.spawn_rep`, but for any tree."""
+    :func:`benchmarks.layers.cli.spawn_rep`, but for any tree.
+
+    The child reads and writes bytecode only under an empty
+    ``PYTHONPYCACHEPREFIX``, so it compiles every module it imports
+    whatever ``__pycache__`` its tree holds: a working tree with caches
+    beside a fresh parent checkout would otherwise read as a faster
+    set-up in less memory."""
     cmd = [sys.executable, os.path.join(tree, "benchmarks", "layers", "run.py"),
            "--rep", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     if scale is not None:
         cmd += ["--scale", repr(scale)]
     try:
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
-                              timeout=CHILD_TIMEOUT_S)
+        with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
+            proc = subprocess.run(
+                cmd, cwd=tree, capture_output=True, text=True,
+                timeout=CHILD_TIMEOUT_S,
+                env=dict(os.environ, PYTHONPYCACHEPREFIX=cache))
     except subprocess.TimeoutExpired:
         return {"error": f"child timed out after {CHILD_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
@@ -105,27 +126,57 @@ def problems(result: Dict[str, Any]) -> List[str]:
 
 
 def verdict(result: Dict[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Per metric: both sides' quartiles, pair ratios, wins, the claim."""
+    """Per metric: both sides' quartiles, pair ratios, the median gain
+    (positive is better, whichever way the metric points), wins, the
+    claim and, for a metric that is not claimable, how it stands against
+    its bound (``standing``: ``claimable``, ``better``, ``unresolved``,
+    ``worse`` or ``within``)."""
     pairs = [p for p in result["pairs"]
              if not p["parent"].get("error") and not p["change"].get("error")]
     out: Dict[str, Dict[str, Any]] = {}
     if not pairs:
         return out
-    for name, better in METRICS:
+    for metric in end_to_end():
+        name, better, bound = metric["name"], metric["better"], metric["bound"]
         parent = [p["parent"][name] for p in pairs]
         change = [p["change"][name] for p in pairs]
         sign = 1.0 if better == "higher" else -1.0
         wins = sum(1 for a, b in zip(parent, change) if sign * (b - a) > 0)
         base, new = summary(parent), summary(change)
         gain = sign * (new["median"] - base["median"])
+        median = base["median"]
+        spread = (base["q3"] - base["q1"]) / median if median else 0.0
+        claimable = (wins >= WIN_SHARE * len(pairs)
+                     and gain > base["q3"] - base["q1"])
+        if claimable:
+            standing = "claimable"
+        elif min(sign * b for b in change) > max(sign * a for a in parent):
+            standing = "better"
+        elif spread > bound:
+            standing = "unresolved"
+        elif median and gain / median < -bound:
+            standing = "worse"
+        else:
+            standing = "within"
         out[name] = {
-            "better": better, "parent": base, "change": new,
+            "better": better, "bound": bound, "parent": base, "change": new,
             "ratios": [b / a for a, b in zip(parent, change)],
-            "wins": wins, "pairs": len(pairs),
-            "claimable": (wins >= WIN_SHARE * len(pairs)
-                          and gain > base["q3"] - base["q1"]),
+            "gain": gain, "wins": wins, "pairs": len(pairs), "spread": spread,
+            "claimable": claimable, "standing": standing,
         }
     return out
+
+
+#: What a metric that is not claimable reads, by standing.
+STANDINGS = {
+    "better": "every run of the change better than every run of the parent",
+    "unresolved": "unresolved: the parent's quartile spread is "
+                  "{spread:.1%} of its median, wider than the {bound:.0%} "
+                  "bound",
+    "worse": "worse: the median is off the parent's by more than the "
+             "{bound:.0%} bound",
+    "within": "within the {bound:.0%} bound",
+}
 
 
 def render(result: Dict[str, Any], judged: Dict[str, Dict[str, Any]],
@@ -151,14 +202,13 @@ def render(result: Dict[str, Any], judged: Dict[str, Dict[str, Any]],
             + f"  (median x{statistics.median(ratios):.3f}); change better "
               f"in {row['wins']}/{row['pairs']} pairs ({row['better']} is "
               "better)")
-    if "ops_per_s" in judged:
-        row = judged["ops_per_s"]
+    for name, row in judged.items():
         spread = row["parent"]["q3"] - row["parent"]["q1"]
-        gain = row["change"]["median"] - row["parent"]["median"]
         lines.append(
-            f"  ops_per_s gain {gain:+.4g} vs parent quartile spread "
+            f"  {name} gain {row['gain']:+.4g} vs parent quartile spread "
             f"{spread:.4g}, {row['wins']}/{row['pairs']} wins: "
-            + ("claimable" if row["claimable"] else "not claimable"))
+            + ("claimable" if row["claimable"] else "not claimable; "
+               + STANDINGS[row["standing"]].format(**row)))
     lines.extend(f"  MISMATCH {problem}" for problem in found)
     if not found:
         lines.append("  every repetition passed its checks; sim_digest and "

@@ -34,32 +34,32 @@ call — so the medium reproduces a full scan's event trace byte for byte
 Collisions: arbitrated once per frame
 -------------------------------------
 A sender's effect on its surroundings is one cached
-:class:`_Neighborhood`: the ``(receiver, rssi, prr)`` triples delivery
-walks (``audible_from`` is their first two columns) and ``rssi_by_id``,
-the same links as a ``node_id -> rssi`` map, blocked and inaudible links
-left out.  CCA and collision arbitration never evaluate a link: "how
-loud is that transmission at radio ``r``" is its sender's
-``rssi_by_id.get(r.node_id)``.  The frames that can overlap anything
-are one end-time heap, ``_active``; CCA scans it, and when a frame ends
-the transmissions that overlapped it in time and channel are resolved
-from it *once* (:meth:`Medium._interferers`), loudest at the sender
-first.  Each listening receiver walks their maps, usually an empty
-list, and stops at the first interferer inside the capture margin:
-rounded subtraction is monotone, so ``rssi - other < margin`` holds for
-some interferer exactly when it holds for the strongest, in any order.
+:class:`_Neighborhood`: the ``radios``, ``rssi`` and ``prr`` columns
+delivery walks (``audible_from`` is the first two) and ``rssi_by_id``,
+the same links and floats as a ``node_id -> rssi`` map, blocked and
+inaudible links left out.  CCA and collision arbitration never evaluate
+a link: "how loud is that transmission at radio ``r``" is its sender's
+``rssi_by_id.get(r.node_id)``.  The frames that can overlap anything are
+one end-time heap, ``_active``; CCA scans it, and when a frame ends the
+transmissions that overlapped it in time and channel are resolved from
+it *once* (:meth:`Medium._interferers`), loudest at the sender first.
+Each listening receiver walks their maps, usually an empty list, and
+stops at the first interferer inside the capture margin: rounded
+subtraction is monotone, so ``rssi - other < margin`` holds for some
+interferer exactly when it holds for the strongest, in any order.
 
-Delivery walks the triples once, fates in their order: disabled or
+Delivery walks the columns once, fates in their order: disabled or
 off-channel (skipped), slept through (``radio.miss``), captured
 (``radio.collision``), one PRR draw (``radio.drop`` or ``radio.rx``).
 Liveness is one compare, ``_listen_since > start``: leaving LISTEN sets
 ``_listen_since`` to ``inf``.  While no outcome is watched
-(:meth:`TraceLog.watched`), the frame has no span and all four have a
-counter, losses are tallied per frame and added to ``trace.counters``
-before each ``on_receive`` upcall and at the end (a reception is
-counted as it happens): a reader anywhere sees what per-receiver
-counting would have left.  Only an upcall or a watched emit's
-subscriber can change who watches or the world, so both are looked at
-again only after one.
+(:meth:`TraceLog.watched`) and the frame has no span, a loss whose
+category has a counter is tallied per frame and added to
+``trace.counters`` before each ``on_receive`` upcall and at the end (a
+category's first loss and a reception are counted as they happen): a
+reader anywhere sees what per-receiver counting would have left.  Only
+an upcall or a watched emit's subscriber can change who watches or the
+world, so both are looked at again only after one.
 
 The world is a fixed installation: a radio's ``position`` and
 ``tx_power_dbm`` are set when it is built (NaN or infinite is refused:
@@ -72,13 +72,13 @@ Cache invalidation rules (the part that must not rot):
   link model keeps none: a shadowing draw is recomputed from ``(seed,
   link key)`` on every rebuild).  Every read — delivery, CCA,
   arbitration, :meth:`Medium.rssi_between` — goes through
-  :meth:`Medium._neighborhood`, which builds triples and ``rssi_by_id``
-  in one pass, so an interferer's map is never staler than its
-  ``audible_from``.
+  :meth:`Medium._neighborhood`, which builds the columns and
+  ``rssi_by_id`` in one pass, so an interferer's map is never staler
+  than its ``audible_from``.
 - An attach (the new radio may be inside anyone's disc) and
-  ``set_link_filter`` drop every entry.
-- A frame's receiver triples are the ones current when it was *sent*;
-  its interferers' maps are the ones current when it *ends*.
+  ``set_link_filter`` drop every entry; none is ever mutated.
+- A frame walks the columns current when it was *sent*; its
+  interferers' maps are the ones current when it *ends*.
 
 Listen plans: idle listening without events
 -------------------------------------------
@@ -128,8 +128,9 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,15 +221,15 @@ _ActiveItem = Tuple[float, int, _Transmission]
 
 @dataclass(slots=True)
 class _Neighborhood:
-    """A sender's cached audible set.
+    """A sender's cached audible set as columns: link ``k`` is ``radios[k]``
+    heard at ``rssi[k]`` with reception probability ``prr[k]``, in
+    ``audible_from`` order, so a frame skips the per-link logistic;
+    ``rssi_by_id`` maps the same radios' ids to the same RSSI floats for CCA
+    and collision arbitration (absent = blocked or inaudible)."""
 
-    ``receivers`` holds the ``(radio, rssi, prr)`` triples delivery
-    walks, in ``audible_from`` order, so a frame skips the per-link
-    logistic; ``rssi_by_id`` maps the same radios' ids to the same RSSI
-    for CCA and collision arbitration (absent = blocked or inaudible).
-    """
-
-    receivers: List[Tuple["Radio", float, float]]
+    radios: List["Radio"]
+    rssi: List[float]
+    prr: "array[float]"
     rssi_by_id: Dict[int, float]
 
 
@@ -565,8 +566,8 @@ class Medium:
         ``(rssi descending, node_id)``: delivery order is a property of
         the radio environment, not of attach order, so attaching radios
         in another order cannot perturb a seeded run."""
-        return [(radio, rssi)
-                for radio, rssi, _ in self._neighborhood(sender).receivers]
+        entry = self._neighborhood(sender)
+        return list(zip(entry.radios, entry.rssi))
 
     def _neighborhood(self, sender: Radio) -> _Neighborhood:
         entry = self._neighborhoods.get(sender.node_id)
@@ -613,12 +614,11 @@ class Medium:
         rows, rssi = rows[audible], rssi[audible]
         order = np.lexsort((self._ids[rows], -rssi))
         rssi = rssi[order]
-        prr = model.reception_probability(rssi).tolist()
+        prr = model.reception_probability(rssi).astype(float).tobytes()
         rssi = rssi.tolist()
-        by_row = self._rows
-        radios = [by_row[row] for row in rows[order].tolist()]
+        radios = list(map(self._rows.__getitem__, rows[order].tolist()))
         return _Neighborhood(
-            receivers=list(zip(radios, rssi, prr)),
+            radios, rssi, array("d", prr),
             # Keyed by the radios' own id objects, not fresh ints.
             rssi_by_id=dict(zip([radio.node_id for radio in radios], rssi)),
         )
@@ -729,20 +729,20 @@ class Medium:
             counters = trace.counters
             counters["radio.tx"] = counters.get("radio.tx", 0) + 1
 
-        # Jammers are never received, only interfere.  The triples are
-        # the ones current *now*: a later attach or filter changes only
-        # future frames.
-        receivers = () if frame.jam_channels else self._neighborhood(radio).receivers
+        # Jammers are never received, only interfere.  The entry is the
+        # one current *now*: a later attach or filter replaces it and
+        # changes only future frames.
+        entry = None if frame.jam_channels else self._neighborhood(radio)
         if self._planned:
             # Sensed by every listener in earshot, jam frames included.
-            for receiver, _, _ in self._neighborhood(radio).receivers:
+            for receiver in self._neighborhood(radio).radios:
                 if receiver.listen_plan is not None:
                     receiver.listen_plan.frame_started(tx.end)
 
         def finish() -> None:
             radio._set_state(RadioState.LISTEN)
-            if receivers:
-                self._deliver(tx, receivers)
+            if entry is not None and entry.radios:
+                self._deliver(tx, entry)
             if span is not None:
                 self.trace.obs.spans.finish(span, self.sim.now)
             if done is not None:
@@ -776,15 +776,14 @@ class Medium:
             maps.sort(key=lambda m: m.get(sender, -math.inf), reverse=True)
         return maps
 
-    def _deliver(self, tx: _Transmission,
-                 receivers: Sequence[Tuple[Radio, float, float]]) -> None:
-        """Decide the frame's fate at each radio that could hear it sent
-        (module docstring, "Delivery walks the triples once").  A
-        payload ``dst`` a receiver does not recognise
-        (:attr:`Radio.rx_addresses`) is counted there but not handed up."""
+    def _deliver(self, tx: _Transmission, entry: _Neighborhood) -> None:
+        """Decide the frame's fate at each radio of ``entry``, its sender's
+        neighbourhood when it was sent (module docstring, "Delivery walks
+        the columns once").  A payload ``dst`` a receiver does not
+        recognise (:attr:`Radio.rx_addresses`) is counted but not handed up."""
         if self._planned:
             # The sync rule, for every receiver the loop below reads.
-            for receiver, _, _ in receivers:
+            for receiver in entry.radios:
                 if receiver.listen_plan is not None and receiver.enabled:
                     receiver.listen_plan.sync()
         frame = tx.frame
@@ -799,12 +798,13 @@ class Medium:
         world_version, watch_version = self._world_version, trace.version
         watched = (self._watched if self._watch_version == watch_version
                    else self._rewatch())
-        # Whether losses are tallied: decided at the first one.
-        tallied = None
+        # Decided at the first loss: may losses be tallied, do all keys exist?
+        tallied = keyed = None
         misses = collisions = drops = 0
-        for receiver, rssi, prr in receivers:
+        for receiver, rssi, prr in zip(entry.radios, entry.rssi, entry.prr):
             if not receiver.enabled or receiver.channel != channel:
                 continue
+            node = receiver.node_id
             # _listen_since is inf unless LISTEN: one compare decides.
             if receiver._listen_since > start:
                 # Slept through (part of) the frame — the duty-cycling cost.
@@ -813,7 +813,6 @@ class Medium:
                 if interferers is None:
                     # First listener, or an upcall just changed the world.
                     interferers = self._interferers(tx)
-                node = receiver.node_id
                 # The first interferer inside the margin decides.
                 for rssi_by_id in interferers:
                     other = rssi_by_id.get(node)
@@ -824,11 +823,11 @@ class Medium:
                     lost = "radio.drop" if draw() > prr else None
             if lost is not None:
                 if tallied is None:
-                    # Only once every outcome has its key: adding to a
-                    # key keeps the counters' order, creating one would not.
-                    tallied = (span is None and watched.isdisjoint(_OUTCOMES)
-                               and counters.keys() >= _OUTCOMES)
-                if tallied:
+                    tallied = span is None and watched.isdisjoint(_OUTCOMES)
+                    keyed = tallied and counters.keys() >= _OUTCOMES
+                # Only into a key that exists: adding to a key keeps the
+                # counters' order, creating one would not.
+                if keyed or (tallied and lost in counters):
                     if lost == "radio.collision":
                         collisions += 1
                     elif lost == "radio.miss":
@@ -836,33 +835,32 @@ class Medium:
                     else:
                         drops += 1
                     continue
-                node = receiver.node_id
                 if lost in watched:
                     emit(now, lost, node=node, sender=sender)
                 else:
                     counters[lost] = counters.get(lost, 0) + 1
-                if span is not None and (
-                        addressee is None or addressee == node):
+                if span is not None and (addressee is None or addressee == node):
                     trace.obs.spans.event(span, lost, node=node, t=now)
             else:
                 receiver.frames_received += 1
                 if "radio.rx" in watched:
-                    emit(now, "radio.rx", node=receiver.node_id, sender=sender,
+                    emit(now, "radio.rx", node=node, sender=sender,
                          size=frame.size_bytes)
                 else:
                     counters["radio.rx"] = counters.get("radio.rx", 0) + 1
-                if span is not None and (
-                        addressee is None or addressee == receiver.node_id):
-                    trace.obs.spans.event(span, "radio.rx",
-                                          node=receiver.node_id, t=now,
+                if span is not None and (addressee is None or addressee == node):
+                    trace.obs.spans.event(span, "radio.rx", node=node, t=now,
                                           rssi=round(rssi, 1))
                 if receiver.on_receive is not None and (
                         dst is None or receiver.rx_addresses is None
                         or dst in receiver.rx_addresses):
-                    if tallied:
-                        counters["radio.miss"] += misses
-                        counters["radio.collision"] += collisions
-                        counters["radio.drop"] += drops
+                    if misses or collisions or drops:
+                        if misses:
+                            counters["radio.miss"] += misses
+                        if collisions:
+                            counters["radio.collision"] += collisions
+                        if drops:
+                            counters["radio.drop"] += drops
                         misses = collisions = drops = 0
                     receiver.on_receive(frame, rssi)
             # What just ran may have changed who watches or the world.
@@ -873,7 +871,9 @@ class Medium:
             if self._world_version != world_version:
                 world_version = self._world_version
                 interferers = None
-        if tallied:
+        if misses:
             counters["radio.miss"] += misses
+        if collisions:
             counters["radio.collision"] += collisions
+        if drops:
             counters["radio.drop"] += drops

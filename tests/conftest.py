@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
@@ -208,10 +208,9 @@ class PerReceiverMedium(Medium):
                 if other is not tx and other.end > start and other.start < end
                 and other.frame.interferes_with(channel)]
 
-    def _deliver(self, tx,
-                 receivers: Sequence[Tuple[Radio, float, float]]) -> None:
+    def _deliver(self, tx, entry) -> None:
         if self._planned:
-            for receiver, _, _ in receivers:
+            for receiver in entry.radios:
                 if receiver.listen_plan is not None and receiver.enabled:
                     receiver.listen_plan.sync()
         frame = tx.frame
@@ -226,7 +225,7 @@ class PerReceiverMedium(Medium):
         interferers: List[Dict[int, float]] = []
         world_version = -1
         watch_version, watched = self._watch_version, self._watched
-        for receiver, rssi, prr in receivers:
+        for receiver, rssi, prr in zip(entry.radios, entry.rssi, entry.prr):
             if not receiver.enabled or receiver.channel != channel:
                 continue
             node = receiver.node_id

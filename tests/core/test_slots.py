@@ -9,6 +9,8 @@ with a class-level descriptor that stores the raw and the traced
 callback in the instance ``__dict__``.
 """
 
+from array import array
+
 from repro.net.fragmentation import Fragment
 from repro.net.mac.base import _TxJob
 from repro.net.mac.csma import CsmaMac
@@ -38,7 +40,7 @@ def _slotted(sim: Simulator) -> dict:
         "_TxJob": _TxJob(dest=2, payload=None, payload_bytes=0, done=None,
                          seq=1),
         "_Transmission": _Transmission(radio, frame, 0.0, 1.0, None, None),
-        "_Neighborhood": _Neighborhood([], {}),
+        "_Neighborhood": _Neighborhood([], [], array("d"), {}),
     }
 
 

@@ -27,6 +27,25 @@ def test_one_real_pair_at_tiny_scale(capsys):
     assert "sim_digest and simulated metrics equal" in out
 
 
+def test_a_child_reads_no_bytecode_its_tree_holds(monkeypatch):
+    """Each repetition compiles from source under a fresh, empty cache
+    prefix, so stale or missing ``__pycache__`` on either side cannot
+    move set-up time or memory."""
+    seen = []
+
+    def run(cmd, **kwargs):
+        prefix = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+        seen.append((prefix, os.path.isdir(prefix), os.listdir(prefix)))
+        raise pairs.subprocess.TimeoutExpired(cmd, 1)
+
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    for _ in range(2):
+        assert "timed out" in pairs.spawn_rep(ROOT, WORKLOAD, 5, 0.02)["error"]
+    (first, existed, listed), (second, _, _) = seen
+    assert existed and listed == [] and first != second
+    assert not os.path.exists(first)
+
+
 @pytest.fixture(scope="module")
 def real_rep():
     rep = pairs.spawn_rep(ROOT, WORKLOAD, 5, 0.02)
@@ -36,11 +55,13 @@ def real_rep():
 
 @pytest.fixture
 def fake_spawn(real_rep):
-    """``fake_spawn(values, digests)`` hands out copies of one real
-    repetition with ``values[side][i]`` as ops_per_s and the side's
-    digest, recording the order the sides ran in."""
+    """``fake_spawn(values, digests, **series)`` hands out copies of one
+    real repetition with ``values[side][i]`` as ops_per_s,
+    ``series[metric][side][i]`` as any other metric (setup_s 1.0 and
+    rss_peak_mb 50.0 when not given) and the side's digest, recording
+    the order the sides ran in."""
 
-    def make(values, digests=None):
+    def make(values, digests=None, **series):
         calls = []
 
         def spawn(tree, workload, seed, scale):
@@ -50,6 +71,8 @@ def fake_spawn(real_rep):
             rep = copy.deepcopy(real_rep)
             rep.update(ops_per_s=values[side][i], setup_s=1.0,
                        rss_peak_mb=50.0)
+            rep.update({metric: by_side[side][i]
+                        for metric, by_side in series.items()})
             rep["digest"] = (digests or {}).get(side, rep["digest"])
             return rep
 
@@ -91,3 +114,53 @@ def test_a_digest_mismatch_fails_the_run(fake_spawn, tmp_path, capsys):
     assert code == 1
     assert "MISMATCH sim_digest_equal: 4 runs: 2 distinct" in (
         capsys.readouterr().out)
+
+
+def judged_lines(spawn, pairs_run=4):
+    result = pairs.run_pairs("P", "C", WORKLOAD, pairs_run, 1, None,
+                             spawn=spawn, log=lambda line: None)
+    judged = pairs.verdict(result)
+    text = pairs.render(result, judged, [])
+    return judged, {line.split()[0]: line for line in text.splitlines()
+                    if " gain " in line}
+
+
+def test_every_metric_is_judged_against_its_bound(fake_spawn):
+    spawn, _ = fake_spawn(
+        {"parent": [100, 101, 99, 100], "change": [100, 100, 101, 99]},
+        # Wide parent spread: 1.0 .. 2.0 s around 1.5 s.
+        setup_s={"parent": [1.0, 2.0, 1.0, 2.0],
+                 "change": [1.1, 1.9, 1.2, 1.8]},
+        rss_peak_mb={"parent": [56.8, 56.7, 56.9, 56.8],
+                     "change": [52.5, 52.4, 52.6, 52.5]})
+    judged, lines = judged_lines(spawn)
+    assert set(judged) == {"setup_s", "ops_per_s", "rss_peak_mb"}
+    assert {name: row["standing"] for name, row in judged.items()} == {
+        "ops_per_s": "within", "setup_s": "unresolved",
+        "rss_peak_mb": "claimable"}
+    assert lines["rss_peak_mb"].endswith("4/4 wins: claimable")
+    assert "not claimable; within the 25% bound" in lines["ops_per_s"]
+    assert ("not claimable; unresolved: the parent's quartile spread is "
+            "66.7% of its median, wider than the 25% bound"
+            ) in lines["setup_s"]
+    # The bounds are the benchmark's own.
+    assert {name: row["bound"] for name, row in judged.items()} == {
+        metric["name"]: metric["bound"] for metric in pairs.end_to_end()}
+
+
+def test_a_move_past_the_bound_is_worse_and_every_run_better_is_better(
+        fake_spawn):
+    spawn, _ = fake_spawn(
+        {"parent": [100, 101, 99, 100], "change": [70, 71, 69, 70]},
+        # Every change run lower than every parent run, 4/4 wins, but a
+        # median gain inside the parent's own quartile spread: not
+        # claimable, and not unresolved either.
+        setup_s={"parent": [1.0, 2.0, 1.0, 2.0],
+                 "change": [0.9, 0.95, 0.9, 0.95]})
+    judged, lines = judged_lines(spawn)
+    assert judged["ops_per_s"]["standing"] == "worse"
+    assert "worse: the median is off the parent's by more than the 25% " \
+        "bound" in lines["ops_per_s"]
+    assert judged["setup_s"]["standing"] == "better"
+    assert not judged["setup_s"]["claimable"]
+    assert "every run of the change better" in lines["setup_s"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
@@ -243,6 +244,44 @@ def test_capture_boundary_cases():
         -50.0, [-70.0, -80.0, -52.0]) == "radio.collision"
 
 
+class WriteCountingCounters(dict):
+    """``trace.counters`` that counts the writes to each key."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.writes = Counter()
+
+    def __setitem__(self, key, value) -> None:
+        self.writes[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_unit_disk_losses_are_tallied_without_a_drop_key():
+    """Two overlapping frames on unit-disk links, 30 m apart: six
+    listeners between them hear both (collided), four sleepers miss
+    both.  No loss is a drop, so ``radio.drop`` never gets a key; the
+    first loss of a category still creates its key in place and every
+    later one is added once per frame."""
+    trace = TraceLog()
+    trace.counters = counters = WriteCountingCounters()
+    sim = Simulator(seed=1)
+    medium = Medium(sim, UnitDiskModel(radius_m=25.0), trace)
+    senders = [Radio(medium, 0, (0.0, 0.0)), Radio(medium, 1, (30.0, 0.0))]
+    for k in range(6):
+        Radio(medium, 2 + k, (15.0, float(k))).set_listening()
+    for k in range(4):
+        Radio(medium, 10 + k, (15.0, -1.0 - k))
+    for k, radio in enumerate(senders):
+        sim.schedule(0.001 + k * 0.0002, lambda radio=radio: medium.transmit(
+            radio, Frame(payload="p", size_bytes=40, channel=26,
+                         sender=radio.node_id)))
+    sim.run()
+    assert dict(counters) == {"radio.tx": 2, "radio.collision": 12,
+                              "radio.miss": 8}
+    assert counters.writes == {"radio.tx": 2, "radio.collision": 3,
+                               "radio.miss": 3}
+
+
 # ----------------------------------------------------------------------
 # the tallied delivery against the per-receiver reference
 # ----------------------------------------------------------------------
@@ -400,6 +439,11 @@ def overlap_scene(upcall, created=OUTCOMES, observer="none", listen="now",
 @settings(max_examples=250, deadline=None)
 @example(scene=overlap_scene(("read",), upcaller_first=False))
 @example(scene=overlap_scene(("read",), created=(), listen="never"))
+# Unit-disk links: collisions and misses, and no ``radio.drop`` key.
+@example(scene=overlap_scene(("read",), listen="never", created=(
+    "radio.collision", "radio.miss", "radio.rx")))
+@example(scene=overlap_scene(("read",), listen="never",
+                             created=("radio.rx",)))
 @example(scene=overlap_scene(("subscribe", "radio.collision")))
 @example(scene=overlap_scene(("unsubscribe", "radio.collision"),
                              observer="watched"))

@@ -65,9 +65,10 @@ def audible_ids(medium, radio):
 
 
 def entry_bits(entry):
-    """A neighbourhood entry, floats to the last bit."""
-    return ([(r.node_id, rssi.hex(), prr.hex())
-             for r, rssi, prr in entry.receivers],
+    """A neighbourhood entry, column by column, floats to the last bit."""
+    return ([r.node_id for r in entry.radios],
+            [rssi.hex() for rssi in entry.rssi],
+            entry.prr.typecode, [prr.hex() for prr in entry.prr],
             {node: rssi.hex() for node, rssi in entry.rssi_by_id.items()})
 
 

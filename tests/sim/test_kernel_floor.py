@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.kernel_floor import (
     OUTCOMES,
+    campus_link_bytes,
     census,
     delivery_census,
     emit_loop,
@@ -51,6 +52,14 @@ def test_census_counts_what_set_up_queued():
 def test_observation_loops_report_a_time_per_operation():
     assert 0.0 < emit_loop(200)
     assert 0.0 < span_loop(200)
+
+
+def test_neighbourhood_census_reports_bytes_per_link():
+    per_link, links = campus_link_bytes(2018, buildings=4, senders=40)
+    # Every sender hears someone, and a link keeps at least its list
+    # slots, its RSSI float and its map entry.
+    assert links >= 40
+    assert 40.0 < per_link < 1000.0
 
 
 def test_outcome_digest_ignores_events_only():
