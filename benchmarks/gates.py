@@ -66,8 +66,7 @@ def core() -> Payload:
 def explain() -> Payload:
     """The demo's p95 latency attribution (``repro explain --export``)."""
     system = _demo()
-    payload = analyze_run(system.obs.spans, system.obs.registry.snapshot(),
-                          domain_of=getattr(system.topology, "domain_of", None))
+    payload = analyze_run(system.obs.spans, system.obs.registry.snapshot())
     if payload is None:
         raise VerdictFailed("no exemplars recorded for net.latency_s")
     return payload

@@ -357,8 +357,7 @@ def report_main(argv) -> int:
     if args.export:
         written: Dict[str, int] = export_run(
             run.system.trace, args.export,
-            snapshot=run.system.obs.registry.snapshot(),
-            topology=run.system.topology)
+            snapshot=run.system.obs.registry.snapshot())
         print(_section("exported"))
         for name in sorted(written):
             print(f"{args.export}/{name}: {written[name]} records")
@@ -407,11 +406,9 @@ def explain_main(argv) -> int:
         print(text)
         return 0
 
-    domain_of = getattr(system.topology, "domain_of", None)
     payload = analyze_run(spans, system.obs.registry.snapshot(),
                           metric=args.metric, p=args.p,
-                          max_traces=args.max_traces,
-                          domain_of=domain_of)
+                          max_traces=args.max_traces)
     if payload is None:
         print(f"no exemplars recorded for metric {args.metric!r}")
         return 1

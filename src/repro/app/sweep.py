@@ -5,7 +5,7 @@ A *scenario* is a :class:`~repro.core.scenario.Scenario`:
 ``invariant_checking=True`` (its checkers become the run's
 :class:`~repro.checking.base.CheckerSuite`).  The
 :class:`SeedSweepRunner` executes the scenario across many seeds and
-asserts zero invariant violations.  Every run is a pure function of its
+returns a per-seed outcome.  Every run is a pure function of its
 scenario and seed, so a failure reduces to a minimal
 :class:`ReproBundle` — the seed, the scenario as JSON and the violation
 records — and nothing of the run is recorded in advance: :func:`replay`
@@ -32,14 +32,6 @@ from repro.sim.trace import TraceRecord
 
 #: Simulated seconds of trace a replay shows up to the first violation.
 WINDOW_S = 120.0
-
-
-class InvariantViolationError(AssertionError):
-    """A seed sweep found invariant violations; carries the bundle."""
-
-    def __init__(self, bundle: "ReproBundle") -> None:
-        super().__init__(bundle.summary())
-        self.bundle = bundle
 
 
 @dataclass
@@ -136,20 +128,6 @@ class SeedSweepRunner:
                   jobs: int = 1) -> List[SweepOutcome]:
         """Run over the standard deterministic seed list."""
         return self.run(seeds_for(base_seed, repetitions), jobs=jobs)
-
-    # ------------------------------------------------------------------
-    def assert_clean(self, outcomes: Sequence[SweepOutcome]) -> None:
-        """Raise :class:`InvariantViolationError` on the first failure."""
-        for outcome in outcomes:
-            if outcome.bundle is not None:
-                raise InvariantViolationError(outcome.bundle)
-
-    def sweep(self, repetitions: int, base_seed: int = 1,
-              jobs: int = 1) -> List[SweepOutcome]:
-        """``run_count`` + ``assert_clean`` in one call."""
-        outcomes = self.run_count(repetitions, base_seed, jobs=jobs)
-        self.assert_clean(outcomes)
-        return outcomes
 
 
 # ----------------------------------------------------------------------
@@ -250,7 +228,6 @@ def replay(bundle: ReproBundle) -> Replay:
                    if t0 - WINDOW_S <= r.time <= t0]
         trees = [spans.render(trace_id) for trace_id
                  in spans.traces_overlapping(t0 - WINDOW_S, t0)]
-    payload = analyze_run(spans, system.obs.registry.snapshot(),
-                          domain_of=getattr(system.topology, "domain_of", None))
+    payload = analyze_run(spans, system.obs.registry.snapshot())
     return Replay(bundle.name, bundle.seed, violations, records, trees,
                   None if payload is None else render_explain(payload))

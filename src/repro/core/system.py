@@ -104,10 +104,6 @@ class TimeSeriesStore:
             if since <= t <= until
         ]
 
-    def latest(self, name: str) -> Optional[Tuple[float, float]]:
-        points = self.series.get(name)
-        return points[-1] if points else None
-
     def __len__(self) -> int:
         return len(self.series)
 
@@ -150,8 +146,7 @@ class IIoTSystem:
                 from repro.obs.timeseries import TelemetryEngine
                 self.telemetry = TelemetryEngine(
                     sim, self.obs.registry,
-                    interval_s=config.telemetry_interval_s,
-                    domain_of=getattr(topology, "domain_of", None))
+                    interval_s=config.telemetry_interval_s)
                 self.obs.telemetry = self.telemetry
         self._build_nodes()
         self.checkers = None

@@ -360,18 +360,19 @@ class DemoRun(Driver):
         spans = system.obs.spans
 
         def poll(node_id: int) -> None:
-            before = set(spans.trace_ids())
-
             def on_response(response) -> None:
                 if response is None:
                     self.failures += 1
                     return
                 self.responses += 1
-                new = [t for t in spans.trace_ids() if t not in before]
-                if new:
-                    self.answered_traces.append(new[0])
+                if request_span is not None:
+                    self.answered_traces.append(spans.trace_of(request_span))
 
-            client.get(node_id, "/temp", on_response)
+            token = client.get(node_id, "/temp", on_response).token
+            # The request's own root span, None when span sampling left
+            # its trace out. Set before any response: those arrive in
+            # later events.
+            request_span = client._pending[token].ctx
             self.requests_sent += 1
 
         targets = sorted(nid for nid in system.nodes

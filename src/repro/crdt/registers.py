@@ -39,10 +39,6 @@ class LWWRegister(StateCrdt):
     def value(self) -> Any:
         return self._value
 
-    @property
-    def timestamp(self) -> float:
-        return self._stamp[0]
-
     def copy(self) -> "LWWRegister":
         clone = LWWRegister(self.replica_id)
         clone._value = self._value

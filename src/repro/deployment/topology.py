@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 Position = Tuple[float, float]
 
@@ -143,28 +143,6 @@ def clustered_site_topology(
                     name=f"site-{clusters}x{nodes_per_cluster}")
 
 
-@dataclass
-class CampusTopology(Topology):
-    """A multi-building district with one border-router domain each.
-
-    ``domains`` maps building name → the node ids deployed in it;
-    ``border_routers`` maps building name → the id of its border
-    router.  ``root_id`` (node 0) is the district root: the first
-    building's border router, through which inter-domain traffic
-    transits to the cloud tier.
-    """
-
-    domains: Dict[str, List[int]] = field(default_factory=dict)
-    border_routers: Dict[str, int] = field(default_factory=dict)
-
-    def domain_of(self, node_id: int) -> Optional[str]:
-        """The building a node belongs to (None for unknown ids)."""
-        for name, members in self.domains.items():
-            if node_id in members:
-                return name
-        return None
-
-
 def campus_topology(
     buildings: int,
     nodes_per_building: int,
@@ -173,8 +151,8 @@ def campus_topology(
     buildings_per_row: int = 4,
     jitter_m: float = 4.0,
     seed: int = 0,
-) -> CampusTopology:
-    """An industrial campus: a district of buildings, one domain each.
+) -> Topology:
+    """An industrial campus: a district of buildings.
 
     Buildings are laid out row-major on a district grid, separated by
     ``building_gap_m`` of open ground.  Inside each building, nodes sit
@@ -183,8 +161,8 @@ def campus_topology(
     not artifacts of perfect alignment.  Node ids are contiguous per
     building — id locality mirrors spatial locality, which is also the
     honest (hardest) layout for caches keyed by id.  The first id of
-    each block is the building's border router, placed at the building
-    corner; node 0 doubles as the district root.
+    each block sits exactly at the building corner; node 0 is the
+    district root.
 
     Total size is exactly ``buildings * nodes_per_building``, so scale
     benchmarks can hit round node counts.
@@ -196,19 +174,14 @@ def campus_topology(
     side = max(1, math.ceil(math.sqrt(nodes_per_building)))
     spacing = building_span_m / side
     positions: Dict[int, Position] = {}
-    domains: Dict[str, List[int]] = {}
-    border_routers: Dict[str, int] = {}
     node_id = 0
     for b in range(buildings):
-        name = f"bldg-{b}"
         origin_x = (b % buildings_per_row) * pitch
         origin_y = (b // buildings_per_row) * pitch
-        members: List[int] = []
-        border_routers[name] = node_id
         for i in range(nodes_per_building):
             if i == 0:
-                # The border router anchors the building corner exactly:
-                # jitter would blur the domain entry point.
+                # The block's first node anchors the building corner
+                # exactly: no jitter.
                 pos = (origin_x, origin_y)
             else:
                 pos = (
@@ -218,14 +191,9 @@ def campus_topology(
                     + rng.uniform(-jitter_m, jitter_m),
                 )
             positions[node_id] = pos
-            members.append(node_id)
             node_id += 1
-        domains[name] = members
-    return CampusTopology(
-        positions, root_id=0,
-        name=f"campus-{buildings}x{nodes_per_building}",
-        domains=domains, border_routers=border_routers,
-    )
+    return Topology(positions, root_id=0,
+                    name=f"campus-{buildings}x{nodes_per_building}")
 
 
 def building_topology(

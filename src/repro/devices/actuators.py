@@ -85,7 +85,3 @@ class Actuator:
         """Current physical output (advances lazily with time)."""
         self._advance_output()
         return self._output
-
-    @property
-    def target(self) -> float:
-        return self._target

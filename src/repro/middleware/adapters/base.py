@@ -9,7 +9,7 @@ translator, and the cost grows quadratically.
 from __future__ import annotations
 
 import abc
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 
 class AdapterError(RuntimeError):
@@ -25,10 +25,6 @@ class ProtocolAdapter(abc.ABC):
 
     #: Protocol family name (for the gateway's registry).
     protocol: str = "abstract"
-
-    @abc.abstractmethod
-    def points(self) -> List[str]:
-        """The point names this device exposes."""
 
     @abc.abstractmethod
     def read_point(

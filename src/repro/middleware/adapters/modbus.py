@@ -10,7 +10,7 @@ engineers otherwise re-derive for every pairwise integration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.middleware.adapters.base import AdapterError, ProtocolAdapter
 from repro.sim.kernel import Simulator
@@ -80,9 +80,6 @@ class ModbusAdapter(ProtocolAdapter):
     ) -> None:
         self.device = device
         self.register_map = dict(register_map)
-
-    def points(self) -> List[str]:
-        return sorted(self.register_map)
 
     def _spec(self, name: str) -> RegisterSpec:
         spec = self.register_map.get(name)

@@ -8,7 +8,7 @@ be retried — the kind of behaviour middleware exists to absorb.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.middleware.adapters.base import ProtocolAdapter
 from repro.sim.kernel import Simulator
@@ -68,9 +68,6 @@ class ProprietaryAdapter(ProtocolAdapter):
 
     def __init__(self, device: ProprietaryAsciiDevice) -> None:
         self.device = device
-
-    def points(self) -> List[str]:
-        return sorted(self.device.variables)
 
     def read_point(
         self, name: str, callback: Callable[[Optional[float]], None]

@@ -3,7 +3,7 @@
 The parts (DESIGN.md, "Observability"):
 
 - :mod:`repro.obs.registry` — labeled counters/gauges/exact histograms
-  with deterministic snapshot/merge semantics;
+  with deterministic, picklable snapshots;
 - :mod:`repro.obs.spans` — packet-lifecycle span tracing with
   parent/child links, threaded through the stack as ``trace_ctx``;
 - :mod:`repro.obs.analysis` — causal latency attribution over span

@@ -313,8 +313,7 @@ def select_exemplars(snapshot: MetricsSnapshot, metric: str,
 
 def analyze_run(spans: SpanTracer, snapshot: MetricsSnapshot,
                 metric: str = "net.latency_s", p: float = 95.0,
-                max_traces: int = 4,
-                domain_of=None) -> Optional[Dict[str, Any]]:
+                max_traces: int = 4) -> Optional[Dict[str, Any]]:
     """Attribute the exemplar traces behind ``metric``'s ``p``-th
     percentile and freeze the aggregate into a ``repro.explain/1``
     payload.  None when the metric has no exemplars (observability or
@@ -332,15 +331,11 @@ def analyze_run(spans: SpanTracer, snapshot: MetricsSnapshot,
             anchor_value=value if anchor_category else None)
         if attribution is None:
             continue
-        anchor = attribution.anchor
-        domain = domain_of(anchor.node) if (
-            domain_of is not None and anchor.node is not None) else None
         traces.append({
             "trace": trace_id,
             "value_s": value,
             "total_s": attribution.total_s,
-            "node": anchor.node,
-            "domain": domain,
+            "node": attribution.anchor.node,
             "layers": attribution.by_layer(),
             "critical_path": [span.category
                               for span in critical_path(spans, trace_id)],
@@ -357,9 +352,7 @@ def analyze_run(spans: SpanTracer, snapshot: MetricsSnapshot,
                 "share": (math.fsum(parts) / total) if total else 0.0}
         for layer, parts in sorted(layer_totals.items())
     }
-    domains = sorted({entry["domain"] for entry in traces
-                      if entry["domain"] is not None})
-    payload: Dict[str, Any] = {
+    return {
         "format": EXPLAIN_FORMAT,
         "metric": resolved,
         "p": p,
@@ -368,27 +361,6 @@ def analyze_run(spans: SpanTracer, snapshot: MetricsSnapshot,
         "total_s": total,
         "layers": layers,
         "traces": traces,
-    }
-    if domains:
-        payload["domains"] = {
-            domain: _domain_rollup(traces, domain) for domain in domains
-        }
-    return payload
-
-
-def _domain_rollup(traces: List[Dict[str, Any]],
-                   domain: Any) -> Dict[str, Any]:
-    members = [entry for entry in traces if entry["domain"] == domain]
-    total = math.fsum(entry["total_s"] for entry in members)
-    layer_totals: Dict[str, List[float]] = {}
-    for entry in members:
-        for layer, seconds in entry["layers"].items():
-            layer_totals.setdefault(layer, []).append(seconds)
-    return {
-        "traces": [entry["trace"] for entry in members],
-        "total_s": total,
-        "layers": {layer: math.fsum(parts)
-                   for layer, parts in sorted(layer_totals.items())},
     }
 
 
@@ -430,23 +402,12 @@ def render_explain(payload: Dict[str, Any]) -> str:
     ]
     lines.extend(_waterfall_lines(payload["layers"], payload["total_s"]))
     for entry in payload["traces"]:
-        where = f"node {entry['node']}"
-        if entry.get("domain") is not None:
-            where += f", domain {entry['domain']}"
         lines.append("")
         lines.append(f"trace {entry['trace']} — {entry['total_s']:.6f} s "
-                     f"({where})")
+                     f"(node {entry['node']})")
         lines.extend(_waterfall_lines(entry["layers"], entry["total_s"]))
         lines.append("  critical path: "
                      + " > ".join(entry["critical_path"]))
-    if "domains" in payload:
-        lines.append("")
-        lines.append("per-domain totals")
-        lines.append("-----------------")
-        for domain, rollup in payload["domains"].items():
-            lines.append(f"  domain {domain}: {rollup['total_s']:.6f} s "
-                         f"over trace(s) "
-                         + ", ".join(str(t) for t in rollup["traces"]))
     return "\n".join(lines)
 
 

@@ -84,13 +84,12 @@ def write_metrics_csv(snapshot: MetricsSnapshot, path: str) -> int:
 
 
 def write_explain_txt(spans: SpanTracer, snapshot: MetricsSnapshot,
-                      path: str, topology: Any = None) -> int:
+                      path: str) -> int:
     """The rendered latency-attribution waterfall for the run's p95
     ``net.latency_s`` exemplars.  Returns the number of exemplar traces
     attributed (0 writes nothing — exemplars off or none recorded)."""
     from repro.obs.analysis import analyze_run, render_explain
-    payload = analyze_run(spans, snapshot,
-                          domain_of=getattr(topology, "domain_of", None))
+    payload = analyze_run(spans, snapshot)
     if payload is None:
         return 0
     with open(path, "w") as handle:
@@ -102,7 +101,6 @@ def export_run(
     trace: TraceLog,
     directory: str,
     snapshot: MetricsSnapshot = None,
-    topology: Any = None,
 ) -> Dict[str, int]:
     """Write every artifact a run produced into ``directory``.
 
@@ -127,8 +125,7 @@ def export_run(
             snapshot, os.path.join(directory, "metrics.json"))
     if snapshot is not None and obs is not None and snapshot.exemplars:
         traces = write_explain_txt(
-            obs.spans, snapshot, os.path.join(directory, "explain.txt"),
-            topology=topology)
+            obs.spans, snapshot, os.path.join(directory, "explain.txt"))
         if traces:
             written["explain.txt"] = traces
     telemetry = getattr(obs, "telemetry", None)

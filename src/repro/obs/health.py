@@ -35,7 +35,7 @@ fixed phase of one period, so building it draws nothing from the
 simulator's RNG streams (the RPL routers' stale timers draw their
 phases from the shared ``"periodic-timer"`` substream).  Nodes are
 visited in sorted id order and gauges carry the node id as a label, so
-per-trial snapshots merge identically for any ``jobs`` count.
+per-trial snapshots are identical for any ``jobs`` count.
 """
 
 from __future__ import annotations

@@ -18,10 +18,9 @@ Counts protocol objects keep are read (:meth:`Registry.counter_values`).
 
 Determinism is the design center: :meth:`Registry.snapshot` captures a
 plain-data :class:`MetricsSnapshot` (picklable, so trial workers can
-return one per run), and :meth:`MetricsSnapshot.merge` combines
-snapshots *in the order given*.  Trial executors yield results in
-submission order regardless of worker scheduling, so merging per-trial
-snapshots produces byte-identical aggregates for every ``jobs`` count.
+return one per run).  Trial executors yield results in submission order
+regardless of worker scheduling, so the per-trial snapshots of a run
+are the same list for every ``jobs`` count.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ SeriesKey = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
 #: Frozen exemplar reservoir: ``(cap, ((bucket, ((value, trace), ...)),
 #: ...))`` with buckets sorted by index and entries in observation
-#: order — plain data, picklable, mergeable in the order given.
+#: order — plain data, picklable.
 ExemplarData = Tuple[int, Tuple[Tuple[int, Tuple[Tuple[float, int], ...]], ...]]
 
 
@@ -136,22 +135,6 @@ def log_bucket(value: float) -> int:
     return idx
 
 
-def merge_exemplars(a: ExemplarData, b: ExemplarData) -> ExemplarData:
-    """Merge two frozen reservoirs *in the order given*.
-
-    Per bucket: concatenate ``a``'s entries then ``b``'s, re-truncate to
-    the cap (first snapshot's cap wins, mirroring gauge last-write /
-    first-structure conventions).  Order-given merging keeps the result
-    byte-identical for every jobs count.
-    """
-    cap = a[0]
-    buckets: Dict[int, List[Tuple[float, int]]] = {idx: list(entries) for idx, entries in a[1]}
-    for idx, entries in b[1]:
-        buckets.setdefault(idx, []).extend(entries)
-    return (cap, tuple((idx, tuple(entries[:cap]))
-                       for idx, entries in sorted(buckets.items())))
-
-
 class Counter:
     """A monotonically increasing count."""
 
@@ -207,9 +190,6 @@ class Histogram:
         return (EXEMPLARS_PER_BUCKET,
                 tuple((idx, tuple(entries))
                       for idx, entries in sorted(self.exemplars.items())))
-
-    def percentile(self, fraction: float) -> float:
-        return percentile(self.values, fraction)
 
 
 class Registry:
@@ -332,30 +312,6 @@ class MetricsSnapshot:
     #: Exemplar reservoirs per histogram series — annotation, never a
     #: metric: `repro diff` and `rows()` ignore it by design.
     exemplars: Dict[SeriesKey, ExemplarData] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def merge(cls, snapshots: Iterable["MetricsSnapshot"]) -> "MetricsSnapshot":
-        """Combine snapshots *in the order given*.
-
-        Counters and histograms are commutative (sum / concatenate);
-        gauges are last-write-wins, which is
-        why order matters and why callers must merge in trial-index
-        order (the order every :class:`~repro.parallel.TrialExecutor`
-        already yields).
-        """
-        merged = cls()
-        for snap in snapshots:
-            for key, value in snap.counters.items():
-                merged.counters[key] = merged.counters.get(key, 0.0) + value
-            for key, value in snap.gauges.items():
-                merged.gauges[key] = value
-            for key, values in snap.histograms.items():
-                merged.histograms[key] = merged.histograms.get(key, ()) + tuple(values)
-            for key, data in snap.exemplars.items():
-                prior = merged.exemplars.get(key)
-                merged.exemplars[key] = data if prior is None else merge_exemplars(prior, data)
-        return merged
 
     # ------------------------------------------------------------------
     def counter_total(self, name: str) -> float:

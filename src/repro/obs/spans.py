@@ -106,16 +106,6 @@ class SpanNode:
     span: Span
     children: List["SpanNode"] = field(default_factory=list)
 
-    def depth(self) -> int:
-        """Number of levels in this subtree (a leaf is depth 1)."""
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
-
-    def categories(self) -> List[str]:
-        """Every category in the subtree, preorder."""
-        return [node.span.category for node in self.walk()]
-
     def walk(self) -> Iterator["SpanNode"]:
         """Every node of the subtree, preorder."""
         yield self

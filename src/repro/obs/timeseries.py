@@ -18,22 +18,16 @@ header under the format tag ``repro.window/2``; ``repro tail``,
 ``export_run`` and the ``report --live`` sink all go through that one
 codec.
 
-Memory stays bounded at city scale three ways:
+Memory stays bounded two ways:
 
 1. *retention ring* — only the last :data:`RETENTION` windows are kept
    (a ``deque(maxlen=...)``; evictions are counted, never silent);
-2. *per-domain rollup* — when the topology exposes ``domain_of`` (the
-   :class:`~repro.deployment.topology.CampusTopology` contract),
-   per-node series are folded into per-building series before storage:
-   counter deltas sum, histogram observations concatenate in sorted
-   series-key order, gauge levels average.  50k nodes roll into dozens
-   of domains;
-3. *zero suppression* — quiet series contribute nothing to a window.
+2. *zero suppression* — quiet series contribute nothing to a window.
 
 Determinism: the scrape schedule is pure sim-time (fixed phase — no RNG
 draw, honouring the same transparency contract as the checkers) and
-series fold in sorted-key order, so a window is a pure function of the
-run.
+histogram series are read in sorted-key order, so a window is a pure
+function of the run.
 
 The engine is deliberately **not** free: it schedules simulator events
 (like :class:`~repro.obs.health.NodeHealthSampler`), so it only exists
@@ -47,7 +41,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, IO, List, Optional
+from typing import Any, ClassVar, Dict, IO, List, Optional
 
 from repro.obs.registry import (MetricsSnapshot, Registry, SeriesKey,
                                 json_int, json_number)
@@ -100,7 +94,7 @@ class TelemetryEngine:
     The engine is registry-agnostic: wire it to a bare simulator +
     registry (benchmarks, property tests), or let
     :class:`~repro.core.system.IIoTSystem` build it over the run's
-    observability bundle and campus domain map.  Assign :attr:`sink` a
+    observability bundle.  Assign :attr:`sink` a
     writable text handle to stream each closed window as one JSON line.
     """
 
@@ -109,13 +103,11 @@ class TelemetryEngine:
         sim: Simulator,
         registry: Registry,
         interval_s: float,
-        domain_of: Optional[Callable[[int], Optional[str]]] = None,
     ) -> None:
         check_interval(interval_s)
         self.sim = sim
         self.registry = registry
         self.interval_s = interval_s
-        self.domain_of = domain_of
         self.sink: Optional[IO[str]] = None
         self.windows_closed = 0
         self.dropped = 0
@@ -123,7 +115,7 @@ class TelemetryEngine:
         self._last_counters: Dict[SeriesKey, float] = {}
         #: Observations each histogram series had at the previous scrape.
         self._last_hist: Dict[SeriesKey, int] = {}
-        #: The registry's histogram keys in fold order (sorted by repr).
+        #: The registry's histogram keys in scrape order (sorted by repr).
         self._hist_order: List[SeriesKey] = []
         self._last_start = 0.0
         # Fixed phase: the first scrape lands exactly one interval in.
@@ -161,28 +153,15 @@ class TelemetryEngine:
     # ------------------------------------------------------------------
     # scraping
     # ------------------------------------------------------------------
-    def _rolled_key(self, key: SeriesKey) -> SeriesKey:
-        """Fold a ``node=`` label into its campus domain, if mapped."""
-        name, labels = key
-        for i, (label, value) in enumerate(labels):
-            if label == "node":
-                domain = self.domain_of(value)
-                if domain is None:
-                    return key
-                rolled = labels[:i] + (("domain", domain),) + labels[i + 1:]
-                return name, tuple(sorted(rolled))
-        return key
-
     def _scrape(self) -> None:
         now = self.sim.now
         window = TelemetryWindow(index=self.windows_closed,
                                  start=self._last_start, end=now)
         self._last_start = now
         registry = self.registry
-        by_domain = self.domain_of is not None
 
-        # counters: deltas since the previous scrape, rolled up, with
-        # zero deltas suppressed.
+        # counters: deltas since the previous scrape, with zero deltas
+        # suppressed.
         last = self._last_counters
         counters = window.counters
         # A series, once read, is read at every later scrape.
@@ -190,28 +169,13 @@ class TelemetryEngine:
         for key, value in self._last_counters.items():
             delta = value - last.get(key, 0.0)
             if delta != 0.0:
-                if by_domain:
-                    key = self._rolled_key(key)
-                    delta += counters.get(key, 0.0)
                 counters[key] = delta
 
-        # gauges: end-of-window levels; domain rollups average so a
-        # building's gauge is comparable to a node's.
-        if not by_domain:
-            window.gauges = {key: g.value for key, g in registry._gauges.items()}
-        else:
-            sums: Dict[SeriesKey, float] = {}
-            counts: Dict[SeriesKey, int] = {}
-            for key in sorted(registry._gauges, key=repr):
-                rolled = self._rolled_key(key)
-                sums[rolled] = sums.get(rolled, 0.0) + registry._gauges[key].value
-                counts[rolled] = counts.get(rolled, 0) + 1
-            for rolled, total in sums.items():
-                window.gauges[rolled] = total / counts[rolled]
+        # gauges: end-of-window levels.
+        window.gauges = {key: g.value for key, g in registry._gauges.items()}
 
         # histograms: the observations recorded since the previous
-        # scrape, concatenated per rolled key in sorted-key order;
-        # zero-activity series suppressed.
+        # scrape, in sorted-key order; zero-activity series suppressed.
         last_hist = self._last_hist
         histograms = window.histograms
         table = registry._histograms
@@ -223,9 +187,7 @@ class TelemetryEngine:
             seen = last_hist.get(key, 0)
             if len(values) != seen:
                 last_hist[key] = len(values)
-                if by_domain:
-                    key = self._rolled_key(key)
-                histograms[key] = histograms.get(key, ()) + tuple(values[seen:])
+                histograms[key] = tuple(values[seen:])
 
         if len(self._ring) == self._ring.maxlen:
             self.dropped += 1

@@ -76,12 +76,6 @@ class Timer:
         return None
 
 
-def _period(value: float) -> float:
-    if not 0.0 < value < math.inf:  # NaN fails too
-        raise ValueError(f"period must be finite and positive, got {value!r}")
-    return value
-
-
 class PeriodicTimer:
     """A fixed-period repeating timer with optional random phase.
 
@@ -89,7 +83,7 @@ class PeriodicTimer:
     ``[0, period)`` from :data:`PHASE_STREAM` when not given, to avoid
     artificial synchronization between nodes — a classic simulation
     artifact this kernel must not exhibit).  A NaN or infinite period or
-    phase is refused at construction, and a period also by the setter.
+    phase is refused at construction.
     """
 
     __slots__ = ("_sim", "_period", "_callback", "_handle", "_running",
@@ -102,8 +96,11 @@ class PeriodicTimer:
         callback: Callable[[], None],
         phase: Optional[float] = None,
     ) -> None:
+        if not 0.0 < period < math.inf:  # NaN fails too
+            raise ValueError(
+                f"period must be finite and positive, got {period!r}")
         self._sim = sim
-        self._period = _period(period)
+        self._period = period
         self._callback = callback
         self._handle: Optional[EventHandle] = None
         self._running = False
@@ -112,14 +109,6 @@ class PeriodicTimer:
         elif not 0.0 <= phase < math.inf:  # NaN fails too
             raise ValueError(f"phase must be finite and >= 0, got {phase!r}")
         self._phase = phase
-
-    @property
-    def period(self) -> float:
-        return self._period
-
-    @period.setter
-    def period(self, value: float) -> None:
-        self._period = _period(value)
 
     def start(self) -> None:
         """Start the periodic schedule.  Idempotent while running."""

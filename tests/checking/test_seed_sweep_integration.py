@@ -18,14 +18,14 @@ class TestSeedSweeps:
     def test_partition_scenario_clean_across_seeds(self):
         runner = SeedSweepRunner("partition-crdt",
                                  BUILTIN_SCENARIOS["partition-crdt"])
-        outcomes = runner.sweep(SEEDS)
+        outcomes = runner.run_count(SEEDS)
         assert len(outcomes) == SEEDS
         assert all(o.clean for o in outcomes)
 
     def test_rnfd_root_failure_clean_across_seeds(self):
         runner = SeedSweepRunner("rnfd-root-failure",
                                  BUILTIN_SCENARIOS["rnfd-root-failure"])
-        outcomes = runner.sweep(SEEDS)
+        outcomes = runner.run_count(SEEDS)
         assert len(outcomes) == SEEDS
         assert all(o.clean for o in outcomes)
 
@@ -35,7 +35,7 @@ class TestSeedSweeps:
         # interleaving against the same invariants.
         runner = SeedSweepRunner("random-crashes",
                                  BUILTIN_SCENARIOS["random-crashes"])
-        outcomes = runner.sweep(SEEDS)
+        outcomes = runner.run_count(SEEDS)
         assert len(outcomes) == SEEDS
         assert all(o.clean for o in outcomes)
 
@@ -46,7 +46,7 @@ class TestSeedSweeps:
         # slotframe rendezvous and 6P renegotiation too.
         runner = SeedSweepRunner("tsch-dependability",
                                  BUILTIN_SCENARIOS["tsch-dependability"])
-        outcomes = runner.sweep(SEEDS)
+        outcomes = runner.run_count(SEEDS)
         assert len(outcomes) == SEEDS
         assert all(o.clean for o in outcomes)
 

@@ -10,7 +10,6 @@ from repro.__main__ import main
 from repro.app.scenarios import BUILTIN_SCENARIOS
 from repro.app.sweep import (
     WINDOW_S,
-    InvariantViolationError,
     ReproBundle,
     SeedSweepRunner,
     _Window,
@@ -64,7 +63,7 @@ def parity_scenario(seed: int) -> CheckerSuite:
 class TestSeedSweepRunner:
     def test_clean_sweep_returns_all_outcomes(self):
         runner = SeedSweepRunner("clean", SuiteScenario(clean_scenario))
-        outcomes = runner.sweep(5)
+        outcomes = runner.run_count(5)
         assert len(outcomes) == 5
         assert all(o.clean for o in outcomes)
         assert all(o.bundle is None for o in outcomes)
@@ -89,13 +88,20 @@ class TestSeedSweepRunner:
         runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
         assert runner.run_seed(3).clean
 
-    def test_assert_clean_raises_with_summary(self):
+    def test_run_count_flags_exactly_the_failing_seeds(self):
+        runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
+        outcomes = runner.run_count(6)
+        assert [o.seed for o in outcomes] == seeds_for(1, 6)
+        assert [o.seed for o in outcomes if not o.clean] == [
+            seed for seed in seeds_for(1, 6) if seed % 2 == 0]
+        assert all((o.bundle is None) == o.clean for o in outcomes)
+
+    def test_only_the_failing_seed_carries_a_summary(self):
         runner = SeedSweepRunner("parity", SuiteScenario(parity_scenario))
         outcomes = runner.run([3, 4, 5])
-        with pytest.raises(InvariantViolationError) as err:
-            runner.assert_clean(outcomes)
-        assert err.value.bundle.seed == 4
-        message = str(err.value)
+        (bundle,) = [o.bundle for o in outcomes if o.bundle is not None]
+        assert bundle.seed == 4
+        message = bundle.summary()
         assert "scenario='parity' seed=4" in message
         assert "even_seed" in message
         # Not a builtin: the bundle replays through the library.

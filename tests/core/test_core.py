@@ -66,8 +66,8 @@ class TestTimeSeriesStore:
         store.append("u", 1.5, 99.0)
         assert store.query("t") == [(1.0, 10.0), (2.0, 20.0)]
         assert store.query("t", since=1.5) == [(2.0, 20.0)]
-        assert store.latest("t") == (2.0, 20.0)
-        assert store.latest("missing") is None
+        assert store.query("t")[-1] == (2.0, 20.0)
+        assert store.query("missing") == []
         assert len(store) == 2
 
 

@@ -144,7 +144,7 @@ CONSTRUCTOR_KEYWORDS = {
     "Observability": ["span_sample_rate", "span_seed", "span_max"],
     # Retention is the module constant repro.obs.timeseries.RETENTION;
     # the live sink is an attribute `repro report --live` assigns.
-    "TelemetryEngine": ["sim", "registry", "interval_s", "domain_of"],
+    "TelemetryEngine": ["sim", "registry", "interval_s"],
     # The period is the module constant repro.obs.health.PERIOD_S.
     "NodeHealthSampler": ["system", "replicators"],
     # net: MACs (the queue bound is repro.net.mac.base.MAX_QUEUE)
@@ -255,7 +255,6 @@ CONSTRUCTOR_KEYWORDS = {
     # app (the replay window is repro.app.sweep.WINDOW_S, and a replay
     # takes only the bundle)
     "SeedSweepRunner": ["name", "scenario"],
-    "InvariantViolationError": ["bundle"],
     "_Window": ["suite"],
 }
 

@@ -8,10 +8,12 @@ standard library's ``ast`` and fails on such a definition unless it is
 pinned, with a reason, in :data:`ALLOW` below — as
 ``test_option_surface.py`` pins options (DESIGN.md, "Conventions").
 
-The rule is by *name*.  A module-level function or class, or a non-dunder
-method, is **run** when its name appears (``Name`` / ``Attribute`` /
-import alias, outside type annotations — annotating with a class runs
-nothing)
+The rule is by *name*.  A module-level function or class is **run**
+when its name appears (``Name`` / ``Attribute`` / import alias, outside
+type annotations — annotating with a class runs nothing), and a
+non-dunder method when its name appears as an attribute (``x.name``) or
+as the string ``getattr``/``hasattr`` looks up — a local variable or a
+function of the same name does not run a method —
 
 * in any file under ``benchmarks/`` or ``examples/``, or
 * in another ``src/repro`` module — executable code in a package
@@ -84,6 +86,7 @@ class Use:
     name: str
     module: str
     inside: Tuple[str, ...]   # qualnames of the listed definitions enclosing it
+    attribute: bool           # ``x.name`` or a getattr/hasattr string: can run a method
 
 
 def _span(node: ast.AST) -> int:
@@ -125,13 +128,18 @@ def _walk_module(module: str, tree: ast.Module, is_package_init: bool
     definitions: List[Definition] = []
     uses: List[Use] = []
 
-    def names_in(node: ast.AST) -> Iterator[str]:
+    def names_in(node: ast.AST) -> Iterator[Tuple[str, bool]]:
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
+            yield node.name.rpartition(".")[2], False
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and isinstance(node.args[1].value, str)):
+            yield node.args[1].value, True
 
     def visit(node: ast.AST, inside: Tuple[str, ...], class_name: Optional[str],
               listing: bool) -> None:
@@ -152,8 +160,8 @@ def _walk_module(module: str, tree: ast.Module, is_package_init: bool
                 visit(child, inside + (qualname,),
                       child.name if is_class else None, is_class)
                 continue
-            for name in names_in(child):
-                uses.append(Use(name, module, inside))
+            for name, attribute in names_in(child):
+                uses.append(Use(name, module, inside, attribute))
             # Conditional definitions (``if TYPE_CHECKING:``, ``try:``) are
             # still module- or class-level.
             conditional = listing and isinstance(child, (ast.If, ast.Try, ast.With))
@@ -163,12 +171,16 @@ def _walk_module(module: str, tree: ast.Module, is_package_init: bool
     return definitions, uses
 
 
-def _names_used(root: pathlib.Path) -> Set[str]:
+def _names_used(root: pathlib.Path) -> Tuple[Set[str], Set[str]]:
+    """Every name the files under ``root`` use, and those of them used
+    as an attribute (the only uses that run a method)."""
     names: Set[str] = set()
+    attributes: Set[str] = set()
     for path in sorted(root.rglob("*.py")):
         _, uses = _walk_module(path.name, ast.parse(path.read_text()), False)
         names.update(use.name for use in uses)
-    return names
+        attributes.update(use.name for use in uses if use.attribute)
+    return names, attributes
 
 
 @dataclass(frozen=True)
@@ -213,11 +225,14 @@ def census(src: pathlib.Path = SRC,
     def keeper(d: Definition) -> Optional[str]:
         if d.owner_class and (d.module, d.owner_class) in dead:
             return None
-        for label, names in external:
-            if d.name in names:
+        method = d.owner_class is not None
+        for label, (names, attributes) in external:
+            if d.name in (attributes if method else names):
                 return label + "/"
         own: Optional[str] = None
         for use in uses_of.get(d.name, ()):
+            if method and not use.attribute:
+                continue
             if any((use.module, q) in dead for q in use.inside):
                 continue
             if use.module != d.module:
@@ -415,6 +430,109 @@ def test_a_class_named_only_in_annotations_is_flagged(tmp_path):
 def test_a_protocol_is_a_declaration_not_a_definition(tmp_path):
     rows, _ = _censused(tmp_path, _ANNOTATED)
     assert not [q for q in _kept(rows) if q.startswith("Transport")]
+
+
+_METHOD_USES = {
+    "pkg/a.py": """
+        class Store:
+            def latest(self):
+                return 1
+
+            def depth(self):
+                return 2
+
+            def looked_up(self):
+                return 3
+
+            def checked(self):
+                return 4
+
+            def called(self):
+                return 5
+
+        def points():
+            return 6
+
+        def entry(store):
+            latest = store.called()
+            if hasattr(store, "checked"):
+                latest += getattr(store, "looked_up")()
+            return latest + points()
+    """,
+    "callers/bench.py": """
+        from pkg.a import Store, entry
+        depth = entry(Store())
+    """,
+}
+
+
+def test_a_method_is_run_only_through_an_attribute(tmp_path):
+    rows, problems = _censused(tmp_path, _METHOD_USES)
+    kept = _kept(rows)
+    assert kept["Store.called"] == "own module"      # store.called()
+    assert kept["Store.looked_up"] == "own module"   # getattr's string
+    assert kept["Store.checked"] == "own module"     # hasattr's string
+    assert kept["points"] == "own module"            # a function: any use
+    # A local variable of the same name, here or in a caller, runs no
+    # method.
+    assert [d.qualname for d in unrun(rows)] == ["Store.latest", "Store.depth"]
+    assert len(problems) == 2
+
+
+# One use of the name ``m`` per case, placed in a module beside ``Store``,
+# in a second module of the package, or in a benchmark: the keeper the
+# census names for ``Store.m``, or None when that use runs no method.
+_USE_CASES = {
+    "attribute-call": ("pkg/a.py", "store.m()", "own module"),
+    "bound-attribute": ("pkg/a.py", "run = store.m", "own module"),
+    "getattr-string": ("pkg/a.py", 'getattr(store, "m")()', "own module"),
+    "hasattr-string": ("pkg/a.py", 'hasattr(store, "m")', "own module"),
+    "other-module-attribute": ("pkg/b.py", "store.m()", "b.py"),
+    "benchmark-attribute": ("callers/bench.py", "Store().m()", "callers/"),
+    "local-variable": ("pkg/a.py", "m = 1", None),
+    "parameter-read": ("pkg/a.py", "return store, m", None),
+    "keyword-argument": ("pkg/a.py", "print(m=1)", None),
+    "nested-function": ("pkg/a.py", "def m():\n    return 1", None),
+    "getattr-computed-name": ("pkg/a.py", 'getattr(store, "m" * 1)()', None),
+    "benchmark-local": ("callers/bench.py", "m = entry(Store(), 1)", None),
+}
+
+
+_USE_HOSTS = {
+    "pkg/a.py": """
+        class Store:
+            def m(self):
+                return 1
+
+        def entry(store, m):
+            {use}
+    """,
+    "pkg/b.py": """
+        def other(store):
+            {use}
+    """,
+    "callers/bench.py": """
+        from pkg.a import Store, entry
+        from pkg.b import other
+        entry(Store(), 1)
+        other(Store())
+        {use}
+    """,
+}
+
+
+@pytest.mark.parametrize("where, line, keeper", list(_USE_CASES.values()),
+                         ids=list(_USE_CASES))
+def test_one_use_keeps_a_method_or_not(tmp_path, where, line, keeper):
+    files = {}
+    for name, template in _USE_HOSTS.items():
+        indent = " " * (12 if name.startswith("pkg/") else 8)
+        use = line if name == where else "pass"
+        files[name] = template.replace(
+            "{use}", textwrap.indent(use, indent).lstrip())
+    rows, problems = _censused(tmp_path, files)
+    assert _kept(rows)["Store.m"] == keeper
+    assert len(problems) == (keeper is None)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,10 @@
-"""Property tests of the telemetry plane's merge determinism.
+"""Property tests of the telemetry plane's jobs determinism.
 
 The claim, fuzzed rather than spot-checked (mirroring
 ``test_parallel_properties``): a fleet of telemetry trials mapped by
-:meth:`TrialExecutor.map` and folded in submission order is
-**byte-identical** for every (task count, jobs) shape — each trial
-returns its windows' JSON, the fold concatenates them in submission
-order, and the end-of-run metrics ride the in-order-given merge
-contract.
+:meth:`TrialExecutor.map` is **byte-identical** for every (task count,
+jobs) shape — each trial returns its windows' JSON and its end-of-run
+metrics, and the executor yields them in submission order.
 
 The ``multicore`` fixture keeps the claim honest on single-core CI.
 Module-level trial functions: process pools move work through pickle.
@@ -20,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from repro.obs.registry import MetricsSnapshot, Registry  # noqa: E402
+from repro.obs.registry import Registry  # noqa: E402
 from repro.obs.timeseries import TelemetryEngine  # noqa: E402
 from repro.parallel import TrialExecutor  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
@@ -52,15 +50,13 @@ def _telemetry_trial(value, seed):
     return windows, registry.snapshot()
 
 
-def _merge_pair_stream(results):
-    """Fold (windows, metrics) pairs into canonical JSON strings."""
-    pairs = list(results)
-    windows = "\n".join(line for lines, _ in pairs for line in lines)
-    metrics = MetricsSnapshot.merge([m for _, m in pairs])
-    return windows, json.dumps(metrics.to_jsonable(), sort_keys=True)
+def _canonical(results):
+    """(windows, metrics) pairs as canonical JSON strings, in order."""
+    return [(lines, json.dumps(metrics.to_jsonable(), sort_keys=True))
+            for lines, metrics in results]
 
 
-class TestMapMergeByteIdentity:
+class TestMapByteIdentity:
     @FEW
     @given(
         values=st.lists(st.integers(min_value=0, max_value=7),
@@ -68,11 +64,11 @@ class TestMapMergeByteIdentity:
         seed=st.integers(min_value=0, max_value=99),
         jobs=st.integers(min_value=2, max_value=4),
     )
-    def test_jobs_never_change_merged_output(self, values, seed, jobs):
+    def test_jobs_never_change_per_trial_output(self, values, seed, jobs):
         argses = [(v, seed + i) for i, v in enumerate(values)]
-        serial = _merge_pair_stream(
+        serial = _canonical(
             TrialExecutor(jobs=1).map(_telemetry_trial, argses))
-        parallel = _merge_pair_stream(
+        parallel = _canonical(
             TrialExecutor(jobs=jobs).map(_telemetry_trial, argses))
         assert serial == parallel
 
@@ -83,12 +79,13 @@ class TestMapMergeByteIdentity:
         seed=st.integers(min_value=0, max_value=99),
         data=st.data(),
     )
-    def test_index_order_merge_recovers_serial_windows(
+    def test_index_order_recovers_serial_windows(
             self, values, seed, data):
-        """Results may *arrive* in any order; merging by trial index —
-        the order every executor yields — reproduces the serial fold."""
+        """Results may *arrive* in any order; ordering them by trial
+        index — the order every executor yields — reproduces the serial
+        results."""
         argses = [(v, seed + i) for i, v in enumerate(values)]
         results = [_telemetry_trial(*args) for args in argses]
         arrival = data.draw(st.permutations(list(enumerate(results))))
         by_index = [pair for _, pair in sorted(arrival, key=lambda p: p[0])]
-        assert _merge_pair_stream(by_index) == _merge_pair_stream(results)
+        assert _canonical(by_index) == _canonical(results)

@@ -135,31 +135,34 @@ class TestReachability:
 
 
 class TestCampus:
-    def test_exact_size_and_contiguous_domains(self):
+    def test_exact_size_and_contiguous_ids(self):
         campus = campus_topology(4, 25)
         assert campus.size == 100
         assert campus.name == "campus-4x25"
-        assert sorted(campus.domains) == [f"bldg-{b}" for b in range(4)]
-        for b in range(4):
-            assert campus.domains[f"bldg-{b}"] == list(range(25 * b,
-                                                             25 * (b + 1)))
+        assert campus.node_ids() == list(range(100))
 
-    def test_border_routers_anchor_building_corners(self):
+    def test_first_node_of_each_building_anchors_its_corner(self):
         campus = campus_topology(3, 16, building_span_m=80.0,
                                  building_gap_m=40.0, buildings_per_row=2)
-        assert campus.border_routers == {
-            "bldg-0": 0, "bldg-1": 16, "bldg-2": 32}
         assert campus.root_id == 0
         # Row-major district layout at pitch span+gap, corners unjittered.
         assert campus.positions[0] == (0.0, 0.0)
         assert campus.positions[16] == (120.0, 0.0)
         assert campus.positions[32] == (0.0, 120.0)
 
-    def test_domain_of(self):
-        campus = campus_topology(2, 9)
-        assert campus.domain_of(0) == "bldg-0"
-        assert campus.domain_of(9) == "bldg-1"
-        assert campus.domain_of(99) is None
+    @pytest.mark.parametrize("per_row", [1, 2, 3])
+    def test_building_corners_follow_the_row_major_pitch(self, per_row):
+        span, gap, size = 50.0, 30.0, 9
+        campus = campus_topology(5, size, building_span_m=span,
+                                 building_gap_m=gap, buildings_per_row=per_row)
+        pitch = span + gap
+        assert [campus.positions[size * b] for b in range(5)] == [
+            ((b % per_row) * pitch, (b // per_row) * pitch) for b in range(5)]
+
+    @pytest.mark.parametrize("buildings, per_building", [(0, 5), (3, 0)])
+    def test_empty_campus_rejected(self, buildings, per_building):
+        with pytest.raises(ValueError, match=">= 1"):
+            campus_topology(buildings, per_building)
 
     def test_nodes_stay_near_their_building(self):
         span, gap, jitter = 90.0, 60.0, 4.0
@@ -167,9 +170,10 @@ class TestCampus:
                                  building_gap_m=gap, jitter_m=jitter,
                                  buildings_per_row=2)
         pitch = span + gap
-        for b, members in enumerate(campus.domains.values()):
+        for b in range(4):
             origin = ((b % 2) * pitch, (b // 2) * pitch)
-            for node_id in members:
+            # Ids are contiguous per building: 25 a block.
+            for node_id in range(25 * b, 25 * (b + 1)):
                 x, y = campus.positions[node_id]
                 assert origin[0] - jitter <= x <= origin[0] + span + jitter
                 assert origin[1] - jitter <= y <= origin[1] + span + jitter

@@ -121,7 +121,3 @@ class TestProprietary:
         device.execute("GIBBERISH", replies.append)
         sim.run()
         assert replies == ["ERR SYNTAX"]
-
-    def test_points_lists_variables(self, sim):
-        _, adapter = self.make(sim)
-        assert adapter.points() == ["TEMP", "VLV"]

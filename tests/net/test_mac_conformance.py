@@ -22,7 +22,6 @@ import pytest
 
 from repro.net.stack import _MAC_REGISTRY
 from repro.obs import Observability
-from repro.obs.registry import MetricsSnapshot
 from repro.parallel import TrialExecutor
 from repro.radio.medium import Radio, RadioState
 from repro.sim.kernel import Simulator
@@ -237,11 +236,9 @@ class TestSpanNesting:
 @pytest.mark.parametrize("mac", MACS)
 @pytest.mark.usefixtures("multicore")
 class TestParallelSnapshots:
-    def test_jobs1_and_jobs2_merge_byte_identically(self, mac):
+    def test_jobs1_and_jobs2_snapshots_byte_identical(self, mac):
         tasks = [(mac, seed) for seed in SEEDS]
-        serial = MetricsSnapshot.merge(
-            TrialExecutor(jobs=1).map(_snapshot_trial, tasks))
-        parallel = MetricsSnapshot.merge(
-            TrialExecutor(jobs=2).map(_snapshot_trial, tasks))
+        serial = TrialExecutor(jobs=1).map(_snapshot_trial, tasks)
+        parallel = TrialExecutor(jobs=2).map(_snapshot_trial, tasks)
         assert serial == parallel
-        assert serial.rows() == parallel.rows()
+        assert [s.rows() for s in serial] == [s.rows() for s in parallel]

@@ -248,7 +248,7 @@ class TestRendering:
         payload = _payload(attribution.by_layer(), attribution.total_s)
         payload["traces"] = [{
             "trace": trace_id, "value_s": 10.0, "total_s": 10.0,
-            "node": 1, "domain": None,
+            "node": 1,
             "layers": attribution.by_layer(),
             "critical_path": [span.category
                               for span in critical_path(tracer, trace_id)],

@@ -48,7 +48,7 @@ class TestParentSwitchSpans:
         # At least one switch's DAO datagram made it to the MAC/radio.
         categories = set()
         for tree in closed:
-            categories |= set(tree.categories())
+            categories |= {n.span.category for n in tree.walk()}
         assert "net.datagram" in categories
         assert "mac.job" in categories
         layers = {c.split(".")[0] for c in categories}
@@ -143,7 +143,7 @@ class TestRnfdVerdictSpans:
         sim, obs, stacks = self.kill_root()
         categories = set()
         for tree in trees_of(obs, "rnfd.verdict"):
-            categories |= set(tree.categories())
+            categories |= {n.span.category for n in tree.walk()}
         # The verdict's gossip rides the MAC/radio like any broadcast.
         assert "mac.job" in categories
         assert "radio.airtime" in categories

@@ -10,9 +10,7 @@ The reservoir contract (DESIGN.md, "Latency attribution"):
   committed diff baseline is unaffected by them;
 - snapshots freeze, JSON round-trips, and the ``exemplars`` key is
   emitted only when non-empty (pre-exemplar baselines stay
-  byte-identical);
-- merge is order-given: concatenate per bucket, truncate to the cap —
-  the same in-trial-index-order fold every other snapshot field rides.
+  byte-identical).
 """
 
 import json
@@ -25,7 +23,6 @@ from repro.obs.registry import (
     MetricsSnapshot,
     Registry,
     log_bucket,
-    merge_exemplars,
 )
 
 
@@ -110,43 +107,6 @@ class TestSnapshotAndJson:
             "name": "lat", "labels": {}, "cap": 4,
             "buckets": [[log_bucket(0.25), [[0.25, 41]]]],
         }]
-
-
-class TestMerge:
-    def test_merge_concatenates_in_order_given(self):
-        a, b = Registry(), Registry()
-        a.observe("lat", 0.200, exemplar=1)
-        b.observe("lat", 0.201, exemplar=2)
-        merged = MetricsSnapshot.merge([a.snapshot(), b.snapshot()])
-        assert merged.exemplars_for("lat") == [(0.201, 2), (0.2, 1)]
-
-    def test_merge_truncates_to_first_snapshots_cap(self):
-        # Three links per side in one bucket: the merge keeps the first
-        # snapshot's three, then the second's first, and drops the rest.
-        a, b = Registry(), Registry()
-        for i, (ours, theirs) in enumerate(
-                zip((0.2, 0.201, 0.202), (0.21, 0.211, 0.212))):
-            a.observe("lat", ours, exemplar=1 + i)
-            b.observe("lat", theirs, exemplar=11 + i)
-        merged = MetricsSnapshot.merge([a.snapshot(), b.snapshot()])
-        assert merged.exemplars_for("lat") == [
-            (0.21, 11), (0.202, 3), (0.201, 2), (0.2, 1)]
-
-    def test_merge_exemplars_is_associative_in_fold_order(self):
-        def data(trace, value):
-            return (4, ((log_bucket(value), ((value, trace),)),))
-        a, b, c = data(1, 0.2), data(2, 0.21), data(3, 0.22)
-        left = merge_exemplars(merge_exemplars(a, b), c)
-        right = merge_exemplars(a, merge_exemplars(b, c))
-        assert left == right
-
-    def test_merge_with_exemplar_free_snapshot_is_identity(self):
-        a, empty = Registry(), Registry()
-        a.observe("lat", 0.2, exemplar=1)
-        empty.observe("lat", 0.3)
-        merged = MetricsSnapshot.merge([a.snapshot(), empty.snapshot()])
-        assert merged.exemplars_for("lat") == [(0.2, 1)]
-        assert merged.histogram_values("lat") == [0.2, 0.3]
 
 
 class TestSystemRun:

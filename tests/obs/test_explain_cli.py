@@ -26,7 +26,6 @@ def demo_run():
 def _analyze(demo_run, **kwargs):
     system = demo_run.system
     return analyze_run(system.obs.spans, system.obs.registry.snapshot(),
-                       domain_of=getattr(system.topology, "domain_of", None),
                        **kwargs)
 
 

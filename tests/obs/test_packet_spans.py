@@ -46,8 +46,12 @@ class TestLifecycleTree:
         tree = trees[0]
         # coap.request -> net.datagram -> net.hop -> mac.job ->
         # radio.airtime -> radio.rx: six levels, >= 4 distinct layers.
-        assert tree.depth() >= 4
-        categories = set(tree.categories())
+        def depth(node):
+            return 1 + max((depth(child) for child in node.children),
+                           default=0)
+
+        assert depth(tree) >= 4
+        categories = {node.span.category for node in tree.walk()}
         assert {"coap.request", "net.datagram", "net.hop", "mac.job",
                 "radio.airtime"} <= categories
         layers = {category.split(".")[0] for category in categories}

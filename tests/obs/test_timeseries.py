@@ -1,11 +1,10 @@
-"""The windowed telemetry engine: scraping, rollup, retention, codec.
+"""The windowed telemetry engine: scraping, retention, codec.
 
 Covers the contracts of ``repro.obs.timeseries``:
 
 - a window is a metrics snapshot of its interval: counter *deltas*,
   gauge *levels*, the histogram observations recorded *during* it,
   with zero-activity series suppressed;
-- per-domain rollup folds ``node=`` labels through ``domain_of``;
 - the retention ring bounds memory and counts (never hides) evictions;
 - the scrape schedule is pure sim-time and draws no RNG;
 - windows round-trip through the one snapshot codec (``repro.window/2``).
@@ -92,44 +91,12 @@ class TestWindows:
         assert sim.rng.getstate() == state_before
         assert engine.windows_closed == 5
 
-
-class TestRollup:
-    @staticmethod
-    def domain_of(node_id):
-        return f"bldg-{node_id // 2}" if node_id < 4 else None
-
-    def test_counter_rollup_sums_per_domain(self):
-        sim, registry, engine = make_engine(domain_of=self.domain_of)
-        for node in range(4):
-            sim.schedule_at(1.0 + node, lambda n=node: registry.inc("pkts", node=n))
-        sim.run(until=10.5)
-        window = engine.windows[0]
-        assert window.counters[("pkts", (("domain", "bldg-0"),))] == 2.0
-        assert window.counters[("pkts", (("domain", "bldg-1"),))] == 2.0
-
-    def test_gauge_rollup_averages_per_domain(self):
-        sim, registry, engine = make_engine(domain_of=self.domain_of)
-        sim.schedule_at(1.0, lambda: registry.set("temp", 20.0, node=0))
-        sim.schedule_at(1.0, lambda: registry.set("temp", 30.0, node=1))
-        sim.run(until=10.5)
-        assert engine.windows[0].gauges[("temp", (("domain", "bldg-0"),))] == 25.0
-
-    def test_histogram_rollup_concatenates_in_sorted_key_order(self):
-        sim, registry, engine = make_engine(domain_of=self.domain_of)
-        sim.schedule_at(1.0, lambda: registry.observe("lat", 0.3, node=1))
-        sim.schedule_at(2.0, lambda: registry.observe("lat", 0.1, node=0))
-        sim.schedule_at(3.0, lambda: registry.observe("lat", 0.2, node=1))
-        sim.run(until=10.5)
-        # node=0's series sorts first, whatever the observation order.
-        assert engine.windows[0].histograms[
-            ("lat", (("domain", "bldg-0"),))] == (0.1, 0.3, 0.2)
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 49.0), st.sampled_from(
         ["lat", "hops", "a.b"]), st.integers(0, 5), st.floats(0.0, 9.0)),
         max_size=40))
     def test_windows_equal_a_per_window_sort(self, observations):
-        """The fold order is sorted again only when a series appears;
+        """The scrape order is sorted again only when a series appears;
         every window is byte-identical to one sorted afresh."""
 
         class Resorting(TelemetryEngine):
@@ -139,8 +106,7 @@ class TestRollup:
 
         def windows(cls):
             sim, registry = Simulator(seed=7), Registry()
-            engine = cls(sim, registry, interval_s=10.0,
-                         domain_of=self.domain_of)
+            engine = cls(sim, registry, interval_s=10.0)
             engine.start()
             for t, name, node, value in observations:
                 sim.schedule_at(t, lambda name=name, value=value, node=node:
@@ -150,18 +116,6 @@ class TestRollup:
                     for w in engine.windows]
 
         assert windows(TelemetryEngine) == windows(Resorting)
-
-    def test_unmapped_nodes_keep_node_label(self):
-        sim, registry, engine = make_engine(domain_of=self.domain_of)
-        sim.schedule_at(1.0, lambda: registry.inc("pkts", node=9))
-        sim.run(until=10.5)
-        assert engine.windows[0].counters[("pkts", (("node", 9),))] == 1.0
-
-    def test_unlabeled_series_pass_through(self):
-        sim, registry, engine = make_engine(domain_of=self.domain_of)
-        sim.schedule_at(1.0, lambda: registry.inc("global.events"))
-        sim.run(until=10.5)
-        assert engine.windows[0].counters[("global.events", ())] == 1.0
 
 
 class TestRetention:
@@ -225,17 +179,15 @@ class TestCodecAndSnapshot:
 
 
 class TestSystemIntegration:
-    def test_campus_system_rolls_up_per_domain(self):
-        """A (small) campus run produces per-domain windowed series
-        inside the engine's default retention ring — the
-        acceptance-criteria shape, at tier-1 scale."""
+    def test_system_run_windows_per_node_series(self):
+        """A (small) grid run produces per-node windowed series inside
+        the engine's default retention ring."""
         from repro.core.system import IIoTSystem, SystemConfig
-        from repro.deployment.topology import campus_topology
+        from repro.deployment.topology import grid_topology
 
-        topology = campus_topology(buildings=2, nodes_per_building=4)
         config = SystemConfig(observability=True,
                               telemetry_interval_s=30.0)
-        system = IIoTSystem.build(topology, config=config, seed=11)
+        system = IIoTSystem.build(grid_topology(3), config=config, seed=11)
         system.start()
         system.run(240.0)
 
@@ -244,22 +196,14 @@ class TestSystemIntegration:
         assert engine.windows_closed == 8
         assert len(engine.windows) == 8 <= timeseries.RETENTION
         assert engine.dropped == 0
-        domains = {labels for window in engine.windows
-                   for (name, labels) in window.counters
-                   for label, value in labels if label == "domain"}
-        assert domains, "expected per-domain rolled-up series"
-        # no per-node series survive the rollup for mapped nodes
-        for window in engine.windows:
-            for (name, labels) in window.counters:
-                assert ("node" not in dict(labels)
-                        or topology.domain_of(dict(labels)["node"]) is None)
-        # The windows as JSON, pinned: recorded while the counters an
-        # owner keeps were still pushed beside it, and while every
-        # scrape rolled every key whether or not a domain map was set.
+        nodes = {dict(labels).get("node") for window in engine.windows
+                 for (name, labels) in window.counters}
+        assert nodes - {None} == set(range(9))
+        # The windows as JSON, pinned: a scrape that moves a byte fails.
         text = "\n".join(json.dumps(w.to_jsonable(), sort_keys=True)
                          for w in engine.windows)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "2a277e779333b0c424fc3f06150f2997b0af6e4447479f9aaeb97004e0280cbe")
+            "45230c0333fdcc7b444cb425b9a4e29a18ee08b255ee4b6f37afc353187d5cae")
 
     def test_telemetry_requires_observability(self):
         from repro.core.system import IIoTSystem, SystemConfig
