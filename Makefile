@@ -116,8 +116,9 @@ cold-fill:
 
 # What one kernel event costs and how many a run makes (DESIGN.md, "Hot
 # single-trial paths"): the best of five us/event of a no-op event chain
-# and of a cancel/re-arm loop, the bytes a stored span and a cached link
-# keep (the latter over campus_medium's cold fill at SEED), then
+# and of a cancel/re-arm loop, the bytes a stored span, a cached link, an
+# attached radio and a pending event keep (the last three over
+# campus_medium's cold fill, radios and timed section at SEED), then
 # WORKLOAD's (default
 # grid_csma_collect; any layered workload) timed-section
 # census at SEED — events, heap pushes, pushes cancelled before they

@@ -10,7 +10,7 @@ funnel a neighbourhood goes through (DESIGN.md, "Scaling the medium") —
   its power, times the cell margin), counted over **all** radios;
 - *evaluated*: links the medium asks the model about (the rows it hands
   ``model.rssi_dbm``);
-- *audible*: radios that end up in the neighbourhood
+- *audible*: radios that end up in the neighbourhood (its ``rssi_by_id``)
 
 — ``radio.cold_frame_us`` as the layered benchmark defines it, and where
 a build's time goes, stage by stage, so the next cold-fill change starts
@@ -88,7 +88,7 @@ def census(medium: Medium, senders: Sequence[Radio]) -> List[Dict[str, float]]:
                 "in_reach": int(np.count_nonzero(
                     dx * dx + dy * dy <= reach * reach)) - 1,
                 "evaluated": asked - before,
-                "audible": len(entry.radios),
+                "audible": len(entry.rssi_by_id),
                 # marks: reach, rssi, prr — each in, out
                 "gather_s": marks[0] - start,
                 "disc_s": marks[2] - marks[0],

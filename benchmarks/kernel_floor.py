@@ -17,6 +17,13 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
 - the bytes one cached link keeps: tracemalloc over the cold fill of
   ``campus_medium``'s 1 000 senders on its campus topology at
   ``--seed`` (every neighbourhood built again from nothing);
+- the bytes one attached radio keeps: tracemalloc over attaching
+  ``campus_medium``'s 10 000 radios, as its set-up does, to a fresh
+  medium (the medium's per-radio rows included);
+- the bytes one pending event keeps: tracemalloc over queuing
+  ``campus_medium``'s timed section (10 000 sends) once more on the
+  simulator its set-up left, each entry with its own time and
+  sequence number as in the run;
 - the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
@@ -67,8 +74,11 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
 from benchmarks.layers import workloads
 from benchmarks.layers.workloads import (
     DEFAULT_SCALE, WORKLOADS, CampusMedium, advance)
+from repro.deployment.topology import campus_topology
 from repro.obs import GATED_SPAN_CATEGORIES
 from repro.obs.spans import SpanTracer
+from repro.radio.medium import Medium, Radio
+from repro.radio.propagation import LogDistanceModel
 from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import TraceLog
@@ -158,8 +168,9 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
     workload.setup(lambda: None)
     sim = workload.sim
     pushes: List[Tuple[str, Any]] = []
+    # The heap's entries are the handles themselves.
     queued = [(_name(handle.callback), handle)
-              for _, _, _, handle in sim._heap if handle.pending]
+              for handle in sim._heap if handle.pending]
     zero = 0
     depth = 0
 
@@ -194,7 +205,7 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
         "pushes": len(pushes),
         "queued at set-up": len(queued),
         "cancelled before fire": sum(
-            1 for _, h in pushes + queued if h.cancelled and not h.fired),
+            1 for _, h in pushes + queued if h.cancelled),
         "zero-delay pushes": zero,
         "compactions": sim._compactions - compactions,
     }
@@ -204,7 +215,7 @@ def census(workload_name: str = "grid_csma_collect", seed: int = 2018,
     cancelled: Counter = Counter()
     for name, handle in pushes + queued:
         fired[name] += handle.fired
-        cancelled[name] += handle.cancelled and not handle.fired
+        cancelled[name] += handle.cancelled
     rows = [(name, pushed[name], inherited[name], fired[name], cancelled[name])
             for name, _ in (pushed + inherited).most_common()]
     return totals, rows, outcome_digest(workload)
@@ -334,6 +345,57 @@ def campus_link_bytes(seed: int, **sizes: Any) -> Tuple[float, int]:
     return neighbourhood_bytes(medium, senders)
 
 
+def campus_radio_bytes(seed: int, **sizes: Any) -> Tuple[float, int]:
+    """Bytes per radio that attaching ``campus_medium``'s radios leaves
+    allocated (tracemalloc), each given an upcall and set listening as
+    its set-up does, on a medium built as it builds it; and the radios
+    attached (``sizes`` go to the workload, as in ``run.py --rep``)."""
+    workload = CampusMedium(seed, **sizes)
+    topology = campus_topology(workload.buildings,
+                               workload.NODES_PER_BUILDING, seed=seed)
+    model = LogDistanceModel(path_loss_exponent=3.5, shadowing_sigma_db=2.0,
+                             seed=seed)
+    medium = Medium(Simulator(seed=seed), model, TraceLog(enabled=False))
+
+    def discard(frame: Any, rssi: float) -> None:
+        pass
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for node_id in topology.node_ids():
+            radio = Radio(medium, node_id, topology.positions[node_id])
+            radio.on_receive = discard
+            radio.set_listening()
+        gc.collect()
+        radios = len(medium.radios)
+        return (tracemalloc.get_traced_memory()[0] - before) / radios, radios
+    finally:
+        tracemalloc.stop()
+
+
+def campus_event_bytes(seed: int, **sizes: Any) -> Tuple[float, int]:
+    """Bytes per pending event that queuing ``campus_medium``'s timed
+    section once more leaves allocated (tracemalloc), on the simulator
+    its set-up left; and the events queued (``sizes`` go to the
+    workload, as in ``run.py --rep``)."""
+    workload = CampusMedium(seed, **sizes)
+    workload.setup(lambda: None)
+    sim = workload.sim
+    queued = len(sim._heap)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        workload._schedule_rounds(workload.rounds)
+        gc.collect()
+        events = len(sim._heap) - queued
+        return (tracemalloc.get_traced_memory()[0] - before) / events, events
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=2018)
@@ -355,6 +417,12 @@ def main() -> int:
     per_link, links = campus_link_bytes(args.seed)
     print(f"  {'neighbourhood stored':24s}{per_link:8.1f} B/link  "
           f"(campus_medium seed {args.seed}: {links} links)")
+    per_radio, radios = campus_radio_bytes(args.seed)
+    print(f"  {'radio stored':24s}{per_radio:8.1f} B/radio "
+          f"(campus_medium seed {args.seed}: {radios} radios)")
+    per_event, events = campus_event_bytes(args.seed)
+    print(f"  {'event pending':24s}{per_event:8.1f} B/event "
+          f"(campus_medium seed {args.seed}: {events} events)")
     totals, rows, digest = census(args.workload, args.seed)
     print(f"{args.workload} seed {args.seed}, timed section:")
     for name, value in totals.items():

@@ -36,7 +36,7 @@ from repro.devices.phenomena import DiurnalField
 from repro.devices.sensors import SensorFault
 from repro.faults.plan import (CrashClause, InterferenceClause, LinkFlapClause,
                                PartitionClause, SensorClause)
-from repro.net.mac.analysis import mac_summary_lines
+from repro.net.mac.csma import MAX_CCA_ATTEMPTS, CsmaMac
 from repro.obs.analysis import analyze_run, render_explain, render_trace
 from repro.obs.export import export_run
 from repro.obs.health import health_rows
@@ -162,8 +162,11 @@ def render_report(run: DemoRun, top: int = 8) -> str:
                  f"retransmits={total('coap.retransmit'):.0f}")
     lines.append(f"mac tx: {total('mac.tx'):.0f} jobs, "
                  f"queue drops={total('mac.queue_drop'):.0f}")
-    lines.extend(mac_summary_lines(
-        [system.nodes[nid].stack.mac for nid in sorted(system.nodes)]))
+    mac = system.nodes[min(system.nodes)].stack.mac
+    if isinstance(mac, CsmaMac):  # the demo's stack: always-on CSMA
+        lines.append(f"csma: always-on CSMA/CA, max retries="
+                     f"{mac.config.max_retries}, "
+                     f"cca attempts={MAX_CCA_ATTEMPTS}")
 
     latencies = metrics.histogram_values("net.latency_s")
     lines.append(_section("end-to-end latency"))

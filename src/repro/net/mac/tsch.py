@@ -672,7 +672,7 @@ class TschMac(MacLayer):
                              node=self.radio.node_id)
 
     # ------------------------------------------------------------------
-    # introspection (analysis + report dashboard)
+    # introspection (the layered benchmark)
     # ------------------------------------------------------------------
     def cell_utilization(self) -> float:
         """Lifetime used/elapsed over dedicated TX cells (MSF signal)."""
@@ -680,13 +680,3 @@ class TschMac(MacLayer):
         if stats.cells_elapsed == 0:
             return 0.0
         return stats.cells_used / stats.cells_elapsed
-
-    def shared_contention(self) -> float:
-        """Fraction of shared-cell opportunities lost to contention
-        (CCA/backoff deferrals and unacknowledged unicasts)."""
-        stats = self._tsch_stats
-        lost = stats.shared_deferrals + stats.shared_failures
-        total = stats.shared_tx + stats.shared_deferrals
-        if total == 0:
-            return 0.0
-        return lost / total

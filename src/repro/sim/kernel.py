@@ -28,8 +28,17 @@ class SimTimeError(ValueError):
     NaN or infinite time, or a run is asked to end at one."""
 
 
-class EventHandle:
-    """A cancellable reference to a scheduled event.
+class EventHandle(list):
+    """A cancellable reference to a scheduled event, and its heap entry.
+
+    The handle *is* what the heap holds: ``[time, priority, seq,
+    callback, sim]``, a list the heap compares in C exactly as it would
+    the tuple ``(time, priority, seq)`` (``seq`` is unique, so the
+    callback is never compared) — one object per queued event, no
+    attributes.  ``sim`` is the owning simulator while the event is
+    pending and None once it fired or was cancelled; a cancel also drops
+    the callback, so the two end states stay apart and a dead entry
+    holds nothing alive.
 
     Cancellation is lazy: the event stays in the heap but is skipped when
     popped.  This keeps cancellation O(1) which matters because protocol
@@ -40,34 +49,46 @@ class EventHandle:
     entries through every push and pop.
     """
 
-    __slots__ = ("time", "callback", "cancelled", "fired", "_sim")
+    __slots__ = ()
 
-    def __init__(self, time: float, callback: Callable[[], None],
-                 sim: Optional["Simulator"] = None) -> None:
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
-        self._sim = sim
+    @property
+    def time(self) -> float:
+        """The simulated time the event fires (or was to fire) at."""
+        return self[0]
+
+    @property
+    def callback(self) -> Optional[Callable[[], None]]:
+        """What the event runs; None once cancelled."""
+        return self[3]
+
+    @property
+    def fired(self) -> bool:
+        """True once the event ran."""
+        return self[4] is None and self[3] is not None
+
+    @property
+    def cancelled(self) -> bool:
+        """True once cancelled before it fired (a cancel after firing
+        changes nothing)."""
+        return self[3] is None
+
+    @property
+    def pending(self) -> bool:
+        """True while the event is still going to fire."""
+        return self[4] is not None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent; safe after firing.
 
         The cancel that leaves the heap at least half dead compacts it.
         """
-        sim = self._sim
-        if self.cancelled or self.fired or sim is None:
-            self.cancelled = True
+        sim = self[4]
+        if sim is None:
             return
-        self.cancelled = True  # first: compaction keeps live entries only
+        self[3] = self[4] = None  # first: compaction keeps live entries only
         dead = sim._cancelled_queued = sim._cancelled_queued + 1
         if dead >= sim._COMPACT_MIN_CANCELLED and dead * 2 >= len(sim._heap):
             sim._compact()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is still going to fire."""
-        return not self.cancelled and not self.fired
 
 
 class Simulator:
@@ -100,7 +121,7 @@ class Simulator:
         self.rng = random.Random(seed)
         self._substreams: Dict[str, random.Random] = {}
         self._ids: Dict[str, int] = {}
-        self._heap: List[tuple] = []
+        self._heap: List[EventHandle] = []
         self._seq = 0
         #: Current simulated time in seconds.  Only the kernel advances
         #: it; a plain attribute, not a property, because every layer
@@ -165,10 +186,10 @@ class Simulator:
         # One chained compare: NaN fails it too, and so does inf.
         if not 0.0 <= delay < _INF:
             raise SimTimeError(f"delay {delay!r} must be finite and >= 0")
-        time = self.now + delay
-        handle = EventHandle(time, callback, self)
         self._seq += 1
-        heappush(self._heap, (time, priority, self._seq, handle))
+        handle = EventHandle((self.now + delay, priority, self._seq, callback,
+                              self))
+        heappush(self._heap, handle)
         return handle
 
     def schedule_at(
@@ -181,9 +202,9 @@ class Simulator:
         if not self.now <= time < _INF:  # NaN and inf fail too
             raise SimTimeError(
                 f"cannot schedule at {time!r}: must be finite and >= now {self.now}")
-        handle = EventHandle(time, callback, self)
         self._seq += 1
-        heappush(self._heap, (time, priority, self._seq, handle))
+        handle = EventHandle((time, priority, self._seq, callback, self))
+        heappush(self._heap, handle)
         return handle
 
     # ------------------------------------------------------------------
@@ -198,17 +219,19 @@ class Simulator:
         """
         heap = self._heap
         while heap:
-            time, priority, seq, handle = heappop(heap)
-            if handle.cancelled:
+            handle = heappop(heap)
+            callback = handle[3]
+            if callback is None:  # cancelled
                 self._cancelled_queued -= 1
                 continue
+            time = handle[0]
             if time > until:
-                heappush(heap, (time, priority, seq, handle))
+                heappush(heap, handle)
                 return False
             self.now = time
-            handle.fired = True
+            handle[4] = None
             self._events_processed += 1
-            handle.callback()
+            callback()
             return True
         return False
 
@@ -252,12 +275,12 @@ class Simulator:
 
     def _peek_time(self) -> Optional[float]:
         while self._heap:
-            time, _priority, _seq, handle = self._heap[0]
-            if handle.cancelled:
+            handle = self._heap[0]
+            if handle[3] is None:  # cancelled
                 heappop(self._heap)
                 self._cancelled_queued -= 1
                 continue
-            return time
+            return handle[0]
         return None
 
     # ------------------------------------------------------------------
@@ -272,7 +295,7 @@ class Simulator:
         survives.  Triggered when at least half the heap is dead, which
         bounds amortized cost at O(1) per cancellation.
         """
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
+        self._heap = [entry for entry in self._heap if entry[3] is not None]
         heapify(self._heap)
         self._cancelled_queued = 0
         self._compactions += 1

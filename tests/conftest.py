@@ -225,7 +225,8 @@ class PerReceiverMedium(Medium):
         interferers: List[Dict[int, float]] = []
         world_version = -1
         watch_version, watched = self._watch_version, self._watched
-        for receiver, rssi, prr in zip(entry.radios, entry.rssi, entry.prr):
+        for receiver, rssi, prr in zip(entry.radios, entry.rssi_by_id.values(),
+                                       entry.prr):
             if not receiver.enabled or receiver.channel != channel:
                 continue
             node = receiver.node_id

@@ -122,7 +122,6 @@ def test_repro_bundle_fields():
 CONSTRUCTOR_KEYWORDS = {
     # sim
     "Simulator": ["seed"],
-    "EventHandle": ["time", "callback", "sim"],
     "Timer": ["sim", "callback"],
     # A random phase is drawn from repro.sim.timers.PHASE_STREAM.
     "PeriodicTimer": ["sim", "period", "callback", "phase"],

@@ -40,7 +40,7 @@ def _slotted(sim: Simulator) -> dict:
         "_TxJob": _TxJob(dest=2, payload=None, payload_bytes=0, done=None,
                          seq=1),
         "_Transmission": _Transmission(radio, frame, 0.0, 1.0, None, None),
-        "_Neighborhood": _Neighborhood([], [], array("d"), {}),
+        "_Neighborhood": _Neighborhood([], array("d"), {}),
     }
 
 

@@ -405,7 +405,8 @@ class TestListenPlan:
         assert type(bare) is Radio and bare.listen_plan is None
         assert "state" in vars(bare)
         assert type(a.radio) is Radio and a.radio.listen_plan is a
-        assert {"state", "channel", "state_seconds"} <= set(vars(a.radio))
+        assert {"state", "channel", "sleep_s", "listen_s", "tx_s"} <= set(
+            vars(a.radio))
         a.stop()
         assert a.radio.listen_plan is None
         assert medium._planned == 1

@@ -364,11 +364,13 @@ def _logged(name):
 
 
 class LoggedRadio(Radio):
-    """Logs every read of the four fields a listen plan keeps current."""
+    """Logs every read of the six fields a listen plan keeps current."""
 
     state = _logged("state")
     channel = _logged("channel")
-    state_seconds = _logged("state_seconds")
+    sleep_s = _logged("sleep_s")
+    listen_s = _logged("listen_s")
+    tx_s = _logged("tx_s")
     _listen_since = _logged("_listen_since")
 
 

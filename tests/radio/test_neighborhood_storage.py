@@ -1,12 +1,13 @@
 """A cached link is a column entry: the neighbourhood's storage.
 
-``_Neighborhood`` keeps a sender's audible set as three columns
-(``radios``, ``rssi``, ``prr``) beside ``rssi_by_id`` (DESIGN.md, "One
-neighborhood per sender, two views of it").  Pinned here: what a link
-costs once cached, that the columns hold the full scan's values to the
-last bit and share their RSSI floats with the map, and that a frame is
-delivered from the entry current when it was sent, whatever the world
-does while it is on the air.
+``_Neighborhood`` keeps a sender's audible set as two columns
+(``radios``, ``prr``) beside ``rssi_by_id``, whose values, in insertion
+order, are the RSSI column (DESIGN.md, "One neighborhood per sender, two
+views of it").  Pinned here: that the columns and the map hold the full
+scan's values to the last bit, the map's values in column order, and
+that a frame is delivered from the entry current when it was sent,
+whatever the world does while it is on the air.  What a link costs once
+cached is bounded in ``test_storage.py``.
 """
 
 from array import array
@@ -14,27 +15,13 @@ from array import array
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.kernel_floor import campus_link_bytes
 from repro.radio.medium import Frame, Medium, Radio
 from repro.radio.propagation import LogDistanceModel, UnitDiskModel
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 from tests.radio.test_spatial_index import build_pair, entry_bits
 
-#: Retained bytes a cached link may cost.  Three columns and a map
-#: entry cost ≈92 B; a ``(radio, rssi, prr)`` tuple with its two boxed
-#: floats adds ≈72 B more.
-MAX_BYTES_PER_LINK = 100.0
-
 OUTCOMES = ("radio.rx", "radio.miss", "radio.drop", "radio.collision")
-
-
-def test_a_cached_link_keeps_at_most_its_bound():
-    # campus_medium's census on a 10-building campus: every one of its
-    # 1 000 radios sends.
-    per_link, links = campus_link_bytes(2018, buildings=10, senders=1000)
-    assert links > 10 * 1000
-    assert per_link <= MAX_BYTES_PER_LINK, f"{per_link:.1f} B/link"
 
 
 coords = st.floats(min_value=0.0, max_value=150.0,
@@ -54,13 +41,15 @@ def test_columns_are_the_full_scans_to_the_bit(positions, seed):
         entry = indexed._neighborhood(radio)
         assert entry_bits(entry) == entry_bits(
             full._neighborhood(full_radio))
-        assert len(entry.radios) == len(entry.rssi) == len(entry.prr)
+        assert len(entry.radios) == len(entry.rssi_by_id) == len(entry.prr)
         assert entry.prr.typecode == "d"
-        # The map holds the column's own floats, not copies.
-        assert all(entry.rssi_by_id[r.node_id] is rssi
-                   for r, rssi in zip(entry.radios, entry.rssi))
+        # The map's keys run in column order, so its values are the
+        # RSSI column: link k is radios[k] at the k-th value.
+        assert list(entry.rssi_by_id) == [r.node_id for r in entry.radios]
+        rssi = list(entry.rssi_by_id.values())
+        assert rssi == sorted(rssi, reverse=True)
         # The doubles the boxed floats of ``tolist`` held, bit for bit.
-        boxed = model.reception_probability(np.array(entry.rssi)).tolist()
+        boxed = model.reception_probability(np.array(rssi)).tolist()
         assert array("d", boxed).tobytes() == entry.prr.tobytes()
 
 

@@ -67,9 +67,8 @@ def audible_ids(medium, radio):
 def entry_bits(entry):
     """A neighbourhood entry, column by column, floats to the last bit."""
     return ([r.node_id for r in entry.radios],
-            [rssi.hex() for rssi in entry.rssi],
             entry.prr.typecode, [prr.hex() for prr in entry.prr],
-            {node: rssi.hex() for node, rssi in entry.rssi_by_id.items()})
+            [(node, rssi.hex()) for node, rssi in entry.rssi_by_id.items()])
 
 
 def neighborhood_bits(medium, radio):
