@@ -61,8 +61,7 @@ def _run_scenario(name: str, seed: int,
                                  key=repr):
             metric_name, labels = key
             if metric_name == "fault.injected":
-                registry.counter(metric_name, scenario=name,
-                                 **dict(labels)).inc(value)
+                registry.inc(metric_name, value, scenario=name, **dict(labels))
     return violations, suite
 
 

@@ -7,10 +7,8 @@ TX; the meter multiplies residencies by the platform's current draws.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.devices.platform import PlatformProfile
-from repro.radio.medium import Radio, RadioState
+from repro.radio.medium import Radio
 
 #: An ideal battery's capacity (no self-discharge curve): two AA cells,
 #: roughly.
@@ -27,28 +25,27 @@ class EnergyMeter:
     def __init__(self, radio: Radio, platform: PlatformProfile) -> None:
         self.radio = radio
         self.platform = platform
-        self._baseline: Dict[RadioState, float] = {s: 0.0 for s in RadioState}
+        # Residencies at the last reset: SLEEP, LISTEN, TX seconds.
+        self._sleep_s = self._listen_s = self._tx_s = 0.0
         self._start_time = 0.0
 
     def reset(self, now: float) -> None:
         """Start a fresh accounting window at simulated time ``now``."""
-        self._baseline = self.radio.flush_state_time()
+        radio = self.radio
+        radio.flush_state_time()
+        self._sleep_s, self._listen_s, self._tx_s = (
+            radio.sleep_s, radio.listen_s, radio.tx_s)
         self._start_time = now
-
-    def state_seconds(self) -> Dict[RadioState, float]:
-        """Per-state residency since the last reset."""
-        current = self.radio.flush_state_time()
-        return {
-            state: current[state] - self._baseline[state] for state in RadioState
-        }
 
     def charge_consumed_mas(self) -> float:
         """Charge drawn since the last reset, in milliamp-seconds."""
-        times = self.state_seconds()
+        radio = self.radio
+        radio.flush_state_time()
+        platform = self.platform
         return (
-            times[RadioState.TX] * self.platform.tx_current_ma
-            + times[RadioState.LISTEN] * self.platform.rx_current_ma
-            + times[RadioState.SLEEP] * self.platform.sleep_current_ma
+            (radio.tx_s - self._tx_s) * platform.tx_current_ma
+            + (radio.listen_s - self._listen_s) * platform.rx_current_ma
+            + (radio.sleep_s - self._sleep_s) * platform.sleep_current_ma
         )
 
     def average_current_ma(self, now: float) -> float:

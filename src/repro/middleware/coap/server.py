@@ -82,7 +82,6 @@ class CoapServer:
 
     # ------------------------------------------------------------------
     def _notify_observers(self, resource: ObservableResource) -> None:
-        stale = []
         for node, token in resource.observers:
             notification = CoapMessage(
                 mtype=CoapType.NON,
@@ -94,5 +93,3 @@ class CoapServer:
                 payload_bytes=resource.size_bytes,
             )
             self.transport.send(node, notification)
-        for node, token in stale:
-            resource.remove_observer(node, token)

@@ -382,9 +382,9 @@ class MacLayer(abc.ABC):
     # ------------------------------------------------------------------
     def duty_cycle(self) -> float:
         """Fraction of time the radio has been awake (LISTEN or TX)."""
-        times = self.radio.flush_state_time()
-        total = sum(times.values())
+        radio = self.radio
+        radio.flush_state_time()
+        total = radio.sleep_s + radio.listen_s + radio.tx_s
         if total == 0:
             return 0.0
-        awake = times[RadioState.LISTEN] + times[RadioState.TX]
-        return awake / total
+        return (radio.listen_s + radio.tx_s) / total

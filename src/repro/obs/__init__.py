@@ -2,8 +2,8 @@
 
 The parts (DESIGN.md, "Observability"):
 
-- :mod:`repro.obs.registry` — labeled counters/gauges/exact histograms
-  with deterministic, picklable snapshots;
+- :mod:`repro.obs.registry` — labeled counters/gauges/exact histograms,
+  kept as the plain dicts a deterministic, picklable snapshot has;
 - :mod:`repro.obs.spans` — packet-lifecycle span tracing with
   parent/child links, threaded through the stack as ``trace_ctx``;
 - :mod:`repro.obs.analysis` — causal latency attribution over span
@@ -19,7 +19,8 @@ The parts (DESIGN.md, "Observability"):
   ``python -m repro report`` dashboard that drives them is
   :mod:`repro.app.report`, a tier up.
 
-One metrics data model serves them all: an end-of-run snapshot, a
+One metrics data model serves them all: the live registry keeps the
+dicts a ``MetricsSnapshot`` has, and an end-of-run snapshot, a
 telemetry window and a diff operand are ``MetricsSnapshot`` values,
 written and read by its one JSON codec.
 

@@ -1,20 +1,24 @@
 """The labeled metrics registry.
 
-Three instrument kinds, all labeled:
+A :class:`Registry` keeps plain values in the shape a
+:class:`MetricsSnapshot` has, one dict per metric kind, all labeled:
 
-- :class:`Counter` — monotonically increasing occurrence counts
-  (``mac.tx``, ``net.dropped``);
-- :class:`Gauge` — last-written level samples (``radio.duty_cycle``);
-- :class:`Histogram` — full-resolution value series with exact
-  percentiles (``net.latency_s``).
+- ``counters`` — monotonically increasing occurrence counts
+  (``mac.tx``, ``net.dropped``), written by :meth:`Registry.inc`;
+- ``gauges`` — last-written levels (``radio.duty_cycle``), written by
+  :meth:`Registry.set`;
+- ``histograms`` — full-resolution value series with exact percentiles
+  (``net.latency_s``), appended by :meth:`Registry.observe`, whose
+  ``exemplar=`` trace ids fill the ``exemplars`` reservoirs.
 
 Histograms are exact on purpose: the ``core`` and ``explain`` gates
 (``benchmarks/gates.py``) pin percentiles to the last digit, which no bucketed estimate can
 reproduce.
 
-Instruments are addressed as ``registry.counter("rpl.dis", node=3)``;
-the ``(name, sorted label items)`` pair identifies one time series.
-Counts protocol objects keep are read (:meth:`Registry.counter_values`).
+A series is written as ``registry.inc("rpl.dis", node=3)``; the
+``(name, sorted label items)`` pair identifies it, and it is absent
+until first written.  Counts protocol objects keep are read
+(:meth:`Registry.counter_values`).
 
 Determinism is the design center: :meth:`Registry.snapshot` captures a
 plain-data :class:`MetricsSnapshot` (picklable, so trial workers can
@@ -105,8 +109,8 @@ def json_list(value: Any, what: str) -> List[Any]:
 # bucket, so the reservoir spans the value range instead of filling up
 # with the common case.
 # First-K is the deterministic reservoir policy: observation order is
-# seed-determined, and merging concatenates per bucket in the order
-# given before re-truncating — byte-identical for every jobs count.
+# seed-determined, so a run's reservoirs are byte-identical for every
+# jobs count.
 # Exemplars never feed back into the metric values themselves.
 
 #: Reservoir bound: ``(value, trace_id)`` exemplars kept per log bucket
@@ -135,150 +139,78 @@ def log_bucket(value: float) -> int:
     return idx
 
 
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
-        self.value += amount
-
-
-class Gauge:
-    """A last-written level."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """An exact value series (simulation scale permits full resolution)."""
-
-    __slots__ = ("name", "labels", "values", "exemplars")
-
-    def __init__(self, name: str, labels: Tuple[Tuple[str, Any], ...]) -> None:
-        self.name = name
-        self.labels = labels
-        self.values: List[float] = []
-        self.exemplars: Dict[int, List[Tuple[float, int]]] = {}
-
-    def add_exemplar(self, value: float, trace_id: int) -> None:
-        """Remember ``trace_id`` as an exemplar for ``value``'s bucket."""
-        bucket = log_bucket(value)
-        entries = self.exemplars.get(bucket)
-        if entries is None:
-            entries = self.exemplars[bucket] = []
-        if len(entries) < EXEMPLARS_PER_BUCKET:
-            entries.append((value, int(trace_id)))
-
-    def freeze_exemplars(self) -> ExemplarData:
-        """Plain-data view of the reservoir (buckets sorted by index)."""
-        return (EXEMPLARS_PER_BUCKET,
-                tuple((idx, tuple(entries))
-                      for idx, entries in sorted(self.exemplars.items())))
-
-
 class Registry:
-    """Get-or-create instrument store for one run (or one trial)."""
+    """One run's (or one trial's) metric values, in a snapshot's shape.
+
+    ``counters``, ``gauges``, ``histograms`` and ``exemplars`` are the
+    live dicts :meth:`snapshot` copies; a series is absent until it is
+    first written.
+    """
 
     def __init__(self) -> None:
-        self._counters: Dict[SeriesKey, Counter] = {}
-        self._gauges: Dict[SeriesKey, Gauge] = {}
-        self._histograms: Dict[SeriesKey, Histogram] = {}
-        # Instrument lookup caches keyed on the *call-site* label order
-        # ((name, tuple(labels.items()))), so the hot path skips the
-        # per-call sort in _series_key after first touch.  Different
-        # orderings of the same labels simply cache to the same
-        # instrument under two cache keys.
-        self._counter_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Counter] = {}
-        self._gauge_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Gauge] = {}
-        self._histogram_cache: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], Histogram] = {}
+        self.counters: Dict[SeriesKey, float] = {}
+        self.gauges: Dict[SeriesKey, float] = {}
+        self.histograms: Dict[SeriesKey, List[float]] = {}
+        #: Per histogram series, the open reservoir: log bucket →
+        #: ``(value, trace_id)`` pairs in observation order.
+        self.exemplars: Dict[SeriesKey, Dict[int, List[Tuple[float, int]]]] = {}
+        # Series keys by *call-site* label order ((name, tuple(labels.items()))),
+        # so the hot path skips the per-call sort in _series_key after
+        # first touch.  Two orderings of the same labels simply cache
+        # the same series key under two call-site keys.
+        self._keys: Dict[Tuple[str, Tuple[Tuple[str, Any], ...]], SeriesKey] = {}
         #: Set to the trace log's readers by ``Observability.attach``.
         self.readers: Dict[Any, Callable[[], Iterable[Tuple[SeriesKey, int]]]] = {}
 
     # ------------------------------------------------------------------
-    # instrument access
+    # writers (the instrumentation hot path)
     # ------------------------------------------------------------------
-    def counter(self, name: str, **labels: Any) -> Counter:
-        cache_key = (name, tuple(labels.items()))
-        instrument = self._counter_cache.get(cache_key)
-        if instrument is None:
-            key = _series_key(name, labels)
-            instrument = self._counters.get(key)
-            if instrument is None:
-                instrument = self._counters[key] = Counter(name, key[1])
-            self._counter_cache[cache_key] = instrument
-        return instrument
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        cache_key = (name, tuple(labels.items()))
-        instrument = self._gauge_cache.get(cache_key)
-        if instrument is None:
-            key = _series_key(name, labels)
-            instrument = self._gauges.get(key)
-            if instrument is None:
-                instrument = self._gauges[key] = Gauge(name, key[1])
-            self._gauge_cache[cache_key] = instrument
-        return instrument
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        cache_key = (name, tuple(labels.items()))
-        instrument = self._histogram_cache.get(cache_key)
-        if instrument is None:
-            key = _series_key(name, labels)
-            instrument = self._histograms.get(key)
-            if instrument is None:
-                instrument = self._histograms[key] = Histogram(name, key[1])
-            self._histogram_cache[cache_key] = instrument
-        return instrument
-
-    # ------------------------------------------------------------------
-    # one-shot conveniences (the instrumentation hot path)
-    # ------------------------------------------------------------------
-    # These inline the cache probe instead of delegating to
-    # counter()/gauge()/histogram(), which would re-pack the labels dict
-    # into kwargs a second time per call.
+    # Each inlines the call-site probe: a shared helper costs a call
+    # per write.
     def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        instrument = self._counter_cache.get((name, tuple(labels.items())))
-        if instrument is None:
-            instrument = self.counter(name, **labels)
-        instrument.inc(amount)
+        if amount < 0:
+            raise ValueError("counters only go up; use a gauge")
+        site = (name, tuple(labels.items()))
+        key = self._keys.get(site)
+        if key is None:
+            key = self._keys[site] = _series_key(name, labels)
+        counters = self.counters
+        counters[key] = counters.get(key, 0.0) + amount
 
     def set(self, name: str, value: float, **labels: Any) -> None:
-        instrument = self._gauge_cache.get((name, tuple(labels.items())))
-        if instrument is None:
-            instrument = self.gauge(name, **labels)
-        instrument.value = value
+        site = (name, tuple(labels.items()))
+        key = self._keys.get(site)
+        if key is None:
+            key = self._keys[site] = _series_key(name, labels)
+        self.gauges[key] = value
 
     def observe(self, name: str, value: float, exemplar: Optional[int] = None,
                 **labels: Any) -> None:
         # ``exemplar`` is an explicit keyword (ahead of **labels) so a
         # trace id is never mistaken for a label dimension.
-        instrument = self._histogram_cache.get((name, tuple(labels.items())))
-        if instrument is None:
-            instrument = self.histogram(name, **labels)
-        instrument.values.append(value)
+        site = (name, tuple(labels.items()))
+        key = self._keys.get(site)
+        if key is None:
+            key = self._keys[site] = _series_key(name, labels)
+        values = self.histograms.get(key)
+        if values is None:
+            values = self.histograms[key] = []
+        values.append(value)
         if exemplar is not None:
-            instrument.add_exemplar(value, exemplar)
+            reservoir = self.exemplars.get(key)
+            if reservoir is None:
+                reservoir = self.exemplars[key] = {}
+            bucket = log_bucket(value)
+            entries = reservoir.get(bucket)
+            if entries is None:
+                entries = reservoir[bucket] = []
+            if len(entries) < EXEMPLARS_PER_BUCKET:
+                entries.append((value, int(exemplar)))
 
     def counter_values(self) -> Dict[SeriesKey, float]:
         """Every counter series as a float: pushed counters, then the readers'
         counts summed per key, zeros skipped (a series appears once it occurs)."""
-        values = {key: c.value for key, c in self._counters.items()}
+        values = dict(self.counters)
         for reader in self.readers.values():
             for key, count in reader():
                 if count:
@@ -287,12 +219,16 @@ class Registry:
 
     def snapshot(self) -> "MetricsSnapshot":
         """Freeze the registry into plain, picklable data."""
+        exemplars = self.exemplars
         return MetricsSnapshot(
             counters=self.counter_values(),
-            gauges={k: g.value for k, g in self._gauges.items()},
-            histograms={k: tuple(h.values) for k, h in self._histograms.items()},
-            exemplars={k: h.freeze_exemplars()
-                       for k, h in self._histograms.items() if h.exemplars},
+            gauges=dict(self.gauges),
+            histograms={k: tuple(v) for k, v in self.histograms.items()},
+            # Frozen in the histograms' order, buckets sorted by index.
+            exemplars={k: (EXEMPLARS_PER_BUCKET,
+                           tuple((idx, tuple(entries))
+                                 for idx, entries in sorted(exemplars[k].items())))
+                       for k in self.histograms if k in exemplars},
         )
 
 

@@ -172,18 +172,18 @@ class TelemetryEngine:
                 counters[key] = delta
 
         # gauges: end-of-window levels.
-        window.gauges = {key: g.value for key, g in registry._gauges.items()}
+        window.gauges = dict(registry.gauges)
 
         # histograms: the observations recorded since the previous
         # scrape, in sorted-key order; zero-activity series suppressed.
         last_hist = self._last_hist
         histograms = window.histograms
-        table = registry._histograms
+        table = registry.histograms
         if len(self._hist_order) != len(table):
             # A registry never drops a series: a new length is a new one.
             self._hist_order = sorted(table, key=repr)
         for key in self._hist_order:
-            values = table[key].values
+            values = table[key]
             seen = last_hist.get(key, 0)
             if len(values) != seen:
                 last_hist[key] = len(values)

@@ -170,11 +170,6 @@ class RadioState(enum.Enum):
     LISTEN = "listen"
     TX = "tx"
 
-    # Members are singletons compared by identity; Enum's own
-    # ``hash(self._name_)`` is a Python-level call that every
-    # ``{state: seconds}`` residency lookup would pay.
-    __hash__ = object.__hash__
-
 
 # The members, read once: ``RadioState.LISTEN`` goes through the Enum
 # metaclass's ``__getattr__`` hook, ≈90 ns a read on CPython 3.11, and
@@ -363,12 +358,10 @@ class Radio:
         if self.state is not _SLEEP:
             self._set_state(_SLEEP)
 
-    def flush_state_time(self) -> Dict[RadioState, float]:
-        """Account time up to now and return the per-state residencies."""
+    def flush_state_time(self) -> None:
+        """Account time up to now into ``sleep_s``, ``listen_s`` and ``tx_s``."""
         self.sync()
         self._set_state(self.state)
-        return {_SLEEP: self.sleep_s,
-                _LISTEN: self.listen_s, _TX: self.tx_s}
 
     # ------------------------------------------------------------------
     # listen plan (see the module docstring)

@@ -134,9 +134,6 @@ CONSTRUCTOR_KEYWORDS = {
     "WifiInterferer": ["medium", "clause"],
     # obs
     "Registry": [],
-    "Counter": ["name", "labels"],
-    "Gauge": ["name", "labels"],
-    "Histogram": ["name", "labels"],
     "SpanTracer": ["sample_rate", "sample_seed", "max_spans",
                    "pinned_categories"],
     "_StoredSpans": ["tracer"],

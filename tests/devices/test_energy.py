@@ -52,11 +52,34 @@ class TestEnergyMeter:
         meter.reset(sim.now)
         radio.sleep()
         sim.run(until=100.0)
-        times = meter.state_seconds()
-        from repro.radio.medium import RadioState
+        # Only the window's 50 s of sleep are charged.
+        expected = 50.0 * CLASS_1_MOTE.sleep_current_ma
+        assert meter.charge_consumed_mas() == pytest.approx(expected)
 
-        assert times[RadioState.LISTEN] == pytest.approx(0.0)
-        assert times[RadioState.SLEEP] == pytest.approx(50.0)
+    def test_transmitting_costs_tx_current(self, sim):
+        radio = make_radio(sim)
+        meter = EnergyMeter(radio, CLASS_1_MOTE)
+        meter.reset(sim.now)
+        radio.set_listening()
+        airtime = radio.transmit("x", 50)  # back to LISTEN afterwards
+        sim.run(until=100.0)
+        assert 0.0 < airtime < 100.0
+        expected = (airtime * CLASS_1_MOTE.tx_current_ma
+                    + (100.0 - airtime) * CLASS_1_MOTE.rx_current_ma)
+        assert meter.charge_consumed_mas() == pytest.approx(expected)
+
+    def test_reset_mid_state_charges_only_the_window(self, sim):
+        radio = make_radio(sim)
+        meter = EnergyMeter(radio, CLASS_1_MOTE)
+        radio.set_listening()
+        sim.run(until=30.0)
+        # Still listening: the open residency up to now is the baseline.
+        meter.reset(sim.now)
+        sim.run(until=70.0)
+        expected = 40.0 * CLASS_1_MOTE.rx_current_ma
+        assert meter.charge_consumed_mas() == pytest.approx(expected)
+        assert meter.average_current_ma(sim.now) == pytest.approx(
+            CLASS_1_MOTE.rx_current_ma)
 
     def test_lifetime_projection(self, sim):
         radio = make_radio(sim)

@@ -380,17 +380,15 @@ class TestObservabilitySurface:
     def test_fault_active_gauge_returns_to_zero(self):
         system, runtime = self._run_full_plan()
         assert runtime.active_clauses == 0
-        assert system.obs.registry.gauge("fault.active").value == 0
+        assert system.obs.registry.gauges[("fault.active", ())] == 0
 
     def test_fault_injected_counters_label_each_kind(self):
         system, _ = self._run_full_plan()
         registry = system.obs.registry
-        assert registry.counter("fault.injected", kind="crash",
-                                node=5).value == 1
-        assert registry.counter("fault.injected", kind="recover",
-                                node=5).value == 1
-        assert registry.counter("fault.injected",
-                                kind="interference").value == 1
+        counters = registry.counters
+        assert counters[("fault.injected", (("kind", "crash"), ("node", 5)))] == 1
+        assert counters[("fault.injected", (("kind", "recover"), ("node", 5)))] == 1
+        assert counters[("fault.injected", (("kind", "interference"),))] == 1
         assert registry.snapshot().counter_total("fault.injected") >= 5
 
     def test_plan_without_observability_runs_silently(self):

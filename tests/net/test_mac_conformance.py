@@ -194,10 +194,12 @@ class TestStopMidExchange:
         self._run_to_frame_end(sim, radio)
         assert radio.state is RadioState.SLEEP
         assert not any(timer.armed for timer in sender._timers)
-        listened = radio.flush_state_time()[RadioState.LISTEN]
+        radio.flush_state_time()
+        listened = radio.listen_s
         sim.run(until=sim.now + 100.0)
         assert radio.state is RadioState.SLEEP
-        assert radio.flush_state_time()[RadioState.LISTEN] == listened
+        radio.flush_state_time()
+        assert radio.listen_s == listened
 
     def test_restart_before_the_frame_ends_keeps_the_radio_on(self, mac):
         """The deferred sleep belongs to the stop: it must not turn off

@@ -37,6 +37,8 @@ from tests.conftest import eager_tsch
 PORT = 7
 RADIO_CATEGORIES = ("radio.tx", "radio.rx", "radio.miss", "radio.collision",
                     "radio.drop")
+#: A radio's per-state residency fields.
+RESIDENCIES = ("sleep_s", "listen_s", "tx_s")
 
 
 def lossy_model(seed):
@@ -151,11 +153,13 @@ def assert_same_run(lazy, eager, recorded):
         assert a[key] == b[key], key
     assert lazy_lat == pytest.approx(eager_lat, rel=1e-9, abs=0.0)
     for node_id in sorted(lazy_sys.nodes):
-        mine = lazy_sys.nodes[node_id].stack.radio.flush_state_time()
-        theirs = eager_sys.nodes[node_id].stack.radio.flush_state_time()
-        for state in RadioState:
-            assert mine[state] == pytest.approx(
-                theirs[state], rel=1e-9, abs=1e-9), (node_id, state)
+        mine = lazy_sys.nodes[node_id].stack.radio
+        theirs = eager_sys.nodes[node_id].stack.radio
+        mine.flush_state_time()
+        theirs.flush_state_time()
+        for field in RESIDENCIES:
+            assert getattr(mine, field) == pytest.approx(
+                getattr(theirs, field), rel=1e-9, abs=1e-9), (node_id, field)
         assert lazy_sys.nodes[node_id].stack.mac.duty_cycle() == pytest.approx(
             eager_sys.nodes[node_id].stack.mac.duty_cycle(), rel=1e-9)
 
@@ -275,11 +279,11 @@ def test_closed_form_listen_time_equals_the_window_sum(
     for at in sorted(reads):
         lazy_sim.run(until=at)
         eager_sim.run(until=at)
-        mine = lazy.radio.flush_state_time()
-        theirs = eager.radio.flush_state_time()
-        for state in RadioState:
-            assert mine[state] == pytest.approx(theirs[state], rel=1e-9,
-                                                abs=1e-9)
+        lazy.radio.flush_state_time()
+        eager.radio.flush_state_time()
+        for field in RESIDENCIES:
+            assert getattr(lazy.radio, field) == pytest.approx(
+                getattr(eager.radio, field), rel=1e-9, abs=1e-9)
         assert lazy.radio.state is eager.radio.state
         assert lazy.radio.channel == eager.radio.channel
         assert lazy.tsch_stats == eager.tsch_stats
@@ -308,8 +312,8 @@ class TestListenPlan:
         assert sim.events_processed == before
         # ... and is still charged for a window per slotframe.
         frames = 125.0 / (a.config.slotframe_slots * tsch.SLOT_DURATION_S)
-        listen = a.radio.flush_state_time()[RadioState.LISTEN]
-        assert listen == pytest.approx(
+        a.radio.flush_state_time()
+        assert a.radio.listen_s == pytest.approx(
             int(frames) * (tsch.SLOT_DURATION_S - tsch.SLOT_GUARD_S),
             rel=1e-9)
 
@@ -376,7 +380,8 @@ class TestListenPlan:
                 sim.schedule_at(start + 0.006,
                                 lambda: medium.set_link_filter(None))
             sim.run(until=start + 0.1)
-            return a.radio.flush_state_time()[RadioState.LISTEN]
+            a.radio.flush_state_time()
+            return a.radio.listen_s
 
         held = listen_s(eager_tsch(), unblock=True)
         assert held > listen_s(eager_tsch(), unblock=False) + 0.005
@@ -387,12 +392,13 @@ class TestListenPlan:
         a.schedule.add(Cell(3, 1, neighbor=2, tx=True))
         sim.run(until=20.0)
         a.stop()
-        stats, listen = vars(a.tsch_stats).copy(), \
-            a.radio.flush_state_time()[RadioState.LISTEN]
+        a.radio.flush_state_time()
+        stats, listen = vars(a.tsch_stats).copy(), a.radio.listen_s
         assert stats["cells_elapsed"] > 0
         sim.run(until=60.0)
         assert vars(a.tsch_stats) == stats
-        assert a.radio.flush_state_time()[RadioState.LISTEN] == listen
+        a.radio.flush_state_time()
+        assert a.radio.listen_s == listen
         a.start()
         sim.run(until=80.0)
         assert a.tsch_stats.cells_elapsed > stats["cells_elapsed"]

@@ -60,9 +60,9 @@ class TestParentSwitchSpans:
         registry = obs.registry
         for stack in stacks[1:]:
             assert stack.rpl.state is RplState.JOINED
-            assert registry.gauge("rpl.rank", node=stack.node_id).value \
-                == stack.rpl.rank
-            assert registry.gauge("rpl.parent", node=stack.node_id).value \
+            node = (("node", stack.node_id),)
+            assert registry.gauges[("rpl.rank", node)] == stack.rpl.rank
+            assert registry.gauges[("rpl.parent", node)] \
                 == stack.rpl.preferred_parent
 
     def test_dio_dao_and_trickle_counters_populate(self):
@@ -77,7 +77,7 @@ class TestParentSwitchSpans:
         assert total("rpl.trickle.tx") == total("rpl.dio")
         assert total("rpl.trickle.reset") > 0
         # The interval gauge records the current doubled interval.
-        assert registry.gauge("rpl.trickle.interval_s", node=0).value > 0
+        assert registry.gauges[("rpl.trickle.interval_s", (("node", 0),))] > 0
 
     def test_same_seed_reproduces_identical_control_plane_spans(self):
         def fingerprint():
@@ -153,7 +153,7 @@ class TestRnfdVerdictSpans:
         registry = obs.registry
         for stack in stacks[1:]:
             # 0 = alive, 1 = suspected, 2 = globally down.
-            assert registry.gauge("rnfd.state", node=stack.node_id).value == 2
+            assert registry.gauges[("rnfd.state", (("node", stack.node_id),))] == 2
         total = registry.snapshot().counter_total
         assert total("rnfd.globally_down") == len(stacks) - 1
         assert total("rnfd.probe") > 0

@@ -3,13 +3,12 @@
 A protocol object that already tallies an occurrence in an attribute
 registers a reader with the run's trace log, and the metrics registry
 reads it at every snapshot and scrape (DESIGN.md, "Observability").  A
-``registry.inc``/``registry.counter`` call that pushed the same series
-as well would count every occurrence twice.
+``registry.inc`` call that pushed the same series as well would count
+every occurrence twice.
 
 The census builds one owner of every kind, collects the series names
-their readers yield, and scans every ``registry.inc`` /
-``registry.counter`` call under ``src/repro`` for a pushed literal name
-among them.
+their readers yield, and scans every ``registry.inc`` call under
+``src/repro`` for a pushed literal name among them.
 """
 
 import ast
@@ -56,14 +55,14 @@ def read_series() -> Set[str]:
 
 
 def pushed_series() -> Dict[str, List[str]]:
-    """Literal series name -> ``path:line`` of every ``registry.inc`` or
-    ``registry.counter`` call under ``src/repro`` that pushes it."""
+    """Literal series name -> ``path:line`` of every ``registry.inc``
+    call under ``src/repro`` that pushes it."""
     sites: Dict[str, List[str]] = {}
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("inc", "counter")
+                    and node.func.attr == "inc"
                     and node.args
                     and isinstance(node.args[0], ast.Constant)
                     and isinstance(node.args[0].value, str)):

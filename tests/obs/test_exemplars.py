@@ -17,9 +17,9 @@ import json
 
 import pytest
 
+import repro.obs.registry
 from repro.obs.registry import (
     EXEMPLARS_PER_BUCKET,
-    Histogram,
     MetricsSnapshot,
     Registry,
     log_bucket,
@@ -54,7 +54,7 @@ class TestReservoir:
         assert EXEMPLARS_PER_BUCKET == 4
         assert registry.snapshot().exemplars_for("lat") == [
             (0.103, 13), (0.102, 12), (0.101, 11), (0.1, 10)]
-        assert len(registry.histogram("lat").values) == 6
+        assert len(registry.histograms[("lat", ())]) == 6
 
     def test_observation_without_exemplar_records_nothing(self):
         registry = Registry()
@@ -80,6 +80,22 @@ class TestSnapshotAndJson:
         snap = registry.snapshot()
         registry.observe("lat", 25.0, exemplar=99)
         assert snap.exemplars_for("lat") == [(0.25, 41)]
+
+    def test_snapshot_freezes_in_histogram_order_with_buckets_sorted(self):
+        registry = Registry()
+        registry.observe("b", 0.1)              # a series without exemplars
+        for value, trace in ((20.0, 1), (0.002, 2), (0.2, 3), (0.0021, 4)):
+            registry.observe("a", value, exemplar=trace)
+        registry.observe("b", 5.0, exemplar=5)
+        snap = registry.snapshot()
+        # Keyed in the histograms' first-write order, not by name.
+        assert list(snap.exemplars) == [("b", ()), ("a", ())]
+        cap, buckets = snap.exemplars[("a", ())]
+        assert cap == EXEMPLARS_PER_BUCKET
+        assert [idx for idx, _entries in buckets] == sorted(
+            {log_bucket(v) for v in (20.0, 0.002, 0.2, 0.0021)})
+        # Within a bucket, entries stay in observation order.
+        assert buckets[0][1] == ((0.002, 2), (0.0021, 4))
 
     def test_json_round_trip(self):
         registry = Registry()
@@ -112,8 +128,8 @@ class TestSnapshotAndJson:
 class TestSystemRun:
     def test_reservoirs_never_change_an_instrumented_run(self, monkeypatch):
         """A whole instrumented run is the same run with reservoirs and
-        with ``Histogram.add_exemplar`` a no-op: same events, same
-        metric values — only the annotations differ."""
+        with ``EXEMPLARS_PER_BUCKET`` at 0: same events, same metric
+        values — only the annotations differ."""
         from repro.core.system import IIoTSystem, SystemConfig
         from repro.deployment.topology import grid_topology
 
@@ -125,11 +141,13 @@ class TestSystemRun:
             return system.sim.events_processed, system.obs.registry.snapshot()
 
         events_on, on = run()
-        monkeypatch.setattr(Histogram, "add_exemplar",
-                            lambda self, value, trace_id: None)
+        monkeypatch.setattr(repro.obs.registry, "EXEMPLARS_PER_BUCKET", 0)
         events_off, off = run()
         assert events_on == events_off
         assert on.counters == off.counters
         assert on.gauges == off.gauges
         assert on.histograms == off.histograms
-        assert on.exemplars and not off.exemplars
+        names = {name for name, _labels in on.exemplars}
+        assert names == {name for name, _labels in off.exemplars}
+        assert all(on.exemplars_for(name) for name in names)
+        assert not any(off.exemplars_for(name) for name in names)

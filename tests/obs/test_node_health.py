@@ -16,6 +16,11 @@ from repro.obs.health import PERIOD_S, NodeHealthSampler, health_rows
 from repro.parallel import TrialExecutor
 
 
+def gauge(registry, name, **labels):
+    """The gauge series' value; ``KeyError`` when nothing wrote it."""
+    return registry.gauges[(name, tuple(sorted(labels.items())))]
+
+
 def sampled_system(side=3, seed=42, duration_s=400.0):
     config = SystemConfig(stack=StackConfig(mac="csma"), observability=True)
     system = IIoTSystem.build(grid_topology(side), config=config, seed=seed)
@@ -42,22 +47,21 @@ class TestSampling:
             for name in ("health.alive", "health.duty_cycle",
                          "health.avg_current_ma", "health.mac_queue",
                          "health.neighbors", "health.rank", "health.parent"):
-                gauge = registry.gauge(name, node=node_id)
-                assert gauge.value is not None, (name, node_id)
-        assert registry.gauge("health.samples").value == \
-            sampler.samples_taken > 0
+                assert gauge(registry, name, node=node_id) is not None, \
+                    (name, node_id)
+        assert gauge(registry, "health.samples") == sampler.samples_taken > 0
 
     def test_gauges_track_protocol_state(self):
         system, sampler = sampled_system()
         registry = system.obs.registry
         root_id = system.topology.root_id
-        assert registry.gauge("health.parent", node=root_id).value == -1
+        assert gauge(registry, "health.parent", node=root_id) == -1
         for node_id, node in system.nodes.items():
-            assert registry.gauge("health.alive", node=node_id).value == 1
-            assert registry.gauge("health.rank", node=node_id).value == \
+            assert gauge(registry, "health.alive", node=node_id) == 1
+            assert gauge(registry, "health.rank", node=node_id) == \
                 node.stack.rpl.rank
-            assert 0.0 <= registry.gauge("health.duty_cycle",
-                                         node=node_id).value <= 1.0
+            assert 0.0 <= gauge(registry, "health.duty_cycle",
+                                node=node_id) <= 1.0
 
     def test_health_rows_render_one_row_per_node(self):
         system, sampler = sampled_system()
@@ -88,8 +92,7 @@ class TestSampling:
         sampler.start()
         assert stream.getstate() == state
         system.run(3 * PERIOD_S)
-        assert system.obs.registry.gauge("health.sampled_at_s").value == \
-            3 * PERIOD_S
+        assert gauge(system.obs.registry, "health.sampled_at_s") == 3 * PERIOD_S
         assert sampler.samples_taken == 3
 
 

@@ -11,39 +11,44 @@ from repro.sim.trace import TraceLog
 
 
 class TestInstruments:
+    """The live registry is the snapshot's dicts, keyed by series key:
+    a series nobody wrote is a ``KeyError``, not a fresh zero."""
+
     def test_counter_accumulates_per_label_set(self):
         registry = Registry()
         registry.inc("mac.tx", node=1)
         registry.inc("mac.tx", node=1)
         registry.inc("mac.tx", node=2)
-        assert registry.counter("mac.tx", node=1).value == 2
-        assert registry.counter("mac.tx", node=2).value == 1
+        assert registry.counters[("mac.tx", (("node", 1),))] == 2
+        assert registry.counters[("mac.tx", (("node", 2),))] == 1
         assert registry.snapshot().counter_total("mac.tx") == 3
 
     def test_label_order_is_irrelevant(self):
         registry = Registry()
         registry.inc("net.dropped", node=1, reason="ttl")
         registry.inc("net.dropped", reason="ttl", node=1)
-        assert registry.counter("net.dropped", node=1, reason="ttl").value == 2
+        assert registry.counters == {
+            ("net.dropped", (("node", 1), ("reason", "ttl"))): 2}
 
     def test_counter_rejects_negative_increments(self):
         registry = Registry()
         with pytest.raises(ValueError):
             registry.inc("x", amount=-1.0)
+        assert registry.counters == {}
 
     def test_gauge_is_last_write_wins(self):
         registry = Registry()
         registry.set("duty", 0.5, node=3)
         registry.set("duty", 0.2, node=3)
-        assert registry.gauge("duty", node=3).value == 0.2
+        assert registry.gauges[("duty", (("node", 3),))] == 0.2
 
     def test_histogram_records_exact_values(self):
         registry = Registry()
         for value in (3.0, 1.0, 2.0):
             registry.observe("latency", value, port=7)
-        histogram = registry.histogram("latency", port=7)
-        assert histogram.values == [3.0, 1.0, 2.0]
-        assert percentile(histogram.values, 0.5) == 2.0
+        values = registry.histograms[("latency", (("port", 7),))]
+        assert values == [3.0, 1.0, 2.0]
+        assert percentile(values, 0.5) == 2.0
 
     def test_values_concatenates_label_sets_deterministically(self):
         registry = Registry()
@@ -52,10 +57,28 @@ class TestInstruments:
         # sorted-key order
         assert registry.snapshot().histogram_values("latency") == [1.0, 2.0]
 
-    def test_instruments_are_get_or_create(self):
+    def test_series_are_created_on_first_write(self):
         registry = Registry()
-        assert registry.counter("a", node=1) is registry.counter("a", node=1)
-        assert registry.counter("a", node=1) is not registry.counter("a", node=2)
+        registry.inc("a", node=1)
+        registry.inc("a", node=1)
+        registry.inc("a", node=2)
+        assert list(registry.counters) == [("a", (("node", 1),)),
+                                           ("a", (("node", 2),))]
+
+    def test_unwritten_series_is_absent(self):
+        registry = Registry()
+        registry.inc("a", node=1)
+        registry.set("g", 1.0)
+        registry.observe("h", 1.0)
+        snap = registry.snapshot()
+        for table in (registry.counters, snap.counters):
+            assert ("a", (("node", 2),)) not in table
+            assert ("b", ()) not in table
+            with pytest.raises(KeyError):
+                table[("b", ())]
+        assert ("g", (("node", 1),)) not in snap.gauges
+        assert ("h", (("node", 1),)) not in snap.histograms
+        assert snap.counter_total("b") == 0
 
 
 class TestReaders:

@@ -36,7 +36,7 @@ class TestRunDemo:
 
     def test_duty_cycle_gauges_frozen_per_node(self, demo_run):
         registry = demo_run.system.obs.registry
-        gauges = [registry.gauge("radio.duty_cycle", node=nid).value
+        gauges = [registry.gauges[("radio.duty_cycle", (("node", nid),))]
                   for nid in demo_run.system.nodes]
         assert len(gauges) == 4
         assert all(0.0 <= value <= 1.0 for value in gauges)

@@ -189,17 +189,17 @@ class TestRadioState:
         a.set_listening()
         sim.schedule(10.0, a.sleep)
         sim.run(until=30.0)
-        times = a.flush_state_time()
-        assert times[RadioState.LISTEN] == pytest.approx(10.0)
-        assert times[RadioState.SLEEP] == pytest.approx(20.0)
+        a.flush_state_time()
+        assert a.listen_s == pytest.approx(10.0)
+        assert a.sleep_s == pytest.approx(20.0)
 
     def test_tx_time_accounted(self, sim):
         medium = make_medium(sim)
         a = Radio(medium, 1, (0, 0))
         airtime = a.transmit("x", 114)  # (11+114)*8/250k = 4 ms
         sim.run()
-        times = a.flush_state_time()
-        assert times[RadioState.TX] == pytest.approx(airtime)
+        a.flush_state_time()
+        assert a.tx_s == pytest.approx(airtime)
         assert airtime == pytest.approx(0.004)
 
     def test_double_transmit_rejected(self, sim):
