@@ -3,7 +3,7 @@ PYTHONPATH := src
 
 .PHONY: test gates gates-update census check-invariants sweep bench \
 	bench-layers bench-layers-tsch bench-pairs bench-taxonomy-matrix \
-	cold-start cold-fill kernel-floor report demo
+	cold-start cold-fill kernel-floor never-run report demo
 
 # Tier-1: the fast correctness suite (must always pass).
 test:
@@ -130,6 +130,17 @@ cold-fill:
 kernel-floor:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
+
+# What no run executes (a measurement, not a gate; ~4.8 min on two cores):
+# every repro command, the four examples, gates.py check, kernel_floor.py,
+# cold_fill.py, the five layered workloads at --scale 0.2 untraced and
+# traced, and each bench_* experiment, each in a fresh child under a line
+# tracer, two at a time, longest first; exports and tables go to a
+# temporary directory. Prints the never-run lines of src/repro per
+# contiguous block (marked `refusal` when the AST shows an error path)
+# with its enclosing def, then the totals per class and per file.
+never-run:
+	$(PYTHON) benchmarks/never_run.py
 
 # The observability dashboard: runs an instrumented demo deployment and
 # prints delivery metrics, latency percentiles, duty cycles and one

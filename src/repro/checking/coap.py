@@ -1,4 +1,4 @@
-"""CoAP middleware invariants (RFC 7252 / RFC 7641 semantics).
+"""CoAP middleware invariants (RFC 7252 semantics).
 
 Watches the CoAP layer's trace records:
 
@@ -7,8 +7,6 @@ Watches the CoAP layer's trace records:
   answered **at most once** per token; seeing the same token answered
   twice means the token-matching/dedup chain leaked a duplicate to the
   application.
-- ``coap.notify`` — Observe notifications delivered for a token must be
-  monotone in their sequence number (RFC 7641 §3.4 reordering guard).
 - ``coap.retransmit`` — the transport may retransmit a confirmable
   message at most ``MAX_RETRANSMIT`` times before declaring failure.
 """
@@ -22,7 +20,7 @@ from repro.sim.trace import TraceRecord
 
 
 class CoapExchangeChecker(InvariantChecker):
-    """Request/response, Observe, and retransmission invariants."""
+    """Request/response and retransmission invariants."""
 
     name = "coap"
 
@@ -30,13 +28,10 @@ class CoapExchangeChecker(InvariantChecker):
         super().__init__()
         #: (client node, token) -> completed-response count.
         self._responses: Dict[Tuple[int, int], int] = {}
-        #: (client node, token) -> last Observe sequence number seen.
-        self._observe_seq: Dict[Tuple[int, int], int] = {}
         self.exchanges_watched = 0
 
     def _setup(self) -> None:
         self.subscribe("coap.response", self._on_response)
-        self.subscribe("coap.notify", self._on_notify)
         self.subscribe("coap.retransmit", self._on_retransmit)
 
     # ------------------------------------------------------------------
@@ -53,18 +48,6 @@ class CoapExchangeChecker(InvariantChecker):
             self.record("response_not_at_most_once", node=record.node,
                         token=token, deliveries=count,
                         src=record.data.get("src"))
-
-    def _on_notify(self, record: TraceRecord) -> None:
-        seq = record.data.get("seq")
-        if seq is None:
-            return
-        key = (record.node, record.data.get("token"))
-        last = self._observe_seq.get(key)
-        if last is not None and seq < last:
-            self.record("observe_sequence_regression", node=record.node,
-                        token=key[1], seq=seq, previous=last)
-            return  # keep the high-water mark
-        self._observe_seq[key] = seq
 
     def _on_retransmit(self, record: TraceRecord) -> None:
         retries = record.data.get("retries")

@@ -1,4 +1,4 @@
-"""CoAP client: token-matched request/response and Observe."""
+"""CoAP client: token-matched requests and responses."""
 
 from __future__ import annotations
 
@@ -12,17 +12,19 @@ from repro.sim.timers import Timer
 
 ResponseCallback = Callable[[Optional[CoapMessage]], None]
 
+#: Give the server this long end-to-end before reporting failure; read
+#: at run time (a test patches it).
+REQUEST_TIMEOUT_S = 60.0
+
 
 @dataclass
 class PendingRequest:
-    """An in-flight request awaiting its (first) response."""
+    """An in-flight request awaiting its response."""
 
     dest: int
     message: CoapMessage
     callback: ResponseCallback
-    observe_callback: Optional[Callable[[CoapMessage], None]] = None
-    timer: Optional[Timer] = None
-    responded: bool = False
+    timer: Timer
     #: The root ``coap.request`` span (repro.obs); None untraced.
     ctx: Any = None
 
@@ -30,8 +32,6 @@ class PendingRequest:
 class CoapClient:
     """Issues requests over a transport; responses return by token."""
 
-    #: Give the server this long end-to-end before reporting failure.
-    DEFAULT_TIMEOUT_S = 60.0
     COUNTED = (("coap.timeout", {}, "timeouts"),)
 
     def __init__(self, transport: CoapTransport) -> None:
@@ -40,7 +40,6 @@ class CoapClient:
         self.trace = transport.trace
         self.node_id = transport.stack.node_id
         self._pending: Dict[int, PendingRequest] = {}
-        self._observations: Dict[int, PendingRequest] = {}
         self.requests_sent = 0
         self.responses_received = 0
         self.timeouts = 0
@@ -80,20 +79,17 @@ class CoapClient:
         callback: ResponseCallback,
         payload: Any = None,
         payload_bytes: int = 0,
-        confirmable: bool = True,
-        timeout_s: Optional[float] = None,
     ) -> CoapMessage:
-        """Send a request; ``callback(response_or_None)`` fires once."""
-        message = CoapMessage.request(
-            self.sim, code, path, payload, payload_bytes,
-            confirmable=confirmable,
-        )
-        pending = PendingRequest(dest=dest, message=message, callback=callback)
-        pending.ctx = self._open_span(dest, code.name, path)
+        """Send a confirmable request; ``callback(response_or_None)``
+        fires once."""
+        message = CoapMessage.request(self.sim, code, path, payload,
+                                      payload_bytes)
+        pending = PendingRequest(
+            dest, message, callback,
+            Timer(self.sim, lambda: self._timeout(message.token)),
+            self._open_span(dest, code.name, path))
         self._pending[message.token] = pending
-        timeout = timeout_s if timeout_s is not None else self.DEFAULT_TIMEOUT_S
-        pending.timer = Timer(self.sim, lambda: self._timeout(message.token))
-        pending.timer.start(timeout)
+        pending.timer.start(REQUEST_TIMEOUT_S)
         self.requests_sent += 1
         self.transport.send(
             dest, message, on_fail=lambda: self._timeout(message.token),
@@ -101,64 +97,27 @@ class CoapClient:
         )
         return message
 
-    def get(self, dest: int, path: str, callback: ResponseCallback, **kw) -> CoapMessage:
+    def get(self, dest: int, path: str, callback: ResponseCallback) -> CoapMessage:
         """Convenience GET."""
-        return self.request(dest, CoapCode.GET, path, callback, **kw)
+        return self.request(dest, CoapCode.GET, path, callback)
 
     def put(self, dest: int, path: str, payload: Any, payload_bytes: int,
-            callback: ResponseCallback, **kw) -> CoapMessage:
+            callback: ResponseCallback) -> CoapMessage:
         """Convenience PUT."""
         return self.request(
             dest, CoapCode.PUT, path, callback,
-            payload=payload, payload_bytes=payload_bytes, **kw,
+            payload=payload, payload_bytes=payload_bytes,
         )
-
-    # ------------------------------------------------------------------
-    def observe(
-        self,
-        dest: int,
-        path: str,
-        on_notification: Callable[[CoapMessage], None],
-        on_established: Optional[ResponseCallback] = None,
-        timeout_s: Optional[float] = None,
-    ) -> CoapMessage:
-        """Register as an observer; notifications stream to the callback."""
-        message = CoapMessage.request(self.sim, CoapCode.GET, path, observe=0)
-        pending = PendingRequest(
-            dest=dest,
-            message=message,
-            callback=on_established if on_established is not None else (lambda r: None),
-            observe_callback=on_notification,
-        )
-        pending.ctx = self._open_span(dest, "OBSERVE", path)
-        self._pending[message.token] = pending
-        timeout = timeout_s if timeout_s is not None else self.DEFAULT_TIMEOUT_S
-        pending.timer = Timer(self.sim, lambda: self._timeout(message.token))
-        pending.timer.start(timeout)
-        self.requests_sent += 1
-        self.transport.send(dest, message,
-                            on_fail=lambda: self._timeout(message.token),
-                            trace_ctx=pending.ctx)
-        return message
 
     # ------------------------------------------------------------------
     def _handle_response(self, src: int, response: CoapMessage) -> None:
         token = response.token
         if token is None:
             return
-        observation = self._observations.get(token)
-        if observation is not None and observation.observe_callback is not None:
-            self.responses_received += 1
-            self.trace.emit(self.sim.now, "coap.notify", node=self.node_id,
-                            src=src, token=token,
-                            seq=response.options.observe)
-            observation.observe_callback(response)
-            return
         pending = self._pending.pop(token, None)
         if pending is None:
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
+        pending.timer.cancel()
         self.responses_received += 1
         self.trace.emit(self.sim.now, "coap.response", node=self.node_id,
                         src=src, token=token)
@@ -166,22 +125,13 @@ class CoapClient:
         if obs is not None:
             obs.registry.inc("coap.response", node=self.node_id)
         self._close_span(pending, ok=True)
-        if pending.observe_callback is not None and response.code.is_success:
-            # Observation established: future notifications reuse the token.
-            self._observations[token] = pending
-            if response.options.observe is not None:
-                self.trace.emit(self.sim.now, "coap.notify",
-                                node=self.node_id, src=src, token=token,
-                                seq=response.options.observe)
-            pending.observe_callback(response)
         pending.callback(response)
 
     def _timeout(self, token: int) -> None:
         pending = self._pending.pop(token, None)
         if pending is None:
             return
-        if pending.timer is not None:
-            pending.timer.cancel()
+        pending.timer.cancel()
         self.timeouts += 1
         self._close_span(pending, ok=False)
         pending.callback(None)

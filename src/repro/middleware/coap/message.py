@@ -23,14 +23,9 @@ def next_message_id(sim: Simulator) -> int:
 
 @dataclass(frozen=True)
 class CoapOptions:
-    """The option subset the reproduction uses."""
+    """The option subset the reproduction uses: the Uri-Path."""
 
     uri_path: Tuple[str, ...] = ()
-    content_format: Optional[str] = None
-    #: RFC 7641 Observe option: 0 = register, 1 = deregister,
-    #: other values = notification sequence numbers.
-    observe: Optional[int] = None
-    max_age_s: Optional[float] = None
 
     @property
     def path(self) -> str:
@@ -38,14 +33,7 @@ class CoapOptions:
 
     @property
     def size_bytes(self) -> int:
-        size = sum(1 + len(segment) for segment in self.uri_path)
-        if self.content_format is not None:
-            size += 2
-        if self.observe is not None:
-            size += 4
-        if self.max_age_s is not None:
-            size += 5
-        return size
+        return sum(1 + len(segment) for segment in self.uri_path)
 
 
 @dataclass(frozen=True)
@@ -83,20 +71,18 @@ class CoapMessage:
         path: str,
         payload: Any = None,
         payload_bytes: int = 0,
-        confirmable: bool = True,
-        observe: Optional[int] = None,
     ) -> "CoapMessage":
-        """Build a fresh request with a new message id and token from
-        the id spaces of the run ``sim`` drives."""
+        """Build a fresh confirmable request with a new message id and
+        token from the id spaces of the run ``sim`` drives."""
         if not code.is_request:
             raise ValueError(f"{code} is not a request code")
         segments = tuple(s for s in path.split("/") if s)
         return CoapMessage(
-            mtype=CoapType.CON if confirmable else CoapType.NON,
+            mtype=CoapType.CON,
             code=code,
             message_id=next_message_id(sim),
             token=sim.next_id("coap.token"),
-            options=CoapOptions(uri_path=segments, observe=observe),
+            options=CoapOptions(uri_path=segments),
             payload=payload,
             payload_bytes=payload_bytes,
         )
@@ -112,31 +98,16 @@ class CoapMessage:
         code: CoapCode,
         payload: Any = None,
         payload_bytes: int = 0,
-        piggyback: bool = True,
-        observe: Optional[int] = None,
-        sim: Optional[Simulator] = None,
     ) -> "CoapMessage":
-        """Build a response to this request.
-
-        A piggybacked response rides in the ACK (same message id); a
-        separate response gets its own id, from the run ``sim`` drives,
-        and CON/NON type.
-        """
+        """Build the response to this request, piggybacked in its ACK
+        (same message id and token)."""
         if not code.is_response:
             raise ValueError(f"{code} is not a response code")
-        if piggyback and self.mtype is CoapType.CON:
-            mtype, message_id = CoapType.ACK, self.message_id
-        else:
-            if sim is None:
-                raise ValueError("a separate response needs sim for its "
-                                 "own message id")
-            mtype, message_id = CoapType.NON, next_message_id(sim)
         return CoapMessage(
-            mtype=mtype,
+            mtype=CoapType.ACK,
             code=code,
-            message_id=message_id,
+            message_id=self.message_id,
             token=self.token,
-            options=CoapOptions(observe=observe),
             payload=payload,
             payload_bytes=payload_bytes,
         )

@@ -1,13 +1,12 @@
 """CoAP resources: the server-side programming model.
 
-A :class:`Resource` answers REST methods; an :class:`ObservableResource`
-additionally pushes state changes to registered observers (RFC 7641) —
-the pattern industrial telemetry uses instead of polling.
+A :class:`Resource` answers REST methods; a :class:`CallbackResource`
+answers GET and PUT from plain callables.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.middleware.coap.codes import CoapCode
 
@@ -76,43 +75,3 @@ class CallbackResource(Resource):
             if self._on_put(payload)
             else (CoapCode.BAD_REQUEST, None, 0)
         )
-
-
-class ObservableResource(Resource):
-    """A resource whose state changes are pushed to observers.
-
-    The server wires :attr:`notify_hook`; user code calls
-    :meth:`update` when the underlying state changes.
-    """
-
-    def __init__(self, path: str, initial: Any = None, size_bytes: int = 4) -> None:
-        super().__init__(path)
-        self.state = initial
-        self.size_bytes = size_bytes
-        self.sequence = 0
-        #: (observer node, token) registrations.
-        self.observers: List[Tuple[int, int]] = []
-        #: Installed by the server: (self) -> None, sends notifications.
-        self.notify_hook: Optional[Callable[["ObservableResource"], None]] = None
-
-    def handle_get(self, payload: Any) -> Tuple[CoapCode, Any, int]:
-        return (CoapCode.CONTENT, self.state, self.size_bytes)
-
-    def update(self, state: Any, size_bytes: Optional[int] = None) -> None:
-        """Change the state and notify every observer."""
-        self.state = state
-        if size_bytes is not None:
-            self.size_bytes = size_bytes
-        self.sequence += 1
-        if self.notify_hook is not None:
-            self.notify_hook(self)
-
-    def add_observer(self, node: int, token: int) -> None:
-        key = (node, token)
-        if key not in self.observers:
-            self.observers.append(key)
-
-    def remove_observer(self, node: int, token: int) -> None:
-        key = (node, token)
-        if key in self.observers:
-            self.observers.remove(key)

@@ -1,12 +1,13 @@
-"""CoAP server: request dispatch and Observe notification fan-out."""
+"""CoAP server: request dispatch, each response piggybacked in the
+request's ACK."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.middleware.coap.codes import CoapCode, CoapType
-from repro.middleware.coap.message import CoapMessage, CoapOptions, next_message_id
-from repro.middleware.coap.resource import ObservableResource, Resource
+from repro.middleware.coap.codes import CoapCode
+from repro.middleware.coap.message import CoapMessage
+from repro.middleware.coap.resource import Resource
 from repro.middleware.coap.transport import CoapTransport
 
 
@@ -41,8 +42,6 @@ class CoapServer:
         if resource.path in self.resources:
             raise ValueError(f"path {resource.path} already served")
         self.resources[resource.path] = resource
-        if isinstance(resource, ObservableResource):
-            resource.notify_hook = self._notify_observers
         return resource
 
     # ------------------------------------------------------------------
@@ -50,46 +49,9 @@ class CoapServer:
         self.requests_served += 1
         resource = self.resources.get(request.options.path)
         if resource is None:
-            response = request.response(CoapCode.NOT_FOUND,
-                                        sim=self.sim)
-            self._respond(src, request, response)
-            return
-
-        observe_seq: Optional[int] = None
-        if (
-            isinstance(resource, ObservableResource)
-            and request.code is CoapCode.GET
-            and request.options.observe is not None
-        ):
-            if request.options.observe == 0:
-                resource.add_observer(src, request.token or 0)
-                observe_seq = resource.sequence
-                self.trace.emit(self.sim.now, "coap.observe_register",
-                                node=self.transport.stack.node_id, observer=src)
-            else:
-                resource.remove_observer(src, request.token or 0)
-
-        code, payload, size = resource.dispatch(request.code, request.payload)
-        response = request.response(code, payload, size, observe=observe_seq,
-                                    sim=self.sim)
-        self._respond(src, request, response)
-
-    def _respond(self, src: int, request: CoapMessage,
-                 response: CoapMessage) -> None:
-        if request.mtype is CoapType.CON and response.mtype is CoapType.ACK:
-            self.transport.record_ack(src, request, response)
+            response = request.response(CoapCode.NOT_FOUND)
+        else:
+            response = request.response(
+                *resource.dispatch(request.code, request.payload))
+        self.transport.record_ack(src, request, response)
         self.transport.send(src, response)
-
-    # ------------------------------------------------------------------
-    def _notify_observers(self, resource: ObservableResource) -> None:
-        for node, token in resource.observers:
-            notification = CoapMessage(
-                mtype=CoapType.NON,
-                code=CoapCode.CONTENT,
-                message_id=next_message_id(self.sim),
-                token=token,
-                options=CoapOptions(observe=resource.sequence),
-                payload=resource.state,
-                payload_bytes=resource.size_bytes,
-            )
-            self.transport.send(node, notification)

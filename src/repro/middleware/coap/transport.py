@@ -1,9 +1,11 @@
 """CoAP message layer: reliability and deduplication (RFC 7252 §4).
 
 Confirmable messages are retransmitted with exponential backoff until
-acknowledged (or ``MAX_RETRANSMIT`` is exhausted); duplicates are
-rejected by (peer, message id); empty ACKs are generated for confirmable
-messages the upper layer answered separately or not at all.
+acknowledged (or ``MAX_RETRANSMIT`` is exhausted).  Duplicates are
+rejected by (peer, message id): a duplicate confirmable message is not
+handed up again but answered with the ACK recorded for it
+(:meth:`CoapTransport.record_ack`), or with an empty ACK when none was
+recorded.
 """
 
 from __future__ import annotations
@@ -151,15 +153,14 @@ class CoapTransport:
             self._settle(src, message)
             if message.code is CoapCode.EMPTY:
                 return  # pure message-layer traffic
-        if message.mtype in (CoapType.CON, CoapType.NON):
+        if message.mtype is CoapType.CON:
             key = (src, message.message_id)
             now = self.sim.now
             self._gc_seen(now)
             if key in self._seen:
-                # Duplicate: re-ACK CONs, swallow.
-                if message.mtype is CoapType.CON:
-                    earlier = self._acked_by_us.get(key)
-                    self.send(src, earlier if earlier is not None else message.ack())
+                # Duplicate: re-ACK, swallow.
+                earlier = self._acked_by_us.get(key)
+                self.send(src, earlier if earlier is not None else message.ack())
                 return
             self._seen[key] = now
         if self.on_message is not None:

@@ -195,7 +195,6 @@ CONSTRUCTOR_KEYWORDS = {
     "CoapClient": ["transport"],
     "Resource": ["path"],
     "CallbackResource": ["path", "on_get", "on_put"],
-    "ObservableResource": ["path", "initial", "size_bytes"],
     "ResourceDirectory": [],
     "Gateway": ["stack"],
     "LegacyModbusDevice": ["sim", "unit_id", "registers"],

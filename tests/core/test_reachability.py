@@ -685,9 +685,6 @@ KEYWORD_ALLOW: Tuple[Tuple[str, str, str], ...] = (
     ("middleware/coap/resource.py", "CallbackResource.on_put",
      "capability: native CoAP PUT, "
      "tests/middleware/test_coap_end_to_end.py::test_put_changes_state"),
-    ("middleware/coap/resource.py", "ObservableResource.*",
-     "capability: CoAP Observe, "
-     "tests/middleware/test_coap_end_to_end.py::TestObserve"),
 )
 MAX_KEYWORD_ALLOW_ROWS = 6
 

@@ -8,6 +8,7 @@ a real constrained deployment pays for one "big" read.
 
 import pytest
 
+from repro.middleware.coap import client as coap_client
 from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.codes import CoapCode
 from repro.middleware.coap.resource import CallbackResource
@@ -39,8 +40,10 @@ def lpl_line(n=4, seed=260, phase_lock=True):
 class TestCoapOverLpl:
     @pytest.fixture(autouse=True)
     def patient_acks(self, monkeypatch):
-        """A CON's first ACK timeout spans several LPL rendezvous."""
+        """A CON's first ACK timeout spans several LPL rendezvous, and a
+        request gets 120 s end to end."""
         monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 8.0)
+        monkeypatch.setattr(coap_client, "REQUEST_TIMEOUT_S", 120.0)
 
     def test_large_response_crosses_duty_cycled_multihop(self):
         sim, trace, stacks = lpl_line()
@@ -49,7 +52,7 @@ class TestCoapOverLpl:
             "/logs/dump", on_get=lambda: ("x" * 16, BIG_PAYLOAD_BYTES)))
         client = CoapClient(CoapTransport(stacks[0]))
         responses = []
-        client.get(3, "/logs/dump", responses.append, timeout_s=120.0)
+        client.get(3, "/logs/dump", responses.append)
         sim.run(until=sim.now + 120.0)
         assert responses and responses[0] is not None
         assert responses[0].code is CoapCode.CONTENT
@@ -66,8 +69,7 @@ class TestCoapOverLpl:
         client = CoapClient(CoapTransport(stacks[0]))
         issued = sim.now
         latencies = []
-        client.get(3, "/v", lambda r: latencies.append(sim.now - issued),
-                   timeout_s=120.0)
+        client.get(3, "/v", lambda r: latencies.append(sim.now - issued))
         sim.run(until=sim.now + 120.0)
         assert latencies
         # 3 hops out + 3 hops back over W=0.5 LPL: at least ~3 rendezvous

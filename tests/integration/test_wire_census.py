@@ -82,7 +82,7 @@ def test_fragmenting_crdt_and_coap_run_sends_only_values(census):
     server.add_resource(CallbackResource("/dump", on_get=lambda: ("x", 320)))
     client = CoapClient(CoapTransport(stacks[0]))
     responses = []
-    client.get(8, "/dump", responses.append, timeout_s=60.0)
+    client.get(8, "/dump", responses.append)
     replicas = [CrdtReplica(s.node_id, LWWMap(s.node_id)) for s in stacks]
     for stack, replica in zip(stacks, replicas):
         for key in range(12):

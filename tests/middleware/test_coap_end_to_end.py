@@ -1,15 +1,13 @@
-"""CoAP over the simulated network: transport reliability, request/
-response, observe — exercised across real multihop paths."""
+"""CoAP over the simulated network: transport reliability and
+request/response, exercised across real multihop paths."""
 
 import pytest
 
+from repro.middleware.coap import client as coap_client
 from repro.middleware.coap.client import CoapClient
-from repro.middleware.coap.codes import CoapCode
-from repro.middleware.coap.resource import (
-    CallbackResource,
-    ObservableResource,
-    Resource,
-)
+from repro.middleware.coap.codes import CoapCode, CoapType
+from repro.middleware.coap.message import CoapMessage
+from repro.middleware.coap.resource import CallbackResource, Resource
 from repro.middleware.coap.server import CoapServer
 from repro.middleware.coap import transport as coap_transport
 from repro.middleware.coap.transport import CoapTransport
@@ -74,14 +72,17 @@ class TestRequestResponse:
         sim.run(until=sim.now + 30.0)
         assert responses[0].code is CoapCode.METHOD_NOT_ALLOWED
 
-    def test_timeout_reports_none(self):
+    def test_timeout_reports_none(self, monkeypatch):
+        monkeypatch.setattr(coap_client, "REQUEST_TIMEOUT_S", 20.0)
         sim, trace, stacks = converged_line(3)
         _, _, client = coap_on(stacks[0])
+        issued = sim.now
         responses = []
-        # Node 2 runs no CoAP at all.
-        client.get(2, "/x", responses.append, timeout_s=20.0)
+        # Node 2 runs no CoAP at all: the request times out after the
+        # patched 20 s, before the transport gives its CON up.
+        client.get(2, "/x", lambda r: responses.append((r, sim.now - issued)))
         sim.run(until=sim.now + 60.0)
-        assert responses == [None]
+        assert responses == [(None, pytest.approx(20.0))]
 
     def test_duplicate_resource_path_rejected(self):
         sim, trace, stacks = converged_line(2)
@@ -110,11 +111,12 @@ class TestTransportReliability:
     def test_con_to_dead_peer_fails_after_max_retransmit(self, monkeypatch):
         monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 0.5)
         monkeypatch.setattr(coap_transport, "MAX_RETRANSMIT", 2)
+        monkeypatch.setattr(coap_client, "REQUEST_TIMEOUT_S", 300.0)
         sim, trace, stacks = converged_line(3)
         transport, _, client = coap_on(stacks[0])
         stacks[2].fail()
         responses = []
-        client.get(2, "/r", responses.append, timeout_s=300.0)
+        client.get(2, "/r", responses.append)
         sim.run(until=sim.now + 300.0)
         assert responses == [None]
         assert transport.failures == 1
@@ -134,35 +136,43 @@ class TestTransportReliability:
         sim.run(until=sim.now + 30.0)
         assert len(hits) == 1
 
-
-class TestObserve:
-    def test_notifications_stream_to_observer(self):
-        sim, trace, stacks = converged_line(3)
-        _, server, _ = coap_on(stacks[2])
-        resource = ObservableResource("/obs", initial=1)
-        server.add_resource(resource)
+    def test_duplicate_con_is_answered_with_its_recorded_ack(self):
+        sim, trace, stacks = converged_line(2)
+        transport_b, server, _ = coap_on(stacks[1])
+        server.add_resource(CallbackResource("/r", on_get=lambda: (7, 4)))
         _, _, client = coap_on(stacks[0])
-        seen = []
-        client.observe(2, "/obs", on_notification=lambda m: seen.append(m.payload))
+        sent = []
+        send = transport_b.send
+        transport_b.send = lambda dest, message, **kw: (
+            sent.append(message), send(dest, message, **kw))
+        message = client.get(1, "/r", lambda r: None)
+        sim.schedule(5.0, lambda: client.transport._transmit(1, message))
         sim.run(until=sim.now + 30.0)
-        resource.update(2)
-        sim.run(until=sim.now + 10.0)
-        resource.update(3)
-        sim.run(until=sim.now + 10.0)
-        assert seen == [1, 2, 3]
+        assert server.requests_served == 1
+        assert len(sent) == 2
+        assert sent[1] is sent[0]
+        assert sent[0].code is CoapCode.CONTENT
+        assert sent[0].message_id == message.message_id
 
-    def test_observe_sequence_numbers_increase(self):
-        sim, trace, stacks = converged_line(3)
-        _, server, _ = coap_on(stacks[2])
-        resource = ObservableResource("/obs", initial=0)
-        server.add_resource(resource)
-        _, _, client = coap_on(stacks[0])
-        sequences = []
-        client.observe(2, "/obs",
-                       on_notification=lambda m: sequences.append(m.options.observe))
-        sim.run(until=sim.now + 30.0)
-        resource.update(1)
-        resource.update(2)
-        sim.run(until=sim.now + 10.0)
-        assert sequences == sorted(sequences)
-        assert len(set(sequences)) == len(sequences)
+    def test_duplicate_con_without_recorded_ack_gets_empty_ack(self, monkeypatch):
+        # The receiver hands the CON up but never answers it; only the
+        # duplicate draws an (empty) ACK, which settles the sender's CON.
+        monkeypatch.setattr(coap_transport, "ACK_TIMEOUT_S", 20.0)
+        sim, trace, stacks = converged_line(2)
+        transport_a = CoapTransport(stacks[0])
+        transport_b = CoapTransport(stacks[1])
+        delivered = []
+        transport_b.on_message = lambda src, m: delivered.append(m)
+        sent = []
+        send = transport_b.send
+        transport_b.send = lambda dest, message, **kw: (
+            sent.append(message), send(dest, message, **kw))
+        message = CoapMessage.request(sim, CoapCode.GET, "/r")
+        transport_a.send(1, message)
+        sim.schedule(5.0, lambda: transport_a._transmit(1, message))
+        sim.run(until=sim.now + 200.0)
+        assert delivered == [message]
+        assert [(m.mtype, m.code, m.message_id) for m in sent] == [
+            (CoapType.ACK, CoapCode.EMPTY, message.message_id)]
+        assert transport_a.retransmissions == 0
+        assert transport_a.failures == 0

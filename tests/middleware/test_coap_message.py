@@ -25,9 +25,9 @@ class TestOptions:
 
     def test_size_grows_with_options(self):
         bare = CoapOptions()
-        rich = CoapOptions(uri_path=("a", "bb"), observe=0,
-                           content_format="json", max_age_s=60.0)
+        rich = CoapOptions(uri_path=("a", "bb"))
         assert rich.size_bytes > bare.size_bytes
+        assert rich.size_bytes == (1 + 1) + (1 + 2)
 
 
 class TestMessage:
@@ -37,9 +37,11 @@ class TestMessage:
         assert request.token is not None
         assert request.options.path == "/sensors/temp"
 
-    def test_non_confirmable_request(self, sim):
-        request = CoapMessage.request(sim, CoapCode.GET, "/x", confirmable=False)
-        assert request.mtype is CoapType.NON
+    def test_every_request_is_confirmable(self, sim):
+        for code in (CoapCode.GET, CoapCode.POST, CoapCode.PUT, CoapCode.DELETE):
+            assert CoapMessage.request(sim, code, "/x").mtype is CoapType.CON
+        with pytest.raises(TypeError):
+            CoapMessage.request(sim, CoapCode.GET, "/x", confirmable=False)
 
     def test_response_code_required_for_request_constructor(self, sim):
         with pytest.raises(ValueError):
@@ -52,11 +54,16 @@ class TestMessage:
         assert response.message_id == request.message_id
         assert response.token == request.token
 
-    def test_separate_response_for_non(self, sim):
-        request = CoapMessage.request(sim, CoapCode.GET, "/x", confirmable=False)
-        response = request.response(CoapCode.CONTENT, sim=sim)
-        assert response.mtype is CoapType.NON
-        assert response.message_id != request.message_id
+    def test_every_response_rides_in_ack(self, sim):
+        request = CoapMessage.request(sim, CoapCode.PUT, "/x")
+        for code in (CoapCode.CHANGED, CoapCode.BAD_REQUEST,
+                     CoapCode.NOT_FOUND, CoapCode.METHOD_NOT_ALLOWED):
+            response = request.response(code)
+            assert response.mtype is CoapType.ACK
+            assert response.message_id == request.message_id
+            assert response.token == request.token
+        with pytest.raises(TypeError):
+            request.response(CoapCode.CONTENT, piggyback=False)
 
     def test_request_code_rejected_as_response(self, sim):
         request = CoapMessage.request(sim, CoapCode.GET, "/x")
