@@ -131,7 +131,7 @@ kernel-floor:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
-# What no run executes (a measurement, not a gate; ~4.8 min on two cores):
+# What no run executes (a measurement, not a gate; ~4.5-5.3 min on two cores):
 # every repro command, the four examples, gates.py check, kernel_floor.py,
 # cold_fill.py, the five layered workloads at --scale 0.2 untraced and
 # traced, and each bench_* experiment, each in a fresh child under a line

@@ -10,12 +10,18 @@ What it shows:
    at the border router (nobody configures routes);
 2. telemetry flows: an in-network AVG query returns one result per epoch;
 3. a device is read on demand through the CoAP middleware;
-4. the energy story: per-node duty cycle and projected battery life.
+4. the energy story: the mean radio duty cycle.
+
+The whole run is watched by the runtime invariant checkers
+(``SystemConfig(invariant_checking=True)``: DODAG structure, delivered
+paths, radio state, collision accounting, CoAP exchanges); it ends by
+asserting that none of them recorded a violation.
 """
 
 from repro.aggregation.service import AggregationService
 from repro.core.metrics import collect_energy, mean
 from repro.core.scenario import Scenario
+from repro.core.system import SystemConfig
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
 from repro.middleware.coap.resource import CallbackResource
@@ -28,6 +34,7 @@ def main() -> None:
     outside = DiurnalField(mean=18.0, amplitude=6.0)
     system = Scenario(topology=grid_topology(side=5, spacing_m=20.0),
                       sensors=(("temp", outside),),
+                      config=SystemConfig(invariant_checking=True),
                       formation_s=240.0).build(seed=42)
     print(f"network of {system.topology.size} devices: "
           f"{system.joined_fraction():.0%} joined, "
@@ -66,6 +73,10 @@ def main() -> None:
           f"{mean([s.duty_cycle for s in summaries]):.1%} "
           f"(CSMA keeps radios on; see examples/smart_building_hvac.py "
           f"for the duty-cycled variant)")
+
+    # --- every invariant held throughout ------------------------------
+    system.checkers.finish()
+    system.checkers.assert_clean()
 
 
 if __name__ == "__main__":

@@ -34,10 +34,6 @@ class AggregationQuery:
         if self.epoch_s <= 0:
             raise ValueError("epoch_s must be positive")
 
-    @property
-    def size_bytes(self) -> int:
-        return self.SIZE_BYTES
-
     def epoch_index(self, time: float) -> int:
         """Which epoch ``time`` falls into (negative before start)."""
         return int((time - self.start_time) // self.epoch_s)

@@ -319,9 +319,6 @@ def report_main(argv) -> int:
                         metavar="RATE",
                         help="store only this fraction of span traces "
                              "(0..1, default 1.0; metrics stay exact)")
-    parser.add_argument("--span-max-stored", type=int, default=None,
-                        metavar="N",
-                        help="ring-buffer bound on stored spans")
     parser.add_argument("--live", metavar="PATH", default=None,
                         type=argparse.FileType("w"),
                         help="stream telemetry windows as JSONL to PATH "
@@ -340,7 +337,7 @@ def report_main(argv) -> int:
     try:
         config = replace(
             DEMO.config, span_sample_rate=args.span_sample_rate,
-            span_max_stored=args.span_max_stored, telemetry_interval_s=interval)
+            telemetry_interval_s=interval)
     except ValueError as refused:  # SystemConfig names the field
         parser.error(str(refused))
     scenario = demo_scenario(parser, args, config)

@@ -12,7 +12,7 @@ just on the happy path.  This package provides the checkers:
   delivered-path loop bounds), :mod:`~repro.checking.macradio` (radio
   state machine and collision accounting),
   :mod:`~repro.checking.coap` (at-most-once responses, retransmission
-  bounds, Observe monotonicity), :mod:`~repro.checking.crdt` (lattice
+  bounds), :mod:`~repro.checking.crdt` (lattice
   laws on live states, convergence after quiescence),
   :mod:`~repro.checking.safety` (comfort envelope outside declared
   fault windows) and :mod:`~repro.checking.availability` (service

@@ -53,11 +53,6 @@ class SystemConfig:
     #: wall-clock — and only thins stored spans: metrics stay exact and
     #: the simulation is never perturbed.
     span_sample_rate: float = 1.0
-    #: Ring-buffer bound on stored spans (None = unbounded).  When
-    #: full, oldest spans are evicted first, except the gated
-    #: categories in :data:`repro.obs.GATED_SPAN_CATEGORIES`, which are
-    #: never dropped.
-    span_max_stored: Optional[int] = None
     #: Windowed telemetry scrape period in sim seconds (repro.obs.
     #: timeseries).  None (the default) attaches no engine and keeps
     #: the zero-diff guarantee of uninstrumented runs; a value requires
@@ -70,12 +65,10 @@ class SystemConfig:
         # The bounds live beside the classes they protect; their modules
         # are imported only for a value off its (valid) default, so a
         # plain config loads no repro.obs module.
-        if self.span_sample_rate != 1.0 or self.span_max_stored is not None:
-            from repro.obs.spans import check_max_spans, check_sample_rate
+        if self.span_sample_rate != 1.0:
+            from repro.obs.spans import check_sample_rate
             check_sample_rate(self.span_sample_rate,
                               "SystemConfig.span_sample_rate")
-            check_max_spans(self.span_max_stored,
-                            "SystemConfig.span_max_stored")
         interval = self.telemetry_interval_s
         if interval is not None:
             from repro.obs.timeseries import check_interval
@@ -103,9 +96,6 @@ class TimeSeriesStore:
             (t, v) for t, v in self.series.get(name, [])
             if since <= t <= until
         ]
-
-    def __len__(self) -> int:
-        return len(self.series)
 
 
 class IIoTSystem:
@@ -139,7 +129,6 @@ class IIoTSystem:
             self.obs = Observability(
                 span_sample_rate=config.span_sample_rate,
                 span_seed=sim.seed,
-                span_max=config.span_max_stored,
             )
             self.obs.attach(trace)
             if config.telemetry_interval_s is not None:

@@ -33,10 +33,10 @@ class StateCrdt(abc.ABC):
     def copy(self) -> "StateCrdt":
         """An independent deep copy (what gets shipped to peers)."""
 
+    @abc.abstractmethod
     def size_bytes(self) -> int:
         """Approximate serialized size, charged to the medium when the
-        state is gossiped.  Subclasses refine; 32 is a safe floor."""
-        return 32
+        state is gossiped."""
 
     def _require_same_type(self, other: "StateCrdt") -> None:
         if type(other) is not type(self):

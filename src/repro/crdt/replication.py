@@ -95,13 +95,6 @@ class NetworkReplicator:
         self._started = True
         self._timer.start()
 
-    def stop(self) -> None:
-        if not self._started:
-            return
-        self._started = False
-        self._timer.stop()
-        self._rumor_timer.cancel()
-
     def notify_local_update(self) -> None:
         """Call after a local mutation to trigger a fast rumor round."""
         self.last_change_s = self.sim.now

@@ -17,7 +17,7 @@ experiment E14 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.devices.platform import CLASS_1_MOTE, PlatformProfile
 from repro.radio.medium import BITRATE_BPS, PHY_OVERHEAD_BYTES
@@ -81,12 +81,10 @@ class InferencePartitioner:
     joules_per_mac: float = DEFAULT_JOULES_PER_MAC
     macs_per_second: float = DEFAULT_MACS_PER_SECOND
     effective_throughput_bps: float = float(BITRATE_BPS)
-    #: Radio energy per transmitted byte (TX current at the PHY rate).
-    radio_joules_per_byte: Optional[float] = None
 
     def _radio_j_per_byte(self) -> float:
-        if self.radio_joules_per_byte is not None:
-            return self.radio_joules_per_byte
+        """Radio energy per transmitted byte (TX current at the PHY
+        rate)."""
         byte_airtime = 8.0 / BITRATE_BPS
         return (byte_airtime * self.platform.tx_current_ma / 1000.0
                 * self.platform.supply_voltage_v)

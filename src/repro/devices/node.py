@@ -65,9 +65,6 @@ class DeviceNode:
         self.stack.start()
         self.energy.reset(self.sim.now)
 
-    def stop(self) -> None:
-        self.stack.stop()
-
     def fail(self) -> None:
         """Crash-stop the device."""
         self.stack.fail()

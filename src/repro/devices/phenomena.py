@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Protocol, Tuple
 
 Position = Tuple[float, float]
 
@@ -22,7 +22,6 @@ class Phenomenon(Protocol):
 
     def value_at(self, time: float, position: Position) -> float:
         """Field value at ``position`` at simulated ``time``."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -59,9 +58,6 @@ class RandomWalkField:
     step_sigma: float = 0.5
     step_s: float = 10.0
     seed: int = 0
-    #: Clamp bounds (None: unbounded).
-    lower: Optional[float] = None
-    upper: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.step_s > 0:
@@ -72,10 +68,6 @@ class RandomWalkField:
     def value_at(self, time: float, position: Position) -> float:
         index = max(0, int(time / self.step_s))
         while len(self._values) <= index:
-            value = self._values[-1] + self._rng.gauss(0.0, self.step_sigma)
-            if self.lower is not None:
-                value = max(value, self.lower)
-            if self.upper is not None:
-                value = min(value, self.upper)
-            self._values.append(value)
+            self._values.append(
+                self._values[-1] + self._rng.gauss(0.0, self.step_sigma))
         return self._values[index]

@@ -101,14 +101,6 @@ class CoapClient:
         """Convenience GET."""
         return self.request(dest, CoapCode.GET, path, callback)
 
-    def put(self, dest: int, path: str, payload: Any, payload_bytes: int,
-            callback: ResponseCallback) -> CoapMessage:
-        """Convenience PUT."""
-        return self.request(
-            dest, CoapCode.PUT, path, callback,
-            payload=payload, payload_bytes=payload_bytes,
-        )
-
     # ------------------------------------------------------------------
     def _handle_response(self, src: int, response: CoapMessage) -> None:
         token = response.token

@@ -185,10 +185,3 @@ class CoapTransport:
         for key in [k for k, t in self._seen.items() if t < horizon]:
             del self._seen[key]
             self._acked_by_us.pop(key, None)
-
-    def close(self) -> None:
-        """Unbind and cancel all retransmission timers."""
-        for pending in self._pending.values():
-            pending.timer.cancel()
-        self._pending.clear()
-        self.stack.unbind(COAP_PORT)

@@ -4,7 +4,8 @@ Runs on the border router.  Native constrained devices register their
 CoAP resources in the :class:`ResourceDirectory` (the CoRE RD pattern);
 legacy devices are wired in through protocol adapters.  Northbound —
 toward the application-logic tier of Fig. 1 — everything is a uniform
-``read(target, point)`` / ``write(target, point, value)``, which is the
+``read(target, point)`` (a native device answers a CoAP GET) and a
+legacy device also takes ``write(target, point, value)``, which is the
 middleware value proposition §III-B describes and experiment E12
 measures.
 """
@@ -30,14 +31,13 @@ class RdEntry:
 
     node: int
     path: str
-    attributes: Tuple[Tuple[str, str], ...] = ()
 
 
 class ResourceDirectory(Resource):
     """CoRE-RD-style registry, itself exposed as a CoAP resource.
 
-    Devices POST their resource list to ``/rd``; the application tier
-    queries :meth:`lookup`.
+    Devices POST their resource list to ``/rd``; the gateway reads
+    :meth:`nodes` and ``entries`` directly, so ``/rd`` answers no GET.
     """
 
     def __init__(self) -> None:
@@ -54,10 +54,6 @@ class ResourceDirectory(Resource):
             self.entries[(node, path)] = entry
         self.registrations += 1
         return (CoapCode.CREATED, None, 0)
-
-    def handle_get(self, payload: Any) -> Tuple[CoapCode, Any, int]:
-        listing = [(e.node, e.path) for e in self.entries.values()]
-        return (CoapCode.CONTENT, listing, 4 * len(listing))
 
     def nodes(self) -> List[int]:
         return sorted({entry.node for entry in self.entries.values()})
@@ -133,19 +129,12 @@ class Gateway:
         value: float,
         callback: Callable[[bool], None],
     ) -> None:
-        """Write ``value`` to ``point`` on ``target``."""
-        self.writes += 1
+        """Write ``value`` to ``point`` on ``target`` ("legacy/<name>")."""
         kind, _, ident = target.partition("/")
-        if kind == "legacy":
-            self._adapter(ident).write_point(point, value, callback)
-            return
-        if kind == "native":
-            def on_response(response: Optional[CoapMessage]) -> None:
-                callback(response is not None and response.code.is_success)
-
-            self.client.put(int(ident), point, value, 4, on_response)
-            return
-        raise ValueError(f"unknown target kind in {target!r}")
+        if kind != "legacy":
+            raise ValueError(f"only a legacy target is writable: {target!r}")
+        self.writes += 1
+        self._adapter(ident).write_point(point, value, callback)
 
     def _adapter(self, name: str) -> ProtocolAdapter:
         adapter = self.adapters.get(name)

@@ -16,7 +16,7 @@ machinery of :mod:`repro.net.mac.base`:
 - :mod:`repro.net.mac.tsch` — TSCH-style scheduled slotframe
   (:mod:`repro.net.mac.schedule`) with 6P-negotiated cells
   (:mod:`repro.net.mac.sixp`), the 6TiSCH industrial baseline;
-- :mod:`repro.net.mac.syncflood` — Glossy/Dozer-style synchronous
+- :mod:`repro.net.mac.syncflood` — Glossy-style synchronous
   flooding, modelled at slot granularity;
 - :mod:`repro.net.mac.analysis` — closed-form expectations and the
   per-MAC summary lines the dashboard prints.

@@ -1,4 +1,4 @@
-"""Synchronous-flooding primitive (Glossy/Dozer family).
+"""Synchronous-flooding primitive (Glossy family).
 
 The paper (§IV-B, refs [28]–[30]) observes that *highly synchronous
 end-to-end communication involving tight coordination of multiple
@@ -47,11 +47,6 @@ class FloodResult:
     reached: Dict[int, float] = field(default_factory=dict)  # node -> latency
     missed: Set[int] = field(default_factory=set)
     radio_on_s_per_node: float = 0.0
-
-    @property
-    def reliability(self) -> float:
-        total = len(self.reached) + len(self.missed)
-        return len(self.reached) / total if total else 1.0
 
     def latency_to(self, node_id: int) -> Optional[float]:
         return self.reached.get(node_id)
@@ -172,31 +167,3 @@ class SyncFloodService:
             reached=len(result.reached), missed=len(result.missed),
         )
         return result
-
-    # ------------------------------------------------------------------
-    def collect(
-        self,
-        sink: int,
-        values: Dict[int, Any],
-        on_complete: Optional[Callable[[Dict[int, Any], float], None]] = None,
-    ) -> float:
-        """Dozer-style convergecast: pull one value per node to ``sink``.
-
-        Modelled as a reverse flood: the schedule length is
-        ``depth × slot × retransmissions`` plus one slot per node for its
-        data frame.  Returns the completion latency.
-        """
-        distances = self.hop_distances(sink)
-        max_hop = max(distances.values()) if distances else 0
-        latency = (
-            max_hop * SLOT_S * RETRANSMISSIONS
-            + len(values) * SLOT_S
-        )
-        collected = {
-            node: value for node, value in values.items() if node in distances
-        }
-        if on_complete is not None:
-            self.sim.schedule(latency, lambda: on_complete(collected, latency))
-        self.trace.emit(self.sim.now, "syncflood.collect", node=sink,
-                        count=len(collected))
-        return latency

@@ -59,7 +59,6 @@ class RplTransport(Protocol):
         self, message: Any, size_bytes: int, trace_ctx: Any = None
     ) -> None:
         """Link-local broadcast of a control message."""
-        ...
 
     def unicast_control(
         self, dest: int, message: Any, size_bytes: int,
@@ -67,11 +66,9 @@ class RplTransport(Protocol):
         trace_ctx: Any = None,
     ) -> None:
         """Link-local unicast (probes, DAO hop) with MAC feedback."""
-        ...
 
     def link_prr(self, neighbor: int) -> float:
         """Ground-truth PRR used to seed link estimates (oracle)."""
-        ...
 
 
 # One-value routing constants, read at run time (a test patches them).
@@ -188,9 +185,6 @@ class RplRouter:
         #: Root-only: child -> (parent, path_seq) learned from DAOs.
         self.dao_table: Dict[int, Tuple[int, int]] = {}
 
-        self.on_joined: Optional[Callable[[], None]] = None
-        self.on_detached: Optional[Callable[[], None]] = None
-        self.on_parent_change: Optional[Callable[[Optional[int]], None]] = None
         #: Set by the stack: send a DAO through the data plane.  The
         #: third argument is an optional ``trace_ctx`` parenting the
         #: DAO's datagram span (a parent switch threads its span through
@@ -520,15 +514,11 @@ class RplRouter:
                     rank=self.rank,
                 )
             self._schedule_dao_soon()
-            if self.on_parent_change is not None:
-                self.on_parent_change(entry.node_id)
         if not was_joined:
             self.trace.emit(self.sim.now, "rpl.joined", node=self.node_id,
                             rank=self.rank, grounded=self.grounded)
             if obs is not None:
                 obs.registry.inc("rpl.joined", node=self.node_id)
-            if self.on_joined is not None:
-                self.on_joined()
 
     def _detach(self, reason: str) -> None:
         if self.is_root:
@@ -562,8 +552,6 @@ class RplRouter:
                             reason=reason)
             if obs is not None:
                 obs.registry.inc("rpl.detach", node=self.node_id, reason=reason)
-            if self.on_detached is not None:
-                self.on_detached()
         # A fresh look at the table: maybe another parent is available.
         self._evaluate_parents()
 
@@ -655,7 +643,7 @@ class RplRouter:
         self.dao_sent += 1
         ctx = self._switch_ctx
         if self.send_dao_upward is not None:
-            self.send_dao_upward(dao, dao.SIZE_BYTES, ctx)
+            self.send_dao_upward(dao, dao.size_bytes, ctx)
         if ctx is not None:
             self.trace.obs.spans.finish(ctx, self.sim.now,
                                         dao_seq=self._path_seq)

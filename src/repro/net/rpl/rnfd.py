@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.net.rpl.dodag import RplRouter, RplState
 from repro.net.rpl.messages import RnfdProbe
@@ -125,7 +125,6 @@ class RnfdAgent:
         self.root_state = RootState.ALIVE
         self.detection_time: Optional[float] = None
         self.dead_root: Optional[int] = None
-        self.on_global_down: Optional[Callable[[], None]] = None
         self._consecutive_failures = 0
         self._probe_seq = 0
         self._gossip_budget = 0
@@ -200,7 +199,7 @@ class RnfdAgent:
         self._probe_seq += 1
         probe = RnfdProbe(seq=self._probe_seq)
         self.router.transport.unicast_control(
-            root_id, probe, RnfdProbe.SIZE_BYTES, done=self._probe_done
+            root_id, probe, probe.size_bytes, done=self._probe_done
         )
 
     def _probe_done(self, success: bool) -> None:
@@ -333,8 +332,6 @@ class RnfdAgent:
                                      verdict="globally_down")
                 self._mark_dirty()
                 self._gossip()
-                if self.on_global_down is not None:
-                    self.on_global_down()
             self._enforce_verdict()
         elif self.root_state is RootState.GLOBALLY_DOWN:
             # Sentinel absolutions pulled the count below quorum: the

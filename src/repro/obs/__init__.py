@@ -40,12 +40,12 @@ from repro.obs.spans import SpanTracer
 from repro.obs.timeseries import TelemetryEngine
 from repro.sim.trace import TraceLog
 
-#: Span categories the storage layer must never drop: the control-plane
-#: records dependability gates grade (``rpl.parent_switch``,
-#: ``rnfd.verdict``) and every fault-plan clause span (``fault.*`` —
-#: pinned by its first dotted segment).  Repro bundles and
-#: the ``dependability`` gate read these after the fact, so a ring
-#: buffer that evicted them would silently weaken the gates.
+#: Span categories sampling must never skip: the control-plane records
+#: dependability gates grade (``rpl.parent_switch``, ``rnfd.verdict``)
+#: and every fault-plan clause span (``fault.*`` — pinned by its first
+#: dotted segment).  Repro bundles and the ``dependability`` gate read
+#: these after the fact, so a sampler that skipped them would silently
+#: weaken the gates.
 GATED_SPAN_CATEGORIES = frozenset({
     "fault",
     "rnfd.verdict",
@@ -61,10 +61,10 @@ class Observability:
     always carries a :class:`~repro.obs.spans.SpanTracer`: there is no
     metrics-only mode, because metrics never depend on spans.
 
-    ``span_sample_rate`` / ``span_max`` bound what the tracer *stores*
-    (see :class:`~repro.obs.spans.SpanTracer`); metrics are never
-    sampled — counter, gauge, and histogram totals stay exact at every
-    rate — and the :data:`GATED_SPAN_CATEGORIES` are never dropped.
+    ``span_sample_rate`` thins what the tracer *stores* (see
+    :class:`~repro.obs.spans.SpanTracer`); metrics are never sampled —
+    counter, gauge, and histogram totals stay exact at every rate — and
+    roots of the :data:`GATED_SPAN_CATEGORIES` are stored at any rate.
     ``span_seed`` should come from the run's master seed: the sampling
     decision is derived from it and never from wall-clock.
 
@@ -74,8 +74,7 @@ class Observability:
     """
 
     def __init__(self, span_sample_rate: float = 1.0,
-                 span_seed: int = 0,
-                 span_max: Optional[int] = None) -> None:
+                 span_seed: int = 0) -> None:
         self.registry = Registry()
         #: set by the system wiring when SystemConfig(telemetry_interval_s=)
         #: is given — layers and exporters find it via ``trace.obs``.
@@ -83,7 +82,6 @@ class Observability:
         self.spans = SpanTracer(
             sample_rate=span_sample_rate,
             sample_seed=span_seed,
-            max_spans=span_max,
             pinned_categories=GATED_SPAN_CATEGORIES,
         )
 

@@ -23,25 +23,18 @@ per shape: an instrumented run keeps no per-span object or dict, only
 the data dict of each span still open.  Readers build :class:`Span`
 records from the rows on demand.
 
-Two storage knobs keep long instrumented runs cheap (both default off,
-so a plain ``SpanTracer()`` records everything, byte-identically to
-every earlier release):
-
-- **Sampling** (``sample_rate`` < 1.0) keeps a deterministic,
-  seed-derived fraction of *traces* — whole trees, never torn ones.
-  The decision hashes ``(sample_seed, trace_id)``; wall-clock and
-  global RNG state are never consulted, so a seeded run samples the
-  same traces every time, and trace *ids* advance exactly as in an
-  unsampled run.
-- **The ring buffer** (``max_spans``) bounds stored spans: once full,
-  the oldest spans are evicted first — except *pinned* categories
-  (the ones dependability gates and repro bundles grade), which are
-  never dropped no matter how old.
+Sampling keeps long instrumented runs cheap: ``sample_rate`` < 1.0
+(default 1.0, so a plain ``SpanTracer()`` records everything) keeps a
+deterministic, seed-derived fraction of *traces* — whole trees, never
+torn ones.  The decision hashes ``(sample_seed, trace_id)``; wall-clock
+and global RNG state are never consulted, so a seeded run samples the
+same traces every time, and trace *ids* advance exactly as in an
+unsampled run.  Roots of *pinned* categories (the ones dependability
+gates and repro bundles grade) are recorded at any rate.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from struct import Struct
@@ -67,14 +60,6 @@ def check_sample_rate(rate: float,
     the field ``name`` it came from."""
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"{name} must be within [0.0, 1.0]: {rate!r}")
-
-
-def check_max_spans(bound: Optional[int],
-                    name: str = "SpanTracer.max_spans") -> None:
-    """Refuse a ring-buffer bound below 1, naming the field ``name`` it
-    came from; None (unbounded) passes."""
-    if bound is not None and bound < 1:
-        raise ValueError(f"{name} must be >= 1 or None: {bound!r}")
 
 
 class Span(NamedTuple):
@@ -152,47 +137,33 @@ class SpanTracer:
         Seed folded into the per-trace sampling hash.  Derive it from
         the run's master seed: same seed, same sampled traces, every
         run — never wall-clock, never global RNG.
-    max_spans:
-        Ring-buffer bound on *stored* spans; None (default) stores
-        unboundedly.  When full, the oldest non-pinned spans are
-        evicted first.
     pinned_categories:
-        Categories the ring buffer must never evict (exact category or
+        Categories whose roots sampling never skips (exact category or
         its first dotted segment: ``"fault"`` pins ``"fault.crash"``).
         These are the records dependability gates and repro bundles
-        grade; they survive even if the buffer overruns its bound.
+        grade; they are stored at any rate.
 
-    Storage: row ``i`` is span id ``_base + i``.  A row behind the
-    eviction cursor whose category is not pinned is evicted (its data
-    is released at once).  Once the rows behind the cursor are half the
-    buffer, the ring drops them in one slice, and the pinned ones among
-    them move to a side table.  A dropped row keeps only its trace id (8 B), because any
-    handle ever returned may still parent a later span.
+    Storage: row ``i`` is span id ``i + 1``.  Every span handed out
+    stays stored for the tracer's life.
     """
 
     def __init__(
         self,
         sample_rate: float = 1.0,
         sample_seed: int = 0,
-        max_spans: Optional[int] = None,
         pinned_categories: Iterable[str] = (),
     ) -> None:
         check_sample_rate(sample_rate)
-        check_max_spans(max_spans)
         self._next_trace = 1
         self._next_span = 1
         self.sample_rate = sample_rate
         self.sample_seed = sample_seed
-        self.max_spans = max_spans
         self._pinned = frozenset(pinned_categories)
-        #: Category names by index, their indices, and which the ring
-        #: may evict.
+        #: Category names by index, and their indices.
         self._categories: List[str] = []
         self._category_index: Dict[str, int] = {}
-        self._evictable: List[bool] = []
         #: One key tuple per data shape.
         self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        self._base = 1
         self._rows = bytearray()
         self._trace: List[int] = []
         self._end: List[Optional[float]] = []  # None: still open
@@ -201,25 +172,15 @@ class SpanTracer:
         #: annotate and finish update it in place, finish packs it.
         self._keys: List[Optional[Tuple[str, ...]]] = []
         self._values: List[Any] = []
-        #: Pinned rows dropped from the columns, by span id, as lists in
-        #: :data:`Row` order.
-        self._side: Dict[int, List[Any]] = {}
-        #: The trace id of every dropped row, at index span id - 1.
-        self._dropped_trace = array("q")
-        #: Oldest span id not yet considered for eviction.  Span ids are
-        #: allocated monotonically, so a single forward cursor finds the
-        #: eviction victim in amortized O(1).
-        self._evict_cursor = 1
         #: Stored span ids by trace, built by the first read after a
-        #: write that stored or evicted a span.
-        self._grouped_at: Optional[Tuple[int, int]] = None
+        #: write that stored a span.
+        self._grouped_at: Optional[int] = None
         self._groups: Dict[int, List[int]] = {}
-        #: Traces skipped by sampling / spans dropped by the ring.
+        #: Traces skipped by sampling.
         self.sampled_out = 0
-        self.evicted = 0
 
     # ------------------------------------------------------------------
-    # sampling + storage policy
+    # sampling
     # ------------------------------------------------------------------
     def _trace_sampled(self, trace_id: int) -> bool:
         """Deterministic keep/skip decision for one trace.
@@ -242,57 +203,14 @@ class SpanTracer:
     def _category(self, category: str) -> int:
         index = self._category_index[category] = len(self._categories)
         self._categories.append(category)
-        self._evictable.append(not self._is_pinned(category))
         return index
-
-    def _evicted(self, span: int, i: int) -> bool:
-        """Whether the ring evicted ``span``, at row ``i``: the cursor
-        passed it and its category is not pinned."""
-        return (span < self._evict_cursor and self._evictable[
-            _ROW.unpack_from(self._rows, i * _ROW_SIZE)[3]])
-
-    def _evict(self) -> None:
-        """Evict oldest non-pinned spans until back under the bound.
-
-        Pinned spans are skipped (and, once passed, never revisited —
-        they are immortal by policy, so the cursor owes them nothing).
-        If only pinned spans remain the buffer is allowed to exceed its
-        bound: gated categories outrank the memory cap.
-        """
-        base = self._base
-        while (len(self) > self.max_spans
-               and self._evict_cursor < self._next_span):
-            span = self._evict_cursor
-            self._evict_cursor += 1
-            if self._evicted(span, span - base):
-                self._keys[span - base] = self._values[span - base] = ()
-                self.evicted += 1
-        passed = self._evict_cursor - base
-        # Half the rows or more at once: each row moves O(1) times.
-        if 2 * passed >= len(self._values):
-            self._drop(passed)
-
-    def _drop(self, rows: int) -> None:
-        """Drop the first ``rows`` rows, all behind the eviction cursor;
-        the pinned ones move to the side table."""
-        base = self._base
-        for i in range(rows):
-            row = self._row_at(i)
-            if not self._evictable[row[5]]:
-                self._side[base + i] = list(row)
-        self._dropped_trace.extend(self._trace[:rows])
-        del self._rows[:rows * _ROW_SIZE]
-        for column in (self._trace, self._end, self._keys, self._values):
-            del column[:rows]
-        self._base = base + rows
 
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def trace_of(self, span: int) -> int:
-        """The trace of span handle ``span``, stored or evicted."""
-        i = span - self._base
-        return self._trace[i] if i >= 0 else self._dropped_trace[span - 1]
+        """The trace of span handle ``span``."""
+        return self._trace[span - 1]
 
     def start(
         self,
@@ -321,9 +239,7 @@ class SpanTracer:
                 return None
             parent = 0
         else:
-            i = parent - self._base
-            trace_id = (self._trace[i] if i >= 0
-                        else self._dropped_trace[parent - 1])
+            trace_id = self._trace[parent - 1]
         # The store, written out here and in event() rather than called:
         # it runs once per span, the hottest path of an observed run.
         cat = self._category_index.get(category)
@@ -337,8 +253,6 @@ class SpanTracer:
         self._values.append(data)
         span_id = self._next_span
         self._next_span = span_id + 1
-        if self.max_spans is not None and len(self) > self.max_spans:
-            self._evict()
         return span_id
 
     def finish(self, span: Optional[int], t: float, **data: Any) -> None:
@@ -346,15 +260,13 @@ class SpanTracer:
 
         ``span=None`` — an unsampled trace's handle — is a no-op, so
         callers can thread :meth:`start` results through without
-        re-checking sampling decisions.  So is a span the ring evicted.
+        re-checking sampling decisions.  So is an id never handed out.
         """
-        if span is None:
+        if span is None or not 0 < span < self._next_span:
             return
-        i = span - self._base
+        i = span - 1
         end = self._end
-        if self._evict_cursor <= span < self._next_span and end[i] is None:
-            # _write(span, t, data) of an open row, written out: nearly
-            # every span is finished once, while it is open.
+        if end[i] is None:
             end[i] = t
             values = self._values
             opened = values[i]
@@ -364,7 +276,7 @@ class SpanTracer:
             self._keys[i] = self._shapes.setdefault(keys, keys)
             values[i] = tuple(opened.values())
         else:
-            self._write(span, t, data)
+            self._append(i, data)
 
     def annotate(self, span: Optional[int], **data: Any) -> None:
         """Attach data to an open span *without* closing it.
@@ -374,47 +286,22 @@ class SpanTracer:
         layers than start/end alone allow.  Same ``span=None`` no-op
         contract as :meth:`finish`.
         """
-        if span is None or not data:
+        if span is None or not data or not 0 < span < self._next_span:
             return
-        i = span - self._base
-        if self._evict_cursor <= span < self._next_span and self._end[i] is None:
+        i = span - 1
+        if self._end[i] is None:
             self._values[i].update(data)
         else:
-            self._write(span, None, data)
+            self._append(i, data)
 
-    def _write(self, span: int, end: Optional[float],
-               data: Dict[str, Any]) -> None:
-        """Close ``span`` at ``end`` (None: leave it open) and update its
-        data with ``data``, wherever its row is; a span evicted or never
-        recorded is left alone."""
-        i = span - self._base
-        if i < 0:
-            row = self._side.get(span)
-            if row is not None:
-                row[4], row[6], row[7] = self._written(
-                    row[4], row[6], row[7], end, data)
-        elif span < self._next_span and not self._evicted(span, i):
-            self._end[i], self._keys[i], self._values[i] = self._written(
-                self._end[i], self._keys[i], self._values[i], end, data)
-
-    def _written(self, end: Optional[float], keys: Optional[Tuple[str, ...]],
-                 values: Any, t: Optional[float], data: Dict[str, Any]
-                 ) -> Tuple[Optional[float], Optional[Tuple[str, ...]], Any]:
-        """A row's (end, keys, values) after :meth:`_write`.  A closed
-        row's new keys and values are appended, repeats included: the
-        dict a reader builds from them keeps each key where it first
+    def _append(self, i: int, data: Dict[str, Any]) -> None:
+        """Append ``data`` to the closed row ``i``, repeats included:
+        the dict a reader builds from it keeps each key where it first
         came and the value it got last, as ``dict.update`` would."""
-        if end is None:
-            values.update(data)
-            if t is None:
-                return None, None, values
-            keys = tuple(values)
-            return t, self._shapes.setdefault(keys, keys), tuple(values.values())
         if data:
-            keys += tuple(data)
-            keys = self._shapes.setdefault(keys, keys)
-            values += tuple(data.values())
-        return end, keys, values
+            keys = self._keys[i] + tuple(data)
+            self._keys[i] = self._shapes.setdefault(keys, keys)
+            self._values[i] += tuple(data.values())
 
     def event(
         self,
@@ -431,8 +318,7 @@ class SpanTracer:
         """
         if parent is None:
             return None
-        i = parent - self._base
-        trace_id = self._trace[i] if i >= 0 else self._dropped_trace[parent - 1]
+        trace_id = self._trace[parent - 1]
         # The store, as in start(), of a span closed at once.
         cat = self._category_index.get(category)
         if cat is None:
@@ -446,40 +332,26 @@ class SpanTracer:
         self._values.append(tuple(data.values()))
         span_id = self._next_span
         self._next_span = span_id + 1
-        if self.max_spans is not None and len(self) > self.max_spans:
-            self._evict()
         return span_id
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def _row_at(self, i: int) -> Row:
+    def _row(self, span: int) -> Optional[Row]:
+        """A stored span's row; None if it was never recorded."""
+        i = span - 1
+        if not 0 <= i < len(self._end):
+            return None
         parent, node, start, cat = _ROW.unpack_from(self._rows, i * _ROW_SIZE)
         return (self._trace[i], parent, node, start, self._end[i], cat,
                 self._keys[i], self._values[i])
 
-    def _row(self, span: int) -> Optional[Row]:
-        """A stored span's row; None if it was evicted or never
-        recorded."""
-        i = span - self._base
-        if i < 0:
-            row = self._side.get(span)
-            return None if row is None else tuple(row)
-        if i >= len(self._end) or self._evicted(span, i):
-            return None
-        return self._row_at(i)
-
     def _rows_stored(self) -> Iterator[Tuple[int, Row]]:
         """``(span id, row)`` of every stored span, in recording order."""
-        for span_id, row in self._side.items():
-            yield span_id, tuple(row)
-        base, cursor, evictable = self._base, self._evict_cursor, self._evictable
         for i, (parent, node, start, cat) in enumerate(
                 _ROW.iter_unpack(self._rows)):
-            if base + i >= cursor or not evictable[cat]:
-                yield base + i, (self._trace[i], parent, node, start,
-                                 self._end[i], cat, self._keys[i],
-                                 self._values[i])
+            yield i + 1, (self._trace[i], parent, node, start, self._end[i],
+                          cat, self._keys[i], self._values[i])
 
     def _span(self, span_id: int, row: Row) -> Span:
         trace_id, parent, node, start, end, cat, keys, values = row
@@ -489,8 +361,8 @@ class SpanTracer:
 
     def _by_trace(self) -> Dict[int, List[int]]:
         """Stored span ids grouped by trace, traces ascending: one pass
-        over the rows, repeated only after a store or an eviction."""
-        stamp = (self._next_span, self.evicted)
+        over the rows, repeated only after a store."""
+        stamp = self._next_span
         if self._grouped_at != stamp:
             groups: Dict[int, List[int]] = {}
             for span_id, row in self._rows_stored():
@@ -510,35 +382,25 @@ class SpanTracer:
 
     def spans_for(self, trace_id: int) -> List[Span]:
         """Stored spans of one trace in recording (event-execution)
-        order.  Spans the ring buffer evicted are simply absent."""
+        order."""
         return [self._span(span_id, self._row(span_id))
                 for span_id in self._by_trace().get(trace_id, ())]
 
     def tree(self, trace_id: int) -> Optional[SpanNode]:
         """Rebuild one trace's span tree; None for unknown traces.
 
-        Children sort by ``(start, span_id)``; multiple roots (possible
-        if a root span was never recorded) are grafted under the
-        earliest one.
+        Children sort by ``(start, span_id)``.  A trace's first span is
+        its root, and every later span's parent is stored in it.
         """
         spans = self.spans_for(trace_id)
         if not spans:
             return None
         nodes = {span.span_id: SpanNode(span) for span in spans}
-        roots: List[SpanNode] = []
-        for span in spans:
-            node = nodes[span.span_id]
-            parent = nodes.get(span.parent_id) if span.parent_id else None
-            if parent is None:
-                roots.append(node)
-            else:
-                parent.children.append(node)
+        for span in spans[1:]:
+            nodes[span.parent_id].children.append(nodes[span.span_id])
         for node in nodes.values():
             node.children.sort(key=lambda n: (n.span.start, n.span.span_id))
-        root = roots[0]
-        for orphan in roots[1:]:
-            root.children.append(orphan)
-        return root
+        return nodes[spans[0].span_id]
 
     def traces_overlapping(self, since: float, until: float) -> List[int]:
         """Trace ids with at least one span inside ``[since, until]``."""
@@ -575,4 +437,4 @@ class SpanTracer:
         return "\n".join(lines)
 
     def __len__(self) -> int:
-        return self._next_span - 1 - self.evicted
+        return self._next_span - 1

@@ -134,12 +134,6 @@ class TelemetryEngine:
         self._last_start = self.sim.now
         self._timer.start()
 
-    def stop(self) -> None:
-        if not self._started:
-            return
-        self._started = False
-        self._timer.stop()
-
     # ------------------------------------------------------------------
     @property
     def windows(self) -> List[TelemetryWindow]:

@@ -89,16 +89,13 @@ class LinkQualityModel(Protocol):
     def max_audible_range_m(self, tx_power_dbm: float,
                             threshold_dbm: float) -> Optional[float]:
         """Distance beyond which no receiver hears ``threshold_dbm``."""
-        ...
 
     def rssi_dbm(self, sender: Position, receivers: _np.ndarray,
                  tx_power_dbm: float) -> _np.ndarray:
         """Received signal strength at each ``(k, 2)`` receiver row."""
-        ...
 
     def reception_probability(self, rssi: _np.ndarray) -> _np.ndarray:
         """PRR for frames arriving at the given signal strengths."""
-        ...
 
 
 @dataclass

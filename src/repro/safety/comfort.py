@@ -92,9 +92,6 @@ class ComfortTracker:
     def start(self) -> None:
         self._timer.start()
 
-    def stop(self) -> None:
-        self._timer.stop()
-
     def _sample(self) -> None:
         self.samples += 1
         if not self.schedule.occupied(self.sim.now):

@@ -113,12 +113,6 @@ class HvacZone:
             )
             self._loop.start()
 
-    def stop(self) -> None:
-        self.zone.stop()
-        self.comfort.stop()
-        if self._loop is not None:
-            self._loop.stop()
-
     def _local_control(self) -> None:
         if self.controller is None or not self.node.alive:
             return
@@ -201,10 +195,6 @@ class RemoteControlLoop:
         """Begin reporting; physics/comfort must be started on the zone."""
         self._report_timer.start()
         self._watchdog.start(self.fallback_timeout_s)
-
-    def stop(self) -> None:
-        self._report_timer.stop()
-        self._watchdog.cancel()
 
     def _report(self) -> None:
         if not self.zone.node.alive:

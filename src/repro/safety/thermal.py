@@ -60,9 +60,6 @@ class ThermalZone:
         """Begin integrating the zone physics."""
         self._stepper.start()
 
-    def stop(self) -> None:
-        self._stepper.stop()
-
     def _step(self) -> None:
         now = self.sim.now
         t_out = self.outside(now)

@@ -8,7 +8,7 @@ knowledge of novel threats the paper mentions, in minimum viable form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog, TraceRecord
@@ -39,7 +39,6 @@ class AnomalyDetector:
         self.rejection_threshold = rejection_threshold
         self.window_s = window_s
         self.alarms: List[SecurityAlarm] = []
-        self.on_alarm: Optional[Callable[[SecurityAlarm], None]] = None
         self._rejections: Dict[int, List[float]] = {}
         trace.subscribe("security.rejected", self._on_rejection)
 
@@ -62,5 +61,3 @@ class AnomalyDetector:
             self.alarms.append(alarm)
             self.trace.emit(record.time, "security.alarm", node=node,
                             kind=alarm.kind)
-            if self.on_alarm is not None:
-                self.on_alarm(alarm)

@@ -1,6 +1,9 @@
 """CoAP exchange checker: clean on real exchanges, firing on duplicates."""
 
 from repro.checking.coap import CoapExchangeChecker
+from repro.core.scenario import Scenario
+from repro.core.system import SystemConfig
+from repro.deployment.topology import grid_topology
 from repro.middleware.coap.client import CoapClient
 from repro.middleware.coap.resource import CallbackResource
 from repro.middleware.coap.server import CoapServer
@@ -35,6 +38,25 @@ class TestCoapCheckerClean:
         assert answers and answers[0] is not None
         assert checker.exchanges_watched == 1
         assert checker.clean, [str(v) for v in checker.violations]
+
+    def test_a_checked_system_feeds_its_coap_checker(self):
+        # invariant_checking=True attaches the CoAP checker with the
+        # rest of the default suite; a gateway read is then watched.
+        system = Scenario(topology=grid_topology(side=3, spacing_m=20.0),
+                          config=SystemConfig(invariant_checking=True),
+                          formation_s=240.0).build(seed=42)
+        device = system.nodes[8]
+        CoapServer(CoapTransport(device.stack)).add_resource(
+            CallbackResource("/status", on_get=lambda: ("ok", 2)))
+        answers = []
+        system.gateway.client.get(8, "/status", answers.append)
+        system.run(30.0)
+        assert answers and answers[0].payload == "ok"
+        (checker,) = [c for c in system.checkers.checkers
+                      if isinstance(c, CoapExchangeChecker)]
+        assert checker.exchanges_watched == 1
+        system.checkers.finish()
+        system.checkers.assert_clean()
 
 
 class TestCoapCheckerFiring:

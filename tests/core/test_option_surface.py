@@ -53,7 +53,7 @@ def test_system_config_fields():
     # the plain workloads.
     assert [f.name for f in dataclasses.fields(SystemConfig)] == [
         "stack", "trace_enabled", "invariant_checking", "observability",
-        "span_sample_rate", "span_max_stored", "telemetry_interval_s",
+        "span_sample_rate", "telemetry_interval_s",
     ]
 
 
@@ -134,10 +134,9 @@ CONSTRUCTOR_KEYWORDS = {
     "WifiInterferer": ["medium", "clause"],
     # obs
     "Registry": [],
-    "SpanTracer": ["sample_rate", "sample_seed", "max_spans",
-                   "pinned_categories"],
+    "SpanTracer": ["sample_rate", "sample_seed", "pinned_categories"],
     "_StoredSpans": ["tracer"],
-    "Observability": ["span_sample_rate", "span_seed", "span_max"],
+    "Observability": ["span_sample_rate", "span_seed"],
     # Retention is the module constant repro.obs.timeseries.RETENTION;
     # the live sink is an attribute `repro report --live` assigns.
     "TelemetryEngine": ["sim", "registry", "interval_s"],
@@ -168,8 +167,8 @@ CONSTRUCTOR_KEYWORDS = {
     "RnfdAgent": ["router", "config"],
     "NetworkStack": ["medium", "node_id", "position", "config", "is_root"],
     # devices (the battery is repro.devices.energy.BATTERY_CAPACITY_MAH;
-    # an actuator's range, slew and delay are MINIMUM, MAXIMUM,
-    # SLEW_PER_S and ACTUATION_DELAY_S of repro.devices.actuators)
+    # an actuator's range is MINIMUM and MAXIMUM of
+    # repro.devices.actuators)
     "Sensor": ["sim", "name", "phenomenon", "position"],
     "Actuator": ["sim", "name"],
     "EnergyMeter": ["radio", "platform"],
@@ -194,7 +193,7 @@ CONSTRUCTOR_KEYWORDS = {
     "CoapServer": ["transport"],
     "CoapClient": ["transport"],
     "Resource": ["path"],
-    "CallbackResource": ["path", "on_get", "on_put"],
+    "CallbackResource": ["path", "on_get"],
     "ResourceDirectory": [],
     "Gateway": ["stack"],
     "LegacyModbusDevice": ["sim", "unit_id", "registers"],

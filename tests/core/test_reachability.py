@@ -670,11 +670,10 @@ def test_field_census_counts_keywords_of_calls_outside_tests(tmp_path):
 # whose source text differs from the default's.  Tests do not count: a
 # test that needs another value patches the module constant.
 #
-# (module, "Class.keyword" pattern, reason).  Two kinds of row only:
+# (module, "Class.keyword" pattern, reason).  One kind of row only:
 # dynamic dispatch the name-based walker cannot see ("dynamic dispatch:
-# ..."), and a capability of DESIGN.md's middleware inventory that only
-# tests exercise ("capability: ...", naming the test file).  A row that
-# holds nothing up fails the test, as reachability rows do.
+# ...").  A capability only tests exercise has no row: it is removed.
+# A row that holds nothing up fails the test, as reachability rows do.
 KEYWORD_ALLOW: Tuple[Tuple[str, str, str], ...] = (
     ("net/mac/*.py", "*Mac.config",
      "dynamic dispatch: StackConfig.make_mac builds "
@@ -682,9 +681,6 @@ KEYWORD_ALLOW: Tuple[Tuple[str, str, str], ...] = (
     ("core/workloads.py", "ProbeRun.scenario",
      "dynamic dispatch: Workload.attach builds "
      "self.driver(system, self, scenario)"),
-    ("middleware/coap/resource.py", "CallbackResource.on_put",
-     "capability: native CoAP PUT, "
-     "tests/middleware/test_coap_end_to_end.py::test_put_changes_state"),
 )
 MAX_KEYWORD_ALLOW_ROWS = 6
 
@@ -787,10 +783,7 @@ def test_every_constructor_keyword_is_set_by_a_run():
     assert len(KEYWORD_ALLOW) <= MAX_KEYWORD_ALLOW_ROWS
     for _, _, reason in KEYWORD_ALLOW:
         kind, _, why = reason.partition(": ")
-        assert kind in ("dynamic dispatch", "capability") and why.strip()
-        if kind == "capability":
-            test = why.rpartition(", ")[2].partition("::")[0]
-            assert (REPO / test).is_file(), f"{reason}: names no test file"
+        assert kind == "dynamic dispatch" and why.strip()
     classes = constructors()
     problems = keyword_problems(classes, keyword_setters(classes))
     assert not problems, "\n".join(problems)

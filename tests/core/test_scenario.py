@@ -65,8 +65,7 @@ _stacks = st.one_of(
               channel=st.integers(11, 26)),
 )
 _configs = st.builds(SystemConfig, stack=_stacks,
-                     trace_enabled=st.booleans(),
-                     span_max_stored=st.none() | st.integers(1, 10_000))
+                     trace_enabled=st.booleans())
 _sensors = st.tuples(st.text(max_size=6), st.one_of(
     st.builds(DiurnalField, mean=_times, phase_s=_times),
     st.builds(RandomWalkField, step_s=st.floats(1e-3, 100.0),
@@ -197,8 +196,6 @@ def _refused(draw):
     refused_configs = [
         ({"span_sample_rate": draw(st.floats().filter(
             lambda rate: not 0.0 <= rate <= 1.0))}, "span_sample_rate"),
-        ({"span_max_stored": draw(st.integers(max_value=0))},
-         "span_max_stored"),
         ({"observability": True, "telemetry_interval_s": draw(st.floats(
             ).filter(lambda s: not 0.0 < s < math.inf))},
          "telemetry_interval_s must be finite"),
@@ -355,6 +352,15 @@ class TestCodec:
         with pytest.raises(ValueError, match=r"^Scenario\.faults\[1\]" + where):
             Scenario.from_jsonable(payload)
 
+    def test_a_document_with_a_removed_config_field_is_refused(self):
+        # Span storage has one bound, sampling: a document that still
+        # carries the ring buffer's size is refused, not silently run
+        # without it.
+        payload = _FAULTED.to_jsonable()
+        payload["config"]["span_max_stored"] = 100
+        with pytest.raises(ValueError, match=r"unknown field.*span_max_stored"):
+            Scenario.from_jsonable(payload)
+
     def test_builtins_and_demo_are_scenarios(self):
         for scenario in (DEMO, *BUILTIN_SCENARIOS.values()):
             assert isinstance(scenario, Scenario)
@@ -473,11 +479,17 @@ class TestValidation:
     @pytest.mark.parametrize("changes, field", [
         ({"observability": True, "span_sample_rate": 1.5},
          "span_sample_rate"),
-        ({"observability": True, "span_max_stored": 0}, "span_max_stored"),
+        ({"observability": True, "span_sample_rate": -0.1},
+         "span_sample_rate"),
+        ({"observability": True, "span_sample_rate": math.nan},
+         "span_sample_rate"),
         ({"observability": True, "telemetry_interval_s": math.nan},
          "telemetry_interval_s"),
+        ({"observability": True, "telemetry_interval_s": 0.0},
+         "telemetry_interval_s"),
         ({"telemetry_interval_s": 10.0}, "telemetry_interval_s"),
-    ], ids=["rate-1.5", "max-stored-0", "interval-nan", "unobserved"])
+    ], ids=["rate-1.5", "rate-negative", "rate-nan", "interval-nan",
+            "interval-zero", "unobserved"])
     def test_a_config_it_cannot_run_is_refused_when_made(self, changes,
                                                          field):
         # A config that constructs must run; each of these would fail

@@ -1,10 +1,8 @@
-"""Actuator command semantics: clamping, slew, delay."""
+"""Actuator command semantics: clamping and history."""
 
 import pytest
 
-from repro.devices import actuators
 from repro.devices.actuators import Actuator
-from repro.sim.kernel import Simulator
 
 
 class TestActuator:
@@ -20,23 +18,30 @@ class TestActuator:
         actuator.command(-1.0)
         assert actuator.output == 0.0
 
-    def test_slew_rate_limits_speed(self, sim, monkeypatch):
-        monkeypatch.setattr(actuators, "SLEW_PER_S", 0.1)
-        actuator = Actuator(sim, "damper")
-        actuator.command(1.0)
-        sim.run(until=5.0)
-        assert actuator.output == pytest.approx(0.5)
-        sim.run(until=20.0)
-        assert actuator.output == pytest.approx(1.0)
+    def test_output_starts_at_the_minimum(self, sim):
+        assert Actuator(sim, "valve").output == 0.0
 
-    def test_actuation_delay_defers_motion(self, sim, monkeypatch):
-        monkeypatch.setattr(actuators, "ACTUATION_DELAY_S", 2.0)
+    def test_output_is_the_last_clamped_setpoint(self, sim):
+        actuator = Actuator(sim, "valve")
+        for target in (0.2, 1.7, 0.9, 0.5):
+            actuator.command(target)
+        assert actuator.output == 0.5
+
+    def test_output_holds_between_commands(self, sim):
+        actuator = Actuator(sim, "damper")
+        actuator.command(0.4)
+        sim.run(until=3600.0)
+        assert actuator.output == 0.4
+
+    def test_a_command_schedules_nothing(self, sim):
+        # The output is set in command() itself: no deferred motion is
+        # left on the kernel for a run to execute.
         actuator = Actuator(sim, "relay")
-        actuator.command(1.0)
-        sim.run(until=1.0)
-        assert actuator.output == 0.0
-        sim.run(until=3.0)
-        assert actuator.output == 1.0
+        actuator.command(0.6)
+        sim.run()
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+        assert actuator.output == 0.6
 
     def test_command_history_recorded(self, sim):
         actuator = Actuator(sim, "valve")
@@ -45,12 +50,3 @@ class TestActuator:
         assert len(actuator.commands) == 2
         assert actuator.commands[0].issuer == 7
         assert actuator.commands_applied == 2
-
-    def test_retarget_mid_slew(self, sim, monkeypatch):
-        monkeypatch.setattr(actuators, "SLEW_PER_S", 0.1)
-        actuator = Actuator(sim, "damper")
-        actuator.command(1.0)
-        sim.run(until=3.0)  # output 0.3
-        actuator.command(0.0)
-        sim.run(until=4.0)
-        assert actuator.output == pytest.approx(0.2)

@@ -31,12 +31,6 @@ class TestPhenomena:
         assert values_a == values_b
         assert values_a[1] == values_a[3]  # cache is consistent
 
-    def test_random_walk_respects_bounds(self):
-        field = RandomWalkField(start=0.0, step_sigma=10.0, lower=-5.0,
-                                upper=5.0, seed=1)
-        values = [field.value_at(t * 10.0, (0, 0)) for t in range(200)]
-        assert all(-5.0 <= v <= 5.0 for v in values)
-
 
 class TestSensor:
     @pytest.fixture(autouse=True)

@@ -39,20 +39,6 @@ class TestRequestResponse:
         assert responses[0].code is CoapCode.CONTENT
         assert responses[0].payload == 21.5
 
-    def test_put_changes_state(self):
-        sim, trace, stacks = converged_line(3)
-        state = {}
-        _, server, _ = coap_on(stacks[2])
-        server.add_resource(CallbackResource(
-            "/actuators/valve",
-            on_put=lambda v: state.update(valve=v) or True))
-        _, _, client = coap_on(stacks[0])
-        responses = []
-        client.put(2, "/actuators/valve", 0.8, 4, responses.append)
-        sim.run(until=sim.now + 30.0)
-        assert responses[0].code is CoapCode.CHANGED
-        assert state == {"valve": 0.8}
-
     def test_unknown_path_is_not_found(self):
         sim, trace, stacks = converged_line(3)
         coap_on(stacks[2])
@@ -68,9 +54,28 @@ class TestRequestResponse:
         server.add_resource(Resource("/read-only"))
         _, _, client = coap_on(stacks[0])
         responses = []
-        client.put(2, "/read-only", 1, 4, responses.append)
+        client.request(2, CoapCode.PUT, "/read-only", responses.append,
+                       payload=1, payload_bytes=4)
         sim.run(until=sim.now + 30.0)
         assert responses[0].code is CoapCode.METHOD_NOT_ALLOWED
+
+    @pytest.mark.parametrize("method", [CoapCode.PUT, CoapCode.DELETE])
+    def test_a_served_resource_refuses_writes(self, method):
+        sim, trace, stacks = converged_line(3)
+        _, server, _ = coap_on(stacks[2])
+        server.add_resource(CallbackResource(
+            "/sensors/temp", on_get=lambda: (21.5, 4)))
+        _, _, client = coap_on(stacks[0])
+        responses = []
+        client.request(2, method, "/sensors/temp", responses.append,
+                       payload=0.8, payload_bytes=4)
+        sim.run(until=sim.now + 30.0)
+        assert responses[0].code is CoapCode.METHOD_NOT_ALLOWED
+        # The refusal leaves the resource serving reads.
+        client.get(2, "/sensors/temp", responses.append)
+        sim.run(until=sim.now + 30.0)
+        assert responses[1].code is CoapCode.CONTENT
+        assert responses[1].payload == 21.5
 
     def test_timeout_reports_none(self, monkeypatch):
         monkeypatch.setattr(coap_client, "REQUEST_TIMEOUT_S", 20.0)

@@ -29,19 +29,15 @@ def converged_with_gateway(n=4, seed=60):
 def serve_device(stacks, node_id, value=21.5):
     transport = CoapTransport(stacks[node_id])
     server = CoapServer(transport)
-    client = CoapClient(transport)
-    state = {}
     server.add_resource(CallbackResource(
         "/sensors/temp", on_get=lambda: (value, 4)))
-    server.add_resource(CallbackResource(
-        "/actuators/valve", on_put=lambda v: state.update(valve=v) or True))
-    return client, state
+    return CoapClient(transport)
 
 
 class TestResourceDirectory:
     def test_registration_and_lookup(self):
         sim, trace, stacks, gateway = converged_with_gateway()
-        client, _ = serve_device(stacks, 3)
+        client = serve_device(stacks, 3)
         outcome = []
         client.request(0, CoapCode.POST, "/rd",
                        callback=lambda r: outcome.append(r and r.code),
@@ -70,14 +66,18 @@ class TestUniformAccess:
         sim.run(until=sim.now + 30.0)
         assert out == [23.25]
 
-    def test_native_write_through_gateway(self):
+    def test_native_write_is_refused_naming_the_target(self):
         sim, trace, stacks, gateway = converged_with_gateway()
-        _, state = serve_device(stacks, 3)
+        serve_device(stacks, 3, value=23.25)
+        with pytest.raises(ValueError, match="'native/3'"):
+            gateway.write("native/3", "/actuators/valve", 0.4,
+                          lambda ok: None)
+        assert gateway.writes == 0
+        # The refused write leaves the native device readable.
         out = []
-        gateway.write("native/3", "/actuators/valve", 0.4, out.append)
+        gateway.read("native/3", "/sensors/temp", out.append)
         sim.run(until=sim.now + 30.0)
-        assert out == [True]
-        assert state == {"valve": 0.4}
+        assert out == [23.25]
 
     def test_legacy_read_through_gateway(self):
         sim, trace, stacks, gateway = converged_with_gateway()
@@ -88,6 +88,25 @@ class TestUniformAccess:
         gateway.read("legacy/meter", "kwh", out.append)
         sim.run(until=sim.now + 5.0)
         assert out == [77.7]
+
+    def test_legacy_write_through_gateway(self):
+        sim, trace, stacks, gateway = converged_with_gateway()
+        device = LegacyModbusDevice(sim, 1, registers={101: 0})
+        gateway.attach_legacy("boiler", ModbusAdapter(device, {
+            "setpoint": RegisterSpec(address=101, scale=10.0,
+                                     writable=True)}))
+        out = []
+        gateway.write("legacy/boiler", "setpoint", 55.5, out.append)
+        sim.run(until=sim.now + 5.0)
+        assert out == [True]
+        assert device.registers[101] == 555
+        assert gateway.writes == 1
+
+    def test_unknown_target_kind_write_rejected(self):
+        sim, trace, stacks, gateway = converged_with_gateway()
+        with pytest.raises(ValueError, match="'cloud/thing'"):
+            gateway.write("cloud/thing", "x", 1.0, lambda ok: None)
+        assert gateway.writes == 0
 
     def test_unknown_target_kind_rejected(self):
         sim, trace, stacks, gateway = converged_with_gateway()

@@ -57,12 +57,21 @@ class TestFlood:
         # relay is dead — constructive flooding is redundant).
         assert 1 in result.reached
 
-    def test_reliability_metric(self, sim):
+    def test_perfect_links_reach_every_node(self, sim):
         medium = make_line(sim, 5)
         service = SyncFloodService(medium,
                                    SyncFloodConfig(per_hop_reliability=1.0))
         result = service.flood(0)
-        assert result.reliability == 1.0
+        assert set(result.reached) == {0, 1, 2, 3, 4}
+        assert result.missed == set()
+
+    def test_every_node_is_either_reached_or_missed(self, sim):
+        medium = make_line(sim, 8)
+        service = SyncFloodService(medium,
+                                   SyncFloodConfig(per_hop_reliability=0.5))
+        result = service.flood(0)
+        assert set(result.reached) | result.missed == set(range(8))
+        assert not set(result.reached) & result.missed
 
     def test_unknown_initiator_rejected(self, sim):
         medium = make_line(sim, 3)
@@ -77,20 +86,6 @@ class TestFlood:
         first = service.total_radio_on_s
         service.flood(0)
         assert service.total_radio_on_s == pytest.approx(2 * first)
-
-
-class TestCollect:
-    def test_collect_gathers_reachable_values(self, sim):
-        medium = make_line(sim, 5)
-        service = SyncFloodService(medium)
-        out = []
-        values = {i: i * 10 for i in range(5)}
-        service.collect(0, values,
-                        on_complete=lambda data, lat: out.append((data, lat)))
-        sim.run(until=10.0)
-        data, latency = out[0]
-        assert data == values
-        assert latency > 0
 
     def test_hop_distances_bfs(self, sim):
         medium = make_line(sim, 5)

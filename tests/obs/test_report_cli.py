@@ -155,8 +155,8 @@ class TestCli:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv, flag", [
-        (["--span-max-stored", "0"], "SystemConfig.span_max_stored"),
-        (["--span-max-stored", "-5"], "SystemConfig.span_max_stored"),
+        (["--span-sample-rate", "-0.5"], "SystemConfig.span_sample_rate"),
+        (["--span-max-stored", "10"], "--span-max-stored"),
         (["--span-sample-rate", "1.5"], "SystemConfig.span_sample_rate"),
         (["--telemetry-interval", "nan"], "SystemConfig.telemetry_interval_s"),
         (["--telemetry-interval", "inf"], "SystemConfig.telemetry_interval_s"),

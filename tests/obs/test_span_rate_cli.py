@@ -1,6 +1,6 @@
-"""``repro report --span-sample-rate`` / ``--span-max-stored`` threading.
+"""``repro report --span-sample-rate`` threading.
 
-The flags travel ``report_main`` → the ``DEMO`` scenario's ``SystemConfig`` →
+The flag travels ``report_main`` → the ``DEMO`` scenario's ``SystemConfig`` →
 :class:`~repro.obs.Observability` as plain arguments; no other CLI
 carries them and nothing is read from the environment.
 """
@@ -14,10 +14,8 @@ from tests.conftest import dashboard_run
 class TestReportThreading:
     def test_run_demo_applies_rate(self):
         run = dashboard_run(side=2, converge_s=60.0, traffic_s=30.0, seed=5,
-                       span_sample_rate=0.2, span_max_stored=40)
-        spans = run.system.obs.spans
-        assert spans.sample_rate == 0.2
-        assert spans.max_spans == 40
+                       span_sample_rate=0.2)
+        assert run.system.obs.spans.sample_rate == 0.2
 
     def test_answered_traces_are_the_requests_own_under_sampling(self):
         """A sampled-out request records no trace: its answer must not

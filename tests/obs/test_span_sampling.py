@@ -1,14 +1,14 @@
-"""Span sampling and the ring buffer: cheap storage, exact metrics.
+"""Span sampling: cheap storage, exact metrics.
 
-The overhead-reduction knobs (``sample_rate``, ``max_spans``) must be
-pure *storage* policy:
+The overhead-reduction knob (``sample_rate``) must be pure *storage*
+policy:
 
 - sampling decisions are seed-derived and deterministic — never
   wall-clock, never global RNG state;
 - counters, gauges, and histograms stay exact at every rate;
 - the simulation itself is never perturbed: event counts are identical
   with observability off, sampled, or full;
-- pinned (gate-graded) categories survive both knobs.
+- pinned (gate-graded) categories survive sampling.
 """
 
 import pytest
@@ -33,7 +33,7 @@ class TestDeterministicSampling:
         with pytest.raises(ValueError):
             SpanTracer(sample_rate=1.5)
         with pytest.raises(ValueError):
-            SpanTracer(max_spans=0)
+            SpanTracer(sample_rate=-0.1)
 
     def test_same_seed_same_traces_every_run(self):
         assert _kept_traces(0.2, seed=42) == _kept_traces(0.2, seed=42)
@@ -67,6 +67,17 @@ class TestDeterministicSampling:
             full.start(None, "coap.request", node=1, t=float(i))
         assert sampled._next_trace == full._next_trace
 
+    def test_every_root_is_stored_or_sampled_out(self):
+        # Sampling is the one bound on stored spans: each root is kept
+        # or counted as skipped, and nothing kept is dropped later.
+        tracer = SpanTracer(sample_rate=0.25, sample_seed=3)
+        kept = [tracer.start(None, "coap.request", node=1, t=float(i))
+                for i in range(2000)]
+        kept = [span for span in kept if span is not None]
+        assert len(tracer) + tracer.sampled_out == 2000
+        assert len(tracer) == len(kept)
+        assert all(span in tracer.spans for span in kept)
+
     def test_pinned_category_bypasses_sampling(self):
         tracer = SpanTracer(sample_rate=0.0, sample_seed=5,
                             pinned_categories=GATED_SPAN_CATEGORIES)
@@ -75,57 +86,10 @@ class TestDeterministicSampling:
         assert tracer.start(None, "coap.request", node=2, t=3.0) is None
 
 
-class TestRingBuffer:
-    def test_oldest_spans_evict_first(self):
-        tracer = SpanTracer(max_spans=10)
-        for i in range(25):
-            tracer.start(None, "coap.request", node=1, t=float(i))
-        assert len(tracer) == 10
-        assert tracer.evicted == 15
-        # The survivors are exactly the newest ten.
-        assert tracer.trace_ids() == list(range(16, 26))
-
-    def test_pinned_categories_are_never_evicted(self):
-        tracer = SpanTracer(max_spans=6, pinned_categories=("fault",))
-        for i in range(30):
-            category = "fault.crash" if i % 3 == 0 else "coap.request"
-            tracer.start(None, category, node=1, t=float(i))
-        stored = [span.category for span in tracer.spans.values()]
-        assert stored.count("fault.crash") == 10  # every one, dotted match
-        assert len(tracer) >= 10  # the cap may be overrun by pinned spans
-
-    def test_finishing_an_evicted_span_keeps_it_evicted(self):
-        tracer = SpanTracer(max_spans=4)
-        first = tracer.start(None, "coap.request", node=1, t=0.0)
-        child = tracer.start(first, "net.send", node=1, t=0.5)
-        for i in range(12):
-            tracer.start(None, "coap.request", node=1, t=1.0 + i)
-        stored = dict(tracer.spans)
-        tracer.annotate(child, service_start=0.7)
-        tracer.finish(child, 0.9, ok=True)
-        tracer.finish(first, 1.0)
-        assert len(tracer) == len(stored) == 4
-        assert tracer.spans == stored
-        assert first not in tracer.spans
-        assert child not in tracer.spans
-        assert tracer.spans_for(tracer.trace_of(first)) == []
-        assert tracer.trace_of(first) not in tracer.trace_ids()
-
-    def test_evicted_traces_vanish_from_reconstruction(self):
-        tracer = SpanTracer(max_spans=4)
-        first = tracer.start(None, "coap.request", node=1, t=0.0)
-        for i in range(12):
-            tracer.start(None, "coap.request", node=1, t=1.0 + i)
-        assert tracer.trace_of(first) not in tracer.trace_ids()
-        assert tracer.spans_for(tracer.trace_of(first)) == []
-        assert tracer.tree(tracer.trace_of(first)) is None
-
-
-def _instrumented_system(rate, max_spans=None, seed=17):
+def _instrumented_system(rate, seed=17):
     config = SystemConfig(
         stack=StackConfig(mac="csma"),
         observability=True, span_sample_rate=rate,
-        span_max_stored=max_spans,
     )
     system = IIoTSystem.build(grid_topology(3), config=config, seed=seed)
     system.add_field_sensors("temp", DiurnalField(mean=20.0))
@@ -137,7 +101,7 @@ def _instrumented_system(rate, max_spans=None, seed=17):
 class TestOverheadKnobsAreStorageOnly:
     def test_metrics_exact_and_simulation_unperturbed_at_any_rate(self):
         full = _instrumented_system(rate=1.0)
-        sampled = _instrumented_system(rate=0.1, max_spans=200)
+        sampled = _instrumented_system(rate=0.1)
         # Same events, same metric totals: sampling thins stored spans,
         # never counters and never the event schedule.
         assert sampled.sim.events_processed == full.sim.events_processed
@@ -182,11 +146,10 @@ class TestOverheadKnobsAreStorageOnly:
         assert first.obs.spans.trace_ids() == second.obs.spans.trace_ids()
 
     def test_sampled_run_is_deterministic_run_over_run(self):
-        first = _instrumented_system(rate=0.1, max_spans=200)
-        second = _instrumented_system(rate=0.1, max_spans=200)
+        first = _instrumented_system(rate=0.1)
+        second = _instrumented_system(rate=0.1)
         assert first.obs.spans.trace_ids() == second.obs.spans.trace_ids()
         assert first.obs.spans.sampled_out == second.obs.spans.sampled_out
-        assert first.obs.spans.evicted == second.obs.spans.evicted
 
 
 class TestPureConstructor:
@@ -194,8 +157,7 @@ class TestPureConstructor:
         # No side channel: the retired override names do not move what
         # the constructor was given.
         monkeypatch.setenv("REPRO_SPAN_SAMPLE_RATE", "0.25")
-        monkeypatch.setenv("REPRO_SPAN_MAX_STORED", "77")
-        obs = Observability(span_sample_rate=0.05, span_seed=3, span_max=100)
+        obs = Observability(span_sample_rate=0.05, span_seed=3)
         assert obs.spans.sample_rate == 0.05
-        assert obs.spans.max_spans == 100
+        assert obs.spans.sample_seed == 3
         assert obs.spans._pinned == GATED_SPAN_CATEGORIES

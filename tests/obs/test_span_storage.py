@@ -1,13 +1,11 @@
-"""SpanTracer storage: a stored span is a row, and the ring bounds rows.
+"""SpanTracer storage: a stored span is a row.
 
 - Retained bytes per stored span stay far below what a ``Span`` object
   with its own data dict cost (≈ 400 B).
-- The ``max_spans`` ring keeps memory bounded: rows behind its cursor
-  leave the buffer in chunks; a dropped span keeps only its trace id.
-- The storage semantics — ids, traces, eviction order, pinned
-  categories, ``dict.update`` data with its key order, writes to
-  evicted spans changing nothing — match a plain one-dict-per-span
-  reference model on any sequence of calls.
+- The storage semantics — ids, traces, sampling with pinned categories,
+  ``dict.update`` data with its key order, writes to ids never handed
+  out changing nothing — match a plain one-dict-per-span reference
+  model on any sequence of calls.
 """
 
 import gc
@@ -52,34 +50,6 @@ class TestBytesPerSpan:
         _, retained = _retained(build)
         assert retained / spans < MAX_BYTES_PER_SPAN
 
-    def test_ring_memory_stays_bounded(self):
-        # 100 000 spans through a 1 000-span ring, one in a thousand
-        # pinned: the ring keeps every pinned one and drops the evicted
-        # rows from the buffer, so what stays is the live rows (at most
-        # twice the bound between drops), the pinned rows and 8 B of
-        # trace id per dropped span.
-        spans = 100_000
-
-        def build():
-            tracer = SpanTracer(max_spans=1000, pinned_categories=("fault",))
-            for k in range(spans):
-                category = "fault.crash" if k % 1000 == 0 else "radio.airtime"
-                parent = None if k % 2 == 0 else tracer.start(
-                    None, "net.send", node=1, t=float(k))
-                tracer.finish(tracer.start(parent, category, node=2,
-                                           t=float(k), size=40), k + 0.5)
-            return tracer
-
-        tracer, retained = _retained(build)
-        spans_made = tracer._next_span - 1
-        assert retained < (2 * 1000 * MAX_BYTES_PER_SPAN + spans_made * 8 * 1.25
-                           + 100 * 2 * MAX_BYTES_PER_SPAN)
-        assert len(tracer) == 1000
-        pinned = [s for s in tracer.spans.values()
-                  if s.category == "fault.crash"]
-        assert len(pinned) == 100
-        assert tracer.evicted == spans_made - 1000
-
 
 class TestDataUpdates:
     def test_annotate_then_finish_keeps_dict_update_order(self):
@@ -113,16 +83,16 @@ class TestDataUpdates:
 # ----------------------------------------------------------------------
 class ReferenceTracer:
     """The storage semantics written plainly: one dict per stored span,
-    every span's trace remembered, a cursor that evicts the oldest
-    non-pinned span one at a time."""
+    every span's trace remembered; at rate 0.0 a root is stored only
+    when its category is pinned, at rate 1.0 always."""
 
-    def __init__(self, max_spans, pinned):
-        self.max_spans = max_spans
+    def __init__(self, rate, pinned):
+        self.rate = rate
         self.pinned = pinned
         self.rows = {}
         self.trace = {}
-        self.next_trace = self.next_span = self.cursor = 1
-        self.evicted = 0
+        self.next_trace = self.next_span = 1
+        self.sampled_out = 0
 
     def _is_pinned(self, category):
         return (category in self.pinned
@@ -134,19 +104,15 @@ class ReferenceTracer:
         self.trace[span] = trace_id
         self.rows[span] = [trace_id, parent, category, node, start, end,
                            dict(data)]
-        while (self.max_spans is not None and len(self.rows) > self.max_spans
-               and self.cursor < self.next_span):
-            victim = self.cursor
-            self.cursor += 1
-            if victim in self.rows and not self._is_pinned(self.rows[victim][2]):
-                del self.rows[victim]
-                self.evicted += 1
         return span
 
     def start(self, parent, category, node, t, **data):
         if parent is None:
             trace_id = self.next_trace
             self.next_trace += 1
+            if self.rate == 0.0 and not self._is_pinned(category):
+                self.sampled_out += 1
+                return None
             return self._store(trace_id, None, category, node, t, None, data)
         return self._store(self.trace[parent], parent, category, node, t,
                            None, data)
@@ -190,12 +156,12 @@ def _stored(tracer):
 
 class TestAgainstTheReference:
     @settings(max_examples=150, deadline=None)
-    @given(ops=_ops, max_spans=st.none() | st.integers(1, 12),
+    @given(ops=_ops, rate=st.sampled_from((0.0, 1.0)),
            pinned=st.sampled_from(((), ("fault",), ("fault", "rnfd.verdict"))))
     def test_any_call_sequence_stores_what_the_reference_stores(
-            self, ops, max_spans, pinned):
-        tracer = SpanTracer(max_spans=max_spans, pinned_categories=pinned)
-        reference = ReferenceTracer(max_spans, frozenset(pinned))
+            self, ops, rate, pinned):
+        tracer = SpanTracer(sample_rate=rate, pinned_categories=pinned)
+        reference = ReferenceTracer(rate, frozenset(pinned))
         handles = []
         for step, (kind, pick, category, node, data) in enumerate(ops):
             t = float(step)
@@ -203,7 +169,8 @@ class TestAgainstTheReference:
                 got = tracer.start(None, category, node, t, **data)
                 want = reference.start(None, category, node, t, **data)
                 assert got == want
-                handles.append(got)
+                if got is not None:  # a root sampling skipped
+                    handles.append(got)
                 continue
             handle = handles[pick % len(handles)]
             if kind in ("start", "event"):
@@ -219,13 +186,14 @@ class TestAgainstTheReference:
                 reference.finish(handle, t, **data)
             elif kind == "stray":  # an id this tracer never handed out
                 tracer.finish(handle + 10_000, t, **data)
+                tracer.finish(-pick, t, **data)
                 tracer.annotate(-pick, **data)
             else:
                 tracer.annotate(handle, **data)
                 reference.annotate(handle, **data)
         assert _stored(tracer) == reference.stored()
         assert len(tracer) == len(reference.rows)
-        assert tracer.evicted == reference.evicted
+        assert tracer.sampled_out == reference.sampled_out
         assert tracer.trace_ids() == sorted(
             {row[0] for row in reference.rows.values()})
         for handle in handles:

@@ -52,11 +52,3 @@ class TestThermalZone:
         sim.run(until=96 * 3600.0)
         # Exact exponential solution cannot overshoot or oscillate.
         assert 0.0 <= zone.temperature_c <= 100.0
-
-    def test_stop_freezes_state(self, sim):
-        zone = make_zone(sim, outside=0.0, initial=50.0)
-        sim.run(until=3600.0)
-        zone.stop()
-        temperature = zone.temperature_c
-        sim.run(until=48 * 3600.0)
-        assert zone.temperature_c == temperature
