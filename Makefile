@@ -28,11 +28,12 @@ gates-update:
 # The reachability census tests/core/test_reachability.py enforces: per
 # definition under src/repro, who keeps it alive (another module,
 # benchmarks/, examples/, its own module, or an allow-list row), then
-# the totals; then the field census: per *Config field, the files under
-# src/, benchmarks/ and examples/ that set it; then the keyword census:
-# per defaulted constructor keyword, the files that set it (or its
-# allow-list row), and the totals of classes, keywords and defaulted
-# keywords; then the layer census tests/core/test_layering.py enforces:
+# the totals; then the field census: per defaulted dataclass field, the
+# files under src/, benchmarks/ and examples/ that set it, or "state";
+# then the keyword census: per defaulted constructor keyword, the files
+# that set it (or its allow-list row), and the totals of classes,
+# keywords and defaulted keywords; then the layer census
+# tests/core/test_layering.py enforces:
 # per package its tier and the packages it imports; then the
 # constructor surface tests/core/test_option_surface.py pins: per class
 # its keywords, and their total; then the size of src/.

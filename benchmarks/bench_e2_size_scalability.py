@@ -115,8 +115,7 @@ def _run_epoch(epoch_s, seed):
     """Aggregation epoch-length ablation over a fast-moving field."""
     from repro.devices.phenomena import RandomWalkField
 
-    field = RandomWalkField(start=50.0, step_sigma=1.0, step_s=10.0,
-                            seed=seed)
+    field = RandomWalkField(step_sigma=1.0, seed=seed)
     system = Scenario(topology=grid_topology(4), config=_CONFIG,
                       sensors=(("level", field),),
                       formation_s=240.0).build(seed)

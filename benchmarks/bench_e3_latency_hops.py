@@ -22,7 +22,6 @@ from repro.core.system import SystemConfig
 from repro.core.workloads import Probe
 from repro.deployment.topology import line_topology
 from repro.net.mac.lpl import LplConfig
-from repro.net.mac.rimac import RiMacConfig
 from repro.net.mac.syncflood import SyncFloodConfig, SyncFloodService
 from repro.net.rpl.dodag import RplConfig
 from repro.net.stack import StackConfig
@@ -64,7 +63,7 @@ def run_e3():
     scenarios = [
         ("lpl W=0.5s", "lpl", LplConfig(wake_interval_s=0.5)),
         ("lpl W=2.0s", "lpl", LplConfig(wake_interval_s=2.0)),
-        ("rimac W=0.5s", "rimac", RiMacConfig(wake_interval_s=0.5)),
+        ("rimac W=0.5s", "rimac", None),
         ("csma always-on", "csma", None),
     ]
     rows = []

@@ -33,9 +33,7 @@ def _run(rnfd_enabled, seed, probe_period=10.0, fail_threshold=3):
         rnfd_enabled=rnfd_enabled,
         rnfd=RnfdConfig(probe_period_s=probe_period,
                         fail_threshold=fail_threshold),
-        rpl=RplConfig(staleness_timeout_s=STALENESS_S,
-                      staleness_check_period_s=30.0,
-                      dao_period_s=1e6),
+        rpl=RplConfig(staleness_timeout_s=STALENESS_S, dao_period_s=1e6),
     ))
     # The border router dies the instant formation ends.
     system = Scenario(topology=grid_topology(4), config=config,

@@ -41,7 +41,7 @@ def _topology(chains):
         for hop in range(4):
             positions[node_id] = ((hop + 1) * SPACING, chain * 10.0)
             node_id += 1
-    return Topology(positions, root_id=0, name=f"lossy-{chains}chain")
+    return Topology(positions, name=f"lossy-{chains}chain")
 
 
 def _link_model(seed):

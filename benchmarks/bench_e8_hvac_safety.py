@@ -34,7 +34,6 @@ PRICING = RevenueModel(
     base_fee_per_day=30.0,
     energy_price_per_kwh=0.30,
     comfort_penalty_per_degree_hour=2.0,
-    sla_breach_c=3.0,
     sla_breach_penalty=40.0,
 )
 

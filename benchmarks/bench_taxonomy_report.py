@@ -169,7 +169,6 @@ def measure_dependability(seed=181):
     return assess_dependability(
         delivery_ratio=delivery,
         worst_comfort_violation_c=1.3,   # E8's chosen operating point
-        sla_breach_c=3.0,
         service_availability=availability,
         recovery_time_s=recovery_time,
         recovery_target_s=1200.0,

@@ -33,7 +33,6 @@ from repro.core.system import SystemConfig
 from repro.core.workloads import Demo, DemoRun
 from repro.deployment.topology import grid_topology
 from repro.devices.phenomena import DiurnalField
-from repro.devices.sensors import SensorFault
 from repro.faults.plan import (CrashClause, InterferenceClause, LinkFlapClause,
                                PartitionClause, SensorClause)
 from repro.net.mac.csma import MAX_CCA_ATTEMPTS, CsmaMac
@@ -68,7 +67,7 @@ def demo_faults(scenario: Scenario) -> Tuple:
         CrashClause(now + 0.10 * traffic_s, node_ids[-1],
                     recover_after_s=0.20 * traffic_s),
         SensorClause(now + 0.25 * traffic_s, node_ids[0], "temp",
-                     SensorFault.STUCK, clear_after_s=0.30 * traffic_s),
+                     clear_after_s=0.30 * traffic_s),
         PartitionClause(now + 0.40 * traffic_s,
                         cut_x=spacing * (side - 1) - 10.0,
                         heal_after_s=0.20 * traffic_s),

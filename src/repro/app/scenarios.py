@@ -22,7 +22,6 @@ from repro.core.scenario import Scenario
 from repro.core.system import SystemConfig
 from repro.core.workloads import CUT_X, AvailabilityProbe, HvacSafety, PartitionCrdt
 from repro.deployment.topology import grid_topology
-from repro.devices.sensors import SensorFault
 from repro.faults.plan import (BORDER_ROUTER, CrashClause, PartitionClause,
                                RandomCrashesClause, SensorClause)
 from repro.net.mac.tsch import TschConfig
@@ -76,8 +75,7 @@ BUILTIN_SCENARIOS = {
         faults=(
             CrashClause(2640.0, 4, recover_after_s=900.0),
             PartitionClause(5640.0, cut_x=CUT_X, heal_after_s=1800.0),
-            SensorClause(9240.0, 8, "zone_temp", SensorFault.STUCK,
-                         clear_after_s=900.0),
+            SensorClause(9240.0, 8, "zone_temp", clear_after_s=900.0),
             CrashClause(11040.0, BORDER_ROUTER, recover_after_s=600.0),
         ),
         faults_at_s=2040.0,  # once the rooms settled (1800 s)
@@ -114,7 +112,7 @@ BUILTIN_SCENARIOS = {
                                               rpl=RplConfig(dao_period_s=60.0)),
                             invariant_checking=True, observability=True),
         faults=(RandomCrashesClause(300.0, duration_s=900.0, mtbf_s=1800.0,
-                                    mttr_s=120.0, spare_root=True),),
+                                    mttr_s=120.0),),
         grace_s=180.0,
         formation_s=240.0,
         run_s=1200.0,

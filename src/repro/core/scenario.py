@@ -14,7 +14,6 @@ JSON.  ``import repro`` does not load this module.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import hashlib
 import json
 import math
@@ -288,8 +287,6 @@ def _encode(value: Any, hint: Any) -> Any:
                 for item in sorted(value.items())]
     if isinstance(value, (tuple, list)):
         return [_encode(v, h) for v, h in zip(value, _items(hint, len(value)))]
-    if isinstance(value, enum.Enum):
-        return value.value
     return float(value) if hint is float else value
 
 
@@ -302,8 +299,6 @@ def _decode(value: Any, hint: Any) -> Any:
         return float(_json_type(value, int, float))
     if hint in (int, bool, str):
         return _json_type(value, hint)
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        return hint(_json_type(value, str))
     if origin in (tuple, dict):
         if type(value) is not list:
             raise ValueError(f"expected a list, got {value!r:.60}")

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.safety import revenue
+
 
 @dataclass(frozen=True)
 class AxisAssessment:
@@ -139,24 +141,22 @@ class DependabilityReport:
 def assess_dependability(
     delivery_ratio: float,
     worst_comfort_violation_c: float,
-    sla_breach_c: float,
     service_availability: float,
     recovery_time_s: Optional[float],
     recovery_target_s: float,
     injected_commands_applied: int,
     injected_commands_total: int,
 ) -> DependabilityReport:
-    """Grade dependability from the E7–E11 measurement family."""
+    """Grade dependability from the E7–E11 measurement family; the safety
+    axis against the SLA breach depth ``repro.safety.revenue.SLA_BREACH_C``."""
+    sla_breach_c = revenue.SLA_BREACH_C
     reliability = AxisAssessment(
         axis="reliability",
         score=_grade(delivery_ratio, good=0.99, bad=0.8),
         verdict=f"end-to-end delivery ratio {delivery_ratio:.1%}",
         evidence={"delivery_ratio": delivery_ratio},
     )
-    safety_margin = (
-        1.0 - worst_comfort_violation_c / sla_breach_c
-        if sla_breach_c else 0.0
-    )
+    safety_margin = 1.0 - worst_comfort_violation_c / sla_breach_c
     safety = AxisAssessment(
         axis="safety",
         score=max(0.0, min(1.0, safety_margin)),

@@ -13,7 +13,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 Position = Tuple[float, float]
 
@@ -23,8 +23,10 @@ class Topology:
     """Node placements plus the border-router designation."""
 
     positions: Dict[int, Position]
-    root_id: int = 0
     name: str = "topology"
+
+    #: Every deployment's border router (a test patches it).
+    root_id: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
         if self.root_id not in self.positions:
@@ -68,7 +70,7 @@ def line_topology(n: int, spacing_m: float = 20.0) -> Topology:
     if n < 1:
         raise ValueError("n must be >= 1")
     positions = {i: (i * spacing_m, 0.0) for i in range(n)}
-    return Topology(positions, root_id=0, name=f"line-{n}")
+    return Topology(positions, name=f"line-{n}")
 
 
 def grid_topology(side: int, spacing_m: float = 20.0) -> Topology:
@@ -81,7 +83,7 @@ def grid_topology(side: int, spacing_m: float = 20.0) -> Topology:
         for x in range(side):
             positions[node_id] = (x * spacing_m, y * spacing_m)
             node_id += 1
-    return Topology(positions, root_id=0, name=f"grid-{side}x{side}")
+    return Topology(positions, name=f"grid-{side}x{side}")
 
 
 def random_topology(
@@ -103,7 +105,7 @@ def random_topology(
             positions[node_id] = (
                 rng.uniform(0, area_m), rng.uniform(0, area_m)
             )
-        topology = Topology(positions, root_id=0, name=f"random-{n}")
+        topology = Topology(positions, name=f"random-{n}")
         if topology.is_connected(radio_range_m):
             return topology
     raise RuntimeError(
@@ -139,8 +141,7 @@ def clustered_site_topology(
                 center[1] + rng.uniform(-cluster_spread_m, cluster_spread_m),
             )
             node_id += 1
-    return Topology(positions, root_id=0,
-                    name=f"site-{clusters}x{nodes_per_cluster}")
+    return Topology(positions, name=f"site-{clusters}x{nodes_per_cluster}")
 
 
 def campus_topology(
@@ -192,8 +193,7 @@ def campus_topology(
                 )
             positions[node_id] = pos
             node_id += 1
-    return Topology(positions, root_id=0,
-                    name=f"campus-{buildings}x{nodes_per_building}")
+    return Topology(positions, name=f"campus-{buildings}x{nodes_per_building}")
 
 
 def building_topology(
@@ -217,5 +217,4 @@ def building_topology(
                 (zone + 1) * zone_spacing_m, floor * floor_spacing_m
             )
             node_id += 1
-    return Topology(positions, root_id=0,
-                    name=f"building-{floors}f-{zones_per_floor}z")
+    return Topology(positions, name=f"building-{floors}f-{zones_per_floor}z")

@@ -19,14 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.devices.platform import CLASS_1_MOTE, PlatformProfile
+from repro.devices.platform import CLASS_1_MOTE
 from repro.radio.medium import BITRATE_BPS, PHY_OVERHEAD_BYTES
 
+# The device the partitioner prices, read at each evaluation (a test
+# patches them).
+#: Its platform: a Class-1 mote.
+PLATFORM = CLASS_1_MOTE
 #: Energy per multiply-accumulate on a Class-1 MCU, joules.  Software
 #: fixed-point MAC at ~8 cycles: 8 / 8 MHz * 1.8 mA * 3 V ≈ 5.4 nJ.
-DEFAULT_JOULES_PER_MAC = 5.4e-9
+JOULES_PER_MAC = 5.4e-9
 #: MAC operations per second the MCU sustains (8 MHz / ~8 cycles).
-DEFAULT_MACS_PER_SECOND = 1.0e6
+MACS_PER_SECOND = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class PartitionCost:
 
 @dataclass(frozen=True)
 class InferencePartitioner:
-    """Evaluates split points of a layered model on a device.
+    """Evaluates split points of a layered model on a ``PLATFORM`` device.
 
     ``input_bytes`` is what split 0 (pure offload) must transmit — the
     raw sample.  ``effective_throughput_bps`` defaults to the raw PHY
@@ -77,17 +81,14 @@ class InferencePartitioner:
 
     layers: Tuple[Layer, ...]
     input_bytes: int
-    platform: PlatformProfile = CLASS_1_MOTE
-    joules_per_mac: float = DEFAULT_JOULES_PER_MAC
-    macs_per_second: float = DEFAULT_MACS_PER_SECOND
     effective_throughput_bps: float = float(BITRATE_BPS)
 
     def _radio_j_per_byte(self) -> float:
         """Radio energy per transmitted byte (TX current at the PHY
         rate)."""
         byte_airtime = 8.0 / BITRATE_BPS
-        return (byte_airtime * self.platform.tx_current_ma / 1000.0
-                * self.platform.supply_voltage_v)
+        return (byte_airtime * PLATFORM.tx_current_ma / 1000.0
+                * PLATFORM.supply_voltage_v)
 
     def uplink_bytes_at(self, split_after: int) -> int:
         """Bytes transmitted when the first ``split_after`` layers run
@@ -109,9 +110,9 @@ class InferencePartitioner:
         wire_bytes = payload + frames * PHY_OVERHEAD_BYTES
         return PartitionCost(
             split_after=split_after,
-            compute_energy_j=macs * self.joules_per_mac,
+            compute_energy_j=macs * JOULES_PER_MAC,
             radio_energy_j=wire_bytes * self._radio_j_per_byte(),
-            compute_latency_s=macs / self.macs_per_second,
+            compute_latency_s=macs / MACS_PER_SECOND,
             radio_latency_s=wire_bytes * 8.0 / self.effective_throughput_bps,
             uplink_bytes=payload,
         )

@@ -16,6 +16,12 @@ from typing import Protocol, Tuple
 
 Position = Tuple[float, float]
 
+# A random walk's shape, read at run time (a test patches them).
+#: The walk's value at time 0.
+WALK_START = 50.0
+#: Simulated seconds between two steps of the walk.
+WALK_STEP_S = 10.0
+
 
 class Phenomenon(Protocol):
     """A scalar field over space and time."""
@@ -48,25 +54,22 @@ class DiurnalField:
 
 @dataclass(frozen=True)
 class RandomWalkField:
-    """A temporally-correlated random walk, identical across space.
+    """A temporally-correlated random walk, identical across space, from
+    ``WALK_START`` in steps every ``WALK_STEP_S``.
 
     Values are generated lazily per time step and cached, so repeated
     queries are deterministic for a given seed.
     """
 
-    start: float = 50.0
     step_sigma: float = 0.5
-    step_s: float = 10.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.step_s > 0:
-            raise ValueError("step_s must be positive")
         object.__setattr__(self, "_rng", random.Random(self.seed))
-        object.__setattr__(self, "_values", [self.start])
+        object.__setattr__(self, "_values", [WALK_START])
 
     def value_at(self, time: float, position: Position) -> float:
-        index = max(0, int(time / self.step_s))
+        index = max(0, int(time / WALK_STEP_S))
         while len(self._values) <= index:
             self._values.append(
                 self._values[-1] + self._rng.gauss(0.0, self.step_sigma))

@@ -47,6 +47,9 @@ from repro.radio.interference import WifiInterferer
 
 #: Sentinel node id: resolved to the system's border router at install.
 BORDER_ROUTER = -1
+#: The mode a :class:`SensorClause` puts its sensor in, read when the
+#: clause is installed (a test patches it).
+SENSOR_FAULT = SensorFault.STUCK
 
 
 def _end(start: float, after: Optional[float]) -> float:
@@ -142,11 +145,10 @@ class LinkFlapClause(Clause):
 
 @dataclass(frozen=True)
 class SensorClause(Clause):
-    """Put one sensor into a fault mode (stuck, drift, offset, dead)."""
+    """Put one sensor into the fault mode ``SENSOR_FAULT``."""
 
     node: int
     sensor: str
-    mode: SensorFault = SensorFault.STUCK
     clear_after_s: Optional[float] = None
 
     kind: ClassVar[str] = "sensor"
@@ -195,7 +197,6 @@ class RandomCrashesClause(Clause):
     duration_s: float
     mtbf_s: float = 4 * 3600.0
     mttr_s: float = 600.0
-    spare_root: bool = True
 
     kind: ClassVar[str] = "random_crashes"
 
@@ -437,11 +438,12 @@ class FaultPlanRuntime:
 
     def _install_sensor(self, index: int, clause: SensorClause) -> None:
         node = self.system.nodes[clause.node]
+        mode = SENSOR_FAULT
 
         def inject() -> None:
-            node.sensors[clause.sensor].inject_fault(clause.mode)
+            node.sensors[clause.sensor].inject_fault(mode)
             self._inject("sensor", clause.node, sensor=clause.sensor,
-                         mode=clause.mode.value)
+                         mode=mode.value)
             if clause.clear_after_s is not None:
                 self.sim.schedule(clause.clear_after_s, clear)
 
@@ -451,7 +453,7 @@ class FaultPlanRuntime:
 
         self.sim.schedule_at(clause.at_s, inject)
         self._window_events(index, clause, node=clause.node,
-                            sensor=clause.sensor, mode=clause.mode.value)
+                            sensor=clause.sensor, mode=mode.value)
 
     def _install_interference(self, index: int,
                               clause: InterferenceClause) -> None:
@@ -471,10 +473,10 @@ class FaultPlanRuntime:
 
     def _install_random_crashes(self, index: int,
                                 clause: RandomCrashesClause) -> None:
-        """Exponential MTBF/MTTR crash/repair cycles over the fleet
-        (root spared unless ``spare_root=False``), drawn from the
-        ``"faults.process"`` substream in node order; at the window's
-        end the cycles stop and every node still down is repaired."""
+        """Exponential MTBF/MTTR crash/repair cycles over the fleet, the
+        root spared, drawn from the ``"faults.process"`` substream in
+        node order; at the window's end the cycles stop and every node
+        still down is repaired."""
         rng = self.sim.substream("faults.process")
         nodes = self.system.nodes
         down: Set[int] = set()
@@ -510,7 +512,7 @@ class FaultPlanRuntime:
             nonlocal running
             running = True
             for node in nodes.values():
-                if not (clause.spare_root and node.is_root):
+                if not node.is_root:
                     arm(node)
 
         def drain() -> None:

@@ -35,7 +35,7 @@ class CsmaConfig:
     #: Retransmissions of an unacknowledged unicast frame.
     max_retries: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise MacConfigError(
                 f"CsmaConfig.max_retries must be >= 0, "
@@ -48,7 +48,6 @@ class CsmaMac(MacLayer):
     def __init__(self, radio, config: Optional[CsmaConfig] = None) -> None:
         super().__init__(radio)
         self.config = config if config is not None else CsmaConfig()
-        self.config.validate()
         self._ack_timer = self._timer(self._ack_timeout)
 
     def _on_start(self) -> None:

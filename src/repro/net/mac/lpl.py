@@ -48,7 +48,7 @@ class LplConfig:
     #: the predicted wakeup instead of spanning a full wake interval.
     phase_lock: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.wake_interval_s <= 0:
             raise MacConfigError(
                 f"LplConfig.wake_interval_s must be positive, "
@@ -65,7 +65,6 @@ class LplMac(MacLayer):
     def __init__(self, radio, config: Optional[LplConfig] = None) -> None:
         super().__init__(radio)
         self.config = config if config is not None else LplConfig()
-        self.config.validate()
         self._probe_timer = self._timer(self._probe)
         self._hold_timer = self._timer(self._hold_expired)
         #: The gap between copies doubles as the ACK listen window.

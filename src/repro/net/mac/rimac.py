@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.net.mac.base import MacConfigError, MacLayer, _TxJob
+from repro.net.mac.base import MacLayer, _TxJob
 from repro.net.packet import BROADCAST, FrameKind, MacFrame
 from repro.radio.medium import RadioState
 
 
 # RI-MAC timing, read at run time (a test patches them).
+#: Mean beacon period.
+WAKE_INTERVAL_S = 0.5
 #: Beacon periods are jittered ±JITTER around the wake interval.
 JITTER = 0.2
 #: How long a receiver listens after its beacon for incoming data.
@@ -33,16 +35,8 @@ MAX_RETRIES = 1
 
 @dataclass(frozen=True)
 class RiMacConfig:
-    """Receiver-initiated MAC parameters."""
-
-    #: Mean beacon period.
-    wake_interval_s: float = 0.5
-
-    def validate(self) -> None:
-        if self.wake_interval_s <= 0:
-            raise MacConfigError(
-                f"RiMacConfig.wake_interval_s must be positive, "
-                f"got {self.wake_interval_s!r}")
+    """Receiver-initiated MAC parameters: none a run sets, so every
+    RI-MAC runs on the module constants above."""
 
 
 class RiMac(MacLayer):
@@ -51,7 +45,6 @@ class RiMac(MacLayer):
     def __init__(self, radio, config: Optional[RiMacConfig] = None) -> None:
         super().__init__(radio)
         self.config = config if config is not None else RiMacConfig()
-        self.config.validate()
         self._beacon_timer = self._timer(self._beacon)
         self._dwell_timer = self._timer(self._dwell_over)
         self._wait_timer = self._timer(self._wait_expired)
@@ -61,10 +54,10 @@ class RiMac(MacLayer):
     # receiver duty cycle
     # ------------------------------------------------------------------
     def _on_start(self) -> None:
-        self._beacon_timer.start(self._rng.uniform(0, self.config.wake_interval_s))
+        self._beacon_timer.start(self._rng.uniform(0, WAKE_INTERVAL_S))
 
     def _next_beacon_delay(self) -> float:
-        w, j = self.config.wake_interval_s, JITTER
+        w, j = WAKE_INTERVAL_S, JITTER
         return self._rng.uniform(w * (1 - j), w * (1 + j))
 
     def _beacon(self) -> None:
@@ -102,7 +95,7 @@ class RiMac(MacLayer):
         self._broadcast_targets_served = 0
         deadline = (
             self.sim.now
-            + self.config.wake_interval_s * (1 + JITTER)
+            + WAKE_INTERVAL_S * (1 + JITTER)
             + WAIT_MARGIN_S
         )
         self.radio.set_listening()

@@ -128,7 +128,7 @@ class TschConfig:
     #: against periodic traffic instead of phase-locking to it).
     slotframe_slots: int = 101
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.slotframe_slots < 2:
             raise MacConfigError(
                 f"TschConfig.slotframe_slots must be >= 2, "
@@ -154,7 +154,6 @@ class TschMac(MacLayer):
     def __init__(self, radio, config: Optional[TschConfig] = None) -> None:
         super().__init__(radio)
         self.config = config if config is not None else TschConfig()
-        self.config.validate()
         self._tsch_stats = TschStats()
         self.schedule = TschSchedule(self.config.slotframe_slots)
         self.schedule.add(Cell(MINIMAL_SLOT, 0, BROADCAST,

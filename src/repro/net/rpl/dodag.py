@@ -79,6 +79,9 @@ BLACKLIST_S = 60.0
 ORACLE_SEED = True
 #: Neighbor-table capacity.
 NEIGHBOR_CAPACITY = 32
+#: How often a router checks its neighbors against
+#: ``RplConfig.staleness_timeout_s``.
+STALENESS_CHECK_PERIOD_S = 30.0
 #: DAGMaxRankIncrease (RFC 6550 §8.2.2.4): a node may not advertise a
 #: rank above its floor (lowest rank held in this DODAG version) plus
 #: this bound; exceeding it forces a detach, which caps
@@ -109,14 +112,12 @@ class RplConfig:
     #: Parent considered dead when silent this long (None = only MAC
     #: feedback detects death).  Defaults to ~3 * Imax.
     staleness_timeout_s: Optional[float] = 1500.0
-    staleness_check_period_s: float = 30.0
     #: Form floating DODAGs when detached this long; None disables.
     float_delay_s: Optional[float] = None
 
     def validate(self) -> None:
         """Refuse a value the router cannot run, naming its field."""
-        periods = ["trickle_imin_s", "dao_period_s", "dis_period_s",
-                   "staleness_check_period_s"]
+        periods = ["trickle_imin_s", "dao_period_s", "dis_period_s"]
         periods += [name for name in ("staleness_timeout_s", "float_delay_s")
                     if getattr(self, name) is not None]
         for name in periods:
@@ -212,7 +213,7 @@ class RplRouter:
         )
         self._dis_timer = Timer(self.sim, self._dis_tick)
         self._stale_timer = PeriodicTimer(
-            self.sim, self.config.staleness_check_period_s,
+            self.sim, STALENESS_CHECK_PERIOD_S,
             self._check_staleness,
         )
         self._float_timer = Timer(self.sim, self._become_floating_root)

@@ -16,19 +16,21 @@ from typing import Dict, Optional
 
 from repro.net.rpl.messages import DioMessage
 
+#: Weight of the newest unicast outcome in the EWMA (read at each update).
+EWMA_ALPHA = 0.2
+
 
 @dataclass
 class LinkEstimator:
     """EWMA delivery-probability estimator for one directed link."""
 
-    alpha: float = 0.2
     probability: float = 0.75
     samples: int = 0
 
     def update(self, success: bool) -> None:
         """Fold one unicast outcome into the estimate."""
         outcome = 1.0 if success else 0.0
-        self.probability = (1 - self.alpha) * self.probability + self.alpha * outcome
+        self.probability = (1 - EWMA_ALPHA) * self.probability + EWMA_ALPHA * outcome
         self.samples += 1
 
     @property

@@ -11,7 +11,6 @@ networking protocols for individual deployments requires expertise*
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 
 #: Rank of a DODAG root.
 ROOT_RANK = 256
@@ -21,6 +20,8 @@ MIN_HOP_RANK_INCREASE = 256
 INFINITE_RANK = 0xFFFF
 #: Maximum usable rank.
 MAX_RANK = INFINITE_RANK - 1
+#: MRHOF refuses a link whose ETX exceeds this (read at each ranking).
+MAX_LINK_ETX = 8.0
 
 
 class ObjectiveFunction(abc.ABC):
@@ -43,29 +44,23 @@ class ObjectiveFunction(abc.ABC):
         return candidate_rank + self.parent_switch_threshold < current_rank
 
 
-@dataclass
 class Mrhof(ObjectiveFunction):
     """Minimum Rank with Hysteresis OF over the ETX metric (RFC 6719)."""
 
-    max_link_etx: float = 8.0
-
     def rank_through(self, parent_rank: int, etx: float) -> int:
-        if etx > self.max_link_etx:
+        if etx > MAX_LINK_ETX:
             return INFINITE_RANK
         increase = max(1.0, etx) * MIN_HOP_RANK_INCREASE
         return min(int(parent_rank + increase), INFINITE_RANK)
 
 
-@dataclass
 class Of0(ObjectiveFunction):
     """Objective Function Zero: pure hop count (RFC 6552).
 
-    Ignores link quality — every audible neighbor costs one hop — which
-    makes it pick long, lossy links.  Kept as the ablation baseline.
+    Ignores link quality — every audible neighbor costs one hop, and it
+    tolerates any link the MAC will attempt — which makes it pick long,
+    lossy links.  Kept as the ablation baseline.
     """
-
-    #: OF0 tolerates any link the MAC will attempt.
-    max_link_etx: float = float("inf")
 
     def rank_through(self, parent_rank: int, etx: float) -> int:
         return min(parent_rank + MIN_HOP_RANK_INCREASE, INFINITE_RANK)

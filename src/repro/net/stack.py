@@ -89,11 +89,9 @@ class StackConfig:
         if self.upward_retries < 0:
             raise ValueError(f"StackConfig.upward_retries: must be >= 0, "
                              f"not {self.upward_retries}")
-        # Each config's own refusal, at construction: a Scenario holding
-        # this stack is refused when made, not when its nodes are built.
+        # The routing config's refusal, at construction (a MAC config's
+        # is its own): a Scenario holding this stack is refused when made.
         self.rpl.validate()
-        (self.mac_config if self.mac_config is not None
-         else config_cls()).validate()
 
     def make_mac(self, radio: Radio) -> MacLayer:
         mac_cls, config_cls = _MAC_REGISTRY[self.mac]

@@ -60,6 +60,9 @@ Position = Tuple[float, float]
 #: range, which the medium's grid index needs to be exact; at 4 sigma
 #: the truncation affects ~6e-5 of links.
 SHADOWING_CLAMP_SIGMA = 4.0
+#: :class:`LogDistanceModel`'s path loss at the 1 m reference distance,
+#: read at each evaluation (a test patches it).
+REFERENCE_LOSS_DB = 40.0
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
@@ -106,8 +109,7 @@ class LogDistanceModel:
     ----------
     path_loss_exponent:
         Environment exponent; 2.0 free space, 3.0–4.0 indoor/industrial.
-    reference_loss_db:
-        Path loss at the 1 m reference distance.
+        The path loss at 1 m is ``REFERENCE_LOSS_DB``.
     shadowing_sigma_db:
         Standard deviation of per-link log-normal shadowing: a hash of
         the model seed and the two positions, recomputed on every
@@ -120,7 +122,6 @@ class LogDistanceModel:
     """
 
     path_loss_exponent: float = 3.0
-    reference_loss_db: float = 40.0
     shadowing_sigma_db: float = 4.0
     sensitivity_dbm: float = -90.0
     transition_width_db: float = 2.5
@@ -134,7 +135,7 @@ class LogDistanceModel:
         dx = arr[:, 0] - sender[0]
         dy = arr[:, 1] - sender[1]
         d = _np.maximum(_np.sqrt(dx * dx + dy * dy), 1.0)
-        path_loss = (self.reference_loss_db
+        path_loss = (REFERENCE_LOSS_DB
                      + 10.0 * self.path_loss_exponent * _np.log10(d))
         bits = (arr + 0.0).view(_np.uint64)
         words = mix64(bits[:, 0]) + bits[:, 1]
@@ -160,9 +161,9 @@ class LogDistanceModel:
         """
         max_path_loss = (tx_power_dbm - threshold_dbm
                          + SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db)
-        if max_path_loss <= self.reference_loss_db:
+        if max_path_loss <= REFERENCE_LOSS_DB:
             return 1.0
-        d = 10.0 ** ((max_path_loss - self.reference_loss_db)
+        d = 10.0 ** ((max_path_loss - REFERENCE_LOSS_DB)
                      / (10.0 * self.path_loss_exponent))
         return max(d, 1.0)
 
@@ -178,7 +179,6 @@ class UnitDiskModel:
     """
 
     radius_m: float = 30.0
-    tx_power_dbm: float = 0.0
 
     def rssi_dbm(self, sender: Position, receivers: _np.ndarray,
                  tx_power_dbm: float) -> _np.ndarray:

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Violations beyond this depth (°C) breach the SLA entirely (read at
+#: run time; a test patches it).  The dependability taxonomy grades the
+#: safety axis against the same depth.
+SLA_BREACH_C = 3.0
+
 
 @dataclass(frozen=True)
 class RevenueModel:
@@ -19,8 +24,7 @@ class RevenueModel:
     energy_price_per_kwh: float = 0.25
     #: Penalty per degree-hour of comfort violation.
     comfort_penalty_per_degree_hour: float = 1.0
-    #: Violations beyond this depth (°C) breach the SLA entirely.
-    sla_breach_c: float = 3.0
+    #: Penalty for a violation deeper than ``SLA_BREACH_C``.
     sla_breach_penalty: float = 20.0
 
     def statement(
@@ -39,7 +43,7 @@ class RevenueModel:
             self.comfort_penalty_per_degree_hour * violation_degree_hours
         )
         breach_penalty = (
-            self.sla_breach_penalty if worst_violation_c > self.sla_breach_c else 0.0
+            self.sla_breach_penalty if worst_violation_c > SLA_BREACH_C else 0.0
         )
         return RevenueStatement(
             days=days,

@@ -14,6 +14,10 @@ from dataclasses import dataclass
 
 from repro.devices.platform import PlatformProfile
 
+#: Clock of the MCU doing the crypto, MHz (read at run time; a test
+#: patches it).
+MCU_MHZ = 8.0
+
 
 @dataclass(frozen=True)
 class CryptoCostModel:
@@ -22,12 +26,11 @@ class CryptoCostModel:
     cycles_per_byte: float = 150.0
     #: Fixed per-frame cost (key schedule, nonce setup).
     cycles_per_frame: float = 4000.0
-    mcu_mhz: float = 8.0
 
     def latency_s(self, frame_bytes: int) -> float:
         """CPU time to encrypt+authenticate one frame."""
         cycles = self.cycles_per_frame + self.cycles_per_byte * frame_bytes
-        return cycles / (self.mcu_mhz * 1e6)
+        return cycles / (MCU_MHZ * 1e6)
 
     def energy_j(self, frame_bytes: int, platform: PlatformProfile) -> float:
         """Energy the MCU burns protecting one frame."""

@@ -15,6 +15,7 @@ from repro.core.taxonomy import (
 )
 from repro.deployment.topology import grid_topology, line_topology
 from repro.obs.registry import percentile
+from repro.safety import revenue
 
 
 class TestIIoTSystem:
@@ -156,7 +157,7 @@ class TestTaxonomy:
     def test_dependability_assessment(self):
         report = assess_dependability(
             delivery_ratio=0.995,
-            worst_comfort_violation_c=1.0, sla_breach_c=3.0,
+            worst_comfort_violation_c=1.0,
             service_availability=0.98,
             recovery_time_s=60.0, recovery_target_s=600.0,
             injected_commands_applied=0, injected_commands_total=10,
@@ -166,10 +167,23 @@ class TestTaxonomy:
         assert report.maintainability.score > 0.8
         assert len(report.axes()) == 5
 
+    def test_safety_is_graded_against_the_revenue_sla_depth(
+            self, monkeypatch):
+        def safety_score():
+            return assess_dependability(
+                delivery_ratio=1.0, worst_comfort_violation_c=1.5,
+                service_availability=1.0, recovery_time_s=60.0,
+                recovery_target_s=600.0, injected_commands_applied=0,
+                injected_commands_total=10).safety.score
+
+        assert safety_score() == pytest.approx(0.5)
+        monkeypatch.setattr(revenue, "SLA_BREACH_C", 6.0)
+        assert safety_score() == pytest.approx(0.75)
+
     def test_no_recovery_scores_zero(self):
         report = assess_dependability(
             delivery_ratio=1.0, worst_comfort_violation_c=0.0,
-            sla_breach_c=3.0, service_availability=1.0,
+            service_availability=1.0,
             recovery_time_s=None, recovery_target_s=600.0,
             injected_commands_applied=5, injected_commands_total=10,
         )

@@ -66,11 +66,11 @@ CONFIG_FIELDS = {
     RplConfig: ["trickle_imin_s", "trickle_doublings", "trickle_k",
                 "trickle_variant", "dao_period_s", "dis_period_s",
                 "parent_fail_threshold", "staleness_timeout_s",
-                "staleness_check_period_s", "float_delay_s"],
+                "float_delay_s"],
     RnfdConfig: ["probe_period_s", "fail_threshold"],
     CsmaConfig: ["max_retries"],
     LplConfig: ["wake_interval_s", "phase_lock"],
-    RiMacConfig: ["wake_interval_s"],
+    RiMacConfig: [],
     TschConfig: ["slotframe_slots"],
     SyncFloodConfig: ["per_hop_reliability"],
     AntiEntropyConfig: ["period_s"],

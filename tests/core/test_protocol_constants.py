@@ -3,17 +3,21 @@
 Each was a ``*Config`` field or a constructor keyword no run set; as a
 module constant it is checked once, here, instead of on every build.  A
 test that patches one to another value takes on the same duty.  LPL's
-"probe shorter than the wake interval" stays a run-time check in
-``LplConfig.validate``, because the wake interval is still settable.
+"probe shorter than the wake interval" stays a check ``LplConfig``
+runs when made, because the wake interval is still settable.
 """
+
+import math
 
 from repro.checking import availability
 from repro.checking import rpl as rpl_checks
-from repro.devices import actuators, energy, sensors
+from repro.devices import actuators, energy, inference, phenomena, sensors
 from repro.net.mac import csma, rimac, sixp, tsch
-from repro.net.rpl import trickle
+from repro.net.rpl import dodag, neighbors, objective, trickle
+from repro.radio import propagation
 from repro.radio.channels import IEEE802154_CHANNELS
-from repro.safety import thermal
+from repro.safety import controllers, revenue, thermal
+from repro.security import crypto_cost
 
 
 def test_constants_satisfy_the_checks_validate_ran():
@@ -32,8 +36,11 @@ def test_constants_satisfy_the_checks_validate_ran():
     assert sixp.CHANNEL_OFFSETS >= 1 and sixp.MAX_CELLS_PER_NEIGHBOR >= 1
     # CSMA backoff exponents are ordered; at least one CCA runs.
     assert csma.MIN_BE <= csma.MAX_BE and csma.MAX_CCA_ATTEMPTS >= 1
-    # RI-MAC beacon jitter is a fraction of the period.
+    # RI-MAC beacons on a positive period, jittered by a fraction of it.
+    assert rimac.WAKE_INTERVAL_S > 0
     assert 0 <= rimac.JITTER < 1
+    # RPL checks its neighbors' staleness on a finite, positive period.
+    assert 0.0 < dodag.STALENESS_CHECK_PERIOD_S < math.inf
     # Zone physics is well posed.
     assert min(thermal.RESISTANCE_K_PER_W, thermal.CAPACITANCE_J_PER_K,
                thermal.STEP_S) > 0
@@ -53,3 +60,19 @@ def test_constants_satisfy_the_checks_constructors_ran():
     # The availability floor is a fraction; a defect needs one sample.
     assert 0.0 <= availability.FLOOR <= 1.0
     assert rpl_checks.PERSISTENCE >= 1
+
+
+def test_constants_satisfy_the_checks_their_fields_implied():
+    # A random walk steps forward in time; the ETX estimator's weight
+    # is a fraction and MRHOF accepts at least a perfect link.
+    assert phenomena.WALK_STEP_S > 0
+    assert 0.0 < neighbors.EWMA_ALPHA <= 1.0
+    assert objective.MAX_LINK_ETX >= 1.0
+    # The SLA depth divides the taxonomy's safety grade; a thermostat's
+    # hysteresis and warm-up lead are not negative.
+    assert revenue.SLA_BREACH_C > 0
+    assert controllers.HYSTERESIS_C >= 0 and controllers.WARMUP_LEAD_S >= 0
+    # The MCU clocks, draws and computes at positive rates.
+    assert crypto_cost.MCU_MHZ > 0
+    assert inference.JOULES_PER_MAC > 0 and inference.MACS_PER_SECOND > 0
+    assert math.isfinite(propagation.REFERENCE_LOSS_DB)

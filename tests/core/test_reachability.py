@@ -26,11 +26,11 @@ declarations and are not listed.  Names are shared across classes, so
 ``x.add`` keeps every ``add`` method alive: the rule errs towards
 keeping.
 
-Two more rules cover options: every field of a ``*Config`` dataclass is
-passed by keyword in some call outside ``tests/`` (the field census
-below), and so is every defaulted keyword of a constructor, by keyword
-or by position (the keyword census).  ``make census`` prints the full
-report.
+Two more rules cover options: every defaulted keyword of a constructor
+is passed a value other than its default by some call outside
+``tests/`` (the keyword census), and so is every defaulted field of a
+dataclass that is not state (the field census).  ``make census`` prints
+the full report.
 """
 
 from __future__ import annotations
@@ -536,144 +536,24 @@ def test_one_use_keeps_a_method_or_not(tmp_path, where, line, keeper):
 
 
 # ----------------------------------------------------------------------
-# The field census: every ``*Config`` field is one a run sets
-# ----------------------------------------------------------------------
-# DESIGN.md, "Conventions": an option exists only while a caller sets it;
-# a value nobody sets is a module constant.  A field of a ``*Config``
-# dataclass under ``src/repro`` — or of any dataclass of the run
-# description (``Scenario``, ``Rollout``, the workloads) — is *set* when
-# some call to that class in ``src/``, ``benchmarks/`` or ``examples/``
-# — the callers the definition census counts — passes it by keyword, or
-# a ``replace(...)`` call passes a keyword of its name.  Tests do not
-# count: a test that needs another value patches the module constant.
-FIELD_CALLER_ROOTS = (SRC,) + CALLER_ROOTS
-RUN_DESCRIPTION_MODULES = ("core/scenario.py", "core/workloads.py")
-
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
-                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
-            return True
-    return False
-
-
-def config_fields(src: pathlib.Path = SRC) -> Dict[str, Tuple[str, List[str]]]:
-    """Class name -> (module, field names) of every ``*Config`` dataclass
-    and every dataclass of the run description."""
-    found: Dict[str, Tuple[str, List[str]]] = {}
-    for path in sorted(src.rglob("*.py")):
-        described = path.relative_to(src).as_posix() in RUN_DESCRIPTION_MODULES
-        for node in ast.parse(path.read_text()).body:
-            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)
-                    and (described or node.name.endswith("Config"))):
-                continue
-            assert node.name not in found, f"two classes named {node.name}"
-            fields = [stmt.target.id for stmt in node.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)
-                      and "ClassVar" not in ast.unparse(stmt.annotation)]
-            found[node.name] = (path.relative_to(src).as_posix(), fields)
-    return found
-
-
-def field_setters(classes: Iterable[str],
-                  roots: Sequence[pathlib.Path] = FIELD_CALLER_ROOTS
-                  ) -> Dict[Tuple[str, str], List[str]]:
-    """(class, field) -> the files whose calls to the class pass the
-    field by keyword, relative to the repository; ``replace`` stands in
-    for every class."""
-    classes = set(classes) | {"replace"}
-    setters: Dict[Tuple[str, str], List[str]] = {}
-    for root in roots:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute) else None)
-                if name not in classes:
-                    continue
-                where = path.relative_to(root.parent).as_posix()
-                if root == SRC:
-                    where = "src/" + where
-                for keyword in node.keywords:
-                    files = setters.setdefault((name, keyword.arg), [])
-                    if where not in files:
-                        files.append(where)
-    return setters
-
-
-def unset_fields(fields: Dict[str, Tuple[str, List[str]]],
-                 setters: Dict[Tuple[str, str], List[str]]) -> List[str]:
-    return [f"{module}::{cls}.{name}"
-            for cls, (module, names) in fields.items()
-            for name in names
-            if (cls, name) not in setters and ("replace", name) not in setters]
-
-
-def test_every_config_field_is_set_by_a_run():
-    fields = config_fields()
-    setters = field_setters(fields)
-    # A ``**mapping`` splat would hide which fields a call sets.
-    assert not [cls for cls, arg in setters if arg is None]
-    problems = unset_fields(fields, setters)
-    assert not problems, (
-        "no call outside tests/ sets these fields — make each a module "
-        "constant the reading module owns:\n" + "\n".join(problems))
-
-
-_CONFIGS = {
-    "pkg/conf.py": """
-        from dataclasses import dataclass, field
-        from typing import ClassVar
-
-        @dataclass(frozen=True)
-        class RadioConfig:
-            KIND: ClassVar[str] = "radio"
-            power: float = 0.0
-            channel: int = 26
-
-        @dataclass
-        class Other:
-            unset: int = 0
-    """,
-    "callers/bench.py": """
-        from pkg.conf import RadioConfig
-        RadioConfig(power=3.0)
-    """,
-}
-
-
-def test_field_census_counts_keywords_of_calls_outside_tests(tmp_path):
-    for name, body in _CONFIGS.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(body))
-    fields = config_fields(tmp_path / "pkg")
-    assert fields == {"RadioConfig": ("conf.py", ["power", "channel"])}
-    setters = field_setters(fields, [tmp_path / "callers"])
-    assert setters == {("RadioConfig", "power"): ["callers/bench.py"]}
-    assert unset_fields(fields, setters) == ["conf.py::RadioConfig.channel"]
-
-
-
-# ----------------------------------------------------------------------
 # The keyword census: every defaulted constructor keyword is one a run sets
 # ----------------------------------------------------------------------
-# The field census's rule, for the constructors a class writes itself: a
-# defaulted parameter of the ``__init__`` of a class under ``src/repro``
-# is *set* when some call to the class in ``src/``, ``benchmarks/`` or
-# ``examples/`` passes it — by keyword or by position — as an expression
-# whose source text differs from the default's.  Tests do not count: a
-# test that needs another value patches the module constant.
+# DESIGN.md, "Conventions": an option exists only while a caller sets it;
+# a value nobody sets is a module constant.  A defaulted parameter of the
+# ``__init__`` of a class under ``src/repro`` is *set* when some call to
+# the class in ``src/``, ``benchmarks/`` or ``examples/`` — the callers
+# the definition census counts — passes it, by keyword or by position,
+# as an expression whose source text differs from the default's.  Tests
+# do not count: a test that needs another value patches the module
+# constant.  The field census below applies the same rule to the
+# ``__init__`` that ``@dataclass`` writes, where ``replace(...)`` counts
+# too.
 #
 # (module, "Class.keyword" pattern, reason).  One kind of row only:
 # dynamic dispatch the name-based walker cannot see ("dynamic dispatch:
 # ...").  A capability only tests exercise has no row: it is removed.
 # A row that holds nothing up fails the test, as reachability rows do.
+FIELD_CALLER_ROOTS = (SRC,) + CALLER_ROOTS
 KEYWORD_ALLOW: Tuple[Tuple[str, str, str], ...] = (
     ("net/mac/*.py", "*Mac.config",
      "dynamic dispatch: StackConfig.make_mac builds "
@@ -719,12 +599,14 @@ def constructors(src: pathlib.Path = SRC) -> Dict[str, Constructor]:
 
 
 def keyword_setters(classes: Dict[str, Constructor],
-                    roots: Sequence[pathlib.Path] = FIELD_CALLER_ROOTS
+                    roots: Sequence[pathlib.Path] = FIELD_CALLER_ROOTS,
+                    through_replace: bool = False
                     ) -> Dict[Tuple[str, Optional[str]], List[str]]:
-    """(class, keyword) -> the files whose calls to the class pass the
-    keyword a value other than its default, relative to the repository;
-    ``(class, None)`` lists the calls that splat ``*args`` or
-    ``**mapping``, which hide what they pass."""
+    """(class, keyword) -> the files whose calls to the class — or, with
+    ``through_replace`` (dataclasses), to ``replace`` — pass the keyword a
+    value other than its default, relative to the repository; ``(class,
+    None)`` lists the calls that splat ``*args`` or ``**mapping``, which
+    hide what they pass."""
     setters: Dict[Tuple[str, Optional[str]], List[str]] = {}
     for root in roots:
         for path in sorted(root.rglob("*.py")):
@@ -737,17 +619,24 @@ def keyword_setters(classes: Dict[str, Constructor],
                 func = node.func
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
-                if name not in classes:
+                if name == "replace" and through_replace:
+                    # replace(x, name=value) may stand for any class.
+                    passed = [(cls, kw.arg, kw.value) for kw in node.keywords
+                              for cls in classes if kw.arg is not None]
+                    passed += [("replace", None, kw.value)
+                               for kw in node.keywords if kw.arg is None]
+                elif name in classes:
+                    passed = [(name, kw.arg, kw.value) for kw in node.keywords]
+                    for param, arg in zip(classes[name].params, node.args):
+                        passed.append((name, None if isinstance(arg, ast.Starred)
+                                       else param, arg))
+                else:
                     continue
-                init = classes[name]
-                passed = [(kw.arg, kw.value) for kw in node.keywords]
-                for param, arg in zip(init.params, node.args):
-                    passed.append((None if isinstance(arg, ast.Starred)
-                                   else param, arg))
-                for param, value in passed:
-                    if param is None or (param in init.defaults and ast.unparse(
-                            value) != init.defaults[param]):
-                        files = setters.setdefault((name, param), [])
+                for cls, param, value in passed:
+                    defaults = classes[cls].defaults if cls in classes else {}
+                    if param is None or (param in defaults and ast.unparse(
+                            value) != defaults[param]):
+                        files = setters.setdefault((cls, param), [])
                         if where not in files:
                             files.append(where)
     return setters
@@ -870,11 +759,216 @@ def test_keyword_allow_rows_silence_a_flag_and_go_stale(keyword_census):
         "timer.py::Timer.stream: allow-listed but set (or gone) — drop the row"]
 
 
+# ----------------------------------------------------------------------
+# The field census: every defaulted dataclass field is state or one a run sets
+# ----------------------------------------------------------------------
+# The keyword census's rule, for every dataclass under ``src/repro``: its
+# fields (a base dataclass's first) are the keywords of the ``__init__``
+# that ``@dataclass`` writes.  A defaulted field is *state*, and exempt,
+# when its default is a ``default_factory`` or when an attribute store
+# (``x.field = ...``, ``x.field += ...``; through ``self`` only in the
+# class's own body) writes it in the class's own module or in a module
+# that imports the class: a counter, a table, an estimate the code keeps.  Every other defaulted field is a *parameter*,
+# set only as a keyword is, or by a ``replace(...)`` keyword of its name.
+# The census has no allow-list.
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+                isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def _is_factory(default: ast.AST) -> bool:
+    return isinstance(default, ast.Call) and any(
+        keyword.arg == "default_factory" for keyword in default.keywords)
+
+
+def dataclass_fields(src: pathlib.Path = SRC
+                     ) -> Tuple[Dict[str, Constructor], Dict[str, List[str]]]:
+    """Class name -> the ``__init__`` of every dataclass under ``src``,
+    its defaults cut down to its parameters; and class name -> its state
+    fields."""
+    trees = {path.relative_to(src).as_posix(): ast.parse(path.read_text())
+             for path in sorted(src.rglob("*.py"))}
+    # module -> (attribute, class) per store: the class whose body stores
+    # ``self.attribute``, None for a store through any other name.
+    stored: Dict[str, Set[Tuple[str, Optional[str]]]] = {}
+    importers: Dict[str, Set[str]] = {}   # class name -> importing modules
+    for module, tree in trees.items():
+        stored[module] = set()
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    through_self = (isinstance(node.value, ast.Name)
+                                    and node.value.id == "self")
+                    stored[module].add((node.attr, top.name if through_self
+                                        and isinstance(top, ast.ClassDef) else None))
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        importers.setdefault(alias.name, set()).add(module)
+    classes: Dict[str, Constructor] = {}
+    state: Dict[str, List[str]] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            assert node.name not in classes, f"two classes named {node.name}"
+            params: List[str] = []
+            defaults: Dict[str, str] = {}
+            for base in node.bases:
+                if isinstance(base, ast.Name) and base.id in classes:
+                    params += classes[base.id].params
+                    defaults.update(classes[base.id].defaults)
+            writers = {module} | importers.get(node.name, set())
+            state[node.name] = []
+            for stmt in node.body:
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    continue
+                name = stmt.target.id
+                params.append(name)
+                if stmt.value is None:
+                    continue
+                if (_is_factory(stmt.value) or (name, node.name) in stored[module]
+                        or any((name, None) in stored[writer] for writer in writers)):
+                    state[node.name].append(name)
+                else:
+                    defaults[name] = ast.unparse(stmt.value)
+            classes[node.name] = Constructor(module, tuple(params), defaults)
+    return classes, state
+
+
+def test_every_dataclass_parameter_is_state_or_set_by_a_run():
+    classes, _ = dataclass_fields()
+    assert not set(classes) & set(constructors()), \
+        "a dataclass writes its own __init__"
+    problems = keyword_problems(
+        classes, keyword_setters(classes, through_replace=True), allow=())
+    assert not problems, "\n".join(problems)
+
+
+_DATACLASSES = {
+    "pkg/conf.py": """
+        from dataclasses import dataclass, field
+        from typing import ClassVar, List
+
+        @dataclass(frozen=True)
+        class RadioConfig:
+            KIND: ClassVar[str] = "radio"
+            power: float = 0.0
+            channel: int = 26
+            retries: int = 3
+
+        @dataclass(frozen=True)
+        class Estimator:
+            node: int
+            alpha: float = 0.2
+            probability: float = 1.0
+            history: List[float] = field(default_factory=list)
+
+            def observe(self, outcome):
+                self.probability = outcome
+
+        @dataclass
+        class Stats:
+            sent: int = 0
+            lost: int = 0
+
+        @dataclass(frozen=True)
+        class Clause:
+            at_s: float
+
+        @dataclass(frozen=True)
+        class CrashClause(Clause):
+            node: int = 0
+
+        class Radio:
+            def __init__(self, config):
+                self.power = config.power   # another class's attribute
+    """,
+    "pkg/mac.py": """
+        from pkg.conf import Stats
+
+        def send(stats, ok):
+            stats.sent += 1
+            if not ok:
+                stats.lost = stats.lost + 1
+    """,
+    "callers/bench.py": """
+        from dataclasses import replace
+        from pkg.conf import CrashClause, Estimator, RadioConfig
+        RadioConfig(channel=11, power=0.0)
+        replace(RadioConfig(), retries=5)
+        Estimator(1, 0.2)
+        CrashClause(10.0, 4)
+    """,
+}
+
+
+@pytest.fixture
+def field_census(tmp_path):
+    for name, body in _DATACLASSES.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(body))
+    classes, state = dataclass_fields(tmp_path / "pkg")
+    return classes, state, keyword_setters(classes, [tmp_path / "callers"],
+                                           through_replace=True)
+
+
+def test_field_census_reads_every_dataclass(field_census):
+    classes, _, _ = field_census
+    assert classes == {
+        "RadioConfig": Constructor("conf.py", ("power", "channel", "retries"),
+                                   {"power": "0.0", "channel": "26",
+                                    "retries": "3"}),
+        "Estimator": Constructor("conf.py",
+                                 ("node", "alpha", "probability", "history"),
+                                 {"alpha": "0.2"}),
+        "Stats": Constructor("conf.py", ("sent", "lost"), {}),
+        "Clause": Constructor("conf.py", ("at_s",), {}),
+        "CrashClause": Constructor("conf.py", ("at_s", "node"), {"node": "0"}),
+    }
+
+
+def test_field_census_tells_state_from_parameters(field_census):
+    _, state, _ = field_census
+    assert state["Estimator"] == [
+        "probability",   # written in its own module
+        "history",       # a default_factory
+    ]
+    assert state["Stats"] == ["sent", "lost"]   # written where it is imported
+
+
+def test_field_census_counts_keyword_positional_and_replace(field_census):
+    _, _, setters = field_census
+    assert setters == {
+        ("RadioConfig", "channel"): ["callers/bench.py"],   # keyword
+        ("RadioConfig", "retries"): ["callers/bench.py"],   # replace(...)
+        ("CrashClause", "node"): ["callers/bench.py"],      # positional, inherited first
+    }
+
+
+def test_field_census_flags_unset_parameters(field_census):
+    classes, _, setters = field_census
+    assert keyword_problems(classes, setters, allow=()) == [
+        f"conf.py::{name}: no call outside tests/ sets it — make it a module "
+        f"constant the reading module owns"
+        for name in ("RadioConfig.power",     # passed only at its default
+                     "Estimator.alpha")]      # not a *Config, still a knob
+
+
 def report(out=sys.stdout) -> None:
     """What ``make census`` prints: per definition who keeps it alive,
-    then totals by kind of keeper; then per ``*Config`` field the files
-    that set it; then per defaulted constructor keyword the files that
-    set it, and the totals of constructors and their keywords."""
+    then totals by kind of keeper; then per defaulted dataclass field the
+    files that set it, or ``state``, and the totals of fields by kind;
+    then per defaulted constructor keyword the files that set it, and the
+    totals of constructors and their keywords."""
     rows = census()
     totals: Dict[str, int] = {}
     for row in rows:
@@ -897,20 +991,28 @@ def report(out=sys.stdout) -> None:
           f"{len(ALLOW)} allow-list rows of at most {MAX_ALLOW_ROWS}", file=out)
     for problem in check(rows, ALLOW):
         print("FAIL", problem, file=out)
-    fields = config_fields()
-    setters = field_setters(fields)
+    classes, state = dataclass_fields()
+    setters = keyword_setters(classes, through_replace=True)
     print(file=out)
-    for cls, (module, names) in fields.items():
-        for name in names:
-            files = setters.get((cls, name)) or setters.get(("replace", name))
-            print(f"{module + '::' + cls + '.' + name:<56} "
-                  f"{', '.join(files) if files else 'NOTHING'}", file=out)
-    unset = unset_fields(fields, setters)
-    print(f"{sum(len(names) for _, names in fields.values())} fields of "
-          f"{len(fields)} *Config and run-description classes, "
-          f"{len(unset)} set by no run", file=out)
-    for problem in unset:
-        print("FAIL", problem, "is set by no run", file=out)
+    for cls, init in classes.items():
+        for name in init.params:
+            if name in init.defaults:
+                kept = ", ".join(setters.get((cls, name), ())) or "NOTHING"
+            elif name in state[cls]:
+                kept = "state"
+            else:
+                continue
+            print(f"{init.module + '::' + cls + '.' + name:<56} {kept}",
+                  file=out)
+    problems = keyword_problems(classes, setters, allow=())
+    for problem in problems:
+        print("FAIL", problem, file=out)
+    fields = sum(len(init.params) for init in classes.values())
+    parameters = sum(len(init.defaults) for init in classes.values())
+    stored = sum(map(len, state.values()))
+    print(f"{fields} fields of {len(classes)} dataclasses: "
+          f"{fields - parameters - stored} required, {parameters} parameters, "
+          f"{stored} state; {len(problems)} set by no run", file=out)
     classes = constructors()
     setters = keyword_setters(classes)
     print(file=out)

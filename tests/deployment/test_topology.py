@@ -59,7 +59,12 @@ class TestGenerators:
 
     def test_root_must_have_position(self):
         with pytest.raises(ValueError):
-            Topology(positions={1: (0.0, 0.0)}, root_id=0)
+            Topology(positions={1: (0.0, 0.0)})
+
+    def test_the_root_is_read_from_the_class_when_used(self, monkeypatch):
+        topology = Topology({0: (0.0, 0.0), 1: (10.0, 0.0), 2: (20.0, 0.0)})
+        monkeypatch.setattr(Topology, "root_id", 2)
+        assert topology.network_depth(15.0) == 2
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

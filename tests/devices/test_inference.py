@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.devices import inference
 from repro.devices.inference import (
     InferencePartitioner,
     Layer,
@@ -64,11 +65,11 @@ class TestPartitioner:
         assert (slow.best_split("latency").split_after
                 >= fast.best_split("latency").split_after)
 
-    def test_costly_cpu_pushes_split_earlier(self):
-        cheap = make_partitioner()
-        expensive = make_partitioner(joules_per_mac=1e-6)
-        assert (expensive.best_split("energy").split_after
-                <= cheap.best_split("energy").split_after)
+    def test_costly_cpu_pushes_split_earlier(self, monkeypatch):
+        partitioner = make_partitioner()
+        cheap = partitioner.best_split("energy").split_after
+        monkeypatch.setattr(inference, "JOULES_PER_MAC", 1e-6)
+        assert partitioner.best_split("energy").split_after < cheap
 
     def test_frame_overhead_charged(self):
         partitioner = make_partitioner()

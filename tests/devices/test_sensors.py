@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.devices import phenomena
 from repro.devices.phenomena import DiurnalField, RandomWalkField
 from repro.devices import sensors
 from repro.devices.sensors import Sensor, SensorFault
@@ -30,6 +31,13 @@ class TestPhenomena:
         values_b = [b.value_at(t, (0, 0)) for t in (0, 100, 50, 100)]
         assert values_a == values_b
         assert values_a[1] == values_a[3]  # cache is consistent
+
+    def test_random_walk_shape_is_read_when_used(self, monkeypatch):
+        monkeypatch.setattr(phenomena, "WALK_START", 20.0)
+        monkeypatch.setattr(phenomena, "WALK_STEP_S", 100.0)
+        field = RandomWalkField(seed=4)
+        assert field.value_at(99.0, (0, 0)) == 20.0   # still the first step
+        assert field.value_at(100.0, (0, 0)) != 20.0
 
 
 class TestSensor:

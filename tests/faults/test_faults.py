@@ -59,10 +59,10 @@ class TestScriptedFaults:
         assert nodes[2].alive
         assert kinds == ["fault.crash", "fault.recover"]
 
-    def test_sensor_fault_window(self):
+    def test_sensor_fault_window(self, monkeypatch):
+        monkeypatch.setattr(plan, "SENSOR_FAULT", SensorFault.DEAD)
         sim, trace, medium, nodes = device_line()
-        install([SensorClause(50.0, 3, "temp", SensorFault.DEAD,
-                              clear_after_s=100.0)],
+        install([SensorClause(50.0, 3, "temp", clear_after_s=100.0)],
                 sim, trace, medium, nodes)
         sim.run(until=60.0)
         assert nodes[3].read("temp") is None

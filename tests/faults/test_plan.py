@@ -300,8 +300,7 @@ class TestRuntimeEffects:
         system = build_system()
         start = system.sim.now
         install(system, [SensorClause(at_s=start + 30.0, node=4,
-                                      sensor="temp", mode=SensorFault.STUCK,
-                                      clear_after_s=60.0)])
+                                      sensor="temp", clear_after_s=60.0)])
         system.run(60.0)
         assert system.nodes[4].sensors["temp"].fault is SensorFault.STUCK
         system.run(60.0)

@@ -60,9 +60,7 @@ class TestRnfdVersusBaseline:
             mac="csma",
             rnfd_enabled=rnfd_enabled,
             rnfd=RnfdConfig(probe_period_s=10.0),
-            rpl=RplConfig(staleness_timeout_s=1500.0,
-                          staleness_check_period_s=30.0,
-                          dao_period_s=1e6),
+            rpl=RplConfig(staleness_timeout_s=1500.0, dao_period_s=1e6),
         ))
         system = IIoTSystem.build(grid_topology(4), config=config, seed=seed)
         system.start()

@@ -125,7 +125,7 @@ class TestChannelAccess:
 class TestConfig:
     def test_invalid_config_rejected(self):
         with pytest.raises(MacConfigError):
-            CsmaConfig(max_retries=-1).validate()
+            CsmaConfig(max_retries=-1)
 
     def test_duty_cycle_is_high_when_always_on(self, sim):
         _, a, b = make_pair(sim)

@@ -131,9 +131,9 @@ class TestEnergy:
 class TestConfig:
     def test_invalid_config_rejected(self, monkeypatch):
         with pytest.raises(MacConfigError):
-            LplConfig(wake_interval_s=0.0).validate()
+            LplConfig(wake_interval_s=0.0)
         # The probe must fit inside the (settable) wake interval.
-        LplConfig(wake_interval_s=0.1).validate()
+        LplConfig(wake_interval_s=0.1)
         monkeypatch.setattr(lpl, "PROBE_DURATION_S", 0.2)
         with pytest.raises(MacConfigError):
-            LplConfig(wake_interval_s=0.1).validate()
+            LplConfig(wake_interval_s=0.1)

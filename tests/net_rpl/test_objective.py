@@ -1,5 +1,6 @@
 """Objective function rank arithmetic and hysteresis."""
 
+from repro.net.rpl import objective
 from repro.net.rpl.objective import (
     INFINITE_RANK,
     MIN_HOP_RANK_INCREASE,
@@ -24,8 +25,13 @@ class TestMrhof:
         assert of.rank_through(ROOT_RANK, 0.1) >= ROOT_RANK + MIN_HOP_RANK_INCREASE
 
     def test_terrible_link_is_infinite(self):
-        of = Mrhof(max_link_etx=8.0)
+        of = Mrhof()
         assert of.rank_through(ROOT_RANK, 9.0) == INFINITE_RANK
+
+    def test_link_etx_bound_is_read_at_each_ranking(self, monkeypatch):
+        of = Mrhof()
+        monkeypatch.setattr(objective, "MAX_LINK_ETX", 10.0)
+        assert of.rank_through(ROOT_RANK, 9.0) == ROOT_RANK + 9 * MIN_HOP_RANK_INCREASE
 
     def test_rank_clamps_at_infinite(self):
         of = Mrhof()

@@ -1,11 +1,13 @@
 """Link-quality model behaviour."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.radio import propagation
 from repro.radio.medium import Medium, PositionError, PowerError, Radio
 from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
@@ -35,10 +37,11 @@ def link_prr(model, rssi):
 def shadowing_db(model, a, b):
     """The clamped shadowing draw of link ``a``-``b``: the same model
     with no path loss, at 0 dBm, hears nothing but the draw."""
-    bare = LogDistanceModel(path_loss_exponent=0.0, reference_loss_db=0.0,
+    bare = LogDistanceModel(path_loss_exponent=0.0,
                             shadowing_sigma_db=model.shadowing_sigma_db,
                             seed=model.seed)
-    return link_rssi(bare, a, b)
+    with mock.patch.object(propagation, "REFERENCE_LOSS_DB", 0.0):
+        return link_rssi(bare, a, b)
 
 
 class TestUnitDisk:
@@ -304,18 +307,18 @@ class TestCounterBasedDraw:
                 assert rssi.hex() == alone[r].hex()
                 assert rssi.hex() == link_rssi(model, r, sender, 0.0).hex()
 
-    def test_moments_and_seed_independence_over_1e5_links(self):
+    def test_moments_and_seed_independence_over_1e5_links(self, monkeypatch):
         """Standard normal to sampling error, on the coordinates
         topologies actually produce (a lattice: mantissas mostly
         zeros) as on scattered ones; two seeds share nothing."""
         lattice = [(float(x), float(y))
                    for x in range(1, 401) for y in range(1, 251)]
         spread = np.random.default_rng(3).uniform(0.0, 3000.0, (100_000, 2))
+        monkeypatch.setattr(propagation, "REFERENCE_LOSS_DB", 0.0)
         for points_ in (lattice, [tuple(p) for p in spread.tolist()]):
             draws = []
             for model_seed in (2018, 2019):
                 model = LogDistanceModel(shadowing_sigma_db=1.0,
-                                         reference_loss_db=0.0,
                                          path_loss_exponent=0.0,
                                          seed=model_seed)
                 draws.append(np.array(

@@ -10,6 +10,7 @@ from repro.faults.plan import InterferenceClause
 from repro.radio.interference import WifiInterferer
 from repro.security.attacks import CommandInjector
 from repro.security.auth import AuthConfig, FrameAuthenticator, compute_tag
+from repro.security import crypto_cost
 from repro.security.crypto_cost import (
     HARDWARE_AES,
     SOFTWARE_AES_CLASS1,
@@ -170,9 +171,10 @@ class TestDetector:
 
 
 class TestCryptoCost:
-    def test_latency_scales_with_bytes(self):
-        model = CryptoCostModel(cycles_per_byte=100.0, cycles_per_frame=0.0,
-                                mcu_mhz=1.0)
+    def test_latency_scales_with_bytes(self, monkeypatch):
+        model = CryptoCostModel(cycles_per_byte=100.0, cycles_per_frame=0.0)
+        assert model.latency_s(100) == pytest.approx(0.00125)
+        monkeypatch.setattr(crypto_cost, "MCU_MHZ", 1.0)
         assert model.latency_s(100) == pytest.approx(0.01)
 
     def test_software_slower_than_hardware(self):
