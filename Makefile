@@ -91,20 +91,14 @@ bench-pairs:
 	python3 benchmarks/pairs.py --parent "$(PARENT)" --workload "$(WORKLOAD)" \
 		$(if $(PAIRS),--pairs $(PAIRS)) --seed $(SEED)
 
-# What a process pays before its first simulated event (DESIGN.md, "Cold
-# start"): the best of five fresh interpreters for `import
-# repro.core.system`, which every run and the layered harness import
-# (seconds, modules loaded, peak RSS in MB; ru_maxrss is kB on Linux),
-# then the ten largest cumulative lines of -X importtime (self us |
-# cumulative us | module).
+# What a fresh process pays for one short run (DESIGN.md, "Cold start"):
+# two lines, each the best of five fresh interpreters building a 3x3
+# grid and running it for 60 simulated seconds — on the default unit
+# disk, then on a LogDistanceModel, the only code that imports numpy —
+# with seconds from the first import, modules loaded and peak RSS in MB
+# (ru_maxrss is kB on Linux).
 cold-start:
-	@for i in 1 2 3 4 5; do PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import resource, sys, time; \
-		t = time.perf_counter(); import repro.core.system; s = time.perf_counter() - t; \
-		rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; \
-		print(f'{s:.3f} s  {len(sys.modules)} modules  {rss:.1f} MB  (import repro.core.system, best of 5)')"; \
-	done | sort -n | head -1
-	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -X importtime -c "import repro.core.system" 2>&1 \
-		| sort -t'|' -k2 -n -r | head -10
+	$(PYTHON) benchmarks/cold_start.py
 
 # What campus_medium's set-up does per sender (DESIGN.md, "Scaling the
 # medium"): one seeded N=10k cold pass, then per sender the radios in its
@@ -132,7 +126,7 @@ kernel-floor:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/kernel_floor.py --seed $(SEED) \
 		$(if $(WORKLOAD),--workload $(WORKLOAD))
 
-# What no run executes (a measurement, not a gate; ~4.5-5.3 min on two cores):
+# What no run executes (a measurement, not a gate; ~3-5.3 min on two cores):
 # every repro command, the four examples, gates.py check, kernel_floor.py,
 # cold_fill.py, the five layered workloads at --scale 0.2 untraced and
 # traced, and each bench_* experiment, each in a fresh child under a line

@@ -8,8 +8,8 @@ funnel a neighbourhood goes through (DESIGN.md, "Scaling the medium") —
 - *candidates*: radios in the sender's nine grid cells;
 - *in reach*: radios inside its audible disc (the model's range bound at
   its power, times the cell margin), counted over **all** radios;
-- *evaluated*: links the medium asks the model about (the rows it hands
-  ``model.rssi_dbm``);
+- *evaluated*: links the medium asks the model about (the positions it
+  hands ``model.rssi_dbm``);
 - *audible*: radios that end up in the neighbourhood (its ``rssi_by_id``)
 
 — ``radio.cold_frame_us`` as the layered benchmark defines it, and where
@@ -41,9 +41,10 @@ from repro.radio.medium import Medium, Radio
 
 COLUMNS = ("candidates", "in_reach", "evaluated", "audible")
 #: Wall-clock stages of one ``Medium._build_neighborhood``, cut at the
-#: calls it makes: cell gather | ``_reach_m`` + disc + dropping the
-#: sender | ``model.rssi_dbm`` | threshold + lexsort |
-#: ``model.reception_probability`` | assembling the entry.
+#: calls it makes: cell gather | ``_reach_m`` + the disc cut (which drops
+#: the sender) + the position list | ``model.rssi_dbm`` | threshold,
+#: sort, the map and the radio column | ``model.reception_probability``
+#: | the PRR column and the entry.
 STAGES = ("gather_s", "disc_s", "model_s", "sort_s", "assemble_s")
 
 

@@ -19,7 +19,7 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   ``--seed`` (every neighbourhood built again from nothing);
 - the bytes one attached radio keeps: tracemalloc over attaching
   ``campus_medium``'s 10 000 radios, as its set-up does, to a fresh
-  medium (the medium's per-radio rows included);
+  medium (its slot in the medium's grid included);
 - the bytes one pending event keeps: tracemalloc over queuing
   ``campus_medium``'s timed section (10 000 sends) once more on the
   simulator its set-up left, each entry with its own time and

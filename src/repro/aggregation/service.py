@@ -20,6 +20,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 from repro.aggregation.operators import OPERATORS
 from repro.aggregation.query import AggregationQuery
 from repro.devices.node import DeviceNode
+from repro.sim.kernel import LazyStream
 
 #: The services' ports: aggregation, and the raw-collection baseline.
 AGGREGATION_PORT = 9903
@@ -78,7 +79,7 @@ class EpochResult:
     finalized_at: float
 
 
-class AggregationService:
+class AggregationService(LazyStream):
     """TinyDB-style aggregation agent; attach one per device."""
 
     #: Assumed maximum tree depth for the send schedule.
@@ -103,7 +104,7 @@ class AggregationService:
         #: Root only.
         self.results: List[EpochResult] = []
         self.on_result: Optional[Callable[[EpochResult], None]] = None
-        self._rng = self.sim.substream(f"agg.{node.node_id}")
+        self._stream = f"agg.{node.node_id}"
         self.stack.bind(AGGREGATION_PORT, self._on_datagram)
 
     # ------------------------------------------------------------------
@@ -156,7 +157,7 @@ class AggregationService:
         self._install_query(query)
         # Rebroadcast once, jittered, to continue the flood.
         self.sim.schedule(
-            self._rng.uniform(0.2, 2.0), lambda: self._flood(announce)
+            self._draws().uniform(0.2, 2.0), lambda: self._flood(announce)
         )
 
     def _install_query(self, query: AggregationQuery) -> None:
@@ -187,7 +188,7 @@ class AggregationService:
         depth = min(self._depth(), self.SCHEDULE_DEPTH)
         offset = query.epoch_s - depth * slot
         return max(query.epoch_s * self.EARLIEST_FRACTION,
-                   offset - self._rng.uniform(0, slot * 0.5))
+                   offset - self._draws().uniform(0, slot * 0.5))
 
     def _schedule_send(self, query: AggregationQuery, epoch: int) -> None:
         if self._expired(query, epoch):
@@ -310,7 +311,7 @@ class AggregationService:
             self.on_result(result)
 
 
-class RawCollectionService:
+class RawCollectionService(LazyStream):
     """Baseline: every node ships raw readings to the root each epoch."""
 
     def __init__(self, node: DeviceNode, root_id: int) -> None:
@@ -326,7 +327,7 @@ class RawCollectionService:
         self._epoch_s = 0.0
         self._start = 0.0
         self._running = False
-        self._rng = self.sim.substream(f"raw.{node.node_id}")
+        self._stream = f"raw.{node.node_id}"
         self.stack.bind(RAW_PORT, self._on_datagram)
 
     def start(self, field_name: str, epoch_s: float) -> None:
@@ -344,7 +345,7 @@ class RawCollectionService:
     def _schedule(self, epoch: int) -> None:
         when = (
             self._start + epoch * self._epoch_s
-            + self._rng.uniform(0, self._epoch_s * 0.8)
+            + self._draws().uniform(0, self._epoch_s * 0.8)
         )
         self.sim.schedule_at(when, lambda: self._report(epoch))
 

@@ -12,7 +12,7 @@ import enum
 from typing import Optional, Tuple
 
 from repro.devices.phenomena import Phenomenon
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import LazyStream, Simulator
 
 
 class SensorFault(enum.Enum):
@@ -38,7 +38,7 @@ OFFSET_FAULT_BIAS = 5.0
 FAULT_DRIFT_PER_HOUR = 2.0
 
 
-class Sensor:
+class Sensor(LazyStream):
     """One measurement channel on a device."""
 
     def __init__(
@@ -56,7 +56,7 @@ class Sensor:
         self.readings_taken = 0
         self._last_good: Optional[float] = None
         self._fault_since: Optional[float] = None
-        self._rng = sim.substream(f"sensor.{name}.{position}")
+        self._stream = f"sensor.{name}.{position}"
 
     def inject_fault(self, fault: SensorFault) -> None:
         """Switch the sensor into a fault mode (diagnosis experiments)."""
@@ -75,7 +75,7 @@ class Sensor:
         if self.fault is SensorFault.STUCK:
             return self._last_good
         truth = self.phenomenon.value_at(self.sim.now, self.position)
-        value = truth + self._rng.gauss(0.0, NOISE_SIGMA)
+        value = truth + self._draws().gauss(0.0, NOISE_SIGMA)
         value += DRIFT_PER_DAY * (self.sim.now / 86_400.0)
         if self.fault is SensorFault.OFFSET:
             value += OFFSET_FAULT_BIAS

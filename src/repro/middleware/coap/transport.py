@@ -15,6 +15,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.middleware.coap.codes import CoapCode, CoapType
 from repro.middleware.coap.message import CoapMessage
 from repro.net.stack import NetworkStack
+from repro.sim.kernel import LazyStream
 from repro.sim.timers import Timer
 
 #: Default CoAP UDP port.
@@ -48,7 +49,7 @@ class _PendingCon:
         self.ctx = ctx
 
 
-class CoapTransport:
+class CoapTransport(LazyStream):
     """The message layer bound to one node's network stack."""
 
     COUNTED = (("coap.retransmit", {}, "retransmissions"),
@@ -63,7 +64,7 @@ class CoapTransport:
         self._pending: Dict[Tuple[int, int], _PendingCon] = {}
         self._seen: Dict[Tuple[int, int], float] = {}
         self._acked_by_us: Dict[Tuple[int, int], CoapMessage] = {}
-        self._rng = self.sim.substream(f"coap.{stack.node_id}")
+        self._stream = f"coap.{stack.node_id}"
         self.messages_sent = 0
         self.retransmissions = 0
         self.failures = 0
@@ -91,7 +92,8 @@ class CoapTransport:
             obs.registry.inc("coap.sent", node=self.stack.node_id,
                              mtype=message.mtype.name)
         if message.mtype is CoapType.CON:
-            timeout = ACK_TIMEOUT_S * self._rng.uniform(1.0, ACK_RANDOM_FACTOR)
+            timeout = ACK_TIMEOUT_S * self._draws().uniform(
+                1.0, ACK_RANDOM_FACTOR)
             key = (dest, message.message_id)
             timer = Timer(self.sim, lambda: self._retransmit(key))
             pending = _PendingCon(message, dest, timeout, timer, on_fail,

@@ -16,14 +16,17 @@ Scaling: the spatial grid index
 With tens of thousands of radios, "who can hear a sender" cannot visit
 every radio.  Every link model declares a hard audible-range bound
 (``max_audible_range_m``, :mod:`repro.radio.propagation`), so the medium
-keeps its radios' positions as one ``(N, 2)`` array and buckets their
-rows into square cells at least that large: a radio that could be heard
-is in one of the sender's nine surrounding cells.  A neighbourhood is
-one vectorised pass over those rows — cut to the sender's own disc (the
-bound at *its* power, times ``_CELL_MARGIN``, a squared-distance
-compare), drop the sender and any blocked link, one model call for the
-RSSIs, the threshold, one ``lexsort`` by ``(rssi desc, node_id)``, one
-model call for the PRRs.
+buckets its radios into square cells at least that large: a radio that
+could be heard is in one of the sender's nine surrounding cells.  A
+neighbourhood is one plain-Python pass over those radios, reading each
+one's own ``position`` tuple (the medium stores no second copy): cut to
+the sender's own disc (the bound at *its* power, times
+``_CELL_MARGIN``, a squared-distance compare in IEEE doubles), drop the
+sender and any blocked link, one model call for the RSSIs, the
+threshold, one sort by ``(rssi desc, node_id)``, one model call for the
+PRRs.  Nothing here imports numpy; a model that vectorises does so
+inside its own methods (:class:`~repro.radio.propagation.LogDistanceModel`),
+so a unit-disk run never loads it.
 
 The index is an *accelerator, not an approximation*: the disc is a
 superset of the audible set, every candidate is evaluated with the same
@@ -134,8 +137,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-import numpy as np
-
 from repro.radio.propagation import LinkQualityModel, Position
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
@@ -161,6 +162,8 @@ _OUTCOMES = frozenset(_CATEGORIES[1:])
 #: Grid cells are inflated this much over the model's range bound so a
 #: borderline-audible link can never straddle more than one cell edge.
 _CELL_MARGIN = 1.01
+#: A cell and its eight neighbours, as offsets.
+_NINE_CELLS = tuple((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 
 class RadioState(enum.Enum):
@@ -248,9 +251,14 @@ class PowerError(ValueError):
 
 
 def _placed(node_id: int, position: Position) -> Position:
-    if not (math.isfinite(position[0]) and math.isfinite(position[1])):
+    x, y = position
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise PositionError(f"radio {node_id}: position {position!r}")
-    return position
+    # Two floats, so the disc cut is IEEE double arithmetic whatever
+    # numeric types came in; a float tuple is kept as given.
+    if type(x) is float and type(y) is float and type(position) is tuple:
+        return position
+    return (float(x), float(y))
 
 
 def _powered(node_id: int, tx_power_dbm: float) -> float:
@@ -286,8 +294,6 @@ class Radio:
         self.node_id = node_id
         self._position = _placed(node_id, position)
         self._tx_power_dbm = _powered(node_id, tx_power_dbm)
-        #: Row of this radio in the medium's position array.
-        self._row = -1
         self.channel = channel
         self.on_receive: Optional[Callable[[Frame, float], None]] = None
         self.enabled = True
@@ -448,13 +454,8 @@ class Medium:
         #: Bumped by an attach or a link filter: :meth:`_deliver`
         #: re-resolves a frame's interferers when an upcall bumped it.
         self._world_version = 0
-        #: Row ``i`` of the arrays is the ``i``-th radio attached
-        #: (radios never detach); rows past ``len(_rows)`` are spare.
-        self._rows: List[Radio] = []
-        self._xy = np.empty((64, 2))
-        self._ids = np.empty(64, dtype=np.int64)
-        #: ``cell -> [row, ...]``.
-        self._grid: Dict[Tuple[int, int], List[int]] = {}
+        #: ``cell -> [radio, ...]``, in attach order.
+        self._grid: Dict[Tuple[int, int], List[Radio]] = {}
         self._cell_size = 0.0
         self._grid_max_tx = 0.0
         #: Radios with a listen plan; zero skips every plan hook.
@@ -478,8 +479,8 @@ class Medium:
         """(Re)derive the cell size from the range bound and re-bucket."""
         self._cell_size = max(self._reach_m(self._grid_max_tx), 1.0)
         self._grid = {}
-        for row, radio in enumerate(self._rows):
-            self._grid.setdefault(self._cell_of(radio._position), []).append(row)
+        for radio in self.radios.values():
+            self._grid.setdefault(self._cell_of(radio._position), []).append(radio)
 
     def _reach_m(self, tx_power_dbm: float) -> float:
         """The model's audible-range bound at this power, inflated by
@@ -539,24 +540,16 @@ class Medium:
         if radio.node_id in self.radios:
             raise ValueError(f"duplicate radio id {radio.node_id}")
         # Grow the grid when this power exceeds its sizing basis — before
-        # the radio has a row: a regrown grid buckets only the radios
+        # the radio is attached: a regrown grid buckets only the radios
         # already attached, and this one is bucketed below.
         if radio._tx_power_dbm > self._grid_max_tx:
             self._grid_max_tx = radio._tx_power_dbm
             if self._reach_m(self._grid_max_tx) > self._cell_size:
                 self._rebuild_grid()
-        row = len(self._rows)
-        if row == len(self._ids):
-            self._xy = np.concatenate([self._xy, np.empty_like(self._xy)])
-            self._ids = np.concatenate([self._ids, np.empty_like(self._ids)])
-        self._xy[row] = radio._position
-        self._ids[row] = radio.node_id
-        radio._row = row
-        self._rows.append(radio)
         self.radios[radio.node_id] = radio
         self._world_version += 1
         self._neighborhoods.clear()
-        self._grid.setdefault(self._cell_of(radio._position), []).append(row)
+        self._grid.setdefault(self._cell_of(radio._position), []).append(radio)
 
     def rssi_between(self, sender: Radio, receiver: Radio) -> float:
         """RSSI of ``sender`` as heard by ``receiver``."""
@@ -564,10 +557,9 @@ class Medium:
         if rssi is None:
             # Blocked or inaudible links are left out of the map; the
             # physical signal strength is still the model's to say.
-            row = receiver._row
-            rssi = float(self._model.rssi_dbm(
-                sender._position, self._xy[row:row + 1],
-                sender._tx_power_dbm)[0])
+            rssi = self._model.rssi_dbm(
+                sender._position, [receiver._position],
+                sender._tx_power_dbm)[0]
         return rssi
 
     def audible_from(self, sender: Radio) -> List[Tuple[Radio, float]]:
@@ -585,53 +577,57 @@ class Medium:
             self._neighborhoods[sender.node_id] = entry
         return entry
 
-    def _in_reach(self, sender: Radio) -> np.ndarray:
-        """Rows in the nine cells around ``sender`` that lie inside its
-        own disc.
+    def _in_reach(self, sender: Radio) -> List[Radio]:
+        """The other radios in the nine cells around ``sender`` that lie
+        inside its own disc.
 
         The nine cells cover the loudest radio's range from anywhere in
         the home cell; the model can make audible only what lies inside
         this sender's disc, so only that is worth a link evaluation.
         """
         hx, hy = self._cell_of(sender._position)
-        gathered: List[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                bucket = self._grid.get((hx + dx, hy + dy))
-                if bucket:
-                    gathered += bucket
-        rows = np.array(gathered, dtype=np.intp)
+        grid = self._grid
+        gathered: List[Radio] = []
+        for dx, dy in _NINE_CELLS:
+            bucket = grid.get((hx + dx, hy + dy))
+            if bucket:
+                gathered += bucket
         reach = self._reach_m(sender._tx_power_dbm)
+        r2 = reach * reach
         x, y = sender._position
-        xy = self._xy[rows]
-        dx = xy[:, 0] - x
-        dy = xy[:, 1] - y
-        return rows[dx * dx + dy * dy <= reach * reach]
+        kept = []
+        for radio in gathered:
+            px, py = radio._position
+            px -= x
+            py -= y
+            if px * px + py * py <= r2 and radio is not sender:
+                kept.append(radio)
+        return kept
 
     def _build_neighborhood(self, sender: Radio) -> _Neighborhood:
-        rows = self._in_reach(sender)
-        rows = rows[rows != sender._row]
+        receivers = self._in_reach(sender)
         blocked = self._link_filter
-        if blocked is not None and len(rows):
+        if blocked is not None:
             sender_id = sender.node_id
-            rows = rows[np.array([not blocked(sender_id, node)
-                                  for node in self._ids[rows].tolist()])]
+            receivers = [radio for radio in receivers
+                         if not blocked(sender_id, radio.node_id)]
         model = self._model
-        rssi = model.rssi_dbm(sender._position, self._xy[rows],
+        rssi = model.rssi_dbm(sender._position,
+                              [radio._position for radio in receivers],
                               sender._tx_power_dbm)
-        audible = rssi >= AUDIBLE_THRESHOLD_DBM
-        rows, rssi = rows[audible], rssi[audible]
-        order = np.lexsort((self._ids[rows], -rssi))
-        rssi = rssi[order]
-        prr = model.reception_probability(rssi).astype(float).tobytes()
-        rssi = rssi.tolist()
-        radios = list(map(self._rows.__getitem__, rows[order].tolist()))
+        # By (rssi descending, node_id); the ids are distinct, so a radio
+        # is never compared.
+        links = [(-level, radio.node_id, radio)
+                 for radio, level in zip(receivers, rssi)
+                 if level >= AUDIBLE_THRESHOLD_DBM]
+        links.sort()
+        # Keyed by the radios' own id objects, not fresh ints; the ids
+        # are distinct, so the values keep the column order.
+        rssi_by_id = {node: -level for level, node, _ in links}
         return _Neighborhood(
-            radios, array("d", prr),
-            # Keyed by the radios' own id objects, not fresh ints; the
-            # ids are distinct, so the values keep the column order.
-            rssi_by_id=dict(zip([radio.node_id for radio in radios], rssi)),
-        )
+            [radio for _, _, radio in links],
+            array("d", model.reception_probability(list(rssi_by_id.values()))),
+            rssi_by_id)
 
     def link_prr(self, sender_id: int, receiver_id: int) -> float:
         """Packet reception ratio of the directed link, ignoring collisions.
@@ -644,8 +640,8 @@ class Medium:
         receiver = self.radios.get(receiver_id)
         if sender is None or receiver is None:
             return 0.0
-        return float(self._model.reception_probability(
-            [self.rssi_between(sender, receiver)])[0])
+        return self._model.reception_probability(
+            [self.rssi_between(sender, receiver)])[0]
 
     # ------------------------------------------------------------------
     # channel activity

@@ -23,12 +23,17 @@ What :class:`~repro.radio.medium.Medium` needs of a model
   and cuts each sender's disc with it, and refuses a model whose bound
   at 0 dBm is missing, not finite or not positive.
 - ``rssi_dbm(sender, receivers, tx_power_dbm)`` — one sender, a
-  ``(k, 2)`` array of receiver positions, ``k`` signal strengths;
-  ``reception_probability(rssi)`` — array in, array out.  The medium
-  calls each once per neighbourhood, and with a one-row array for a
-  single link.  Element *i* depends on receiver *i* alone: numpy runs
-  one inner loop whatever the array size, so a link's value does not
-  depend on how many others share its call.
+  sequence of ``k`` receiver positions, a list of ``k`` signal
+  strengths; ``reception_probability(rssi)`` — a sequence of strengths
+  in, a list of probabilities out.  The medium calls each once per
+  neighbourhood, and with a one-element list for a single link.
+  Element *i* depends on receiver *i* alone — numpy runs one inner loop
+  whatever the array size — so a link's value does not depend on how
+  many others share its call.
+- Imports.  :class:`UnitDiskModel` is plain Python; numpy is
+  :class:`LogDistanceModel`'s private detail, imported inside its two
+  methods when it first evaluates links, so a unit-disk run never loads
+  it (DESIGN.md, "Cold start").
 - Order-free links.  Shadowing is a counter-based draw: each endpoint's
   position — the bit patterns of ``x + 0.0``, ``y + 0.0``, so an ``int``
   keys like its float and ``-0.0`` like ``0.0`` — hashes to one word;
@@ -47,11 +52,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from itertools import chain
+from typing import List, Optional, Protocol, Sequence, Tuple
 
-import numpy as _np
-
-from repro.sim.mix import GOLDEN, MASK64, mix64
+from repro.sim.mix import GOLDEN, MASK64, mix64, mix64_inplace
 
 Position = Tuple[float, float]
 
@@ -71,19 +75,41 @@ _pack_floats, _float_bits = struct.Struct("<2d").pack, struct.Struct("<2Q").unpa
 
 def _point_word(p: Position) -> int:
     """The sender's word: what :meth:`LogDistanceModel.rssi_dbm` computes
-    for every receiver row, for one position."""
+    for every receiver, for one position."""
     x, y = _float_bits(_pack_floats(p[0] + 0.0, p[1] + 0.0))
     return (mix64(x) + y) & MASK64
 
 
-def _link_gauss(seed: int, lo, hi):
+def _link_gauss(np, seed: int, lo, hi):
     """Standard normal of the links with endpoint words ``lo <= hi``
-    (``uint64`` arrays, or an int and an array): exact integer
-    arithmetic, exactly-rounded ``sqrt``/``*``, numpy's ``log``/``cos``."""
-    state = mix64(mix64(seed) + lo) + hi + GOLDEN
-    u1 = ((mix64(state) >> 11) + 1) * _INV_2_53  # (0, 1]
-    u2 = (mix64(state + GOLDEN) >> 11) * _INV_2_53  # [0, 1)
-    return _np.sqrt(-2.0 * _np.log(u1)) * _np.cos(_TWO_PI * u2)
+    (``uint64`` arrays of the numpy module ``np``): exact integer
+    arithmetic, exactly-rounded ``sqrt``/``*``, numpy's ``log``/``cos``.
+
+    The splitmix64 stream of each link is ``state = mix64(mix64(seed) +
+    lo) + hi + GOLDEN``; its first two outputs, ``mix64(state)`` and
+    ``mix64(state + GOLDEN)``, are mixed as the two rows of one array,
+    and every step writes over its input: a neighbourhood is a few
+    dozen array operations whatever its size."""
+    words = np.empty((2, len(lo)), dtype=np.uint64)
+    state = words[0]
+    np.add(lo, mix64(seed), out=state)
+    mix64_inplace(state)
+    state += hi
+    state += GOLDEN
+    np.add(state, GOLDEN, out=words[1])
+    mix64_inplace(words)
+    words >>= 11
+    state += 1
+    u = words * _INV_2_53
+    u1 = u[0]  # (0, 1]
+    u2 = u[1]  # [0, 1)
+    np.log(u1, out=u1)
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= _TWO_PI
+    np.cos(u2, out=u2)
+    u1 *= u2
+    return u1
 
 
 class LinkQualityModel(Protocol):
@@ -93,11 +119,11 @@ class LinkQualityModel(Protocol):
                             threshold_dbm: float) -> Optional[float]:
         """Distance beyond which no receiver hears ``threshold_dbm``."""
 
-    def rssi_dbm(self, sender: Position, receivers: _np.ndarray,
-                 tx_power_dbm: float) -> _np.ndarray:
-        """Received signal strength at each ``(k, 2)`` receiver row."""
+    def rssi_dbm(self, sender: Position, receivers: Sequence[Position],
+                 tx_power_dbm: float) -> List[float]:
+        """Received signal strength at each receiver position."""
 
-    def reception_probability(self, rssi: _np.ndarray) -> _np.ndarray:
+    def reception_probability(self, rssi: Sequence[float]) -> List[float]:
         """PRR for frames arriving at the given signal strengths."""
 
 
@@ -119,6 +145,9 @@ class LogDistanceModel:
         RSSI at which PRR is 50%.
     transition_width_db:
         Width of the logistic transitional region (dB per PRR decade).
+
+    Both evaluations are one vectorised numpy pass, imported here and
+    nowhere else under ``repro`` (module docstring, "Imports").
     """
 
     path_loss_exponent: float = 3.0
@@ -127,30 +156,53 @@ class LogDistanceModel:
     transition_width_db: float = 2.5
     seed: int = 0
 
-    def rssi_dbm(self, sender: Position, receivers: _np.ndarray,
-                 tx_power_dbm: float) -> _np.ndarray:
+    def rssi_dbm(self, sender: Position, receivers: Sequence[Position],
+                 tx_power_dbm: float) -> List[float]:
+        import numpy as np
+        k = len(receivers)
+        xy = np.fromiter(chain.from_iterable(receivers), float,
+                         2 * k).reshape(k, 2)
         # ``sqrt(dx*dx + dy*dy)``, not ``hypot``: exactly-rounded IEEE
         # operations, so a distance is the same bits in any company.
-        arr = _np.asarray(receivers, dtype=float)
-        dx = arr[:, 0] - sender[0]
-        dy = arr[:, 1] - sender[1]
-        d = _np.maximum(_np.sqrt(dx * dx + dy * dy), 1.0)
-        path_loss = (REFERENCE_LOSS_DB
-                     + 10.0 * self.path_loss_exponent * _np.log10(d))
-        bits = (arr + 0.0).view(_np.uint64)
-        words = mix64(bits[:, 0]) + bits[:, 1]
-        a = _point_word(sender)
-        draw = _link_gauss(self.seed, _np.minimum(words, a),
-                           _np.maximum(words, a)) * self.shadowing_sigma_db
+        # Each step writes over its input; ``+`` and ``*`` of two floats
+        # commute exactly, so ``p *= c`` is ``c * p`` to the bit.
+        dx = xy[:, 0] - sender[0]
+        dy = xy[:, 1] - sender[1]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        d = np.sqrt(dx, out=dx)
+        np.maximum(d, 1.0, out=d)
+        rssi = np.log10(d, out=d)
+        rssi *= 10.0 * self.path_loss_exponent
+        rssi += REFERENCE_LOSS_DB  # the path loss
+        np.subtract(tx_power_dbm, rssi, out=rssi)
+        xy += 0.0  # -0.0 keys like 0.0
+        bits = xy.view(np.uint64)
+        words = mix64_inplace(bits[:, 0])
+        words += bits[:, 1]
+        a = np.uint64(_point_word(sender))
+        draw = _link_gauss(np, self.seed, np.minimum(words, a),
+                           np.maximum(words, a))
+        draw *= self.shadowing_sigma_db
         clamp = SHADOWING_CLAMP_SIGMA * self.shadowing_sigma_db
-        return (tx_power_dbm - path_loss) + _np.clip(draw, -clamp, clamp)
+        rssi += draw.clip(-clamp, clamp, out=draw)
+        return rssi.tolist()
 
-    def reception_probability(self, rssi: _np.ndarray) -> _np.ndarray:
-        x = (_np.asarray(rssi, dtype=float) - self.sensitivity_dbm) \
-            / self.transition_width_db
+    def reception_probability(self, rssi: Sequence[float]) -> List[float]:
+        import numpy as np
+        x = np.array(rssi, dtype=float)
+        x -= self.sensitivity_dbm
+        x /= self.transition_width_db
         # Saturate far from the sensitivity: exp would overflow there.
-        prr = 1.0 / (1.0 + _np.exp(-_np.clip(x, -30.0, 30.0)))
-        return _np.where(x > 30.0, 1.0, _np.where(x < -30.0, 0.0, prr))
+        prr = x.clip(-30.0, 30.0)
+        np.negative(prr, out=prr)
+        np.exp(prr, out=prr)
+        prr += 1.0
+        np.divide(1.0, prr, out=prr)
+        np.putmask(prr, x > 30.0, 1.0)
+        np.putmask(prr, x < -30.0, 0.0)
+        return prr.tolist()
 
     def max_audible_range_m(self, tx_power_dbm: float,
                             threshold_dbm: float) -> Optional[float]:
@@ -174,23 +226,24 @@ class UnitDiskModel:
 
     Deliberately unrealistic; used by tests that need deterministic
     topologies, and as the "clean RF" baseline in ablations.  The
-    in/out decision compares *squared* distances, the same exact IEEE
-    arithmetic the medium's disc filter uses.
+    in/out decision compares *squared* float distances, the same exact
+    IEEE arithmetic the medium's disc filter uses.  Plain Python: a
+    unit-disk run loads no numpy.
     """
 
     radius_m: float = 30.0
 
-    def rssi_dbm(self, sender: Position, receivers: _np.ndarray,
-                 tx_power_dbm: float) -> _np.ndarray:
-        arr = _np.asarray(receivers, dtype=float)
-        dx = arr[:, 0] - sender[0]
-        dy = arr[:, 1] - sender[1]
+    def rssi_dbm(self, sender: Position, receivers: Sequence[Position],
+                 tx_power_dbm: float) -> List[float]:
+        x, y = float(sender[0]), float(sender[1])
+        radius = float(self.radius_m)
+        r2 = radius * radius
         # -50 dBm is comfortably above any sensitivity threshold.
-        return _np.where(dx * dx + dy * dy <= self.radius_m * self.radius_m,
-                         -50.0, -200.0)
+        return [-50.0 if (dx := rx - x) * dx + (dy := ry - y) * dy <= r2
+                else -200.0 for rx, ry in receivers]
 
-    def reception_probability(self, rssi: _np.ndarray) -> _np.ndarray:
-        return _np.where(_np.asarray(rssi, dtype=float) > -100.0, 1.0, 0.0)
+    def reception_probability(self, rssi: Sequence[float]) -> List[float]:
+        return [1.0 if value > -100.0 else 0.0 for value in rssi]
 
     def max_audible_range_m(self, tx_power_dbm: float,
                             threshold_dbm: float) -> Optional[float]:

@@ -316,3 +316,20 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Simulator(now={self.now:.6f}, pending={self.pending_events})"
 
+
+class LazyStream:
+    """Mixin for a component whose substream may never draw: it sets
+    ``_stream`` (the name) and calls :meth:`_draws`, which makes the
+    stream at the first draw.  A stream is a pure function of ``(seed,
+    name)``, so no draw moves; one that never draws costs a name, not a
+    ≈2.5 kB generator."""
+
+    sim: Simulator
+    _stream: str
+    #: The stream, once drawn from; the class default until then.
+    _rng: Optional[random.Random] = None
+
+    def _draws(self) -> random.Random:
+        if self._rng is None:
+            self._rng = self.sim.substream(self._stream)
+        return self._rng

@@ -7,7 +7,6 @@ import json
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
 import pytest
 
 from repro.devices.phenomena import DiurnalField
@@ -179,7 +178,7 @@ class FullScanMedium(Medium):
     """
 
     def _in_reach(self, sender):
-        return np.arange(len(self.radios))
+        return [radio for radio in self.radios.values() if radio is not sender]
 
     def grid_info(self):
         return dict(super().grid_info(), spatial_index=False)

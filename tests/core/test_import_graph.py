@@ -2,9 +2,10 @@
 
 What a process pays before its first simulated event is paid by every
 run of every sweep, so a module under ``src/repro`` imports third-party
-code at module level only if a simulation executes it (DESIGN.md, "Cold
-start").  Each case asks one fresh interpreter what it loaded; nothing
-here reads a wall clock.
+code only where a simulation executes it (DESIGN.md, "Cold start"):
+importing every ``repro`` module loads none, and numpy arrives with the
+first link a ``LogDistanceModel`` evaluates.  Each case asks one fresh
+interpreter what it loaded; nothing here reads a wall clock.
 """
 
 import ast
@@ -49,9 +50,42 @@ def test_no_module_imports_undeclared_third_party_code():
         "tops = {name.partition('.')[0]\n"
         "        for name in set(sys.modules) - preloaded}\n"
         "result = sorted(tops - set(sys.stdlib_module_names)\n"
-        "                - {'repro', 'numpy', '__mp_main__'})\n"
+        "                - {'repro', '__mp_main__'})\n"
     )
     assert foreign == []
+
+
+def test_a_unit_disk_run_never_loads_numpy():
+    # The default link model is plain Python, and so is the medium's
+    # index: only a LogDistanceModel's evaluation imports numpy.
+    loaded = _fresh_interpreter(
+        "from repro.core.system import IIoTSystem\n"
+        "from repro.deployment.topology import grid_topology\n"
+        "system = IIoTSystem.build(grid_topology(3), seed=1)\n"
+        "system.start()\n"
+        "system.run(60.0)\n"
+        "assert system.medium.grid_info()['rssi_cache'] > 0\n"
+        "result = sorted(name for name in sys.modules\n"
+        "                if name.partition('.')[0] == 'numpy')\n"
+    )
+    assert loaded == []
+
+
+def test_a_log_distance_medium_loads_numpy_at_its_first_link():
+    loaded = _fresh_interpreter(
+        "from repro.radio.medium import Medium, Radio\n"
+        "from repro.radio.propagation import LogDistanceModel\n"
+        "from repro.sim.kernel import Simulator\n"
+        "from repro.sim.trace import TraceLog\n"
+        "medium = Medium(Simulator(seed=1), LogDistanceModel(seed=1),\n"
+        "                TraceLog())\n"
+        "a = Radio(medium, 1, (0.0, 0.0))\n"
+        "Radio(medium, 2, (10.0, 0.0))\n"
+        "before = 'numpy' in sys.modules\n"
+        "heard = [r.node_id for r, _ in medium.audible_from(a)]\n"
+        "result = [before, 'numpy' in sys.modules, heard]\n"
+    )
+    assert loaded == [False, True, [2]]
 
 
 def test_a_simulation_never_loads_the_process_pool_machinery():
@@ -84,8 +118,8 @@ def test_import_repro_does_not_load_the_run_description():
 
 
 def test_import_repro_loads_a_bounded_number_of_modules():
-    # About 300 with numpy as the only third-party import; scipy.stats
-    # alone would add some 900.
+    # About 100, the interpreter's own; numpy would add some 100 and
+    # scipy.stats some 900.
     loaded = _fresh_interpreter("import repro\nresult = len(sys.modules)\n")
     assert loaded <= 450
 

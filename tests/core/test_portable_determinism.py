@@ -72,6 +72,25 @@ def test_the_integer_mix_exists_once():
     assert holders == ["sim/mix.py"]
 
 
+def test_the_array_mix_is_the_integer_mix_word_by_word():
+    """``mix64_inplace`` writes ``mix64`` of every word over a numpy
+    ``uint64`` array — a contiguous one or a strided column — whatever
+    the words' high bits."""
+    import numpy as np
+
+    from repro.sim.mix import GOLDEN as STEP, mix64, mix64_inplace
+
+    words = [0, 1, 2**63, 2**64 - 1, STEP, 0x0123456789ABCDEF] \
+        + [(k * STEP) % 2**64 for k in range(1, 200)]
+    flat = np.array(words, dtype=np.uint64)
+    assert mix64_inplace(flat) is flat
+    assert flat.tolist() == [mix64(w) for w in words]
+    pairs = np.array([words, words[::-1]], dtype=np.uint64).T.copy()
+    mix64_inplace(pairs[:, 0])
+    assert pairs[:, 0].tolist() == [mix64(w) for w in words]
+    assert pairs[:, 1].tolist() == words[::-1]
+
+
 def test_runs_are_byte_equal_whatever_the_hash_salt():
     runs = [_run_under(sys.executable, salt) for salt in ("0", "4242", "random")]
     assert runs[0] == runs[1] == runs[2]

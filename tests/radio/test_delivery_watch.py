@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -183,11 +182,10 @@ class TableModel:
         return 1000.0
 
     def rssi_dbm(self, sender, receivers, tx_power_dbm):
-        return np.array([self.table.get((sender[0], x), -200.0)
-                         for x in np.asarray(receivers)[:, 0].tolist()])
+        return [self.table.get((sender[0], x), -200.0) for x, _ in receivers]
 
     def reception_probability(self, rssi):
-        return np.where(np.asarray(rssi, dtype=float) >= -100.0, 1.0, 0.0)
+        return [1.0 if value >= -100.0 else 0.0 for value in rssi]
 
 
 def outcome_at_receiver(rssi, interferers):

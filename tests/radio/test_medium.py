@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -127,7 +126,7 @@ class TestCollisions:
         class TwoLevel(UnitDiskModel):
             def rssi_dbm(self, sender, receivers, tx_power_dbm):
                 level = -40.0 if tuple(sender) == (1.0, 0.0) else -60.0
-                return np.full(len(receivers), level)
+                return [level] * len(receivers)
 
         medium = Medium(sim, TwoLevel(radius_m=200.0), TraceLog())
         strong = Radio(medium, 1, (1.0, 0.0))
@@ -278,8 +277,7 @@ class TestAudibleOrdering:
         LEVELS = {10.0: -50.0, 20.0: -40.0, 30.0: -40.0, 40.0: -70.0}
 
         def rssi_dbm(self, sender, receivers, tx_power_dbm):
-            return np.array([self.LEVELS.get(x, -45.0)
-                             for x in np.asarray(receivers)[:, 0].tolist()])
+            return [self.LEVELS.get(x, -45.0) for x, _ in receivers]
 
     def _build(self, sim, attach_order):
         medium = Medium(sim, self._FixedRssi(radius_m=500.0),

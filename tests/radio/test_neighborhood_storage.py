@@ -12,7 +12,6 @@ cached is bounded in ``test_storage.py``.
 
 from array import array
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.radio.medium import Frame, Medium, Radio
@@ -48,8 +47,9 @@ def test_columns_are_the_full_scans_to_the_bit(positions, seed):
         assert list(entry.rssi_by_id) == [r.node_id for r in entry.radios]
         rssi = list(entry.rssi_by_id.values())
         assert rssi == sorted(rssi, reverse=True)
-        # The doubles the boxed floats of ``tolist`` held, bit for bit.
-        boxed = model.reception_probability(np.array(rssi)).tolist()
+        # The doubles the model's list of boxed floats held, bit for bit.
+        boxed = model.reception_probability(rssi)
+        assert type(boxed) is list
         assert array("d", boxed).tobytes() == entry.prr.tobytes()
 
 

@@ -13,25 +13,38 @@ from repro.radio.propagation import (
     SHADOWING_CLAMP_SIGMA,
     LogDistanceModel,
     UnitDiskModel,
+    _point_word,
 )
+from repro.sim.mix import GOLDEN, mix64
 from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceLog
 
 
 def rssi_call(model, sender, receivers, tx_power_dbm=0.0):
-    """One ``rssi_dbm`` call over ``receivers``, as a list of floats."""
-    return model.rssi_dbm(sender, np.array(receivers, dtype=float),
-                          tx_power_dbm).tolist()
+    """One ``rssi_dbm`` call over a list of ``receivers`` positions: the
+    contract is a list of floats back, one per receiver."""
+    rssi = model.rssi_dbm(sender, list(receivers), tx_power_dbm)
+    assert type(rssi) is list and len(rssi) == len(receivers)
+    assert all(type(value) is float for value in rssi)
+    return rssi
 
 
 def link_rssi(model, sender, receiver, tx_power_dbm=0.0):
-    """One link's RSSI: a one-row call, as the medium makes for a link
+    """One link's RSSI: a one-element call, as the medium makes for a link
     its neighbourhood maps leave out."""
     return rssi_call(model, sender, [receiver], tx_power_dbm)[0]
 
 
+def prr_call(model, rssi):
+    """One ``reception_probability`` call: a list of floats back."""
+    prr = model.reception_probability(list(rssi))
+    assert type(prr) is list and len(prr) == len(rssi)
+    assert all(type(value) is float for value in prr)
+    return prr
+
+
 def link_prr(model, rssi):
-    return model.reception_probability(np.array([rssi])).tolist()[0]
+    return prr_call(model, [rssi])[0]
 
 
 def shadowing_db(model, a, b):
@@ -124,7 +137,7 @@ class TestCallSizeIndependence:
 
     The medium evaluates a neighbourhood in one ``rssi_dbm`` call and
     one ``reception_probability`` call, and a single link (one its maps
-    leave out) in a one-row call: element *i* of a *k*-receiver call
+    leave out) in a one-element call: element *i* of a *k*-receiver call
     must be *bitwise* the one-receiver value, or the trace would depend
     on who else happens to be in range.
     """
@@ -140,7 +153,7 @@ class TestCallSizeIndependence:
         together = rssi_call(model, sender, receivers, tx)
         alone = [link_rssi(model, sender, r, tx) for r in receivers]
         assert [v.hex() for v in together] == [v.hex() for v in alone]
-        prrs = model.reception_probability(np.array(together)).tolist()
+        prrs = prr_call(model, together)
         assert [v.hex() for v in prrs] \
             == [link_prr(model, r).hex() for r in together]
 
@@ -153,7 +166,7 @@ class TestCallSizeIndependence:
         model = UnitDiskModel(radius_m=radius)
         together = rssi_call(model, sender, receivers)
         assert together == [link_rssi(model, sender, r) for r in receivers]
-        assert model.reception_probability(np.array(together)).tolist() \
+        assert prr_call(model, together) \
             == [link_prr(model, r) for r in together]
 
 
@@ -330,6 +343,59 @@ class TestCounterBasedDraw:
             assert abs(np.corrcoef(draws[0], draws[1])[0, 1]) < 0.01
             # Neighbouring links (next lattice point) share nothing either.
             assert abs(np.corrcoef(draws[0][:-1], draws[0][1:])[0, 1]) < 0.01
+
+
+def reference_rssi(model, sender, receivers, tx_power_dbm):
+    """``LogDistanceModel.rssi_dbm`` as one fresh array per step, the
+    formulation the in-place one replaced: the bits it must keep."""
+    arr = np.array(receivers, dtype=float).reshape(-1, 2)
+    dx = arr[:, 0] - sender[0]
+    dy = arr[:, 1] - sender[1]
+    d = np.maximum(np.sqrt(dx * dx + dy * dy), 1.0)
+    path_loss = (propagation.REFERENCE_LOSS_DB
+                 + 10.0 * model.path_loss_exponent * np.log10(d))
+    bits = (arr + 0.0).view(np.uint64)
+    # mix64's operators wrap the same way on a uint64 array.
+    words = mix64(bits[:, 0]) + bits[:, 1]
+    a = _point_word(sender)
+    lo, hi = np.minimum(words, a), np.maximum(words, a)
+    state = mix64(mix64(model.seed) + lo) + hi + GOLDEN
+    u1 = ((mix64(state) >> 11) + 1) * 2.0 ** -53
+    u2 = (mix64(state + GOLDEN) >> 11) * 2.0 ** -53
+    gauss = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    clamp = SHADOWING_CLAMP_SIGMA * model.shadowing_sigma_db
+    return ((tx_power_dbm - path_loss)
+            + np.clip(gauss * model.shadowing_sigma_db, -clamp, clamp)).tolist()
+
+
+def reference_prr(model, rssi):
+    x = (np.array(rssi, dtype=float) - model.sensitivity_dbm) \
+        / model.transition_width_db
+    prr = 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+    return np.where(x > 30.0, 1.0, np.where(x < -30.0, 0.0, prr)).tolist()
+
+
+class TestInPlaceEvaluation:
+    """Both evaluations write every step over their input; a reference
+    with one fresh array per step pins that no bit moved."""
+
+    @given(sender=awkward_points,
+           receivers=st.lists(awkward_points, max_size=120),
+           tx=st.one_of(st.just(0.0), st.floats(-25.0, 25.0)),
+           sigma=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+           exponent=st.one_of(st.just(0.0), st.floats(1.0, 5.0)),
+           model_seed=st.integers(-2**70, 2**70))
+    @settings(max_examples=80, deadline=None)
+    def test_bits_equal_a_fresh_array_per_step(self, sender, receivers, tx,
+                                                sigma, exponent, model_seed):
+        model = LogDistanceModel(path_loss_exponent=exponent,
+                                 shadowing_sigma_db=sigma, seed=model_seed)
+        rssi = rssi_call(model, sender, receivers, tx)
+        assert [v.hex() for v in rssi] == [
+            v.hex() for v in reference_rssi(model, sender, receivers, tx)]
+        probe = rssi + [-200.0, -165.0, -90.0, -15.0, 40.0]
+        assert [v.hex() for v in prr_call(model, probe)] == [
+            v.hex() for v in reference_prr(model, probe)]
 
 
 class TestNonFinitePositions:

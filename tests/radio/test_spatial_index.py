@@ -16,7 +16,6 @@ built.
 import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -351,9 +350,8 @@ class TestCacheInvalidation:
     @staticmethod
     def _model_rssi(medium, sender, receiver):
         """The oracle: the model asked directly, past every cache."""
-        return float(medium.model.rssi_dbm(
-            sender.position, np.array([receiver.position]),
-            sender.tx_power_dbm)[0])
+        return medium.model.rssi_dbm(
+            sender.position, [receiver.position], sender.tx_power_dbm)[0]
 
     @pytest.mark.parametrize("attr, value", [("position", (5.0, 0.0)),
                                              ("tx_power_dbm", 20.0)])

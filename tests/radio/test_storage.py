@@ -15,10 +15,11 @@ from benchmarks.kernel_floor import (
     campus_event_bytes, campus_link_bytes, campus_radio_bytes)
 from repro.app.scenarios import BUILTIN_SCENARIOS
 
-#: An attached radio (≈361 B: its instance and ``__dict__``, its row in
-#: the medium, three residency floats that share one 0.0 until used).
-#: With a ``{state: seconds}`` dict per radio it was ≈570 B.
-MAX_BYTES_PER_RADIO = 400.0
+#: An attached radio (≈300 B: its instance and ``__dict__``, its slot in
+#: a grid cell, three residency floats that share one 0.0 until used).
+#: With a row in numpy position and id arrays and a row index it was
+#: ≈361 B; with a ``{state: seconds}`` dict per radio ≈570 B.
+MAX_BYTES_PER_RADIO = 330.0
 #: A cached link (≈83 B: a ``radios`` slot, a ``prr`` double and a map
 #: entry with its boxed RSSI).  A second RSSI column made it ≈92 B; a
 #: ``(radio, rssi, prr)`` tuple per link ≈160 B.
