@@ -114,8 +114,12 @@ cold-fill:
 # and of a cancel/re-arm loop, the bytes a stored span, a cached link, an
 # attached radio and a pending event keep (the last three over
 # campus_medium's cold fill, radios and timed section at SEED), then
-# WORKLOAD's (default
-# grid_csma_collect; any layered workload) timed-section
+# WORKLOAD's (default grid_csma_collect; any layered workload) bytes by
+# layer at SEED — tracemalloc from before set-up: the bytes retained
+# after set-up and the growth over the timed section, per ledger layer
+# of benchmarks/layers/trace.py and per node, each allocation charged to
+# its newest frame outside repro/sim/ and the standard library (~1 min
+# on grid_csma_collect) — then its timed-section
 # census at SEED — events, heap pushes, pushes cancelled before they
 # fired, zero-delay pushes and heap compactions, the twelve most pushed
 # callbacks, and the outcome digest (sim_digest's parts without events);

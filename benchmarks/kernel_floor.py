@@ -24,6 +24,17 @@ push (DESIGN.md, "Hot single-trial paths").  This prints
   ``campus_medium``'s timed section (10 000 sends) once more on the
   simulator its set-up left, each entry with its own time and
   sequence number as in the run;
+- the *bytes by layer* of one layered workload (``--workload``) at
+  ``--seed``: tracemalloc, started before the workload is built, over
+  its set-up and then its timed section, each allocation charged to a
+  ledger layer (:func:`benchmarks.layers.trace.layer_of`) by the first
+  frame of its traceback that lies in this tree outside ``repro/sim/``.
+  The kernel and the standard library allocate for their caller — an
+  event's time float made by ``Simulator.schedule``, a substream's
+  generator — so their bytes are charged to the code that called them,
+  not to ``sim`` and not to whichever layer keeps the object later.
+  It prints the bytes retained after set-up and the growth over the
+  timed section per layer and per node, and tracemalloc's total;
 - the event census of one layered workload's timed section
   (``--workload``, default ``grid_csma_collect``) at ``--seed``, with
   the layered benchmark's own set-up and slicing, untraced: events run,
@@ -58,13 +69,14 @@ unchanged on any checkout with the same kernel, medium and workload API.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
 import tracemalloc
 from collections import Counter
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for _path in (os.path.join(_ROOT, "src"), _ROOT):
@@ -72,6 +84,7 @@ for _path in (os.path.join(_ROOT, "src"), _ROOT):
         sys.path.insert(0, _path)
 
 from benchmarks.layers import workloads
+from benchmarks.layers.trace import LAYERS, layer_of
 from benchmarks.layers.workloads import (
     DEFAULT_SCALE, WORKLOADS, CampusMedium, advance)
 from repro.deployment.topology import campus_topology
@@ -92,6 +105,11 @@ REPEATS = 5
 OUTCOMES = ("radio.miss", "radio.collision", "radio.drop", "radio.rx")
 #: Callbacks listed by the per-callback census.
 TOP_CALLBACKS = 12
+#: Frames tracemalloc keeps per allocation for the bytes-by-layer
+#: table: enough to walk out of the kernel, timers and the standard
+#: library (a substream's generator is made five frames below its
+#: owner).
+LEDGER_FRAMES = 16
 
 
 def noop_chain(events: int) -> float:
@@ -317,6 +335,92 @@ def span_bytes(spans: int) -> float:
         tracemalloc.stop()
 
 
+@functools.lru_cache(maxsize=None)
+def _module_of(filename: str) -> Optional[str]:
+    """The dotted module of a file of this tree (``repro.…`` under
+    ``src/``, ``benchmarks.…`` and the like at the root); None for any
+    other file (the standard library, ``<frozen …>``)."""
+    path, tree = os.path.realpath(filename), os.path.realpath(_ROOT)
+    for root in (os.path.join(tree, "src") + os.sep, tree + os.sep):
+        if path.startswith(root) and path.endswith(".py"):
+            return path[len(root):-3].replace(os.sep, ".")
+    return None
+
+
+def _owner(traceback: Any) -> str:
+    """The ledger layer an allocation is charged to: that of its newest
+    frame in this tree outside ``repro/sim/``; ``sim`` when the kernel
+    is the only code of this tree in the frames kept, ``untraced`` when
+    there is none."""
+    layer = "untraced"
+    for frame in reversed(traceback):  # newest first
+        module = _module_of(frame.filename)
+        if module is None:
+            continue
+        if module.startswith("repro.sim."):
+            layer = "sim"
+            continue
+        return layer_of(module)
+    return layer
+
+
+def _by_layer() -> Tuple[Dict[str, int], int]:
+    """The traced bytes now alive per ledger layer, and tracemalloc's
+    total; the snapshot is dropped before returning."""
+    gc.collect()
+    total = tracemalloc.get_traced_memory()[0]
+    by_layer: Counter = Counter()
+    for stat in tracemalloc.take_snapshot().statistics("traceback"):
+        by_layer[_owner(stat.traceback)] += stat.size
+    return dict(by_layer), total
+
+
+def layer_bytes(workload_name: str, seed: int,
+                scale: float = DEFAULT_SCALE) -> Dict[str, Any]:
+    """The bytes-by-layer ledger of ``workload_name`` at ``seed``:
+    tracemalloc from before the workload is built, read after its
+    set-up and at the end of its timed section.  Returns ``nodes`` (its
+    radios), ``setup`` and ``growth`` (bytes per layer, the growth
+    being end minus set-up, so a layer may shrink) and their tracemalloc
+    totals ``setup_total`` and ``growth_total``."""
+    gc.collect()
+    tracemalloc.start(LEDGER_FRAMES)
+    try:
+        workload = WORKLOADS[workload_name](seed, scale)
+        workload.setup(lambda: None)
+        setup, setup_total = _by_layer()
+        advance(workload.sim, workload.timed_until, lambda: None)
+        end, end_total = _by_layer()
+    finally:
+        tracemalloc.stop()
+    system = getattr(workload, "system", None)
+    medium = workload.medium if system is None else system.medium
+    return {
+        "nodes": len(medium.radios),
+        "setup": setup, "setup_total": setup_total,
+        "growth": {layer: end.get(layer, 0) - setup.get(layer, 0)
+                   for layer in set(setup) | set(end)},
+        "growth_total": end_total - setup_total,
+    }
+
+
+def ledger_table(ledger: Dict[str, Any]
+                 ) -> List[Tuple[str, int, float, int, float]]:
+    """:func:`layer_bytes`'s rows as printed: ``(name, set-up bytes, per
+    node, growth bytes, per node)`` for each layer that holds or gained
+    bytes, in ledger order, then ``rows`` (their sums) and
+    ``tracemalloc`` (its totals)."""
+    nodes = ledger["nodes"]
+    rows = [(layer, ledger["setup"].get(layer, 0),
+             ledger["growth"].get(layer, 0)) for layer in LAYERS]
+    rows = [row for row in rows if row[1] or row[2]]
+    rows.append(("rows", sum(row[1] for row in rows),
+                 sum(row[2] for row in rows)))
+    rows.append(("tracemalloc", ledger["setup_total"], ledger["growth_total"]))
+    return [(name, setup, setup / nodes, growth, growth / nodes)
+            for name, setup, growth in rows]
+
+
 def neighbourhood_bytes(medium: Any, senders: List[Any]) -> Tuple[float, int]:
     """Bytes per link that building ``senders``' neighbourhoods on
     ``medium`` leaves allocated (tracemalloc; every cached one is
@@ -423,6 +527,16 @@ def main() -> int:
     per_event, events = campus_event_bytes(args.seed)
     print(f"  {'event pending':24s}{per_event:8.1f} B/event "
           f"(campus_medium seed {args.seed}: {events} events)")
+    ledger = layer_bytes(args.workload, args.seed)
+    print(f"{args.workload} seed {args.seed}, bytes by layer "
+          f"({ledger['nodes']} nodes; tracemalloc from before set-up, an "
+          "allocation charged to its newest frame outside repro/sim/ and "
+          "the standard library):")
+    print(f"  {'layer':12s}{'set-up kB':>12s}{'B/node':>10s}"
+          f"{'timed growth kB':>18s}{'B/node':>10s}")
+    for name, setup, setup_node, growth, growth_node in ledger_table(ledger):
+        print(f"  {name:12s}{setup / 1e3:12.1f}{setup_node:10.0f}"
+              f"{growth / 1e3:18.1f}{growth_node:10.0f}")
     totals, rows, digest = census(args.workload, args.seed)
     print(f"{args.workload} seed {args.seed}, timed section:")
     for name, value in totals.items():

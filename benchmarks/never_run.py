@@ -15,7 +15,7 @@ calls ``fn()`` once; ``REPRO_BENCH_JOBS=1``; the tables go to the
 temporary directory, not ``benchmarks/results/``), so the tree is left
 as it was.  At most :data:`JOBS` children run at once, the longest
 first, by the traced seconds :data:`ENTRY_POINTS` records for each (on
-a two-core host, where the whole run takes about 4.8 min: a tracer
+a two-core host, where the whole run takes about 4.5 min: a tracer
 that reports every line makes a run 5-7 times slower, this one 3-4
 times, see :func:`child`).
 
@@ -116,7 +116,8 @@ ENTRY_POINTS: Tuple[Entry, ...] = (
     Entry("construction_site", "script", "examples/construction_site.py",
           (), 25),
     Entry("gates", "script", "benchmarks/gates.py", ("check",), 13),
-    Entry("kernel_floor", "script", "benchmarks/kernel_floor.py", (), 36),
+    Entry("kernel_floor", "script", "benchmarks/kernel_floor.py", (),
+          139),
     Entry("cold_fill", "script", "benchmarks/cold_fill.py", (), 1),
     _layered("campus_medium", 0, 2),
     _layered("campus_medium", 1, 4),

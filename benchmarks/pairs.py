@@ -8,6 +8,10 @@ parent first in even pairs and the change first in odd ones, each in a
 fresh child through that tree's own ``benchmarks/layers/run.py --rep``
 (its ``run_rep``).  Both sides get the same seed and scale (by default
 the benchmark's own); nothing under ``benchmarks/layers/`` is written.
+Each tree is first copied, once, without its bytecode caches, and its
+children run in the copy and write no bytecode: like a fresh checkout,
+each child compiles the tree's own modules and reads the interpreter's
+cached standard library, whatever ``__pycache__`` either tree holds.
 
 It prints, for each end-to-end metric of ``BENCHMARK.json``
 (``ops_per_s``, ``setup_s``, ``rss_peak_mb``), each side's median and
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,27 +67,36 @@ def end_to_end() -> List[Dict[str, Any]]:
         return json.load(f)["end_to_end"]
 
 
+#: What a copied tree leaves out: history, bytecode and test caches.
+NOT_COPIED = (".git", "__pycache__", "*.pyc", ".pytest_cache", ".hypothesis")
+
+
+def copy_tree(tree: str, dest: str) -> str:
+    """Copy ``tree`` to ``dest`` without :data:`NOT_COPIED`; returns
+    ``dest``."""
+    shutil.copytree(tree, dest, ignore=shutil.ignore_patterns(*NOT_COPIED))
+    return dest
+
+
 def spawn_rep(tree: str, workload: str, seed: int,
               scale: Optional[float]) -> Rep:
     """One untraced repetition of ``workload`` on ``tree``, in a fresh
     child; ``scale`` None is the benchmark's default.  As
     :func:`benchmarks.layers.cli.spawn_rep`, but for any tree.
 
-    The child reads and writes bytecode only under an empty
-    ``PYTHONPYCACHEPREFIX``, so it compiles every module it imports
-    whatever ``__pycache__`` its tree holds: a working tree with caches
-    beside a fresh parent checkout would otherwise read as a faster
-    set-up in less memory."""
+    The child writes no bytecode and looks for none outside the usual
+    places, so on a tree from :func:`copy_tree` it compiles the tree's
+    modules from source every time and reads the standard library's
+    cached bytecode, as a child of a fresh checkout does."""
     cmd = [sys.executable, os.path.join(tree, "benchmarks", "layers", "run.py"),
            "--rep", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     if scale is not None:
         cmd += ["--scale", repr(scale)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
     try:
-        with tempfile.TemporaryDirectory(prefix="pairs-pycache-") as cache:
-            proc = subprocess.run(
-                cmd, cwd=tree, capture_output=True, text=True,
-                timeout=CHILD_TIMEOUT_S,
-                env=dict(os.environ, PYTHONPYCACHEPREFIX=cache))
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                              timeout=CHILD_TIMEOUT_S, env=env)
     except subprocess.TimeoutExpired:
         return {"error": f"child timed out after {CHILD_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
@@ -234,8 +248,13 @@ def main(argv: Optional[Sequence[str]] = None,
     if not os.path.isfile(os.path.join(args.parent, "benchmarks", "layers",
                                        "run.py")):
         parser.error(f"{args.parent} has no benchmarks/layers/run.py")
-    result = run_pairs(os.path.abspath(args.parent), ROOT, args.workload,
-                       args.pairs, args.seed, args.scale, spawn=spawn)
+    parent = os.path.abspath(args.parent)
+    with tempfile.TemporaryDirectory(prefix="pairs-") as copies:
+        result = run_pairs(
+            copy_tree(parent, os.path.join(copies, "parent")),
+            copy_tree(ROOT, os.path.join(copies, "change")),
+            args.workload, args.pairs, args.seed, args.scale, spawn=spawn)
+    result.update(parent=parent, change=ROOT)
     found = problems(result)
     print(render(result, verdict(result), found))
     return 1 if found else 0

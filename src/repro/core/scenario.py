@@ -14,7 +14,6 @@ JSON.  ``import repro`` does not load this module.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import typing
@@ -217,6 +216,8 @@ class Scenario:
 def content_hash(payload: Dict[str, Any]) -> str:
     """sha256 of a JSON payload's canonical text (sorted keys, no
     whitespace) — a scenario's identity across processes."""
+    import hashlib  # only here: its OpenSSL import costs every other run
+
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       allow_nan=False)
     return hashlib.sha256(text.encode()).hexdigest()

@@ -14,14 +14,16 @@ child spans to it.  Ids are allocated densely from per-tracer counters
 in event-execution order, so a seeded run produces identical span ids
 run over run.
 
-A stored span is a row, not an object.  Its fixed-width fields (parent
-id, node, start time, category index) are packed into one byte buffer;
-its trace id, end time, data keys and data values sit in four lists,
-so a child span, ``finish`` and ``annotate`` index them directly.  A
-closed span's data is one tuple of values beside a key tuple interned
-per shape: an instrumented run keeps no per-span object or dict, only
-the data dict of each span still open.  Readers build :class:`Span`
-records from the rows on demand.
+A stored span is a row, not an object: one fixed-width record in a byte
+buffer (parent id — a root's trace id in its place — node, start time
+and category index, packed by ``start``; end time, data-shape index and
+the offset of its data values, packed by ``finish``) and its values in
+one flat list shared by every span.  A child's trace is its root's, read
+by walking up the parent ids, so storing a span reads no other record.
+A closed span's keys are the tuple interned for its shape, so an
+instrumented run keeps no per-span object, tuple, float or dict, only
+the data dict of each span still open, in a side table by id.  Readers
+build :class:`Span` records from the rows on demand.
 
 Sampling keeps long instrumented runs cheap: ``sample_rate`` < 1.0
 (default 1.0, so a plain ``SpanTracer()`` records everything) keeps a
@@ -42,13 +44,27 @@ from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tu
 
 from repro.sim.mix import GOLDEN, mix64
 
-#: A stored span's fixed-width fields: parent id (0: a root), node
-#: (_NO_NODE: none), start, category index.
-_ROW = Struct("<qqdi")
+#: A stored span's record: its head — its link (a child's parent id; a
+#: root's trace id, negated), node (_NO_NODE: none), start, category
+#: index — and its tail — end time (NaN while open), data-shape index,
+#: offset of its first data value in the flat value list.  44 bytes,
+#: unpadded.  A child's trace is its root's: parents precede children.
+_ROW = Struct("<qqdIdII")
 _ROW_SIZE = _ROW.size
+#: The tail alone, which ``finish`` packs: span ``s``'s tail starts at
+#: ``s * _ROW_SIZE - _TAIL_SIZE``.
+_TAIL = Struct("<dII")
+_TAIL_SIZE = _TAIL.size
+#: The link, at the head of a record.
+_LINK = Struct("<q")
 _NO_NODE = -(1 << 63)
-#: A stored span as one tuple: trace id, parent id, node, start, end,
-#: category index, data keys (None while open), data values (a dict
+_OPEN_END = float("nan")
+#: Bound once: the write paths call each per span.
+_pack_row = _ROW.pack
+_pack_tail = _TAIL.pack_into
+_link_at = _LINK.unpack_from
+#: A stored span as a reader sees it: trace id, parent id, node, start,
+#: end, category index, data keys (None while open), data values (a dict
 #: while open).
 Row = Tuple[int, int, int, float, Optional[float], int,
             Optional[Tuple[str, ...]], Any]
@@ -162,16 +178,16 @@ class SpanTracer:
         #: Category names by index, and their indices.
         self._categories: List[str] = []
         self._category_index: Dict[str, int] = {}
-        #: One key tuple per data shape.
-        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        #: Data key tuples by shape index, and their indices.
+        self._shapes: List[Tuple[str, ...]] = []
+        self._shape_index: Dict[Tuple[str, ...], int] = {}
         self._rows = bytearray()
-        self._trace: List[int] = []
-        self._end: List[Optional[float]] = []  # None: still open
-        #: A closed span's data: its interned key tuple and its values.
-        #: An open span's is the dict it was started with (key None):
-        #: annotate and finish update it in place, finish packs it.
-        self._keys: List[Optional[Tuple[str, ...]]] = []
+        #: Every closed span's data values, each span's a contiguous run
+        #: that its record's offset and shape locate.
         self._values: List[Any] = []
+        #: An open span's data: the dict it was started with, which
+        #: annotate and finish update in place and finish packs.
+        self._open: Dict[int, Dict[str, Any]] = {}
         #: Stored span ids by trace, built by the first read after a
         #: write that stored a span.
         self._grouped_at: Optional[int] = None
@@ -205,12 +221,21 @@ class SpanTracer:
         self._categories.append(category)
         return index
 
+    def _shape(self, keys: Tuple[str, ...]) -> int:
+        index = self._shape_index[keys] = len(self._shapes)
+        self._shapes.append(keys)
+        return index
+
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
     def trace_of(self, span: int) -> int:
-        """The trace of span handle ``span``."""
-        return self._trace[span - 1]
+        """The trace of span handle ``span``: its root's, a few parent
+        links up."""
+        rows, link = self._rows, span
+        while link > 0:
+            link = _link_at(rows, (link - 1) * _ROW_SIZE)[0]
+        return -link
 
     def start(
         self,
@@ -237,22 +262,17 @@ class SpanTracer:
             if not self._trace_sampled(trace_id) and not self._is_pinned(category):
                 self.sampled_out += 1
                 return None
-            parent = 0
-        else:
-            trace_id = self._trace[parent - 1]
+            parent = -trace_id  # a root's link
         # The store, written out here and in event() rather than called:
         # it runs once per span, the hottest path of an observed run.
         cat = self._category_index.get(category)
         if cat is None:
             cat = self._category(category)
-        self._rows += _ROW.pack(parent, _NO_NODE if node is None else node,
-                                t, cat)
-        self._trace.append(trace_id)
-        self._end.append(None)
-        self._keys.append(None)
-        self._values.append(data)
+        self._rows += _pack_row(parent, _NO_NODE if node is None else node,
+                                t, cat, _OPEN_END, 0, 0)
         span_id = self._next_span
         self._next_span = span_id + 1
+        self._open[span_id] = data
         return span_id
 
     def finish(self, span: Optional[int], t: float, **data: Any) -> None:
@@ -262,21 +282,21 @@ class SpanTracer:
         callers can thread :meth:`start` results through without
         re-checking sampling decisions.  So is an id never handed out.
         """
-        if span is None or not 0 < span < self._next_span:
+        opened = self._open.pop(span, None)
+        if opened is None:
+            if span is not None and 0 < span < self._next_span:
+                self._append(span, data)
             return
-        i = span - 1
-        end = self._end
-        if end[i] is None:
-            end[i] = t
-            values = self._values
-            opened = values[i]
-            if data:
-                opened.update(data)
-            keys = tuple(opened)
-            self._keys[i] = self._shapes.setdefault(keys, keys)
-            values[i] = tuple(opened.values())
-        else:
-            self._append(i, data)
+        if data:
+            opened.update(data)
+        keys = tuple(opened)
+        shape = self._shape_index.get(keys)
+        if shape is None:
+            shape = self._shape(keys)
+        values = self._values
+        _pack_tail(self._rows, span * _ROW_SIZE - _TAIL_SIZE, t, shape,
+                   len(values))
+        values += opened.values()
 
     def annotate(self, span: Optional[int], **data: Any) -> None:
         """Attach data to an open span *without* closing it.
@@ -286,22 +306,34 @@ class SpanTracer:
         layers than start/end alone allow.  Same ``span=None`` no-op
         contract as :meth:`finish`.
         """
-        if span is None or not data or not 0 < span < self._next_span:
+        if span is None or not data:
             return
-        i = span - 1
-        if self._end[i] is None:
-            self._values[i].update(data)
-        else:
-            self._append(i, data)
+        opened = self._open.get(span)
+        if opened is not None:
+            opened.update(data)
+        elif 0 < span < self._next_span:
+            self._append(span, data)
 
-    def _append(self, i: int, data: Dict[str, Any]) -> None:
-        """Append ``data`` to the closed row ``i``, repeats included:
+    def _append(self, span: int, data: Dict[str, Any]) -> None:
+        """Append ``data`` to the closed span ``span``, repeats included:
         the dict a reader builds from it keeps each key where it first
-        came and the value it got last, as ``dict.update`` would."""
+        came and the value it got last, as ``dict.update`` would.  Its
+        values move to the end of the flat list, the new ones after
+        them; the slots they leave hold None."""
         if data:
-            keys = self._keys[i] + tuple(data)
-            self._keys[i] = self._shapes.setdefault(keys, keys)
-            self._values[i] += tuple(data.values())
+            at = span * _ROW_SIZE - _TAIL_SIZE
+            end, shape, offset = _TAIL.unpack_from(self._rows, at)
+            keys = self._shapes[shape]
+            values = self._values
+            moved = values[offset:offset + len(keys)]
+            values[offset:offset + len(keys)] = [None] * len(keys)
+            keys += tuple(data)
+            shape = self._shape_index.get(keys)
+            if shape is None:
+                shape = self._shape(keys)
+            _TAIL.pack_into(self._rows, at, end, shape, len(values))
+            values += moved
+            values += data.values()
 
     def event(
         self,
@@ -318,18 +350,18 @@ class SpanTracer:
         """
         if parent is None:
             return None
-        trace_id = self._trace[parent - 1]
         # The store, as in start(), of a span closed at once.
         cat = self._category_index.get(category)
         if cat is None:
             cat = self._category(category)
-        self._rows += _ROW.pack(parent, _NO_NODE if node is None else node,
-                                t, cat)
-        self._trace.append(trace_id)
-        self._end.append(t)
         keys = tuple(data)
-        self._keys.append(self._shapes.setdefault(keys, keys))
-        self._values.append(tuple(data.values()))
+        shape = self._shape_index.get(keys)
+        if shape is None:
+            shape = self._shape(keys)
+        values = self._values
+        self._rows += _pack_row(parent, _NO_NODE if node is None else node,
+                                t, cat, t, shape, len(values))
+        values += data.values()
         span_id = self._next_span
         self._next_span = span_id + 1
         return span_id
@@ -339,19 +371,30 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def _row(self, span: int) -> Optional[Row]:
         """A stored span's row; None if it was never recorded."""
-        i = span - 1
-        if not 0 <= i < len(self._end):
+        if not 0 < span < self._next_span:
             return None
-        parent, node, start, cat = _ROW.unpack_from(self._rows, i * _ROW_SIZE)
-        return (self._trace[i], parent, node, start, self._end[i], cat,
-                self._keys[i], self._values[i])
+        return self._unpacked(
+            span, self.trace_of(span),
+            _ROW.unpack_from(self._rows, (span - 1) * _ROW_SIZE))
 
     def _rows_stored(self) -> Iterator[Tuple[int, Row]]:
         """``(span id, row)`` of every stored span, in recording order."""
-        for i, (parent, node, start, cat) in enumerate(
-                _ROW.iter_unpack(self._rows)):
-            yield i + 1, (self._trace[i], parent, node, start, self._end[i],
-                          cat, self._keys[i], self._values[i])
+        traces: List[int] = []
+        for span, record in enumerate(_ROW.iter_unpack(self._rows), 1):
+            link = record[0]
+            trace_id = traces[link - 1] if link > 0 else -link
+            traces.append(trace_id)
+            yield span, self._unpacked(span, trace_id, record)
+
+    def _unpacked(self, span: int, trace_id: int, record: Tuple) -> Row:
+        link, node, start, cat, end, shape, offset = record
+        parent = link if link > 0 else 0
+        opened = self._open.get(span)
+        if opened is not None:
+            return trace_id, parent, node, start, None, cat, None, opened
+        keys = self._shapes[shape]
+        return (trace_id, parent, node, start, end, cat, keys,
+                self._values[offset:offset + len(keys)])
 
     def _span(self, span_id: int, row: Row) -> Span:
         trace_id, parent, node, start, end, cat, keys, values = row
@@ -383,7 +426,10 @@ class SpanTracer:
     def spans_for(self, trace_id: int) -> List[Span]:
         """Stored spans of one trace in recording (event-execution)
         order."""
-        return [self._span(span_id, self._row(span_id))
+        rows = self._rows
+        return [self._span(span_id, self._unpacked(
+                    span_id, trace_id,
+                    _ROW.unpack_from(rows, (span_id - 1) * _ROW_SIZE)))
                 for span_id in self._by_trace().get(trace_id, ())]
 
     def tree(self, trace_id: int) -> Optional[SpanNode]:

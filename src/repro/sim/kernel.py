@@ -15,10 +15,17 @@ inside one interpreter, which is what a warm pool worker executes.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, List, Optional
+
+try:
+    # The builtin MD5 gives hashlib's digest without loading OpenSSL's
+    # libcrypto (≈3.6 MB of a unit-disk run's ≈21 MB); random.py takes
+    # _sha512 the same way.
+    from _md5 import md5 as _md5
+except ImportError:  # an interpreter built without it
+    from hashlib import md5 as _md5
 
 _INF = float("inf")
 
@@ -157,7 +164,7 @@ class Simulator:
             # A stable digest, NOT built-in hash(): str hashing is
             # randomized per process, which would make runs
             # irreproducible across invocations.
-            digest = hashlib.md5(f"{self.seed}:{name}".encode()).digest()
+            digest = _md5(f"{self.seed}:{name}".encode()).digest()
             stream = random.Random(int.from_bytes(digest[:8], "little"))
             self._substreams[name] = stream
         return stream

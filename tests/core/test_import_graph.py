@@ -9,8 +9,10 @@ interpreter what it loaded; nothing here reads a wall clock.
 """
 
 import ast
+import hashlib
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -69,6 +71,33 @@ def test_a_unit_disk_run_never_loads_numpy():
         "                if name.partition('.')[0] == 'numpy')\n"
     )
     assert loaded == []
+
+
+def test_a_unit_disk_run_never_loads_openssl():
+    # Substream seeds come from the builtin MD5 and a scenario's sha256
+    # is taken only where it is asked for, so no run loads hashlib's
+    # OpenSSL backend (≈3.6 MB of resident libcrypto).
+    loaded, draws = _fresh_interpreter(
+        "from repro.core.system import IIoTSystem\n"
+        "from repro.deployment.topology import grid_topology\n"
+        "from repro.sim.kernel import Simulator\n"
+        "system = IIoTSystem.build(grid_topology(3), seed=1)\n"
+        "system.start()\n"
+        "system.run(60.0)\n"
+        "assert len(system.sim._substreams) > 0\n"
+        "draws = [Simulator(seed=7).substream(n).random()\n"
+        "         for n in ('x', 'mac.3', 'radio.medium')]\n"
+        "result = [sorted(name for name in sys.modules\n"
+        "                 if name in ('_hashlib', 'hashlib')), draws]\n"
+    )
+    assert loaded == []
+    # The builtin MD5 seeds every stream as hashlib's does.
+    expected = []
+    for name in ("x", "mac.3", "radio.medium"):
+        digest = hashlib.md5(f"7:{name}".encode()).digest()
+        expected.append(
+            random.Random(int.from_bytes(digest[:8], "little")).random())
+    assert draws == expected
 
 
 def test_a_log_distance_medium_loads_numpy_at_its_first_link():

@@ -7,6 +7,7 @@ verdict and the mismatch exit on repetitions copied from a real one.
 
 import copy
 import os
+import pathlib
 
 import pytest
 
@@ -27,23 +28,46 @@ def test_one_real_pair_at_tiny_scale(capsys):
     assert "sim_digest and simulated metrics equal" in out
 
 
-def test_a_child_reads_no_bytecode_its_tree_holds(monkeypatch):
-    """Each repetition compiles from source under a fresh, empty cache
-    prefix, so stale or missing ``__pycache__`` on either side cannot
-    move set-up time or memory."""
+def test_a_child_reads_no_bytecode_its_tree_holds(monkeypatch, tmp_path):
+    """Each side runs in a copy of its tree that holds no ``__pycache__``
+    and writes none, so stale or missing bytecode on either side cannot
+    move set-up time or memory, and the standard library's bytecode is
+    read as a fresh checkout's child reads it."""
+    tree = tmp_path / "tree"
+    for name in ("benchmarks/layers/run.py", "src/repro/__init__.py"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text("")
+        cache = tree / name.rsplit("/", 1)[0] / "__pycache__"
+        cache.mkdir()
+        (cache / "stale.cpython-311.pyc").write_bytes(b"stale")
+    (tree / ".git").mkdir()
+    copy = pairs.copy_tree(str(tree), str(tmp_path / "copy"))
+    copied = sorted(str(path.relative_to(copy))
+                    for path in pathlib.Path(copy).rglob("*"))
+    assert copied == ["benchmarks", "benchmarks/layers",
+                      "benchmarks/layers/run.py", "src", "src/repro",
+                      "src/repro/__init__.py"]
+
     seen = []
 
     def run(cmd, **kwargs):
-        prefix = kwargs["env"]["PYTHONPYCACHEPREFIX"]
-        seen.append((prefix, os.path.isdir(prefix), os.listdir(prefix)))
+        seen.append((cmd[1], kwargs["cwd"], kwargs["env"]))
         raise pairs.subprocess.TimeoutExpired(cmd, 1)
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
     monkeypatch.setattr(pairs.subprocess, "run", run)
-    for _ in range(2):
-        assert "timed out" in pairs.spawn_rep(ROOT, WORKLOAD, 5, 0.02)["error"]
-    (first, existed, listed), (second, _, _) = seen
-    assert existed and listed == [] and first != second
-    assert not os.path.exists(first)
+    assert "timed out" in pairs.spawn_rep(copy, WORKLOAD, 5, 0.02)["error"]
+    ((script, cwd, env),) = seen
+    assert script.startswith(copy + os.sep) and cwd == copy
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert "PYTHONPYCACHEPREFIX" not in env
+
+
+def test_a_real_child_leaves_its_copy_without_bytecode(tmp_path):
+    copy = pairs.copy_tree(ROOT, str(tmp_path / "change"))
+    rep = pairs.spawn_rep(copy, WORKLOAD, 5, 0.02)
+    assert not rep.get("error"), rep["error"]
+    assert list(pathlib.Path(copy).rglob("__pycache__")) == []
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +131,9 @@ def test_a_digest_mismatch_fails_the_run(fake_spawn, tmp_path, capsys):
                           digests={"parent": "a", "change": "b"})
 
     def by_name(tree, *args):
-        return spawn(os.path.basename(tree), *args)
+        # Each side runs in a copy named after it.
+        side = os.path.basename(tree)
+        return spawn("P" if side == "parent" else side, *args)
 
     code = pairs.main(["--parent", str(tmp_path / "P"),
                        "--workload", WORKLOAD, "--pairs", "2"], spawn=by_name)

@@ -1,5 +1,8 @@
 """Kernel ordering, cancellation, determinism, and run-window semantics."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.sim.kernel import SimTimeError, Simulator
@@ -267,6 +270,21 @@ class TestDeterminism:
     def test_substream_is_cached(self):
         sim = Simulator(seed=7)
         assert sim.substream("x") is sim.substream("x")
+
+    @pytest.mark.parametrize("seed", [0, 7, 2018, -3, 2**70])
+    def test_substream_seeds_are_hashlib_md5s(self, seed):
+        # The seed of every stream is the first eight bytes of
+        # hashlib's MD5 digest, which the builtin ``_md5`` the kernel
+        # takes gives too.
+        sim = Simulator(seed=seed)
+        for name in ("x", "", "mac.12", "radio.medium", "sensor.temp-3",
+                     "crdt.gossip.7", "faults.process", "périodique"):
+            digest = hashlib.md5(f"{seed}:{name}".encode()).digest()
+            expected = random.Random(int.from_bytes(digest[:8], "little"))
+            stream = sim.substream(name)
+            assert [stream.random() for _ in range(3)] == [
+                expected.random() for _ in range(3)]
+            assert stream.getrandbits(64) == expected.getrandbits(64)
 
 
 class TestHeapCompaction:

@@ -1,7 +1,8 @@
-"""``benchmarks/kernel_floor.py``'s census, outcome digest and
-observation loops, at a scale tier-1 affords: the counts add up, the
-digest is the workload's outcome without its event count, and each loop
-reports a time per operation."""
+"""``benchmarks/kernel_floor.py``'s census, outcome digest, observation
+loops and bytes-by-layer ledger, at a scale tier-1 affords: the counts
+add up, the digest is the workload's outcome without its event count,
+each loop reports a time per operation and the ledger's layers
+partition tracemalloc's total."""
 
 import re
 
@@ -13,10 +14,13 @@ from benchmarks.kernel_floor import (
     census,
     delivery_census,
     emit_loop,
+    layer_bytes,
+    ledger_table,
     outcome_digest,
     span_loop,
 )
 from benchmarks.layers import workloads
+from benchmarks.layers.trace import LAYERS
 
 
 def test_census_adds_up_and_cleans_up():
@@ -90,3 +94,24 @@ def test_delivery_census_adds_up(name, sizes):
     # A listener that is not collided draws once: a drop or a reception.
     assert totals["draws"] == totals["radio.drop"] + totals["radio.rx"]
     assert totals["probes"] <= totals["listeners"] * totals["interferers"]
+
+
+def test_the_ledger_partitions_tracemallocs_total():
+    ledger = layer_bytes("gateway_services", seed=2018, scale=0.05)
+    assert ledger["nodes"] == 16
+    for phase in ("setup", "growth"):
+        rows, total = ledger[phase], ledger[phase + "_total"]
+        assert set(rows) <= set(LAYERS)
+        assert abs(sum(rows.values()) - total) <= 0.01 * abs(total)
+    setup = ledger["setup"]
+    # Each node's MAC, routing and stack state is charged to its owner;
+    # the kernel allocates for its callers and keeps no row of its own.
+    assert min(setup.get(layer, 0) for layer in
+               ("net.mac", "net.rpl", "net.stack", "crdt")) > 0
+    assert setup.get("sim", 0) == 0
+    assert ledger["setup_total"] > 0 and ledger["growth_total"] > 0
+    table = ledger_table(ledger)
+    assert [row[0] for row in table[-2:]] == ["rows", "tracemalloc"]
+    assert table[-1][1::2] == (ledger["setup_total"], ledger["growth_total"])
+    for name, setup, setup_node, growth, growth_node in table:
+        assert setup_node == setup / 16 and growth_node == growth / 16
